@@ -5,7 +5,8 @@ GO ?= go
 all: check
 
 # The full gate: formatting, vet, build, tests, and the race detector over
-# the packages with cross-goroutine code (the parallel figure runner).
+# the packages with cross-goroutine code (the parallel figure runner,
+# window workers, the live transport).
 check: fmt vet build test race
 
 fmt:
@@ -21,9 +22,14 @@ build:
 test:
 	$(GO) test ./...
 
+# Real parallelism at 1, 2 and 4 scheduler threads. internal/bench runs
+# once: under the race detector it takes minutes per -cpu value (three
+# would overrun go test's 10-minute default), and its determinism sweeps
+# already drive their own worker pools.
 race:
-	$(GO) test -race ./internal/bench ./internal/sim ./internal/fabric ./internal/rdma \
+	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
 		./internal/transport ./internal/kv
+	$(GO) test -race ./internal/bench
 
 # Allocation microbenchmarks for the simulator hot path.
 bench:

@@ -100,8 +100,9 @@ func kvClientFactory(cfg Config, net *fabric.Network, srv *kv.Server) (func(int)
 	return func(id int) kvStore {
 		m := machines[id%len(machines)]
 		c := kv.NewClient(m.Connect(srv.NIC()), srv.Meta(), uint16(id+1))
-		c.CtrlConn = m.Connect(srv.NIC()) // reclamation rides a control QP
-		c.FreeBatch = 4                   // keep unreclaimed churn small under heavy write load
+		// Reclamation rides a control QP.
+		c.CtrlConn = &rdma.ProcConn{Conn: m.Connect(srv.NIC())}
+		c.FreeBatch = 4 // keep unreclaimed churn small under heavy write load
 		return c
 	}, machinePlacement(machines)
 }

@@ -11,7 +11,7 @@
 //   - ChainStore, a bucketed singly-linked-list store built for pointer
 //     chasing with a controllable chain depth. Keys 0..Buckets*Depth-1
 //     map key k to position k%Depth of bucket k/Depth, so looking up k
-//     takes exactly k%Depth+1 pointer hops. Three clients walk it:
+//     takes exactly k%Depth+1 pointer hops. Three lookups walk it:
 //     ChaseGet (one ProgChaseList round trip), HopGet (one round trip
 //     per hop — the classic one-sided baseline), and RPCGet (one round
 //     trip, but the server's host CPU walks the chain).
@@ -80,55 +80,7 @@ func (m *Meta) appendScanProg(buf []byte, startIdx int64) []byte {
 // the probe sequence and returns the matching entry, collapsing the
 // k-probe round-trip loop of Get into one request. Two-choice tables
 // have no probe chain, so they fall back to the chained two-slot read.
-func (c *Client) GetChase(p *sim.Proc, key int64) ([]byte, error) {
-	if c.meta.Hash == TwoChoice {
-		return c.getTwoChoice(p, key)
-	}
-	prism.PutBE64(c.matchBuf[:], 0, uint64(key))
-	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	for {
-		c.progBuf = c.meta.appendProbeProg(c.progBuf[:0], idx, c.matchBuf[:])
-		ops := c.conn.Ops(1)
-		ops[0] = prism.Chase(c.meta.Key, c.meta.HashBase, c.progBuf, wire.CASEq, nil, entrySize(c.meta.MaxValue))
-		res := c.conn.Issue(p, ops...)
-		switch res[0].Status {
-		case wire.StatusOK:
-			_, v, err := decodeEntry(res[0].Data)
-			return v, err
-		case wire.StatusNotFound:
-			return nil, ErrNotFound
-		case wire.StatusStepLimit:
-			idx = int64(res[0].Addr) // resume where the program stopped
-		default:
-			return nil, fmt.Errorf("kv: CHASE status %v", res[0].Status)
-		}
-	}
-}
-
-// Scan reads one budget-bounded window of the table starting at slot
-// start, calling visit for every entry (views are valid only during the
-// call). It returns the next slot index — NSlots when the table is
-// exhausted — so callers iterate: for i := int64(0); i < nslots; { i, _ = c.Scan(...) }.
-func (c *Client) Scan(p *sim.Proc, start int64, budget uint64, visit func(key int64, value []byte) error) (int64, error) {
-	c.progBuf = c.meta.appendScanProg(c.progBuf[:0], start)
-	ops := c.conn.Ops(1)
-	ops[0] = prism.Scan(c.meta.Key, c.meta.HashBase, c.progBuf, budget)
-	res := c.conn.Issue(p, ops...)
-	if res[0].Status != wire.StatusOK {
-		return start, fmt.Errorf("kv: SCAN status %v", res[0].Status)
-	}
-	err := prism.ScanEntries(res[0].Data, func(e []byte) error {
-		k, v, err := decodeEntry(e)
-		if err != nil {
-			return err
-		}
-		return visit(k, v)
-	})
-	return int64(res[0].Addr), err
-}
-
-// GetChase is the live twin of Client.GetChase.
-func (c *LiveClient) GetChase(key int64) ([]byte, error) {
+func (c *kvCore) GetChase(key int64) ([]byte, error) {
 	if c.meta.Hash == TwoChoice {
 		return c.getTwoChoice(key)
 	}
@@ -149,15 +101,18 @@ func (c *LiveClient) GetChase(key int64) ([]byte, error) {
 		case wire.StatusNotFound:
 			return nil, ErrNotFound
 		case wire.StatusStepLimit:
-			idx = int64(res[0].Addr)
+			idx = int64(res[0].Addr) // resume where the program stopped
 		default:
 			return nil, fmt.Errorf("kv: CHASE status %v", res[0].Status)
 		}
 	}
 }
 
-// Scan is the live twin of Client.Scan.
-func (c *LiveClient) Scan(start int64, budget uint64, visit func(key int64, value []byte) error) (int64, error) {
+// Scan reads one budget-bounded window of the table starting at slot
+// start, calling visit for every entry (views are valid only during the
+// call). It returns the next slot index — NSlots when the table is
+// exhausted — so callers iterate: for i := int64(0); i < nslots; { i, _ = c.Scan(...) }.
+func (c *kvCore) Scan(start int64, budget uint64, visit func(key int64, value []byte) error) (int64, error) {
 	c.progBuf = c.meta.appendScanProg(c.progBuf[:0], start)
 	ops := c.conn.Ops(1)
 	ops[0] = prism.Scan(c.meta.Key, c.meta.HashBase, c.progBuf, budget)
@@ -415,9 +370,10 @@ func decodeChainNode(node []byte, key int64) ([]byte, error) {
 	return node[chainNodeHeader : chainNodeHeader+vlen], nil
 }
 
-// ChainClient walks a ChainStore over a simulated connection.
-type ChainClient struct {
-	conn *rdma.Conn
+// chainCore is the chain-store client protocol, written once against a
+// transport.Issuer; ChainClient and LiveChainClient pick the issuer.
+type chainCore struct {
+	conn transport.Issuer
 	meta ChainMeta
 
 	// Hops is the client-observed round-trip count of HopGet walks —
@@ -429,9 +385,65 @@ type ChainClient struct {
 	rpcBuf   [9]byte
 }
 
+// Meta returns the chain description the client was built with.
+func (c *chainCore) Meta() ChainMeta { return c.meta }
+
+// ChainClient walks a ChainStore over a simulated connection that each
+// call re-binds to the calling process.
+type ChainClient struct {
+	chainCore
+	pc rdma.ProcConn
+}
+
 // NewChainClient wraps a simulated connection to a ChainStore.
 func NewChainClient(conn *rdma.Conn, meta ChainMeta) *ChainClient {
-	return &ChainClient{conn: conn, meta: meta}
+	c := &ChainClient{pc: rdma.ProcConn{Conn: conn}}
+	c.chainCore = chainCore{conn: &c.pc, meta: meta}
+	return c
+}
+
+func (c *ChainClient) on(p *sim.Proc) *chainCore {
+	c.pc.Proc = p
+	return &c.chainCore
+}
+
+// ChaseGet, HopGet and RPCGet are the chainCore lookups issued from
+// process p.
+func (c *ChainClient) ChaseGet(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).ChaseGet(key) }
+
+func (c *ChainClient) HopGet(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).HopGet(key) }
+
+func (c *ChainClient) RPCGet(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).RPCGet(key) }
+
+// LiveChainClient walks a chain-mode prismd over a live connection.
+type LiveChainClient struct{ chainCore }
+
+// NewLiveChainClient wraps a live connection to a chain-mode server.
+func NewLiveChainClient(conn *transport.Conn, meta ChainMeta) *LiveChainClient {
+	return &LiveChainClient{chainCore{conn: conn, meta: meta}}
+}
+
+// FetchChainMeta retrieves the chain description over conn.
+func FetchChainMeta(conn *transport.Conn) (ChainMeta, error) {
+	b, err := controlRPC(conn, rpcChainMeta)
+	if err != nil {
+		return ChainMeta{}, err
+	}
+	return decodeChainMeta(b)
+}
+
+// DialChain connects to a chain-mode prismd server at addr.
+func DialChain(addr string) (*transport.Client, *LiveChainClient, error) {
+	tc, conn, err := dialConn(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	meta, err := FetchChainMeta(conn)
+	if err != nil {
+		tc.Close()
+		return nil, nil, err
+	}
+	return tc, NewLiveChainClient(conn, meta), nil
 }
 
 // appendChaseProg encodes the list-chase program for one bucket walk.
@@ -447,7 +459,7 @@ func (m *ChainMeta) appendChaseProg(buf []byte, match []byte) []byte {
 
 // ChaseGet looks up key with one CHASE program: the NIC walks the chain
 // and returns the whole matched node in a single round trip.
-func (c *ChainClient) ChaseGet(p *sim.Proc, key int64) ([]byte, error) {
+func (c *chainCore) ChaseGet(key int64) ([]byte, error) {
 	bucket, _, err := c.meta.locate(key)
 	if err != nil {
 		return nil, err
@@ -458,7 +470,10 @@ func (c *ChainClient) ChaseGet(p *sim.Proc, key int64) ([]byte, error) {
 		c.progBuf = c.meta.appendChaseProg(c.progBuf[:0], c.matchBuf[:])
 		ops := c.conn.Ops(1)
 		ops[0] = prism.Chase(c.meta.Key, target, c.progBuf, wire.CASEq, nil, c.meta.nodeSize())
-		res := c.conn.Issue(p, ops...)
+		res, err := c.conn.Issue(ops)
+		if err != nil {
+			return nil, err
+		}
 		switch res[0].Status {
 		case wire.StatusOK:
 			return decodeChainNode(res[0].Data, key)
@@ -475,7 +490,7 @@ func (c *ChainClient) ChaseGet(p *sim.Proc, key int64) ([]byte, error) {
 // HopGet looks up key the classic one-sided way: an indirect READ
 // through the head cell, then one direct READ per hop using the next
 // pointer learned from the previous node — one round trip per hop.
-func (c *ChainClient) HopGet(p *sim.Proc, key int64) ([]byte, error) {
+func (c *chainCore) HopGet(key int64) ([]byte, error) {
 	bucket, _, err := c.meta.locate(key)
 	if err != nil {
 		return nil, err
@@ -488,7 +503,10 @@ func (c *ChainClient) HopGet(p *sim.Proc, key int64) ([]byte, error) {
 		} else {
 			ops[0] = prism.Read(c.meta.Key, addr, c.meta.nodeSize())
 		}
-		res := c.conn.Issue(p, ops...)
+		res, err := c.conn.Issue(ops)
+		if err != nil {
+			return nil, err
+		}
 		if res[0].Status == wire.StatusNAKAccess && hop == 0 {
 			return nil, ErrNotFound // null head pointer
 		}
@@ -511,143 +529,7 @@ func (c *ChainClient) HopGet(p *sim.Proc, key int64) ([]byte, error) {
 
 // RPCGet looks up key with one two-sided round trip; the server's host
 // CPU walks the chain (the rpcChainGet handler).
-func (c *ChainClient) RPCGet(p *sim.Proc, key int64) ([]byte, error) {
-	c.rpcBuf[0] = rpcChainGet
-	binary.BigEndian.PutUint64(c.rpcBuf[1:], uint64(key))
-	ops := c.conn.Ops(1)
-	ops[0] = prism.Send(c.rpcBuf[:])
-	res := c.conn.Issue(p, ops...)
-	if res[0].Status != wire.StatusOK {
-		return nil, fmt.Errorf("kv: chain RPC status %v", res[0].Status)
-	}
-	if len(res[0].Data) < 1 || res[0].Data[0] == 0 {
-		return nil, ErrNotFound
-	}
-	return res[0].Data[1:], nil
-}
-
-// LiveChainClient is the socket-borne twin of ChainClient.
-type LiveChainClient struct {
-	conn *transport.Conn
-	meta ChainMeta
-
-	Hops int64
-
-	progBuf  []byte
-	matchBuf [8]byte
-	rpcBuf   [9]byte
-}
-
-// NewLiveChainClient wraps a live connection to a chain-mode server.
-func NewLiveChainClient(conn *transport.Conn, meta ChainMeta) *LiveChainClient {
-	return &LiveChainClient{conn: conn, meta: meta}
-}
-
-// FetchChainMeta retrieves the chain description over conn.
-func FetchChainMeta(conn *transport.Conn) (ChainMeta, error) {
-	ops := conn.Ops(1)
-	ops[0] = prism.Send([]byte{rpcChainMeta})
-	res, err := conn.Issue(ops)
-	if err != nil {
-		return ChainMeta{}, err
-	}
-	if res[0].Status != wire.StatusOK {
-		return ChainMeta{}, fmt.Errorf("kv: chain meta RPC status %v", res[0].Status)
-	}
-	return decodeChainMeta(res[0].Data)
-}
-
-// DialChain connects to a chain-mode prismd server at addr.
-func DialChain(addr string) (*transport.Client, *LiveChainClient, error) {
-	tc, err := transport.Dial(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	conn, err := tc.Connect()
-	if err != nil {
-		tc.Close()
-		return nil, nil, err
-	}
-	meta, err := FetchChainMeta(conn)
-	if err != nil {
-		tc.Close()
-		return nil, nil, err
-	}
-	return tc, NewLiveChainClient(conn, meta), nil
-}
-
-// Meta returns the chain description fetched at dial time.
-func (c *LiveChainClient) Meta() ChainMeta { return c.meta }
-
-// ChaseGet is the live twin of ChainClient.ChaseGet.
-func (c *LiveChainClient) ChaseGet(key int64) ([]byte, error) {
-	bucket, _, err := c.meta.locate(key)
-	if err != nil {
-		return nil, err
-	}
-	prism.PutBE64(c.matchBuf[:], 0, uint64(key))
-	target := c.meta.headAddr(bucket)
-	for {
-		c.progBuf = c.meta.appendChaseProg(c.progBuf[:0], c.matchBuf[:])
-		ops := c.conn.Ops(1)
-		ops[0] = prism.Chase(c.meta.Key, target, c.progBuf, wire.CASEq, nil, c.meta.nodeSize())
-		res, err := c.conn.Issue(ops)
-		if err != nil {
-			return nil, err
-		}
-		switch res[0].Status {
-		case wire.StatusOK:
-			return decodeChainNode(res[0].Data, key)
-		case wire.StatusNotFound:
-			return nil, ErrNotFound
-		case wire.StatusStepLimit:
-			target = res[0].Addr
-		default:
-			return nil, fmt.Errorf("kv: CHASE status %v", res[0].Status)
-		}
-	}
-}
-
-// HopGet is the live twin of ChainClient.HopGet.
-func (c *LiveChainClient) HopGet(key int64) ([]byte, error) {
-	bucket, _, err := c.meta.locate(key)
-	if err != nil {
-		return nil, err
-	}
-	var addr memory.Addr
-	for hop := int64(0); hop < c.meta.Depth; hop++ {
-		ops := c.conn.Ops(1)
-		if hop == 0 {
-			ops[0] = prism.ReadIndirect(c.meta.Key, c.meta.headAddr(bucket), c.meta.nodeSize())
-		} else {
-			ops[0] = prism.Read(c.meta.Key, addr, c.meta.nodeSize())
-		}
-		res, err := c.conn.Issue(ops)
-		if err != nil {
-			return nil, err
-		}
-		if res[0].Status == wire.StatusNAKAccess && hop == 0 {
-			return nil, ErrNotFound
-		}
-		if res[0].Status != wire.StatusOK {
-			return nil, fmt.Errorf("kv: hop READ status %v", res[0].Status)
-		}
-		c.Hops++
-		node := res[0].Data
-		if int64(prism.BE64(node, chainNodeKey)) == key {
-			return decodeChainNode(node, key)
-		}
-		next := prism.LE64(node, chainNodeNext)
-		if next == 0 {
-			return nil, ErrNotFound
-		}
-		addr = memory.Addr(next)
-	}
-	return nil, ErrNotFound
-}
-
-// RPCGet is the live twin of ChainClient.RPCGet.
-func (c *LiveChainClient) RPCGet(key int64) ([]byte, error) {
+func (c *chainCore) RPCGet(key int64) ([]byte, error) {
 	c.rpcBuf[0] = rpcChainGet
 	binary.BigEndian.PutUint64(c.rpcBuf[1:], uint64(key))
 	ops := c.conn.Ops(1)

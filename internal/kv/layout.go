@@ -91,13 +91,11 @@ func slotIndex2(key int64, nSlots int64) int64 {
 	return s2
 }
 
-// encodeEntry builds an object buffer image.
-func encodeEntry(key int64, value []byte) []byte {
-	b := make([]byte, entryHeader+8+len(value))
-	binary.LittleEndian.PutUint64(b, 8) // key length (paper: 8-byte keys)
-	binary.BigEndian.PutUint64(b[entryHeader:], uint64(key))
-	copy(b[entryHeader+8:], value)
-	return b
+// appendEntry appends an object buffer image to dst.
+func appendEntry(dst []byte, key int64, value []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, 8) // key length (paper: 8-byte keys)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(key))
+	return append(dst, value...)
 }
 
 // decodeEntry splits an object buffer image, validating its key length.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"prism/internal/memory"
 	"prism/internal/prism"
@@ -12,11 +11,11 @@ import (
 	"prism/internal/wire"
 )
 
-// Live-transport side of PRISM-KV: the same data-path protocol as the
-// simulated Client, issued over a transport.Conn (tcp or unix socket)
-// against a prismd server. The control plane — the Meta the simulator
-// hands to clients in-process — travels over the wire as an rpcMeta
-// exchange, so a live client needs nothing but an address.
+// Live-transport side of PRISM-KV: the kvCore protocol issued over a
+// transport.Conn (tcp or unix socket) against a prismd server. The
+// control plane — the Meta the simulator hands to clients in-process —
+// travels over the wire as an rpcMeta exchange, so a live client needs
+// nothing but an address.
 
 // appendMeta encodes m (little-endian, fixed header then one record per
 // free list). The encoding is an internal protocol detail shared by
@@ -62,65 +61,43 @@ func decodeMeta(b []byte) (Meta, error) {
 	return m, nil
 }
 
+// controlRPC issues a one-byte control-plane RPC over conn and returns
+// the reply (valid until the next issue on conn).
+func controlRPC(conn *transport.Conn, op byte) ([]byte, error) {
+	ops := conn.Ops(1)
+	ops[0] = prism.Send([]byte{op})
+	res, err := conn.Issue(ops)
+	if err != nil {
+		return nil, err
+	}
+	if res[0].Status != wire.StatusOK {
+		return nil, fmt.Errorf("kv: control RPC %d status %v", op, res[0].Status)
+	}
+	return res[0].Data, nil
+}
+
 // FetchMeta retrieves the server's control-plane description over conn
 // (an rpcMeta SEND/reply exchange).
 func FetchMeta(conn *transport.Conn) (Meta, error) {
-	ops := conn.Ops(1)
-	ops[0] = prism.Send([]byte{rpcMeta})
-	res, err := conn.Issue(ops)
+	b, err := controlRPC(conn, rpcMeta)
 	if err != nil {
 		return Meta{}, err
 	}
-	if res[0].Status != wire.StatusOK {
-		return Meta{}, fmt.Errorf("kv: meta RPC status %v", res[0].Status)
-	}
-	return decodeMeta(res[0].Data)
+	return decodeMeta(b)
 }
 
-// LiveClient executes PRISM-KV operations over a live transport
-// connection. It is the socket-borne twin of Client: the same slot
-// layout, tag scheme, chain shapes, and reclamation batching, with real
-// blocking issues in place of simulated ones. Single-owner, like the
-// connection it wraps.
-type LiveClient struct {
-	conn     *transport.Conn
-	meta     Meta
-	clientID uint16
-	tagClock uint64
-
-	// Reclamation batching (see Client.FreeBatch).
-	frees      []byte
-	freesCount int
-	FreeBatch  int
-
-	// Stats
-	Probes  int64
-	CASFail int64
-
-	// Per-client scratch; safe to reuse because issues on the connection
-	// are strictly sequential (Issue blocks until the response arrives).
-	entryBuf []byte
-	preBuf   [slotSize]byte
-	ptrBuf   [8]byte
-
-	// Verb-program scratch (chain.go), reuse-safe like entryBuf.
-	progBuf  []byte
-	matchBuf [8]byte
-
-	// GetBatch scratch, reused across batches.
-	batchOps    []wire.Op
-	batchChains [][]wire.Op
-	batchProbe  []int
-}
+// LiveClient is PRISM-KV over a live transport connection: kvCore
+// issuing straight through a *transport.Conn (real blocking issues,
+// wall-clock RNR backoff, transport errors surfaced).
+type LiveClient struct{ kvCore }
 
 // NewLiveClient wraps a live connection to a PRISM-KV server.
 func NewLiveClient(conn *transport.Conn, meta Meta, clientID uint16) *LiveClient {
-	return &LiveClient{conn: conn, meta: meta, clientID: clientID, FreeBatch: 16}
+	return &LiveClient{newCore(conn, meta, clientID)}
 }
 
-// DialLive connects to a prismd server at addr, opens one connection,
-// and fetches the store metadata. clientID salts the client's tags.
-func DialLive(addr string, clientID uint16) (*transport.Client, *LiveClient, error) {
+// dialConn connects to a prismd server at addr and opens one connection.
+func dialConn(addr string) (*transport.Client, *transport.Conn, error) {
 	tc, err := transport.Dial(addr)
 	if err != nil {
 		return nil, nil, err
@@ -130,394 +107,20 @@ func DialLive(addr string, clientID uint16) (*transport.Client, *LiveClient, err
 		tc.Close()
 		return nil, nil, err
 	}
+	return tc, conn, nil
+}
+
+// DialLive connects to a prismd server at addr, opens one connection,
+// and fetches the store metadata. clientID salts the client's tags.
+func DialLive(addr string, clientID uint16) (*transport.Client, *LiveClient, error) {
+	tc, conn, err := dialConn(addr)
+	if err != nil {
+		return nil, nil, err
+	}
 	meta, err := FetchMeta(conn)
 	if err != nil {
 		tc.Close()
 		return nil, nil, err
 	}
 	return tc, NewLiveClient(conn, meta, clientID), nil
-}
-
-// Meta returns the store description fetched at dial time.
-func (c *LiveClient) Meta() Meta { return c.meta }
-
-// nextTag mirrors Client.nextTag: (logical clock << 16) | clientID.
-func (c *LiveClient) nextTag(atLeast uint64) uint64 {
-	clock := c.tagClock + 1
-	if floor := atLeast >> 16; floor >= clock {
-		clock = floor + 1
-	}
-	c.tagClock = clock
-	return clock<<16 | uint64(c.clientID)
-}
-
-// Get performs the §6.1 read over the live transport.
-func (c *LiveClient) Get(key int64) ([]byte, error) {
-	if c.meta.Hash == TwoChoice {
-		return c.getTwoChoice(key)
-	}
-	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	for probes := int64(0); probes < c.meta.NSlots; probes++ {
-		ops := c.conn.Ops(1)
-		ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(idx)+8, entrySize(c.meta.MaxValue))
-		res, err := c.conn.Issue(ops)
-		if err != nil {
-			return nil, err
-		}
-		if res[0].Status == wire.StatusNAKAccess {
-			return nil, ErrNotFound
-		}
-		if res[0].Status != wire.StatusOK {
-			return nil, fmt.Errorf("kv: GET status %v", res[0].Status)
-		}
-		k, v, err := decodeEntry(res[0].Data)
-		if err != nil {
-			return nil, err
-		}
-		if k == key {
-			return v, nil
-		}
-		c.Probes++
-		idx = (idx + 1) % c.meta.NSlots
-	}
-	return nil, ErrNotFound
-}
-
-// GetBatch performs the §6.1 read for every key behind one doorbell:
-// the whole train of GET chains is staged into the socket's flush
-// buffer and the writer is rung once (Conn.IssueBatch), so n lookups
-// cost one write syscall instead of n. visit is called exactly once per
-// key, in key order for every key resolved by its home slot(s); keys
-// that linear probing displaced past the home slot fall back to
-// individual Gets and are visited last. val aliases transport-owned
-// storage and is valid only during the visit call — copy to keep.
-func (c *LiveClient) GetBatch(keys []int64, visit func(i int, val []byte, err error)) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	two := c.meta.Hash == TwoChoice
-	opsPerKey := 1
-	if two {
-		opsPerKey = 2
-	}
-	if cap(c.batchOps) < len(keys)*opsPerKey {
-		c.batchOps = make([]wire.Op, len(keys)*opsPerKey)
-	}
-	ops := c.batchOps[:len(keys)*opsPerKey]
-	if cap(c.batchChains) < len(keys) {
-		c.batchChains = make([][]wire.Op, len(keys))
-	}
-	chains := c.batchChains[:len(keys)]
-	bound := entrySize(c.meta.MaxValue)
-	for i, key := range keys {
-		if two {
-			s1 := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-			s2 := slotIndex2(key, c.meta.NSlots)
-			ops[2*i] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s1)+8, bound)
-			ops[2*i+1] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s2)+8, bound)
-			chains[i] = ops[2*i : 2*i+2]
-		} else {
-			idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-			ops[i] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(idx)+8, bound)
-			chains[i] = ops[i : i+1]
-		}
-	}
-	res, err := c.conn.IssueBatch(chains)
-	if err != nil {
-		return err
-	}
-	// Visit every key the batch resolved first: result views are only
-	// valid until the next issue on the connection, and the probe
-	// fallbacks below issue.
-	probe := c.batchProbe[:0]
-	for i, key := range keys {
-		if two {
-			val := []byte(nil)
-			found := false
-			for _, r := range res[i] {
-				if r.Status != wire.StatusOK {
-					continue // empty slot NAKs on the null pointer
-				}
-				if k, v, err := decodeEntry(r.Data); err == nil && k == key {
-					val, found = v, true
-					break
-				}
-			}
-			if found {
-				visit(i, val, nil)
-			} else {
-				visit(i, nil, ErrNotFound)
-			}
-			continue
-		}
-		r := res[i][0]
-		switch {
-		case r.Status == wire.StatusNAKAccess:
-			visit(i, nil, ErrNotFound)
-		case r.Status != wire.StatusOK:
-			visit(i, nil, fmt.Errorf("kv: GET status %v", r.Status))
-		default:
-			k, v, err := decodeEntry(r.Data)
-			if err != nil {
-				visit(i, nil, err)
-			} else if k == key {
-				visit(i, v, nil)
-			} else {
-				// Home slot holds a different key: the entry (if present)
-				// was displaced down the probe chain.
-				probe = append(probe, i)
-			}
-		}
-	}
-	c.batchProbe = probe
-	for _, i := range probe {
-		v, err := c.Get(keys[i])
-		visit(i, v, err)
-	}
-	return nil
-}
-
-// getTwoChoice reads both candidate slots in one chained round trip.
-func (c *LiveClient) getTwoChoice(key int64) ([]byte, error) {
-	s1 := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	s2 := slotIndex2(key, c.meta.NSlots)
-	ops := c.conn.Ops(2)
-	ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s1)+8, entrySize(c.meta.MaxValue))
-	ops[1] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s2)+8, entrySize(c.meta.MaxValue))
-	res, err := c.conn.Issue(ops)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res {
-		if res[i].Status != wire.StatusOK {
-			continue // empty slot NAKs on the null pointer
-		}
-		if k, v, err := decodeEntry(res[i].Data); err == nil && k == key {
-			return v, nil
-		}
-	}
-	return nil, ErrNotFound
-}
-
-// Put performs the §6.1 out-of-place update: probe for the slot, then
-// the WRITE → ALLOCATE(redirect) → enhanced-CAS chain. Identical to
-// Client.Put, with real sleeps for RNR backoff.
-func (c *LiveClient) Put(key int64, value []byte) error {
-	if len(value) > c.meta.MaxValue {
-		return ErrTooLarge
-	}
-	entry := c.encodeEntryScratch(key, value)
-	flID, err := c.meta.classFor(uint64(len(entry)))
-	if err != nil {
-		return err
-	}
-
-	rnrRetries := 0
-	for {
-		idx, curTag, err := c.findSlot(key)
-		if err != nil {
-			return err
-		}
-		slot := c.meta.slotAddr(idx)
-		tag := c.nextTag(curTag)
-
-		tmp := c.conn.TempAddr
-		pre := c.preBuf[:]
-		prism.PutBE64(pre, 0, tag)
-		prism.PutLE64(pre, 8, 0)
-		prism.PutLE64(pre, 16, uint64(len(entry)))
-		ops := c.conn.Ops(3)
-		ops[0] = prism.Write(c.conn.TempKey, tmp, pre)
-		ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(flID, entry), c.conn.TempKey, tmp+8))
-		ops[2] = prism.Conditional(prism.CASIndirectDataBuf(&c.ptrBuf, c.meta.Key, slot, wire.CASGt, tmp,
-			slotTagMask, slotFullMask))
-		res, err := c.conn.Issue(ops)
-		if err != nil {
-			return err
-		}
-		if res[1].Status == wire.StatusRNR {
-			if rnrRetries++; rnrRetries > 100 {
-				return fmt.Errorf("kv: free list %d exhausted", flID)
-			}
-			if err := c.FlushFrees(); err != nil {
-				return err
-			}
-			time.Sleep(time.Duration(rnrRetries) * 10 * time.Microsecond)
-			continue
-		}
-		if res[0].Status != wire.StatusOK || res[1].Status != wire.StatusOK {
-			return fmt.Errorf("kv: PUT chain statuses %v %v %v", res[0].Status, res[1].Status, res[2].Status)
-		}
-		switch res[2].Status {
-		case wire.StatusOK:
-			oldPtr := prism.LE64(res[2].Data, 8)
-			if oldPtr != 0 {
-				oldLen := prism.LE64(res[2].Data, 16)
-				if oldClass, err := c.meta.classFor(oldLen); err == nil {
-					if err := c.retire(oldClass, memory.Addr(oldPtr)); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		case wire.StatusCASFailed:
-			// Superseded by a newer tag: last-writer-wins (see Client.Put).
-			c.CASFail++
-			return c.retire(flID, res[1].Addr)
-		default:
-			return fmt.Errorf("kv: PUT CAS status %v", res[2].Status)
-		}
-	}
-}
-
-// Delete swings the slot to the null pointer with a fresh tag.
-func (c *LiveClient) Delete(key int64) error {
-	idx, curTag, err := c.findSlot(key)
-	if err != nil {
-		return err
-	}
-	slot := c.meta.slotAddr(idx)
-	tag := c.nextTag(curTag)
-	data := c.preBuf[:]
-	prism.PutBE64(data, 0, tag)
-	prism.PutLE64(data, 8, 0)
-	prism.PutLE64(data, 16, 0)
-	ops := c.conn.Ops(1)
-	ops[0] = prism.CAS(c.meta.Key, slot, wire.CASGt, data, slotTagMask, slotFullMask)
-	res, err := c.conn.Issue(ops)
-	if err != nil {
-		return err
-	}
-	switch res[0].Status {
-	case wire.StatusOK:
-		oldPtr := prism.LE64(res[0].Data, 8)
-		if oldPtr != 0 {
-			oldLen := prism.LE64(res[0].Data, 16)
-			if oldClass, err := c.meta.classFor(oldLen); err == nil {
-				return c.retire(oldClass, memory.Addr(oldPtr))
-			}
-		}
-		return nil
-	case wire.StatusCASFailed:
-		return nil // a newer write superseded the delete
-	default:
-		return fmt.Errorf("kv: DELETE status %v", res[0].Status)
-	}
-}
-
-// findSlotTwoChoice resolves the slot for key under two-choice hashing
-// in one chained round trip.
-func (c *LiveClient) findSlotTwoChoice(key int64) (int64, uint64, error) {
-	s1 := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	s2 := slotIndex2(key, c.meta.NSlots)
-	ops := c.conn.Ops(4)
-	ops[0] = prism.Read(c.meta.Key, c.meta.slotAddr(s1), slotSize)
-	ops[1] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s1)+8, entrySize(c.meta.MaxValue))
-	ops[2] = prism.Read(c.meta.Key, c.meta.slotAddr(s2), slotSize)
-	ops[3] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s2)+8, entrySize(c.meta.MaxValue))
-	res, err := c.conn.Issue(ops)
-	if err != nil {
-		return 0, 0, err
-	}
-	slots := [2]int64{s1, s2}
-	var emptyIdx int64 = -1
-	var emptyTag uint64
-	for i := 0; i < 2; i++ {
-		slotRes, objRes := res[2*i], res[2*i+1]
-		if slotRes.Status != wire.StatusOK {
-			return 0, 0, fmt.Errorf("kv: slot read status %v", slotRes.Status)
-		}
-		tag := prism.BE64(slotRes.Data, 0)
-		ptr := prism.LE64(slotRes.Data, 8)
-		if ptr == 0 {
-			if emptyIdx < 0 {
-				emptyIdx, emptyTag = slots[i], tag
-			}
-			continue
-		}
-		if objRes.Status == wire.StatusOK {
-			if k, _, err := decodeEntry(objRes.Data); err == nil && k == key {
-				return slots[i], tag, nil
-			}
-		}
-	}
-	if emptyIdx >= 0 {
-		return emptyIdx, emptyTag, nil
-	}
-	return 0, 0, fmt.Errorf("kv: both candidate slots for key %d are taken (resize the table)", key)
-}
-
-// findSlot probes for the slot holding key (or the first empty slot).
-func (c *LiveClient) findSlot(key int64) (int64, uint64, error) {
-	if c.meta.Hash == TwoChoice {
-		return c.findSlotTwoChoice(key)
-	}
-	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	for probes := int64(0); probes < c.meta.NSlots; probes++ {
-		slot := c.meta.slotAddr(idx)
-		ops := c.conn.Ops(2)
-		ops[0] = prism.Read(c.meta.Key, slot, slotSize)
-		ops[1] = prism.ReadBounded(c.meta.Key, slot+8, entrySize(c.meta.MaxValue))
-		res, err := c.conn.Issue(ops)
-		if err != nil {
-			return 0, 0, err
-		}
-		if res[0].Status != wire.StatusOK {
-			return 0, 0, fmt.Errorf("kv: slot read status %v", res[0].Status)
-		}
-		tag := prism.BE64(res[0].Data, 0)
-		ptr := prism.LE64(res[0].Data, 8)
-		if ptr == 0 {
-			return idx, tag, nil
-		}
-		if res[1].Status == wire.StatusOK {
-			if k, _, err := decodeEntry(res[1].Data); err == nil && k == key {
-				return idx, tag, nil
-			}
-		}
-		c.Probes++
-		idx = (idx + 1) % c.meta.NSlots
-	}
-	return 0, 0, fmt.Errorf("kv: hash table full for key %d", key)
-}
-
-// retire queues a buffer for reclamation, flushing asynchronously when
-// a batch fills.
-func (c *LiveClient) retire(freeList uint32, addr memory.Addr) error {
-	var rec [12]byte
-	binary.LittleEndian.PutUint32(rec[:4], freeList)
-	binary.LittleEndian.PutUint64(rec[4:], uint64(addr))
-	c.frees = append(c.frees, rec[:]...)
-	c.freesCount++
-	if c.freesCount >= c.FreeBatch {
-		return c.FlushFrees()
-	}
-	return nil
-}
-
-// FlushFrees sends the accumulated reclamation batch fire-and-forget;
-// the reply is consumed by the transport's demux goroutine.
-func (c *LiveClient) FlushFrees() error {
-	if c.freesCount == 0 {
-		return nil
-	}
-	payload := append([]byte{rpcFree}, c.frees...)
-	c.frees = c.frees[:0]
-	c.freesCount = 0
-	ops := c.conn.Ops(1)
-	ops[0] = prism.Send(payload)
-	return c.conn.IssueAsync(ops)
-}
-
-// encodeEntryScratch builds the object image in reusable scratch.
-func (c *LiveClient) encodeEntryScratch(key int64, value []byte) []byte {
-	need := entryHeader + 8 + len(value)
-	if cap(c.entryBuf) < need {
-		c.entryBuf = make([]byte, need)
-	}
-	b := c.entryBuf[:need]
-	binary.LittleEndian.PutUint64(b, 8) // key length (paper: 8-byte keys)
-	binary.BigEndian.PutUint64(b[entryHeader:], uint64(key))
-	copy(b[entryHeader+8:], value)
-	return b
 }

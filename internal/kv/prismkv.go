@@ -173,7 +173,7 @@ func (s *Server) handleRPC(payload []byte) ([]byte, time.Duration) {
 // as the paper does). It consumes a free-list buffer like a remote PUT
 // would.
 func (s *Server) Load(key int64, value []byte) error {
-	entry := encodeEntry(key, value)
+	entry := appendEntry(make([]byte, 0, entrySize(len(value))), key, value)
 	flID, err := s.meta.classFor(uint64(len(entry)))
 	if err != nil {
 		return err
@@ -252,10 +252,17 @@ var (
 	slotFullMask = prism.FullMask(slotSize)
 )
 
-// Client executes PRISM-KV operations over one connection. Each simulated
-// closed-loop client owns one Client value.
-type Client struct {
-	conn     *rdma.Conn
+// kvCore is the PRISM-KV client protocol — slot probing, tags, the
+// out-of-place update chain, RNR backoff, reclamation batching and the
+// CHASE/SCAN programs (chain.go) — written once against a
+// transport.Issuer. Client and LiveClient are shells that pick the
+// issuer. Single-owner, like the connection under it: issues are
+// strictly sequential, which is what makes the per-client scratch below
+// safe to reuse (the previous response arrived before it is rewritten,
+// and a still-in-flight duplicate of an old simulated request is dropped
+// by its stale epoch).
+type kvCore struct {
+	conn     transport.Issuer
 	meta     Meta
 	clientID uint16
 	tagClock uint64
@@ -268,12 +275,13 @@ type Client struct {
 
 	// CtrlConn, when set, carries reclamation RPCs on a dedicated control
 	// connection so they never queue behind data-path chains on the RC
-	// queue pair (requests on one QP execute in order).
-	CtrlConn *rdma.Conn
+	// queue pair (requests on one QP execute in order). It only ever sees
+	// Ops and IssueAsync.
+	CtrlConn transport.Issuer
 
-	// Reclamation batching.
-	frees      []byte // encoded [freelist|addr] tuples
-	freesCount int
+	// Reclamation batching: frees holds the encoded 12-byte
+	// [freelist|addr] tuples of retired buffers not yet reported.
+	frees []byte
 	// FreeBatch is the number of retired buffers accumulated before an
 	// asynchronous reclamation RPC is sent.
 	FreeBatch int
@@ -282,36 +290,75 @@ type Client struct {
 	Probes  int64 // hash probes beyond the first slot
 	CASFail int64 // PUT chains that lost a tag race
 
-	// Per-client scratch for PUT/DELETE images. Safe to reuse across
-	// requests: the client is closed-loop (the previous request's response
-	// arrived before the scratch is rewritten) and any still-in-flight
-	// duplicate of an old request is dropped by its stale epoch.
+	// PUT/DELETE images.
 	entryBuf []byte
 	preBuf   [slotSize]byte
 	ptrBuf   [8]byte
 
 	// Verb-program scratch (chain.go): the encoded CHASE/SCAN program and
-	// its 8-byte match operand. Reuse is safe for the same closed-loop
-	// reason as entryBuf.
+	// its 8-byte match operand.
 	progBuf  []byte
 	matchBuf [8]byte
+
+	// GetBatch scratch, reused across batches.
+	batchOps    []wire.Op
+	batchChains [][]wire.Op
+	batchProbe  []int
 }
 
-// NewClient wraps a connection to a PRISM-KV server.
-func NewClient(conn *rdma.Conn, meta Meta, clientID uint16) *Client {
-	return &Client{
-		conn:        conn,
-		meta:        meta,
-		clientID:    clientID,
-		FreeBatch:   16,
-		cachedSlots: make(map[int64]int64),
-	}
+func newCore(conn transport.Issuer, meta Meta, clientID uint16) kvCore {
+	return kvCore{conn: conn, meta: meta, clientID: clientID, FreeBatch: 16}
 }
+
+// Client is PRISM-KV over a simulated connection: kvCore issuing through
+// an rdma.ProcConn that each call re-binds to the calling process. Each
+// simulated closed-loop client owns one Client value. A control
+// connection is set as CtrlConn = &rdma.ProcConn{Conn: ctrl}.
+type Client struct {
+	kvCore
+	pc rdma.ProcConn
+}
+
+// NewClient wraps a simulated connection to a PRISM-KV server.
+func NewClient(conn *rdma.Conn, meta Meta, clientID uint16) *Client {
+	c := &Client{pc: rdma.ProcConn{Conn: conn}}
+	c.kvCore = newCore(&c.pc, meta, clientID)
+	return c
+}
+
+// on binds the connection to the calling process for one call.
+func (c *Client) on(p *sim.Proc) *kvCore {
+	c.pc.Proc = p
+	return &c.kvCore
+}
+
+// Get, Put, Delete, GetBatch, GetChase, Scan and FlushFrees are the
+// kvCore operations issued from process p.
+func (c *Client) Get(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).Get(key) }
+
+func (c *Client) Put(p *sim.Proc, key int64, value []byte) error { return c.on(p).Put(key, value) }
+
+func (c *Client) Delete(p *sim.Proc, key int64) error { return c.on(p).Delete(key) }
+
+func (c *Client) GetBatch(p *sim.Proc, keys []int64, visit func(i int, val []byte, err error)) error {
+	return c.on(p).GetBatch(keys, visit)
+}
+
+func (c *Client) GetChase(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).GetChase(key) }
+
+func (c *Client) Scan(p *sim.Proc, start int64, budget uint64, visit func(key int64, value []byte) error) (int64, error) {
+	return c.on(p).Scan(start, budget, visit)
+}
+
+func (c *Client) FlushFrees(p *sim.Proc) error { return c.on(p).FlushFrees() }
+
+// Meta returns the store description the client was built with.
+func (c *kvCore) Meta() Meta { return c.meta }
 
 // nextTag returns a fresh tag greater than any tag this client has seen or
 // produced: (logical clock << 16) | clientID, matching the paper's
 // loosely-synchronized tag scheme.
-func (c *Client) nextTag(atLeast uint64) uint64 {
+func (c *kvCore) nextTag(atLeast uint64) uint64 {
 	clock := c.tagClock + 1
 	if floor := atLeast >> 16; floor >= clock {
 		clock = floor + 1
@@ -323,28 +370,21 @@ func (c *Client) nextTag(atLeast uint64) uint64 {
 // Get performs the §6.1 read: one indirect bounded READ per probe (or,
 // for two-choice hashing, one chained round trip reading both candidate
 // slots).
-func (c *Client) Get(p *sim.Proc, key int64) ([]byte, error) {
+func (c *kvCore) Get(key int64) ([]byte, error) {
 	if c.meta.Hash == TwoChoice {
-		return c.getTwoChoice(p, key)
+		return c.getTwoChoice(key)
 	}
 	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
 	for probes := int64(0); probes < c.meta.NSlots; probes++ {
 		ops := c.conn.Ops(1)
 		ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(idx)+8, entrySize(c.meta.MaxValue))
-		res := c.conn.Issue(p, ops...)
-		if res[0].Status == wire.StatusNAKAccess {
-			// Null pointer: empty slot terminates the probe sequence.
-			return nil, ErrNotFound
-		}
-		if res[0].Status != wire.StatusOK {
-			return nil, fmt.Errorf("kv: GET status %v", res[0].Status)
-		}
-		k, v, err := decodeEntry(res[0].Data)
+		res, err := c.conn.Issue(ops)
 		if err != nil {
 			return nil, err
 		}
-		if k == key {
-			return v, nil
+		v, displaced, err := matchHomeSlot(res[0], key)
+		if !displaced {
+			return v, err
 		}
 		c.Probes++
 		idx = (idx + 1) % c.meta.NSlots
@@ -352,12 +392,128 @@ func (c *Client) Get(p *sim.Proc, key int64) ([]byte, error) {
 	return nil, ErrNotFound
 }
 
+// matchHomeSlot interprets one probe's indirect bounded READ. displaced
+// means the slot holds a different key: the entry (if present) sits
+// further down the probe chain.
+func matchHomeSlot(r wire.Result, key int64) (val []byte, displaced bool, err error) {
+	if r.Status == wire.StatusNAKAccess {
+		// Null pointer: empty slot terminates the probe sequence.
+		return nil, false, ErrNotFound
+	}
+	if r.Status != wire.StatusOK {
+		return nil, false, fmt.Errorf("kv: GET status %v", r.Status)
+	}
+	k, v, err := decodeEntry(r.Data)
+	if err != nil {
+		return nil, false, err
+	}
+	if k != key {
+		return nil, true, nil
+	}
+	return v, false, nil
+}
+
+// matchTwoChoice picks key's entry out of the two candidate-slot reads.
+func matchTwoChoice(res []wire.Result, key int64) ([]byte, error) {
+	for i := range res {
+		if res[i].Status != wire.StatusOK {
+			continue // empty slot NAKs on the null pointer
+		}
+		if k, v, err := decodeEntry(res[i].Data); err == nil && k == key {
+			return v, nil
+		}
+	}
+	return nil, ErrNotFound
+}
+
+// getTwoChoice reads both candidate slots of a two-choice table in one
+// chained round trip.
+func (c *kvCore) getTwoChoice(key int64) ([]byte, error) {
+	ops := c.conn.Ops(2)
+	c.twoChoiceReads(ops, key)
+	res, err := c.conn.Issue(ops)
+	if err != nil {
+		return nil, err
+	}
+	return matchTwoChoice(res, key)
+}
+
+// twoChoiceReads fills ops[0:2] with the bounded READs of key's two
+// candidate slots.
+func (c *kvCore) twoChoiceReads(ops []wire.Op, key int64) {
+	s1 := slotIndex(c.meta.Hash, key, c.meta.NSlots)
+	s2 := slotIndex2(key, c.meta.NSlots)
+	ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s1)+8, entrySize(c.meta.MaxValue))
+	ops[1] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s2)+8, entrySize(c.meta.MaxValue))
+}
+
+// GetBatch performs the §6.1 read for every key behind one doorbell
+// (Issuer.IssueBatch): on a live socket the whole train of GET chains is
+// staged and the writer rung once, so n lookups cost one write syscall
+// instead of n; on the simulator the chains pipeline through the send
+// window. visit is called exactly once per key, in key order for every
+// key resolved by its home slot(s); keys that linear probing displaced
+// past the home slot fall back to individual Gets and are visited last.
+// val aliases transport-owned storage and is valid only during the visit
+// call — copy to keep.
+func (c *kvCore) GetBatch(keys []int64, visit func(i int, val []byte, err error)) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	two := c.meta.Hash == TwoChoice
+	opsPerKey := 1
+	if two {
+		opsPerKey = 2
+	}
+	if cap(c.batchOps) < len(keys)*opsPerKey {
+		c.batchOps = make([]wire.Op, len(keys)*opsPerKey)
+	}
+	ops := c.batchOps[:len(keys)*opsPerKey]
+	if cap(c.batchChains) < len(keys) {
+		c.batchChains = make([][]wire.Op, len(keys))
+	}
+	chains := c.batchChains[:len(keys)]
+	for i, key := range keys {
+		chains[i] = ops[i*opsPerKey : (i+1)*opsPerKey]
+		if two {
+			c.twoChoiceReads(chains[i], key)
+		} else {
+			idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
+			chains[i][0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(idx)+8, entrySize(c.meta.MaxValue))
+		}
+	}
+	res, err := c.conn.IssueBatch(chains)
+	if err != nil {
+		return err
+	}
+	// Visit every key the batch resolved first: result views are only
+	// valid until the next issue on the connection, and the probe
+	// fallbacks below issue.
+	probe := c.batchProbe[:0]
+	for i, key := range keys {
+		if two {
+			v, err := matchTwoChoice(res[i], key)
+			visit(i, v, err)
+		} else if v, displaced, err := matchHomeSlot(res[i][0], key); displaced {
+			probe = append(probe, i)
+		} else {
+			visit(i, v, err)
+		}
+	}
+	c.batchProbe = probe
+	for _, i := range probe {
+		v, err := c.Get(keys[i])
+		visit(i, v, err)
+	}
+	return nil
+}
+
 // Put performs the §6.1 out-of-place update: a probe round trip to find
 // the slot and learn the current tag, then one chained round trip that
 // writes the new tag/bound to the connection's temp buffer, ALLOCATEs the
 // new object (redirecting its address into the temp buffer), and installs
 // the <tag,ptr,bound> triple with an enhanced CAS. No server CPU runs.
-func (c *Client) Put(p *sim.Proc, key int64, value []byte) error {
+func (c *kvCore) Put(key int64, value []byte) error {
 	if len(value) > c.meta.MaxValue {
 		return ErrTooLarge
 	}
@@ -369,7 +525,7 @@ func (c *Client) Put(p *sim.Proc, key int64, value []byte) error {
 
 	rnrRetries := 0
 	for {
-		idx, curTag, err := c.findSlot(p, key)
+		idx, curTag, err := c.findSlot(key)
 		if err != nil {
 			return err
 		}
@@ -377,17 +533,20 @@ func (c *Client) Put(p *sim.Proc, key int64, value []byte) error {
 		tag := c.nextTag(curTag)
 
 		// tmp layout mirrors the slot: [tag | ptr(redirected) | bound].
-		tmp := c.conn.TempAddr
+		tmp, tmpKey := c.conn.Temp()
 		pre := c.preBuf[:]
 		prism.PutBE64(pre, 0, tag)
 		prism.PutLE64(pre, 8, 0)
 		prism.PutLE64(pre, 16, uint64(len(entry)))
 		ops := c.conn.Ops(3)
-		ops[0] = prism.Write(c.conn.TempKey, tmp, pre)
-		ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(flID, entry), c.conn.TempKey, tmp+8))
+		ops[0] = prism.Write(tmpKey, tmp, pre)
+		ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(flID, entry), tmpKey, tmp+8))
 		ops[2] = prism.Conditional(prism.CASIndirectDataBuf(&c.ptrBuf, c.meta.Key, slot, wire.CASGt, tmp,
 			slotTagMask, slotFullMask))
-		res := c.conn.Issue(p, ops...)
+		res, err := c.conn.Issue(ops)
+		if err != nil {
+			return err
+		}
 		if res[1].Status == wire.StatusRNR {
 			// Free list transiently empty: push our pending reclamations
 			// to the server immediately and retry after a short backoff
@@ -395,8 +554,10 @@ func (c *Client) Put(p *sim.Proc, key int64, value []byte) error {
 			if rnrRetries++; rnrRetries > 100 {
 				return fmt.Errorf("kv: free list %d exhausted", flID)
 			}
-			c.FlushFrees(p)
-			p.Sleep(time.Duration(rnrRetries) * 10 * time.Microsecond)
+			if err := c.FlushFrees(); err != nil {
+				return err
+			}
+			c.conn.Sleep(time.Duration(rnrRetries) * 10 * time.Microsecond)
 			continue
 		}
 		if res[0].Status != wire.StatusOK || res[1].Status != wire.StatusOK {
@@ -405,23 +566,14 @@ func (c *Client) Put(p *sim.Proc, key int64, value []byte) error {
 		switch res[2].Status {
 		case wire.StatusOK:
 			// Installed: retire the previous buffer (if any).
-			oldPtr := prism.LE64(res[2].Data, 8)
-			if oldPtr != 0 {
-				oldLen := prism.LE64(res[2].Data, 16)
-				oldClass, err := c.meta.classFor(oldLen)
-				if err == nil {
-					c.retire(p, oldClass, memory.Addr(oldPtr))
-				}
-			}
-			return nil
+			return c.retireOld(res[2].Data)
 		case wire.StatusCASFailed:
 			// A concurrent PUT installed a newer tag first: last-writer-
 			// wins says our value is superseded. Retire our orphaned
 			// buffer and report success (the paper's PRISM-KV treats the
 			// overwrite race the same way).
 			c.CASFail++
-			c.retire(p, flID, res[1].Addr)
-			return nil
+			return c.retire(flID, res[1].Addr)
 		default:
 			return fmt.Errorf("kv: PUT CAS status %v", res[2].Status)
 		}
@@ -430,8 +582,8 @@ func (c *Client) Put(p *sim.Proc, key int64, value []byte) error {
 
 // Delete removes a key by swinging its slot to the null pointer with a
 // fresh tag (tombstone-free: an empty slot simply has ptr == 0).
-func (c *Client) Delete(p *sim.Proc, key int64) error {
-	idx, curTag, err := c.findSlot(p, key)
+func (c *kvCore) Delete(key int64) error {
+	idx, curTag, err := c.findSlot(key)
 	if err != nil {
 		return err
 	}
@@ -443,17 +595,13 @@ func (c *Client) Delete(p *sim.Proc, key int64) error {
 	prism.PutLE64(data, 16, 0)
 	ops := c.conn.Ops(1)
 	ops[0] = prism.CAS(c.meta.Key, slot, wire.CASGt, data, slotTagMask, slotFullMask)
-	res := c.conn.Issue(p, ops...)
+	res, err := c.conn.Issue(ops)
+	if err != nil {
+		return err
+	}
 	switch res[0].Status {
 	case wire.StatusOK:
-		oldPtr := prism.LE64(res[0].Data, 8)
-		if oldPtr != 0 {
-			oldLen := prism.LE64(res[0].Data, 16)
-			if oldClass, err := c.meta.classFor(oldLen); err == nil {
-				c.retire(p, oldClass, memory.Addr(oldPtr))
-			}
-		}
-		return nil
+		return c.retireOld(res[0].Data)
 	case wire.StatusCASFailed:
 		return nil // a newer write superseded the delete
 	default:
@@ -461,158 +609,127 @@ func (c *Client) Delete(p *sim.Proc, key int64) error {
 	}
 }
 
-// getTwoChoice reads both candidate slots of a two-choice table in one
-// chained round trip.
-func (c *Client) getTwoChoice(p *sim.Proc, key int64) ([]byte, error) {
-	s1 := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	s2 := slotIndex2(key, c.meta.NSlots)
-	ops := c.conn.Ops(2)
-	ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s1)+8, entrySize(c.meta.MaxValue))
-	ops[1] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s2)+8, entrySize(c.meta.MaxValue))
-	res := c.conn.Issue(p, ops...)
-	for _, r := range res {
-		if r.Status != wire.StatusOK {
-			continue // empty slot NAKs on the null pointer
-		}
-		if k, v, err := decodeEntry(r.Data); err == nil && k == key {
-			return v, nil
-		}
-	}
-	return nil, ErrNotFound
-}
-
-// findSlotTwoChoice resolves the slot for key under two-choice hashing in
-// one chained round trip: the slot already holding key, else a free
-// candidate.
-func (c *Client) findSlotTwoChoice(p *sim.Proc, key int64) (int64, uint64, error) {
-	s1 := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	s2 := slotIndex2(key, c.meta.NSlots)
-	ops := c.conn.Ops(4)
-	ops[0] = prism.Read(c.meta.Key, c.meta.slotAddr(s1), slotSize)
-	ops[1] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s1)+8, entrySize(c.meta.MaxValue))
-	ops[2] = prism.Read(c.meta.Key, c.meta.slotAddr(s2), slotSize)
-	ops[3] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s2)+8, entrySize(c.meta.MaxValue))
-	res := c.conn.Issue(p, ops...)
-	slots := [2]int64{s1, s2}
-	var emptyIdx int64 = -1
-	var emptyTag uint64
-	for i := 0; i < 2; i++ {
-		slotRes, objRes := res[2*i], res[2*i+1]
-		if slotRes.Status != wire.StatusOK {
-			return 0, 0, fmt.Errorf("kv: slot read status %v", slotRes.Status)
-		}
-		tag := prism.BE64(slotRes.Data, 0)
-		ptr := prism.LE64(slotRes.Data, 8)
-		if ptr == 0 {
-			if emptyIdx < 0 {
-				emptyIdx, emptyTag = slots[i], tag
-			}
-			continue
-		}
-		if objRes.Status == wire.StatusOK {
-			if k, _, err := decodeEntry(objRes.Data); err == nil && k == key {
-				return slots[i], tag, nil
-			}
-		}
-	}
-	if emptyIdx >= 0 {
-		return emptyIdx, emptyTag, nil
-	}
-	return 0, 0, fmt.Errorf("kv: both candidate slots for key %d are taken (resize the table)", key)
-}
-
-// findSlot probes for the slot holding key (or the first empty slot) and
-// returns its index and current tag. One round trip per probe: a chain of
-// a direct slot READ and an indirect bounded READ of its object.
-func (c *Client) findSlot(p *sim.Proc, key int64) (int64, uint64, error) {
+// findSlot resolves the slot holding key (or an empty slot to claim) and
+// its current tag, consulting and feeding the slot cache when enabled.
+func (c *kvCore) findSlot(key int64) (int64, uint64, error) {
 	if c.SlotCache {
 		if idx, ok := c.cachedSlots[key]; ok {
 			return idx, c.tagClock << 16, nil
 		}
 	}
-	if c.meta.Hash == TwoChoice {
-		idx, tag, err := c.findSlotTwoChoice(p, key)
-		if err == nil && c.SlotCache {
-			c.cachedSlots[key] = idx
+	idx, tag, err := c.probeSlot(key)
+	if err == nil && c.SlotCache {
+		if c.cachedSlots == nil {
+			c.cachedSlots = make(map[int64]int64)
 		}
-		return idx, tag, err
+		c.cachedSlots[key] = idx
 	}
-	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	for probes := int64(0); probes < c.meta.NSlots; probes++ {
-		slot := c.meta.slotAddr(idx)
-		ops := c.conn.Ops(2)
-		ops[0] = prism.Read(c.meta.Key, slot, slotSize)
-		ops[1] = prism.ReadBounded(c.meta.Key, slot+8, entrySize(c.meta.MaxValue))
-		res := c.conn.Issue(p, ops...)
-		if res[0].Status != wire.StatusOK {
-			return 0, 0, fmt.Errorf("kv: slot read status %v", res[0].Status)
+	return idx, tag, err
+}
+
+// probeSlot reads candidate slots — each a chain of a direct slot READ
+// and an indirect bounded READ of its object — until one holds key or is
+// empty. Linear probing reads one candidate per round trip and walks on;
+// two-choice hashing reads both candidates in its single round trip. The
+// slot already holding key wins over an empty candidate of the same
+// round trip.
+func (c *kvCore) probeSlot(key int64) (int64, uint64, error) {
+	cand := [2]int64{slotIndex(c.meta.Hash, key, c.meta.NSlots)}
+	n, rounds := 1, c.meta.NSlots
+	if c.meta.Hash == TwoChoice {
+		cand[1], n, rounds = slotIndex2(key, c.meta.NSlots), 2, 1
+	}
+	for ; rounds > 0; rounds-- {
+		ops := c.conn.Ops(2 * n)
+		for i, idx := range cand[:n] {
+			slot := c.meta.slotAddr(idx)
+			ops[2*i] = prism.Read(c.meta.Key, slot, slotSize)
+			ops[2*i+1] = prism.ReadBounded(c.meta.Key, slot+8, entrySize(c.meta.MaxValue))
 		}
-		tag := prism.BE64(res[0].Data, 0)
-		ptr := prism.LE64(res[0].Data, 8)
-		if ptr == 0 {
-			// Empty slot: claim it for insertion.
-			if c.SlotCache {
-				c.cachedSlots[key] = idx
+		res, err := c.conn.Issue(ops)
+		if err != nil {
+			return 0, 0, err
+		}
+		emptyIdx, emptyTag := int64(-1), uint64(0)
+		for i, idx := range cand[:n] {
+			slotRes, objRes := res[2*i], res[2*i+1]
+			if slotRes.Status != wire.StatusOK {
+				return 0, 0, fmt.Errorf("kv: slot read status %v", slotRes.Status)
 			}
-			return idx, tag, nil
-		}
-		if res[1].Status == wire.StatusOK {
-			if k, _, err := decodeEntry(res[1].Data); err == nil && k == key {
-				if c.SlotCache {
-					c.cachedSlots[key] = idx
+			tag := prism.BE64(slotRes.Data, 0)
+			if prism.LE64(slotRes.Data, 8) == 0 {
+				if emptyIdx < 0 {
+					emptyIdx, emptyTag = idx, tag
 				}
-				return idx, tag, nil
+				continue
 			}
+			if objRes.Status == wire.StatusOK {
+				if k, _, err := decodeEntry(objRes.Data); err == nil && k == key {
+					return idx, tag, nil
+				}
+			}
+		}
+		if emptyIdx >= 0 {
+			return emptyIdx, emptyTag, nil
 		}
 		c.Probes++
-		idx = (idx + 1) % c.meta.NSlots
+		cand[0] = (cand[0] + 1) % c.meta.NSlots
 	}
-	return 0, 0, fmt.Errorf("kv: hash table full for key %d", key)
+	return 0, 0, fmt.Errorf("kv: no free slot for key %d (resize the table)", key)
+}
+
+// retireOld retires the buffer a successful slot CAS displaced, named by
+// the <ptr,bound> of the returned old slot image (none if ptr is null).
+func (c *kvCore) retireOld(oldSlot []byte) error {
+	oldPtr := prism.LE64(oldSlot, 8)
+	if oldPtr == 0 {
+		return nil
+	}
+	oldClass, err := c.meta.classFor(prism.LE64(oldSlot, 16))
+	if err != nil {
+		return nil // a bound no class covers names no buffer of ours
+	}
+	return c.retire(oldClass, memory.Addr(oldPtr))
 }
 
 // retire queues a buffer for reclamation and flushes a batch
 // asynchronously when full (§3.2's client-driven scheme).
-func (c *Client) retire(p *sim.Proc, freeList uint32, addr memory.Addr) {
+func (c *kvCore) retire(freeList uint32, addr memory.Addr) error {
 	var rec [12]byte
 	binary.LittleEndian.PutUint32(rec[:4], freeList)
 	binary.LittleEndian.PutUint64(rec[4:], uint64(addr))
 	c.frees = append(c.frees, rec[:]...)
-	c.freesCount++
-	if c.freesCount >= c.FreeBatch {
-		c.FlushFrees(p)
+	if len(c.frees) >= len(rec)*c.FreeBatch {
+		return c.FlushFrees()
 	}
+	return nil
 }
 
 // FlushFrees sends the accumulated reclamation batch without waiting for
 // the acknowledgment (asynchronous, per §6.1). The payload is copied out
 // of the batch buffer because the RPC is fire-and-forget: the buffer
 // refills while the request may still be in flight.
-func (c *Client) FlushFrees(p *sim.Proc) {
-	if c.freesCount == 0 {
-		return
+func (c *kvCore) FlushFrees() error {
+	if len(c.frees) == 0 {
+		return nil
 	}
 	payload := append([]byte{rpcFree}, c.frees...)
 	c.frees = c.frees[:0]
-	c.freesCount = 0
 	conn := c.conn
 	if c.CtrlConn != nil {
 		conn = c.CtrlConn
 	}
 	ops := conn.Ops(1)
 	ops[0] = prism.Send(payload)
-	conn.IssueAsync(ops)
+	return conn.IssueAsync(ops)
 }
 
 // encodeEntryScratch builds the object buffer image for key=value in the
-// client's reusable scratch (see entryBuf for the reuse-safety argument).
-func (c *Client) encodeEntryScratch(key int64, value []byte) []byte {
-	need := entryHeader + 8 + len(value)
-	if cap(c.entryBuf) < need {
-		c.entryBuf = make([]byte, need)
+// client's reusable scratch.
+func (c *kvCore) encodeEntryScratch(key int64, value []byte) []byte {
+	if need := int(entrySize(len(value))); cap(c.entryBuf) < need {
+		c.entryBuf = make([]byte, 0, need) // one exact allocation, not append's growth steps
 	}
-	b := c.entryBuf[:need]
-	binary.LittleEndian.PutUint64(b, 8) // key length (paper: 8-byte keys)
-	binary.BigEndian.PutUint64(b[entryHeader:], uint64(key))
-	copy(b[entryHeader+8:], value)
-	return b
+	c.entryBuf = appendEntry(c.entryBuf[:0], key, value)
+	return c.entryBuf
 }

@@ -2,13 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
 
 // sparseChains runs nBusy self-ticking chains plus nIdle domains that
 // never schedule anything, with a counting barrier hook, and returns the
-// execution log, the hook invocation count, and the stats.
+// execution log, the hook invocation count, and the stats. Window
+// workers run the busy domains in parallel, so each domain appends to its
+// own log; the logs are merged by (time, domain) after the run.
 func sparseChains(t *testing.T, nBusy, nIdle int, sparse bool, workers int) (string, int, WorldStats) {
 	t.Helper()
 	root := NewEngine(3)
@@ -31,13 +34,17 @@ func sparseChains(t *testing.T, nBusy, nIdle int, sparse bool, workers int) (str
 			}
 		}
 	}
-	log := ""
+	type tickRec struct {
+		at  Time
+		dom int
+	}
+	logs := make([][]tickRec, nBusy)
 	for i, d := range doms {
 		i, d := i, d
 		n := 0
 		var tick func()
 		tick = func() {
-			log += fmt.Sprintf("d%d@%v ", i, d.Now())
+			logs[i] = append(logs[i], tickRec{d.Now(), i})
 			if n++; n < 40 {
 				d.Schedule(Duration(time.Microsecond), tick)
 			}
@@ -45,6 +52,20 @@ func sparseChains(t *testing.T, nBusy, nIdle int, sparse bool, workers int) (str
 		d.Schedule(0, tick)
 	}
 	root.Run()
+	var all []tickRec
+	for _, l := range logs {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].at != all[b].at {
+			return all[a].at < all[b].at
+		}
+		return all[a].dom < all[b].dom
+	})
+	log := ""
+	for _, r := range all {
+		log += fmt.Sprintf("d%d@%v ", r.dom, r.at)
+	}
 	return log, hooks, w.Stats()
 }
 

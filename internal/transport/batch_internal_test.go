@@ -60,7 +60,11 @@ func tornServer(t *testing.T, nc net.Conn, answerFrames int) {
 			results[j] = wire.Result{Status: wire.StatusOK}
 		}
 		resp = wire.Response{Conn: req.Conn, Seq: req.Seq, Epoch: req.Epoch, Results: results}
-		if err := fw.SendResponse(&resp); err != nil {
+		err = fw.StageResponse(&resp)
+		if err == nil {
+			err = fw.Flush()
+		}
+		if err != nil {
 			t.Errorf("torn server respond %d: %v", i, err)
 			break
 		}

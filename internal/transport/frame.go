@@ -29,7 +29,7 @@ import (
 //
 //   - FrameWriter separates staging from flushing: Stage* appends a
 //     frame behind any already staged, Flush issues one Write for the
-//     whole train. Send* (= Stage + Flush) keeps the one-frame path.
+//     whole train.
 //   - FrameReader reads socket-sized chunks into its buffer, so one
 //     read syscall can deliver many frames; Buffered reports whether
 //     the next frame is already decodable without touching the socket,
@@ -271,22 +271,6 @@ func (fw *FrameWriter) Flush() error {
 // immediately (stage + flush).
 func (fw *FrameWriter) Send(kind byte, payload []byte) error {
 	if err := fw.Stage(kind, payload); err != nil {
-		return err
-	}
-	return fw.Flush()
-}
-
-// SendRequest encodes req and writes it immediately as one frame.
-func (fw *FrameWriter) SendRequest(req *wire.Request) error {
-	if err := fw.StageRequest(req); err != nil {
-		return err
-	}
-	return fw.Flush()
-}
-
-// SendResponse encodes resp and writes it immediately as one frame.
-func (fw *FrameWriter) SendResponse(resp *wire.Response) error {
-	if err := fw.StageResponse(resp); err != nil {
 		return err
 	}
 	return fw.Flush()

@@ -31,8 +31,11 @@ func testFrames(t testing.TB) ([]byte, [][2]interface{}) {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	if err := fw.SendRequest(req); err != nil {
-		t.Fatalf("SendRequest: %v", err)
+	if err := fw.StageRequest(req); err != nil {
+		t.Fatalf("StageRequest: %v", err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	frames = append(frames, [2]interface{}{byte(frameRequest), wire.AppendRequest(nil, req)})
 	return buf.Bytes(), frames
@@ -244,8 +247,11 @@ func TestFramedSendAllocs(t *testing.T) {
 	for name, req := range map[string]*wire.Request{"get": get, "put-chain": put} {
 		req := req
 		send := func() {
-			if err := fw.SendRequest(req); err != nil {
-				t.Fatalf("SendRequest: %v", err)
+			if err := fw.StageRequest(req); err != nil {
+				t.Fatalf("StageRequest: %v", err)
+			}
+			if err := fw.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
 			}
 		}
 		send() // warm the reused encode buffer
