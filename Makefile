@@ -22,13 +22,15 @@ build:
 test:
 	$(GO) test ./...
 
-# Real parallelism at 1, 2 and 4 scheduler threads. internal/bench runs
-# once: under the race detector it takes minutes per -cpu value (three
-# would overrun go test's 10-minute default), and its determinism sweeps
-# already drive their own worker pools.
+# Real parallelism at 1, 2 and 4 scheduler threads. alloc, memory and
+# prism are here because free lists carve slabs (Space.Register) under the
+# guard on concurrent sockets. internal/bench runs once: under the race
+# detector it takes minutes per -cpu value (three would overrun go test's
+# 10-minute default), and its determinism sweeps already drive their own
+# worker pools.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
-		./internal/transport ./internal/kv
+		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism
 	$(GO) test -race ./internal/bench
 
 # Allocation microbenchmarks for the simulator hot path.

@@ -10,6 +10,11 @@
 //	prismd -tcp 127.0.0.1:7171              # tcp
 //	prismd -tcp :7171 -unix /tmp/p.sock     # both at once
 //
+// -keys and -value set a ceiling, not the resident size: they size the
+// hash table and cap each buffer class at keys+8192 buffers, but buffers
+// are registered a 1 MiB slab at a time as loads and PUTs need them, so
+// an empty server holds little more than its hash table.
+//
 // -load N preloads keys 0..N-1 server-side before serving, as the
 // paper's experiments bulk-load before measuring. SIGINT/SIGTERM drain
 // gracefully: listeners close, in-flight requests finish, then the
@@ -38,7 +43,7 @@ import (
 func main() {
 	tcpAddr := flag.String("tcp", "", "tcp listen address (e.g. 127.0.0.1:7171)")
 	unixPath := flag.String("unix", "", "unix socket path")
-	nKeys := flag.Int64("keys", 4096, "hash table slots")
+	nKeys := flag.Int64("keys", 4096, "hash table slots; with -value, a ceiling on memory, not what is resident")
 	valueSize := flag.Int("value", 1024, "largest value size accepted (bytes)")
 	hashMode := flag.String("hash", "collisionless", "hash mode: collisionless, fnv, twochoice")
 	load := flag.Int64("load", 0, "preload keys 0..N-1 before serving")

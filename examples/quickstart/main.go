@@ -32,15 +32,7 @@ func main() {
 	}
 	srv.SetConnTempKey(reg.Key)
 
-	fl := alloc.NewFreeList(1, 256, reg.Key)
-	bufRegion, err := space.RegisterShared(reg.Key, 256*64)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		fl.Post(bufRegion.Base + memory.Addr(i*256))
-	}
-	srv.AddFreeList(fl)
+	srv.AddFreeList(alloc.NewFreeList(1, 256, reg.Key, space, 64))
 
 	// A value and a bounded pointer to it.
 	greeting := []byte("hello from server memory")

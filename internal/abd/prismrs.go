@@ -3,13 +3,13 @@ package abd
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/wire"
 )
 
@@ -20,7 +20,7 @@ type ReplicaOptions struct {
 	NBlocks   int64
 	BlockSize int
 	// ExtraBuffers beyond one per block, absorbing in-flight updates that
-	// await reclamation.
+	// await reclamation; NBlocks+ExtraBuffers is the free list's cap.
 	ExtraBuffers int
 	// VariableSize enables §7.3's variable-size extension: metadata
 	// entries gain a bound field, GETs return only the stored bytes, and
@@ -52,25 +52,23 @@ func NewReplica(rs *rdma.Server, opts ReplicaOptions) (*Replica, error) {
 	meta.Key = metaRegion.Key
 	meta.MetaBase = metaRegion.Base
 	bufSize := meta.bufSize()
-	total := uint64(opts.NBlocks) + uint64(opts.ExtraBuffers)
-	bufRegion, err := space.RegisterShared(metaRegion.Key, bufSize*total)
-	if err != nil {
-		return nil, fmt.Errorf("abd: buffer region: %w", err)
-	}
-	fl := alloc.NewFreeList(meta.FreeList, bufSize, metaRegion.Key)
+	fl := alloc.NewFreeList(meta.FreeList, bufSize, metaRegion.Key, space, int(opts.NBlocks)+opts.ExtraBuffers)
 
-	// Initialize every block with tag (1,0) and a zero value, installing
-	// the first total-NBlocks buffers; the rest go on the free list.
+	// Initialize every block with tag (1,0) and a zero value in a buffer
+	// popped from the free list, as an out-of-place write would.
 	initTag := MakeTag(1, 0)
+	img := make([]byte, bufSize)
+	prism.PutBE64(img, 0, uint64(initTag))
+	entry := make([]byte, meta.entrySize())
+	prism.PutBE64(entry, 0, uint64(initTag))
 	for b := int64(0); b < opts.NBlocks; b++ {
-		bufAddr := bufRegion.Base + memory.Addr(uint64(b)*bufSize)
-		img := make([]byte, bufSize)
-		prism.PutBE64(img, 0, uint64(initTag))
+		bufAddr, err := fl.Pop()
+		if err != nil {
+			return nil, fmt.Errorf("abd: initial buffers: %w", err)
+		}
 		if err := space.Write(meta.Key, bufAddr, img); err != nil {
 			return nil, err
 		}
-		entry := make([]byte, meta.entrySize())
-		prism.PutBE64(entry, 0, uint64(initTag))
 		prism.PutLE64(entry, 8, uint64(bufAddr))
 		if meta.Variable {
 			// The bound covers the whole [tag|value] buffer image so a
@@ -81,15 +79,11 @@ func NewReplica(rs *rdma.Server, opts ReplicaOptions) (*Replica, error) {
 			return nil, err
 		}
 	}
-	for i := uint64(opts.NBlocks); i < total; i++ {
-		fl.Post(bufRegion.Base + memory.Addr(i*bufSize))
-	}
 	rs.AddFreeList(fl)
 	rs.SetConnTempKey(meta.Key)
 
-	r := &Replica{rs: rs, meta: meta}
-	rs.SetRPCHandler(r.handleRPC)
-	return r, nil
+	rs.SetRPCHandler(transport.ReclamationHandler(rs, rpcFree, meta.FreeList))
+	return &Replica{rs: rs, meta: meta}, nil
 }
 
 // Meta returns the control-plane description.
@@ -97,21 +91,6 @@ func (r *Replica) Meta() Meta { return r.meta }
 
 // NIC returns the transport server.
 func (r *Replica) NIC() *rdma.Server { return r.rs }
-
-func (r *Replica) handleRPC(payload []byte) ([]byte, time.Duration) {
-	if len(payload) == 0 || payload[0] != rpcFree {
-		return nil, 0
-	}
-	rest := payload[1:]
-	n := 0
-	for len(rest) >= 8 {
-		addr := memory.Addr(binary.LittleEndian.Uint64(rest))
-		r.rs.RecycleBuffer(r.meta.FreeList, addr)
-		rest = rest[8:]
-		n++
-	}
-	return []byte{0}, time.Duration(n) * 100 * time.Nanosecond
-}
 
 // Client executes the PRISM-RS protocol against a replica group. Each
 // closed-loop client owns one Client (one connection per replica).

@@ -4,6 +4,7 @@ import (
 	"prism/internal/fabric"
 	"prism/internal/model"
 	"prism/internal/rdma"
+	"prism/internal/transport"
 )
 
 // Template is an immutable image of an initialized PRISM-RS replica. The
@@ -26,9 +27,8 @@ func (t *Template) NIC() *rdma.ServerTemplate { return t.nic }
 // NewReplicaFromTemplate instantiates an initialized replica on net.
 func NewReplicaFromTemplate(net *fabric.Network, name string, deploy model.Deployment, t *Template) *Replica {
 	rs := rdma.NewServerFromTemplate(net, name, deploy, t.nic)
-	r := &Replica{rs: rs, meta: t.meta}
-	rs.SetRPCHandler(r.handleRPC)
-	return r
+	rs.SetRPCHandler(transport.ReclamationHandler(rs, rpcFree, t.meta.FreeList))
+	return &Replica{rs: rs, meta: t.meta}
 }
 
 // LockTemplate is the ABDLOCK analogue of Template. Lock replicas are

@@ -1,8 +1,10 @@
 // Package alloc implements PRISM's free-list buffer allocation (§3.2).
 //
-// A server-side process carves buffers out of a registered region and
-// posts them to a free list, which the paper represents as an RDMA queue
-// pair. The NIC data plane pops the head buffer to satisfy an ALLOCATE.
+// A free list is a queue of equal-sized registered buffers, which the
+// paper represents as an RDMA queue pair; the NIC data plane pops the
+// head buffer to satisfy an ALLOCATE. The paper's server-side process
+// that posts buffers is folded into the list: one that runs dry registers
+// one more slab and posts its buffers, up to the cap it was created with.
 // Reposting a recycled buffer is only safe once every NIC operation that
 // was in flight when the buffer was retired has completed; the Quiescer
 // type implements that synchronization (the paper notes NICs already have
@@ -16,66 +18,129 @@ import (
 	"prism/internal/memory"
 )
 
-// ErrEmpty is returned when an ALLOCATE finds the free list empty; the NIC
-// surfaces it to the client as an RNR NAK.
+// ErrEmpty is returned when an ALLOCATE finds the free list empty and at
+// its cap; the NIC surfaces it to the client as an RNR NAK.
 var ErrEmpty = errors.New("alloc: free list empty")
 
-// FreeList is a queue of equal-sized registered buffers.
+// SlabBytes is how much memory a list registers when it runs dry (less
+// for the slab that reaches the cap, one buffer if a buffer is larger).
+// A constant, not a setting: 1 MiB amortises a registration over a
+// thousand ALLOCATEs of the largest class the stores use, holds what a
+// list keeps beyond its outstanding buffers to one slab, and keeps a
+// fork's copy-on-write unit (a region) small.
+const SlabBytes = 1 << 20
+
+// Slab is one registered region a list carved: Count buffers from Base.
+type Slab struct {
+	Base  memory.Addr
+	Count int
+}
+
+// FreeList is a queue of equal-sized registered buffers that provisions
+// itself on demand. It is not goroutine-safe: every method runs where
+// the space's other mutations run — under Space.Guard on a live host, in
+// the server's event domain in the simulator.
 type FreeList struct {
 	ID      uint32
 	BufSize uint64
 	Key     memory.RKey
-	// queue of buffer base addresses; head at index 0.
-	bufs []memory.Addr
-	// pending holds buffers awaiting quiesce before repost.
+
+	space *memory.Space
+	room  int    // buffers the list may still carve: the cap less slabs' counts
+	slabs []Slab // in carve order
+	// ring holds the available buffers, oldest at head; its length is a
+	// power of two.
+	ring    []memory.Addr
+	head, n int
+	// pending holds retired buffers awaiting quiesce, oldest first; the
+	// first flushed of them are already queued on a Quiescer.
 	pending []memory.Addr
+	flushed int
 }
 
-// NewFreeList returns an empty free list whose buffers live in regions
-// protected by key and hold bufSize bytes each.
-func NewFreeList(id uint32, bufSize uint64, key memory.RKey) *FreeList {
+// NewFreeList returns an empty free list of bufSize-byte buffers under
+// key that carves its buffers from space as Pop needs them, limit (the
+// cap) at most. A zero limit makes a list that only holds what is Posted.
+func NewFreeList(id uint32, bufSize uint64, key memory.RKey, space *memory.Space, limit int) *FreeList {
 	if bufSize == 0 {
 		panic("alloc: zero buffer size")
 	}
-	return &FreeList{ID: id, BufSize: bufSize, Key: key}
+	return &FreeList{ID: id, BufSize: bufSize, Key: key, space: space, room: limit}
 }
 
-// Post appends a fresh (never used remotely) buffer to the list. For
-// recycled buffers use Recycle + Quiescer instead.
+// Post appends a buffer nothing in flight can still reference (fresh, or
+// cleared by a quiesce). For recycled buffers use Recycle + Quiescer.
 func (f *FreeList) Post(addr memory.Addr) {
-	f.bufs = append(f.bufs, addr)
-}
-
-// Clone returns an independent copy of the list, for a server instantiated
-// from a forked memory space: buffer addresses are layout positions, so
-// they remain valid in any fork of the space they were carved from.
-func (f *FreeList) Clone() *FreeList {
-	nf := &FreeList{ID: f.ID, BufSize: f.BufSize, Key: f.Key}
-	nf.bufs = append([]memory.Addr(nil), f.bufs...)
-	nf.pending = append([]memory.Addr(nil), f.pending...)
-	return nf
-}
-
-// Pop removes and returns the head buffer.
-func (f *FreeList) Pop() (memory.Addr, error) {
-	if len(f.bufs) == 0 {
-		return 0, ErrEmpty
+	if f.n == len(f.ring) {
+		ring := make([]memory.Addr, max(16, 2*len(f.ring)))
+		for i := 0; i < f.n; i++ {
+			ring[i] = f.ring[(f.head+i)&(len(f.ring)-1)]
+		}
+		f.ring, f.head = ring, 0
 	}
-	a := f.bufs[0]
-	f.bufs = f.bufs[1:]
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = addr
+	f.n++
+}
+
+// Clone returns an independent copy of the list bound to space, a fork of
+// the space it was carved from: buffer addresses are layout positions, so
+// they stay valid in the fork, and a fork inherits the allocation pointer,
+// so every clone carves the same addresses next.
+func (f *FreeList) Clone(space *memory.Space) *FreeList {
+	nf := *f
+	nf.space = space
+	nf.slabs = append([]Slab(nil), f.slabs...)
+	nf.ring = append([]memory.Addr(nil), f.ring...)
+	nf.pending = append([]memory.Addr(nil), f.pending...)
+	return &nf
+}
+
+// Pop removes and returns the head buffer, carving a slab first if the
+// queue is empty and the list below its cap.
+func (f *FreeList) Pop() (memory.Addr, error) {
+	if f.n == 0 {
+		if err := f.carve(); err != nil {
+			return 0, err
+		}
+	}
+	a := f.ring[f.head]
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
 	return a, nil
 }
 
-// Len reports the number of available buffers.
-func (f *FreeList) Len() int { return len(f.bufs) }
+// carve registers the next slab under the list's key and posts its
+// buffers; ErrEmpty at the cap.
+func (f *FreeList) carve() error {
+	count := min(max(1, int(SlabBytes/f.BufSize)), f.room)
+	if count <= 0 {
+		return ErrEmpty
+	}
+	r, err := f.space.RegisterShared(f.Key, uint64(count)*f.BufSize)
+	if err != nil {
+		return err
+	}
+	f.slabs = append(f.slabs, Slab{Base: r.Base, Count: count})
+	f.room -= count
+	for i := 0; i < count; i++ {
+		f.Post(r.Base + memory.Addr(uint64(i)*f.BufSize))
+	}
+	return nil
+}
+
+// Len reports the available buffers, not counting what may yet be carved.
+func (f *FreeList) Len() int { return f.n }
+
+// Slabs reports the regions carved so far, in carve order: every buffer
+// the list ever handed out lies in one of them. Read-only.
+func (f *FreeList) Slabs() []Slab { return f.slabs }
 
 // Tracked reports every buffer currently owned by the list: available plus
-// pending-repost. Used by garbage-collection-style reclamation scans to
-// tell leaked buffers from free ones.
+// pending-repost. Reclamation scans tell leaked buffers from free ones by it.
 func (f *FreeList) Tracked() map[memory.Addr]bool {
-	m := make(map[memory.Addr]bool, len(f.bufs)+len(f.pending))
-	for _, a := range f.bufs {
-		m[a] = true
+	m := make(map[memory.Addr]bool, f.n+len(f.pending))
+	for i := 0; i < f.n; i++ {
+		m[f.ring[(f.head+i)&(len(f.ring)-1)]] = true
 	}
 	for _, a := range f.pending {
 		m[a] = true
@@ -89,28 +154,26 @@ func (f *FreeList) Pending() int { return len(f.pending) }
 // Recycle records a retired buffer; it becomes available again only after
 // the owning Quiescer observes that all operations concurrent with the
 // retirement have drained.
-func (f *FreeList) Recycle(addr memory.Addr) {
-	f.pending = append(f.pending, addr)
-}
-
-// repostAll moves all pending buffers back onto the queue.
-func (f *FreeList) repostAll() {
-	f.bufs = append(f.bufs, f.pending...)
-	f.pending = f.pending[:0]
-}
+func (f *FreeList) Recycle(addr memory.Addr) { f.pending = append(f.pending, addr) }
 
 // FlushWhenQuiet reposts the currently pending buffers once q observes
-// that all in-flight operations have drained.
+// that all in-flight operations have drained. A list flushes through one
+// quiescer, whose waits fire in order, so a wait need only record how many
+// of the oldest pending buffers it covers.
 func (f *FreeList) FlushWhenQuiet(q *Quiescer) {
-	n := len(f.pending)
-	if n == 0 {
-		return
+	if n := len(f.pending) - f.flushed; n > 0 {
+		f.flushed += n
+		q.wait(quiesceWait{list: f, count: n})
 	}
-	stale := f.pending[:n:n]
-	f.pending = f.pending[n:]
-	q.AfterQuiesce(func() {
-		f.bufs = append(f.bufs, stale...)
-	})
+}
+
+// repost moves the n oldest pending buffers back onto the queue.
+func (f *FreeList) repost(n int) {
+	for _, a := range f.pending[:n] {
+		f.Post(a)
+	}
+	f.pending = f.pending[:copy(f.pending, f.pending[n:])]
+	f.flushed -= n
 }
 
 // Quiescer tracks in-flight NIC operations so recycled buffers are only
@@ -126,9 +189,13 @@ type Quiescer struct {
 	waits    []quiesceWait
 }
 
+// quiesceWait is one deferred action: a callback, or (fn nil) the repost
+// of list's count oldest pending buffers, which needs no closure.
 type quiesceWait struct {
 	barrier uint64 // all ops with id < barrier must finish
 	fn      func()
+	list    *FreeList
+	count   int
 }
 
 // NewQuiescer returns an idle quiescer.
@@ -155,22 +222,31 @@ func (q *Quiescer) OpEnd(id uint64) {
 
 // AfterQuiesce schedules fn to run once every operation currently in
 // flight has completed. Operations starting later do not delay fn.
-func (q *Quiescer) AfterQuiesce(fn func()) {
-	q.waits = append(q.waits, quiesceWait{barrier: q.nextOp, fn: fn})
+func (q *Quiescer) AfterQuiesce(fn func()) { q.wait(quiesceWait{fn: fn}) }
+
+func (q *Quiescer) wait(w quiesceWait) {
+	w.barrier = q.nextOp
+	q.waits = append(q.waits, w)
 	q.advance()
 }
 
 // InFlight reports the number of outstanding operations.
 func (q *Quiescer) InFlight() int { return len(q.inFlight) }
 
+// advance runs, in order, every wait whose barrier has drained. Each is
+// dequeued before it runs (a callback may queue another) by shifting the
+// short queue down, so its storage is reused rather than walked off.
 func (q *Quiescer) advance() {
-	for len(q.waits) > 0 {
-		w := q.waits[0]
-		if q.oldest() < w.barrier {
-			return
+	for len(q.waits) > 0 && q.oldest() >= q.waits[0].barrier {
+		w, last := q.waits[0], len(q.waits)-1
+		copy(q.waits, q.waits[1:])
+		q.waits[last] = quiesceWait{}
+		q.waits = q.waits[:last]
+		if w.fn != nil {
+			w.fn()
+		} else {
+			w.list.repost(w.count)
 		}
-		q.waits = q.waits[1:]
-		w.fn()
 	}
 }
 

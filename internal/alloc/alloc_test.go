@@ -10,7 +10,7 @@ import (
 )
 
 func TestFreeListFIFO(t *testing.T) {
-	f := NewFreeList(1, 512, 7)
+	f := NewFreeList(1, 512, 7, nil, 0)
 	for _, a := range []memory.Addr{0x1000, 0x2000, 0x3000} {
 		f.Post(a)
 	}
@@ -29,7 +29,7 @@ func TestFreeListFIFO(t *testing.T) {
 }
 
 func TestRecycleNotImmediatelyAvailable(t *testing.T) {
-	f := NewFreeList(1, 512, 7)
+	f := NewFreeList(1, 512, 7, nil, 0)
 	f.Recycle(0x1000)
 	if f.Len() != 0 {
 		t.Fatal("recycled buffer available before quiesce")
@@ -37,9 +37,198 @@ func TestRecycleNotImmediatelyAvailable(t *testing.T) {
 	if f.Pending() != 1 {
 		t.Fatalf("pending = %d", f.Pending())
 	}
-	f.repostAll()
-	if f.Len() != 1 {
-		t.Fatal("repostAll did not post")
+	f.repost(1)
+	if f.Len() != 1 || f.Pending() != 0 {
+		t.Fatal("repost did not post")
+	}
+}
+
+// newCarvingList returns a list of bufSize-byte buffers capped at limit
+// over a fresh space.
+func newCarvingList(t *testing.T, bufSize uint64, limit int) (*FreeList, *memory.Space) {
+	t.Helper()
+	space := memory.NewSpace()
+	r, err := space.Register(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewFreeList(1, bufSize, r.Key, space, limit), space
+}
+
+func registered(space *memory.Space) (n uint64) {
+	for _, r := range space.Regions() {
+		n += r.Len
+	}
+	return n
+}
+
+// A list registers nothing until the first Pop, then one slab at a time,
+// and the slab that reaches the cap is clipped to it.
+func TestCarveOnDemandInSlabs(t *testing.T) {
+	const bufSize = 1024
+	perSlab := int(SlabBytes / bufSize)
+	f, space := newCarvingList(t, bufSize, 2*perSlab+10)
+	base := registered(space)
+	if f.Len() != 0 || len(f.Slabs()) != 0 {
+		t.Fatal("list provisioned before the first Pop")
+	}
+	seen := make(map[memory.Addr]bool)
+	for i := 0; i < 2*perSlab+10; i++ {
+		a, err := f.Pop()
+		if err != nil {
+			t.Fatalf("pop %d: %v", i, err)
+		}
+		if seen[a] {
+			t.Fatalf("pop %d: buffer %#x handed out twice", i, a)
+		}
+		seen[a] = true
+		if err := space.Write(f.Key, a, make([]byte, bufSize)); err != nil {
+			t.Fatalf("pop %d: buffer %#x not registered under the list's key: %v", i, a, err)
+		}
+		wantSlabs := i/perSlab + 1
+		if len(f.Slabs()) != wantSlabs {
+			t.Fatalf("after %d pops: %d slabs, want %d", i+1, len(f.Slabs()), wantSlabs)
+		}
+	}
+	if got, want := registered(space)-base, uint64(2*perSlab+10)*bufSize; got != want {
+		t.Fatalf("registered %d bytes, want %d (two slabs and a clipped third)", got, want)
+	}
+	if s := f.Slabs(); s[0].Count != perSlab || s[2].Count != 10 {
+		t.Fatalf("slab counts %+v", s)
+	}
+}
+
+// RNR is pinned at the cap: the cap-th outstanding buffer is the last, a
+// returned buffer is handed out again, and nothing more is ever carved.
+func TestCapPinsErrEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		bufSize uint64
+		limit   int
+	}{{64, 4}, {1024, 8}, {1024, 1024}, {1024, 1500}, {4 << 20, 3}} {
+		f, space := newCarvingList(t, tc.bufSize, tc.limit)
+		var last memory.Addr
+		for i := 0; i < tc.limit; i++ {
+			a, err := f.Pop()
+			if err != nil {
+				t.Fatalf("%+v: pop %d of %d: %v", tc, i+1, tc.limit, err)
+			}
+			last = a
+		}
+		if _, err := f.Pop(); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("%+v: pop beyond the cap: %v", tc, err)
+		}
+		before := registered(space)
+		q := NewQuiescer()
+		f.Recycle(last)
+		f.FlushWhenQuiet(q)
+		if a, err := f.Pop(); err != nil || a != last {
+			t.Fatalf("%+v: recycled buffer: %#x %v, want %#x", tc, a, err, last)
+		}
+		if _, err := f.Pop(); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("%+v: pop beyond the cap after a recycle: %v", tc, err)
+		}
+		if registered(space) != before {
+			t.Fatalf("%+v: list carved beyond its cap", tc)
+		}
+	}
+}
+
+// Two clones of one list over two forks of its space carve the same
+// addresses, and neither touches the sealed parent or the original.
+func TestCloneCarvesDeterministicallyInFork(t *testing.T) {
+	f, space := newCarvingList(t, 512, 5000)
+	for i := 0; i < 100; i++ { // leave a partly used slab behind
+		if _, err := f.Pop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := space.Snapshot()
+	parentRegions, parentLen, parentSlabs := len(space.Regions()), f.Len(), len(f.Slabs())
+	var runs [2][]memory.Addr
+	for i := range runs {
+		fork := snap.Fork()
+		c := f.Clone(fork)
+		for j := 0; j < 4900; j++ {
+			a, err := c.Pop()
+			if err != nil {
+				t.Fatalf("clone %d pop %d: %v", i, j, err)
+			}
+			if err := fork.Write(c.Key, a, []byte{1}); err != nil {
+				t.Fatalf("clone %d: %#x not writable in its fork: %v", i, a, err)
+			}
+			runs[i] = append(runs[i], a)
+		}
+		if _, err := c.Pop(); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("clone %d: cap not inherited: %v", i, err)
+		}
+	}
+	for j := range runs[0] {
+		if runs[0][j] != runs[1][j] {
+			t.Fatalf("pop %d: clones diverge: %#x vs %#x", j, runs[0][j], runs[1][j])
+		}
+	}
+	if len(space.Regions()) != parentRegions || f.Len() != parentLen || len(f.Slabs()) != parentSlabs {
+		t.Fatal("a clone mutated the sealed parent space or the original list")
+	}
+}
+
+// The queue is FIFO across ring growth and wrap-around, and the steady
+// Pop/Recycle/FlushWhenQuiet cycle does not allocate.
+func TestRingFIFOAndSteadyStateAllocs(t *testing.T) {
+	f := NewFreeList(1, 64, 7, nil, 0)
+	next, want := memory.Addr(0x1000), memory.Addr(0x1000)
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 7+round; i++ { // net growth: forces regrowth mid-wrap
+			f.Post(next)
+			next += 64
+		}
+		for i := 0; i < 5; i++ {
+			a, err := f.Pop()
+			if err != nil || a != want {
+				t.Fatalf("round %d: popped %#x (%v), want %#x", round, a, err, want)
+			}
+			want += 64
+		}
+	}
+	if len(f.Tracked()) != f.Len() {
+		t.Fatalf("Tracked reports %d buffers, Len %d", len(f.Tracked()), f.Len())
+	}
+	q := NewQuiescer()
+	cycle := func() {
+		a, _ := f.Pop()
+		f.Recycle(a)
+		f.FlushWhenQuiet(q)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("Pop+Recycle+FlushWhenQuiet allocates %.1f/op", avg)
+	}
+}
+
+// A flush waits for the operations in flight when it was requested, and
+// later flushes of the same list repost in order.
+func TestFlushWhenQuietWaitsAndKeepsOrder(t *testing.T) {
+	f := NewFreeList(1, 64, 7, nil, 0)
+	q := NewQuiescer()
+	op := q.OpStart()
+	f.Recycle(0x1000)
+	f.Recycle(0x2000)
+	f.FlushWhenQuiet(q)
+	f.Recycle(0x3000)
+	if f.Len() != 0 || f.Pending() != 3 {
+		t.Fatalf("before drain: len %d pending %d", f.Len(), f.Pending())
+	}
+	op2 := q.OpStart()
+	f.FlushWhenQuiet(q)
+	q.OpEnd(op)
+	if f.Len() != 2 || f.Pending() != 1 {
+		t.Fatalf("after first drain: len %d pending %d", f.Len(), f.Pending())
+	}
+	q.OpEnd(op2)
+	for _, want := range []memory.Addr{0x1000, 0x2000, 0x3000} {
+		if a, err := f.Pop(); err != nil || a != want {
+			t.Fatalf("popped %#x (%v), want %#x", a, err, want)
+		}
 	}
 }
 

@@ -114,15 +114,7 @@ func newMicroEnvWithParams(d model.Deployment, p model.Params, seed int64) *micr
 		panic(err)
 	}
 	srv.SetConnTempKey(reg.Key)
-	fl := alloc.NewFreeList(1, 1024, reg.Key)
-	bufs, err := srv.Space().RegisterShared(reg.Key, 1024*1024)
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < 1024; i++ {
-		fl.Post(bufs.Base + memory.Addr(i*1024))
-	}
-	srv.AddFreeList(fl)
+	srv.AddFreeList(alloc.NewFreeList(1, 1024, reg.Key, srv.Space(), 1024))
 	cli := rdma.NewClient(net, "cli")
 	env := &microEnv{e: e, srv: srv, conn: cli.Connect(srv), reg: reg}
 

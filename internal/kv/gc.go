@@ -32,20 +32,15 @@ func (s *Server) ScanAndReclaim(done func(reclaimed int)) {
 	}
 	s.rs.Quiesce(func() {
 		// Re-scan: anything installed meanwhile is no longer leaked.
-		still := s.leakedBuffers()
 		reclaimed := 0
-		for fl, addrs := range still {
-			freeList := s.rs.FreeList(fl)
-			if _, wasCandidate := candidates[fl]; !wasCandidate {
-				continue
-			}
+		for fl, addrs := range s.leakedBuffers() {
 			cand := make(map[memory.Addr]bool, len(candidates[fl]))
 			for _, a := range candidates[fl] {
 				cand[a] = true
 			}
 			for _, a := range addrs {
 				if cand[a] {
-					freeList.Post(a)
+					s.rs.FreeList(fl).Post(a)
 					reclaimed++
 				}
 			}
@@ -71,12 +66,15 @@ func (s *Server) leakedBuffers() map[uint32][]memory.Addr {
 		}
 	}
 	leaked := make(map[uint32][]memory.Addr)
-	for _, cr := range s.classRegions {
-		tracked := s.rs.FreeList(cr.flID).Tracked()
-		for b := 0; b < cr.count; b++ {
-			addr := cr.base + memory.Addr(uint64(b)*cr.bufSize)
-			if !referenced[addr] && !tracked[addr] {
-				leaked[cr.flID] = append(leaked[cr.flID], addr)
+	for _, info := range s.meta.FreeLists {
+		fl := s.rs.FreeList(info.ID)
+		tracked := fl.Tracked()
+		for _, slab := range fl.Slabs() {
+			for b := 0; b < slab.Count; b++ {
+				addr := slab.Base + memory.Addr(uint64(b)*fl.BufSize)
+				if !referenced[addr] && !tracked[addr] {
+					leaked[fl.ID] = append(leaked[fl.ID], addr)
+				}
 			}
 		}
 	}

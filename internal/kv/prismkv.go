@@ -34,8 +34,9 @@ type Options struct {
 	NSlots   int64
 	MaxValue int  // largest value size accepted
 	Hash     Hash // slot mapping
-	// BuffersPerClass is how many buffers each size class is provisioned
-	// with. Must cover the live objects in that class plus in-flight
+	// BuffersPerClass caps how many buffers each size class may carve
+	// (alloc.FreeList registers them a slab at a time, as ALLOCATE needs
+	// them). Must cover the live objects in that class plus in-flight
 	// updates awaiting reclamation.
 	BuffersPerClass int
 	// MinClass is the smallest buffer class (bytes).
@@ -65,21 +66,12 @@ type Server struct {
 	// on a live transport. Capture/NIC are simulator-only.
 	rs   *rdma.Server
 	meta Meta
-	opts Options
-	// classRegions records where each size class's buffers live, for the
-	// garbage-collection-style reclamation scan (§3.2's alternative to
-	// client-driven reclamation).
-	classRegions []classRegion
-	// metaBuf is the rpcMeta reply scratch; RPC dispatch is serialized by
-	// the transport (one server domain in the simulator, rpcMu live).
-	metaBuf []byte
-}
-
-type classRegion struct {
-	flID    uint32
-	base    memory.Addr
-	bufSize uint64
-	count   int
+	// metaBuf is the rpcMeta reply scratch and retired the rpcFree decode
+	// scratch; RPC dispatch is serialized by the transport (one server
+	// domain in the simulator, rpcMu live). loadBuf is Load's entry image,
+	// touched only under the space guard.
+	metaBuf, loadBuf []byte
+	retired          []memory.Addr
 }
 
 // NewServer provisions PRISM-KV on the given simulated NIC.
@@ -112,24 +104,13 @@ func NewServerOn(host transport.Host, opts Options) (*Server, error) {
 	if maxEntry < opts.MinClass {
 		maxEntry = opts.MinClass
 	}
-	classes := alloc.SizeClasses(opts.MinClass, maxEntry)
-	var regions []classRegion
-	for i, bufSize := range classes {
+	for i, bufSize := range alloc.SizeClasses(opts.MinClass, maxEntry) {
 		id := uint32(i + 1)
-		region, err := space.RegisterShared(hashRegion.Key, bufSize*uint64(opts.BuffersPerClass))
-		if err != nil {
-			return nil, fmt.Errorf("kv: buffer region: %w", err)
-		}
-		fl := alloc.NewFreeList(id, bufSize, hashRegion.Key)
-		for b := 0; b < opts.BuffersPerClass; b++ {
-			fl.Post(region.Base + memory.Addr(uint64(b)*bufSize))
-		}
-		host.AddFreeList(fl)
+		host.AddFreeList(alloc.NewFreeList(id, bufSize, hashRegion.Key, space, opts.BuffersPerClass))
 		meta.FreeLists = append(meta.FreeLists, FreeListInfo{ID: id, BufSize: bufSize})
-		regions = append(regions, classRegion{flID: id, base: region.Base, bufSize: bufSize, count: opts.BuffersPerClass})
 	}
 	host.SetConnTempKey(hashRegion.Key)
-	s := &Server{host: host, meta: meta, opts: opts, classRegions: regions}
+	s := &Server{host: host, meta: meta}
 	host.SetRPCHandler(s.handleRPC)
 	return s, nil
 }
@@ -149,15 +130,17 @@ func (s *Server) handleRPC(payload []byte) ([]byte, time.Duration) {
 	}
 	switch payload[0] {
 	case rpcFree:
-		// [op(1)] then repeated [freelist(4) | addr(8)]
+		// [op(1)] then repeated [freelist(4) | addr(8)]; each run of one
+		// free list is recycled in one call.
 		rest := payload[1:]
-		n := 0
+		n := len(rest) / 12
 		for len(rest) >= 12 {
 			fl := binary.LittleEndian.Uint32(rest)
-			addr := memory.Addr(binary.LittleEndian.Uint64(rest[4:]))
-			s.host.RecycleBuffer(fl, addr)
-			rest = rest[12:]
-			n++
+			s.retired = s.retired[:0]
+			for ; len(rest) >= 12 && binary.LittleEndian.Uint32(rest) == fl; rest = rest[12:] {
+				s.retired = append(s.retired, memory.Addr(binary.LittleEndian.Uint64(rest[4:])))
+			}
+			s.host.RecycleBuffers(fl, s.retired)
 		}
 		// Recycling is cheap bookkeeping; charge ~100ns per buffer.
 		return []byte{0}, time.Duration(n) * 100 * time.Nanosecond
@@ -173,8 +156,7 @@ func (s *Server) handleRPC(payload []byte) ([]byte, time.Duration) {
 // as the paper does). It consumes a free-list buffer like a remote PUT
 // would.
 func (s *Server) Load(key int64, value []byte) error {
-	entry := appendEntry(make([]byte, 0, entrySize(len(value))), key, value)
-	flID, err := s.meta.classFor(uint64(len(entry)))
+	flID, err := s.meta.classFor(entrySize(len(value)))
 	if err != nil {
 		return err
 	}
@@ -184,64 +166,57 @@ func (s *Server) Load(key int64, value []byte) error {
 	space := s.host.Space()
 	space.Guard().Lock()
 	defer space.Guard().Unlock()
+	slot, err := s.loadSlot(space, key)
+	if err != nil {
+		return err
+	}
 	buf, err := s.host.FreeList(flID).Pop()
 	if err != nil {
 		return fmt.Errorf("kv: load out of buffers: %w", err)
 	}
-	if err := space.Write(s.meta.Key, buf, entry); err != nil {
+	s.loadBuf = appendEntry(s.loadBuf[:0], key, value)
+	if err := space.Write(s.meta.Key, buf, s.loadBuf); err != nil {
 		return err
 	}
-	install := func(addr memory.Addr) error {
-		out := make([]byte, slotSize)
-		prism.PutBE64(out, 0, 1) // initial tag
-		prism.PutLE64(out, 8, uint64(buf))
-		prism.PutLE64(out, 16, uint64(len(entry)))
-		return space.Write(s.meta.Key, addr, out)
+	var img [slotSize]byte
+	prism.PutBE64(img[:], 0, 1) // initial tag
+	prism.PutLE64(img[:], 8, uint64(buf))
+	prism.PutLE64(img[:], 16, uint64(len(s.loadBuf)))
+	return space.Write(s.meta.Key, slot, img[:])
+}
+
+// loadSlot returns the slot Load installs key in: the first of its
+// candidates (both of a two-choice table, the whole probe sequence
+// otherwise) that is free or already holds key. The peeked bytes are
+// parsed on the spot, never retained.
+func (s *Server) loadSlot(space *memory.Space, key int64) (memory.Addr, error) {
+	idx, cands := slotIndex(s.meta.Hash, key, s.meta.NSlots), s.meta.NSlots
+	if s.meta.Hash == TwoChoice {
+		cands = 2
 	}
-	// slotState reports whether the slot is free or already holds key. The
-	// peeked bytes are parsed on the spot, never retained.
-	slotState := func(addr memory.Addr) (free, same bool, err error) {
+	for ; cands > 0; cands-- {
+		addr := s.meta.slotAddr(idx)
 		slot, err := space.Peek(s.meta.Key, addr, slotSize)
 		if err != nil {
-			return false, false, err
+			return 0, err
 		}
 		ptr := prism.LE64(slot, 8)
 		if ptr == 0 {
-			return true, false, nil
+			return addr, nil
 		}
 		existing, err := space.Peek(s.meta.Key, memory.Addr(ptr), entryHeader+8)
 		if err != nil {
-			return false, false, err
+			return 0, err
 		}
-		k, _, err := decodeEntry(existing)
-		return false, err == nil && k == key, nil
-	}
-	if s.meta.Hash == TwoChoice {
-		for _, idx := range []int64{slotIndex(s.meta.Hash, key, s.meta.NSlots), slotIndex2(key, s.meta.NSlots)} {
-			addr := s.meta.slotAddr(idx)
-			free, same, err := slotState(addr)
-			if err != nil {
-				return err
-			}
-			if free || same {
-				return install(addr)
-			}
-		}
-		return fmt.Errorf("kv: both candidate slots taken loading key %d", key)
-	}
-	idx := slotIndex(s.meta.Hash, key, s.meta.NSlots)
-	for probes := int64(0); probes < s.meta.NSlots; probes++ {
-		addr := s.meta.slotAddr(idx)
-		free, same, err := slotState(addr)
-		if err != nil {
-			return err
-		}
-		if free || same {
-			return install(addr)
+		if k, _, err := decodeEntry(existing); err == nil && k == key {
+			return addr, nil
 		}
 		idx = (idx + 1) % s.meta.NSlots
+		if s.meta.Hash == TwoChoice {
+			idx = slotIndex2(key, s.meta.NSlots)
+		}
 	}
-	return fmt.Errorf("kv: hash table full loading key %d", key)
+	return 0, fmt.Errorf("kv: no candidate slot free loading key %d", key)
 }
 
 // Cached CAS masks for the 24-byte slot layout: compare on the tag

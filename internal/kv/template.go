@@ -14,21 +14,14 @@ import (
 // with NewServerFromTemplate — each instance runs on a copy-on-write fork
 // of the loaded keyspace.
 type Template struct {
-	nic          *rdma.ServerTemplate
-	meta         Meta
-	opts         Options
-	classRegions []classRegion
+	nic  *rdma.ServerTemplate
+	meta Meta
 }
 
 // Capture seals the server's memory and returns its template. The server
 // must have no connections; it becomes read-only afterwards.
 func (s *Server) Capture() *Template {
-	return &Template{
-		nic:          s.rs.Capture(),
-		meta:         s.meta,
-		opts:         s.opts,
-		classRegions: append([]classRegion(nil), s.classRegions...),
-	}
+	return &Template{nic: s.rs.Capture(), meta: s.meta}
 }
 
 // NIC exposes the transport-level template (tests compare fork contents
@@ -40,13 +33,7 @@ func (t *Template) NIC() *rdma.ServerTemplate { return t.nic }
 // serves every deployment variant of a figure.
 func NewServerFromTemplate(net *fabric.Network, name string, deploy model.Deployment, t *Template) *Server {
 	rs := rdma.NewServerFromTemplate(net, name, deploy, t.nic)
-	s := &Server{
-		host:         rs,
-		rs:           rs,
-		meta:         t.meta,
-		opts:         t.opts,
-		classRegions: append([]classRegion(nil), t.classRegions...),
-	}
+	s := &Server{host: rs, rs: rs, meta: t.meta}
 	rs.SetRPCHandler(s.handleRPC)
 	return s
 }

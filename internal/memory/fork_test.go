@@ -247,3 +247,58 @@ func (s *Space) mustPeekAll(r *Region) []byte {
 	}
 	return b
 }
+
+// Register appends without sorting: the allocation pointer only grows —
+// in a fork too, which inherits it — so regions stay sorted by Base, which
+// is what find's binary search needs.
+func TestRegionsStaySortedAcrossRegisterAndFork(t *testing.T) {
+	sorted := func(s *Space, when string) {
+		t.Helper()
+		rs := s.Regions()
+		for i := 1; i < len(rs); i++ {
+			if rs[i-1].End() > rs[i].Base {
+				t.Fatalf("%s: region %d [%#x,%#x) not below region %d at %#x", when, i-1, rs[i-1].Base, rs[i-1].End(), i, rs[i].Base)
+			}
+		}
+		for _, r := range rs {
+			if got := s.RegionAt(r.End() - 1); got != r {
+				t.Fatalf("%s: lookup of %#x missed its region", when, r.End()-1)
+			}
+		}
+	}
+	s := NewSpace()
+	first, err := s.Register(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 40; i++ {
+		if i%3 == 0 {
+			_, err = s.Register(i * 37)
+		} else {
+			_, err = s.RegisterShared(first.Key, i*1000)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted(s, "parent")
+	}
+	snap := s.Snapshot()
+	forks := []*Space{snap.Fork(), snap.Fork()}
+	for i := uint64(1); i <= 20; i++ {
+		for _, f := range forks {
+			if _, err := f.RegisterShared(first.Key, i*4096); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Register(64); err != nil {
+				t.Fatal(err)
+			}
+			sorted(f, "fork")
+		}
+	}
+	a, b := forks[0].Regions(), forks[1].Regions()
+	for i := range a {
+		if a[i].Base != b[i].Base || a[i].Len != b[i].Len || a[i].Key != b[i].Key {
+			t.Fatalf("forks registered region %d differently: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}

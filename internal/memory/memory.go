@@ -111,8 +111,8 @@ func (s *Space) Register(n uint64) (*Region, error) {
 	if rem := s.brk % 64; rem != 0 {
 		s.brk += 64 - rem
 	}
+	// brk only grows, so appending keeps regions sorted by Base.
 	s.regions = append(s.regions, r)
-	sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].Base < s.regions[j].Base })
 	return r, nil
 }
 

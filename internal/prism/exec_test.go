@@ -161,7 +161,7 @@ func TestWriteDataIndirect(t *testing.T) {
 
 func TestAllocatePopsFIFOAndWrites(t *testing.T) {
 	x, r := testEnv(t)
-	fl := alloc.NewFreeList(1, 64, r.Key)
+	fl := alloc.NewFreeList(1, 64, r.Key, nil, 0)
 	fl.Post(r.Base + 1024)
 	fl.Post(r.Base + 2048)
 	x.FreeLists[1] = fl
@@ -183,7 +183,7 @@ func TestAllocatePopsFIFOAndWrites(t *testing.T) {
 
 func TestAllocateEmptyRNR(t *testing.T) {
 	x, r := testEnv(t)
-	x.FreeLists[1] = alloc.NewFreeList(1, 64, r.Key)
+	x.FreeLists[1] = alloc.NewFreeList(1, 64, r.Key, nil, 0)
 	op := Allocate(1, []byte("x"))
 	res, _ := x.Exec(&op)
 	if res.Status != wire.StatusRNR {
@@ -191,9 +191,39 @@ func TestAllocateEmptyRNR(t *testing.T) {
 	}
 }
 
+// A self-provisioning list answers ALLOCATE out of slabs it carves in the
+// executor's space, and RNR comes at exactly its cap: with cap buffers
+// outstanding and none returned, never before.
+func TestAllocateCarvesUntilCapThenRNR(t *testing.T) {
+	const limit = 5
+	x, r := testEnv(t)
+	fl := alloc.NewFreeList(1, 64, r.Key, x.Space, limit)
+	x.FreeLists[1] = fl
+	seen := make(map[memory.Addr]bool)
+	for i := 0; i < limit; i++ {
+		op := Allocate(1, []byte{byte(i)})
+		res := mustOK(t, first(x.Exec(&op)))
+		if seen[res.Addr] || r.Contains(res.Addr, 64) {
+			t.Fatalf("allocate %d returned %#x: reused or outside a carved slab", i, res.Addr)
+		}
+		seen[res.Addr] = true
+		if got, _ := x.Space.Read(r.Key, res.Addr, 1); got[0] != byte(i) {
+			t.Fatalf("allocate %d: buffer holds %v", i, got)
+		}
+	}
+	op := Allocate(1, []byte("x"))
+	if res, _ := x.Exec(&op); res.Status != wire.StatusRNR {
+		t.Fatalf("allocate beyond the cap: %v, want RNR", res.Status)
+	}
+	fl.Post(r.Base + 1024) // a returned buffer ends the RNR
+	if res, _ := x.Exec(&op); res.Status != wire.StatusOK || res.Addr != r.Base+1024 {
+		t.Fatalf("allocate after a buffer returned: %v %#x", res.Status, res.Addr)
+	}
+}
+
 func TestAllocateOversizedRejectedWithoutPopping(t *testing.T) {
 	x, r := testEnv(t)
-	fl := alloc.NewFreeList(1, 4, r.Key)
+	fl := alloc.NewFreeList(1, 4, r.Key, nil, 0)
 	fl.Post(r.Base + 1024)
 	x.FreeLists[1] = fl
 	op := Allocate(1, []byte("too big for buffer"))
@@ -208,7 +238,7 @@ func TestAllocateOversizedRejectedWithoutPopping(t *testing.T) {
 
 func TestAllocateRedirectWritesAddress(t *testing.T) {
 	x, r := testEnv(t)
-	fl := alloc.NewFreeList(1, 64, r.Key)
+	fl := alloc.NewFreeList(1, 64, r.Key, nil, 0)
 	fl.Post(r.Base + 1024)
 	x.FreeLists[1] = fl
 	op := RedirectTo(Allocate(1, []byte("v")), r.Key, r.Base+128)

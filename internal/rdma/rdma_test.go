@@ -155,7 +155,7 @@ func TestChainAllocateRedirectCAS(t *testing.T) {
 	// ALLOCATE redirecting the address after the tag, CAS the <tag,addr>
 	// pair — all in one round trip.
 	v := newEnv(t, model.SoftwarePRISM, nil)
-	fl := alloc.NewFreeList(1, 512, v.reg.Key)
+	fl := alloc.NewFreeList(1, 512, v.reg.Key, nil, 0)
 	fl.Post(v.reg.Base + 4096)
 	v.srv.AddFreeList(fl)
 
@@ -291,7 +291,7 @@ func TestDuplicateExecutionSuppressed(t *testing.T) {
 
 func TestRecycleBufferWaitsForQuiesce(t *testing.T) {
 	v := newEnv(t, model.SoftwarePRISM, nil)
-	fl := alloc.NewFreeList(1, 64, v.reg.Key)
+	fl := alloc.NewFreeList(1, 64, v.reg.Key, nil, 0)
 	fl.Post(v.reg.Base + 4096)
 	v.srv.AddFreeList(fl)
 	v.run(t, func(p *sim.Proc) {
@@ -305,7 +305,7 @@ func TestRecycleBufferWaitsForQuiesce(t *testing.T) {
 		}
 		// Release with no ops in flight: available after quiesce (which is
 		// immediate here).
-		v.srv.RecycleBuffer(1, res[0].Addr)
+		v.srv.RecycleBuffers(1, []memory.Addr{res[0].Addr})
 		if fl.Len() != 1 {
 			t.Error("recycled buffer not reposted after quiesce")
 		}
@@ -463,15 +463,7 @@ func TestOnNICTempCapacity(t *testing.T) {
 	// redirects pay an extra PCIe round trip (§4.2's connection-scaling
 	// analysis).
 	v := newEnv(t, model.ProjectedHardwarePRISM, nil)
-	fl := alloc.NewFreeList(1, 64, v.reg.Key)
-	bufReg, err := v.srv.Space().RegisterShared(v.reg.Key, 64*4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4096; i++ {
-		fl.Post(bufReg.Base + memory.Addr(i*64))
-	}
-	v.srv.AddFreeList(fl)
+	v.srv.AddFreeList(alloc.NewFreeList(1, 64, v.reg.Key, v.srv.Space(), 4096))
 
 	measure := func(conn *Conn) sim.Duration {
 		var rtt sim.Duration

@@ -341,15 +341,17 @@ func (s *Server) AddFreeList(fl *alloc.FreeList) {
 // FreeList returns a registered free list.
 func (s *Server) FreeList(id uint32) *alloc.FreeList { return s.exec.FreeLists[id] }
 
-// RecycleBuffer returns a client-released buffer to its free list once all
-// in-flight NIC operations drain (§3.2's reuse rule). Typically invoked
+// RecycleBuffers returns client-released buffers to their free list once
+// all in-flight NIC operations drain (§3.2's reuse rule). Typically invoked
 // from an RPC handler fed by the application's reclamation protocol.
-func (s *Server) RecycleBuffer(freeList uint32, addr memory.Addr) {
+func (s *Server) RecycleBuffers(freeList uint32, addrs []memory.Addr) {
 	fl, ok := s.exec.FreeLists[freeList]
 	if !ok {
 		panic(fmt.Sprintf("rdma: recycle to unknown free list %d", freeList))
 	}
-	fl.Recycle(addr)
+	for _, a := range addrs {
+		fl.Recycle(a)
+	}
 	fl.FlushWhenQuiet(s.quiescer)
 }
 

@@ -11,8 +11,9 @@ import (
 )
 
 // ServerTemplate is an immutable image of a fully built server: its sealed
-// memory snapshot, the free-list queues as they stood after setup, and the
-// connection temp-buffer protection key. One template can instantiate any
+// memory snapshot, the free lists as they stood after setup (an instance's
+// clones carve their further slabs in its fork), and the connection
+// temp-buffer protection key. One template can instantiate any
 // number of servers — on any engine, network, or deployment — each backed
 // by a copy-on-write fork of the snapshot, so per-point cluster setup cost
 // collapses to a fork plus free-list clones.
@@ -43,7 +44,7 @@ func (s *Server) Capture() *ServerTemplate {
 		if fl.Pending() != 0 {
 			panic(fmt.Sprintf("rdma: Capture with %d buffers pending recycle on free list %d", fl.Pending(), id))
 		}
-		t.freeLists[id] = fl.Clone()
+		t.freeLists[id] = fl.Clone(s.space)
 	}
 	return t
 }
@@ -66,7 +67,7 @@ func NewServerFromTemplate(net *fabric.Network, name string, deploy model.Deploy
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		s.exec.FreeLists[id] = t.freeLists[id].Clone()
+		s.exec.FreeLists[id] = t.freeLists[id].Clone(s.space)
 	}
 	s.tempKey = t.tempKey
 	return s

@@ -22,7 +22,7 @@ func TestWireCheckLiveTraffic(t *testing.T) {
 	defer SetWireCheck(false)
 
 	v := newEnv(t, model.SoftwarePRISM, nil)
-	fl := alloc.NewFreeList(1, 512, v.reg.Key)
+	fl := alloc.NewFreeList(1, 512, v.reg.Key, nil, 0)
 	fl.Post(v.reg.Base + 4096)
 	fl.Post(v.reg.Base + 4608)
 	v.srv.AddFreeList(fl)

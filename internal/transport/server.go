@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -27,8 +28,28 @@ type Host interface {
 	FreeList(id uint32) *alloc.FreeList
 	SetConnTempKey(key memory.RKey)
 	SetRPCHandler(h RPCHandler)
-	RecycleBuffer(freeList uint32, addr memory.Addr)
+	RecycleBuffers(freeList uint32, addrs []memory.Addr)
 	Quiesce(fn func())
+}
+
+// ReclamationHandler returns the RPC handler of §3.2's reclamation daemon
+// for a store with one free list: a payload of op followed by packed
+// little-endian buffer addresses recycles those buffers in one
+// RecycleBuffers call. Recycling is cheap bookkeeping, charged ~100ns of
+// server CPU per buffer. Any other payload gets no reply.
+func ReclamationHandler(h Host, op byte, freeList uint32) RPCHandler {
+	var retired []memory.Addr // decode scratch; RPC dispatch is serialized
+	return func(payload []byte) ([]byte, time.Duration) {
+		if len(payload) == 0 || payload[0] != op {
+			return nil, 0
+		}
+		retired = retired[:0]
+		for rest := payload[1:]; len(rest) >= 8; rest = rest[8:] {
+			retired = append(retired, memory.Addr(binary.LittleEndian.Uint64(rest)))
+		}
+		h.RecycleBuffers(freeList, retired)
+		return []byte{0}, time.Duration(len(retired)) * 100 * time.Nanosecond
+	}
 }
 
 // ConnTempSize/TempSlotSize mirror the simulated NIC's per-connection
@@ -78,7 +99,7 @@ type Server struct {
 	// rpcMu serializes RPC handler invocations: handlers keep per-server
 	// scratch (reply buffers, decode state) sized for the simulator's
 	// one-domain-per-server execution. Lock order: rpcMu before the
-	// space guard (handlers call RecycleBuffer, which takes the guard) —
+	// space guard (handlers call RecycleBuffers, which takes the guard) —
 	// which is why a wakeup batch releases its amortized guard before
 	// dispatching an RPC frame.
 	rpcMu sync.Mutex
@@ -163,17 +184,20 @@ func (s *Server) SetConnTempKey(key memory.RKey) {
 // TempKey returns the rkey protecting connection temp buffers.
 func (s *Server) TempKey() memory.RKey { return s.tempKey }
 
-// RecycleBuffer returns a client-released buffer to its free list once
-// all in-flight operations drain (§3.2's reuse rule). Safe to call from
-// RPC handlers and application goroutines.
-func (s *Server) RecycleBuffer(freeList uint32, addr memory.Addr) {
+// RecycleBuffers returns client-released buffers to their free list once
+// all in-flight operations drain (§3.2's reuse rule): one guard
+// acquisition and one quiesce wait for the lot. Safe to call from RPC
+// handlers and application goroutines.
+func (s *Server) RecycleBuffers(freeList uint32, addrs []memory.Addr) {
 	fl, ok := s.freeLists[freeList]
 	if !ok {
 		panic(fmt.Sprintf("transport: recycle to unknown free list %d", freeList))
 	}
 	g := s.space.Guard()
 	g.Lock()
-	fl.Recycle(addr)
+	for _, a := range addrs {
+		fl.Recycle(a)
+	}
 	fl.FlushWhenQuiet(s.quiescer)
 	g.Unlock()
 }
@@ -584,7 +608,7 @@ func (sk *srvSock) serveVerbs(lc *liveConn, req *wire.Request, results []wire.Re
 
 // serveRPC dispatches a two-sided request to the application handler.
 // The batch guard is released first: handlers take rpcMu and may take
-// the guard themselves (RecycleBuffer), and the lock order is rpcMu
+// the guard themselves (RecycleBuffers), and the lock order is rpcMu
 // before guard. The reply is copied into the socket's arena under
 // rpcMu, because handlers reuse their reply scratch across calls.
 func (sk *srvSock) serveRPC(req *wire.Request, results []wire.Result) {

@@ -3,13 +3,13 @@ package tx
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/wire"
 )
 
@@ -27,8 +27,9 @@ var (
 
 // ShardOptions sizes a PRISM-TX shard.
 type ShardOptions struct {
-	NSlots       int64
-	MaxValue     int
+	NSlots   int64
+	MaxValue int
+	// ExtraBuffers beyond one per slot; NSlots+ExtraBuffers is the cap.
 	ExtraBuffers int
 }
 
@@ -54,21 +55,11 @@ func NewShard(rs *rdma.Server, opts ShardOptions) (*Shard, error) {
 		MaxValue: opts.MaxValue,
 		FreeList: 1,
 	}
-	bs := bufSize(opts.MaxValue)
-	total := uint64(opts.NSlots) + uint64(opts.ExtraBuffers)
-	bufRegion, err := space.RegisterShared(metaRegion.Key, bs*total)
-	if err != nil {
-		return nil, fmt.Errorf("tx: buffer region: %w", err)
-	}
-	fl := alloc.NewFreeList(meta.FreeList, bs, metaRegion.Key)
-	for i := uint64(0); i < total; i++ {
-		fl.Post(bufRegion.Base + memory.Addr(i*bs))
-	}
-	rs.AddFreeList(fl)
+	rs.AddFreeList(alloc.NewFreeList(meta.FreeList, bufSize(opts.MaxValue), metaRegion.Key, space,
+		int(opts.NSlots)+opts.ExtraBuffers))
 	rs.SetConnTempKey(metaRegion.Key)
-	s := &Shard{rs: rs, meta: meta}
-	rs.SetRPCHandler(s.handleRPC)
-	return s, nil
+	rs.SetRPCHandler(transport.ReclamationHandler(rs, rpcFree, meta.FreeList))
+	return &Shard{rs: rs, meta: meta}, nil
 }
 
 // Meta returns the control-plane description.
@@ -76,21 +67,6 @@ func (s *Shard) Meta() Meta { return s.meta }
 
 // NIC returns the transport server.
 func (s *Shard) NIC() *rdma.Server { return s.rs }
-
-func (s *Shard) handleRPC(payload []byte) ([]byte, time.Duration) {
-	if len(payload) == 0 || payload[0] != rpcFree {
-		return nil, 0
-	}
-	rest := payload[1:]
-	n := 0
-	for len(rest) >= 8 {
-		addr := memory.Addr(binary.LittleEndian.Uint64(rest))
-		s.rs.RecycleBuffer(s.meta.FreeList, addr)
-		rest = rest[8:]
-		n++
-	}
-	return []byte{0}, time.Duration(n) * 100 * time.Nanosecond
-}
 
 // Load installs key=value at InitialVersion (bulk loading). Keys map to
 // slots collisionlessly (slot = key mod NSlots); the YCSB-T keyspace is

@@ -5,6 +5,7 @@ import (
 	"prism/internal/memory"
 	"prism/internal/model"
 	"prism/internal/rdma"
+	"prism/internal/transport"
 )
 
 // Template is an immutable image of a loaded PRISM-TX shard.
@@ -24,9 +25,8 @@ func (t *Template) NIC() *rdma.ServerTemplate { return t.nic }
 // NewShardFromTemplate instantiates a loaded shard on net.
 func NewShardFromTemplate(net *fabric.Network, name string, deploy model.Deployment, t *Template) *Shard {
 	rs := rdma.NewServerFromTemplate(net, name, deploy, t.nic)
-	s := &Shard{rs: rs, meta: t.meta}
-	rs.SetRPCHandler(s.handleRPC)
-	return s
+	rs.SetRPCHandler(transport.ReclamationHandler(rs, rpcFree, t.meta.FreeList))
+	return &Shard{rs: rs, meta: t.meta}
 }
 
 // FarmTemplate is the FaRM analogue of Template. The object-heap region
