@@ -6,7 +6,7 @@ all: check
 
 # The full gate: formatting, vet, build, tests, and the race detector over
 # the packages with cross-goroutine code (the parallel figure runner,
-# window workers, the live transport).
+# window workers, the live transport). CI runs the same targets.
 check: fmt vet build test race
 
 fmt:
@@ -27,12 +27,13 @@ test:
 # guard on concurrent sockets. internal/bench runs once: under the race
 # detector it takes minutes per -cpu value (three would overrun go test's
 # 10-minute default), and its determinism sweeps already drive their own
-# worker pools.
+# worker pools; workload and prismtrace ride along with it.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
 		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism
-	$(GO) test -race ./internal/bench
+	$(GO) test -race ./internal/bench ./internal/workload ./cmd/prismtrace
 
-# Allocation microbenchmarks for the simulator hot path.
+# The one command that regenerates a number: the repository's benchmark
+# (BENCHMARK.json; flags and metrics in benchmark/README.md).
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim ./internal/memory ./internal/bench
+	bash benchmark/run.sh

@@ -91,8 +91,6 @@ type benchRecord struct {
 	IntraRequested   int         `json:"intra_requested,omitempty"`
 	Affinity         int         `json:"affinity,omitempty"`
 	CrossRackNanos   int64       `json:"crossrack_ns,omitempty"`
-	ScalarWindows    bool        `json:"scalar_windows,omitempty"`
-	SparseBarriers   bool        `json:"sparse_barriers,omitempty"`
 	ScaleMachines    int         `json:"scale_machines,omitempty"`
 	QPCacheEntries   int         `json:"qp_cache_entries,omitempty"`
 	GOMAXPROCS       int         `json:"gomaxprocs"`
@@ -117,8 +115,6 @@ func main() {
 	intra := flag.Int("intra", 1, "domain worker goroutines inside each figure point (0 = GOMAXPROCS, clamped to NumCPU; output is identical at any setting)")
 	affinity := flag.Int("affinity", 1, "client machines per event domain (affinity groups; <=1 = one domain each; output is identical at any setting)")
 	crossRack := flag.Duration("crossrack", 0, "extra one-way latency between the client and server racks (0 = flat fabric, the paper's figures; nonzero changes the physics)")
-	scalarWindows := flag.Bool("scalar-windows", false, "schedule with the single scalar lookahead bound instead of the per-pair matrix (A/B telemetry knob; output is identical)")
-	sparseBarriers := flag.Bool("sparse-barriers", false, "elide barrier sweeps for windows with nothing to merge (A/B telemetry knob; output is identical)")
 	scaleMachines := flag.Int("scale-machines", cfg.ScaleMachines, "fixed client-machine fleet for fig-scale")
 	qpEntries := flag.Int("qp-entries", 0, "override the hardware-class QP context cache capacity for fig-scale (0 = calibrated default; moving it moves the cliff)")
 	verbose := flag.Bool("v", false, "print a one-line scheduler-telemetry summary per figure to stderr")
@@ -126,7 +122,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: prismbench [flags] {fig1|fig2|fig3|fig4|fig6|fig7|fig9|fig10|rpcvsrdma|fig-scale|fig-chase|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: prismbench [flags] {fig1|fig2|fig3|fig4|fig6|fig7|fig9|fig10|rpcvsrdma|ext-shards|ext-multikey|fig-scale|fig-chase|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -153,8 +149,6 @@ func main() {
 	}
 	cfg.ClientsPerDomain = *affinity
 	cfg.CrossRack = *crossRack
-	cfg.ScalarWindows = *scalarWindows
-	cfg.SparseBarriers = *sparseBarriers
 	cfg.ScaleMachines = *scaleMachines
 	cfg.QPCacheEntries = *qpEntries
 	if *maxClients > 0 {
@@ -177,6 +171,34 @@ func main() {
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
+	}
+
+	figures := map[string]func(bench.Config) *bench.Figure{
+		"fig1":         bench.Fig1,
+		"fig2":         bench.Fig2,
+		"fig3":         bench.Fig3,
+		"fig4":         bench.Fig4,
+		"fig6":         bench.Fig6,
+		"fig7":         bench.Fig7,
+		"fig9":         bench.Fig9,
+		"fig10":        bench.Fig10,
+		"rpcvsrdma":    bench.RPCvsRDMA,
+		"ext-shards":   bench.ExtShards,
+		"ext-multikey": bench.ExtMultiKey,
+		"fig-scale":    bench.FigScale,
+		"fig-chase":    bench.FigChase,
+	}
+	order := []string{"rpcvsrdma", "fig1", "fig2", "fig3", "fig4", "fig6", "fig7", "fig9", "fig10", "ext-shards", "ext-multikey"}
+
+	// Validate the name before any profile starts: os.Exit skips the
+	// deferred StopCPUProfile/Close.
+	names := order
+	if name := flag.Arg(0); name != "all" {
+		if figures[name] == nil {
+			fmt.Fprintf(os.Stderr, "prismbench: unknown figure %q\n", name)
+			os.Exit(2)
+		}
+		names = []string{name}
 	}
 
 	if *cpuProfile != "" {
@@ -208,23 +230,6 @@ func main() {
 		}()
 	}
 
-	figures := map[string]func(bench.Config) *bench.Figure{
-		"fig1":         bench.Fig1,
-		"fig2":         bench.Fig2,
-		"fig3":         bench.Fig3,
-		"fig4":         bench.Fig4,
-		"fig6":         bench.Fig6,
-		"fig7":         bench.Fig7,
-		"fig9":         bench.Fig9,
-		"fig10":        bench.Fig10,
-		"rpcvsrdma":    bench.RPCvsRDMA,
-		"ext-shards":   bench.ExtShards,
-		"ext-multikey": bench.ExtMultiKey,
-		"fig-scale":    bench.FigScale,
-		"fig-chase":    bench.FigChase,
-	}
-	order := []string{"rpcvsrdma", "fig1", "fig2", "fig3", "fig4", "fig6", "fig7", "fig9", "fig10", "ext-shards", "ext-multikey"}
-
 	rec := benchRecord{
 		Command:        "prismbench " + strings.Join(os.Args[1:], " "),
 		Seed:           cfg.Seed,
@@ -233,7 +238,6 @@ func main() {
 		IntraRequested: intraRequested,
 		Affinity:       cfg.ClientsPerDomain,
 		CrossRackNanos: cfg.CrossRack.Nanoseconds(),
-		ScalarWindows:  cfg.ScalarWindows,
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		NumCPU:         runtime.NumCPU(),
 		Keys:           cfg.Keys,
@@ -241,13 +245,8 @@ func main() {
 	}
 
 	run := func(name string) {
-		fn, ok := figures[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "prismbench: unknown figure %q\n", name)
-			os.Exit(2)
-		}
 		start := time.Now()
-		fig := fn(cfg)
+		fig := figures[name](cfg)
 		wall := time.Since(start).Seconds()
 		points := 0
 		for _, s := range fig.Series {
@@ -315,12 +314,8 @@ func main() {
 		}
 	}
 
-	if flag.Arg(0) == "all" {
-		for _, name := range order {
-			run(name)
-		}
-	} else {
-		run(flag.Arg(0))
+	for _, name := range names {
+		run(name)
 	}
 
 	if *jsonPath != "" {

@@ -50,7 +50,6 @@ func main() {
 	chainDepth := flag.Int64("chain", 0, "serve a linked-chain store of -keys buckets x DEPTH nodes instead of the hash table")
 	wirecheck := flag.Bool("wirecheck", false, "verify every frame round-trips the codec canonically")
 	grace := flag.Duration("grace", 5*time.Second, "drain deadline on SIGTERM/SIGINT")
-	batch := flag.Int("batch", 0, "frames served per socket wakeup (0 = default, 1 = unbatched)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	flag.Parse()
 
@@ -82,7 +81,6 @@ func main() {
 	}
 
 	ts := transport.NewServer()
-	ts.MaxBatch = *batch
 	var loadKey func(k int64, v []byte) error
 	if *chainDepth > 0 {
 		store, err := kv.NewChainStoreOn(ts, kv.ChainOptions{

@@ -46,8 +46,6 @@ func main() {
 	wirecheck := flag.Bool("wirecheck", false, "verify every frame round-trips the codec canonically")
 	jsonPath := flag.String("json", "", "write the result JSON here (default stdout)")
 	batch := flag.Int("batch", 1, "GETs per doorbell: issue reads in kv.GetBatch trains of this size")
-	flushFrames := flag.Int("flush-frames", 0, "client flush threshold: max frames per write syscall (0 = transport default)")
-	flushBytes := flag.Int("flush-bytes", 0, "client flush threshold: max bytes per write syscall (0 = transport default)")
 	flag.Parse()
 
 	if *addr == "" {
@@ -71,7 +69,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer tc.Close()
-		tc.SetFlushPolicy(*flushFrames, *flushBytes)
 		pool[i] = tc
 	}
 	if *batch < 1 {
@@ -294,8 +291,6 @@ func main() {
 		"num_cpu":           runtime.NumCPU(),
 		"wirecheck":         *wirecheck,
 		"batch_len":         *batch,
-		"flush_frames":      *flushFrames,
-		"flush_bytes":       *flushBytes,
 		"writes":            writes,
 		"frames_per_write":  ratio(framesOut, writes),
 		"bytes_per_syscall": ratio(bytesOut, writes),

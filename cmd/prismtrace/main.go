@@ -186,7 +186,7 @@ func trace(w io.Writer, which string, affinity int) bool {
 		client := prism.NewChainClient(conn, store.Meta())
 		c.Go("trace", func(p *sim.Proc) {
 			const key = 3 // tail of bucket 0: four pointer hops deep
-			fmt.Fprintln(w, "CHASE GET(3) on an 8x4 chain store (§17): the key is 4 hops deep —")
+			fmt.Fprintln(w, "CHASE GET(3) on an 8x4 chain store (DESIGN.md §14): the key is 4 hops deep —")
 			start := p.Now()
 			v, err := client.ChaseGet(p, key)
 			fmt.Fprintf(w, "  -> %q err=%v RTT=%v (one round trip; the NIC walks all 4 nodes)\n",
@@ -215,7 +215,7 @@ func trace(w io.Writer, which string, affinity int) bool {
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := prism.NewKVClient(conn, store.Meta(), 1)
 		c.Go("trace", func(p *sim.Proc) {
-			fmt.Fprintln(w, "SCAN over a 64-slot table, 512-byte budget (§17): one round trip per window —")
+			fmt.Fprintln(w, "SCAN over a 64-slot table, 512-byte budget (DESIGN.md §14): one round trip per window —")
 			start := p.Now()
 			entries := 0
 			next, err := client.Scan(p, 0, 512, func(key int64, value []byte) error {

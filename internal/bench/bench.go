@@ -70,18 +70,6 @@ type Config struct {
 	// default, the topology benchmark uses a nonzero value to demonstrate
 	// per-pair lookahead.
 	CrossRack time.Duration
-	// ScalarWindows forces the pre-matrix scheduler rule — every window
-	// bounded by the single minimum lookahead over all pairs — instead of
-	// per-domain horizons from the per-pair matrix. Simulation outcomes
-	// are identical either way; only barrier frequency differs. A/B knob
-	// for the scheduler telemetry.
-	ScalarWindows bool
-	// SparseBarriers elides barrier hook sweeps for windows with nothing
-	// to merge (sim.World.SetSparseBarriers): with mostly-idle client
-	// fleets — the fig-scale low end — most crossings touch no outbox and
-	// are skipped. Simulation output is byte-identical either way; off by
-	// default so the dense-barrier counters keep their A/B meaning.
-	SparseBarriers bool
 
 	// ScaleClients is the client ladder for the fig-scale connection
 	// sweep (clients == connections per server for its GET-only
@@ -90,7 +78,7 @@ type Config struct {
 	ScaleClients []int
 	// ScaleMachines is the fixed client-machine fleet fig-scale spreads
 	// clients over: constant across the ladder, so low-count points run
-	// mostly-idle domains (the sparse-barrier case) and high-count points
+	// mostly-idle domains (most barrier sweeps elided) and high-count points
 	// pack hundreds of clients per machine.
 	ScaleMachines int
 	// QPCacheEntries overrides the hardware-class QP context cache
@@ -226,9 +214,10 @@ type Telemetry struct {
 	Barriers        int64 `json:"barriers"`
 	CrossDeliveries int64 `json:"cross_deliveries"`
 	MeanWindowNanos int64 `json:"mean_window_ns"`
-	// Sparse-scheduler counters: hook sweeps elided under
-	// Config.SparseBarriers, and idle domains skipped by the active-set
-	// window scan (one per idle domain per executed window).
+	// Sparse-scheduler counters: barrier crossings whose hook sweep was
+	// elided because no producer requested it (Barriers counts the sweeps
+	// that ran), and idle domains skipped by the active-set window scan
+	// (one per idle domain per executed window).
 	BarrierSkips int64 `json:"barrier_skips"`
 	IdleSkips    int64 `json:"idle_skips"`
 	// Burst/wheel counters (see sim.WorldStats): events fired, drained
@@ -425,12 +414,6 @@ func newLoadDriver(e *sim.Engine, cfg Config) *loadDriver {
 	if cfg.Intra > 1 {
 		e.World().SetWorkers(cfg.Intra)
 	}
-	if cfg.ScalarWindows {
-		e.World().SetScalarWindows(true)
-	}
-	if cfg.SparseBarriers {
-		e.World().SetSparseBarriers(true)
-	}
 	if cfg.MaxOps > 0 {
 		// The cap spans domains, so it is enforced where cross-domain
 		// state may be read safely: at window barriers.
@@ -449,6 +432,17 @@ func (d *loadDriver) shard(dom *sim.Engine) *driverShard {
 	return sh
 }
 
+// checkMaxOps is a barrier hook, so it runs only at crossings some
+// producer requested (sim.World.OnBarrier). It rides on the fabric's
+// requests instead of re-requesting itself, which would turn every
+// crossing of a capped run (all of fig-scale) back into a sweep. That is
+// sound because every op crosses domains: an op completes only through a
+// delivery that a requested sweep flushed, and the closed-loop client
+// that completes one sends its next request at once, which requests the
+// very next crossing. So the cap is seen at the first crossing after the
+// op that reached it, exactly where a hook run at every crossing would
+// see it. The exception is a client that exits instead of sending — it
+// is past the measurement window, where the run ends regardless.
 func (d *loadDriver) checkMaxOps() {
 	if d.stopped {
 		return

@@ -121,7 +121,7 @@ func chasePoint(sys chaseSystem, cfg Config, depth int) (Point, Telemetry) {
 // lookup latency vs pointer hops. The per-point labels carry the verb-
 // program counters (programs, steps, round trips saved) — they are
 // virtual-time-deterministic, so the rendered CSV stays byte-identical
-// at every -parallel/-intra/-affinity/-sparse setting.
+// at every -parallel/-intra/-affinity setting.
 func FigChase(cfg Config) *Figure {
 	fig := &Figure{
 		ID: "fig-chase", Title: "Pointer-chase depth sweep: one verb program vs k round trips",

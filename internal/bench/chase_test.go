@@ -63,8 +63,7 @@ func TestChaseLatencyShape(t *testing.T) {
 
 // TestFigChaseDeterministic: the rendered fig-chase CSV — including the
 // program-counter labels — is byte-identical across point-level
-// parallelism, domain-level parallelism, affinity grouping, and sparse
-// barriers.
+// parallelism, domain-level parallelism and affinity grouping.
 func TestFigChaseDeterministic(t *testing.T) {
 	base := chaseTestConfig()
 	render := func(cfg Config) string {
@@ -75,11 +74,9 @@ func TestFigChaseDeterministic(t *testing.T) {
 	want := render(base)
 
 	variants := map[string]func(*Config){
-		"parallel=4":     func(c *Config) { c.Parallel = 4 },
-		"intra=4":        func(c *Config) { c.Intra = 4 },
-		"affinity=4":     func(c *Config) { c.ClientsPerDomain = 4 },
-		"sparse":         func(c *Config) { c.SparseBarriers = true },
-		"sparse+intra=4": func(c *Config) { c.SparseBarriers = true; c.Intra = 4 },
+		"parallel=4": func(c *Config) { c.Parallel = 4 },
+		"intra=4":    func(c *Config) { c.Intra = 4 },
+		"affinity=4": func(c *Config) { c.ClientsPerDomain = 4 },
 	}
 	for name, mut := range variants {
 		cfg := base

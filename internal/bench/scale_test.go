@@ -39,15 +39,17 @@ func TestScaleCliffMovesWithCapacity(t *testing.T) {
 	big.QPCacheEntries = 256
 	ptBig, telBig := scalePoint(sys, big, clients)
 
-	if telBig.QPCacheMisses != 0 {
-		t.Fatalf("cache above connection count still missed %d times", telBig.QPCacheMisses)
+	if telBig.QPCacheMisses != 0 || telBig.QPCacheHits == 0 {
+		t.Fatalf("cache above connection count: hits=%d misses=%d, want hits only",
+			telBig.QPCacheHits, telBig.QPCacheMisses)
 	}
 	if telSmall.QPCacheMisses == 0 || telSmall.QPCacheEvictions == 0 {
 		t.Fatalf("thrashing cache: misses=%d evictions=%d, want both > 0",
 			telSmall.QPCacheMisses, telSmall.QPCacheEvictions)
 	}
-	if ptSmall.Throughput >= ptBig.Throughput {
-		t.Fatalf("past-cliff throughput %.0f not below within-capacity %.0f",
+	// A cliff, not a slope: past it, throughput at least halves.
+	if ptSmall.Throughput >= ptBig.Throughput/2 {
+		t.Fatalf("past-cliff throughput %.0f not below half of within-capacity %.0f",
 			ptSmall.Throughput, ptBig.Throughput)
 	}
 	if ptSmall.Mean <= ptBig.Mean {
@@ -57,8 +59,9 @@ func TestScaleCliffMovesWithCapacity(t *testing.T) {
 }
 
 // TestFigScaleDeterministic: the rendered fig-scale CSV is byte-identical
-// across point-level parallelism, domain-level parallelism, affinity
-// grouping, and sparse barriers.
+// across point-level parallelism, domain-level parallelism and affinity
+// grouping (TestFiguresGolden pins the same bytes to the dense-sweep
+// scheduler they were recorded under).
 func TestFigScaleDeterministic(t *testing.T) {
 	base := scaleTestConfig()
 	base.ScaleClients = []int{4, 48}
@@ -70,11 +73,9 @@ func TestFigScaleDeterministic(t *testing.T) {
 	want := render(base)
 
 	variants := map[string]func(*Config){
-		"parallel=4":     func(c *Config) { c.Parallel = 4 },
-		"intra=4":        func(c *Config) { c.Intra = 4 },
-		"affinity=4":     func(c *Config) { c.ClientsPerDomain = 4 },
-		"sparse":         func(c *Config) { c.SparseBarriers = true },
-		"sparse+intra=4": func(c *Config) { c.SparseBarriers = true; c.Intra = 4 },
+		"parallel=4": func(c *Config) { c.Parallel = 4 },
+		"intra=4":    func(c *Config) { c.Intra = 4 },
+		"affinity=4": func(c *Config) { c.ClientsPerDomain = 4 },
 	}
 	for name, mut := range variants {
 		cfg := base
@@ -87,37 +88,23 @@ func TestFigScaleDeterministic(t *testing.T) {
 }
 
 // TestScaleSparseBarrierSavings: at the mostly-idle low end of the sweep
-// (few clients spread over a fixed fleet of machines), sparse scheduling
-// elides a large share of barrier sweeps without changing the measurement.
+// (few clients spread over a fixed fleet of machines), at least 30% of
+// the barrier crossings have nothing to merge and skip their hook sweep.
 func TestScaleSparseBarrierSavings(t *testing.T) {
 	sys := scaleSystems()[1]
 	cfg := scaleTestConfig()
 	cfg.ScaleMachines = 64 // 4 clients over 64 machines: 60+ idle domains
 
-	dense := cfg
-	ptDense, telDense := scalePoint(sys, dense, 4)
-
-	sparse := cfg
-	sparse.SparseBarriers = true
-	ptSparse, telSparse := scalePoint(sys, sparse, 4)
-
-	if ptDense != ptSparse {
-		t.Fatalf("sparse barriers changed the measurement:\ndense  %+v\nsparse %+v", ptDense, ptSparse)
+	_, tel := scalePoint(sys, cfg, 4)
+	crossings := tel.Barriers + tel.BarrierSkips
+	if tel.Barriers == 0 {
+		t.Fatal("no hook sweep ran")
 	}
-	denseSweeps := telDense.Barriers
-	sparseSweeps := telSparse.Barriers
-	if telSparse.BarrierSkips == 0 {
-		t.Fatal("sparse run elided no barriers on a mostly-idle fleet")
+	if share := float64(tel.BarrierSkips) / float64(crossings); share < 0.30 {
+		t.Fatalf("%d of %d crossings elided (%.2f): idle fleet should elide >= 30%%",
+			tel.BarrierSkips, crossings, share)
 	}
-	if sparseSweeps+telSparse.BarrierSkips != denseSweeps {
-		t.Fatalf("sweeps %d + skips %d != dense sweeps %d",
-			sparseSweeps, telSparse.BarrierSkips, denseSweeps)
-	}
-	if float64(sparseSweeps) > 0.7*float64(denseSweeps) {
-		t.Fatalf("sparse sweeps %d > 70%% of dense %d: idle fleet should elide >= 30%%",
-			sparseSweeps, denseSweeps)
-	}
-	if telSparse.IdleSkips == 0 {
+	if tel.IdleSkips == 0 {
 		t.Fatal("active-set scan skipped no idle domains")
 	}
 }

@@ -300,8 +300,8 @@ func (n *Network) addNode(name string, dom *sim.Engine) *Node {
 	node.rx = sim.NewResource(dom)
 	node.drainFn = node.runDrain
 	n.nodes = append(n.nodes, node)
-	// The next barrier must run its hooks even under sparse elision:
-	// flush re-declares the lookahead matrix when the node set changed.
+	// The next barrier must run its hooks: flush re-declares the
+	// lookahead matrix when the node set changed.
 	n.e.World().RequestBarrier()
 	return node
 }
@@ -381,8 +381,8 @@ func (n *Network) Send(m Message) {
 	}
 	// Cross-domain: buffer until the window barrier; the drop is
 	// accounted there. An outbox going from empty to non-empty means the
-	// next barrier's flush has work — raise the sparse-elision request
-	// flag (an atomic store; sends run in parallel domain contexts).
+	// next barrier's flush has work — request the sweep (an atomic
+	// store; sends run in parallel domain contexts).
 	if len(src.out) == 0 {
 		src.net.e.World().RequestBarrier()
 	}

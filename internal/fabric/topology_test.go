@@ -68,12 +68,16 @@ func stormTrace(t *testing.T, groupSize, workers int, crossRack time.Duration) s
 	return trace
 }
 
-func stormTraceStats(t *testing.T, groupSize, workers int, crossRack time.Duration, sparse bool) (string, sim.WorldStats) {
+// dense adds a barrier hook that re-requests itself, so the fabric's flush
+// runs at every crossing: the reference for sweep elision.
+func stormTraceStats(t *testing.T, groupSize, workers int, crossRack time.Duration, dense bool) (string, sim.WorldStats) {
 	t.Helper()
 	p := testParams()
 	p.CrossRackExtra = crossRack
 	e := sim.NewEngine(7)
-	e.World().SetSparseBarriers(sparse)
+	if dense {
+		e.World().OnBarrier(e.World().RequestBarrier)
+	}
 	net := New(e, p)
 	const N = 6
 	nodes := make([]*Node, N)
@@ -132,22 +136,28 @@ func stormTraceStats(t *testing.T, groupSize, workers int, crossRack time.Durati
 }
 
 // TestSparseBarrierStormDeterminism: the forwarding storm produces the
-// same trace with sparse barrier elision on, at every grouping and
-// worker count — the fabric raises the barrier-request flag whenever an
-// outbox has work, so no flush is ever missed — while the quiet stretch
-// after the storm dies down is skipped (BarrierSkips > 0 once the world
-// has windows with nothing to merge).
+// same trace as a run that sweeps at every crossing, at every grouping
+// and worker count — the fabric raises the barrier-request flag whenever
+// an outbox has work, so no flush is ever missed — while the quiet
+// stretch after the storm dies down is skipped (BarrierSkips > 0 once the
+// world has windows with nothing to merge).
 func TestSparseBarrierStormDeterminism(t *testing.T) {
-	base, dense := stormTraceStats(t, 1, 1, 0, false)
+	base, dense := stormTraceStats(t, 1, 1, 0, true)
 	if base == "" || dense.CrossDeliveries == 0 {
 		t.Fatal("storm did not run")
 	}
+	if dense.BarrierSkips != 0 {
+		t.Fatalf("dense reference skipped %d sweeps", dense.BarrierSkips)
+	}
 	for _, g := range []int{1, 2, 6} {
 		for _, w := range []int{1, 4} {
-			got, st := stormTraceStats(t, g, w, 0, true)
+			got, st := stormTraceStats(t, g, w, 0, false)
 			if got != base {
-				t.Fatalf("groupSize=%d workers=%d sparse trace differs from dense serial:\n--- base ---\n%s--- got ---\n%s",
+				t.Fatalf("groupSize=%d workers=%d trace differs from dense serial:\n--- base ---\n%s--- got ---\n%s",
 					g, w, base, got)
+			}
+			if g == 1 && st.BarrierSkips == 0 {
+				t.Fatalf("workers=%d: ungrouped storm elided no sweeps", w)
 			}
 			if st.Barriers == 0 {
 				t.Fatalf("groupSize=%d workers=%d: no hook sweeps ran", g, w)

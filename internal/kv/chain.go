@@ -1,4 +1,4 @@
-// Verb-program clients for PRISM-KV (§17) and the linked-chain store the
+// Verb-program clients for PRISM-KV (DESIGN.md §14) and the linked-chain store the
 // fig-chase experiment measures them on.
 //
 // Two layouts exercise the CHASE/SCAN programs:

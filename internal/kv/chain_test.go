@@ -303,22 +303,11 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 	meta, chainMeta := simKV.srv.Meta(), simChain.srv.Meta()
 
 	// Live servers, one per store, each serving a unix socket.
-	dir := t.TempDir()
-	startLive := func(name string, provision func(*transport.Server)) *transport.Conn {
+	startLive := func(provision func(*transport.Server)) *transport.Conn {
 		t.Helper()
 		ts := transport.NewServer()
 		provision(ts)
-		l, err := net.Listen("unix", filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- ts.Serve(l) }()
-		t.Cleanup(func() {
-			ts.Shutdown(2 * time.Second)
-			<-serveErr
-		})
-		tc, err := transport.Dial(l.Addr().String())
+		tc, err := transport.Dial(serveUnix(t, ts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +318,7 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 		}
 		return conn
 	}
-	kvConn := startLive("kv.sock", func(ts *transport.Server) {
+	kvConn := startLive(func(ts *transport.Server) {
 		srv, err := NewServerOn(ts, kvOpts)
 		if err != nil {
 			t.Fatal(err)
@@ -339,7 +328,7 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 		}
 		loadKV(srv.Load)
 	})
-	chainConn := startLive("chain.sock", func(ts *transport.Server) {
+	chainConn := startLive(func(ts *transport.Server) {
 		srv, err := NewChainStoreOn(ts, chOpts)
 		if err != nil {
 			t.Fatal(err)
@@ -437,5 +426,71 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 	}
 }
 
+// serveUnix serves ts on a unix socket in a fresh temp dir until the test
+// ends and returns the socket's address.
+func serveUnix(t *testing.T, ts *transport.Server) string {
+	t.Helper()
+	l, err := net.Listen("unix", filepath.Join(t.TempDir(), "prism.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- ts.Serve(l) }()
+	t.Cleanup(func() {
+		ts.Shutdown(2 * time.Second)
+		<-serveErr
+	})
+	return l.Addr().String()
+}
+
 // nicServer exposes the kvEnv's simulated NIC for raw issues.
 func (v *kvEnv) nicServer() *rdma.Server { return v.srv.NIC() }
+
+// TestLiveChaseBeatsHopWalk is the live half of the fig-chase claim: over
+// a real unix socket, one CHASE round trip per depth-8 tail lookup takes
+// less wall time than the per-hop walk's eight. The walk pays 8x the
+// round trips, so the comparison has a wide margin on any host.
+func TestLiveChaseBeatsHopWalk(t *testing.T) {
+	opts := ChainOptions{Buckets: 16, Depth: 8, MaxValue: 16}
+	ts := transport.NewServer()
+	srv, err := NewChainStoreOn(ts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < opts.Buckets*opts.Depth; k++ {
+		if err := srv.Load(k, chainValue(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc, c, err := DialChain(serveUnix(t, ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+
+	const lookups = 256
+	walk := func(get func(int64) ([]byte, error)) time.Duration {
+		start := time.Now()
+		for i := int64(0); i < lookups; i++ {
+			tail := (i%opts.Buckets)*opts.Depth + opts.Depth - 1
+			v, err := get(tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v, chainValue(tail)) {
+				t.Fatalf("key %d = %x", tail, v)
+			}
+		}
+		return time.Since(start)
+	}
+	walk(c.ChaseGet) // warm the window, scratch and framers
+	walk(c.HopGet)
+	chase, hops := walk(c.ChaseGet), walk(c.HopGet)
+	if c.Hops != 2*lookups*opts.Depth {
+		t.Fatalf("Hops = %d, want %d", c.Hops, 2*lookups*opts.Depth)
+	}
+	if chase >= hops {
+		t.Fatalf("depth-8 chase %v not faster than per-hop walk %v", chase, hops)
+	}
+	t.Logf("%d depth-8 tail lookups: chase=%v per-hop=%v", lookups, chase, hops)
+}

@@ -145,7 +145,7 @@ type Params struct {
 	// BlueField data path (off-path NIC): ~3 µs.
 	BFHostAccess time.Duration
 
-	// --- Verb programs (§17) ---
+	// --- Verb programs (DESIGN.md §14) ---
 
 	// ProgStepCost is the per-iteration cost of a verb program's loop
 	// engine (CHASE step / SCAN slot visit) beyond the host-memory
@@ -304,7 +304,7 @@ const (
 	OpWrite
 	OpAllocate
 	OpCAS
-	OpProgram // bounded server-side verb program (CHASE/SCAN, §17)
+	OpProgram // bounded server-side verb program (CHASE/SCAN, DESIGN.md §14)
 )
 
 // SoftExtraFor returns the per-op increment the software stack adds on top

@@ -8,7 +8,7 @@ import (
 	"prism/internal/wire"
 )
 
-// Verb programs (§17): bounded, loop-capable server-side programs that
+// Verb programs (DESIGN.md §14): bounded, loop-capable server-side programs that
 // collapse k dependent round trips into one request. Two shapes:
 //
 //   - CHASE follows a pointer/probe sequence up to MaxSteps, evaluating a
@@ -26,7 +26,7 @@ import (
 // under the same per-primitive atomicity as every other verb — the loop
 // runs server-side without interleaving, which is strictly stronger than
 // the k-round-trip client loop it replaces (§3.5 discussion in
-// DESIGN.md §17).
+// DESIGN.md §14).
 
 // Program kinds.
 const (
@@ -41,7 +41,7 @@ const (
 
 // Program bounds. MaxChaseSteps caps the loop of a single CHASE op;
 // MaxScanBudget caps the result bytes of a single SCAN op. Both keep a
-// program's NIC occupancy bounded (§17): longer walks resume by cursor.
+// program's NIC occupancy bounded (DESIGN.md §14): longer walks resume by cursor.
 const (
 	MaxChaseSteps = 64
 	MaxScanBudget = 1 << 16

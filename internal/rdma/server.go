@@ -109,7 +109,7 @@ type Server struct {
 	RespReused int64
 	// ProgOps counts executed verb programs (CHASE/SCAN) and ProgSteps
 	// their loop iterations; ProgSteps-ProgOps is the round trips the
-	// programs saved over the per-hop client loop (§17).
+	// programs saved over the per-hop client loop (DESIGN.md §14).
 	ProgOps   int64
 	ProgSteps int64
 }
@@ -659,7 +659,7 @@ func (s *Server) finishChain(sc *serverConn) {
 // opExtra is the per-op latency the deployment adds beyond the base verb
 // pipeline.
 func (s *Server) opExtra(sc *serverConn, op *wire.Op, meta prism.OpMeta) time.Duration {
-	// Verb programs pay the loop engine once per executed step (§17);
+	// Verb programs pay the loop engine once per executed step (DESIGN.md §14);
 	// every classic op runs zero steps, so the term vanishes on the
 	// pre-program figures. Per-step memory traffic is charged below
 	// through the same HostAccesses/Indirections counts the steps bumped.

@@ -35,9 +35,8 @@
 // (Floyd–Warshall, including round-trip self-cycles). Each window then
 // gives every domain its own horizon — min over senders s of
 // next-event(s) + dist[s][d] — so far-apart pairs run long windows and
-// only genuinely close pairs barrier often. SetScalarWindows(true)
-// restores the historical single-bound rule for A/B measurements; the
-// window rule never changes event semantics, only barrier frequency.
+// only genuinely close pairs barrier often. The window rule never
+// changes event semantics, only barrier frequency.
 package sim
 
 import (
@@ -141,22 +140,14 @@ type World struct {
 	dist      [][]Duration
 	laDirty   bool
 
-	// scalar restores the historical single-bound window rule (the
-	// minimum over every declared bound) for A/B measurements.
-	scalar   bool
-	scalarLA Duration
-
-	// barriers run at every window barrier (and before the first window),
-	// single-threaded, with all domains paused. The fabric uses them to
-	// merge and deliver cross-domain mailboxes.
+	// barriers run at requested window barriers (and before the first
+	// window), single-threaded, with all domains paused (see OnBarrier).
+	// The fabric uses them to merge and deliver cross-domain mailboxes.
 	barriers []func()
 
-	// sparse elides barrier hook sweeps for windows in which no hook has
-	// work to do (see SetSparseBarriers). barrierReq is the request flag
-	// producers raise (RequestBarrier) when the next barrier must run its
-	// hooks; it is atomic because sends happen from parallel domain
-	// contexts.
-	sparse     bool
+	// barrierReq is the flag producers raise (RequestBarrier) when the
+	// next barrier must run its hooks; it is atomic because sends happen
+	// from parallel domain contexts.
 	barrierReq atomic.Bool
 
 	// statsHooks let higher layers (the rdma NIC model) contribute
@@ -193,15 +184,16 @@ type laEdge struct {
 const laInf = Duration(1) << 62
 
 // WorldStats counts scheduler work. Windows is the number of executed
-// time windows, Barriers the number of barrier crossings (hook sweeps),
-// BarrierSkips the hook sweeps elided under SetSparseBarriers (no hook
-// had work), IdleSkips the per-window count of domains outside the
-// active set (empty wheel, no inbound staging — never touched by the
-// window-start scan or the horizon computation), CrossDeliveries the
-// number of messages merged across domain boundaries at barriers
-// (intra-domain bypass deliveries are not counted), and
-// WindowSpan/SpanWindows accumulate the length of every window whose
-// horizon was bounded (MeanWindow reports the average).
+// time windows, Barriers the number of barrier hook sweeps, BarrierSkips
+// the crossings whose sweep was elided because no producer requested it
+// (Barriers+BarrierSkips is the number of crossings), IdleSkips the
+// per-window count of domains outside the active set (empty wheel, no
+// inbound staging — never touched by the window-start scan or the
+// horizon computation), CrossDeliveries the number of messages merged
+// across domain boundaries at barriers (intra-domain bypass deliveries
+// are not counted), and WindowSpan/SpanWindows accumulate the length of
+// every window whose horizon was bounded (MeanWindow reports the
+// average).
 //
 // The burst/wheel counters attribute per-event scheduler cost:
 // EventsExecuted is events fired, Bursts the number of drained instants
@@ -331,29 +323,12 @@ func (w *World) SetLookahead(src, dst *Engine, d Duration) {
 	w.laDirty = true
 }
 
-// SetScalarWindows switches between per-domain matrix horizons (false,
-// the default) and the historical single-bound window rule (true). The
-// two modes produce byte-identical simulation output; only barrier
-// frequency differs. Used for A/B scheduler measurements.
-func (w *World) SetScalarWindows(on bool) { w.scalar = on }
-
-// SetSparseBarriers elides barrier hook sweeps for windows in which no
-// producer raised the barrier-request flag (RequestBarrier): with every
-// outbox empty and no new domains, the hooks have nothing to merge, so
-// the sweep — O(hooks), each touching per-node state — is skipped and
-// counted in WorldStats.BarrierSkips. Hooks always run before the first
-// window. Simulation output is byte-identical either way; the mode is
-// off by default so dense-barrier A/B measurements keep their meaning.
-func (w *World) SetSparseBarriers(on bool) { w.sparse = on }
-
-// SparseBarriers reports whether sparse barrier elision is enabled.
-func (w *World) SparseBarriers() bool { return w.sparse }
-
-// RequestBarrier asks the next window barrier to run its hooks even
-// under SetSparseBarriers. Fabrics call it when a node's outbox goes
-// from empty to non-empty (the flush hook now has work) and when a node
-// is added mid-run (lookahead must be re-declared). Safe from parallel
-// domain contexts.
+// RequestBarrier asks the next window barrier to run its hooks; a
+// crossing nobody requested skips the sweep — O(hooks), each touching
+// per-node state — and is counted in WorldStats.BarrierSkips. Fabrics
+// call it when a node's outbox goes from empty to non-empty (the flush
+// hook now has work) and when a node is added mid-run (lookahead must be
+// re-declared). Safe from parallel domain contexts.
 func (w *World) RequestBarrier() { w.barrierReq.Store(true) }
 
 // Seed returns the world seed; per-domain and per-node RNG streams are
@@ -433,24 +408,17 @@ func (w *World) rebuildDist() {
 			}
 		}
 	}
-	w.scalarLA = laInf
-	if w.lookahead > 0 {
-		w.scalarLA = w.lookahead
-	}
-	for _, e := range w.edges {
-		if e.d < w.scalarLA {
-			w.scalarLA = e.d
-		}
-	}
-	if w.scalarLA >= laInf {
-		w.scalarLA = 1
-	}
 	w.laDirty = false
 }
 
-// OnBarrier registers fn to run at every window barrier, while all
-// domains are paused. Hooks run in registration order on the
-// coordinating goroutine.
+// OnBarrier registers fn to run at window barriers, while all domains
+// are paused. Hooks run in registration order on the coordinating
+// goroutine — before the first window of every Run/RunUntil, and after
+// that only at crossings some producer asked for with RequestBarrier
+// since the previous sweep. A hook that must see every crossing
+// re-requests itself: w.OnBarrier(func() { ...; w.RequestBarrier() }).
+// A hook that only consumes what producers stage (the fabric's flush)
+// needs nothing more, provided every producer requests when it stages.
 func (w *World) OnBarrier(fn func()) {
 	w.barriers = append(w.barriers, fn)
 }
@@ -476,10 +444,10 @@ func (w *World) run(deadline Time) {
 		// Runs before the window-start computation so flushed deliveries
 		// participate in it, and before the first window so messages sent
 		// from setup code are delivered (and lookahead declared there is
-		// folded into the matrix before it is consulted). Under sparse
-		// mode the sweep is elided when no producer requested it — with
-		// every outbox empty the hooks would only walk idle state.
-		if req := w.barrierReq.Swap(false); first || !w.sparse || req {
+		// folded into the matrix before it is consulted). After that the
+		// sweep is elided when no producer requested it — with every
+		// outbox empty the hooks would only walk idle state.
+		if req := w.barrierReq.Swap(false); first || req {
 			for _, fn := range w.barriers {
 				fn()
 			}
@@ -539,34 +507,23 @@ func (w *World) run(deadline Time) {
 		// because no message generated at or after next(s) can arrive at
 		// d earlier than that. Only active senders constrain — an idle
 		// domain's next is Never. Unreachable domains are unbounded (only
-		// the deadline stops them). Scalar mode replaces this with the
-		// historical single bound start + min-lookahead for every domain.
-		if w.scalar {
+		// the deadline stops them).
+		for _, d := range act {
+			h := Never
+			for j, s := range act {
+				la := w.dist[s.id][d.id]
+				if la >= laInf {
+					continue
+				}
+				if c := next[j].Add(la); c < h {
+					h = c
+				}
+			}
 			lim := deadline
-			if x := start.Add(w.scalarLA); x-1 < lim {
-				lim = x - 1
+			if h != Never && h-1 < lim {
+				lim = h - 1
 			}
-			for _, d := range act {
-				d.limit = lim
-			}
-		} else {
-			for _, d := range act {
-				h := Never
-				for j, s := range act {
-					la := w.dist[s.id][d.id]
-					if la >= laInf {
-						continue
-					}
-					if c := next[j].Add(la); c < h {
-						h = c
-					}
-				}
-				lim := deadline
-				if h != Never && h-1 < lim {
-					lim = h - 1
-				}
-				d.limit = lim
-			}
+			d.limit = lim
 		}
 		// Telemetry: the window's effective length is set by the
 		// earliest bounded horizon among domains that actually run.

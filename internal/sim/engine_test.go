@@ -466,8 +466,10 @@ func TestTimerStopGenerationAcrossWindows(t *testing.T) {
 	other := e.World().NewDomain()
 	e.World().DeclareLookahead(10 * time.Microsecond)
 	e.World().SetWorkers(2)
+	// Count every crossing: nothing here sends, so the hook re-requests
+	// itself.
 	var barriers int
-	e.World().OnBarrier(func() { barriers++ })
+	e.World().OnBarrier(func() { barriers++; e.World().RequestBarrier() })
 
 	// Keep the second domain busy so the world actually runs windows.
 	for i := 1; i <= 5; i++ {

@@ -36,9 +36,6 @@ func TestLookaheadMatrixRelay(t *testing.T) {
 			t.Errorf("dist[%d][%d] = %v, want %v", tc.src.id, tc.dst.id, got, tc.want)
 		}
 	}
-	if w.scalarLA != 10 {
-		t.Errorf("scalarLA = %v, want 10 (minimum over all bounds)", w.scalarLA)
-	}
 
 	// A tighter re-declaration wins.
 	w.SetLookahead(a, b, 5)
@@ -92,11 +89,10 @@ func TestAtTailRunsAfterSameInstant(t *testing.T) {
 // lockstepWorld builds nDom event domains (beyond root) each running a
 // chain of self-events spaced step apart, with every inter-domain bound
 // set to la. It returns the execution log and the scheduler stats.
-func lockstepWorld(t *testing.T, nDom int, step, la Duration, scalar bool) (string, WorldStats) {
+func lockstepWorld(t *testing.T, nDom int, step, la Duration) (string, WorldStats) {
 	t.Helper()
 	root := NewEngine(9)
 	w := root.World()
-	w.SetScalarWindows(scalar)
 	doms := make([]*Engine, nDom)
 	for i := range doms {
 		doms[i] = w.NewDomain()
@@ -126,16 +122,20 @@ func lockstepWorld(t *testing.T, nDom int, step, la Duration, scalar bool) (stri
 }
 
 // TestMatrixWindowsBeatScalar: with a long per-pair bound, matrix
-// horizons cover several chain steps per window while the scalar rule —
-// bound by the tightest lookahead anywhere in the world (here a pair of
-// idle, closely-coupled domains) — barriers every step. Per-domain
-// event outcomes must be identical; only the barrier count may differ
-// (the global interleaving across domains is never observable).
+// horizons cover several chain steps per window while a single scalar
+// bound — the tightest lookahead anywhere in the world (here a pair of
+// idle, closely-coupled domains), which is what the scheduler used before
+// the matrix — barriers every step. The scalar reference is the same
+// world with that tightest bound declared uniformly. Per-domain event
+// outcomes must be identical; only the crossing count may differ (the
+// global interleaving across domains is never observable).
 func TestMatrixWindowsBeatScalar(t *testing.T) {
 	run := func(scalar bool) (string, WorldStats) {
 		root := NewEngine(9)
 		w := root.World()
-		w.SetScalarWindows(scalar)
+		if scalar {
+			w.DeclareLookahead(10)
+		}
 		// Two busy domains with a generous mutual bound...
 		f1, f2 := w.NewDomain(), w.NewDomain()
 		w.SetLookahead(f1, f2, Duration(5*time.Microsecond))
@@ -165,11 +165,11 @@ func TestMatrixWindowsBeatScalar(t *testing.T) {
 	if matLog != scaLog {
 		t.Fatalf("event outcomes differ between window rules:\nmatrix: %s\nscalar: %s", matLog, scaLog)
 	}
-	if mat.Barriers >= sca.Barriers {
-		t.Fatalf("matrix barriers (%d) not fewer than scalar (%d)", mat.Barriers, sca.Barriers)
+	if crossings(mat) >= crossings(sca) {
+		t.Fatalf("matrix crossings (%d) not fewer than scalar (%d)", crossings(mat), crossings(sca))
 	}
-	if sca.Barriers < 50 {
-		t.Fatalf("scalar mode barriered only %d times; expected one per chain step", sca.Barriers)
+	if crossings(sca) < 50 {
+		t.Fatalf("scalar bound crossed only %d barriers; expected one per chain step", crossings(sca))
 	}
 	if mat.Windows == 0 || mat.SpanWindows == 0 || mat.MeanWindow() <= sca.MeanWindow() {
 		t.Fatalf("matrix windows=%d mean=%v vs scalar mean=%v; expected longer matrix windows",
@@ -180,7 +180,7 @@ func TestMatrixWindowsBeatScalar(t *testing.T) {
 // TestWorldStatsCounters: the telemetry snapshot reflects domain count,
 // executed windows, and fabric-reported cross deliveries.
 func TestWorldStatsCounters(t *testing.T) {
-	log, stats := lockstepWorld(t, 3, Duration(time.Microsecond), Duration(time.Microsecond), false)
+	log, stats := lockstepWorld(t, 3, Duration(time.Microsecond), Duration(time.Microsecond))
 	if log == "" {
 		t.Fatal("no events executed")
 	}

@@ -7,19 +7,29 @@ import (
 	"time"
 )
 
+// crossings is the number of window barriers a run crossed: the hook
+// sweeps that ran plus the ones elided.
+func crossings(st WorldStats) int64 { return st.Barriers + st.BarrierSkips }
+
 // sparseChains runs nBusy self-ticking chains plus nIdle domains that
 // never schedule anything, with a counting barrier hook, and returns the
-// execution log, the hook invocation count, and the stats. Window
-// workers run the busy domains in parallel, so each domain appends to its
-// own log; the logs are merged by (time, domain) after the run.
-func sparseChains(t *testing.T, nBusy, nIdle int, sparse bool, workers int) (string, int, WorldStats) {
+// execution log, the hook invocation count, and the stats. dense makes
+// the hook re-request itself, so it sweeps at every crossing: the
+// reference the elided runs are compared with. Window workers run the
+// busy domains in parallel, so each domain appends to its own log; the
+// logs are merged by (time, domain) after the run.
+func sparseChains(t *testing.T, nBusy, nIdle int, dense bool, workers int) (string, int, WorldStats) {
 	t.Helper()
 	root := NewEngine(3)
 	w := root.World()
 	w.SetWorkers(workers)
-	w.SetSparseBarriers(sparse)
 	hooks := 0
-	w.OnBarrier(func() { hooks++ })
+	w.OnBarrier(func() {
+		hooks++
+		if dense {
+			w.RequestBarrier()
+		}
+	})
 	doms := make([]*Engine, nBusy)
 	for i := range doms {
 		doms[i] = w.NewDomain()
@@ -70,60 +80,59 @@ func sparseChains(t *testing.T, nBusy, nIdle int, sparse bool, workers int) (str
 }
 
 // TestSparseBarriersElideIdleSweeps: with no producer ever raising the
-// barrier-request flag (pure domain-local chains), sparse mode runs the
-// hooks exactly once (the mandatory first sweep) and counts every other
-// crossing as a skip — with the execution log byte-identical to dense
-// mode at both worker counts.
+// barrier-request flag (pure domain-local chains), the hooks run exactly
+// once (the mandatory first sweep) and every other crossing counts as a
+// skip — with the execution log byte-identical to the dense reference at
+// both worker counts.
 func TestSparseBarriersElideIdleSweeps(t *testing.T) {
-	denseLog, denseHooks, dense := sparseChains(t, 3, 0, false, 1)
+	denseLog, denseHooks, dense := sparseChains(t, 3, 0, true, 1)
 	if denseLog == "" || denseHooks < 2 {
 		t.Fatalf("dense run degenerate: hooks=%d", denseHooks)
 	}
 	if dense.BarrierSkips != 0 {
-		t.Fatalf("dense mode counted %d barrier skips", dense.BarrierSkips)
+		t.Fatalf("dense reference counted %d barrier skips", dense.BarrierSkips)
 	}
 	for _, workers := range []int{1, 4} {
-		log, hooks, st := sparseChains(t, 3, 0, true, workers)
+		log, hooks, st := sparseChains(t, 3, 0, false, workers)
 		if log != denseLog {
-			t.Fatalf("workers=%d sparse log differs from dense:\n%s\nvs\n%s", workers, log, denseLog)
+			t.Fatalf("workers=%d log differs from dense:\n%s\nvs\n%s", workers, log, denseLog)
 		}
 		if hooks != 1 {
-			t.Fatalf("workers=%d sparse ran hooks %d times, want 1", workers, hooks)
+			t.Fatalf("workers=%d ran hooks %d times, want 1", workers, hooks)
 		}
 		if st.Barriers != 1 || st.BarrierSkips == 0 {
 			t.Fatalf("workers=%d barriers=%d skips=%d; want 1 sweep and >0 skips",
 				workers, st.Barriers, st.BarrierSkips)
 		}
-		if st.Barriers+st.BarrierSkips != dense.Barriers {
+		if crossings(st) != dense.Barriers {
 			t.Fatalf("workers=%d sweeps+skips = %d, want %d crossings as dense",
-				workers, st.Barriers+st.BarrierSkips, dense.Barriers)
+				workers, crossings(st), dense.Barriers)
 		}
 	}
 }
 
 // TestIdleDomainsSkipped: domains with empty wheels leave the active set
 // and are not touched by the window-start scan — IdleSkips accounts one
-// per idle domain per executed window, in both barrier modes.
+// per idle domain per executed window, whether sweeps are elided or not.
 func TestIdleDomainsSkipped(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		_, _, st := sparseChains(t, 2, 5, sparse, 1)
+	for _, dense := range []bool{false, true} {
+		_, _, st := sparseChains(t, 2, 5, dense, 1)
 		if st.Windows == 0 {
 			t.Fatal("no windows ran")
 		}
 		// Root plus the 5 never-scheduled domains are idle every window.
 		if min := 6 * st.Windows; st.IdleSkips < min {
-			t.Fatalf("sparse=%v IdleSkips = %d, want >= %d (6 idle domains x %d windows)",
-				sparse, st.IdleSkips, min, st.Windows)
+			t.Fatalf("dense=%v IdleSkips = %d, want >= %d (6 idle domains x %d windows)",
+				dense, st.IdleSkips, min, st.Windows)
 		}
 	}
 }
 
 // TestRequestBarrierForcesSweep: raising the request flag mid-run makes
-// the next crossing run its hooks even under sparse elision.
+// the next crossing — and only that one — run its hooks.
 func TestRequestBarrierForcesSweep(t *testing.T) {
 	root := NewEngine(5)
 	w := root.World()
-	w.SetSparseBarriers(true)
 	hooks := 0
 	w.OnBarrier(func() { hooks++ })
 	a, b := w.NewDomain(), w.NewDomain()
@@ -153,7 +162,7 @@ func TestRequestBarrierForcesSweep(t *testing.T) {
 // TestActiveSetReactivation: a domain that drains empty and later
 // receives a fresh event (scheduled from a barrier hook, the only
 // legitimate cross-domain scheduling context) rejoins the active set and
-// fires it.
+// fires it. Nothing here sends, so the hook requests the sweeps it needs.
 func TestActiveSetReactivation(t *testing.T) {
 	root := NewEngine(8)
 	w := root.World()
@@ -171,6 +180,9 @@ func TestActiveSetReactivation(t *testing.T) {
 		if !armed && root.Now() > Time(30*time.Microsecond) {
 			armed = true
 			lazy.At(root.Now().Add(Duration(time.Microsecond)), func() { fired = true })
+		}
+		if !armed {
+			w.RequestBarrier()
 		}
 	})
 	root.Run()

@@ -12,24 +12,27 @@ import (
 	"prism/internal/wire"
 )
 
-// Doorbell-batching A/B tests: the flush policy and the server's wakeup
-// batch change only how frames share syscalls, never what the frames
-// say. The same deterministic workload must produce byte-identical
-// outcomes at every flush threshold — including 1, the degenerate
-// write-per-frame mode that matches the pre-batching datapath — over
-// both a net.Pipe and a unix socket, with the wire check (TestMain)
-// asserting every frame is canonical codec output along the way.
+// Doorbell-batching A/B tests: the client's flush cap and the server's
+// wakeup batch change only how frames share syscalls, never what the
+// frames say. The same deterministic workload must produce byte-identical
+// outcomes at every cap — including 1, the write-per-frame,
+// serve-per-frame reference that matches the pre-batching datapath and is
+// reachable only through export_test.go — over both a net.Pipe and a unix
+// socket, with the wire check (TestMain) asserting every frame is
+// canonical codec output along the way.
 
-// batchThresholds are the swept flush policies: unbatched, small, the
-// server's default wakeup budget, and the client's burst-max default.
-var batchThresholds = []int{1, 4, 64, 1024}
+// batchThresholds are the swept caps: unbatched, small, the server's
+// wakeup budget, and the client's flush cap.
+var batchThresholds = []int{1, 4, transport.ServerBatch, 1024}
 
 // newBatchKV provisions a 64-slot store with keys 0..31 preloaded and
-// the given wakeup budget.
+// the given wakeup budget (0 keeps ServerBatch).
 func newBatchKV(t *testing.T, maxBatch int) *transport.Server {
 	t.Helper()
 	ts := transport.NewServer()
-	ts.MaxBatch = maxBatch
+	if maxBatch > 0 {
+		ts.SetWakeupBatch(maxBatch)
+	}
 	store, err := kv.NewServerOn(ts, kv.DefaultOptions(64, 256))
 	if err != nil {
 		t.Fatalf("NewServerOn: %v", err)
@@ -145,7 +148,7 @@ func TestBatchingDeterminismUnix(t *testing.T) {
 				t.Fatalf("Dial: %v", err)
 			}
 			defer c.Close()
-			c.SetFlushPolicy(th, 0)
+			c.SetMaxFlushFrames(th)
 			got := runBatchWorkload(t, c)
 			if want == nil {
 				want = got
@@ -175,7 +178,7 @@ func TestBatchingDeterminismPipe(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewClientConn: %v", err)
 			}
-			c.SetFlushPolicy(th, 0)
+			c.SetMaxFlushFrames(th)
 			got := runBatchWorkload(t, c)
 			c.Close()
 			select {

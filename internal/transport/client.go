@@ -108,16 +108,6 @@ func NewClientConn(nc net.Conn) (*Client, error) {
 	return c, nil
 }
 
-// SetFlushPolicy bounds how much one write syscall may carry: at most
-// maxFrames frames and maxBytes bytes per flush (zero keeps the current
-// value). Dispatch is adaptive — an idle socket still flushes
-// immediately — so the policy caps batch size rather than adding
-// latency. maxFrames 1 degenerates to the unbatched write-per-frame
-// datapath.
-func (c *Client) SetFlushPolicy(maxFrames, maxBytes int) {
-	c.fl.setPolicy(maxFrames, maxBytes)
-}
-
 // FlushStats returns the socket's doorbell telemetry: write syscalls
 // issued, and the frames and bytes they carried. frames/writes is the
 // realized batching factor (frames_per_write).

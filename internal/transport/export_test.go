@@ -1,0 +1,16 @@
+package transport
+
+// The unbatched reference the batching tests compare with: one frame per
+// write syscall on the client, one frame served and flushed per wakeup on
+// the server. Production code has no way to ask for it.
+
+// SetMaxFlushFrames caps the frames one client Write may carry.
+func (c *Client) SetMaxFlushFrames(n int) {
+	c.fl.mu.Lock()
+	c.fl.maxFrames = n
+	c.fl.mu.Unlock()
+}
+
+// SetWakeupBatch caps the frames one server wakeup serves. Call before
+// Serve.
+func (s *Server) SetWakeupBatch(n int) { s.batch = n }

@@ -27,8 +27,8 @@ import (
 //     batching delay is ever added to an idle connection.
 //   - A busy socket coalesces for free — frames staged while a Write is
 //     in flight accumulate, and the writer takes the whole backlog (up
-//     to the maxFrames/maxBytes occupancy thresholds) in its next
-//     Write. The queue draining is what closes a batch, not a clock.
+//     to the flushFrames/flushBytes occupancy caps) in its next Write.
+//     The queue draining is what closes a batch, not a clock.
 //
 // Issuers never block on staging (the send windows already bound total
 // in-flight frames per connection), so a stalled peer can not deadlock
@@ -44,8 +44,9 @@ type flusher struct {
 	ends  []int      // end offset in stage of each staged frame
 	done  int        // frames already written (index into ends)
 
-	maxFrames int // flush threshold: most frames one Write may carry
-	maxBytes  int // flush threshold: most bytes one Write may carry
+	// maxFrames is flushFrames; a field only so the batching tests can
+	// lower it to 1, the write-per-frame reference (export_test.go).
+	maxFrames int
 
 	closed bool
 	err    error
@@ -55,39 +56,25 @@ type flusher struct {
 	writes, frames, bytes int64 // syscall telemetry, under mu
 }
 
-// Default flush thresholds. Generous on purpose: the threshold is a
-// cap on batch size, not a trigger — dispatch latency comes from the
-// queue-drain policy above, so a large cap only bounds how much one
-// Write can carry. 1 (frames) degenerates to write-per-frame, the
-// pre-batching behavior, which the A/B tests exploit.
+// The most frames and bytes one Write may carry. Generous on purpose:
+// they cap batch size, they do not trigger a flush — dispatch latency
+// comes from the queue-drain policy above, so a large cap only bounds how
+// much one Write can carry.
 const (
-	defaultFlushFrames = 1024
-	defaultFlushBytes  = 256 << 10
+	flushFrames = 1024
+	flushBytes  = 256 << 10
 )
 
 func newFlusher(nc io.Writer, onError func(error)) *flusher {
 	f := &flusher{
 		nc:        nc,
 		onError:   onError,
-		maxFrames: defaultFlushFrames,
-		maxBytes:  defaultFlushBytes,
+		maxFrames: flushFrames,
 	}
 	f.wake = sync.NewCond(&f.mu)
 	f.idle = sync.NewCond(&f.mu)
 	go f.run()
 	return f
-}
-
-// setPolicy adjusts the flush thresholds; zero keeps the current value.
-func (f *flusher) setPolicy(maxFrames, maxBytes int) {
-	f.mu.Lock()
-	if maxFrames > 0 {
-		f.maxFrames = maxFrames
-	}
-	if maxBytes > 0 {
-		f.maxBytes = maxBytes
-	}
-	f.mu.Unlock()
 }
 
 // stats returns the syscall telemetry: Write calls completed, frames
@@ -197,8 +184,8 @@ func (f *flusher) close() {
 }
 
 // run is the writer goroutine: park while drained, then flush staged
-// frames — up to the occupancy thresholds per Write — until the queue
-// drains again.
+// frames — up to the occupancy caps per Write — until the queue drains
+// again.
 func (f *flusher) run() {
 	f.mu.Lock()
 	for {
@@ -222,9 +209,9 @@ func (f *flusher) run() {
 		if f.done > 0 {
 			head = f.ends[f.done-1]
 		}
-		// Take staged frames up to the thresholds, always at least one.
+		// Take staged frames up to the caps, always at least one.
 		k := f.done + 1
-		for k < len(f.ends) && k+1-f.done <= f.maxFrames && f.ends[k]-head <= f.maxBytes {
+		for k < len(f.ends) && k+1-f.done <= f.maxFrames && f.ends[k]-head <= flushBytes {
 			k++
 		}
 		cut := f.ends[k-1]

@@ -13,7 +13,7 @@ import (
 // (rdma.ProcConn) or a live socket (*Conn) unchanged. Like the
 // connection behind it, an Issuer is single-owner.
 //
-// Borrowing (DESIGN.md §12): Ops scratch belongs to the connection and
+// Borrowing (DESIGN.md §11): Ops scratch belongs to the connection and
 // must be handed to the next issue on it; every result slice and payload
 // view an issue returns is transport-owned and valid only until the next
 // issue on the same Issuer. Buffers the caller sets into ops (payloads,

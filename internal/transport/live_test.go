@@ -228,6 +228,16 @@ func TestLiveConcurrentClients(t *testing.T) {
 	if got := ts.ConnsAccepted.Load(); got < clients {
 		t.Errorf("ConnsAccepted = %d, want >= %d", got, clients)
 	}
+	// Eight closed-loop clients per socket: frames staged while a write
+	// is in flight must share the next one.
+	var writes, frames int64
+	for _, tc := range pool {
+		w, f, _ := tc.FlushStats()
+		writes, frames = writes+w, frames+f
+	}
+	if frames <= writes {
+		t.Errorf("%d frames in %d writes: concurrent clients never coalesced", frames, writes)
+	}
 }
 
 // TestLiveShutdownDrain verifies graceful drain: completed work stays

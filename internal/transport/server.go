@@ -60,13 +60,12 @@ const (
 	TempSlotSize = 32
 )
 
-// DefaultServerBatch is the per-wakeup frame budget when Server.MaxBatch
-// is unset: how many already-buffered frames one socket wakeup may
-// serve — under one space-guard acquisition, into one response flush —
-// before the guard is released and the staged responses hit the wire.
-// It bounds both guard hold time (fairness across sockets) and response
-// latency within a burst.
-const DefaultServerBatch = 64
+// ServerBatch is the per-wakeup frame budget: how many already-buffered
+// frames one socket wakeup may serve — under one space-guard acquisition,
+// into one response flush — before the guard is released and the staged
+// responses hit the wire. It bounds both guard hold time (fairness across
+// sockets) and response latency within a burst.
+const ServerBatch = 64
 
 // ErrServerClosed is returned by Serve after Shutdown begins draining.
 var ErrServerClosed = errors.New("transport: server closed")
@@ -79,7 +78,7 @@ var ErrServerClosed = errors.New("transport: server closed")
 // quiescer, and the connection-temp region — is serialized on the
 // space's guard. The guard is held per wakeup batch rather than per
 // primitive: a socket wakeup drains every request frame already
-// buffered (up to MaxBatch), executes them under one guard acquisition,
+// buffered (up to ServerBatch), executes them under one guard acquisition,
 // and coalesces every response into one write — the server half of
 // doorbell batching. Each primitive still executes atomically under the
 // guard, and ops from different sockets interleave at batch
@@ -91,10 +90,9 @@ type Server struct {
 	quiescer  *alloc.Quiescer
 	handler   RPCHandler
 
-	// MaxBatch caps frames served (and responses coalesced) per socket
-	// wakeup; zero means DefaultServerBatch, 1 restores the unbatched
-	// serve-and-flush-per-frame datapath. Set before Serve.
-	MaxBatch int
+	// batch is ServerBatch; a field only so the batching tests can lower
+	// it to 1, the serve-and-flush-per-frame reference (export_test.go).
+	batch int
 
 	// rpcMu serializes RPC handler invocations: handlers keep per-server
 	// scratch (reply buffers, decode state) sized for the simulator's
@@ -121,7 +119,7 @@ type Server struct {
 	OpsExecuted    atomic.Int64
 	ConnsAccepted  atomic.Int64
 
-	// Verb-program telemetry (§17): CHASE/SCAN ops executed and the loop
+	// Verb-program telemetry (DESIGN.md §14): CHASE/SCAN ops executed and the loop
 	// iterations they ran. ProgSteps-ProgOps is the round trips the
 	// programs collapsed versus issuing one verb per step.
 	ProgOps   atomic.Int64
@@ -148,6 +146,7 @@ func NewServer() *Server {
 		freeLists: make(map[uint32]*alloc.FreeList),
 		quiescer:  alloc.NewQuiescer(),
 		socks:     make(map[*srvSock]struct{}),
+		batch:     ServerBatch,
 	}
 }
 
@@ -209,14 +208,6 @@ func (s *Server) Quiesce(fn func()) {
 	g.Lock()
 	s.quiescer.AfterQuiesce(fn)
 	g.Unlock()
-}
-
-// maxBatch resolves the per-wakeup frame budget.
-func (s *Server) maxBatch() int {
-	if s.MaxBatch > 0 {
-		return s.MaxBatch
-	}
-	return DefaultServerBatch
 }
 
 // allocConnTemp carves a per-connection temp buffer, registering a new
@@ -462,7 +453,6 @@ func (sk *srvSock) loop() {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	maxBatch := sk.s.maxBatch()
 	for {
 		kind, body, err := sk.fr.Next()
 		if err != nil {
@@ -499,7 +489,7 @@ func (sk *srvSock) loop() {
 				break
 			}
 			n++
-			if n >= maxBatch || !sk.fr.Buffered() {
+			if n >= sk.s.batch || !sk.fr.Buffered() {
 				break
 			}
 			if kind, body, err = sk.fr.Next(); err != nil {

@@ -20,12 +20,12 @@
 //     waiter and a result-copy arena.
 //   - FrameReader/FrameWriter: the stream framer. Frames are encoded
 //     into and alias-decoded out of per-connection reusable buffers, so
-//     the 0-alloc encode path of DESIGN.md §12 survives the socket hop.
+//     the 0-alloc encode path of DESIGN.md §11 survives the socket hop.
 //   - RPCHandler: the server-side RPC hook (single-op OpSend requests),
 //     shared by the simulated and live servers so one application (e.g.
 //     PRISM-KV reclamation) provisions on either.
 //
-// The live datapath is doorbell-batched end to end (DESIGN.md §16):
+// The live datapath is doorbell-batched end to end (DESIGN.md §12):
 // client issuers stage frames into a per-socket flusher that group-
 // commits a whole train per write syscall, the server drains every
 // buffered frame per wakeup under one guard acquisition and coalesces

@@ -1,7 +1,7 @@
 // Package workload generates the key-access patterns of the paper's
 // evaluation: YCSB workloads A (50/50 read/write) and C (read-only) over
 // uniform and Zipf-distributed keys (§6.2), YCSB-D (read-latest) and
-// YCSB-E (short scans) for the verb-program experiments (§17), and
+// YCSB-E (short scans) for the verb-program experiments (DESIGN.md §14), and
 // YCSB-T style short read-modify-write transactions (§8.3).
 package workload
 

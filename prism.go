@@ -63,7 +63,7 @@ type (
 	PilafServer = kv.PilafServer
 	PilafClient = kv.PilafClient
 	// ChainStore / ChainClient: the bucketed linked-list store the CHASE
-	// verb-program experiments walk (§17, fig-chase).
+	// verb-program experiments walk (DESIGN.md §14, fig-chase).
 	ChainStore  = kv.ChainStore
 	ChainClient = kv.ChainClient
 	// ChainMeta / ChainOptions: chain-store control plane and sizing.
@@ -256,7 +256,7 @@ func NewKVClient(conn *Conn, meta kv.Meta, clientID uint16) *KVClient {
 }
 
 // NewChainStore provisions the linked-chain layout on a server NIC
-// (§17): Buckets head cells pointing at pre-linked Depth-node chains,
+// (DESIGN.md §14): Buckets head cells pointing at pre-linked Depth-node chains,
 // the structure the CHASE verb program walks in one round trip.
 func NewChainStore(s *Server, opts ChainOptions) (*ChainStore, error) {
 	return kv.NewChainStoreOn(s, opts)
