@@ -1,273 +1,73 @@
-// Benchmarks regenerating the paper's evaluation, one per figure (see
-// DESIGN.md's per-experiment index), plus ablations of the design choices
-// DESIGN.md calls out. Latencies and throughputs are reported as custom
-// metrics in simulated units (the sim clock is virtual, so wall-clock
-// ns/op is just harness cost):
+// BenchmarkFigure regenerates every figure of the registry bench.Figures
+// (DESIGN.md §4 indexes them against the paper), one sub-benchmark each:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Figure -benchmem
+//	go test -run '^$' -bench 'Figure/fig4$' -cpuprofile cpu.prof
 //
-// Each benchmark uses a reduced keyspace and window that preserve the
-// paper's shapes; cmd/prismbench regenerates the full curves.
+// This is the profiling entry point. The sim clock is virtual, so ns/op is
+// harness cost; the reported sim-µs / sim-ops/s are simulated. Each run
+// uses a reduced keyspace and window that preserve the paper's shapes;
+// cmd/prismbench renders the full curves and benchmark/ measures them.
 package prism
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"prism/internal/bench"
-	"prism/internal/model"
 )
 
 // benchConfig is a trimmed configuration for fast regeneration in go test.
 func benchConfig() bench.Config {
 	cfg := bench.DefaultConfig()
 	cfg.Keys = 4096
-	cfg.Measure = 1 * time.Millisecond
+	cfg.Measure = 500 * time.Microsecond
 	cfg.Warmup = 100 * time.Microsecond
 	cfg.ClientCounts = []int{8, 64, 128}
+	cfg.ScaleClients = []int{64, 1024, 4096}
 	return cfg
 }
 
-// reportSeriesLatency reports each series' single-point mean latency.
-func reportCategorical(b *testing.B, fig *bench.Figure) {
+// report logs every series and reports one summary metric for the
+// figure's last series (the PRISM system in every comparison): its peak
+// throughput for a ladder, its last point's mean latency for a
+// categorical figure (one whose points carry labels).
+func report(b *testing.B, fig *bench.Figure) {
 	b.Helper()
 	for _, s := range fig.Series {
-		for i, pt := range s.Points {
-			label := fmt.Sprintf("%s/%d", s.Name, i)
-			if i < len(s.Labels) {
-				label = s.Name + "/" + s.Labels[i]
-			}
-			_ = label
-			_ = pt
+		for _, label := range s.Labels {
+			b.Logf("%-32s %s", s.Name, label)
+		}
+		if len(s.Labels) == 0 {
+			b.Logf("%-32s low-load latency %7.2fµs   peak %10.0f op/s", s.Name, float64(s.Points[0].Mean)/1e3, peak(s))
 		}
 	}
-	// Summary metric: latency of the last series' last point.
 	last := fig.Series[len(fig.Series)-1]
-	b.ReportMetric(float64(last.Points[len(last.Points)-1].Mean)/1e3, "sim-µs")
+	if len(last.Labels) == 0 {
+		b.ReportMetric(peak(last), "sim-ops/s")
+	} else {
+		b.ReportMetric(float64(last.Points[len(last.Points)-1].Mean)/1e3, "sim-µs")
+	}
 }
 
-func reportCurve(b *testing.B, fig *bench.Figure) {
-	b.Helper()
-	for _, s := range fig.Series {
-		peak := 0.0
-		var lowLat time.Duration
-		for i, pt := range s.Points {
-			if pt.Throughput > peak {
-				peak = pt.Throughput
-			}
-			if i == 0 {
-				lowLat = pt.Mean
-			}
-		}
-		b.Logf("%-28s low-load latency %7.2fµs   peak %10.0f op/s", s.Name, float64(lowLat)/1e3, peak)
-	}
-	last := fig.Series[len(fig.Series)-1]
+func peak(s bench.Series) float64 {
 	best := 0.0
-	for _, pt := range last.Points {
-		if pt.Throughput > best {
-			best = pt.Throughput
-		}
+	for _, pt := range s.Points {
+		best = max(best, pt.Throughput)
 	}
-	b.ReportMetric(best, "sim-ops/s")
+	return best
 }
 
-func BenchmarkRPCvsRDMA(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fig := bench.RPCvsRDMA(cfg)
-		if i == 0 {
-			reportCategorical(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig1Microbench(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fig := bench.Fig1(cfg)
-		if i == 0 {
-			reportCategorical(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig2NetworkLatency(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fig := bench.Fig2(cfg)
-		if i == 0 {
-			reportCategorical(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig3KVReadOnly(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fig := bench.Fig3(cfg)
-		if i == 0 {
-			reportCurve(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig4KVMixed(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fig := bench.Fig4(cfg)
-		if i == 0 {
-			reportCurve(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig6ABDUniform(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fig := bench.Fig6(cfg)
-		if i == 0 {
-			reportCurve(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig7ABDContention(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Measure = 500 * time.Microsecond
-	for i := 0; i < b.N; i++ {
-		fig := bench.Fig7(cfg)
-		if i == 0 {
-			reportCategorical(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig9TXUniform(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fig := bench.Fig9(cfg)
-		if i == 0 {
-			reportCurve(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig10TXContention(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Measure = 500 * time.Microsecond
-	for i := 0; i < b.N; i++ {
-		fig := bench.Fig10(cfg)
-		if i == 0 {
-			reportCategorical(b, fig)
-		}
-	}
-}
-
-// --- Ablations (design choices called out in DESIGN.md §5) ---
-
-func BenchmarkAblationABDWriteback(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Measure = 500 * time.Microsecond
-	for i := 0; i < b.N; i++ {
-		res := bench.AblationABDWriteback(cfg)
-		if i == 0 {
-			for _, s := range res.Series {
-				b.Logf("%-32s mean GET %7.2fµs", s.Name, float64(s.Points[0].Mean)/1e3)
+func BenchmarkFigure(b *testing.B) {
+	for _, f := range bench.Figures {
+		b.Run(f.Name, func(b *testing.B) {
+			cfg := benchConfig()
+			for i := 0; i < b.N; i++ {
+				fig := f.Fn(cfg)
+				if i == 0 {
+					report(b, fig)
+				}
 			}
-			reportCategorical(b, res)
-		}
-	}
-}
-
-func BenchmarkAblationKVSlotCache(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Measure = 500 * time.Microsecond
-	for i := 0; i < b.N; i++ {
-		res := bench.AblationKVSlotCache(cfg)
-		if i == 0 {
-			for _, s := range res.Series {
-				b.Logf("%-32s mean PUT %7.2fµs", s.Name, float64(s.Points[0].Mean)/1e3)
-			}
-			reportCategorical(b, res)
-		}
-	}
-}
-
-func BenchmarkAblationRedirectTarget(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res := bench.AblationRedirectTarget(cfg)
-		if i == 0 {
-			for _, s := range res.Series {
-				b.Logf("%-32s chain RTT %7.2fµs", s.Name, float64(s.Points[0].Mean)/1e3)
-			}
-			reportCategorical(b, res)
-		}
-	}
-}
-
-func BenchmarkAblationFreelistClasses(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Measure = 500 * time.Microsecond
-	for i := 0; i < b.N; i++ {
-		res := bench.AblationFreelistClasses(cfg)
-		if i == 0 {
-			for _, s := range res.Series {
-				b.Logf("%-32s %s", s.Name, s.Labels[0])
-			}
-			reportCategorical(b, res)
-		}
-	}
-}
-
-// Sanity: the deployment latency ordering of Fig. 1 holds across model
-// seeds (deterministic, but guards against accidental recalibration).
-func BenchmarkDeploymentOrdering(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fig := bench.Fig1(cfg)
-		if i > 0 {
-			continue
-		}
-		byName := map[string][]bench.Point{}
-		for _, s := range fig.Series {
-			byName[s.Name] = s.Points
-		}
-		hw := byName[model.ProjectedHardwarePRISM.String()]
-		sw := byName[model.SoftwarePRISM.String()]
-		bf := byName[model.BlueFieldPRISM.String()]
-		// Indirect read is point index 2.
-		if !(hw[2].Mean < sw[2].Mean && sw[2].Mean < bf[2].Mean) {
-			b.Fatalf("deployment ordering broken: hw=%v sw=%v bf=%v", hw[2].Mean, sw[2].Mean, bf[2].Mean)
-		}
-	}
-}
-
-func BenchmarkExtShards(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Measure = 500 * time.Microsecond
-	for i := 0; i < b.N; i++ {
-		res := bench.ExtShards(cfg)
-		if i == 0 {
-			for _, l := range res.Series[0].Labels {
-				b.Log(l)
-			}
-			reportCategorical(b, res)
-		}
-	}
-}
-
-func BenchmarkExtMultiKey(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Measure = 500 * time.Microsecond
-	for i := 0; i < b.N; i++ {
-		res := bench.ExtMultiKey(cfg)
-		if i == 0 {
-			for _, l := range res.Series[0].Labels {
-				b.Log(l)
-			}
-			reportCategorical(b, res)
-		}
+		})
 	}
 }

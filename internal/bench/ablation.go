@@ -2,21 +2,27 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"prism/internal/abd"
 	"prism/internal/alloc"
-	"prism/internal/kv"
 	"prism/internal/model"
 	"prism/internal/prism"
 	"prism/internal/sim"
 	"prism/internal/wire"
-	"prism/internal/workload"
 )
 
-// Ablations of the design choices DESIGN.md §5 calls out. Each returns a
+// Ablations of the design choices DESIGN.md §15 calls out. Each returns a
 // small categorical Figure comparing the design as-built against the
 // alternative.
+
+// ablation runs a two-variant closed-loop comparison: 16 clients of each
+// system under w, one point per series.
+func ablation(cfg Config, fig *Figure, systems []system, w load, label func(pt Point) string) *Figure {
+	const clients = 16
+	sweep(cfg, fig, names(systems), []int{clients}, func(si, n int) (Point, Telemetry) {
+		return runPoint(cfg, fig.ID, systems[si], w, clientsKey(n), n)
+	}, func(_, _ int, pt Point, _ Telemetry) string { return label(pt) })
+	return fig
+}
 
 // AblationABDWriteback measures PRISM-RS GET latency with and without the
 // classic ABD read optimization (skip the write-back phase when all f+1
@@ -28,41 +34,12 @@ func AblationABDWriteback(cfg Config) *Figure {
 		Title:  "PRISM-RS GET: always write back (paper) vs skip-if-agreed",
 		XLabel: "variant", YLabel: "mean GET latency (µs)",
 	}
-	variants := []bool{false, true}
-	names := []string{"always write back (paper)", "skip write-back when tags agree"}
-	jobs := make([]func() (Point, Telemetry), 0, len(variants))
-	for vi, skip := range variants {
-		jobs = append(jobs, func() (Point, Telemetry) {
-			seed := PointSeed(cfg.Seed, fig.ID, names[vi], "clients=16")
-			e, mkClient, place := buildPRISMRS(cfg, seed, 0)
-			d := newLoadDriver(e, cfg)
-			const clients = 16
-			for i := 0; i < clients; i++ {
-				st := mkClient(i).(*abd.Client)
-				st.SkipWriteBackIfAgreed = skip
-				gen := workload.NewGenerator(workload.Mix{
-					Keys: cfg.Keys, ReadFrac: 1.0, ValueSize: cfg.ValueSize,
-				}, clientSeed(seed, i))
-				d.spawn(place(i), fmt.Sprintf("c%d", i), func(p *sim.Proc) (int64, error) {
-					_, key := gen.Next()
-					_, err := st.Get(p, key)
-					return 0, err
-				})
-			}
-			pt := d.run(clients)
-			return pt, d.telemetry(e)
-		})
-	}
-	pts, tels, wall := runPointJobs(cfg.Parallel, jobs)
-	fig.PointWall, fig.PointTel = wall, tels
-	for vi, pt := range pts {
-		fig.Series = append(fig.Series, Series{
-			Name:   names[vi],
-			Points: []Point{pt},
-			Labels: []string{fmt.Sprintf("mean=%.2fµs p99=%.2fµs", float64(pt.Mean)/1e3, float64(pt.P99)/1e3)},
-		})
-	}
-	return fig
+	return ablation(cfg, fig, []system{
+		{"always write back (paper)", prismRS(false)},
+		{"skip write-back when tags agree", prismRS(true)},
+	}, load{readFrac: 1}, func(pt Point) string {
+		return fmt.Sprintf("mean=%.2fµs p99=%.2fµs", float64(pt.Mean)/1e3, float64(pt.P99)/1e3)
+	})
 }
 
 // AblationKVSlotCache measures PRISM-KV PUT latency with and without the
@@ -75,45 +52,13 @@ func AblationKVSlotCache(cfg Config) *Figure {
 		Title:  "PRISM-KV PUT: probe every time (paper's pessimal case) vs cached slot",
 		XLabel: "variant", YLabel: "mean PUT latency (µs)",
 	}
-	// A read-modify-write loop over a small working set, so the cache has
-	// hits (each client revisits its keys many times).
+	// A read-modify-write loop over a small working set, so the cache has hits
+	// (each client revisits its keys many times).
 	cfg.Keys = 16
-	variants := []bool{false, true}
-	names := []string{"probe + chain (2 RTs)", "cached slot + chain (1 RT)"}
-	jobs := make([]func() (Point, Telemetry), 0, len(variants))
-	for vi, cache := range variants {
-		jobs = append(jobs, func() (Point, Telemetry) {
-			seed := PointSeed(cfg.Seed, fig.ID, names[vi], "clients=16")
-			e, mkClient, place := buildPRISMKV(cfg, seed)
-			d := newLoadDriver(e, cfg)
-			const clients = 16
-			for i := 0; i < clients; i++ {
-				st := mkClient(i).(*kv.Client)
-				st.SlotCache = cache
-				gen := workload.NewGenerator(workload.Mix{
-					Keys: cfg.Keys, ReadFrac: 0, ValueSize: cfg.ValueSize,
-				}, clientSeed(seed, i))
-				ver := 0
-				d.spawn(place(i), fmt.Sprintf("c%d", i), func(p *sim.Proc) (int64, error) {
-					_, key := gen.Next()
-					ver++
-					return 0, st.Put(p, key, gen.Value(key, ver))
-				})
-			}
-			pt := d.run(clients)
-			return pt, d.telemetry(e)
-		})
-	}
-	pts, tels, wall := runPointJobs(cfg.Parallel, jobs)
-	fig.PointWall, fig.PointTel = wall, tels
-	for vi, pt := range pts {
-		fig.Series = append(fig.Series, Series{
-			Name:   names[vi],
-			Points: []Point{pt},
-			Labels: []string{fmt.Sprintf("mean=%.2fµs", float64(pt.Mean)/1e3)},
-		})
-	}
-	return fig
+	return ablation(cfg, fig, []system{
+		{"probe + chain (2 RTs)", paperKV.build},
+		{"cached slot + chain (1 RT)", prismKV(model.SoftwarePRISM, rackFabric, kvTune{slotCache: true})},
+	}, load{readFrac: 0}, func(pt Point) string { return fmt.Sprintf("mean=%.2fµs", float64(pt.Mean)/1e3) })
 }
 
 // AblationRedirectTarget measures the out-of-place update chain on the
@@ -126,40 +71,28 @@ func AblationRedirectTarget(cfg Config) *Figure {
 		Title:  "Chain redirect target on the projected NIC: on-NIC vs host memory",
 		XLabel: "variant", YLabel: "chain round trip (µs)",
 	}
-	variants := []bool{false, true}
-	names := []string{"on-NIC temp storage (§4.2)", "host-memory temp storage"}
-	jobs := make([]func() (time.Duration, Telemetry), 0, len(variants))
-	for vi, host := range variants {
-		jobs = append(jobs, func() (time.Duration, Telemetry) {
-			p := model.Default().WithNetwork(model.Direct)
-			p.RedirectToHostMem = host
-			env := newMicroEnvWithParams(model.ProjectedHardwarePRISM, p,
-				PointSeed(cfg.Seed, fig.ID, names[vi], "chain"))
-			var tag uint64 = 1
-			lat := env.measure(func(i int) []wire.Op {
-				tag++
-				tagBytes := make([]byte, 8)
-				prism.PutBE64(tagBytes, 0, tag)
-				tmp := env.conn.TempAddr
-				return []wire.Op{
-					prism.Write(env.conn.TempKey, tmp, tagBytes),
-					prism.Conditional(prism.RedirectTo(prism.Allocate(1, make([]byte, microValue)), env.conn.TempKey, tmp+8)),
-					prism.Conditional(prism.CASIndirectData(env.reg.Key, env.reg.Base+64, wire.CASGt, tmp,
-						prism.FieldMask(16, 0, 8), prism.FullMask(16))),
-				}
-			})
-			return lat, worldTelemetry(env.e)
+	series := []string{"on-NIC temp storage (§4.2)", "host-memory temp storage"}
+	sweep(cfg, fig, series, []string{"chain"}, func(vi int, key string) (Point, Telemetry) {
+		p := model.Default().WithNetwork(model.Direct)
+		p.RedirectToHostMem = vi == 1
+		env := newMicroEnv(model.ProjectedHardwarePRISM, p, PointSeed(cfg.Seed, fig.ID, series[vi], key))
+		var tag uint64 = 1
+		lat := env.measure(func(i int) []wire.Op {
+			tag++
+			tagBytes := make([]byte, 8)
+			prism.PutBE64(tagBytes, 0, tag)
+			tmp := env.conn.TempAddr
+			return []wire.Op{
+				prism.Write(env.conn.TempKey, tmp, tagBytes),
+				prism.Conditional(prism.RedirectTo(prism.Allocate(1, make([]byte, microValue)), env.conn.TempKey, tmp+8)),
+				prism.Conditional(prism.CASIndirectData(env.reg.Key, env.reg.Base+64, wire.CASGt, tmp,
+					prism.FieldMask(16, 0, 8), prism.FullMask(16))),
+			}
 		})
-	}
-	lats, tels, wall := runPointJobs(cfg.Parallel, jobs)
-	fig.PointWall, fig.PointTel = wall, tels
-	for vi, lat := range lats {
-		fig.Series = append(fig.Series, Series{
-			Name:   names[vi],
-			Points: []Point{{Clients: 1, Mean: lat, Median: lat, P99: lat}},
-			Labels: []string{fmt.Sprintf("chain RTT %.2fµs", float64(lat)/1e3)},
-		})
-	}
+		return latencyPoint(lat), worldTelemetry(env.e)
+	}, func(_, _ int, pt Point, _ Telemetry) string {
+		return fmt.Sprintf("chain RTT %.2fµs", float64(pt.Mean)/1e3)
+	})
 	return fig
 }
 

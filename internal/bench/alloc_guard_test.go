@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"prism/internal/kv"
-	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
-	"prism/internal/workload"
 )
 
 // Alloc-regression guards for the zero-copy datapath. A full simulated
@@ -33,10 +31,9 @@ const (
 func TestGetAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
-	e, mkClient, place := buildPRISMKV(cfg, 42)
-	st := mkClient(0)
+	e, st, dom := kvClient0(cfg)
 	var avg float64
-	place(0).Go("guard", func(p *sim.Proc) {
+	dom.Go("guard", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
 			if _, err := st.Get(p, int64(i)%cfg.Keys); err != nil {
 				t.Errorf("GET: %v", err)
@@ -103,11 +100,10 @@ func TestSchedulerAllocGuard(t *testing.T) {
 func TestPutAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
-	e, mkClient, place := buildPRISMKV(cfg, 42)
-	st := mkClient(0)
+	e, st, dom := kvClient0(cfg)
 	value := make([]byte, cfg.ValueSize)
 	var avg float64
-	place(0).Go("guard", func(p *sim.Proc) {
+	dom.Go("guard", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
 			if err := st.Put(p, int64(i)%cfg.Keys, value); err != nil {
 				t.Errorf("PUT: %v", err)
@@ -134,11 +130,12 @@ func TestPutAllocGuard(t *testing.T) {
 func TestChaseAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ValueSize = 128
-	e, mkClient, place := buildChase(cfg, 42, 8)
-	cl := mkClient(0)
+	v := newEnv(cfg, 42, load{}, rackFabric(cfg))
+	f, mk := v.chaseClients(8)
+	e, cl, dom := v.e, mk(f[0]), f.place(0)
 	key := func(i int) int64 { return (int64(i)%chaseBuckets)*8 + 7 } // tail keys
 	var avg float64
-	place(0).Go("guard", func(p *sim.Proc) {
+	dom.Go("guard", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
 			if _, err := cl.ChaseGet(p, key(i)); err != nil {
 				t.Errorf("CHASE: %v", err)
@@ -166,19 +163,9 @@ func TestScanAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
 	cfg.ValueSize = 128
-	e, net, _ := measureNet(cfg, 42)
-	srv, err := kv.NewServer(rdma.NewServer(net, "server", model.SoftwarePRISM),
-		kv.DefaultOptions(cfg.Keys, cfg.ValueSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.NewGenerator(workload.Mix{Keys: cfg.Keys, ReadFrac: 1, ValueSize: cfg.ValueSize}, 0)
-	for k := int64(0); k < cfg.Keys; k++ {
-		if err := srv.Load(k, gen.Value(k, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cli := rdma.NewClient(net, "cli")
+	v := newEnv(cfg, 42, load{}, rackFabric(cfg))
+	e, srv := v.e, loadKV(v.net, cfg)
+	cli := rdma.NewClient(v.net, "cli")
 	st := kv.NewClient(cli.Connect(srv.NIC()), srv.Meta(), 1)
 	visit := func(key int64, value []byte) error { return nil }
 	nslots := srv.Meta().NSlots

@@ -160,17 +160,16 @@ func clientSeed(pointSeed int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// runJobs executes jobs on up to workers goroutines and returns their
-// results in declaration order, along with each job's wall-clock
-// duration (also in declaration order — harness-side timing, not
+// runJobs executes jobs on up to workers goroutines and returns each
+// job's wall-clock duration in declaration order (harness-side timing, not
 // simulated time). workers <= 1 runs them serially on the calling
-// goroutine.
-func runJobs[T any](workers int, jobs []func() T) ([]T, []time.Duration) {
-	out := make([]T, len(jobs))
+// goroutine. Jobs deliver their results by writing to their own slot of a
+// slice the caller owns.
+func runJobs(workers int, jobs []func()) []time.Duration {
 	wall := make([]time.Duration, len(jobs))
 	timed := func(i int) {
 		start := time.Now()
-		out[i] = jobs[i]()
+		jobs[i]()
 		wall[i] = time.Since(start)
 	}
 	if workers > len(jobs) {
@@ -180,7 +179,7 @@ func runJobs[T any](workers int, jobs []func() T) ([]T, []time.Duration) {
 		for i := range jobs {
 			timed(i)
 		}
-		return out, wall
+		return wall
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -198,51 +197,53 @@ func runJobs[T any](workers int, jobs []func() T) ([]T, []time.Duration) {
 	}
 	close(idx)
 	wg.Wait()
-	return out, wall
+	return wall
 }
 
 // Telemetry is one point's scheduler counters, read from the simulation
 // world after the point has run: how many conservative time windows it
 // took, how many barriers fired (each barrier synchronizes every domain),
 // how many deliveries crossed a domain boundary (intra-group traffic does
-// not), and the mean bounded window length in simulated time. It is
-// reported by prismbench -json and never rendered into the text/CSV
-// figures, whose bytes must stay independent of scheduler configuration.
+// not), and the mean bounded window length in simulated time. It is read
+// by prismbench -v and benchmark/ and never rendered into the text/CSV
+// figures, whose bytes must stay independent of scheduler configuration
+// (fig-scale and fig-chase label their points with the QP-cache and
+// program counters, which are virtual-time-deterministic).
 type Telemetry struct {
-	Domains         int   `json:"domains"`
-	Windows         int64 `json:"windows"`
-	Barriers        int64 `json:"barriers"`
-	CrossDeliveries int64 `json:"cross_deliveries"`
-	MeanWindowNanos int64 `json:"mean_window_ns"`
+	Domains         int
+	Windows         int64
+	Barriers        int64
+	CrossDeliveries int64
+	MeanWindowNanos int64
 	// Sparse-scheduler counters: barrier crossings whose hook sweep was
 	// elided because no producer requested it (Barriers counts the sweeps
 	// that ran), and idle domains skipped by the active-set window scan
 	// (one per idle domain per executed window).
-	BarrierSkips int64 `json:"barrier_skips"`
-	IdleSkips    int64 `json:"idle_skips"`
+	BarrierSkips int64
+	IdleSkips    int64
 	// Burst/wheel counters (see sim.WorldStats): events fired, drained
 	// instants (EventsExecuted/Bursts is the amortization ratio), fired
 	// events that transited the timer wheel, timers cancelled before
 	// firing, and wheel cascade re-files.
-	EventsExecuted int64   `json:"events_executed"`
-	Bursts         int64   `json:"bursts"`
-	MeanBurstLen   float64 `json:"mean_burst_len"`
-	TimerFires     int64   `json:"timer_fires"`
-	TimerStops     int64   `json:"timer_stops"`
-	WheelCascades  int64   `json:"wheel_cascades"`
+	EventsExecuted int64
+	Bursts         int64
+	MeanBurstLen   float64
+	TimerFires     int64
+	TimerStops     int64
+	WheelCascades  int64
 	// NIC connection-state cache counters (zero unless the point enabled
 	// the QP model — the fig-scale family does).
-	QPCacheHits      int64 `json:"qp_cache_hits"`
-	QPCacheMisses    int64 `json:"qp_cache_misses"`
-	QPCacheEvictions int64 `json:"qp_cache_evictions"`
+	QPCacheHits      int64
+	QPCacheMisses    int64
+	QPCacheEvictions int64
 	// Verb-program counters (zero unless the point issues CHASE/SCAN —
 	// the fig-chase family does): programs executed on the servers, the
 	// loop iterations they ran, and the round trips they collapsed
 	// (steps - programs: a k-step program replaces k dependent verbs
 	// with one).
-	ProgramOps    int64 `json:"program_ops,omitempty"`
-	StepsExecuted int64 `json:"steps_executed,omitempty"`
-	RTTsSaved     int64 `json:"rtts_saved,omitempty"`
+	ProgramOps    int64
+	StepsExecuted int64
+	RTTsSaved     int64
 	// AllocsPerOp and BytesPerOp are the harness-process heap allocation
 	// deltas across the point's drive phase (warmup + measure + drain),
 	// divided by measured operations — the datapath's allocation cost as
@@ -250,9 +251,9 @@ type Telemetry struct {
 	// only attributable when points run serially (-parallel 1); under a
 	// point pool, concurrent points bleed into each other's deltas and
 	// the numbers are upper bounds. Zero for points that run no load
-	// driver (microbenchmarks), hence omitempty.
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	// driver (microbenchmarks).
+	AllocsPerOp float64
+	BytesPerOp  float64
 }
 
 // telemetry snapshots e's scheduler counters and attributes the heap
@@ -294,23 +295,6 @@ func worldTelemetry(e *sim.Engine) Telemetry {
 	}
 }
 
-// runPointJobs is runJobs for jobs that also report scheduler telemetry;
-// results and telemetry come back in declaration order.
-func runPointJobs[T any](workers int, jobs []func() (T, Telemetry)) ([]T, []Telemetry, []time.Duration) {
-	out := make([]T, len(jobs))
-	tels := make([]Telemetry, len(jobs))
-	wrapped := make([]func() struct{}, len(jobs))
-	for i := range jobs {
-		i := i
-		wrapped[i] = func() struct{} {
-			out[i], tels[i] = jobs[i]()
-			return struct{}{}
-		}
-	}
-	_, wall := runJobs(workers, wrapped)
-	return out, tels, wall
-}
-
 // Point is one measured point of a curve.
 type Point = stats.Summary
 
@@ -331,9 +315,9 @@ type Figure struct {
 	YLabel string
 	Series []Series
 	// PointWall is the harness wall-clock time of each figure point in
-	// job-declaration order. Diagnostic only: it is reported by
-	// prismbench -json but never rendered into the text/CSV figures,
-	// whose output must stay machine-independent.
+	// job-declaration order. Diagnostic only: benchmark/ reads it, and it
+	// is never rendered into the text/CSV figures, whose output must stay
+	// machine-independent.
 	PointWall []time.Duration
 	// PointTel is each point's scheduler telemetry in job-declaration
 	// order (empty for figures that run no simulation). Diagnostic only,

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -187,7 +189,7 @@ func TestAblationFreelistClasses(t *testing.T) {
 
 func TestDriverDeterminism(t *testing.T) {
 	run := func() []Point {
-		return kvCurve(kvSystem{"PRISM-KV", buildPRISMKV}, tiny(), "fig3", 1.0).Points
+		return ladder(tiny(), &Figure{ID: "fig3"}, []system{paperKV}, load{readFrac: 1}, clientsKey).Series[0].Points
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -260,12 +262,12 @@ func TestPointSeedIdentity(t *testing.T) {
 
 func TestRunJobsOrderAndCoverage(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
-		jobs := make([]func() int, 40)
+		got := make([]int, 40)
+		jobs := make([]func(), len(got))
 		for i := range jobs {
-			jobs[i] = func() int { return i * i }
+			jobs[i] = func() { got[i] = i * i }
 		}
-		got, wall := runJobs(workers, jobs)
-		if len(wall) != len(jobs) {
+		if wall := runJobs(workers, jobs); len(wall) != len(jobs) {
 			t.Fatalf("workers=%d: %d wall-clock entries, want %d", workers, len(wall), len(jobs))
 		}
 		for i, v := range got {
@@ -273,6 +275,55 @@ func TestRunJobsOrderAndCoverage(t *testing.T) {
 				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, v, i*i)
 			}
 		}
+	}
+}
+
+// TestSweepShape pins the one flatten/reassemble: points come back
+// series-major in xs order, the label callback sees the indices, point and
+// telemetry of its own cell, PointWall/PointTel have one entry per job in
+// job order, and none of it depends on the worker count.
+func TestSweepShape(t *testing.T) {
+	series := []string{"a", "b", "c"}
+	xs := []int{10, 20, 30, 40}
+	run := func(parallel int, labelled bool) *Figure {
+		fig := &Figure{ID: "shape"}
+		var label func(si, xi int, pt Point, tel Telemetry) string
+		if labelled {
+			label = func(si, xi int, pt Point, tel Telemetry) string {
+				return fmt.Sprintf("%d/%d/%d/%d", si, xi, pt.Clients, tel.Windows)
+			}
+		}
+		sweep(Config{Parallel: parallel}, fig, series, xs, func(si, x int) (Point, Telemetry) {
+			return Point{Clients: 1000*si + x}, Telemetry{Windows: int64(1000*si + x)}
+		}, label)
+		return fig
+	}
+	fig := run(1, true)
+	if len(fig.Series) != len(series) || len(fig.PointWall) != 12 || len(fig.PointTel) != 12 {
+		t.Fatalf("%d series, %d wall entries, %d telemetry entries; want 3, 12, 12",
+			len(fig.Series), len(fig.PointWall), len(fig.PointTel))
+	}
+	for si, s := range fig.Series {
+		if s.Name != series[si] || len(s.Points) != len(xs) || len(s.Labels) != len(xs) {
+			t.Fatalf("series %d = %q with %d points, %d labels", si, s.Name, len(s.Points), len(s.Labels))
+		}
+		for xi, pt := range s.Points {
+			cell := 1000*si + xs[xi]
+			if pt.Clients != cell || fig.PointTel[si*len(xs)+xi].Windows != int64(cell) {
+				t.Fatalf("cell (%d,%d): point %d, telemetry %d, want %d",
+					si, xi, pt.Clients, fig.PointTel[si*len(xs)+xi].Windows, cell)
+			}
+			if want := fmt.Sprintf("%d/%d/%d/%d", si, xi, cell, cell); s.Labels[xi] != want {
+				t.Fatalf("cell (%d,%d): label %q, want %q", si, xi, s.Labels[xi], want)
+			}
+		}
+	}
+	if par := run(4, true); !reflect.DeepEqual(par.Series, fig.Series) || !reflect.DeepEqual(par.PointTel, fig.PointTel) ||
+		len(par.PointWall) != 12 {
+		t.Fatalf("Parallel=4 sweep differs from serial:\n%+v\nvs\n%+v", par, fig)
+	}
+	if bare := run(4, false); bare.Series[1].Labels != nil || !reflect.DeepEqual(bare.Series[2].Points, fig.Series[2].Points) {
+		t.Fatalf("unlabelled sweep: labels %v, points %+v", bare.Series[1].Labels, bare.Series[2].Points)
 	}
 }
 

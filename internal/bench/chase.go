@@ -9,7 +9,6 @@ import (
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
-	"prism/internal/workload"
 )
 
 // The fig-chase family sweeps chain depth over the linked-chain store
@@ -47,74 +46,59 @@ func chaseTune(cfg Config) Config {
 	return cfg
 }
 
-// chaseSystem is one fig-chase series: a lookup strategy over the
+// chaseStrategy is one fig-chase series: a lookup strategy over the
 // shared chain layout.
-type chaseSystem struct {
+type chaseStrategy struct {
 	name string
-	get  func(p *sim.Proc, c *kv.ChainClient, key int64) ([]byte, error)
+	get  func(c *kv.ChainClient, p *sim.Proc, key int64) ([]byte, error)
 }
 
-func chaseSystems() []chaseSystem {
-	return []chaseSystem{
-		{"PRISM chase (1 RTT)", func(p *sim.Proc, c *kv.ChainClient, key int64) ([]byte, error) {
-			return c.ChaseGet(p, key)
-		}},
-		{"per-hop one-sided", func(p *sim.Proc, c *kv.ChainClient, key int64) ([]byte, error) {
-			return c.HopGet(p, key)
-		}},
-		{"RPC (host CPU walks)", func(p *sim.Proc, c *kv.ChainClient, key int64) ([]byte, error) {
-			return c.RPCGet(p, key)
-		}},
-	}
+var chaseStrategies = []chaseStrategy{
+	{"PRISM chase (1 RTT)", (*kv.ChainClient).ChaseGet},
+	{"per-hop one-sided", (*kv.ChainClient).HopGet},
+	{"RPC (host CPU walks)", (*kv.ChainClient).RPCGet},
 }
 
-// buildChase provisions a fresh depth-deep chain store and a per-client
-// factory on the measurement fabric. Chain stores are cheap to build
-// (chaseBuckets*depth value writes), so no template caching is needed.
-func buildChase(cfg Config, seed int64, depth int) (*sim.Engine, func(id int) *kv.ChainClient, placement) {
-	e, net, _ := measureNet(cfg, seed)
-	nic := rdma.NewServer(net, "chain-srv", model.SoftwarePRISM)
-	opts := kv.ChainOptions{Buckets: chaseBuckets, Depth: int64(depth), MaxValue: cfg.ValueSize}
+// chaseClients provisions a fresh depth-deep chain store on v's fabric
+// and returns its client factory with the fleet it runs on. Chain stores
+// are cheap to build (chaseBuckets*depth value writes), so there is no
+// template.
+func (v *env) chaseClients(depth int) (fleet, func(m *rdma.Client) *kv.ChainClient) {
+	nic := rdma.NewServer(v.net, "chain-srv", model.SoftwarePRISM)
+	opts := kv.ChainOptions{Buckets: chaseBuckets, Depth: int64(depth), MaxValue: v.cfg.ValueSize}
 	srv, err := kv.NewChainStoreOn(nic, opts)
-	if err != nil {
-		panic(err)
-	}
-	gen := workload.NewGenerator(workload.Mix{
-		Keys: opts.Buckets * opts.Depth, ReadFrac: 1, ValueSize: cfg.ValueSize,
-	}, 0)
-	for k := int64(0); k < opts.Buckets*opts.Depth; k++ {
-		if err := srv.Load(k, gen.Value(k, 0)); err != nil {
-			panic(err)
-		}
-	}
-	machines := clientMachines(cfg, net)
+	must(err)
+	loadKeys(v.cfg.ValueSize, opts.Buckets*opts.Depth, srv.Load)
 	meta := srv.Meta()
-	return e, func(id int) *kv.ChainClient {
-		m := machines[id%len(machines)]
+	return v.clientMachines(), func(m *rdma.Client) *kv.ChainClient {
 		return kv.NewChainClient(m.Connect(nic), meta)
-	}, machinePlacement(machines)
+	}
+}
+
+// at is the strategy's builder at one depth: every operation looks up the
+// tail key of a uniformly chosen bucket — exactly depth hops.
+func (st chaseStrategy) at(depth int) builder {
+	return func(cfg Config, seed int64, w load) cluster {
+		v := newEnv(cfg, seed, w, rackFabric(cfg))
+		f, mk := v.chaseClients(depth)
+		return cluster{e: v.e, place: f.place, client: func(id int) clientOp {
+			cl := mk(f.machine(id))
+			rng := rand.New(rand.NewSource(clientSeed(seed, id)))
+			return func(p *sim.Proc) (int64, error) {
+				bucket := rng.Int63n(chaseBuckets)
+				_, err := st.get(cl, p, bucket*int64(depth)+int64(depth)-1)
+				return 0, err
+			}
+		}}
+	}
 }
 
 // chasePoint runs one ladder point: Config.ChaseClients closed-loop
-// clients looking up depth-deep tail keys with sys's strategy.
-func chasePoint(sys chaseSystem, cfg Config, depth int) (Point, Telemetry) {
+// clients looking up depth-deep tail keys with st.
+func chasePoint(st chaseStrategy, cfg Config, depth int) (Point, Telemetry) {
 	cfg = chaseTune(cfg)
-	seed := PointSeed(cfg.Seed, "fig-chase", sys.name, fmt.Sprintf("depth=%d", depth))
-	e, mkClient, place := buildChase(cfg, seed, depth)
-	d := newLoadDriver(e, cfg)
-	for i := 0; i < cfg.ChaseClients; i++ {
-		cl := mkClient(i)
-		rng := rand.New(rand.NewSource(clientSeed(seed, i)))
-		d.spawn(place(i), fmt.Sprintf("c%d", i), func(p *sim.Proc) (int64, error) {
-			// The tail key of a uniform bucket: exactly depth hops.
-			bucket := rng.Int63n(chaseBuckets)
-			key := bucket*int64(depth) + int64(depth) - 1
-			_, err := sys.get(p, cl, key)
-			return 0, err
-		})
-	}
-	pt := d.run(cfg.ChaseClients)
-	return pt, d.telemetry(e)
+	return runPoint(cfg, "fig-chase", system{st.name, st.at(depth)}, load{},
+		fmt.Sprintf("depth=%d", depth), cfg.ChaseClients)
 }
 
 // FigChase sweeps chain depth across the three lookup strategies:
@@ -127,28 +111,16 @@ func FigChase(cfg Config) *Figure {
 		ID: "fig-chase", Title: "Pointer-chase depth sweep: one verb program vs k round trips",
 		XLabel: "chain depth (pointer hops per lookup)", YLabel: "mean lookup latency (µs)",
 	}
-	systems := chaseSystems()
-	var jobs []func() (Point, Telemetry)
-	for _, sys := range systems {
-		for _, depth := range cfg.ChaseDepths {
-			sys, depth := sys, depth
-			jobs = append(jobs, func() (Point, Telemetry) { return chasePoint(sys, cfg, depth) })
-		}
+	series := make([]string, len(chaseStrategies))
+	for i, st := range chaseStrategies {
+		series[i] = st.name
 	}
-	pts, tels, wall := runPointJobs(cfg.Parallel, jobs)
-	fig.PointWall, fig.PointTel = wall, tels
-	for si, sys := range systems {
-		s := Series{Name: sys.name}
-		for di, depth := range cfg.ChaseDepths {
-			idx := si*len(cfg.ChaseDepths) + di
-			pt, tel := pts[idx], tels[idx]
-			s.Points = append(s.Points, pt)
-			s.Labels = append(s.Labels, fmt.Sprintf(
-				"depth=%d  mean=%.2fµs  progs=%d steps=%d rtts_saved=%d",
-				depth, float64(pt.Mean)/1e3,
-				tel.ProgramOps, tel.StepsExecuted, tel.RTTsSaved))
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	sweep(cfg, fig, series, cfg.ChaseDepths, func(si, depth int) (Point, Telemetry) {
+		return chasePoint(chaseStrategies[si], cfg, depth)
+	}, func(_, di int, pt Point, tel Telemetry) string {
+		return fmt.Sprintf("depth=%d  mean=%.2fµs  progs=%d steps=%d rtts_saved=%d",
+			cfg.ChaseDepths[di], float64(pt.Mean)/1e3,
+			tel.ProgramOps, tel.StepsExecuted, tel.RTTsSaved)
+	})
 	return fig
 }

@@ -23,8 +23,7 @@ func chaseTestConfig() Config {
 // sub-linear — and below the per-hop walk — by depth 8.
 func TestChaseLatencyShape(t *testing.T) {
 	cfg := chaseTestConfig()
-	systems := chaseSystems()
-	chase, hop := systems[0], systems[1]
+	chase, hop := chaseStrategies[0], chaseStrategies[1]
 
 	chase1, _ := chasePoint(chase, cfg, 1)
 	chase8, telChase8 := chasePoint(chase, cfg, 8)

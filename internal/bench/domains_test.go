@@ -4,39 +4,20 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"prism/internal/sim"
-	"prism/internal/workload"
 )
 
-// newTestGen builds the standard per-client read-only generator.
-func newTestGen(cfg Config, seed int64, i int) *workload.Generator {
-	return workload.NewGenerator(workload.Mix{
-		Keys: cfg.Keys, ReadFrac: 1, ValueSize: cfg.ValueSize,
-	}, clientSeed(seed, i))
-}
-
-// allFigures enumerates every figure generator the harness exports, so
-// the domain-determinism regression sweeps the full surface.
-var allFigures = []struct {
-	name string
-	fn   func(Config) *Figure
-}{
-	{"fig1", Fig1},
-	{"fig2", Fig2},
-	{"rpcvsrdma", RPCvsRDMA},
-	{"fig3", Fig3},
-	{"fig4", Fig4},
-	{"fig6", Fig6},
-	{"fig7", Fig7},
-	{"fig9", Fig9},
-	{"fig10", Fig10},
-	{"ext-shards", ExtShards},
-	{"ext-multikey", ExtMultiKey},
-	{"ablation-abd-writeback", AblationABDWriteback},
-	{"ablation-kv-slotcache", AblationKVSlotCache},
-	{"ablation-redirect-target", AblationRedirectTarget},
-	{"ablation-freelist-classes", AblationFreelistClasses},
+// sweepFigures is the registry minus fig-scale and fig-chase: the
+// determinism sweeps below run every figure at tinyD, and those two have
+// their own sweeps at their own shrunken ladders (TestFigScaleDeterministic,
+// TestFigChaseDeterministic).
+func sweepFigures() []FigureDef {
+	var out []FigureDef
+	for _, f := range Figures {
+		if f.Name != "fig-scale" && f.Name != "fig-chase" {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // tinyD is an extra-small config for the all-figures sweep (it runs every
@@ -58,15 +39,15 @@ func tinyD() Config {
 // schedule semantically invisible.
 func TestDomainParallelMatchesSerial(t *testing.T) {
 	const intra = 4 // domain workers under test
-	for _, figure := range allFigures {
-		t.Run(figure.name, func(t *testing.T) {
+	for _, figure := range sweepFigures() {
+		t.Run(figure.Name, func(t *testing.T) {
 			serial := tinyD()
 			serial.Intra = 1
 			serial.Parallel = 1
 			domains := tinyD()
 			domains.Intra = intra
 			domains.Parallel = 4
-			a, b := render(figure.fn(serial)), render(figure.fn(domains))
+			a, b := render(figure.Fn(serial)), render(figure.Fn(domains))
 			if a != b {
 				t.Fatalf("intra=%d output differs from serial:\n--- serial ---\n%s--- intra=%d ---\n%s",
 					intra, a, intra, b)
@@ -84,17 +65,11 @@ func TestMaxOpsStopsEarly(t *testing.T) {
 	run := func(intra int) (Point, int64) {
 		cfg := base
 		cfg.Intra = intra
-		seed := PointSeed(cfg.Seed, "maxops", "PRISM-KV", "clients=16")
-		e, mkClient, place := buildPRISMKV(cfg, seed)
-		d := newLoadDriver(e, cfg)
+		// runPoint's sequence by hand, to read the shards' op counts.
+		cl := paperKV.build(cfg, PointSeed(cfg.Seed, "maxops", paperKV.name, clientsKey(16)), load{readFrac: 1})
+		d := newLoadDriver(cl.e, cfg)
 		for i := 0; i < 16; i++ {
-			st := mkClient(i)
-			gen := newTestGen(cfg, seed, i)
-			d.spawn(place(i), fmt.Sprintf("c%d", i), func(p *sim.Proc) (int64, error) {
-				_, key := gen.Next()
-				_, err := st.Get(p, key)
-				return 0, err
-			})
+			d.spawn(cl.place(i), fmt.Sprintf("c%d", i), cl.client(i))
 		}
 		pt := d.run(16)
 		var ops int64
@@ -127,7 +102,7 @@ func BenchmarkIntraScaling(b *testing.B) {
 			cfg.Measure = 500 * time.Microsecond
 			cfg.Intra = intra
 			for i := 0; i < b.N; i++ {
-				kvPoint(kvSystem{"PRISM-KV", buildPRISMKV}, cfg, "intrascale", 0.5, 128)
+				runPoint(cfg, "intrascale", paperKV, load{readFrac: 0.5}, clientsKey(128), 128)
 			}
 		})
 	}
@@ -142,15 +117,15 @@ func BenchmarkIntraScaling(b *testing.B) {
 // the domain layout must be invisible.
 func TestAffinityGroupingMatchesUngrouped(t *testing.T) {
 	all := tinyD().ClientMachines
-	for _, figure := range allFigures {
-		t.Run(figure.name, func(t *testing.T) {
-			want := render(figure.fn(tinyD()))
+	for _, figure := range sweepFigures() {
+		t.Run(figure.Name, func(t *testing.T) {
+			want := render(figure.Fn(tinyD()))
 			for _, g := range []int{4, all} { // partial groups, one shared domain
 				cfg := tinyD()
 				cfg.ClientsPerDomain = g
 				cfg.Intra = 2
 				cfg.Parallel = 4
-				if got := render(figure.fn(cfg)); got != want {
+				if got := render(figure.Fn(cfg)); got != want {
 					t.Fatalf("ClientsPerDomain=%d output differs from ungrouped:\n--- ungrouped ---\n%s--- grouped ---\n%s",
 						g, want, got)
 				}
@@ -175,18 +150,12 @@ func sumCrossings(fig *Figure) int64 {
 // counts; and at identical physics, grouping every client machine into
 // one domain crosses fewer barriers than one domain per machine.
 func TestCrossRackGroupingIdentity(t *testing.T) {
-	var fig4 func(Config) *Figure
-	for _, figure := range allFigures {
-		if figure.name == "fig4" {
-			fig4 = figure.fn
-		}
-	}
 	const extra = 500 * time.Nanosecond
-	flat := render(fig4(tinyD()))
+	flat := render(Fig4(tinyD()))
 
 	ungroupedCfg := tinyD()
 	ungroupedCfg.CrossRack = extra
-	ungroupedFig := fig4(ungroupedCfg)
+	ungroupedFig := Fig4(ungroupedCfg)
 	base := render(ungroupedFig)
 	if base == flat {
 		t.Fatal("cross-rack latency had no effect on fig4")
@@ -196,7 +165,7 @@ func TestCrossRackGroupingIdentity(t *testing.T) {
 	groupedCfg.CrossRack = extra
 	groupedCfg.ClientsPerDomain = groupedCfg.ClientMachines
 	groupedCfg.Intra = 4
-	groupedFig := fig4(groupedCfg)
+	groupedFig := Fig4(groupedCfg)
 	if got := render(groupedFig); got != base {
 		t.Fatalf("cross-rack output differs across groupings:\n--- ungrouped ---\n%s--- grouped ---\n%s",
 			base, got)
@@ -214,25 +183,20 @@ func TestCrossRackGroupingIdentity(t *testing.T) {
 // TestPointTelemetryPopulated: every figure point reports scheduler
 // telemetry, and multi-machine points observe cross-domain traffic.
 func TestPointTelemetryPopulated(t *testing.T) {
-	for _, figure := range allFigures {
-		if figure.name != "fig3" {
-			continue
+	fig := Fig3(tinyD())
+	points := 0
+	for _, s := range fig.Series {
+		points += len(s.Points)
+	}
+	if len(fig.PointTel) != points {
+		t.Fatalf("PointTel has %d entries for %d points", len(fig.PointTel), points)
+	}
+	for i, tel := range fig.PointTel {
+		if tel.Domains < 3 || tel.Windows == 0 || tel.Barriers == 0 || tel.CrossDeliveries == 0 {
+			t.Fatalf("point %d telemetry implausible: %+v", i, tel)
 		}
-		fig := figure.fn(tinyD())
-		points := 0
-		for _, s := range fig.Series {
-			points += len(s.Points)
-		}
-		if len(fig.PointTel) != points {
-			t.Fatalf("PointTel has %d entries for %d points", len(fig.PointTel), points)
-		}
-		for i, tel := range fig.PointTel {
-			if tel.Domains < 3 || tel.Windows == 0 || tel.Barriers == 0 || tel.CrossDeliveries == 0 {
-				t.Fatalf("point %d telemetry implausible: %+v", i, tel)
-			}
-			if tel.MeanWindowNanos <= 0 {
-				t.Fatalf("point %d mean window %dns", i, tel.MeanWindowNanos)
-			}
+		if tel.MeanWindowNanos <= 0 {
+			t.Fatalf("point %d mean window %dns", i, tel.MeanWindowNanos)
 		}
 	}
 }

@@ -1,79 +1,11 @@
 package bench
 
-import (
-	"fmt"
-
-	"prism/internal/fabric"
-	"prism/internal/model"
-	"prism/internal/rdma"
-	"prism/internal/sim"
-	"prism/internal/tx"
-	"prism/internal/workload"
-)
+import "fmt"
 
 // Extension experiments beyond the paper's evaluation. The paper ran
 // PRISM-TX on a single shard because of testbed size (§8.3); the
 // simulator has no such limit, so these measure the full distributed
 // commit protocol's scaling behavior.
-
-// buildTXCluster provisions n PRISM-TX shards and a client factory for
-// transactions of keysPerTx keys. Shard images come from the per-shard
-// template set (keysPerTx only shapes client transactions, not the loaded
-// data, so all keysPerTx variants share one template set).
-func buildTXCluster(cfg Config, seed int64, nShards, keysPerTx int) (*sim.Engine, func(id int) txRunner, placement) {
-	tmpls := txClusterTemplates(cfg, nShards)
-	e, net, _ := measureNet(cfg, seed)
-	shards := make([]*tx.Shard, nShards)
-	for i, t := range tmpls {
-		shards[i] = tx.NewShardFromTemplate(net, fmt.Sprintf("shard-%d", i), model.SoftwarePRISM, t)
-	}
-	mk, place := txClusterClientFactory(cfg, net, shards)
-	return e, mk, place
-}
-
-// buildTXClusterFresh is the pre-template path, kept for the
-// fork-vs-fresh equivalence test (see buildPRISMKVFresh).
-func buildTXClusterFresh(cfg Config, seed int64, nShards, keysPerTx int) (*sim.Engine, func(id int) txRunner, placement) {
-	e, net, _ := measureNet(cfg, seed)
-	shards := make([]*tx.Shard, nShards)
-	perShard := cfg.Keys / int64(nShards)
-	for i := range shards {
-		nic := rdma.NewServer(net, fmt.Sprintf("shard-%d", i), model.SoftwarePRISM)
-		s, err := tx.NewShard(nic, tx.ShardOptions{NSlots: perShard + 1, MaxValue: cfg.ValueSize, ExtraBuffers: 8192})
-		if err != nil {
-			panic(err)
-		}
-		shards[i] = s
-	}
-	gen := workload.NewTxGenerator(workload.TxMix{Keys: cfg.Keys, ValueSize: cfg.ValueSize, KeysPerTx: keysPerTx}, seed)
-	for k := int64(0); k < cfg.Keys; k++ {
-		if err := shards[k%int64(nShards)].Load(k, gen.Value(k, 0)); err != nil {
-			panic(err)
-		}
-	}
-	mk, place := txClusterClientFactory(cfg, net, shards)
-	return e, mk, place
-}
-
-func txClusterClientFactory(cfg Config, net *fabric.Network, shards []*tx.Shard) (func(id int) txRunner, placement) {
-	metas := make([]tx.Meta, len(shards))
-	for i, s := range shards {
-		metas[i] = s.Meta()
-	}
-	machines := clientMachines(cfg, net)
-	return func(id int) txRunner {
-		m := machines[id%len(machines)]
-		conns := make([]*rdma.Conn, len(shards))
-		ctrl := make([]*rdma.Conn, len(shards))
-		for i, s := range shards {
-			conns[i] = m.Connect(s.NIC())
-			ctrl[i] = m.Connect(s.NIC())
-		}
-		c := tx.NewClient(uint16(id+1), conns, metas)
-		c.UseControlConns(ctrl)
-		return rmwRunner(func() txHandle { return c.Begin() })
-	}, machinePlacement(machines)
-}
 
 // ExtShards measures PRISM-TX throughput as the data is partitioned over
 // 1, 2, and 4 shards (uniform single-key RMW, fixed client count):
@@ -86,42 +18,14 @@ func ExtShards(cfg Config) *Figure {
 	}
 	const clients = 256
 	shardCounts := []int{1, 2, 4}
-	jobs := make([]func() (Point, Telemetry), 0, len(shardCounts))
-	for _, nShards := range shardCounts {
-		jobs = append(jobs, func() (Point, Telemetry) {
-			return txClusterPoint(cfg, "ext-shards", fmt.Sprintf("shards=%d", nShards),
-				nShards, 1, clients)
-		})
-	}
-	pts, tels, wall := runPointJobs(cfg.Parallel, jobs)
-	fig.PointWall, fig.PointTel = wall, tels
-	s := Series{Name: "PRISM-TX"}
-	for i, nShards := range shardCounts {
-		pt := pts[i]
-		s.Points = append(s.Points, pt)
-		s.Labels = append(s.Labels, fmt.Sprintf("shards=%d  tput=%.0f txns/s  mean=%.2fµs",
-			nShards, pt.Throughput, float64(pt.Mean)/1e3))
-	}
-	fig.Series = append(fig.Series, s)
+	sweep(cfg, fig, []string{"PRISM-TX"}, shardCounts, func(_, nShards int) (Point, Telemetry) {
+		return runPoint(cfg, fig.ID, system{"PRISM-TX", prismTXCluster(nShards)}, load{keysPerTx: 1},
+			fmt.Sprintf("shards=%d", nShards), clients)
+	}, func(_, xi int, pt Point, _ Telemetry) string {
+		return fmt.Sprintf("shards=%d  tput=%.0f txns/s  mean=%.2fµs",
+			shardCounts[xi], pt.Throughput, float64(pt.Mean)/1e3)
+	})
 	return fig
-}
-
-// txClusterPoint runs one multi-shard PRISM-TX measurement.
-func txClusterPoint(cfg Config, figID, pointKey string, nShards, keysPerTx, clients int) (Point, Telemetry) {
-	seed := PointSeed(cfg.Seed, figID, "PRISM-TX", pointKey)
-	e, mkRunner, place := buildTXCluster(cfg, seed, nShards, keysPerTx)
-	d := newLoadDriver(e, cfg)
-	for i := 0; i < clients; i++ {
-		run := mkRunner(i)
-		gen := workload.NewTxGenerator(workload.TxMix{
-			Keys: cfg.Keys, ValueSize: cfg.ValueSize, KeysPerTx: keysPerTx,
-		}, clientSeed(seed, i))
-		d.spawn(place(i), fmt.Sprintf("c%d", i), func(p *sim.Proc) (int64, error) {
-			return run(p, gen)
-		})
-	}
-	pt := d.run(clients)
-	return pt, d.telemetry(e)
 }
 
 // ExtMultiKey measures PRISM-TX with multi-key transactions spanning two
@@ -135,22 +39,12 @@ func ExtMultiKey(cfg Config) *Figure {
 	}
 	const clients = 32
 	keysPerTx := []int{1, 2, 4, 8}
-	jobs := make([]func() (Point, Telemetry), 0, len(keysPerTx))
-	for _, kpt := range keysPerTx {
-		jobs = append(jobs, func() (Point, Telemetry) {
-			return txClusterPoint(cfg, "ext-multikey", fmt.Sprintf("keys=%d", kpt),
-				2, kpt, clients)
-		})
-	}
-	pts, tels, wall := runPointJobs(cfg.Parallel, jobs)
-	fig.PointWall, fig.PointTel = wall, tels
-	s := Series{Name: "PRISM-TX"}
-	for i, kpt := range keysPerTx {
-		pt := pts[i]
-		s.Points = append(s.Points, pt)
-		s.Labels = append(s.Labels, fmt.Sprintf("keys/txn=%d  mean=%.2fµs  tput=%.0f txns/s  aborts=%d",
-			kpt, float64(pt.Mean)/1e3, pt.Throughput, pt.Aborts))
-	}
-	fig.Series = append(fig.Series, s)
+	sys := system{"PRISM-TX", prismTXCluster(2)}
+	sweep(cfg, fig, []string{sys.name}, keysPerTx, func(_, kpt int) (Point, Telemetry) {
+		return runPoint(cfg, fig.ID, sys, load{keysPerTx: kpt}, fmt.Sprintf("keys=%d", kpt), clients)
+	}, func(_, xi int, pt Point, _ Telemetry) string {
+		return fmt.Sprintf("keys/txn=%d  mean=%.2fµs  tput=%.0f txns/s  aborts=%d",
+			keysPerTx[xi], float64(pt.Mean)/1e3, pt.Throughput, pt.Aborts)
+	})
 	return fig
 }

@@ -5,10 +5,10 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"prism/internal/abd"
 	"prism/internal/memory"
 	"prism/internal/model"
-	"prism/internal/sim"
-	"prism/internal/workload"
+	"prism/internal/tx"
 )
 
 // spaceChecksum hashes every byte of every region of a space.
@@ -22,79 +22,72 @@ func spaceChecksum(t *testing.T, s *memory.Space) uint64 {
 	return h.Sum64()
 }
 
-// txClusterPointWith is txClusterPoint with a pluggable cluster builder,
-// so the test can drive the fresh path through the production measurement
-// code.
-func txClusterPointWith(build func(Config, int64, int, int) (*sim.Engine, func(int) txRunner, placement),
-	cfg Config, figID, pointKey string, nShards, keysPerTx, clients int) Point {
-	seed := PointSeed(cfg.Seed, figID, "PRISM-TX", pointKey)
-	e, mkRunner, place := build(cfg, seed, nShards, keysPerTx)
-	d := newLoadDriver(e, cfg)
-	for i := 0; i < clients; i++ {
-		run := mkRunner(i)
-		gen := workload.NewTxGenerator(workload.TxMix{
-			Keys: cfg.Keys, ValueSize: cfg.ValueSize, KeysPerTx: keysPerTx,
-		}, clientSeed(seed, i))
-		d.spawn(place(i), fmt.Sprintf("c%d", i), func(p *sim.Proc) (int64, error) {
-			return run(p, gen)
-		})
+// The fresh references: each builds and loads its servers directly on the
+// measurement fabric, with the same load* constructor the template cache
+// captures and the same client attachment the production builder uses.
+
+func freshKV(cfg Config, seed int64, w load) cluster {
+	v := newEnv(cfg, seed, w, rackFabric(cfg))
+	return v.mix(kvClients(loadKV(v.net, cfg), kvTune{}))
+}
+
+func freshRS(cfg Config, seed int64, w load) cluster {
+	v := newEnv(cfg, seed, w, rackFabric(cfg))
+	replicas := make([]*abd.Replica, nReplicas)
+	for i := range replicas {
+		replicas[i] = loadReplica(v.net, cfg, replicaName(i))
 	}
-	return d.run(clients)
+	return v.rsCluster(replicas, false)
+}
+
+func freshTX(cfg Config, seed int64, w load) cluster {
+	v := newEnv(cfg, seed, w, rackFabric(cfg))
+	return v.txCluster([]*tx.Shard{loadTX(v.net, cfg)})
+}
+
+func freshTXCluster(cfg Config, seed int64, w load) cluster {
+	v := newEnv(cfg, seed, w, rackFabric(cfg))
+	return v.txCluster(loadTXCluster(v.net, cfg, 2))
 }
 
 // TestForkedClusterMatchesFresh is the tentpole regression for template
 // forking: a cluster instantiated from a copy-on-write template must
-// produce byte-identical figure output to one built directly on the
-// measurement engine. Loading is engine- and RNG-free for these systems,
-// so the two paths are distinguishable only if forking leaks or loses
-// state.
+// produce identical points to one built directly on the measurement
+// engine, both driven through the production runPoint. Loading is engine-
+// and RNG-free for these systems, so the two paths are distinguishable
+// only if forking leaks or loses state.
 func TestForkedClusterMatchesFresh(t *testing.T) {
 	cfg := tiny()
-
-	t.Run("prism-kv", func(t *testing.T) {
-		tmplSys := kvSystem{"PRISM-KV", buildPRISMKV}
-		freshSys := kvSystem{"PRISM-KV", buildPRISMKVFresh}
-		var forked, fresh Series
-		forked.Name, fresh.Name = "PRISM-KV", "PRISM-KV"
-		for _, n := range cfg.ClientCounts {
-			// 50% writes so forks diverge hard from the template image.
-			fpt, _ := kvPoint(tmplSys, cfg, "forkeq", 0.5, n)
-			npt, _ := kvPoint(freshSys, cfg, "forkeq", 0.5, n)
-			forked.Points = append(forked.Points, fpt)
-			fresh.Points = append(fresh.Points, npt)
-		}
-		a := render(&Figure{ID: "forkeq", Series: []Series{forked}})
-		b := render(&Figure{ID: "forkeq", Series: []Series{fresh}})
-		if a != b {
-			t.Fatalf("template-forked CSV differs from fresh-built:\nforked:\n%s\nfresh:\n%s", a, b)
-		}
-	})
-
-	t.Run("prism-rs", func(t *testing.T) {
-		for _, n := range cfg.ClientCounts {
-			forked, _ := rsPoint(rsSystem{"PRISM-RS", buildPRISMRS}, cfg, "forkeq-rs", 0.4, n)
-			fresh, _ := rsPoint(rsSystem{"PRISM-RS", buildPRISMRSFresh}, cfg, "forkeq-rs", 0.4, n)
-			if forked != fresh {
-				t.Fatalf("clients=%d: forked %+v != fresh %+v", n, forked, fresh)
+	for _, c := range []struct {
+		name          string
+		forked, fresh builder
+		w             load
+		key           func(clients int) string
+		clients       []int
+	}{
+		// 50% writes so forks diverge hard from the template image.
+		{"prism-kv", prismKV(model.SoftwarePRISM, rackFabric, kvTune{}), freshKV,
+			load{readFrac: 0.5}, clientsKey, cfg.ClientCounts},
+		{"prism-rs", prismRS(false), freshRS,
+			load{readFrac: 0.5, theta: 0.4}, func(n int) string { return thetaKey(0.4, n) }, cfg.ClientCounts},
+		{"prism-tx", prismTX, freshTX,
+			load{theta: 0.8, keysPerTx: 1}, func(n int) string { return thetaKey(0.8, n) }, []int{32}},
+		{"tx-cluster", prismTXCluster(2), freshTXCluster,
+			load{keysPerTx: 2}, func(int) string { return "k" }, []int{16}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, n := range c.clients {
+				forked, _ := runPoint(cfg, "forkeq", system{c.name, c.forked}, c.w, c.key(n), n)
+				fresh, _ := runPoint(cfg, "forkeq", system{c.name, c.fresh}, c.w, c.key(n), n)
+				if forked != fresh {
+					t.Fatalf("clients=%d: forked %+v != fresh %+v", n, forked, fresh)
+				}
+				if forked.Throughput == 0 {
+					t.Fatalf("clients=%d: point measured nothing: %+v", n, forked)
+				}
 			}
-		}
-	})
-
-	t.Run("prism-tx", func(t *testing.T) {
-		forked, _ := txPoint(txSystem{"PRISM-TX", buildPRISMTX}, cfg, "forkeq-tx", 0.8, 32)
-		fresh, _ := txPoint(txSystem{"PRISM-TX", buildPRISMTXFresh}, cfg, "forkeq-tx", 0.8, 32)
-		if forked != fresh {
-			t.Fatalf("forked %+v != fresh %+v", forked, fresh)
-		}
-	})
-
-	t.Run("tx-cluster", func(t *testing.T) {
-		forked := txClusterPointWith(buildTXCluster, cfg, "forkeq-txc", "k", 2, 2, 16)
-		fresh := txClusterPointWith(buildTXClusterFresh, cfg, "forkeq-txc", "k", 2, 2, 16)
-		if forked != fresh {
-			t.Fatalf("forked %+v != fresh %+v", forked, fresh)
-		}
-	})
+		})
+	}
 }
 
 // TestForkWritesInvisibleOutsideFork runs a write-heavy point twice from
@@ -107,18 +100,28 @@ func TestForkWritesInvisibleOutsideFork(t *testing.T) {
 	tmpl := kvTemplate(cfg)
 	before := spaceChecksum(t, tmpl.NIC().Snapshot().Space())
 
-	sys := kvSystem{"PRISM-KV", buildPRISMKV}
-	first, _ := kvPoint(sys, cfg, "fork-iso", 0.0, 32) // 100% writes
+	writes := func() Point { // 100% writes
+		pt, _ := runPoint(cfg, "fork-iso", paperKV, load{readFrac: 0}, clientsKey(32), 32)
+		return pt
+	}
+	first := writes()
 	if mid := spaceChecksum(t, tmpl.NIC().Snapshot().Space()); mid != before {
 		t.Fatalf("template bytes changed during a forked run: %#x -> %#x", before, mid)
 	}
-	second, _ := kvPoint(sys, cfg, "fork-iso", 0.0, 32)
-	if first != second {
+	if second := writes(); first != second {
 		t.Fatalf("repeat run from same template differs: %+v vs %+v", first, second)
 	}
 	if after := spaceChecksum(t, tmpl.NIC().Snapshot().Space()); after != before {
 		t.Fatalf("template bytes changed after forked runs: %#x -> %#x", before, after)
 	}
+}
+
+// resetTemplateCache drops every cached template, so the next point
+// observes a cold build.
+func resetTemplateCache() {
+	templateCache.Lock()
+	templateCache.m = make(map[templateKey]*templateEntry)
+	templateCache.Unlock()
 }
 
 // TestPilafTemplateBuildDeterministic rebuilds the Pilaf template from
@@ -128,11 +131,15 @@ func TestForkWritesInvisibleOutsideFork(t *testing.T) {
 // equivalent guarantee.)
 func TestPilafTemplateBuildDeterministic(t *testing.T) {
 	cfg := tiny()
-	sys := kvSystem{"Pilaf", buildPilaf(model.SoftwarePRISM)}
-	a, _ := kvPoint(sys, cfg, "forkeq-pilaf", 0.5, 32)
+	sys := system{"Pilaf", pilaf(model.SoftwarePRISM, rackFabric)}
+	measure := func() Point {
+		pt, _ := runPoint(cfg, "forkeq-pilaf", sys, load{readFrac: 0.5}, clientsKey(32), 32)
+		return pt
+	}
+	a := measure()
 	sum1 := spaceChecksum(t, pilafTemplate(cfg).NIC().Snapshot().Space())
 	resetTemplateCache()
-	b, _ := kvPoint(sys, cfg, "forkeq-pilaf", 0.5, 32)
+	b := measure()
 	sum2 := spaceChecksum(t, pilafTemplate(cfg).NIC().Snapshot().Space())
 	if a != b {
 		t.Fatalf("point from rebuilt template differs: %+v vs %+v", a, b)

@@ -20,25 +20,21 @@ import (
 //go:embed testdata/figures_tiny.sha256
 var goldenHashes string
 
-// goldenSets are the figure sets pinned in testdata: prismbench's `all`
-// in its order at the tinyD config, and the two figures outside `all` at
-// their test configs.
+// goldenSets are the figure sets pinned in testdata: the registry's `all`
+// members in registry order at the tinyD config — the same entries, in the
+// same order, that `prismbench all` renders — and the two figures outside
+// `all` at their test configs.
 var goldenSets = []struct {
 	name   string
 	render func(io.Writer)
 }{
 	{"all", func(w io.Writer) {
-		byName := make(map[string]func(Config) *Figure, len(allFigures))
-		for _, f := range allFigures {
-			byName[f.name] = f.fn
-		}
 		cfg := tinyD()
 		cfg.Parallel = 4
-		for _, name := range []string{
-			"rpcvsrdma", "fig1", "fig2", "fig3", "fig4", "fig6", "fig7", "fig9", "fig10",
-			"ext-shards", "ext-multikey",
-		} {
-			byName[name](cfg).FprintCSV(w)
+		for _, f := range Figures {
+			if f.All {
+				f.Fn(cfg).FprintCSV(w)
+			}
 		}
 	}},
 	{"fig-scale", func(w io.Writer) {

@@ -57,55 +57,37 @@ func Fig1(cfg Config) *Figure {
 		model.BlueFieldPRISM,
 		model.ProjectedHardwarePRISM,
 	}
+	series := make([]string, len(deployments))
+	for i, d := range deployments {
+		series[i] = d.String()
+	}
 	opNames := []string{"Read", "Write", "Indirect Read", "Allocate", "Enhanced-CAS"}
-
 	fig := &Figure{
 		ID:     "fig1",
 		Title:  "PRISM microbenchmarks vs hardware RDMA (512 B, direct link)",
 		XLabel: "operation",
 		YLabel: "latency (µs)",
 	}
-	type cell struct {
-		lat       time.Duration
-		supported bool
-	}
-	var jobs []func() (cell, Telemetry)
-	for _, d := range deployments {
-		for opIdx, opName := range opNames {
-			jobs = append(jobs, func() (cell, Telemetry) {
-				seed := PointSeed(cfg.Seed, "fig1", d.String(), opName)
-				env := newMicroEnvPrepared(d, model.Direct, seed)
-				lat, supported := env.runOp(opIdx)
-				return cell{lat, supported}, worldTelemetry(env.e)
-			})
+	sweep(cfg, fig, series, []int{0, 1, 2, 3, 4}, func(di, opIdx int) (Point, Telemetry) {
+		env := newMicroEnv(deployments[di], model.Default().WithNetwork(model.Direct),
+			PointSeed(cfg.Seed, "fig1", series[di], opNames[opIdx]))
+		var lat time.Duration // stays 0 where a stock RDMA NIC cannot express the op
+		if microOpSupported(deployments[di], opIdx) {
+			lat = env.runOp(opIdx)
 		}
-	}
-	cells, tels, wall := runPointJobs(cfg.Parallel, jobs)
-	fig.PointWall, fig.PointTel = wall, tels
-	for di, d := range deployments {
-		s := Series{Name: d.String()}
-		for opIdx, opName := range opNames {
-			c := cells[di*len(opNames)+opIdx]
-			lat, label := c.lat, opName
-			if !c.supported {
-				lat = 0 // not expressible on a stock RDMA NIC
-				label = opName + " (unsupported)"
-			}
-			s.Points = append(s.Points, Point{Clients: 1, Mean: lat, Median: lat, P99: lat})
-			s.Labels = append(s.Labels, label)
+		return latencyPoint(lat), worldTelemetry(env.e)
+	}, func(di, opIdx int, _ Point, _ Telemetry) string {
+		if !microOpSupported(deployments[di], opIdx) {
+			return opNames[opIdx] + " (unsupported)"
 		}
-		fig.Series = append(fig.Series, s)
-	}
+		return opNames[opIdx]
+	})
 	return fig
 }
 
-// newMicroEnvPrepared builds the env with value, pointer, and CAS cells
-// pre-seeded.
-func newMicroEnvPrepared(d model.Deployment, nw model.SwitchProfile, seed int64) *microEnv {
-	return newMicroEnvWithParams(d, model.Default().WithNetwork(nw), seed)
-}
-
-func newMicroEnvWithParams(d model.Deployment, p model.Params, seed int64) *microEnv {
+// newMicroEnv builds the two-machine env with value, pointer, and CAS
+// cells pre-seeded.
+func newMicroEnv(d model.Deployment, p model.Params, seed int64) *microEnv {
 	e := sim.NewEngine(seed)
 	net := fabric.New(e, p)
 	srv := rdma.NewServer(net, "srv", d)
@@ -135,13 +117,18 @@ func newMicroEnvWithParams(d model.Deployment, p model.Params, seed int64) *micr
 	return env
 }
 
-// runOp measures one of the five Fig. 1 ops; reports supported=false when
-// the deployment cannot express it.
-func (env *microEnv) runOp(opIdx int) (time.Duration, bool) {
+// microOpSupported reports whether deployment d can express Fig. 1 op
+// opIdx: a stock RDMA NIC has only READ and WRITE.
+func microOpSupported(d model.Deployment, opIdx int) bool {
+	return d != model.HardwareRDMA || opIdx < 2
+}
+
+// runOp measures one of the five Fig. 1 ops.
+func (env *microEnv) runOp(opIdx int) time.Duration {
 	reg := env.reg
 	key := reg.Key
 	var casTag uint64 = 1
-	mk := func(i int) []wire.Op {
+	return env.measure(func(i int) []wire.Op {
 		switch opIdx {
 		case 0: // Read
 			return []wire.Op{prism.Read(key, reg.Base+4096, microValue)}
@@ -159,11 +146,28 @@ func (env *microEnv) runOp(opIdx int) (time.Duration, bool) {
 			return []wire.Op{prism.CAS(key, reg.Base+64, wire.CASGt, data,
 				prism.FieldMask(16, 0, 8), prism.FullMask(16))}
 		}
-	}
-	if env.srv.Deployment() == model.HardwareRDMA && opIdx >= 2 {
-		return 0, false
-	}
-	return env.measure(mk), true
+	})
+}
+
+// read, twoReads and indirectRead are the three ways to fetch the 512 B
+// object that Fig. 2 and §2.1 compare: directly, by a pointer read then a
+// data read (two dependent round trips), and by one PRISM indirect READ.
+func (env *microEnv) read() time.Duration {
+	return env.measure(func(int) []wire.Op {
+		return []wire.Op{prism.Read(env.reg.Key, env.reg.Base+4096, microValue)}
+	})
+}
+
+func (env *microEnv) twoReads() time.Duration {
+	return env.measure(func(int) []wire.Op {
+		return []wire.Op{prism.Read(env.reg.Key, env.reg.Base, 8)}
+	}) + env.read()
+}
+
+func (env *microEnv) indirectRead() time.Duration {
+	return env.measure(func(int) []wire.Op {
+		return []wire.Op{prism.ReadIndirect(env.reg.Key, env.reg.Base, microValue)}
+	})
 }
 
 // Fig2 reproduces Figure 2: the latency of a dependent pointer chase —
@@ -177,51 +181,25 @@ func Fig2(cfg Config) *Figure {
 		XLabel: "network profile (rack / cluster / datacenter)",
 		YLabel: "latency (µs)",
 	}
-	type variant struct {
+	variants := []struct {
 		name   string
 		deploy model.Deployment
-		twoRTT bool
+		fetch  func(*microEnv) time.Duration
+	}{
+		{"2x RDMA", model.HardwareRDMA, (*microEnv).twoReads},
+		{"PRISM SW", model.SoftwarePRISM, (*microEnv).indirectRead},
+		{"PRISM BlueField", model.BlueFieldPRISM, (*microEnv).indirectRead},
+		{"PRISM HW (proj)", model.ProjectedHardwarePRISM, (*microEnv).indirectRead},
 	}
-	variants := []variant{
-		{"2x RDMA", model.HardwareRDMA, true},
-		{"PRISM SW", model.SoftwarePRISM, false},
-		{"PRISM BlueField", model.BlueFieldPRISM, false},
-		{"PRISM HW (proj)", model.ProjectedHardwarePRISM, false},
+	series := make([]string, len(variants))
+	for i, v := range variants {
+		series[i] = v.name
 	}
-	var jobs []func() (time.Duration, Telemetry)
-	for _, v := range variants {
-		for _, prof := range profiles {
-			jobs = append(jobs, func() (time.Duration, Telemetry) {
-				seed := PointSeed(cfg.Seed, "fig2", v.name, prof.Name)
-				env := newMicroEnvPrepared(v.deploy, prof, seed)
-				var lat time.Duration
-				if v.twoRTT {
-					// Pointer read, then data read: two dependent round trips.
-					lat = env.measure(func(i int) []wire.Op {
-						return []wire.Op{prism.Read(env.reg.Key, env.reg.Base, 8)}
-					}) + env.measure(func(i int) []wire.Op {
-						return []wire.Op{prism.Read(env.reg.Key, env.reg.Base+4096, microValue)}
-					})
-				} else {
-					lat = env.measure(func(i int) []wire.Op {
-						return []wire.Op{prism.ReadIndirect(env.reg.Key, env.reg.Base, microValue)}
-					})
-				}
-				return lat, worldTelemetry(env.e)
-			})
-		}
-	}
-	lats, tels, wall := runPointJobs(cfg.Parallel, jobs)
-	fig.PointWall, fig.PointTel = wall, tels
-	for vi, v := range variants {
-		s := Series{Name: v.name}
-		for pi, prof := range profiles {
-			lat := lats[vi*len(profiles)+pi]
-			s.Points = append(s.Points, Point{Clients: 1, Mean: lat, Median: lat, P99: lat})
-			s.Labels = append(s.Labels, prof.Name)
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	sweep(cfg, fig, series, profiles, func(vi int, prof model.SwitchProfile) (Point, Telemetry) {
+		v := variants[vi]
+		env := newMicroEnv(v.deploy, model.Default().WithNetwork(prof), PointSeed(cfg.Seed, "fig2", v.name, prof.Name))
+		return latencyPoint(v.fetch(env)), worldTelemetry(env.e)
+	}, func(_, pi int, _ Point, _ Telemetry) string { return profiles[pi].Name })
 	return fig
 }
 
@@ -238,52 +216,29 @@ func RPCvsRDMA(cfg Config) *Figure {
 		XLabel: "mechanism",
 		YLabel: "latency (µs)",
 	}
-	newEnv := func(name string) *microEnv {
+	mechanisms := []struct {
+		name    string
+		measure func(*microEnv) time.Duration
+	}{
+		{"one-sided READ", (*microEnv).read},
+		{"two-sided RPC", func(env *microEnv) time.Duration {
+			return env.measure(func(int) []wire.Op { return []wire.Op{prism.Send([]byte{1})} })
+		}},
+		{"2x one-sided READs", (*microEnv).twoReads},
+	}
+	series := make([]string, len(mechanisms))
+	for i, m := range mechanisms {
+		series[i] = m.name
+	}
+	sweep(cfg, fig, series, []string{"512B"}, func(mi int, size string) (Point, Telemetry) {
 		p := model.Default().WithNetwork(model.Direct)
 		p.RDMABaseRTT = 3200 * time.Nanosecond // §2.1's 40 GbE testbed
-		env := newMicroEnvWithParams(model.HardwareRDMA, p,
-			PointSeed(cfg.Seed, "rpcvsrdma", name, "512B"))
+		env := newMicroEnv(model.HardwareRDMA, p, PointSeed(cfg.Seed, "rpcvsrdma", series[mi], size))
 		env.srv.SetRPCHandler(func(payload []byte) ([]byte, time.Duration) {
 			// KV-style GET handler: return the 512 B object.
 			return make([]byte, microValue), 0
 		})
-		return env
-	}
-	names := []string{"one-sided READ", "two-sided RPC", "2x one-sided READs"}
-	jobs := []func() (time.Duration, Telemetry){
-		func() (time.Duration, Telemetry) {
-			env := newEnv(names[0])
-			lat := env.measure(func(i int) []wire.Op {
-				return []wire.Op{prism.Read(env.reg.Key, env.reg.Base+4096, microValue)}
-			})
-			return lat, worldTelemetry(env.e)
-		},
-		func() (time.Duration, Telemetry) {
-			env := newEnv(names[1])
-			lat := env.measure(func(i int) []wire.Op {
-				return []wire.Op{prism.Send([]byte{1})}
-			})
-			return lat, worldTelemetry(env.e)
-		},
-		func() (time.Duration, Telemetry) {
-			env := newEnv(names[2])
-			lat := env.measure(func(i int) []wire.Op {
-				return []wire.Op{prism.Read(env.reg.Key, env.reg.Base, 8)}
-			}) + env.measure(func(i int) []wire.Op {
-				return []wire.Op{prism.Read(env.reg.Key, env.reg.Base+4096, microValue)}
-			})
-			return lat, worldTelemetry(env.e)
-		},
-	}
-	lats, tels, wall := runPointJobs(cfg.Parallel, jobs)
-	fig.PointWall, fig.PointTel = wall, tels
-	for i, name := range names {
-		lat := lats[i]
-		fig.Series = append(fig.Series, Series{
-			Name:   name,
-			Points: []Point{{Clients: 1, Mean: lat, Median: lat, P99: lat}},
-			Labels: []string{name},
-		})
-	}
+		return latencyPoint(mechanisms[mi].measure(env)), worldTelemetry(env.e)
+	}, func(mi, _ int, _ Point, _ Telemetry) string { return series[mi] })
 	return fig
 }

@@ -3,8 +3,20 @@ package bench
 import (
 	"testing"
 
+	"prism/internal/kv"
+	"prism/internal/model"
 	"prism/internal/sim"
 )
+
+// kvClient0 forks the standard PRISM-KV cluster (one server, the
+// Config.ClientMachines fleet) and returns its engine with client 0 and
+// the event domain client 0 runs on.
+func kvClient0(cfg Config) (*sim.Engine, store, *sim.Engine) {
+	v := newEnv(cfg, 42, load{}, rackFabric(cfg))
+	srv := kv.NewServerFromTemplate(v.net, "server", model.SoftwarePRISM, kvTemplate(cfg))
+	m := v.clientMachines()[0]
+	return v.e, kvClients(srv, kvTune{})(m, 0), m.Domain()
+}
 
 // BenchmarkSimulatedGET measures one full PRISM-KV GET round trip through
 // the simulator — client encode, fabric delivery, NIC chain execution
@@ -13,11 +25,10 @@ import (
 func BenchmarkSimulatedGET(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
-	e, mkClient, place := buildPRISMKV(cfg, 42)
-	st := mkClient(0)
+	e, st, dom := kvClient0(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
-	place(0).Go("bench", func(p *sim.Proc) {
+	dom.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			if _, err := st.Get(p, int64(i)%cfg.Keys); err != nil {
 				panic(err)
@@ -33,12 +44,11 @@ func BenchmarkSimulatedGET(b *testing.B) {
 func BenchmarkSimulatedPUT(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
-	e, mkClient, place := buildPRISMKV(cfg, 42)
-	st := mkClient(0)
+	e, st, dom := kvClient0(cfg)
 	value := make([]byte, cfg.ValueSize)
 	b.ReportAllocs()
 	b.ResetTimer()
-	place(0).Go("bench", func(p *sim.Proc) {
+	dom.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			if err := st.Put(p, int64(i)%cfg.Keys, value); err != nil {
 				panic(err)

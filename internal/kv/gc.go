@@ -13,7 +13,10 @@ import (
 // reposts the leaked buffers to their free lists.
 //
 // done is invoked with the number of reclaimed buffers once the quiesce
-// completes (immediately, when the NIC is idle).
+// completes (immediately, when the NIC is idle). It runs inside the
+// host's Quiesce callback, possibly with the space guard held, so it must
+// not take the guard: no Load, RecycleBuffers or nested ScanAndReclaim
+// from done (transport.HostCore.Quiesce).
 //
 // Safety: a buffer that is neither referenced by any slot nor owned by a
 // free list at scan time can only be held by an operation already in

@@ -87,7 +87,9 @@ type Space struct {
 // Guard returns the space's concurrency lock. Callers that share the
 // space across goroutines hold it across each whole primitive (executor
 // ExecInto call), each registration, and each free-list operation on
-// buffers inside the space. The simulator never takes it.
+// buffers inside the space. The simulator's executor path never takes it;
+// the provisioning code it shares with the live server (transport.HostCore,
+// kv.Server.Load) does, uncontended.
 func (s *Space) Guard() *sync.Mutex { return &s.guard }
 
 // NewSpace returns an empty memory space. Address 0 is never allocated so

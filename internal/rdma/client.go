@@ -89,7 +89,7 @@ type Conn struct {
 
 	// wcheck is the scratch for wire-check mode (see SetWireCheck); nil
 	// until the first checked transmission.
-	wcheck *wireState
+	wcheck *transport.WireCheckState
 }
 
 // simPending is the sim transport's per-entry completion state: the
@@ -162,11 +162,11 @@ func (c *Conn) transmitEntry(e *transport.Entry[simPending]) {
 }
 
 func (c *Conn) transmit(req *wire.Request) {
-	if wireCheck {
+	if transport.WireCheckEnabled() {
 		if c.wcheck == nil {
-			c.wcheck = &wireState{}
+			c.wcheck = &transport.WireCheckState{}
 		}
-		c.wcheck.checkRequest(req)
+		c.wcheck.CheckRequestRoundTrip(req)
 	}
 	c.client.net.Send(fabric.Message{
 		From:    c.client.node,

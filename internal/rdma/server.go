@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"prism/internal/alloc"
 	"prism/internal/fabric"
 	"prism/internal/memory"
 	"prism/internal/model"
@@ -22,12 +21,12 @@ import (
 )
 
 // ConnTempSize is the per-connection temporary buffer used as the redirect
-// target in chains. §4.2 argues 32 B per connection suffices for the
-// paper's applications; we provision 256 B (eight 32 B chain slots) so a
-// transaction that installs several keys on one shard can run its commit
-// chains concurrently, each against its own slot — still far below the
-// ~375 B of existing per-connection QP state the paper compares against.
-const ConnTempSize = 256
+// target in chains and TempSlotSize the stride applications carve it into;
+// the shared Host core provisions them (transport.ConnTempSize).
+const (
+	ConnTempSize = transport.ConnTempSize
+	TempSlotSize = transport.TempSlotSize
+)
 
 // OnNICMemoryBytes is the user-accessible on-NIC memory region of the
 // projected hardware NIC (256 KB on the paper's ConnectX-5, §4.2).
@@ -35,10 +34,6 @@ const ConnTempSize = 256
 // buffers, whose redirects cost an extra PCIe round trip — the
 // connection-scaling concern §4.2 analyzes.
 const OnNICMemoryBytes = 256 << 10
-
-// TempSlotSize is the stride applications use to carve ConnTempSize into
-// independent chain slots.
-const TempSlotSize = 32
 
 // defaultRecvCredits is the receive-queue depth posted at startup —
 // deep enough that well-behaved applications never see RNR.
@@ -58,21 +53,23 @@ var _ transport.Host = (*Server)(nil)
 // Server is one machine's NIC endpoint plus the server-side state of the
 // deployments: memory, free lists, dedicated PRISM cores, and RPC cores.
 type Server struct {
+	// HostCore is the provisioning half (transport.Host), shared with the
+	// live socket server: space, free lists, quiescer, RPC hook,
+	// connection temp buffers.
+	transport.HostCore
+
 	e      *sim.Engine
 	net    *fabric.Network
 	p      model.Params
 	node   *fabric.Node
 	deploy model.Deployment
 
-	space *memory.Space
-	exec  *prism.Executor
+	exec *prism.Executor // over the core's space and free lists
 
 	prismCores *sim.MultiResource // SoftwarePRISM dedicated cores
 	rpcCores   *sim.MultiResource // application cores serving RPCs
 
-	quiescer *alloc.Quiescer
-	handler  RPCHandler
-	tracer   Tracer
+	tracer Tracer
 
 	// NIC connection-state model (nil when Params disable it): qp tracks
 	// which connections' contexts are resident, qpFetch is the single
@@ -91,10 +88,6 @@ type Server struct {
 
 	conns    map[uint64]*serverConn
 	nextConn uint64
-
-	tempKey    memory.RKey
-	tempRegion *memory.Region
-	tempUsed   uint64
 
 	// baseProc is the fixed NIC+PCIe pipeline latency charged at the
 	// server so that a small hardware verb on a direct link completes in
@@ -171,7 +164,7 @@ type serverConn struct {
 
 	// wcheck is the scratch for wire-check mode (see SetWireCheck); nil
 	// until the first checked transmission.
-	wcheck *wireState
+	wcheck *transport.WireCheckState
 }
 
 // replayDepth bounds both the response cache and the client send window;
@@ -206,16 +199,15 @@ func newServer(net *fabric.Network, name string, deploy model.Deployment, space 
 	// here without touching any other domain.
 	e := node.Domain()
 	s := &Server{
-		e:      e,
-		net:    net,
-		p:      p,
-		node:   node,
-		deploy: deploy,
-		space:  space,
-		conns:  make(map[uint64]*serverConn),
+		HostCore: transport.NewHostCore(space),
+		e:        e,
+		net:      net,
+		p:        p,
+		node:     node,
+		deploy:   deploy,
+		conns:    make(map[uint64]*serverConn),
 	}
-	s.exec = prism.NewExecutor(s.space)
-	s.quiescer = alloc.NewQuiescer()
+	s.exec = &prism.Executor{Space: space, FreeLists: s.FreeLists()}
 	if deploy == model.SoftwarePRISM {
 		s.prismCores = sim.NewMultiResource(e, p.SoftCores)
 	}
@@ -281,46 +273,6 @@ func (s *Server) acquireResp(sc *serverConn, seq uint64, nops int) *wire.Respons
 	return resp
 }
 
-// carvePayload allocates n bytes from the slot's payload arena. When the
-// arena must grow, earlier carvings keep the old backing array alive and
-// the request continues on the new one.
-func (sc *serverConn) carvePayload(slot int, n uint64) []byte {
-	buf := sc.payload[slot]
-	if uint64(cap(buf)-len(buf)) < n {
-		c := 2 * cap(buf)
-		if c < int(n) {
-			c = int(n)
-		}
-		if c < 1024 {
-			c = 1024
-		}
-		buf = make([]byte, 0, c)
-	}
-	off := len(buf)
-	buf = buf[:off+int(n)]
-	sc.payload[slot] = buf
-	return buf[off:]
-}
-
-// FreeArenas releases all pooled transport memory — cached responses,
-// result slices, and payload arenas — once every in-flight NIC operation
-// has drained (explicit quiesce). Useful before heap profiling or when a
-// cluster is torn down.
-func (s *Server) FreeArenas() {
-	s.quiescer.AfterQuiesce(func() {
-		for _, sc := range s.conns {
-			for i := range sc.replayResp {
-				sc.replayResp[i] = nil
-				sc.replaySeq[i] = ^uint64(0)
-				sc.payload[i] = nil
-			}
-		}
-	})
-}
-
-// Space exposes the server's memory for registration and CPU-side access.
-func (s *Server) Space() *memory.Space { return s.space }
-
 // Node returns the server's fabric node (for byte counters in tests).
 func (s *Server) Node() *fabric.Node { return s.node }
 
@@ -330,84 +282,13 @@ func (s *Server) Deployment() model.Deployment { return s.deploy }
 // Engine returns the simulation engine.
 func (s *Server) Engine() *sim.Engine { return s.e }
 
-// AddFreeList registers a free list with the NIC for ALLOCATE.
-func (s *Server) AddFreeList(fl *alloc.FreeList) {
-	if _, dup := s.exec.FreeLists[fl.ID]; dup {
-		panic(fmt.Sprintf("rdma: duplicate free list id %d", fl.ID))
-	}
-	s.exec.FreeLists[fl.ID] = fl
-}
-
-// FreeList returns a registered free list.
-func (s *Server) FreeList(id uint32) *alloc.FreeList { return s.exec.FreeLists[id] }
-
-// RecycleBuffers returns client-released buffers to their free list once
-// all in-flight NIC operations drain (§3.2's reuse rule). Typically invoked
-// from an RPC handler fed by the application's reclamation protocol.
-func (s *Server) RecycleBuffers(freeList uint32, addrs []memory.Addr) {
-	fl, ok := s.exec.FreeLists[freeList]
-	if !ok {
-		panic(fmt.Sprintf("rdma: recycle to unknown free list %d", freeList))
-	}
-	for _, a := range addrs {
-		fl.Recycle(a)
-	}
-	fl.FlushWhenQuiet(s.quiescer)
-}
-
-// Quiesce runs fn once every NIC operation currently in flight has
-// completed (immediately when idle). Server applications use it for
-// reclamation decisions that must not race in-flight chains (§3.2).
-func (s *Server) Quiesce(fn func()) { s.quiescer.AfterQuiesce(fn) }
-
-// SetRPCHandler installs the two-sided dispatch target.
-func (s *Server) SetRPCHandler(h RPCHandler) { s.handler = h }
-
-// SetConnTempKey selects the protection domain in which per-connection
-// temporary buffers are allocated, so chains can traverse from application
-// metadata to the temp buffer under one rkey. Must be called before the
-// first Connect.
-func (s *Server) SetConnTempKey(key memory.RKey) {
-	if s.tempRegion != nil {
-		panic("rdma: SetConnTempKey after connections exist")
-	}
-	s.tempKey = key
-}
-
-// TempKey returns the rkey protecting connection temp buffers.
-func (s *Server) TempKey() memory.RKey { return s.tempKey }
-
-func (s *Server) allocConnTemp() memory.Addr {
-	const regionBufs = 1024
-	if s.tempRegion == nil || s.tempUsed+ConnTempSize > s.tempRegion.Len {
-		var r *memory.Region
-		var err error
-		if s.tempKey != 0 {
-			r, err = s.space.RegisterShared(s.tempKey, ConnTempSize*regionBufs)
-		} else {
-			r, err = s.space.Register(ConnTempSize * regionBufs)
-			if err == nil {
-				s.tempKey = r.Key
-			}
-		}
-		if err != nil {
-			panic(fmt.Sprintf("rdma: temp region registration failed: %v", err))
-		}
-		s.tempRegion = r
-		s.tempUsed = 0
-	}
-	addr := s.tempRegion.Base + memory.Addr(s.tempUsed)
-	s.tempUsed += ConnTempSize
-	return addr
-}
-
 // connect registers a new queue pair from the given client node.
 func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, tempKey memory.RKey) {
 	id = s.nextConn
 	s.nextConn++
-	sc := &serverConn{id: id, client: client, lastOK: true, tempAddr: s.allocConnTemp()}
+	sc := &serverConn{id: id, client: client, lastOK: true, tempAddr: s.AllocConnTemp()}
 	sc.tempOnNIC = id < OnNICMemoryBytes/ConnTempSize
-	sc.readAlloc = func(n uint64) []byte { return sc.carvePayload(sc.curSlot, n) }
+	sc.readAlloc = func(n uint64) []byte { return transport.CarveArena(&sc.payload[sc.curSlot], n) }
 	sc.stepFn = func() { s.chainStep(sc) }
 	sc.finishFn = func() { s.finishChain(sc) }
 	for i := range sc.replaySeq {
@@ -423,7 +304,7 @@ func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, temp
 		// cache, the model charges nothing and figures are bit-unchanged.
 		s.qp.warm(id)
 	}
-	return id, sc.tempAddr, s.tempKey
+	return id, sc.tempAddr, s.TempKey()
 }
 
 // QPCacheCounters reports the connection-state cache's hit/miss/eviction
@@ -562,7 +443,7 @@ func (s *Server) serveVerbs(sc *serverConn, req *wire.Request) {
 		return
 	}
 
-	opTok := s.quiescer.OpStart()
+	opTok := s.Quiescer().OpStart()
 	resp := s.acquireResp(sc, req.Seq, len(req.Ops))
 	sc.curSlot = int(req.Seq % replayDepth)
 
@@ -596,7 +477,7 @@ func (s *Server) chainStep(sc *serverConn) {
 	for {
 		i := sc.chainIdx
 		if i == len(req.Ops) {
-			s.quiescer.OpEnd(sc.chainTok)
+			s.Quiescer().OpEnd(sc.chainTok)
 			preDelay := s.baseProc / 2
 			s.e.Schedule(s.baseProc-preDelay+s.qpTx(sc), sc.finishFn)
 			return
@@ -700,7 +581,7 @@ func (s *Server) SetRecvCredits(n int) { s.recvCredits = n }
 // serveRPC dispatches a two-sided request to the application handler.
 func (s *Server) serveRPC(sc *serverConn, req *wire.Request) {
 	s.RequestsServed++
-	if s.handler == nil {
+	if s.Handler() == nil {
 		resp := s.acquireResp(sc, req.Seq, 1)
 		resp.Results[0] = wire.Result{Status: wire.StatusUnsupported}
 		s.e.Schedule(s.baseProc+s.takeQPDebt(sc), func() { s.finish(sc, resp) })
@@ -720,7 +601,7 @@ func (s *Server) serveRPC(sc *serverConn, req *wire.Request) {
 	start := s.rpcCores.Submit(s.p.RPCHandlerCPUTime, nil)
 	dispatchWait := start.Sub(s.e.Now()) - s.p.RPCHandlerCPUTime
 	s.e.Schedule(dispatchWait+s.takeQPDebt(sc), func() {
-		reply, extraCPU := s.handler(payload)
+		reply, extraCPU := s.Handler()(payload)
 		if extraCPU > 0 {
 			s.rpcCores.Submit(extraCPU, nil)
 		}
@@ -755,11 +636,11 @@ func (s *Server) finish(sc *serverConn, resp *wire.Response) {
 }
 
 func (s *Server) respond(sc *serverConn, resp *wire.Response) {
-	if wireCheck {
+	if transport.WireCheckEnabled() {
 		if sc.wcheck == nil {
-			sc.wcheck = &wireState{}
+			sc.wcheck = &transport.WireCheckState{}
 		}
-		sc.wcheck.checkResponse(resp)
+		sc.wcheck.CheckResponseRoundTrip(resp)
 	}
 	s.net.Send(fabric.Message{
 		From:    s.node,

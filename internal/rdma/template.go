@@ -29,22 +29,22 @@ type ServerTemplate struct {
 // read-only (its space is sealed) — capture a throwaway build, then
 // instantiate working servers from the template.
 func (s *Server) Capture() *ServerTemplate {
-	if len(s.conns) != 0 || s.tempRegion != nil {
+	if len(s.conns) != 0 { // connections are never removed, so none also means no temp region
 		panic("rdma: Capture with connections established")
 	}
-	if s.quiescer.InFlight() != 0 {
+	if s.Quiescer().InFlight() != 0 {
 		panic("rdma: Capture with in-flight operations")
 	}
 	t := &ServerTemplate{
-		snap:      s.space.Snapshot(),
-		freeLists: make(map[uint32]*alloc.FreeList, len(s.exec.FreeLists)),
-		tempKey:   s.tempKey,
+		snap:      s.Space().Snapshot(),
+		freeLists: make(map[uint32]*alloc.FreeList, len(s.FreeLists())),
+		tempKey:   s.TempKey(),
 	}
-	for id, fl := range s.exec.FreeLists {
+	for id, fl := range s.FreeLists() {
 		if fl.Pending() != 0 {
 			panic(fmt.Sprintf("rdma: Capture with %d buffers pending recycle on free list %d", fl.Pending(), id))
 		}
-		t.freeLists[id] = fl.Clone(s.space)
+		t.freeLists[id] = fl.Clone(s.Space())
 	}
 	return t
 }
@@ -67,8 +67,8 @@ func NewServerFromTemplate(net *fabric.Network, name string, deploy model.Deploy
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		s.exec.FreeLists[id] = t.freeLists[id].Clone(s.space)
+		s.AddFreeList(t.freeLists[id].Clone(s.Space()))
 	}
-	s.tempKey = t.tempKey
+	s.SetConnTempKey(t.tempKey)
 	return s
 }

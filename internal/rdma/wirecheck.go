@@ -1,87 +1,17 @@
 package rdma
 
-import (
-	"bytes"
-	"fmt"
-
-	"prism/internal/transport"
-	"prism/internal/wire"
-)
-
-// Wire-check mode. The fabric carries *wire.Request/*wire.Response
-// pointers and charges bandwidth from RequestWireSize/ResponseWireSize,
-// so the byte codec is normally off the hot path. With wire check
-// enabled, every transmitted message is append-encoded into
-// connection-owned scratch, alias-decoded back (borrowing the scratch,
-// no copies), and verified field-for-field against the in-memory
-// message — proving on live traffic that the wire layout, the alias
-// decoders, and the size accounting agree. Off by default; tests and
-// debugging sessions opt in before the simulation runs.
-
-var wireCheck bool
+import "prism/internal/transport"
 
 // SetWireCheck toggles wire-check mode for subsequently transmitted
-// messages. Not safe to flip while a multi-domain simulation is running;
-// set it before Engine.Run. The switch forwards to the live stream
-// transports (transport.SetWireCheck), so one call covers every
-// transport a process uses.
-func SetWireCheck(on bool) {
-	wireCheck = on
-	transport.SetWireCheck(on)
-}
-
-// wireState is the per-connection scratch wire-check encodes into and
-// decodes from. Per connection, so domain-parallel simulations check
-// without sharing buffers across goroutines.
-type wireState struct {
-	buf  []byte
-	req  wire.Request
-	resp wire.Response
-}
-
-func (ws *wireState) checkRequest(req *wire.Request) {
-	ws.buf = wire.AppendRequest(ws.buf[:0], req)
-	if len(ws.buf) != wire.RequestWireSize(req) {
-		panic(fmt.Sprintf("rdma: wire check: encoded request is %d bytes, RequestWireSize says %d",
-			len(ws.buf), wire.RequestWireSize(req)))
-	}
-	if err := wire.DecodeRequestAlias(&ws.req, ws.buf); err != nil {
-		panic(fmt.Sprintf("rdma: wire check: request round trip: %v", err))
-	}
-	if ws.req.Conn != req.Conn || ws.req.Seq != req.Seq || ws.req.Epoch != req.Epoch ||
-		len(ws.req.Ops) != len(req.Ops) {
-		panic("rdma: wire check: request header mismatch after round trip")
-	}
-	for i := range req.Ops {
-		a, b := &req.Ops[i], &ws.req.Ops[i]
-		if a.Code != b.Code || a.Flags != b.Flags || a.Mode != b.Mode ||
-			a.RKey != b.RKey || a.Target != b.Target || a.Len != b.Len ||
-			a.FreeList != b.FreeList || a.RedirectTo != b.RedirectTo ||
-			!bytes.Equal(a.Data, b.Data) ||
-			!bytes.Equal(a.CompareMask, b.CompareMask) ||
-			!bytes.Equal(a.SwapMask, b.SwapMask) {
-			panic(fmt.Sprintf("rdma: wire check: op %d mismatch after round trip", i))
-		}
-	}
-}
-
-func (ws *wireState) checkResponse(resp *wire.Response) {
-	ws.buf = wire.AppendResponse(ws.buf[:0], resp)
-	if len(ws.buf) != wire.ResponseWireSize(resp) {
-		panic(fmt.Sprintf("rdma: wire check: encoded response is %d bytes, ResponseWireSize says %d",
-			len(ws.buf), wire.ResponseWireSize(resp)))
-	}
-	if err := wire.DecodeResponseAlias(&ws.resp, ws.buf); err != nil {
-		panic(fmt.Sprintf("rdma: wire check: response round trip: %v", err))
-	}
-	if ws.resp.Conn != resp.Conn || ws.resp.Seq != resp.Seq || ws.resp.Epoch != resp.Epoch ||
-		len(ws.resp.Results) != len(resp.Results) {
-		panic("rdma: wire check: response header mismatch after round trip")
-	}
-	for i := range resp.Results {
-		a, b := &resp.Results[i], &ws.resp.Results[i]
-		if a.Status != b.Status || a.Addr != b.Addr || !bytes.Equal(a.Data, b.Data) {
-			panic(fmt.Sprintf("rdma: wire check: result %d mismatch after round trip", i))
-		}
-	}
-}
+// messages, on every transport a process uses (it is
+// transport.SetWireCheck). The fabric carries *wire.Request/*wire.Response
+// pointers and charges bandwidth from RequestWireSize/ResponseWireSize, so
+// the byte codec is normally off the simulated hot path. With wire check
+// enabled, every transmitted message is append-encoded into
+// connection-owned scratch (a transport.WireCheckState per connection end,
+// so domain-parallel simulations share no buffers), alias-decoded back, and
+// verified field-for-field against the in-memory message — proving on live
+// traffic that the wire layout, the alias decoders, and the size accounting
+// agree. Off by default; tests and debugging sessions opt in before the
+// simulation runs.
+func SetWireCheck(on bool) { transport.SetWireCheck(on) }

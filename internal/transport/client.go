@@ -43,7 +43,7 @@ type Client struct {
 	downOnce  sync.Once
 
 	resp wire.Response   // demux alias-decode scratch
-	wcR  *wireCheckState // receive side, demux only
+	wcR  *WireCheckState // receive side, demux only
 }
 
 type acceptInfo struct {
@@ -403,7 +403,7 @@ func (c *Client) demux() {
 			}
 			if WireCheckEnabled() {
 				if c.wcR == nil {
-					c.wcR = &wireCheckState{}
+					c.wcR = &WireCheckState{}
 				}
 				c.wcR.checkResponseBytes(&c.resp, body)
 			}

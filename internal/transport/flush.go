@@ -51,7 +51,7 @@ type flusher struct {
 	closed bool
 	err    error
 
-	wc *wireCheckState // send-side wirecheck scratch, under mu
+	wc *WireCheckState // send-side wirecheck scratch, under mu
 
 	writes, frames, bytes int64 // syscall telemetry, under mu
 }
@@ -97,9 +97,9 @@ func (f *flusher) stageRequest(req *wire.Request, kick bool) error {
 	}
 	if WireCheckEnabled() {
 		if f.wc == nil {
-			f.wc = &wireCheckState{}
+			f.wc = &WireCheckState{}
 		}
-		f.wc.checkRequestRoundTrip(req)
+		f.wc.CheckRequestRoundTrip(req)
 	}
 	start := len(f.stage)
 	f.stage = append(f.stage, 0, 0, 0, 0, frameRequest)

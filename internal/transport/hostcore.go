@@ -1,0 +1,184 @@
+package transport
+
+import (
+	"fmt"
+
+	"prism/internal/alloc"
+	"prism/internal/memory"
+)
+
+// ConnTempSize is the per-connection temporary buffer used as the redirect
+// target in chains. §4.2 argues 32 B per connection suffices for the
+// paper's applications; we provision 256 B (eight 32 B chain slots) so a
+// transaction that installs several keys on one shard can run its commit
+// chains concurrently, each against its own slot — still far below the
+// ~375 B of existing per-connection QP state the paper compares against.
+// TempSlotSize is the stride applications use to carve it into independent
+// chain slots.
+const (
+	ConnTempSize = 256
+	TempSlotSize = 32
+)
+
+// HostCore is the Host half of a server, written once: the memory space,
+// the free lists ALLOCATE pops from, the quiescer that gates buffer reuse
+// (§3.2), the two-sided RPC hook and the per-connection temp-buffer
+// region. The simulated NIC (rdma.Server) and the live socket server
+// (Server) both embed it; what they add is how requests arrive and what
+// they cost.
+//
+// Everything that touches shared state takes the space guard, on both
+// transports: the live server's sockets contend on it, and in the
+// simulator — one goroutine per server's event domain, which holds the
+// guard nowhere else — it is uncontended and costs an atomic.
+type HostCore struct {
+	space     *memory.Space
+	freeLists map[uint32]*alloc.FreeList
+	quiescer  *alloc.Quiescer
+	handler   RPCHandler
+
+	tempKey    memory.RKey
+	tempRegion *memory.Region
+	tempUsed   uint64
+}
+
+// NewHostCore returns the provisioning state of a server over space.
+func NewHostCore(space *memory.Space) HostCore {
+	return HostCore{
+		space:     space,
+		freeLists: make(map[uint32]*alloc.FreeList),
+		quiescer:  alloc.NewQuiescer(),
+	}
+}
+
+// Space exposes the server's memory for registration and CPU-side
+// access. CPU-side access concurrent with live serving must hold
+// Space().Guard.
+func (h *HostCore) Space() *memory.Space { return h.space }
+
+// AddFreeList registers a free list with the NIC for ALLOCATE. Call
+// during provisioning, before serving.
+func (h *HostCore) AddFreeList(fl *alloc.FreeList) {
+	if _, dup := h.freeLists[fl.ID]; dup {
+		panic(fmt.Sprintf("transport: duplicate free list id %d", fl.ID))
+	}
+	h.freeLists[fl.ID] = fl
+}
+
+// FreeList returns a registered free list.
+func (h *HostCore) FreeList(id uint32) *alloc.FreeList { return h.freeLists[id] }
+
+// FreeLists is the registered free lists by id: the map executors pop
+// from and server templates clone. Read-only to callers.
+func (h *HostCore) FreeLists() map[uint32]*alloc.FreeList { return h.freeLists }
+
+// Quiescer tracks the in-flight operations of this server; the transports
+// bracket each executed request (or wakeup batch) with OpStart/OpEnd.
+func (h *HostCore) Quiescer() *alloc.Quiescer { return h.quiescer }
+
+// SetRPCHandler installs the two-sided dispatch target.
+func (h *HostCore) SetRPCHandler(fn RPCHandler) { h.handler = fn }
+
+// Handler returns the installed RPC handler (nil when none).
+func (h *HostCore) Handler() RPCHandler { return h.handler }
+
+// RecycleBuffers returns client-released buffers to their free list once
+// all in-flight operations drain (§3.2's reuse rule): one guard
+// acquisition and one quiesce wait for the lot. Typically invoked from an
+// RPC handler fed by the application's reclamation protocol; safe to call
+// from application goroutines on a live server.
+func (h *HostCore) RecycleBuffers(freeList uint32, addrs []memory.Addr) {
+	fl, ok := h.freeLists[freeList]
+	if !ok {
+		panic(fmt.Sprintf("transport: recycle to unknown free list %d", freeList))
+	}
+	g := h.space.Guard()
+	g.Lock()
+	for _, a := range addrs {
+		fl.Recycle(a)
+	}
+	fl.FlushWhenQuiet(h.quiescer)
+	g.Unlock()
+}
+
+// Quiesce runs fn once every operation currently in flight has completed
+// (immediately when idle). Server applications use it for reclamation
+// decisions that must not race in-flight chains (§3.2). fn may run with
+// the space guard held — always on a live server, and on any server when
+// it is idle at the call — so it must not take the guard itself: no
+// Quiesce, RecycleBuffers or guarded application call (kv.Server.Load)
+// from inside fn. The guard is not reentrant; such a call deadlocks.
+func (h *HostCore) Quiesce(fn func()) {
+	g := h.space.Guard()
+	g.Lock()
+	h.quiescer.AfterQuiesce(fn)
+	g.Unlock()
+}
+
+// SetConnTempKey selects the protection domain in which per-connection
+// temporary buffers are allocated, so chains can traverse from application
+// metadata to the temp buffer under one rkey. Must be called before the
+// first connection.
+func (h *HostCore) SetConnTempKey(key memory.RKey) {
+	if h.tempRegion != nil {
+		panic("transport: SetConnTempKey after connections exist")
+	}
+	h.tempKey = key
+}
+
+// TempKey returns the rkey protecting connection temp buffers.
+func (h *HostCore) TempKey() memory.RKey { return h.tempKey }
+
+// AllocConnTemp carves a per-connection temp buffer, registering a new
+// backing region (under the space guard) when the current one fills.
+// Transports call it once per accepted connection and serialize the calls
+// themselves: the live server under its accept lock, the simulator by
+// running each server on one event domain.
+func (h *HostCore) AllocConnTemp() memory.Addr {
+	const regionBufs = 1024
+	if h.tempRegion == nil || h.tempUsed+ConnTempSize > h.tempRegion.Len {
+		g := h.space.Guard()
+		g.Lock()
+		var r *memory.Region
+		var err error
+		if h.tempKey != 0 {
+			r, err = h.space.RegisterShared(h.tempKey, ConnTempSize*regionBufs)
+		} else {
+			r, err = h.space.Register(ConnTempSize * regionBufs)
+			if err == nil {
+				h.tempKey = r.Key
+			}
+		}
+		g.Unlock()
+		if err != nil {
+			panic(fmt.Sprintf("transport: temp region registration failed: %v", err))
+		}
+		h.tempRegion = r
+		h.tempUsed = 0
+	}
+	addr := h.tempRegion.Base + memory.Addr(h.tempUsed)
+	h.tempUsed += ConnTempSize
+	return addr
+}
+
+// CarveArena allocates n bytes from a response-payload arena (the
+// executor's ReadAlloc hook on both transports). When the arena must
+// grow, earlier carvings keep the old backing array alive and the request
+// continues on the new one.
+func CarveArena(arena *[]byte, n uint64) []byte {
+	buf := *arena
+	if uint64(cap(buf)-len(buf)) < n {
+		c := 2 * cap(buf)
+		if c < int(n) {
+			c = int(n)
+		}
+		if c < 1024 {
+			c = 1024
+		}
+		buf = make([]byte, 0, c)
+	}
+	off := len(buf)
+	buf = buf[:off+int(n)]
+	*arena = buf
+	return buf[off:]
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"prism/internal/memory"
 	"prism/internal/wire"
 )
 
@@ -16,7 +17,7 @@ import (
 
 // TestConnectCoalescedWithVerbsBatch drives a connect frame into the
 // same server wakeup batch as a verbs request, at the exact point where
-// allocConnTemp must register a fresh temp region. handleConnect used
+// AllocConnTemp must register a fresh temp region. handleConnect used
 // to run with the batch's amortized space guard still held (inVerbs set
 // by the earlier request frame), so the registration's guard acquisition
 // self-deadlocked — permanently, holding the global guard.
@@ -31,7 +32,7 @@ func TestConnectCoalescedWithVerbsBatch(t *testing.T) {
 		t.Fatalf("NewClientConn: %v", err)
 	}
 
-	// Fill the first temp region exactly (allocConnTemp carves
+	// Fill the first temp region exactly (AllocConnTemp carves
 	// regionBufs = 1024 ConnTempSize slots per region), so the coalesced
 	// connect below is the one that must register a new region under the
 	// space guard.
@@ -163,5 +164,37 @@ func TestFlushStatsSkipFailedWrites(t *testing.T) {
 	}
 	if w, fr, b := f.stats(); w != 0 || fr != 0 || b != 0 {
 		t.Fatalf("stats after failed write = %d writes, %d frames, %d bytes; want all zero", w, fr, b)
+	}
+}
+
+// TestQuiesceRunsUnderGuard pins the contract the simulated and live
+// servers now share through HostCore: an immediately-ready Quiesce
+// callback runs with the space guard held, a deferred one runs wherever
+// the last in-flight op ends, and either way the callback must not take
+// the guard itself (it is not reentrant).
+func TestQuiesceRunsUnderGuard(t *testing.T) {
+	h := NewHostCore(memory.NewSpace())
+	ran := false
+	h.Quiesce(func() {
+		ran = true
+		if h.Space().Guard().TryLock() {
+			t.Error("idle Quiesce ran its callback without the space guard")
+		}
+	})
+	if !ran {
+		t.Fatal("idle Quiesce did not run its callback")
+	}
+	tok := h.Quiescer().OpStart()
+	ran = false
+	h.Quiesce(func() { ran = true })
+	if ran {
+		t.Fatal("Quiesce ran its callback with an operation in flight")
+	}
+	h.Quiescer().OpEnd(tok)
+	if !ran {
+		t.Fatal("deferred Quiesce callback did not run when the operation ended")
+	}
+	if !h.Space().Guard().TryLock() {
+		t.Fatal("Quiesce left the space guard held")
 	}
 }

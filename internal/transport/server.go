@@ -52,14 +52,6 @@ func ReclamationHandler(h Host, op byte, freeList uint32) RPCHandler {
 	}
 }
 
-// ConnTempSize/TempSlotSize mirror the simulated NIC's per-connection
-// temporary-buffer provisioning (rdma.ConnTempSize): the redirect
-// target for chains, carved into TempSlotSize chain slots.
-const (
-	ConnTempSize = 256
-	TempSlotSize = 32
-)
-
 // ServerBatch is the per-wakeup frame budget: how many already-buffered
 // frames one socket wakeup may serve — under one space-guard acquisition,
 // into one response flush — before the guard is released and the staged
@@ -85,10 +77,9 @@ var ErrServerClosed = errors.New("transport: server closed")
 // granularity, which the §3.3/§3.5 contract permits: it specifies
 // per-primitive atomicity, not an interleaving schedule.
 type Server struct {
-	space     *memory.Space
-	freeLists map[uint32]*alloc.FreeList
-	quiescer  *alloc.Quiescer
-	handler   RPCHandler
+	// HostCore is the provisioning half (Host): space, free lists,
+	// quiescer, RPC hook, connection temp buffers.
+	HostCore
 
 	// batch is ServerBatch; a field only so the batching tests can lower
 	// it to 1, the serve-and-flush-per-frame reference (export_test.go).
@@ -103,16 +94,14 @@ type Server struct {
 	rpcMu sync.Mutex
 
 	// mu guards the accept-side bookkeeping: listeners, sockets, the
-	// logical-connection counter, temp-region carving, and draining.
-	mu         sync.Mutex
-	tempKey    memory.RKey
-	tempRegion *memory.Region
-	tempUsed   uint64
-	nextConn   uint64
-	listeners  []net.Listener
-	socks      map[*srvSock]struct{}
-	draining   bool
-	wg         sync.WaitGroup
+	// logical-connection counter, temp-region carving (AllocConnTemp), and
+	// draining.
+	mu        sync.Mutex
+	nextConn  uint64
+	listeners []net.Listener
+	socks     map[*srvSock]struct{}
+	draining  bool
+	wg        sync.WaitGroup
 
 	// Stats (atomic: bumped by every socket goroutine).
 	RequestsServed atomic.Int64
@@ -142,112 +131,20 @@ type Server struct {
 // application provisioning (Host) and then Serve.
 func NewServer() *Server {
 	return &Server{
-		space:     memory.NewSpace(),
-		freeLists: make(map[uint32]*alloc.FreeList),
-		quiescer:  alloc.NewQuiescer(),
-		socks:     make(map[*srvSock]struct{}),
-		batch:     ServerBatch,
+		HostCore: NewHostCore(memory.NewSpace()),
+		socks:    make(map[*srvSock]struct{}),
+		batch:    ServerBatch,
 	}
-}
-
-// Space exposes the server's memory for registration and CPU-side
-// access. CPU-side access concurrent with serving must hold
-// Space().Guard.
-func (s *Server) Space() *memory.Space { return s.space }
-
-// AddFreeList registers a free list with the NIC for ALLOCATE. Call
-// during provisioning, before Serve.
-func (s *Server) AddFreeList(fl *alloc.FreeList) {
-	if _, dup := s.freeLists[fl.ID]; dup {
-		panic(fmt.Sprintf("transport: duplicate free list id %d", fl.ID))
-	}
-	s.freeLists[fl.ID] = fl
-}
-
-// FreeList returns a registered free list.
-func (s *Server) FreeList(id uint32) *alloc.FreeList { return s.freeLists[id] }
-
-// SetRPCHandler installs the two-sided dispatch target.
-func (s *Server) SetRPCHandler(h RPCHandler) { s.handler = h }
-
-// SetConnTempKey selects the protection domain in which per-connection
-// temporary buffers are allocated. Must be called before the first
-// connection.
-func (s *Server) SetConnTempKey(key memory.RKey) {
-	if s.tempRegion != nil {
-		panic("transport: SetConnTempKey after connections exist")
-	}
-	s.tempKey = key
-}
-
-// TempKey returns the rkey protecting connection temp buffers.
-func (s *Server) TempKey() memory.RKey { return s.tempKey }
-
-// RecycleBuffers returns client-released buffers to their free list once
-// all in-flight operations drain (§3.2's reuse rule): one guard
-// acquisition and one quiesce wait for the lot. Safe to call from RPC
-// handlers and application goroutines.
-func (s *Server) RecycleBuffers(freeList uint32, addrs []memory.Addr) {
-	fl, ok := s.freeLists[freeList]
-	if !ok {
-		panic(fmt.Sprintf("transport: recycle to unknown free list %d", freeList))
-	}
-	g := s.space.Guard()
-	g.Lock()
-	for _, a := range addrs {
-		fl.Recycle(a)
-	}
-	fl.FlushWhenQuiet(s.quiescer)
-	g.Unlock()
-}
-
-// Quiesce runs fn once every operation currently in flight has
-// completed (immediately when idle). fn runs with the space guard held.
-func (s *Server) Quiesce(fn func()) {
-	g := s.space.Guard()
-	g.Lock()
-	s.quiescer.AfterQuiesce(fn)
-	g.Unlock()
-}
-
-// allocConnTemp carves a per-connection temp buffer, registering a new
-// backing region when the current one fills. Caller holds s.mu; the
-// space guard is taken for the registration only.
-func (s *Server) allocConnTemp() memory.Addr {
-	const regionBufs = 1024
-	if s.tempRegion == nil || s.tempUsed+ConnTempSize > s.tempRegion.Len {
-		g := s.space.Guard()
-		g.Lock()
-		var r *memory.Region
-		var err error
-		if s.tempKey != 0 {
-			r, err = s.space.RegisterShared(s.tempKey, ConnTempSize*regionBufs)
-		} else {
-			r, err = s.space.Register(ConnTempSize * regionBufs)
-			if err == nil {
-				s.tempKey = r.Key
-			}
-		}
-		g.Unlock()
-		if err != nil {
-			panic(fmt.Sprintf("transport: temp region registration failed: %v", err))
-		}
-		s.tempRegion = r
-		s.tempUsed = 0
-	}
-	addr := s.tempRegion.Base + memory.Addr(s.tempUsed)
-	s.tempUsed += ConnTempSize
-	return addr
 }
 
 // addSock builds and registers the per-socket state, refusing sockets
 // once a drain has begun.
 func (s *Server) addSock(nc net.Conn) (*srvSock, error) {
 	sk := &srvSock{s: s, nc: nc, fr: NewFrameReader(nc), fw: NewFrameWriter(nc)}
-	sk.exec = &prism.Executor{Space: s.space, FreeLists: s.freeLists}
+	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists()}
 	sk.exec.ReadAlloc = sk.carve
 	sk.conns = make(map[uint64]*liveConn)
-	sk.guard = s.space.Guard()
+	sk.guard = s.Space().Guard()
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -381,40 +278,22 @@ type srvSock struct {
 	results []wire.Result // reused results storage
 	payload []byte        // response payload arena, reset per request
 	opMeta  prism.OpMeta  // ExecInto out-param scratch (escape analysis)
-	wc      *wireCheckState
+	wc      *WireCheckState
 	greeted bool
 
 	batches, batchFrames int64 // wakeup telemetry, owner goroutine only
 }
 
-func (sk *srvSock) wcheck() *wireCheckState {
+func (sk *srvSock) wcheck() *WireCheckState {
 	if sk.wc == nil {
-		sk.wc = &wireCheckState{}
+		sk.wc = &WireCheckState{}
 	}
 	return sk.wc
 }
 
-// carve allocates n bytes from the socket's response payload arena
-// (the executor's ReadAlloc hook). When the arena must grow, earlier
-// carvings keep the old backing array alive and the request continues
-// on the new one.
-func (sk *srvSock) carve(n uint64) []byte {
-	buf := sk.payload
-	if uint64(cap(buf)-len(buf)) < n {
-		c := 2 * cap(buf)
-		if c < int(n) {
-			c = int(n)
-		}
-		if c < 1024 {
-			c = 1024
-		}
-		buf = make([]byte, 0, c)
-	}
-	off := len(buf)
-	buf = buf[:off+int(n)]
-	sk.payload = buf
-	return buf[off:]
-}
+// carve allocates n bytes from the socket's response payload arena (the
+// executor's ReadAlloc hook).
+func (sk *srvSock) carve(n uint64) []byte { return CarveArena(&sk.payload, n) }
 
 // beginVerbs acquires the amortized batch guard if not already held.
 func (sk *srvSock) beginVerbs() {
@@ -422,7 +301,7 @@ func (sk *srvSock) beginVerbs() {
 		return
 	}
 	sk.guard.Lock()
-	sk.tok = sk.s.quiescer.OpStart()
+	sk.tok = sk.s.Quiescer().OpStart()
 	sk.inVerbs = true
 }
 
@@ -431,7 +310,7 @@ func (sk *srvSock) endVerbs() {
 	if !sk.inVerbs {
 		return
 	}
-	sk.s.quiescer.OpEnd(sk.tok)
+	sk.s.Quiescer().OpEnd(sk.tok)
 	sk.guard.Unlock()
 	sk.inVerbs = false
 }
@@ -509,17 +388,17 @@ func (sk *srvSock) loop() {
 // carrying its id and temp-buffer coordinates. The wakeup batch's
 // amortized space guard is released first (as serveRPC does): a connect
 // frame can coalesce into the same wakeup batch as request frames, and
-// allocConnTemp takes the guard when the temp region fills — holding it
+// AllocConnTemp takes the guard when the temp region fills — holding it
 // here would self-deadlock on the non-reentrant guard, and the
-// guard→s.mu order would invert allocConnTemp's s.mu→guard order.
+// guard→s.mu order would invert AllocConnTemp's s.mu→guard order.
 func (sk *srvSock) handleConnect() error {
 	sk.endVerbs()
 	s := sk.s
 	s.mu.Lock()
 	id := s.nextConn
 	s.nextConn++
-	temp := s.allocConnTemp()
-	key := s.tempKey
+	temp := s.AllocConnTemp()
+	key := s.TempKey()
 	s.mu.Unlock()
 	sk.conns[id] = &liveConn{id: id, tempAddr: temp, lastOK: true}
 	s.ConnsAccepted.Add(1)
@@ -562,7 +441,7 @@ func (sk *srvSock) serveRequest(body []byte) error {
 
 	sk.resp.Conn, sk.resp.Seq, sk.resp.Epoch, sk.resp.Results = req.Conn, req.Seq, req.Epoch, results
 	if WireCheckEnabled() {
-		sk.wcheck().checkResponseRoundTrip(&sk.resp)
+		sk.wcheck().CheckResponseRoundTrip(&sk.resp)
 	}
 	return sk.fw.StageResponse(&sk.resp)
 }
@@ -604,12 +483,13 @@ func (sk *srvSock) serveVerbs(lc *liveConn, req *wire.Request, results []wire.Re
 func (sk *srvSock) serveRPC(req *wire.Request, results []wire.Result) {
 	sk.endVerbs()
 	s := sk.s
-	if s.handler == nil {
+	handler := s.Handler()
+	if handler == nil {
 		results[0] = wire.Result{Status: wire.StatusUnsupported}
 		return
 	}
 	s.rpcMu.Lock()
-	reply, _ := s.handler(req.Ops[0].Data)
+	reply, _ := handler(req.Ops[0].Data)
 	var data []byte
 	if len(reply) > 0 {
 		data = sk.carve(uint64(len(reply)))

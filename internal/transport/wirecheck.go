@@ -11,18 +11,18 @@ import (
 // outgoing message through the codec and compare fields; receivers
 // re-encode every alias-decoded message and compare it byte-for-byte
 // against the frame on the wire, proving the peer sent the canonical
-// encoding and the alias decoders lost nothing. One wireCheckState per
+// encoding and the alias decoders lost nothing. One WireCheckState per
 // socket side, so checking never shares buffers across goroutines.
-type wireCheckState struct {
+type WireCheckState struct {
 	buf  []byte
 	req  wire.Request
 	resp wire.Response
 }
 
-// checkRequestRoundTrip verifies req encodes to RequestWireSize bytes
-// and survives encode → alias-decode with every field intact. Client
-// side, before send.
-func (ws *wireCheckState) checkRequestRoundTrip(req *wire.Request) {
+// CheckRequestRoundTrip verifies req encodes to RequestWireSize bytes
+// and survives encode → alias-decode with every field intact, panicking
+// otherwise. Client side, before send.
+func (ws *WireCheckState) CheckRequestRoundTrip(req *wire.Request) {
 	ws.buf = wire.AppendRequest(ws.buf[:0], req)
 	if len(ws.buf) != wire.RequestWireSize(req) {
 		panic(fmt.Sprintf("transport: wire check: encoded request is %d bytes, RequestWireSize says %d",
@@ -39,7 +39,7 @@ func (ws *wireCheckState) checkRequestRoundTrip(req *wire.Request) {
 // checkRequestBytes verifies that re-encoding the alias-decoded req
 // reproduces the received frame exactly — the peer's bytes are
 // canonical and the decode lost nothing. Server side, after decode.
-func (ws *wireCheckState) checkRequestBytes(req *wire.Request, frame []byte) {
+func (ws *WireCheckState) checkRequestBytes(req *wire.Request, frame []byte) {
 	ws.buf = wire.AppendRequest(ws.buf[:0], req)
 	if !bytes.Equal(ws.buf, frame) {
 		panic("transport: wire check: received request bytes are not the canonical encoding")
@@ -50,10 +50,10 @@ func (ws *wireCheckState) checkRequestBytes(req *wire.Request, frame []byte) {
 	}
 }
 
-// checkResponseRoundTrip verifies resp encodes to ResponseWireSize
-// bytes and survives encode → alias-decode intact. Server side, before
-// send.
-func (ws *wireCheckState) checkResponseRoundTrip(resp *wire.Response) {
+// CheckResponseRoundTrip verifies resp encodes to ResponseWireSize
+// bytes and survives encode → alias-decode intact, panicking otherwise.
+// Server side, before send.
+func (ws *WireCheckState) CheckResponseRoundTrip(resp *wire.Response) {
 	ws.buf = wire.AppendResponse(ws.buf[:0], resp)
 	if len(ws.buf) != wire.ResponseWireSize(resp) {
 		panic(fmt.Sprintf("transport: wire check: encoded response is %d bytes, ResponseWireSize says %d",
@@ -69,7 +69,7 @@ func (ws *wireCheckState) checkResponseRoundTrip(resp *wire.Response) {
 
 // checkResponseBytes verifies that re-encoding the alias-decoded resp
 // reproduces the received frame exactly. Client side, after decode.
-func (ws *wireCheckState) checkResponseBytes(resp *wire.Response, frame []byte) {
+func (ws *WireCheckState) checkResponseBytes(resp *wire.Response, frame []byte) {
 	ws.buf = wire.AppendResponse(ws.buf[:0], resp)
 	if !bytes.Equal(ws.buf, frame) {
 		panic("transport: wire check: received response bytes are not the canonical encoding")
