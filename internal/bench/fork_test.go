@@ -125,26 +125,47 @@ func resetTemplateCache() {
 }
 
 // TestPilafTemplateBuildDeterministic rebuilds the Pilaf template from
-// scratch and checks a measurement point reproduces exactly. (Pilaf loads
-// via engine-staged tear-delayed stores, so unlike the other systems its
-// fresh path is not directly comparable; template-build determinism is the
-// equivalent guarantee.)
+// scratch and checks a measurement point reproduces exactly, from either
+// template and from a store loaded directly on the point's own fabric —
+// Pilaf's bulk load is settled when it returns, so building it schedules
+// nothing anywhere and the three are distinguishable only if the template
+// (its forked memory, its read-through index) leaks or loses state.
 func TestPilafTemplateBuildDeterministic(t *testing.T) {
 	cfg := tiny()
-	sys := system{"Pilaf", pilaf(model.SoftwarePRISM, rackFabric)}
-	measure := func() Point {
-		pt, _ := runPoint(cfg, "forkeq-pilaf", sys, load{readFrac: 0.5}, clientsKey(32), 32)
+	measure := func(build builder) Point {
+		pt, _ := runPoint(cfg, "forkeq-pilaf", system{"Pilaf", build}, load{readFrac: 0.5}, clientsKey(32), 32)
 		return pt
 	}
-	a := measure()
+	forked := pilaf(model.SoftwarePRISM, rackFabric)
+	a := measure(forked)
 	sum1 := spaceChecksum(t, pilafTemplate(cfg).NIC().Snapshot().Space())
 	resetTemplateCache()
-	b := measure()
+	b := measure(forked)
 	sum2 := spaceChecksum(t, pilafTemplate(cfg).NIC().Snapshot().Space())
 	if a != b {
 		t.Fatalf("point from rebuilt template differs: %+v vs %+v", a, b)
 	}
 	if sum1 != sum2 {
 		t.Fatalf("independently built templates differ: %#x vs %#x", sum1, sum2)
+	}
+	fresh := measure(func(cfg Config, seed int64, w load) cluster {
+		v := newEnv(cfg, seed, w, rackFabric(cfg))
+		return v.pilafCluster(loadPilaf(v.net, cfg))
+	})
+	if a != fresh || fresh.Throughput == 0 {
+		t.Fatalf("forked %+v != fresh %+v", a, fresh)
+	}
+}
+
+// TestPilafTemplateBuildSchedulesNothing: the load leaves no event behind
+// on any domain of the build fabric, so the template needs no engine drain
+// before Capture (it used to stage 3 tear-delayed stores per key).
+func TestPilafTemplateBuildSchedulesNothing(t *testing.T) {
+	cfg := tiny()
+	v := newEnv(cfg, 0, load{}, rackFabric(cfg)) // as cachedTemplate builds
+	loadPilaf(v.net, cfg)
+	v.e.Run()
+	if fired := v.e.World().Stats().EventsExecuted; fired != 0 {
+		t.Fatalf("loading the Pilaf template scheduled %d events", fired)
 	}
 }

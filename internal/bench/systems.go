@@ -131,26 +131,31 @@ func prismKV(deploy model.Deployment, params func(Config) model.Params, t kvTune
 	}
 }
 
+func loadPilaf(net *fabric.Network, cfg Config) *kv.PilafServer {
+	srv, err := kv.NewPilafServer(rdma.NewServer(net, "server", model.SoftwarePRISM),
+		kv.DefaultOptions(cfg.Keys, cfg.ValueSize))
+	must(err)
+	loadKeys(cfg.ValueSize, cfg.Keys, srv.Load)
+	return srv
+}
+
 func pilafTemplate(cfg Config) *kv.PilafTemplate {
 	return cachedTemplate("pilaf", cfg, 0, func(v *env) *kv.PilafTemplate {
-		srv, err := kv.NewPilafServer(rdma.NewServer(v.net, "server", model.SoftwarePRISM),
-			kv.DefaultOptions(cfg.Keys, cfg.ValueSize))
-		must(err)
-		loadKeys(cfg.ValueSize, cfg.Keys, srv.Load)
-		// Pilaf stages tear-delayed stores on the engine; drain them so the
-		// captured image is fully settled.
-		v.e.Run()
-		return srv.Capture()
+		return loadPilaf(v.net, cfg).Capture()
+	})
+}
+
+// pilafCluster attaches Pilaf clients to srv.
+func (v *env) pilafCluster(srv *kv.PilafServer) cluster {
+	return v.mix(func(m *rdma.Client, _ int) store {
+		return kv.NewPilafClient(m.Connect(srv.NIC()), srv.Meta(), v.p.PilafCRCCost)
 	})
 }
 
 func pilaf(deploy model.Deployment, params func(Config) model.Params) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, params(cfg))
-		srv := kv.NewPilafServerFromTemplate(v.net, "server", deploy, pilafTemplate(cfg))
-		return v.mix(func(m *rdma.Client, _ int) store {
-			return kv.NewPilafClient(m.Connect(srv.NIC()), srv.Meta(), v.p.PilafCRCCost)
-		})
+		return v.pilafCluster(kv.NewPilafServerFromTemplate(v.net, "server", deploy, pilafTemplate(cfg)))
 	}
 }
 

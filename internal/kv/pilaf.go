@@ -6,6 +6,7 @@ import (
 	"hash/crc64"
 	"time"
 
+	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
 	"prism/internal/rdma"
@@ -37,10 +38,8 @@ type PilafServer struct {
 	rs   *rdma.Server
 	meta PilafMeta
 
-	space      *memory.Space
-	extents    *memory.Region
-	extentNext uint64
-	freeSlots  [][2]uint64 // recycled extents: {offset, size}
+	space   *memory.Space
+	extents pilafExtents
 
 	// index and slotOwner are the server CPU's coherent view of the hash
 	// table. The CPU's stores to simulated memory are staged (so remote
@@ -48,8 +47,8 @@ type PilafServer struct {
 	// but a CPU always sees its own stores via store forwarding — so
 	// server-side lookups must come from here, never from re-reading the
 	// (possibly still-staged) simulated memory.
-	index     map[int64]pilafRef // key -> current extent
-	slotOwner map[int64]int64    // slot index -> key
+	index     forkedMap[pilafRef] // key -> current extent
+	slotOwner forkedMap[int64]    // slot index -> key
 
 	// Puts counts RPC PUTs executed by the server CPU.
 	Puts int64
@@ -58,7 +57,25 @@ type PilafServer struct {
 type pilafRef struct {
 	slot int64
 	ptr  memory.Addr
-	len  uint64
+	len  uint64 // bytes of the entry stored there
+	cap  uint64 // bytes of the extent: what replacing the entry retires
+}
+
+// pilafExtents is the server CPU's extent allocator: recycled extents
+// first fit, else a bump pointer over the slab registered last. Like
+// alloc.FreeList it registers memory one slab at a time, as entries need
+// it — room is how many largest-size entries it may still register, of
+// Options.BuffersPerClass — so a store's footprint follows its load and a
+// fork's PUT privatizes the slab it writes, not the whole store.
+type pilafExtents struct {
+	free      []pilafExtent // recycled, oldest first
+	next, end memory.Addr   // unallocated tail of the slab registered last
+	room      int
+}
+
+type pilafExtent struct {
+	ptr memory.Addr
+	cap uint64
 }
 
 // PilafMeta is the client control-plane description.
@@ -70,27 +87,22 @@ type PilafMeta struct {
 	MaxValue int
 }
 
-// NewPilafServer provisions Pilaf on the given NIC. extentsBytes is the
-// capacity of the object store.
+// NewPilafServer provisions Pilaf on the given NIC. The object store may
+// grow to opts.BuffersPerClass entries of opts.MaxValue bytes — sized like
+// PRISM-KV's buffer pool: one entry per slot plus slack for
+// in-place-replacement churn.
 func NewPilafServer(rs *rdma.Server, opts Options) (*PilafServer, error) {
 	space := rs.Space()
 	hashRegion, err := space.Register(uint64(opts.NSlots) * pilafSlotSize)
 	if err != nil {
 		return nil, fmt.Errorf("kv: pilaf hash table: %w", err)
 	}
-	// Extents sized like PRISM-KV's buffer pool: one entry per slot plus
-	// slack for in-place-replacement churn.
-	entryBytes := pilafEntrySize(opts.MaxValue)
-	ext, err := space.RegisterShared(hashRegion.Key, entryBytes*uint64(opts.BuffersPerClass))
-	if err != nil {
-		return nil, fmt.Errorf("kv: pilaf extents: %w", err)
-	}
 	s := &PilafServer{
 		rs:        rs,
 		space:     space,
-		extents:   ext,
-		index:     make(map[int64]pilafRef),
-		slotOwner: make(map[int64]int64),
+		extents:   pilafExtents{room: opts.BuffersPerClass},
+		index:     forkedMap[pilafRef]{own: make(map[int64]pilafRef)},
+		slotOwner: forkedMap[int64]{own: make(map[int64]int64)},
 		meta: PilafMeta{
 			Key:      hashRegion.Key,
 			HashBase: hashRegion.Base,
@@ -167,20 +179,71 @@ func pilafDecodeSlot(b []byte) (inuse bool, ptr memory.Addr, length uint64, ok b
 		true
 }
 
-// allocExtent carves an entry from the extents region (server CPU side).
-func (s *PilafServer) allocExtent(n uint64) (memory.Addr, error) {
-	for i, f := range s.freeSlots {
-		if f[1] >= n {
-			s.freeSlots = append(s.freeSlots[:i], s.freeSlots[i+1:]...)
-			return s.extents.Base + memory.Addr(f[0]), nil
+// allocExtent returns an extent of at least n bytes (n at most the largest
+// entry's): the first recycled one that fits, handed out whole, else n
+// fresh bytes, registering the next slab when the last has no room for
+// them. A slab is a whole number of largest-size entries, so a store of
+// such entries (every figure's) strands nothing at a slab's end.
+func (s *PilafServer) allocExtent(n uint64) (pilafExtent, error) {
+	x := &s.extents
+	for i, f := range x.free {
+		if f.cap >= n {
+			x.free = append(x.free[:i], x.free[i+1:]...)
+			return f, nil
 		}
 	}
-	if s.extentNext+n > s.extents.Len {
-		return 0, fmt.Errorf("kv: pilaf extents full")
+	if uint64(x.end-x.next) < n {
+		entryBytes := pilafEntrySize(s.meta.MaxValue)
+		count := min(max(1, int(alloc.SlabBytes/entryBytes)), x.room)
+		if count <= 0 {
+			return pilafExtent{}, fmt.Errorf("kv: pilaf extents full")
+		}
+		r, err := s.space.RegisterShared(s.meta.Key, uint64(count)*entryBytes)
+		if err != nil {
+			return pilafExtent{}, fmt.Errorf("kv: pilaf extents: %w", err)
+		}
+		x.next, x.end, x.room = r.Base, r.End(), x.room-count
 	}
-	off := s.extentNext
-	s.extentNext += n
-	return s.extents.Base + memory.Addr(off), nil
+	ext := pilafExtent{ptr: x.next, cap: n}
+	x.next += memory.Addr(n)
+	return ext, nil
+}
+
+// install is the server CPU's half of storing key's n-byte entry: it keeps
+// the key's slot on an overwrite (retiring the old extent) or probes for a
+// free one on an insert, allocates the extent, and records both in the
+// coherent index. The caller stores the entry at dst and the slot image at
+// slotAddr.
+func (s *PilafServer) install(key int64, n uint64) (slotAddr, dst memory.Addr, err error) {
+	if n > pilafEntrySize(s.meta.MaxValue) {
+		return 0, 0, fmt.Errorf("kv: pilaf value exceeds MaxValue %d", s.meta.MaxValue)
+	}
+	var slot int64
+	if ref, ok := s.index.get(key); ok {
+		slot = ref.slot
+		s.extents.free = append(s.extents.free, pilafExtent{ptr: ref.ptr, cap: ref.cap})
+	} else {
+		idx := slotIndex(s.meta.Hash, key, s.meta.NSlots)
+		found := false
+		for probes := int64(0); probes < s.meta.NSlots; probes++ {
+			if _, taken := s.slotOwner.get(idx); !taken {
+				found = true
+				break
+			}
+			idx = (idx + 1) % s.meta.NSlots
+		}
+		if !found {
+			return 0, 0, fmt.Errorf("kv: pilaf hash table full")
+		}
+		slot = idx
+	}
+	ext, err := s.allocExtent(n)
+	if err != nil {
+		return 0, 0, err
+	}
+	s.index.own[key] = pilafRef{slot: slot, ptr: ext.ptr, len: n, cap: ext.cap}
+	s.slotOwner.own[slot] = key
+	return s.meta.HashBase + memory.Addr(slot*pilafSlotSize), ext.ptr, nil
 }
 
 // tearDelay separates the CPU's partial memory writes during a PUT, so
@@ -195,41 +258,15 @@ const tearDelay = 300 * time.Nanosecond
 func (s *PilafServer) put(key int64, value []byte) error {
 	s.Puts++
 	entry := pilafEncodeEntry(key, value)
-
-	var slot int64
-	if ref, ok := s.index[key]; ok {
-		slot = ref.slot
-		// Overwrite: retire the old extent.
-		s.freeSlots = append(s.freeSlots, [2]uint64{uint64(ref.ptr - s.extents.Base), ref.len})
-	} else {
-		// Insert: probe for a free slot.
-		idx := slotIndex(s.meta.Hash, key, s.meta.NSlots)
-		found := false
-		for probes := int64(0); probes < s.meta.NSlots; probes++ {
-			if _, taken := s.slotOwner[idx]; !taken {
-				found = true
-				break
-			}
-			idx = (idx + 1) % s.meta.NSlots
-		}
-		if !found {
-			return fmt.Errorf("kv: pilaf hash table full")
-		}
-		slot = idx
-	}
-
-	dst, err := s.allocExtent(uint64(len(entry)))
+	slotAddr, dst, err := s.install(key, uint64(len(entry)))
 	if err != nil {
 		return err
 	}
-	s.index[key] = pilafRef{slot: slot, ptr: dst, len: uint64(len(entry))}
-	s.slotOwner[slot] = key
 
 	// Stage the stores to simulated memory: first half of the entry now,
 	// second half a beat later, slot halves last — a remote reader
 	// interleaving anywhere in between sees a torn entry or a torn slot
 	// and must rely on the CRC to detect it.
-	slotAddr := s.meta.HashBase + memory.Addr(slot*pilafSlotSize)
 	half := len(entry) / 2
 	if err := s.space.Write(s.meta.Key, dst, entry[:half]); err != nil {
 		return err
@@ -268,9 +305,20 @@ func (s *PilafServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 	return []byte{0}, 500 * time.Nanosecond
 }
 
-// Load bulk-installs an object (server-side, pre-experiment).
+// Load bulk-installs an object (server-side, pre-experiment). Nothing reads
+// the store while it loads, so there is no race to stage: the entry and
+// then the slot are stored whole, and the image is settled — ready for
+// Capture — when Load returns, with no event scheduled.
 func (s *PilafServer) Load(key int64, value []byte) error {
-	return s.put(key, value)
+	entry := pilafEncodeEntry(key, value)
+	slotAddr, dst, err := s.install(key, uint64(len(entry)))
+	if err != nil {
+		return err
+	}
+	if err := s.space.Write(s.meta.Key, dst, entry); err != nil {
+		return err
+	}
+	return s.space.Write(s.meta.Key, slotAddr, pilafEncodeSlot(dst, uint64(len(entry))))
 }
 
 // PilafClient runs the Pilaf protocol over one connection.

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"prism/internal/fabric"
-	"prism/internal/memory"
 	"prism/internal/model"
 	"prism/internal/rdma"
 )
@@ -39,40 +38,46 @@ func NewServerFromTemplate(net *fabric.Network, name string, deploy model.Deploy
 }
 
 // PilafTemplate is the Pilaf analogue of Template. Pilaf keeps CPU-side
-// state (the coherent index, slot ownership, extent allocator), which is
-// deep-copied per instantiation; the extents region handle is re-resolved
-// in the forked space by address.
+// state: the extent allocator, which each instance copies (its addresses
+// are layout positions, valid in every fork, and a fork inherits the
+// allocation pointer, so every instance registers the same next slab),
+// and the coherent index and slot ownership, which grow with the keyspace
+// and which instances therefore read through (forkedMap) instead of
+// copying.
 type PilafTemplate struct {
-	nic         *rdma.ServerTemplate
-	meta        PilafMeta
-	extentsBase memory.Addr
-	extentNext  uint64
-	freeSlots   [][2]uint64
-	index       map[int64]pilafRef
-	slotOwner   map[int64]int64
+	nic       *rdma.ServerTemplate
+	meta      PilafMeta
+	extents   pilafExtents
+	index     map[int64]pilafRef
+	slotOwner map[int64]int64
 }
 
-// Capture seals the server and returns its template. The caller must have
-// drained the engine first (run it until idle) so Pilaf's tear-delayed
-// staged stores have all landed; capturing mid-stage would bake a torn
-// entry into every fork.
+// forkedMap is a map as a template instance sees it: own holds what this
+// server stored, base what the template held, shared by every instance
+// and never written again. A server built directly has no base. Pilaf
+// never deletes a key or frees a slot, so own needs no tombstones.
+type forkedMap[V any] struct{ own, base map[int64]V }
+
+func (m forkedMap[V]) get(k int64) (V, bool) {
+	if v, ok := m.own[k]; ok {
+		return v, true
+	}
+	v, ok := m.base[k]
+	return v, ok
+}
+
+// Capture seals the server and returns its template. The server must have
+// no connections, so all it holds was put there by Load, which leaves
+// nothing staged: the image is settled. The template keeps the server's
+// own maps and free-extent list; the server must not be used again.
 func (s *PilafServer) Capture() *PilafTemplate {
-	t := &PilafTemplate{
-		nic:         s.rs.Capture(),
-		meta:        s.meta,
-		extentsBase: s.extents.Base,
-		extentNext:  s.extentNext,
-		freeSlots:   append([][2]uint64(nil), s.freeSlots...),
-		index:       make(map[int64]pilafRef, len(s.index)),
-		slotOwner:   make(map[int64]int64, len(s.slotOwner)),
+	return &PilafTemplate{
+		nic:       s.rs.Capture(),
+		meta:      s.meta,
+		extents:   s.extents,
+		index:     s.index.own,
+		slotOwner: s.slotOwner.own,
 	}
-	for k, v := range s.index {
-		t.index[k] = v
-	}
-	for k, v := range s.slotOwner {
-		t.slotOwner[k] = v
-	}
-	return t
 }
 
 // NIC exposes the transport-level template.
@@ -81,23 +86,15 @@ func (t *PilafTemplate) NIC() *rdma.ServerTemplate { return t.nic }
 // NewPilafServerFromTemplate instantiates a loaded Pilaf server on net.
 func NewPilafServerFromTemplate(net *fabric.Network, name string, deploy model.Deployment, t *PilafTemplate) *PilafServer {
 	rs := rdma.NewServerFromTemplate(net, name, deploy, t.nic)
-	space := rs.Space()
 	s := &PilafServer{
-		rs:         rs,
-		space:      space,
-		extents:    space.RegionAt(t.extentsBase),
-		extentNext: t.extentNext,
-		freeSlots:  append([][2]uint64(nil), t.freeSlots...),
-		index:      make(map[int64]pilafRef, len(t.index)),
-		slotOwner:  make(map[int64]int64, len(t.slotOwner)),
-		meta:       t.meta,
+		rs:        rs,
+		space:     rs.Space(),
+		extents:   t.extents,
+		index:     forkedMap[pilafRef]{own: make(map[int64]pilafRef), base: t.index},
+		slotOwner: forkedMap[int64]{own: make(map[int64]int64), base: t.slotOwner},
+		meta:      t.meta,
 	}
-	for k, v := range t.index {
-		s.index[k] = v
-	}
-	for k, v := range t.slotOwner {
-		s.slotOwner[k] = v
-	}
+	s.extents.free = append([]pilafExtent(nil), t.extents.free...)
 	rs.SetRPCHandler(s.handleRPC)
 	return s
 }

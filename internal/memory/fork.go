@@ -2,10 +2,11 @@ package memory
 
 import "fmt"
 
-// pageSize is the copy-on-write granularity. 64 KiB keeps the per-region
-// page table small (a few hundred entries for the largest bench regions)
-// while still letting a fork that touches a handful of slots avoid copying
-// a multi-megabyte value heap.
+// pageSize is the granularity at which a fork copies its parent's bytes.
+// 64 KiB keeps the per-region page table small (a few hundred entries for
+// the largest bench regions) while still letting a fork that touches a
+// handful of slots avoid copying a multi-megabyte value heap. Private
+// storage is allocated per region, not per page: see privatize.
 const pageSize = 1 << 16
 
 // Snapshot is an immutable image of a fully built Space. Taking a snapshot
@@ -34,10 +35,13 @@ func (sn *Snapshot) Space() *Space { return sn.s }
 
 // Fork returns a new Space with the same regions, rkeys, bounds, and
 // allocation state as the snapshot. Region bytes are shared with the
-// parent and copied one page at a time on first write, so a fork that
-// touches little costs little. Fork itself only reads the sealed parent
-// and may be called from multiple goroutines concurrently; each returned
-// Space is single-threaded like any other Space.
+// parent until the fork writes the region: the first write allocates
+// private storage for the whole region and from then on pages are copied
+// one at a time, as writes reach them. A fork costs nothing for a region
+// it only reads and a region's worth of memory for one it writes at all,
+// so stores register small regions (slabs). Fork itself only reads the
+// sealed parent and may be called from multiple goroutines concurrently;
+// each returned Space is single-threaded like any other Space.
 func (sn *Snapshot) Fork() *Space {
 	p := sn.s
 	ns := &Space{
@@ -91,7 +95,11 @@ func (r *Region) writable(off, n uint64) []byte {
 }
 
 // privatize copies pages [lo, hi) from the parent into this fork's private
-// storage. Once every page is private the shared reference is dropped.
+// storage, which the first call allocates (zeroed) for the whole region: one
+// dense slice, so that view can hand out an access that straddles pages as
+// one contiguous range. Page-granular storage is not earned: the points of a
+// figure set dirty 84% of the bytes they allocate this way (DESIGN.md §13).
+// Once every page is private the shared reference is dropped.
 func (r *Region) privatize(lo, hi uint64) {
 	if r.data == nil {
 		r.data = make([]byte, r.Len)

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEventChurn measures the schedule→fire cycle that dominates the
 // engine's hot path. With the event free list this runs allocation-free
@@ -31,5 +34,27 @@ func BenchmarkTimerStartStop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := e.Schedule(100, fn)
 		t.Stop()
+	}
+}
+
+// BenchmarkWheelCollectCascaded fires n events scheduled for one instant
+// far enough ahead to be filed in a coarse slot, so the batch cascades on
+// its way down and collect must restore its seq order: linear in n, where
+// an insertion sort over the cascade-reversed list was quadratic (seconds
+// per batch at n=65536).
+func BenchmarkWheelCollectCascaded(b *testing.B) {
+	for _, n := range []int{1024, 65536} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := NewEngine(1)
+			fn := func() {}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				at := e.Now().Add(5000)
+				for j := 0; j < n; j++ {
+					e.At(at, fn)
+				}
+				e.Run()
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -506,5 +507,26 @@ func TestTimerStopGenerationAcrossWindows(t *testing.T) {
 	e.Run()
 	if fired != want {
 		t.Fatalf("fired = %d of %d events (stale Stop killed a recycled event)", fired, want)
+	}
+}
+
+// A domain's RNG is seeded when it is first asked for, from the world seed
+// and the domain id alone: domain 0 draws the world seed's own stream,
+// later domains a stream derived from (seed, id), in whatever order — or
+// whether at all — the other domains draw.
+func TestDomainRandStreams(t *testing.T) {
+	const seed = 7
+	root := NewEngine(seed)
+	d1, d2 := root.World().NewDomain(), root.World().NewDomain()
+	for _, c := range []struct {
+		e    *Engine
+		seed int64
+	}{{d2, domainSeed(seed, 2)}, {root, seed}, {d1, domainSeed(seed, 1)}} {
+		want := rand.New(rand.NewSource(c.seed))
+		for i := 0; i < 4; i++ {
+			if got, w := c.e.Rand().Int63(), want.Int63(); got != w {
+				t.Fatalf("domain %d draw %d: %d, want %d", c.e.DomainID(), i, got, w)
+			}
+		}
 	}
 }

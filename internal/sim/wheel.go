@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // Hierarchical timer wheel: the pending-event structure behind every
 // Engine (one wheel per domain). It replaces the former container/heap
@@ -268,26 +272,33 @@ func (w *wheel) collect(t Time, b *burst) int {
 		ev = nx
 	}
 	w.count -= n
-	// Slot lists are push-front: reverse back to insertion order, which
-	// is near-ascending in seq (cascades can perturb it), then finish
-	// with a pass that is linear on sorted input.
-	reverseEvents(b.ord)
-	reverseEvents(b.tail)
-	sortEventsBySeq(b.ord)
-	sortEventsBySeq(b.tail)
+	orderBySeq(b.ord)
+	orderBySeq(b.tail)
 	return n
 }
 
-func reverseEvents(evs []*event) {
-	for i, j := 0, len(evs)-1; i < j; i, j = i+1, j-1 {
-		evs[i], evs[j] = evs[j], evs[i]
-	}
-}
-
-func sortEventsBySeq(evs []*event) {
+// orderBySeq sorts one instant's events, gathered from a slot list head
+// first, into ascending seq. Slot lists are push-front, so a batch filed
+// straight into its level-0 slot arrives exactly descending; advance
+// re-files a coarser slot's list head first, which reverses it, so a batch
+// that came down through one cascade arrives exactly ascending (through
+// two, descending again). One pass tells the two apart and either costs
+// O(n), however many events share the instant. Only a batch of mixed
+// history — part cascaded, part filed since — is neither and pays a real
+// sort. seq is unique within a domain, so the order does not depend on
+// which case ran.
+func orderBySeq(evs []*event) {
+	descents := 0 // adjacent pairs out of ascending order
 	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].seq < evs[j-1].seq; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
+		if evs[i].seq < evs[i-1].seq {
+			descents++
 		}
+	}
+	switch descents {
+	case 0:
+	case len(evs) - 1:
+		slices.Reverse(evs)
+	default:
+		slices.SortFunc(evs, func(a, b *event) int { return cmp.Compare(a.seq, b.seq) })
 	}
 }

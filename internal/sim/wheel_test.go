@@ -225,3 +225,102 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSameInstantBatchOrder: however a batch of events for one instant
+// reached its level-0 slot — filed there directly (the slot list is then
+// exactly descending in seq), through one cascade (ascending), through two
+// (descending again), or part cascaded and part filed later (neither) —
+// it fires in ascending seq, ordinary events before tail events, exactly
+// as the heap reference does. ids are handed out in scheduling order, so
+// ascending id is ascending seq.
+func TestSameInstantBatchOrder(t *testing.T) {
+	// at is the batch's instant and hop, when non-zero, an earlier instant
+	// in the same level-2 slot but another level-1 slot: stopping there
+	// cascades the batch from level 2 to level 1, and reaching at cascades
+	// it again. late schedules the second half of the batch from hop's
+	// callback, so that half cascades once and the first half twice.
+	for _, shape := range []struct {
+		name     string
+		at, hop  Time
+		late     bool
+		cascades func(n int) int64 // wheel re-filings the shape must cause
+	}{
+		{"direct", 100, 0, false, func(int) int64 { return 0 }},
+		{"one-cascade", 5000, 0, false, func(n int) int64 { return int64(n) }},
+		{"two-cascades", 1<<16 + 0x1170, 1<<16 + 10, false, func(n int) int64 { return int64(2*n) + 1 }},
+		{"mixed", 1<<16 + 0x1170, 1<<16 + 10, true, func(n int) int64 { return int64(2*(n/2)+(n-n/2)) + 1 }},
+	} {
+		for _, n := range []int{1, 33, 4096} {
+			const hopID = -1
+			e, model := NewEngine(1), &refModel{}
+			var got, want []int
+			var engSchedule, modSchedule func(id int)
+			batch := func(schedule func(id int), from, to int) {
+				for id := from; id < to; id++ {
+					schedule(id)
+				}
+			}
+			first := n
+			if shape.late {
+				first = n / 2
+			}
+			engSchedule = func(id int) {
+				at, fn := shape.at, func() { got = append(got, id) }
+				if id == hopID {
+					at, fn = shape.hop, func() { got = append(got, id); batch(engSchedule, first, n) }
+				}
+				if id%3 == 2 {
+					e.AtTail(at, fn)
+				} else {
+					e.At(at, fn)
+				}
+			}
+			modSchedule = func(id int) {
+				at := shape.at
+				if id == hopID {
+					at = shape.hop
+				}
+				model.schedule(id, at, id%3 == 2)
+			}
+			for _, schedule := range []func(int){engSchedule, modSchedule} {
+				if shape.hop != 0 {
+					schedule(hopID)
+				}
+				batch(schedule, 0, first)
+			}
+			e.Run()
+			model.run(func(id int) {
+				want = append(want, id)
+				if id == hopID {
+					batch(modSchedule, first, n)
+				}
+			})
+
+			if c := e.wheel.cascades; c != shape.cascades(n) {
+				t.Fatalf("%s n=%d: %d cascades, want %d — the shape does not take the path it names", shape.name, n, c, shape.cascades(n))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d: fired %d events, reference fired %d", shape.name, n, len(got), len(want))
+			}
+			prev, tails := hopID, false
+			for i, id := range got {
+				if id != want[i] {
+					t.Fatalf("%s n=%d: firing order diverges at %d: engine id %d, reference id %d", shape.name, n, i, id, want[i])
+				}
+				if id == hopID {
+					continue
+				}
+				if tail := id%3 == 2; tail != tails {
+					if !tail {
+						t.Fatalf("%s n=%d: ordinary event %d fired after a tail event", shape.name, n, id)
+					}
+					prev, tails = hopID, true
+				}
+				if id <= prev {
+					t.Fatalf("%s n=%d: event %d fired after %d", shape.name, n, id, prev)
+				}
+				prev = id
+			}
+		}
+	}
+}

@@ -193,16 +193,12 @@ func (c *ClusterSim) Go(name string, fn func(p *Proc)) {
 // Run drives the simulation until no events remain.
 func (c *ClusterSim) Run() { c.engine.Run() }
 
-// Settle drives the simulation until idle so that staged setup effects
-// (e.g. Pilaf's deliberately torn load stores) land in memory. Call it on
-// a build cluster before capturing templates from its servers.
-func (c *ClusterSim) Settle() { c.engine.Run() }
-
 // --- Instantiate-from-template (the other half of a split build) ---
 //
 // Cluster construction splits in two: build the application once on a
-// throwaway cluster (NewCluster + the app constructor + loading), Settle,
-// and Capture a template from each server; then instantiate any number of
+// throwaway cluster (NewCluster + the app constructor + loading — every
+// Load is settled in memory when it returns, so nothing has to run) and
+// Capture a template from each server; then instantiate any number of
 // measurement clusters, each server forked copy-on-write from its
 // template. Deployment is chosen at instantiation, so one build serves
 // every deployment variant.
