@@ -23,15 +23,17 @@ type microEnv struct {
 	reg  *memory.Region
 }
 
+// microIters is how many timed ops a probe issues after its one warmup op.
+const microIters = 64
+
 // measure runs op repeatedly and returns its steady-state round-trip time.
 func (m *microEnv) measure(mk func(i int) []wire.Op) time.Duration {
-	const iters = 64
 	var total time.Duration
 	m.e.Go("probe", func(p *sim.Proc) {
 		// One warmup op.
 		m.conn.Issue(p, mk(0)...)
 		start := p.Now()
-		for i := 1; i <= iters; i++ {
+		for i := 1; i <= microIters; i++ {
 			res := m.conn.Issue(p, mk(i)...)
 			for _, r := range res {
 				if !r.Status.OK() && r.Status != wire.StatusCASFailed {
@@ -39,7 +41,7 @@ func (m *microEnv) measure(mk func(i int) []wire.Op) time.Duration {
 				}
 			}
 		}
-		total = time.Duration(p.Now().Sub(start)) / iters
+		total = time.Duration(p.Now().Sub(start)) / microIters
 	})
 	m.e.Run()
 	return total
@@ -86,17 +88,21 @@ func Fig1(cfg Config) *Figure {
 }
 
 // newMicroEnv builds the two-machine env with value, pointer, and CAS
-// cells pre-seeded.
+// cells pre-seeded. A probe addresses 4.6 KiB of its region (the value
+// ends at +4096+microValue) and one measure pops microIters+1 buffers, so
+// that is what the env registers and what its free list may carve:
+// registering allocates and zeroes, and a megabyte of it per probe was
+// most of what the figure set's 35 probes cost the host.
 func newMicroEnv(d model.Deployment, p model.Params, seed int64) *microEnv {
 	e := sim.NewEngine(seed)
 	net := fabric.New(e, p)
 	srv := rdma.NewServer(net, "srv", d)
-	reg, err := srv.Space().Register(1 << 20)
+	reg, err := srv.Space().Register(8 << 10)
 	if err != nil {
 		panic(err)
 	}
 	srv.SetConnTempKey(reg.Key)
-	srv.AddFreeList(alloc.NewFreeList(1, 1024, reg.Key, srv.Space(), 1024))
+	srv.AddFreeList(alloc.NewFreeList(1, 1024, reg.Key, srv.Space(), microIters+1))
 	cli := rdma.NewClient(net, "cli")
 	env := &microEnv{e: e, srv: srv, conn: cli.Connect(srv), reg: reg}
 

@@ -68,11 +68,14 @@ func cachedTemplate[T any](system string, cfg Config, shards int, build func(v *
 }
 
 // loadKeys installs keys [0, n) at version 0 through put, the bulk load
-// before an experiment (as the paper does).
+// before an experiment (as the paper does). Every value is built in one
+// buffer: put copies it into the store and keeps no reference.
 func loadKeys(valueSize int, n int64, put func(key int64, value []byte) error) {
 	gen := workload.NewGenerator(workload.Mix{Keys: n, ReadFrac: 1, ValueSize: valueSize}, 0)
+	var value []byte
 	for k := int64(0); k < n; k++ {
-		must(put(k, gen.Value(k, 0)))
+		value = gen.AppendValue(value[:0], k, 0)
+		must(put(k, value))
 	}
 }
 

@@ -52,6 +52,9 @@ type PilafServer struct {
 
 	// Puts counts RPC PUTs executed by the server CPU.
 	Puts int64
+
+	// loadBuf is Load's entry image, reused from key to key.
+	loadBuf []byte
 }
 
 type pilafRef struct {
@@ -125,14 +128,11 @@ func pilafEntrySize(valueLen int) uint64 {
 	return uint64(8 + 8 + valueLen + 8) // klen | key | value | crc
 }
 
-func pilafEncodeEntry(key int64, value []byte) []byte {
-	b := make([]byte, pilafEntrySize(len(value)))
-	binary.LittleEndian.PutUint64(b, 8)
-	binary.BigEndian.PutUint64(b[8:], uint64(key))
-	copy(b[16:], value)
-	crc := crc64.Checksum(b[:len(b)-8], crcTable)
-	binary.LittleEndian.PutUint64(b[len(b)-8:], crc)
-	return b
+// pilafAppendEntry appends key's extent image to dst.
+func pilafAppendEntry(dst []byte, key int64, value []byte) []byte {
+	off := len(dst)
+	dst = appendEntry(dst, key, value)
+	return binary.LittleEndian.AppendUint64(dst, crc64.Checksum(dst[off:], crcTable))
 }
 
 func pilafDecodeEntry(b []byte) (key int64, value []byte, ok bool) {
@@ -257,7 +257,8 @@ const tearDelay = 300 * time.Nanosecond
 // Lookups use the CPU's coherent index, never the staged simulated memory.
 func (s *PilafServer) put(key int64, value []byte) error {
 	s.Puts++
-	entry := pilafEncodeEntry(key, value)
+	// A fresh image: the staged stores below outlive this call.
+	entry := pilafAppendEntry(make([]byte, 0, pilafEntrySize(len(value))), key, value)
 	slotAddr, dst, err := s.install(key, uint64(len(entry)))
 	if err != nil {
 		return err
@@ -310,7 +311,8 @@ func (s *PilafServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 // then the slot are stored whole, and the image is settled — ready for
 // Capture — when Load returns, with no event scheduled.
 func (s *PilafServer) Load(key int64, value []byte) error {
-	entry := pilafEncodeEntry(key, value)
+	s.loadBuf = pilafAppendEntry(s.loadBuf[:0], key, value)
+	entry := s.loadBuf
 	slotAddr, dst, err := s.install(key, uint64(len(entry)))
 	if err != nil {
 		return err

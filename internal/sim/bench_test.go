@@ -58,3 +58,47 @@ func BenchmarkWheelCollectCascaded(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkProcSwitch measures what resuming and parking a process costs
+// the host. yield: one process in a Yield loop, so a round is a schedule,
+// a fire and two switches (event -> body -> event). future: two processes
+// handing a pair of futures back and forth inside one event, so a round is
+// two switches (Complete -> waiter, waiter's Wait -> completer) and no
+// scheduler work at all.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.Run("yield", func(b *testing.B) {
+		e := NewEngine(1)
+		e.Go("yielder", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Yield()
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+	})
+	b.Run("future", func(b *testing.B) {
+		e := NewEngine(1)
+		ping, pong := NewSignal(e), NewSignal(e)
+		e.Go("waiter", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				ping.Wait(p)
+				ping.Reset()
+				Fire(pong)
+			}
+		})
+		e.Go("completer", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				Fire(ping) // runs the waiter until it parks on ping again
+				pong.Wait(p)
+				pong.Reset()
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+		if e.LiveProcs() != 0 {
+			b.Fatalf("%d processes still parked", e.LiveProcs())
+		}
+	})
+}

@@ -15,12 +15,14 @@
 // the classic single-heap event loop with identical semantics.
 //
 // Work is expressed either as plain callback events (Schedule/At) or as
-// blocking processes (Go), which are goroutines that run under a strict
-// handoff discipline: at any moment, at most one goroutine per domain —
-// the domain's window loop or exactly one of its processes — is
-// executing. This keeps all simulation state domain-local (no data
-// races, fully deterministic) while letting protocol code be written in
-// a natural blocking style (Sleep, Future.Wait, Resource.Acquire).
+// blocking processes (Go), which are coroutines: an event resumes a
+// process by switching to it directly and gets control back when the
+// process parks, so at any moment at most one goroutine per domain — the
+// domain's window loop or exactly one of its processes — is executing
+// and the Go scheduler never sees two runnable sides. This keeps all
+// simulation state domain-local (no data races, fully deterministic)
+// while letting protocol code be written in a natural blocking style
+// (Sleep, Future.Wait, Resource.Acquire).
 //
 // Determinism: events at the same virtual time fire in the order they
 // were scheduled (FIFO tie-break by sequence number), every domain's RNG
@@ -41,6 +43,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -905,35 +908,51 @@ func (e *Engine) LiveProcs() int { return e.w.LiveProcs() }
 // Processes
 
 // Proc is a blocking simulation process. Its methods must only be called
-// from the process's own goroutine.
+// from the process's own body.
+//
+// A process is a coroutine (iter.Pull): step is the coroutine's next and
+// park its yield, so a resume is a direct switch from the domain loop's
+// goroutine to the body's and back. Nothing is ever runnable on both
+// sides at once, so no run queue, wakep or futex is involved, and exactly
+// one goroutine calls next at a time: the domain loop, or the process
+// whose event completed the future this one waits on.
 //
 // A process belongs to the domain it was spawned on, but a Future bound
 // to another domain may resume it there: after Wait returns, the process
 // runs in (and reads the clock of) the future's domain until its next
-// suspension. Protocol code that blocks only on its own machine's
-// connections never changes domains.
+// suspension, on whichever worker goroutine runs that domain's window
+// (windows hand domains over at barriers, which order the two resumes).
+// Protocol code that blocks only on its own machine's connections never
+// changes domains.
+//
+// A panic in the body comes out of step, i.e. out of the event that
+// resumed the process, and so out of Run on the caller's goroutine like a
+// panic in any other event. A process abandoned while parked (its world
+// is dropped before it finishes) keeps its goroutine and stays counted by
+// LiveProcs.
 type Proc struct {
-	cur    *Engine // domain currently executing (or about to execute) this proc
-	name   string
-	resume chan struct{} // domain loop -> proc handoff
-	yield  chan struct{} // proc -> domain loop handoff
-	dead   bool
+	cur   *Engine // domain currently executing (or about to execute) this proc
+	name  string
+	next  func() (struct{}, bool) // resumer -> body, until it parks or returns
+	yield func(struct{}) bool     // body -> whoever called next; set on the first step
+	dead  bool
 }
 
 // Go starts fn as a new process on this domain. fn begins executing at
 // the current virtual time but only after the current event completes
 // (it is scheduled like any other event).
 func (e *Engine) Go(name string, fn func(p *Proc)) {
-	p := &Proc{cur: e, name: name, resume: make(chan struct{}), yield: make(chan struct{})}
+	p := &Proc{cur: e, name: name}
 	e.w.procs.Add(1)
-	go func() {
-		<-p.resume // wait for first dispatch
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			p.dead = true
+			p.cur.w.procs.Add(-1)
+		}()
+		p.yield = yield
 		fn(p)
-		p.dead = true
-		p.cur.w.procs.Add(-1)
-		p.yield <- struct{}{} // return control to the domain loop
-	}()
-	e.Schedule(0, func() { p.step() })
+	})
+	e.Schedule(0, p.step)
 }
 
 // step transfers control to the process until it parks or exits. It must
@@ -942,8 +961,7 @@ func (p *Proc) step() {
 	if p.dead {
 		panic(fmt.Sprintf("sim: resuming dead proc %q", p.name))
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 }
 
 // resumeIn transfers control to the process within domain e's execution.
@@ -953,12 +971,9 @@ func (p *Proc) resumeIn(e *Engine) {
 	p.step()
 }
 
-// park returns control to the domain loop; the process resumes when
+// park returns control to whoever resumed the process; it resumes when
 // something calls step (via a scheduled event or a future completion).
-func (p *Proc) park() {
-	p.yield <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Engine returns the domain this process is currently executing in.
 func (p *Proc) Engine() *Engine { return p.cur }
@@ -972,7 +987,7 @@ func (p *Proc) Now() Time { return p.cur.now }
 // Sleep suspends the process for d of virtual time on its current
 // domain's clock.
 func (p *Proc) Sleep(d Duration) {
-	p.cur.Schedule(d, func() { p.step() })
+	p.cur.Schedule(d, p.step)
 	p.park()
 }
 

@@ -14,3 +14,15 @@ func (c *Client) SetMaxFlushFrames(n int) {
 // SetWakeupBatch caps the frames one server wakeup serves. Call before
 // Serve.
 func (s *Server) SetWakeupBatch(n int) { s.batch = n }
+
+// tempRegionFill is how many AllocConnTemp calls exactly fill the first n
+// regions of the carving schedule, so call tempRegionFill(n)+1 is the one
+// that registers region n+1.
+func tempRegionFill(n int) int {
+	calls, bufs := 0, uint64(0)
+	for i := 0; i < n; i++ {
+		bufs = nextTempBufs(bufs)
+		calls += int(bufs)
+	}
+	return calls
+}

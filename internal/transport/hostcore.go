@@ -129,22 +129,49 @@ func (h *HostCore) SetConnTempKey(key memory.RKey) {
 // TempKey returns the rkey protecting connection temp buffers.
 func (h *HostCore) TempKey() memory.RKey { return h.tempKey }
 
-// AllocConnTemp carves a per-connection temp buffer, registering a new
-// backing region (under the space guard) when the current one fills.
-// Transports call it once per accepted connection and serialize the calls
-// themselves: the live server under its accept lock, the simulator by
-// running each server on one event domain.
+// Temp regions follow a fixed schedule, because a registered region is
+// allocated and zeroed whole on the host and most servers ever see a
+// handful of connections: the first region is one page, each later one
+// doubles, and from tempMaxBufs on every region is the 256 KiB on-NIC unit
+// (rdma.OnNICMemoryBytes). Registered bytes stay within twice the bytes
+// handed out plus a page.
+const (
+	tempFirstBufs = 4096 / ConnTempSize
+	tempMaxBufs   = 1024
+)
+
+// nextTempBufs is the schedule: the capacity, in buffers, of the region
+// after one of prev buffers (0: no region yet).
+func nextTempBufs(prev uint64) uint64 {
+	switch {
+	case prev == 0:
+		return tempFirstBufs
+	case prev >= tempMaxBufs/2:
+		return tempMaxBufs
+	}
+	return 2 * prev
+}
+
+// AllocConnTemp carves a per-connection temp buffer, registering the
+// schedule's next backing region (under the space guard) when the current
+// one fills. Transports call it once per accepted connection and
+// serialize the calls themselves: the live server under its accept lock,
+// the simulator by running each server on one event domain.
 func (h *HostCore) AllocConnTemp() memory.Addr {
-	const regionBufs = 1024
 	if h.tempRegion == nil || h.tempUsed+ConnTempSize > h.tempRegion.Len {
+		var prev uint64
+		if h.tempRegion != nil {
+			prev = h.tempRegion.Len / ConnTempSize
+		}
+		size := ConnTempSize * nextTempBufs(prev)
 		g := h.space.Guard()
 		g.Lock()
 		var r *memory.Region
 		var err error
 		if h.tempKey != 0 {
-			r, err = h.space.RegisterShared(h.tempKey, ConnTempSize*regionBufs)
+			r, err = h.space.RegisterShared(h.tempKey, size)
 		} else {
-			r, err = h.space.Register(ConnTempSize * regionBufs)
+			r, err = h.space.Register(size)
 			if err == nil {
 				h.tempKey = r.Key
 			}

@@ -32,12 +32,11 @@ func TestConnectCoalescedWithVerbsBatch(t *testing.T) {
 		t.Fatalf("NewClientConn: %v", err)
 	}
 
-	// Fill the first temp region exactly (AllocConnTemp carves
-	// regionBufs = 1024 ConnTempSize slots per region), so the coalesced
-	// connect below is the one that must register a new region under the
-	// space guard.
+	// Fill the first two temp regions of AllocConnTemp's carving schedule
+	// exactly, so the coalesced connect below is the one that must
+	// register a new region under the space guard.
 	var first *Conn
-	for i := 0; i < 1024; i++ {
+	for i := 0; i < tempRegionFill(2); i++ {
 		cn, err := c.Connect()
 		if err != nil {
 			t.Fatalf("Connect %d: %v", i, err)

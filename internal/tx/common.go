@@ -85,14 +85,8 @@ func (m *Meta) slotAddr(idx int64) memory.Addr {
 // bufSize is the buffer size for a value of n bytes.
 func bufSize(n int) uint64 { return uint64(8 + 8 + 8 + n) } // ts|klen|key|value
 
-func encodeVersion(ts Timestamp, key int64, value []byte) []byte {
-	b := make([]byte, bufSize(len(value)))
-	fillVersion(b, ts, key, value)
-	return b
-}
-
 // fillVersion writes the version image into b, which must be
-// bufSize(len(value)) bytes (scratch-friendly variant of encodeVersion).
+// bufSize(len(value)) bytes; callers bring their own scratch.
 func fillVersion(b []byte, ts Timestamp, key int64, value []byte) {
 	binary.BigEndian.PutUint64(b[0:], uint64(ts))
 	binary.LittleEndian.PutUint64(b[8:], 8)

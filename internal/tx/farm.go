@@ -53,6 +53,8 @@ type FarmServer struct {
 	rs   *rdma.Server
 	meta FarmMeta
 	objs *memory.Region
+	// loadBuf is Load's object image, reused from key to key.
+	loadBuf []byte
 
 	// Stats
 	LockFailures int64
@@ -88,11 +90,15 @@ func (s *FarmServer) Load(key int64, value []byte) error {
 	}
 	idx := ((key % s.meta.NSlots) + s.meta.NSlots) % s.meta.NSlots
 	objAddr := s.objs.Base + memory.Addr(uint64(idx)*s.meta.objSize())
-	img := make([]byte, s.meta.objSize())
+	if s.loadBuf == nil {
+		s.loadBuf = make([]byte, s.meta.objSize())
+	}
+	img := s.loadBuf // the lock word stays zero; the rest is rewritten per key
 	prism.PutBE64(img, 8, uint64(InitialVersion))
 	binary.LittleEndian.PutUint64(img[farmHdr:], 8)
 	binary.BigEndian.PutUint64(img[farmHdr+8:], uint64(key))
-	copy(img[farmHdr+16:], value)
+	n := copy(img[farmHdr+16:], value)
+	clear(img[farmHdr+16+n:]) // what a longer value left behind
 	space := s.rs.Space()
 	if err := space.Write(s.meta.Key, objAddr, img); err != nil {
 		return err

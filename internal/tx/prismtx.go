@@ -39,6 +39,8 @@ type ShardOptions struct {
 type Shard struct {
 	rs   *rdma.Server
 	meta Meta
+	// loadBuf is Load's version image, reused from key to key.
+	loadBuf []byte
 }
 
 // NewShard provisions the metadata array and version-buffer free list.
@@ -81,18 +83,22 @@ func (s *Shard) Load(key int64, value []byte) error {
 		return fmt.Errorf("tx: load out of buffers: %w", err)
 	}
 	space := s.rs.Space()
-	img := encodeVersion(InitialVersion, key, value)
+	if s.loadBuf == nil {
+		s.loadBuf = make([]byte, bufSize(s.meta.MaxValue))
+	}
+	img := s.loadBuf[:bufSize(len(value))]
+	fillVersion(img, InitialVersion, key, value)
 	if err := space.Write(s.meta.Key, buf, img); err != nil {
 		return err
 	}
 	idx := ((key % s.meta.NSlots) + s.meta.NSlots) % s.meta.NSlots
-	entry := make([]byte, metaSize)
-	prism.PutBE64(entry, offPW, uint64(InitialVersion))
-	prism.PutBE64(entry, offPR, uint64(InitialVersion))
-	prism.PutBE64(entry, offC, uint64(InitialVersion))
-	prism.PutLE64(entry, offAddr, uint64(buf))
-	prism.PutLE64(entry, offBound, uint64(len(img)))
-	return space.Write(s.meta.Key, s.meta.slotAddr(idx), entry)
+	var entry [metaSize]byte
+	prism.PutBE64(entry[:], offPW, uint64(InitialVersion))
+	prism.PutBE64(entry[:], offPR, uint64(InitialVersion))
+	prism.PutBE64(entry[:], offC, uint64(InitialVersion))
+	prism.PutLE64(entry[:], offAddr, uint64(buf))
+	prism.PutLE64(entry[:], offBound, uint64(len(img)))
+	return space.Write(s.meta.Key, s.meta.slotAddr(idx), entry[:])
 }
 
 // Client coordinates PRISM-TX transactions over a set of shards (one

@@ -598,3 +598,40 @@ func TestReadOnlyTransactionsValidate(t *testing.T) {
 	})
 	v.e.Run()
 }
+
+// Load encodes into one scratch image per server: a short value loaded
+// after a long one must not carry the long one's tail, and a loaded key
+// must not change when the next one is loaded.
+func TestLoadScratchLeavesNoResidue(t *testing.T) {
+	const maxValue = 64
+	long, short := bytes.Repeat([]byte{0xFF}, maxValue), []byte{1, 2, 3}
+	padded := append(append([]byte(nil), short...), make([]byte, maxValue-len(short))...)
+	opts := ShardOptions{NSlots: 16, MaxValue: maxValue}
+
+	tv := newTxEnv(t, 1, opts, model.SoftwarePRISM, 1)
+	fv := newFarmEnv(t, 1, opts, model.HardwareRDMA, 1)
+	for _, load := range []func(int64, []byte) error{tv.shards[0].Load, fv.servers[0].Load} {
+		for k, val := range [][]byte{long, short, long} {
+			if err := load(int64(k), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tc, fc := tv.client(1, 0), fv.client(1, 0)
+	tv.e.Go("prismtx", func(p *sim.Proc) {
+		for k, want := range [][]byte{long, short, long} {
+			if got, err := tc.Begin().Read(p, int64(k)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("PRISM-TX key %d = %x, %v; want %x", k, got, err, want)
+			}
+		}
+	})
+	tv.e.Run()
+	fv.e.Go("farm", func(p *sim.Proc) {
+		for k, want := range [][]byte{long, padded, long} {
+			if got, err := fc.Begin().Read(p, int64(k)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("FaRM key %d = %x, %v; want %x", k, got, err, want)
+			}
+		}
+	})
+	fv.e.Run()
+}

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // OpKind is a generated operation type.
@@ -168,13 +169,29 @@ func (g *Generator) NextKey() int64 {
 
 // Value deterministically materializes the object payload for key.
 func (g *Generator) Value(key int64, version int) []byte {
-	v := make([]byte, g.mix.ValueSize)
-	binary.LittleEndian.PutUint64(v, uint64(key))
-	binary.LittleEndian.PutUint64(v[8:], uint64(version))
-	for i := 16; i < len(v); i++ {
-		v[i] = byte(key+int64(i)) ^ byte(version)
+	return g.AppendValue(make([]byte, 0, g.mix.ValueSize), key, version)
+}
+
+// AppendValue appends key's payload at version to dst: the key and the
+// version (8 bytes each, little-endian; a ValueSize below 16 truncates
+// them), then byte(key+i)^byte(version) at every later offset i. That ramp
+// repeats every 256 bytes, so only its first period is computed; the rest
+// is copied from it, doubling.
+func (g *Generator) AppendValue(dst []byte, key int64, version int) []byte {
+	off, n := len(dst), g.mix.ValueSize
+	dst = slices.Grow(dst, n)[:off+n]
+	var hdr [16]byte
+	binary.LittleEndian.PutUint64(hdr[:], uint64(key))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(version))
+	ramp := dst[off+copy(dst[off:], hdr[:]):]
+	m := min(len(ramp), 256)
+	for i := range ramp[:m] {
+		ramp[i] = byte(key+int64(len(hdr)+i)) ^ byte(version)
 	}
-	return v
+	for m < len(ramp) {
+		m += copy(ramp[m:], ramp[:m])
+	}
+	return dst
 }
 
 // KeyBytes returns the canonical 8-byte key encoding (paper: 8 B keys).

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -299,5 +301,51 @@ func TestStandardMixes(t *testing.T) {
 	}
 	if m := YCSBT(); m.KeysPerTx != 1 || m.Keys != 8<<20 {
 		t.Fatalf("YCSB-T config: %+v", m)
+	}
+}
+
+// referenceValue is the per-byte definition of a payload: what Value was
+// before AppendValue laid the ramp down by copy (sizes below 16, which it
+// could not make, truncate the header).
+func referenceValue(size int, key int64, version int) []byte {
+	var hdr [16]byte
+	binary.LittleEndian.PutUint64(hdr[:], uint64(key))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(version))
+	v := make([]byte, size)
+	copy(v, hdr[:])
+	for i := 16; i < len(v); i++ {
+		v[i] = byte(key+int64(i)) ^ byte(version)
+	}
+	return v
+}
+
+func TestAppendValueMatchesReference(t *testing.T) {
+	prefix := []byte("prefix")
+	check := func(size int, key int64, version int) {
+		t.Helper()
+		g := NewGenerator(Mix{Keys: 100, ReadFrac: 1, ValueSize: size}, 1)
+		want := referenceValue(size, key, version)
+		got := g.AppendValue(append([]byte(nil), prefix...), key, version)
+		if !bytes.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("size %d key %d version %d: prefix overwritten: %q", size, key, version, got[:len(prefix)])
+		}
+		if !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("size %d key %d version %d: AppendValue differs from the per-byte reference", size, key, version)
+		}
+		if size >= 16 && !bytes.Equal(g.Value(key, version), want) {
+			t.Fatalf("size %d key %d version %d: Value differs from the per-byte reference", size, key, version)
+		}
+	}
+	keys := []int64{0, 7, -1, -257, 1<<40 + 3, math.MinInt64, math.MaxInt64}
+	for size := 0; size <= 1100; size++ {
+		for i, key := range keys {
+			check(size, key, 43*i)
+		}
+	}
+	for version := 0; version <= 300; version++ {
+		for _, size := range []int{15, 16, 17, 271, 272, 273, 512, 1100} {
+			check(size, -5, version)
+			check(size, 12345, version)
+		}
 	}
 }
