@@ -13,8 +13,12 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Besides go vet, one boundary: a store knows its machine as a
+# transport.Host, so no application package names the simulated NIC's
+# server type — except Pilaf, whose PUT schedules on its engine.
 vet:
 	$(GO) vet ./...
+	@! grep -n 'rdma\.Server' $$(ls internal/kv/*.go internal/abd/*.go internal/tx/*.go | grep -v -e _test.go -e /pilaf.go)
 
 build:
 	$(GO) build ./...
@@ -24,13 +28,15 @@ test:
 
 # Real parallelism at 1, 2 and 4 scheduler threads. alloc, memory and
 # prism are here because free lists carve slabs (Space.Register) under the
-# guard on concurrent sockets. internal/bench runs once: under the race
+# guard on concurrent sockets; tx and abd because their stores are served
+# over a socket too. internal/bench runs once: under the race
 # detector it takes minutes per -cpu value (three would overrun go test's
 # 10-minute default), and its determinism sweeps already drive their own
 # worker pools; workload and prismtrace ride along with it.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
-		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism
+		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism \
+		./internal/tx ./internal/abd
 	$(GO) test -race ./internal/bench ./internal/workload ./cmd/prismtrace
 
 # The one command that regenerates a number: the repository's benchmark

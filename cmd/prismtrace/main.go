@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -25,7 +24,6 @@ import (
 
 	"prism"
 	"prism/internal/abd"
-	"prism/internal/memory"
 	iprism "prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
@@ -59,76 +57,84 @@ func main() {
 	}
 }
 
-// attachRing installs a bounded tracer on the server so the executed
-// wire ops — with the event domain that owns them — can be replayed
-// after the run.
-func attachRing(srv *prism.Server) *rdma.TraceRing {
-	ring := rdma.NewTraceRing(256)
-	srv.SetTracer(ring.Record)
-	return ring
+// opTrace is the server-side execution trace of one scenario: every wire
+// op the server executed, described from the op itself at the moment it
+// ran (the tracer sees the live op; nothing here is re-derived from what a
+// client is believed to send).
+type opTrace struct{ lines []string }
+
+// attachTrace installs the tracer on the server.
+func attachTrace(srv *prism.Server) *opTrace {
+	tr := &opTrace{}
+	srv.SetTracer(func(ev rdma.TraceEvent) {
+		tr.lines = append(tr.lines, fmt.Sprintf("%v\n        %s", ev, describeOp(ev.Op)))
+	})
+	return tr
 }
 
-// dumpRing prints the server-side execution trace. Each line carries the
-// op's owning event domain (dom=N): under the per-node domain scheduler
-// every server executes its NIC chain in its own domain, so the ids show
-// where in the partitioned simulation each op actually ran.
-func dumpRing(w io.Writer, name string, ring *rdma.TraceRing) {
+// dump prints the trace. Each line carries the op's owning event domain
+// (dom=N): under the per-node domain scheduler every server executes its
+// NIC chain in its own domain, so the ids show where in the partitioned
+// simulation each op actually ran.
+func (tr *opTrace) dump(w io.Writer, name string) {
 	fmt.Fprintf(w, "  executed on %s (server trace; dom = owning event domain):\n", name)
-	for _, ev := range ring.Events() {
-		fmt.Fprintf(w, "    %v\n", ev)
+	for _, line := range tr.lines {
+		fmt.Fprintf(w, "    %s\n", line)
 	}
 }
 
-// traceConn wraps op issue with printing.
-func describeOps(w io.Writer, ops []wire.Op) {
-	for i, op := range ops {
-		var flags []string
-		for _, f := range []struct {
-			bit  wire.Flags
-			name string
-		}{
-			{wire.FlagTargetIndirect, "target-indirect"},
-			{wire.FlagDataIndirect, "data-indirect"},
-			{wire.FlagBounded, "bounded"},
-			{wire.FlagConditional, "conditional"},
-			{wire.FlagRedirect, "redirect"},
-		} {
-			if op.Flags.Has(f.bit) {
-				flags = append(flags, f.name)
-			}
+// describeOp formats what an op asks for: its target, the per-opcode
+// operands, and its flags.
+func describeOp(op *wire.Op) string {
+	var flags []string
+	for _, f := range []struct {
+		bit  wire.Flags
+		name string
+	}{
+		{wire.FlagTargetIndirect, "target-indirect"},
+		{wire.FlagDataIndirect, "data-indirect"},
+		{wire.FlagBounded, "bounded"},
+		{wire.FlagConditional, "conditional"},
+		{wire.FlagRedirect, "redirect"},
+	} {
+		if op.Flags.Has(f.bit) {
+			flags = append(flags, f.name)
 		}
-		fl := ""
-		if len(flags) > 0 {
-			fl = fmt.Sprintf(" flags=%v", flags)
-		}
-		extra := ""
-		switch op.Code {
-		case wire.OpCAS:
-			extra = fmt.Sprintf(" mode=%v width=%dB", op.Mode, len(op.CompareMask))
-		case wire.OpAllocate:
-			extra = fmt.Sprintf(" freelist=%d payload=%dB", op.FreeList, len(op.Data))
-		case wire.OpRead:
-			extra = fmt.Sprintf(" len=%d", op.Len)
-		case wire.OpWrite:
-			extra = fmt.Sprintf(" payload=%dB", len(op.Data))
-		case wire.OpChase:
-			if prog, match, err := iprism.DecodeProgram(op.Data); err == nil {
-				kind := "list"
-				if prog.Kind == iprism.ProgChaseProbe {
-					kind = "probe"
-				}
-				extra = fmt.Sprintf(" prog=chase/%s maxSteps=%d matchOff=%d match=%dB mode=%v payload<=%dB",
-					kind, prog.MaxSteps, prog.MatchOff, len(match), op.Mode, op.Len)
-			}
-		case wire.OpScan:
-			if prog, _, err := iprism.DecodeProgram(op.Data); err == nil {
-				extra = fmt.Sprintf(" prog=scan slots=[%d,%d) stride=%dB budget=%dB",
-					prog.StartIdx, prog.NSlots, prog.Stride, op.Len)
-			}
-		}
-		fmt.Fprintf(w, "    op[%d] %-9s target=%#x%s%s\n", i, op.Code, op.Target, extra, fl)
 	}
+	fl := ""
+	if len(flags) > 0 {
+		fl = fmt.Sprintf(" flags=%v", flags)
+	}
+	extra := ""
+	switch op.Code {
+	case wire.OpCAS:
+		extra = fmt.Sprintf(" mode=%v width=%dB", op.Mode, len(op.CompareMask))
+	case wire.OpAllocate:
+		extra = fmt.Sprintf(" freelist=%d payload=%dB", op.FreeList, len(op.Data))
+	case wire.OpRead:
+		extra = fmt.Sprintf(" len=%d", op.Len)
+	case wire.OpWrite:
+		extra = fmt.Sprintf(" payload=%dB", len(op.Data))
+	case wire.OpChase:
+		if prog, match, err := iprism.DecodeProgram(op.Data); err == nil {
+			kind := "list"
+			if prog.Kind == iprism.ProgChaseProbe {
+				kind = "probe"
+			}
+			extra = fmt.Sprintf(" prog=chase/%s maxSteps=%d matchOff=%d match=%dB mode=%v payload<=%dB",
+				kind, prog.MaxSteps, prog.MatchOff, len(match), op.Mode, op.Len)
+		}
+	case wire.OpScan:
+		if prog, _, err := iprism.DecodeProgram(op.Data); err == nil {
+			extra = fmt.Sprintf(" prog=scan slots=[%d,%d) stride=%dB budget=%dB",
+				prog.StartIdx, prog.NSlots, prog.Stride, op.Len)
+		}
+	}
+	return fmt.Sprintf("target=%#x%s%s", op.Target, extra, fl)
 }
+
+// putValue is what the kvput scenario stores.
+const putValue = "new value"
 
 // trace writes the annotated trace for one scenario to w; it reports
 // false for an unknown scenario name.
@@ -144,7 +150,7 @@ func trace(w io.Writer, which string, affinity int) bool {
 			os.Exit(1)
 		}
 		store.Load(7, []byte("traced value"))
-		ring := attachRing(srv)
+		tr := attachTrace(srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := prism.NewKVClient(conn, store.Meta(), 1)
 		c.Go("trace", func(p *sim.Proc) {
@@ -153,23 +159,16 @@ func trace(w io.Writer, which string, affinity int) bool {
 				start := p.Now()
 				v, err := client.Get(p, 7)
 				fmt.Fprintf(w, "  -> %q err=%v RTT=%v\n", v, err, p.Now().Sub(start))
-				fmt.Fprintln(w, "  wire ops issued (reconstructed):")
-				describeOps(w, []wire.Op{
-					opReadBounded(store, 7),
-				})
 			} else {
-				fmt.Fprintln(w, "PRISM-KV PUT(7): two round trips —")
+				fmt.Fprintln(w, "PRISM-KV PUT(7): two round trips — seq 0 probes the slot, seq 1 is the")
+				fmt.Fprintln(w, "out-of-place install chain —")
 				start := p.Now()
-				err := client.Put(p, 7, []byte("new value"))
+				err := client.Put(p, 7, []byte(putValue))
 				fmt.Fprintf(w, "  -> err=%v total=%v\n", err, p.Now().Sub(start))
-				fmt.Fprintln(w, "  RT1 probe chain:")
-				describeOps(w, probeOps(store, 7))
-				fmt.Fprintln(w, "  RT2 out-of-place install chain:")
-				describeOps(w, installOps(store, conn, 7))
 			}
 		})
 		c.Run()
-		dumpRing(w, "kv", ring)
+		tr.dump(w, "kv")
 
 	case "kvchase":
 		srv := c.NewServer("chain", prism.SoftwarePRISM)
@@ -181,7 +180,7 @@ func trace(w io.Writer, which string, affinity int) bool {
 		for k := int64(0); k < 32; k++ {
 			store.Load(k, []byte(fmt.Sprintf("chain value %d", k)))
 		}
-		ring := attachRing(srv)
+		tr := attachTrace(srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := prism.NewChainClient(conn, store.Meta())
 		c.Go("trace", func(p *sim.Proc) {
@@ -191,15 +190,13 @@ func trace(w io.Writer, which string, affinity int) bool {
 			v, err := client.ChaseGet(p, key)
 			fmt.Fprintf(w, "  -> %q err=%v RTT=%v (one round trip; the NIC walks all 4 nodes)\n",
 				v, err, p.Now().Sub(start))
-			fmt.Fprintln(w, "  wire op issued (reconstructed):")
-			describeOps(w, []wire.Op{chaseOp(store.Meta(), key)})
 			start = p.Now()
 			v, err = client.HopGet(p, key)
 			fmt.Fprintf(w, "  per-hop baseline HopGet -> %q err=%v hops=%d total=%v (one RTT per hop)\n",
 				v, err, client.Hops, p.Now().Sub(start))
 		})
 		c.Run()
-		dumpRing(w, "chain", ring)
+		tr.dump(w, "chain")
 
 	case "kvscan":
 		srv := c.NewServer("kv", prism.SoftwarePRISM)
@@ -211,7 +208,7 @@ func trace(w io.Writer, which string, affinity int) bool {
 		for k := int64(0); k < 16; k++ {
 			store.Load(k, []byte(fmt.Sprintf("scanned value %d", k)))
 		}
-		ring := attachRing(srv)
+		tr := attachTrace(srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := prism.NewKVClient(conn, store.Meta(), 1)
 		c.Go("trace", func(p *sim.Proc) {
@@ -224,11 +221,9 @@ func trace(w io.Writer, which string, affinity int) bool {
 			})
 			fmt.Fprintf(w, "  -> %d entries, cursor=%d err=%v RTT=%v (resume from the cursor for the rest)\n",
 				entries, next, err, p.Now().Sub(start))
-			fmt.Fprintln(w, "  wire op issued (reconstructed):")
-			describeOps(w, []wire.Op{scanOp(store, 0, 512)})
 		})
 		c.Run()
-		dumpRing(w, "kv", ring)
+		tr.dump(w, "kv")
 
 	case "abdwrite":
 		fmt.Fprintln(w, "PRISM-RS write phase (per replica, §7.3): one chained round trip —")
@@ -238,7 +233,7 @@ func trace(w io.Writer, which string, affinity int) bool {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		ring := attachRing(srv)
+		tr := attachTrace(srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := prism.NewRSClient(1, []*prism.Conn{conn}, []abd.Meta{rep.Meta()})
 		c.Go("trace", func(p *sim.Proc) {
@@ -246,13 +241,11 @@ func trace(w io.Writer, which string, affinity int) bool {
 			tag, err := client.PutT(p, 3, make([]byte, 64))
 			fmt.Fprintf(w, "  PUT block 3 -> tag %v err=%v total=%v (read phase + write phase)\n",
 				tag, err, p.Now().Sub(start))
-			fmt.Fprintln(w, "  write-phase chain (1. WRITE tag to tmp; 2. ALLOCATE redirect addr to")
-			fmt.Fprintln(w, "  tmp+8; 3. CAS_GT <tag|addr> with data-indirect from tmp):")
-			m := rep.Meta()
-			describeOps(w, abdChain(m, conn, 3))
+			fmt.Fprintln(w, "  write-phase chain (seq 1): 1. WRITE tag to tmp; 2. ALLOCATE redirect addr")
+			fmt.Fprintln(w, "  to tmp+8; 3. CAS_GT <tag|addr> with data-indirect from tmp.")
 		})
 		c.Run()
-		dumpRing(w, "replica", ring)
+		tr.dump(w, "replica")
 
 	case "txcommit":
 		fmt.Fprintln(w, "PRISM-TX commit for a 1-key RMW (§8.2): three round trips total —")
@@ -263,7 +256,7 @@ func trace(w io.Writer, which string, affinity int) bool {
 			os.Exit(1)
 		}
 		shard.Load(2, make([]byte, 64))
-		ring := attachRing(srv)
+		tr := attachTrace(srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := c.NewTXClient(1, []*prism.Conn{conn}, []tx.Meta{shard.Meta()})
 		c.Go("trace", func(p *sim.Proc) {
@@ -281,77 +274,10 @@ func trace(w io.Writer, which string, affinity int) bool {
 			fmt.Fprintln(w, "  install chain: WRITE ts|bound to tmp, ALLOCATE redirect, CAS_GT <C|addr|bound>.")
 		})
 		c.Run()
-		dumpRing(w, "shard", ring)
+		tr.dump(w, "shard")
 
 	default:
 		return false
 	}
 	return true
 }
-
-// The reconstructions below mirror exactly what the clients issue (the
-// clients build these internally; prismtrace re-derives them for display).
-func opReadBounded(store *prism.KVServer, key int64) wire.Op {
-	m := store.Meta()
-	return wire.Op{
-		Code: wire.OpRead, RKey: m.Key,
-		Target: m.HashBase + 24*memoryAddr(key%m.NSlots) + 8,
-		Len:    uint64(8 + 8 + m.MaxValue), Flags: wire.FlagBounded,
-	}
-}
-
-func probeOps(store *prism.KVServer, key int64) []wire.Op {
-	m := store.Meta()
-	slot := m.HashBase + 24*memoryAddr(key%m.NSlots)
-	return []wire.Op{
-		{Code: wire.OpRead, RKey: m.Key, Target: slot, Len: 24},
-		{Code: wire.OpRead, RKey: m.Key, Target: slot + 8, Len: uint64(8 + 8 + m.MaxValue), Flags: wire.FlagBounded},
-	}
-}
-
-func installOps(store *prism.KVServer, conn *prism.Conn, key int64) []wire.Op {
-	m := store.Meta()
-	slot := m.HashBase + 24*memoryAddr(key%m.NSlots)
-	return []wire.Op{
-		{Code: wire.OpWrite, RKey: conn.TempKey, Target: conn.TempAddr, Data: make([]byte, 24)},
-		{Code: wire.OpAllocate, FreeList: 4, Data: make([]byte, 25), Flags: wire.FlagConditional | wire.FlagRedirect, RKey: conn.TempKey, RedirectTo: conn.TempAddr + 8},
-		{Code: wire.OpCAS, Mode: wire.CASGt, RKey: m.Key, Target: slot, Data: make([]byte, 8), CompareMask: make([]byte, 24), SwapMask: make([]byte, 24), Flags: wire.FlagConditional | wire.FlagDataIndirect},
-	}
-}
-
-func abdChain(m abd.Meta, conn *prism.Conn, block int64) []wire.Op {
-	entry := m.MetaBase + 16*memoryAddr(block)
-	return []wire.Op{
-		{Code: wire.OpWrite, RKey: conn.TempKey, Target: conn.TempAddr, Data: make([]byte, 8)},
-		{Code: wire.OpAllocate, FreeList: m.FreeList, Data: make([]byte, uint64(8+m.BlockSize)), Flags: wire.FlagConditional | wire.FlagRedirect, RKey: conn.TempKey, RedirectTo: conn.TempAddr + 8},
-		{Code: wire.OpCAS, Mode: wire.CASGt, RKey: m.Key, Target: entry, Data: make([]byte, 8), CompareMask: make([]byte, 16), SwapMask: make([]byte, 16), Flags: wire.FlagConditional | wire.FlagDataIndirect},
-	}
-}
-
-// chaseOp rebuilds the CHASE op ChainClient.ChaseGet issues: a list-walk
-// program (next pointer at node offset 0, big-endian key at offset 8)
-// with the lookup key as the match operand, targeting the bucket's head
-// pointer cell.
-func chaseOp(m prism.ChainMeta, key int64) wire.Op {
-	prog := iprism.Program{
-		Kind:     iprism.ProgChaseList,
-		MaxSteps: uint8(m.Depth),
-		MatchOff: 8,
-		NextOff:  0,
-	}
-	var match [8]byte
-	binary.BigEndian.PutUint64(match[:], uint64(key))
-	buf := iprism.AppendProgram(nil, &prog, match[:])
-	return iprism.Chase(m.Key, m.HeadBase+8*memoryAddr(key/m.Depth), buf, wire.CASEq, nil, 24+uint64(m.MaxValue))
-}
-
-// scanOp rebuilds the SCAN op KVClient.Scan issues: slots [start, NSlots)
-// of the 24-byte-slot hash table under a byte budget.
-func scanOp(store *prism.KVServer, start int64, budget uint64) wire.Op {
-	m := store.Meta()
-	prog := iprism.Program{NextOff: 8, Stride: 24, StartIdx: uint64(start), NSlots: uint64(m.NSlots)}
-	buf := iprism.AppendProgram(nil, &prog, nil)
-	return iprism.Scan(m.Key, m.HashBase, buf, budget)
-}
-
-func memoryAddr(v int64) memory.Addr { return memory.Addr(v) }

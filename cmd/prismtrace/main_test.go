@@ -12,9 +12,9 @@ import (
 )
 
 // TestTraceAffinityByteIdentical: every scenario's printed trace —
-// timings, reconstructed ops, and the server-side execution ring — must
-// be byte-identical whether client machines get their own event domain
-// or share one through an affinity group.
+// timings and the server-side record of the executed ops — must be
+// byte-identical whether client machines get their own event domain or
+// share one through an affinity group.
 func TestTraceAffinityByteIdentical(t *testing.T) {
 	for _, which := range []string{"kvget", "kvput", "kvchase", "kvscan", "abdwrite", "txcommit"} {
 		t.Run(which, func(t *testing.T) {
@@ -30,6 +30,34 @@ func TestTraceAffinityByteIdentical(t *testing.T) {
 					solo.String(), grouped.String())
 			}
 		})
+	}
+}
+
+// TestTracePrintsTheExecutedOps: the trace describes the ops the server
+// ran, not what a client is believed to send. The PUT's ALLOCATE names the
+// free list the client picked for the entry — the smallest class that holds
+// it — where a hand-kept copy of the chain once printed list 4.
+func TestTracePrintsTheExecutedOps(t *testing.T) {
+	var out strings.Builder
+	if !trace(&out, "kvput", 1) {
+		t.Fatal("trace(kvput) failed")
+	}
+	c := prism.NewCluster(prism.ClusterConfig{})
+	store, err := prism.NewKVServer(c.NewServer("kv", prism.SoftwarePRISM), prism.KVOptions(64, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := uint64(8 + 8 + len(putValue)) // klen | key | value
+	class := uint32(0)
+	for _, fl := range store.Meta().FreeLists { // ascending sizes
+		if fl.BufSize >= entry {
+			class = fl.ID
+			break
+		}
+	}
+	want := fmt.Sprintf("freelist=%d payload=%dB", class, entry)
+	if class == 0 || !strings.Contains(out.String(), want) {
+		t.Fatalf("the printed ALLOCATE does not say %q:\n%s", want, out.String())
 	}
 }
 

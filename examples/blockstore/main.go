@@ -26,24 +26,26 @@ const (
 func main() {
 	c := prism.NewCluster(prism.ClusterConfig{Seed: 11})
 
-	replicas := make([]*prism.RSReplica, nReplicas)
-	for i := range replicas {
-		srv := c.NewServer(fmt.Sprintf("replica-%d", i), prism.SoftwarePRISM)
-		r, err := prism.NewRSReplica(srv, prism.RSOptions{
+	// A replica is provisioned on a server and from then on is memory the
+	// NICs operate on: the program keeps the servers (to connect to, and
+	// later to kill one) and each replica's description.
+	servers := make([]*prism.Server, nReplicas)
+	metas := make([]abd.Meta, nReplicas)
+	for i := range servers {
+		servers[i] = c.NewServer(fmt.Sprintf("replica-%d", i), prism.SoftwarePRISM)
+		r, err := prism.NewRSReplica(servers[i], prism.RSOptions{
 			NBlocks: nBlocks, BlockSize: blockSize, ExtraBuffers: 1024,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		replicas[i] = r
+		metas[i] = r.Meta()
 	}
 
 	mkClient := func(id uint16, machine *prism.ClientMachine) *prism.RSClient {
 		conns := make([]*prism.Conn, nReplicas)
-		metas := make([]abd.Meta, nReplicas)
-		for i, r := range replicas {
-			conns[i] = machine.Connect(r.NIC())
-			metas[i] = r.Meta()
+		for i, srv := range servers {
+			conns[i] = machine.Connect(srv)
 		}
 		return prism.NewRSClient(id, conns, metas)
 	}
@@ -89,7 +91,7 @@ func main() {
 	// Phase 2: kill replica 2 (its NIC swallows all traffic) and keep
 	// operating — the quorum protocol needs only f+1 = 2 of 3 replicas.
 	fmt.Println("killing replica-2 ...")
-	replicas[2].NIC().Node().SetHandler(func(fabric.Message) {})
+	servers[2].Node().SetHandler(func(fabric.Message) {})
 
 	survivor := mkClient(4, m2)
 	c.Go("post-failure", func(p *prism.Proc) {

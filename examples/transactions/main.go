@@ -39,11 +39,12 @@ func decodeBalance(b []byte) int64 {
 func main() {
 	c := prism.NewCluster(prism.ClusterConfig{Seed: 23})
 
+	servers := make([]*prism.Server, nShards)
 	shards := make([]*prism.TXShard, nShards)
 	metas := make([]tx.Meta, nShards)
 	for i := range shards {
-		srv := c.NewServer(fmt.Sprintf("shard-%d", i), prism.SoftwarePRISM)
-		s, err := prism.NewTXShard(srv, prism.TXOptions{
+		servers[i] = c.NewServer(fmt.Sprintf("shard-%d", i), prism.SoftwarePRISM)
+		s, err := prism.NewTXShard(servers[i], prism.TXOptions{
 			NSlots: nAccounts, MaxValue: 64, ExtraBuffers: 4096,
 		})
 		if err != nil {
@@ -64,8 +65,8 @@ func main() {
 		teller := uint16(t + 1)
 		machine := c.NewClientMachine(fmt.Sprintf("teller-%d", teller))
 		conns := make([]*prism.Conn, nShards)
-		for i, s := range shards {
-			conns[i] = machine.Connect(s.NIC())
+		for i, srv := range servers {
+			conns[i] = machine.Connect(srv)
 		}
 		client := c.NewTXClient(teller, conns, metas)
 
@@ -113,8 +114,8 @@ func main() {
 	// Audit: one read-only transaction summing every balance.
 	auditor := c.NewClientMachine("auditor")
 	conns := make([]*prism.Conn, nShards)
-	for i, s := range shards {
-		conns[i] = auditor.Connect(s.NIC())
+	for i, srv := range servers {
+		conns[i] = auditor.Connect(srv)
 	}
 	audit := c.NewTXClient(uint16(nTellers+1), conns, metas)
 	c.Go("audit", func(p *prism.Proc) {

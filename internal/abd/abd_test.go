@@ -43,6 +43,7 @@ func TestQuickTagOrder(t *testing.T) {
 type cluster struct {
 	e        *sim.Engine
 	net      *fabric.Network
+	nics     []*rdma.Server // one per replica, PRISM-RS or ABDLOCK
 	replicas []*Replica
 	cliNIC   []*rdma.Client // one per client machine
 }
@@ -59,7 +60,7 @@ func newCluster(t *testing.T, nReplicas int, opts ReplicaOptions, deploy model.D
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.replicas = append(c.replicas, r)
+		c.nics, c.replicas = append(c.nics, nic), append(c.replicas, r)
 	}
 	for i := 0; i < clientMachines; i++ {
 		c.cliNIC = append(c.cliNIC, rdma.NewClient(net, fmt.Sprintf("cli-%d", i)))
@@ -71,7 +72,7 @@ func (c *cluster) client(id uint16, machine int) *Client {
 	conns := make([]*rdma.Conn, len(c.replicas))
 	metas := make([]Meta, len(c.replicas))
 	for i, r := range c.replicas {
-		conns[i] = c.cliNIC[machine].Connect(r.NIC())
+		conns[i] = c.cliNIC[machine].Connect(c.nics[i])
 		metas[i] = r.Meta()
 	}
 	return NewClient(id, conns, metas)
@@ -121,9 +122,9 @@ func TestGetWritesBack(t *testing.T) {
 		// Allow in-flight chain completions at the straggler replica.
 		p.Sleep(time.Millisecond)
 		holders := 0
-		for _, rep := range cl.replicas {
+		for i, rep := range cl.replicas {
 			m := rep.Meta()
-			entry, err := rep.NIC().Space().Read(m.Key, m.entryAddr(1), metaSize)
+			entry, err := cl.nics[i].Space().Read(m.Key, m.entryAddr(1), metaSize)
 			if err != nil {
 				t.Error(err)
 				return
@@ -153,7 +154,7 @@ func TestSurvivesFMinorityFailure(t *testing.T) {
 	// drops every message (handler swallows requests).
 	cl := newCluster(t, 3, ReplicaOptions{NBlocks: 4, BlockSize: 16, ExtraBuffers: 64}, model.SoftwarePRISM, 1)
 	// Kill replica 2: replace its fabric handler with a sink.
-	cl.replicas[2].NIC().Node().SetHandler(func(fabric.Message) {})
+	cl.nics[2].Node().SetHandler(func(fabric.Message) {})
 	c := cl.client(1, 0)
 	var done bool
 	cl.e.Go("t", func(p *sim.Proc) {
@@ -283,7 +284,7 @@ func newLockCluster(t *testing.T, nReplicas int, nBlocks int64, blockSize int, d
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps = append(reps, r)
+		c.nics, reps = append(c.nics, nic), append(reps, r)
 	}
 	for i := 0; i < clientMachines; i++ {
 		c.cliNIC = append(c.cliNIC, rdma.NewClient(net, fmt.Sprintf("cli-%d", i)))
@@ -295,7 +296,7 @@ func lockClient(cl *cluster, reps []*LockReplica, id uint16, machine int) *LockC
 	conns := make([]*rdma.Conn, len(reps))
 	metas := make([]LockMeta, len(reps))
 	for i, r := range reps {
-		conns[i] = cl.cliNIC[machine].Connect(r.NIC())
+		conns[i] = cl.cliNIC[machine].Connect(cl.nics[i])
 		metas[i] = r.Meta()
 	}
 	rng := rand.New(rand.NewSource(int64(id)))
@@ -410,7 +411,7 @@ func TestVariableSizeBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.replicas = append(cl.replicas, r)
+		cl.nics, cl.replicas = append(cl.nics, nic), append(cl.replicas, r)
 	}
 	cl.cliNIC = append(cl.cliNIC, rdma.NewClient(net, "cli"))
 	c := cl.client(1, 0)
@@ -457,7 +458,7 @@ func TestVariableSizeLinearizable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.replicas = append(cl.replicas, r)
+		cl.nics, cl.replicas = append(cl.nics, nic), append(cl.replicas, r)
 	}
 	cl.cliNIC = append(cl.cliNIC, rdma.NewClient(net, "cli-0"), rdma.NewClient(net, "cli-1"))
 	runConcurrentHistory(t, func(cl *cluster, id uint16) interface {
@@ -472,8 +473,8 @@ func TestFiveReplicasToleratesTwoFailures(t *testing.T) {
 	// n=5, f=2: operations survive two dead replicas and remain
 	// linearizable under concurrency.
 	cl := newCluster(t, 5, ReplicaOptions{NBlocks: 4, BlockSize: 16, ExtraBuffers: 2048}, model.SoftwarePRISM, 2)
-	cl.replicas[1].NIC().Node().SetHandler(func(fabric.Message) {})
-	cl.replicas[4].NIC().Node().SetHandler(func(fabric.Message) {})
+	cl.nics[1].Node().SetHandler(func(fabric.Message) {})
+	cl.nics[4].Node().SetHandler(func(fabric.Message) {})
 	runConcurrentHistory(t, func(cl *cluster, id uint16) interface {
 		GetT(*sim.Proc, int64) (Tag, []byte, error)
 		PutT(*sim.Proc, int64, []byte) (Tag, error)
@@ -487,7 +488,7 @@ func TestEvenReplicaCountRejected(t *testing.T) {
 	conns := make([]*rdma.Conn, 2)
 	metas := make([]Meta, 2)
 	for i := 0; i < 2; i++ {
-		conns[i] = cl.cliNIC[0].Connect(cl.replicas[i].NIC())
+		conns[i] = cl.cliNIC[0].Connect(cl.nics[i])
 		metas[i] = cl.replicas[i].Meta()
 	}
 	defer func() {

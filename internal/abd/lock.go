@@ -8,6 +8,7 @@ import (
 	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/wire"
 )
 
@@ -36,15 +37,17 @@ func (m *LockMeta) blockAddr(b int64) memory.Addr {
 }
 
 // LockReplica is a passive ABDLOCK storage node: after initialization the
-// server CPU does nothing; all protocol steps are classic verbs.
+// server CPU does nothing — no RPC handler, no free list — and all protocol
+// steps are classic verbs. A replica forked from a captured image therefore
+// has nothing to attach: its LockMeta is all a client needs.
 type LockReplica struct {
-	rs   *rdma.Server
 	meta LockMeta
 }
 
-// NewLockReplica provisions the in-place block array with tag (1,0).
-func NewLockReplica(rs *rdma.Server, nBlocks int64, blockSize int) (*LockReplica, error) {
-	space := rs.Space()
+// NewLockReplica provisions the in-place block array with tag (1,0) on
+// host.
+func NewLockReplica(host transport.Host, nBlocks int64, blockSize int) (*LockReplica, error) {
+	space := host.Space()
 	region, err := space.Register(uint64(nBlocks) * uint64(lockHdr+blockSize))
 	if err != nil {
 		return nil, fmt.Errorf("abd: lock replica region: %w", err)
@@ -58,14 +61,11 @@ func NewLockReplica(rs *rdma.Server, nBlocks int64, blockSize int) (*LockReplica
 			return nil, err
 		}
 	}
-	return &LockReplica{rs: rs, meta: meta}, nil
+	return &LockReplica{meta: meta}, nil
 }
 
 // Meta returns the control-plane description.
 func (r *LockReplica) Meta() LockMeta { return r.meta }
-
-// NIC returns the transport server.
-func (r *LockReplica) NIC() *rdma.Server { return r.rs }
 
 // LockClient runs the ABDLOCK protocol.
 type LockClient struct {
@@ -82,12 +82,13 @@ type LockClient struct {
 	// Stats
 	LockRetries int64
 
-	// Per-client scratch. Every phase ends with WaitAll, so no request of
-	// a previous phase is still in flight when a buffer is rewritten
-	// (stale duplicates on a lossy network are dropped by their epoch).
+	// Per-client scratch. Every phase is one fan-out round waited to its
+	// end, so no request of a previous phase is still in flight when a
+	// buffer is rewritten (stale duplicates on a lossy network are dropped
+	// by their epoch).
 	casBuf [16]byte
 	imgBuf []byte
-	futs   []*sim.Future[[]wire.Result]
+	fan    rdma.Fanout
 }
 
 // NewLockClient builds a client over one connection per replica.
@@ -116,19 +117,16 @@ func NewLockClient(id uint16, conns []*rdma.Conn, metas []LockMeta, jitter func(
 func (c *LockClient) acquire(p *sim.Proc, block int64) []int {
 	backoff := c.BackoffMin
 	for {
-		futs := c.futs[:0]
-		for i := range c.conns {
+		for i, conn := range c.conns {
 			m := &c.metas[i]
-			ops := c.conns[i].Ops(1)
+			ops := conn.Ops(1)
 			ops[0] = prism.ClassicCASBuf(&c.casBuf, m.Key, m.blockAddr(block), 0, uint64(c.id))
-			futs = append(futs, c.conns[i].IssueAsync(ops))
+			c.fan.Post(conn, ops)
 		}
-		c.futs = futs[:0]
 		// Lock acquisition needs the outcome from every replica we asked
 		// (acquired or not) to know what to release; wait for all.
-		res := sim.WaitAll(p, futs)
 		var got []int
-		for i, r := range res {
+		for i, r := range c.fan.Wait(p) {
 			if r[0].Status == wire.StatusOK {
 				got = append(got, i)
 			}
@@ -153,31 +151,27 @@ func (c *LockClient) acquire(p *sim.Proc, block int64) []int {
 // release unlocks block at the given replicas (CAS holder -> 0) and waits
 // for completion.
 func (c *LockClient) release(p *sim.Proc, block int64, replicas []int) {
-	futs := c.futs[:0]
 	for _, i := range replicas {
 		m := &c.metas[i]
 		ops := c.conns[i].Ops(1)
 		ops[0] = prism.ClassicCASBuf(&c.casBuf, m.Key, m.blockAddr(block), uint64(c.id), 0)
-		futs = append(futs, c.conns[i].IssueAsync(ops))
+		c.fan.Post(c.conns[i], ops)
 	}
-	c.futs = futs[:0]
-	sim.WaitAll(p, futs)
+	c.fan.Wait(p)
 }
 
-// readLocked reads tag|value from the locked replicas.
+// readLocked reads tag|value from the locked replicas. The value is the
+// fan-out's copy: valid until the next phase posts.
 func (c *LockClient) readLocked(p *sim.Proc, block int64, replicas []int) (Tag, []byte, error) {
-	futs := c.futs[:0]
 	for _, i := range replicas {
 		m := &c.metas[i]
 		ops := c.conns[i].Ops(1)
 		ops[0] = prism.Read(m.Key, m.blockAddr(block)+8, uint64(8+m.BlockSize))
-		futs = append(futs, c.conns[i].IssueAsync(ops))
+		c.fan.Post(c.conns[i], ops)
 	}
-	c.futs = futs[:0]
-	res := sim.WaitAll(p, futs)
 	var maxTag Tag
 	var maxVal []byte
-	for _, r := range res {
+	for _, r := range c.fan.Wait(p) {
 		if r[0].Status != wire.StatusOK {
 			return 0, nil, fmt.Errorf("abd: locked read status %v", r[0].Status)
 		}
@@ -190,29 +184,28 @@ func (c *LockClient) readLocked(p *sim.Proc, block int64, replicas []int) (Tag, 
 	return maxTag, maxVal, nil
 }
 
-// writeLocked writes tag|value in place at the locked replicas.
-func (c *LockClient) writeLocked(p *sim.Proc, block int64, replicas []int, tag Tag, value []byte) error {
+// writeLocked writes tag|value in place at the locked replicas and returns
+// the value as written: the client's own image of it, valid until the next
+// write.
+func (c *LockClient) writeLocked(p *sim.Proc, block int64, replicas []int, tag Tag, value []byte) ([]byte, error) {
 	if cap(c.imgBuf) < 8+len(value) {
 		c.imgBuf = make([]byte, 8+len(value))
 	}
 	img := c.imgBuf[:8+len(value)]
 	prism.PutBE64(img, 0, uint64(tag))
 	copy(img[8:], value)
-	futs := c.futs[:0]
 	for _, i := range replicas {
 		m := &c.metas[i]
 		ops := c.conns[i].Ops(1)
 		ops[0] = prism.Write(m.Key, m.blockAddr(block)+8, img)
-		futs = append(futs, c.conns[i].IssueAsync(ops))
+		c.fan.Post(c.conns[i], ops)
 	}
-	c.futs = futs[:0]
-	res := sim.WaitAll(p, futs)
-	for _, r := range res {
+	for _, r := range c.fan.Wait(p) {
 		if r[0].Status != wire.StatusOK {
-			return fmt.Errorf("abd: locked write status %v", r[0].Status)
+			return nil, fmt.Errorf("abd: locked write status %v", r[0].Status)
 		}
 	}
-	return nil
+	return img[8:], nil
 }
 
 // Get: lock majority, read, propagate the max version, unlock.
@@ -229,7 +222,7 @@ func (c *LockClient) GetT(p *sim.Proc, block int64) (Tag, []byte, error) {
 	locked := c.acquire(p, block)
 	tag, val, err := c.readLocked(p, block, locked)
 	if err == nil {
-		err = c.writeLocked(p, block, locked, tag, val)
+		val, err = c.writeLocked(p, block, locked, tag, val)
 	}
 	c.release(p, block, locked)
 	if err != nil {
@@ -256,7 +249,7 @@ func (c *LockClient) PutT(p *sim.Proc, block int64, value []byte) (Tag, error) {
 	tag, _, err := c.readLocked(p, block, locked)
 	if err == nil {
 		tag = tag.Next(c.id)
-		err = c.writeLocked(p, block, locked, tag, value)
+		_, err = c.writeLocked(p, block, locked, tag, value)
 	}
 	c.release(p, block, locked)
 	return tag, err

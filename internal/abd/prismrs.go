@@ -31,14 +31,14 @@ type ReplicaOptions struct {
 // Replica is one PRISM-RS storage node. After initialization its CPU only
 // recycles buffers; all protocol steps are remote one-sided operations.
 type Replica struct {
-	rs   *rdma.Server
 	meta Meta
 }
 
-// NewReplica provisions a replica: metadata array, one initial buffer per
-// block (tag (1,0), zero value), and a free list for out-of-place writes.
-func NewReplica(rs *rdma.Server, opts ReplicaOptions) (*Replica, error) {
-	space := rs.Space()
+// NewReplica provisions a replica on host — the simulated NIC or a live
+// socket server: metadata array, one initial buffer per block (tag (1,0),
+// zero value), and a free list for out-of-place writes.
+func NewReplica(host transport.Host, opts ReplicaOptions) (*Replica, error) {
+	space := host.Space()
 	meta := Meta{
 		NBlocks:   opts.NBlocks,
 		BlockSize: opts.BlockSize,
@@ -79,18 +79,23 @@ func NewReplica(rs *rdma.Server, opts ReplicaOptions) (*Replica, error) {
 			return nil, err
 		}
 	}
-	rs.AddFreeList(fl)
-	rs.SetConnTempKey(meta.Key)
+	host.AddFreeList(fl)
+	host.SetConnTempKey(meta.Key)
+	return AttachReplica(host, meta), nil
+}
 
-	rs.SetRPCHandler(transport.ReclamationHandler(rs, rpcFree, meta.FreeList))
-	return &Replica{rs: rs, meta: meta}, nil
+// AttachReplica is the CPU half of NewReplica: the replica described by
+// meta already stands in host's memory and free list (NewReplica just put
+// it there, or host was forked from a captured image of one that did),
+// and what remains is the reclamation daemon. The three replicas of a
+// group are identical after initialization, so one image serves them all.
+func AttachReplica(host transport.Host, meta Meta) *Replica {
+	host.SetRPCHandler(transport.ReclamationHandler(host, rpcFree, meta.FreeList))
+	return &Replica{meta: meta}
 }
 
 // Meta returns the control-plane description.
 func (r *Replica) Meta() Meta { return r.meta }
-
-// NIC returns the transport server.
-func (r *Replica) NIC() *rdma.Server { return r.rs }
 
 // Client executes the PRISM-RS protocol against a replica group. Each
 // closed-loop client owns one Client (one connection per replica).
@@ -116,14 +121,11 @@ type Client struct {
 	// send window) keeps their redirect targets disjoint.
 	tmpSlot []int
 
-	// ctrl, when set, carries reclamation RPCs on dedicated control
-	// connections so they never queue behind data-path chains on the RC
-	// queue pair (requests on one QP execute in order).
-	ctrl []*rdma.Conn
-
-	// Reclamation batching per replica.
-	frees     [][]byte
-	FreeBatch int
+	// Reclaim batches, per replica, the 8-byte addresses of the buffers
+	// this client's installs displaced or orphaned, reported under rpcFree
+	// (§3.2); full batches are flushed at the end of a write phase.
+	// Reclaim[i].Ctrl routes replica i's reports over a control connection.
+	Reclaim []transport.Reclaimer
 
 	// Cached CAS masks per replica (entry-size dependent). Read-only after
 	// construction, so safe to share with in-flight straggler chains.
@@ -152,15 +154,15 @@ func NewClient(id uint16, conns []*rdma.Conn, metas []Meta) *Client {
 		conns:     conns,
 		metas:     metas,
 		f:         (len(conns) - 1) / 2,
-		frees:     make([][]byte, len(conns)),
+		Reclaim:   make([]transport.Reclaimer, len(conns)),
 		tmpSlot:   make([]int, len(conns)),
-		FreeBatch: 16,
 		tagMasks:  make([][]byte, len(conns)),
 		fullMasks: make([][]byte, len(conns)),
 		readFuts:  make([]*sim.Future[readReply], len(conns)),
 		writeFuts: make([]*sim.Future[int], len(conns)),
 	}
 	for i := range metas {
+		c.Reclaim[i] = transport.NewReclaimer(&rdma.ProcConn{Conn: conns[i]}, rpcFree, 16)
 		es := int(metas[i].entrySize())
 		c.tagMasks[i] = prism.FieldMask(es, 0, 8)
 		c.fullMasks[i] = prism.FullMask(es)
@@ -309,8 +311,7 @@ func (c *Client) writePhase(p *sim.Proc, block int64, tag Tag, value []byte) err
 		// among the first f+1 repliers is rare (RNR). Treat as an error.
 		return fmt.Errorf("abd: write phase acked by %d < %d replicas", good, c.f+1)
 	}
-	c.maybeFlushFrees(p)
-	return nil
+	return transport.FlushFull(c.Reclaim)
 }
 
 // Get performs a linearizable read: ABD read phase, then write-back of the
@@ -362,46 +363,5 @@ func (c *Client) PutT(p *sim.Proc, block int64, value []byte) (Tag, error) {
 func (c *Client) retire(replica int, addr memory.Addr) {
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], uint64(addr))
-	c.frees[replica] = append(c.frees[replica], rec[:]...)
-}
-
-func (c *Client) maybeFlushFrees(p *sim.Proc) {
-	for i, pending := range c.frees {
-		if len(pending)/8 >= c.FreeBatch {
-			c.flushReplicaFrees(i)
-		}
-	}
-}
-
-// UseControlConns routes reclamation RPCs over dedicated connections (one
-// per replica, same order as the data connections).
-func (c *Client) UseControlConns(ctrl []*rdma.Conn) {
-	if len(ctrl) != len(c.conns) {
-		panic("abd: control connections must match replicas")
-	}
-	c.ctrl = ctrl
-}
-
-func (c *Client) flushReplicaFrees(i int) {
-	if len(c.frees[i]) == 0 {
-		return
-	}
-	// The payload is copied out of the batch buffer because the RPC is
-	// fire-and-forget: the buffer refills while it may still be in flight.
-	payload := append([]byte{rpcFree}, c.frees[i]...)
-	c.frees[i] = c.frees[i][:0]
-	conn := c.conns[i]
-	if c.ctrl != nil {
-		conn = c.ctrl[i]
-	}
-	ops := conn.Ops(1)
-	ops[0] = prism.Send(payload)
-	conn.IssueAsync(ops)
-}
-
-// FlushFrees sends all pending reclamation batches.
-func (c *Client) FlushFrees() {
-	for i := range c.frees {
-		c.flushReplicaFrees(i)
-	}
+	c.Reclaim[replica].Retire(rec[:])
 }

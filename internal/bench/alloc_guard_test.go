@@ -164,11 +164,12 @@ func TestScanAllocGuard(t *testing.T) {
 	cfg.Keys = 1024
 	cfg.ValueSize = 128
 	v := newEnv(cfg, 42, load{}, rackFabric(cfg))
-	e, srv := v.e, loadKV(v.net, cfg)
+	e := v.e
+	nic, meta := loadKV(v.net, cfg)
 	cli := rdma.NewClient(v.net, "cli")
-	st := kv.NewClient(cli.Connect(srv.NIC()), srv.Meta(), 1)
+	st := kv.NewClient(cli.Connect(nic), meta, 1)
 	visit := func(key int64, value []byte) error { return nil }
-	nslots := srv.Meta().NSlots
+	nslots := meta.NSlots
 	var avg float64
 	cli.Domain().Go("guard", func(p *sim.Proc) {
 		cursor := int64(0)

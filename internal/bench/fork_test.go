@@ -8,7 +8,6 @@ import (
 	"prism/internal/abd"
 	"prism/internal/memory"
 	"prism/internal/model"
-	"prism/internal/tx"
 )
 
 // spaceChecksum hashes every byte of every region of a space.
@@ -28,21 +27,22 @@ func spaceChecksum(t *testing.T, s *memory.Space) uint64 {
 
 func freshKV(cfg Config, seed int64, w load) cluster {
 	v := newEnv(cfg, seed, w, rackFabric(cfg))
-	return v.mix(kvClients(loadKV(v.net, cfg), kvTune{}))
+	nic, meta := loadKV(v.net, cfg)
+	return v.mix(kvClients(nic, meta, kvTune{}))
 }
 
 func freshRS(cfg Config, seed int64, w load) cluster {
 	v := newEnv(cfg, seed, w, rackFabric(cfg))
-	replicas := make([]*abd.Replica, nReplicas)
-	for i := range replicas {
-		replicas[i] = loadReplica(v.net, cfg, replicaName(i))
+	var replicas group[abd.Meta]
+	for i := 0; i < nReplicas; i++ {
+		replicas.add(loadReplica(v.net, cfg, replicaName(i)))
 	}
 	return v.rsCluster(replicas, false)
 }
 
 func freshTX(cfg Config, seed int64, w load) cluster {
 	v := newEnv(cfg, seed, w, rackFabric(cfg))
-	return v.txCluster([]*tx.Shard{loadTX(v.net, cfg)})
+	return v.txCluster(loadTX(v.net, cfg))
 }
 
 func freshTXCluster(cfg Config, seed int64, w load) cluster {
@@ -98,20 +98,20 @@ func TestForkedClusterMatchesFresh(t *testing.T) {
 func TestForkWritesInvisibleOutsideFork(t *testing.T) {
 	cfg := tiny()
 	tmpl := kvTemplate(cfg)
-	before := spaceChecksum(t, tmpl.NIC().Snapshot().Space())
+	before := spaceChecksum(t, tmpl.nic.Snapshot().Space())
 
 	writes := func() Point { // 100% writes
 		pt, _ := runPoint(cfg, "fork-iso", paperKV, load{readFrac: 0}, clientsKey(32), 32)
 		return pt
 	}
 	first := writes()
-	if mid := spaceChecksum(t, tmpl.NIC().Snapshot().Space()); mid != before {
+	if mid := spaceChecksum(t, tmpl.nic.Snapshot().Space()); mid != before {
 		t.Fatalf("template bytes changed during a forked run: %#x -> %#x", before, mid)
 	}
 	if second := writes(); first != second {
 		t.Fatalf("repeat run from same template differs: %+v vs %+v", first, second)
 	}
-	if after := spaceChecksum(t, tmpl.NIC().Snapshot().Space()); after != before {
+	if after := spaceChecksum(t, tmpl.nic.Snapshot().Space()); after != before {
 		t.Fatalf("template bytes changed after forked runs: %#x -> %#x", before, after)
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"prism/internal/kv"
 	"prism/internal/model"
 	"prism/internal/sim"
 )
@@ -13,9 +12,9 @@ import (
 // the event domain client 0 runs on.
 func kvClient0(cfg Config) (*sim.Engine, store, *sim.Engine) {
 	v := newEnv(cfg, 42, load{}, rackFabric(cfg))
-	srv := kv.NewServerFromTemplate(v.net, "server", model.SoftwarePRISM, kvTemplate(cfg))
+	nic, meta := v.forkKV(model.SoftwarePRISM)
 	m := v.clientMachines()[0]
-	return v.e, kvClients(srv, kvTune{})(m, 0), m.Domain()
+	return v.e, kvClients(nic, meta, kvTune{})(m, 0), m.Domain()
 }
 
 // BenchmarkSimulatedGET measures one full PRISM-KV GET round trip through

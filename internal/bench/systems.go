@@ -10,6 +10,7 @@ import (
 	"prism/internal/kv"
 	"prism/internal/model"
 	"prism/internal/rdma"
+	"prism/internal/transport"
 	"prism/internal/tx"
 	"prism/internal/workload"
 )
@@ -17,7 +18,9 @@ import (
 // The systems under measurement. Each has one load* constructor that
 // builds and bulk-loads it on a network, one template that captures a
 // load* result once per process, and one builder that forks the template
-// onto a point's fabric and attaches clients.
+// onto a point's fabric and attaches clients. A store knows its machine
+// only as a transport.Host, so whoever builds the rdma.Server keeps it:
+// the constructors return it beside the store, and clients connect to it.
 
 // ---------------------------------------------------------------------------
 // Template cache
@@ -85,20 +88,35 @@ func must(err error) {
 	}
 }
 
+// image is a loaded store in the template cache: the server's sealed
+// memory, free lists and temp key, and the store's control-plane
+// description — everything a store without CPU-side state is. An instance
+// is fork plus the store's Attach.
+type image[M any] struct {
+	nic  *rdma.ServerTemplate
+	meta M
+}
+
+func capture[M any](nic *rdma.Server, meta M) image[M] { return image[M]{nic.Capture(), meta} }
+
+func (im image[M]) fork(net *fabric.Network, name string, deploy model.Deployment) *rdma.Server {
+	return rdma.NewServerFromTemplate(net, name, deploy, im.nic)
+}
+
 // ---------------------------------------------------------------------------
 // PRISM-KV and Pilaf (Figures 3, 4, fig-scale)
 
-func loadKV(net *fabric.Network, cfg Config) *kv.Server {
-	srv, err := kv.NewServer(rdma.NewServer(net, "server", model.SoftwarePRISM),
-		kv.DefaultOptions(cfg.Keys, cfg.ValueSize))
+func loadKV(net *fabric.Network, cfg Config) (*rdma.Server, kv.Meta) {
+	nic := rdma.NewServer(net, "server", model.SoftwarePRISM)
+	srv, err := kv.NewServerOn(nic, kv.DefaultOptions(cfg.Keys, cfg.ValueSize))
 	must(err)
 	loadKeys(cfg.ValueSize, cfg.Keys, srv.Load)
-	return srv
+	return nic, srv.Meta()
 }
 
-func kvTemplate(cfg Config) *kv.Template {
-	return cachedTemplate("prismkv", cfg, 0, func(v *env) *kv.Template {
-		return loadKV(v.net, cfg).Capture()
+func kvTemplate(cfg Config) image[kv.Meta] {
+	return cachedTemplate("prismkv", cfg, 0, func(v *env) image[kv.Meta] {
+		return capture(loadKV(v.net, cfg))
 	})
 }
 
@@ -112,17 +130,25 @@ type kvTune struct {
 	slotCache bool
 }
 
-// kvClients makes the PRISM-KV clients of srv.
-func kvClients(srv *kv.Server, t kvTune) func(m *rdma.Client, id int) store {
+// kvClients makes the PRISM-KV clients of the store meta describes on nic.
+func kvClients(nic *rdma.Server, meta kv.Meta, t kvTune) func(m *rdma.Client, id int) store {
 	return func(m *rdma.Client, id int) store {
-		c := kv.NewClient(m.Connect(srv.NIC()), srv.Meta(), uint16(id+1))
+		c := kv.NewClient(m.Connect(nic), meta, uint16(id+1))
 		if !t.singleQP {
-			c.CtrlConn = &rdma.ProcConn{Conn: m.Connect(srv.NIC())}
-			c.FreeBatch = 4 // keep unreclaimed churn small under heavy write load
+			c.Reclaim.Ctrl = &rdma.ProcConn{Conn: m.Connect(nic)}
+			c.Reclaim.Batch = 4 // keep unreclaimed churn small under heavy write load
 		}
 		c.SlotCache = t.slotCache
 		return c
 	}
+}
+
+// forkKV instantiates the loaded PRISM-KV store on v's fabric under deploy.
+func (v *env) forkKV(deploy model.Deployment) (*rdma.Server, kv.Meta) {
+	im := kvTemplate(v.cfg)
+	nic := im.fork(v.net, "server", deploy)
+	kv.AttachServer(nic, im.meta)
+	return nic, im.meta
 }
 
 // prismKV builds PRISM-KV under deploy on a fabric with cost model
@@ -130,35 +156,41 @@ func kvClients(srv *kv.Server, t kvTune) func(m *rdma.Client, id int) store {
 func prismKV(deploy model.Deployment, params func(Config) model.Params, t kvTune) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, params(cfg))
-		return v.mix(kvClients(kv.NewServerFromTemplate(v.net, "server", deploy, kvTemplate(cfg)), t))
+		nic, meta := v.forkKV(deploy)
+		return v.mix(kvClients(nic, meta, t))
 	}
 }
 
-func loadPilaf(net *fabric.Network, cfg Config) *kv.PilafServer {
-	srv, err := kv.NewPilafServer(rdma.NewServer(net, "server", model.SoftwarePRISM),
-		kv.DefaultOptions(cfg.Keys, cfg.ValueSize))
+// Pilaf is the one store that keeps the NIC itself (its PUT stages stores
+// on the engine) and a template of its own (its index is CPU-side state).
+func loadPilaf(net *fabric.Network, cfg Config) (*rdma.Server, *kv.PilafServer) {
+	nic := rdma.NewServer(net, "server", model.SoftwarePRISM)
+	srv, err := kv.NewPilafServer(nic, kv.DefaultOptions(cfg.Keys, cfg.ValueSize))
 	must(err)
 	loadKeys(cfg.ValueSize, cfg.Keys, srv.Load)
-	return srv
+	return nic, srv
 }
 
 func pilafTemplate(cfg Config) *kv.PilafTemplate {
 	return cachedTemplate("pilaf", cfg, 0, func(v *env) *kv.PilafTemplate {
-		return loadPilaf(v.net, cfg).Capture()
+		_, srv := loadPilaf(v.net, cfg)
+		return srv.Capture()
 	})
 }
 
-// pilafCluster attaches Pilaf clients to srv.
-func (v *env) pilafCluster(srv *kv.PilafServer) cluster {
+// pilafCluster attaches Pilaf clients to srv on nic.
+func (v *env) pilafCluster(nic *rdma.Server, srv *kv.PilafServer) cluster {
 	return v.mix(func(m *rdma.Client, _ int) store {
-		return kv.NewPilafClient(m.Connect(srv.NIC()), srv.Meta(), v.p.PilafCRCCost)
+		return kv.NewPilafClient(m.Connect(nic), srv.Meta(), v.p.PilafCRCCost)
 	})
 }
 
 func pilaf(deploy model.Deployment, params func(Config) model.Params) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, params(cfg))
-		return v.pilafCluster(kv.NewPilafServerFromTemplate(v.net, "server", deploy, pilafTemplate(cfg)))
+		tmpl := pilafTemplate(cfg)
+		nic := rdma.NewServerFromTemplate(v.net, "server", deploy, tmpl.NIC())
+		return v.pilafCluster(nic, tmpl.Attach(nic))
 	}
 }
 
@@ -169,42 +201,63 @@ const nReplicas = 3
 
 func replicaName(i int) string { return fmt.Sprintf("replica-%d", i) }
 
-func loadReplica(net *fabric.Network, cfg Config, name string) *abd.Replica {
-	r, err := abd.NewReplica(rdma.NewServer(net, name, model.SoftwarePRISM), abd.ReplicaOptions{
+func loadReplica(net *fabric.Network, cfg Config, name string) (*rdma.Server, abd.Meta) {
+	nic := rdma.NewServer(net, name, model.SoftwarePRISM)
+	r, err := abd.NewReplica(nic, abd.ReplicaOptions{
 		NBlocks:   cfg.Keys,
 		BlockSize: cfg.ValueSize,
 		// Generous slack: writes in flight before reclamation lands.
 		ExtraBuffers: 4096,
 	})
 	must(err)
-	return r
+	return nic, r.Meta()
 }
 
 // rsTemplate serves all three replicas of a group: they are identical
 // after initialization, so each is its own COW fork of one image.
-func rsTemplate(cfg Config) *abd.Template {
-	return cachedTemplate("prismrs", cfg, 0, func(v *env) *abd.Template {
-		return loadReplica(v.net, cfg, "replica").Capture()
+func rsTemplate(cfg Config) image[abd.Meta] {
+	return cachedTemplate("prismrs", cfg, 0, func(v *env) image[abd.Meta] {
+		return capture(loadReplica(v.net, cfg, "replica"))
 	})
+}
+
+// group is a replica group or shard set as clients see it: the servers to
+// connect to and the description of the store on each.
+type group[M any] struct {
+	nics  []*rdma.Server
+	metas []M
+}
+
+func (g *group[M]) add(nic *rdma.Server, meta M) {
+	g.nics, g.metas = append(g.nics, nic), append(g.metas, meta)
+}
+
+// connect opens one QP from m to every server of the group.
+func (g *group[M]) connect(m *rdma.Client) []*rdma.Conn {
+	conns := make([]*rdma.Conn, len(g.nics))
+	for i, nic := range g.nics {
+		conns[i] = m.Connect(nic)
+	}
+	return conns
+}
+
+// controlQPs opens a second QP to every server of the group and routes
+// the client's reclamation RPCs over them.
+func (g *group[M]) controlQPs(m *rdma.Client, recl []transport.Reclaimer) {
+	for i, conn := range g.connect(m) {
+		recl[i].Ctrl = &rdma.ProcConn{Conn: conn}
+	}
 }
 
 // rsCluster attaches PRISM-RS clients to a replica group. skipWriteBack
 // turns on the classic ABD read optimization (AblationABDWriteback).
-func (v *env) rsCluster(replicas []*abd.Replica, skipWriteBack bool) cluster {
+func (v *env) rsCluster(replicas group[abd.Meta], skipWriteBack bool) cluster {
 	return v.mix(func(m *rdma.Client, id int) store {
-		conns := make([]*rdma.Conn, len(replicas))
-		metas := make([]abd.Meta, len(replicas))
-		for i, r := range replicas {
-			conns[i] = m.Connect(r.NIC())
-			metas[i] = r.Meta()
+		c := abd.NewClient(uint16(id+1), replicas.connect(m), replicas.metas)
+		replicas.controlQPs(m, c.Reclaim) // reclamation rides control QPs
+		for i := range c.Reclaim {
+			c.Reclaim[i].Batch = 8
 		}
-		c := abd.NewClient(uint16(id+1), conns, metas)
-		ctrl := make([]*rdma.Conn, len(replicas))
-		for i, r := range replicas {
-			ctrl[i] = m.Connect(r.NIC())
-		}
-		c.UseControlConns(ctrl) // reclamation rides control QPs
-		c.FreeBatch = 8
 		c.SkipWriteBackIfAgreed = skipWriteBack
 		return c
 	})
@@ -213,38 +266,36 @@ func (v *env) rsCluster(replicas []*abd.Replica, skipWriteBack bool) cluster {
 func prismRS(skipWriteBack bool) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, rackFabric(cfg))
-		tmpl := rsTemplate(cfg)
-		replicas := make([]*abd.Replica, nReplicas)
-		for i := range replicas {
-			replicas[i] = abd.NewReplicaFromTemplate(v.net, replicaName(i), model.SoftwarePRISM, tmpl)
+		im := rsTemplate(cfg)
+		var replicas group[abd.Meta]
+		for i := 0; i < nReplicas; i++ {
+			nic := im.fork(v.net, replicaName(i), model.SoftwarePRISM)
+			abd.AttachReplica(nic, im.meta)
+			replicas.add(nic, im.meta)
 		}
 		return v.rsCluster(replicas, skipWriteBack)
 	}
 }
 
-func lockTemplate(cfg Config) *abd.LockTemplate {
-	return cachedTemplate("abdlock", cfg, 0, func(v *env) *abd.LockTemplate {
-		r, err := abd.NewLockReplica(rdma.NewServer(v.net, "replica", model.SoftwarePRISM), cfg.Keys, cfg.ValueSize)
+func lockTemplate(cfg Config) image[abd.LockMeta] {
+	return cachedTemplate("abdlock", cfg, 0, func(v *env) image[abd.LockMeta] {
+		nic := rdma.NewServer(v.net, "replica", model.SoftwarePRISM)
+		r, err := abd.NewLockReplica(nic, cfg.Keys, cfg.ValueSize)
 		must(err)
-		return r.Capture()
+		return capture(nic, r.Meta())
 	})
 }
 
 func abdlock(deploy model.Deployment) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, rackFabric(cfg))
-		tmpl := lockTemplate(cfg)
-		replicas := make([]*abd.LockReplica, nReplicas)
-		for i := range replicas {
-			replicas[i] = abd.NewLockReplicaFromTemplate(v.net, replicaName(i), deploy, tmpl)
+		im := lockTemplate(cfg)
+		var replicas group[abd.LockMeta]
+		for i := 0; i < nReplicas; i++ {
+			// A lock replica is passive: its fork has nothing to attach.
+			replicas.add(im.fork(v.net, replicaName(i), deploy), im.meta)
 		}
 		return v.mix(func(m *rdma.Client, id int) store {
-			conns := make([]*rdma.Conn, nReplicas)
-			metas := make([]abd.LockMeta, nReplicas)
-			for i, r := range replicas {
-				conns[i] = m.Connect(r.NIC())
-				metas[i] = r.Meta()
-			}
 			// Backoff jitter draws from a per-client RNG stream derived
 			// from the point seed. A shared domain RNG would make the
 			// draw sequence each client sees depend on which machines
@@ -253,7 +304,7 @@ func abdlock(deploy model.Deployment) builder {
 			// stream decorrelated from the client's workload generator,
 			// which uses clientSeed(seed, id) directly.
 			jit := rand.New(rand.NewSource(clientSeed(^seed, id))).Float64
-			return abd.NewLockClient(uint16(id+1), conns, metas, jit)
+			return abd.NewLockClient(uint16(id+1), replicas.connect(m), replicas.metas, jit)
 		})
 	}
 }
@@ -263,31 +314,27 @@ func abdlock(deploy model.Deployment) builder {
 
 // loadShards builds one PRISM-TX shard per name, each with room for slots
 // keys, and loads key k on shard k mod len(names).
-func loadShards(net *fabric.Network, cfg Config, names []string, slots int64) []*tx.Shard {
+func loadShards(net *fabric.Network, cfg Config, names []string, slots int64) group[tx.Meta] {
+	var g group[tx.Meta]
 	shards := make([]*tx.Shard, len(names))
 	for i, name := range names {
-		s, err := tx.NewShard(rdma.NewServer(net, name, model.SoftwarePRISM),
-			tx.ShardOptions{NSlots: slots, MaxValue: cfg.ValueSize, ExtraBuffers: 8192})
+		nic := rdma.NewServer(net, name, model.SoftwarePRISM)
+		s, err := tx.NewShard(nic, tx.ShardOptions{NSlots: slots, MaxValue: cfg.ValueSize, ExtraBuffers: 8192})
 		must(err)
 		shards[i] = s
+		g.add(nic, s.Meta())
 	}
 	loadKeys(cfg.ValueSize, cfg.Keys, func(k int64, value []byte) error {
 		return shards[k%int64(len(shards))].Load(k, value)
 	})
-	return shards
+	return g
 }
 
 // loadTX is the single shard of Figures 9 and 10 (NSlots = Keys). A
 // one-shard loadTXCluster is a different image (NSlots = Keys + 1), so the
 // two keep distinct templates.
-func loadTX(net *fabric.Network, cfg Config) *tx.Shard {
-	return loadShards(net, cfg, []string{"shard"}, cfg.Keys)[0]
-}
-
-func txTemplate(cfg Config) *tx.Template {
-	return cachedTemplate("prismtx", cfg, 0, func(v *env) *tx.Template {
-		return loadTX(v.net, cfg).Capture()
-	})
+func loadTX(net *fabric.Network, cfg Config) group[tx.Meta] {
+	return loadShards(net, cfg, []string{"shard"}, cfg.Keys)
 }
 
 func shardNames(n int) []string {
@@ -301,44 +348,57 @@ func shardNames(n int) []string {
 // loadTXCluster is the nShards cluster of the extension figures (shard i
 // holds keys k where k mod nShards == i, so each shard's image is
 // distinct).
-func loadTXCluster(net *fabric.Network, cfg Config, nShards int) []*tx.Shard {
+func loadTXCluster(net *fabric.Network, cfg Config, nShards int) group[tx.Meta] {
 	return loadShards(net, cfg, shardNames(nShards), cfg.Keys/int64(nShards)+1)
 }
 
-func txClusterTemplates(cfg Config, nShards int) []*tx.Template {
-	return cachedTemplate("txcluster", cfg, nShards, func(v *env) []*tx.Template {
-		tmpls := make([]*tx.Template, nShards)
-		for i, s := range loadTXCluster(v.net, cfg, nShards) {
-			tmpls[i] = s.Capture()
+// shardTemplates caches the template set of a loaded shard group: one
+// image per shard, in shard order.
+func shardTemplates(system string, cfg Config, nShards int, load func(net *fabric.Network) group[tx.Meta]) []image[tx.Meta] {
+	return cachedTemplate(system, cfg, nShards, func(v *env) []image[tx.Meta] {
+		g := load(v.net)
+		ims := make([]image[tx.Meta], len(g.nics))
+		for i, nic := range g.nics {
+			ims[i] = capture(nic, g.metas[i])
 		}
-		return tmpls
+		return ims
 	})
+}
+
+func txTemplate(cfg Config) []image[tx.Meta] {
+	return shardTemplates("prismtx", cfg, 0, func(net *fabric.Network) group[tx.Meta] { return loadTX(net, cfg) })
+}
+
+func txClusterTemplates(cfg Config, nShards int) []image[tx.Meta] {
+	return shardTemplates("txcluster", cfg, nShards, func(net *fabric.Network) group[tx.Meta] {
+		return loadTXCluster(net, cfg, nShards)
+	})
+}
+
+// forkShards instantiates a template set on v's fabric under names.
+func (v *env) forkShards(ims []image[tx.Meta], names []string) group[tx.Meta] {
+	var g group[tx.Meta]
+	for i, im := range ims {
+		nic := im.fork(v.net, names[i], model.SoftwarePRISM)
+		tx.AttachShard(nic, im.meta)
+		g.add(nic, im.meta)
+	}
+	return g
 }
 
 // txCluster attaches PRISM-TX clients to shards: one data and one control
 // QP per shard per client.
-func (v *env) txCluster(shards []*tx.Shard) cluster {
-	metas := make([]tx.Meta, len(shards))
-	for i, s := range shards {
-		metas[i] = s.Meta()
-	}
+func (v *env) txCluster(shards group[tx.Meta]) cluster {
 	return v.rmw(func(m *rdma.Client, id int) func() txHandle {
-		conns := make([]*rdma.Conn, len(shards))
-		ctrl := make([]*rdma.Conn, len(shards))
-		for i, s := range shards {
-			conns[i] = m.Connect(s.NIC())
-			ctrl[i] = m.Connect(s.NIC())
-		}
-		c := tx.NewClient(uint16(id+1), conns, metas)
-		c.UseControlConns(ctrl)
+		c := tx.NewClient(uint16(id+1), shards.connect(m), shards.metas)
+		shards.controlQPs(m, c.Reclaim)
 		return func() txHandle { return c.Begin() }
 	})
 }
 
 func prismTX(cfg Config, seed int64, w load) cluster {
 	v := newEnv(cfg, seed, w, rackFabric(cfg))
-	shard := tx.NewShardFromTemplate(v.net, "shard", model.SoftwarePRISM, txTemplate(cfg))
-	return v.txCluster([]*tx.Shard{shard})
+	return v.txCluster(v.forkShards(txTemplate(cfg), []string{"shard"}))
 }
 
 // prismTXCluster is the nShards builder. A load's keysPerTx only shapes
@@ -347,30 +407,28 @@ func prismTX(cfg Config, seed int64, w load) cluster {
 func prismTXCluster(nShards int) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, rackFabric(cfg))
-		names, shards := shardNames(nShards), make([]*tx.Shard, nShards)
-		for i, tmpl := range txClusterTemplates(cfg, nShards) {
-			shards[i] = tx.NewShardFromTemplate(v.net, names[i], model.SoftwarePRISM, tmpl)
-		}
-		return v.txCluster(shards)
+		return v.txCluster(v.forkShards(txClusterTemplates(cfg, nShards), shardNames(nShards)))
 	}
 }
 
-func farmTemplate(cfg Config) *tx.FarmTemplate {
-	return cachedTemplate("farm", cfg, 0, func(v *env) *tx.FarmTemplate {
-		srv, err := tx.NewFarmServer(rdma.NewServer(v.net, "shard", model.SoftwarePRISM),
-			tx.ShardOptions{NSlots: cfg.Keys, MaxValue: cfg.ValueSize})
+func farmTemplate(cfg Config) image[tx.FarmMeta] {
+	return cachedTemplate("farm", cfg, 0, func(v *env) image[tx.FarmMeta] {
+		nic := rdma.NewServer(v.net, "shard", model.SoftwarePRISM)
+		srv, err := tx.NewFarmServer(nic, tx.ShardOptions{NSlots: cfg.Keys, MaxValue: cfg.ValueSize})
 		must(err)
 		loadKeys(cfg.ValueSize, cfg.Keys, srv.Load)
-		return srv.Capture()
+		return capture(nic, srv.Meta())
 	})
 }
 
 func farm(deploy model.Deployment) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, rackFabric(cfg))
-		srv := tx.NewFarmServerFromTemplate(v.net, "shard", deploy, farmTemplate(cfg))
+		im := farmTemplate(cfg)
+		nic := im.fork(v.net, "shard", deploy)
+		tx.AttachFarmServer(nic, im.meta)
 		return v.rmw(func(m *rdma.Client, id int) func() txHandle {
-			c := tx.NewFarmClient(uint16(id+1), []*rdma.Conn{m.Connect(srv.NIC())}, []tx.FarmMeta{srv.Meta()})
+			c := tx.NewFarmClient(uint16(id+1), []*rdma.Conn{m.Connect(nic)}, []tx.FarmMeta{im.meta})
 			return func() txHandle { return c.Begin() }
 		})
 	}

@@ -33,12 +33,12 @@ func TestKVUnderPacketLoss(t *testing.T) {
 	e := sim.NewEngine(41)
 	net := fabric.New(e, p)
 	nic := rdma.NewServer(net, "kv", model.SoftwarePRISM)
-	srv, err := kv.NewServer(nic, kv.DefaultOptions(64, 128))
+	srv, err := kv.NewServerOn(nic, kv.DefaultOptions(64, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli := rdma.NewClient(net, "cli")
-	conn := cli.Connect(srv.NIC())
+	conn := cli.Connect(nic)
 	c := kv.NewClient(conn, srv.Meta(), 1)
 	modelMap := map[int64]string{}
 	e.Go("t", func(pr *sim.Proc) {
@@ -76,9 +76,11 @@ func TestABDLinearizableUnderLoss(t *testing.T) {
 	p.RetransmitTimeout = 50 * time.Microsecond
 	e := sim.NewEngine(43)
 	net := fabric.New(e, p)
+	var nics []*rdma.Server
 	var replicas []*abd.Replica
 	for i := 0; i < 3; i++ {
 		nic := rdma.NewServer(net, fmt.Sprintf("rep-%d", i), model.SoftwarePRISM)
+		nics = append(nics, nic)
 		r, err := abd.NewReplica(nic, abd.ReplicaOptions{NBlocks: 2, BlockSize: 16, ExtraBuffers: 4096})
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +94,7 @@ func TestABDLinearizableUnderLoss(t *testing.T) {
 		conns := make([]*rdma.Conn, 3)
 		metas := make([]abd.Meta, 3)
 		for j, r := range replicas {
-			conns[j] = machine.Connect(r.NIC())
+			conns[j] = machine.Connect(nics[j])
 			metas[j] = r.Meta()
 		}
 		c := abd.NewClient(id, conns, metas)
@@ -149,7 +151,7 @@ func TestTXSerializableUnderLoss(t *testing.T) {
 	var committed []check.CommittedTx
 	for i := 0; i < 4; i++ {
 		id := uint16(i + 1)
-		c := tx.NewClient(id, []*rdma.Conn{machine.Connect(shard.NIC())}, []tx.Meta{shard.Meta()})
+		c := tx.NewClient(id, []*rdma.Conn{machine.Connect(nic)}, []tx.Meta{shard.Meta()})
 		rng := rand.New(rand.NewSource(int64(id) * 3))
 		e.Go(fmt.Sprintf("c%d", id), func(pr *sim.Proc) {
 			for n := 0; n < 25; n++ {
@@ -208,12 +210,12 @@ func TestKVOnProjectedHardware(t *testing.T) {
 		e := sim.NewEngine(53)
 		net := fabric.New(e, p)
 		nic := rdma.NewServer(net, "kv", d)
-		srv, err := kv.NewServer(nic, kv.DefaultOptions(32, 64))
+		srv, err := kv.NewServerOn(nic, kv.DefaultOptions(32, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.Load(1, []byte("hw"))
-		c := kv.NewClient(rdma.NewClient(net, "cli").Connect(srv.NIC()), srv.Meta(), 1)
+		c := kv.NewClient(rdma.NewClient(net, "cli").Connect(nic), srv.Meta(), 1)
 		var rtt time.Duration
 		e.Go("t", func(pr *sim.Proc) {
 			start := pr.Now()
@@ -242,12 +244,12 @@ func TestKVAtDatacenterScale(t *testing.T) {
 	e := sim.NewEngine(59)
 	net := fabric.New(e, p)
 	nic := rdma.NewServer(net, "kv", model.SoftwarePRISM)
-	srv, err := kv.NewServer(nic, kv.DefaultOptions(32, 512))
+	srv, err := kv.NewServerOn(nic, kv.DefaultOptions(32, 512))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Load(1, make([]byte, 512))
-	c := kv.NewClient(rdma.NewClient(net, "cli").Connect(srv.NIC()), srv.Meta(), 1)
+	c := kv.NewClient(rdma.NewClient(net, "cli").Connect(nic), srv.Meta(), 1)
 	e.Go("t", func(pr *sim.Proc) {
 		start := pr.Now()
 		if _, err := c.Get(pr, 1); err != nil {
@@ -272,7 +274,7 @@ func TestMixedTenants(t *testing.T) {
 	net := fabric.New(e, p)
 
 	kvNIC := rdma.NewServer(net, "kv", model.SoftwarePRISM)
-	kvSrv, err := kv.NewServer(kvNIC, kv.DefaultOptions(64, 64))
+	kvSrv, err := kv.NewServerOn(kvNIC, kv.DefaultOptions(64, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +289,8 @@ func TestMixedTenants(t *testing.T) {
 		}
 	}
 	machine := rdma.NewClient(net, "cli")
-	kvC := kv.NewClient(machine.Connect(kvSrv.NIC()), kvSrv.Meta(), 1)
-	txC := tx.NewClient(2, []*rdma.Conn{machine.Connect(txSrv.NIC())}, []tx.Meta{txSrv.Meta()})
+	kvC := kv.NewClient(machine.Connect(kvNIC), kvSrv.Meta(), 1)
+	txC := tx.NewClient(2, []*rdma.Conn{machine.Connect(txNIC)}, []tx.Meta{txSrv.Meta()})
 
 	e.Go("kv-tenant", func(pr *sim.Proc) {
 		for i := 0; i < 100; i++ {

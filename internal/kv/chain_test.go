@@ -215,7 +215,7 @@ func TestHashGetChaseMatchesGet(t *testing.T) {
 			t.Fatalf("miss: %v, want ErrNotFound", err)
 		}
 	})
-	if v.srv.NIC().ProgOps == 0 {
+	if v.nic.ProgOps == 0 {
 		t.Fatal("GetChase issued no programs")
 	}
 }
@@ -410,7 +410,7 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 		return out
 	}
 
-	simRes := issueSim(simKV.cli, simKV.nicServer(), simKV.e, kvOps)
+	simRes := issueSim(simKV.cli, simKV.nic, simKV.e, kvOps)
 	liveRes := issueLive(kvConn, kvOps)
 	for i := range kvOps {
 		if !reflect.DeepEqual(simRes[i], liveRes[i]) {
@@ -442,9 +442,6 @@ func serveUnix(t *testing.T, ts *transport.Server) string {
 	})
 	return l.Addr().String()
 }
-
-// nicServer exposes the kvEnv's simulated NIC for raw issues.
-func (v *kvEnv) nicServer() *rdma.Server { return v.srv.NIC() }
 
 // TestLiveChaseBeatsHopWalk is the live half of the fig-chase claim: over
 // a real unix socket, one CHASE round trip per depth-8 tail lookup takes

@@ -18,6 +18,11 @@ import (
 // not take the guard: no Load, RecycleBuffers or nested ScanAndReclaim
 // from done (transport.HostCore.Quiesce).
 //
+// The store may be serving: the first scan reads the table and the free
+// lists under the space guard, like every CPU-side access beside live
+// sockets, and lets go of it before Quiesce, which takes it itself; the
+// re-scan runs inside the callback, under Quiesce's hold.
+//
 // Safety: a buffer that is neither referenced by any slot nor owned by a
 // free list at scan time can only be held by an operation already in
 // flight (an allocate-then-CAS chain that has not installed yet, or a
@@ -26,14 +31,17 @@ import (
 // re-scan therefore sees its final state: installed (skip) or leaked
 // (reclaim).
 func (s *Server) ScanAndReclaim(done func(reclaimed int)) {
+	g := s.host.Space().Guard()
+	g.Lock()
 	candidates := s.leakedBuffers()
+	g.Unlock()
 	if len(candidates) == 0 {
 		if done != nil {
 			done(0)
 		}
 		return
 	}
-	s.rs.Quiesce(func() {
+	s.host.Quiesce(func() {
 		// Re-scan: anything installed meanwhile is no longer leaked.
 		reclaimed := 0
 		for fl, addrs := range s.leakedBuffers() {
@@ -43,7 +51,7 @@ func (s *Server) ScanAndReclaim(done func(reclaimed int)) {
 			}
 			for _, a := range addrs {
 				if cand[a] {
-					s.rs.FreeList(fl).Post(a)
+					s.host.FreeList(fl).Post(a)
 					reclaimed++
 				}
 			}
@@ -55,9 +63,10 @@ func (s *Server) ScanAndReclaim(done func(reclaimed int)) {
 }
 
 // leakedBuffers returns, per free list, the buffers neither referenced by
-// a hash slot nor owned by the free list.
+// a hash slot nor owned by the free list. The caller holds the space
+// guard (or is the only thread there is).
 func (s *Server) leakedBuffers() map[uint32][]memory.Addr {
-	space := s.rs.Space()
+	space := s.host.Space()
 	referenced := make(map[memory.Addr]bool, s.meta.NSlots)
 	for i := int64(0); i < s.meta.NSlots; i++ {
 		slot, err := space.Peek(s.meta.Key, s.meta.slotAddr(i), slotSize)
@@ -70,7 +79,7 @@ func (s *Server) leakedBuffers() map[uint32][]memory.Addr {
 	}
 	leaked := make(map[uint32][]memory.Addr)
 	for _, info := range s.meta.FreeLists {
-		fl := s.rs.FreeList(info.ID)
+		fl := s.host.FreeList(info.ID)
 		tracked := fl.Tracked()
 		for _, slab := range fl.Slabs() {
 			for b := 0; b < slab.Count; b++ {

@@ -17,6 +17,7 @@ import (
 type kvEnv struct {
 	e   *sim.Engine
 	net *fabric.Network
+	nic *rdma.Server
 	srv *Server
 	cli *rdma.Client
 }
@@ -27,15 +28,15 @@ func newKVEnv(t *testing.T, opts Options, deploy model.Deployment) *kvEnv {
 	e := sim.NewEngine(1)
 	net := fabric.New(e, p)
 	nic := rdma.NewServer(net, "kv-srv", deploy)
-	srv, err := NewServer(nic, opts)
+	srv, err := NewServerOn(nic, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &kvEnv{e: e, net: net, srv: srv, cli: rdma.NewClient(net, "cli")}
+	return &kvEnv{e: e, net: net, nic: nic, srv: srv, cli: rdma.NewClient(net, "cli")}
 }
 
 func (v *kvEnv) client(id uint16) *Client {
-	return NewClient(v.cli.Connect(v.srv.NIC()), v.srv.Meta(), id)
+	return NewClient(v.cli.Connect(v.nic), v.srv.Meta(), id)
 }
 
 func (v *kvEnv) run(t *testing.T, fn func(p *sim.Proc)) {
@@ -208,7 +209,7 @@ func TestBufferReclamationKeepsPoolBounded(t *testing.T) {
 	opts.BuffersPerClass = 8 // tight pool: leaks would exhaust it fast
 	v := newKVEnv(t, opts, model.SoftwarePRISM)
 	c := v.client(1)
-	c.FreeBatch = 2
+	c.Reclaim.Batch = 2
 	v.run(t, func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
 			if err := c.Put(p, 1, []byte(fmt.Sprintf("gen-%03d", i))); err != nil {
@@ -236,7 +237,7 @@ func TestPutsRequireNoServerCPU(t *testing.T) {
 		}
 	})
 	// Inserts into empty slots retire no buffers, so zero RPCs at all.
-	if got := v.srv.NIC().RequestsServed; got == 0 {
+	if got := v.nic.RequestsServed; got == 0 {
 		t.Fatal("no requests observed")
 	}
 }
@@ -245,6 +246,7 @@ func TestPutsRequireNoServerCPU(t *testing.T) {
 
 type pilafEnv struct {
 	e   *sim.Engine
+	nic *rdma.Server
 	srv *PilafServer
 	cli *rdma.Client
 }
@@ -259,11 +261,11 @@ func newPilafEnv(t *testing.T, opts Options, deploy model.Deployment) *pilafEnv 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &pilafEnv{e: e, srv: srv, cli: rdma.NewClient(net, "cli")}
+	return &pilafEnv{e: e, nic: nic, srv: srv, cli: rdma.NewClient(net, "cli")}
 }
 
 func (v *pilafEnv) client() *PilafClient {
-	return NewPilafClient(v.cli.Connect(v.srv.NIC()), v.srv.Meta(), model.Default().PilafCRCCost)
+	return NewPilafClient(v.cli.Connect(v.nic), v.srv.Meta(), model.Default().PilafCRCCost)
 }
 
 func TestPilafPutGet(t *testing.T) {
@@ -406,12 +408,12 @@ func runModelCheckHash(ops []modelOp, h Hash) bool {
 	nic := rdma.NewServer(net, "srv", model.SoftwarePRISM)
 	opts := DefaultOptions(64, 32) // slack so two-choice never fills
 	opts.Hash = h
-	srv, err := NewServer(nic, opts)
+	srv, err := NewServerOn(nic, opts)
 	if err != nil {
 		return false
 	}
 	cli := rdma.NewClient(net, "cli")
-	c := NewClient(cli.Connect(srv.NIC()), srv.Meta(), 1)
+	c := NewClient(cli.Connect(nic), srv.Meta(), 1)
 	modelMap := map[int64][]byte{}
 	okAll := true
 	e.Go("t", func(pr *sim.Proc) {

@@ -33,7 +33,9 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 
 const pilafSlotSize = 32
 
-// PilafServer owns the hash table and extents and serves PUT RPCs.
+// PilafServer owns the hash table and extents and serves PUT RPCs. It is
+// the one store that holds the simulated NIC rather than a transport.Host:
+// its PUT stages torn stores on the NIC's engine.
 type PilafServer struct {
 	rs   *rdma.Server
 	meta PilafMeta
@@ -120,9 +122,6 @@ func NewPilafServer(rs *rdma.Server, opts Options) (*PilafServer, error) {
 
 // Meta returns the client description.
 func (s *PilafServer) Meta() PilafMeta { return s.meta }
-
-// NIC returns the transport server.
-func (s *PilafServer) NIC() *rdma.Server { return s.rs }
 
 func pilafEntrySize(valueLen int) uint64 {
 	return uint64(8 + 8 + valueLen + 8) // klen | key | value | crc
@@ -321,6 +320,69 @@ func (s *PilafServer) Load(key int64, value []byte) error {
 		return err
 	}
 	return s.space.Write(s.meta.Key, slotAddr, pilafEncodeSlot(dst, uint64(len(entry))))
+}
+
+// PilafTemplate is an immutable image of a loaded Pilaf server, the one
+// store whose image is more than rdma.ServerTemplate plus its Meta: Pilaf
+// keeps CPU-side state. The extent allocator each instance copies (its
+// addresses are layout positions, valid in every fork, and a fork inherits
+// the allocation pointer, so every instance registers the same next slab);
+// the coherent index and slot ownership grow with the keyspace, so
+// instances read them through (forkedMap) instead of copying.
+type PilafTemplate struct {
+	nic       *rdma.ServerTemplate
+	meta      PilafMeta
+	extents   pilafExtents
+	index     map[int64]pilafRef
+	slotOwner map[int64]int64
+}
+
+// forkedMap is a map as a template instance sees it: own holds what this
+// server stored, base what the template held, shared by every instance
+// and never written again. A server built directly has no base. Pilaf
+// never deletes a key or frees a slot, so own needs no tombstones.
+type forkedMap[V any] struct{ own, base map[int64]V }
+
+func (m forkedMap[V]) get(k int64) (V, bool) {
+	if v, ok := m.own[k]; ok {
+		return v, true
+	}
+	v, ok := m.base[k]
+	return v, ok
+}
+
+// Capture seals the server and returns its template. The server must have
+// no connections, so all it holds was put there by Load, which leaves
+// nothing staged: the image is settled. The template keeps the server's
+// own maps and free-extent list; the server must not be used again.
+func (s *PilafServer) Capture() *PilafTemplate {
+	return &PilafTemplate{
+		nic:       s.rs.Capture(),
+		meta:      s.meta,
+		extents:   s.extents,
+		index:     s.index.own,
+		slotOwner: s.slotOwner.own,
+	}
+}
+
+// NIC exposes the transport-level template, which a new instance's NIC is
+// forked from (rdma.NewServerFromTemplate).
+func (t *PilafTemplate) NIC() *rdma.ServerTemplate { return t.nic }
+
+// Attach instantiates the loaded Pilaf server on rs, a NIC forked from
+// t.NIC().
+func (t *PilafTemplate) Attach(rs *rdma.Server) *PilafServer {
+	s := &PilafServer{
+		rs:        rs,
+		space:     rs.Space(),
+		extents:   t.extents,
+		index:     forkedMap[pilafRef]{own: make(map[int64]pilafRef), base: t.index},
+		slotOwner: forkedMap[int64]{own: make(map[int64]int64), base: t.slotOwner},
+		meta:      t.meta,
+	}
+	s.extents.free = append([]pilafExtent(nil), t.extents.free...)
+	rs.SetRPCHandler(s.handleRPC)
+	return s
 }
 
 // PilafClient runs the Pilaf protocol over one connection.

@@ -110,8 +110,9 @@ func newPilafFork(tmpl *PilafTemplate, seed int64) *pilafFork {
 	params := model.Default().WithNetwork(model.Rack)
 	e := sim.NewEngine(seed)
 	net := fabric.New(e, params)
-	srv := NewPilafServerFromTemplate(net, "pilaf", model.HardwareRDMA, tmpl)
-	cli := NewPilafClient(rdma.NewClient(net, "cli").Connect(srv.NIC()), srv.Meta(), params.PilafCRCCost)
+	nic := rdma.NewServerFromTemplate(net, "pilaf", model.HardwareRDMA, tmpl.NIC())
+	srv := tmpl.Attach(nic)
+	cli := NewPilafClient(rdma.NewClient(net, "cli").Connect(nic), srv.Meta(), params.PilafCRCCost)
 	return &pilafFork{e: e, srv: srv, cli: cli}
 }
 

@@ -60,11 +60,10 @@ func DefaultOptions(n int64, valueSize int) Options {
 // buffers.
 type Server struct {
 	// host is the transport the store is provisioned on: the simulated
-	// NIC (rdma.Server) or a live socket server (transport.Server).
+	// NIC or a live socket server (transport.Server). It is the store's
+	// only handle on its machine; whoever built the host connects clients
+	// to it.
 	host transport.Host
-	// rs is the simulated NIC when the store runs in the simulator, nil
-	// on a live transport. Capture/NIC are simulator-only.
-	rs   *rdma.Server
 	meta Meta
 	// metaBuf is the rpcMeta reply scratch and retired the rpcFree decode
 	// scratch; RPC dispatch is serialized by the transport (one server
@@ -72,16 +71,6 @@ type Server struct {
 	// touched only under the space guard.
 	metaBuf, loadBuf []byte
 	retired          []memory.Addr
-}
-
-// NewServer provisions PRISM-KV on the given simulated NIC.
-func NewServer(rs *rdma.Server, opts Options) (*Server, error) {
-	s, err := NewServerOn(rs, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.rs = rs
-	return s, nil
 }
 
 // NewServerOn provisions PRISM-KV on any transport host — the simulated
@@ -110,16 +99,21 @@ func NewServerOn(host transport.Host, opts Options) (*Server, error) {
 		meta.FreeLists = append(meta.FreeLists, FreeListInfo{ID: id, BufSize: bufSize})
 	}
 	host.SetConnTempKey(hashRegion.Key)
+	return AttachServer(host, meta), nil
+}
+
+// AttachServer is the CPU half of NewServerOn: the store described by
+// meta already stands in host's memory and free lists (NewServerOn just
+// put it there, or host was forked from a captured image of one that
+// did), and what remains is the server's own state and its RPC handler.
+func AttachServer(host transport.Host, meta Meta) *Server {
 	s := &Server{host: host, meta: meta}
 	host.SetRPCHandler(s.handleRPC)
-	return s, nil
+	return s
 }
 
 // Meta returns the client control-plane description.
 func (s *Server) Meta() Meta { return s.meta }
-
-// NIC returns the underlying transport server.
-func (s *Server) NIC() *rdma.Server { return s.rs }
 
 // handleRPC serves the reclamation daemon (§3.2): clients report retired
 // buffers; the server re-registers them with the NIC free list after
@@ -248,18 +242,11 @@ type kvCore struct {
 	SlotCache   bool
 	cachedSlots map[int64]int64
 
-	// CtrlConn, when set, carries reclamation RPCs on a dedicated control
-	// connection so they never queue behind data-path chains on the RC
-	// queue pair (requests on one QP execute in order). It only ever sees
-	// Ops and IssueAsync.
-	CtrlConn transport.Issuer
-
-	// Reclamation batching: frees holds the encoded 12-byte
-	// [freelist|addr] tuples of retired buffers not yet reported.
-	frees []byte
-	// FreeBatch is the number of retired buffers accumulated before an
-	// asynchronous reclamation RPC is sent.
-	FreeBatch int
+	// Reclaim batches the buffers this client's updates displaced as
+	// 12-byte [freelist(4) | addr(8)] records and reports them under
+	// rpcFree (§3.2); a batch is flushed by the retire that fills it.
+	// Reclaim.Ctrl routes the reports over a control connection.
+	Reclaim transport.Reclaimer
 
 	// Stats
 	Probes  int64 // hash probes beyond the first slot
@@ -282,13 +269,13 @@ type kvCore struct {
 }
 
 func newCore(conn transport.Issuer, meta Meta, clientID uint16) kvCore {
-	return kvCore{conn: conn, meta: meta, clientID: clientID, FreeBatch: 16}
+	return kvCore{conn: conn, meta: meta, clientID: clientID, Reclaim: transport.NewReclaimer(conn, rpcFree, 16)}
 }
 
 // Client is PRISM-KV over a simulated connection: kvCore issuing through
 // an rdma.ProcConn that each call re-binds to the calling process. Each
 // simulated closed-loop client owns one Client value. A control
-// connection is set as CtrlConn = &rdma.ProcConn{Conn: ctrl}.
+// connection is set as Reclaim.Ctrl = &rdma.ProcConn{Conn: ctrl}.
 type Client struct {
 	kvCore
 	pc rdma.ProcConn
@@ -667,37 +654,22 @@ func (c *kvCore) retireOld(oldSlot []byte) error {
 	return c.retire(oldClass, memory.Addr(oldPtr))
 }
 
-// retire queues a buffer for reclamation and flushes a batch
-// asynchronously when full (§3.2's client-driven scheme).
+// retire queues a buffer for reclamation and flushes the batch it fills
+// (§3.2's client-driven scheme).
 func (c *kvCore) retire(freeList uint32, addr memory.Addr) error {
 	var rec [12]byte
 	binary.LittleEndian.PutUint32(rec[:4], freeList)
 	binary.LittleEndian.PutUint64(rec[4:], uint64(addr))
-	c.frees = append(c.frees, rec[:]...)
-	if len(c.frees) >= len(rec)*c.FreeBatch {
-		return c.FlushFrees()
+	c.Reclaim.Retire(rec[:])
+	if c.Reclaim.Full() {
+		return c.Reclaim.Flush()
 	}
 	return nil
 }
 
 // FlushFrees sends the accumulated reclamation batch without waiting for
-// the acknowledgment (asynchronous, per §6.1). The payload is copied out
-// of the batch buffer because the RPC is fire-and-forget: the buffer
-// refills while the request may still be in flight.
-func (c *kvCore) FlushFrees() error {
-	if len(c.frees) == 0 {
-		return nil
-	}
-	payload := append([]byte{rpcFree}, c.frees...)
-	c.frees = c.frees[:0]
-	conn := c.conn
-	if c.CtrlConn != nil {
-		conn = c.CtrlConn
-	}
-	ops := conn.Ops(1)
-	ops[0] = prism.Send(payload)
-	return conn.IssueAsync(ops)
-}
+// the acknowledgment (asynchronous, per §6.1).
+func (c *kvCore) FlushFrees() error { return c.Reclaim.Flush() }
 
 // encodeEntryScratch builds the object buffer image for key=value in the
 // client's reusable scratch.

@@ -102,7 +102,7 @@ func TestTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 	params := model.Default().WithNetwork(model.Rack)
 	build := sim.NewEngine(1)
 	nic := rdma.NewServer(fabric.New(build, params), "build", model.SoftwarePRISM)
-	srv, err := NewServer(nic, DefaultOptions(keys, valueSize))
+	srv, err := NewServerOn(nic, DefaultOptions(keys, valueSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,8 @@ func TestTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tmpl := srv.Capture()
-	parent := tmpl.NIC().Snapshot().Space()
+	tmpl, meta := nic.Capture(), srv.Meta()
+	parent := tmpl.Snapshot().Space()
 	parentRegions, parentSum := len(parent.Regions()), spaceChecksum(parent)
 
 	var slots [2][]byte
@@ -121,8 +121,9 @@ func TestTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 	for i := range slots {
 		e := sim.NewEngine(int64(10 + i)) // seeds differ; addresses must not
 		net := fabric.New(e, params)
-		inst := NewServerFromTemplate(net, "kv", model.SoftwarePRISM, tmpl)
-		c := NewClient(rdma.NewClient(net, "cli").Connect(inst.NIC()), inst.Meta(), 1)
+		fork := rdma.NewServerFromTemplate(net, "kv", model.SoftwarePRISM, tmpl)
+		inst := AttachServer(fork, meta)
+		c := NewClient(rdma.NewClient(net, "cli").Connect(fork), inst.Meta(), 1)
 		e.Go("put", func(p *sim.Proc) {
 			for k := int64(0); k < 40; k++ {
 				if err := c.Put(p, k*3, value[:100+k]); err != nil {
@@ -131,7 +132,7 @@ func TestTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 			}
 		})
 		e.Run()
-		space := inst.NIC().Space()
+		space := fork.Space()
 		hash, err := space.Read(inst.meta.Key, inst.meta.HashBase, uint64(keys*slotSize))
 		if err != nil {
 			t.Fatal(err)
@@ -312,13 +313,13 @@ func TestScanAndReclaimFindsLeakInLaterSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := v.srv.NIC().FreeList(class)
+	fl := v.nic.FreeList(class)
 	if len(fl.Slabs()) != 1 || fl.Len() != 0 {
 		t.Fatalf("after load: %d slabs, %d free buffers; want one full slab", len(fl.Slabs()), fl.Len())
 	}
 	// A client that crashes between its ALLOCATE and its CAS: the buffer
 	// is popped, referenced by no slot, and never reported.
-	conn := v.cli.Connect(v.srv.NIC())
+	conn := v.cli.Connect(v.nic)
 	var leaked memory.Addr
 	v.run(t, func(p *sim.Proc) {
 		res := conn.Issue(p, prism.Allocate(class, []byte("orphan")))

@@ -93,11 +93,14 @@ type Conn struct {
 }
 
 // simPending is the sim transport's per-entry completion state: the
-// pooled future (Reset rather than reallocated on entry reuse) and the
-// retransmit timer armed on lossy networks.
+// pooled future (Reset rather than reallocated on entry reuse), the
+// retransmit timer armed on lossy networks, and — for a chain posted
+// through a Fanout — the fan-out and the chain's position in it.
 type simPending struct {
 	fut   *sim.Future[[]wire.Result]
 	timer sim.Timer
+	fan   *Fanout
+	slot  int
 }
 
 // Connect opens a queue pair from the client to the server. Connection
@@ -139,6 +142,13 @@ func (c *Conn) Ops(n int) []wire.Op { return c.win.Ops(n) }
 // slot frees (flow control, as real RC queue pairs bound outstanding
 // work requests).
 func (c *Conn) IssueAsync(ops []wire.Op) *sim.Future[[]wire.Result] {
+	e := c.prepare(ops)
+	c.win.Enqueue(e)
+	return e.X.fut
+}
+
+// prepare claims a request record for ops with its pooled future pending.
+func (c *Conn) prepare(ops []wire.Op) *transport.Entry[simPending] {
 	if len(ops) == 0 {
 		panic("rdma: empty request")
 	}
@@ -148,8 +158,7 @@ func (c *Conn) IssueAsync(ops []wire.Op) *sim.Future[[]wire.Result] {
 	} else {
 		e.X.fut.Reset()
 	}
-	c.win.Enqueue(e)
-	return e.X.fut
+	return e
 }
 
 // transmitEntry is the window's transmit hook: put the request on the
@@ -214,10 +223,16 @@ func (c *Client) onMessage(m fabric.Message) {
 		return // duplicate response (original + replayed retransmission)
 	}
 	e.X.timer.Stop()
-	fut := e.X.fut
+	fut, fan, slot := e.X.fut, e.X.fan, e.X.slot
+	e.X.fan = nil
 	// Recycle the request record — future and op scratch included — for
 	// the next issue on this connection; see transport.Window.Recycle.
 	conn.win.Recycle(e)
 	conn.win.Drain() // a window slot may have freed
+	// The future completes for a fanned-out chain too, with nobody waiting
+	// on it: it is what tells a retransmit timer the request was answered.
 	fut.Complete(resp.Results)
+	if fan != nil {
+		fan.deliver(slot, resp.Results)
+	}
 }

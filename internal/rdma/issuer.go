@@ -18,9 +18,7 @@ type ProcConn struct {
 	Conn *Conn
 	Proc *sim.Proc
 
-	// IssueBatch scratch, reused across batches.
-	futs    []*sim.Future[[]wire.Result]
-	results [][]wire.Result
+	fan Fanout // IssueBatch's rounds
 }
 
 // Ops returns connection-owned op scratch (see Conn.Ops).
@@ -37,25 +35,14 @@ func (pc *ProcConn) IssueAsync(ops []wire.Op) error {
 	return nil
 }
 
-// IssueBatch posts every chain, then waits for all of them. A train
-// longer than the send window reuses the server's replay slots while it
-// is still completing, so each chain's results are copied out the moment
-// its wait returns — before the request that recycles its slot can reach
-// the server.
+// IssueBatch is a Fanout round on the one connection: results are copied
+// out as each chain completes, so a train longer than the send window is
+// safe, and stay valid until the next IssueBatch.
 func (pc *ProcConn) IssueBatch(chains [][]wire.Op) ([][]wire.Result, error) {
-	pc.futs = pc.futs[:0]
 	for _, ops := range chains {
-		pc.futs = append(pc.futs, pc.Conn.IssueAsync(ops))
+		pc.fan.Post(pc.Conn, ops)
 	}
-	pc.results = pc.results[:0]
-	for _, fut := range pc.futs {
-		res := append([]wire.Result(nil), fut.Wait(pc.Proc)...)
-		for i := range res {
-			res[i].Data = append([]byte(nil), res[i].Data...)
-		}
-		pc.results = append(pc.results, res)
-	}
-	return pc.results, nil
+	return pc.fan.Wait(pc.Proc), nil
 }
 
 // Temp returns the connection's temp buffer location.

@@ -488,7 +488,7 @@ func (s *Server) chainStep(sc *serverConn) {
 			if s.tracer != nil {
 				s.tracer(TraceEvent{
 					At: s.e.Now(), Domain: s.e.DomainID(), Conn: sc.id, Seq: req.Seq, OpIdx: i,
-					Code: op.Code, Flags: op.Flags, Status: wire.StatusNotExecuted,
+					Code: op.Code, Flags: op.Flags, Status: wire.StatusNotExecuted, Op: op,
 				})
 			}
 			sc.chainIdx = i + 1
@@ -504,7 +504,7 @@ func (s *Server) chainStep(sc *serverConn) {
 		if s.tracer != nil {
 			s.tracer(TraceEvent{
 				At: s.e.Now(), Domain: s.e.DomainID(), Conn: sc.id, Seq: req.Seq, OpIdx: i,
-				Code: op.Code, Flags: op.Flags, Status: results[i].Status,
+				Code: op.Code, Flags: op.Flags, Status: results[i].Status, Op: op,
 			})
 		}
 		delay := s.opExtra(sc, op, sc.opMeta)

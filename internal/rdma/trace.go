@@ -19,6 +19,11 @@ type TraceEvent struct {
 	Code   wire.OpCode
 	Flags  wire.Flags
 	Status wire.Status
+	// Op is the executed op itself, for tracers that print more than its
+	// code and flags (cmd/prismtrace). It points into the request being
+	// served and is valid only during the Tracer call: format it there,
+	// never keep it (TraceRing drops it).
+	Op *wire.Op
 }
 
 func (e TraceEvent) String() string {
@@ -49,8 +54,9 @@ func NewTraceRing(n int) *TraceRing {
 	return &TraceRing{events: make([]TraceEvent, n)}
 }
 
-// Record appends an event (Tracer-compatible).
+// Record appends an event (Tracer-compatible), without its live op.
 func (r *TraceRing) Record(e TraceEvent) {
+	e.Op = nil
 	r.events[r.next] = e
 	r.next++
 	if r.next == len(r.events) {

@@ -226,22 +226,6 @@ func TestWaitQuorumAlreadySatisfied(t *testing.T) {
 	}
 }
 
-func TestWaitAll(t *testing.T) {
-	e := NewEngine(1)
-	fs := make([]*Future[int], 3)
-	for i := range fs {
-		fs[i] = NewFuture[int](e)
-		i := i
-		e.Schedule(time.Duration(3-i)*time.Microsecond, func() { fs[i].Complete(i * 10) })
-	}
-	var got []int
-	e.Go("all", func(p *Proc) { got = WaitAll(p, fs) })
-	e.Run()
-	if len(got) != 3 || got[0] != 0 || got[1] != 10 || got[2] != 20 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	e := NewEngine(1)
 	wg := NewWaitGroup(e, 3)

@@ -133,19 +133,6 @@ func WaitQuorum[T any](p *Proc, k int, fs []*Future[T]) []T {
 	return got
 }
 
-// WaitAll parks the process until every future completes and returns the
-// values in the order of fs.
-func WaitAll[T any](p *Proc, fs []*Future[T]) []T {
-	for _, f := range fs {
-		f.Wait(p)
-	}
-	out := make([]T, len(fs))
-	for i, f := range fs {
-		out[i] = f.val
-	}
-	return out
-}
-
 // Signal is a Future[struct{}] convenience for pure-event notification.
 type Signal = Future[struct{}]
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -30,26 +29,6 @@ type Host interface {
 	SetRPCHandler(h RPCHandler)
 	RecycleBuffers(freeList uint32, addrs []memory.Addr)
 	Quiesce(fn func())
-}
-
-// ReclamationHandler returns the RPC handler of §3.2's reclamation daemon
-// for a store with one free list: a payload of op followed by packed
-// little-endian buffer addresses recycles those buffers in one
-// RecycleBuffers call. Recycling is cheap bookkeeping, charged ~100ns of
-// server CPU per buffer. Any other payload gets no reply.
-func ReclamationHandler(h Host, op byte, freeList uint32) RPCHandler {
-	var retired []memory.Addr // decode scratch; RPC dispatch is serialized
-	return func(payload []byte) ([]byte, time.Duration) {
-		if len(payload) == 0 || payload[0] != op {
-			return nil, 0
-		}
-		retired = retired[:0]
-		for rest := payload[1:]; len(rest) >= 8; rest = rest[8:] {
-			retired = append(retired, memory.Addr(binary.LittleEndian.Uint64(rest)))
-		}
-		h.RecycleBuffers(freeList, retired)
-		return []byte{0}, time.Duration(len(retired)) * 100 * time.Nanosecond
-	}
 }
 
 // ServerBatch is the per-wakeup frame budget: how many already-buffered

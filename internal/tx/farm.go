@@ -9,6 +9,7 @@ import (
 	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/wire"
 )
 
@@ -32,10 +33,12 @@ const (
 	rpcFarmUnlock
 )
 
-// FarmMeta describes one FaRM server to clients.
+// FarmMeta describes one FaRM server to clients, and its layout to a
+// server attached to a forked image of it.
 type FarmMeta struct {
 	Key       memory.RKey
 	IndexBase memory.Addr
+	HeapBase  memory.Addr // NSlots objects, in slot order
 	NSlots    int64
 	MaxValue  int
 }
@@ -50,9 +53,8 @@ func (m *FarmMeta) objSize() uint64 {
 
 // FarmServer owns the index, the object heap, and the commit RPC handlers.
 type FarmServer struct {
-	rs   *rdma.Server
+	host transport.Host
 	meta FarmMeta
-	objs *memory.Region
 	// loadBuf is Load's object image, reused from key to key.
 	loadBuf []byte
 
@@ -60,9 +62,10 @@ type FarmServer struct {
 	LockFailures int64
 }
 
-// NewFarmServer provisions the index and object heap.
-func NewFarmServer(rs *rdma.Server, opts ShardOptions) (*FarmServer, error) {
-	space := rs.Space()
+// NewFarmServer provisions the index and object heap on host — the
+// simulated NIC or a live socket server.
+func NewFarmServer(host transport.Host, opts ShardOptions) (*FarmServer, error) {
+	space := host.Space()
 	idx, err := space.Register(uint64(opts.NSlots) * 8)
 	if err != nil {
 		return nil, fmt.Errorf("tx: farm index: %w", err)
@@ -72,16 +75,22 @@ func NewFarmServer(rs *rdma.Server, opts ShardOptions) (*FarmServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tx: farm heap: %w", err)
 	}
-	s := &FarmServer{rs: rs, meta: meta, objs: objs}
-	rs.SetRPCHandler(s.handleRPC)
-	return s, nil
+	meta.HeapBase = objs.Base
+	return AttachFarmServer(host, meta), nil
+}
+
+// AttachFarmServer is the CPU half of NewFarmServer: the index and heap
+// described by meta already stand in host's memory (NewFarmServer just
+// registered them, or host was forked from a captured image of a server
+// that did), and what remains is the commit protocol's RPC handler.
+func AttachFarmServer(host transport.Host, meta FarmMeta) *FarmServer {
+	s := &FarmServer{host: host, meta: meta}
+	host.SetRPCHandler(s.handleRPC)
+	return s
 }
 
 // Meta returns the control-plane description.
 func (s *FarmServer) Meta() FarmMeta { return s.meta }
-
-// NIC returns the transport server.
-func (s *FarmServer) NIC() *rdma.Server { return s.rs }
 
 // Load installs key=value at InitialVersion.
 func (s *FarmServer) Load(key int64, value []byte) error {
@@ -89,7 +98,7 @@ func (s *FarmServer) Load(key int64, value []byte) error {
 		return fmt.Errorf("tx: value too large")
 	}
 	idx := ((key % s.meta.NSlots) + s.meta.NSlots) % s.meta.NSlots
-	objAddr := s.objs.Base + memory.Addr(uint64(idx)*s.meta.objSize())
+	objAddr := s.meta.HeapBase + memory.Addr(uint64(idx)*s.meta.objSize())
 	if s.loadBuf == nil {
 		s.loadBuf = make([]byte, s.meta.objSize())
 	}
@@ -99,7 +108,7 @@ func (s *FarmServer) Load(key int64, value []byte) error {
 	binary.BigEndian.PutUint64(img[farmHdr+8:], uint64(key))
 	n := copy(img[farmHdr+16:], value)
 	clear(img[farmHdr+16+n:]) // what a longer value left behind
-	space := s.rs.Space()
+	space := s.host.Space()
 	if err := space.Write(s.meta.Key, objAddr, img); err != nil {
 		return err
 	}
@@ -109,7 +118,7 @@ func (s *FarmServer) Load(key int64, value []byte) error {
 // objAddrFor resolves a key's object (server CPU side).
 func (s *FarmServer) objAddrFor(key int64) (memory.Addr, error) {
 	idx := ((key % s.meta.NSlots) + s.meta.NSlots) % s.meta.NSlots
-	ptr, err := s.rs.Space().ReadU64(s.meta.Key, s.meta.indexAddr(idx))
+	ptr, err := s.host.Space().ReadU64(s.meta.Key, s.meta.indexAddr(idx))
 	if err != nil {
 		return 0, err
 	}
@@ -131,7 +140,7 @@ func (s *FarmServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 	op := payload[0]
 	holder := binary.LittleEndian.Uint64(payload[1:9])
 	rest := payload[9:]
-	space := s.rs.Space()
+	space := s.host.Space()
 	switch op {
 	case rpcFarmLock:
 		// Lock every key or none: on conflict, roll back acquired locks.
@@ -222,6 +231,15 @@ type FarmClient struct {
 	// Stats
 	Commits int64
 	Aborts  int64
+
+	// Per-client scratch. Every phase is one fan-out round waited to its
+	// end, so a phase may build its RPC payloads (one per shard, empty for
+	// a shard it sends nothing) in the buffers the previous one sent.
+	// locked marks the shards where the committing transaction holds its
+	// write-set locks.
+	fan      rdma.Fanout
+	payloads [][]byte
+	locked   []bool
 }
 
 // NewFarmClient builds a client over the given servers.
@@ -232,20 +250,23 @@ func NewFarmClient(id uint16, conns []*rdma.Conn, metas []FarmMeta) *FarmClient 
 	if id == 0 {
 		panic("tx: client id 0 reserved")
 	}
-	return &FarmClient{id: id, conns: conns, metas: metas}
+	return &FarmClient{id: id, conns: conns, metas: metas,
+		payloads: make([][]byte, len(conns)), locked: make([]bool, len(conns))}
 }
 
 func (c *FarmClient) shardOf(key int64) int {
 	return int(((key % int64(len(c.conns))) + int64(len(c.conns))) % int64(len(c.conns)))
 }
 
-// FarmTx is one FaRM transaction.
+// FarmTx is one FaRM transaction. Commit posts in readOrder, order and
+// ascending shard order, never in map order (see Tx).
 type FarmTx struct {
-	c      *FarmClient
-	reads  map[int64]farmRead
-	writes map[int64][]byte
-	order  []int64
-	doomed bool
+	c         *FarmClient
+	reads     map[int64]farmRead
+	readOrder []int64 // read keys in first-read order
+	writes    map[int64][]byte
+	order     []int64 // write keys in first-write order
+	doomed    bool
 }
 
 type farmRead struct {
@@ -286,7 +307,9 @@ func (t *FarmTx) Read(p *sim.Proc, key int64) ([]byte, error) {
 	if k != key {
 		return nil, fmt.Errorf("tx: farm slot collision (key %d vs %d)", k, key)
 	}
-	if prev, ok := t.reads[key]; ok && prev.version != version {
+	if prev, ok := t.reads[key]; !ok {
+		t.readOrder = append(t.readOrder, key)
+	} else if prev.version != version {
 		t.doomed = true
 	}
 	t.reads[key] = farmRead{version: version, addr: ptr, shard: sh}
@@ -320,159 +343,105 @@ func (t *FarmTx) Commit(p *sim.Proc) (Timestamp, error) {
 	}
 
 	// --- Phase 1: LOCK write-set objects, grouped per shard.
-	lockPayloads := make(map[int][]byte)
-	for _, key := range t.order {
-		r := t.reads[key]
-		pl, ok := lockPayloads[r.shard]
-		if !ok {
-			pl = make([]byte, 9)
-			pl[0] = rpcFarmLock
-			binary.LittleEndian.PutUint64(pl[1:9], uint64(c.id))
+	res := t.rpcPhase(p, rpcFarmLock, nil, func(pl []byte, key int64) []byte {
+		pl = binary.BigEndian.AppendUint64(pl, uint64(key))
+		return binary.BigEndian.AppendUint64(pl, uint64(t.reads[key].version))
+	})
+	failed := false
+	for sh, pl := range c.payloads {
+		c.locked[sh] = false
+		if len(pl) > 0 {
+			c.locked[sh], res = rpcOK(res[0]), res[1:]
+			failed = failed || !c.locked[sh]
 		}
-		var rec [16]byte
-		binary.BigEndian.PutUint64(rec[:8], uint64(key))
-		binary.BigEndian.PutUint64(rec[8:], uint64(r.version))
-		lockPayloads[r.shard] = append(pl, rec[:]...)
 	}
-	if len(lockPayloads) > 0 {
-		var futs []*sim.Future[[]wire.Result]
-		var shards []int
-		for sh, pl := range lockPayloads {
-			futs = append(futs, c.conns[sh].IssueAsync([]wire.Op{prism.Send(pl)}))
-			shards = append(shards, sh)
-		}
-		res := sim.WaitAll(p, futs)
-		failed := false
-		var lockedShards []int
-		for i, r := range res {
-			if r[0].Status == wire.StatusOK && len(r[0].Data) == 1 && r[0].Data[0] == 0 {
-				lockedShards = append(lockedShards, shards[i])
-			} else {
-				failed = true
-			}
-		}
-		if failed {
-			t.unlock(p, lockedShards)
-			c.Aborts++
-			return 0, ErrAborted
-		}
+	if failed {
+		t.unlock(p)
+		c.Aborts++
+		return 0, ErrAborted
 	}
 
 	// --- Phase 2: VALIDATE the read set with one-sided READs (§8.1:
 	// "they reread all objects in the read set"). Keys we hold locks on
 	// revalidate trivially (our own lock, unchanged version) but still pay
 	// the read, as in FaRM.
-	type valRead struct {
-		key int64
-		r   farmRead
+	for _, key := range t.readOrder {
+		r := t.reads[key]
+		ops := c.conns[r.shard].Ops(1)
+		ops[0] = prism.Read(c.metas[r.shard].Key, r.addr, farmHdr)
+		c.fan.Post(c.conns[r.shard], ops)
 	}
-	var vals []valRead
-	for key, r := range t.reads {
-		vals = append(vals, valRead{key, r})
-	}
-	if len(vals) > 0 {
-		futs := make([]*sim.Future[[]wire.Result], len(vals))
-		for i, v := range vals {
-			m := &c.metas[v.r.shard]
-			futs[i] = c.conns[v.r.shard].IssueAsync([]wire.Op{
-				prism.Read(m.Key, v.r.addr, farmHdr),
-			})
-		}
-		res := sim.WaitAll(p, futs)
-		for i, r := range res {
-			if r[0].Status != wire.StatusOK {
-				t.unlockAll(p)
-				c.Aborts++
-				return 0, ErrAborted
-			}
+	for i, r := range c.fan.Wait(p) {
+		valid := r[0].Status == wire.StatusOK
+		if valid {
 			lock := binary.LittleEndian.Uint64(r[0].Data[:8])
 			ver := Timestamp(prism.BE64(r[0].Data, 8))
 			// A lock we hold ourselves (write-set key) validates fine.
-			if (lock != 0 && lock != uint64(c.id)) || ver != vals[i].r.version {
-				t.unlockAll(p)
-				c.Aborts++
-				return 0, ErrAborted
-			}
+			valid = (lock == 0 || lock == uint64(c.id)) && ver == t.reads[t.readOrder[i]].version
+		}
+		if !valid {
+			t.unlock(p)
+			c.Aborts++
+			return 0, ErrAborted
 		}
 	}
 
 	// --- Phase 3: UPDATE + UNLOCK.
-	updPayloads := make(map[int][]byte)
-	for _, key := range t.order {
+	for _, r := range t.rpcPhase(p, rpcFarmUpdate, nil, func(pl []byte, key int64) []byte {
 		value := t.writes[key]
-		sh := c.shardOf(key)
-		pl, ok := updPayloads[sh]
-		if !ok {
-			pl = make([]byte, 9)
-			pl[0] = rpcFarmUpdate
-			binary.LittleEndian.PutUint64(pl[1:9], uint64(c.id))
-		}
-		rec := make([]byte, 20+len(value))
-		binary.BigEndian.PutUint64(rec[:8], uint64(key))
-		binary.BigEndian.PutUint64(rec[8:16], uint64(ts))
-		binary.LittleEndian.PutUint32(rec[16:20], uint32(len(value)))
-		copy(rec[20:], value)
-		updPayloads[sh] = append(pl, rec...)
-	}
-	if len(updPayloads) > 0 {
-		var futs []*sim.Future[[]wire.Result]
-		for sh, pl := range updPayloads {
-			futs = append(futs, c.conns[sh].IssueAsync([]wire.Op{prism.Send(pl)}))
-		}
-		res := sim.WaitAll(p, futs)
-		for _, r := range res {
-			if r[0].Status != wire.StatusOK || len(r[0].Data) != 1 || r[0].Data[0] != 0 {
-				return 0, fmt.Errorf("tx: farm update failed")
-			}
+		pl = binary.BigEndian.AppendUint64(pl, uint64(key))
+		pl = binary.BigEndian.AppendUint64(pl, uint64(ts))
+		pl = binary.LittleEndian.AppendUint32(pl, uint32(len(value)))
+		return append(pl, value...)
+	}) {
+		if !rpcOK(r) {
+			return 0, fmt.Errorf("tx: farm update failed")
 		}
 	}
 	c.Commits++
 	return ts, nil
 }
 
-// unlock releases write-set locks at the given shards.
-func (t *FarmTx) unlock(p *sim.Proc, shards []int) {
-	c := t.c
-	payloads := make(map[int][]byte)
-	for _, key := range t.order {
-		sh := c.shardOf(key)
-		found := false
-		for _, s := range shards {
-			if s == sh {
-				found = true
-				break
-			}
-		}
-		if !found {
-			continue
-		}
-		pl, ok := payloads[sh]
-		if !ok {
-			pl = make([]byte, 9)
-			pl[0] = rpcFarmUnlock
-			binary.LittleEndian.PutUint64(pl[1:9], uint64(c.id))
-		}
-		var rec [8]byte
-		binary.BigEndian.PutUint64(rec[:], uint64(key))
-		payloads[sh] = append(pl, rec[:]...)
-	}
-	var futs []*sim.Future[[]wire.Result]
-	for sh, pl := range payloads {
-		futs = append(futs, c.conns[sh].IssueAsync([]wire.Op{prism.Send(pl)}))
-	}
-	if len(futs) > 0 {
-		sim.WaitAll(p, futs)
-	}
+// rpcOK reports whether a commit-protocol RPC was served and succeeded.
+func rpcOK(r []wire.Result) bool {
+	return r[0].Status == wire.StatusOK && len(r[0].Data) == 1 && r[0].Data[0] == 0
 }
 
-func (t *FarmTx) unlockAll(p *sim.Proc) {
-	shardSet := make(map[int]bool)
+// rpcPhase runs one CPU phase of the commit protocol. It groups the write
+// set by shard (only the shards marked in only, when given) into one
+// payload each — [op | holder(8)], then rec's record for every key of the
+// shard in first-write order — sends the payloads in ascending shard order
+// and waits for every reply. The replies are in that order; c.payloads
+// says which shards they are from.
+func (t *FarmTx) rpcPhase(p *sim.Proc, op byte, only []bool, rec func(pl []byte, key int64) []byte) [][]wire.Result {
+	c := t.c
+	for sh := range c.payloads {
+		c.payloads[sh] = c.payloads[sh][:0]
+	}
 	for _, key := range t.order {
-		shardSet[t.c.shardOf(key)] = true
+		sh := c.shardOf(key)
+		if only != nil && !only[sh] {
+			continue
+		}
+		pl := c.payloads[sh]
+		if len(pl) == 0 {
+			pl = binary.LittleEndian.AppendUint64(append(pl, op), uint64(c.id))
+		}
+		c.payloads[sh] = rec(pl, key)
 	}
-	shards := make([]int, 0, len(shardSet))
-	for sh := range shardSet {
-		shards = append(shards, sh)
+	for sh, pl := range c.payloads {
+		if len(pl) > 0 {
+			ops := c.conns[sh].Ops(1)
+			ops[0] = prism.Send(pl)
+			c.fan.Post(c.conns[sh], ops)
+		}
 	}
-	t.unlock(p, shards)
+	return c.fan.Wait(p)
+}
+
+// unlock releases the write-set locks this transaction holds.
+func (t *FarmTx) unlock(p *sim.Proc) {
+	t.rpcPhase(p, rpcFarmUnlock, t.c.locked, func(pl []byte, key int64) []byte {
+		return binary.BigEndian.AppendUint64(pl, uint64(key))
+	})
 }

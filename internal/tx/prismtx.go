@@ -37,15 +37,16 @@ type ShardOptions struct {
 // execution reads, validation, commit — runs as one-sided PRISM
 // operations; the host CPU only recycles buffers.
 type Shard struct {
-	rs   *rdma.Server
+	host transport.Host
 	meta Meta
 	// loadBuf is Load's version image, reused from key to key.
 	loadBuf []byte
 }
 
-// NewShard provisions the metadata array and version-buffer free list.
-func NewShard(rs *rdma.Server, opts ShardOptions) (*Shard, error) {
-	space := rs.Space()
+// NewShard provisions the metadata array and version-buffer free list on
+// host — the simulated NIC or a live socket server.
+func NewShard(host transport.Host, opts ShardOptions) (*Shard, error) {
+	space := host.Space()
 	metaRegion, err := space.Register(uint64(opts.NSlots) * metaSize)
 	if err != nil {
 		return nil, fmt.Errorf("tx: metadata region: %w", err)
@@ -57,18 +58,23 @@ func NewShard(rs *rdma.Server, opts ShardOptions) (*Shard, error) {
 		MaxValue: opts.MaxValue,
 		FreeList: 1,
 	}
-	rs.AddFreeList(alloc.NewFreeList(meta.FreeList, bufSize(opts.MaxValue), metaRegion.Key, space,
+	host.AddFreeList(alloc.NewFreeList(meta.FreeList, bufSize(opts.MaxValue), metaRegion.Key, space,
 		int(opts.NSlots)+opts.ExtraBuffers))
-	rs.SetConnTempKey(metaRegion.Key)
-	rs.SetRPCHandler(transport.ReclamationHandler(rs, rpcFree, meta.FreeList))
-	return &Shard{rs: rs, meta: meta}, nil
+	host.SetConnTempKey(metaRegion.Key)
+	return AttachShard(host, meta), nil
+}
+
+// AttachShard is the CPU half of NewShard: the shard described by meta
+// already stands in host's memory and free list (NewShard just put it
+// there, or host was forked from a captured image of one that did), and
+// what remains is the reclamation daemon.
+func AttachShard(host transport.Host, meta Meta) *Shard {
+	host.SetRPCHandler(transport.ReclamationHandler(host, rpcFree, meta.FreeList))
+	return &Shard{host: host, meta: meta}
 }
 
 // Meta returns the control-plane description.
 func (s *Shard) Meta() Meta { return s.meta }
-
-// NIC returns the transport server.
-func (s *Shard) NIC() *rdma.Server { return s.rs }
 
 // Load installs key=value at InitialVersion (bulk loading). Keys map to
 // slots collisionlessly (slot = key mod NSlots); the YCSB-T keyspace is
@@ -77,12 +83,12 @@ func (s *Shard) Load(key int64, value []byte) error {
 	if len(value) > s.meta.MaxValue {
 		return fmt.Errorf("tx: value too large")
 	}
-	fl := s.rs.FreeList(s.meta.FreeList)
+	fl := s.host.FreeList(s.meta.FreeList)
 	buf, err := fl.Pop()
 	if err != nil {
 		return fmt.Errorf("tx: load out of buffers: %w", err)
 	}
-	space := s.rs.Space()
+	space := s.host.Space()
 	if s.loadBuf == nil {
 		s.loadBuf = make([]byte, bufSize(s.meta.MaxValue))
 	}
@@ -108,27 +114,27 @@ type Client struct {
 	conns []*rdma.Conn
 	metas []Meta
 	clock uint64
-	frees [][]byte
-	// ctrl, when set, carries reclamation RPCs on dedicated control
-	// connections (one per shard).
-	ctrl []*rdma.Conn
 
-	// FreeBatch is the reclamation batch size per shard.
-	FreeBatch int
+	// Reclaim batches, per shard, the 8-byte addresses of the version
+	// buffers this client's commits displaced or orphaned, reported under
+	// rpcFree (§3.2); full batches are flushed at the end of a commit.
+	// Reclaim[i].Ctrl routes shard i's reports over a control connection.
+	Reclaim []transport.Reclaimer
 
 	// Stats
 	Commits int64
 	Aborts  int64
 
-	// Reusable per-client scratch for Commit. Every phase ends in WaitAll
-	// (nothing of this client is in flight when a buffer is rewritten) and
-	// stale duplicates on a lossy network are dropped by their epoch, so
-	// the storage can be recycled across transactions. dataArena carves the
-	// CAS operand and version images of one commit; concurrent chains of a
-	// single wave each carve disjoint blocks.
+	// Reusable per-client scratch for Commit. Every phase is one fan-out
+	// round waited to its end (nothing of this client is in flight when a
+	// buffer is rewritten) and stale duplicates on a lossy network are
+	// dropped by their epoch, so the storage can be recycled across
+	// transactions. dataArena carves the CAS operand and version images of
+	// one commit; concurrent chains of a single wave each carve disjoint
+	// blocks. perShard counts a commit's write keys by shard.
+	fan       rdma.Fanout
 	valBuf    []valKey
-	futBuf    []*sim.Future[[]wire.Result]
-	shardBuf  []int
+	perShard  []int
 	dataArena []byte
 }
 
@@ -158,13 +164,17 @@ func NewClient(id uint16, conns []*rdma.Conn, metas []Meta) *Client {
 	if id == 0 {
 		panic("tx: client id 0 is reserved for preloaded versions")
 	}
-	return &Client{
-		id:        id,
-		conns:     conns,
-		metas:     metas,
-		frees:     make([][]byte, len(conns)),
-		FreeBatch: 16,
+	c := &Client{
+		id:       id,
+		conns:    conns,
+		metas:    metas,
+		Reclaim:  make([]transport.Reclaimer, len(conns)),
+		perShard: make([]int, len(conns)),
 	}
+	for i, conn := range conns {
+		c.Reclaim[i] = transport.NewReclaimer(&rdma.ProcConn{Conn: conn}, rpcFree, 16)
+	}
+	return c
 }
 
 func (c *Client) shardOf(key int64) int {
@@ -177,21 +187,30 @@ func (c *Client) slotOf(key int64, shard int) memory.Addr {
 	return m.slotAddr(idx)
 }
 
-// Tx is one transaction: buffered reads and writes awaiting commit.
+// Tx is one transaction: buffered reads and writes awaiting commit. Commit
+// posts its chains in readOrder and order, never in map order: the order
+// chains leave a machine in is part of the simulation's outcome.
 type Tx struct {
-	c      *Client
-	reads  map[int64]Timestamp // key -> RC observed
-	writes map[int64][]byte
-	order  []int64 // write keys in first-write order
-	doomed bool    // repeated reads disagreed; must abort
+	c         *Client
+	reads     map[int64]Timestamp // key -> RC observed
+	readOrder []int64             // read keys in first-read order
+	writes    map[int64][]byte
+	order     []int64 // write keys in first-write order
+	doomed    bool    // repeated reads disagreed; must abort
 }
 
-// valKey is one key undergoing prepare-phase validation.
+// valKey is one key undergoing prepare-phase validation, and — a write key
+// — commit-phase installation.
 type valKey struct {
 	key     int64
+	shard   int
 	isWrite bool
 	rc      Timestamp
 	hasRead bool
+	// raisedPW: the write check succeeded, so an abort must bump C.
+	raisedPW bool
+	// nth: this is the nth write key of the transaction on its shard.
+	nth int
 }
 
 // Begin starts a transaction.
@@ -245,7 +264,9 @@ func (t *Tx) Read(p *sim.Proc, key int64) ([]byte, error) {
 	if metaC > rc {
 		rc = metaC
 	}
-	if prev, ok := t.reads[key]; ok && prev != rc {
+	if prev, ok := t.reads[key]; !ok {
+		t.readOrder = append(t.readOrder, key)
+	} else if prev != rc {
 		// The key changed between two of our own reads: the transaction
 		// has returned inconsistent values to the application and must
 		// abort at commit.
@@ -293,25 +314,29 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 		return 0, ErrAborted
 	}
 
-	// --- Prepare phase: one chain per key, all shards in parallel.
+	// --- Prepare phase: one chain per key, all shards in parallel: the
+	// write set in first-write order, then the keys only read in
+	// first-read order.
 	c.dataArena = c.dataArena[:0]
 	keys := c.valBuf[:0]
+	clear(c.perShard)
 	for _, k := range t.order {
 		rc, hasRead := t.reads[k]
-		keys = append(keys, valKey{key: k, isWrite: true, rc: rc, hasRead: hasRead})
+		sh := c.shardOf(k)
+		keys = append(keys, valKey{key: k, shard: sh, isWrite: true, rc: rc, hasRead: hasRead, nth: c.perShard[sh]})
+		c.perShard[sh]++
 	}
-	for k, rc := range t.reads {
+	for _, k := range t.readOrder {
 		if _, isWrite := t.writes[k]; !isWrite {
-			keys = append(keys, valKey{key: k, rc: rc, hasRead: true})
+			keys = append(keys, valKey{key: k, shard: c.shardOf(k), rc: t.reads[k], hasRead: true})
 		}
 	}
 	c.valBuf = keys
 
-	futs := c.futBuf[:0]
 	for _, vk := range keys {
-		sh := c.shardOf(vk.key)
-		slot := c.slotOf(vk.key, sh)
-		m := &c.metas[sh]
+		conn := c.conns[vk.shard]
+		slot := c.slotOf(vk.key, vk.shard)
+		m := &c.metas[vk.shard]
 		nOps := 0
 		if vk.hasRead {
 			nOps++
@@ -319,7 +344,7 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 		if vk.isWrite {
 			nOps++
 		}
-		ops := c.conns[sh].Ops(nOps)
+		ops := conn.Ops(nOps)
 		oi := 0
 		if vk.hasRead {
 			// Read validation (§8.2): single CAS checking RC|TS > PW|PR
@@ -348,14 +373,12 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 			}
 			ops[oi] = op
 		}
-		futs = append(futs, c.conns[sh].IssueAsync(ops))
+		c.fan.Post(conn, ops)
 	}
-	c.futBuf = futs[:0]
-	results := sim.WaitAll(p, futs)
 
 	ok := true
-	for i, vk := range keys {
-		res := results[i]
+	for i, res := range c.fan.Wait(p) {
+		vk := &keys[i]
 		ri := 0
 		if vk.hasRead {
 			switch res[ri].Status {
@@ -386,6 +409,7 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 				// (The paper states TS > PR; with the RMW key present in
 				// both sets, the self-read exemption is required for any
 				// read-modify-write to commit.)
+				vk.raisedPW = true
 				pr := Timestamp(prism.BE64(res[ri].Data, 8))
 				if ts < pr {
 					ok = false // a prepared reader would miss our write
@@ -401,7 +425,7 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 	}
 
 	if !ok {
-		t.abort(p, ts, keys, results)
+		t.abort(p, ts, keys)
 		c.Aborts++
 		return 0, ErrAborted
 	}
@@ -410,71 +434,66 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 	// Concurrent chains on one connection each use a distinct slot of the
 	// connection's temporary buffer (the redirect target); when a
 	// transaction writes more keys on one shard than there are slots, the
-	// installs proceed in waves.
-	if len(t.writes) > 0 {
-		const slotsPerConn = rdma.ConnTempSize / rdma.TempSlotSize
-		remaining := t.order
-		for len(remaining) > 0 {
-			wfuts := c.futBuf[:0]
-			shards := c.shardBuf[:0]
-			slotInUse := make(map[int]int) // shard -> temp slots taken this wave
-			var deferred []int64
-			for _, key := range remaining {
-				sh := c.shardOf(key)
-				slotIdx := slotInUse[sh]
-				if slotIdx >= slotsPerConn {
-					deferred = append(deferred, key)
-					continue
-				}
-				slotInUse[sh] = slotIdx + 1
-				value := t.writes[key]
-				m := &c.metas[sh]
-				conn := c.conns[sh]
-				slot := c.slotOf(key, sh)
-				img := c.carve(int(bufSize(len(value))))
-				fillVersion(img, ts, key, value)
+	// installs proceed in waves: a shard's nth write key goes in wave
+	// nth/slotsPerConn, on slot nth%slotsPerConn.
+	const slotsPerConn = rdma.ConnTempSize / rdma.TempSlotSize
+	writes := keys[:len(t.order)]
+	for wave, left := 0, len(writes); left > 0; wave++ {
+		for _, vk := range writes {
+			if vk.nth/slotsPerConn != wave {
+				continue
+			}
+			value := t.writes[vk.key]
+			m := &c.metas[vk.shard]
+			conn := c.conns[vk.shard]
+			slot := c.slotOf(vk.key, vk.shard)
+			img := c.carve(int(bufSize(len(value))))
+			fillVersion(img, ts, vk.key, value)
 
-				tmp := conn.TempAddr + memory.Addr(slotIdx*rdma.TempSlotSize)
-				pre := c.carve(24) // [C | addr(redirected) | bound]
-				prism.PutBE64(pre, 0, uint64(ts))
-				prism.PutLE64(pre, 16, uint64(len(img)))
-				ptrBuf := c.carve(8)
-				prism.PutLE64(ptrBuf, 0, uint64(tmp))
-				ops := conn.Ops(3)
-				ops[0] = prism.Write(conn.TempKey, tmp, pre)
-				ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(m.FreeList, img), conn.TempKey, tmp+8))
-				casOp := prism.CAS(m.Key, slot+offC, wire.CASGt, ptrBuf, cOnlyMask, cEntryMask)
-				casOp.Flags |= wire.FlagDataIndirect
-				ops[2] = prism.Conditional(casOp)
-				wfuts = append(wfuts, conn.IssueAsync(ops))
-				shards = append(shards, sh)
-			}
-			c.futBuf = wfuts[:0]
-			c.shardBuf = shards[:0]
-			wres := sim.WaitAll(p, wfuts)
-			for i, res := range wres {
-				switch res[2].Status {
-				case wire.StatusOK:
-					old := prism.LE64(res[2].Data, 8)
-					if old != 0 {
-						c.retire(shards[i], memory.Addr(old))
-					}
-				case wire.StatusCASFailed:
-					// A transaction with a later timestamp already installed
-					// a newer version of this key: our write is subsumed in
-					// the serial order (Thomas write rule). Retire our
-					// orphaned buffer.
-					if res[1].Status == wire.StatusOK {
-						c.retire(shards[i], res[1].Addr)
-					}
-				default:
-					return 0, fmt.Errorf("tx: commit install status %v", res[2].Status)
-				}
-			}
-			remaining = deferred
+			tmp := conn.TempAddr + memory.Addr(vk.nth%slotsPerConn*rdma.TempSlotSize)
+			pre := c.carve(24) // [C | addr(redirected) | bound]
+			prism.PutBE64(pre, 0, uint64(ts))
+			prism.PutLE64(pre, 16, uint64(len(img)))
+			ptrBuf := c.carve(8)
+			prism.PutLE64(ptrBuf, 0, uint64(tmp))
+			ops := conn.Ops(3)
+			ops[0] = prism.Write(conn.TempKey, tmp, pre)
+			ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(m.FreeList, img), conn.TempKey, tmp+8))
+			casOp := prism.CAS(m.Key, slot+offC, wire.CASGt, ptrBuf, cOnlyMask, cEntryMask)
+			casOp.Flags |= wire.FlagDataIndirect
+			ops[2] = prism.Conditional(casOp)
+			c.fan.Post(conn, ops)
 		}
-		c.maybeFlushFrees()
+		wres := c.fan.Wait(p)
+		for _, vk := range writes {
+			if vk.nth/slotsPerConn != wave {
+				continue
+			}
+			res := wres[0]
+			wres = wres[1:]
+			left--
+			switch res[2].Status {
+			case wire.StatusOK:
+				old := prism.LE64(res[2].Data, 8)
+				if old != 0 {
+					c.retire(vk.shard, memory.Addr(old))
+				}
+			case wire.StatusCASFailed:
+				// A transaction with a later timestamp already installed
+				// a newer version of this key: our write is subsumed in
+				// the serial order (Thomas write rule). Retire our
+				// orphaned buffer.
+				if res[1].Status == wire.StatusOK {
+					c.retire(vk.shard, res[1].Addr)
+				}
+			default:
+				return 0, fmt.Errorf("tx: commit install status %v", res[2].Status)
+			}
+		}
 	}
+	// The commit stands whether or not its reports got out; a connection
+	// that failed one fails the next transaction's issue.
+	_ = transport.FlushFull(c.Reclaim)
 	c.Commits++
 	return ts, nil
 }
@@ -482,64 +501,25 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 // abort leaves PW/PR as is (the paper: conservative timestamps are always
 // safe) but bumps C for keys whose write check succeeded, unblocking
 // future readers (§8.2).
-func (t *Tx) abort(p *sim.Proc, ts Timestamp, keys []valKey, results [][]wire.Result) {
+func (t *Tx) abort(p *sim.Proc, ts Timestamp, keys []valKey) {
 	c := t.c
-	futs := c.futBuf[:0]
-	for i, vk := range keys {
-		if !vk.isWrite {
-			continue
+	for _, vk := range keys {
+		if !vk.raisedPW {
+			continue // no write check, or it did not succeed: nothing to unblock
 		}
-		ri := 0
-		if vk.hasRead {
-			ri = 1
-		}
-		if results[i][ri].Status != wire.StatusOK {
-			continue // write check did not succeed; nothing to unblock
-		}
-		sh := c.shardOf(vk.key)
-		m := &c.metas[sh]
-		slot := c.slotOf(vk.key, sh)
+		m := &c.metas[vk.shard]
+		slot := c.slotOf(vk.key, vk.shard)
 		data := c.carve(24)
 		prism.PutBE64(data, 0, uint64(ts))
-		ops := c.conns[sh].Ops(1)
+		ops := c.conns[vk.shard].Ops(1)
 		ops[0] = prism.CAS(m.Key, slot+offC, wire.CASGt, data, cOnlyMask, cOnlyMask)
-		futs = append(futs, c.conns[sh].IssueAsync(ops))
+		c.fan.Post(c.conns[vk.shard], ops)
 	}
-	c.futBuf = futs[:0]
-	if len(futs) > 0 {
-		sim.WaitAll(p, futs)
-	}
+	c.fan.Wait(p)
 }
 
 func (c *Client) retire(shard int, addr memory.Addr) {
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], uint64(addr))
-	c.frees[shard] = append(c.frees[shard], rec[:]...)
-}
-
-// UseControlConns routes reclamation RPCs over dedicated connections (one
-// per shard, same order as the data connections).
-func (c *Client) UseControlConns(ctrl []*rdma.Conn) {
-	if len(ctrl) != len(c.conns) {
-		panic("tx: control connections must match shards")
-	}
-	c.ctrl = ctrl
-}
-
-func (c *Client) maybeFlushFrees() {
-	for i, pending := range c.frees {
-		if len(pending)/8 >= c.FreeBatch {
-			// Copied out of the batch buffer: the RPC is fire-and-forget
-			// and the buffer refills while it may still be in flight.
-			payload := append([]byte{rpcFree}, pending...)
-			c.frees[i] = c.frees[i][:0]
-			conn := c.conns[i]
-			if c.ctrl != nil {
-				conn = c.ctrl[i]
-			}
-			ops := conn.Ops(1)
-			ops[0] = prism.Send(payload)
-			conn.IssueAsync(ops)
-		}
-	}
+	c.Reclaim[shard].Retire(rec[:])
 }

@@ -27,6 +27,7 @@ func TestTimestampPacking(t *testing.T) {
 type txEnv struct {
 	e      *sim.Engine
 	net    *fabric.Network
+	nics   []*rdma.Server // one per shard
 	shards []*Shard
 	cli    []*rdma.Client
 }
@@ -43,7 +44,7 @@ func newTxEnv(t *testing.T, nShards int, opts ShardOptions, deploy model.Deploym
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.shards = append(v.shards, s)
+		v.nics, v.shards = append(v.nics, nic), append(v.shards, s)
 	}
 	for i := 0; i < machines; i++ {
 		v.cli = append(v.cli, rdma.NewClient(net, fmt.Sprintf("cli-%d", i)))
@@ -67,7 +68,7 @@ func (v *txEnv) client(id uint16, machine int) *Client {
 	conns := make([]*rdma.Conn, len(v.shards))
 	metas := make([]Meta, len(v.shards))
 	for i, s := range v.shards {
-		conns[i] = v.cli[machine].Connect(s.NIC())
+		conns[i] = v.cli[machine].Connect(v.nics[i])
 		metas[i] = s.Meta()
 	}
 	return NewClient(id, conns, metas)
@@ -277,6 +278,7 @@ func TestAbortsDoNotBlockWriters(t *testing.T) {
 
 type farmEnv struct {
 	e       *sim.Engine
+	nics    []*rdma.Server // one per server
 	servers []*FarmServer
 	cli     []*rdma.Client
 }
@@ -293,7 +295,7 @@ func newFarmEnv(t *testing.T, nShards int, opts ShardOptions, deploy model.Deplo
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.servers = append(v.servers, s)
+		v.nics, v.servers = append(v.nics, nic), append(v.servers, s)
 	}
 	for i := 0; i < machines; i++ {
 		v.cli = append(v.cli, rdma.NewClient(net, fmt.Sprintf("cli-%d", i)))
@@ -317,7 +319,7 @@ func (v *farmEnv) client(id uint16, machine int) *FarmClient {
 	conns := make([]*rdma.Conn, len(v.servers))
 	metas := make([]FarmMeta, len(v.servers))
 	for i, s := range v.servers {
-		conns[i] = v.cli[machine].Connect(s.NIC())
+		conns[i] = v.cli[machine].Connect(v.nics[i])
 		metas[i] = s.Meta()
 	}
 	return NewFarmClient(id, conns, metas)

@@ -85,18 +85,6 @@ type (
 	// FarmServer / FarmClient: the FaRM baseline.
 	FarmServer = tx.FarmServer
 	FarmClient = tx.FarmClient
-
-	// Templates: immutable images of built servers (Capture on the server
-	// type), instantiated per run with the cluster's *FromTemplate methods.
-	// Each instance gets a copy-on-write fork of the captured memory, so
-	// building an application's keyspace is paid once, not per experiment.
-	ServerTemplate  = rdma.ServerTemplate
-	KVTemplate      = kv.Template
-	PilafTemplate   = kv.PilafTemplate
-	RSTemplate      = abd.Template
-	ABDLockTemplate = abd.LockTemplate
-	TXTemplate      = tx.Template
-	FarmTemplate    = tx.FarmTemplate
 )
 
 // Deployment models (§4.3).
@@ -193,58 +181,17 @@ func (c *ClusterSim) Go(name string, fn func(p *Proc)) {
 // Run drives the simulation until no events remain.
 func (c *ClusterSim) Run() { c.engine.Run() }
 
-// --- Instantiate-from-template (the other half of a split build) ---
-//
-// Cluster construction splits in two: build the application once on a
-// throwaway cluster (NewCluster + the app constructor + loading — every
-// Load is settled in memory when it returns, so nothing has to run) and
-// Capture a template from each server; then instantiate any number of
-// measurement clusters, each server forked copy-on-write from its
-// template. Deployment is chosen at instantiation, so one build serves
-// every deployment variant.
-
-// NewServerFromTemplate adds a server forked from a bare NIC template.
-func (c *ClusterSim) NewServerFromTemplate(name string, d Deployment, t *ServerTemplate) *Server {
-	return rdma.NewServerFromTemplate(c.net, name, d, t)
-}
-
-// NewKVServerFromTemplate adds a loaded PRISM-KV server.
-func (c *ClusterSim) NewKVServerFromTemplate(name string, d Deployment, t *KVTemplate) *KVServer {
-	return kv.NewServerFromTemplate(c.net, name, d, t)
-}
-
-// NewPilafServerFromTemplate adds a loaded Pilaf server.
-func (c *ClusterSim) NewPilafServerFromTemplate(name string, d Deployment, t *PilafTemplate) *PilafServer {
-	return kv.NewPilafServerFromTemplate(c.net, name, d, t)
-}
-
-// NewRSReplicaFromTemplate adds an initialized PRISM-RS replica.
-func (c *ClusterSim) NewRSReplicaFromTemplate(name string, d Deployment, t *RSTemplate) *RSReplica {
-	return abd.NewReplicaFromTemplate(c.net, name, d, t)
-}
-
-// NewABDLockReplicaFromTemplate adds an initialized ABDLOCK replica.
-func (c *ClusterSim) NewABDLockReplicaFromTemplate(name string, d Deployment, t *ABDLockTemplate) *ABDLockReplica {
-	return abd.NewLockReplicaFromTemplate(c.net, name, d, t)
-}
-
-// NewTXShardFromTemplate adds a loaded PRISM-TX shard.
-func (c *ClusterSim) NewTXShardFromTemplate(name string, d Deployment, t *TXTemplate) *TXShard {
-	return tx.NewShardFromTemplate(c.net, name, d, t)
-}
-
-// NewFarmServerFromTemplate adds a loaded FaRM server.
-func (c *ClusterSim) NewFarmServerFromTemplate(name string, d Deployment, t *FarmTemplate) *FarmServer {
-	return tx.NewFarmServerFromTemplate(c.net, name, d, t)
-}
-
 // --- Application constructors (thin wrappers over the internal packages) ---
+//
+// A store knows the server it is provisioned on only as a host: keep the
+// *Server you built to connect clients to it, trace it or read its
+// counters.
 
 // KVOptions sizes a PRISM-KV store for n objects of up to valueSize bytes.
 func KVOptions(n int64, valueSize int) kv.Options { return kv.DefaultOptions(n, valueSize) }
 
 // NewKVServer provisions PRISM-KV on a server NIC.
-func NewKVServer(s *Server, opts kv.Options) (*KVServer, error) { return kv.NewServer(s, opts) }
+func NewKVServer(s *Server, opts kv.Options) (*KVServer, error) { return kv.NewServerOn(s, opts) }
 
 // NewKVClient builds a PRISM-KV client over a connection.
 func NewKVClient(conn *Conn, meta kv.Meta, clientID uint16) *KVClient {

@@ -36,21 +36,20 @@ func TestPublicKVRoundTrip(t *testing.T) {
 
 func TestPublicRSQuorum(t *testing.T) {
 	c := NewCluster(ClusterConfig{Seed: 2})
-	var reps []*RSReplica
-	for i := 0; i < 3; i++ {
-		srv := c.NewServer("rep", SoftwarePRISM)
-		r, err := NewRSReplica(srv, RSOptions{NBlocks: 8, BlockSize: 32, ExtraBuffers: 32})
+	srvs := make([]*Server, 3)
+	metas := make([]abd.Meta, 3)
+	for i := range srvs {
+		srvs[i] = c.NewServer("rep", SoftwarePRISM)
+		r, err := NewRSReplica(srvs[i], RSOptions{NBlocks: 8, BlockSize: 32, ExtraBuffers: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps = append(reps, r)
+		metas[i] = r.Meta()
 	}
 	m := c.NewClientMachine("m")
 	conns := make([]*Conn, 3)
-	metas := make([]abd.Meta, 3)
-	for i, r := range reps {
-		conns[i] = m.Connect(r.NIC())
-		metas[i] = r.Meta()
+	for i, srv := range srvs {
+		conns[i] = m.Connect(srv)
 	}
 	cli := NewRSClient(1, conns, metas)
 	c.Go("t", func(p *Proc) {
