@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"syscall"
 	"time"
 
 	"prism/internal/bench"
@@ -129,9 +130,11 @@ func truncate(ladder []int, max int) []int {
 }
 
 // summarize prints the -v line: the figure's per-point scheduler telemetry
-// summed (mean window and burst length as figure-wide means). Window and
-// barrier counts are what demonstrate the lookahead matrix and affinity
-// grouping on hosts where wall clock cannot.
+// summed (mean window and burst length as figure-wide means), its wall
+// clock, and the process's peak resident set so far — what standing the
+// figure's stores up at -keys cost this host. Window and barrier counts
+// are what demonstrate the lookahead matrix and affinity grouping on
+// hosts where wall clock cannot.
 func summarize(w io.Writer, fig *bench.Figure, wall float64) {
 	var t bench.Telemetry
 	for _, p := range fig.PointTel {
@@ -159,8 +162,19 @@ func summarize(w io.Writer, fig *bench.Figure, wall float64) {
 	if t.Bursts > 0 {
 		t.MeanBurstLen = float64(t.EventsExecuted) / float64(t.Bursts)
 	}
-	fmt.Fprintf(w, "prismbench: %s: %d points, windows=%d barriers=%d barrier-skips=%d idle-skips=%d cross-deliveries=%d mean-window=%v events=%d mean-burst=%.2f timer-fires=%d timer-stops=%d cascades=%d qp-hit/miss/evict=%d/%d/%d progs=%d steps=%d rtts-saved=%d wall=%.1fs\n",
+	fmt.Fprintf(w, "prismbench: %s: %d points, windows=%d barriers=%d barrier-skips=%d idle-skips=%d cross-deliveries=%d mean-window=%v events=%d mean-burst=%.2f timer-fires=%d timer-stops=%d cascades=%d qp-hit/miss/evict=%d/%d/%d progs=%d steps=%d rtts-saved=%d wall=%.1fs peak_rss_mb=%d\n",
 		fig.ID, len(fig.PointTel), t.Windows, t.Barriers, t.BarrierSkips, t.IdleSkips, t.CrossDeliveries,
 		time.Duration(t.MeanWindowNanos), t.EventsExecuted, t.MeanBurstLen, t.TimerFires, t.TimerStops, t.WheelCascades,
-		t.QPCacheHits, t.QPCacheMisses, t.QPCacheEvictions, t.ProgramOps, t.StepsExecuted, t.RTTsSaved, wall)
+		t.QPCacheHits, t.QPCacheMisses, t.QPCacheEvictions, t.ProgramOps, t.StepsExecuted, t.RTTsSaved, wall, peakRSSMB())
+}
+
+// peakRSSMB is the process's peak resident set from getrusage, in the MB
+// of `free -m` (2^20 bytes); ru_maxrss is in KiB on Linux. Zero if the
+// call fails.
+func peakRSSMB() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return int64(ru.Maxrss) >> 10
 }

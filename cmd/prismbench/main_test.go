@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -84,5 +86,23 @@ func TestEveryRegistryNameIsAccepted(t *testing.T) {
 				t.Fatalf("no %s rows in output:\n%s", f.Name, stdout.String())
 			}
 		})
+	}
+}
+
+// TestVerboseReportsPeakRSS: -v prints one telemetry line per figure on
+// stderr, and the line ends in the process's peak resident set — the
+// number that says what a keyspace costs the host, from the one command.
+func TestVerboseReportsPeakRSS(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := strings.Fields("-v -format csv -keys 512 -measure 100us -max-clients 2 fig3")
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	m := regexp.MustCompile(`(?m)^prismbench: fig3: .* peak_rss_mb=(\d+)$`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("no fig3 telemetry line with peak_rss_mb on stderr:\n%s", stderr.String())
+	}
+	if mb, err := strconv.Atoi(m[1]); err != nil || mb <= 0 {
+		t.Fatalf("peak_rss_mb=%s, want a positive number", m[1])
 	}
 }

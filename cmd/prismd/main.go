@@ -12,8 +12,11 @@
 //
 // -keys and -value set a ceiling, not the resident size: they size the
 // hash table and cap each buffer class at keys+8192 buffers, but buffers
-// are registered a 1 MiB slab at a time as loads and PUTs need them, so
-// an empty server holds little more than its hash table.
+// are registered a 1 MiB slab at a time as loads and PUTs need them, and
+// a buffer is no larger than the largest entry, so an empty server holds
+// little more than its hash table and a loaded one little more than its
+// data. The drain summary's "memory:" line says what was registered,
+// class by class.
 //
 // -load N preloads keys 0..N-1 server-side before serving, as the
 // paper's experiments bulk-load before measuring. SIGINT/SIGTERM drain
@@ -28,11 +31,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -160,6 +165,7 @@ func main() {
 	}
 	fmt.Printf("prismd: served %d requests (%d ops) across %d connections\n",
 		ts.RequestsServed.Load(), ts.OpsExecuted.Load(), ts.ConnsAccepted.Load())
+	fmt.Println(memoryLine(ts))
 	// Verb-program telemetry: CHASE/SCAN programs, the loop iterations
 	// they ran server-side, and the round trips that collapsed.
 	if progs := ts.ProgOps.Load(); progs > 0 {
@@ -175,6 +181,28 @@ func main() {
 	fmt.Printf("prismd: syscalls: %d writes (frames_per_write %.2f, bytes_per_syscall %.0f), %d reads (%.0f B/read), batch_len %.2f\n",
 		writes, ratio(framesOut, writes), ratio(bytesOut, writes),
 		reads, ratio(bytesIn, reads), ratio(batchFrames, batches))
+}
+
+// memoryLine is the drain summary's account of what the store registered:
+// bytes and regions in all, then every buffer class that carved a slab —
+// buffer size, slabs, and how many buffers sit available and
+// pending-repost (the rest hold objects or were leaked).
+func memoryLine(ts *transport.Server) string {
+	space := ts.Space()
+	space.Guard().Lock()
+	defer space.Guard().Unlock()
+	var registered uint64
+	for _, r := range space.Regions() {
+		registered += r.Len
+	}
+	line := fmt.Sprintf("prismd: memory: registered=%d regions=%d", registered, len(space.Regions()))
+	lists := ts.FreeLists()
+	for _, id := range slices.Sorted(maps.Keys(lists)) {
+		if fl := lists[id]; len(fl.Slabs()) > 0 {
+			line += fmt.Sprintf(" | buf=%d slabs=%d free=%d pending=%d", fl.BufSize, len(fl.Slabs()), fl.Len(), fl.Pending())
+		}
+	}
+	return line
 }
 
 // ratio returns a/b as a float, 0 when b is 0.

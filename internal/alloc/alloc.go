@@ -14,6 +14,7 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"prism/internal/memory"
 )
@@ -135,17 +136,22 @@ func (f *FreeList) Len() int { return f.n }
 // the list ever handed out lies in one of them. Read-only.
 func (f *FreeList) Slabs() []Slab { return f.slabs }
 
-// Tracked reports every buffer currently owned by the list: available plus
-// pending-repost. Reclamation scans tell leaked buffers from free ones by it.
-func (f *FreeList) Tracked() map[memory.Addr]bool {
-	m := make(map[memory.Addr]bool, f.n+len(f.pending))
-	for i := 0; i < f.n; i++ {
-		m[f.ring[(f.head+i)&(len(f.ring)-1)]] = true
+// Tracked visits every buffer the list owns now: available, then
+// pending-repost. Reclamation scans tell leaked buffers from free ones by
+// it. The list must not change during the visit.
+func (f *FreeList) Tracked() iter.Seq[memory.Addr] {
+	return func(yield func(memory.Addr) bool) {
+		for i := 0; i < f.n; i++ {
+			if !yield(f.ring[(f.head+i)&(len(f.ring)-1)]) {
+				return
+			}
+		}
+		for _, a := range f.pending {
+			if !yield(a) {
+				return
+			}
+		}
 	}
-	for _, a := range f.pending {
-		m[a] = true
-	}
-	return m
 }
 
 // Pending reports buffers retired but not yet reposted.
@@ -261,22 +267,27 @@ func (q *Quiescer) oldest() uint64 {
 	return min
 }
 
-// SizeClasses returns power-of-two buffer sizes covering [minSize, maxSize]
-// (§3.2: powers of two bound space overhead at 2x).
+// SizeClasses returns the buffer sizes of a store whose entries run from
+// minSize to maxSize bytes: the powers of two from minSize up (§3.2:
+// powers of two bound space overhead at 2x), except that the top class is
+// maxSize itself rounded up to 8 rather than the power of two at or above
+// it. A store whose entries are all its largest (every figure's) holds
+// them exactly; the 16-byte entry header would otherwise put the paper's
+// 512 B object in a 1024 B buffer.
 func SizeClasses(minSize, maxSize uint64) []uint64 {
 	if minSize == 0 || maxSize < minSize {
 		panic("alloc: bad size class range")
 	}
+	top := (maxSize + 7) &^ 7
 	var out []uint64
 	s := uint64(1)
 	for s < minSize {
 		s <<= 1
 	}
-	for ; s < maxSize; s <<= 1 {
+	for ; s < top; s <<= 1 {
 		out = append(out, s)
 	}
-	out = append(out, s)
-	return out
+	return append(out, top)
 }
 
 // ClassFor returns the index of the smallest class in classes (ascending)

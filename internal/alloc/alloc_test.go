@@ -2,7 +2,9 @@ package alloc
 
 import (
 	"errors"
+	"iter"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,6 +174,92 @@ func TestCloneCarvesDeterministicallyInFork(t *testing.T) {
 	}
 }
 
+// A seeded random walk of Pop, Recycle, FlushWhenQuiet and Clone over the
+// stores' buffer sizes and caps small enough to be reached: no buffer is
+// out twice, the cap holds and is the only reason for ErrEmpty, two clones
+// of one list carve the same addresses in their forks, and what the list
+// has registered stays within one SlabBytes of the most it ever had out.
+func TestRandomWalkHoldsCapAndFootprint(t *testing.T) {
+	sizes := SizeClasses(64, 4096+16)
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		bufSize, limit := sizes[rng.Intn(len(sizes))], 1+rng.Intn(3000)
+		f, space := newCarvingList(t, bufSize, limit)
+		base := registered(space)
+		q := NewQuiescer()
+		var out, pending []memory.Addr
+		held := make(map[memory.Addr]bool) // out or pending: not the list's to hand out
+		peak := 0
+		pop := func(f *FreeList) (memory.Addr, bool) {
+			a, err := f.Pop()
+			if err != nil {
+				carved := 0
+				for _, s := range f.Slabs() {
+					carved += s.Count
+				}
+				if !errors.Is(err, ErrEmpty) || carved != limit || f.Len() != 0 {
+					t.Fatalf("seed %d: pop failed with %d of %d carved and %d free: %v", seed, carved, limit, f.Len(), err)
+				}
+				return 0, false
+			}
+			return a, true
+		}
+		take := func(a memory.Addr) {
+			if held[a] {
+				t.Fatalf("seed %d: buffer %#x handed out twice", seed, a)
+			}
+			held[a] = true
+			out = append(out, a)
+			if len(held) > limit {
+				t.Fatalf("seed %d: %d buffers out of a list capped at %d", seed, len(held), limit)
+			}
+			peak = max(peak, len(held))
+		}
+		cloneAt := rng.Intn(6000) // once: a fork cannot be snapshotted again
+		for step := 0; step < 6000; step++ {
+			switch r := rng.Intn(100); {
+			case step == cloneAt:
+				snap := space.Snapshot()
+				forks := [2]*memory.Space{snap.Fork(), snap.Fork()}
+				clones := [2]*FreeList{f.Clone(forks[0]), f.Clone(forks[1])}
+				for n := rng.Intn(400); n > 0; n-- {
+					a, ok := pop(clones[0])
+					if b, _ := pop(clones[1]); b != a {
+						t.Fatalf("seed %d: clones of one list popped %#x and %#x", seed, a, b)
+					}
+					if ok {
+						take(a)
+					}
+				}
+				f, space = clones[0], forks[0] // the walk goes on in a fork
+			case r < 55:
+				if a, ok := pop(f); ok {
+					take(a)
+					if err := space.Write(f.Key, a, []byte{1}); err != nil {
+						t.Fatalf("seed %d: buffer %#x is not registered: %v", seed, a, err)
+					}
+				}
+			case r < 85 && len(out) > 0:
+				i := rng.Intn(len(out))
+				f.Recycle(out[i])
+				pending = append(pending, out[i])
+				out[i] = out[len(out)-1]
+				out = out[:len(out)-1]
+			default:
+				f.FlushWhenQuiet(q) // idle: reposted at once
+				for _, a := range pending {
+					delete(held, a)
+				}
+				pending = pending[:0]
+			}
+			peakBytes, got := uint64(peak)*bufSize, registered(space)-base
+			if got > peakBytes+SlabBytes {
+				t.Fatalf("seed %d step %d: %d bytes registered for %d out at the most: over one slab of slack", seed, step, got, peakBytes)
+			}
+		}
+	}
+}
+
 // The queue is FIFO across ring growth and wrap-around, and the steady
 // Pop/Recycle/FlushWhenQuiet cycle does not allocate.
 func TestRingFIFOAndSteadyStateAllocs(t *testing.T) {
@@ -190,8 +278,8 @@ func TestRingFIFOAndSteadyStateAllocs(t *testing.T) {
 			want += 64
 		}
 	}
-	if len(f.Tracked()) != f.Len() {
-		t.Fatalf("Tracked reports %d buffers, Len %d", len(f.Tracked()), f.Len())
+	if tracked := slices.Collect(f.Tracked()); len(tracked) != f.Len() || tracked[0] != want {
+		t.Fatalf("Tracked visits %d buffers from %#x, want the %d available from %#x", len(tracked), tracked[0], f.Len(), want)
 	}
 	q := NewQuiescer()
 	cycle := func() {
@@ -304,32 +392,33 @@ func TestQuiescerDoubleEndPanics(t *testing.T) {
 }
 
 func TestSizeClasses(t *testing.T) {
-	cs := SizeClasses(64, 4096)
-	want := []uint64{64, 128, 256, 512, 1024, 2048, 4096}
-	if len(cs) != len(want) {
-		t.Fatalf("classes %v", cs)
-	}
-	for i := range want {
-		if cs[i] != want[i] {
-			t.Fatalf("classes %v, want %v", cs, want)
-		}
-	}
-	// Non-power-of-two bounds round sensibly.
-	cs = SizeClasses(100, 1000)
-	want = []uint64{128, 256, 512, 1024}
-	for i := range want {
-		if cs[i] != want[i] {
-			t.Fatalf("classes %v, want %v", cs, want)
+	for _, tc := range []struct {
+		min, max uint64
+		want     []uint64
+	}{
+		{64, 4096, []uint64{64, 128, 256, 512, 1024, 2048, 4096}},
+		// The stores' ladders: the paper's 512-byte object and the GET
+		// workloads' 128-byte one, each behind a 16-byte entry header.
+		{64, 528, []uint64{64, 128, 256, 512, 528}},
+		{64, 144, []uint64{64, 128, 144}},
+		// Bounds that are no power of two: the first class is the power at
+		// or above min, the top one max rounded up to 8.
+		{100, 1000, []uint64{128, 256, 512, 1000}},
+		{100, 101, []uint64{104}},
+		{1, 5, []uint64{1, 2, 4, 8}},
+	} {
+		if got := SizeClasses(tc.min, tc.max); !slices.Equal(got, tc.want) {
+			t.Errorf("SizeClasses(%d, %d) = %v, want %v", tc.min, tc.max, got, tc.want)
 		}
 	}
 }
 
 func TestClassFor(t *testing.T) {
-	cs := SizeClasses(64, 4096)
+	cs := SizeClasses(64, 4096+16)
 	for _, tc := range []struct {
 		n    uint64
 		want uint64
-	}{{1, 64}, {64, 64}, {65, 128}, {512, 512}, {513, 1024}, {4096, 4096}} {
+	}{{1, 64}, {64, 64}, {65, 128}, {512, 512}, {513, 1024}, {4096, 4096}, {4097, 4112}, {4112, 4112}} {
 		i, err := ClassFor(cs, tc.n)
 		if err != nil {
 			t.Fatal(err)
@@ -338,24 +427,52 @@ func TestClassFor(t *testing.T) {
 			t.Fatalf("ClassFor(%d) -> %d, want %d", tc.n, cs[i], tc.want)
 		}
 	}
-	if _, err := ClassFor(cs, 4097); err == nil {
-		t.Fatal("oversized request accepted")
+	if _, err := ClassFor(cs, 4113); err == nil {
+		t.Fatal("oversized allocation accepted")
 	}
 }
 
-// Property: power-of-two classing wastes less than 2x space.
-func TestQuickSizeClassOverheadBound(t *testing.T) {
-	cs := SizeClasses(1, 1<<20)
-	f := func(n uint32) bool {
-		sz := uint64(n)%(1<<20) + 1
-		i, err := ClassFor(cs, sz)
-		if err != nil {
+// ladderHolds checks SizeClasses(lo, hi): ascending (so unique) from at
+// least lo to hi rounded up to 8, powers of two below the top, and every
+// size in ns (within [lo, hi]) in a buffer less than twice its size.
+func ladderHolds(lo, hi uint64, ns iter.Seq[uint64]) bool {
+	cs := SizeClasses(lo, hi)
+	if cs[0] < lo || cs[len(cs)-1] != (hi+7)&^7 {
+		return false
+	}
+	for i, c := range cs {
+		if i > 0 && c <= cs[i-1] || i < len(cs)-1 && c&(c-1) != 0 {
 			return false
 		}
-		return cs[i] >= sz && cs[i] < 2*sz
+	}
+	for n := range ns {
+		if i, err := ClassFor(cs, n); err != nil || cs[i] < n || cs[i] >= 2*n {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: §3.2's 2x bound survives the clipped top class, for any
+// bounds; and exhaustively for every size a store of 4 KiB values can be
+// asked for.
+func TestQuickSizeClassOverheadBound(t *testing.T) {
+	f := func(a, b uint32, probe uint32) bool {
+		lo, hi := uint64(a)%(1<<16)+1, uint64(b)%(1<<20)+1
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		return ladderHolds(lo, hi, slices.Values([]uint64{lo, hi, lo + uint64(probe)%(hi-lo+1)}))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
+	}
+	every := func(yield func(uint64) bool) {
+		for n := uint64(64); n <= 4096+16 && yield(n); n++ {
+		}
+	}
+	if !ladderHolds(64, 4096+16, every) {
+		t.Fatal("a size in [64, 4112] lands outside [n, 2n) of SizeClasses(64, 4112)")
 	}
 }
 

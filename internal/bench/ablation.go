@@ -97,36 +97,43 @@ func AblationRedirectTarget(cfg Config) *Figure {
 }
 
 // AblationFreelistClasses quantifies §3.2's space/simplicity tradeoff:
-// provisioning one free list per power-of-two size class vs a single list
-// of max-size buffers, for a mixed-size object population. It reports how
-// many objects fit in a fixed byte budget and the resulting space
-// overhead.
+// one free list per size class — the paper's power-of-two ladder, built
+// here as the reference row, and the ladder the stores post
+// (alloc.SizeClasses: the same rungs, the top one clipped to the largest
+// entry) — vs a single list of max-size buffers, for a mixed-size
+// population of objects behind the 16-byte header a store adds to each.
+// It reports how many objects fit in a fixed byte budget and the share of
+// the bytes used that hold nothing.
 func AblationFreelistClasses(cfg Config) *Figure {
 	fig := &Figure{
 		ID:     "ablation-freelist-classes",
-		Title:  "ALLOCATE buffer provisioning: power-of-two classes vs single class",
+		Title:  "ALLOCATE buffer provisioning: power-of-two classes, with and without a clipped top, vs single class",
 		XLabel: "variant", YLabel: "objects stored in a fixed byte budget",
 	}
-	// Object sizes: mixed 64..maxEntry bytes, skewed toward small.
+	// Entries of 16..ValueSize-byte values, log-uniform: skewed toward small.
+	const entryHeader = 16 // klen | key (kv/layout.go)
 	sizes := make([]uint64, 512)
 	rng := sim.NewEngine(cfg.Seed).Rand()
-	maxSize := uint64(cfg.ValueSize)
+	maxSize := uint64(cfg.ValueSize) + entryHeader
 	for i := range sizes {
-		// Log-uniform-ish mix of small and large objects.
-		s := uint64(16) << rng.Intn(6) // 16..512
-		if s > maxSize {
-			s = maxSize
-		}
-		sizes[i] = s
+		sizes[i] = min(uint64(16)<<rng.Intn(6), uint64(cfg.ValueSize)) + entryHeader
 	}
 	budget := uint64(len(sizes)) * maxSize / 2 // can't fit all at max size
 
+	var pow2 []uint64
+	for c := uint64(64); ; c <<= 1 {
+		pow2 = append(pow2, c)
+		if c >= maxSize {
+			break
+		}
+	}
 	type variant struct {
 		name    string
 		classes []uint64
 	}
 	variants := []variant{
-		{"power-of-two classes (§3.2)", alloc.SizeClasses(64, maxSize)},
+		{"power-of-two classes (§3.2)", pow2},
+		{"power-of-two classes, top clipped to the largest entry (as built)", alloc.SizeClasses(64, maxSize)},
 		{"single max-size class", []uint64{maxSize}},
 	}
 	for _, v := range variants {

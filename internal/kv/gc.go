@@ -1,6 +1,10 @@
 package kv
 
 import (
+	"cmp"
+	"slices"
+
+	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
 )
@@ -62,31 +66,72 @@ func (s *Server) ScanAndReclaim(done func(reclaimed int)) {
 	})
 }
 
+// slabMarks is the scan's scratch for one carved slab: a bit per buffer,
+// set when a hash slot references the buffer or its free list owns it.
+type slabMarks struct {
+	alloc.Slab
+	list    uint32
+	bufSize uint64
+	bits    []uint64
+}
+
+func (m *slabMarks) end() memory.Addr { return m.Base + memory.Addr(uint64(m.Count)*m.bufSize) }
+
 // leakedBuffers returns, per free list, the buffers neither referenced by
-// a hash slot nor owned by the free list. The caller holds the space
-// guard (or is the only thread there is).
+// a hash slot nor owned by the free list, in carve order. The caller
+// holds the space guard (or is the only thread there is). Its scratch is a
+// bit per carved buffer, not a map entry per slot and per free buffer: a
+// scan of a store at the paper's keyspace marks a few MB.
 func (s *Server) leakedBuffers() map[uint32][]memory.Addr {
+	var slabs []slabMarks
+	words := 0 // of every slab's bitmap, allocated as one
+	for _, info := range s.meta.FreeLists {
+		fl := s.host.FreeList(info.ID)
+		for _, slab := range fl.Slabs() {
+			slabs = append(slabs, slabMarks{Slab: slab, list: fl.ID, bufSize: fl.BufSize})
+			words += (slab.Count + 63) / 64
+		}
+	}
+	// Sorted by address for mark's search; a list's slabs stay in carve
+	// order, because a space's addresses only grow.
+	slices.SortFunc(slabs, func(a, b slabMarks) int { return cmp.Compare(a.Base, b.Base) })
+	bits := make([]uint64, words)
+	for i := range slabs {
+		n := (slabs[i].Count + 63) / 64
+		slabs[i].bits, bits = bits[:n:n], bits[n:]
+	}
+	// mark sets addr's bit; an address that is no buffer boundary of a
+	// carved slab names no buffer and marks nothing.
+	mark := func(addr memory.Addr) {
+		i, _ := slices.BinarySearchFunc(slabs, addr, func(m slabMarks, a memory.Addr) int { return cmp.Compare(m.end()-1, a) })
+		if i == len(slabs) || addr < slabs[i].Base {
+			return
+		}
+		if off := uint64(addr - slabs[i].Base); off%slabs[i].bufSize == 0 {
+			b := off / slabs[i].bufSize
+			slabs[i].bits[b/64] |= 1 << (b % 64)
+		}
+	}
 	space := s.host.Space()
-	referenced := make(map[memory.Addr]bool, s.meta.NSlots)
 	for i := int64(0); i < s.meta.NSlots; i++ {
 		slot, err := space.Peek(s.meta.Key, s.meta.slotAddr(i), slotSize)
 		if err != nil {
 			continue
 		}
 		if ptr := prism.LE64(slot, 8); ptr != 0 {
-			referenced[memory.Addr(ptr)] = true
+			mark(memory.Addr(ptr))
+		}
+	}
+	for _, info := range s.meta.FreeLists {
+		for addr := range s.host.FreeList(info.ID).Tracked() {
+			mark(addr)
 		}
 	}
 	leaked := make(map[uint32][]memory.Addr)
-	for _, info := range s.meta.FreeLists {
-		fl := s.host.FreeList(info.ID)
-		tracked := fl.Tracked()
-		for _, slab := range fl.Slabs() {
-			for b := 0; b < slab.Count; b++ {
-				addr := slab.Base + memory.Addr(uint64(b)*fl.BufSize)
-				if !referenced[addr] && !tracked[addr] {
-					leaked[fl.ID] = append(leaked[fl.ID], addr)
-				}
+	for _, m := range slabs {
+		for b := 0; b < m.Count; b++ {
+			if m.bits[b/64]&(1<<(b%64)) == 0 {
+				leaked[m.list] = append(leaked[m.list], m.Base+memory.Addr(uint64(b)*m.bufSize))
 			}
 		}
 	}

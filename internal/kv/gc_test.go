@@ -2,6 +2,7 @@ package kv
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -101,7 +102,7 @@ func TestScanAndReclaimOnLiveHost(t *testing.T) {
 
 	g := ts.Space().Guard()
 	g.Lock()
-	back := ts.FreeList(class).Tracked()[orphan]
+	back := owns(ts.FreeList(class), orphan)
 	g.Unlock()
 	if !back {
 		t.Errorf("the orphan %#x is not back on its free list", orphan)
@@ -125,5 +126,45 @@ func TestScanAndReclaimOnLiveHost(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("ServeConn did not return after client close")
 		}
+	}
+}
+
+// TestScanAndReclaimScratchIsBits: a scan's scratch is a bit per carved
+// buffer. One scan of a loaded 64 Ki-key store with a single orphan
+// allocated 4.8 MB when it kept a map entry per hash slot and per free
+// buffer — three times the slots it walks, 600 MB at the paper's keyspace.
+func TestScanAndReclaimScratchIsBits(t *testing.T) {
+	const keys, valueSize = 64 << 10, 512
+	ts := transport.NewServer()
+	srv, err := NewServerOn(ts, DefaultOptions(keys, valueSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, valueSize)
+	for k := int64(0); k < keys; k++ {
+		if err := srv.Load(k, value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	class, err := srv.meta.classFor(entrySize(valueSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Popped, installed nowhere, reported by no one.
+	orphan, err := ts.FreeList(class).Pop()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	reclaimed := -1
+	runtime.ReadMemStats(&before)
+	srv.ScanAndReclaim(func(n int) { reclaimed = n }) // idle host: done runs before the call returns
+	runtime.ReadMemStats(&after)
+	if reclaimed != 1 || !owns(ts.FreeList(class), orphan) {
+		t.Fatalf("the scan reclaimed %d buffers, want the one orphan %#x", reclaimed, orphan)
+	}
+	if scratch := after.TotalAlloc - before.TotalAlloc; scratch >= 256<<10 {
+		t.Errorf("one scan of %d keys allocated %d bytes, want under 256 KiB", keys, scratch)
 	}
 }

@@ -149,14 +149,14 @@ func pilafDecodeEntry(b []byte) (key int64, value []byte, ok bool) {
 	return key, b[16 : len(b)-8], true
 }
 
-func pilafEncodeSlot(ptr memory.Addr, length uint64) []byte {
-	b := make([]byte, pilafSlotSize)
+func pilafEncodeSlot(ptr memory.Addr, length uint64) (img [pilafSlotSize]byte) {
+	b := img[:]
 	binary.LittleEndian.PutUint64(b, 1) // inuse
 	binary.LittleEndian.PutUint64(b[8:], uint64(ptr))
 	binary.LittleEndian.PutUint64(b[16:], length)
 	crc := crc64.Checksum(b[:24], crcTable)
 	binary.LittleEndian.PutUint64(b[24:], crc)
-	return b
+	return img
 }
 
 func pilafDecodeSlot(b []byte) (inuse bool, ptr memory.Addr, length uint64, ok bool) {
@@ -319,7 +319,8 @@ func (s *PilafServer) Load(key int64, value []byte) error {
 	if err := s.space.Write(s.meta.Key, dst, entry); err != nil {
 		return err
 	}
-	return s.space.Write(s.meta.Key, slotAddr, pilafEncodeSlot(dst, uint64(len(entry))))
+	slotImg := pilafEncodeSlot(dst, uint64(len(entry)))
+	return s.space.Write(s.meta.Key, slotAddr, slotImg[:])
 }
 
 // PilafTemplate is an immutable image of a loaded Pilaf server, the one

@@ -76,26 +76,25 @@ func TestPilafLoadMatchesStagedPut(t *testing.T) {
 // A Pilaf store registers its hash table and the slabs its entries fill,
 // not room for BuffersPerClass entries up front.
 func TestPilafFootprintFollowsLoad(t *testing.T) {
-	const keys, valueSize = 4096, 512
-	v := newPilafEnv(t, DefaultOptions(keys, valueSize), model.SoftwarePRISM)
-	hashBytes := registeredBytes(v.srv.space)
-	if want := uint64(keys * pilafSlotSize); hashBytes != want {
-		t.Fatalf("an empty store registers %d bytes, want the %d-byte hash table only", hashBytes, want)
-	}
-	value := make([]byte, valueSize)
-	for k := int64(0); k < keys; k++ {
-		if err := v.srv.Load(k, value); err != nil {
-			t.Fatal(err)
+	for _, shape := range footprintShapes {
+		keys, valueSize := shape.keys, shape.valueSize
+		v := newPilafEnv(t, DefaultOptions(keys, valueSize), model.SoftwarePRISM)
+		hashBytes := registeredBytes(v.srv.space)
+		if want := uint64(keys * pilafSlotSize); hashBytes != want {
+			t.Fatalf("an empty store registers %d bytes, want the %d-byte hash table only", hashBytes, want)
 		}
-	}
-	loaded := keys * pilafEntrySize(valueSize)
-	got := registeredBytes(v.srv.space)
-	if limit := hashBytes + loaded + alloc.SlabBytes; got > limit {
-		t.Fatalf("loaded store registers %d bytes, want at most %d (hash table + %d loaded bytes + one slab)",
-			got, limit, loaded)
-	}
-	if got < hashBytes+loaded {
-		t.Fatalf("loaded store registers %d bytes, fewer than it holds", got)
+		value := make([]byte, valueSize)
+		for k := int64(0); k < keys; k++ {
+			if err := v.srv.Load(k, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		entryBytes := pilafEntrySize(valueSize)
+		if got, want := registeredBytes(v.srv.space), hashBytes+slabbedBytes(keys, entryBytes); got != want {
+			t.Errorf("%d keys of %d bytes: the loaded store registers %d bytes, want %d (hash table + whole slabs of %d-byte entries)",
+				keys, valueSize, got, want, entryBytes)
+		}
+		checkFootprint(t, v.srv.space, hashBytes, keys, entryBytes)
 	}
 }
 

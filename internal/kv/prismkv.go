@@ -88,7 +88,8 @@ func NewServerOn(host transport.Host, opts Options) (*Server, error) {
 		Hash:     opts.Hash,
 		MaxValue: opts.MaxValue,
 	}
-	// Size classes: powers of two from MinClass to the largest entry.
+	// Size classes: powers of two from MinClass, topped by the largest
+	// entry itself (DESIGN.md §13).
 	maxEntry := entrySize(opts.MaxValue)
 	if maxEntry < opts.MinClass {
 		maxEntry = opts.MinClass

@@ -32,49 +32,85 @@ func registeredBytes(space *memory.Space) (n uint64) {
 	return n
 }
 
-func slabBytes(n uint64) uint64 { return (n + alloc.SlabBytes - 1) / alloc.SlabBytes * alloc.SlabBytes }
+// owns reports whether addr is on fl, available or pending-repost.
+func owns(fl *alloc.FreeList, addr memory.Addr) bool {
+	for a := range fl.Tracked() {
+		if a == addr {
+			return true
+		}
+	}
+	return false
+}
 
-// A loaded store registers its hash table and the slabs its objects fill,
-// not BuffersPerClass buffers in every class.
+// slabbedBytes is what a list of size-byte buffers has registered once n
+// of them have been popped, its cap out of reach: whole slabs of whole
+// buffers.
+func slabbedBytes(n int64, size uint64) uint64 {
+	perSlab := alloc.SlabBytes / size
+	return (uint64(n) + perSlab - 1) / perSlab * perSlab * size
+}
+
+// footprintShapes are the stores the footprint tests stand up: the
+// paper's object and the GET workloads', and one of many slabs.
+var footprintShapes = []struct {
+	keys      int64
+	valueSize int
+}{{4096, 512}, {4096, 128}, {65536, 512}}
+
+// checkFootprint holds a store of keys entries of entryBytes each to what
+// its data costs, whatever buffer sizes it picked: registered bytes are
+// the hash table, the entries with a tenth on top, and one slab.
+func checkFootprint(t *testing.T, space *memory.Space, hashBytes uint64, keys int64, entryBytes uint64) {
+	t.Helper()
+	got, data := registeredBytes(space), uint64(keys)*entryBytes
+	if limit := hashBytes + data + data/10 + alloc.SlabBytes; got > limit {
+		t.Errorf("%d entries of %d bytes: the store registers %d bytes, want at most %d (hash table + 1.10 x %d entry bytes + one slab)",
+			keys, entryBytes, got, limit, data)
+	}
+}
+
+// A loaded store registers its hash table and the slabs its objects fill —
+// in buffers no larger than the objects — not BuffersPerClass buffers in
+// every class.
 func TestFootprintFollowsLoad(t *testing.T) {
-	const keys, valueSize = 4096, 512
-	ts := transport.NewServer()
-	srv, err := NewServerOn(ts, DefaultOptions(keys, valueSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashBytes := registeredBytes(ts.Space())
-	if want := uint64(keys * slotSize); hashBytes != want {
-		t.Fatalf("an empty store registers %d bytes, want the %d-byte hash table only", hashBytes, want)
-	}
-	value := make([]byte, valueSize)
-	for k := int64(0); k < keys; k++ {
-		if err := srv.Load(k, value); err != nil {
+	for _, shape := range footprintShapes {
+		keys, valueSize := shape.keys, shape.valueSize
+		ts := transport.NewServer()
+		srv, err := NewServerOn(ts, DefaultOptions(keys, valueSize))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	class, err := srv.meta.classFor(entrySize(valueSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var loaded uint64
-	for _, info := range srv.meta.FreeLists {
-		fl := ts.FreeList(info.ID)
-		if info.ID != class {
-			if len(fl.Slabs()) != 0 {
+		hashBytes := registeredBytes(ts.Space())
+		if want := uint64(keys * slotSize); hashBytes != want {
+			t.Fatalf("an empty store registers %d bytes, want the %d-byte hash table only", hashBytes, want)
+		}
+		value := make([]byte, valueSize)
+		for k := int64(0); k < keys; k++ {
+			if err := srv.Load(k, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		class, err := srv.meta.classFor(entrySize(valueSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bufSize uint64
+		for _, info := range srv.meta.FreeLists {
+			fl := ts.FreeList(info.ID)
+			if info.ID == class {
+				bufSize = info.BufSize
+			} else if len(fl.Slabs()) != 0 {
 				t.Errorf("untouched %d-byte class owns %d slabs", info.BufSize, len(fl.Slabs()))
 			}
-			continue
 		}
-		loaded = keys * info.BufSize
-	}
-	got := registeredBytes(ts.Space())
-	if limit := hashBytes + slabBytes(loaded) + alloc.SlabBytes; got > limit {
-		t.Fatalf("loaded store registers %d bytes, want at most %d (hash table + %d loaded bytes in slabs + one slab)",
-			got, limit, loaded)
-	}
-	if got < hashBytes+loaded {
-		t.Fatalf("loaded store registers %d bytes, fewer than it holds", got)
+		if bufSize != entrySize(valueSize) {
+			t.Errorf("%d-byte entries, the store's largest, sit in %d-byte buffers", entrySize(valueSize), bufSize)
+		}
+		if got, want := registeredBytes(ts.Space()), hashBytes+slabbedBytes(keys, bufSize); got != want {
+			t.Errorf("%d keys of %d bytes: the loaded store registers %d bytes, want %d (hash table + whole slabs of %d-byte buffers)",
+				keys, valueSize, got, want, bufSize)
+		}
+		checkFootprint(t, ts.Space(), hashBytes, keys, entrySize(valueSize))
 	}
 }
 
@@ -95,10 +131,11 @@ func spaceChecksum(space *memory.Space) uint32 {
 }
 
 // Two instances of one template carve the same addresses in their own
-// forks — the load leaves no free buffer behind, so each instance's
-// first PUT carves — and the sealed parent never changes.
+// forks — the PUTs' shorter entries fall in classes the load never
+// touched, so each instance's first PUT carves — and the sealed parent
+// never changes.
 func TestTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
-	const keys, valueSize = 2048, 400 // 512-byte class: the load fills one slab exactly
+	const keys, valueSize = 2048, 400 // the load carves only the top, 416-byte class
 	params := model.Default().WithNetwork(model.Rack)
 	build := sim.NewEngine(1)
 	nic := rdma.NewServer(fabric.New(build, params), "build", model.SoftwarePRISM)
@@ -160,7 +197,7 @@ func TestLiveSocketsPutAcrossSlabBoundary(t *testing.T) {
 		writers   = 2
 		inserts   = 300  // per writer, each to a key of its own
 		hotKeys   = 4    // overwritten and read by both
-		valueSize = 3000 // 4096-byte class: 256 buffers per slab
+		valueSize = 4080 // 4096-byte buffers: 256 per slab
 	)
 	opts := DefaultOptions(1024, valueSize)
 	ts := transport.NewServer()
@@ -301,7 +338,7 @@ func TestLiveSocketsPutAcrossSlabBoundary(t *testing.T) {
 // The reclamation scan walks the list's own slab table, so it finds a
 // buffer leaked out of a slab that was carved after the load.
 func TestScanAndReclaimFindsLeakInLaterSlab(t *testing.T) {
-	const keys, valueSize = 2048, 400 // 512-byte class: the load fills one slab exactly
+	const keys, valueSize = 2048, 496 // 512-byte entries: the load fills one slab exactly
 	v := newKVEnv(t, DefaultOptions(keys, valueSize), model.SoftwarePRISM)
 	value := make([]byte, valueSize)
 	for k := int64(0); k < keys; k++ {
@@ -337,7 +374,7 @@ func TestScanAndReclaimFindsLeakInLaterSlab(t *testing.T) {
 	before, reclaimed := fl.Len(), -1
 	v.srv.ScanAndReclaim(func(n int) { reclaimed = n })
 	v.e.Run()
-	if reclaimed != 1 || fl.Len() != before+1 || !fl.Tracked()[leaked] {
+	if reclaimed != 1 || fl.Len() != before+1 || !owns(fl, leaked) {
 		t.Fatalf("scan reclaimed %d buffers (free %d -> %d), want the one leaked at %#x", reclaimed, before, fl.Len(), leaked)
 	}
 	// A second scan finds nothing: live objects and free buffers are not leaks.

@@ -39,7 +39,7 @@ type flusher struct {
 
 	mu    sync.Mutex
 	wake  *sync.Cond // writer parks here when fully drained
-	idle  *sync.Cond // close waiters park here until drained or dead
+	idle  *sync.Cond // close waiters park here until the writer exits
 	stage []byte     // staged frame bytes; written prefix immutable
 	ends  []int      // end offset in stage of each staged frame
 	done  int        // frames already written (index into ends)
@@ -50,6 +50,7 @@ type flusher struct {
 
 	closed bool
 	err    error
+	exited bool // the writer goroutine is gone: nothing is in Write
 
 	wc *WireCheckState // send-side wirecheck scratch, under mu
 
@@ -166,21 +167,46 @@ func (f *flusher) poison(err error) {
 		f.err = err
 	}
 	f.wake.Signal()
-	f.idle.Broadcast()
 	f.mu.Unlock()
 }
 
 // close drains staged frames and stops the writer — a graceful
 // teardown keeps the final fire-and-forget frames (reclamation
-// batches) on the wire. Blocks until drained or the writer dies.
+// batches) on the wire. Blocks until the writer has exited, drained or
+// dead: a frame is on the wire when its Write returned, not when the
+// writer took it.
 func (f *flusher) close() {
 	f.mu.Lock()
 	f.closed = true
 	f.wake.Signal()
-	for f.done < len(f.ends) && f.err == nil {
+	for !f.exited {
 		f.idle.Wait()
 	}
 	f.mu.Unlock()
+}
+
+// reclaim drops the written prefix of the staging buffer once it is at
+// least as long as the backlog behind it, sliding the backlog to the
+// front (each staged byte moves at most once more than it is written).
+// Waiting for a fully drained queue is not enough: a closed-loop issuer
+// whose next frames are staged before the writer is back from Write
+// never leaves it one, and the buffer grew for as long as that streak
+// lasted — hundreds of KiB per socket, by the luck of the scheduling.
+// Caller holds mu, and no Write is in flight.
+func (f *flusher) reclaim() {
+	if f.done == 0 {
+		return
+	}
+	head := f.ends[f.done-1]
+	if head < len(f.stage)-head {
+		return
+	}
+	f.stage = f.stage[:copy(f.stage, f.stage[head:])]
+	f.ends = f.ends[:copy(f.ends, f.ends[f.done:])]
+	for i := range f.ends {
+		f.ends[i] -= head
+	}
+	f.done = 0
 }
 
 // run is the writer goroutine: park while drained, then flush staged
@@ -189,18 +215,13 @@ func (f *flusher) close() {
 func (f *flusher) run() {
 	f.mu.Lock()
 	for {
+		f.reclaim()
 		for f.done == len(f.ends) && !f.closed && f.err == nil {
-			if f.done > 0 {
-				// Fully drained: rewind so the retained capacity is reused.
-				f.stage = f.stage[:0]
-				f.ends = f.ends[:0]
-				f.done = 0
-			}
-			f.idle.Broadcast()
 			f.wake.Wait()
 		}
 		if f.err != nil || f.done == len(f.ends) {
 			// Poisoned, or closed and drained.
+			f.exited = true
 			f.idle.Broadcast()
 			f.mu.Unlock()
 			return
@@ -231,6 +252,7 @@ func (f *flusher) run() {
 			if f.err == nil {
 				f.err = werr
 			}
+			f.exited = true
 			f.idle.Broadcast()
 			f.mu.Unlock()
 			f.onError(werr)

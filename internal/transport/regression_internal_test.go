@@ -166,6 +166,71 @@ func TestFlushStatsSkipFailedWrites(t *testing.T) {
 	}
 }
 
+// restageWriter stages the next frame from inside every Write, as a
+// closed-loop issuer does whose response arrives before the writer
+// goroutine is back from the syscall: the queue is never seen drained.
+type restageWriter struct {
+	f       *flusher
+	left    int
+	carried []byte
+	idle    chan struct{}
+}
+
+func (w *restageWriter) Write(p []byte) (int, error) {
+	w.carried = append(w.carried, p...)
+	if w.left == 0 {
+		close(w.idle)
+		return len(p), nil
+	}
+	w.left--
+	return len(p), w.f.stageControl(frameConnect, []byte{byte(w.left), byte(w.left >> 8)})
+}
+
+// TestFlusherStageStaysBounded pins that the staging buffer is bounded
+// by the backlog, not by how long the socket goes without a fully
+// drained moment: it used to grow by one frame per Write for the whole
+// streak (70 KB here, hundreds of KiB of timing-dependent heap per
+// socket under a batched closed loop).
+func TestFlusherStageStaysBounded(t *testing.T) {
+	const frames = 10000
+	w := &restageWriter{left: frames - 1, idle: make(chan struct{})}
+	f := newFlusher(w, func(err error) { t.Errorf("write failed: %v", err) })
+	w.f = f
+	if err := f.stageControl(frameConnect, []byte{0xff, 0xff}); err != nil {
+		t.Fatalf("stageControl: %v", err)
+	}
+	select {
+	case <-w.idle:
+	case <-time.After(10 * time.Second):
+		t.Fatal("writer never drained")
+	}
+	f.close()
+	const frameLen = frameHeaderLen + 1 + 2
+	if c := cap(f.stage); c > 16*frameLen {
+		t.Errorf("staging buffer holds %d bytes after a %d-frame streak of one-frame backlogs", c, frames)
+	}
+	if c := cap(f.ends); c > 16 {
+		t.Errorf("frame index holds %d entries after a streak of one-frame backlogs", c)
+	}
+	if wr, fr, b := f.stats(); wr != frames || fr != frames || b != frames*frameLen {
+		t.Errorf("stats = %d writes, %d frames, %d bytes; want %d, %d, %d", wr, fr, b, frames, frames, frames*frameLen)
+	}
+	// The wire carried every frame whole and in staging order.
+	if len(w.carried) != frames*frameLen {
+		t.Fatalf("carried %d bytes, want %d", len(w.carried), frames*frameLen)
+	}
+	for i := 0; i < frames; i++ {
+		fr := w.carried[i*frameLen : (i+1)*frameLen]
+		want := uint16(frames - 1 - i) // left, counting down behind the first frame's 0xffff
+		if i == 0 {
+			want = 0xffff
+		}
+		if fr[0] != 3 || fr[4] != frameConnect || uint16(fr[5])|uint16(fr[6])<<8 != want {
+			t.Fatalf("frame %d on the wire = % x, want payload %#04x", i, fr, want)
+		}
+	}
+}
+
 // TestQuiesceRunsUnderGuard pins the contract the simulated and live
 // servers now share through HostCore: an immediately-ready Quiesce
 // callback runs with the space guard held, a deferred one runs wherever

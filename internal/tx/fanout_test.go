@@ -3,6 +3,7 @@ package tx
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,9 +150,9 @@ func TestWideTxInstallsEveryKey(t *testing.T) {
 	if got := fl.Len() - free + n; got != n { // the commit popped n and must have returned n
 		t.Fatalf("the free list holds %d buffers, %d before the commit: %d retired, want %d", fl.Len(), free, got, n)
 	}
-	tracked := fl.Tracked()
+	tracked := slices.Collect(fl.Tracked())
 	for k, addr := range displaced {
-		if !tracked[addr] {
+		if !slices.Contains(tracked, addr) {
 			t.Errorf("key %d's displaced buffer %#x was not retired", k, addr)
 		}
 	}
