@@ -12,7 +12,7 @@
 //
 // -keys and -value set a ceiling, not the resident size: they size the
 // hash table and cap each buffer class at keys+8192 buffers, but buffers
-// are registered a 1 MiB slab at a time as loads and PUTs need them, and
+// are registered a 64 KiB slab at a time as loads and PUTs need them, and
 // a buffer is no larger than the largest entry, so an empty server holds
 // little more than its hash table and a loaded one little more than its
 // data. The drain summary's "memory:" line says what was registered,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
 	"prism/internal/rdma"
@@ -48,11 +49,11 @@ type LockReplica struct {
 // host.
 func NewLockReplica(host transport.Host, nBlocks int64, blockSize int) (*LockReplica, error) {
 	space := host.Space()
-	region, err := space.Register(uint64(nBlocks) * uint64(lockHdr+blockSize))
+	key, base, err := alloc.RegisterArray(space, 0, uint64(nBlocks), uint64(lockHdr+blockSize))
 	if err != nil {
-		return nil, fmt.Errorf("abd: lock replica region: %w", err)
+		return nil, fmt.Errorf("abd: lock replica blocks: %w", err)
 	}
-	meta := LockMeta{Key: region.Key, Base: region.Base, NBlocks: nBlocks, BlockSize: blockSize}
+	meta := LockMeta{Key: key, Base: base, NBlocks: nBlocks, BlockSize: blockSize}
 	initTag := MakeTag(1, 0)
 	for b := int64(0); b < nBlocks; b++ {
 		hdr := make([]byte, lockHdr)

@@ -45,14 +45,13 @@ func NewReplica(host transport.Host, opts ReplicaOptions) (*Replica, error) {
 		FreeList:  1,
 		Variable:  opts.VariableSize,
 	}
-	metaRegion, err := space.Register(uint64(opts.NBlocks) * uint64(meta.entrySize()))
+	var err error
+	meta.Key, meta.MetaBase, err = alloc.RegisterArray(space, 0, uint64(opts.NBlocks), uint64(meta.entrySize()))
 	if err != nil {
 		return nil, fmt.Errorf("abd: metadata region: %w", err)
 	}
-	meta.Key = metaRegion.Key
-	meta.MetaBase = metaRegion.Base
 	bufSize := meta.bufSize()
-	fl := alloc.NewFreeList(meta.FreeList, bufSize, metaRegion.Key, space, int(opts.NBlocks)+opts.ExtraBuffers)
+	fl := alloc.NewFreeList(meta.FreeList, bufSize, meta.Key, space, int(opts.NBlocks)+opts.ExtraBuffers)
 
 	// Initialize every block with tag (1,0) and a zero value in a buffer
 	// popped from the free list, as an out-of-place write would.

@@ -23,13 +23,49 @@ import (
 // its cap; the NIC surfaces it to the client as an RNR NAK.
 var ErrEmpty = errors.New("alloc: free list empty")
 
-// SlabBytes is how much memory a list registers when it runs dry (less
-// for the slab that reaches the cap, one buffer if a buffer is larger).
-// A constant, not a setting: 1 MiB amortises a registration over a
-// thousand ALLOCATEs of the largest class the stores use, holds what a
-// list keeps beyond its outstanding buffers to one slab, and keeps a
-// fork's copy-on-write unit (a region) small.
-const SlabBytes = 1 << 20
+// SlabBytes is the unit in which stores register memory: a free list that
+// runs dry registers one slab (less for the slab that reaches the cap, one
+// buffer if a buffer is larger), and RegisterArray cuts a store's arrays
+// into regions no longer than one. A constant, not a setting. A region is
+// also what a fork copies on its first write to it (memory.Snapshot.Fork),
+// so the slab bounds both what a list holds beyond its outstanding buffers
+// and what one write costs a fork; 64 KiB still amortises a registration
+// over 124 ALLOCATEs of the largest buffer the figures use (528 bytes).
+const SlabBytes = 64 << 10
+
+// RegisterArray registers n elements of stride bytes as consecutive
+// regions under key (under a fresh key if key is 0) and returns the key and
+// the first element's address: element i is at base + i*stride, as in one
+// region. Every region holds whole elements and, but for the last, a
+// multiple of 64 bytes — the space's alignment between regions, so the next
+// one starts where the last ended — and is at most SlabBytes long unless a
+// single 64-byte-aligned run of elements is longer. An access that crosses
+// from one region into the next is rejected like any region overrun, which
+// no access within one element does.
+func RegisterArray(space *memory.Space, key memory.RKey, n, stride uint64) (memory.RKey, memory.Addr, error) {
+	if n == 0 || stride == 0 {
+		return 0, 0, memory.ErrRegionTooWide
+	}
+	unit := 64 / min(stride&-stride, 64) // fewest elements filling a multiple of 64 bytes
+	per := max(unit, SlabBytes/stride/unit*unit)
+	var base memory.Addr
+	for i := uint64(0); i < n; i += per {
+		var r *memory.Region
+		var err error
+		if key == 0 {
+			r, err = space.Register(min(per, n-i) * stride)
+		} else {
+			r, err = space.RegisterShared(key, min(per, n-i)*stride)
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+		if i == 0 {
+			key, base = r.Key, r.Base
+		}
+	}
+	return key, base, nil
+}
 
 // Slab is one registered region a list carved: Count buffers from Base.
 type Slab struct {

@@ -64,6 +64,86 @@ func registered(space *memory.Space) (n uint64) {
 	return n
 }
 
+// RegisterArray cuts an array into contiguous regions of whole elements,
+// each as long as a slab allows, so element i sits at base + i*stride and
+// passes the NIC's bounds check at exactly stride bytes, while an access
+// across a region boundary NAKs — for strides that divide 64, that do not,
+// and that exceed a slab.
+func TestRegisterArrayWholeElementRegions(t *testing.T) {
+	gcd := func(a, b uint64) uint64 {
+		for b != 0 {
+			a, b = b, a%b
+		}
+		return a
+	}
+	rng := rand.New(rand.NewSource(3))
+	for c := 0; c < 120; c++ {
+		var stride uint64
+		switch c % 4 {
+		case 0:
+			stride = 8 << rng.Intn(4) // 8..64
+		case 1:
+			stride = uint64(1 + rng.Intn(600))
+		case 2:
+			stride = uint64(SlabBytes/64 + rng.Intn(SlabBytes)) // 1 KiB..65 KiB
+		case 3:
+			stride = uint64(SlabBytes + 1 + rng.Intn(2*SlabBytes))
+		}
+		n := uint64(1 + rng.Intn(int(min(20000, (4<<20)/stride+2))))
+		space := memory.NewSpace()
+		first, err := space.Register(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var key memory.RKey // half the arrays under a fresh key, half under first's
+		if c%2 == 1 {
+			key = first.Key
+		}
+		gotKey, base, err := RegisterArray(space, key, n, stride)
+		if err != nil {
+			t.Fatalf("stride %d, n %d: %v", stride, n, err)
+		}
+		if key != 0 && gotKey != key || key == 0 && gotKey == first.Key {
+			t.Fatalf("stride %d: registered under key %d, asked for %d", stride, gotKey, key)
+		}
+		run := stride * 64 / gcd(stride, 64) // the shortest 64-byte multiple of whole elements
+		regions := space.Regions()[1:]
+		if regions[0].Base != base {
+			t.Fatalf("stride %d: base %#x is not the first region's %#x", stride, base, regions[0].Base)
+		}
+		var total uint64
+		for j, r := range regions {
+			total += r.Len
+			last := j == len(regions)-1
+			switch {
+			case r.Key != gotKey:
+				t.Fatalf("stride %d: region %d under key %d", stride, j, r.Key)
+			case j > 0 && r.Base != regions[j-1].End():
+				t.Fatalf("stride %d: region %d at %#x, not where region %d ends (%#x)", stride, j, r.Base, j-1, regions[j-1].End())
+			case r.Len%stride != 0:
+				t.Fatalf("stride %d: region %d of %d bytes splits an element", stride, j, r.Len)
+			case r.Len > max(SlabBytes, run):
+				t.Fatalf("stride %d: region %d of %d bytes exceeds a slab", stride, j, r.Len)
+			case !last && (r.Len%64 != 0 || r.Len+run <= SlabBytes):
+				t.Fatalf("stride %d: inner region %d of %d bytes is not the longest 64-byte multiple in a slab", stride, j, r.Len)
+			}
+			if !last {
+				if _, err := space.Check(gotKey, r.End()-1, 2); !errors.Is(err, memory.ErrOutOfBounds) {
+					t.Fatalf("stride %d: an access across the end of region %d: %v, want ErrOutOfBounds", stride, j, err)
+				}
+			}
+		}
+		if total != n*stride {
+			t.Fatalf("stride %d: %d bytes registered for %d elements", stride, total, n)
+		}
+		for i := uint64(0); i < n; i++ {
+			if _, err := space.Check(gotKey, base+memory.Addr(i*stride), stride); err != nil {
+				t.Fatalf("stride %d: element %d of %d: %v", stride, i, n, err)
+			}
+		}
+	}
+}
+
 // A list registers nothing until the first Pop, then one slab at a time,
 // and the slab that reaches the cap is clipped to it.
 func TestCarveOnDemandInSlabs(t *testing.T) {

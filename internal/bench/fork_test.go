@@ -1,13 +1,19 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"testing"
 
 	"prism/internal/abd"
+	"prism/internal/alloc"
+	"prism/internal/kv"
 	"prism/internal/memory"
 	"prism/internal/model"
+	"prism/internal/rdma"
+	"prism/internal/sim"
+	"prism/internal/tx"
 )
 
 // spaceChecksum hashes every byte of every region of a space.
@@ -154,6 +160,124 @@ func TestPilafTemplateBuildDeterministic(t *testing.T) {
 	})
 	if a != fresh || fresh.Throughput == 0 {
 		t.Fatalf("forked %+v != fresh %+v", a, fresh)
+	}
+}
+
+// slabCfg is a keyspace at which every store array spans several slabs
+// (ABDLOCK's blocks were one 2.1 MB region at it).
+func slabCfg() Config {
+	cfg := tiny()
+	cfg.Keys = 4096
+	return cfg
+}
+
+// No store registers a region longer than a slab: free lists and Pilaf's
+// extents carve slabs and alloc.RegisterArray cuts every array into them.
+// (Connection temp regions and a buffer larger than a slab may exceed one;
+// templates have neither.)
+func TestTemplateRegionsFitInSlabs(t *testing.T) {
+	cfg := slabCfg()
+	templates := map[string]*rdma.ServerTemplate{
+		"prism-kv": kvTemplate(cfg).nic,
+		"pilaf":    pilafTemplate(cfg).NIC(),
+		"prism-rs": rsTemplate(cfg).nic,
+		"abdlock":  lockTemplate(cfg).nic,
+		"prism-tx": txTemplate(cfg)[0].nic,
+		"farm":     farmTemplate(cfg).nic,
+	}
+	for name, tmpl := range templates {
+		regions := tmpl.Snapshot().Space().Regions()
+		for _, r := range regions {
+			if r.Len > alloc.SlabBytes {
+				t.Errorf("%s: region at %#x is %d bytes, over a %d-byte slab", name, r.Base, r.Len, alloc.SlabBytes)
+			}
+		}
+		if len(regions) < 3 {
+			t.Errorf("%s: %d regions for %d keys", name, len(regions), cfg.Keys)
+		}
+	}
+}
+
+// privateBytes returns how many of the template's bytes fork has copied,
+// failing t if it copied a region it never wrote or wrote one it did not
+// copy: the first write to a region copies that region and nothing else.
+func privateBytes(t *testing.T, name string, tmpl *rdma.ServerTemplate, fork *rdma.Server) uint64 {
+	t.Helper()
+	parent, space := tmpl.Snapshot().Space(), fork.Space()
+	var n uint64
+	for _, r := range parent.Regions() {
+		pb, _ := parent.Peek(r.Key, r.Base, r.Len)
+		fb, _ := space.Peek(r.Key, r.Base, r.Len)
+		written, shared := !bytes.Equal(pb, fb), space.RegionAt(r.Base).Shared()
+		switch {
+		case written && shared:
+			t.Errorf("%s: region at %#x (%d bytes) was written but still shares the template's bytes", name, r.Base, r.Len)
+		case !written && !shared:
+			t.Errorf("%s: region at %#x (%d bytes) was copied but never written", name, r.Base, r.Len)
+		case written:
+			n += r.Len
+		}
+	}
+	return n
+}
+
+// One PUT on a forked PRISM-KV store, one ABDLOCK PUT (lock CAS, write,
+// unlock) on forked replicas and one FaRM commit (LOCK RPC, validate,
+// UPDATE+UNLOCK) copy only the slabs they write: at most two per server.
+func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
+	cfg := slabCfg()
+	value := bytes.Repeat([]byte{0x5a}, cfg.ValueSize)
+	v := newEnv(cfg, 1, load{}, rackFabric(cfg))
+	cli := rdma.NewClient(v.net, "cli")
+
+	kvNIC, kvMeta := v.forkKV(model.SoftwarePRISM)
+	kvc := kv.NewClient(cli.Connect(kvNIC), kvMeta, 1)
+
+	lock := lockTemplate(cfg)
+	var replicas group[abd.LockMeta]
+	for i := 0; i < nReplicas; i++ {
+		replicas.add(lock.fork(v.net, replicaName(i), model.SoftwarePRISM), lock.meta)
+	}
+	lc := abd.NewLockClient(1, replicas.connect(cli), replicas.metas, func() float64 { return 0.5 })
+
+	fm := farmTemplate(cfg)
+	farmNIC := fm.fork(v.net, "shard", model.SoftwarePRISM)
+	tx.AttachFarmServer(farmNIC, fm.meta)
+	fc := tx.NewFarmClient(1, []*rdma.Conn{cli.Connect(farmNIC)}, []tx.FarmMeta{fm.meta})
+
+	cli.Domain().Go("writes", func(p *sim.Proc) {
+		if err := kvc.Put(p, 7, value); err != nil {
+			t.Errorf("PRISM-KV put: %v", err)
+		}
+		if err := lc.Put(p, 7, value); err != nil {
+			t.Errorf("ABDLOCK put: %v", err)
+		}
+		txn := fc.Begin()
+		if _, err := txn.Read(p, 7); err != nil {
+			t.Errorf("FaRM read: %v", err)
+		}
+		txn.Write(7, value)
+		if _, err := txn.Commit(p); err != nil {
+			t.Errorf("FaRM commit: %v", err)
+		}
+	})
+	v.e.Run()
+
+	check := func(name string, tmpl *rdma.ServerTemplate, fork *rdma.Server) uint64 {
+		n := privateBytes(t, name, tmpl, fork)
+		if n > 2*alloc.SlabBytes {
+			t.Errorf("%s: one write copied %d bytes of the template, over two %d-byte slabs", name, n, alloc.SlabBytes)
+		}
+		return n
+	}
+	var total uint64
+	total += check("prism-kv", kvTemplate(cfg).nic, kvNIC)
+	for i, nic := range replicas.nics {
+		total += check(replicaName(i), lock.nic, nic)
+	}
+	total += check("farm", fm.nic, farmNIC)
+	if total == 0 {
+		t.Fatal("the writes copied nothing: they did not reach the forks")
 	}
 }
 

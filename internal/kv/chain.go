@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"time"
 
+	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
 	"prism/internal/rdma"
@@ -200,23 +201,23 @@ type ChainStore struct {
 	rpcBuf []byte // RPC reply scratch; dispatch is serialized (see Server.metaBuf)
 }
 
-// NewChainStoreOn registers and links the chain region on host. Every
-// node's next pointer and key are installed up front (the chain shape is
-// static); Load fills values.
+// NewChainStoreOn registers the head cells and the nodes on host and links
+// them. Every node's next pointer and key are installed up front (the
+// chain shape is static); Load fills values.
 func NewChainStoreOn(host transport.Host, opts ChainOptions) (*ChainStore, error) {
 	if opts.Buckets <= 0 || opts.Depth <= 0 {
 		return nil, errors.New("kv: chain store needs positive buckets and depth")
 	}
 	space := host.Space()
 	meta := ChainMeta{Buckets: opts.Buckets, Depth: opts.Depth, MaxValue: opts.MaxValue}
-	size := uint64(opts.Buckets)*8 + uint64(opts.Buckets*opts.Depth)*meta.nodeSize()
-	region, err := space.Register(size)
-	if err != nil {
-		return nil, fmt.Errorf("kv: chain region registration: %w", err)
+	var err error
+	meta.Key, meta.HeadBase, err = alloc.RegisterArray(space, 0, uint64(opts.Buckets), 8)
+	if err == nil {
+		_, meta.NodeBase, err = alloc.RegisterArray(space, meta.Key, uint64(opts.Buckets*opts.Depth), meta.nodeSize())
 	}
-	meta.Key = region.Key
-	meta.HeadBase = region.Base
-	meta.NodeBase = region.Base + memory.Addr(opts.Buckets*8)
+	if err != nil {
+		return nil, fmt.Errorf("kv: chain registration: %w", err)
+	}
 	var cell [8]byte
 	var hdr [chainNodeHeader]byte
 	for b := int64(0); b < opts.Buckets; b++ {

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"prism/internal/alloc"
 	"prism/internal/fabric"
 	"prism/internal/model"
+	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
 	"prism/internal/transport"
@@ -249,6 +251,70 @@ func TestSimLiveDifferential(t *testing.T) {
 			}
 		})
 	}
+	// A table of two regions (alloc.RegisterArray): eight keys whose FNV
+	// home slots are the last three of the first region probe into the
+	// second, so CHASE's probe walk and the SCAN windows cross the boundary.
+	t.Run("kv/region-boundary", func(t *testing.T) {
+		var meta Meta
+		var keys []int64
+		var edge int64 // first slot of the second region
+		compare(t, func(host transport.Host) {
+			srv, err := NewServerOn(host, Options{NSlots: alloc.SlabBytes/slotSize + 64, MaxValue: 64, Hash: FNV,
+				BuffersPerClass: 64, MinClass: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta = srv.Meta()
+			space := host.Space()
+			edge = int64(space.RegionAt(meta.HashBase).End()-meta.HashBase) / slotSize
+			if edge >= meta.NSlots {
+				t.Fatalf("the %d-slot table is one region", meta.NSlots)
+			}
+			keys = keys[:0]
+			for k := int64(0); len(keys) < 8; k++ {
+				if s := slotIndex(FNV, k, meta.NSlots); s >= edge-3 && s < edge {
+					keys = append(keys, k)
+				}
+			}
+			for _, k := range keys {
+				if err := srv.Load(k, diffValue(k, 0)); err != nil {
+					t.Fatalf("load %d: %v", k, err)
+				}
+			}
+			if slot, _ := space.Peek(meta.Key, meta.slotAddr(edge), slotSize); prism.LE64(slot, 8) == 0 {
+				t.Fatal("no key was displaced past the region boundary")
+			}
+		}, func(iss transport.Issuer, log *[]string) {
+			c := newCore(newRecIssuer(iss, log), meta, 1)
+			logf := logTo(log)
+			for _, k := range keys {
+				v, err := c.GetChase(k)
+				logf("chase %d = %x %v", k, v, err)
+				v2, err2 := c.Get(k)
+				logf("get %d = %x %v", k, v2, err2)
+				if err != nil || err2 != nil {
+					t.Errorf("key %d: chase %v, get %v", k, err, err2)
+				}
+			}
+			scanned := 0
+			for start := edge - 16; start < edge+16; {
+				next, err := c.Scan(start, 128, func(k int64, v []byte) error {
+					logf("scan entry %d = %x", k, v)
+					scanned++
+					return nil
+				})
+				logf("scan %d -> %d %v", start, next, err)
+				if err != nil || next <= start {
+					t.Errorf("scan from %d: next %d, %v", start, next, err)
+					break
+				}
+				start = next
+			}
+			if scanned != len(keys) {
+				t.Errorf("the scan windows around the boundary returned %d entries, want %d", scanned, len(keys))
+			}
+		})
+	})
 	t.Run("chain", func(t *testing.T) {
 		opts := ChainOptions{Buckets: 3, Depth: 5, MaxValue: 16}
 		var meta ChainMeta

@@ -98,7 +98,7 @@ type PilafMeta struct {
 // in-place-replacement churn.
 func NewPilafServer(rs *rdma.Server, opts Options) (*PilafServer, error) {
 	space := rs.Space()
-	hashRegion, err := space.Register(uint64(opts.NSlots) * pilafSlotSize)
+	key, base, err := alloc.RegisterArray(space, 0, uint64(opts.NSlots), pilafSlotSize)
 	if err != nil {
 		return nil, fmt.Errorf("kv: pilaf hash table: %w", err)
 	}
@@ -109,8 +109,8 @@ func NewPilafServer(rs *rdma.Server, opts Options) (*PilafServer, error) {
 		index:     forkedMap[pilafRef]{own: make(map[int64]pilafRef)},
 		slotOwner: forkedMap[int64]{own: make(map[int64]int64)},
 		meta: PilafMeta{
-			Key:      hashRegion.Key,
-			HashBase: hashRegion.Base,
+			Key:      key,
+			HashBase: base,
 			NSlots:   opts.NSlots,
 			Hash:     opts.Hash,
 			MaxValue: opts.MaxValue,

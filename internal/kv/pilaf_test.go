@@ -34,7 +34,7 @@ func TestPilafLoadMatchesStagedPut(t *testing.T) {
 	opts.BuffersPerClass = 3000
 	settled := newPilafEnv(t, opts, model.SoftwarePRISM)
 	staged := newPilafEnv(t, opts, model.SoftwarePRISM)
-	// 2600 inserts cross a slab boundary (1956 largest entries a slab);
+	// 2600 inserts cross slab boundaries (SlabBytes / 536 largest entries a slab);
 	// every 7th key is first loaded short, then reloaded at full size,
 	// shorter still and at full size again, so extents are retired, left
 	// on the free list, reused whole and bumped past.

@@ -77,13 +77,13 @@ type Server struct {
 // NIC or a live socket server.
 func NewServerOn(host transport.Host, opts Options) (*Server, error) {
 	space := host.Space()
-	hashRegion, err := space.Register(uint64(opts.NSlots) * slotSize)
+	key, base, err := alloc.RegisterArray(space, 0, uint64(opts.NSlots), slotSize)
 	if err != nil {
 		return nil, fmt.Errorf("kv: hash table registration: %w", err)
 	}
 	meta := Meta{
-		Key:      hashRegion.Key,
-		HashBase: hashRegion.Base,
+		Key:      key,
+		HashBase: base,
 		NSlots:   opts.NSlots,
 		Hash:     opts.Hash,
 		MaxValue: opts.MaxValue,
@@ -96,10 +96,10 @@ func NewServerOn(host transport.Host, opts Options) (*Server, error) {
 	}
 	for i, bufSize := range alloc.SizeClasses(opts.MinClass, maxEntry) {
 		id := uint32(i + 1)
-		host.AddFreeList(alloc.NewFreeList(id, bufSize, hashRegion.Key, space, opts.BuffersPerClass))
+		host.AddFreeList(alloc.NewFreeList(id, bufSize, key, space, opts.BuffersPerClass))
 		meta.FreeLists = append(meta.FreeLists, FreeListInfo{ID: id, BufSize: bufSize})
 	}
-	host.SetConnTempKey(hashRegion.Key)
+	host.SetConnTempKey(key)
 	return AttachServer(host, meta), nil
 }
 

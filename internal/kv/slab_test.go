@@ -194,10 +194,12 @@ func TestTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 // linearizable.
 func TestLiveSocketsPutAcrossSlabBoundary(t *testing.T) {
 	const (
-		writers   = 2
-		inserts   = 300  // per writer, each to a key of its own
-		hotKeys   = 4    // overwritten and read by both
-		valueSize = 4080 // 4096-byte buffers: 256 per slab
+		writers = 2
+		inserts = 300 // per writer, each to a key of its own
+		hotKeys = 4   // overwritten and read by both
+		// Buffers of a sixteenth of a slab (entries carry a 16-byte
+		// header): the inserts alone fill dozens of slabs.
+		valueSize = alloc.SlabBytes/16 - 16
 	)
 	opts := DefaultOptions(1024, valueSize)
 	ts := transport.NewServer()
@@ -338,7 +340,8 @@ func TestLiveSocketsPutAcrossSlabBoundary(t *testing.T) {
 // The reclamation scan walks the list's own slab table, so it finds a
 // buffer leaked out of a slab that was carved after the load.
 func TestScanAndReclaimFindsLeakInLaterSlab(t *testing.T) {
-	const keys, valueSize = 2048, 496 // 512-byte entries: the load fills one slab exactly
+	// 512-byte entries: the load fills one slab exactly.
+	const valueSize, keys = 496, alloc.SlabBytes / 512
 	v := newKVEnv(t, DefaultOptions(keys, valueSize), model.SoftwarePRISM)
 	value := make([]byte, valueSize)
 	for k := int64(0); k < keys; k++ {

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// buildParent registers a few regions spanning multiple COW pages, fills
-// them with a recognizable pattern, and snapshots.
+// buildParent registers a few regions of assorted sizes, fills them with a
+// recognizable pattern, and snapshots.
 func buildParent(t *testing.T) (*Snapshot, []*Region) {
 	t.Helper()
 	s := NewSpace()
-	sizes := []uint64{3 * pageSize, 100, pageSize + 17}
+	sizes := []uint64{3 << 16, 100, 1<<16 + 17}
 	regs := make([]*Region, len(sizes))
 	for i, n := range sizes {
 		r, err := s.Register(n)
@@ -45,27 +45,30 @@ func TestForkSharesUntilWrite(t *testing.T) {
 		t.Fatalf("fork peek differs from parent before any write")
 	}
 	if fr := f.RegionAt(r.Base); !fr.Shared() {
-		t.Fatalf("untouched fork region should still share parent pages")
+		t.Fatalf("untouched fork region should still share the parent's bytes")
 	}
 
-	// Write one byte in the middle page; only that page privatizes.
-	if err := f.Write(r.Key, r.Base+Addr(pageSize)+7, []byte{0xAB}); err != nil {
+	// Write one byte in the middle of the region: the region, and only it,
+	// becomes private.
+	const mid = 1<<16 + 7
+	if err := f.Write(r.Key, r.Base+mid, []byte{0xAB}); err != nil {
 		t.Fatalf("fork write: %v", err)
 	}
-	fr := f.RegionAt(r.Base)
-	if !fr.Shared() {
-		t.Fatalf("region with untouched pages should still be shared")
+	if f.RegionAt(r.Base).Shared() {
+		t.Fatalf("written region should be private")
 	}
-	if fr.nDirty != 1 {
-		t.Fatalf("nDirty = %d, want 1", fr.nDirty)
+	for _, o := range regs[1:] {
+		if !f.RegionAt(o.Base).Shared() {
+			t.Fatalf("a write to one region privatized the region at %#x", o.Base)
+		}
 	}
 	// Parent byte unchanged.
-	pb, _ := sn.Space().Peek(r.Key, r.Base+Addr(pageSize)+7, 1)
+	pb, _ := sn.Space().Peek(r.Key, r.Base+mid, 1)
 	if pb[0] == 0xAB {
 		t.Fatalf("fork write leaked into parent")
 	}
 	// Fork sees its own byte, and neighbors from the parent pattern.
-	fb, _ := f.Peek(r.Key, r.Base+Addr(pageSize)+6, 3)
+	fb, _ := f.Peek(r.Key, r.Base+mid-1, 3)
 	if fb[0] != pb[0]-1 || fb[1] != 0xAB {
 		t.Fatalf("fork view = %v, want parent neighbor then 0xAB", fb[:2])
 	}
@@ -94,7 +97,7 @@ func TestSiblingForksIsolated(t *testing.T) {
 
 func TestPeekCacheAcrossForkWrite(t *testing.T) {
 	// The last-region cache must never serve a stale shared view after the
-	// fork privatizes pages: Peek, write the same range, Peek again.
+	// fork copies the region: Peek, write the same range, Peek again.
 	sn, regs := buildParent(t)
 	f := sn.Fork()
 	r := regs[0]
@@ -119,23 +122,31 @@ func TestPeekCacheAcrossForkWrite(t *testing.T) {
 }
 
 func TestForkMixedRangeView(t *testing.T) {
-	// A Peek spanning a private page and a shared page must return one
-	// coherent slice containing both the fork's write and the parent bytes.
+	// The first write to a region copies all of it: a Peek of the whole
+	// region returns the fork's byte and the parent's everywhere else, and a
+	// neighbouring region the fork never wrote still reads the parent's
+	// bytes in place.
 	sn, regs := buildParent(t)
 	f := sn.Fork()
-	r := regs[0]
+	r, next := regs[0], regs[1]
 
-	// Dirty page 0 only.
 	if err := f.Write(r.Key, r.Base, []byte{0x11}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	span, err := f.Peek(r.Key, r.Base+Addr(pageSize)-4, 8) // pages 0..1
+	whole, err := f.Peek(r.Key, r.Base, r.Len)
 	if err != nil {
 		t.Fatalf("peek: %v", err)
 	}
-	parent, _ := sn.Space().Peek(r.Key, r.Base+Addr(pageSize)-4, 8)
-	if !bytes.Equal(span, parent) {
-		t.Fatalf("mixed-range view differs from parent where untouched")
+	parent := sn.Space().mustPeekAll(r)
+	if whole[0] != 0x11 || !bytes.Equal(whole[1:], parent[1:]) {
+		t.Fatalf("written region's view is not its write over the parent's bytes")
+	}
+	if !f.RegionAt(next.Base).Shared() {
+		t.Fatalf("neighbouring region was privatized by a write to another")
+	}
+	view, _ := f.Peek(next.Key, next.Base, next.Len)
+	if pv := sn.Space().mustPeekAll(next); &view[0] != &pv[0] {
+		t.Fatalf("an unwritten region's view does not alias the parent's bytes")
 	}
 }
 
@@ -168,7 +179,25 @@ func TestForkNAKsMatchParent(t *testing.T) {
 		t.Fatalf("fork OOB write: %v", err)
 	}
 	if fr := f.RegionAt(r.Base); !fr.Shared() {
-		t.Fatalf("rejected write privatized pages")
+		t.Fatalf("rejected write privatized the region")
+	}
+}
+
+// Fork allocates its region records together, so forking a template of
+// many slabs costs what forking one of a few does.
+func TestForkAllocsIndependentOfRegions(t *testing.T) {
+	allocs := func(regions int) float64 {
+		s := NewSpace()
+		for i := 0; i < regions; i++ {
+			if _, err := s.Register(64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sn := s.Snapshot()
+		return testing.AllocsPerRun(20, func() { sn.Fork() })
+	}
+	if few, many := allocs(10), allocs(10000); few != many {
+		t.Fatalf("Fork allocates %.0f times for 10 regions and %.0f for 10 000", few, many)
 	}
 }
 

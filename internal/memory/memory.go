@@ -33,19 +33,15 @@ var (
 )
 
 // Region is a registered, pinned memory region. A region created by
-// Snapshot.Fork shares its parent's bytes and privatizes pages on first
-// write (see fork.go); ordinary regions own their bytes outright.
+// Snapshot.Fork shares its parent's bytes until its first write copies
+// them (see fork.go); ordinary regions own their bytes outright.
 type Region struct {
 	Base Addr
 	Len  uint64
 	Key  RKey
-	data []byte
-	// Copy-on-write state, nil/zero for ordinary regions: shared points at
-	// the sealed parent's bytes, dirty marks pages already copied into
-	// data, nDirty counts them.
-	shared []byte
-	dirty  []bool
-	nDirty int
+	// shared reports that data is the sealed fork parent's, not yet copied.
+	shared bool
+	data   []byte
 }
 
 // End returns the first address past the region.
@@ -187,7 +183,8 @@ func (s *Space) Peek(key RKey, addr Addr, n uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.view(uint64(addr-r.Base), n), nil
+	off := uint64(addr - r.Base)
+	return r.data[off : off+n : off+n], nil
 }
 
 // ReadInto copies len(dst) bytes at addr into dst, validated under key —
@@ -261,14 +258,9 @@ func (s *Space) WriteBoundedPtr(key RKey, addr Addr, p BoundedPtr) error {
 
 // Bytes exposes the region's backing storage for server-local (CPU-side)
 // access, the way an application touches its own pinned memory. The slice
-// is writable, so on a forked region it privatizes every page first; use
-// Peek/Slice for bounded access when the region may be a fork.
-func (r *Region) Bytes() []byte {
-	if r.shared != nil {
-		return r.writable(0, r.Len)
-	}
-	return r.data
-}
+// is writable, so on a forked region it copies the parent's bytes first;
+// use Peek for read-only access when the region may be a fork.
+func (r *Region) Bytes() []byte { return r.writable(0, r.Len) }
 
 // Slice returns the backing bytes for [addr, addr+n) without rkey
 // validation — server-local access only. The slice is writable.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
 	"prism/internal/rdma"
@@ -66,16 +67,15 @@ type FarmServer struct {
 // simulated NIC or a live socket server.
 func NewFarmServer(host transport.Host, opts ShardOptions) (*FarmServer, error) {
 	space := host.Space()
-	idx, err := space.Register(uint64(opts.NSlots) * 8)
+	meta := FarmMeta{NSlots: opts.NSlots, MaxValue: opts.MaxValue}
+	var err error
+	meta.Key, meta.IndexBase, err = alloc.RegisterArray(space, 0, uint64(opts.NSlots), 8)
 	if err != nil {
 		return nil, fmt.Errorf("tx: farm index: %w", err)
 	}
-	meta := FarmMeta{Key: idx.Key, IndexBase: idx.Base, NSlots: opts.NSlots, MaxValue: opts.MaxValue}
-	objs, err := space.RegisterShared(idx.Key, meta.objSize()*uint64(opts.NSlots))
-	if err != nil {
+	if _, meta.HeapBase, err = alloc.RegisterArray(space, meta.Key, uint64(opts.NSlots), meta.objSize()); err != nil {
 		return nil, fmt.Errorf("tx: farm heap: %w", err)
 	}
-	meta.HeapBase = objs.Base
 	return AttachFarmServer(host, meta), nil
 }
 

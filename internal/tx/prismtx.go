@@ -47,20 +47,20 @@ type Shard struct {
 // host — the simulated NIC or a live socket server.
 func NewShard(host transport.Host, opts ShardOptions) (*Shard, error) {
 	space := host.Space()
-	metaRegion, err := space.Register(uint64(opts.NSlots) * metaSize)
+	key, base, err := alloc.RegisterArray(space, 0, uint64(opts.NSlots), metaSize)
 	if err != nil {
 		return nil, fmt.Errorf("tx: metadata region: %w", err)
 	}
 	meta := Meta{
-		Key:      metaRegion.Key,
-		MetaBase: metaRegion.Base,
+		Key:      key,
+		MetaBase: base,
 		NSlots:   opts.NSlots,
 		MaxValue: opts.MaxValue,
 		FreeList: 1,
 	}
-	host.AddFreeList(alloc.NewFreeList(meta.FreeList, bufSize(opts.MaxValue), metaRegion.Key, space,
+	host.AddFreeList(alloc.NewFreeList(meta.FreeList, bufSize(opts.MaxValue), key, space,
 		int(opts.NSlots)+opts.ExtraBuffers))
-	host.SetConnTempKey(metaRegion.Key)
+	host.SetConnTempKey(key)
 	return AttachShard(host, meta), nil
 }
 
