@@ -32,12 +32,19 @@ test:
 # over a socket too. internal/bench runs once: under the race
 # detector it takes minutes per -cpu value (three would overrun go test's
 # 10-minute default), and its determinism sweeps already drive their own
-# worker pools; workload and prismtrace ride along with it.
+# worker pools. It runs as three processes, because the race runtime's
+# memory grows across the tests of one process (3.3-4.3 GB for each part,
+# over 6.5 GB in one process), and each prints its peak_rss_mb (TestMain; go
+# test shows it when run in the package directory). workload and
+# prismtrace ride along after it.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
 		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism \
 		./internal/tx ./internal/abd
-	$(GO) test -race ./internal/bench ./internal/workload ./cmd/prismtrace
+	cd internal/bench && $(GO) test -race -run '^TestAffinityGroupingMatchesUngrouped$$'
+	cd internal/bench && $(GO) test -race -run '^TestDomainParallelMatchesSerial$$'
+	cd internal/bench && $(GO) test -race -skip '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial)$$'
+	$(GO) test -race ./internal/workload ./cmd/prismtrace
 
 # The one command that regenerates a number: the repository's benchmark
 # (BENCHMARK.json; flags and metrics in benchmark/README.md).

@@ -18,7 +18,7 @@ import (
 // system under w, one point per series.
 func ablation(cfg Config, fig *Figure, systems []system, w load, label func(pt Point) string) *Figure {
 	const clients = 16
-	sweep(cfg, fig, names(systems), []int{clients}, func(si, n int) (Point, Telemetry) {
+	sweep(cfg, fig, names(systems), []int{clients}, func(cfg Config, si, n int) (Point, Telemetry) {
 		return runPoint(cfg, fig.ID, systems[si], w, clientsKey(n), n)
 	}, func(_, _ int, pt Point, _ Telemetry) string { return label(pt) })
 	return fig
@@ -72,7 +72,7 @@ func AblationRedirectTarget(cfg Config) *Figure {
 		XLabel: "variant", YLabel: "chain round trip (µs)",
 	}
 	series := []string{"on-NIC temp storage (§4.2)", "host-memory temp storage"}
-	sweep(cfg, fig, series, []string{"chain"}, func(vi int, key string) (Point, Telemetry) {
+	sweep(cfg, fig, series, []string{"chain"}, func(_ Config, vi int, key string) (Point, Telemetry) {
 		p := model.Default().WithNetwork(model.Direct)
 		p.RedirectToHostMem = vi == 1
 		env := newMicroEnv(model.ProjectedHardwarePRISM, p, PointSeed(cfg.Seed, fig.ID, series[vi], key))

@@ -60,7 +60,7 @@ func Fig7(cfg Config) *Figure {
 		{"PRISM-RS", prismRS(false)},
 	}
 	const clients = 100
-	sweep(cfg, fig, names(systems), thetas, func(si int, theta float64) (Point, Telemetry) {
+	sweep(cfg, fig, names(systems), thetas, func(cfg Config, si int, theta float64) (Point, Telemetry) {
 		return runPoint(cfg, "fig7", systems[si], load{readFrac: 0.5, theta: theta}, thetaKey(theta, clients), clients)
 	}, func(_, ti int, pt Point, _ Telemetry) string {
 		return fmt.Sprintf("zipf=%.2f  mean=%.2fµs  p99=%.2fµs", thetas[ti], float64(pt.Mean)/1e3, float64(pt.P99)/1e3)
@@ -106,7 +106,7 @@ func Fig10(cfg Config) *Figure {
 		}
 	}
 	systems := txSystems()
-	sweep(cfg, fig, names(systems), xs, func(si int, x rung) (Point, Telemetry) {
+	sweep(cfg, fig, names(systems), xs, func(cfg Config, si int, x rung) (Point, Telemetry) {
 		return runPoint(cfg, "fig10", systems[si], load{theta: x.theta, keysPerTx: 1}, thetaKey(x.theta, x.clients), x.clients)
 	}, nil)
 	// The sweep is flat (systems x thetas x rungs, which is also the order

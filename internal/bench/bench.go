@@ -96,6 +96,11 @@ type Config struct {
 	// The figure compares lookup latency shapes, not saturation, so a
 	// handful of clients suffices.
 	ChaseClients int
+
+	// templates is the loaded images the running sweep shares among its
+	// points; sweep sets it on the Config it hands each point. nil outside
+	// a sweep: every point builds its own.
+	templates *templateSet
 }
 
 // DefaultConfig returns the laptop-scale defaults.

@@ -298,7 +298,7 @@ func TestSweepShape(t *testing.T) {
 				return fmt.Sprintf("%d/%d/%d/%d", si, xi, pt.Clients, tel.Windows)
 			}
 		}
-		sweep(Config{Parallel: parallel}, fig, series, xs, func(si, x int) (Point, Telemetry) {
+		sweep(Config{Parallel: parallel}, fig, series, xs, func(_ Config, si, x int) (Point, Telemetry) {
 			return Point{Clients: 1000*si + x}, Telemetry{Windows: int64(1000*si + x)}
 		}, label)
 		return fig

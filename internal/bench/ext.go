@@ -18,7 +18,7 @@ func ExtShards(cfg Config) *Figure {
 	}
 	const clients = 256
 	shardCounts := []int{1, 2, 4}
-	sweep(cfg, fig, []string{"PRISM-TX"}, shardCounts, func(_, nShards int) (Point, Telemetry) {
+	sweep(cfg, fig, []string{"PRISM-TX"}, shardCounts, func(cfg Config, _, nShards int) (Point, Telemetry) {
 		return runPoint(cfg, fig.ID, system{"PRISM-TX", prismTXCluster(nShards)}, load{keysPerTx: 1},
 			fmt.Sprintf("shards=%d", nShards), clients)
 	}, func(_, xi int, pt Point, _ Telemetry) string {
@@ -40,7 +40,7 @@ func ExtMultiKey(cfg Config) *Figure {
 	const clients = 32
 	keysPerTx := []int{1, 2, 4, 8}
 	sys := system{"PRISM-TX", prismTXCluster(2)}
-	sweep(cfg, fig, []string{sys.name}, keysPerTx, func(_, kpt int) (Point, Telemetry) {
+	sweep(cfg, fig, []string{sys.name}, keysPerTx, func(cfg Config, _, kpt int) (Point, Telemetry) {
 		return runPoint(cfg, fig.ID, sys, load{keysPerTx: kpt}, fmt.Sprintf("keys=%d", kpt), clients)
 	}, func(_, xi int, pt Point, _ Telemetry) string {
 		return fmt.Sprintf("keys/txn=%d  mean=%.2fµs  tput=%.0f txns/s  aborts=%d",

@@ -213,19 +213,22 @@ func latencyPoint(lat time.Duration) Point {
 // sweep runs one point per (series, x) — flattened series-major into one
 // job list, so the pool drains every point of the figure concurrently —
 // and appends one Series per name to fig with its points in xs order,
-// recording the per-point wall clock and telemetry in job order. label,
-// when non-nil, names each point (categorical figures, and figures whose
-// labels carry telemetry counters).
+// recording the per-point wall clock and telemetry in job order. Every
+// point gets cfg with a template set of the sweep's own, so points of one
+// system share one loaded image, and the images go when sweep returns.
+// label, when non-nil, names each point (categorical figures, and figures
+// whose labels carry telemetry counters).
 func sweep[X any](cfg Config, fig *Figure, series []string, xs []X,
-	point func(si int, x X) (Point, Telemetry),
+	point func(cfg Config, si int, x X) (Point, Telemetry),
 	label func(si, xi int, pt Point, tel Telemetry) string) {
+	cfg.templates = new(templateSet)
 	pts := make([]Point, len(series)*len(xs))
 	tels := make([]Telemetry, len(pts))
 	jobs := make([]func(), 0, len(pts))
 	for si := range series {
 		for _, x := range xs {
 			i := len(jobs)
-			jobs = append(jobs, func() { pts[i], tels[i] = point(si, x) })
+			jobs = append(jobs, func() { pts[i], tels[i] = point(cfg, si, x) })
 		}
 	}
 	fig.PointWall, fig.PointTel = runJobs(cfg.Parallel, jobs), tels
@@ -244,7 +247,7 @@ func sweep[X any](cfg Config, fig *Figure, series []string, xs []X,
 // system at every Config.ClientCounts rung under one load. pointKey
 // formats the rung's PointSeed key.
 func ladder(cfg Config, fig *Figure, systems []system, w load, pointKey func(clients int) string) *Figure {
-	sweep(cfg, fig, names(systems), cfg.ClientCounts, func(si, n int) (Point, Telemetry) {
+	sweep(cfg, fig, names(systems), cfg.ClientCounts, func(cfg Config, si, n int) (Point, Telemetry) {
 		return runPoint(cfg, fig.ID, systems[si], w, pointKey(n), n)
 	}, nil)
 	return fig

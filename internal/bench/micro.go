@@ -70,7 +70,7 @@ func Fig1(cfg Config) *Figure {
 		XLabel: "operation",
 		YLabel: "latency (µs)",
 	}
-	sweep(cfg, fig, series, []int{0, 1, 2, 3, 4}, func(di, opIdx int) (Point, Telemetry) {
+	sweep(cfg, fig, series, []int{0, 1, 2, 3, 4}, func(_ Config, di, opIdx int) (Point, Telemetry) {
 		env := newMicroEnv(deployments[di], model.Default().WithNetwork(model.Direct),
 			PointSeed(cfg.Seed, "fig1", series[di], opNames[opIdx]))
 		var lat time.Duration // stays 0 where a stock RDMA NIC cannot express the op
@@ -201,7 +201,7 @@ func Fig2(cfg Config) *Figure {
 	for i, v := range variants {
 		series[i] = v.name
 	}
-	sweep(cfg, fig, series, profiles, func(vi int, prof model.SwitchProfile) (Point, Telemetry) {
+	sweep(cfg, fig, series, profiles, func(_ Config, vi int, prof model.SwitchProfile) (Point, Telemetry) {
 		v := variants[vi]
 		env := newMicroEnv(v.deploy, model.Default().WithNetwork(prof), PointSeed(cfg.Seed, "fig2", v.name, prof.Name))
 		return latencyPoint(v.fetch(env)), worldTelemetry(env.e)
@@ -236,7 +236,7 @@ func RPCvsRDMA(cfg Config) *Figure {
 	for i, m := range mechanisms {
 		series[i] = m.name
 	}
-	sweep(cfg, fig, series, []string{"512B"}, func(mi int, size string) (Point, Telemetry) {
+	sweep(cfg, fig, series, []string{"512B"}, func(_ Config, mi int, size string) (Point, Telemetry) {
 		p := model.Default().WithNetwork(model.Direct)
 		p.RDMABaseRTT = 3200 * time.Nanosecond // §2.1's 40 GbE testbed
 		env := newMicroEnv(model.HardwareRDMA, p, PointSeed(cfg.Seed, "rpcvsrdma", series[mi], size))

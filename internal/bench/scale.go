@@ -80,7 +80,7 @@ func FigScale(cfg Config) *Figure {
 		XLabel: "clients (connections per server)", YLabel: "throughput (ops/s)",
 	}
 	systems := scaleSystems()
-	sweep(cfg, fig, names(systems), cfg.ScaleClients, func(si, nClients int) (Point, Telemetry) {
+	sweep(cfg, fig, names(systems), cfg.ScaleClients, func(cfg Config, si, nClients int) (Point, Telemetry) {
 		return scalePoint(systems[si], cfg, nClients)
 	}, func(_, _ int, pt Point, tel Telemetry) string {
 		return fmt.Sprintf("clients=%d  tput=%.0f ops/s  mean=%.2fµs  qp hit/miss/evict=%d/%d/%d",

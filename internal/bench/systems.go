@@ -17,22 +17,24 @@ import (
 
 // The systems under measurement. Each has one load* constructor that
 // builds and bulk-loads it on a network, one template that captures a
-// load* result once per process, and one builder that forks the template
+// load* result once per sweep, and one builder that forks the template
 // onto a point's fabric and attaches clients. A store knows its machine
 // only as a transport.Host, so whoever builds the rdma.Server keeps it:
 // the constructors return it beside the store, and clients connect to it.
 
 // ---------------------------------------------------------------------------
-// Template cache
+// Template sets
 //
-// Each distinct cluster setup is built once per process and every
-// measurement point gets a copy-on-write fork of it. The key is the setup
+// Each distinct cluster setup is built once per sweep and every point of
+// the sweep gets a copy-on-write fork of it. The key is the setup
 // identity — exactly what the built state depends on (system, object
 // count, value size, shard count) and nothing it doesn't: deployment,
 // point seed, client count, and workload mix are instantiation-time
 // choices. Loaded values are seed-independent (workload value bytes derive
 // from key and version only), which is what makes the built image
-// shareable across points in the first place.
+// shareable across points in the first place. The set belongs to the
+// sweep that made it (Config.templates), so a figure holds its own
+// systems' images and drops them when it returns.
 
 type templateKey struct {
 	system    string
@@ -46,27 +48,52 @@ type templateEntry struct {
 	val  any
 }
 
-var templateCache = struct {
-	sync.Mutex
-	m map[templateKey]*templateEntry
-}{m: make(map[templateKey]*templateEntry)}
+// templateSet is the images one sweep has built. The zero value is empty
+// and ready to use.
+type templateSet struct {
+	mu sync.Mutex
+	m  map[templateKey]*templateEntry
+}
 
-// cachedTemplate returns the template of system at cfg's scale, building
-// it at most once per process on a throwaway fabric: building never
-// touches a measurement point's engine or RNG stream, so fresh builds and
-// template forks are bit-identical (TestForkedClusterMatchesFresh).
-// Concurrent workers needing the same key block on one build; workers on
-// different keys build concurrently.
+func (s *templateSet) entry(key templateKey) *templateEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.m == nil {
+		s.m = make(map[templateKey]*templateEntry)
+	}
+	e := s.m[key]
+	if e == nil {
+		e = &templateEntry{}
+		s.m[key] = e
+	}
+	return e
+}
+
+// templateBuilt, when set, sees every template as it is built. It is a
+// test hook: nil outside tests.
+var templateBuilt func(key templateKey, val any)
+
+// cachedTemplate returns the template of system at cfg's scale, built on
+// a throwaway fabric: building never touches a measurement point's engine
+// or RNG stream, so fresh builds and template forks are bit-identical
+// (TestForkedClusterMatchesFresh). With a template set in cfg the image
+// is built at most once per set: concurrent workers needing the same key
+// block on one build, and workers on different keys build concurrently.
+// Without one every call builds afresh.
 func cachedTemplate[T any](system string, cfg Config, shards int, build func(v *env) T) T {
 	key := templateKey{system: system, keys: cfg.Keys, valueSize: cfg.ValueSize, shards: shards}
-	templateCache.Lock()
-	entry := templateCache.m[key]
-	if entry == nil {
-		entry = &templateEntry{}
-		templateCache.m[key] = entry
+	fresh := func() T {
+		val := build(newEnv(cfg, 0, load{}, rackFabric(cfg)))
+		if templateBuilt != nil {
+			templateBuilt(key, val)
+		}
+		return val
 	}
-	templateCache.Unlock()
-	entry.once.Do(func() { entry.val = build(newEnv(cfg, 0, load{}, rackFabric(cfg))) })
+	if cfg.templates == nil {
+		return fresh()
+	}
+	entry := cfg.templates.entry(key)
+	entry.once.Do(func() { entry.val = fresh() })
 	return entry.val.(T)
 }
 
@@ -88,7 +115,7 @@ func must(err error) {
 	}
 }
 
-// image is a loaded store in the template cache: the server's sealed
+// image is a loaded store in a template set: the server's sealed
 // memory, free lists and temp key, and the store's control-plane
 // description — everything a store without CPU-side state is. An instance
 // is fork plus the store's Attach.
@@ -352,8 +379,8 @@ func loadTXCluster(net *fabric.Network, cfg Config, nShards int) group[tx.Meta] 
 	return loadShards(net, cfg, shardNames(nShards), cfg.Keys/int64(nShards)+1)
 }
 
-// shardTemplates caches the template set of a loaded shard group: one
-// image per shard, in shard order.
+// shardTemplates is the template of a loaded shard group: one image per
+// shard, in shard order.
 func shardTemplates(system string, cfg Config, nShards int, load func(net *fabric.Network) group[tx.Meta]) []image[tx.Meta] {
 	return cachedTemplate(system, cfg, nShards, func(v *env) []image[tx.Meta] {
 		g := load(v.net)
@@ -375,7 +402,7 @@ func txClusterTemplates(cfg Config, nShards int) []image[tx.Meta] {
 	})
 }
 
-// forkShards instantiates a template set on v's fabric under names.
+// forkShards instantiates a shard group's images on v's fabric under names.
 func (v *env) forkShards(ims []image[tx.Meta], names []string) group[tx.Meta] {
 	var g group[tx.Meta]
 	for i, im := range ims {
@@ -403,7 +430,7 @@ func prismTX(cfg Config, seed int64, w load) cluster {
 
 // prismTXCluster is the nShards builder. A load's keysPerTx only shapes
 // client transactions, not the loaded data, so all keysPerTx variants
-// share one template set.
+// share one template.
 func prismTXCluster(nShards int) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, rackFabric(cfg))
