@@ -46,12 +46,16 @@ type Executor struct {
 	Space     *memory.Space
 	FreeLists map[uint32]*alloc.FreeList
 
-	// ReadAlloc, when set, returns the n-byte destination buffer for READ
-	// payload copies — and for every other result payload that rides the
-	// response (CAS/FETCH_ADD previous values). The transport installs it
-	// around Exec to carve response payloads out of a connection-owned
-	// arena instead of the heap; the buffer's contents are overwritten in
-	// full.
+	// ReadAlloc, when set, returns the n-byte destination buffer for every
+	// result payload that rides the response: READ and CHASE payloads,
+	// SCAN's budget, CAS/FETCH_ADD previous values. The live server
+	// carves it from the tail of the response frame it is staging, so the
+	// payload is copied once, from host memory into the bytes that go on
+	// the wire; the simulated NIC carves from a per-connection arena
+	// (transport.CarveArena). An op calls it at most once, only after its
+	// target checks passed, and a payload it returns is a prefix of that
+	// buffer (SCAN's is as long as the entries it packed); the rest of the
+	// buffer is unspecified.
 	ReadAlloc func(n uint64) []byte
 
 	// casScratch is the executor-owned staging buffer for the swapped-in
@@ -237,20 +241,14 @@ func (x *Executor) execRead(op *wire.Op, meta *OpMeta) (wire.Result, error) {
 		return wire.Result{Status: wire.StatusOK}, nil
 	}
 	// The result rides the response message until delivery, so it must be a
-	// stable copy, not a view.
-	var data []byte
-	if x.ReadAlloc != nil {
-		data = x.ReadAlloc(length)
-		if err := x.Space.ReadInto(data, op.RKey, addr); err != nil {
-			return wire.Result{}, err
-		}
-	} else {
-		var err error
-		data, err = x.Space.Read(op.RKey, addr, length)
-		if err != nil {
-			return wire.Result{}, err
-		}
+	// stable copy, not a view. The range is checked before the buffer is
+	// carved: a client-chosen length must not size one that fails.
+	src, err := x.Space.Peek(op.RKey, addr, length)
+	if err != nil {
+		return wire.Result{}, err
 	}
+	data := x.resultAlloc(length)
+	copy(data, src)
 	meta.HostAccesses++
 	return wire.Result{Status: wire.StatusOK, Data: data}, nil
 }

@@ -243,12 +243,15 @@ func (x *Executor) chaseProbe(op *wire.Op, p *Program, match []byte, meta *OpMet
 }
 
 // chasePayload copies length bytes of the matched node into a response
-// buffer (arena-carved under a transport, like execRead's payload).
+// buffer (ReadAlloc under a transport, like execRead's payload), checking
+// the range before carving it.
 func (x *Executor) chasePayload(op *wire.Op, node memory.Addr, length uint64) ([]byte, error) {
-	data := x.resultAlloc(length)
-	if err := x.Space.ReadInto(data, op.RKey, node); err != nil {
+	src, err := x.Space.Peek(op.RKey, node, length)
+	if err != nil {
 		return nil, err
 	}
+	data := x.resultAlloc(length)
+	copy(data, src)
 	return data, nil
 }
 
@@ -273,8 +276,8 @@ func (x *Executor) execScan(op *wire.Op, meta *OpMeta) (wire.Result, error) {
 		return wire.Result{}, errors.New("prism: scan budget out of range")
 	}
 	// One budget-sized carving, sliced down to the packed length: the scan
-	// cannot know its result size before walking, and a second carving per
-	// entry would fragment the arena.
+	// cannot know its result size before walking. The live server trims
+	// its staged frame to the packed length afterwards.
 	out := x.resultAlloc(budget)
 	used := uint64(0)
 	idx := p.StartIdx

@@ -1,5 +1,7 @@
 package transport
 
+import "net"
+
 // The unbatched reference the batching tests compare with: one frame per
 // write syscall on the client, one frame served and flushed per wakeup on
 // the server. Production code has no way to ask for it.
@@ -14,6 +16,26 @@ func (c *Client) SetMaxFlushFrames(n int) {
 // SetWakeupBatch caps the frames one server wakeup serves. Call before
 // Serve.
 func (s *Server) SetWakeupBatch(n int) { s.batch = n }
+
+// FramerBytes is what the client's socket holds in framer buffers: its
+// read buffer and its flusher's staging buffer.
+func (c *Client) FramerBytes() int {
+	c.fl.mu.Lock()
+	defer c.fl.mu.Unlock()
+	return cap(c.fr.buf) + cap(c.fl.stage)
+}
+
+// ServeConnFramerBytes is ServeConn, returning what the socket's framers
+// held when it closed: its read buffer and its staging buffer.
+func (s *Server) ServeConnFramerBytes(nc net.Conn) (int, error) {
+	sk, err := s.addSock(nc)
+	if err != nil {
+		nc.Close()
+		return 0, err
+	}
+	sk.loop()
+	return cap(sk.fr.buf) + cap(sk.fw.buf), nil
+}
 
 // tempRegionFill is how many AllocConnTemp calls exactly fill the first n
 // regions of the carving schedule, so call tempRegionFill(n)+1 is the one

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"prism/internal/memory"
@@ -30,9 +31,9 @@ import (
 //   - FrameWriter separates staging from flushing: Stage* appends a
 //     frame behind any already staged, Flush issues one Write for the
 //     whole train.
-//   - FrameReader reads socket-sized chunks into its buffer, so one
-//     read syscall can deliver many frames; Buffered reports whether
-//     the next frame is already decodable without touching the socket,
+//   - FrameReader reads as much as its buffer holds, so one read
+//     syscall can deliver many frames; Buffered reports whether the
+//     next frame is already decodable without touching the socket,
 //     which is what lets the server drain a whole wakeup's worth of
 //     requests before flushing the responses.
 const (
@@ -59,10 +60,19 @@ const MaxFrame = 16 << 20
 // frameHeaderLen is the length prefix size.
 const frameHeaderLen = 4
 
-// readChunk is the FrameReader's read granularity: one read syscall
-// asks the socket for up to this much, so a burst of small frames
-// arrives in one syscall instead of two (header + body) each.
-const readChunk = 64 << 10
+// A FrameReader's buffer follows its traffic. It starts at readStart,
+// which holds a request, a GET response or a train of a few. When its
+// window drains it rewinds to offset 0, so the next frame lands at the
+// front instead of being split at the buffer's end. A frame that does
+// not fit grows it to exactly that frame's size. A read that fills it
+// with a burst of several frames doubles it, up to readChunk, so a
+// batched socket still takes a burst in one syscall instead of two
+// (header + body) per frame. It never shrinks: a socket's traffic shape
+// is set by its clients and rarely changes.
+const (
+	readStart = 4 << 10
+	readChunk = 64 << 10
+)
 
 var (
 	// ErrFrameTooBig reports a length prefix above MaxFrame (or an
@@ -74,11 +84,11 @@ var (
 )
 
 // FrameReader reads length-prefixed frames from a stream through an
-// internal chunk buffer. Not safe for concurrent use; each socket gets
-// its own.
+// internal buffer sized to the traffic (readStart). Not safe for
+// concurrent use; each socket gets its own.
 type FrameReader struct {
 	r          io.Reader
-	buf        []byte // chunk storage, len == cap
+	buf        []byte // read storage, len == cap
 	start, end int    // unconsumed window
 
 	// Syscall telemetry: Read calls issued and bytes they returned.
@@ -91,33 +101,20 @@ type FrameReader struct {
 // NewFrameReader returns a framer over r.
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
-// fill ensures need unconsumed bytes are buffered, compacting and
-// growing the chunk buffer as required. It returns io.EOF only when the
-// stream ends with the window empty; an end mid-window is
-// io.ErrUnexpectedEOF (a length prefix or partial frame promised more).
+// fill ensures need unconsumed bytes are buffered, rewinding, sliding
+// and growing the buffer as the sizing rule above says. It returns
+// io.EOF only when the stream ends with the window empty; an end
+// mid-window is io.ErrUnexpectedEOF (a length prefix or partial frame
+// promised more).
 func (fr *FrameReader) fill(need int) error {
 	if fr.end-fr.start >= need {
 		return nil
 	}
+	if fr.start == fr.end {
+		fr.start, fr.end = 0, 0
+	}
 	if len(fr.buf)-fr.start < need {
-		// Not enough room after start: slide the window down, and grow
-		// the buffer when the frame itself outsizes it.
-		if len(fr.buf) < need {
-			grown := 2 * len(fr.buf)
-			if grown < need {
-				grown = need
-			}
-			if grown < readChunk {
-				grown = readChunk
-			}
-			nb := make([]byte, grown)
-			copy(nb, fr.buf[fr.start:fr.end])
-			fr.buf = nb
-		} else {
-			copy(fr.buf, fr.buf[fr.start:fr.end])
-		}
-		fr.end -= fr.start
-		fr.start = 0
+		fr.resize(max(need, len(fr.buf), readStart))
 	}
 	for fr.end-fr.start < need {
 		m, err := fr.r.Read(fr.buf[fr.end:])
@@ -125,6 +122,9 @@ func (fr *FrameReader) fill(need int) error {
 			fr.Reads.Add(1)
 			fr.BytesRead.Add(int64(m))
 			fr.end += m
+			if fr.end == len(fr.buf) && len(fr.buf) < readChunk && fr.cutFrame() {
+				fr.resize(min(2*len(fr.buf), readChunk))
+			}
 		}
 		if fr.end-fr.start >= need {
 			return nil // satisfied; a sticky error resurfaces next call
@@ -137,6 +137,29 @@ func (fr *FrameReader) fill(need int) error {
 		}
 	}
 	return nil
+}
+
+// resize moves the unconsumed window to the front of a size-byte
+// buffer: the current one when it is that size, a new one otherwise.
+func (fr *FrameReader) resize(size int) {
+	buf := fr.buf
+	if size != len(buf) {
+		buf = make([]byte, size)
+	}
+	fr.end = copy(buf, fr.buf[fr.start:fr.end])
+	fr.start = 0
+	fr.buf = buf
+}
+
+// cutFrame reports whether the window holds more than the frame at its
+// start — a burst of several frames, the last of which the buffer's end
+// may have cut off.
+func (fr *FrameReader) cutFrame() bool {
+	w := fr.end - fr.start
+	if w < frameHeaderLen {
+		return false
+	}
+	return w > frameHeaderLen+int(binary.LittleEndian.Uint32(fr.buf[fr.start:]))
 }
 
 // Next reads one frame and returns its kind and payload. The payload
@@ -243,6 +266,49 @@ func (fw *FrameWriter) StageResponse(resp *wire.Response) error {
 	start := fw.beginFrame(frameResponse)
 	fw.buf = wire.AppendResponse(fw.buf, resp)
 	return fw.endFrame(start)
+}
+
+// beginResponse starts a response staged in place, the server's one
+// copy of every result payload: it stages the frame and response
+// headers for n results, which the caller follows with n
+// reserveResult/putResult pairs — executing each op in between, with
+// carve as the executor's ReadAlloc — and closes with endFrame.
+func (fw *FrameWriter) beginResponse(conn, seq uint64, epoch uint32, n int) int {
+	start := fw.beginFrame(frameResponse)
+	fw.buf = wire.AppendResponseHeader(fw.buf, conn, seq, epoch, n)
+	return start
+}
+
+// reserveResult stages room for one result header and returns its
+// offset for putResult.
+func (fw *FrameWriter) reserveResult() int {
+	off := len(fw.buf)
+	fw.buf = append(fw.buf, make([]byte, wire.ResultHeaderLen)...)
+	return off
+}
+
+// carve extends the staged frame by n bytes and returns them, so an op
+// writes its payload straight behind the result header reserved for it.
+// The bytes are stale; the op overwrites what it keeps and putResult
+// trims the rest.
+func (fw *FrameWriter) carve(n uint64) []byte {
+	off := len(fw.buf)
+	fw.buf = slices.Grow(fw.buf, int(n))[:off+int(n)]
+	return fw.buf[off:]
+}
+
+// putResult patches the header reserved at off with res and ends the
+// frame at res's payload. A carving the op did not fill — SCAN's budget,
+// a READ that NAKed — is trimmed; a payload that is not in place behind
+// the header (an RPC reply) is copied there.
+func (fw *FrameWriter) putResult(off int, res *wire.Result) {
+	wire.PutResultHeader(fw.buf[off:], res)
+	p := off + wire.ResultHeaderLen
+	n := len(res.Data)
+	if n > 0 && (p >= len(fw.buf) || &res.Data[0] != &fw.buf[p]) {
+		fw.buf = append(fw.buf[:p], res.Data...)
+	}
+	fw.buf = fw.buf[:p+n]
 }
 
 // Staged returns the number of frames staged since the last flush.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -197,31 +198,242 @@ func TestFrameZeroLengthRejected(t *testing.T) {
 	}
 }
 
-// FuzzFrameReader throws arbitrary bytes at the framer: it must never
-// panic, and any frame it does accept must obey its length prefix.
+// schedReader returns its bytes in reads whose lengths a schedule picks:
+// size byte s caps a read at 1+s² bytes (1 to 65,026), the schedule
+// repeating; an empty schedule fills whatever the reader asks for.
+type schedReader struct {
+	b     []byte
+	sizes []byte
+	i     int
+}
+
+func (r *schedReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if len(r.sizes) > 0 {
+		s := int(r.sizes[r.i%len(r.sizes)])
+		r.i++
+		n = min(n, 1+s*s)
+	}
+	n = copy(p[:n], r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// parseFrames is the reference framer: the frames in data, in order, and
+// the error a FrameReader must end with. maxTotal is the largest frame
+// length (prefix included) any complete, valid length prefix declared.
+func parseFrames(data []byte) (frames [][]byte, end error, maxTotal int) {
+	for {
+		if len(data) == 0 {
+			return frames, io.EOF, maxTotal
+		}
+		if len(data) < frameHeaderLen {
+			return frames, io.ErrUnexpectedEOF, maxTotal
+		}
+		n := int(binary.LittleEndian.Uint32(data))
+		switch {
+		case n == 0:
+			return frames, ErrBadFrame, maxTotal
+		case n > MaxFrame:
+			return frames, ErrFrameTooBig, maxTotal
+		}
+		maxTotal = max(maxTotal, frameHeaderLen+n)
+		if len(data) < frameHeaderLen+n {
+			return frames, io.ErrUnexpectedEOF, maxTotal
+		}
+		frames = append(frames, data[frameHeaderLen:frameHeaderLen+n])
+		data = data[frameHeaderLen+n:]
+	}
+}
+
+// FuzzFrameReader throws arbitrary bytes at the framer, delivered in
+// reads whose lengths the fuzzer also picks, so the buffer's rewind,
+// slide, grow-to-fit and doubling paths see every split. The reader
+// must return exactly the frames and the error the reference framer
+// finds, and its buffer must stay within the larger of readChunk and
+// the largest frame declared.
 func FuzzFrameReader(f *testing.F) {
 	raw, _ := testFrames(f)
-	f.Add(raw)
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{1, 0, 0, 0, frameHello})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := NewFrameReader(bytes.NewReader(data))
-		for {
-			_, payload, err := fr.Next()
+	f.Add(raw, []byte{})
+	f.Add(raw, []byte{0})
+	f.Add(raw, []byte{2, 0, 7})
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0, 0, 0, 0}, []byte{})
+	f.Add([]byte{1, 0, 0, 0, frameHello}, []byte{1})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte{})
+	var burst bytes.Buffer
+	fw := NewFrameWriter(&burst)
+	for i := 0; i < 40; i++ {
+		fw.Stage(frameResponse, bytes.Repeat([]byte{byte(i)}, 100+i*37))
+	}
+	fw.Stage(frameResponse, make([]byte, 9000))
+	fw.Flush()
+	f.Add(burst.Bytes(), []byte{})
+	f.Add(burst.Bytes(), []byte{40, 255, 3})
+	f.Fuzz(func(t *testing.T, data, sizes []byte) {
+		want, wantErr, maxTotal := parseFrames(data)
+		fr := NewFrameReader(&schedReader{b: data, sizes: sizes})
+		for i := 0; ; i++ {
+			kind, payload, err := fr.Next()
 			if err != nil {
-				if err != io.EOF && err != io.ErrUnexpectedEOF &&
-					!errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrFrameTooBig) {
-					t.Fatalf("unexpected error class: %v", err)
+				if i != len(want) || !errors.Is(err, wantErr) {
+					t.Fatalf("after %d frames: err %v; want %v after %d", i, err, wantErr, len(want))
 				}
-				return
+				break
 			}
-			if len(payload)+1 > MaxFrame {
-				t.Fatalf("accepted frame larger than MaxFrame")
+			if i >= len(want) || kind != want[i][0] || !bytes.Equal(payload, want[i][1:]) {
+				t.Fatalf("frame %d differs from the reference framer's", i)
 			}
 		}
+		if len(fr.buf) > max(readChunk, maxTotal) {
+			t.Fatalf("read buffer is %d bytes; the largest frame is %d", len(fr.buf), maxTotal)
+		}
 	})
+}
+
+// segReader delivers each segment in reads of its own, never two
+// segments in one: the bytes of one peer write, read by a reader that
+// keeps up with the writer.
+type segReader struct{ segs [][]byte }
+
+func (s *segReader) Read(p []byte) (int, error) {
+	if len(s.segs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.segs[0])
+	if s.segs[0] = s.segs[0][n:]; len(s.segs[0]) == 0 {
+		s.segs = s.segs[1:]
+	}
+	return n, nil
+}
+
+// stream stages one frame per payload length and returns the bytes.
+func stream(lens ...int) []byte {
+	var b bytes.Buffer
+	fw := NewFrameWriter(&b)
+	for _, n := range lens {
+		fw.Stage(frameResponse, make([]byte, n))
+	}
+	fw.Flush()
+	return b.Bytes()
+}
+
+// readFrames reads every frame of fr's stream.
+func readFrames(t *testing.T, fr *FrameReader) int {
+	t.Helper()
+	n := 0
+	for {
+		if _, _, err := fr.Next(); err == io.EOF {
+			return n
+		} else if err != nil {
+			t.Fatalf("frame %d: %v", n, err)
+		}
+		n++
+	}
+}
+
+// TestFrameReaderStaysSmall: request/response traffic — a few small
+// frames per write — never grows the buffer past its start, and each
+// write arrives in one read.
+func TestFrameReaderStaysSmall(t *testing.T) {
+	var segs [][]byte
+	total := 0
+	for total < 10000 {
+		k := 1 + total%4
+		lens := make([]int, k)
+		for i := range lens {
+			lens[i] = 60 + (total+i)%900
+		}
+		segs = append(segs, stream(lens...))
+		total += k
+	}
+	fr := NewFrameReader(&segReader{segs: segs})
+	if n := readFrames(t, fr); n != total {
+		t.Fatalf("read %d frames, want %d", n, total)
+	}
+	if len(fr.buf) != readStart {
+		t.Errorf("read buffer is %d bytes after %d small frames, want %d", len(fr.buf), total, readStart)
+	}
+	if r := fr.Reads.Load(); r != int64(len(segs)) {
+		t.Errorf("%d reads for %d writes", r, len(segs))
+	}
+}
+
+// TestFrameReaderGrowsToFitFrame: a frame larger than the buffer grows
+// it to that frame's size, not to readChunk. The first such frame takes
+// two reads (the first one learns its length); the ones after it fit and
+// take one each.
+func TestFrameReaderGrowsToFitFrame(t *testing.T) {
+	const big = 32 << 10
+	fr := NewFrameReader(&segReader{segs: [][]byte{stream(100), stream(big), stream(big - 1000), stream(500)}})
+	if n := readFrames(t, fr); n != 4 {
+		t.Fatalf("read %d frames, want 4", n)
+	}
+	if want := frameHeaderLen + 1 + big; len(fr.buf) != want {
+		t.Errorf("read buffer is %d bytes after a %d-byte frame, want %d", len(fr.buf), want, want)
+	}
+	if r := fr.Reads.Load(); r != 5 {
+		t.Errorf("%d reads for 4 frames, want 5", r)
+	}
+}
+
+// TestFrameReaderRewindsWhenDrained: once every buffered frame is
+// consumed the next frame lands at the front, so a frame that fits the
+// buffer arrives in one read even when the last one ended past its
+// middle.
+func TestFrameReaderRewindsWhenDrained(t *testing.T) {
+	var segs [][]byte
+	for i := 0; i < 100; i++ {
+		segs = append(segs, stream(3000+i))
+	}
+	fr := NewFrameReader(&segReader{segs: segs})
+	if n := readFrames(t, fr); n != 100 {
+		t.Fatalf("read %d frames, want 100", n)
+	}
+	if r := fr.Reads.Load(); r != 100 {
+		t.Errorf("%d reads for 100 frames that each fit the buffer, want one each", r)
+	}
+	if len(fr.buf) != readStart {
+		t.Errorf("read buffer is %d bytes, want %d", len(fr.buf), readStart)
+	}
+}
+
+// TestFrameReaderDoublesOnBursts: writes of 16 frames that overflow the
+// buffer double it until one write fits one read, and never past
+// readChunk.
+func TestFrameReaderDoublesOnBursts(t *testing.T) {
+	train := make([]int, 16)
+	for i := range train {
+		train[i] = 1100
+	}
+	var segs [][]byte
+	for i := 0; i < 20; i++ {
+		segs = append(segs, stream(train...))
+	}
+	fr := NewFrameReader(&segReader{segs: segs})
+	readFrames(t, fr)
+	if len(fr.buf) != 32<<10 {
+		t.Errorf("read buffer is %d bytes for 18 KiB trains, want %d", len(fr.buf), 32<<10)
+	}
+	before := fr.Reads.Load()
+	fr.r = &segReader{segs: [][]byte{stream(train...), stream(train...)}}
+	readFrames(t, fr)
+	if r := fr.Reads.Load() - before; r != 2 {
+		t.Errorf("%d reads for two trains once grown, want 2", r)
+	}
+
+	long := make([]int, 200)
+	for i := range long {
+		long[i] = 1000
+	}
+	fr = NewFrameReader(&segReader{segs: [][]byte{stream(long...), stream(long...)}})
+	readFrames(t, fr)
+	if len(fr.buf) != readChunk {
+		t.Errorf("read buffer is %d bytes for 200 KiB trains, want readChunk (%d)", len(fr.buf), readChunk)
+	}
 }
 
 // TestFramedSendAllocs pins the zero-allocation guarantee for the live

@@ -188,10 +188,12 @@ func (h *HostCore) AllocConnTemp() memory.Addr {
 	return addr
 }
 
-// CarveArena allocates n bytes from a response-payload arena (the
-// executor's ReadAlloc hook on both transports). When the arena must
-// grow, earlier carvings keep the old backing array alive and the request
-// continues on the new one.
+// CarveArena allocates n bytes from a payload arena: the simulated NIC's
+// per-connection response arena (its executor's ReadAlloc) and the
+// result copies of rdma.Fanout. The live server has no arena; its
+// executor carves straight from the response frame it stages. When the
+// arena must grow, earlier carvings keep the old backing array alive and
+// the request continues on the new one.
 func CarveArena(arena *[]byte, n uint64) []byte {
 	buf := *arena
 	if uint64(cap(buf)-len(buf)) < n {

@@ -240,6 +240,60 @@ func TestLiveConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestIdleSocketFootprint: after 1,000 GETs of 1 KiB values, a client
+// and server socket pair holds at most 16 KiB of framer buffers — read
+// buffers sized to the traffic, not a 64 KiB chunk on each side.
+func TestIdleSocketFootprint(t *testing.T) {
+	ts := transport.NewServer()
+	store, err := kv.NewServerOn(ts, kv.DefaultOptions(64, 1024))
+	if err != nil {
+		t.Fatalf("NewServerOn: %v", err)
+	}
+	for k := int64(0); k < 32; k++ {
+		if err := store.Load(k, bytes.Repeat([]byte{byte(k)}, 1024)); err != nil {
+			t.Fatalf("Load(%d): %v", k, err)
+		}
+	}
+	cEnd, sEnd := net.Pipe()
+	server := make(chan int, 1)
+	go func() {
+		n, err := ts.ServeConnFramerBytes(sEnd)
+		if err != nil {
+			t.Errorf("ServeConn: %v", err)
+		}
+		server <- n
+	}()
+	c, err := transport.NewClientConn(cEnd)
+	if err != nil {
+		t.Fatalf("NewClientConn: %v", err)
+	}
+	cn, err := c.Connect()
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	meta, err := kv.FetchMeta(cn)
+	if err != nil {
+		t.Fatalf("FetchMeta: %v", err)
+	}
+	kvc := kv.NewLiveClient(cn, meta, 1)
+	for i := 0; i < 1000; i++ {
+		if _, err := kvc.Get(int64(i % 32)); err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+	}
+	client := c.FramerBytes()
+	c.Close()
+	select {
+	case srv := <-server:
+		if client+srv > 16<<10 {
+			t.Errorf("socket pair holds %d bytes of framer buffers (client %d, server %d), want <= %d",
+				client+srv, client, srv, 16<<10)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeConn did not return after Close")
+	}
+}
+
 // TestLiveShutdownDrain verifies graceful drain: completed work stays
 // completed, Serve returns ErrServerClosed, and a client issuing after
 // the drain gets an error instead of hanging.

@@ -120,8 +120,7 @@ func NewServer() *Server {
 // once a drain has begun.
 func (s *Server) addSock(nc net.Conn) (*srvSock, error) {
 	sk := &srvSock{s: s, nc: nc, fr: NewFrameReader(nc), fw: NewFrameWriter(nc)}
-	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists()}
-	sk.exec.ReadAlloc = sk.carve
+	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists(), ReadAlloc: sk.fw.carve}
 	sk.conns = make(map[uint64]*liveConn)
 	sk.guard = s.Space().Guard()
 	s.mu.Lock()
@@ -231,10 +230,10 @@ type liveConn struct {
 }
 
 // srvSock is one accepted socket: framers, a private executor over the
-// shared space, decode/encode scratch, and the logical connections
-// opened on it. All fields are owned by the socket's goroutine; shared
-// state is reached only under the space guard (primitives, free lists,
-// quiescer) or s.mu (registry).
+// shared space that reads into the staged response frame, decode
+// scratch, and the logical connections opened on it. All fields are
+// owned by the socket's goroutine; shared state is reached only under
+// the space guard (primitives, free lists, quiescer) or s.mu (registry).
 type srvSock struct {
 	s     *Server
 	nc    net.Conn
@@ -252,11 +251,8 @@ type srvSock struct {
 	inVerbs bool
 	tok     uint64
 
-	req     wire.Request  // alias-decodes into fr's buffer
-	resp    wire.Response // response under construction
-	results []wire.Result // reused results storage
-	payload []byte        // response payload arena, reset per request
-	opMeta  prism.OpMeta  // ExecInto out-param scratch (escape analysis)
+	req     wire.Request // alias-decodes into fr's buffer
+	opMeta  prism.OpMeta // ExecInto out-param scratch (escape analysis)
 	wc      *WireCheckState
 	greeted bool
 
@@ -269,10 +265,6 @@ func (sk *srvSock) wcheck() *WireCheckState {
 	}
 	return sk.wc
 }
-
-// carve allocates n bytes from the socket's response payload arena (the
-// executor's ReadAlloc hook).
-func (sk *srvSock) carve(n uint64) []byte { return CarveArena(&sk.payload, n) }
 
 // beginVerbs acquires the amortized batch guard if not already held.
 func (sk *srvSock) beginVerbs() {
@@ -385,8 +377,9 @@ func (sk *srvSock) handleConnect() error {
 	return sk.fw.Stage(frameAccept, appendAccept(scratch[:0], id, temp, key))
 }
 
-// serveRequest decodes, executes, and stages the answer to one request
-// frame; the wakeup loop flushes.
+// serveRequest decodes and executes one request frame, staging its
+// response in place: each op's payload is written once, by the executor,
+// into the frame the wakeup loop flushes.
 func (sk *srvSock) serveRequest(body []byte) error {
 	s := sk.s
 	if err := wire.DecodeRequestAlias(&sk.req, body); err != nil {
@@ -402,50 +395,53 @@ func (sk *srvSock) serveRequest(body []byte) error {
 	s.RequestsServed.Add(1)
 
 	req := &sk.req
-	nops := len(req.Ops)
-	if cap(sk.results) < nops {
-		sk.results = make([]wire.Result, nops)
-	}
-	results := sk.results[:nops]
-	for i := range results {
-		results[i] = wire.Result{}
-	}
-	sk.payload = sk.payload[:0]
-
-	if nops == 1 && req.Ops[0].Code == wire.OpSend {
-		sk.serveRPC(req, results)
+	start := sk.fw.beginResponse(req.Conn, req.Seq, req.Epoch, len(req.Ops))
+	if len(req.Ops) == 1 && req.Ops[0].Code == wire.OpSend {
+		sk.serveRPC(req)
 	} else {
-		sk.serveVerbs(lc, req, results)
+		sk.serveVerbs(lc, req)
 	}
-
-	sk.resp.Conn, sk.resp.Seq, sk.resp.Epoch, sk.resp.Results = req.Conn, req.Seq, req.Epoch, results
 	if WireCheckEnabled() {
-		sk.wcheck().CheckResponseRoundTrip(&sk.resp)
+		sk.wcheck().checkStagedResponse(req, sk.fw.buf[start+frameHeaderLen+1:])
 	}
-	return sk.fw.StageResponse(&sk.resp)
+	return sk.fw.endFrame(start)
+}
+
+// putResult stages the result of op i into the header reserved at off,
+// noting it for the wire check first: the check compares the finished
+// frame with the results as the ops produced them.
+func (sk *srvSock) putResult(i, off int, res *wire.Result) {
+	if WireCheckEnabled() {
+		sk.wcheck().noteResult(i, res)
+	}
+	sk.fw.putResult(off, res)
 }
 
 // serveVerbs executes a (possibly chained) one-sided request under the
-// wakeup batch's amortized guard acquisition. Each primitive is atomic
-// under the guard (§3.3/§3.5); the batch merely coarsens how requests
-// from different sockets interleave, which the contract leaves open.
-func (sk *srvSock) serveVerbs(lc *liveConn, req *wire.Request, results []wire.Result) {
+// wakeup batch's amortized guard acquisition, each op into the result
+// header and payload it stages. Each primitive is atomic under the guard
+// (§3.3/§3.5); the batch merely coarsens how requests from different
+// sockets interleave, which the contract leaves open.
+func (sk *srvSock) serveVerbs(lc *liveConn, req *wire.Request) {
 	sk.beginVerbs()
 	executed := 0
 	progOps, progSteps := int64(0), int64(0)
+	var res wire.Result
 	for i := range req.Ops {
 		op := &req.Ops[i]
+		off := sk.fw.reserveResult()
 		if op.Flags.Has(wire.FlagConditional) && !lc.lastOK {
-			results[i] = wire.Result{Status: wire.StatusNotExecuted}
-			continue
+			res = wire.Result{Status: wire.StatusNotExecuted}
+		} else {
+			sk.exec.ExecInto(op, &res, &sk.opMeta)
+			executed++
+			if sk.opMeta.Steps > 0 {
+				progOps++
+				progSteps += int64(sk.opMeta.Steps)
+			}
+			lc.lastOK = res.Status.OK()
 		}
-		sk.exec.ExecInto(op, &results[i], &sk.opMeta)
-		executed++
-		if sk.opMeta.Steps > 0 {
-			progOps++
-			progSteps += int64(sk.opMeta.Steps)
-		}
-		lc.lastOK = results[i].Status.OK()
+		sk.putResult(i, off, &res)
 	}
 	sk.s.OpsExecuted.Add(int64(executed))
 	if progOps > 0 {
@@ -457,23 +453,19 @@ func (sk *srvSock) serveVerbs(lc *liveConn, req *wire.Request, results []wire.Re
 // serveRPC dispatches a two-sided request to the application handler.
 // The batch guard is released first: handlers take rpcMu and may take
 // the guard themselves (RecycleBuffers), and the lock order is rpcMu
-// before guard. The reply is copied into the socket's arena under
-// rpcMu, because handlers reuse their reply scratch across calls.
-func (sk *srvSock) serveRPC(req *wire.Request, results []wire.Result) {
+// before guard. The reply is copied into the staged frame under rpcMu,
+// because handlers reuse their reply scratch across calls.
+func (sk *srvSock) serveRPC(req *wire.Request) {
 	sk.endVerbs()
 	s := sk.s
+	off := sk.fw.reserveResult()
 	handler := s.Handler()
 	if handler == nil {
-		results[0] = wire.Result{Status: wire.StatusUnsupported}
+		sk.putResult(0, off, &wire.Result{Status: wire.StatusUnsupported})
 		return
 	}
 	s.rpcMu.Lock()
 	reply, _ := handler(req.Ops[0].Data)
-	var data []byte
-	if len(reply) > 0 {
-		data = sk.carve(uint64(len(reply)))
-		copy(data, reply)
-	}
+	sk.putResult(0, off, &wire.Result{Status: wire.StatusOK, Data: reply})
 	s.rpcMu.Unlock()
-	results[0] = wire.Result{Status: wire.StatusOK, Data: data}
 }

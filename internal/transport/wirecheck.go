@@ -14,9 +14,10 @@ import (
 // encoding and the alias decoders lost nothing. One WireCheckState per
 // socket side, so checking never shares buffers across goroutines.
 type WireCheckState struct {
-	buf  []byte
-	req  wire.Request
-	resp wire.Response
+	buf    []byte
+	req    wire.Request
+	resp   wire.Response
+	staged wire.Response // the live server's response being staged, as noted
 }
 
 // CheckRequestRoundTrip verifies req encodes to RequestWireSize bytes
@@ -50,9 +51,37 @@ func (ws *WireCheckState) checkRequestBytes(req *wire.Request, frame []byte) {
 	}
 }
 
+// noteResult records the result of a response's op i as the op
+// produced it — its payload copied before anything else is staged behind
+// it — for checkStagedResponse. Live server side.
+func (ws *WireCheckState) noteResult(i int, res *wire.Result) {
+	ws.staged.Results = append(ws.staged.Results[:i],
+		wire.Result{Status: res.Status, Addr: res.Addr, Data: bytes.Clone(res.Data)})
+}
+
+// checkStagedResponse verifies that the response to req the live server
+// staged in place — body, its frame after the kind byte — is byte for
+// byte what AppendResponse encodes for the noted results, and
+// ResponseWireSize long. Live server side, before send.
+func (ws *WireCheckState) checkStagedResponse(req *wire.Request, body []byte) {
+	resp := &ws.staged
+	resp.Conn, resp.Seq, resp.Epoch = req.Conn, req.Seq, req.Epoch
+	if len(resp.Results) != len(req.Ops) {
+		panic(fmt.Sprintf("transport: wire check: %d results staged for %d ops", len(resp.Results), len(req.Ops)))
+	}
+	ws.buf = wire.AppendResponse(ws.buf[:0], resp)
+	if !bytes.Equal(ws.buf, body) {
+		panic("transport: wire check: response staged in place is not the canonical encoding of its results")
+	}
+	if len(body) != wire.ResponseWireSize(resp) {
+		panic(fmt.Sprintf("transport: wire check: staged response is %d bytes, ResponseWireSize says %d",
+			len(body), wire.ResponseWireSize(resp)))
+	}
+}
+
 // CheckResponseRoundTrip verifies resp encodes to ResponseWireSize
 // bytes and survives encode → alias-decode intact, panicking otherwise.
-// Server side, before send.
+// Simulated NIC side, before send.
 func (ws *WireCheckState) CheckResponseRoundTrip(resp *wire.Response) {
 	ws.buf = wire.AppendResponse(ws.buf[:0], resp)
 	if len(ws.buf) != wire.ResponseWireSize(resp) {

@@ -204,18 +204,46 @@ func DecodeRequestAlias(req *Request, b []byte) error {
 	return decodeRequestInto(req, b, true)
 }
 
+// The response layout: a ResponseHeaderLen header (conn u64 | seq u64 |
+// epoch u32 | result count u32), then per result a ResultHeaderLen header
+// (status u8 | addr u64 | payload length u32) followed by the payload.
+// AppendResponse encodes a built Response with the two helpers below; the
+// live server uses the same helpers to encode in place, reserving each
+// result header, executing the op straight into the bytes behind it, and
+// patching the header once the result is known.
+const (
+	ResponseHeaderLen = 8 + 8 + 4 + 4
+	ResultHeaderLen   = 1 + 8 + 4
+)
+
+// AppendResponseHeader appends the header of a response carrying n
+// results.
+func AppendResponseHeader(dst []byte, conn, seq uint64, epoch uint32, n int) []byte {
+	b := putU64(dst, conn)
+	b = putU64(b, seq)
+	b = putU32(b, epoch)
+	return putU32(b, uint32(n))
+}
+
+// PutResultHeader writes res's header — status, addr and the length of
+// the payload that follows it — into b[:ResultHeaderLen].
+func PutResultHeader(b []byte, res *Result) {
+	_ = b[ResultHeaderLen-1]
+	b[0] = byte(res.Status)
+	binary.LittleEndian.PutUint64(b[1:], uint64(res.Addr))
+	binary.LittleEndian.PutUint32(b[9:], uint32(len(res.Data)))
+}
+
 // AppendResponse appends resp's serialization to dst and returns the
 // extended buffer (the encoded length is ResponseWireSize).
 func AppendResponse(dst []byte, resp *Response) []byte {
-	b := putU64(dst, resp.Conn)
-	b = putU64(b, resp.Seq)
-	b = putU32(b, resp.Epoch)
-	b = putU32(b, uint32(len(resp.Results)))
+	b := AppendResponseHeader(dst, resp.Conn, resp.Seq, resp.Epoch, len(resp.Results))
 	for i := range resp.Results {
 		res := &resp.Results[i]
-		b = append(b, byte(res.Status))
-		b = putU64(b, uint64(res.Addr))
-		b = putBytes(b, res.Data)
+		var h [ResultHeaderLen]byte
+		PutResultHeader(h[:], res)
+		b = append(b, h[:]...)
+		b = append(b, res.Data...)
 	}
 	return b
 }
@@ -283,9 +311,9 @@ func RequestWireSize(req *Request) int {
 
 // ResponseWireSize returns the encoded size of resp.
 func ResponseWireSize(resp *Response) int {
-	n := 24
+	n := ResponseHeaderLen
 	for i := range resp.Results {
-		n += 1 + 8 + 4 + len(resp.Results[i].Data)
+		n += ResultHeaderLen + len(resp.Results[i].Data)
 	}
 	return n
 }
