@@ -113,6 +113,32 @@ func TestFig3ReadLatencyAnchors(t *testing.T) {
 	}
 }
 
+// §6.2 Fig. 4: at 50% writes Pilaf, whose PUT is one RPC, stays slightly
+// ahead of PRISM-KV, whose PUT is a chain; on the software stack Pilaf
+// loses that lead.
+func TestFig4PilafAheadAtFiftyFifty(t *testing.T) {
+	cfg := tiny()
+	fig := Fig4(cfg)
+	for i, clients := range cfg.ClientCounts {
+		pilaf := point(t, fig, "Pilaf", i)
+		pilafSW := point(t, fig, "Pilaf (software RDMA)", i)
+		kv := point(t, fig, "PRISM-KV", i)
+		if !(pilaf.Mean < kv.Mean && pilaf.Throughput > kv.Throughput) {
+			t.Errorf("%d clients: Pilaf %v at %.0f op/s not ahead of PRISM-KV %v at %.0f op/s",
+				clients, pilaf.Mean, pilaf.Throughput, kv.Mean, kv.Throughput)
+		}
+		if !(pilafSW.Mean > pilaf.Mean && pilafSW.Throughput < pilaf.Throughput) {
+			t.Errorf("%d clients: Pilaf (software RDMA) %v at %.0f op/s not behind Pilaf %v at %.0f op/s",
+				clients, pilafSW.Mean, pilafSW.Throughput, pilaf.Mean, pilaf.Throughput)
+		}
+		for _, p := range []Point{pilaf, pilafSW, kv} {
+			if p.Errors > 0 {
+				t.Errorf("%d clients: %d client errors", clients, p.Errors)
+			}
+		}
+	}
+}
+
 func TestFig6PRISMRSWins(t *testing.T) {
 	cfg := tiny()
 	fig := Fig6(cfg)

@@ -3,7 +3,8 @@ package kv
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
+	"hash/crc32"
+	"maps"
 	"time"
 
 	"prism/internal/alloc"
@@ -28,8 +29,22 @@ import (
 // Both CRCs must validate client-side; a mismatch means a concurrent
 // server-side PUT and the client retries (the paper attributes ~2 µs of
 // GET latency to CRC work).
+//
+// Each CRC field is a 64-bit check: the CRC-32C of the bytes it covers in
+// its high half and their CRC-32/IEEE in its low half (pilafCRC). Pilaf's
+// paper uses a CRC-64; two CRC-32s are as wide and both are computed in
+// hardware on amd64 (DESIGN.md §6). The client's checking is charged as
+// modeled time (PilafClient.crcCost), so the choice moves no simulated
+// nanosecond.
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// pilafCRC is the self-verifying check of b. b must already be on the
+// heap: crc32's assembly makes every argument escape, so a stack array
+// passed here would be allocated afresh on every call.
+func pilafCRC(b []byte) uint64 {
+	return uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(b))
+}
 
 const pilafSlotSize = 32
 
@@ -49,21 +64,63 @@ type PilafServer struct {
 	// but a CPU always sees its own stores via store forwarding — so
 	// server-side lookups must come from here, never from re-reading the
 	// (possibly still-staged) simulated memory.
-	index     forkedMap[pilafRef] // key -> current extent
-	slotOwner forkedMap[int64]    // slot index -> key
+	index     forkedIndex[pilafRef] // key -> current extent
+	slotOwner forkedIndex[bool]     // slot -> whether a key owns it
 
 	// Puts counts RPC PUTs executed by the server CPU.
 	Puts int64
 
-	// loadBuf is Load's entry image, reused from key to key.
+	// loadBuf is Load's entry and slot images, reused from key to key.
 	loadBuf []byte
 }
 
+// pilafRef is where a key's entry lives. Its zero value is no entry: a
+// memory.Space never registers address 0.
 type pilafRef struct {
 	slot int64
 	ptr  memory.Addr
 	len  uint64 // bytes of the entry stored there
 	cap  uint64 // bytes of the extent: what replacing the entry retires
+}
+
+// forkedIndex is a table over dense int64 keys as one server sees it:
+// flat holds keys [0, len(flat)), its zero value meaning absent, and own
+// holds the keys outside it. A server built directly writes flat. A
+// template instance shares its template's flat, never writes it, and keeps
+// every store of its own in own, which get reads first. Pilaf never
+// deletes a key or frees a slot, so own needs no tombstones.
+type forkedIndex[V comparable] struct {
+	flat   []V
+	own    map[int64]V
+	shared bool // flat is a template's
+}
+
+func (x *forkedIndex[V]) get(k int64) (V, bool) {
+	if v, ok := x.own[k]; ok {
+		return v, true
+	}
+	var zero V
+	if uint64(k) < uint64(len(x.flat)) && x.flat[k] != zero {
+		return x.flat[k], true
+	}
+	return zero, false
+}
+
+func (x *forkedIndex[V]) set(k int64, v V) {
+	if !x.shared && uint64(k) < uint64(len(x.flat)) {
+		x.flat[k] = v
+		return
+	}
+	if x.own == nil {
+		x.own = make(map[int64]V)
+	}
+	x.own[k] = v
+}
+
+// fork returns a template instance's view of x, which the instance's
+// stores never reach.
+func (x *forkedIndex[V]) fork() forkedIndex[V] {
+	return forkedIndex[V]{flat: x.flat, own: maps.Clone(x.own), shared: true}
 }
 
 // pilafExtents is the server CPU's extent allocator: recycled extents
@@ -106,8 +163,8 @@ func NewPilafServer(rs *rdma.Server, opts Options) (*PilafServer, error) {
 		rs:        rs,
 		space:     space,
 		extents:   pilafExtents{room: opts.BuffersPerClass},
-		index:     forkedMap[pilafRef]{own: make(map[int64]pilafRef)},
-		slotOwner: forkedMap[int64]{own: make(map[int64]int64)},
+		index:     forkedIndex[pilafRef]{flat: make([]pilafRef, opts.NSlots)},
+		slotOwner: forkedIndex[bool]{flat: make([]bool, opts.NSlots)},
 		meta: PilafMeta{
 			Key:      key,
 			HashBase: base,
@@ -131,7 +188,7 @@ func pilafEntrySize(valueLen int) uint64 {
 func pilafAppendEntry(dst []byte, key int64, value []byte) []byte {
 	off := len(dst)
 	dst = appendEntry(dst, key, value)
-	return binary.LittleEndian.AppendUint64(dst, crc64.Checksum(dst[off:], crcTable))
+	return binary.LittleEndian.AppendUint64(dst, pilafCRC(dst[off:]))
 }
 
 func pilafDecodeEntry(b []byte) (key int64, value []byte, ok bool) {
@@ -139,7 +196,7 @@ func pilafDecodeEntry(b []byte) (key int64, value []byte, ok bool) {
 		return 0, nil, false
 	}
 	crc := binary.LittleEndian.Uint64(b[len(b)-8:])
-	if crc64.Checksum(b[:len(b)-8], crcTable) != crc {
+	if pilafCRC(b[:len(b)-8]) != crc {
 		return 0, nil, false
 	}
 	if binary.LittleEndian.Uint64(b) != 8 {
@@ -149,14 +206,13 @@ func pilafDecodeEntry(b []byte) (key int64, value []byte, ok bool) {
 	return key, b[16 : len(b)-8], true
 }
 
-func pilafEncodeSlot(ptr memory.Addr, length uint64) (img [pilafSlotSize]byte) {
-	b := img[:]
-	binary.LittleEndian.PutUint64(b, 1) // inuse
-	binary.LittleEndian.PutUint64(b[8:], uint64(ptr))
-	binary.LittleEndian.PutUint64(b[16:], length)
-	crc := crc64.Checksum(b[:24], crcTable)
-	binary.LittleEndian.PutUint64(b[24:], crc)
-	return img
+// pilafAppendSlot appends the image of an in-use slot to dst.
+func pilafAppendSlot(dst []byte, ptr memory.Addr, length uint64) []byte {
+	off := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, 1) // inuse
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(ptr))
+	dst = binary.LittleEndian.AppendUint64(dst, length)
+	return binary.LittleEndian.AppendUint64(dst, pilafCRC(dst[off:]))
 }
 
 func pilafDecodeSlot(b []byte) (inuse bool, ptr memory.Addr, length uint64, ok bool) {
@@ -165,11 +221,12 @@ func pilafDecodeSlot(b []byte) (inuse bool, ptr memory.Addr, length uint64, ok b
 	}
 	// A never-written slot is all zeros: decode as empty rather than as a
 	// CRC mismatch (which signals a torn concurrent update and retries).
-	if binary.LittleEndian.Uint64(b) == 0 {
+	// No torn update zeroes a written slot whole.
+	if [pilafSlotSize]byte(b) == [pilafSlotSize]byte{} {
 		return false, 0, 0, true
 	}
 	crc := binary.LittleEndian.Uint64(b[24:])
-	if crc64.Checksum(b[:24], crcTable) != crc {
+	if pilafCRC(b[:24]) != crc {
 		return false, 0, 0, false
 	}
 	return binary.LittleEndian.Uint64(b) == 1,
@@ -218,7 +275,8 @@ func (s *PilafServer) install(key int64, n uint64) (slotAddr, dst memory.Addr, e
 		return 0, 0, fmt.Errorf("kv: pilaf value exceeds MaxValue %d", s.meta.MaxValue)
 	}
 	var slot int64
-	if ref, ok := s.index.get(key); ok {
+	ref, overwrite := s.index.get(key)
+	if overwrite {
 		slot = ref.slot
 		s.extents.free = append(s.extents.free, pilafExtent{ptr: ref.ptr, cap: ref.cap})
 	} else {
@@ -240,8 +298,10 @@ func (s *PilafServer) install(key int64, n uint64) (slotAddr, dst memory.Addr, e
 	if err != nil {
 		return 0, 0, err
 	}
-	s.index.own[key] = pilafRef{slot: slot, ptr: ext.ptr, len: n, cap: ext.cap}
-	s.slotOwner.own[slot] = key
+	s.index.set(key, pilafRef{slot: slot, ptr: ext.ptr, len: n, cap: ext.cap})
+	if !overwrite {
+		s.slotOwner.set(slot, true)
+	}
 	return s.meta.HashBase + memory.Addr(slot*pilafSlotSize), ext.ptr, nil
 }
 
@@ -256,12 +316,15 @@ const tearDelay = 300 * time.Nanosecond
 // Lookups use the CPU's coherent index, never the staged simulated memory.
 func (s *PilafServer) put(key int64, value []byte) error {
 	s.Puts++
-	// A fresh image: the staged stores below outlive this call.
-	entry := pilafAppendEntry(make([]byte, 0, pilafEntrySize(len(value))), key, value)
-	slotAddr, dst, err := s.install(key, uint64(len(entry)))
+	// Fresh images: the staged stores below outlive this call.
+	n := pilafEntrySize(len(value))
+	img := pilafAppendEntry(make([]byte, 0, n+pilafSlotSize), key, value)
+	slotAddr, dst, err := s.install(key, n)
 	if err != nil {
 		return err
 	}
+	img = pilafAppendSlot(img, dst, n)
+	entry, slotImg := img[:n], img[n:]
 
 	// Stage the stores to simulated memory: first half of the entry now,
 	// second half a beat later, slot halves last — a remote reader
@@ -277,7 +340,6 @@ func (s *PilafServer) put(key int64, value []byte) error {
 			panic(err)
 		}
 	})
-	slotImg := pilafEncodeSlot(dst, uint64(len(entry)))
 	e.Schedule(2*tearDelay, func() {
 		if err := s.space.Write(s.meta.Key, slotAddr, slotImg[:16]); err != nil {
 			panic(err)
@@ -310,17 +372,17 @@ func (s *PilafServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 // then the slot are stored whole, and the image is settled — ready for
 // Capture — when Load returns, with no event scheduled.
 func (s *PilafServer) Load(key int64, value []byte) error {
+	n := pilafEntrySize(len(value))
 	s.loadBuf = pilafAppendEntry(s.loadBuf[:0], key, value)
-	entry := s.loadBuf
-	slotAddr, dst, err := s.install(key, uint64(len(entry)))
+	slotAddr, dst, err := s.install(key, n)
 	if err != nil {
 		return err
 	}
-	if err := s.space.Write(s.meta.Key, dst, entry); err != nil {
+	s.loadBuf = pilafAppendSlot(s.loadBuf, dst, n)
+	if err := s.space.Write(s.meta.Key, dst, s.loadBuf[:n]); err != nil {
 		return err
 	}
-	slotImg := pilafEncodeSlot(dst, uint64(len(entry)))
-	return s.space.Write(s.meta.Key, slotAddr, slotImg[:])
+	return s.space.Write(s.meta.Key, slotAddr, s.loadBuf[n:])
 }
 
 // PilafTemplate is an immutable image of a loaded Pilaf server, the one
@@ -329,40 +391,26 @@ func (s *PilafServer) Load(key int64, value []byte) error {
 // addresses are layout positions, valid in every fork, and a fork inherits
 // the allocation pointer, so every instance registers the same next slab);
 // the coherent index and slot ownership grow with the keyspace, so
-// instances read them through (forkedMap) instead of copying.
+// instances read them through (forkedIndex.fork) instead of copying.
 type PilafTemplate struct {
 	nic       *rdma.ServerTemplate
 	meta      PilafMeta
 	extents   pilafExtents
-	index     map[int64]pilafRef
-	slotOwner map[int64]int64
-}
-
-// forkedMap is a map as a template instance sees it: own holds what this
-// server stored, base what the template held, shared by every instance
-// and never written again. A server built directly has no base. Pilaf
-// never deletes a key or frees a slot, so own needs no tombstones.
-type forkedMap[V any] struct{ own, base map[int64]V }
-
-func (m forkedMap[V]) get(k int64) (V, bool) {
-	if v, ok := m.own[k]; ok {
-		return v, true
-	}
-	v, ok := m.base[k]
-	return v, ok
+	index     forkedIndex[pilafRef]
+	slotOwner forkedIndex[bool]
 }
 
 // Capture seals the server and returns its template. The server must have
 // no connections, so all it holds was put there by Load, which leaves
 // nothing staged: the image is settled. The template keeps the server's
-// own maps and free-extent list; the server must not be used again.
+// own index and free-extent list; the server must not be used again.
 func (s *PilafServer) Capture() *PilafTemplate {
 	return &PilafTemplate{
 		nic:       s.rs.Capture(),
 		meta:      s.meta,
 		extents:   s.extents,
-		index:     s.index.own,
-		slotOwner: s.slotOwner.own,
+		index:     s.index,
+		slotOwner: s.slotOwner,
 	}
 }
 
@@ -377,8 +425,8 @@ func (t *PilafTemplate) Attach(rs *rdma.Server) *PilafServer {
 		rs:        rs,
 		space:     rs.Space(),
 		extents:   t.extents,
-		index:     forkedMap[pilafRef]{own: make(map[int64]pilafRef), base: t.index},
-		slotOwner: forkedMap[int64]{own: make(map[int64]int64), base: t.slotOwner},
+		index:     t.index.fork(),
+		slotOwner: t.slotOwner.fork(),
 		meta:      t.meta,
 	}
 	s.extents.free = append([]pilafExtent(nil), t.extents.free...)

@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"prism/internal/alloc"
@@ -11,6 +12,7 @@ import (
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/workload"
 )
 
 // Tests of how a Pilaf store is stood up: the settled bulk load against
@@ -187,20 +189,31 @@ func TestPilafTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 	}
 }
 
-// An instance keeps its own PUTs in an overlay over the template's index:
-// they are invisible to the template and to a sibling instance, and
-// inserts past the loaded keys probe through both layers — a slot the
-// template owns is never handed to a new key, so every loaded key stays
-// readable beside the inserted ones.
+// An instance reads the template's flat index in place and keeps its own
+// PUTs in an overlay over it: they are invisible to the template and to a
+// sibling instance, and inserts past the loaded keys probe through both
+// layers — a slot the template owns is never handed to a new key, so every
+// loaded key stays readable beside the inserted ones. Keys past the flat
+// table (here, past NSlots) live in the overlay alone.
 func TestPilafForkIndexIsolation(t *testing.T) {
 	const loaded, inserted, valueSize = 300, 150, 64
 	opts := DefaultOptions(512, valueSize)
 	opts.Hash = FNV // loaded and inserted keys collide and probe past each other
 	tmpl := loadedPilafTemplate(t, opts, loaded, valueSize)
-	index, owners := len(tmpl.index), len(tmpl.slotOwner)
-	ref3 := tmpl.index[3]
+	if len(tmpl.index.flat) != int(opts.NSlots) || len(tmpl.slotOwner.flat) != int(opts.NSlots) ||
+		len(tmpl.index.own) != 0 || len(tmpl.slotOwner.own) != 0 {
+		t.Fatalf("template index: %d keys flat and %d in a map, %d slots flat and %d in a map; want %d flat and none in a map",
+			len(tmpl.index.flat), len(tmpl.index.own), len(tmpl.slotOwner.flat), len(tmpl.slotOwner.own), opts.NSlots)
+	}
+	index, used := slices.Clone(tmpl.index.flat), slices.Clone(tmpl.slotOwner.flat)
+	const far = 1 << 40 // a key outside the flat table
 
 	writer, sibling := newPilafFork(tmpl, 1), newPilafFork(tmpl, 2)
+	for _, f := range []*pilafFork{writer, sibling} {
+		if &f.srv.index.flat[0] != &tmpl.index.flat[0] || &f.srv.slotOwner.flat[0] != &tmpl.slotOwner.flat[0] {
+			t.Fatal("an instance copied the template's index instead of reading it")
+		}
+	}
 	newValue := func(k int64) []byte { return bytes.Repeat([]byte{byte(k) ^ 0xff}, valueSize) }
 	writer.run(func(p *sim.Proc) {
 		if err := writer.cli.Put(p, 3, newValue(3)); err != nil {
@@ -211,6 +224,9 @@ func TestPilafForkIndexIsolation(t *testing.T) {
 				t.Errorf("insert %d: %v", k, err)
 			}
 		}
+		if err := writer.cli.Put(p, far, newValue(far)); err != nil {
+			t.Errorf("insert %d: %v", int64(far), err)
+		}
 		for k := int64(0); k < loaded+inserted; k++ {
 			want := bytes.Repeat([]byte{byte(k)}, valueSize)
 			if k == 3 || k >= loaded {
@@ -219,6 +235,9 @@ func TestPilafForkIndexIsolation(t *testing.T) {
 			if got, err := writer.cli.Get(p, k); err != nil || !bytes.Equal(got, want) {
 				t.Errorf("writer: key %d reads back wrong (err %v)", k, err)
 			}
+		}
+		if got, err := writer.cli.Get(p, far); err != nil || !bytes.Equal(got, newValue(far)) {
+			t.Errorf("writer: key %d reads back wrong (err %v)", int64(far), err)
 		}
 	})
 	sibling.run(func(p *sim.Proc) {
@@ -234,17 +253,109 @@ func TestPilafForkIndexIsolation(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if len(tmpl.index) != index || len(tmpl.slotOwner) != owners || tmpl.index[3] != ref3 {
+	if !slices.Equal(tmpl.index.flat, index) || !slices.Equal(tmpl.slotOwner.flat, used) ||
+		len(tmpl.index.own) != 0 || len(tmpl.slotOwner.own) != 0 {
 		t.Fatal("an instance's PUT wrote the template's index")
 	}
-	if len(writer.srv.index.own) != 1+inserted || len(sibling.srv.index.own) != 1 {
+	if len(writer.srv.index.own) != 2+inserted || len(sibling.srv.index.own) != 1 {
 		t.Fatalf("overlays hold %d and %d keys, want what each instance PUT (%d and 1)",
-			len(writer.srv.index.own), len(sibling.srv.index.own), 1+inserted)
+			len(writer.srv.index.own), len(sibling.srv.index.own), 2+inserted)
+	}
+	if _, ok := writer.srv.index.own[far]; !ok {
+		t.Fatalf("key %d, outside the flat table, is not in the writer's overlay", int64(far))
+	}
+	if len(writer.srv.slotOwner.own) != 1+inserted || len(sibling.srv.slotOwner.own) != 1 {
+		t.Fatalf("slot overlays hold %d and %d slots, want the slots each instance inserted into (%d and 1)",
+			len(writer.srv.slotOwner.own), len(sibling.srv.slotOwner.own), 1+inserted)
 	}
 	w, _ := writer.srv.index.get(loaded)
 	s, _ := sibling.srv.index.get(loaded)
 	if w.slot != s.slot {
 		t.Fatalf("key %d landed in slot %d in one instance and %d in its sibling", loaded, w.slot, s.slot)
+	}
+}
+
+// A reader racing a PUT sees a splice of an image and its overwrite, cut
+// anywhere; a faulty link flips a bit. Pilaf's 64-bit check must reject
+// every such entry and slot image without a race to produce it: each
+// splice of a loaded image with the image its overwrite left, at every
+// byte boundary and either way round, unless the splice is one of the
+// two, and every single-bit flip of either.
+func TestPilafChecksumRejectsSplices(t *testing.T) {
+	const key, valueSize = 7, 512
+	v := newPilafEnv(t, DefaultOptions(64, valueSize), model.SoftwarePRISM)
+	gen := workload.NewGenerator(workload.Mix{Keys: 64, ReadFrac: 1, ValueSize: valueSize}, 0)
+	images := func() (slot, entry []byte) {
+		s := v.srv
+		ref, _ := s.index.get(key)
+		slot, err := s.space.Read(s.meta.Key, s.meta.HashBase+memory.Addr(ref.slot*pilafSlotSize), pilafSlotSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, err = s.space.Read(s.meta.Key, ref.ptr, ref.len)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slot, entry
+	}
+	put := func(version, size int) {
+		if err := v.srv.put(key, gen.Value(key, version)[:size]); err != nil {
+			t.Fatal(err)
+		}
+		v.e.Run()
+	}
+	// Loaded short, the key's first overwrite moves it to a larger extent
+	// (a new slot image); its second stays in that extent (a new entry
+	// image of the same length).
+	if err := v.srv.Load(key, gen.Value(key, 0)[:100]); err != nil {
+		t.Fatal(err)
+	}
+	slot0, _ := images()
+	put(1, valueSize)
+	slot1, entry0 := images()
+	put(2, valueSize)
+	_, entry1 := images()
+	if bytes.Equal(slot0, slot1) || bytes.Equal(entry0, entry1) || len(entry0) != len(entry1) {
+		t.Fatal("the overwrites did not leave new images of the same length")
+	}
+
+	entryOK := func(b []byte) bool { _, _, ok := pilafDecodeEntry(b); return ok }
+	slotOK := func(b []byte) bool { _, _, _, ok := pilafDecodeSlot(b); return ok }
+	for _, c := range []struct {
+		name string
+		a, b []byte
+		ok   func([]byte) bool
+	}{{"entry", entry0, entry1, entryOK}, {"slot", slot0, slot1, slotOK}} {
+		if !c.ok(c.a) || !c.ok(c.b) {
+			t.Fatalf("%s: a stored image does not decode", c.name)
+		}
+		splices := 0
+		for i := 1; i < len(c.a); i++ {
+			for _, s := range [][]byte{
+				append(bytes.Clone(c.a[:i]), c.b[i:]...),
+				append(bytes.Clone(c.b[:i]), c.a[i:]...),
+			} {
+				if bytes.Equal(s, c.a) || bytes.Equal(s, c.b) {
+					continue
+				}
+				splices++
+				if c.ok(s) {
+					t.Errorf("%s: a splice at byte %d of %d decodes", c.name, i, len(c.a))
+				}
+			}
+		}
+		for _, img := range [][]byte{c.a, c.b} {
+			for bit := 0; bit < 8*len(img); bit++ {
+				f := bytes.Clone(img)
+				f[bit/8] ^= 1 << (bit % 8)
+				if c.ok(f) {
+					t.Errorf("%s: flipping bit %d decodes", c.name, bit)
+				}
+			}
+		}
+		if splices == 0 {
+			t.Fatalf("%s: no splice differs from both images", c.name)
+		}
 	}
 }
 

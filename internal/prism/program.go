@@ -293,13 +293,15 @@ func (x *Executor) execScan(op *wire.Op, meta *OpMeta) (wire.Result, error) {
 		if bp.Ptr == 0 {
 			continue
 		}
-		need := 4 + bp.Bound
-		if used+need > budget {
+		// A bound is memory a client can write, so it is checked against
+		// the budget before 4+Bound could wrap.
+		if bp.Bound > budget || used+4+bp.Bound > budget {
 			if used == 0 {
 				return wire.Result{}, errors.New("prism: scan entry exceeds byte budget")
 			}
 			break // cursor = this idx; the entry goes in the next window
 		}
+		need := 4 + bp.Bound
 		binary.LittleEndian.PutUint32(out[used:], uint32(bp.Bound))
 		if err := x.Space.ReadInto(out[used+4:used+need], op.RKey, bp.Ptr); err != nil {
 			return wire.Result{}, err

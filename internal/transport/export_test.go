@@ -1,6 +1,9 @@
 package transport
 
-import "net"
+import (
+	"net"
+	"time"
+)
 
 // The unbatched reference the batching tests compare with: one frame per
 // write syscall on the client, one frame served and flushed per wakeup on
@@ -35,6 +38,14 @@ func (s *Server) ServeConnFramerBytes(nc net.Conn) (int, error) {
 	}
 	sk.loop()
 	return cap(sk.fr.buf) + cap(sk.fw.buf), nil
+}
+
+// SetCloseDrainGrace sets how long Close waits for staged frames to reach
+// a peer that does not read, and returns the previous value.
+func SetCloseDrainGrace(d time.Duration) time.Duration {
+	old := closeDrainGrace
+	closeDrainGrace = d
+	return old
 }
 
 // tempRegionFill is how many AllocConnTemp calls exactly fill the first n

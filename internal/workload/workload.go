@@ -172,11 +172,21 @@ func (g *Generator) Value(key int64, version int) []byte {
 	return g.AppendValue(make([]byte, 0, g.mix.ValueSize), key, version)
 }
 
+// rampTable is two periods of the byte ramp 0, 1, …, 255: any period of
+// the ramp is the 256 bytes at some offset below 256.
+var rampTable = func() (t [512]byte) {
+	for i := range t {
+		t[i] = byte(i)
+	}
+	return t
+}()
+
 // AppendValue appends key's payload at version to dst: the key and the
 // version (8 bytes each, little-endian; a ValueSize below 16 truncates
 // them), then byte(key+i)^byte(version) at every later offset i. That ramp
-// repeats every 256 bytes, so only its first period is computed; the rest
-// is copied from it, doubling.
+// repeats every 256 bytes, so its first period is copied from rampTable
+// (and XORed with the version's low byte, unless that is 0, as in every
+// bulk load); the rest is copied from it, doubling.
 func (g *Generator) AppendValue(dst []byte, key int64, version int) []byte {
 	off, n := len(dst), g.mix.ValueSize
 	dst = slices.Grow(dst, n)[:off+n]
@@ -184,9 +194,11 @@ func (g *Generator) AppendValue(dst []byte, key int64, version int) []byte {
 	binary.LittleEndian.PutUint64(hdr[:], uint64(key))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(version))
 	ramp := dst[off+copy(dst[off:], hdr[:]):]
-	m := min(len(ramp), 256)
-	for i := range ramp[:m] {
-		ramp[i] = byte(key+int64(len(hdr)+i)) ^ byte(version)
+	m := copy(ramp[:min(len(ramp), 256)], rampTable[byte(key+int64(len(hdr))):])
+	if v := byte(version); v != 0 {
+		for i := range ramp[:m] {
+			ramp[i] ^= v
+		}
 	}
 	for m < len(ramp) {
 		m += copy(ramp[m:], ramp[:m])
