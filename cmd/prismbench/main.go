@@ -48,8 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxClients := fs.Int("max-clients", 0, "truncate the client ladders at this count (0 = full ladders)")
 	format := fs.String("format", "text", "output format: text or csv")
 	fs.IntVar(&cfg.Parallel, "parallel", 1, "figure-point worker goroutines (0 = GOMAXPROCS; output is identical at any setting)")
-	fs.IntVar(&cfg.Intra, "intra", 1, "domain worker goroutines inside each figure point (0 = GOMAXPROCS, clamped to NumCPU; output is identical at any setting)")
-	fs.IntVar(&cfg.ClientsPerDomain, "affinity", 1, "client machines per event domain (affinity groups; <=1 = one domain each; output is identical at any setting)")
 	verbose := fs.Bool("v", false, "print a one-line scheduler-telemetry summary per figure to stderr")
 	fs.Usage = func() {
 		names := make([]string, len(bench.Figures))
@@ -83,14 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Intra <= 0 {
-		cfg.Intra = runtime.GOMAXPROCS(0)
-	}
-	if n := runtime.NumCPU(); cfg.Intra > n {
-		fmt.Fprintf(stderr, "prismbench: -intra %d exceeds the %d available CPUs; clamping to %d (output is identical, extra workers only oversubscribe)\n",
-			cfg.Intra, n, n)
-		cfg.Intra = n
 	}
 	if *maxClients > 0 {
 		cfg.ClientCounts = truncate(cfg.ClientCounts, *maxClients)
@@ -130,20 +120,12 @@ func truncate(ladder []int, max int) []int {
 }
 
 // summarize prints the -v line: the figure's per-point scheduler telemetry
-// summed (mean window and burst length as figure-wide means), its wall
-// clock, and the process's peak resident set so far — what standing the
-// figure's stores up at -keys cost this host. Window and barrier counts
-// are what demonstrate the lookahead matrix and affinity grouping on
-// hosts where wall clock cannot.
+// summed (burst length as a figure-wide mean), its wall clock, and the
+// process's peak resident set so far — what standing the figure's stores
+// up at -keys cost the host.
 func summarize(w io.Writer, fig *bench.Figure, wall float64) {
 	var t bench.Telemetry
 	for _, p := range fig.PointTel {
-		t.Windows += p.Windows
-		t.Barriers += p.Barriers
-		t.BarrierSkips += p.BarrierSkips
-		t.IdleSkips += p.IdleSkips
-		t.CrossDeliveries += p.CrossDeliveries
-		t.MeanWindowNanos += p.MeanWindowNanos
 		t.EventsExecuted += p.EventsExecuted
 		t.Bursts += p.Bursts
 		t.TimerFires += p.TimerFires
@@ -156,15 +138,11 @@ func summarize(w io.Writer, fig *bench.Figure, wall float64) {
 		t.StepsExecuted += p.StepsExecuted
 		t.RTTsSaved += p.RTTsSaved
 	}
-	if n := int64(len(fig.PointTel)); n > 0 {
-		t.MeanWindowNanos /= n
-	}
 	if t.Bursts > 0 {
 		t.MeanBurstLen = float64(t.EventsExecuted) / float64(t.Bursts)
 	}
-	fmt.Fprintf(w, "prismbench: %s: %d points, windows=%d barriers=%d barrier-skips=%d idle-skips=%d cross-deliveries=%d mean-window=%v events=%d mean-burst=%.2f timer-fires=%d timer-stops=%d cascades=%d qp-hit/miss/evict=%d/%d/%d progs=%d steps=%d rtts-saved=%d wall=%.1fs peak_rss_mb=%d\n",
-		fig.ID, len(fig.PointTel), t.Windows, t.Barriers, t.BarrierSkips, t.IdleSkips, t.CrossDeliveries,
-		time.Duration(t.MeanWindowNanos), t.EventsExecuted, t.MeanBurstLen, t.TimerFires, t.TimerStops, t.WheelCascades,
+	fmt.Fprintf(w, "prismbench: %s: %d points, events=%d mean-burst=%.2f timer-fires=%d timer-stops=%d cascades=%d qp-hit/miss/evict=%d/%d/%d progs=%d steps=%d rtts-saved=%d wall=%.1fs peak_rss_mb=%d\n",
+		fig.ID, len(fig.PointTel), t.EventsExecuted, t.MeanBurstLen, t.TimerFires, t.TimerStops, t.WheelCascades,
 		t.QPCacheHits, t.QPCacheMisses, t.QPCacheEvictions, t.ProgramOps, t.StepsExecuted, t.RTTsSaved, wall, peakRSSMB())
 }
 

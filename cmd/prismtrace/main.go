@@ -10,10 +10,6 @@
 //	prismtrace abdwrite   # PRISM-RS write phase chain
 //	prismtrace txcommit   # PRISM-TX prepare + commit CASes
 //	prismtrace all
-//
-// The -affinity flag groups client machines into shared event domains
-// (N machines per domain); the printed trace is byte-identical at any
-// grouping — regrouping only changes scheduler barrier frequency.
 package main
 
 import (
@@ -32,9 +28,8 @@ import (
 )
 
 func main() {
-	affinity := flag.Int("affinity", 1, "client machines per event domain (output is identical at any grouping)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: prismtrace [-affinity N] {kvget|kvput|kvchase|kvscan|abdwrite|txcommit|all}")
+		fmt.Fprintln(os.Stderr, "usage: prismtrace {kvget|kvput|kvchase|kvscan|abdwrite|txcommit|all}")
 	}
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -44,14 +39,14 @@ func main() {
 	which := flag.Arg(0)
 	if which == "all" {
 		for _, w := range []string{"kvget", "kvput", "kvchase", "kvscan", "abdwrite", "txcommit"} {
-			if !trace(os.Stdout, w, *affinity) {
+			if !trace(os.Stdout, w) {
 				os.Exit(2)
 			}
 			fmt.Println()
 		}
 		return
 	}
-	if !trace(os.Stdout, which, *affinity) {
+	if !trace(os.Stdout, which) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -72,12 +67,9 @@ func attachTrace(srv *prism.Server) *opTrace {
 	return tr
 }
 
-// dump prints the trace. Each line carries the op's owning event domain
-// (dom=N): under the per-node domain scheduler every server executes its
-// NIC chain in its own domain, so the ids show where in the partitioned
-// simulation each op actually ran.
+// dump prints the trace.
 func (tr *opTrace) dump(w io.Writer, name string) {
-	fmt.Fprintf(w, "  executed on %s (server trace; dom = owning event domain):\n", name)
+	fmt.Fprintf(w, "  executed on %s (server trace):\n", name)
 	for _, line := range tr.lines {
 		fmt.Fprintf(w, "    %s\n", line)
 	}
@@ -138,8 +130,8 @@ const putValue = "new value"
 
 // trace writes the annotated trace for one scenario to w; it reports
 // false for an unknown scenario name.
-func trace(w io.Writer, which string, affinity int) bool {
-	c := prism.NewCluster(prism.ClusterConfig{Seed: 3, ClientsPerDomain: affinity})
+func trace(w io.Writer, which string) bool {
+	c := prism.NewCluster(prism.ClusterConfig{Seed: 3})
 
 	switch which {
 	case "kvget", "kvput":

@@ -2,7 +2,8 @@ package main
 
 import (
 	"fmt"
-	"regexp"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,25 +13,39 @@ import (
 )
 
 // TestTraceAffinityByteIdentical: every scenario's printed trace —
-// timings and the server-side record of the executed ops — must be
-// byte-identical whether client machines get their own event domain or
-// share one through an affinity group.
+// timings and the server-side record of the executed ops — is the same
+// bytes on every run and is the trace that giving each client machine its
+// own event domain printed (testdata/<scenario>.golden, recorded that way
+// with the domain annotation removed). Every machine now shares its
+// cluster's one engine, the limit of grouping, and the (time, source node,
+// send sequence) delivery order is what keeps the bytes.
 func TestTraceAffinityByteIdentical(t *testing.T) {
 	for _, which := range []string{"kvget", "kvput", "kvchase", "kvscan", "abdwrite", "txcommit"} {
 		t.Run(which, func(t *testing.T) {
-			var solo, grouped strings.Builder
-			if !trace(&solo, which, 1) {
+			var first, second strings.Builder
+			if !trace(&first, which) || !trace(&second, which) {
 				t.Fatalf("trace(%q) failed", which)
 			}
-			if !trace(&grouped, which, 4) {
-				t.Fatalf("trace(%q, affinity=4) failed", which)
+			if first.String() != second.String() {
+				t.Fatalf("trace differs between runs:\n--- first ---\n%s--- second ---\n%s",
+					first.String(), second.String())
 			}
-			if solo.String() != grouped.String() {
-				t.Fatalf("trace differs under affinity grouping:\n--- solo ---\n%s--- affinity=4 ---\n%s",
-					solo.String(), grouped.String())
+			if want := golden(t, which); first.String() != want {
+				t.Fatalf("trace differs from the per-machine-domain one:\n--- testdata ---\n%s--- one engine ---\n%s",
+					want, first.String())
 			}
 		})
 	}
+}
+
+// golden reads testdata/<name>.golden.
+func golden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestTracePrintsTheExecutedOps: the trace describes the ops the server
@@ -39,7 +54,7 @@ func TestTraceAffinityByteIdentical(t *testing.T) {
 // it — where a hand-kept copy of the chain once printed list 4.
 func TestTracePrintsTheExecutedOps(t *testing.T) {
 	var out strings.Builder
-	if !trace(&out, "kvput", 1) {
+	if !trace(&out, "kvput") {
 		t.Fatal("trace(kvput) failed")
 	}
 	c := prism.NewCluster(prism.ClusterConfig{})
@@ -61,18 +76,12 @@ func TestTracePrintsTheExecutedOps(t *testing.T) {
 	}
 }
 
-// domRe strips the owning-domain annotation: regrouping legitimately
-// renumbers domains (fewer of them exist), but everything else about the
-// executed trace — order, times, connections, sequence numbers, opcodes,
-// statuses — must not move.
-var domRe = regexp.MustCompile(`dom=\d+`)
-
-// traceMultiClient drives three client machines (grouped per the given
-// ClientsPerDomain) through interleaved KV traffic against one server
-// and returns the server's execution trace.
-func traceMultiClient(t *testing.T, clientsPerDomain int) []string {
+// traceMultiClient drives three client machines through interleaved KV
+// traffic against one server and returns the server's execution trace,
+// one event a line.
+func traceMultiClient(t *testing.T) string {
 	t.Helper()
-	c := prism.NewCluster(prism.ClusterConfig{Seed: 11, ClientsPerDomain: clientsPerDomain})
+	c := prism.NewCluster(prism.ClusterConfig{Seed: 11})
 	srv := c.NewServer("kv", prism.SoftwarePRISM)
 	store, err := prism.NewKVServer(srv, prism.KVOptions(64, 128))
 	if err != nil {
@@ -86,7 +95,6 @@ func traceMultiClient(t *testing.T, clientsPerDomain int) []string {
 	ring := rdma.NewTraceRing(4096)
 	srv.SetTracer(ring.Record)
 	for i := 0; i < 3; i++ {
-		i := i
 		conn := c.NewClientMachine(fmt.Sprintf("cli-%d", i)).Connect(srv)
 		kv := prism.NewKVClient(conn, store.Meta(), uint16(i+1))
 		c.Go(fmt.Sprintf("load-%d", i), func(p *sim.Proc) {
@@ -103,32 +111,33 @@ func traceMultiClient(t *testing.T, clientsPerDomain int) []string {
 		})
 	}
 	c.Run()
-	var out []string
+	var out strings.Builder
 	for _, ev := range ring.Events() {
-		out = append(out, domRe.ReplaceAllString(ev.String(), "dom=*"))
+		out.WriteString(ev.String())
+		out.WriteByte('\n')
 	}
-	return out
+	return out.String()
 }
 
-// TestRegroupingPreservesExecutionTrace: with three clients racing on
-// one server, the server-side wire trace must be identical under every
-// grouping — the (time, source node, send sequence) merge order decides
-// delivery order, never the domain layout.
+// TestRegroupingPreservesExecutionTrace: with three clients racing on one
+// server, the server-side wire trace is event for event the one recorded
+// when each client machine had its own event domain
+// (testdata/multiclient.golden): moving every machine onto one engine
+// regroups them all, and the (time, source node, send sequence) order
+// still decides delivery.
 func TestRegroupingPreservesExecutionTrace(t *testing.T) {
-	base := traceMultiClient(t, 1)
-	if len(base) == 0 {
+	got := traceMultiClient(t)
+	if got == "" {
 		t.Fatal("empty execution trace")
 	}
-	for _, g := range []int{2, 3} {
-		regrouped := traceMultiClient(t, g)
-		if len(regrouped) != len(base) {
-			t.Fatalf("ClientsPerDomain=%d: %d events vs %d ungrouped", g, len(regrouped), len(base))
-		}
-		for i := range base {
-			if base[i] != regrouped[i] {
-				t.Fatalf("ClientsPerDomain=%d: event %d differs:\nungrouped: %s\nregrouped: %s",
-					g, i, base[i], regrouped[i])
-			}
+	want := strings.SplitAfter(golden(t, "multiclient"), "\n")
+	lines := strings.SplitAfter(got, "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("%d events vs %d with per-machine domains", len(lines)-1, len(want)-1)
+	}
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Fatalf("event %d differs:\nper-machine domains: %sone engine:          %s", i, want[i], lines[i])
 		}
 	}
 }

@@ -194,8 +194,7 @@ func (c *Client) readPhase(p *sim.Proc, block int64) (Tag, []byte, error) {
 		ops := c.conns[i].Ops(1)
 		ops[0] = op
 		f := c.conns[i].IssueAsync(ops)
-		// Bound to the connection's domain: the completion below runs there.
-		rf := sim.NewFuture[readReply](c.conns[i].Engine())
+		rf := sim.NewFuture[readReply]()
 		futs[i] = rf
 		f.OnComplete(func(res []wire.Result) {
 			rep := readReply{replica: i}
@@ -272,8 +271,7 @@ func (c *Client) writePhase(p *sim.Proc, block int64, tag Tag, value []byte) err
 		ops[2] = prism.Conditional(prism.CASIndirectData(m.Key, m.entryAddr(block), wire.CASGt, tmp,
 			c.tagMasks[i], c.fullMasks[i]))
 		f := conn.IssueAsync(ops)
-		// Bound to the connection's domain: the completion below runs there.
-		rf := sim.NewFuture[int](conn.Engine())
+		rf := sim.NewFuture[int]()
 		futs[i] = rf
 		f.OnComplete(func(res []wire.Result) {
 			okAck := 0

@@ -75,8 +75,8 @@ type Slab struct {
 
 // FreeList is a queue of equal-sized registered buffers that provisions
 // itself on demand. It is not goroutine-safe: every method runs where
-// the space's other mutations run — under Space.Guard on a live host, in
-// the server's event domain in the simulator.
+// the space's other mutations run — under Space.Guard on a live host, on
+// the cluster's one engine in the simulator.
 type FreeList struct {
 	ID      uint32
 	BufSize uint64

@@ -89,7 +89,7 @@ func AblationRedirectTarget(cfg Config) *Figure {
 					prism.FieldMask(16, 0, 8), prism.FullMask(16))),
 			}
 		})
-		return latencyPoint(lat), worldTelemetry(env.e)
+		return latencyPoint(lat), engineTelemetry(env.e)
 	}, func(_, _ int, pt Point, _ Telemetry) string {
 		return fmt.Sprintf("chain RTT %.2fµs", float64(pt.Mean)/1e3)
 	})

@@ -31,9 +31,9 @@ const (
 func TestGetAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
-	e, st, dom := kvClient0(cfg)
+	e, st := KVCluster(cfg)
 	var avg float64
-	dom.Go("guard", func(p *sim.Proc) {
+	e.Go("guard", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
 			if _, err := st.Get(p, int64(i)%cfg.Keys); err != nil {
 				t.Errorf("GET: %v", err)
@@ -55,7 +55,7 @@ func TestGetAllocGuard(t *testing.T) {
 }
 
 // TestSchedulerAllocGuard pins the scheduler's own steady state at zero:
-// once the per-domain event pool and burst buffers are warm, a
+// once the engine's event pool and burst buffers are warm, a
 // schedule/fire cycle through the timer wheel and burst loop — including
 // the common retransmission-guard shape of a far timer stopped before it
 // fires — must not allocate at all. The event pool, wheel slots, and
@@ -100,10 +100,10 @@ func TestSchedulerAllocGuard(t *testing.T) {
 func TestPutAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
-	e, st, dom := kvClient0(cfg)
+	e, st := KVCluster(cfg)
 	value := make([]byte, cfg.ValueSize)
 	var avg float64
-	dom.Go("guard", func(p *sim.Proc) {
+	e.Go("guard", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
 			if err := st.Put(p, int64(i)%cfg.Keys, value); err != nil {
 				t.Errorf("PUT: %v", err)
@@ -132,10 +132,10 @@ func TestChaseAllocGuard(t *testing.T) {
 	cfg.ValueSize = 128
 	v := newEnv(cfg, 42, load{}, rackFabric(cfg))
 	f, mk := v.chaseClients(8)
-	e, cl, dom := v.e, mk(f[0]), f.place(0)
+	e, cl := v.e, mk(f[0])
 	key := func(i int) int64 { return (int64(i)%chaseBuckets)*8 + 7 } // tail keys
 	var avg float64
-	dom.Go("guard", func(p *sim.Proc) {
+	e.Go("guard", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
 			if _, err := cl.ChaseGet(p, key(i)); err != nil {
 				t.Errorf("CHASE: %v", err)
@@ -171,7 +171,7 @@ func TestScanAllocGuard(t *testing.T) {
 	visit := func(key int64, value []byte) error { return nil }
 	nslots := meta.NSlots
 	var avg float64
-	cli.Domain().Go("guard", func(p *sim.Proc) {
+	e.Go("guard", func(p *sim.Proc) {
 		cursor := int64(0)
 		step := func() {
 			next, err := st.Scan(p, cursor, 4096, visit)

@@ -40,8 +40,9 @@ type Config struct {
 	Warmup  time.Duration
 	Measure time.Duration
 	// MaxOps caps measured operations per point (0 = no cap) so high
-	// throughput points do not dominate wall-clock time. The cap is
-	// detected at window barriers, so a run may slightly overshoot it.
+	// throughput points do not dominate wall-clock time. Clients stop
+	// issuing once the measured op that reaches the cap completes; ops
+	// already in flight still complete and count.
 	MaxOps int64
 	Seed   int64
 	// Parallel is the worker count for the point runner: each figure point
@@ -49,26 +50,13 @@ type Config struct {
 	// concurrently. <= 1 runs points serially in declaration order. Output
 	// is byte-identical either way (see PointSeed).
 	Parallel int
-	// Intra is the worker count inside one simulation: event domains (one
-	// per simulated machine) execute lookahead windows on up to Intra
-	// goroutines. <= 1 runs domains serially. Output is byte-identical at
-	// any setting — cross-domain deliveries merge in a fixed total order at
-	// window barriers. Composes with Parallel (points x domains).
+	// Intra is unread: a point runs on one engine on one goroutine. The
+	// field stays until the repository benchmark stops assigning it.
 	Intra int
-	// ClientsPerDomain co-locates client machines into shared event
-	// domains (affinity groups): machine i joins group i/ClientsPerDomain,
-	// so a fleet of tiny client machines barriers as a few domains instead
-	// of one each, and intra-group traffic skips the window barrier. <= 1
-	// keeps one domain per machine. Output is byte-identical at any
-	// grouping — delivery order is decided by (time, source node, send
-	// sequence), never by domain layout.
-	ClientsPerDomain int
 	// CrossRack places the client machines in a different rack than the
 	// servers and charges this much extra one-way latency per rack
 	// crossing (the paper's §8 topology: clients and servers in distinct
-	// racks). 0 keeps the fabric flat; the paper figures use the flat
-	// default, the topology benchmark uses a nonzero value to demonstrate
-	// per-pair lookahead.
+	// racks). 0 keeps the fabric flat, as every paper figure does.
 	CrossRack time.Duration
 
 	// ScaleClients is the client ladder for the fig-scale connection
@@ -77,9 +65,9 @@ type Config struct {
 	// Storm-style cliff appears inside the sweep.
 	ScaleClients []int
 	// ScaleMachines is the fixed client-machine fleet fig-scale spreads
-	// clients over: constant across the ladder, so low-count points run
-	// mostly-idle domains (most barrier sweeps elided) and high-count points
-	// pack hundreds of clients per machine.
+	// clients over: constant across the ladder, so low-count points leave
+	// most machines idle and high-count points pack hundreds of clients
+	// per machine.
 	ScaleMachines int
 	// QPCacheEntries overrides the hardware-class QP context cache
 	// capacity used by fig-scale (0 = the calibrated
@@ -115,9 +103,6 @@ func DefaultConfig() Config {
 		MaxOps:         0,
 		Seed:           42,
 		Parallel:       1,
-		Intra:          1,
-
-		ClientsPerDomain: 1,
 
 		ScaleClients:  []int{16, 64, 256, 1024, 4096, 16384},
 		ScaleMachines: 256,
@@ -205,28 +190,18 @@ func runJobs(workers int, jobs []func()) []time.Duration {
 	return wall
 }
 
-// Telemetry is one point's scheduler counters, read from the simulation
-// world after the point has run: how many conservative time windows it
-// took, how many barriers fired (each barrier synchronizes every domain),
-// how many deliveries crossed a domain boundary (intra-group traffic does
-// not), and the mean bounded window length in simulated time. It is read
-// by prismbench -v and benchmark/ and never rendered into the text/CSV
-// figures, whose bytes must stay independent of scheduler configuration
-// (fig-scale and fig-chase label their points with the QP-cache and
-// program counters, which are virtual-time-deterministic).
+// Telemetry is one point's scheduler counters, read from the point's
+// engine after it has run. It is read by prismbench -v and benchmark/ and
+// never rendered into the text/CSV figures, whose bytes must stay
+// independent of the host (fig-scale and fig-chase label their points with
+// the QP-cache and program counters, which are virtual-time-deterministic).
 type Telemetry struct {
-	Domains         int
-	Windows         int64
-	Barriers        int64
-	CrossDeliveries int64
-	MeanWindowNanos int64
-	// Sparse-scheduler counters: barrier crossings whose hook sweep was
-	// elided because no producer requested it (Barriers counts the sweeps
-	// that ran), and idle domains skipped by the active-set window scan
-	// (one per idle domain per executed window).
-	BarrierSkips int64
-	IdleSkips    int64
-	// Burst/wheel counters (see sim.WorldStats): events fired, drained
+	// Windows and Barriers are always zero: a point runs on one engine,
+	// with no scheduling windows to synchronize. They stay because the
+	// repository benchmark still reads them.
+	Windows  int64
+	Barriers int64
+	// Burst/wheel counters (see sim.Stats): events fired, drained
 	// instants (EventsExecuted/Bursts is the amortization ratio), fired
 	// events that transited the timer wheel, timers cancelled before
 	// firing, and wheel cascade re-files.
@@ -261,30 +236,23 @@ type Telemetry struct {
 	BytesPerOp  float64
 }
 
-// telemetry snapshots e's scheduler counters and attributes the heap
-// allocation delta recorded by run to the point's measured operations.
-// Point runners that drive a loadDriver report through this; runners
-// without one use worldTelemetry and leave the allocation fields zero.
-func (d *loadDriver) telemetry(e *sim.Engine) Telemetry {
-	tel := worldTelemetry(e)
-	if d.totalOps > 0 {
-		tel.AllocsPerOp = float64(d.deltaMallocs) / float64(d.totalOps)
-		tel.BytesPerOp = float64(d.deltaBytes) / float64(d.totalOps)
+// telemetry snapshots the point's scheduler counters and attributes the
+// heap allocation delta recorded by run to its measured operations. Point
+// runners that drive a loadDriver report through this; runners without
+// one use engineTelemetry and leave the allocation fields zero.
+func (d *loadDriver) telemetry() Telemetry {
+	tel := engineTelemetry(d.e)
+	if d.ops > 0 {
+		tel.AllocsPerOp = float64(d.deltaMallocs) / float64(d.ops)
+		tel.BytesPerOp = float64(d.deltaBytes) / float64(d.ops)
 	}
 	return tel
 }
 
-// worldTelemetry snapshots e's world scheduler counters.
-func worldTelemetry(e *sim.Engine) Telemetry {
-	st := e.World().Stats()
+// engineTelemetry snapshots e's scheduler counters.
+func engineTelemetry(e *sim.Engine) Telemetry {
+	st := e.Stats()
 	return Telemetry{
-		Domains:          st.Domains,
-		Windows:          st.Windows,
-		Barriers:         st.Barriers,
-		CrossDeliveries:  st.CrossDeliveries,
-		MeanWindowNanos:  int64(st.MeanWindow()),
-		BarrierSkips:     st.BarrierSkips,
-		IdleSkips:        st.IdleSkips,
 		EventsExecuted:   st.EventsExecuted,
 		Bursts:           st.Bursts,
 		MeanBurstLen:     st.MeanBurstLen(),
@@ -371,85 +339,29 @@ func (f *Figure) FprintCSV(w io.Writer) {
 // op is invoked repeatedly per client; it returns the number of logical
 // operations completed (usually 1; transactions may retry internally and
 // still count 1) or an error to stop that client.
-//
-// Measurements are sharded per event domain: each client process records
-// into the shard of the machine domain it was spawned on, so under
-// domain-parallel execution (Config.Intra > 1) concurrent clients never
-// share a recorder. Shards merge deterministically in run.
 type loadDriver struct {
 	e       *sim.Engine
 	cfg     Config
-	shards  map[*sim.Engine]*driverShard
-	order   []*driverShard // first-spawn order, for a stable merge
-	stopped bool           // written only between windows (barrier or run)
-	// Filled by run: measured ops and the runtime heap-counter deltas
-	// across the drive phase, for Telemetry's allocation fields.
-	totalOps     int64
-	deltaMallocs uint64
-	deltaBytes   uint64
-}
-
-// driverShard is the measurement state owned by one event domain.
-type driverShard struct {
 	rec     *stats.LatencyRecorder
 	ops     int64
 	aborts  int64
 	errs    int64
 	lastEnd sim.Time
+	stopped bool // clients issue no further ops
+	// Filled by run: the runtime heap-counter deltas across the drive
+	// phase, for Telemetry's allocation fields.
+	deltaMallocs uint64
+	deltaBytes   uint64
 }
 
 func newLoadDriver(e *sim.Engine, cfg Config) *loadDriver {
-	d := &loadDriver{e: e, cfg: cfg, shards: make(map[*sim.Engine]*driverShard)}
-	if cfg.Intra > 1 {
-		e.World().SetWorkers(cfg.Intra)
-	}
-	if cfg.MaxOps > 0 {
-		// The cap spans domains, so it is enforced where cross-domain
-		// state may be read safely: at window barriers.
-		e.World().OnBarrier(d.checkMaxOps)
-	}
-	return d
+	return &loadDriver{e: e, cfg: cfg, rec: stats.NewLatencyRecorder()}
 }
 
-func (d *loadDriver) shard(dom *sim.Engine) *driverShard {
-	sh := d.shards[dom]
-	if sh == nil {
-		sh = &driverShard{rec: stats.NewLatencyRecorder()}
-		d.shards[dom] = sh
-		d.order = append(d.order, sh)
-	}
-	return sh
-}
-
-// checkMaxOps is a barrier hook, so it runs only at crossings some
-// producer requested (sim.World.OnBarrier). It rides on the fabric's
-// requests instead of re-requesting itself, which would turn every
-// crossing of a capped run (all of fig-scale) back into a sweep. That is
-// sound because every op crosses domains: an op completes only through a
-// delivery that a requested sweep flushed, and the closed-loop client
-// that completes one sends its next request at once, which requests the
-// very next crossing. So the cap is seen at the first crossing after the
-// op that reached it, exactly where a hook run at every crossing would
-// see it. The exception is a client that exits instead of sending — it
-// is past the measurement window, where the run ends regardless.
-func (d *loadDriver) checkMaxOps() {
-	if d.stopped {
-		return
-	}
-	var total int64
-	for _, sh := range d.order {
-		total += sh.ops
-	}
-	if total >= d.cfg.MaxOps {
-		d.stopped = true
-	}
-}
-
-// spawn starts one closed-loop client process on dom (the client's
-// machine domain) running op until the driver stops.
-func (d *loadDriver) spawn(dom *sim.Engine, name string, op func(p *sim.Proc) (aborts int64, err error)) {
-	sh := d.shard(dom)
-	dom.Go(name, func(p *sim.Proc) {
+// spawn starts one closed-loop client process running op until the
+// driver stops.
+func (d *loadDriver) spawn(name string, op clientOp) {
+	d.e.Go(name, func(p *sim.Proc) {
 		warmEnd := sim.Time(d.cfg.Warmup)
 		measureEnd := sim.Time(d.cfg.Warmup + d.cfg.Measure)
 		for !d.stopped {
@@ -459,16 +371,17 @@ func (d *loadDriver) spawn(dom *sim.Engine, name string, op func(p *sim.Proc) (a
 			}
 			aborts, err := op(p)
 			if err != nil {
-				sh.errs++
+				d.errs++
 				return
 			}
 			end := p.Now()
 			if start >= warmEnd && end <= measureEnd {
-				sh.rec.Record(end.Sub(start))
-				sh.ops++
-				sh.aborts += aborts
-				if end > sh.lastEnd {
-					sh.lastEnd = end
+				d.rec.Record(end.Sub(start))
+				d.ops++
+				d.aborts += aborts
+				d.lastEnd = max(d.lastEnd, end)
+				if d.cfg.MaxOps > 0 && d.ops >= d.cfg.MaxOps {
+					d.stopped = true
 				}
 			}
 		}
@@ -477,7 +390,7 @@ func (d *loadDriver) spawn(dom *sim.Engine, name string, op func(p *sim.Proc) (a
 
 // run drives the simulation through the measurement window, drains the
 // in-flight operations so client processes exit cleanly, and summarizes
-// the per-domain shards.
+// the measurements.
 func (d *loadDriver) run(clients int) Point {
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
@@ -487,35 +400,21 @@ func (d *loadDriver) run(clients int) Point {
 	runtime.ReadMemStats(&msAfter)
 	d.deltaMallocs = msAfter.Mallocs - msBefore.Mallocs
 	d.deltaBytes = msAfter.TotalAlloc - msBefore.TotalAlloc
-	rec := stats.NewLatencyRecorder()
-	var ops, aborts, errs int64
-	var lastEnd sim.Time
-	for _, sh := range d.order {
-		rec.Merge(sh.rec)
-		ops += sh.ops
-		aborts += sh.aborts
-		errs += sh.errs
-		if sh.lastEnd > lastEnd {
-			lastEnd = sh.lastEnd
-		}
-	}
 	// Throughput from ops completed in the effective measured window
 	// (shorter than Measure when MaxOps stopped the run early).
 	window := d.cfg.Measure
-	if d.cfg.MaxOps > 0 && lastEnd > sim.Time(d.cfg.Warmup) {
-		if span := lastEnd.Sub(sim.Time(d.cfg.Warmup)); span < window {
+	if d.cfg.MaxOps > 0 && d.lastEnd > sim.Time(d.cfg.Warmup) {
+		if span := d.lastEnd.Sub(sim.Time(d.cfg.Warmup)); span < window {
 			window = span
 		}
 	}
-	tput := float64(ops) / window.Seconds()
-	d.totalOps = ops
 	return Point{
 		Clients:    clients,
-		Throughput: tput,
-		Mean:       rec.Mean(),
-		Median:     rec.Median(),
-		P99:        rec.P99(),
-		Aborts:     aborts,
-		Errors:     errs,
+		Throughput: float64(d.ops) / window.Seconds(),
+		Mean:       d.rec.Mean(),
+		Median:     d.rec.Median(),
+		P99:        d.rec.P99(),
+		Aborts:     d.aborts,
+		Errors:     d.errs,
 	}
 }

@@ -158,6 +158,43 @@ func TestFig6PRISMRSWins(t *testing.T) {
 	}
 }
 
+// §7.4 Fig. 7: PRISM-RS, whose writes never lock, holds its throughput
+// at every skew; ABDLOCK's lock conflicts halve it by θ 0.8 and cut it to
+// a fraction by θ 1.2, while its tail stretches.
+func TestFig7RSFlatABDLOCKCollapses(t *testing.T) {
+	fig := Fig7(tiny())
+	const theta08, theta12 = 4, 7 // indices into Fig7's thetas
+	rs0 := point(t, fig, "PRISM-RS", 0)
+	lock0 := point(t, fig, "ABDLOCK", 0)
+	for i := range fig.Series[0].Points {
+		rs := point(t, fig, "PRISM-RS", i)
+		if r := rs.Throughput / rs0.Throughput; r < 0.95 || r > 1.05 {
+			t.Errorf("θ index %d: PRISM-RS at %.0f op/s, %.2fx its uniform %.0f; want flat within 5%%",
+				i, rs.Throughput, r, rs0.Throughput)
+		}
+		if lock := point(t, fig, "ABDLOCK", i); rs.Throughput <= lock.Throughput {
+			t.Errorf("θ index %d: PRISM-RS %.0f op/s not ahead of ABDLOCK %.0f", i, rs.Throughput, lock.Throughput)
+		}
+	}
+	if lock := point(t, fig, "ABDLOCK", theta08); lock.Throughput > 0.7*lock0.Throughput {
+		t.Errorf("ABDLOCK at θ 0.8: %.0f op/s, above 70%% of its uniform %.0f", lock.Throughput, lock0.Throughput)
+	}
+	lock12 := point(t, fig, "ABDLOCK", theta12)
+	if lock12.Throughput > 0.25*lock0.Throughput {
+		t.Errorf("ABDLOCK at θ 1.2: %.0f op/s, above 25%% of its uniform %.0f", lock12.Throughput, lock0.Throughput)
+	}
+	if lock12.P99 < 3*lock0.P99 {
+		t.Errorf("ABDLOCK p99 %v at θ 1.2, under 3x its uniform %v", lock12.P99, lock0.P99)
+	}
+	for _, s := range fig.Series {
+		for _, pt := range s.Points {
+			if pt.Errors > 0 {
+				t.Fatalf("%s: %d client errors", s.Name, pt.Errors)
+			}
+		}
+	}
+}
+
 func TestFig9PRISMTXWins(t *testing.T) {
 	fig := Fig9(tiny())
 	prismTX := point(t, fig, "PRISM-TX", 0).Mean
@@ -169,6 +206,35 @@ func TestFig9PRISMTXWins(t *testing.T) {
 	// The gap should be in the paper's few-µs class.
 	if gap := farm - prismTX; gap < 2*time.Microsecond || gap > 9*time.Microsecond {
 		t.Fatalf("PRISM-TX advantage %v, want ≈3-6µs", gap)
+	}
+}
+
+// §8.3 Fig. 10: PRISM-TX's peak throughput is at least FaRM's through
+// moderate skew (θ ≤ 0.8). At θ 1.6 it trails FaRM by up to 15%, the
+// deviation EXPERIMENTS.md documents, and every series has collapsed below
+// a quarter of its uniform peak.
+func TestFig10TXHoldsThroughModerateSkew(t *testing.T) {
+	fig := Fig10(tiny())
+	const theta08, theta16 = 2, 6 // indices into Fig10's thetas
+	for i := 0; i <= theta08; i++ {
+		tx, farm := point(t, fig, "PRISM-TX", i), point(t, fig, "FaRM", i)
+		if tx.Throughput < farm.Throughput {
+			t.Errorf("θ index %d: PRISM-TX peak %.0f txns/s below FaRM's %.0f", i, tx.Throughput, farm.Throughput)
+		}
+	}
+	tx, farm := point(t, fig, "PRISM-TX", theta16), point(t, fig, "FaRM", theta16)
+	if tx.Throughput < 0.85*farm.Throughput {
+		t.Errorf("θ 1.6: PRISM-TX peak %.0f txns/s more than 15%% below FaRM's %.0f", tx.Throughput, farm.Throughput)
+	}
+	for _, s := range fig.Series {
+		if peak, skewed := s.Points[0].Throughput, s.Points[theta16].Throughput; skewed >= 0.25*peak {
+			t.Errorf("%s: %.0f txns/s at θ 1.6, not below 25%% of its uniform peak %.0f", s.Name, skewed, peak)
+		}
+		for _, pt := range s.Points {
+			if pt.Errors > 0 {
+				t.Fatalf("%s: %d client errors", s.Name, pt.Errors)
+			}
+		}
 	}
 }
 
@@ -321,11 +387,11 @@ func TestSweepShape(t *testing.T) {
 		var label func(si, xi int, pt Point, tel Telemetry) string
 		if labelled {
 			label = func(si, xi int, pt Point, tel Telemetry) string {
-				return fmt.Sprintf("%d/%d/%d/%d", si, xi, pt.Clients, tel.Windows)
+				return fmt.Sprintf("%d/%d/%d/%d", si, xi, pt.Clients, tel.EventsExecuted)
 			}
 		}
 		sweep(Config{Parallel: parallel}, fig, series, xs, func(_ Config, si, x int) (Point, Telemetry) {
-			return Point{Clients: 1000*si + x}, Telemetry{Windows: int64(1000*si + x)}
+			return Point{Clients: 1000*si + x}, Telemetry{EventsExecuted: int64(1000*si + x)}
 		}, label)
 		return fig
 	}
@@ -340,9 +406,9 @@ func TestSweepShape(t *testing.T) {
 		}
 		for xi, pt := range s.Points {
 			cell := 1000*si + xs[xi]
-			if pt.Clients != cell || fig.PointTel[si*len(xs)+xi].Windows != int64(cell) {
+			if pt.Clients != cell || fig.PointTel[si*len(xs)+xi].EventsExecuted != int64(cell) {
 				t.Fatalf("cell (%d,%d): point %d, telemetry %d, want %d",
-					si, xi, pt.Clients, fig.PointTel[si*len(xs)+xi].Windows, cell)
+					si, xi, pt.Clients, fig.PointTel[si*len(xs)+xi].EventsExecuted, cell)
 			}
 			if want := fmt.Sprintf("%d/%d/%d/%d", si, xi, cell, cell); s.Labels[xi] != want {
 				t.Fatalf("cell (%d,%d): label %q, want %q", si, xi, s.Labels[xi], want)

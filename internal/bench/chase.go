@@ -81,7 +81,7 @@ func (st chaseStrategy) at(depth int) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, rackFabric(cfg))
 		f, mk := v.chaseClients(depth)
-		return cluster{e: v.e, place: f.place, client: func(id int) clientOp {
+		return cluster{e: v.e, client: func(id int) clientOp {
 			cl := mk(f.machine(id))
 			rng := rand.New(rand.NewSource(clientSeed(seed, id)))
 			return func(p *sim.Proc) (int64, error) {
@@ -105,7 +105,7 @@ func chasePoint(st chaseStrategy, cfg Config, depth int) (Point, Telemetry) {
 // lookup latency vs pointer hops. The per-point labels carry the verb-
 // program counters (programs, steps, round trips saved) — they are
 // virtual-time-deterministic, so the rendered CSV stays byte-identical
-// at every -parallel/-intra/-affinity setting.
+// at every -parallel setting.
 func FigChase(cfg Config) *Figure {
 	fig := &Figure{
 		ID: "fig-chase", Title: "Pointer-chase depth sweep: one verb program vs k round trips",

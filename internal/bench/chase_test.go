@@ -61,8 +61,8 @@ func TestChaseLatencyShape(t *testing.T) {
 }
 
 // TestFigChaseDeterministic: the rendered fig-chase CSV — including the
-// program-counter labels — is byte-identical across point-level
-// parallelism, domain-level parallelism and affinity grouping.
+// program-counter labels — is byte-identical with and without point-level
+// parallelism.
 func TestFigChaseDeterministic(t *testing.T) {
 	base := chaseTestConfig()
 	render := func(cfg Config) string {
@@ -71,18 +71,9 @@ func TestFigChaseDeterministic(t *testing.T) {
 		return buf.String()
 	}
 	want := render(base)
-
-	variants := map[string]func(*Config){
-		"parallel=4": func(c *Config) { c.Parallel = 4 },
-		"intra=4":    func(c *Config) { c.Intra = 4 },
-		"affinity=4": func(c *Config) { c.ClientsPerDomain = 4 },
-	}
-	for name, mut := range variants {
-		cfg := base
-		mut(&cfg)
-		if got := render(cfg); got != want {
-			t.Errorf("fig-chase CSV differs under %s:\n--- serial:\n%s--- %s:\n%s",
-				name, want, name, got)
-		}
+	cfg := base
+	cfg.Parallel = 4
+	if got := render(cfg); got != want {
+		t.Errorf("fig-chase CSV differs under parallel=4:\n--- serial:\n%s--- parallel=4:\n%s", want, got)
 	}
 }

@@ -265,7 +265,7 @@ func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 	tx.AttachFarmServer(farmNIC, fm.meta)
 	fc := tx.NewFarmClient(1, []*rdma.Conn{cli.Connect(farmNIC)}, []tx.FarmMeta{fm.meta})
 
-	cli.Domain().Go("writes", func(p *sim.Proc) {
+	v.e.Go("writes", func(p *sim.Proc) {
 		if err := kvc.Put(p, 7, value); err != nil {
 			t.Errorf("PRISM-KV put: %v", err)
 		}
@@ -302,14 +302,14 @@ func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 }
 
 // TestPilafTemplateBuildSchedulesNothing: the load leaves no event behind
-// on any domain of the build fabric, so the template needs no engine drain
+// on the build fabric's engine, so the template needs no engine drain
 // before Capture (it used to stage 3 tear-delayed stores per key).
 func TestPilafTemplateBuildSchedulesNothing(t *testing.T) {
 	cfg := tiny()
 	v := newEnv(cfg, 0, load{}, rackFabric(cfg)) // as cachedTemplate builds
 	loadPilaf(v.net, cfg)
 	v.e.Run()
-	if fired := v.e.World().Stats().EventsExecuted; fired != 0 {
+	if fired := v.e.Stats().EventsExecuted; fired != 0 {
 		t.Fatalf("loading the Pilaf template scheduled %d events", fired)
 	}
 }

@@ -11,11 +11,12 @@ import (
 
 // goldenHashes holds "<set> <sha256>" lines: the SHA-256 of each figure
 // set's rendered CSV. The simulator runs on a virtual clock, so the bytes
-// are the same on any machine and under any scheduler rule; a change to
-// them is a change of simulated behaviour. The determinism sweeps compare
-// two runs of one build with each other; this compares the build with its
-// predecessors (the values were recorded with dense barrier sweeps, before
-// elision became the only rule). A failure prints the new hash.
+// are the same on any machine; a change to them is a change of simulated
+// behaviour. The determinism tests compare two runs of one build with each
+// other; this compares the build with its predecessors (the values were
+// recorded under the conservative per-machine window scheduler, before
+// every machine of a point shared one engine). A failure prints the new
+// hash.
 //
 //go:embed testdata/figures_tiny.sha256
 var goldenHashes string

@@ -21,9 +21,9 @@ import (
 // the Fig*/Ext*/Ablation* functions only say which systems, which x axis
 // and which labels.
 
-// store is the GET/PUT surface shared by the key-value and block systems
+// Store is the GET/PUT surface shared by the key-value and block systems
 // (PRISM-KV, Pilaf, PRISM-RS, ABDLOCK).
-type store interface {
+type Store interface {
 	Get(p *sim.Proc, key int64) ([]byte, error)
 	Put(p *sim.Proc, key int64, value []byte) error
 }
@@ -41,13 +41,10 @@ type txHandle interface {
 type clientOp = func(p *sim.Proc) (aborts int64, err error)
 
 // fleet is a cluster's client machines; client id runs on machine
-// id mod len. Driver processes are spawned on their machine's event domain
-// so that under domain-parallel execution every client runs — and records
-// measurements — alongside its own NIC.
+// id mod len.
 type fleet []*rdma.Client
 
 func (f fleet) machine(id int) *rdma.Client { return f[id%len(f)] }
-func (f fleet) place(id int) *sim.Engine    { return f.machine(id).Domain() }
 
 // load is the closed-loop behaviour of a point's clients: GET/PUT systems
 // read readFrac and theta, transactional systems theta and keysPerTx.
@@ -58,12 +55,11 @@ type load struct {
 }
 
 // cluster is the one shape every builder returns: a loaded simulated
-// system on its own engine, where each client runs, and the closed-loop
-// operation of client id (its connections, workload generator and RNG
-// streams all derived from the point seed the cluster was built under).
+// system on its own engine, and the closed-loop operation of client id
+// (its connections, workload generator and RNG streams all derived from
+// the point seed the cluster was built under).
 type cluster struct {
 	e      *sim.Engine
-	place  func(id int) *sim.Engine
 	client func(id int) clientOp
 }
 
@@ -107,19 +103,12 @@ func rackFabric(cfg Config) model.Params {
 }
 
 // clientMachines provisions the Config.ClientMachines client fleet. With
-// Config.ClientsPerDomain > 1 machines are co-located into affinity
-// groups of that size; with Config.CrossRack > 0 they are placed in rack
-// 1, opposite the servers (which stay in rack 0). Neither knob changes
-// measured output.
+// Config.CrossRack > 0 they are placed in rack 1, opposite the servers
+// (which stay in rack 0).
 func (v *env) clientMachines() fleet {
 	machines := make(fleet, v.cfg.ClientMachines)
 	for i := range machines {
-		name := fmt.Sprintf("cli-%d", i)
-		if v.cfg.ClientsPerDomain > 1 {
-			machines[i] = rdma.NewClientInGroup(v.net, name, i/v.cfg.ClientsPerDomain)
-		} else {
-			machines[i] = rdma.NewClient(v.net, name)
-		}
+		machines[i] = rdma.NewClient(v.net, fmt.Sprintf("cli-%d", i))
 		if v.cfg.CrossRack > 0 {
 			machines[i].Node().SetRack(1)
 		}
@@ -130,9 +119,9 @@ func (v *env) clientMachines() fleet {
 // mix drives GET/PUT clients made by mk with the YCSB-style mix: each
 // client draws (kind, key) from its own generator and PUTs a fresh version
 // of the value.
-func (v *env) mix(mk func(m *rdma.Client, id int) store) cluster {
+func (v *env) mix(mk func(m *rdma.Client, id int) Store) cluster {
 	f := v.clientMachines()
-	return cluster{e: v.e, place: f.place, client: func(id int) clientOp {
+	return cluster{e: v.e, client: func(id int) clientOp {
 		st := mk(f.machine(id), id)
 		gen := workload.NewGenerator(workload.Mix{
 			Keys: v.cfg.Keys, ReadFrac: v.w.readFrac, ValueSize: v.cfg.ValueSize, Theta: v.w.theta,
@@ -156,7 +145,7 @@ func (v *env) mix(mk func(m *rdma.Client, id int) store) cluster {
 // client's Begin.
 func (v *env) rmw(mk func(m *rdma.Client, id int) func() txHandle) cluster {
 	f := v.clientMachines()
-	return cluster{e: v.e, place: f.place, client: func(id int) clientOp {
+	return cluster{e: v.e, client: func(id int) clientOp {
 		begin := mk(f.machine(id), id)
 		gen := workload.NewTxGenerator(workload.TxMix{
 			Keys: v.cfg.Keys, ValueSize: v.cfg.ValueSize, KeysPerTx: v.w.keysPerTx, Theta: v.w.theta,
@@ -198,10 +187,10 @@ func runPoint(cfg Config, figID string, sys system, w load, pointKey string, cli
 	cl := sys.build(cfg, seed, w)
 	d := newLoadDriver(cl.e, cfg)
 	for i := 0; i < clients; i++ {
-		d.spawn(cl.place(i), fmt.Sprintf("c%d", i), cl.client(i))
+		d.spawn(fmt.Sprintf("c%d", i), cl.client(i))
 	}
 	pt := d.run(clients)
-	return pt, d.telemetry(cl.e)
+	return pt, d.telemetry()
 }
 
 // latencyPoint is the Point of a single-op latency measurement (the

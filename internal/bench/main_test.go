@@ -9,7 +9,8 @@ import (
 
 // TestMain reports the test process's peak resident set when the tests
 // end. go test shows it when it shows test output: run in the package
-// directory (as `make race` does, one process per heavy test) or with -v.
+// directory (as `make race` does, the two all-figure sweeps apart from the
+// rest) or with -v.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	var ru syscall.Rusage

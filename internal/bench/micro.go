@@ -77,7 +77,7 @@ func Fig1(cfg Config) *Figure {
 		if microOpSupported(deployments[di], opIdx) {
 			lat = env.runOp(opIdx)
 		}
-		return latencyPoint(lat), worldTelemetry(env.e)
+		return latencyPoint(lat), engineTelemetry(env.e)
 	}, func(di, opIdx int, _ Point, _ Telemetry) string {
 		if !microOpSupported(deployments[di], opIdx) {
 			return opNames[opIdx] + " (unsupported)"
@@ -204,7 +204,7 @@ func Fig2(cfg Config) *Figure {
 	sweep(cfg, fig, series, profiles, func(_ Config, vi int, prof model.SwitchProfile) (Point, Telemetry) {
 		v := variants[vi]
 		env := newMicroEnv(v.deploy, model.Default().WithNetwork(prof), PointSeed(cfg.Seed, "fig2", v.name, prof.Name))
-		return latencyPoint(v.fetch(env)), worldTelemetry(env.e)
+		return latencyPoint(v.fetch(env)), engineTelemetry(env.e)
 	}, func(_, pi int, _ Point, _ Telemetry) string { return profiles[pi].Name })
 	return fig
 }
@@ -244,7 +244,7 @@ func RPCvsRDMA(cfg Config) *Figure {
 			// KV-style GET handler: return the 512 B object.
 			return make([]byte, microValue), 0
 		})
-		return latencyPoint(mechanisms[mi].measure(env)), worldTelemetry(env.e)
+		return latencyPoint(mechanisms[mi].measure(env)), engineTelemetry(env.e)
 	}, func(mi, _ int, _ Point, _ Telemetry) string { return series[mi] })
 	return fig
 }

@@ -3,19 +3,8 @@ package bench
 import (
 	"testing"
 
-	"prism/internal/model"
 	"prism/internal/sim"
 )
-
-// kvClient0 forks the standard PRISM-KV cluster (one server, the
-// Config.ClientMachines fleet) and returns its engine with client 0 and
-// the event domain client 0 runs on.
-func kvClient0(cfg Config) (*sim.Engine, store, *sim.Engine) {
-	v := newEnv(cfg, 42, load{}, rackFabric(cfg))
-	nic, meta := v.forkKV(model.SoftwarePRISM)
-	m := v.clientMachines()[0]
-	return v.e, kvClients(nic, meta, kvTune{})(m, 0), m.Domain()
-}
 
 // BenchmarkSimulatedGET measures one full PRISM-KV GET round trip through
 // the simulator — client encode, fabric delivery, NIC chain execution
@@ -24,10 +13,10 @@ func kvClient0(cfg Config) (*sim.Engine, store, *sim.Engine) {
 func BenchmarkSimulatedGET(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
-	e, st, dom := kvClient0(cfg)
+	e, st := KVCluster(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
-	dom.Go("bench", func(p *sim.Proc) {
+	e.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			if _, err := st.Get(p, int64(i)%cfg.Keys); err != nil {
 				panic(err)
@@ -43,11 +32,11 @@ func BenchmarkSimulatedGET(b *testing.B) {
 func BenchmarkSimulatedPUT(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
-	e, st, dom := kvClient0(cfg)
+	e, st := KVCluster(cfg)
 	value := make([]byte, cfg.ValueSize)
 	b.ReportAllocs()
 	b.ResetTimer()
-	dom.Go("bench", func(p *sim.Proc) {
+	e.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			if err := st.Put(p, int64(i)%cfg.Keys, value); err != nil {
 				panic(err)

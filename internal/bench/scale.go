@@ -73,7 +73,7 @@ func scalePoint(sys system, cfg Config, nClients int) (Point, Telemetry) {
 // deployment classes until each hits its connection cliff: throughput vs
 // clients, 100% GETs, uniform keys. The per-point labels carry the QP
 // cache counters — they are virtual-time-deterministic, so the rendered
-// CSV stays byte-identical at every -parallel/-intra/-affinity setting.
+// CSV stays byte-identical at every -parallel setting.
 func FigScale(cfg Config) *Figure {
 	fig := &Figure{
 		ID: "fig-scale", Title: "Connection scaling to the QP-cache cliff, 100% GETs, uniform",

@@ -59,9 +59,8 @@ func TestScaleCliffMovesWithCapacity(t *testing.T) {
 }
 
 // TestFigScaleDeterministic: the rendered fig-scale CSV is byte-identical
-// across point-level parallelism, domain-level parallelism and affinity
-// grouping (TestFiguresGolden pins the same bytes to the dense-sweep
-// scheduler they were recorded under).
+// with and without point-level parallelism (TestFiguresGolden pins the
+// same bytes to the commits before).
 func TestFigScaleDeterministic(t *testing.T) {
 	base := scaleTestConfig()
 	base.ScaleClients = []int{4, 48}
@@ -71,40 +70,9 @@ func TestFigScaleDeterministic(t *testing.T) {
 		return buf.String()
 	}
 	want := render(base)
-
-	variants := map[string]func(*Config){
-		"parallel=4": func(c *Config) { c.Parallel = 4 },
-		"intra=4":    func(c *Config) { c.Intra = 4 },
-		"affinity=4": func(c *Config) { c.ClientsPerDomain = 4 },
-	}
-	for name, mut := range variants {
-		cfg := base
-		mut(&cfg)
-		if got := render(cfg); got != want {
-			t.Errorf("fig-scale CSV differs under %s:\n--- serial:\n%s--- %s:\n%s",
-				name, want, name, got)
-		}
-	}
-}
-
-// TestScaleSparseBarrierSavings: at the mostly-idle low end of the sweep
-// (few clients spread over a fixed fleet of machines), at least 30% of
-// the barrier crossings have nothing to merge and skip their hook sweep.
-func TestScaleSparseBarrierSavings(t *testing.T) {
-	sys := scaleSystems()[1]
-	cfg := scaleTestConfig()
-	cfg.ScaleMachines = 64 // 4 clients over 64 machines: 60+ idle domains
-
-	_, tel := scalePoint(sys, cfg, 4)
-	crossings := tel.Barriers + tel.BarrierSkips
-	if tel.Barriers == 0 {
-		t.Fatal("no hook sweep ran")
-	}
-	if share := float64(tel.BarrierSkips) / float64(crossings); share < 0.30 {
-		t.Fatalf("%d of %d crossings elided (%.2f): idle fleet should elide >= 30%%",
-			tel.BarrierSkips, crossings, share)
-	}
-	if tel.IdleSkips == 0 {
-		t.Fatal("active-set scan skipped no idle domains")
+	cfg := base
+	cfg.Parallel = 4
+	if got := render(cfg); got != want {
+		t.Errorf("fig-scale CSV differs under parallel=4:\n--- serial:\n%s--- parallel=4:\n%s", want, got)
 	}
 }

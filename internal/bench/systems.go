@@ -10,6 +10,7 @@ import (
 	"prism/internal/kv"
 	"prism/internal/model"
 	"prism/internal/rdma"
+	"prism/internal/sim"
 	"prism/internal/transport"
 	"prism/internal/tx"
 	"prism/internal/workload"
@@ -158,8 +159,8 @@ type kvTune struct {
 }
 
 // kvClients makes the PRISM-KV clients of the store meta describes on nic.
-func kvClients(nic *rdma.Server, meta kv.Meta, t kvTune) func(m *rdma.Client, id int) store {
-	return func(m *rdma.Client, id int) store {
+func kvClients(nic *rdma.Server, meta kv.Meta, t kvTune) func(m *rdma.Client, id int) Store {
+	return func(m *rdma.Client, id int) Store {
 		c := kv.NewClient(m.Connect(nic), meta, uint16(id+1))
 		if !t.singleQP {
 			c.Reclaim.Ctrl = &rdma.ProcConn{Conn: m.Connect(nic)}
@@ -188,6 +189,17 @@ func prismKV(deploy model.Deployment, params func(Config) model.Params, t kvTune
 	}
 }
 
+// KVCluster builds the standard one-server PRISM-KV cluster at cfg's scale
+// (software PRISM, the Config.ClientMachines fleet, point seed 42) and
+// returns its engine with client 0. It is the entry point for measuring
+// one simulated operation end to end: spawn a process on the engine that
+// drives the store, then run the engine.
+func KVCluster(cfg Config) (*sim.Engine, Store) {
+	v := newEnv(cfg, 42, load{}, rackFabric(cfg))
+	nic, meta := v.forkKV(model.SoftwarePRISM)
+	return v.e, kvClients(nic, meta, kvTune{})(v.clientMachines()[0], 0)
+}
+
 // Pilaf is the one store that keeps the NIC itself (its PUT stages stores
 // on the engine) and a template of its own (its index is CPU-side state).
 func loadPilaf(net *fabric.Network, cfg Config) (*rdma.Server, *kv.PilafServer) {
@@ -207,7 +219,7 @@ func pilafTemplate(cfg Config) *kv.PilafTemplate {
 
 // pilafCluster attaches Pilaf clients to srv on nic.
 func (v *env) pilafCluster(nic *rdma.Server, srv *kv.PilafServer) cluster {
-	return v.mix(func(m *rdma.Client, _ int) store {
+	return v.mix(func(m *rdma.Client, _ int) Store {
 		return kv.NewPilafClient(m.Connect(nic), srv.Meta(), v.p.PilafCRCCost)
 	})
 }
@@ -279,7 +291,7 @@ func (g *group[M]) controlQPs(m *rdma.Client, recl []transport.Reclaimer) {
 // rsCluster attaches PRISM-RS clients to a replica group. skipWriteBack
 // turns on the classic ABD read optimization (AblationABDWriteback).
 func (v *env) rsCluster(replicas group[abd.Meta], skipWriteBack bool) cluster {
-	return v.mix(func(m *rdma.Client, id int) store {
+	return v.mix(func(m *rdma.Client, id int) Store {
 		c := abd.NewClient(uint16(id+1), replicas.connect(m), replicas.metas)
 		replicas.controlQPs(m, c.Reclaim) // reclamation rides control QPs
 		for i := range c.Reclaim {
@@ -322,14 +334,13 @@ func abdlock(deploy model.Deployment) builder {
 			// A lock replica is passive: its fork has nothing to attach.
 			replicas.add(im.fork(v.net, replicaName(i), deploy), im.meta)
 		}
-		return v.mix(func(m *rdma.Client, id int) store {
+		return v.mix(func(m *rdma.Client, id int) Store {
 			// Backoff jitter draws from a per-client RNG stream derived
-			// from the point seed. A shared domain RNG would make the
-			// draw sequence each client sees depend on which machines
-			// share a domain — per-client streams keep output identical
-			// at any affinity grouping. The complemented base keeps the
-			// stream decorrelated from the client's workload generator,
-			// which uses clientSeed(seed, id) directly.
+			// from the point seed, so the draws one client sees do not
+			// depend on how the other clients interleave. The
+			// complemented base keeps the stream decorrelated from the
+			// client's workload generator, which uses clientSeed(seed, id)
+			// directly.
 			jit := rand.New(rand.NewSource(clientSeed(^seed, id))).Float64
 			return abd.NewLockClient(uint16(id+1), replicas.connect(m), replicas.metas, jit)
 		})

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -23,8 +25,8 @@ func TestCrossRackPropagation(t *testing.T) {
 		t.Fatalf("racks: a=%d b=%d", a.Rack(), b.Rack())
 	}
 	var atB, atC sim.Time
-	b.SetHandler(func(Message) { atB = b.Domain().Now() })
-	c.SetHandler(func(Message) { atC = c.Domain().Now() })
+	b.SetHandler(func(Message) { atB = e.Now() })
+	c.SetHandler(func(Message) { atC = e.Now() })
 	size := 512
 	net.Send(Message{From: a, To: b, Size: size})
 	net.Send(Message{From: d, To: c, Size: size})
@@ -38,56 +40,22 @@ func TestCrossRackPropagation(t *testing.T) {
 	}
 }
 
-// TestGroupedPairLatency: co-locating two nodes in one affinity group
-// (intra-domain bypass path) must not change message timing.
-func TestGroupedPairLatency(t *testing.T) {
-	p := testParams()
-	e := sim.NewEngine(1)
-	net := New(e, p)
-	a, b := net.NewNodeInGroup("a", 7), net.NewNodeInGroup("b", 7)
-	if a.Domain() != b.Domain() {
-		t.Fatal("grouped nodes did not share a domain")
-	}
-	var arrived sim.Time
-	b.SetHandler(func(Message) { arrived = b.Domain().Now() })
-	size := 512
-	net.Send(Message{From: a, To: b, Size: size})
-	e.Run()
-	if want := sim.Time(2*p.SerializationDelay(size) + p.Network.OneWay); arrived != want {
-		t.Fatalf("grouped-pair arrival at %v, want %v", arrived, want)
-	}
-}
-
-// stormTrace runs the cross-domain forwarding storm of
-// TestCrossDomainDeterminism, but with a deterministic (node, hop)
-// forwarding choice instead of the domain RNG (which is legitimately
-// shared under grouping), nodes placed into affinity groups of the
-// given size, and racks split down the middle when crossRack is set.
-func stormTrace(t *testing.T, groupSize, workers int, crossRack time.Duration) string {
-	trace, _ := stormTraceStats(t, groupSize, workers, crossRack, false)
-	return trace
-}
-
-// dense adds a barrier hook that re-requests itself, so the fabric's flush
-// runs at every crossing: the reference for sweep elision.
-func stormTraceStats(t *testing.T, groupSize, workers int, crossRack time.Duration, dense bool) (string, sim.WorldStats) {
+// stormTrace runs a forwarding storm: every node seeds traffic to every
+// other, and receivers forward for several hops to a peer that the
+// (node, hop) pair determines, or, with random set, that the engine's RNG
+// draws. With crossRack set, racks split down the middle. It returns every
+// node's counters and delivery log.
+func stormTrace(t *testing.T, crossRack time.Duration, random bool) string {
 	t.Helper()
 	p := testParams()
 	p.CrossRackExtra = crossRack
 	e := sim.NewEngine(7)
-	if dense {
-		e.World().OnBarrier(e.World().RequestBarrier)
-	}
 	net := New(e, p)
 	const N = 6
 	nodes := make([]*Node, N)
 	traces := make([][]string, N)
 	for i := 0; i < N; i++ {
-		if groupSize > 1 {
-			nodes[i] = net.NewNodeInGroup(string(rune('a'+i)), i/groupSize)
-		} else {
-			nodes[i] = net.NewNode(string(rune('a' + i)))
-		}
+		nodes[i] = net.NewNode(string(rune('a' + i)))
 		if crossRack > 0 && i >= N/2 {
 			nodes[i].SetRack(1)
 		}
@@ -98,9 +66,12 @@ func stormTraceStats(t *testing.T, groupSize, workers int, crossRack time.Durati
 		self.SetHandler(func(m Message) {
 			hops := m.Payload.(int)
 			traces[i] = append(traces[i],
-				fmt.Sprintf("%s->%s@%d hops=%d", m.From.Name(), self.Name(), self.Domain().Now(), hops))
+				fmt.Sprintf("%s->%s@%d hops=%d", m.From.Name(), self.Name(), e.Now(), hops))
 			if hops > 0 {
 				next := nodes[(i*31+hops*17+m.Size)%N]
+				if random {
+					next = nodes[e.Rand().Intn(N)]
+				}
 				if next != self {
 					net.Send(Message{From: self, To: next, Size: 64 + hops, Payload: hops - 1})
 				}
@@ -108,19 +79,17 @@ func stormTraceStats(t *testing.T, groupSize, workers int, crossRack time.Durati
 		})
 	}
 	for i := 0; i < N; i++ {
-		i := i
 		src := nodes[i]
 		for j := 0; j < N; j++ {
 			if j == i {
 				continue
 			}
 			dst := nodes[j]
-			src.Domain().Schedule(sim.Duration(i+j)*time.Microsecond, func() {
+			e.Schedule(sim.Duration(i+j)*time.Microsecond, func() {
 				net.Send(Message{From: src, To: dst, Size: 128, Payload: 4})
 			})
 		}
 	}
-	e.World().SetWorkers(workers)
 	e.Run()
 	var b strings.Builder
 	for i, tr := range traces {
@@ -132,96 +101,99 @@ func stormTraceStats(t *testing.T, groupSize, workers int, crossRack time.Durati
 			b.WriteByte('\n')
 		}
 	}
-	return b.String(), e.World().Stats()
+	return b.String()
 }
 
-// TestSparseBarrierStormDeterminism: the forwarding storm produces the
-// same trace as a run that sweeps at every crossing, at every grouping
-// and worker count — the fabric raises the barrier-request flag whenever
-// an outbox has work, so no flush is ever missed — while the quiet
-// stretch after the storm dies down is skipped (BarrierSkips > 0 once the
-// world has windows with nothing to merge).
-func TestSparseBarrierStormDeterminism(t *testing.T) {
-	base, dense := stormTraceStats(t, 1, 1, 0, true)
-	if base == "" || dense.CrossDeliveries == 0 {
-		t.Fatal("storm did not run")
-	}
-	if dense.BarrierSkips != 0 {
-		t.Fatalf("dense reference skipped %d sweeps", dense.BarrierSkips)
-	}
-	for _, g := range []int{1, 2, 6} {
-		for _, w := range []int{1, 4} {
-			got, st := stormTraceStats(t, g, w, 0, false)
-			if got != base {
-				t.Fatalf("groupSize=%d workers=%d trace differs from dense serial:\n--- base ---\n%s--- got ---\n%s",
-					g, w, base, got)
-			}
-			if g == 1 && st.BarrierSkips == 0 {
-				t.Fatalf("workers=%d: ungrouped storm elided no sweeps", w)
-			}
-			if st.Barriers == 0 {
-				t.Fatalf("groupSize=%d workers=%d: no hook sweeps ran", g, w)
-			}
-		}
-	}
+// Storm trace digests recorded when every node ran in its own event
+// domain under the conservative window scheduler.
+const (
+	perNodeStormSHA256  = "38d45d65321a68bae40aaaa44c36a5601c6b65d6b4124ac3520fa5b52c6c64e2"
+	perNodeRackedSHA256 = "34e17d8225e75128909908c9e01cbb5c72a2576d892332f014b04e94b6d8107e"
+)
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
 
-// TestGroupedStormDeterminism: the storm's per-node delivery traces must
-// be identical at every affinity grouping and every worker count — the
-// (arrival time, source node, send sequence) order decides delivery, the
-// domain layout never does.
-func TestGroupedStormDeterminism(t *testing.T) {
-	base := stormTrace(t, 1, 1, 0)
-	if base == "" || !strings.Contains(base, "hops=0") {
+// TestCrossDomainDeterminism: a storm whose receivers draw their next hop
+// from the engine's RNG cascades and repeats byte for byte — every node
+// shares the one engine, and the draws follow the delivery order.
+func TestCrossDomainDeterminism(t *testing.T) {
+	base := stormTrace(t, 0, true)
+	if !strings.Contains(base, "hops=0") {
 		t.Fatalf("storm did not cascade:\n%s", base)
 	}
-	for _, g := range []int{2, 3, 6} {
-		for _, w := range []int{1, 4} {
-			if got := stormTrace(t, g, w, 0); got != base {
-				t.Fatalf("groupSize=%d workers=%d trace differs from ungrouped serial:\n--- base ---\n%s--- got ---\n%s",
-					g, w, base, got)
-			}
-		}
+	if again := stormTrace(t, 0, true); again != base {
+		t.Fatalf("storm differs between identical runs:\n--- first ---\n%s--- second ---\n%s", base, again)
 	}
 }
 
-// TestGroupedStormDeterminismCrossRack: same invariance with a rack
-// split and nonzero cross-rack latency — the per-pair lookahead matrix
-// is asymmetric, but regrouping still cannot move any delivery.
-func TestGroupedStormDeterminismCrossRack(t *testing.T) {
-	const extra = 700 * time.Nanosecond
-	base := stormTrace(t, 1, 1, extra)
-	if base == "" {
-		t.Fatal("storm did not run")
+// TestGroupedStormDeterminism: with every node on one engine — the whole
+// storm in one group — the per-node delivery traces are the ones the
+// one-domain-per-node scheduler recorded, on every run: the (arrival
+// time, source node, send sequence) order decides delivery, the node
+// layout never did.
+func TestGroupedStormDeterminism(t *testing.T) {
+	base := stormTrace(t, 0, false)
+	if !strings.Contains(base, "hops=0") {
+		t.Fatalf("storm did not cascade:\n%s", base)
 	}
-	if base == stormTrace(t, 1, 1, 0) {
+	if got := sha256Hex(base); got != perNodeStormSHA256 {
+		t.Fatalf("storm trace hash %s, want the per-node-domain %s:\n%s", got, perNodeStormSHA256, base)
+	}
+	if again := stormTrace(t, 0, false); again != base {
+		t.Fatalf("storm differs between identical runs:\n--- first ---\n%s--- second ---\n%s", base, again)
+	}
+}
+
+// TestGroupedStormDeterminismCrossRack: the same with a rack split and
+// nonzero cross-rack latency, which moves the storm.
+func TestGroupedStormDeterminismCrossRack(t *testing.T) {
+	racked := stormTrace(t, 700*time.Nanosecond, false)
+	if racked == stormTrace(t, 0, false) {
 		t.Fatal("cross-rack latency had no effect on the storm")
 	}
-	for _, g := range []int{3, 6} {
-		for _, w := range []int{1, 4} {
-			if got := stormTrace(t, g, w, extra); got != base {
-				t.Fatalf("groupSize=%d workers=%d cross-rack trace differs:\n--- base ---\n%s--- got ---\n%s",
-					g, w, base, got)
-			}
-		}
+	if got := sha256Hex(racked); got != perNodeRackedSHA256 {
+		t.Fatalf("cross-rack storm trace hash %s, want the per-node-domain %s:\n%s", got, perNodeRackedSHA256, racked)
+	}
+	if again := stormTrace(t, 700*time.Nanosecond, false); again != racked {
+		t.Fatal("cross-rack storm differs between identical runs")
+	}
+}
+
+// TestSameInstantArrivalsDrainBySource: messages that reach one node at
+// the same instant are handed to its rx port in (source node, send
+// sequence) order, whatever order their sends were scheduled in.
+func TestSameInstantArrivalsDrainBySource(t *testing.T) {
+	e := sim.NewEngine(1)
+	net := New(e, testParams())
+	a, b, c, dst := net.NewNode("a"), net.NewNode("b"), net.NewNode("c"), net.NewNode("dst")
+	var got []string
+	dst.SetHandler(func(m Message) { got = append(got, fmt.Sprintf("%s%d", m.From.Name(), m.Payload)) })
+	// Equal sizes from idle ports at one instant arrive together; c and b
+	// send first, and c's second message queues behind its first.
+	for _, src := range []*Node{c, b, a} {
+		net.Send(Message{From: src, To: dst, Size: 256, Payload: 0})
+	}
+	net.Send(Message{From: c, To: dst, Size: 256, Payload: 1})
+	e.Run()
+	if want := "[a0 b0 c0 c1]"; fmt.Sprint(got) != want {
+		t.Fatalf("delivery order %v, want %s", got, want)
 	}
 }
 
 // TestGroupedLossDeterminism: loss draws come from per-node streams, so
-// the set of dropped messages is identical whether or not the endpoints
-// share a domain.
+// with both endpoints on one engine the dropped set is the one recorded
+// when each node had its own event domain (506 delivered, 494 dropped),
+// on every run.
 func TestGroupedLossDeterminism(t *testing.T) {
-	run := func(group bool) (int, int64) {
+	run := func() (int, int64) {
 		e := sim.NewEngine(3)
 		p := testParams()
 		p.LossRate = 0.5
 		net := New(e, p)
-		var a, b *Node
-		if group {
-			a, b = net.NewNodeInGroup("a", 0), net.NewNodeInGroup("b", 0)
-		} else {
-			a, b = net.NewNode("a"), net.NewNode("b")
-		}
+		a, b := net.NewNode("a"), net.NewNode("b")
 		got := 0
 		b.SetHandler(func(Message) { got++ })
 		for i := 0; i < 1000; i++ {
@@ -230,13 +202,12 @@ func TestGroupedLossDeterminism(t *testing.T) {
 		e.Run()
 		return got, b.MsgsDropped
 	}
-	split, splitDropped := run(false)
-	grouped, groupedDropped := run(true)
-	if split != grouped || splitDropped != groupedDropped {
-		t.Fatalf("loss outcome depends on grouping: split %d/%d dropped, grouped %d/%d",
-			split, splitDropped, grouped, groupedDropped)
+	first, firstDropped := run()
+	if first != 506 || firstDropped != 494 {
+		t.Fatalf("loss outcome %d delivered/%d dropped, want the per-node-domain 506/494", first, firstDropped)
 	}
-	if split == 0 || split == 1000 {
-		t.Fatalf("implausible delivery count %d", split)
+	if second, secondDropped := run(); first != second || firstDropped != secondDropped {
+		t.Fatalf("loss outcome differs between runs: %d/%d dropped, then %d/%d",
+			first, firstDropped, second, secondDropped)
 	}
 }

@@ -19,11 +19,11 @@ import (
 // the staged PUT it replaced, extents carved a slab at a time, and
 // template instances that read the template's index through.
 
-// drain runs e's world until idle and reports the events that fired, on
-// any domain, since the world was made.
+// drain runs e until idle and reports the events that fired since it was
+// made.
 func drain(e *sim.Engine) int64 {
 	e.Run()
-	return e.World().Stats().EventsExecuted
+	return e.Stats().EventsExecuted
 }
 
 // Load stores the image a PUT leaves once its tear-delayed stores have all

@@ -66,8 +66,8 @@ type Server struct {
 	host transport.Host
 	meta Meta
 	// metaBuf is the rpcMeta reply scratch and retired the rpcFree decode
-	// scratch; RPC dispatch is serialized by the transport (one server
-	// domain in the simulator, rpcMu live). loadBuf is Load's entry image,
+	// scratch; RPC dispatch is serialized by the transport (one engine
+	// in the simulator, rpcMu live). loadBuf is Load's entry image,
 	// touched only under the space guard.
 	metaBuf, loadBuf []byte
 	retired          []memory.Addr
@@ -216,7 +216,7 @@ func (s *Server) loadSlot(space *memory.Space, key int64) (memory.Addr, error) {
 
 // Cached CAS masks for the 24-byte slot layout: compare on the tag
 // field, swap the whole slot. Read-only after init, shared by every
-// client and server domain.
+// client and server.
 var (
 	slotTagMask  = prism.FieldMask(slotSize, 0, 8)
 	slotFullMask = prism.FullMask(slotSize)

@@ -57,8 +57,8 @@ func (r *Region) Contains(addr Addr, n uint64) bool {
 //
 // Concurrency: a Space is not goroutine-safe — even read paths mutate
 // the region cache, and Peek hands out views that a concurrent Write
-// could race with. Single-goroutine users (the simulator binds each
-// server's space to one event domain) need no locking. Concurrent users
+// could race with. Single-goroutine users (the simulator runs each
+// cluster on one engine) need no locking. Concurrent users
 // (the live socket transport) must hold Guard across each whole PRISM
 // primitive — not just each Space call — because one primitive spans
 // several calls whose intermediate views must stay stable (CAS peeks

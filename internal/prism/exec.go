@@ -40,8 +40,8 @@ import (
 // over the shared Space/FreeLists and hold Space.Guard across each
 // ExecInto call: per-primitive locking is exactly the paper's atomicity
 // contract (each primitive atomic, chains not atomic as a whole — §3.3,
-// §3.5). The simulator executes every op for a server on that server's
-// event domain and needs neither.
+// §3.5). The simulator executes every op of a cluster on its one engine
+// and needs neither.
 type Executor struct {
 	Space     *memory.Space
 	FreeLists map[uint32]*alloc.FreeList

@@ -26,25 +26,12 @@ type connKey struct {
 	id   uint64
 }
 
-// NewClient attaches a client NIC to the network, on its own fresh event
-// domain.
+// NewClient attaches a client NIC to the network.
 func NewClient(net *fabric.Network, name string) *Client {
-	return newClient(net, net.NewNode(name))
-}
-
-// NewClientInGroup attaches a client NIC on the shared domain of affinity
-// group id (see fabric.Network.NewNodeInGroup): machines in one group
-// barrier as a single domain and their mutual traffic skips the window
-// barrier entirely. Behavior is byte-identical to ungrouped clients.
-func NewClientInGroup(net *fabric.Network, name string, group int) *Client {
-	return newClient(net, net.NewNodeInGroup(name, group))
-}
-
-func newClient(net *fabric.Network, node *fabric.Node) *Client {
 	c := &Client{
-		e:     node.Domain(),
+		e:     net.Engine(),
 		net:   net,
-		node:  node,
+		node:  net.NewNode(name),
 		conns: make(map[connKey]*Conn),
 	}
 	c.node.SetHandler(c.onMessage)
@@ -53,11 +40,6 @@ func newClient(net *fabric.Network, node *fabric.Node) *Client {
 
 // Node returns the client's fabric node.
 func (c *Client) Node() *fabric.Node { return c.node }
-
-// Domain returns the event domain this client machine lives on. Futures
-// for this machine's connections complete there, so closed-loop client
-// processes should be spawned on it.
-func (c *Client) Domain() *sim.Engine { return c.e }
 
 // Conn is a reliable connection (queue pair) to one server. Not safe for
 // use by multiple simulation processes at once; give each closed-loop
@@ -124,11 +106,6 @@ func (c *Client) Connect(srv *Server) *Conn {
 // Server returns the remote end of the connection.
 func (c *Conn) Server() *Server { return c.srv }
 
-// Engine returns the client machine's event domain. Futures layered on
-// top of this connection's completions (e.g. by abd) must be bound to
-// it, because that is where they will be completed.
-func (c *Conn) Engine() *sim.Engine { return c.client.e }
-
 // Ops returns an n-op scratch slice owned by the connection, zeroed and
 // ready to fill. The caller must hand it to the next IssueAsync/Issue on
 // this connection, which recycles it when the response arrives — the
@@ -154,7 +131,7 @@ func (c *Conn) prepare(ops []wire.Op) *transport.Entry[simPending] {
 	}
 	e := c.win.Prepare(ops)
 	if e.X.fut == nil {
-		e.X.fut = sim.NewFuture[[]wire.Result](c.client.e)
+		e.X.fut = sim.NewFuture[[]wire.Result]()
 	} else {
 		e.X.fut.Reset()
 	}

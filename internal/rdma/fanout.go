@@ -31,7 +31,7 @@ import (
 // resumes inside the completion of whichever chain finishes last. The copy
 // costs host time, not virtual time.
 type Fanout struct {
-	e       *sim.Engine // the client machine's domain, where every completion runs
+	m       *Client     // the client machine every chain is posted from
 	done    *sim.Signal // fired by the last completion when Wait is parked on it
 	waiting bool
 	open    bool // a round has been posted and not yet collected
@@ -49,10 +49,10 @@ type span struct{ off, n int }
 // chain of the current round, opening a round — and dropping the previous
 // round's results — if none is open.
 func (f *Fanout) Post(c *Conn, ops []wire.Op) {
-	if f.e == nil {
-		f.e = c.client.e
-		f.done = sim.NewSignal(f.e)
-	} else if f.e != c.client.e {
+	if f.m == nil {
+		f.m = c.client
+		f.done = sim.NewSignal()
+	} else if f.m != c.client {
 		panic("rdma: one Fanout posting from two client machines")
 	}
 	if !f.open {

@@ -191,9 +191,9 @@ func TestFanoutResumesInLastCompletion(t *testing.T) {
 	}
 }
 
-// TestFanoutIsOneMachines: completions of one fan-out all run on one event
-// domain, the client machine's; a connection from another machine is a
-// programming error caught at Post.
+// TestFanoutIsOneMachines: a fan-out belongs to one process, so all its
+// chains leave from one client machine; a connection from another machine
+// is a programming error caught at Post.
 func TestFanoutIsOneMachines(t *testing.T) {
 	v := newFanEnv(t)
 	other := NewClient(v.net, "other").Connect(v.srv)

@@ -109,7 +109,7 @@ func TestQPCacheDisabledByDefault(t *testing.T) {
 // entries, the strict round-robin is the worst case — every touch
 // misses, every request pays the fetch penalty, and the run is
 // measurably slower than within capacity. The counters surface through
-// the server and through WorldStats.
+// the server and through the engine's Stats.
 func TestQPCacheThrashSlowsRoundRobin(t *testing.T) {
 	const conns, rounds = 8, 8
 	fits, _ := qpWorkload(t, conns, rounds, func(p *model.Params) {
@@ -133,9 +133,9 @@ func TestQPCacheThrashSlowsRoundRobin(t *testing.T) {
 	if thrash < fits+minExtra {
 		t.Fatalf("thrash run %v not slower than fitting run %v by >= %v", thrash, fits, minExtra)
 	}
-	ws := srv.Engine().World().Stats()
+	ws := srv.Engine().Stats()
 	if ws.ConnCacheMisses != m || ws.ConnCacheHits != h || ws.ConnCacheEvictions != ev {
-		t.Fatalf("WorldStats counters %d/%d/%d != server counters %d/%d/%d",
+		t.Fatalf("engine Stats counters %d/%d/%d != server counters %d/%d/%d",
 			ws.ConnCacheHits, ws.ConnCacheMisses, ws.ConnCacheEvictions, h, m, ev)
 	}
 }

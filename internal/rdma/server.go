@@ -194,10 +194,7 @@ func NewServer(net *fabric.Network, name string, deploy model.Deployment) *Serve
 func newServer(net *fabric.Network, name string, deploy model.Deployment, space *memory.Space) *Server {
 	p := net.Params()
 	node := net.NewNode(name)
-	// All server-side state — cores, timers, the executor's memory — lives
-	// on the node's event domain, so requests from many clients execute
-	// here without touching any other domain.
-	e := node.Domain()
+	e := net.Engine()
 	s := &Server{
 		HostCore: transport.NewHostCore(space),
 		e:        e,
@@ -217,13 +214,13 @@ func newServer(net *fabric.Network, name string, deploy model.Deployment, space 
 		s.qp = newQPCache(entries)
 		s.qpMiss = miss
 		s.qpFetch = sim.NewResource(e)
-		e.World().OnStats(func(ws *sim.WorldStats) {
+		e.OnStats(func(ws *sim.Stats) {
 			ws.ConnCacheHits += s.qp.hits
 			ws.ConnCacheMisses += s.qp.misses
 			ws.ConnCacheEvictions += s.qp.evictions
 		})
 	}
-	e.World().OnStats(func(ws *sim.WorldStats) {
+	e.OnStats(func(ws *sim.Stats) {
 		ws.ProgramOps += s.ProgOps
 		ws.ProgramSteps += s.ProgSteps
 	})
@@ -487,7 +484,7 @@ func (s *Server) chainStep(sc *serverConn) {
 			results[i] = wire.Result{Status: wire.StatusNotExecuted}
 			if s.tracer != nil {
 				s.tracer(TraceEvent{
-					At: s.e.Now(), Domain: s.e.DomainID(), Conn: sc.id, Seq: req.Seq, OpIdx: i,
+					At: s.e.Now(), Conn: sc.id, Seq: req.Seq, OpIdx: i,
 					Code: op.Code, Flags: op.Flags, Status: wire.StatusNotExecuted, Op: op,
 				})
 			}
@@ -503,7 +500,7 @@ func (s *Server) chainStep(sc *serverConn) {
 		sc.lastOK = results[i].Status.OK()
 		if s.tracer != nil {
 			s.tracer(TraceEvent{
-				At: s.e.Now(), Domain: s.e.DomainID(), Conn: sc.id, Seq: req.Seq, OpIdx: i,
+				At: s.e.Now(), Conn: sc.id, Seq: req.Seq, OpIdx: i,
 				Code: op.Code, Flags: op.Flags, Status: results[i].Status, Op: op,
 			})
 		}

@@ -12,7 +12,6 @@ import (
 // wire-level behavior of a protocol.
 type TraceEvent struct {
 	At     sim.Time
-	Domain int // event domain of the server that executed the op
 	Conn   uint64
 	Seq    uint64
 	OpIdx  int // position within the request's chain
@@ -27,8 +26,8 @@ type TraceEvent struct {
 }
 
 func (e TraceEvent) String() string {
-	return fmt.Sprintf("%v dom=%d conn=%d seq=%d op[%d] %v flags=%#x -> %v",
-		e.At, e.Domain, e.Conn, e.Seq, e.OpIdx, e.Code, uint8(e.Flags), e.Status)
+	return fmt.Sprintf("%v conn=%d seq=%d op[%d] %v flags=%#x -> %v",
+		e.At, e.Conn, e.Seq, e.OpIdx, e.Code, uint8(e.Flags), e.Status)
 }
 
 // Tracer receives TraceEvents as operations execute.

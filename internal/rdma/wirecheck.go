@@ -9,7 +9,7 @@ import "prism/internal/transport"
 // the byte codec is normally off the simulated hot path. With wire check
 // enabled, every transmitted message is append-encoded into
 // connection-owned scratch (a transport.WireCheckState per connection end,
-// so domain-parallel simulations share no buffers), alias-decoded back, and
+// so simulations running in parallel share no buffers), alias-decoded back, and
 // verified field-for-field against the in-memory message — proving on live
 // traffic that the wire layout, the alias decoders, and the size accounting
 // agree. Off by default; tests and debugging sessions opt in before the

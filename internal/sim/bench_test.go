@@ -79,7 +79,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 	})
 	b.Run("future", func(b *testing.B) {
 		e := NewEngine(1)
-		ping, pong := NewSignal(e), NewSignal(e)
+		ping, pong := NewSignal(), NewSignal()
 		e.Go("waiter", func(p *Proc) {
 			for i := 0; i < b.N; i++ {
 				ping.Wait(p)

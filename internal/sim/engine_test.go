@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -151,7 +150,7 @@ func TestProcInterleaving(t *testing.T) {
 
 func TestFutureWait(t *testing.T) {
 	e := NewEngine(1)
-	f := NewFuture[int](e)
+	f := NewFuture[int]()
 	var got int
 	var at Time
 	e.Go("waiter", func(p *Proc) {
@@ -167,7 +166,7 @@ func TestFutureWait(t *testing.T) {
 
 func TestFutureWaitAlreadyComplete(t *testing.T) {
 	e := NewEngine(1)
-	f := CompletedFuture(e, "x")
+	f := CompletedFuture("x")
 	var got string
 	e.Go("waiter", func(p *Proc) { got = f.Wait(p) })
 	e.Run()
@@ -177,8 +176,7 @@ func TestFutureWaitAlreadyComplete(t *testing.T) {
 }
 
 func TestFutureDoubleCompletePanics(t *testing.T) {
-	e := NewEngine(1)
-	f := NewFuture[int](e)
+	f := NewFuture[int]()
 	f.Complete(1)
 	defer func() {
 		if recover() == nil {
@@ -192,7 +190,7 @@ func TestWaitQuorum(t *testing.T) {
 	e := NewEngine(1)
 	fs := make([]*Future[int], 5)
 	for i := range fs {
-		fs[i] = NewFuture[int](e)
+		fs[i] = NewFuture[int]()
 	}
 	var got []int
 	var at Time
@@ -217,7 +215,7 @@ func TestWaitQuorum(t *testing.T) {
 
 func TestWaitQuorumAlreadySatisfied(t *testing.T) {
 	e := NewEngine(1)
-	fs := []*Future[int]{CompletedFuture(e, 1), CompletedFuture(e, 2), NewFuture[int](e)}
+	fs := []*Future[int]{CompletedFuture(1), CompletedFuture(2), NewFuture[int]()}
 	var got []int
 	e.Go("q", func(p *Proc) { got = WaitQuorum(p, 2, fs) })
 	e.Run()
@@ -228,7 +226,7 @@ func TestWaitQuorumAlreadySatisfied(t *testing.T) {
 
 func TestWaitGroup(t *testing.T) {
 	e := NewEngine(1)
-	wg := NewWaitGroup(e, 3)
+	wg := NewWaitGroup(3)
 	var at Time
 	e.Go("w", func(p *Proc) {
 		wg.Wait(p)
@@ -383,8 +381,7 @@ func TestProcYieldRunsSameInstantEvents(t *testing.T) {
 }
 
 func TestFutureOnCompleteOrder(t *testing.T) {
-	e := NewEngine(1)
-	f := NewFuture[int](e)
+	f := NewFuture[int]()
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -434,7 +431,7 @@ func TestMultiResourceAcquire(t *testing.T) {
 
 func TestWaitQuorumZero(t *testing.T) {
 	e := NewEngine(1)
-	fs := []*Future[int]{NewFuture[int](e)}
+	fs := []*Future[int]{NewFuture[int]()}
 	var got []int
 	e.Go("q", func(p *Proc) { got = WaitQuorum(p, 0, fs) })
 	e.Run()
@@ -443,37 +440,21 @@ func TestWaitQuorumZero(t *testing.T) {
 	}
 }
 
-// TestTimerStopGenerationAcrossWindows: a Timer handle that survives a
-// window barrier must not cancel the recycled incarnation of its event
-// object. The handle's event fires in an early window, the object is
-// reused for a fresh event in a later window, and only then is the stale
-// Stop attempted — with multiple worker goroutines, so the guard is
-// exercised under the exact interleaving domain barriers produce.
+// TestTimerStopGenerationAcrossWindows: a Timer handle that outlives its
+// event must not cancel the recycled incarnation of the event object. The
+// handle's event fires in one RunUntil window, the object is reused for a
+// fresh event in a later window, and only then is the stale Stop
+// attempted.
 func TestTimerStopGenerationAcrossWindows(t *testing.T) {
 	e := NewEngine(1)
-	other := e.World().NewDomain()
-	e.World().DeclareLookahead(10 * time.Microsecond)
-	e.World().SetWorkers(2)
-	// Count every crossing: nothing here sends, so the hook re-requests
-	// itself.
-	var barriers int
-	e.World().OnBarrier(func() { barriers++; e.World().RequestBarrier() })
-
-	// Keep the second domain busy so the world actually runs windows.
-	for i := 1; i <= 5; i++ {
-		other.Schedule(Duration(i)*10*time.Microsecond, func() {})
-	}
-
 	fired, want := 0, 1
-	// Window 1: the handle's event fires and its object is recycled.
 	stale := e.Schedule(time.Microsecond, func() { fired++ })
-	barrierAtFire := -1
-	e.Schedule(2*time.Microsecond, func() { barrierAtFire = barriers })
+	e.RunUntil(Time(10 * time.Microsecond))
+	if fired != 1 {
+		t.Fatalf("first window fired %d events, want 1", fired)
+	}
 	// A later window: the free list hands the same object to a new event.
-	e.Schedule(25*time.Microsecond, func() {
-		if barriers <= barrierAtFire {
-			t.Errorf("no window barrier between fire (%d) and reuse (%d)", barrierAtFire, barriers)
-		}
+	e.Schedule(15*time.Microsecond, func() {
 		// Drain the LIFO free list until it hands back stale's object.
 		reused := false
 		for i := 0; i < 4; i++ {
@@ -497,148 +478,101 @@ func TestTimerStopGenerationAcrossWindows(t *testing.T) {
 	}
 }
 
-// A domain's RNG is seeded when it is first asked for, from the world seed
-// and the domain id alone: domain 0 draws the world seed's own stream,
-// later domains a stream derived from (seed, id), in whatever order — or
-// whether at all — the other domains draw.
-func TestDomainRandStreams(t *testing.T) {
+// The engine's RNG is the stream of its seed, seeded when it is first
+// asked for.
+func TestRandIsTheSeedStream(t *testing.T) {
 	const seed = 7
-	root := NewEngine(seed)
-	d1, d2 := root.World().NewDomain(), root.World().NewDomain()
-	for _, c := range []struct {
-		e    *Engine
-		seed int64
-	}{{d2, domainSeed(seed, 2)}, {root, seed}, {d1, domainSeed(seed, 1)}} {
-		want := rand.New(rand.NewSource(c.seed))
-		for i := 0; i < 4; i++ {
-			if got, w := c.e.Rand().Int63(), want.Int63(); got != w {
-				t.Fatalf("domain %d draw %d: %d, want %d", c.e.DomainID(), i, got, w)
-			}
+	e := NewEngine(seed)
+	want := rand.New(rand.NewSource(seed))
+	for i := 0; i < 4; i++ {
+		if got, w := e.Rand().Int63(), want.Int63(); got != w {
+			t.Fatalf("draw %d: %d, want %d", i, got, w)
 		}
 	}
 }
 
 // A panic in a process body is a panic in the event that resumed it: it
-// comes out of Run on the caller's goroutine with its value, serially and
-// when a window worker was running the domain.
+// comes out of Run on the caller's goroutine with its value.
 func TestProcPanicSurfacesInRun(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := NewEngine(1)
-			w := e.World()
-			w.SetWorkers(workers)
-			w.DeclareLookahead(time.Microsecond)
-			for i := 0; i < 3; i++ {
-				d := w.NewDomain()
-				d.Schedule(2*time.Microsecond, func() {})
-			}
-			boom := errors.New("boom")
-			e.Go("doomed", func(p *Proc) {
-				p.Sleep(2 * time.Microsecond)
-				panic(boom)
-			})
-			defer func() {
-				if r := recover(); r != boom {
-					t.Fatalf("Run panicked with %v, want %v", r, boom)
-				}
-				if n := e.LiveProcs(); n != 0 {
-					t.Fatalf("LiveProcs = %d after the only process panicked", n)
-				}
-			}()
-			e.Run()
-			t.Fatal("Run returned; the process's panic was lost")
-		})
-	}
-}
-
-// A process whose successive futures complete in different domains is
-// resumed by whichever worker goroutine runs that domain's window, so
-// successive resumes of one coroutine come from different goroutines.
-// Barriers order them; `make race` runs this at -cpu 1,2,4.
-func TestProcResumedAcrossDomains(t *testing.T) {
-	const nDom, hops = 4, 64
-	la := Duration(time.Microsecond)
-	root := NewEngine(5)
-	w := root.World()
-	w.SetWorkers(4)
-	w.DeclareLookahead(la)
-	doms := []*Engine{root}
-	for len(doms) < nDom {
-		doms = append(doms, w.NewDomain())
-	}
-	// The test's fabric: a process stages a completion in the outbox of
-	// the domain it is running in, and the barrier hook schedules it on
-	// the future's domain one lookahead later.
-	type msg struct {
-		f  *Future[int]
-		at Time
-		v  int
-	}
-	out := make([][]msg, nDom)
-	w.OnBarrier(func() {
-		for i, box := range out {
-			for _, m := range box {
-				m.f.e.At(m.at, func() { m.f.Complete(m.v) })
-			}
-			out[i] = box[:0]
-		}
+	e := NewEngine(1)
+	boom := errors.New("boom")
+	e.Go("doomed", func(p *Proc) {
+		p.Sleep(2 * time.Microsecond)
+		panic(boom)
 	})
-	// Every domain ticks on its own, so each window has work for several
-	// workers, and a tick gives its thread away, so the workers a window
-	// starts claim domains before the coordinator has run them all (it
-	// does, windows this short, without the Gosched: measured, 117 of 128
-	// resumes came from it; with it they come from ≈100 goroutines).
-	for _, d := range doms {
-		n := 0
-		var tick func()
-		tick = func() {
-			runtime.Gosched()
-			if n++; n < 4*hops {
-				d.Schedule(la/2, tick)
-			}
+	defer func() {
+		if r := recover(); r != boom {
+			t.Fatalf("Run panicked with %v, want %v", r, boom)
 		}
-		d.Schedule(0, tick)
-	}
-	visits := make([][]int, 2)
-	for pi := range visits {
-		visits[pi] = make([]int, nDom)
-		doms[pi].Go(fmt.Sprintf("hopper%d", pi), func(p *Proc) {
-			for i := 0; i < hops; i++ {
-				here := p.Engine()
-				target := doms[(here.DomainID()+1+i%(nDom-1))%nDom]
-				f := NewFuture[int](target)
-				at := p.Now().Add(la)
-				out[here.DomainID()] = append(out[here.DomainID()], msg{f, at, i})
-				w.RequestBarrier()
-				if got := f.Wait(p); got != i {
-					t.Errorf("hop %d returned %d", i, got)
-				}
-				if p.Engine() != target || p.Now() != at {
-					t.Errorf("hop %d resumed in domain %d at %v, want domain %d at %v",
-						i, p.Engine().DomainID(), p.Now(), target.DomainID(), at)
-				}
-				visits[pi][target.DomainID()]++
-			}
-		})
-	}
-	root.Run()
-	if n := root.LiveProcs(); n != 0 {
-		t.Fatalf("%d processes never finished", n)
-	}
-	for pi, v := range visits {
-		for d, n := range v {
-			if n == 0 {
-				t.Errorf("hopper%d was never resumed in domain %d: %v", pi, d, v)
-			}
+		if n := e.LiveProcs(); n != 0 {
+			t.Fatalf("LiveProcs = %d after the only process panicked", n)
 		}
+	}()
+	e.Run()
+	t.Fatal("Run returned; the process's panic was lost")
+}
+
+// TestAtTailRunsAfterSameInstant: AtTail events run strictly after every
+// ordinary event of the same instant — including ones scheduled by those
+// events — and keep FIFO order among themselves.
+func TestAtTailRunsAfterSameInstant(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	add := func(s string) func() { return func() { got = append(got, s) } }
+	e.At(5, func() {
+		got = append(got, "a")
+		e.At(5, add("a2")) // same-instant follow-up still precedes tails
+	})
+	e.AtTail(5, add("tail1"))
+	e.At(5, add("b"))
+	e.AtTail(5, add("tail2"))
+	e.At(6, add("later"))
+	e.Run()
+	want := []string{"a", "b", "a2", "tail1", "tail2", "later"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 }
 
-// A process still parked when its world stops running (nothing will ever
+// TestStatsCounters: the snapshot counts fired events, drained instants,
+// wheel transits and stopped timers.
+func TestStatsCounters(t *testing.T) {
+	e := NewEngine(1)
+	nop := func() {}
+	e.Schedule(time.Microsecond, func() {
+		e.Schedule(0, nop) // same instant: fires from the burst, not the wheel
+	})
+	e.Schedule(2*time.Microsecond, nop)
+	e.Schedule(3*time.Microsecond, nop).Stop()
+	e.Run()
+	st := e.Stats()
+	if st.EventsExecuted != 3 || st.Bursts != 2 || st.TimerFires != 2 || st.TimerStops != 1 {
+		t.Fatalf("stats %+v, want 3 events in 2 bursts, 2 wheel fires, 1 stop", st)
+	}
+	if st.MeanBurstLen() != 1.5 {
+		t.Fatalf("MeanBurstLen = %v, want 1.5", st.MeanBurstLen())
+	}
+}
+
+// TestOnStatsHooks: registered hooks contribute to every snapshot.
+func TestOnStatsHooks(t *testing.T) {
+	e := NewEngine(1)
+	e.OnStats(func(s *Stats) {
+		s.ConnCacheHits += 10
+		s.ConnCacheMisses += 3
+		s.ConnCacheEvictions += 1
+	})
+	st := e.Stats()
+	if st.ConnCacheHits != 10 || st.ConnCacheMisses != 3 || st.ConnCacheEvictions != 1 {
+		t.Fatalf("stats hooks not applied: %+v", st)
+	}
+}
+
+// A process still parked when its engine stops running (nothing will ever
 // complete what it waits on) stays counted until something resumes it.
 func TestLiveProcsCountsAbandonedWhileParked(t *testing.T) {
 	e := NewEngine(1)
-	never := NewSignal(e)
+	never := NewSignal()
 	e.Go("finishes", func(p *Proc) { p.Sleep(time.Microsecond) })
 	e.Go("abandoned", func(p *Proc) { never.Wait(p) })
 	e.Run()

@@ -4,7 +4,6 @@ package sim
 // block on it with Wait; callback code chains on it with OnComplete.
 // A Future must be completed at most once (but see Reset).
 type Future[T any] struct {
-	e       *Engine
 	done    bool
 	val     T
 	waiters []func(T)
@@ -15,14 +14,14 @@ type Future[T any] struct {
 	waitProc *Proc
 }
 
-// NewFuture returns an incomplete future bound to e.
-func NewFuture[T any](e *Engine) *Future[T] {
-	return &Future[T]{e: e}
+// NewFuture returns an incomplete future.
+func NewFuture[T any]() *Future[T] {
+	return &Future[T]{}
 }
 
 // CompletedFuture returns a future that is already resolved to v.
-func CompletedFuture[T any](e *Engine, v T) *Future[T] {
-	return &Future[T]{e: e, done: true, val: v}
+func CompletedFuture[T any](v T) *Future[T] {
+	return &Future[T]{done: true, val: v}
 }
 
 // Complete resolves the future with v, waking all waiters (in FIFO order)
@@ -44,7 +43,7 @@ func (f *Future[T]) Complete(v T) {
 		w(v)
 	}
 	if wp != nil {
-		wp.resumeIn(f.e)
+		wp.step()
 	}
 }
 
@@ -83,8 +82,7 @@ func (f *Future[T]) OnComplete(fn func(T)) {
 }
 
 // Wait parks the process until the future completes and returns its value.
-// Complete must be invoked from f's domain execution context; Wait
-// resumes the process in that domain (see Proc).
+// The process resumes inside the event that completes the future.
 func (f *Future[T]) Wait(p *Proc) T {
 	if f.done {
 		return f.val
@@ -94,7 +92,7 @@ func (f *Future[T]) Wait(p *Proc) T {
 	} else {
 		// A second process waiting on the same future is rare; fall back to
 		// the closure path rather than widening the struct.
-		f.OnComplete(func(T) { p.resumeIn(f.e) })
+		f.OnComplete(func(T) { p.step() })
 	}
 	p.park()
 	return f.val
@@ -119,7 +117,7 @@ func WaitQuorum[T any](p *Proc, k int, fs []*Future[T]) []T {
 			}
 			got = append(got, v)
 			if len(got) == k && parked {
-				p.resumeIn(f.e)
+				p.step()
 			}
 		})
 		if len(got) >= k {
@@ -137,7 +135,7 @@ func WaitQuorum[T any](p *Proc, k int, fs []*Future[T]) []T {
 type Signal = Future[struct{}]
 
 // NewSignal returns an unfired signal.
-func NewSignal(e *Engine) *Signal { return NewFuture[struct{}](e) }
+func NewSignal() *Signal { return NewFuture[struct{}]() }
 
 // Fire completes the signal.
 func Fire(s *Signal) { s.Complete(struct{}{}) }
@@ -145,14 +143,13 @@ func Fire(s *Signal) { s.Complete(struct{}{}) }
 // WaitGroup counts down to zero and then wakes waiters. Unlike sync's, it
 // is virtual-time and single-threaded.
 type WaitGroup struct {
-	e     *Engine
 	count int
 	sig   *Signal
 }
 
 // NewWaitGroup returns a WaitGroup expecting n completions.
-func NewWaitGroup(e *Engine, n int) *WaitGroup {
-	wg := &WaitGroup{e: e, count: n, sig: NewSignal(e)}
+func NewWaitGroup(n int) *WaitGroup {
+	wg := &WaitGroup{count: n, sig: NewSignal()}
 	if n == 0 {
 		Fire(wg.sig)
 	}

@@ -31,9 +31,8 @@ func (r *Resource) Submit(d Duration, fn func()) Time {
 }
 
 // Acquire blocks the process until its work (of duration d) completes.
-// The process resumes in the resource's domain.
 func (r *Resource) Acquire(p *Proc, d Duration) {
-	r.Submit(d, func() { p.resumeIn(r.e) })
+	r.Submit(d, p.step)
 	p.park()
 }
 
@@ -86,9 +85,8 @@ func (m *MultiResource) Submit(d Duration, fn func()) Time {
 }
 
 // Acquire blocks the process until its work (of duration d) completes.
-// The process resumes in the resource's domain.
 func (m *MultiResource) Acquire(p *Proc, d Duration) {
-	m.Submit(d, func() { p.resumeIn(m.e) })
+	m.Submit(d, p.step)
 	p.park()
 }
 

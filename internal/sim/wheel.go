@@ -7,8 +7,8 @@ import (
 )
 
 // Hierarchical timer wheel: the pending-event structure behind every
-// Engine (one wheel per domain). It replaces the former container/heap
-// event heap with O(1) schedule and cancel for the near-future timers
+// Engine. It replaces the former container/heap event heap with O(1)
+// schedule and cancel for the near-future timers
 // that dominate the simulation — propagation delays a few microseconds
 // out, and retransmission guards that are almost always stopped before
 // they fire — at the cost of an occasional lazy cascade when the clock
@@ -30,17 +30,16 @@ import (
 // next exact and cheap: levels are totally ordered (every level-l event
 // precedes every level-(l+1) event), so the earliest pending instant is
 // the first occupied slot of the finest occupied level, found by a few
-// occupancy-bitmap scans with no mutation — run() consults next for
-// every domain at every barrier, so it must not cascade (cascading is
-// only safe while the domain is executing inside its window).
+// occupancy-bitmap scans with no mutation (next only reads; collect
+// advances the clock and cascades).
 //
-// Ordering is unchanged from the heap: collect hands runWindow one exact
+// Ordering is unchanged from the heap: collect hands RunUntil one exact
 // instant's events, which it replays in the canonical (ordinary-by-seq,
 // then tail-by-seq) order; across instants the wheel fires in time
 // order. Timer.Stop keeps its generation-counted semantics: a wheel
 // removal is an O(1) list unlink instead of an O(log n) heap sift.
 type wheel struct {
-	cur   Time // wheel clock: the instant last advanced to (<= owning domain's now)
+	cur   Time // wheel clock: the instant last advanced to (<= the engine's now)
 	count int  // events filed in slots + overflow
 
 	slots [wheelLevels][wheelSlots]*event
@@ -52,8 +51,7 @@ type wheel struct {
 
 	// nextAt caches the earliest pending instant: kept in lockstep by
 	// insert (min), invalidated when the cached minimum is removed or
-	// collected. Barriers call next once per domain per window, so the
-	// cache makes the common repeat lookups free.
+	// collected, so the common repeat lookups are free.
 	nextAt    Time
 	nextValid bool
 
@@ -70,7 +68,7 @@ const (
 	wheelWords     = wheelSlots / 64
 )
 
-// insert files ev (whose at must be >= the owning domain's now, hence >=
+// insert files ev (whose at must be >= the engine's now, hence >=
 // cur) at the level of the highest bit where it differs from cur.
 func (w *wheel) insert(ev *event) {
 	d := uint64(ev.at) ^ uint64(w.cur)
@@ -137,8 +135,8 @@ func (w *wheel) remove(ev *event) {
 }
 
 // next returns the earliest pending instant, or Never. It never mutates
-// slot contents, so it is safe to call between windows (at barriers),
-// when conservative lookahead does not yet license advancing the clock.
+// slot contents, so RunUntil can look past its deadline without advancing
+// the wheel clock beyond it.
 func (w *wheel) next() Time {
 	if !w.nextValid {
 		w.nextAt = w.scan()
@@ -194,9 +192,9 @@ func (w *wheel) firstOcc(l, from int) (int, bool) {
 
 // advance moves the wheel clock to t, restoring the placement invariant:
 // at every level the slot that newly contains t is cascaded, re-filing
-// its members finer relative to the new clock. Only called from the
-// executing window (collect), where lookahead guarantees no event before
-// t can still arrive; t is the next pending instant, so no occupied slot
+// its members finer relative to the new clock. Only called from collect,
+// when the engine's clock moves to t: no event before t can be scheduled
+// any more, and t is the next pending instant, so no occupied slot
 // between the old and new clock is skipped.
 func (w *wheel) advance(t Time) {
 	if t == w.cur {
@@ -285,7 +283,7 @@ func (w *wheel) collect(t Time, b *burst) int {
 // two, descending again). One pass tells the two apart and either costs
 // O(n), however many events share the instant. Only a batch of mixed
 // history — part cascaded, part filed since — is neither and pays a real
-// sort. seq is unique within a domain, so the order does not depend on
+// sort. seq is unique within an engine, so the order does not depend on
 // which case ran.
 func orderBySeq(evs []*event) {
 	descents := 0 // adjacent pairs out of ascending order

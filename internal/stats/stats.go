@@ -133,9 +133,9 @@ func (r *LatencyRecorder) Max() time.Duration {
 	return r.max
 }
 
-// Merge folds all of other's samples into r. Used to combine per-domain
-// recorder shards into one figure-level summary; merging preserves the
-// exact count/mean/min/max and the bucket-resolution percentiles.
+// Merge folds all of other's samples into r (cmd/prismload combines its
+// per-client recorders this way); merging preserves the exact
+// count/mean/min/max and the bucket-resolution percentiles.
 func (r *LatencyRecorder) Merge(other *LatencyRecorder) {
 	if other.count == 0 {
 		return

@@ -40,6 +40,9 @@ func (s *Server) ServeConnFramerBytes(nc net.Conn) (int, error) {
 	return cap(sk.fr.buf) + cap(sk.fw.buf), nil
 }
 
+// ReadStart is the size a socket's read buffer starts at.
+const ReadStart = readStart
+
 // SetCloseDrainGrace sets how long Close waits for staged frames to reach
 // a peer that does not read, and returns the previous value.
 func SetCloseDrainGrace(d time.Duration) time.Duration {

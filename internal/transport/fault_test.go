@@ -2,8 +2,10 @@ package transport_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -13,7 +15,9 @@ import (
 	"time"
 
 	"prism/internal/kv"
+	"prism/internal/prism"
 	"prism/internal/transport"
+	"prism/internal/wire"
 )
 
 // faultMode is how a faultConn mistreats its stream. The first two lose
@@ -356,4 +360,176 @@ func TestHostilePeer(t *testing.T) {
 			})
 		}
 	}
+	t.Run("many-stalled-giant-prefixes", func(t *testing.T) {
+		const stalled = 256
+		before := runtime.NumGoroutine()
+		ts := newFaultKV(t)
+		var served sync.WaitGroup
+		serve := func(nc net.Conn) {
+			served.Add(1)
+			go func() { defer served.Done(); ts.ServeConn(nc) }()
+		}
+		kvc, c := liveKV(t, serve)
+		heap0 := liveHeap()
+		peers := make([]net.Conn, stalled)
+		for i := range peers {
+			pEnd, sEnd := net.Pipe()
+			serve(sEnd)
+			greet(t, pEnd)
+			prefix := binary.LittleEndian.AppendUint32(nil, transport.MaxFrame)
+			if _, err := pEnd.Write(append(prefix, 0x05)); err != nil {
+				t.Fatalf("peer %d: %v", i, err)
+			}
+			peers[i] = pEnd
+		}
+		grew, most := liveHeap()-heap0, int64(stalled*transport.ReadStart+2<<20)
+		t.Logf("%d peers stalled on MaxFrame prefixes: live heap +%d bytes", stalled, grew)
+		if grew > most {
+			t.Errorf("%d peers stalled on MaxFrame prefixes grew the live heap %d bytes, want under %d", stalled, grew, most)
+		}
+		done := make(chan error, 1)
+		go func() { done <- hostileWaiter(kvc, 0) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("GETs beside the stalled peers: %v", err)
+			}
+		case <-time.After(deadline):
+			t.Fatal("GETs beside the stalled peers did not complete")
+		}
+		for _, p := range peers {
+			p.Close()
+		}
+		c.Close()
+		ts.Shutdown(100 * time.Millisecond)
+		served.Wait()
+		checkNoLeak(t, before)
+	})
+	t.Run("request-on-unopened-connection", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		ts := newFaultKV(t)
+		var served sync.WaitGroup
+		serve := func(nc net.Conn) {
+			served.Add(1)
+			go func() { defer served.Done(); ts.ServeConn(nc) }()
+		}
+		kvc, c := liveKV(t, serve)
+		pEnd, sEnd := net.Pipe()
+		serve(sEnd)
+		greet(t, pEnd)
+		req := wire.AppendRequest(nil, &wire.Request{Conn: 99, Seq: 1, Ops: []wire.Op{prism.Read(1, 0, 8)}})
+		frame := append(binary.LittleEndian.AppendUint32(nil, uint32(1+len(req))), 0x05)
+		if _, err := pEnd.Write(append(frame, req...)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		pEnd.SetReadDeadline(time.Now().Add(deadline))
+		if n, err := pEnd.Read(make([]byte, 64)); err != io.EOF {
+			t.Errorf("the server answered a request on an unopened connection: %d bytes, %v", n, err)
+		}
+		if err := hostileWaiter(kvc, 0); err != nil {
+			t.Errorf("GETs on the other socket: %v", err)
+		}
+		pEnd.Close()
+		c.Close()
+		ts.Shutdown(100 * time.Millisecond)
+		served.Wait()
+		checkNoLeak(t, before)
+	})
+}
+
+// liveKV opens a well-behaved client socket, served by serve, with one
+// PRISM-KV connection on it.
+func liveKV(t *testing.T, serve func(net.Conn)) (*kv.LiveClient, *transport.Client) {
+	t.Helper()
+	cEnd, sEnd := net.Pipe()
+	serve(sEnd)
+	c, err := transport.NewClientConn(cEnd)
+	if err != nil {
+		t.Fatalf("NewClientConn: %v", err)
+	}
+	cn, err := c.Connect()
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	meta, err := kv.FetchMeta(cn)
+	if err != nil {
+		t.Fatalf("FetchMeta: %v", err)
+	}
+	return kv.NewLiveClient(cn, meta, 1), c
+}
+
+// greet completes the protocol handshake by hand on a raw client end.
+func greet(t *testing.T, nc net.Conn) {
+	t.Helper()
+	if !tryGreet(nc) {
+		t.Fatal("the server did not answer the hello")
+	}
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestSocketCap: a server serves at most MaxSockets sockets at once; the
+// next one is refused, and one fits again once a socket has closed.
+func TestSocketCap(t *testing.T) {
+	ts := transport.NewServer()
+	var served sync.WaitGroup
+	serve := func() net.Conn {
+		cEnd, sEnd := net.Pipe()
+		served.Add(1)
+		go func() { defer served.Done(); ts.ServeConn(sEnd) }()
+		return cEnd
+	}
+	ends := make([]net.Conn, transport.MaxSockets)
+	for i := range ends {
+		ends[i] = serve()
+		greet(t, ends[i]) // answered, so registered
+	}
+	cEnd, sEnd := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- ts.ServeConn(sEnd) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, transport.ErrTooManySockets) {
+			t.Errorf("socket %d: %v, want ErrTooManySockets", transport.MaxSockets+1, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Errorf("socket %d was served", transport.MaxSockets+1)
+		cEnd.Close()
+		<-done
+	}
+	ends[0].Close()
+	ends[0] = serve()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		// Refused until the closed socket has left; then greeted.
+		if ok := tryGreet(ends[0]); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no socket fits after one of MaxSockets closed")
+		}
+		ends[0].Close()
+		ends[0] = serve()
+	}
+	for _, e := range ends {
+		e.Close()
+	}
+	served.Wait()
+}
+
+// tryGreet reports whether a server answers the protocol hello on nc.
+func tryGreet(nc net.Conn) bool {
+	hello := []byte("PRSM\x01")
+	frame := append(binary.LittleEndian.AppendUint32(nil, uint32(1+len(hello))), 0x01)
+	if _, err := nc.Write(append(frame, hello...)); err != nil {
+		return false
+	}
+	welcome := make([]byte, 5)
+	_, err := io.ReadFull(nc, welcome)
+	return err == nil && welcome[4] == 0x02
 }

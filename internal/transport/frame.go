@@ -63,12 +63,19 @@ const frameHeaderLen = 4
 // A FrameReader's buffer follows its traffic. It starts at readStart,
 // which holds a request, a GET response or a train of a few. When its
 // window drains it rewinds to offset 0, so the next frame lands at the
-// front instead of being split at the buffer's end. A frame that does
-// not fit grows it to exactly that frame's size. A read that fills it
-// with a burst of several frames doubles it, up to readChunk, so a
-// batched socket still takes a burst in one syscall instead of two
-// (header + body) per frame. It never shrinks: a socket's traffic shape
-// is set by its clients and rarely changes.
+// front instead of being split at the buffer's end. A frame of up to
+// readChunk bytes that does not fit grows it to exactly that frame's
+// size. A read that fills it with a burst of several frames doubles it,
+// up to readChunk, so a batched socket still takes a burst in one syscall
+// instead of two (header + body) per frame. Below readChunk it never
+// shrinks: a socket's traffic shape is set by its clients and rarely
+// changes.
+//
+// A frame above readChunk is sized by its bytes, not by its length
+// prefix: the buffer doubles each time the frame's bytes fill it, capped
+// at the frame. A peer that sends a MaxFrame prefix and stalls pins
+// readStart, not 16 MiB. Once such a frame has been consumed, the buffer
+// shrinks back to readStart at the next read.
 const (
 	readStart = 4 << 10
 	readChunk = 64 << 10
@@ -101,9 +108,9 @@ type FrameReader struct {
 // NewFrameReader returns a framer over r.
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
-// fill ensures need unconsumed bytes are buffered, rewinding, sliding
-// and growing the buffer as the sizing rule above says. It returns
-// io.EOF only when the stream ends with the window empty; an end
+// fill ensures need unconsumed bytes are buffered, rewinding, sliding,
+// growing and shrinking the buffer as the sizing rule above says. It
+// returns io.EOF only when the stream ends with the window empty; an end
 // mid-window is io.ErrUnexpectedEOF (a length prefix or partial frame
 // promised more).
 func (fr *FrameReader) fill(need int) error {
@@ -113,10 +120,22 @@ func (fr *FrameReader) fill(need int) error {
 	if fr.start == fr.end {
 		fr.start, fr.end = 0, 0
 	}
-	if len(fr.buf)-fr.start < need {
-		fr.resize(max(need, len(fr.buf), readStart))
+	switch {
+	case need <= readChunk && len(fr.buf) > readChunk:
+		// The frame above readChunk that grew the buffer is consumed.
+		fr.resize(max(need, readStart))
+	case len(fr.buf)-fr.start < need:
+		size := max(len(fr.buf), readStart)
+		if need <= readChunk {
+			size = max(size, need)
+		}
+		fr.resize(size)
 	}
 	for fr.end-fr.start < need {
+		if fr.end == len(fr.buf) {
+			// Full of a frame above readChunk: double toward it.
+			fr.resize(min(need, 2*len(fr.buf)))
+		}
 		m, err := fr.r.Read(fr.buf[fr.end:])
 		if m > 0 {
 			fr.Reads.Add(1)

@@ -436,6 +436,41 @@ func TestFrameReaderDoublesOnBursts(t *testing.T) {
 	}
 }
 
+// TestFrameReaderSizesGiantFramesByTheirBytes: a frame above readChunk
+// grows the buffer as its bytes arrive, not on its length prefix — a
+// stalled MaxFrame prefix leaves readStart — and once it is consumed the
+// buffer shrinks back to readStart.
+func TestFrameReaderSizesGiantFramesByTheirBytes(t *testing.T) {
+	stalled := binary.LittleEndian.AppendUint32(nil, MaxFrame)
+	fr := NewFrameReader(bytes.NewReader(append(stalled, frameRequest)))
+	if _, _, err := fr.Next(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("stalled prefix: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if len(fr.buf) != readStart {
+		t.Errorf("read buffer is %d bytes behind a stalled MaxFrame prefix, want %d", len(fr.buf), readStart)
+	}
+
+	const giant = 200 << 10
+	fr = NewFrameReader(&segReader{segs: [][]byte{stream(giant), stream(100), stream(giant, 300)}})
+	sizes := make([]int, 0, 4)
+	for {
+		_, payload, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payload) == giant && len(fr.buf) != frameHeaderLen+1+giant {
+			t.Errorf("read buffer is %d bytes holding a %d-byte frame, want the frame", len(fr.buf), frameHeaderLen+1+giant)
+		}
+		sizes = append(sizes, len(fr.buf))
+	}
+	if len(sizes) != 4 || sizes[1] != readStart {
+		t.Errorf("buffer sizes frame by frame %v; want readStart (%d) after the first giant frame", sizes, readStart)
+	}
+}
+
 // TestFramedSendAllocs pins the zero-allocation guarantee for the live
 // send path: framing and encoding a GET and a PUT chain must not
 // allocate once the writer's buffer has warmed up.

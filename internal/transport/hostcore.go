@@ -29,8 +29,8 @@ const (
 //
 // Everything that touches shared state takes the space guard, on both
 // transports: the live server's sockets contend on it, and in the
-// simulator — one goroutine per server's event domain, which holds the
-// guard nowhere else — it is uncontended and costs an atomic.
+// simulator — one goroutine per cluster engine, which holds the guard
+// nowhere else — it is uncontended and costs an atomic.
 type HostCore struct {
 	space     *memory.Space
 	freeLists map[uint32]*alloc.FreeList
@@ -156,7 +156,7 @@ func nextTempBufs(prev uint64) uint64 {
 // schedule's next backing region (under the space guard) when the current
 // one fills. Transports call it once per accepted connection and
 // serialize the calls themselves: the live server under its accept lock,
-// the simulator by running each server on one event domain.
+// the simulator by running each cluster on one engine.
 func (h *HostCore) AllocConnTemp() memory.Addr {
 	if h.tempRegion == nil || h.tempUsed+ConnTempSize > h.tempRegion.Len {
 		var prev uint64

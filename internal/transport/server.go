@@ -38,8 +38,18 @@ type Host interface {
 // sockets) and response latency within a burst.
 const ServerBatch = 64
 
-// ErrServerClosed is returned by Serve after Shutdown begins draining.
-var ErrServerClosed = errors.New("transport: server closed")
+// MaxSockets caps the sockets a server serves at once. A socket past the
+// cap is closed as soon as it is accepted, so what idle and stalled peers
+// can pin is bounded by the operator, not by the peers.
+const MaxSockets = 1024
+
+var (
+	// ErrServerClosed is returned by Serve after Shutdown begins draining.
+	ErrServerClosed = errors.New("transport: server closed")
+	// ErrTooManySockets is returned by ServeConn when MaxSockets sockets
+	// are already being served.
+	ErrTooManySockets = errors.New("transport: too many sockets")
+)
 
 // Server is a live PRISM NIC endpoint over stream sockets (tcp or
 // unix). Each accepted socket gets its own goroutine, framer, executor,
@@ -66,7 +76,7 @@ type Server struct {
 
 	// rpcMu serializes RPC handler invocations: handlers keep per-server
 	// scratch (reply buffers, decode state) sized for the simulator's
-	// one-domain-per-server execution. Lock order: rpcMu before the
+	// one-engine-per-cluster execution. Lock order: rpcMu before the
 	// space guard (handlers call RecycleBuffers, which takes the guard) —
 	// which is why a wakeup batch releases its amortized guard before
 	// dispatching an RPC frame.
@@ -117,7 +127,7 @@ func NewServer() *Server {
 }
 
 // addSock builds and registers the per-socket state, refusing sockets
-// once a drain has begun.
+// once a drain has begun or MaxSockets are being served.
 func (s *Server) addSock(nc net.Conn) (*srvSock, error) {
 	sk := &srvSock{s: s, nc: nc, fr: NewFrameReader(nc), fw: NewFrameWriter(nc)}
 	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists(), ReadAlloc: sk.fw.carve}
@@ -127,6 +137,10 @@ func (s *Server) addSock(nc net.Conn) (*srvSock, error) {
 	if s.draining {
 		s.mu.Unlock()
 		return nil, ErrServerClosed
+	}
+	if len(s.socks) >= MaxSockets {
+		s.mu.Unlock()
+		return nil, ErrTooManySockets
 	}
 	s.socks[sk] = struct{}{}
 	s.wg.Add(1)
@@ -158,6 +172,10 @@ func (s *Server) Serve(l net.Listener) error {
 			return err
 		}
 		sk, err := s.addSock(nc)
+		if errors.Is(err, ErrTooManySockets) {
+			nc.Close()
+			continue
+		}
 		if err != nil {
 			nc.Close()
 			l.Close()

@@ -13,8 +13,8 @@ import "prism/internal/wire"
 // The type parameter X is per-transport completion state carried on
 // each pooled entry: the sim client stores a pooled future and a
 // retransmit timer, the live client a channel waiter and a result-copy
-// arena. A Window is single-owner — the sim binds one per connection on
-// the client machine's event domain, the live client guards each with
+// arena. A Window is single-owner — the sim binds one per connection,
+// driven by its cluster's one engine, the live client guards each with
 // its connection mutex.
 type Window[X any] struct {
 	// Depth is the send window: request N is only on the wire when

@@ -16,7 +16,7 @@ import (
 const rpcFree byte = 1
 
 // Cached CAS masks for the validation and commit layouts. Read-only after
-// init, shared by every client and shard domain.
+// init, shared by every client and shard.
 var (
 	pwprFullMask = prism.FullMask(16)        // (PW,PR) pair
 	prOnlyMask   = prism.FieldMask(16, 8, 8) // swap PR

@@ -120,21 +120,13 @@ type ClusterConfig struct {
 	// Params overrides the whole cost model (optional; default is the
 	// paper-calibrated model).
 	Params *Params
-	// ClientsPerDomain co-locates client machines into shared event
-	// domains (affinity groups): the i-th client machine joins group
-	// i/ClientsPerDomain. <= 1 keeps one domain per machine. Simulation
-	// output is identical at any grouping; only scheduler barrier
-	// frequency changes.
-	ClientsPerDomain int
 }
 
 // ClusterSim is a set of machines on one simulated fabric.
 type ClusterSim struct {
-	engine  *sim.Engine
-	net     *fabric.Network
-	params  model.Params
-	perDom  int
-	clients int
+	engine *sim.Engine
+	net    *fabric.Network
+	params model.Params
 }
 
 // NewCluster creates an empty cluster.
@@ -147,7 +139,7 @@ func NewCluster(cfg ClusterConfig) *ClusterSim {
 		p.Network = *cfg.Network
 	}
 	e := sim.NewEngine(cfg.Seed)
-	return &ClusterSim{engine: e, net: fabric.New(e, p), params: p, perDom: cfg.ClientsPerDomain}
+	return &ClusterSim{engine: e, net: fabric.New(e, p), params: p}
 }
 
 // Engine exposes the simulation engine (clock, scheduling).
@@ -161,15 +153,8 @@ func (c *ClusterSim) NewServer(name string, d Deployment) *Server {
 	return rdma.NewServer(c.net, name, d)
 }
 
-// NewClientMachine adds a client machine. With ClusterConfig's
-// ClientsPerDomain > 1, consecutive client machines share event domains
-// in groups of that size.
+// NewClientMachine adds a client machine.
 func (c *ClusterSim) NewClientMachine(name string) *ClientMachine {
-	id := c.clients
-	c.clients++
-	if c.perDom > 1 {
-		return rdma.NewClientInGroup(c.net, name, id/c.perDom)
-	}
 	return rdma.NewClient(c.net, name)
 }
 
