@@ -31,17 +31,19 @@ test:
 # guard on concurrent sockets; tx and abd because their stores are served
 # over a socket too. internal/bench runs once: its determinism tests
 # already drive their own point pools. It runs as two processes, because the
-# race runtime's memory grows across the tests of one process: the two
-# all-figure sweeps (≈3.1 GB) apart from the rest (≈5.5 GB); in one
-# process it passes 6 GB. Each prints its peak_rss_mb (TestMain; go test
-# shows it when run in the package directory). workload and prismtrace
-# ride along after it.
+# race runtime's memory grows across the tests of one process: all of
+# internal/bench in one peaked at 6,853 MB on the 8 GB host, over the
+# 6,000 MB it may use there, so the golden-figure tests (every figure
+# rendered serially and on a pool, ≈3,000 MB) run apart from the rest
+# (≈4,700 MB). Each prints its peak_rss_mb (TestMain; go test shows it when
+# run in the package directory). workload and prismtrace ride along after
+# it.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
 		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism \
 		./internal/tx ./internal/abd
-	cd internal/bench && $(GO) test -race -run '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial)$$'
-	cd internal/bench && $(GO) test -race -skip '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial)$$'
+	cd internal/bench && $(GO) test -race -run '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
+	cd internal/bench && $(GO) test -race -skip '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
 	$(GO) test -race ./internal/workload ./cmd/prismtrace
 
 # The one command that regenerates a number: the repository's benchmark

@@ -50,7 +50,6 @@ func main() {
 	unixPath := flag.String("unix", "", "unix socket path")
 	nKeys := flag.Int64("keys", 4096, "hash table slots; with -value, a ceiling on memory, not what is resident")
 	valueSize := flag.Int("value", 1024, "largest value size accepted (bytes)")
-	hashMode := flag.String("hash", "collisionless", "hash mode: collisionless, fnv, twochoice")
 	load := flag.Int64("load", 0, "preload keys 0..N-1 before serving")
 	chainDepth := flag.Int64("chain", 0, "serve a linked-chain store of -keys buckets x DEPTH nodes instead of the hash table")
 	wirecheck := flag.Bool("wirecheck", false, "verify every frame round-trips the codec canonically")
@@ -60,18 +59,6 @@ func main() {
 
 	if *tcpAddr == "" && *unixPath == "" {
 		fmt.Fprintln(os.Stderr, "prismd: need -tcp and/or -unix")
-		os.Exit(2)
-	}
-	var hash kv.Hash
-	switch *hashMode {
-	case "collisionless":
-		hash = kv.Collisionless
-	case "fnv":
-		hash = kv.FNV
-	case "twochoice":
-		hash = kv.TwoChoice
-	default:
-		fmt.Fprintln(os.Stderr, "prismd: unknown hash mode (collisionless, fnv, or twochoice)")
 		os.Exit(2)
 	}
 	transport.SetWireCheck(*wirecheck)
@@ -97,9 +84,7 @@ func main() {
 		}
 		loadKey = store.Load
 	} else {
-		opts := kv.DefaultOptions(*nKeys, *valueSize)
-		opts.Hash = hash
-		store, err := kv.NewServerOn(ts, opts)
+		store, err := kv.NewServerOn(ts, kv.DefaultOptions(*nKeys, *valueSize))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "prismd:", err)
 			os.Exit(1)
@@ -136,8 +121,8 @@ func main() {
 			fmt.Printf("prismd: serving chain store on %s %s (buckets=%d, depth=%d, wirecheck=%v)\n",
 				network, addr, *nKeys, *chainDepth, *wirecheck)
 		} else {
-			fmt.Printf("prismd: serving PRISM-KV on %s %s (slots=%d, hash=%s, wirecheck=%v)\n",
-				network, addr, *nKeys, *hashMode, *wirecheck)
+			fmt.Printf("prismd: serving PRISM-KV on %s %s (slots=%d, wirecheck=%v)\n",
+				network, addr, *nKeys, *wirecheck)
 		}
 		go func() { serveErr <- ts.Serve(l) }()
 	}

@@ -12,14 +12,11 @@ import (
 	"prism/internal/sim"
 )
 
-// TestTraceAffinityByteIdentical: every scenario's printed trace —
-// timings and the server-side record of the executed ops — is the same
-// bytes on every run and is the trace that giving each client machine its
-// own event domain printed (testdata/<scenario>.golden, recorded that way
-// with the domain annotation removed). Every machine now shares its
-// cluster's one engine, the limit of grouping, and the (time, source node,
-// send sequence) delivery order is what keeps the bytes.
-func TestTraceAffinityByteIdentical(t *testing.T) {
+// TestTraceGolden: every scenario's printed trace — timings and the
+// server-side record of the executed ops — is the same bytes on every run
+// and is the recorded one (testdata/<scenario>.golden): the (time, source
+// node, send sequence) delivery order keeps the bytes.
+func TestTraceGolden(t *testing.T) {
 	for _, which := range []string{"kvget", "kvput", "kvchase", "kvscan", "abdwrite", "txcommit"} {
 		t.Run(which, func(t *testing.T) {
 			var first, second strings.Builder
@@ -31,7 +28,7 @@ func TestTraceAffinityByteIdentical(t *testing.T) {
 					first.String(), second.String())
 			}
 			if want := golden(t, which); first.String() != want {
-				t.Fatalf("trace differs from the per-machine-domain one:\n--- testdata ---\n%s--- one engine ---\n%s",
+				t.Fatalf("trace differs from the recorded one:\n--- testdata ---\n%s--- this run ---\n%s",
 					want, first.String())
 			}
 		})
@@ -119,13 +116,11 @@ func traceMultiClient(t *testing.T) string {
 	return out.String()
 }
 
-// TestRegroupingPreservesExecutionTrace: with three clients racing on one
-// server, the server-side wire trace is event for event the one recorded
-// when each client machine had its own event domain
-// (testdata/multiclient.golden): moving every machine onto one engine
-// regroups them all, and the (time, source node, send sequence) order
-// still decides delivery.
-func TestRegroupingPreservesExecutionTrace(t *testing.T) {
+// TestMultiClientTraceGolden: with three clients racing on one server, the
+// server-side wire trace is event for event the recorded one
+// (testdata/multiclient.golden): the (time, source node, send sequence)
+// order decides delivery.
+func TestMultiClientTraceGolden(t *testing.T) {
 	got := traceMultiClient(t)
 	if got == "" {
 		t.Fatal("empty execution trace")
@@ -133,11 +128,11 @@ func TestRegroupingPreservesExecutionTrace(t *testing.T) {
 	want := strings.SplitAfter(golden(t, "multiclient"), "\n")
 	lines := strings.SplitAfter(got, "\n")
 	if len(lines) != len(want) {
-		t.Fatalf("%d events vs %d with per-machine domains", len(lines)-1, len(want)-1)
+		t.Fatalf("%d events vs %d recorded", len(lines)-1, len(want)-1)
 	}
 	for i := range want {
 		if lines[i] != want[i] {
-			t.Fatalf("event %d differs:\nper-machine domains: %sone engine:          %s", i, want[i], lines[i])
+			t.Fatalf("event %d differs:\nrecorded: %sthis run: %s", i, want[i], lines[i])
 		}
 	}
 }

@@ -6,12 +6,14 @@
 // PRISM option's advantage over two-round-trip RDMA grows with network
 // latency.
 //
-// Run: go run ./examples/deployments
-package main
+// The simulator is deterministic, so the example's output is checked:
+// go test -v ./examples/deployments
+package deployments_test
 
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"prism"
@@ -57,7 +59,7 @@ func measureKV(deploy prism.Deployment, network prism.SwitchProfile) (get, put t
 	return getNS / nOps, putNS / nOps
 }
 
-func main() {
+func Example() {
 	deployments := []prism.Deployment{
 		prism.SoftwarePRISM,
 		prism.ProjectedHardwarePRISM,
@@ -65,26 +67,35 @@ func main() {
 	}
 	networks := []prism.SwitchProfile{prism.Rack, prism.Cluster, prism.Datacenter}
 
+	// Rows are printed without their last column's padding.
 	fmt.Println("PRISM-KV mean latency by deployment and network scale (simulated):")
-	fmt.Printf("%-22s", "")
+	head, cols := fmt.Sprintf("%-22s", ""), fmt.Sprintf("%-22s", "")
 	for _, nw := range networks {
-		fmt.Printf("  %-24s", nw.Name)
+		head += fmt.Sprintf("  %-24s", nw.Name)
+		cols += fmt.Sprintf("  %-11s %-11s", "GET", "PUT")
 	}
-	fmt.Println()
-	fmt.Printf("%-22s", "")
-	for range networks {
-		fmt.Printf("  %-11s %-11s", "GET", "PUT")
-	}
-	fmt.Println()
+	fmt.Println(strings.TrimRight(head, " "))
+	fmt.Println(strings.TrimRight(cols, " "))
 	for _, d := range deployments {
-		fmt.Printf("%-22s", d.String())
+		line := fmt.Sprintf("%-22s", d)
 		for _, nw := range networks {
 			get, put := measureKV(d, nw)
-			fmt.Printf("  %-11s %-11s", get.Round(10*time.Nanosecond), put.Round(10*time.Nanosecond))
+			line += fmt.Sprintf("  %-11s %-11s", get.Round(10*time.Nanosecond), put.Round(10*time.Nanosecond))
 		}
-		fmt.Println()
+		fmt.Println(strings.TrimRight(line, " "))
 	}
 	fmt.Println()
 	fmt.Println("The projected hardware NIC wins everywhere; the BlueField's host-memory")
 	fmt.Println("penalty shrinks in relative terms as network latency dominates (Fig. 2).")
+
+	// Output:
+	// PRISM-KV mean latency by deployment and network scale (simulated):
+	//                         rack                      cluster                   datacenter
+	//                         GET         PUT          GET         PUT          GET         PUT
+	// PRISM SW                6.53µs      13.52µs      8.93µs      18.32µs      29.93µs     60.32µs
+	// PRISM HW (proj.)        4.63µs      9.32µs       7.03µs      14.12µs      28.03µs     56.12µs
+	// PRISM BlueField         11.73µs     35.02µs      14.13µs     39.82µs      35.13µs     81.82µs
+	//
+	// The projected hardware NIC wins everywhere; the BlueField's host-memory
+	// penalty shrinks in relative terms as network latency dominates (Fig. 2).
 }

@@ -5,8 +5,9 @@
 // ALLOCATE redirecting the new address, CAS the <tag,addr> pair) that the
 // paper's applications are built from.
 //
-// Run: go run ./examples/quickstart
-package main
+// The simulator is deterministic, so the example's output is checked:
+// go test -v ./examples/quickstart
+package quickstart_test
 
 import (
 	"fmt"
@@ -19,7 +20,7 @@ import (
 	"prism/internal/wire"
 )
 
-func main() {
+func Example() {
 	c := prism.NewCluster(prism.ClusterConfig{Seed: 1})
 	srv := c.NewServer("server", prism.SoftwarePRISM)
 
@@ -109,4 +110,12 @@ func main() {
 		fmt.Printf("follow-up indirect READ -> %q\n", res[0].Data)
 	})
 	c.Run()
+
+	// Output:
+	// indirect bounded READ -> "hello from server memory"  (status OK, RTT so far 5.9µs)
+	// ALLOCATE -> buffer at 0x12000 (status OK)
+	// enhanced CAS(GT tag) -> status OK, previous tag 1
+	// enhanced CAS(stale tag) -> status CAS_FAILED (correctly rejected)
+	// chain WRITE+ALLOCATE+CAS -> statuses OK OK OK in one 6.572µs round trip
+	// follow-up indirect READ -> "chained new version"
 }

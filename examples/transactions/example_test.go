@@ -5,8 +5,9 @@
 // matter how transfers interleave, and conflicting transactions abort and
 // retry.
 //
-// Run: go run ./examples/transactions
-package main
+// The simulator is deterministic, so the example's output is checked:
+// go test -v ./examples/transactions
+package transactions_test
 
 import (
 	"encoding/binary"
@@ -36,7 +37,7 @@ func decodeBalance(b []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(b))
 }
 
-func main() {
+func Example() {
 	c := prism.NewCluster(prism.ClusterConfig{Seed: 23})
 
 	servers := make([]*prism.Server, nShards)
@@ -122,7 +123,6 @@ func main() {
 		for {
 			t := audit.Begin()
 			var total int64
-			okRead := true
 			for acct := int64(0); acct < nAccounts; acct++ {
 				b, err := t.Read(p, acct)
 				if err != nil {
@@ -132,9 +132,6 @@ func main() {
 			}
 			if _, err := t.Commit(p); err != nil {
 				continue // validation raced a straggler; retry
-			}
-			if !okRead {
-				continue
 			}
 			want := int64(nAccounts * initialBalance)
 			fmt.Printf("committed transfers: %d (plus %d aborted+retried)\n", totalCommits, totalAborts)
@@ -148,4 +145,9 @@ func main() {
 		}
 	})
 	c.Run()
+
+	// Output:
+	// committed transfers: 200 (plus 66 aborted+retried)
+	// audit (read-only serializable txn over 32 accounts): total=32000 want=32000
+	// invariant holds: serializable transfers conserved the total balance
 }

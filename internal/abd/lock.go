@@ -76,10 +76,6 @@ type LockClient struct {
 	f     int
 	rngF  func() float64 // jitter source (engine RNG)
 
-	// Backoff bounds for lock-acquisition retries.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
-
 	// Stats
 	LockRetries int64
 
@@ -101,22 +97,26 @@ func NewLockClient(id uint16, conns []*rdma.Conn, metas []LockMeta, jitter func(
 		panic("abd: client id 0 is the unlocked sentinel")
 	}
 	return &LockClient{
-		id:         id,
-		conns:      conns,
-		metas:      metas,
-		f:          (len(conns) - 1) / 2,
-		rngF:       jitter,
-		BackoffMin: 4 * time.Microsecond,
-		BackoffMax: 512 * time.Microsecond,
+		id:    id,
+		conns: conns,
+		metas: metas,
+		f:     (len(conns) - 1) / 2,
+		rngF:  jitter,
 	}
 }
+
+// Bounds of the exponential backoff between lock-acquisition retries.
+const (
+	backoffMin = 4 * time.Microsecond
+	backoffMax = 512 * time.Microsecond
+)
 
 // acquire tries to lock block at every replica and returns the set that
 // succeeded once a majority is locked; on failure it releases and backs
 // off. Mirrors §7.2 (including its liveness hazards, which the backoff
 // mitigates).
 func (c *LockClient) acquire(p *sim.Proc, block int64) []int {
-	backoff := c.BackoffMin
+	backoff := backoffMin
 	for {
 		for i, conn := range c.conns {
 			m := &c.metas[i]
@@ -143,7 +143,7 @@ func (c *LockClient) acquire(p *sim.Proc, block int64) []int {
 			sleep = time.Duration(float64(backoff) * (0.5 + c.rngF()))
 		}
 		p.Sleep(sleep)
-		if backoff < c.BackoffMax {
+		if backoff < backoffMax {
 			backoff *= 2
 		}
 	}

@@ -131,16 +131,15 @@ type Client struct {
 	tagMasks  [][]byte
 	fullMasks [][]byte
 
-	// Reusable storage for the quorum phases' future slices. Only the
-	// slice headers are recycled — the futures themselves stay fresh per
-	// call, because a straggler replica completes its future long after
-	// the quorum returned.
-	readFuts  []*sim.Future[readReply]
-	writeFuts []*sim.Future[int]
+	// The quorum phases: one fan-out round per phase, posted to every
+	// replica and waited until f+1 answer. Each phase has its own fan-out
+	// so the read phase's value, a view of readFan's copy, survives the
+	// write round that writes it back. writeFan's OnDone retires what each
+	// write chain displaced when it completes, stragglers included.
+	readFan, writeFan rdma.Fanout
 
 	// Stats
 	WriteBacksSkipped int64
-	CASLost           int64 // installs superseded by a newer tag
 }
 
 // NewClient builds a client over one connection per replica (2f+1 total).
@@ -157,9 +156,8 @@ func NewClient(id uint16, conns []*rdma.Conn, metas []Meta) *Client {
 		tmpSlot:   make([]int, len(conns)),
 		tagMasks:  make([][]byte, len(conns)),
 		fullMasks: make([][]byte, len(conns)),
-		readFuts:  make([]*sim.Future[readReply], len(conns)),
-		writeFuts: make([]*sim.Future[int], len(conns)),
 	}
+	c.writeFan.OnDone = c.writeDone
 	for i := range metas {
 		c.Reclaim[i] = transport.NewReclaimer(&rdma.ProcConn{Conn: conns[i]}, rpcFree, 16)
 		es := int(metas[i].entrySize())
@@ -169,58 +167,38 @@ func NewClient(id uint16, conns []*rdma.Conn, metas []Meta) *Client {
 	return c
 }
 
-type readReply struct {
-	replica int
-	tag     Tag
-	value   []byte
-	ok      bool
-	status  wire.Status
-}
-
 // readPhase performs the ABD read phase: an indirect READ of the block's
-// buffer at every replica; first f+1 replies win.
+// buffer at every replica; first f+1 replies win. The value is readFan's
+// copy, valid until the next read phase.
 func (c *Client) readPhase(p *sim.Proc, block int64) (Tag, []byte, error) {
-	futs := c.readFuts
-	for i := range c.conns {
-		i := i
+	for i, conn := range c.conns {
 		m := &c.metas[i]
+		ops := conn.Ops(1)
 		// Fixed-size blocks dereference a plain pointer; variable-size
 		// blocks (§7.3 extension) dereference the <addr,bound> pair so the
 		// reply carries only the stored bytes.
-		op := prism.ReadIndirect(m.Key, m.entryAddr(block)+8, m.bufSize())
+		ops[0] = prism.ReadIndirect(m.Key, m.entryAddr(block)+8, m.bufSize())
 		if m.Variable {
-			op = prism.ReadBounded(m.Key, m.entryAddr(block)+8, m.bufSize())
+			ops[0] = prism.ReadBounded(m.Key, m.entryAddr(block)+8, m.bufSize())
 		}
-		ops := c.conns[i].Ops(1)
-		ops[0] = op
-		f := c.conns[i].IssueAsync(ops)
-		rf := sim.NewFuture[readReply]()
-		futs[i] = rf
-		f.OnComplete(func(res []wire.Result) {
-			rep := readReply{replica: i}
-			rep.status = res[0].Status
-			if res[0].Status == wire.StatusOK && len(res[0].Data) >= 8 {
-				rep.ok = true
-				rep.tag = Tag(prism.BE64(res[0].Data, 0))
-				rep.value = res[0].Data[8:]
-			}
-			rf.Complete(rep)
-		})
+		c.readFan.Post(conn, ops)
 	}
-	replies := sim.WaitQuorum(p, c.f+1, futs)
-	var maxTag Tag
+	var first, maxTag Tag
 	var maxVal []byte
 	agreed := true
-	for _, rep := range replies {
-		if !rep.ok {
-			return 0, nil, fmt.Errorf("abd: read phase failed at replica %d (status %v)", rep.replica, rep.status)
+	for n, r := range c.readFan.WaitFirst(p, c.f+1) {
+		res := r.Results[0]
+		if res.Status != wire.StatusOK || len(res.Data) < 8 {
+			return 0, nil, fmt.Errorf("abd: read phase failed at replica %d (status %v)", r.Slot, res.Status)
 		}
-		if rep.tag != replies[0].tag {
+		tag := Tag(prism.BE64(res.Data, 0))
+		if n == 0 {
+			first = tag
+		} else if tag != first {
 			agreed = false
 		}
-		if rep.tag > maxTag {
-			maxTag = rep.tag
-			maxVal = rep.value
+		if tag > maxTag {
+			maxTag, maxVal = tag, res.Data[8:]
 		}
 	}
 	c.lastReadAgreed = agreed
@@ -238,11 +216,8 @@ func (c *Client) writePhase(p *sim.Proc, block int64, tag Tag, value []byte) err
 		return fmt.Errorf("abd: value size %d, want %d", len(value), c.metas[0].BlockSize)
 	}
 	const slots = rdma.ConnTempSize / rdma.TempSlotSize
-	futs := c.writeFuts
-	for i := range c.conns {
-		i := i
+	for i, conn := range c.conns {
 		m := &c.metas[i]
-		conn := c.conns[i]
 		tmp := conn.TempAddr + memory.Addr(c.tmpSlot[i]*rdma.TempSlotSize)
 		c.tmpSlot[i] = (c.tmpSlot[i] + 1) % slots
 		entrySize := int(m.entrySize())
@@ -270,38 +245,15 @@ func (c *Client) writePhase(p *sim.Proc, block int64, tag Tag, value []byte) err
 		// 3. CAS_GT the metadata entry against *tmp.
 		ops[2] = prism.Conditional(prism.CASIndirectData(m.Key, m.entryAddr(block), wire.CASGt, tmp,
 			c.tagMasks[i], c.fullMasks[i]))
-		f := conn.IssueAsync(ops)
-		rf := sim.NewFuture[int]()
-		futs[i] = rf
-		f.OnComplete(func(res []wire.Result) {
-			okAck := 0
-			switch {
-			case res[2].Status == wire.StatusOK:
-				okAck = 1
-				// Old version retired.
-				old := prism.LE64(res[2].Data, 8)
-				if old != 0 {
-					c.retire(i, memory.Addr(old))
-				}
-			case res[2].Status == wire.StatusCASFailed:
-				// Replica already stores a newer tag: counts as an ack
-				// (the newer value subsumes ours), but our allocated
-				// buffer is orphaned — retire it.
-				okAck = 1
-				c.CASLost++
-				if res[1].Status == wire.StatusOK {
-					c.retire(i, res[1].Addr)
-				}
-			case res[1].Status == wire.StatusRNR:
-				okAck = 0 // replica out of buffers; not an ack
-			}
-			rf.Complete(okAck)
-		})
+		c.writeFan.Post(conn, ops)
 	}
-	acks := sim.WaitQuorum(p, c.f+1, futs)
 	good := 0
-	for _, a := range acks {
-		good += a
+	for _, r := range c.writeFan.WaitFirst(p, c.f+1) {
+		// A CAS that lost to a newer tag still acks: the newer value
+		// subsumes ours. A replica out of buffers (RNR) does not.
+		if st := r.Results[2].Status; st == wire.StatusOK || st == wire.StatusCASFailed {
+			good++
+		}
 	}
 	if good < c.f+1 {
 		// Collect stragglers? The protocol only needs f+1; a failed chain
@@ -309,6 +261,25 @@ func (c *Client) writePhase(p *sim.Proc, block int64, tag Tag, value []byte) err
 		return fmt.Errorf("abd: write phase acked by %d < %d replicas", good, c.f+1)
 	}
 	return transport.FlushFull(c.Reclaim)
+}
+
+// writeDone is writeFan's OnDone: when replica's write chain completes —
+// inside the quorum or as a straggler — it retires the buffer the chain
+// displaced, in completion order.
+func (c *Client) writeDone(replica int, res []wire.Result) {
+	switch res[2].Status {
+	case wire.StatusOK:
+		// The CAS installed ours: the old version is retired.
+		if old := prism.LE64(res[2].Data, 8); old != 0 {
+			c.retire(replica, memory.Addr(old))
+		}
+	case wire.StatusCASFailed:
+		// The replica already stores a newer tag, so our allocated buffer
+		// is orphaned.
+		if res[1].Status == wire.StatusOK {
+			c.retire(replica, res[1].Addr)
+		}
+	}
 }
 
 // Get performs a linearizable read: ABD read phase, then write-back of the

@@ -26,7 +26,7 @@ const (
 
 // Both guards amortize testing.AllocsPerRun over 2000 operations inside
 // a single closed-loop client process, after a warmup that fills the
-// connection/request/future pools and the server-side arenas.
+// connection/request pools and the server-side arenas.
 
 func TestGetAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
@@ -95,6 +95,30 @@ func TestSchedulerAllocGuard(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("scheduler steady state allocates %.2f/op, guard is 0/op — the wheel or burst path regressed", avg)
 	}
+}
+
+// maxRSAllocsPerOp bounds PRISM-RS's Telemetry.AllocsPerOp at fig6's
+// 17-client tinyD point, harness included: ≈33, mostly the harness —
+// ABDLOCK's same point reads ≈18 — and the two images each write chain
+// gets fresh. A future or closure per replica per phase would add ≈50.
+const maxRSAllocsPerOp = 36
+
+func TestRSAllocGuard(t *testing.T) {
+	cfg := tinyD()
+	cfg.ClientCounts = []int{17}
+	fig := Fig6(cfg)
+	for si, s := range fig.Series {
+		if s.Name != "PRISM-RS" {
+			continue
+		}
+		avg := fig.PointTel[si].AllocsPerOp
+		t.Logf("PRISM-RS: %.2f allocs/op", avg)
+		if avg > maxRSAllocsPerOp {
+			t.Fatalf("PRISM-RS allocates %.2f/op, guard is %d/op — its quorum phases regressed", avg, maxRSAllocsPerOp)
+		}
+		return
+	}
+	t.Fatal("fig6 has no PRISM-RS series")
 }
 
 func TestPutAllocGuard(t *testing.T) {

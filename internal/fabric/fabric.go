@@ -93,9 +93,6 @@ func (n *Node) SetRack(r int) { n.rack = r }
 // Rack returns the node's rack assignment (0 unless SetRack was called).
 func (n *Node) Rack() int { return n.rack }
 
-// TxQueueDelay reports the current backlog on the node's transmit port.
-func (n *Node) TxQueueDelay() sim.Duration { return n.tx.QueueDelay() }
-
 // Network is a set of nodes joined through one switch profile.
 type Network struct {
 	e     *sim.Engine

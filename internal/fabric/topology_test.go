@@ -104,11 +104,10 @@ func stormTrace(t *testing.T, crossRack time.Duration, random bool) string {
 	return b.String()
 }
 
-// Storm trace digests recorded when every node ran in its own event
-// domain under the conservative window scheduler.
+// Recorded storm trace digests.
 const (
-	perNodeStormSHA256  = "38d45d65321a68bae40aaaa44c36a5601c6b65d6b4124ac3520fa5b52c6c64e2"
-	perNodeRackedSHA256 = "34e17d8225e75128909908c9e01cbb5c72a2576d892332f014b04e94b6d8107e"
+	stormSHA256       = "38d45d65321a68bae40aaaa44c36a5601c6b65d6b4124ac3520fa5b52c6c64e2"
+	rackedStormSHA256 = "34e17d8225e75128909908c9e01cbb5c72a2576d892332f014b04e94b6d8107e"
 )
 
 func sha256Hex(s string) string {
@@ -116,10 +115,10 @@ func sha256Hex(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestCrossDomainDeterminism: a storm whose receivers draw their next hop
-// from the engine's RNG cascades and repeats byte for byte — every node
-// shares the one engine, and the draws follow the delivery order.
-func TestCrossDomainDeterminism(t *testing.T) {
+// TestRandomStormRepeats: a storm whose receivers draw their next hop from
+// the engine's RNG cascades and repeats byte for byte — the draws follow
+// the delivery order.
+func TestRandomStormRepeats(t *testing.T) {
 	base := stormTrace(t, 0, true)
 	if !strings.Contains(base, "hops=0") {
 		t.Fatalf("storm did not cascade:\n%s", base)
@@ -129,33 +128,31 @@ func TestCrossDomainDeterminism(t *testing.T) {
 	}
 }
 
-// TestGroupedStormDeterminism: with every node on one engine — the whole
-// storm in one group — the per-node delivery traces are the ones the
-// one-domain-per-node scheduler recorded, on every run: the (arrival
-// time, source node, send sequence) order decides delivery, the node
-// layout never did.
-func TestGroupedStormDeterminism(t *testing.T) {
+// TestStormTraceGolden: the per-node delivery traces of a storm hash to
+// the recorded value, on every run: the (arrival time, source node, send
+// sequence) order decides delivery.
+func TestStormTraceGolden(t *testing.T) {
 	base := stormTrace(t, 0, false)
 	if !strings.Contains(base, "hops=0") {
 		t.Fatalf("storm did not cascade:\n%s", base)
 	}
-	if got := sha256Hex(base); got != perNodeStormSHA256 {
-		t.Fatalf("storm trace hash %s, want the per-node-domain %s:\n%s", got, perNodeStormSHA256, base)
+	if got := sha256Hex(base); got != stormSHA256 {
+		t.Fatalf("storm trace hash %s, want the recorded %s:\n%s", got, stormSHA256, base)
 	}
 	if again := stormTrace(t, 0, false); again != base {
 		t.Fatalf("storm differs between identical runs:\n--- first ---\n%s--- second ---\n%s", base, again)
 	}
 }
 
-// TestGroupedStormDeterminismCrossRack: the same with a rack split and
-// nonzero cross-rack latency, which moves the storm.
-func TestGroupedStormDeterminismCrossRack(t *testing.T) {
+// TestStormTraceGoldenCrossRack: the same with a rack split and nonzero
+// cross-rack latency, which moves the storm.
+func TestStormTraceGoldenCrossRack(t *testing.T) {
 	racked := stormTrace(t, 700*time.Nanosecond, false)
 	if racked == stormTrace(t, 0, false) {
 		t.Fatal("cross-rack latency had no effect on the storm")
 	}
-	if got := sha256Hex(racked); got != perNodeRackedSHA256 {
-		t.Fatalf("cross-rack storm trace hash %s, want the per-node-domain %s:\n%s", got, perNodeRackedSHA256, racked)
+	if got := sha256Hex(racked); got != rackedStormSHA256 {
+		t.Fatalf("cross-rack storm trace hash %s, want the recorded %s:\n%s", got, rackedStormSHA256, racked)
 	}
 	if again := stormTrace(t, 700*time.Nanosecond, false); again != racked {
 		t.Fatal("cross-rack storm differs between identical runs")
@@ -183,11 +180,10 @@ func TestSameInstantArrivalsDrainBySource(t *testing.T) {
 	}
 }
 
-// TestGroupedLossDeterminism: loss draws come from per-node streams, so
-// with both endpoints on one engine the dropped set is the one recorded
-// when each node had its own event domain (506 delivered, 494 dropped),
-// on every run.
-func TestGroupedLossDeterminism(t *testing.T) {
+// TestLossOutcomeGolden: loss draws come from per-node streams, so the
+// dropped set is the recorded one (506 delivered, 494 dropped), on every
+// run.
+func TestLossOutcomeGolden(t *testing.T) {
 	run := func() (int, int64) {
 		e := sim.NewEngine(3)
 		p := testParams()
@@ -204,7 +200,7 @@ func TestGroupedLossDeterminism(t *testing.T) {
 	}
 	first, firstDropped := run()
 	if first != 506 || firstDropped != 494 {
-		t.Fatalf("loss outcome %d delivered/%d dropped, want the per-node-domain 506/494", first, firstDropped)
+		t.Fatalf("loss outcome %d delivered/%d dropped, want the recorded 506/494", first, firstDropped)
 	}
 	if second, secondDropped := run(); first != second || firstDropped != secondDropped {
 		t.Fatalf("loss outcome differs between runs: %d/%d dropped, then %d/%d",

@@ -66,10 +66,6 @@ func (r *Region) writable(off, n uint64) []byte {
 // parent (false for ordinary regions and forked regions already written).
 func (r *Region) Shared() bool { return r.shared }
 
-// Sealed reports whether the space has been snapshotted and no longer
-// accepts registrations or writes.
-func (s *Space) Sealed() bool { return s.sealed }
-
 // Regions returns the space's registered regions in registration order.
 // Callers must treat the result as read-only (checksumming, inspection).
 func (s *Space) Regions() []*Region {

@@ -155,18 +155,11 @@ type Params struct {
 	// are unaffected, which keeps all pre-program figures byte-identical.
 	ProgStepCost time.Duration
 
-	// --- Server-side memory costs ---
-
-	// HostMemAccess is a DRAM access from the host CPU or NIC DMA engine,
-	// folded into per-op costs; kept separate for chains that touch
-	// memory repeatedly.
-	HostMemAccess time.Duration
+	// --- Client-side costs ---
 
 	// PilafCRCCost is the client-side cost of computing/validating Pilaf's
 	// self-verifying CRCs per GET: the paper attributes ~2 µs (§6.2).
 	PilafCRCCost time.Duration
-	// PilafCRCBytes is the extra per-item CRC payload Pilaf responses carry.
-	PilafCRCBytes int
 
 	// Network is the switch latency profile in effect.
 	Network SwitchProfile
@@ -244,10 +237,7 @@ func Default() Params {
 		BFProcOverhead: 2000 * time.Nanosecond,
 		BFHostAccess:   3000 * time.Nanosecond,
 
-		HostMemAccess: 100 * time.Nanosecond,
-
-		PilafCRCCost:  2000 * time.Nanosecond,
-		PilafCRCBytes: 8,
+		PilafCRCCost: 2000 * time.Nanosecond,
 
 		Network: Rack,
 

@@ -48,8 +48,8 @@ func (c *Client) Node() *fabric.Node { return c.node }
 // The issue/complete machinery — pooled epoch-stamped request records,
 // connection-owned op scratch, and the strict send window — lives in
 // transport.Window, shared with the live stream transports; this type
-// binds it to the simulated fabric with a pooled future per request and
-// a retransmit timer on lossy networks. The window depth is the
+// binds it to the simulated fabric: a response resumes the process parked
+// on it, and a retransmit timer covers lossy networks. The window depth is the
 // server's replay-ring depth: a request is only on the wire while its
 // response can still be replayed, so a retransmitted duplicate can
 // never re-execute (re-execution of a chain could clobber the shared
@@ -65,6 +65,7 @@ type Conn struct {
 	TempKey  memory.RKey
 
 	win *transport.Window[simPending]
+	res []wire.Result // the response handed to the process resumed in Issue
 
 	// Retransmissions counts timer-driven resends (loss recovery).
 	Retransmissions int64
@@ -75,13 +76,15 @@ type Conn struct {
 }
 
 // simPending is the sim transport's per-entry completion state: the
-// pooled future (Reset rather than reallocated on entry reuse), the
-// retransmit timer armed on lossy networks, and — for a chain posted
-// through a Fanout — the fan-out and the chain's position in it.
+// retransmit timer armed on lossy networks and who the response goes to —
+// the process parked in Issue, or the Fanout a chain was posted on with
+// the chain's round and position in it. A fire-and-forget request has
+// neither.
 type simPending struct {
-	fut   *sim.Future[[]wire.Result]
 	timer sim.Timer
+	proc  *sim.Proc
 	fan   *Fanout
+	round uint64
 	slot  int
 }
 
@@ -107,35 +110,28 @@ func (c *Client) Connect(srv *Server) *Conn {
 func (c *Conn) Server() *Server { return c.srv }
 
 // Ops returns an n-op scratch slice owned by the connection, zeroed and
-// ready to fill. The caller must hand it to the next IssueAsync/Issue on
-// this connection, which recycles it when the response arrives — the
-// zero-allocation alternative to building a fresh []wire.Op per request.
-// The slice (including payload/mask fields set into it) must not be
-// retained past the response.
+// ready to fill. The caller must hand it to the next issue on this
+// connection (Issue, IssueAsync or a Fanout's Post), which recycles it
+// when the response arrives — the zero-allocation alternative to building
+// a fresh []wire.Op per request. The slice (including payload/mask fields
+// set into it) must not be retained past the response.
 func (c *Conn) Ops(n int) []wire.Op { return c.win.Ops(n) }
 
-// IssueAsync transmits a chain of ops and returns a future for the
-// per-op results. Requests beyond the send window queue locally until a
-// slot frees (flow control, as real RC queue pairs bound outstanding
-// work requests).
-func (c *Conn) IssueAsync(ops []wire.Op) *sim.Future[[]wire.Result] {
-	e := c.prepare(ops)
-	c.win.Enqueue(e)
-	return e.X.fut
+// IssueAsync transmits a chain of ops fire-and-forget: its response is
+// discarded. Requests beyond the send window queue locally until a slot
+// frees (flow control, as real RC queue pairs bound outstanding work
+// requests). A caller that wants the results of chains in flight together
+// posts them on a Fanout instead.
+func (c *Conn) IssueAsync(ops []wire.Op) {
+	c.win.Enqueue(c.prepare(ops))
 }
 
-// prepare claims a request record for ops with its pooled future pending.
+// prepare claims a request record for ops.
 func (c *Conn) prepare(ops []wire.Op) *transport.Entry[simPending] {
 	if len(ops) == 0 {
 		panic("rdma: empty request")
 	}
-	e := c.win.Prepare(ops)
-	if e.X.fut == nil {
-		e.X.fut = sim.NewFuture[[]wire.Result]()
-	} else {
-		e.X.fut.Reset()
-	}
-	return e
+	return c.win.Prepare(ops)
 }
 
 // transmitEntry is the window's transmit hook: put the request on the
@@ -163,20 +159,28 @@ func (c *Conn) transmit(req *wire.Request) {
 	})
 }
 
+// armRetransmit resends e's request every RetransmitTimeout until it is
+// answered. The answer is the window handing the entry back (Take), which
+// stops the timer, so a firing timer's request is still unanswered.
 func (c *Conn) armRetransmit(e *transport.Entry[simPending]) {
 	e.X.timer = c.client.e.Schedule(c.client.net.Params().RetransmitTimeout, func() {
-		if e.X.fut.Done() {
-			return
-		}
 		c.Retransmissions++
 		c.transmit(e.Req)
 		c.armRetransmit(e)
 	})
 }
 
-// Issue transmits ops and blocks the process until the response arrives.
+// Issue transmits ops and parks p on the connection until the response
+// arrives; the event that delivers it resumes p. The results are valid
+// until the next issue on this connection.
 func (c *Conn) Issue(p *sim.Proc, ops ...wire.Op) []wire.Result {
-	return c.IssueAsync(ops).Wait(p)
+	e := c.prepare(ops)
+	e.X.proc = p
+	c.win.Enqueue(e)
+	p.Park()
+	res := c.res
+	c.res = nil
+	return res
 }
 
 // onMessage completes pending requests as responses arrive.
@@ -200,16 +204,17 @@ func (c *Client) onMessage(m fabric.Message) {
 		return // duplicate response (original + replayed retransmission)
 	}
 	e.X.timer.Stop()
-	fut, fan, slot := e.X.fut, e.X.fan, e.X.slot
-	e.X.fan = nil
-	// Recycle the request record — future and op scratch included — for
-	// the next issue on this connection; see transport.Window.Recycle.
+	x := e.X
+	e.X = simPending{}
+	// Recycle the request record — op scratch included — for the next
+	// issue on this connection; see transport.Window.Recycle.
 	conn.win.Recycle(e)
 	conn.win.Drain() // a window slot may have freed
-	// The future completes for a fanned-out chain too, with nobody waiting
-	// on it: it is what tells a retransmit timer the request was answered.
-	fut.Complete(resp.Results)
-	if fan != nil {
-		fan.deliver(slot, resp.Results)
+	switch {
+	case x.proc != nil:
+		conn.res = resp.Results
+		x.proc.Resume()
+	case x.fan != nil:
+		x.fan.deliver(x.round, x.slot, resp.Results)
 	}
 }

@@ -26,10 +26,10 @@ func (pc *ProcConn) Ops(n int) []wire.Op { return pc.Conn.Ops(n) }
 
 // Issue transmits ops and parks Proc until the response arrives.
 func (pc *ProcConn) Issue(ops []wire.Op) ([]wire.Result, error) {
-	return pc.Conn.IssueAsync(ops).Wait(pc.Proc), nil
+	return pc.Conn.Issue(pc.Proc, ops...), nil
 }
 
-// IssueAsync transmits ops without waiting for the response.
+// IssueAsync transmits ops fire-and-forget (see Conn.IssueAsync).
 func (pc *ProcConn) IssueAsync(ops []wire.Op) error {
 	pc.Conn.IssueAsync(ops)
 	return nil

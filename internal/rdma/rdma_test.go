@@ -421,29 +421,26 @@ func TestRecvCreditsRNR(t *testing.T) {
 	})
 	// Fire 6 concurrent RPCs from separate connections (one conn would
 	// serialize them and never exhaust the queue).
-	var futs []*sim.Future[[]wire.Result]
 	conns := make([]*Conn, 6)
 	for i := range conns {
 		conns[i] = v.cli.Connect(v.srv)
 	}
+	ok, rnr := 0, 0
 	v.e.Go("blast", func(p *sim.Proc) {
+		var f Fanout
 		for _, c := range conns {
-			futs = append(futs, c.IssueAsync([]wire.Op{prism.Send([]byte{1})}))
+			f.Post(c, []wire.Op{prism.Send([]byte{1})})
 		}
-		for _, f := range futs {
-			f.Wait(p)
+		for _, res := range f.Wait(p) {
+			switch res[0].Status {
+			case wire.StatusOK:
+				ok++
+			case wire.StatusRNR:
+				rnr++
+			}
 		}
 	})
 	v.e.Run()
-	ok, rnr := 0, 0
-	for _, f := range futs {
-		switch f.Value()[0].Status {
-		case wire.StatusOK:
-			ok++
-		case wire.StatusRNR:
-			rnr++
-		}
-	}
 	if ok < 2 || rnr == 0 {
 		t.Fatalf("credits=2: ok=%d rnr=%d; want >=2 served and some RNR", ok, rnr)
 	}
@@ -540,16 +537,14 @@ func TestSameConnectionRequestsSerialize(t *testing.T) {
 	ring := NewTraceRing(256)
 	v.srv.SetTracer(ring.Record)
 	v.e.Go("a", func(p *sim.Proc) {
-		var futs []*sim.Future[[]wire.Result]
+		var f Fanout
 		for i := 0; i < 5; i++ {
-			futs = append(futs, v.conn.IssueAsync([]wire.Op{
+			f.Post(v.conn, []wire.Op{
 				prism.Write(v.reg.Key, v.reg.Base, []byte("xxxxxxxx")),
 				prism.Write(v.reg.Key, v.reg.Base+8, []byte("yyyyyyyy")),
-			}))
+			})
 		}
-		for _, f := range futs {
-			f.Wait(p)
-		}
+		f.Wait(p)
 	})
 	v.e.Run()
 	evs := ring.Events()
@@ -573,7 +568,7 @@ func TestSameConnectionRequestsSerialize(t *testing.T) {
 // epoch stamp (snapshotted into the fabric Tag at send time) makes both
 // endpoints drop such datagrams. Every op here writes a distinct payload
 // and immediately reads it back, so any cross-wiring of a recycled
-// response to the wrong future shows up as a data mismatch; the stat
+// response to the wrong request shows up as a data mismatch; the stat
 // assertions prove pooling actually cycled under loss rather than being
 // quietly disabled.
 func TestArenaRecycleUnderRetransmission(t *testing.T) {

@@ -61,10 +61,10 @@ func BenchmarkWheelCollectCascaded(b *testing.B) {
 
 // BenchmarkProcSwitch measures what resuming and parking a process costs
 // the host. yield: one process in a Yield loop, so a round is a schedule,
-// a fire and two switches (event -> body -> event). future: two processes
-// handing a pair of futures back and forth inside one event, so a round is
-// two switches (Complete -> waiter, waiter's Wait -> completer) and no
-// scheduler work at all.
+// a fire and two switches (event -> body -> event). park: two processes
+// resuming each other inside one event, so a round is two switches
+// (resumer's Resume -> waiter, waiter's Park -> resumer) and no scheduler
+// work at all.
 func BenchmarkProcSwitch(b *testing.B) {
 	b.Run("yield", func(b *testing.B) {
 		e := NewEngine(1)
@@ -77,21 +77,18 @@ func BenchmarkProcSwitch(b *testing.B) {
 		b.ResetTimer()
 		e.Run()
 	})
-	b.Run("future", func(b *testing.B) {
+	b.Run("park", func(b *testing.B) {
 		e := NewEngine(1)
-		ping, pong := NewSignal(), NewSignal()
+		var waiter *Proc
 		e.Go("waiter", func(p *Proc) {
+			waiter = p
 			for i := 0; i < b.N; i++ {
-				ping.Wait(p)
-				ping.Reset()
-				Fire(pong)
+				p.Park()
 			}
 		})
-		e.Go("completer", func(p *Proc) {
+		e.Go("resumer", func(p *Proc) {
 			for i := 0; i < b.N; i++ {
-				Fire(ping) // runs the waiter until it parks on ping again
-				pong.Wait(p)
-				pong.Reset()
+				waiter.Resume() // runs the waiter until it parks again
 			}
 		})
 		b.ReportAllocs()

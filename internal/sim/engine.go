@@ -12,7 +12,8 @@
 // one of its processes — is executing and the Go scheduler never sees two
 // runnable sides. This keeps all simulation state single-threaded (no data
 // races, fully deterministic) while letting protocol code be written in a
-// natural blocking style (Sleep, Future.Wait, Resource.Acquire).
+// natural blocking style: a process Parks, and the event that answers it
+// Resumes it.
 //
 // Determinism: events at the same virtual time fire in the order they
 // were scheduled (FIFO tie-break by sequence number), and the RNG is
@@ -435,17 +436,17 @@ func (e *Engine) LiveProcs() int { return e.procs }
 // ---------------------------------------------------------------------------
 // Processes
 
-// Proc is a blocking simulation process. Its methods must only be called
-// from the process's own body.
+// Proc is a blocking simulation process. Its methods other than Resume must
+// only be called from the process's own body.
 //
-// A process is a coroutine (iter.Pull): step is the coroutine's next and
-// park its yield, so a resume is a direct switch from the run loop's
+// A process is a coroutine (iter.Pull): Resume is the coroutine's next and
+// Park its yield, so a resume is a direct switch from the run loop's
 // goroutine to the body's and back. Nothing is ever runnable on both
 // sides at once, so no run queue, wakep or futex is involved, and exactly
-// one goroutine calls next at a time: the run loop, or the process whose
-// event completed the future this one waits on.
+// one goroutine calls next at a time: the run loop, or a process that
+// answers this one from its own body.
 //
-// A panic in the body comes out of step, i.e. out of the event that
+// A panic in the body comes out of Resume, i.e. out of the event that
 // resumed the process, and so out of Run on the caller's goroutine like a
 // panic in any other event. A process abandoned while parked (its engine
 // is dropped before it finishes) keeps its goroutine and stays counted by
@@ -454,7 +455,7 @@ type Proc struct {
 	e     *Engine
 	name  string
 	next  func() (struct{}, bool) // resumer -> body, until it parks or returns
-	yield func(struct{}) bool     // body -> whoever called next; set on the first step
+	yield func(struct{}) bool     // body -> whoever called next; set on the first Resume
 	dead  bool
 }
 
@@ -472,20 +473,25 @@ func (e *Engine) Go(name string, fn func(p *Proc)) {
 		p.yield = yield
 		fn(p)
 	})
-	e.Schedule(0, p.step)
+	e.Schedule(0, p.Resume)
 }
 
-// step transfers control to the process until it parks or exits.
-func (p *Proc) step() {
+// Resume transfers control to the parked process until it parks again or
+// exits. It is the one way to answer a Park: whatever the process parked
+// on — a response, a fan-out round, a peer process — keeps the *Proc and
+// calls Resume from the event that answers it, so the process runs inside
+// that event.
+func (p *Proc) Resume() {
 	if p.dead {
 		panic(fmt.Sprintf("sim: resuming dead proc %q", p.name))
 	}
 	p.next()
 }
 
-// park returns control to whoever resumed the process; it resumes when
-// something calls step (via a scheduled event or a future completion).
-func (p *Proc) park() { p.yield(struct{}{}) }
+// Park returns control to whoever resumed the process, until something
+// calls Resume. Only the process itself may call it, and only after
+// handing its *Proc to what will resume it.
+func (p *Proc) Park() { p.yield(struct{}{}) }
 
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
@@ -495,8 +501,8 @@ func (p *Proc) Now() Time { return p.e.now }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Duration) {
-	p.e.Schedule(d, p.step)
-	p.park()
+	p.e.Schedule(d, p.Resume)
+	p.Park()
 }
 
 // Yield suspends the process until all other events scheduled for the

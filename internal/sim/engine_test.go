@@ -148,62 +148,112 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestFutureWait(t *testing.T) {
+// A parked process runs inside the event that resumes it: its work lands
+// before the rest of that event and the next event of the same instant.
+func TestParkResume(t *testing.T) {
 	e := NewEngine(1)
-	f := NewFuture[int]()
-	var got int
-	var at Time
+	var waiter *Proc
+	var trace []string
 	e.Go("waiter", func(p *Proc) {
-		got = f.Wait(p)
-		at = p.Now()
+		waiter = p
+		p.Park()
+		trace = append(trace, "resumed@"+p.Now().String())
 	})
-	e.Schedule(7*time.Microsecond, func() { f.Complete(99) })
+	e.Schedule(7*time.Microsecond, func() {
+		waiter.Resume()
+		trace = append(trace, "answer returns")
+	})
+	e.Schedule(7*time.Microsecond, func() { trace = append(trace, "next event") })
 	e.Run()
-	if got != 99 || at != Time(7*time.Microsecond) {
-		t.Fatalf("got %d at %v", got, at)
+	want := []string{"resumed@7µs", "answer returns", "next event"}
+	if fmt.Sprint(trace) != fmt.Sprint(want) {
+		t.Fatalf("trace %v, want %v", trace, want)
 	}
 }
 
-func TestFutureWaitAlreadyComplete(t *testing.T) {
+// Resuming a process that has returned is a bug in whatever still holds
+// it, and panics.
+func TestResumeFinishedProcPanics(t *testing.T) {
 	e := NewEngine(1)
-	f := CompletedFuture("x")
-	var got string
-	e.Go("waiter", func(p *Proc) { got = f.Wait(p) })
+	var done *Proc
+	e.Go("short", func(p *Proc) { done = p })
 	e.Run()
-	if got != "x" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestFutureDoubleCompletePanics(t *testing.T) {
-	f := NewFuture[int]()
-	f.Complete(1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("second Complete did not panic")
+			t.Fatal("Resume of a finished process did not panic")
 		}
 	}()
-	f.Complete(2)
+	done.Resume()
 }
 
+// quorum is a wait written on Park/Resume the way rdma.Fanout's Wait and
+// WaitFirst are: answers arrive from events in completion order, and the
+// waiter parks only while fewer than k are in, to be resumed inside the
+// event that brings the k-th. The tests below hold the engine to the
+// timing such waits rely on.
+type quorum struct {
+	got    []int
+	k      int
+	waiter *Proc
+}
+
+func (q *quorum) answer(v int) {
+	q.got = append(q.got, v)
+	if w := q.waiter; w != nil && len(q.got) == q.k {
+		q.waiter = nil
+		w.Resume()
+	}
+}
+
+func (q *quorum) wait(p *Proc, k int) []int {
+	if len(q.got) < k {
+		q.k, q.waiter = k, p
+		p.Park()
+	}
+	return q.got[:k]
+}
+
+// An answer already in when the wait starts returns at once, inside the
+// process's own event: nothing else runs in between.
+func TestFutureWaitAlreadyComplete(t *testing.T) {
+	e := NewEngine(1)
+	var q quorum
+	q.answer(99)
+	var trace []string
+	e.Go("waiter", func(p *Proc) {
+		got := q.wait(p, 1)
+		trace = append(trace, fmt.Sprint("got ", got, " at ", p.Now()))
+	})
+	e.Schedule(0, func() { trace = append(trace, "next event") })
+	e.Run()
+	if want := "[got [99] at 0s next event]"; fmt.Sprint(trace) != want {
+		t.Fatalf("trace %v, want %v", trace, want)
+	}
+}
+
+// A quorum of k of n resumes the waiter at the k-th completion's instant,
+// inside its event, with the first k answers in completion order.
 func TestWaitQuorum(t *testing.T) {
 	e := NewEngine(1)
-	fs := make([]*Future[int], 5)
-	for i := range fs {
-		fs[i] = NewFuture[int]()
-	}
+	var q quorum
 	var got []int
 	var at Time
+	var trace []string
 	e.Go("q", func(p *Proc) {
-		got = WaitQuorum(p, 3, fs)
+		got = q.wait(p, 3)
 		at = p.Now()
+		trace = append(trace, "resumed")
 	})
 	// complete in scrambled order: 2@1µs, 4@2µs, 0@3µs, rest later
-	e.Schedule(1*time.Microsecond, func() { fs[2].Complete(20) })
-	e.Schedule(2*time.Microsecond, func() { fs[4].Complete(40) })
-	e.Schedule(3*time.Microsecond, func() { fs[0].Complete(0) })
-	e.Schedule(9*time.Microsecond, func() { fs[1].Complete(10) })
-	e.Schedule(9*time.Microsecond, func() { fs[3].Complete(30) })
+	e.Schedule(1*time.Microsecond, func() { q.answer(20) })
+	e.Schedule(2*time.Microsecond, func() { q.answer(40) })
+	e.Schedule(3*time.Microsecond, func() {
+		q.answer(0)
+		trace = append(trace, "third answer returns")
+	})
+	e.Schedule(3*time.Microsecond, func() { trace = append(trace, "next event") })
+	e.Schedule(9*time.Microsecond, func() { q.answer(10) })
+	e.Schedule(9*time.Microsecond, func() { q.answer(30) })
 	e.Run()
 	if at != Time(3*time.Microsecond) {
 		t.Fatalf("quorum reached at %v, want 3µs", at)
@@ -211,33 +261,80 @@ func TestWaitQuorum(t *testing.T) {
 	if len(got) != 3 || got[0] != 20 || got[1] != 40 || got[2] != 0 {
 		t.Fatalf("quorum values %v", got)
 	}
+	if want := "[resumed third answer returns next event]"; fmt.Sprint(trace) != want {
+		t.Fatalf("trace %v, want %v", trace, want)
+	}
 }
 
+// A quorum already satisfied when the wait starts returns the first k
+// answers without parking.
 func TestWaitQuorumAlreadySatisfied(t *testing.T) {
 	e := NewEngine(1)
-	fs := []*Future[int]{CompletedFuture(1), CompletedFuture(2), NewFuture[int]()}
+	var q quorum
+	q.answer(1)
+	q.answer(2)
 	var got []int
-	e.Go("q", func(p *Proc) { got = WaitQuorum(p, 2, fs) })
+	e.Go("q", func(p *Proc) { got = q.wait(p, 2) })
 	e.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("got %v", got)
 	}
 }
 
+// Waiting for all n answers resumes at the last one.
 func TestWaitGroup(t *testing.T) {
 	e := NewEngine(1)
-	wg := NewWaitGroup(3)
+	var q quorum
 	var at Time
 	e.Go("w", func(p *Proc) {
-		wg.Wait(p)
+		q.wait(p, 3)
 		at = p.Now()
 	})
 	for i := 1; i <= 3; i++ {
-		e.Schedule(time.Duration(i)*time.Microsecond, wg.Done)
+		e.Schedule(time.Duration(i)*time.Microsecond, func() { q.answer(i) })
 	}
 	e.Run()
 	if at != Time(3*time.Microsecond) {
 		t.Fatalf("woke at %v", at)
+	}
+}
+
+// Processes resumed one after another from one event run in that order,
+// each to its next park before the following Resume returns.
+func TestFutureOnCompleteOrder(t *testing.T) {
+	e := NewEngine(1)
+	procs := make([]*Proc, 5)
+	var order []int
+	for i := range procs {
+		e.Go("w", func(p *Proc) {
+			procs[i] = p
+			p.Park()
+			order = append(order, i)
+		})
+	}
+	e.Schedule(time.Microsecond, func() {
+		for i, p := range procs {
+			p.Resume()
+			if len(order) != i+1 {
+				t.Errorf("Resume of process %d returned before it ran", i)
+			}
+		}
+	})
+	e.Run()
+	if fmt.Sprint(order) != "[0 1 2 3 4]" {
+		t.Fatalf("resumed processes ran in order %v", order)
+	}
+}
+
+// A quorum of zero returns nothing, at once.
+func TestWaitQuorumZero(t *testing.T) {
+	e := NewEngine(1)
+	var q quorum
+	got := []int{-1}
+	e.Go("q", func(p *Proc) { got = q.wait(p, 0) })
+	e.Run()
+	if len(got) != 0 {
+		t.Fatalf("k=0 returned %v", got)
 	}
 }
 
@@ -254,9 +351,6 @@ func TestResourceFIFOQueueing(t *testing.T) {
 		if done[i] != want[i] {
 			t.Fatalf("completions %v, want %v", done, want)
 		}
-	}
-	if r.BusyTime() != 30*time.Microsecond {
-		t.Fatalf("busy %v", r.BusyTime())
 	}
 }
 
@@ -291,24 +385,44 @@ func TestMultiResourceParallelism(t *testing.T) {
 	}
 }
 
+// A process takes a resource by submitting its own Resume as the work's
+// completion and parking: two processes serialize on one server.
 func TestResourceAcquireBlocks(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e)
 	var order []string
-	e.Go("a", func(p *Proc) {
-		r.Acquire(p, 10*time.Microsecond)
-		order = append(order, "a")
-	})
-	e.Go("b", func(p *Proc) {
-		r.Acquire(p, 10*time.Microsecond)
-		order = append(order, "b")
-	})
+	for _, name := range []string{"a", "b"} {
+		e.Go(name, func(p *Proc) {
+			r.Submit(10*time.Microsecond, p.Resume)
+			p.Park()
+			order = append(order, name)
+		})
+	}
 	e.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("order %v", order)
 	}
 	if e.Now() != Time(20*time.Microsecond) {
 		t.Fatalf("finished at %v, want 20µs (serialized)", e.Now())
+	}
+}
+
+// Processes taking a two-server station the same way: two run in
+// parallel, the third queues.
+func TestMultiResourceAcquire(t *testing.T) {
+	e := NewEngine(1)
+	m := NewMultiResource(e, 2)
+	var done []Time
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(p *Proc) {
+			m.Submit(10*time.Microsecond, p.Resume)
+			p.Park()
+			done = append(done, p.Now())
+		})
+	}
+	e.Run()
+	if len(done) != 3 || done[0] != Time(10*time.Microsecond) || done[2] != Time(20*time.Microsecond) {
+		t.Fatalf("completions %v", done)
 	}
 }
 
@@ -380,21 +494,6 @@ func TestProcYieldRunsSameInstantEvents(t *testing.T) {
 	}
 }
 
-func TestFutureOnCompleteOrder(t *testing.T) {
-	f := NewFuture[int]()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		f.OnComplete(func(int) { order = append(order, i) })
-	}
-	f.Complete(0)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("waiters not FIFO: %v", order)
-		}
-	}
-}
-
 func TestResourceQueueDelay(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e)
@@ -409,34 +508,6 @@ func TestResourceQueueDelay(t *testing.T) {
 	e.Run() // clock advances past both completions
 	if r.QueueDelay() != 0 {
 		t.Fatal("drained resource reports backlog")
-	}
-}
-
-func TestMultiResourceAcquire(t *testing.T) {
-	e := NewEngine(1)
-	m := NewMultiResource(e, 2)
-	var done []Time
-	for i := 0; i < 3; i++ {
-		e.Go("w", func(p *Proc) {
-			m.Acquire(p, 10*time.Microsecond)
-			done = append(done, p.Now())
-		})
-	}
-	e.Run()
-	// Two run in parallel, third queues: completions at 10, 10, 20.
-	if len(done) != 3 || done[0] != Time(10*time.Microsecond) || done[2] != Time(20*time.Microsecond) {
-		t.Fatalf("completions %v", done)
-	}
-}
-
-func TestWaitQuorumZero(t *testing.T) {
-	e := NewEngine(1)
-	fs := []*Future[int]{NewFuture[int]()}
-	var got []int
-	e.Go("q", func(p *Proc) { got = WaitQuorum(p, 0, fs) })
-	e.Run()
-	if len(got) != 0 {
-		t.Fatalf("k=0 returned %v", got)
 	}
 }
 
@@ -572,14 +643,14 @@ func TestOnStatsHooks(t *testing.T) {
 // complete what it waits on) stays counted until something resumes it.
 func TestLiveProcsCountsAbandonedWhileParked(t *testing.T) {
 	e := NewEngine(1)
-	never := NewSignal()
+	var parked *Proc
 	e.Go("finishes", func(p *Proc) { p.Sleep(time.Microsecond) })
-	e.Go("abandoned", func(p *Proc) { never.Wait(p) })
+	e.Go("abandoned", func(p *Proc) { parked = p; p.Park() })
 	e.Run()
 	if n := e.LiveProcs(); n != 1 {
 		t.Fatalf("LiveProcs = %d with one process parked, want 1", n)
 	}
-	e.Schedule(0, func() { Fire(never) })
+	e.Schedule(0, parked.Resume)
 	e.Run()
 	if n := e.LiveProcs(); n != 0 {
 		t.Fatalf("LiveProcs = %d after the parked process was resumed, want 0", n)

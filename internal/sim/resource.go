@@ -8,7 +8,6 @@ import "container/heap"
 type Resource struct {
 	e        *Engine
 	nextFree Time
-	busyNS   int64 // accumulated busy time, for utilization reporting
 }
 
 // NewResource returns an idle single-server resource.
@@ -23,21 +22,11 @@ func (r *Resource) Submit(d Duration, fn func()) Time {
 	}
 	finish := start.Add(d)
 	r.nextFree = finish
-	r.busyNS += int64(d)
 	if fn != nil {
 		r.e.At(finish, fn)
 	}
 	return finish
 }
-
-// Acquire blocks the process until its work (of duration d) completes.
-func (r *Resource) Acquire(p *Proc, d Duration) {
-	r.Submit(d, p.step)
-	p.park()
-}
-
-// BusyTime returns the total service time accumulated so far.
-func (r *Resource) BusyTime() Duration { return Duration(r.busyNS) }
 
 // QueueDelay reports how long newly submitted work would wait before
 // starting service.
@@ -52,9 +41,8 @@ func (r *Resource) QueueDelay() Duration {
 // (e.g. a pool of dedicated CPU cores). Work is dispatched to the earliest
 // available server.
 type MultiResource struct {
-	e      *Engine
-	free   timeHeap // nextFree instants, one per server
-	busyNS int64
+	e    *Engine
+	free timeHeap // nextFree instants, one per server
 }
 
 // NewMultiResource returns an idle station with k servers.
@@ -77,24 +65,11 @@ func (m *MultiResource) Submit(d Duration, fn func()) Time {
 	finish := start.Add(d)
 	m.free[0] = finish
 	heap.Fix(&m.free, 0)
-	m.busyNS += int64(d)
 	if fn != nil {
 		m.e.At(finish, fn)
 	}
 	return finish
 }
-
-// Acquire blocks the process until its work (of duration d) completes.
-func (m *MultiResource) Acquire(p *Proc, d Duration) {
-	m.Submit(d, p.step)
-	p.park()
-}
-
-// BusyTime returns the total service time accumulated across all servers.
-func (m *MultiResource) BusyTime() Duration { return Duration(m.busyNS) }
-
-// Servers returns the number of servers in the station.
-func (m *MultiResource) Servers() int { return len(m.free) }
 
 type timeHeap []Time
 

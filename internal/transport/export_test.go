@@ -43,6 +43,21 @@ func (s *Server) ServeConnFramerBytes(nc net.Conn) (int, error) {
 // ReadStart is the size a socket's read buffer starts at.
 const ReadStart = readStart
 
+// ReadChunk is the largest read buffer a socket holds outside the
+// server's read budget.
+const ReadChunk = readChunk
+
+// ReadBudget is the bytes above ReadChunk a server's sockets may hold in
+// read buffers at once.
+const ReadBudget = readBudget
+
+// ReadBudgetHeld is what the server's sockets hold of its read budget.
+func (s *Server) ReadBudgetHeld() int {
+	s.reads.mu.Lock()
+	defer s.reads.mu.Unlock()
+	return s.reads.used
+}
+
 // SetCloseDrainGrace sets how long Close waits for staged frames to reach
 // a peer that does not read, and returns the previous value.
 func SetCloseDrainGrace(d time.Duration) time.Duration {

@@ -382,7 +382,7 @@ func TestHostilePeer(t *testing.T) {
 			}
 			peers[i] = pEnd
 		}
-		grew, most := liveHeap()-heap0, int64(stalled*transport.ReadStart+2<<20)
+		grew, most := liveHeap()-heap0, int64(stalled*transport.ReadStart+transport.ReadBudget)
 		t.Logf("%d peers stalled on MaxFrame prefixes: live heap +%d bytes", stalled, grew)
 		if grew > most {
 			t.Errorf("%d peers stalled on MaxFrame prefixes grew the live heap %d bytes, want under %d", stalled, grew, most)
@@ -396,6 +396,71 @@ func TestHostilePeer(t *testing.T) {
 			}
 		case <-time.After(deadline):
 			t.Fatal("GETs beside the stalled peers did not complete")
+		}
+		for _, p := range peers {
+			p.Close()
+		}
+		c.Close()
+		ts.Shutdown(100 * time.Millisecond)
+		served.Wait()
+		checkNoLeak(t, before)
+	})
+	t.Run("put-beside-a-budget-holder", func(t *testing.T) {
+		// One peer stalls on a bare MaxFrame prefix. The other sends the
+		// first ReadChunk bytes of a MaxFrame frame, which takes all the
+		// read budget the frame needs, and stalls. An 8 KiB WRITE and
+		// small GETs on a well-behaved socket still complete: a frame of
+		// up to ReadChunk bytes does not wait on the budget.
+		const size = 8 << 10
+		before := runtime.NumGoroutine()
+		ts := newFaultKV(t)
+		reg, err := ts.Space().Register(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var served sync.WaitGroup
+		serve := func(nc net.Conn) {
+			served.Add(1)
+			go func() { defer served.Done(); ts.ServeConn(nc) }()
+		}
+		kvc, c := liveKV(t, serve)
+		var peers []net.Conn
+		for _, body := range []int{transport.ReadChunk, 0} {
+			pEnd, sEnd := net.Pipe()
+			serve(sEnd)
+			greet(t, pEnd)
+			frame := append(binary.LittleEndian.AppendUint32(nil, transport.MaxFrame), 0x05)
+			if _, err := pEnd.Write(append(frame, make([]byte, body)...)); err != nil {
+				t.Fatalf("peer sending %d body bytes: %v", body, err)
+			}
+			peers = append(peers, pEnd)
+		}
+		if held, want := ts.ReadBudgetHeld(), transport.MaxFrame+4-transport.ReadChunk; held != want {
+			t.Fatalf("the stalled frame holds %d bytes of the read budget, want %d", held, want)
+		}
+		cn, err := c.Connect()
+		if err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+		data := bytes.Repeat([]byte{0x5a}, size)
+		done := make(chan error, 1)
+		go func() {
+			res, err := cn.Issue([]wire.Op{prism.Write(reg.Key, reg.Base, data), prism.Read(reg.Key, reg.Base, size)})
+			if err == nil && (!res[0].Status.OK() || !bytes.Equal(res[1].Data, data)) {
+				err = fmt.Errorf("%w: 8 KiB WRITE then READ: %v", errWrongValue, res[0].Status)
+			}
+			if err == nil {
+				err = hostileWaiter(kvc, 0)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("beside the stalled frames: %v", err)
+			}
+		case <-time.After(deadline):
+			t.Fatal("an 8 KiB WRITE beside a frame holding the read budget did not complete")
 		}
 		for _, p := range peers {
 			p.Close()
@@ -435,6 +500,75 @@ func TestHostilePeer(t *testing.T) {
 		served.Wait()
 		checkNoLeak(t, before)
 	})
+}
+
+// TestReadBudgetServesEveryLargeFrame: more concurrent request frames
+// above readChunk than the server's read budget holds at once are all
+// served. A socket whose frame does not fit waits for budget instead of
+// allocating, and a frame that is admitted always completes and gives
+// its bytes back. The frames are 1.5 MiB and there are more senders than
+// the budget holds at 1 MiB each: a budget charged only as buffers double
+// would strand every admitted socket at 1 MiB, each waiting for the half
+// MiB another holds.
+func TestReadBudgetServesEveryLargeFrame(t *testing.T) {
+	const (
+		payload = 512 << 10 // per WRITE op
+		ops     = 3         // a 1.5 MiB request frame
+		senders = transport.ReadBudget/(1<<20) + 4
+	)
+	before := runtime.NumGoroutine()
+	ts := transport.NewServer()
+	reg, err := ts.Space().Register(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.SetConnTempKey(reg.Key)
+	var served sync.WaitGroup
+	errs := make(chan error, senders)
+	clients := make([]*transport.Client, senders)
+	for i := range clients {
+		cEnd, sEnd := net.Pipe()
+		served.Add(1)
+		go func() { defer served.Done(); ts.ServeConn(sEnd) }()
+		if clients[i], err = transport.NewClientConn(cEnd); err != nil {
+			t.Fatalf("NewClientConn: %v", err)
+		}
+	}
+	for i, c := range clients {
+		go func() {
+			cn, err := c.Connect()
+			if err != nil {
+				errs <- err
+				return
+			}
+			data := bytes.Repeat([]byte{byte(i)}, payload)
+			chain := make([]wire.Op, ops)
+			for j := range chain {
+				chain[j] = prism.Write(reg.Key, reg.Base, data)
+			}
+			res, err := cn.Issue(chain)
+			if err == nil && !res[ops-1].Status.OK() {
+				err = fmt.Errorf("sender %d: WRITE %v", i, res[ops-1].Status)
+			}
+			errs <- err
+		}()
+	}
+	for range clients {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d frames of %d bytes against a %d-byte budget: not all served", senders, ops*payload, transport.ReadBudget)
+		}
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+	ts.Shutdown(time.Second)
+	served.Wait()
+	checkNoLeak(t, before)
 }
 
 // liveKV opens a well-behaved client socket, served by serve, with one

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"prism/internal/memory"
@@ -76,9 +77,23 @@ const frameHeaderLen = 4
 // at the frame. A peer that sends a MaxFrame prefix and stalls pins
 // readStart, not 16 MiB. Once such a frame has been consumed, the buffer
 // shrinks back to readStart at the next read.
+//
+// On a server, every socket's bytes above readChunk come out of one
+// budget of readBudget bytes; a buffer of up to readChunk is already
+// bounded by MaxSockets. A frame above readChunk takes all it will need
+// when its first readChunk bytes have arrived — not on its length prefix,
+// which costs a peer nothing to send — so a frame that is admitted can
+// always complete, and a socket holds budget only while it reads such a
+// frame. A socket whose frame does not fit stops reading — TCP then
+// pushes back on its peer — until another socket's frame is consumed or
+// the server shuts down. A waiting socket does not see its own peer
+// close until it reads again.
 const (
 	readStart = 4 << 10
 	readChunk = 64 << 10
+	// readBudget admits a legal frame whenever no other socket is
+	// reading a frame above readChunk.
+	readBudget = MaxFrame
 )
 
 var (
@@ -97,6 +112,11 @@ type FrameReader struct {
 	r          io.Reader
 	buf        []byte // read storage, len == cap
 	start, end int    // unconsumed window
+
+	// budget is the server's read budget (nil on a client); held is what
+	// this reader has taken from it.
+	budget *budget
+	held   int
 
 	// Syscall telemetry: Read calls issued and bytes they returned.
 	// Atomic because the reader's owner goroutine updates them while a
@@ -124,6 +144,7 @@ func (fr *FrameReader) fill(need int) error {
 	case need <= readChunk && len(fr.buf) > readChunk:
 		// The frame above readChunk that grew the buffer is consumed.
 		fr.resize(max(need, readStart))
+		fr.reserve(0)
 	case len(fr.buf)-fr.start < need:
 		size := max(len(fr.buf), readStart)
 		if need <= readChunk {
@@ -134,7 +155,11 @@ func (fr *FrameReader) fill(need int) error {
 	for fr.end-fr.start < need {
 		if fr.end == len(fr.buf) {
 			// Full of a frame above readChunk: double toward it.
-			fr.resize(min(need, 2*len(fr.buf)))
+			size := min(need, 2*len(fr.buf))
+			if size > readChunk && !fr.reserve(need) {
+				return ErrServerClosed
+			}
+			fr.resize(size)
 		}
 		m, err := fr.r.Read(fr.buf[fr.end:])
 		if m > 0 {
@@ -156,6 +181,59 @@ func (fr *FrameReader) fill(need int) error {
 		}
 	}
 	return nil
+}
+
+// reserve makes what this reader holds of the server's read budget what a
+// size-byte frame costs: its bytes above readChunk. Giving bytes back
+// always succeeds; taking more waits until they are free, and reports
+// false if the server shuts down first. A client's reader has no budget.
+func (fr *FrameReader) reserve(size int) bool {
+	want := max(size-readChunk, 0)
+	if fr.budget == nil || want == fr.held {
+		return true
+	}
+	if !fr.budget.move(fr.held, want) {
+		return false
+	}
+	fr.held = want
+	return true
+}
+
+// budget is a server's read budget: bytes above readChunk that its
+// sockets' read buffers hold, at most readBudget (see FrameReader).
+type budget struct {
+	mu     sync.Mutex
+	freed  sync.Cond // signalled when bytes are given back or the server closes
+	used   int
+	closed bool
+}
+
+// move changes one holder's share from held to want bytes; see reserve.
+func (b *budget) move(held, want int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.freed.L == nil {
+		b.freed.L = &b.mu
+	}
+	for want > held && b.used+want-held > readBudget {
+		if b.closed {
+			return false
+		}
+		b.freed.Wait()
+	}
+	b.used += want - held
+	if want < held {
+		b.freed.Broadcast()
+	}
+	return true
+}
+
+// close wakes every waiter for good: the server is shutting down.
+func (b *budget) close() {
+	b.mu.Lock()
+	b.closed = true
+	b.freed.Broadcast()
+	b.mu.Unlock()
 }
 
 // resize moves the unconsumed window to the front of a size-byte

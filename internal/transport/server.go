@@ -92,6 +92,10 @@ type Server struct {
 	draining  bool
 	wg        sync.WaitGroup
 
+	// reads is the read budget every socket's FrameReader takes its
+	// buffer bytes above readStart from.
+	reads budget
+
 	// Stats (atomic: bumped by every socket goroutine).
 	RequestsServed atomic.Int64
 	OpsExecuted    atomic.Int64
@@ -130,6 +134,7 @@ func NewServer() *Server {
 // once a drain has begun or MaxSockets are being served.
 func (s *Server) addSock(nc net.Conn) (*srvSock, error) {
 	sk := &srvSock{s: s, nc: nc, fr: NewFrameReader(nc), fw: NewFrameWriter(nc)}
+	sk.fr.budget = &s.reads
 	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists(), ReadAlloc: sk.fw.carve}
 	sk.conns = make(map[uint64]*liveConn)
 	sk.guard = s.Space().Guard()
@@ -217,6 +222,7 @@ func (s *Server) Shutdown(grace time.Duration) {
 		sk.nc.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
+	s.reads.close() // and reads waiting for buffer bytes
 	for _, l := range ls {
 		l.Close()
 	}
@@ -308,6 +314,7 @@ func (sk *srvSock) loop() {
 	defer func() {
 		sk.endVerbs()
 		sk.nc.Close()
+		sk.fr.reserve(0) // give the read budget back
 		s := sk.s
 		s.Writes.Add(sk.fw.Writes)
 		s.FramesOut.Add(sk.fw.FramesOut)

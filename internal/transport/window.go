@@ -11,7 +11,7 @@ import "prism/internal/wire"
 // the live stream transports reuse it unchanged.
 //
 // The type parameter X is per-transport completion state carried on
-// each pooled entry: the sim client stores a pooled future and a
+// each pooled entry: the sim client stores who the response goes to and a
 // retransmit timer, the live client a channel waiter and a result-copy
 // arena. A Window is single-owner — the sim binds one per connection,
 // driven by its cluster's one engine, the live client guards each with
@@ -57,7 +57,7 @@ type Window[X any] struct {
 // Entry is one pooled in-flight request record.
 type Entry[X any] struct {
 	Req *wire.Request
-	// X is the transport's completion state (future/timer for sim,
+	// X is the transport's completion state (waiter/timer for sim,
 	// waiter/result arena for live). It survives recycling, so pooled
 	// resources placed in it are reused across requests.
 	X X

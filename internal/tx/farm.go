@@ -58,9 +58,6 @@ type FarmServer struct {
 	meta FarmMeta
 	// loadBuf is Load's object image, reused from key to key.
 	loadBuf []byte
-
-	// Stats
-	LockFailures int64
 }
 
 // NewFarmServer provisions the index and object heap on host — the
@@ -159,7 +156,6 @@ func (s *FarmServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 			lock := binary.LittleEndian.Uint64(raw[:8])
 			ver := prism.BE64(raw, 8)
 			if lock != 0 || ver != version {
-				s.LockFailures++
 				for _, a := range acquired {
 					space.WriteU64(s.meta.Key, a, 0)
 				}

@@ -1,8 +1,7 @@
 // Package workload generates the key-access patterns of the paper's
 // evaluation: YCSB workloads A (50/50 read/write) and C (read-only) over
-// uniform and Zipf-distributed keys (§6.2), YCSB-D (read-latest) and
-// YCSB-E (short scans) for the verb-program experiments (DESIGN.md §14), and
-// YCSB-T style short read-modify-write transactions (§8.3).
+// uniform and Zipf-distributed keys (§6.2), and YCSB-T style short
+// read-modify-write transactions (§8.3).
 package workload
 
 import (
@@ -19,20 +18,7 @@ type OpKind int
 const (
 	OpGet OpKind = iota
 	OpPut
-	// OpInsert appends a fresh key one past the current live keyspace
-	// (YCSB-D/E); the generator's Live() bound grows with each insert.
-	OpInsert
-	// OpScan is a ranged read of Op.ScanLen consecutive keys starting at
-	// Op.Key (YCSB-E), served by the SCAN verb program.
-	OpScan
 )
-
-// Op is one generated operation. ScanLen is meaningful only for OpScan.
-type Op struct {
-	Kind    OpKind
-	Key     int64
-	ScanLen int
-}
 
 // Mix describes a read/write workload over a keyspace.
 type Mix struct {
@@ -42,19 +28,6 @@ type Mix struct {
 	// Zipf skew (s). 0 = uniform; the paper sweeps 0–1.2 for PRISM-RS and
 	// 0–1.6 for PRISM-TX contention figures.
 	Theta float64
-
-	// InsertFrac is the fraction of OpInserts (YCSB-D/E: 0.05). Inserts
-	// extend the live keyspace past Keys one key at a time.
-	InsertFrac float64
-	// ReadLatest skews GETs toward the most recently inserted keys
-	// (YCSB-D's "latest" request distribution): the configured
-	// distribution draws a recency rank, counted back from the newest
-	// key, instead of a key.
-	ReadLatest bool
-	// ScanFrac is the fraction of OpScans (YCSB-E: 0.95); each scan's
-	// length is drawn uniformly from [1, MaxScanLen].
-	ScanFrac   float64
-	MaxScanLen int
 }
 
 // YCSBC returns the paper's read-only configuration: 8 M 512 B objects,
@@ -67,96 +40,30 @@ func YCSBA() Mix { return Mix{Keys: 8 << 20, ReadFrac: 0.5, ValueSize: 512} }
 // YCSBB returns the read-mostly (95/5) configuration.
 func YCSBB() Mix { return Mix{Keys: 8 << 20, ReadFrac: 0.95, ValueSize: 512} }
 
-// YCSBD returns the read-latest configuration: 95% reads skewed toward
-// recent inserts, 5% inserts.
-func YCSBD() Mix {
-	return Mix{Keys: 8 << 20, ReadFrac: 1.0, InsertFrac: 0.05, ReadLatest: true,
-		ValueSize: 512, Theta: 0.99}
-}
-
-// YCSBE returns the short-scan configuration: 95% scans of 1–100 keys,
-// 5% inserts.
-func YCSBE() Mix {
-	return Mix{Keys: 8 << 20, ScanFrac: 0.95, InsertFrac: 0.05, MaxScanLen: 100,
-		ValueSize: 512, Theta: 0.99}
-}
-
 // Generator draws operations from a Mix. Each closed-loop client owns one
 // Generator (with its own RNG) for determinism.
 type Generator struct {
 	mix  Mix
 	rng  *rand.Rand
 	zipf *Zipf
-	live int64 // current keyspace bound; grows with OpInsert
 }
 
 // NewGenerator returns a generator over mix seeded with seed.
 func NewGenerator(mix Mix, seed int64) *Generator {
-	g := &Generator{mix: mix, rng: rand.New(rand.NewSource(seed)), live: mix.Keys}
+	g := &Generator{mix: mix, rng: rand.New(rand.NewSource(seed))}
 	if mix.Theta > 0 {
 		g.zipf = NewZipf(mix.Keys, mix.Theta)
 	}
 	return g
 }
 
-// Live returns the current keyspace bound: initial Keys plus one per
-// OpInsert drawn so far. Keys in [Keys, Live()) exist only once the
-// driver has applied the corresponding inserts.
-func (g *Generator) Live() int64 { return g.live }
-
-// Next draws one operation: kind and key index. For mixes with scan or
-// insert bands, use NextOp, which also carries the scan length.
+// Next draws one operation: one draw picks its kind, then NextKey its key.
 func (g *Generator) Next() (OpKind, int64) {
-	op := g.NextOp()
-	return op.Kind, op.Key
-}
-
-// NextOp draws one operation. For the classic mixes (no insert/scan
-// bands) it makes exactly the draws Next always made — one band pick,
-// one key — so pre-program workload streams are unchanged.
-func (g *Generator) NextOp() Op {
-	u := g.rng.Float64()
-	if u < g.mix.InsertFrac {
-		key := g.live
-		g.live++
-		return Op{Kind: OpInsert, Key: key}
-	}
-	if u < g.mix.InsertFrac+g.mix.ScanFrac {
-		length := 1
-		if g.mix.MaxScanLen > 1 {
-			length = 1 + g.rng.Intn(g.mix.MaxScanLen)
-		}
-		return Op{Kind: OpScan, Key: g.NextKey(), ScanLen: length}
-	}
-	// The read/write split applies within the remaining probability mass,
-	// so ReadFrac keeps its meaning (YCSB-D: ReadFrac 1.0 of the non-
-	// insert band = 95% reads overall).
-	rem := 1 - g.mix.InsertFrac - g.mix.ScanFrac
 	kind := OpPut
-	if u < g.mix.InsertFrac+g.mix.ScanFrac+rem*g.mix.ReadFrac {
+	if g.rng.Float64() < g.mix.ReadFrac {
 		kind = OpGet
 	}
-	if kind == OpGet && g.mix.ReadLatest {
-		return Op{Kind: OpGet, Key: g.nextLatest()}
-	}
-	return Op{Kind: kind, Key: g.NextKey()}
-}
-
-// nextLatest draws a read-latest key: the configured distribution picks
-// a recency rank (rank 0 = the newest key), counted back from the end of
-// the live keyspace.
-func (g *Generator) nextLatest() int64 {
-	var rank int64
-	if g.zipf != nil {
-		rank = g.zipf.Draw(g.rng)
-	} else {
-		rank = g.rng.Int63n(g.live)
-	}
-	key := g.live - 1 - rank
-	if key < 0 {
-		key = 0
-	}
-	return key
+	return kind, g.NextKey()
 }
 
 // NextKey draws a key index according to the configured distribution.

@@ -166,108 +166,30 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestYCSBDReadLatestMix(t *testing.T) {
-	mix := YCSBD()
-	mix.Keys = 10000
-	g := NewGenerator(mix, 7)
-	const n = 50000
-	counts := map[OpKind]int{}
-	recent := 0 // reads landing in the newest 10% of the live keyspace
-	reads := 0
-	var lastInsert int64 = -1
-	for i := 0; i < n; i++ {
-		op := g.NextOp()
-		counts[op.Kind]++
-		switch op.Kind {
-		case OpInsert:
-			if lastInsert == -1 && op.Key != mix.Keys {
-				t.Fatalf("first insert key %d, want %d", op.Key, mix.Keys)
-			}
-			if lastInsert != -1 && op.Key != lastInsert+1 {
-				t.Fatalf("insert keys not sequential: %d after %d", op.Key, lastInsert)
-			}
-			lastInsert = op.Key
-		case OpGet:
-			reads++
-			if op.Key < 0 || op.Key >= g.Live() {
-				t.Fatalf("read key %d outside live keyspace [0,%d)", op.Key, g.Live())
-			}
-			if op.Key >= g.Live()-g.Live()/10 {
-				recent++
-			}
-		default:
-			t.Fatalf("YCSB-D generated %v", op.Kind)
-		}
-	}
-	insFrac := float64(counts[OpInsert]) / n
-	if insFrac < 0.04 || insFrac > 0.06 {
-		t.Fatalf("insert fraction %.3f, want ≈0.05", insFrac)
-	}
-	if g.Live() != mix.Keys+int64(counts[OpInsert]) {
-		t.Fatalf("Live() = %d after %d inserts over %d keys", g.Live(), counts[OpInsert], mix.Keys)
-	}
-	// The "latest" distribution concentrates reads near the tail; uniform
-	// would put 10% there.
-	if frac := float64(recent) / float64(reads); frac < 0.5 {
-		t.Fatalf("only %.3f of reads hit the newest 10%% of keys — not read-latest", frac)
-	}
-}
-
-func TestYCSBEScanMix(t *testing.T) {
-	mix := YCSBE()
-	mix.Keys = 10000
-	g := NewGenerator(mix, 8)
-	const n = 50000
-	counts := map[OpKind]int{}
-	lenSum := 0
-	for i := 0; i < n; i++ {
-		op := g.NextOp()
-		counts[op.Kind]++
-		switch op.Kind {
-		case OpScan:
-			if op.ScanLen < 1 || op.ScanLen > mix.MaxScanLen {
-				t.Fatalf("scan length %d outside [1,%d]", op.ScanLen, mix.MaxScanLen)
-			}
-			if op.Key < 0 || op.Key >= mix.Keys {
-				t.Fatalf("scan start %d out of range", op.Key)
-			}
-			lenSum += op.ScanLen
-		case OpInsert:
-		default:
-			t.Fatalf("YCSB-E generated %v", op.Kind)
-		}
-	}
-	scanFrac := float64(counts[OpScan]) / n
-	if scanFrac < 0.94 || scanFrac > 0.96 {
-		t.Fatalf("scan fraction %.3f, want ≈0.95", scanFrac)
-	}
-	mean := float64(lenSum) / float64(counts[OpScan])
-	if mean < 45 || mean > 56 {
-		t.Fatalf("mean scan length %.1f, want ≈50.5 (uniform 1..100)", mean)
-	}
-}
-
-// The classic mixes must draw the identical RNG sequence through NextOp
-// as through the original Next, or every workload-driven figure shifts.
+// Next must make exactly the draws it always made — one kind draw against
+// ReadFrac, then one key draw — or every workload-driven figure shifts.
 func TestClassicMixStreamUnchanged(t *testing.T) {
 	mix := Mix{Keys: 1 << 20, ReadFrac: 0.5, ValueSize: 8, Theta: 0.9}
-	legacy := func() []Op {
-		// The pre-program Next: one band draw, one key draw.
+	type op struct {
+		kind OpKind
+		key  int64
+	}
+	legacy := func() []op {
 		g := NewGenerator(mix, 42)
-		var out []Op
+		var out []op
 		for i := 0; i < 200; i++ {
 			kind := OpPut
 			if g.rng.Float64() < g.mix.ReadFrac {
 				kind = OpGet
 			}
-			out = append(out, Op{Kind: kind, Key: g.NextKey()})
+			out = append(out, op{kind, g.NextKey()})
 		}
 		return out
 	}()
 	g := NewGenerator(mix, 42)
 	for i, want := range legacy {
-		if got := g.NextOp(); got != want {
-			t.Fatalf("op %d: NextOp %+v, legacy stream %+v", i, got, want)
+		if kind, key := g.Next(); (op{kind, key}) != want {
+			t.Fatalf("op %d: Next %v %d, legacy stream %+v", i, kind, key, want)
 		}
 	}
 }
