@@ -44,7 +44,7 @@ race:
 		./internal/tx ./internal/abd
 	cd internal/bench && $(GO) test -race -run '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
 	cd internal/bench && $(GO) test -race -skip '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
-	$(GO) test -race ./internal/workload ./cmd/prismtrace
+	$(GO) test -race ./internal/workload ./internal/wire ./cmd/prismtrace ./cmd/prismkv
 
 # The one command that regenerates a number: the repository's benchmark
 # (BENCHMARK.json; flags and metrics in benchmark/README.md).

@@ -52,7 +52,6 @@ func main() {
 	valueSize := flag.Int("value", 1024, "largest value size accepted (bytes)")
 	load := flag.Int64("load", 0, "preload keys 0..N-1 before serving")
 	chainDepth := flag.Int64("chain", 0, "serve a linked-chain store of -keys buckets x DEPTH nodes instead of the hash table")
-	wirecheck := flag.Bool("wirecheck", false, "verify every frame round-trips the codec canonically")
 	grace := flag.Duration("grace", 5*time.Second, "drain deadline on SIGTERM/SIGINT")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	flag.Parse()
@@ -61,7 +60,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "prismd: need -tcp and/or -unix")
 		os.Exit(2)
 	}
-	transport.SetWireCheck(*wirecheck)
 
 	if *pprofAddr != "" {
 		go func() {
@@ -118,11 +116,10 @@ func main() {
 			os.Exit(1)
 		}
 		if *chainDepth > 0 {
-			fmt.Printf("prismd: serving chain store on %s %s (buckets=%d, depth=%d, wirecheck=%v)\n",
-				network, addr, *nKeys, *chainDepth, *wirecheck)
+			fmt.Printf("prismd: serving chain store on %s %s (buckets=%d, depth=%d)\n",
+				network, addr, *nKeys, *chainDepth)
 		} else {
-			fmt.Printf("prismd: serving PRISM-KV on %s %s (slots=%d, wirecheck=%v)\n",
-				network, addr, *nKeys, *wirecheck)
+			fmt.Printf("prismd: serving PRISM-KV on %s %s (slots=%d)\n", network, addr, *nKeys)
 		}
 		go func() { serveErr <- ts.Serve(l) }()
 	}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -77,49 +78,50 @@ func main() {
 		fmt.Println(banner)
 	}
 
-	if err := repl(backend); err != nil {
+	if err := repl(backend, os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "prismkv:", err)
 		os.Exit(1)
 	}
 }
 
-// repl reads commands until quit or EOF (ctrl-D exits cleanly). A
-// backend error that is not a per-command protocol miss — a dead
-// connection, for example — ends the session with that error.
-func repl(backend ops) error {
-	scanner := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
+// repl reads commands from in until quit or EOF (ctrl-D exits cleanly),
+// writing prompts and replies to out. A backend error that is not a
+// per-command protocol miss — a dead connection, for example — ends the
+// session with that error.
+func repl(backend ops, in io.Reader, out io.Writer) error {
+	scanner := bufio.NewScanner(in)
+	fmt.Fprint(out, "> ")
 	for scanner.Scan() {
 		line := strings.TrimSpace(scanner.Text())
 		fields := strings.Fields(line)
 		if len(fields) == 0 {
-			fmt.Print("> ")
+			fmt.Fprint(out, "> ")
 			continue
 		}
 		cmd, args := fields[0], fields[1:]
 		if cmd == "quit" || cmd == "exit" {
 			return nil
 		}
-		if err := runOp(backend, cmd, args); err != nil {
+		if err := runOp(backend, out, cmd, args); err != nil {
 			return err
 		}
-		fmt.Print("> ")
+		fmt.Fprint(out, "> ")
 	}
-	fmt.Println() // EOF: leave the shell on a fresh line
+	fmt.Fprintln(out) // EOF: leave the shell on a fresh line
 	return scanner.Err()
 }
 
 // runOp executes one command. Protocol-level misses (not found, bad
 // input) print and return nil; transport failures return the error.
-func runOp(backend ops, cmd string, args []string) error {
+func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 	parseKey := func() (int64, bool) {
 		if len(args) < 1 {
-			fmt.Println("need a key")
+			fmt.Fprintln(out, "need a key")
 			return 0, false
 		}
 		k, err := strconv.ParseInt(args[0], 10, 64)
 		if err != nil {
-			fmt.Println("keys are integers")
+			fmt.Fprintln(out, "keys are integers")
 			return 0, false
 		}
 		return k, true
@@ -131,7 +133,7 @@ func runOp(backend ops, cmd string, args []string) error {
 			return nil
 		}
 		if len(args) < 2 {
-			fmt.Println("need a value")
+			fmt.Fprintln(out, "need a value")
 			return nil
 		}
 		val := strings.Join(args[1:], " ")
@@ -139,7 +141,7 @@ func runOp(backend ops, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("OK (%v %s: probe RT + chained ALLOCATE/WRITE/CAS RT)\n", d, backend.costNote())
+		fmt.Fprintf(out, "OK (%v %s: probe RT + chained ALLOCATE/WRITE/CAS RT)\n", d, backend.costNote())
 	case "get":
 		k, ok := parseKey()
 		if !ok {
@@ -147,13 +149,13 @@ func runOp(backend ops, cmd string, args []string) error {
 		}
 		v, d, err := backend.get(k)
 		if errors.Is(err, kv.ErrNotFound) {
-			fmt.Printf("(not found) (%v %s)\n", d, backend.costNote())
+			fmt.Fprintf(out, "(not found) (%v %s)\n", d, backend.costNote())
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%q (%v %s: one indirect bounded READ)\n", v, d, backend.costNote())
+		fmt.Fprintf(out, "%q (%v %s: one indirect bounded READ)\n", v, d, backend.costNote())
 	case "del":
 		k, ok := parseKey()
 		if !ok {
@@ -163,11 +165,11 @@ func runOp(backend ops, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("OK (%v %s)\n", d, backend.costNote())
+		fmt.Fprintf(out, "OK (%v %s)\n", d, backend.costNote())
 	case "stats":
-		fmt.Println(backend.stats())
+		fmt.Fprintln(out, backend.stats())
 	default:
-		fmt.Println("commands: put <k> <v> | get <k> | del <k> | stats | quit")
+		fmt.Fprintln(out, "commands: put <k> <v> | get <k> | del <k> | stats | quit")
 	}
 	return nil
 }

@@ -43,7 +43,6 @@ func main() {
 	workloadKind := flag.String("workload", "get", "op mix: get, chase, chasehop, or scan (chase/chasehop need prismd -chain)")
 	depth := flag.Int64("depth", 0, "chain hops per chase/chasehop lookup (0 = the chain's full depth)")
 	scanBudget := flag.Uint64("scan-budget", 4096, "byte budget per SCAN window")
-	wirecheck := flag.Bool("wirecheck", false, "verify every frame round-trips the codec canonically")
 	jsonPath := flag.String("json", "", "write the result JSON here (default stdout)")
 	batch := flag.Int("batch", 1, "GETs per doorbell: issue reads in kv.GetBatch trains of this size")
 	flag.Parse()
@@ -58,7 +57,6 @@ func main() {
 	if *sockets > *clients {
 		*sockets = *clients
 	}
-	transport.SetWireCheck(*wirecheck)
 
 	// Dial the socket pool and fetch the store metadata once.
 	pool := make([]*transport.Client, *sockets)
@@ -289,7 +287,6 @@ func main() {
 		"p99_us":            float64(merged.P99()) / 1e3,
 		"errors":            errCount.Load(),
 		"num_cpu":           runtime.NumCPU(),
-		"wirecheck":         *wirecheck,
 		"batch_len":         *batch,
 		"writes":            writes,
 		"frames_per_write":  ratio(framesOut, writes),

@@ -69,10 +69,6 @@ type Conn struct {
 
 	// Retransmissions counts timer-driven resends (loss recovery).
 	Retransmissions int64
-
-	// wcheck is the scratch for wire-check mode (see SetWireCheck); nil
-	// until the first checked transmission.
-	wcheck *transport.WireCheckState
 }
 
 // simPending is the sim transport's per-entry completion state: the
@@ -144,12 +140,6 @@ func (c *Conn) transmitEntry(e *transport.Entry[simPending]) {
 }
 
 func (c *Conn) transmit(req *wire.Request) {
-	if transport.WireCheckEnabled() {
-		if c.wcheck == nil {
-			c.wcheck = &transport.WireCheckState{}
-		}
-		c.wcheck.CheckRequestRoundTrip(req)
-	}
 	c.client.net.Send(fabric.Message{
 		From:    c.client.node,
 		To:      c.srv.node,

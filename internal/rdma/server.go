@@ -161,10 +161,6 @@ type serverConn struct {
 	// than via a separate scheduled hop — keeps per-connection FIFO
 	// intact: busy is set synchronously at arrival.
 	qpDebt time.Duration
-
-	// wcheck is the scratch for wire-check mode (see SetWireCheck); nil
-	// until the first checked transmission.
-	wcheck *transport.WireCheckState
 }
 
 // replayDepth bounds both the response cache and the client send window;
@@ -633,12 +629,6 @@ func (s *Server) finish(sc *serverConn, resp *wire.Response) {
 }
 
 func (s *Server) respond(sc *serverConn, resp *wire.Response) {
-	if transport.WireCheckEnabled() {
-		if sc.wcheck == nil {
-			sc.wcheck = &transport.WireCheckState{}
-		}
-		sc.wcheck.CheckResponseRoundTrip(resp)
-	}
 	s.net.Send(fabric.Message{
 		From:    s.node,
 		To:      sc.client,

@@ -1,6 +1,8 @@
 package rdma
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,16 +13,76 @@ import (
 	"prism/internal/wire"
 )
 
-// TestWireCheckLiveTraffic runs a representative verb workload with
-// wire-check mode enabled: every transmitted request and response is
-// append-encoded, alias-decoded back, and compared field-for-field
-// against the in-memory message (wirecheck.go panics on any mismatch).
-// This is the live-traffic proof that the byte codec, the alias decoders,
-// and the wire-size accounting agree with what the fabric carries.
-func TestWireCheckLiveTraffic(t *testing.T) {
-	SetWireCheck(true)
-	defer SetWireCheck(false)
+// codecIssuer issues on a ProcConn and puts every op chain it sends and
+// every result set it gets back through the codec: the encoding is as
+// long as RequestWireSize/ResponseWireSize says — what the fabric charges
+// for the message — and decodes back to the same fields.
+type codecIssuer struct {
+	*ProcConn
+	t       *testing.T
+	checked int // chains round-tripped with their results
+}
 
+func (ci *codecIssuer) Issue(ops ...wire.Op) []wire.Result {
+	ci.t.Helper()
+	req := &wire.Request{Conn: ci.Conn.id, Seq: uint64(ci.checked), Ops: ops}
+	b := wire.EncodeRequest(req)
+	if len(b) != wire.RequestWireSize(req) {
+		ci.t.Fatalf("chain %d encodes to %d bytes, RequestWireSize says %d", ci.checked, len(b), wire.RequestWireSize(req))
+	}
+	got, err := wire.DecodeRequest(b)
+	if err != nil {
+		ci.t.Fatalf("chain %d: %v", ci.checked, err)
+	}
+	if len(got.Ops) != len(ops) || got.Conn != req.Conn || got.Seq != req.Seq {
+		ci.t.Fatalf("chain %d decodes to %+v, want %+v", ci.checked, got, req)
+	}
+	for i := range ops {
+		if !sameOp(ops[i], got.Ops[i]) {
+			ci.t.Fatalf("chain %d op %d decodes to %+v, want %+v", ci.checked, i, got.Ops[i], ops[i])
+		}
+	}
+
+	res, _ := ci.ProcConn.Issue(ops)
+	resp := &wire.Response{Conn: req.Conn, Seq: req.Seq, Results: res}
+	b = wire.EncodeResponse(resp)
+	if len(b) != wire.ResponseWireSize(resp) {
+		ci.t.Fatalf("results of chain %d encode to %d bytes, ResponseWireSize says %d", ci.checked, len(b), wire.ResponseWireSize(resp))
+	}
+	back, err := wire.DecodeResponse(b)
+	if err != nil {
+		ci.t.Fatalf("results of chain %d: %v", ci.checked, err)
+	}
+	if len(back.Results) != len(res) {
+		ci.t.Fatalf("results of chain %d decode to %d results, want %d", ci.checked, len(back.Results), len(res))
+	}
+	for i, r := range res {
+		if x := back.Results[i]; x.Status != r.Status || x.Addr != r.Addr || !bytes.Equal(x.Data, r.Data) {
+			ci.t.Fatalf("result %d of chain %d decodes to %+v, want %+v", i, ci.checked, x, r)
+		}
+	}
+	ci.checked++
+	return res
+}
+
+// sameOp reports whether two ops carry the same fields, a nil and an
+// empty payload or mask being the same bytes on the wire.
+func sameOp(a, b wire.Op) bool {
+	if !bytes.Equal(a.Data, b.Data) || !bytes.Equal(a.CompareMask, b.CompareMask) || !bytes.Equal(a.SwapMask, b.SwapMask) {
+		return false
+	}
+	a.Data, a.CompareMask, a.SwapMask = nil, nil, nil
+	b.Data, b.CompareMask, b.SwapMask = nil, nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// TestWireCheckLiveTraffic runs a representative verb workload on the
+// simulated NIC through a codecIssuer: every chain the fabric carries and
+// every result set it returns round-trips the byte codec, and its encoded
+// length is the size the fabric charges. This is the proof on simulated
+// traffic that the codec, its decoders and the wire-size accounting agree
+// with what the fabric carries.
+func TestWireCheckLiveTraffic(t *testing.T) {
 	v := newEnv(t, model.SoftwarePRISM, nil)
 	fl := alloc.NewFreeList(1, 512, v.reg.Key, nil, 0)
 	fl.Post(v.reg.Base + 4096)
@@ -31,9 +93,10 @@ func TestWireCheckLiveTraffic(t *testing.T) {
 	})
 
 	v.run(t, func(p *sim.Proc) {
+		c := &codecIssuer{ProcConn: &ProcConn{Conn: v.conn, Proc: p}, t: t}
 		// Plain write/read round trip (response carries payload).
-		v.conn.Issue(p, prism.Write(v.reg.Key, v.reg.Base+256, []byte("wire-checked bytes")))
-		res := v.conn.Issue(p, prism.Read(v.reg.Key, v.reg.Base+256, 18))
+		c.Issue(prism.Write(v.reg.Key, v.reg.Base+256, []byte("wire-checked bytes")))
+		res := c.Issue(prism.Read(v.reg.Key, v.reg.Base+256, 18))
 		if string(res[0].Data) != "wire-checked bytes" {
 			t.Errorf("read %q", res[0].Data)
 		}
@@ -42,10 +105,10 @@ func TestWireCheckLiveTraffic(t *testing.T) {
 		// CompareMask/SwapMask encoding and non-OK statuses on the wire.
 		seed := make([]byte, 8)
 		prism.PutBE64(seed, 0, 10)
-		v.conn.Issue(p, prism.Write(v.reg.Key, v.reg.Base, seed))
+		c.Issue(prism.Write(v.reg.Key, v.reg.Base, seed))
 		stale := make([]byte, 8)
 		prism.PutBE64(stale, 0, 5)
-		res = v.conn.Issue(p,
+		res = c.Issue(
 			prism.CAS(v.reg.Key, v.reg.Base, wire.CASGt, stale, prism.FullMask(8), prism.FullMask(8)),
 			prism.Conditional(prism.Write(v.reg.Key, v.reg.Base+64, []byte("skipped"))),
 		)
@@ -58,16 +121,16 @@ func TestWireCheckLiveTraffic(t *testing.T) {
 		meta := v.reg.Base + 1024
 		init := make([]byte, 16)
 		prism.PutBE64(init, 0, 1)
-		v.conn.Issue(p, prism.Write(v.reg.Key, meta, init))
+		c.Issue(prism.Write(v.reg.Key, meta, init))
 		tag := make([]byte, 8)
 		prism.PutBE64(tag, 0, 2)
-		tmp := v.conn.TempAddr
-		ops := v.conn.Ops(3)
-		ops[0] = prism.Write(v.conn.TempKey, tmp, tag)
-		ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(1, []byte("fresh value")), v.conn.TempKey, tmp+8))
+		tmp := c.Conn.TempAddr
+		ops := c.Ops(3)
+		ops[0] = prism.Write(c.Conn.TempKey, tmp, tag)
+		ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(1, []byte("fresh value")), c.Conn.TempKey, tmp+8))
 		ops[2] = prism.Conditional(prism.CASIndirectData(v.reg.Key, meta, wire.CASGt, tmp,
 			prism.FieldMask(16, 0, 8), prism.FullMask(16)))
-		res = v.conn.Issue(p, ops...)
+		res = c.Issue(ops...)
 		for i, r := range res {
 			if r.Status != wire.StatusOK {
 				t.Fatalf("chain op %d status %v", i, r.Status)
@@ -75,9 +138,12 @@ func TestWireCheckLiveTraffic(t *testing.T) {
 		}
 
 		// Two-sided RPC (OpSend + payload-carrying response).
-		res = v.conn.Issue(p, prism.Send([]byte("ping")))
+		res = c.Issue(prism.Send([]byte("ping")))
 		if string(res[0].Data) != "echo:ping" {
 			t.Errorf("rpc reply %q", res[0].Data)
+		}
+		if c.checked != 7 {
+			t.Errorf("%d chains round-tripped the codec, want 7", c.checked)
 		}
 	})
 }

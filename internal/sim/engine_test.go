@@ -494,20 +494,24 @@ func TestProcYieldRunsSameInstantEvents(t *testing.T) {
 	}
 }
 
+// TestResourceQueueDelay: work submitted to a busy resource queues behind
+// the backlog, and a drained resource starts new work at once — read off
+// the completion instants Submit returns.
 func TestResourceQueueDelay(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e)
-	if r.QueueDelay() != 0 {
-		t.Fatal("idle resource reports backlog")
+	const d = 10 * time.Microsecond
+	for i := 1; i <= 3; i++ {
+		if got, want := r.Submit(d, func() {}), Time(0).Add(Duration(i)*d); got != want {
+			t.Fatalf("submission %d completes at %v, want %v", i, got, want)
+		}
 	}
-	r.Submit(10*time.Microsecond, func() {})
-	r.Submit(10*time.Microsecond, func() {})
-	if got := r.QueueDelay(); got != 20*time.Microsecond {
-		t.Fatalf("QueueDelay = %v, want 20µs", got)
+	e.Run()
+	if e.Now() != Time(0).Add(3*d) {
+		t.Fatalf("clock at %v after the backlog drained, want %v", e.Now(), 3*d)
 	}
-	e.Run() // clock advances past both completions
-	if r.QueueDelay() != 0 {
-		t.Fatal("drained resource reports backlog")
+	if got, want := r.Submit(d, nil), e.Now().Add(d); got != want {
+		t.Fatalf("submission to a drained resource completes at %v, want %v", got, want)
 	}
 }
 

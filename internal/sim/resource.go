@@ -28,15 +28,6 @@ func (r *Resource) Submit(d Duration, fn func()) Time {
 	return finish
 }
 
-// QueueDelay reports how long newly submitted work would wait before
-// starting service.
-func (r *Resource) QueueDelay() Duration {
-	if r.nextFree <= r.e.now {
-		return 0
-	}
-	return r.nextFree.Sub(r.e.now)
-}
-
 // MultiResource models a FIFO queueing station with k identical servers
 // (e.g. a pool of dedicated CPU cores). Work is dispatched to the earliest
 // available server.

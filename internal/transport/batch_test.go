@@ -18,7 +18,7 @@ import (
 // outcomes at every cap — including 1, the write-per-frame,
 // serve-per-frame reference that matches the pre-batching datapath and is
 // reachable only through export_test.go — over both a net.Pipe and a unix
-// socket, with the wire check (TestMain) asserting every frame is
+// socket, with the server's sockets checked (CheckedConn): every frame is
 // canonical codec output along the way.
 
 // batchThresholds are the swept caps: unbatched, small, the server's
@@ -138,7 +138,7 @@ func TestBatchingDeterminismUnix(t *testing.T) {
 			l := listenUnix(t)
 			ts := newBatchKV(t, th)
 			serveErr := make(chan error, 1)
-			go func() { serveErr <- ts.Serve(l) }()
+			go func() { serveErr <- ts.Serve(transport.CheckedListener(t, l)) }()
 			t.Cleanup(func() {
 				ts.Shutdown(2 * time.Second)
 				<-serveErr
@@ -173,7 +173,7 @@ func TestBatchingDeterminismPipe(t *testing.T) {
 			cEnd, sEnd := net.Pipe()
 			ts := newBatchKV(t, th)
 			serveDone := make(chan struct{})
-			go func() { defer close(serveDone); ts.ServeConn(sEnd) }()
+			go func() { defer close(serveDone); ts.ServeConn(transport.CheckedConn(t, sEnd)) }()
 			c, err := transport.NewClientConn(cEnd)
 			if err != nil {
 				t.Fatalf("NewClientConn: %v", err)
@@ -204,7 +204,7 @@ func TestBatchingServerTelemetry(t *testing.T) {
 	l := listenUnix(t)
 	ts := newBatchKV(t, 0)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- ts.Serve(l) }()
+	go func() { serveErr <- ts.Serve(transport.CheckedListener(t, l)) }()
 	c, err := transport.Dial(l.Addr().String())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -246,10 +246,8 @@ func TestBatchingServerTelemetry(t *testing.T) {
 // steady-state GET allocates (almost) nothing. Lenient ceiling to
 // absorb runtime jitter, in the spirit of TestFramedSendAllocs.
 func TestLiveIssueAllocs(t *testing.T) {
-	transport.SetWireCheck(false) // measure the production path
-	defer transport.SetWireCheck(true)
 	l := listenUnix(t)
-	startKV(t, l, 64)
+	serveKV(t, l, 64)
 	tc, kvc, err := kv.DialLive(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatalf("DialLive: %v", err)
@@ -276,10 +274,8 @@ func TestLiveIssueAllocs(t *testing.T) {
 // costs no more than a handful of allocations per round trip (both
 // sides of the socket count — AllocsPerRun is process-wide).
 func TestLiveProgramAllocs(t *testing.T) {
-	transport.SetWireCheck(false) // measure the production path
-	defer transport.SetWireCheck(true)
 	l := listenUnix(t)
-	startKV(t, l, 64)
+	serveKV(t, l, 64)
 	tc, kvc, err := kv.DialLive(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatalf("DialLive: %v", err)

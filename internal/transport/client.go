@@ -42,8 +42,7 @@ type Client struct {
 	down      chan struct{} // closed when the socket dies
 	downOnce  sync.Once
 
-	resp wire.Response   // demux alias-decode scratch
-	wcR  *WireCheckState // receive side, demux only
+	resp wire.Response // demux alias-decode scratch
 }
 
 type acceptInfo struct {
@@ -400,12 +399,6 @@ func (c *Client) demux() {
 			if err := wire.DecodeResponseAlias(&c.resp, body); err != nil {
 				c.teardown(err)
 				return
-			}
-			if WireCheckEnabled() {
-				if c.wcR == nil {
-					c.wcR = &WireCheckState{}
-				}
-				c.wcR.checkResponseBytes(&c.resp, body)
 			}
 			c.mu.Lock()
 			cn := c.conns[c.resp.Conn]

@@ -189,15 +189,15 @@ func checkNoLeak(t *testing.T, before int) {
 // TestFaultyConnMatchesPlainPipe runs GETs, PUTs, DELETEs, GetBatch and
 // IssueBatch trains and a full SCAN through a net.Pipe whose two ends
 // dribble or split what they carry, and demands exactly what a plain
-// pipe returns; the wire check (TestMain) checks every frame on the
-// way. Then no goroutine may outlive Close and Shutdown.
+// pipe returns; the server's checked socket (CheckedConn) checks every
+// frame on the way. Then no goroutine may outlive Close and Shutdown.
 func TestFaultyConnMatchesPlainPipe(t *testing.T) {
 	before := runtime.NumGoroutine()
 	run := func(t *testing.T, wrap func(nc net.Conn, seed int64) net.Conn) []byte {
 		ts := newFaultKV(t)
 		cEnd, sEnd := net.Pipe()
 		served := make(chan struct{})
-		go func() { defer close(served); ts.ServeConn(wrap(sEnd, 1)) }()
+		go func() { defer close(served); ts.ServeConn(transport.CheckedConn(t, wrap(sEnd, 1))) }()
 		c, err := transport.NewClientConn(wrap(cEnd, 2))
 		if err != nil {
 			t.Fatalf("NewClientConn: %v", err)
@@ -260,103 +260,117 @@ func hostileWaiter(kvc *kv.LiveClient, id int) error {
 var errWrongValue = errors.New("wrong value")
 
 // TestHostilePeer puts a hostile peer on one end of a client–server
-// pipe, once as the server and once as the client, with waiters issuing
-// on four connections of the client. Whatever the peer does, every
-// waiter gets a result or an error, never neither: a reset fails every
-// waiter by itself and slow reads only slow them down, while a stalled
-// frame or a peer that stops reading leaves them pending until Close,
-// which must fail them all. Every scenario ends in a goroutine-leak
+// socket, once as the server and once as the client, with waiters issuing
+// on four connections of the client. Each case runs over a net.Pipe and
+// over a TCP loopback pair, whose kernel buffers change when a peer that
+// stops reading starts to hold the other side up. Whatever the peer does,
+// every waiter gets a result or an error, never neither: a reset fails
+// every waiter by itself and slow reads only slow them down, while a
+// stalled frame or a peer that stops reading leaves them pending until
+// Close, which must fail them all. Every scenario ends in a goroutine-leak
 // check.
 func TestHostilePeer(t *testing.T) {
 	defer transport.SetCloseDrainGrace(transport.SetCloseDrainGrace(100 * time.Millisecond))
 	const waiters, deadline = 4, 5 * time.Second
+	pairs := []struct {
+		name string
+		pair func(t *testing.T) (client, server net.Conn)
+	}{
+		{"pipe", func(*testing.T) (net.Conn, net.Conn) { return net.Pipe() }},
+		{"tcp", tcpPair},
+	}
 	for _, mode := range []faultMode{resetMidFrame, stallAfterLength, neverRead, delayedReads} {
 		for _, hostile := range []string{"server", "client"} {
 			t.Run(mode.String()+"/"+hostile, func(t *testing.T) {
-				before := runtime.NumGoroutine()
-				ts := newFaultKV(t)
-				cEnd, sEnd := net.Pipe()
-				var fc *faultConn
-				cConn, sConn := net.Conn(cEnd), net.Conn(sEnd)
-				if hostile == "server" {
-					fc = newFaultConn(sEnd, mode, 1)
-					sConn = fc
-				} else {
-					fc = newFaultConn(cEnd, mode, 1)
-					cConn = fc
-				}
-				served := make(chan struct{})
-				go func() { defer close(served); ts.ServeConn(sConn) }()
-				c, err := transport.NewClientConn(cConn)
-				if err != nil {
-					t.Fatalf("NewClientConn: %v", err)
-				}
-				clients := make([]*kv.LiveClient, waiters)
-				for i := range clients {
-					cn, err := c.Connect()
-					if err != nil {
-						t.Fatalf("Connect: %v", err)
-					}
-					meta, err := kv.FetchMeta(cn)
-					if err != nil {
-						t.Fatalf("FetchMeta: %v", err)
-					}
-					clients[i] = kv.NewLiveClient(cn, meta, uint16(i+1))
-				}
-
-				fc.armed.Store(true)
-				outcomes := make(chan error, waiters)
-				for i, kvc := range clients {
-					go func() { outcomes <- hostileWaiter(kvc, i) }()
-				}
-				// collect gathers n outcomes, failing the test on a wrong
-				// value or on a waiter still pending at the deadline.
-				collect := func(n int, by time.Time) (errs int) {
-					for ; n > 0; n-- {
-						select {
-						case err := <-outcomes:
-							if errors.Is(err, errWrongValue) {
-								t.Error(err)
-							}
-							if err != nil {
-								errs++
-							}
-						case <-time.After(time.Until(by)):
-							t.Fatalf("%d of %d waiters got neither a result nor an error", n, waiters)
+				for _, pair := range pairs {
+					t.Run(pair.name, func(t *testing.T) {
+						before := runtime.NumGoroutine()
+						ts := newFaultKV(t)
+						cEnd, sEnd := pair.pair(t)
+						var fc *faultConn
+						cConn, sConn := net.Conn(cEnd), net.Conn(sEnd)
+						if hostile == "server" {
+							fc = newFaultConn(sEnd, mode, 1)
+							sConn = fc
+						} else {
+							fc = newFaultConn(cEnd, mode, 1)
+							cConn = fc
+							sConn = transport.CheckedConn(t, sEnd)
 						}
-					}
-					return errs
+						served := make(chan struct{})
+						go func() { defer close(served); ts.ServeConn(sConn) }()
+						c, err := transport.NewClientConn(cConn)
+						if err != nil {
+							t.Fatalf("NewClientConn: %v", err)
+						}
+						clients := make([]*kv.LiveClient, waiters)
+						for i := range clients {
+							cn, err := c.Connect()
+							if err != nil {
+								t.Fatalf("Connect: %v", err)
+							}
+							meta, err := kv.FetchMeta(cn)
+							if err != nil {
+								t.Fatalf("FetchMeta: %v", err)
+							}
+							clients[i] = kv.NewLiveClient(cn, meta, uint16(i+1))
+						}
+
+						fc.armed.Store(true)
+						outcomes := make(chan error, waiters)
+						for i, kvc := range clients {
+							go func() { outcomes <- hostileWaiter(kvc, i) }()
+						}
+						// collect gathers n outcomes, failing the test on a wrong
+						// value or on a waiter still pending at the deadline.
+						collect := func(n int, by time.Time) (errs int) {
+							for ; n > 0; n-- {
+								select {
+								case err := <-outcomes:
+									if errors.Is(err, errWrongValue) {
+										t.Error(err)
+									}
+									if err != nil {
+										errs++
+									}
+								case <-time.After(time.Until(by)):
+									t.Fatalf("%d of %d waiters got neither a result nor an error", n, waiters)
+								}
+							}
+							return errs
+						}
+						switch mode {
+						case resetMidFrame:
+							if errs := collect(waiters, time.Now().Add(deadline)); errs != waiters {
+								t.Errorf("%d of %d waiters failed over a reset connection", errs, waiters)
+							}
+						case delayedReads:
+							if errs := collect(waiters, time.Now().Add(deadline)); errs != 0 {
+								t.Errorf("%d of %d waiters failed over a slow reader", errs, waiters)
+							}
+						default:
+							// Nothing but Close can end the wait: a pending waiter
+							// must not have been answered already.
+							select {
+							case err := <-outcomes:
+								t.Fatalf("a waiter returned %v before Close over a stalled peer", err)
+							case <-time.After(50 * time.Millisecond):
+							}
+							c.Close()
+							if errs := collect(waiters, time.Now().Add(deadline)); errs != waiters {
+								t.Errorf("%d of %d waiters failed after Close", errs, waiters)
+							}
+						}
+						c.Close()
+						ts.Shutdown(100 * time.Millisecond)
+						select {
+						case <-served:
+						case <-time.After(deadline):
+							t.Fatal("ServeConn did not return after Close and Shutdown")
+						}
+						checkNoLeak(t, before)
+					})
 				}
-				switch mode {
-				case resetMidFrame:
-					if errs := collect(waiters, time.Now().Add(deadline)); errs != waiters {
-						t.Errorf("%d of %d waiters failed over a reset connection", errs, waiters)
-					}
-				case delayedReads:
-					if errs := collect(waiters, time.Now().Add(deadline)); errs != 0 {
-						t.Errorf("%d of %d waiters failed over a slow reader", errs, waiters)
-					}
-				default:
-					// Nothing but Close can end the wait: a pending waiter
-					// must not have been answered already.
-					select {
-					case err := <-outcomes:
-						t.Fatalf("a waiter returned %v before Close over a stalled peer", err)
-					case <-time.After(50 * time.Millisecond):
-					}
-					c.Close()
-					if errs := collect(waiters, time.Now().Add(deadline)); errs != waiters {
-						t.Errorf("%d of %d waiters failed after Close", errs, waiters)
-					}
-				}
-				c.Close()
-				ts.Shutdown(100 * time.Millisecond)
-				select {
-				case <-served:
-				case <-time.After(deadline):
-					t.Fatal("ServeConn did not return after Close and Shutdown")
-				}
-				checkNoLeak(t, before)
 			})
 		}
 	}
@@ -529,7 +543,7 @@ func TestReadBudgetServesEveryLargeFrame(t *testing.T) {
 	for i := range clients {
 		cEnd, sEnd := net.Pipe()
 		served.Add(1)
-		go func() { defer served.Done(); ts.ServeConn(sEnd) }()
+		go func() { defer served.Done(); ts.ServeConn(transport.CheckedConn(t, sEnd)) }()
 		if clients[i], err = transport.NewClientConn(cEnd); err != nil {
 			t.Fatalf("NewClientConn: %v", err)
 		}
@@ -571,12 +585,12 @@ func TestReadBudgetServesEveryLargeFrame(t *testing.T) {
 	checkNoLeak(t, before)
 }
 
-// liveKV opens a well-behaved client socket, served by serve, with one
-// PRISM-KV connection on it.
+// liveKV opens a well-behaved client socket, served checked by serve,
+// with one PRISM-KV connection on it.
 func liveKV(t *testing.T, serve func(net.Conn)) (*kv.LiveClient, *transport.Client) {
 	t.Helper()
 	cEnd, sEnd := net.Pipe()
-	serve(sEnd)
+	serve(transport.CheckedConn(t, sEnd))
 	c, err := transport.NewClientConn(cEnd)
 	if err != nil {
 		t.Fatalf("NewClientConn: %v", err)
@@ -590,6 +604,26 @@ func liveKV(t *testing.T, serve func(net.Conn)) (*kv.LiveClient, *transport.Clie
 		t.Fatalf("FetchMeta: %v", err)
 	}
 	return kv.NewLiveClient(cn, meta, 1), c
+}
+
+// tcpPair returns the two ends of a TCP loopback connection.
+func tcpPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	l := listenTCP(t)
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		nc, _ := l.Accept()
+		accepted <- nc
+	}()
+	client, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if server = <-accepted; server == nil {
+		t.Fatal("accept failed")
+	}
+	return client, server
 }
 
 // greet completes the protocol handshake by hand on a raw client end.

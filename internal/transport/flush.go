@@ -52,8 +52,6 @@ type flusher struct {
 	err    error
 	exited bool // the writer goroutine is gone: nothing is in Write
 
-	wc *WireCheckState // send-side wirecheck scratch, under mu
-
 	writes, frames, bytes int64 // syscall telemetry, under mu
 }
 
@@ -95,12 +93,6 @@ func (f *flusher) stageRequest(req *wire.Request, kick bool) error {
 	if err := f.stageErr(); err != nil {
 		f.mu.Unlock()
 		return err
-	}
-	if WireCheckEnabled() {
-		if f.wc == nil {
-			f.wc = &WireCheckState{}
-		}
-		f.wc.CheckRequestRoundTrip(req)
 	}
 	start := len(f.stage)
 	f.stage = append(f.stage, 0, 0, 0, 0, frameRequest)

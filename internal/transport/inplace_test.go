@@ -15,11 +15,11 @@ import (
 )
 
 // The live server stages every response in place: each op executes
-// straight into the frame it flushes. With the wire check on (TestMain)
-// the server compares every staged frame with wire.AppendResponse of the
-// same results, and the client re-encodes every frame it decodes. This
-// test drives every opcode and outcome through that path and compares
-// what arrives with the results the executor's semantics define.
+// straight into the frame it flushes. This test drives every opcode and
+// outcome through that path over a checked socket (CheckedConn), which
+// holds every staged frame to wire.AppendResponse of what it decodes to,
+// one result per op, and compares what arrives with the results the
+// executor's semantics define.
 
 // Layout of the test region, offsets from its base.
 const (
@@ -95,7 +95,7 @@ func TestInPlaceResponsesAreCanonical(t *testing.T) {
 	ts, r := inPlaceServer(t)
 	cEnd, sEnd := net.Pipe()
 	served := make(chan struct{})
-	go func() { defer close(served); ts.ServeConn(sEnd) }()
+	go func() { defer close(served); ts.ServeConn(transport.CheckedConn(t, sEnd)) }()
 	c, err := transport.NewClientConn(cEnd)
 	if err != nil {
 		t.Fatalf("NewClientConn: %v", err)

@@ -15,20 +15,20 @@ import (
 	"prism/internal/transport"
 )
 
-// Every live test runs with the wire check on: each frame is round-
-// tripped through the codec on send and re-encoded against the raw
-// bytes on receive, so a codec or framing regression panics loudly
-// instead of corrupting a value silently.
-func TestMain(m *testing.M) {
-	transport.SetWireCheck(true)
-	m.Run()
-}
-
 // startKV provisions a PRISM-KV store with nSlots slots on a live
 // server, preloads keys 0..nSlots/2 (value = key repeated), and serves
-// on the given listener. The upper half of the collisionless key space
-// stays empty for insert tests.
+// on the given listener, every accepted socket checked
+// (transport.CheckedConn): a codec or framing regression fails the test
+// instead of corrupting a value silently. The upper half of the
+// collisionless key space stays empty for insert tests.
 func startKV(t *testing.T, l net.Listener, nSlots int64) (*transport.Server, *kv.Server, chan error) {
+	t.Helper()
+	return serveKV(t, transport.CheckedListener(t, l), nSlots)
+}
+
+// serveKV is startKV without the check, for the allocation tests: what
+// they count is the production path alone.
+func serveKV(t *testing.T, l net.Listener, nSlots int64) (*transport.Server, *kv.Server, chan error) {
 	t.Helper()
 	ts := transport.NewServer()
 	opts := kv.DefaultOptions(nSlots, 256)
@@ -257,7 +257,7 @@ func TestIdleSocketFootprint(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	server := make(chan int, 1)
 	go func() {
-		n, err := ts.ServeConnFramerBytes(sEnd)
+		n, err := ts.ServeConnFramerBytes(transport.CheckedConn(t, sEnd))
 		if err != nil {
 			t.Errorf("ServeConn: %v", err)
 		}
@@ -308,7 +308,7 @@ func TestLiveShutdownDrain(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- ts.Serve(l) }()
+	go func() { serveErr <- ts.Serve(transport.CheckedListener(t, l)) }()
 
 	tc, kvc, err := kv.DialLive(l.Addr().String(), 1)
 	if err != nil {

@@ -25,7 +25,7 @@ func TestConnectCoalescedWithVerbsBatch(t *testing.T) {
 	s := NewServer()
 	cEnd, sEnd := net.Pipe()
 	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); s.ServeConn(sEnd) }()
+	go func() { defer close(serveDone); s.ServeConn(CheckedConn(t, sEnd)) }()
 
 	c, err := NewClientConn(cEnd)
 	if err != nil {

@@ -16,9 +16,6 @@ import (
 // client side is a bare framer over a net.Pipe, which allocates nothing
 // either, so the process-wide count is the server's.
 func TestServerScanAllocs(t *testing.T) {
-	SetWireCheck(false) // measure the production path
-	defer SetWireCheck(true)
-
 	const (
 		slots    = 64
 		entries  = 32

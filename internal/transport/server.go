@@ -277,17 +277,9 @@ type srvSock struct {
 
 	req     wire.Request // alias-decodes into fr's buffer
 	opMeta  prism.OpMeta // ExecInto out-param scratch (escape analysis)
-	wc      *WireCheckState
 	greeted bool
 
 	batches, batchFrames int64 // wakeup telemetry, owner goroutine only
-}
-
-func (sk *srvSock) wcheck() *WireCheckState {
-	if sk.wc == nil {
-		sk.wc = &WireCheckState{}
-	}
-	return sk.wc
 }
 
 // beginVerbs acquires the amortized batch guard if not already held.
@@ -410,9 +402,6 @@ func (sk *srvSock) serveRequest(body []byte) error {
 	if err := wire.DecodeRequestAlias(&sk.req, body); err != nil {
 		return err
 	}
-	if WireCheckEnabled() {
-		sk.wcheck().checkRequestBytes(&sk.req, body)
-	}
 	lc, ok := sk.conns[sk.req.Conn]
 	if !ok {
 		return fmt.Errorf("transport: request on unknown connection %d", sk.req.Conn)
@@ -426,20 +415,7 @@ func (sk *srvSock) serveRequest(body []byte) error {
 	} else {
 		sk.serveVerbs(lc, req)
 	}
-	if WireCheckEnabled() {
-		sk.wcheck().checkStagedResponse(req, sk.fw.buf[start+frameHeaderLen+1:])
-	}
 	return sk.fw.endFrame(start)
-}
-
-// putResult stages the result of op i into the header reserved at off,
-// noting it for the wire check first: the check compares the finished
-// frame with the results as the ops produced them.
-func (sk *srvSock) putResult(i, off int, res *wire.Result) {
-	if WireCheckEnabled() {
-		sk.wcheck().noteResult(i, res)
-	}
-	sk.fw.putResult(off, res)
 }
 
 // serveVerbs executes a (possibly chained) one-sided request under the
@@ -466,7 +442,7 @@ func (sk *srvSock) serveVerbs(lc *liveConn, req *wire.Request) {
 			}
 			lc.lastOK = res.Status.OK()
 		}
-		sk.putResult(i, off, &res)
+		sk.fw.putResult(off, &res)
 	}
 	sk.s.OpsExecuted.Add(int64(executed))
 	if progOps > 0 {
@@ -486,11 +462,11 @@ func (sk *srvSock) serveRPC(req *wire.Request) {
 	off := sk.fw.reserveResult()
 	handler := s.Handler()
 	if handler == nil {
-		sk.putResult(0, off, &wire.Result{Status: wire.StatusUnsupported})
+		sk.fw.putResult(off, &wire.Result{Status: wire.StatusUnsupported})
 		return
 	}
 	s.rpcMu.Lock()
 	reply, _ := handler(req.Ops[0].Data)
-	sk.putResult(0, off, &wire.Result{Status: wire.StatusOK, Data: reply})
+	sk.fw.putResult(off, &wire.Result{Status: wire.StatusOK, Data: reply})
 	s.rpcMu.Unlock()
 }

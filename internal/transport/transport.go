@@ -36,10 +36,7 @@
 // the frame's bytes or per-connection order.
 package transport
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // RPCHandler serves send/receive RPCs: single-op OpSend requests carry
 // an opaque payload to the server CPU and the reply rides the result
@@ -48,20 +45,3 @@ import (
 // and must not be retained; the reply buffer is handed to the transport
 // and must not be reused by the handler until the next call.
 type RPCHandler func(payload []byte) (reply []byte, extraCPU time.Duration)
-
-// Wire-check mode for the live transports. With it enabled, every frame
-// is verified against the canonical codec: requests and responses are
-// round-tripped (encode, alias-decode, field-compare) before send, and
-// received frames are re-encoded and compared byte-for-byte against the
-// bytes on the wire — proving on live traffic that both peers speak the
-// canonical encoding and that the alias decoders lose nothing. The
-// simulated fabric's equivalent is rdma.SetWireCheck, which forwards
-// here so one switch covers every transport.
-var wireCheck atomic.Bool
-
-// SetWireCheck toggles wire-check verification for subsequently
-// transmitted and received live-transport messages.
-func SetWireCheck(on bool) { wireCheck.Store(on) }
-
-// WireCheckEnabled reports whether live wire-check mode is on.
-func WireCheckEnabled() bool { return wireCheck.Load() }

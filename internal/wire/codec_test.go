@@ -19,8 +19,12 @@ func sampleResponse() *Response {
 			{Status: StatusOK, Data: []byte("value bytes")},
 			{Status: StatusCASFailed, Data: bytes.Repeat([]byte{1}, 24)},
 			{Status: StatusNotExecuted},
+			{Status: StatusNAKAccess},
 			{Status: StatusRNR},
+			{Status: StatusUnsupported},
 			{Status: StatusOK, Addr: 0xbeef},
+			// An RPC reply rides the result slot.
+			{Status: StatusOK, Data: []byte("rpc reply")},
 			// CHASE/SCAN terminations: Addr is the resumption cursor.
 			{Status: StatusNotFound, Addr: 0x1c0},
 			{Status: StatusStepLimit, Addr: 17},
@@ -38,7 +42,7 @@ func TestQuickResponseRoundtrip(t *testing.T) {
 		}
 		resp := &Response{Conn: conn, Seq: seq, Epoch: epoch, Results: []Result{}}
 		for i, s := range statuses {
-			res := Result{Status: Status(s % 6)}
+			res := Result{Status: Status(s % (uint8(StatusStepLimit) + 1))}
 			if res.Status == StatusOK {
 				res.Addr = memory.Addr(addr + uint64(i))
 				if len(data) > 0 {

@@ -57,6 +57,11 @@ func sampleRequest() *Request {
 				Len:    4096,
 				Data:   bytes.Repeat([]byte{0x5A}, 32),
 			},
+			{
+				// An RPC: the payload goes to the server CPU.
+				Code: OpSend,
+				Data: []byte("rpc request"),
+			},
 		},
 	}
 }
@@ -129,15 +134,17 @@ func TestDecodeHugeChainRejected(t *testing.T) {
 	}
 }
 
-// Property: decode(encode(x)) == x for arbitrary single-op requests.
+// Property: decode(encode(x)) == x for arbitrary single-op requests of
+// every opcode, with enhanced-CAS modes and masks.
 func TestQuickRequestRoundtrip(t *testing.T) {
-	f := func(conn, seq uint64, code uint8, flags uint8, rkey uint32, target uint64, ln uint16, data []byte, freeList uint32, redirect uint64) bool {
+	f := func(conn, seq uint64, code, flags, mode uint8, rkey uint32, target uint64, ln uint16, data, mask []byte, freeList uint32, redirect uint64) bool {
 		req := &Request{
 			Conn: conn,
 			Seq:  seq,
 			Ops: []Op{{
-				Code:       OpCode(code%7 + 1),
+				Code:       OpCode(code%uint8(OpScan) + 1),
 				Flags:      Flags(flags) & (FlagTargetIndirect | FlagDataIndirect | FlagBounded | FlagConditional | FlagRedirect),
+				Mode:       CASMode(mode % 3),
 				RKey:       memory.RKey(rkey),
 				Target:     memory.Addr(target),
 				Len:        uint64(ln),
@@ -145,6 +152,9 @@ func TestQuickRequestRoundtrip(t *testing.T) {
 				FreeList:   freeList,
 				RedirectTo: memory.Addr(redirect),
 			}},
+		}
+		if op := &req.Ops[0]; op.Code == OpCAS && len(mask) > 0 {
+			op.CompareMask, op.SwapMask = mask, bytes.Repeat([]byte{0x0F}, len(mask))
 		}
 		if len(req.Ops[0].Data) == 0 {
 			req.Ops[0].Data = nil
