@@ -15,10 +15,10 @@ fmt:
 
 # Besides go vet, one boundary: a store knows its machine as a
 # transport.Host, so no application package names the simulated NIC's
-# server type — except Pilaf, whose PUT schedules on its engine.
+# server type. Pilaf's torn PUT is a host operation too (StageWrites).
 vet:
 	$(GO) vet ./...
-	@! grep -n 'rdma\.Server' $$(ls internal/kv/*.go internal/abd/*.go internal/tx/*.go | grep -v -e _test.go -e /pilaf.go)
+	@! grep -n 'rdma\.Server' $$(ls internal/kv/*.go internal/abd/*.go internal/tx/*.go | grep -v _test.go)
 
 build:
 	$(GO) build ./...
@@ -36,15 +36,15 @@ test:
 # 6,000 MB it may use there, so the golden-figure tests (every figure
 # rendered serially and on a pool, ≈3,000 MB) run apart from the rest
 # (≈4,700 MB). Each prints its peak_rss_mb (TestMain; go test shows it when
-# run in the package directory). workload and prismtrace ride along after
-# it.
+# run in the package directory). workload, wire and the commands ride
+# along after it.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
 		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism \
 		./internal/tx ./internal/abd
 	cd internal/bench && $(GO) test -race -run '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
 	cd internal/bench && $(GO) test -race -skip '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
-	$(GO) test -race ./internal/workload ./internal/wire ./cmd/prismtrace ./cmd/prismkv
+	$(GO) test -race ./internal/workload ./internal/wire ./cmd/prismtrace ./cmd/prismkv ./cmd/prismload
 
 # The one command that regenerates a number: the repository's benchmark
 # (BENCHMARK.json; flags and metrics in benchmark/README.md).

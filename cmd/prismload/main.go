@@ -18,8 +18,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -32,76 +34,80 @@ import (
 	"prism/internal/transport"
 )
 
+// errUsage marks a bad invocation, which exits 2 rather than 1.
+var errUsage = errors.New("usage")
+
 func main() {
-	addr := flag.String("addr", "", "server address (unix path or host:port)")
-	clients := flag.Int("clients", 100, "concurrent closed-loop clients (logical connections)")
-	sockets := flag.Int("sockets", 8, "sockets to multiplex clients over")
-	duration := flag.Duration("duration", 5*time.Second, "measurement duration")
-	keys := flag.Int64("keys", 4096, "key space (should be preloaded)")
-	valueSize := flag.Int("value", 128, "value size for writes (bytes)")
-	reads := flag.Float64("reads", 0.95, "fraction of operations that are GETs")
-	workloadKind := flag.String("workload", "get", "op mix: get, chase, chasehop, or scan (chase/chasehop need prismd -chain)")
-	depth := flag.Int64("depth", 0, "chain hops per chase/chasehop lookup (0 = the chain's full depth)")
-	scanBudget := flag.Uint64("scan-budget", 4096, "byte budget per SCAN window")
-	jsonPath := flag.String("json", "", "write the result JSON here (default stdout)")
-	batch := flag.Int("batch", 1, "GETs per doorbell: issue reads in kv.GetBatch trains of this size")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "prismload:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse args, drive the load, and write the
+// result JSON to stdout (and to -json). It fails if any client did.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("prismload", flag.ContinueOnError)
+	addr := fs.String("addr", "", "server address (unix path or host:port)")
+	clients := fs.Int("clients", 100, "concurrent closed-loop clients (logical connections)")
+	sockets := fs.Int("sockets", 8, "sockets to multiplex clients over")
+	duration := fs.Duration("duration", 5*time.Second, "measurement duration")
+	keys := fs.Int64("keys", 4096, "key space (should be preloaded)")
+	valueSize := fs.Int("value", 128, "value size for writes (bytes)")
+	reads := fs.Float64("reads", 0.95, "fraction of operations that are GETs")
+	workloadKind := fs.String("workload", "get", "op mix: get, chase, chasehop, or scan (chase/chasehop need prismd -chain)")
+	depth := fs.Int64("depth", 0, "chain hops per chase/chasehop lookup (0 = the chain's full depth)")
+	scanBudget := fs.Uint64("scan-budget", 4096, "byte budget per SCAN window")
+	jsonPath := fs.String("json", "", "write the result JSON here (default stdout)")
+	batch := fs.Int("batch", 1, "GETs per doorbell: issue reads in kv.GetBatch trains of this size")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
 
 	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "prismload: need -addr")
-		os.Exit(2)
+		return fmt.Errorf("%w: need -addr", errUsage)
 	}
-	if *sockets < 1 {
-		*sockets = 1
-	}
-	if *sockets > *clients {
-		*sockets = *clients
-	}
+	*sockets = max(1, min(*sockets, *clients))
+	*batch = max(1, *batch)
 
 	// Dial the socket pool and fetch the store metadata once.
 	pool := make([]*transport.Client, *sockets)
 	for i := range pool {
 		tc, err := transport.Dial(*addr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "prismload: dial %s: %v\n", *addr, err)
-			os.Exit(1)
+			return fmt.Errorf("dial %s: %w", *addr, err)
 		}
 		defer tc.Close()
 		pool[i] = tc
 	}
-	if *batch < 1 {
-		*batch = 1
-	}
 	metaConn, err := pool[0].Connect()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "prismload: connect:", err)
-		os.Exit(1)
+		return fmt.Errorf("connect: %w", err)
 	}
 	var meta kv.Meta
 	var chainMeta kv.ChainMeta
 	switch *workloadKind {
 	case "chase", "chasehop":
-		chainMeta, err = kv.FetchChainMeta(metaConn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "prismload: fetch chain meta (is the server running -chain?):", err)
-			os.Exit(1)
+		if chainMeta, err = kv.FetchChainMeta(metaConn); err != nil {
+			return fmt.Errorf("fetch chain meta (is the server running -chain?): %w", err)
 		}
 		if *depth <= 0 || *depth > chainMeta.Depth {
 			*depth = chainMeta.Depth
 		}
 	case "get", "scan":
-		meta, err = kv.FetchMeta(metaConn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "prismload: fetch meta:", err)
-			os.Exit(1)
+		if meta, err = kv.FetchMeta(metaConn); err != nil {
+			return fmt.Errorf("fetch meta: %w", err)
 		}
 		if *workloadKind == "get" && *keys > meta.NSlots {
-			fmt.Fprintf(os.Stderr, "prismload: -keys %d exceeds server's %d slots\n", *keys, meta.NSlots)
-			os.Exit(1)
+			return fmt.Errorf("-keys %d exceeds server's %d slots", *keys, meta.NSlots)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "prismload: unknown -workload %q (get, chase, chasehop, or scan)\n", *workloadKind)
-		os.Exit(2)
+		return fmt.Errorf("%w: unknown -workload %q (get, chase, chasehop, or scan)", errUsage, *workloadKind)
 	}
 
 	// Open every logical connection up front so the measured window is
@@ -110,8 +116,7 @@ func main() {
 	for i := range conns {
 		cn, err := pool[i%*sockets].Connect()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "prismload: connect client %d: %v\n", i, err)
-			os.Exit(1)
+			return fmt.Errorf("connect client %d: %w", i, err)
 		}
 		conns[i] = cn
 	}
@@ -123,6 +128,7 @@ func main() {
 		errOnce  sync.Once
 		firstErr atomic.Value
 	)
+	firstErr.Store("")
 	recorders := make([]*stats.LatencyRecorder, *clients)
 	finished := make([]atomic.Bool, *clients)
 	value := make([]byte, *valueSize)
@@ -266,12 +272,8 @@ func main() {
 	var writes, framesOut, bytesOut, readsIn, bytesIn int64
 	for _, tc := range pool {
 		w, f, b := tc.FlushStats()
-		writes += w
-		framesOut += f
-		bytesOut += b
 		r, rb := tc.ReadStats()
-		readsIn += r
-		bytesIn += rb
+		writes, framesOut, bytesOut, readsIn, bytesIn = writes+w, framesOut+f, bytesOut+b, readsIn+r, bytesIn+rb
 	}
 	result := map[string]any{
 		"addr":              *addr,
@@ -296,7 +298,7 @@ func main() {
 		// Per-client failure detail: each client errors at most once
 		// before stopping, so errors == clients that dropped out.
 		"clients_errored": errCount.Load(),
-		"first_error":     firstError(&firstErr),
+		"first_error":     firstErr.Load(),
 		"stalled_clients": stalled,
 	}
 	switch *workloadKind {
@@ -313,27 +315,21 @@ func main() {
 	}
 	out, err := json.MarshalIndent(result, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "prismload:", err)
-		os.Exit(1)
+		return err
 	}
 	out = append(out, '\n')
 	if *jsonPath != "" {
 		if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "prismload:", err)
-			os.Exit(1)
+			return err
 		}
 	}
-	os.Stdout.Write(out)
+	if _, err := stdout.Write(out); err != nil {
+		return err
+	}
 	if errCount.Load() > 0 || stalled > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d clients failed, %d stalled", errCount.Load(), stalled)
 	}
-}
-
-func firstError(v *atomic.Value) string {
-	if s, ok := v.Load().(string); ok {
-		return s
-	}
-	return ""
+	return nil
 }
 
 // ratio returns a/b as a float, 0 when b is 0.

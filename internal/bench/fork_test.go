@@ -160,13 +160,13 @@ func TestPilafTemplateBuildDeterministic(t *testing.T) {
 	c1.templates, c2.templates = new(templateSet), new(templateSet)
 	// c1's image is checksummed before its point forks it, c2's is built
 	// inside its point.
-	sum1 := spaceChecksum(t, pilafTemplate(c1).NIC().Snapshot().Space())
+	sum1 := spaceChecksum(t, pilafTemplate(c1).nic.Snapshot().Space())
 	a := measure(c1, forked)
-	if after := spaceChecksum(t, pilafTemplate(c1).NIC().Snapshot().Space()); after != sum1 {
+	if after := spaceChecksum(t, pilafTemplate(c1).nic.Snapshot().Space()); after != sum1 {
 		t.Fatalf("template bytes changed during a forked run: %#x -> %#x", sum1, after)
 	}
 	b := measure(c2, forked)
-	sum2 := spaceChecksum(t, pilafTemplate(c2).NIC().Snapshot().Space())
+	sum2 := spaceChecksum(t, pilafTemplate(c2).nic.Snapshot().Space())
 	if a != b {
 		t.Fatalf("point from rebuilt template differs: %+v vs %+v", a, b)
 	}
@@ -198,7 +198,7 @@ func TestTemplateRegionsFitInSlabs(t *testing.T) {
 	cfg := slabCfg()
 	templates := map[string]*rdma.ServerTemplate{
 		"prism-kv": kvTemplate(cfg).nic,
-		"pilaf":    pilafTemplate(cfg).NIC(),
+		"pilaf":    pilafTemplate(cfg).nic,
 		"prism-rs": rsTemplate(cfg).nic,
 		"abdlock":  lockTemplate(cfg).nic,
 		"prism-tx": txTemplate(cfg)[0].nic,

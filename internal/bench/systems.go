@@ -118,8 +118,9 @@ func must(err error) {
 
 // image is a loaded store in a template set: the server's sealed
 // memory, free lists and temp key, and the store's control-plane
-// description — everything a store without CPU-side state is. An instance
-// is fork plus the store's Attach.
+// description — everything a store without CPU-side state is; Pilaf's
+// meta is its server's CPU half. An instance is fork plus the store's
+// Attach.
 type image[M any] struct {
 	nic  *rdma.ServerTemplate
 	meta M
@@ -200,8 +201,6 @@ func KVCluster(cfg Config) (*sim.Engine, Store) {
 	return v.e, kvClients(nic, meta, kvTune{})(v.clientMachines()[0], 0)
 }
 
-// Pilaf is the one store that keeps the NIC itself (its PUT stages stores
-// on the engine) and a template of its own (its index is CPU-side state).
 func loadPilaf(net *fabric.Network, cfg Config) (*rdma.Server, *kv.PilafServer) {
 	nic := rdma.NewServer(net, "server", model.SoftwarePRISM)
 	srv, err := kv.NewPilafServer(nic, kv.DefaultOptions(cfg.Keys, cfg.ValueSize))
@@ -210,10 +209,10 @@ func loadPilaf(net *fabric.Network, cfg Config) (*rdma.Server, *kv.PilafServer) 
 	return nic, srv
 }
 
-func pilafTemplate(cfg Config) *kv.PilafTemplate {
-	return cachedTemplate("pilaf", cfg, 0, func(v *env) *kv.PilafTemplate {
-		_, srv := loadPilaf(v.net, cfg)
-		return srv.Capture()
+func pilafTemplate(cfg Config) image[*kv.PilafTemplate] {
+	return cachedTemplate("pilaf", cfg, 0, func(v *env) image[*kv.PilafTemplate] {
+		nic, srv := loadPilaf(v.net, cfg)
+		return capture(nic, srv.Capture())
 	})
 }
 
@@ -227,9 +226,9 @@ func (v *env) pilafCluster(nic *rdma.Server, srv *kv.PilafServer) cluster {
 func pilaf(deploy model.Deployment, params func(Config) model.Params) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, params(cfg))
-		tmpl := pilafTemplate(cfg)
-		nic := rdma.NewServerFromTemplate(v.net, "server", deploy, tmpl.NIC())
-		return v.pilafCluster(nic, tmpl.Attach(nic))
+		im := pilafTemplate(cfg)
+		nic := im.fork(v.net, "server", deploy)
+		return v.pilafCluster(nic, im.meta.Attach(nic))
 	}
 }
 

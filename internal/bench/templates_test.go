@@ -53,8 +53,8 @@ func TestFigureDropsItsTemplates(t *testing.T) {
 		switch im := val.(type) {
 		case image[kv.Meta]:
 			runtime.SetFinalizer(im.nic, func(any) { freed <- key.system })
-		case *kv.PilafTemplate:
-			runtime.SetFinalizer(im, func(any) { freed <- key.system })
+		case image[*kv.PilafTemplate]:
+			runtime.SetFinalizer(im.nic, func(any) { freed <- key.system })
 		default:
 			t.Errorf("%s: template of unexpected type %T", key.system, val)
 		}

@@ -428,7 +428,7 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 
 // serveUnix serves ts on a unix socket in a fresh temp dir until the test
 // ends and returns the socket's address.
-func serveUnix(t *testing.T, ts *transport.Server) string {
+func serveUnix(t testing.TB, ts *transport.Server) string {
 	t.Helper()
 	l, err := net.Listen("unix", filepath.Join(t.TempDir(), "prism.sock"))
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/wire"
 )
 
@@ -34,8 +35,8 @@ import (
 // its high half and their CRC-32/IEEE in its low half (pilafCRC). Pilaf's
 // paper uses a CRC-64; two CRC-32s are as wide and both are computed in
 // hardware on amd64 (DESIGN.md §6). The client's checking is charged as
-// modeled time (PilafClient.crcCost), so the choice moves no simulated
-// nanosecond.
+// modeled time (an Issuer.Sleep of crcCost), so the choice moves no
+// simulated nanosecond.
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -48,22 +49,21 @@ func pilafCRC(b []byte) uint64 {
 
 const pilafSlotSize = 32
 
-// PilafServer owns the hash table and extents and serves PUT RPCs. It is
-// the one store that holds the simulated NIC rather than a transport.Host:
-// its PUT stages torn stores on the NIC's engine.
+// PilafServer owns the hash table and extents and serves PUT RPCs on a
+// transport host, whose StageWrites tears its PUT's stores.
 type PilafServer struct {
-	rs   *rdma.Server
+	host transport.Host
 	meta PilafMeta
 
-	space   *memory.Space
 	extents pilafExtents
 
 	// index and slotOwner are the server CPU's coherent view of the hash
-	// table. The CPU's stores to simulated memory are staged (so remote
+	// table. The CPU's stores to registered memory are staged (so remote
 	// one-sided readers can observe torn state, which Pilaf's CRCs catch),
 	// but a CPU always sees its own stores via store forwarding — so
 	// server-side lookups must come from here, never from re-reading the
-	// (possibly still-staged) simulated memory.
+	// (possibly still-staged) memory. Like the extents, they change only
+	// under the space guard (install).
 	index     forkedIndex[pilafRef] // key -> current extent
 	slotOwner forkedIndex[bool]     // slot -> whether a key owns it
 
@@ -149,19 +149,19 @@ type PilafMeta struct {
 	MaxValue int
 }
 
-// NewPilafServer provisions Pilaf on the given NIC. The object store may
-// grow to opts.BuffersPerClass entries of opts.MaxValue bytes — sized like
+// NewPilafServer provisions Pilaf on any transport host — the simulated
+// NIC or a live socket server. The object store may grow to
+// opts.BuffersPerClass entries of opts.MaxValue bytes — sized like
 // PRISM-KV's buffer pool: one entry per slot plus slack for
 // in-place-replacement churn.
-func NewPilafServer(rs *rdma.Server, opts Options) (*PilafServer, error) {
-	space := rs.Space()
+func NewPilafServer(host transport.Host, opts Options) (*PilafServer, error) {
+	space := host.Space()
 	key, base, err := alloc.RegisterArray(space, 0, uint64(opts.NSlots), pilafSlotSize)
 	if err != nil {
 		return nil, fmt.Errorf("kv: pilaf hash table: %w", err)
 	}
 	s := &PilafServer{
-		rs:        rs,
-		space:     space,
+		host:      host,
 		extents:   pilafExtents{room: opts.BuffersPerClass},
 		index:     forkedIndex[pilafRef]{flat: make([]pilafRef, opts.NSlots)},
 		slotOwner: forkedIndex[bool]{flat: make([]bool, opts.NSlots)},
@@ -173,7 +173,7 @@ func NewPilafServer(rs *rdma.Server, opts Options) (*PilafServer, error) {
 			MaxValue: opts.MaxValue,
 		},
 	}
-	rs.SetRPCHandler(s.handleRPC)
+	host.SetRPCHandler(s.handleRPC)
 	return s, nil
 }
 
@@ -254,7 +254,7 @@ func (s *PilafServer) allocExtent(n uint64) (pilafExtent, error) {
 		if count <= 0 {
 			return pilafExtent{}, fmt.Errorf("kv: pilaf extents full")
 		}
-		r, err := s.space.RegisterShared(s.meta.Key, uint64(count)*entryBytes)
+		r, err := s.host.Space().RegisterShared(s.meta.Key, uint64(count)*entryBytes)
 		if err != nil {
 			return pilafExtent{}, fmt.Errorf("kv: pilaf extents: %w", err)
 		}
@@ -268,8 +268,8 @@ func (s *PilafServer) allocExtent(n uint64) (pilafExtent, error) {
 // install is the server CPU's half of storing key's n-byte entry: it keeps
 // the key's slot on an overwrite (retiring the old extent) or probes for a
 // free one on an insert, allocates the extent, and records both in the
-// coherent index. The caller stores the entry at dst and the slot image at
-// slotAddr.
+// coherent index. The caller holds the space guard, and stores the entry
+// at dst and the slot image at slotAddr.
 func (s *PilafServer) install(key int64, n uint64) (slotAddr, dst memory.Addr, err error) {
 	if n > pilafEntrySize(s.meta.MaxValue) {
 		return 0, 0, fmt.Errorf("kv: pilaf value exceeds MaxValue %d", s.meta.MaxValue)
@@ -280,19 +280,16 @@ func (s *PilafServer) install(key int64, n uint64) (slotAddr, dst memory.Addr, e
 		slot = ref.slot
 		s.extents.free = append(s.extents.free, pilafExtent{ptr: ref.ptr, cap: ref.cap})
 	} else {
-		idx := slotIndex(s.meta.Hash, key, s.meta.NSlots)
-		found := false
-		for probes := int64(0); probes < s.meta.NSlots; probes++ {
-			if _, taken := s.slotOwner.get(idx); !taken {
-				found = true
+		slot = slotIndex(s.meta.Hash, key, s.meta.NSlots)
+		for probes := int64(0); ; probes++ {
+			if probes == s.meta.NSlots {
+				return 0, 0, fmt.Errorf("kv: pilaf hash table full")
+			}
+			if _, taken := s.slotOwner.get(slot); !taken {
 				break
 			}
-			idx = (idx + 1) % s.meta.NSlots
+			slot = (slot + 1) % s.meta.NSlots
 		}
-		if !found {
-			return 0, 0, fmt.Errorf("kv: pilaf hash table full")
-		}
-		slot = idx
 	}
 	ext, err := s.allocExtent(n)
 	if err != nil {
@@ -313,44 +310,29 @@ const tearDelay = 300 * time.Nanosecond
 
 // put executes a PUT on the server CPU: allocate (or reuse) an extent,
 // write the entry (non-atomically), update the slot (non-atomically).
-// Lookups use the CPU's coherent index, never the staged simulated memory.
+// Lookups use the CPU's coherent index, never the staged memory.
 func (s *PilafServer) put(key int64, value []byte) error {
 	s.Puts++
-	// Fresh images: the staged stores below outlive this call.
+	// Fresh images: the staged stores below may outlive this call.
 	n := pilafEntrySize(len(value))
 	img := pilafAppendEntry(make([]byte, 0, n+pilafSlotSize), key, value)
+	s.host.Space().Guard().Lock()
 	slotAddr, dst, err := s.install(key, n)
+	s.host.Space().Guard().Unlock()
 	if err != nil {
 		return err
 	}
 	img = pilafAppendSlot(img, dst, n)
-	entry, slotImg := img[:n], img[n:]
-
-	// Stage the stores to simulated memory: first half of the entry now,
-	// second half a beat later, slot halves last — a remote reader
-	// interleaving anywhere in between sees a torn entry or a torn slot
-	// and must rely on the CRC to detect it.
-	half := len(entry) / 2
-	if err := s.space.Write(s.meta.Key, dst, entry[:half]); err != nil {
-		return err
-	}
-	e := s.rs.Engine()
-	e.Schedule(tearDelay, func() {
-		if err := s.space.Write(s.meta.Key, dst+memory.Addr(half), entry[half:]); err != nil {
-			panic(err)
-		}
+	// First half of the entry, second half, slot halves last: a remote
+	// reader interleaving anywhere in between sees a torn entry or a torn
+	// slot and must rely on the CRC to detect it.
+	half := n / 2
+	return s.host.StageWrites(s.meta.Key, tearDelay, []transport.StagedWrite{
+		{Addr: dst, Data: img[:half]},
+		{Addr: dst + memory.Addr(half), Data: img[half:n]},
+		{Addr: slotAddr, Data: img[n : n+16]},
+		{Addr: slotAddr + 16, Data: img[n+16:]},
 	})
-	e.Schedule(2*tearDelay, func() {
-		if err := s.space.Write(s.meta.Key, slotAddr, slotImg[:16]); err != nil {
-			panic(err)
-		}
-	})
-	e.Schedule(3*tearDelay, func() {
-		if err := s.space.Write(s.meta.Key, slotAddr+16, slotImg[16:]); err != nil {
-			panic(err)
-		}
-	})
-	return nil
 }
 
 // handleRPC dispatches Pilaf PUTs.
@@ -359,8 +341,7 @@ func (s *PilafServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 		return []byte{1}, 0
 	}
 	key := int64(binary.BigEndian.Uint64(payload[1:9]))
-	value := payload[9:]
-	if err := s.put(key, value); err != nil {
+	if err := s.put(key, payload[9:]); err != nil {
 		return []byte{1}, 0
 	}
 	// CPU cost of the hash probe + extent copy beyond base dispatch.
@@ -372,6 +353,9 @@ func (s *PilafServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 // then the slot are stored whole, and the image is settled — ready for
 // Capture — when Load returns, with no event scheduled.
 func (s *PilafServer) Load(key int64, value []byte) error {
+	space := s.host.Space()
+	space.Guard().Lock()
+	defer space.Guard().Unlock()
 	n := pilafEntrySize(len(value))
 	s.loadBuf = pilafAppendEntry(s.loadBuf[:0], key, value)
 	slotAddr, dst, err := s.install(key, n)
@@ -379,64 +363,47 @@ func (s *PilafServer) Load(key int64, value []byte) error {
 		return err
 	}
 	s.loadBuf = pilafAppendSlot(s.loadBuf, dst, n)
-	if err := s.space.Write(s.meta.Key, dst, s.loadBuf[:n]); err != nil {
+	if err := space.Write(s.meta.Key, dst, s.loadBuf[:n]); err != nil {
 		return err
 	}
-	return s.space.Write(s.meta.Key, slotAddr, s.loadBuf[n:])
+	return space.Write(s.meta.Key, slotAddr, s.loadBuf[n:])
 }
 
-// PilafTemplate is an immutable image of a loaded Pilaf server, the one
-// store whose image is more than rdma.ServerTemplate plus its Meta: Pilaf
+// PilafTemplate is the CPU half of a loaded Pilaf server's image, the one
+// store whose image is more than its host's memory plus its Meta: Pilaf
 // keeps CPU-side state. The extent allocator each instance copies (its
 // addresses are layout positions, valid in every fork, and a fork inherits
 // the allocation pointer, so every instance registers the same next slab);
 // the coherent index and slot ownership grow with the keyspace, so
 // instances read them through (forkedIndex.fork) instead of copying.
 type PilafTemplate struct {
-	nic       *rdma.ServerTemplate
 	meta      PilafMeta
 	extents   pilafExtents
 	index     forkedIndex[pilafRef]
 	slotOwner forkedIndex[bool]
 }
 
-// Capture seals the server and returns its template. The server must have
-// no connections, so all it holds was put there by Load, which leaves
-// nothing staged: the image is settled. The template keeps the server's
-// own index and free-extent list; the server must not be used again.
+// Capture returns the server's template, its host's memory captured beside
+// it. Load leaves nothing staged, so a store only loaded is settled. The
+// template takes over the server's index and free extents, so the server
+// must not be used again.
 func (s *PilafServer) Capture() *PilafTemplate {
-	return &PilafTemplate{
-		nic:       s.rs.Capture(),
-		meta:      s.meta,
-		extents:   s.extents,
-		index:     s.index,
-		slotOwner: s.slotOwner,
-	}
+	return &PilafTemplate{meta: s.meta, extents: s.extents, index: s.index, slotOwner: s.slotOwner}
 }
 
-// NIC exposes the transport-level template, which a new instance's NIC is
-// forked from (rdma.NewServerFromTemplate).
-func (t *PilafTemplate) NIC() *rdma.ServerTemplate { return t.nic }
-
-// Attach instantiates the loaded Pilaf server on rs, a NIC forked from
-// t.NIC().
-func (t *PilafTemplate) Attach(rs *rdma.Server) *PilafServer {
-	s := &PilafServer{
-		rs:        rs,
-		space:     rs.Space(),
-		extents:   t.extents,
-		index:     t.index.fork(),
-		slotOwner: t.slotOwner.fork(),
-		meta:      t.meta,
-	}
+// Attach instantiates the loaded Pilaf server on host, whose memory is a
+// fork of the image captured beside t.
+func (t *PilafTemplate) Attach(host transport.Host) *PilafServer {
+	s := &PilafServer{host: host, meta: t.meta, extents: t.extents, index: t.index.fork(), slotOwner: t.slotOwner.fork()}
 	s.extents.free = append([]pilafExtent(nil), t.extents.free...)
-	rs.SetRPCHandler(s.handleRPC)
+	host.SetRPCHandler(s.handleRPC)
 	return s
 }
 
-// PilafClient runs the Pilaf protocol over one connection.
-type PilafClient struct {
-	conn *rdma.Conn
+// pilafCore is the Pilaf client protocol, written once against a
+// transport.Issuer; PilafClient binds it to a simulation process.
+type pilafCore struct {
+	conn transport.Issuer
 	meta PilafMeta
 	// crcCost is the modeled client-side CRC validation time per GET.
 	crcCost time.Duration
@@ -449,75 +416,93 @@ type PilafClient struct {
 	payloadBuf []byte
 }
 
+// PilafClient runs the Pilaf protocol over one simulated connection that
+// each call re-binds to the calling process.
+type PilafClient struct {
+	pilafCore
+	pc rdma.ProcConn
+}
+
 // NewPilafClient wraps a connection to a Pilaf server.
 func NewPilafClient(conn *rdma.Conn, meta PilafMeta, crcCost time.Duration) *PilafClient {
-	return &PilafClient{conn: conn, meta: meta, crcCost: crcCost}
+	c := &PilafClient{pc: rdma.ProcConn{Conn: conn}}
+	c.pilafCore = pilafCore{conn: &c.pc, meta: meta, crcCost: crcCost}
+	return c
+}
+
+// on binds the connection to the calling process for one call.
+func (c *PilafClient) on(p *sim.Proc) *pilafCore {
+	c.pc.Proc = p
+	return &c.pilafCore
+}
+
+// Get and Put are the pilafCore operations issued from process p.
+func (c *PilafClient) Get(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).Get(key) }
+
+func (c *PilafClient) Put(p *sim.Proc, key int64, value []byte) error { return c.on(p).Put(key, value) }
+
+// read issues one READ of n bytes at addr and returns them.
+func (c *pilafCore) read(addr memory.Addr, n uint64) ([]byte, error) {
+	ops := c.conn.Ops(1)
+	ops[0] = prism.Read(c.meta.Key, addr, n)
+	res, err := c.conn.Issue(ops)
+	if err != nil {
+		return nil, err
+	}
+	if res[0].Status != wire.StatusOK {
+		return nil, fmt.Errorf("kv: pilaf read %v", res[0].Status)
+	}
+	return res[0].Data, nil
 }
 
 // Get performs Pilaf's two-READ lookup with CRC validation.
-func (c *PilafClient) Get(p *sim.Proc, key int64) ([]byte, error) {
+func (c *pilafCore) Get(key int64) ([]byte, error) {
 	const maxRetries = 1000 // torn-read retries before giving up
 	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	retries := 0
-	for probes := int64(0); probes < c.meta.NSlots; probes++ {
-		slotAddr := c.meta.HashBase + memory.Addr(idx*pilafSlotSize)
-		ops := c.conn.Ops(1)
-		ops[0] = prism.Read(c.meta.Key, slotAddr, pilafSlotSize)
-		res := c.conn.Issue(p, ops...)
-		if res[0].Status != wire.StatusOK {
-			return nil, fmt.Errorf("kv: pilaf slot read %v", res[0].Status)
+	for probes, retries := int64(0), 0; probes < c.meta.NSlots; {
+		slot, err := c.read(c.meta.HashBase+memory.Addr(idx*pilafSlotSize), pilafSlotSize)
+		if err != nil {
+			return nil, err
 		}
-		inuse, ptr, length, ok := pilafDecodeSlot(res[0].Data)
-		if !ok {
-			// Torn slot under a concurrent PUT: retry this probe.
-			c.Retries++
-			if retries++; retries > maxRetries {
-				return nil, fmt.Errorf("kv: pilaf slot CRC never settled")
-			}
-			probes--
-			continue
-		}
-		if !inuse {
+		inuse, ptr, length, ok := pilafDecodeSlot(slot)
+		if ok && !inuse {
 			return nil, ErrNotFound
 		}
-		ops = c.conn.Ops(1)
-		ops[0] = prism.Read(c.meta.Key, ptr, length)
-		res = c.conn.Issue(p, ops...)
-		if res[0].Status != wire.StatusOK {
-			return nil, fmt.Errorf("kv: pilaf entry read %v", res[0].Status)
+		var k int64
+		var v []byte
+		if ok {
+			entry, err := c.read(ptr, length)
+			if err != nil {
+				return nil, err
+			}
+			c.conn.Sleep(c.crcCost) // client-side CRC validation (§6.2: ~2 µs)
+			k, v, ok = pilafDecodeEntry(entry)
 		}
-		p.Sleep(c.crcCost) // client-side CRC validation (§6.2: ~2 µs)
-		k, v, ok := pilafDecodeEntry(res[0].Data)
 		if !ok {
+			// Torn slot or entry under a concurrent PUT: retry this probe.
 			c.Retries++
 			if retries++; retries > maxRetries {
-				return nil, fmt.Errorf("kv: pilaf entry CRC never settled")
+				return nil, fmt.Errorf("kv: pilaf CRC never settled")
 			}
-			probes--
 			continue
 		}
 		if k == key {
 			return v, nil
 		}
 		idx = (idx + 1) % c.meta.NSlots
+		probes++
 	}
 	return nil, ErrNotFound
 }
 
 // Put sends the PUT RPC to the server CPU.
-func (c *PilafClient) Put(p *sim.Proc, key int64, value []byte) error {
-	if cap(c.payloadBuf) < 9+len(value) {
-		c.payloadBuf = make([]byte, 9+len(value))
-	}
-	payload := c.payloadBuf[:9+len(value)]
-	payload[0] = rpcPilafPut
-	binary.BigEndian.PutUint64(payload[1:9], uint64(key))
-	copy(payload[9:], value)
+func (c *pilafCore) Put(key int64, value []byte) error {
+	c.payloadBuf = append(binary.BigEndian.AppendUint64(append(c.payloadBuf[:0], rpcPilafPut), uint64(key)), value...)
 	ops := c.conn.Ops(1)
-	ops[0] = prism.Send(payload)
-	res := c.conn.Issue(p, ops...)
-	if res[0].Status != wire.StatusOK || len(res[0].Data) != 1 || res[0].Data[0] != 0 {
-		return fmt.Errorf("kv: pilaf PUT failed")
+	ops[0] = prism.Send(c.payloadBuf)
+	res, err := c.conn.Issue(ops)
+	if err == nil && (res[0].Status != wire.StatusOK || len(res[0].Data) != 1 || res[0].Data[0] != 0) {
+		err = fmt.Errorf("kv: pilaf PUT failed")
 	}
-	return nil
+	return err
 }

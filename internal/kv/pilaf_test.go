@@ -61,7 +61,7 @@ func TestPilafLoadMatchesStagedPut(t *testing.T) {
 	if fired := drain(settled.e); fired != 0 {
 		t.Fatalf("Load scheduled %d events", fired)
 	}
-	if spaceChecksum(settled.srv.space) != spaceChecksum(staged.srv.space) {
+	if spaceChecksum(settled.srv.host.Space()) != spaceChecksum(staged.srv.host.Space()) {
 		t.Fatal("settled load and drained staged puts left different memory")
 	}
 	a, b := settled.srv, staged.srv
@@ -69,9 +69,9 @@ func TestPilafLoadMatchesStagedPut(t *testing.T) {
 		!reflect.DeepEqual(a.extents, b.extents) {
 		t.Fatal("settled load and staged puts left different CPU-side state")
 	}
-	if len(a.extents.free) == 0 || len(a.space.Regions()) < 3 {
+	if len(a.extents.free) == 0 || len(a.host.Space().Regions()) < 3 {
 		t.Fatalf("the load must recycle extents and cross a slab boundary: %d free, %d regions",
-			len(a.extents.free), len(a.space.Regions()))
+			len(a.extents.free), len(a.host.Space().Regions()))
 	}
 }
 
@@ -81,7 +81,7 @@ func TestPilafFootprintFollowsLoad(t *testing.T) {
 	for _, shape := range footprintShapes {
 		keys, valueSize := shape.keys, shape.valueSize
 		v := newPilafEnv(t, DefaultOptions(keys, valueSize), model.SoftwarePRISM)
-		hashBytes := registeredBytes(v.srv.space)
+		hashBytes := registeredBytes(v.srv.host.Space())
 		if want := uint64(keys * pilafSlotSize); hashBytes != want {
 			t.Fatalf("an empty store registers %d bytes, want the %d-byte hash table only", hashBytes, want)
 		}
@@ -92,11 +92,11 @@ func TestPilafFootprintFollowsLoad(t *testing.T) {
 			}
 		}
 		entryBytes := pilafEntrySize(valueSize)
-		if got, want := registeredBytes(v.srv.space), hashBytes+slabbedBytes(keys, entryBytes); got != want {
+		if got, want := registeredBytes(v.srv.host.Space()), hashBytes+slabbedBytes(keys, entryBytes); got != want {
 			t.Errorf("%d keys of %d bytes: the loaded store registers %d bytes, want %d (hash table + whole slabs of %d-byte entries)",
 				keys, valueSize, got, want, entryBytes)
 		}
-		checkFootprint(t, v.srv.space, hashBytes, keys, entryBytes)
+		checkFootprint(t, v.srv.host.Space(), hashBytes, keys, entryBytes)
 	}
 }
 
@@ -107,11 +107,11 @@ type pilafFork struct {
 	cli *PilafClient
 }
 
-func newPilafFork(tmpl *PilafTemplate, seed int64) *pilafFork {
+func newPilafFork(tmpl pilafImage, seed int64) *pilafFork {
 	params := model.Default().WithNetwork(model.Rack)
 	e := sim.NewEngine(seed)
 	net := fabric.New(e, params)
-	nic := rdma.NewServerFromTemplate(net, "pilaf", model.HardwareRDMA, tmpl.NIC())
+	nic := rdma.NewServerFromTemplate(net, "pilaf", model.HardwareRDMA, tmpl.nic)
 	srv := tmpl.Attach(nic)
 	cli := NewPilafClient(rdma.NewClient(net, "cli").Connect(nic), srv.Meta(), params.PilafCRCCost)
 	return &pilafFork{e: e, srv: srv, cli: cli}
@@ -122,9 +122,16 @@ func (f *pilafFork) run(fn func(p *sim.Proc)) {
 	f.e.Run()
 }
 
+// pilafImage is a loaded Pilaf store's image: its NIC's memory and the
+// server's CPU half.
+type pilafImage struct {
+	nic *rdma.ServerTemplate
+	*PilafTemplate
+}
+
 // loadedPilafTemplate loads keys [0, n) of valueSize bytes (every byte the
 // key's low byte) into a store of nSlots slots and captures it.
-func loadedPilafTemplate(t *testing.T, opts Options, n int64, valueSize int) *PilafTemplate {
+func loadedPilafTemplate(t *testing.T, opts Options, n int64, valueSize int) pilafImage {
 	t.Helper()
 	v := newPilafEnv(t, opts, model.SoftwarePRISM)
 	for k := int64(0); k < n; k++ {
@@ -135,7 +142,7 @@ func loadedPilafTemplate(t *testing.T, opts Options, n int64, valueSize int) *Pi
 	if fired := drain(v.e); fired != 0 {
 		t.Fatalf("loading the template scheduled %d events", fired)
 	}
-	return v.srv.Capture()
+	return pilafImage{v.nic.Capture(), v.srv.Capture()}
 }
 
 // Two instances of one template register the same next slab in their own
@@ -145,7 +152,7 @@ func TestPilafTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 	const valueSize = 512
 	loaded := int64(alloc.SlabBytes / pilafEntrySize(valueSize)) // one slab of largest entries
 	tmpl := loadedPilafTemplate(t, DefaultOptions(loaded+64, valueSize), loaded, valueSize)
-	parent := tmpl.NIC().Snapshot().Space()
+	parent := tmpl.nic.Snapshot().Space()
 	parentRegions, parentSum := len(parent.Regions()), spaceChecksum(parent)
 	if parentRegions != 2 || tmpl.extents.next != tmpl.extents.end {
 		t.Fatalf("template: %d regions, %d extent bytes unallocated; want the hash table and one full slab",
@@ -163,7 +170,7 @@ func TestPilafTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 				}
 			}
 		})
-		space := f.srv.space
+		space := f.srv.host.Space()
 		regions := space.Regions()
 		// The instance's connection registered its temp buffer first; the
 		// slab its first insert carved is the last region.
@@ -288,11 +295,11 @@ func TestPilafChecksumRejectsSplices(t *testing.T) {
 	images := func() (slot, entry []byte) {
 		s := v.srv
 		ref, _ := s.index.get(key)
-		slot, err := s.space.Read(s.meta.Key, s.meta.HashBase+memory.Addr(ref.slot*pilafSlotSize), pilafSlotSize)
+		slot, err := s.host.Space().Read(s.meta.Key, s.meta.HashBase+memory.Addr(ref.slot*pilafSlotSize), pilafSlotSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entry, err = s.space.Read(s.meta.Key, ref.ptr, ref.len)
+		entry, err = s.host.Space().Read(s.meta.Key, ref.ptr, ref.len)
 		if err != nil {
 			t.Fatal(err)
 		}

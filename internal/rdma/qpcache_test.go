@@ -133,7 +133,7 @@ func TestQPCacheThrashSlowsRoundRobin(t *testing.T) {
 	if thrash < fits+minExtra {
 		t.Fatalf("thrash run %v not slower than fitting run %v by >= %v", thrash, fits, minExtra)
 	}
-	ws := srv.Engine().Stats()
+	ws := srv.e.Stats()
 	if ws.ConnCacheMisses != m || ws.ConnCacheHits != h || ws.ConnCacheEvictions != ev {
 		t.Fatalf("engine Stats counters %d/%d/%d != server counters %d/%d/%d",
 			ws.ConnCacheHits, ws.ConnCacheMisses, ws.ConnCacheEvictions, h, m, ev)

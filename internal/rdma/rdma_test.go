@@ -10,6 +10,7 @@ import (
 	"prism/internal/model"
 	"prism/internal/prism"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/wire"
 )
 
@@ -612,4 +613,48 @@ func TestArenaRecycleUnderRetransmission(t *testing.T) {
 	}
 	t.Logf("retransmissions=%d respReused=%d reqPool=%d",
 		v.conn.Retransmissions, v.srv.RespReused, v.conn.win.Pooled())
+}
+
+// The simulated NIC's StageWrites stores the first write at once and
+// write i i×gap later, in order; once the last has landed nothing is left
+// scheduled.
+func TestStageWritesLandAtGaps(t *testing.T) {
+	v := newEnv(t, model.SoftwarePRISM, nil)
+	const gap = 300 * time.Nanosecond
+	base := v.reg.Base
+	writes := make([]transport.StagedWrite, 4)
+	for i := range writes {
+		writes[i] = transport.StagedWrite{Addr: base + memory.Addr(i), Data: []byte{byte('a' + i)}}
+	}
+	landed := func() string {
+		b, err := v.srv.Space().Peek(v.reg.Key, base, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	v.run(t, func(p *sim.Proc) {
+		start := p.Now()
+		if err := v.srv.StageWrites(v.reg.Key, gap, writes); err != nil {
+			t.Error(err)
+			return
+		}
+		if n := v.e.Pending(); n != 3 || landed() != "a\x00\x00\x00" {
+			t.Errorf("on return: %d events scheduled and memory reads %q; want one event per write after the first, which has landed", n, landed())
+		}
+		// Sampled half a gap after each landing.
+		for i, want := range []string{"a\x00\x00\x00", "ab\x00\x00", "abc\x00", "abcd"} {
+			if i == 0 {
+				p.Sleep(gap / 2)
+			} else {
+				p.Sleep(gap)
+			}
+			if got := landed(); got != want {
+				t.Errorf("at %v: memory reads %q, want %q", p.Now().Sub(start), got, want)
+			}
+		}
+		if n := v.e.Pending(); n != 0 {
+			t.Errorf("%d events still scheduled after the last write landed", n)
+		}
+	})
 }

@@ -272,8 +272,21 @@ func (s *Server) Node() *fabric.Node { return s.node }
 // Deployment returns the server's data-path model.
 func (s *Server) Deployment() model.Deployment { return s.deploy }
 
-// Engine returns the simulation engine.
-func (s *Server) Engine() *sim.Engine { return s.e }
+// StageWrites stores writes[0] now and schedules writes[i] i×gap later, in
+// order. A scheduled write that fails panics: no caller is left to tell.
+func (s *Server) StageWrites(key memory.RKey, gap time.Duration, writes []transport.StagedWrite) error {
+	if err := s.Space().Write(key, writes[0].Addr, writes[0].Data); err != nil {
+		return err
+	}
+	for i, w := range writes[1:] {
+		s.e.Schedule(time.Duration(i+1)*gap, func() {
+			if err := s.Space().Write(key, w.Addr, w.Data); err != nil {
+				panic(err)
+			}
+		})
+	}
+	return nil
+}
 
 // connect registers a new queue pair from the given client node.
 func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, tempKey memory.RKey) {

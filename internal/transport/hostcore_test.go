@@ -3,6 +3,7 @@ package transport
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"prism/internal/memory"
 )
@@ -58,5 +59,52 @@ func TestConnTempCarving(t *testing.T) {
 	// The helper TestConnectCoalescedWithVerbsBatch aims with agrees.
 	if n := tempRegionFill(7); n != 2032 {
 		t.Errorf("tempRegionFill(7) = %d, want 2032 buffers before the first capped region", n)
+	}
+}
+
+// A live server's StageWrites returns once every write has landed, in
+// order, each under a guard acquisition of its own (the guard is free
+// again after), and it stops at the first write that fails and returns
+// that write's error.
+func TestStageWritesLandInOrder(t *testing.T) {
+	s := NewServer()
+	space := s.Space()
+	r, err := space.Register(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Overlapping writes: only their order leaves "aabbccdd".
+	writes := []StagedWrite{
+		{Addr: r.Base, Data: []byte("aaaaaaaa")},
+		{Addr: r.Base + 2, Data: []byte("bbbbbb")},
+		{Addr: r.Base + 4, Data: []byte("cccc")},
+		{Addr: r.Base + 6, Data: []byte("dd")},
+	}
+	if err := s.StageWrites(r.Key, time.Hour, writes); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := space.Peek(r.Key, r.Base, 8); string(got) != "aabbccdd" {
+		t.Fatalf("memory reads %q after the call, want %q", got, "aabbccdd")
+	}
+	if !space.Guard().TryLock() {
+		t.Fatal("StageWrites returned holding the space guard")
+	}
+	space.Guard().Unlock()
+
+	outside := StagedWrite{Addr: r.End(), Data: []byte("x")}
+	want := space.Write(r.Key, outside.Addr, outside.Data)
+	if want == nil {
+		t.Fatal("a write past the region succeeded")
+	}
+	err = s.StageWrites(r.Key, 0, []StagedWrite{
+		{Addr: r.Base, Data: []byte("1")},
+		outside,
+		{Addr: r.Base + 1, Data: []byte("2")},
+	})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("StageWrites returned %v, want the failed write's %v", err, want)
+	}
+	if got, _ := space.Peek(r.Key, r.Base, 2); string(got) != "1a" {
+		t.Fatalf("memory reads %q: want the write before the failure landed and none after it", got)
 	}
 }

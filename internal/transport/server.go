@@ -29,6 +29,32 @@ type Host interface {
 	SetRPCHandler(h RPCHandler)
 	RecycleBuffers(freeList uint32, addrs []memory.Addr)
 	Quiesce(fn func())
+	// StageWrites is the host CPU storing one or more writes under key in
+	// order, not atomically: a remote READ may land between two of them,
+	// gap apart on the simulated NIC. Their data must stay untouched until
+	// all have landed.
+	StageWrites(key memory.RKey, gap time.Duration, writes []StagedWrite) error
+}
+
+// StagedWrite is one store of a StageWrites sequence.
+type StagedWrite struct {
+	Addr memory.Addr
+	Data []byte
+}
+
+// StageWrites stores each write under a guard acquisition of its own, so
+// a READ on another socket can land between two; it returns once all have
+// landed, or at the first that fails. gap is the simulator's.
+func (s *Server) StageWrites(key memory.RKey, _ time.Duration, writes []StagedWrite) error {
+	for _, w := range writes {
+		s.Space().Guard().Lock()
+		err := s.Space().Write(key, w.Addr, w.Data)
+		s.Space().Guard().Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ServerBatch is the per-wakeup frame budget: how many already-buffered
