@@ -13,12 +13,16 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Besides go vet, one boundary: a store knows its machine as a
+# Besides go vet, two boundaries. A store knows its machine as a
 # transport.Host, so no application package names the simulated NIC's
-# server type. Pilaf's torn PUT is a host operation too (StageWrites).
+# server type; Pilaf's torn PUT is a host operation too (StageWrites). And a
+# protocol is written once, over transport.Issuer and transport.Fanout: in
+# internal/abd and internal/tx only the simulated shell, sim.go, names a
+# process, a simulated connection or the simulator's fan-out.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'rdma\.Server' $$(ls internal/kv/*.go internal/abd/*.go internal/tx/*.go | grep -v _test.go)
+	@! grep -nE 'sim\.Proc|rdma\.(Conn|Fanout)' $$(ls internal/abd/*.go internal/tx/*.go | grep -v -e _test.go -e /sim.go)
 
 build:
 	$(GO) build ./...

@@ -1,14 +1,13 @@
 package abd
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
-	"prism/internal/rdma"
-	"prism/internal/sim"
 	"prism/internal/transport"
 	"prism/internal/wire"
 )
@@ -68,10 +67,12 @@ func NewLockReplica(host transport.Host, nBlocks int64, blockSize int) (*LockRep
 // Meta returns the control-plane description.
 func (r *LockReplica) Meta() LockMeta { return r.meta }
 
-// LockClient runs the ABDLOCK protocol.
-type LockClient struct {
+// lockCore is the ABDLOCK client protocol, written once over one
+// transport.Issuer per replica and a fan-out over them; LockClient
+// (sim.go) and LiveLockClient pick the transport.
+type lockCore struct {
 	id    uint16
-	conns []*rdma.Conn
+	conns []transport.Issuer
 	metas []LockMeta
 	f     int
 	rngF  func() float64 // jitter source (engine RNG)
@@ -85,24 +86,26 @@ type LockClient struct {
 	// by their epoch).
 	casBuf [16]byte
 	imgBuf []byte
-	fan    rdma.Fanout
+	fan    *transport.Fanout
 }
 
-// NewLockClient builds a client over one connection per replica.
-func NewLockClient(id uint16, conns []*rdma.Conn, metas []LockMeta, jitter func() float64) *LockClient {
+// newLock builds the protocol over one issuer per replica.
+func newLock(id uint16, conns []transport.Issuer, fan *transport.Fanout, metas []LockMeta, jitter func() float64) *lockCore {
 	if len(conns) != len(metas) || len(conns) == 0 || len(conns)%2 == 0 {
 		panic("abd: need an odd number of replicas with matching metadata")
 	}
 	if id == 0 {
 		panic("abd: client id 0 is the unlocked sentinel")
 	}
-	return &LockClient{
-		id:    id,
-		conns: conns,
-		metas: metas,
-		f:     (len(conns) - 1) / 2,
-		rngF:  jitter,
-	}
+	return &lockCore{id: id, conns: conns, metas: metas, f: (len(conns) - 1) / 2, rngF: jitter, fan: fan}
+}
+
+// LiveLockClient is ABDLOCK over live connections, one per replica.
+type LiveLockClient struct{ *lockCore }
+
+// NewLiveLockClient builds a client over one live connection per replica.
+func NewLiveLockClient(id uint16, conns []*transport.Conn, metas []LockMeta, jitter func() float64) *LiveLockClient {
+	return &LiveLockClient{newLock(id, transport.Issuers(conns), transport.NewFanout(conns...), metas, jitter)}
 }
 
 // Bounds of the exponential backoff between lock-acquisition retries.
@@ -115,34 +118,40 @@ const (
 // succeeded once a majority is locked; on failure it releases and backs
 // off. Mirrors §7.2 (including its liveness hazards, which the backoff
 // mitigates).
-func (c *LockClient) acquire(p *sim.Proc, block int64) []int {
+func (c *lockCore) acquire(block int64) ([]int, error) {
 	backoff := backoffMin
 	for {
 		for i, conn := range c.conns {
 			m := &c.metas[i]
 			ops := conn.Ops(1)
 			ops[0] = prism.ClassicCASBuf(&c.casBuf, m.Key, m.blockAddr(block), 0, uint64(c.id))
-			c.fan.Post(conn, ops)
+			c.fan.Post(i, ops)
 		}
 		// Lock acquisition needs the outcome from every replica we asked
 		// (acquired or not) to know what to release; wait for all.
+		res, err := c.fan.Wait()
+		if err != nil {
+			return nil, err
+		}
 		var got []int
-		for i, r := range c.fan.Wait(p) {
+		for i, r := range res {
 			if r[0].Status == wire.StatusOK {
 				got = append(got, i)
 			}
 		}
 		if len(got) >= c.f+1 {
-			return got
+			return got, nil
 		}
 		// Failed: release what we got, back off, retry.
 		c.LockRetries++
-		c.release(p, block, got)
+		if err := c.release(block, got); err != nil {
+			return nil, err
+		}
 		sleep := backoff
 		if c.rngF != nil {
 			sleep = time.Duration(float64(backoff) * (0.5 + c.rngF()))
 		}
-		p.Sleep(sleep)
+		c.conns[0].Sleep(sleep)
 		if backoff < backoffMax {
 			backoff *= 2
 		}
@@ -151,28 +160,33 @@ func (c *LockClient) acquire(p *sim.Proc, block int64) []int {
 
 // release unlocks block at the given replicas (CAS holder -> 0) and waits
 // for completion.
-func (c *LockClient) release(p *sim.Proc, block int64, replicas []int) {
+func (c *lockCore) release(block int64, replicas []int) error {
 	for _, i := range replicas {
 		m := &c.metas[i]
 		ops := c.conns[i].Ops(1)
 		ops[0] = prism.ClassicCASBuf(&c.casBuf, m.Key, m.blockAddr(block), uint64(c.id), 0)
-		c.fan.Post(c.conns[i], ops)
+		c.fan.Post(i, ops)
 	}
-	c.fan.Wait(p)
+	_, err := c.fan.Wait()
+	return err
 }
 
 // readLocked reads tag|value from the locked replicas. The value is the
 // fan-out's copy: valid until the next phase posts.
-func (c *LockClient) readLocked(p *sim.Proc, block int64, replicas []int) (Tag, []byte, error) {
+func (c *lockCore) readLocked(block int64, replicas []int) (Tag, []byte, error) {
 	for _, i := range replicas {
 		m := &c.metas[i]
 		ops := c.conns[i].Ops(1)
 		ops[0] = prism.Read(m.Key, m.blockAddr(block)+8, uint64(8+m.BlockSize))
-		c.fan.Post(c.conns[i], ops)
+		c.fan.Post(i, ops)
+	}
+	res, err := c.fan.Wait()
+	if err != nil {
+		return 0, nil, err
 	}
 	var maxTag Tag
 	var maxVal []byte
-	for _, r := range c.fan.Wait(p) {
+	for _, r := range res {
 		if r[0].Status != wire.StatusOK {
 			return 0, nil, fmt.Errorf("abd: locked read status %v", r[0].Status)
 		}
@@ -188,7 +202,7 @@ func (c *LockClient) readLocked(p *sim.Proc, block int64, replicas []int) (Tag, 
 // writeLocked writes tag|value in place at the locked replicas and returns
 // the value as written: the client's own image of it, valid until the next
 // write.
-func (c *LockClient) writeLocked(p *sim.Proc, block int64, replicas []int, tag Tag, value []byte) ([]byte, error) {
+func (c *lockCore) writeLocked(block int64, replicas []int, tag Tag, value []byte) ([]byte, error) {
 	if cap(c.imgBuf) < 8+len(value) {
 		c.imgBuf = make([]byte, 8+len(value))
 	}
@@ -199,9 +213,13 @@ func (c *LockClient) writeLocked(p *sim.Proc, block int64, replicas []int, tag T
 		m := &c.metas[i]
 		ops := c.conns[i].Ops(1)
 		ops[0] = prism.Write(m.Key, m.blockAddr(block)+8, img)
-		c.fan.Post(c.conns[i], ops)
+		c.fan.Post(i, ops)
 	}
-	for _, r := range c.fan.Wait(p) {
+	res, err := c.fan.Wait()
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range res {
 		if r[0].Status != wire.StatusOK {
 			return nil, fmt.Errorf("abd: locked write status %v", r[0].Status)
 		}
@@ -210,48 +228,52 @@ func (c *LockClient) writeLocked(p *sim.Proc, block int64, replicas []int, tag T
 }
 
 // Get: lock majority, read, propagate the max version, unlock.
-func (c *LockClient) Get(p *sim.Proc, block int64) ([]byte, error) {
-	_, val, err := c.GetT(p, block)
+func (c *lockCore) Get(block int64) ([]byte, error) {
+	_, val, err := c.GetT(block)
 	return val, err
 }
 
 // GetT is Get, also returning the version tag observed (for oracles).
-func (c *LockClient) GetT(p *sim.Proc, block int64) (Tag, []byte, error) {
+func (c *lockCore) GetT(block int64) (Tag, []byte, error) {
 	if block < 0 || block >= c.metas[0].NBlocks {
 		return 0, nil, ErrBadBlock
 	}
-	locked := c.acquire(p, block)
-	tag, val, err := c.readLocked(p, block, locked)
-	if err == nil {
-		val, err = c.writeLocked(p, block, locked, tag, val)
-	}
-	c.release(p, block, locked)
+	locked, err := c.acquire(block)
 	if err != nil {
+		return 0, nil, err
+	}
+	tag, val, err := c.readLocked(block, locked)
+	if err == nil {
+		val, err = c.writeLocked(block, locked, tag, val)
+	}
+	if err = errors.Join(err, c.release(block, locked)); err != nil {
 		return 0, nil, err
 	}
 	return tag, val, nil
 }
 
 // Put: lock majority, read max tag, write the new version, unlock.
-func (c *LockClient) Put(p *sim.Proc, block int64, value []byte) error {
-	_, err := c.PutT(p, block, value)
+func (c *lockCore) Put(block int64, value []byte) error {
+	_, err := c.PutT(block, value)
 	return err
 }
 
 // PutT is Put, also returning the tag the write was installed at.
-func (c *LockClient) PutT(p *sim.Proc, block int64, value []byte) (Tag, error) {
+func (c *lockCore) PutT(block int64, value []byte) (Tag, error) {
 	if block < 0 || block >= c.metas[0].NBlocks {
 		return 0, ErrBadBlock
 	}
 	if len(value) != c.metas[0].BlockSize {
 		return 0, fmt.Errorf("abd: value size %d, want %d", len(value), c.metas[0].BlockSize)
 	}
-	locked := c.acquire(p, block)
-	tag, _, err := c.readLocked(p, block, locked)
+	locked, err := c.acquire(block)
+	if err != nil {
+		return 0, err
+	}
+	tag, _, err := c.readLocked(block, locked)
 	if err == nil {
 		tag = tag.Next(c.id)
-		_, err = c.writeLocked(p, block, locked, tag, value)
+		_, err = c.writeLocked(block, locked, tag, value)
 	}
-	c.release(p, block, locked)
-	return tag, err
+	return tag, errors.Join(err, c.release(block, locked))
 }

@@ -2,13 +2,13 @@ package abd
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 
 	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
-	"prism/internal/rdma"
-	"prism/internal/sim"
 	"prism/internal/transport"
 	"prism/internal/wire"
 )
@@ -96,11 +96,12 @@ func AttachReplica(host transport.Host, meta Meta) *Replica {
 // Meta returns the control-plane description.
 func (r *Replica) Meta() Meta { return r.meta }
 
-// Client executes the PRISM-RS protocol against a replica group. Each
-// closed-loop client owns one Client (one connection per replica).
-type Client struct {
+// rsCore is the PRISM-RS client protocol, written once over one
+// transport.Issuer per replica and fan-outs over them; Client (sim.go)
+// and LiveClient pick the transport. Each closed-loop client owns one.
+type rsCore struct {
 	id    uint16
-	conns []*rdma.Conn
+	conns []transport.Issuer
 	metas []Meta
 	f     int // tolerated failures; quorum = f+1
 
@@ -132,22 +133,22 @@ type Client struct {
 	fullMasks [][]byte
 
 	// The quorum phases: one fan-out round per phase, posted to every
-	// replica and waited until f+1 answer. Each phase has its own fan-out
-	// so the read phase's value, a view of readFan's copy, survives the
-	// write round that writes it back. writeFan's OnDone retires what each
-	// write chain displaced when it completes, stragglers included.
-	readFan, writeFan rdma.Fanout
+	// replica and waited until f+1 answer well. Each phase has its own
+	// fan-out so the read phase's value, a view of readFan's copy, survives
+	// the write round that writes it back. writeFan's OnDone retires what
+	// each write chain displaced when it completes, stragglers included.
+	readFan, writeFan *transport.Fanout
 
 	// Stats
 	WriteBacksSkipped int64
 }
 
-// NewClient builds a client over one connection per replica (2f+1 total).
-func NewClient(id uint16, conns []*rdma.Conn, metas []Meta) *Client {
+// newRS builds the protocol over one issuer per replica (2f+1 total).
+func newRS(id uint16, conns []transport.Issuer, readFan, writeFan *transport.Fanout, metas []Meta) *rsCore {
 	if len(conns) != len(metas) || len(conns) == 0 || len(conns)%2 == 0 {
 		panic("abd: need an odd number of replicas with matching metadata")
 	}
-	c := &Client{
+	c := &rsCore{
 		id:        id,
 		conns:     conns,
 		metas:     metas,
@@ -156,10 +157,12 @@ func NewClient(id uint16, conns []*rdma.Conn, metas []Meta) *Client {
 		tmpSlot:   make([]int, len(conns)),
 		tagMasks:  make([][]byte, len(conns)),
 		fullMasks: make([][]byte, len(conns)),
+		readFan:   readFan,
+		writeFan:  writeFan,
 	}
-	c.writeFan.OnDone = c.writeDone
+	readFan.Good, writeFan.Good, writeFan.OnDone = readGood, writeGood, c.writeDone
 	for i := range metas {
-		c.Reclaim[i] = transport.NewReclaimer(&rdma.ProcConn{Conn: conns[i]}, rpcFree, 16)
+		c.Reclaim[i] = transport.NewReclaimer(conns[i], rpcFree, 16)
 		es := int(metas[i].entrySize())
 		c.tagMasks[i] = prism.FieldMask(es, 0, 8)
 		c.fullMasks[i] = prism.FullMask(es)
@@ -167,10 +170,47 @@ func NewClient(id uint16, conns []*rdma.Conn, metas []Meta) *Client {
 	return c
 }
 
+// LiveClient is PRISM-RS over live connections, one per replica.
+type LiveClient struct{ *rsCore }
+
+// NewLiveClient builds a client over one live connection per replica.
+func NewLiveClient(id uint16, conns []*transport.Conn, metas []Meta) *LiveClient {
+	return &LiveClient{newRS(id, transport.Issuers(conns), transport.NewFanout(conns...), transport.NewFanout(conns...), metas)}
+}
+
+// readGood and writeGood say which replicas answered a phase well: a READ
+// that returned a tag, and a CAS that ran — one that lost to a newer tag
+// still acks, as the newer value subsumes ours. A replica whose memory
+// NAKs, or whose free list is at its cap (RNR), while its NIC still
+// answers does not count toward the quorum.
+func readGood(res []wire.Result) bool {
+	return len(res) == 1 && res[0].Status == wire.StatusOK && len(res[0].Data) >= 8
+}
+
+func writeGood(res []wire.Result) bool {
+	return len(res) == 3 && (res[2].Status == wire.StatusOK || res[2].Status == wire.StatusCASFailed)
+}
+
+// quorumErr reports a phase fewer than need replicas answered well, naming
+// each answer: a transport error, or the first status other than OK.
+func quorumErr(phase string, need int, replies []transport.Reply) error {
+	msg := fmt.Sprintf("abd: %s phase answered well by fewer than %d replicas:", phase, need)
+	for _, r := range replies {
+		var what any = r.Err
+		for _, res := range r.Results {
+			if what = res.Status; res.Status != wire.StatusOK {
+				break
+			}
+		}
+		msg += fmt.Sprintf(" replica %d: %v;", r.Slot, what)
+	}
+	return errors.New(strings.TrimSuffix(msg, ";"))
+}
+
 // readPhase performs the ABD read phase: an indirect READ of the block's
-// buffer at every replica; first f+1 replies win. The value is readFan's
-// copy, valid until the next read phase.
-func (c *Client) readPhase(p *sim.Proc, block int64) (Tag, []byte, error) {
+// buffer at every replica; the first f+1 good replies win. The value is
+// readFan's copy, valid until the next read phase.
+func (c *rsCore) readPhase(block int64) (Tag, []byte, error) {
 	for i, conn := range c.conns {
 		m := &c.metas[i]
 		ops := conn.Ops(1)
@@ -181,25 +221,29 @@ func (c *Client) readPhase(p *sim.Proc, block int64) (Tag, []byte, error) {
 		if m.Variable {
 			ops[0] = prism.ReadBounded(m.Key, m.entryAddr(block)+8, m.bufSize())
 		}
-		c.readFan.Post(conn, ops)
+		c.readFan.Post(i, ops)
 	}
 	var first, maxTag Tag
 	var maxVal []byte
-	agreed := true
-	for n, r := range c.readFan.WaitFirst(p, c.f+1) {
-		res := r.Results[0]
-		if res.Status != wire.StatusOK || len(res.Data) < 8 {
-			return 0, nil, fmt.Errorf("abd: read phase failed at replica %d (status %v)", r.Slot, res.Status)
+	agreed, good := true, 0
+	replies := c.readFan.WaitFirst(c.f + 1)
+	for _, r := range replies {
+		if !readGood(r.Results) {
+			continue
 		}
-		tag := Tag(prism.BE64(res.Data, 0))
-		if n == 0 {
+		tag := Tag(prism.BE64(r.Results[0].Data, 0))
+		if good == 0 {
 			first = tag
 		} else if tag != first {
 			agreed = false
 		}
+		good++
 		if tag > maxTag {
-			maxTag, maxVal = tag, res.Data[8:]
+			maxTag, maxVal = tag, r.Results[0].Data[8:]
 		}
+	}
+	if good <= c.f {
+		return 0, nil, quorumErr("read", c.f+1, replies)
 	}
 	c.lastReadAgreed = agreed
 	return maxTag, maxVal, nil
@@ -207,7 +251,7 @@ func (c *Client) readPhase(p *sim.Proc, block int64) (Tag, []byte, error) {
 
 // writePhase propagates tag/value to all replicas with the §7.3 chain and
 // waits for f+1 CAS acknowledgments.
-func (c *Client) writePhase(p *sim.Proc, block int64, tag Tag, value []byte) error {
+func (c *rsCore) writePhase(block int64, tag Tag, value []byte) error {
 	if c.metas[0].Variable {
 		if len(value) > c.metas[0].BlockSize {
 			return ErrTooLarge
@@ -215,10 +259,11 @@ func (c *Client) writePhase(p *sim.Proc, block int64, tag Tag, value []byte) err
 	} else if len(value) != c.metas[0].BlockSize {
 		return fmt.Errorf("abd: value size %d, want %d", len(value), c.metas[0].BlockSize)
 	}
-	const slots = rdma.ConnTempSize / rdma.TempSlotSize
+	const slots = transport.ConnTempSize / transport.TempSlotSize
 	for i, conn := range c.conns {
 		m := &c.metas[i]
-		tmp := conn.TempAddr + memory.Addr(c.tmpSlot[i]*rdma.TempSlotSize)
+		tempAddr, tempKey := conn.Temp()
+		tmp := tempAddr + memory.Addr(c.tmpSlot[i]*transport.TempSlotSize)
 		c.tmpSlot[i] = (c.tmpSlot[i] + 1) % slots
 		entrySize := int(m.entrySize())
 
@@ -238,27 +283,24 @@ func (c *Client) writePhase(p *sim.Proc, block int64, tag Tag, value []byte) err
 
 		ops := conn.Ops(3)
 		// 1. WRITE the tag (and bound, in variable mode) to tmp.
-		ops[0] = prism.Write(conn.TempKey, tmp, pre)
+		ops[0] = prism.Write(tempKey, tmp, pre)
 		// 2. ALLOCATE the new version, redirecting its address to
 		//    tmp+8 (immediately after the tag).
-		ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(m.FreeList, img), conn.TempKey, tmp+8))
+		ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(m.FreeList, img), tempKey, tmp+8))
 		// 3. CAS_GT the metadata entry against *tmp.
 		ops[2] = prism.Conditional(prism.CASIndirectData(m.Key, m.entryAddr(block), wire.CASGt, tmp,
 			c.tagMasks[i], c.fullMasks[i]))
-		c.writeFan.Post(conn, ops)
+		c.writeFan.Post(i, ops)
 	}
 	good := 0
-	for _, r := range c.writeFan.WaitFirst(p, c.f+1) {
-		// A CAS that lost to a newer tag still acks: the newer value
-		// subsumes ours. A replica out of buffers (RNR) does not.
-		if st := r.Results[2].Status; st == wire.StatusOK || st == wire.StatusCASFailed {
+	replies := c.writeFan.WaitFirst(c.f + 1)
+	for _, r := range replies {
+		if writeGood(r.Results) {
 			good++
 		}
 	}
-	if good < c.f+1 {
-		// Collect stragglers? The protocol only needs f+1; a failed chain
-		// among the first f+1 repliers is rare (RNR). Treat as an error.
-		return fmt.Errorf("abd: write phase acked by %d < %d replicas", good, c.f+1)
+	if good <= c.f {
+		return quorumErr("write", c.f+1, replies)
 	}
 	return transport.FlushFull(c.Reclaim)
 }
@@ -266,7 +308,7 @@ func (c *Client) writePhase(p *sim.Proc, block int64, tag Tag, value []byte) err
 // writeDone is writeFan's OnDone: when replica's write chain completes —
 // inside the quorum or as a straggler — it retires the buffer the chain
 // displaced, in completion order.
-func (c *Client) writeDone(replica int, res []wire.Result) {
+func (c *rsCore) writeDone(replica int, res []wire.Result) {
 	switch res[2].Status {
 	case wire.StatusOK:
 		// The CAS installed ours: the old version is retired.
@@ -284,17 +326,17 @@ func (c *Client) writeDone(replica int, res []wire.Result) {
 
 // Get performs a linearizable read: ABD read phase, then write-back of the
 // maximum version (§7.1) so later reads cannot observe an older value.
-func (c *Client) Get(p *sim.Proc, block int64) ([]byte, error) {
-	_, val, err := c.GetT(p, block)
+func (c *rsCore) Get(block int64) ([]byte, error) {
+	_, val, err := c.GetT(block)
 	return val, err
 }
 
 // GetT is Get, also returning the version tag observed (for oracles).
-func (c *Client) GetT(p *sim.Proc, block int64) (Tag, []byte, error) {
+func (c *rsCore) GetT(block int64) (Tag, []byte, error) {
 	if block < 0 || block >= c.metas[0].NBlocks {
 		return 0, nil, ErrBadBlock
 	}
-	tag, val, err := c.readPhase(p, block)
+	tag, val, err := c.readPhase(block)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -302,7 +344,7 @@ func (c *Client) GetT(p *sim.Proc, block int64) (Tag, []byte, error) {
 		c.WriteBacksSkipped++
 		return tag, val, nil
 	}
-	if err := c.writePhase(p, block, tag, val); err != nil {
+	if err := c.writePhase(block, tag, val); err != nil {
 		return 0, nil, err
 	}
 	return tag, val, nil
@@ -310,25 +352,25 @@ func (c *Client) GetT(p *sim.Proc, block int64) (Tag, []byte, error) {
 
 // Put performs a linearizable write: read phase to learn the maximum tag,
 // then propagation of the new value at a strictly larger tag.
-func (c *Client) Put(p *sim.Proc, block int64, value []byte) error {
-	_, err := c.PutT(p, block, value)
+func (c *rsCore) Put(block int64, value []byte) error {
+	_, err := c.PutT(block, value)
 	return err
 }
 
 // PutT is Put, also returning the tag the write was installed at.
-func (c *Client) PutT(p *sim.Proc, block int64, value []byte) (Tag, error) {
+func (c *rsCore) PutT(block int64, value []byte) (Tag, error) {
 	if block < 0 || block >= c.metas[0].NBlocks {
 		return 0, ErrBadBlock
 	}
-	maxTag, _, err := c.readPhase(p, block)
+	maxTag, _, err := c.readPhase(block)
 	if err != nil {
 		return 0, err
 	}
 	tag := maxTag.Next(c.id)
-	return tag, c.writePhase(p, block, tag, value)
+	return tag, c.writePhase(block, tag, value)
 }
 
-func (c *Client) retire(replica int, addr memory.Addr) {
+func (c *rsCore) retire(replica int, addr memory.Addr) {
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], uint64(addr))
 	c.Reclaim[replica].Retire(rec[:])

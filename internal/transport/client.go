@@ -202,13 +202,11 @@ type Conn struct {
 	mu  sync.Mutex // guards win and batching (owner goroutine vs demux)
 	win *Window[liveWait]
 
-	// batching suppresses the per-frame doorbell while IssueBatch
-	// stages its chain train; the batch rings once at the end.
+	// batching suppresses the per-frame doorbell while a fan-out's chain
+	// is staged; the fan-out rings once when its owner waits.
 	batching bool
 
-	// IssueBatch scratch, reused across batches.
-	batchEntries []*Entry[liveWait]
-	batchResults [][]wire.Result
+	fan *Fanout // IssueBatch's rounds
 }
 
 // liveWait is the live transport's per-entry completion state: a
@@ -216,12 +214,16 @@ type Conn struct {
 // storage the demux goroutine copies results into (the alias-decoded
 // response borrows the socket read buffer, which the next frame
 // overwrites). All of it — channel included — survives entry recycling,
-// so a warmed window issues without allocating.
+// so a warmed window issues without allocating. A fan-out's chain goes to
+// its fan-out's inbox instead of done, with its round and slot.
 type liveWait struct {
 	done    chan error
 	results []wire.Result
 	data    []byte
 	async   bool
+	fan     *liveFan
+	round   uint64
+	slot    int
 }
 
 // store copies results (whose Data alias the socket read buffer) into
@@ -266,7 +268,7 @@ func (cn *Conn) Ops(n int) []wire.Op {
 // next issue on this connection, matching the simulated transport's
 // borrowing contract.
 func (cn *Conn) Issue(ops []wire.Op) ([]wire.Result, error) {
-	e, err := cn.enqueue(ops, false)
+	e, err := cn.enqueue(ops, liveWait{})
 	if err != nil {
 		return nil, err
 	}
@@ -281,22 +283,19 @@ func (cn *Conn) Issue(ops []wire.Op) ([]wire.Result, error) {
 // best-effort traffic). Transport errors are reported by the next
 // synchronous Issue.
 func (cn *Conn) IssueAsync(ops []wire.Op) error {
-	_, err := cn.enqueue(ops, true)
+	_, err := cn.enqueue(ops, liveWait{async: true})
 	return err
 }
 
 // IssueBatch transmits a train of chains behind one doorbell — the
 // software analogue of posting a linked chain of work requests and
-// ringing the NIC once. Every chain is staged into the socket's flush
-// buffer with the doorbell suppressed, the writer is rung once, and the
-// call blocks until every chain's response arrives. chains[i]'s results
-// land in slot i of the returned slice; chains beyond the send window
-// (liveWindowDepth) pipeline as earlier ones complete. The chain op
-// slices are caller-owned and must stay valid until IssueBatch returns.
-// All result views follow the usual borrowing rule — valid until the
-// next issue on this connection — and the top-level slice is reused by
-// the next IssueBatch. On any transport error the whole batch fails
-// with that error.
+// ringing the NIC once — as one round of the connection's fan-out, and
+// blocks until every chain's response arrives. chains[i]'s results land in
+// slot i of the returned slice; chains beyond the send window
+// (liveWindowDepth) pipeline as earlier ones complete. The chain op slices
+// are caller-owned and must stay valid until IssueBatch returns. The
+// results are the fan-out's copies, valid until the next IssueBatch. On
+// any transport error the whole batch fails with that error.
 func (cn *Conn) IssueBatch(chains [][]wire.Op) ([][]wire.Result, error) {
 	if len(chains) == 0 {
 		return nil, nil
@@ -306,43 +305,18 @@ func (cn *Conn) IssueBatch(chains [][]wire.Op) ([][]wire.Result, error) {
 			return nil, errors.New("transport: empty chain in batch")
 		}
 	}
-	cn.mu.Lock()
-	if err := cn.c.Err(); err != nil {
-		cn.mu.Unlock()
-		return nil, err
+	if cn.fan == nil {
+		cn.fan = NewFanout(cn)
 	}
-	entries := cn.batchEntries[:0]
-	cn.batching = true
 	for _, ops := range chains {
-		e := cn.win.Prepare(ops)
-		if e.X.done == nil {
-			e.X.done = make(chan error, 1)
-		}
-		e.X.async = false
-		entries = append(entries, e)
-		cn.win.Enqueue(e)
+		cn.fan.Post(0, ops)
 	}
-	cn.batching = false
-	cn.batchEntries = entries
-	cn.mu.Unlock()
-	cn.c.fl.kick() // the one doorbell for the whole train
-
-	results := cn.batchResults[:0]
-	var firstErr error
-	for _, e := range entries {
-		if err := <-e.X.done; err != nil && firstErr == nil {
-			firstErr = err
-		}
-		results = append(results, e.X.results)
-	}
-	cn.batchResults = results
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return cn.fan.Wait()
 }
 
-func (cn *Conn) enqueue(ops []wire.Op, async bool) (*Entry[liveWait], error) {
+// enqueue transmits ops with w's routing: a synchronous issue, a
+// fire-and-forget one, or a fan-out's chain, staged without a doorbell.
+func (cn *Conn) enqueue(ops []wire.Op, w liveWait) (*Entry[liveWait], error) {
 	if len(ops) == 0 {
 		return nil, errors.New("transport: empty request")
 	}
@@ -352,18 +326,20 @@ func (cn *Conn) enqueue(ops []wire.Op, async bool) (*Entry[liveWait], error) {
 		return nil, err
 	}
 	e := cn.win.Prepare(ops)
-	if e.X.done == nil {
+	if e.X.done == nil && w.fan == nil {
 		e.X.done = make(chan error, 1)
 	}
-	e.X.async = async
+	e.X.async, e.X.fan, e.X.round, e.X.slot = w.async, w.fan, w.round, w.slot
+	cn.batching = w.fan != nil
 	cn.win.Enqueue(e)
+	cn.batching = false
 	cn.mu.Unlock()
 	return e, nil
 }
 
 // transmit is the window's transmit hook; called with cn.mu held. It
 // stages the frame into the socket's flush buffer; the doorbell rings
-// per frame except while IssueBatch accumulates its train.
+// per frame except while a fan-out stages its chain.
 func (cn *Conn) transmit(e *Entry[liveWait]) {
 	if err := cn.c.fl.stageRequest(e.Req, !cn.batching); err != nil {
 		// The entry is already pending; failing the client wakes the
@@ -424,14 +400,19 @@ func (cn *Conn) complete(resp *wire.Response) {
 		cn.mu.Unlock()
 		return // stream transports never duplicate; tolerate anyway
 	}
-	async := e.X.async
+	async, fan := e.X.async, e.X.fan
 	if !async {
 		e.X.store(resp.Results)
 	}
-	cn.win.Recycle(e)
+	if fan == nil {
+		cn.win.Recycle(e) // a fan-out's owner recycles its entries
+	}
 	cn.win.Drain()
 	cn.mu.Unlock()
-	if !async {
+	switch {
+	case fan != nil:
+		fan.push(cn, e, nil)
+	case !async:
 		e.X.done <- nil
 	}
 }
@@ -447,17 +428,21 @@ func (c *Client) teardown(err error) {
 		conns = append(conns, cn)
 	}
 	c.mu.Unlock()
-	var waiters []*Entry[liveWait]
+	var waiters []fanDone
 	for _, cn := range conns {
 		cn.mu.Lock()
 		cn.win.Drop(func(e *Entry[liveWait]) {
 			if !e.X.async {
-				waiters = append(waiters, e)
+				waiters = append(waiters, fanDone{cn, e, err})
 			}
 		})
 		cn.mu.Unlock()
 	}
-	for _, e := range waiters {
-		e.X.done <- err
+	for _, w := range waiters {
+		if w.e.X.fan != nil {
+			w.e.X.fan.push(w.cn, w.e, err)
+		} else {
+			w.e.X.done <- err
+		}
 	}
 }

@@ -42,3 +42,13 @@ func (cn *Conn) Temp() (memory.Addr, memory.RKey) { return cn.TempAddr, cn.TempK
 
 // Sleep blocks the calling goroutine for d of wall-clock time.
 func (cn *Conn) Sleep(d time.Duration) { time.Sleep(d) }
+
+// Issuers returns conns as Issuers, in order: the group a protocol written
+// over Issuer and Fanout runs on.
+func Issuers(conns []*Conn) []Issuer {
+	is := make([]Issuer, len(conns))
+	for i, cn := range conns {
+		is[i] = cn
+	}
+	return is
+}

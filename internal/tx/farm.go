@@ -8,8 +8,6 @@ import (
 	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
-	"prism/internal/rdma"
-	"prism/internal/sim"
 	"prism/internal/transport"
 	"prism/internal/wire"
 )
@@ -137,7 +135,10 @@ func (s *FarmServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 	op := payload[0]
 	holder := binary.LittleEndian.Uint64(payload[1:9])
 	rest := payload[9:]
+	// The CPU's accesses race the NIC's verbs on a live host.
 	space := s.host.Space()
+	space.Guard().Lock()
+	defer space.Guard().Unlock()
 	switch op {
 	case rpcFarmLock:
 		// Lock every key or none: on conflict, roll back acquired locks.
@@ -217,10 +218,12 @@ func (s *FarmServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 	}
 }
 
-// FarmClient coordinates FaRM transactions.
-type FarmClient struct {
+// farmCore is the FaRM client protocol, written once over one
+// transport.Issuer per server and a fan-out over them; FarmClient (sim.go)
+// and LiveFarmClient pick the transport.
+type farmCore struct {
 	id    uint16
-	conns []*rdma.Conn
+	conns []transport.Issuer
 	metas []FarmMeta
 	clock uint64
 
@@ -233,31 +236,45 @@ type FarmClient struct {
 	// a shard it sends nothing) in the buffers the previous one sent.
 	// locked marks the shards where the committing transaction holds its
 	// write-set locks.
-	fan      rdma.Fanout
+	fan      *transport.Fanout
 	payloads [][]byte
 	locked   []bool
 }
 
-// NewFarmClient builds a client over the given servers.
-func NewFarmClient(id uint16, conns []*rdma.Conn, metas []FarmMeta) *FarmClient {
+// newFarm builds the protocol over one issuer per server.
+func newFarm(id uint16, conns []transport.Issuer, fan *transport.Fanout, metas []FarmMeta) *farmCore {
 	if len(conns) != len(metas) || len(conns) == 0 {
 		panic("tx: farm connections and metadata must match")
 	}
 	if id == 0 {
 		panic("tx: client id 0 reserved")
 	}
-	return &FarmClient{id: id, conns: conns, metas: metas,
+	return &farmCore{id: id, conns: conns, metas: metas, fan: fan,
 		payloads: make([][]byte, len(conns)), locked: make([]bool, len(conns))}
 }
 
-func (c *FarmClient) shardOf(key int64) int {
+// LiveFarmClient is FaRM over live connections, one per server.
+type LiveFarmClient struct{ *farmCore }
+
+// NewLiveFarmClient builds a client over one live connection per server.
+func NewLiveFarmClient(id uint16, conns []*transport.Conn, metas []FarmMeta) *LiveFarmClient {
+	return &LiveFarmClient{newFarm(id, transport.Issuers(conns), transport.NewFanout(conns...), metas)}
+}
+
+// LiveFarmTx is one FaRM transaction over live connections.
+type LiveFarmTx struct{ *farmTxn }
+
+// Begin starts a transaction.
+func (c *LiveFarmClient) Begin() *LiveFarmTx { return &LiveFarmTx{c.begin()} }
+
+func (c *farmCore) shardOf(key int64) int {
 	return int(((key % int64(len(c.conns))) + int64(len(c.conns))) % int64(len(c.conns)))
 }
 
-// FarmTx is one FaRM transaction. Commit posts in readOrder, order and
-// ascending shard order, never in map order (see Tx).
-type FarmTx struct {
-	c         *FarmClient
+// farmTxn is one FaRM transaction. Commit posts in readOrder, order and
+// ascending shard order, never in map order (see txn).
+type farmTxn struct {
+	c         *farmCore
 	reads     map[int64]farmRead
 	readOrder []int64 // read keys in first-read order
 	writes    map[int64][]byte
@@ -271,13 +288,12 @@ type farmRead struct {
 	shard   int
 }
 
-// Begin starts a transaction.
-func (c *FarmClient) Begin() *FarmTx {
-	return &FarmTx{c: c, reads: make(map[int64]farmRead), writes: make(map[int64][]byte)}
+func (c *farmCore) begin() *farmTxn {
+	return &farmTxn{c: c, reads: make(map[int64]farmRead), writes: make(map[int64][]byte)}
 }
 
 // Read fetches a key with FaRM's two one-sided READs (index, object).
-func (t *FarmTx) Read(p *sim.Proc, key int64) ([]byte, error) {
+func (t *farmTxn) Read(key int64) ([]byte, error) {
 	if v, ok := t.writes[key]; ok {
 		return v, nil
 	}
@@ -285,7 +301,10 @@ func (t *FarmTx) Read(p *sim.Proc, key int64) ([]byte, error) {
 	sh := c.shardOf(key)
 	m := &c.metas[sh]
 	idx := ((key % m.NSlots) + m.NSlots) % m.NSlots
-	res := c.conns[sh].Issue(p, prism.Read(m.Key, m.indexAddr(idx), 8))
+	res, err := c.read(sh, m.indexAddr(idx), 8)
+	if err != nil {
+		return nil, err
+	}
 	if res[0].Status != wire.StatusOK {
 		return nil, fmt.Errorf("tx: farm index read %v", res[0].Status)
 	}
@@ -293,7 +312,9 @@ func (t *FarmTx) Read(p *sim.Proc, key int64) ([]byte, error) {
 	if ptr == 0 {
 		return nil, ErrNotFound
 	}
-	res = c.conns[sh].Issue(p, prism.Read(m.Key, ptr, m.objSize()))
+	if res, err = c.read(sh, ptr, m.objSize()); err != nil {
+		return nil, err
+	}
 	if res[0].Status != wire.StatusOK {
 		return nil, fmt.Errorf("tx: farm object read %v", res[0].Status)
 	}
@@ -312,10 +333,17 @@ func (t *FarmTx) Read(p *sim.Proc, key int64) ([]byte, error) {
 	return append([]byte(nil), obj[farmHdr+16:]...), nil
 }
 
+// read issues one READ on server sh.
+func (c *farmCore) read(sh int, addr memory.Addr, n uint64) ([]wire.Result, error) {
+	ops := c.conns[sh].Ops(1)
+	ops[0] = prism.Read(c.metas[sh].Key, addr, n)
+	return c.conns[sh].Issue(ops)
+}
+
 // Write buffers a write. FaRM requires the object to have been read first
 // (to know its version for locking); Read-before-Write is the natural
 // pattern for YCSB-T RMW transactions.
-func (t *FarmTx) Write(key int64, value []byte) {
+func (t *farmTxn) Write(key int64, value []byte) {
 	if _, seen := t.writes[key]; !seen {
 		t.order = append(t.order, key)
 	}
@@ -324,7 +352,7 @@ func (t *FarmTx) Write(key int64, value []byte) {
 
 // Commit runs FaRM's three phases. Returns the commit version (a fresh
 // timestamp) or ErrAborted.
-func (t *FarmTx) Commit(p *sim.Proc) (Timestamp, error) {
+func (t *farmTxn) Commit() (Timestamp, error) {
 	c := t.c
 	c.clock++
 	ts := MakeTimestamp(c.clock, c.id)
@@ -339,10 +367,13 @@ func (t *FarmTx) Commit(p *sim.Proc) (Timestamp, error) {
 	}
 
 	// --- Phase 1: LOCK write-set objects, grouped per shard.
-	res := t.rpcPhase(p, rpcFarmLock, nil, func(pl []byte, key int64) []byte {
+	res, err := t.rpcPhase(rpcFarmLock, nil, func(pl []byte, key int64) []byte {
 		pl = binary.BigEndian.AppendUint64(pl, uint64(key))
 		return binary.BigEndian.AppendUint64(pl, uint64(t.reads[key].version))
 	})
+	if err != nil {
+		return 0, err
+	}
 	failed := false
 	for sh, pl := range c.payloads {
 		c.locked[sh] = false
@@ -352,9 +383,7 @@ func (t *FarmTx) Commit(p *sim.Proc) (Timestamp, error) {
 		}
 	}
 	if failed {
-		t.unlock(p)
-		c.Aborts++
-		return 0, ErrAborted
+		return 0, t.abort()
 	}
 
 	// --- Phase 2: VALIDATE the read set with one-sided READs (§8.1:
@@ -365,9 +394,13 @@ func (t *FarmTx) Commit(p *sim.Proc) (Timestamp, error) {
 		r := t.reads[key]
 		ops := c.conns[r.shard].Ops(1)
 		ops[0] = prism.Read(c.metas[r.shard].Key, r.addr, farmHdr)
-		c.fan.Post(c.conns[r.shard], ops)
+		c.fan.Post(r.shard, ops)
 	}
-	for i, r := range c.fan.Wait(p) {
+	vres, err := c.fan.Wait()
+	if err != nil {
+		return 0, err
+	}
+	for i, r := range vres {
 		valid := r[0].Status == wire.StatusOK
 		if valid {
 			lock := binary.LittleEndian.Uint64(r[0].Data[:8])
@@ -376,20 +409,22 @@ func (t *FarmTx) Commit(p *sim.Proc) (Timestamp, error) {
 			valid = (lock == 0 || lock == uint64(c.id)) && ver == t.reads[t.readOrder[i]].version
 		}
 		if !valid {
-			t.unlock(p)
-			c.Aborts++
-			return 0, ErrAborted
+			return 0, t.abort()
 		}
 	}
 
 	// --- Phase 3: UPDATE + UNLOCK.
-	for _, r := range t.rpcPhase(p, rpcFarmUpdate, nil, func(pl []byte, key int64) []byte {
+	res, err = t.rpcPhase(rpcFarmUpdate, nil, func(pl []byte, key int64) []byte {
 		value := t.writes[key]
 		pl = binary.BigEndian.AppendUint64(pl, uint64(key))
 		pl = binary.BigEndian.AppendUint64(pl, uint64(ts))
 		pl = binary.LittleEndian.AppendUint32(pl, uint32(len(value)))
 		return append(pl, value...)
-	}) {
+	})
+	if err != nil {
+		return 0, err
+	}
+	for _, r := range res {
 		if !rpcOK(r) {
 			return 0, fmt.Errorf("tx: farm update failed")
 		}
@@ -409,7 +444,7 @@ func rpcOK(r []wire.Result) bool {
 // shard in first-write order — sends the payloads in ascending shard order
 // and waits for every reply. The replies are in that order; c.payloads
 // says which shards they are from.
-func (t *FarmTx) rpcPhase(p *sim.Proc, op byte, only []bool, rec func(pl []byte, key int64) []byte) [][]wire.Result {
+func (t *farmTxn) rpcPhase(op byte, only []bool, rec func(pl []byte, key int64) []byte) ([][]wire.Result, error) {
 	c := t.c
 	for sh := range c.payloads {
 		c.payloads[sh] = c.payloads[sh][:0]
@@ -429,15 +464,21 @@ func (t *FarmTx) rpcPhase(p *sim.Proc, op byte, only []bool, rec func(pl []byte,
 		if len(pl) > 0 {
 			ops := c.conns[sh].Ops(1)
 			ops[0] = prism.Send(pl)
-			c.fan.Post(c.conns[sh], ops)
+			c.fan.Post(sh, ops)
 		}
 	}
-	return c.fan.Wait(p)
+	return c.fan.Wait()
 }
 
-// unlock releases the write-set locks this transaction holds.
-func (t *FarmTx) unlock(p *sim.Proc) {
-	t.rpcPhase(p, rpcFarmUnlock, t.c.locked, func(pl []byte, key int64) []byte {
+// abort releases the write-set locks this transaction holds and reports
+// the abort, or the transport error that stopped the release.
+func (t *farmTxn) abort() error {
+	t.c.Aborts++
+	_, err := t.rpcPhase(rpcFarmUnlock, t.c.locked, func(pl []byte, key int64) []byte {
 		return binary.BigEndian.AppendUint64(pl, uint64(key))
 	})
+	if err != nil {
+		return err
+	}
+	return ErrAborted
 }

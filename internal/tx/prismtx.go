@@ -7,8 +7,6 @@ import (
 	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
-	"prism/internal/rdma"
-	"prism/internal/sim"
 	"prism/internal/transport"
 	"prism/internal/wire"
 )
@@ -107,11 +105,12 @@ func (s *Shard) Load(key int64, value []byte) error {
 	return space.Write(s.meta.Key, s.meta.slotAddr(idx), entry[:])
 }
 
-// Client coordinates PRISM-TX transactions over a set of shards (one
-// connection each). Keys map to shards by modulo.
-type Client struct {
+// txCore is the PRISM-TX client protocol, written once over one
+// transport.Issuer per shard and a fan-out over them; Client (sim.go) and
+// LiveClient pick the transport. Keys map to shards by modulo.
+type txCore struct {
 	id    uint16
-	conns []*rdma.Conn
+	conns []transport.Issuer
 	metas []Meta
 	clock uint64
 
@@ -132,7 +131,7 @@ type Client struct {
 	// transactions. dataArena carves the CAS operand and version images of
 	// one commit; concurrent chains of a single wave each carve disjoint
 	// blocks. perShard counts a commit's write keys by shard.
-	fan       rdma.Fanout
+	fan       *transport.Fanout
 	valBuf    []valKey
 	perShard  []int
 	dataArena []byte
@@ -141,7 +140,7 @@ type Client struct {
 // carve returns an n-byte zeroed block from the client's commit arena.
 // Growth relocates the arena, but previously carved blocks stay valid on
 // the old backing array (they are never written through the arena again).
-func (c *Client) carve(n int) []byte {
+func (c *txCore) carve(n int) []byte {
 	off := len(c.dataArena)
 	if cap(c.dataArena) < off+n {
 		nb := make([]byte, off, 2*(off+n)+64)
@@ -156,42 +155,57 @@ func (c *Client) carve(n int) []byte {
 	return b
 }
 
-// NewClient builds a transaction client over the given shards.
-func NewClient(id uint16, conns []*rdma.Conn, metas []Meta) *Client {
+// newTx builds the protocol over one issuer per shard.
+func newTx(id uint16, conns []transport.Issuer, fan *transport.Fanout, metas []Meta) *txCore {
 	if len(conns) != len(metas) || len(conns) == 0 {
 		panic("tx: shard connections and metadata must match")
 	}
 	if id == 0 {
 		panic("tx: client id 0 is reserved for preloaded versions")
 	}
-	c := &Client{
+	c := &txCore{
 		id:       id,
 		conns:    conns,
 		metas:    metas,
 		Reclaim:  make([]transport.Reclaimer, len(conns)),
+		fan:      fan,
 		perShard: make([]int, len(conns)),
 	}
 	for i, conn := range conns {
-		c.Reclaim[i] = transport.NewReclaimer(&rdma.ProcConn{Conn: conn}, rpcFree, 16)
+		c.Reclaim[i] = transport.NewReclaimer(conn, rpcFree, 16)
 	}
 	return c
 }
 
-func (c *Client) shardOf(key int64) int {
+// LiveClient is PRISM-TX over live connections, one per shard.
+type LiveClient struct{ *txCore }
+
+// NewLiveClient builds a client over one live connection per shard.
+func NewLiveClient(id uint16, conns []*transport.Conn, metas []Meta) *LiveClient {
+	return &LiveClient{newTx(id, transport.Issuers(conns), transport.NewFanout(conns...), metas)}
+}
+
+// LiveTx is one PRISM-TX transaction over live connections.
+type LiveTx struct{ *txn }
+
+// Begin starts a transaction.
+func (c *LiveClient) Begin() *LiveTx { return &LiveTx{c.begin()} }
+
+func (c *txCore) shardOf(key int64) int {
 	return int(((key % int64(len(c.conns))) + int64(len(c.conns))) % int64(len(c.conns)))
 }
 
-func (c *Client) slotOf(key int64, shard int) memory.Addr {
+func (c *txCore) slotOf(key int64, shard int) memory.Addr {
 	m := &c.metas[shard]
 	idx := ((key % m.NSlots) + m.NSlots) % m.NSlots
 	return m.slotAddr(idx)
 }
 
-// Tx is one transaction: buffered reads and writes awaiting commit. Commit
+// txn is one transaction: buffered reads and writes awaiting commit. Commit
 // posts its chains in readOrder and order, never in map order: the order
 // chains leave a machine in is part of the simulation's outcome.
-type Tx struct {
-	c         *Client
+type txn struct {
+	c         *txCore
 	reads     map[int64]Timestamp // key -> RC observed
 	readOrder []int64             // read keys in first-read order
 	writes    map[int64][]byte
@@ -213,9 +227,8 @@ type valKey struct {
 	nth int
 }
 
-// Begin starts a transaction.
-func (c *Client) Begin() *Tx {
-	return &Tx{c: c, reads: make(map[int64]Timestamp), writes: make(map[int64][]byte)}
+func (c *txCore) begin() *txn {
+	return &txn{c: c, reads: make(map[int64]Timestamp), writes: make(map[int64][]byte)}
 }
 
 // Read returns key's committed value as of execution time (§8.2 execution
@@ -234,7 +247,7 @@ func (c *Client) Begin() *Tx {
 //     is self-consistent.
 //
 // Reads see the transaction's own buffered writes first.
-func (t *Tx) Read(p *sim.Proc, key int64) ([]byte, error) {
+func (t *txn) Read(key int64) ([]byte, error) {
 	if v, ok := t.writes[key]; ok {
 		return v, nil
 	}
@@ -245,7 +258,10 @@ func (t *Tx) Read(p *sim.Proc, key int64) ([]byte, error) {
 	ops := c.conns[sh].Ops(2)
 	ops[0] = prism.Read(m.Key, slot+offC, 8)
 	ops[1] = prism.ReadBounded(m.Key, slot+offAddr, bufSize(m.MaxValue))
-	res := c.conns[sh].Issue(p, ops...)
+	res, err := c.conns[sh].Issue(ops)
+	if err != nil {
+		return nil, err
+	}
 	if res[1].Status == wire.StatusNAKAccess {
 		return nil, ErrNotFound
 	}
@@ -278,10 +294,10 @@ func (t *Tx) Read(p *sim.Proc, key int64) ([]byte, error) {
 
 // ReadVersion returns the version this transaction observed for key (zero
 // if the key was not read) — used by correctness oracles in tests.
-func (t *Tx) ReadVersion(key int64) Timestamp { return t.reads[key] }
+func (t *txn) ReadVersion(key int64) Timestamp { return t.reads[key] }
 
 // Write buffers a write (§8.2: writes are local until commit).
-func (t *Tx) Write(key int64, value []byte) {
+func (t *txn) Write(key int64, value []byte) {
 	if _, seen := t.writes[key]; !seen {
 		t.order = append(t.order, key)
 	}
@@ -290,7 +306,7 @@ func (t *Tx) Write(key int64, value []byte) {
 
 // chooseTS picks the commit timestamp: greater than every RC read and the
 // client's logical clock (§8.2 prepare phase, as in Meerkat).
-func (t *Tx) chooseTS() Timestamp {
+func (t *txn) chooseTS() Timestamp {
 	clock := t.c.clock + 1
 	for _, rc := range t.reads {
 		if rc.Clock() >= clock {
@@ -306,7 +322,7 @@ func (t *Tx) chooseTS() Timestamp {
 // (except conservative PW/PR advances, which are safe).
 //
 // Returns the commit timestamp on success.
-func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
+func (t *txn) Commit() (Timestamp, error) {
 	c := t.c
 	ts := t.chooseTS()
 	if t.doomed {
@@ -373,11 +389,15 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 			}
 			ops[oi] = op
 		}
-		c.fan.Post(conn, ops)
+		c.fan.Post(vk.shard, ops)
 	}
 
+	vres, err := c.fan.Wait()
+	if err != nil {
+		return 0, err
+	}
 	ok := true
-	for i, res := range c.fan.Wait(p) {
+	for i, res := range vres {
 		vk := &keys[i]
 		ri := 0
 		if vk.hasRead {
@@ -425,9 +445,7 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 	}
 
 	if !ok {
-		t.abort(p, ts, keys)
-		c.Aborts++
-		return 0, ErrAborted
+		return 0, t.abort(ts, keys)
 	}
 
 	// --- Commit phase: install writes with the ALLOCATE/WRITE/CAS chain.
@@ -436,7 +454,7 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 	// transaction writes more keys on one shard than there are slots, the
 	// installs proceed in waves: a shard's nth write key goes in wave
 	// nth/slotsPerConn, on slot nth%slotsPerConn.
-	const slotsPerConn = rdma.ConnTempSize / rdma.TempSlotSize
+	const slotsPerConn = transport.ConnTempSize / transport.TempSlotSize
 	writes := keys[:len(t.order)]
 	for wave, left := 0, len(writes); left > 0; wave++ {
 		for _, vk := range writes {
@@ -450,21 +468,25 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 			img := c.carve(int(bufSize(len(value))))
 			fillVersion(img, ts, vk.key, value)
 
-			tmp := conn.TempAddr + memory.Addr(vk.nth%slotsPerConn*rdma.TempSlotSize)
+			tempAddr, tempKey := conn.Temp()
+			tmp := tempAddr + memory.Addr(vk.nth%slotsPerConn*transport.TempSlotSize)
 			pre := c.carve(24) // [C | addr(redirected) | bound]
 			prism.PutBE64(pre, 0, uint64(ts))
 			prism.PutLE64(pre, 16, uint64(len(img)))
 			ptrBuf := c.carve(8)
 			prism.PutLE64(ptrBuf, 0, uint64(tmp))
 			ops := conn.Ops(3)
-			ops[0] = prism.Write(conn.TempKey, tmp, pre)
-			ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(m.FreeList, img), conn.TempKey, tmp+8))
+			ops[0] = prism.Write(tempKey, tmp, pre)
+			ops[1] = prism.Conditional(prism.RedirectTo(prism.Allocate(m.FreeList, img), tempKey, tmp+8))
 			casOp := prism.CAS(m.Key, slot+offC, wire.CASGt, ptrBuf, cOnlyMask, cEntryMask)
 			casOp.Flags |= wire.FlagDataIndirect
 			ops[2] = prism.Conditional(casOp)
-			c.fan.Post(conn, ops)
+			c.fan.Post(vk.shard, ops)
 		}
-		wres := c.fan.Wait(p)
+		wres, err := c.fan.Wait()
+		if err != nil {
+			return 0, err
+		}
 		for _, vk := range writes {
 			if vk.nth/slotsPerConn != wave {
 				continue
@@ -500,9 +522,11 @@ func (t *Tx) Commit(p *sim.Proc) (Timestamp, error) {
 
 // abort leaves PW/PR as is (the paper: conservative timestamps are always
 // safe) but bumps C for keys whose write check succeeded, unblocking
-// future readers (§8.2).
-func (t *Tx) abort(p *sim.Proc, ts Timestamp, keys []valKey) {
+// future readers (§8.2). It returns ErrAborted, or the transport error
+// that stopped the bumps.
+func (t *txn) abort(ts Timestamp, keys []valKey) error {
 	c := t.c
+	c.Aborts++
 	for _, vk := range keys {
 		if !vk.raisedPW {
 			continue // no write check, or it did not succeed: nothing to unblock
@@ -513,12 +537,15 @@ func (t *Tx) abort(p *sim.Proc, ts Timestamp, keys []valKey) {
 		prism.PutBE64(data, 0, uint64(ts))
 		ops := c.conns[vk.shard].Ops(1)
 		ops[0] = prism.CAS(m.Key, slot+offC, wire.CASGt, data, cOnlyMask, cOnlyMask)
-		c.fan.Post(c.conns[vk.shard], ops)
+		c.fan.Post(vk.shard, ops)
 	}
-	c.fan.Wait(p)
+	if _, err := c.fan.Wait(); err != nil {
+		return err
+	}
+	return ErrAborted
 }
 
-func (c *Client) retire(shard int, addr memory.Addr) {
+func (c *txCore) retire(shard int, addr memory.Addr) {
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], uint64(addr))
 	c.Reclaim[shard].Retire(rec[:])
