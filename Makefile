@@ -13,16 +13,14 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Besides go vet, two boundaries. A store knows its machine as a
-# transport.Host, so no application package names the simulated NIC's
-# server type; Pilaf's torn PUT is a host operation too (StageWrites). And a
-# protocol is written once, over transport.Issuer and transport.Fanout: in
-# internal/abd and internal/tx only the simulated shell, sim.go, names a
-# process, a simulated connection or the simulator's fan-out.
+# Besides go vet, one boundary: the applications (internal/kv, abd, tx)
+# import neither the simulator nor its NIC model. A store knows its machine
+# as a transport.Host and a protocol is written once over
+# transport.Issuer and transport.Fanout, so the same types run on the
+# simulator and on a socket; the check reads each package's imports.
 vet:
 	$(GO) vet ./...
-	@! grep -n 'rdma\.Server' $$(ls internal/kv/*.go internal/abd/*.go internal/tx/*.go | grep -v _test.go)
-	@! grep -nE 'sim\.Proc|rdma\.(Conn|Fanout)' $$(ls internal/abd/*.go internal/tx/*.go | grep -v -e _test.go -e /sim.go)
+	@! $(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/kv ./internal/abd ./internal/tx | grep -E 'prism/internal/(rdma|sim)( |$$)'
 
 build:
 	$(GO) build ./...

@@ -178,7 +178,7 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 // simulated process and the engine advances only while it executes.
 type simOps struct {
 	c      *prism.ClusterSim
-	client *prism.KVClient
+	client *kv.Client
 	srv    *prism.Server
 }
 
@@ -213,7 +213,7 @@ func newSimOps(deployFlag, netFlag string, nKeys int64) (*simOps, string, error)
 	if err != nil {
 		return nil, "", err
 	}
-	client := prism.NewKVClient(c.NewClientMachine("repl").Connect(srv), store.Meta(), 1)
+	client := kv.NewClient(c.NewClientMachine("repl").Connect(srv), store.Meta(), 1)
 	banner := fmt.Sprintf("PRISM-KV REPL — deployment %v, network %s (all latencies are simulated)",
 		deploy, network.Name)
 	return &simOps{c: c, client: client, srv: srv}, banner, nil
@@ -221,12 +221,12 @@ func newSimOps(deployFlag, netFlag string, nKeys int64) (*simOps, string, error)
 
 // run executes fn as one simulated process and returns the simulated
 // time it took.
-func (s *simOps) run(fn func(p *sim.Proc) error) (time.Duration, error) {
+func (s *simOps) run(fn func() error) (time.Duration, error) {
 	var d time.Duration
 	var err error
 	s.c.Go("cmd", func(p *sim.Proc) {
 		start := p.Now()
-		err = fn(p)
+		err = fn()
 		d = p.Now().Sub(start)
 	})
 	s.c.Run()
@@ -234,21 +234,21 @@ func (s *simOps) run(fn func(p *sim.Proc) error) (time.Duration, error) {
 }
 
 func (s *simOps) put(key int64, value []byte) (time.Duration, error) {
-	return s.run(func(p *sim.Proc) error { return s.client.Put(p, key, value) })
+	return s.run(func() error { return s.client.Put(key, value) })
 }
 
 func (s *simOps) get(key int64) ([]byte, time.Duration, error) {
 	var v []byte
-	d, err := s.run(func(p *sim.Proc) error {
+	d, err := s.run(func() error {
 		var err error
-		v, err = s.client.Get(p, key)
+		v, err = s.client.Get(key)
 		return err
 	})
 	return v, d, err
 }
 
 func (s *simOps) del(key int64) (time.Duration, error) {
-	return s.run(func(p *sim.Proc) error { return s.client.Delete(p, key) })
+	return s.run(func() error { return s.client.Delete(key) })
 }
 
 func (s *simOps) stats() string {
@@ -262,7 +262,7 @@ func (s *simOps) costNote() string { return "simulated" }
 // liveOps runs commands against a prismd over a real socket.
 type liveOps struct {
 	tc   *transport.Client
-	kvc  *kv.LiveClient
+	kvc  *kv.Client
 	addr string
 }
 

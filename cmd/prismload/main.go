@@ -148,7 +148,7 @@ func run(args []string, stdout io.Writer) error {
 		var done func()
 		switch *workloadKind {
 		case "chase", "chasehop":
-			cc := kv.NewLiveChainClient(conns[i], chainMeta)
+			cc := kv.NewChainClient(conns[i], chainMeta)
 			pos := *depth - 1
 			lookup := cc.ChaseGet
 			if *workloadKind == "chasehop" {
@@ -164,7 +164,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			done = func() { hopCount.Add(cc.Hops) }
 		case "scan":
-			kvc := kv.NewLiveClient(conns[i], meta, uint16(i+1))
+			kvc := kv.NewClient(conns[i], meta, uint16(i+1))
 			cursor := int64(0)
 			var entries int64
 			visit := func(_ int64, _ []byte) error { entries++; return nil }
@@ -181,7 +181,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			done = func() { scanEntries.Add(entries); kvc.FlushFrees() }
 		default: // get
-			kvc := kv.NewLiveClient(conns[i], meta, uint16(i+1))
+			kvc := kv.NewClient(conns[i], meta, uint16(i+1))
 			var batchKeys []int64
 			if *batch > 1 {
 				batchKeys = make([]int64, *batch)

@@ -144,18 +144,18 @@ func trace(w io.Writer, which string) bool {
 		store.Load(7, []byte("traced value"))
 		tr := attachTrace(srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
-		client := prism.NewKVClient(conn, store.Meta(), 1)
+		client := prism.NewKVClient(conn, store.Meta(), 1).Client
 		c.Go("trace", func(p *sim.Proc) {
 			if which == "kvget" {
 				fmt.Fprintln(w, "PRISM-KV GET(7): one round trip —")
 				start := p.Now()
-				v, err := client.Get(p, 7)
+				v, err := client.Get(7)
 				fmt.Fprintf(w, "  -> %q err=%v RTT=%v\n", v, err, p.Now().Sub(start))
 			} else {
 				fmt.Fprintln(w, "PRISM-KV PUT(7): two round trips — seq 0 probes the slot, seq 1 is the")
 				fmt.Fprintln(w, "out-of-place install chain —")
 				start := p.Now()
-				err := client.Put(p, 7, []byte(putValue))
+				err := client.Put(7, []byte(putValue))
 				fmt.Fprintf(w, "  -> err=%v total=%v\n", err, p.Now().Sub(start))
 			}
 		})
@@ -179,11 +179,11 @@ func trace(w io.Writer, which string) bool {
 			const key = 3 // tail of bucket 0: four pointer hops deep
 			fmt.Fprintln(w, "CHASE GET(3) on an 8x4 chain store (DESIGN.md §14): the key is 4 hops deep —")
 			start := p.Now()
-			v, err := client.ChaseGet(p, key)
+			v, err := client.ChaseGet(key)
 			fmt.Fprintf(w, "  -> %q err=%v RTT=%v (one round trip; the NIC walks all 4 nodes)\n",
 				v, err, p.Now().Sub(start))
 			start = p.Now()
-			v, err = client.HopGet(p, key)
+			v, err = client.HopGet(key)
 			fmt.Fprintf(w, "  per-hop baseline HopGet -> %q err=%v hops=%d total=%v (one RTT per hop)\n",
 				v, err, client.Hops, p.Now().Sub(start))
 		})
@@ -202,12 +202,12 @@ func trace(w io.Writer, which string) bool {
 		}
 		tr := attachTrace(srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
-		client := prism.NewKVClient(conn, store.Meta(), 1)
+		client := prism.NewKVClient(conn, store.Meta(), 1).Client
 		c.Go("trace", func(p *sim.Proc) {
 			fmt.Fprintln(w, "SCAN over a 64-slot table, 512-byte budget (DESIGN.md §14): one round trip per window —")
 			start := p.Now()
 			entries := 0
-			next, err := client.Scan(p, 0, 512, func(key int64, value []byte) error {
+			next, err := client.Scan(0, 512, func(key int64, value []byte) error {
 				entries++
 				return nil
 			})
@@ -230,7 +230,7 @@ func trace(w io.Writer, which string) bool {
 		client := prism.NewRSClient(1, []*prism.Conn{conn}, []abd.Meta{rep.Meta()})
 		c.Go("trace", func(p *sim.Proc) {
 			start := p.Now()
-			tag, err := client.PutT(p, 3, make([]byte, 64))
+			tag, err := client.PutT(3, make([]byte, 64))
 			fmt.Fprintf(w, "  PUT block 3 -> tag %v err=%v total=%v (read phase + write phase)\n",
 				tag, err, p.Now().Sub(start))
 			fmt.Fprintln(w, "  write-phase chain (seq 1): 1. WRITE tag to tmp; 2. ALLOCATE redirect addr")
@@ -254,11 +254,11 @@ func trace(w io.Writer, which string) bool {
 		c.Go("trace", func(p *sim.Proc) {
 			t := client.Begin()
 			start := p.Now()
-			v, err := t.Read(p, 2)
+			v, err := t.Read(2)
 			fmt.Fprintf(w, "  exec READ key 2 -> %dB err=%v RTT=%v\n", len(v), err, p.Now().Sub(start))
 			t.Write(2, make([]byte, 64))
 			start = p.Now()
-			ts, err := t.Commit(p)
+			ts, err := t.Commit()
 			fmt.Fprintf(w, "  commit -> ts=%v err=%v (prepare RT + install RT) total=%v\n",
 				ts, err, p.Now().Sub(start))
 			fmt.Fprintln(w, "  prepare chain: read-validation CAS_GT (RC|TS vs PW|PR, swap PR),")

@@ -65,14 +65,14 @@ func Example() {
 
 	c.Go("writer-1", func(p *prism.Proc) {
 		for i := 0; i < 50; i++ {
-			if err := writer1.Put(p, int64(i%nBlocks), pattern(byte(i))); err != nil {
+			if err := writer1.Put(int64(i%nBlocks), pattern(byte(i))); err != nil {
 				log.Fatal(err)
 			}
 		}
 	})
 	c.Go("writer-2", func(p *prism.Proc) {
 		for i := 0; i < 50; i++ {
-			if err := writer2.Put(p, int64((i+32)%nBlocks), pattern(byte(100+i))); err != nil {
+			if err := writer2.Put(int64((i+32)%nBlocks), pattern(byte(100+i))); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -80,7 +80,7 @@ func Example() {
 	c.Go("reader", func(p *prism.Proc) {
 		reads := 0
 		for i := 0; i < 60; i++ {
-			if _, err := reader.Get(p, int64(i%nBlocks)); err != nil {
+			if _, err := reader.Get(int64(i % nBlocks)); err != nil {
 				log.Fatal(err)
 			}
 			reads++
@@ -101,10 +101,10 @@ func Example() {
 	c.Go("post-failure", func(p *prism.Proc) {
 		for i := 0; i < 20; i++ {
 			start := p.Now()
-			if err := survivor.Put(p, 7, pattern(byte(i))); err != nil {
+			if err := survivor.Put(7, pattern(byte(i))); err != nil {
 				log.Fatalf("PUT after failure: %v", err)
 			}
-			tag, val, err := survivor.GetT(p, 7)
+			tag, val, err := survivor.GetT(7)
 			if err != nil {
 				log.Fatalf("GET after failure: %v", err)
 			}

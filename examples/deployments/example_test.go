@@ -38,18 +38,18 @@ func measureKV(deploy prism.Deployment, network prism.SwitchProfile) (get, put t
 			log.Fatal(err)
 		}
 	}
-	cli := prism.NewKVClient(c.NewClientMachine("m").Connect(srv), store.Meta(), 1)
+	cli := prism.NewKVClient(c.NewClientMachine("m").Connect(srv), store.Meta(), 1).Client
 	var getNS, putNS sim.Duration
 	c.Go("probe", func(p *prism.Proc) {
 		for i := 0; i < nOps; i++ {
 			k := int64(i % nKeys)
 			start := p.Now()
-			if _, err := cli.Get(p, k); err != nil {
+			if _, err := cli.Get(k); err != nil {
 				log.Fatal(err)
 			}
 			getNS += p.Now().Sub(start)
 			start = p.Now()
-			if err := cli.Put(p, k, make([]byte, valueSize)); err != nil {
+			if err := cli.Put(k, make([]byte, valueSize)); err != nil {
 				log.Fatal(err)
 			}
 			putNS += p.Now().Sub(start)

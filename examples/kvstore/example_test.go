@@ -37,7 +37,7 @@ func Example() {
 			log.Fatal(err)
 		}
 	}
-	kvCli := prism.NewKVClient(c1.NewClientMachine("cli").Connect(srv1), kvSrv.Meta(), 1)
+	kvCli := prism.NewKVClient(c1.NewClientMachine("cli").Connect(srv1), kvSrv.Meta(), 1).Client
 
 	// --- Pilaf cluster (hardware RDMA reads, RPC writes) ---
 	c2 := prism.NewCluster(prism.ClusterConfig{Seed: 7})
@@ -55,8 +55,8 @@ func Example() {
 		pilafSrv.Meta(), c2.ParamsInEffect().PilafCRCCost)
 
 	type store interface {
-		Get(p *prism.Proc, key int64) ([]byte, error)
-		Put(p *prism.Proc, key int64, value []byte) error
+		Get(key int64) ([]byte, error)
+		Put(key int64, value []byte) error
 	}
 
 	run := func(cluster *prism.ClusterSim, name string, st store, seed int64) {
@@ -68,13 +68,13 @@ func Example() {
 				kind, key := g.Next()
 				start := p.Now()
 				if kind == workload.OpGet {
-					if _, err := st.Get(p, key); err != nil {
+					if _, err := st.Get(key); err != nil {
 						log.Fatalf("%s GET %d: %v", name, key, err)
 					}
 					gets++
 					getNS += p.Now().Sub(start)
 				} else {
-					if err := st.Put(p, key, g.Value(key, i)); err != nil {
+					if err := st.Put(key, g.Value(key, i)); err != nil {
 						log.Fatalf("%s PUT %d: %v", name, key, err)
 					}
 					puts++

@@ -60,13 +60,13 @@ func Example() {
 	c.Go("quickstart", func(p *prism.Proc) {
 		// 1. Indirect bounded READ: one round trip follows the pointer and
 		//    clamps the length to the stored bound (§3.1).
-		res := conn.Issue(p, iprism.ReadBounded(reg.Key, ptrCell, 512))
+		res, _ := conn.Issue([]wire.Op{iprism.ReadBounded(reg.Key, ptrCell, 512)})
 		fmt.Printf("indirect bounded READ -> %q  (status %v, RTT so far %v)\n",
 			res[0].Data, res[0].Status, p.Now())
 
 		// 2. ALLOCATE: pop a buffer from the server-posted free list and
 		//    write into it, in one round trip (§3.2).
-		res = conn.Issue(p, iprism.Allocate(1, []byte("freshly allocated")))
+		res, _ = conn.Issue([]wire.Op{iprism.Allocate(1, []byte("freshly allocated"))})
 		bufAddr := res[0].Addr
 		fmt.Printf("ALLOCATE -> buffer at %#x (status %v)\n", bufAddr, res[0].Status)
 
@@ -75,16 +75,16 @@ func Example() {
 		data := make([]byte, 16)
 		iprism.PutBE64(data, 0, 2)
 		iprism.PutLE64(data, 8, uint64(bufAddr))
-		res = conn.Issue(p, iprism.CAS(reg.Key, metaCell, wire.CASGt, data,
-			iprism.FieldMask(16, 0, 8), iprism.FullMask(16)))
+		res, _ = conn.Issue([]wire.Op{iprism.CAS(reg.Key, metaCell, wire.CASGt, data,
+			iprism.FieldMask(16, 0, 8), iprism.FullMask(16))})
 		fmt.Printf("enhanced CAS(GT tag) -> status %v, previous tag %d\n",
 			res[0].Status, iprism.BE64(res[0].Data, 0))
 
 		// A stale tag is rejected without modifying the cell.
 		stale := make([]byte, 16)
 		iprism.PutBE64(stale, 0, 1)
-		res = conn.Issue(p, iprism.CAS(reg.Key, metaCell, wire.CASGt, stale,
-			iprism.FieldMask(16, 0, 8), iprism.FullMask(16)))
+		res, _ = conn.Issue([]wire.Op{iprism.CAS(reg.Key, metaCell, wire.CASGt, stale,
+			iprism.FieldMask(16, 0, 8), iprism.FullMask(16))})
 		fmt.Printf("enhanced CAS(stale tag) -> status %v (correctly rejected)\n", res[0].Status)
 
 		// 4. Operation chaining (§3.4): the paper's out-of-place update in
@@ -95,18 +95,18 @@ func Example() {
 		tagBytes := make([]byte, 8)
 		iprism.PutBE64(tagBytes, 0, 3)
 		start := p.Now()
-		res = conn.Issue(p,
+		res, _ = conn.Issue([]wire.Op{
 			iprism.Write(conn.TempKey, conn.TempAddr, tagBytes),
 			iprism.Conditional(iprism.RedirectTo(iprism.Allocate(1, []byte("chained new version")), conn.TempKey, conn.TempAddr+8)),
 			iprism.Conditional(iprism.CASIndirectData(reg.Key, metaCell, wire.CASGt, conn.TempAddr,
 				iprism.FieldMask(16, 0, 8), iprism.FullMask(16))),
-		)
+		})
 		fmt.Printf("chain WRITE+ALLOCATE+CAS -> statuses %v %v %v in one %v round trip\n",
 			res[0].Status, res[1].Status, res[2].Status, p.Now().Sub(start))
 
 		// Verify: an indirect read through the metadata cell's addr field
 		// now returns the chained version.
-		res = conn.Issue(p, iprism.ReadIndirect(reg.Key, metaCell+8, 19))
+		res, _ = conn.Issue([]wire.Op{iprism.ReadIndirect(reg.Key, metaCell+8, 19)})
 		fmt.Printf("follow-up indirect READ -> %q\n", res[0].Data)
 	})
 	c.Run()

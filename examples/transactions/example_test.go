@@ -83,11 +83,11 @@ func Example() {
 				// Retry the transfer until it commits.
 				for {
 					t := client.Begin()
-					fb, err := t.Read(p, from)
+					fb, err := t.Read(from)
 					if err != nil {
 						log.Fatal(err)
 					}
-					tb, err := t.Read(p, to)
+					tb, err := t.Read(to)
 					if err != nil {
 						log.Fatal(err)
 					}
@@ -97,7 +97,7 @@ func Example() {
 					}
 					t.Write(from, encodeBalance(fromBal-amount))
 					t.Write(to, encodeBalance(toBal+amount))
-					if _, err := t.Commit(p); err == nil {
+					if _, err := t.Commit(); err == nil {
 						totalCommits++
 						break
 					} else if errors.Is(err, prism.ErrTxAborted) {
@@ -124,13 +124,13 @@ func Example() {
 			t := audit.Begin()
 			var total int64
 			for acct := int64(0); acct < nAccounts; acct++ {
-				b, err := t.Read(p, acct)
+				b, err := t.Read(acct)
 				if err != nil {
 					log.Fatal(err)
 				}
 				total += decodeBalance(b)
 			}
-			if _, err := t.Commit(p); err != nil {
+			if _, err := t.Commit(); err != nil {
 				continue // validation raced a straggler; retry
 			}
 			want := int64(nAccounts * initialBalance)

@@ -14,6 +14,7 @@ import (
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 )
 
 func TestTagPacking(t *testing.T) {
@@ -75,7 +76,7 @@ func (c *cluster) client(id uint16, machine int) *Client {
 		conns[i] = c.cliNIC[machine].Connect(c.nics[i])
 		metas[i] = r.Meta()
 	}
-	return NewClient(id, conns, metas)
+	return NewClient(id, transport.Issuers(conns), metas)
 }
 
 func TestPutGetSingleClient(t *testing.T) {
@@ -83,16 +84,16 @@ func TestPutGetSingleClient(t *testing.T) {
 	c := cl.client(1, 0)
 	cl.e.Go("t", func(p *sim.Proc) {
 		val := bytes.Repeat([]byte{7}, 32)
-		if err := c.Put(p, 3, val); err != nil {
+		if err := c.Put(3, val); err != nil {
 			t.Error(err)
 			return
 		}
-		got, err := c.Get(p, 3)
+		got, err := c.Get(3)
 		if err != nil || !bytes.Equal(got, val) {
 			t.Errorf("get: %v, %v", got, err)
 		}
 		// Initial (never-written) block reads as zeros at tag (1,0).
-		tag, got, err := c.GetT(p, 0)
+		tag, got, err := c.GetT(0)
 		if err != nil || tag != MakeTag(1, 0) || !bytes.Equal(got, make([]byte, 32)) {
 			t.Errorf("initial block: tag=%v err=%v", tag, err)
 		}
@@ -110,12 +111,12 @@ func TestGetWritesBack(t *testing.T) {
 	r := cl.client(2, 0)
 	cl.e.Go("t", func(p *sim.Proc) {
 		val := bytes.Repeat([]byte{9}, 16)
-		tag, err := w.PutT(p, 1, val)
+		tag, err := w.PutT(1, val)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if _, _, err := r.GetT(p, 1); err != nil {
+		if _, _, err := r.GetT(1); err != nil {
 			t.Error(err)
 			return
 		}
@@ -159,11 +160,11 @@ func TestSurvivesFMinorityFailure(t *testing.T) {
 	var done bool
 	cl.e.Go("t", func(p *sim.Proc) {
 		val := bytes.Repeat([]byte{3}, 16)
-		if err := c.Put(p, 0, val); err != nil {
+		if err := c.Put(0, val); err != nil {
 			t.Error(err)
 			return
 		}
-		got, err := c.Get(p, 0)
+		got, err := c.Get(0)
 		if err != nil || !bytes.Equal(got, val) {
 			t.Errorf("get under failure: %v %v", got, err)
 			return
@@ -180,13 +181,13 @@ func TestBlockIndexValidation(t *testing.T) {
 	cl := newCluster(t, 3, ReplicaOptions{NBlocks: 4, BlockSize: 16, ExtraBuffers: 8}, model.SoftwarePRISM, 1)
 	c := cl.client(1, 0)
 	cl.e.Go("t", func(p *sim.Proc) {
-		if _, err := c.Get(p, 99); err != ErrBadBlock {
+		if _, err := c.Get(99); err != ErrBadBlock {
 			t.Errorf("oob get: %v", err)
 		}
-		if err := c.Put(p, -1, make([]byte, 16)); err != ErrBadBlock {
+		if err := c.Put(-1, make([]byte, 16)); err != ErrBadBlock {
 			t.Errorf("oob put: %v", err)
 		}
-		if err := c.Put(p, 0, make([]byte, 7)); err == nil {
+		if err := c.Put(0, make([]byte, 7)); err == nil {
 			t.Error("wrong-size put accepted")
 		}
 	})
@@ -196,8 +197,8 @@ func TestBlockIndexValidation(t *testing.T) {
 // runConcurrentHistory drives nClients concurrent clients doing random
 // reads/writes on a few hot blocks and checks linearizability.
 func runConcurrentHistory(t *testing.T, makeClient func(cl *cluster, id uint16) interface {
-	GetT(*sim.Proc, int64) (Tag, []byte, error)
-	PutT(*sim.Proc, int64, []byte) (Tag, error)
+	GetT(int64) (Tag, []byte, error)
+	PutT(int64, []byte) (Tag, error)
 }, cl *cluster, nClients, opsPerClient int) {
 	t.Helper()
 	hist := check.NewMultiRegisterHistory()
@@ -210,7 +211,7 @@ func runConcurrentHistory(t *testing.T, makeClient func(cl *cluster, id uint16) 
 				block := int64(rng.Intn(2)) // hot blocks: maximize races
 				invoke := p.Now()
 				if rng.Intn(2) == 0 {
-					tag, _, err := c.GetT(p, block)
+					tag, _, err := c.GetT(block)
 					if err != nil {
 						t.Errorf("client %d get: %v", id, err)
 						return
@@ -219,7 +220,7 @@ func runConcurrentHistory(t *testing.T, makeClient func(cl *cluster, id uint16) 
 				} else {
 					val := make([]byte, 16)
 					rng.Read(val)
-					tag, err := c.PutT(p, block, val)
+					tag, err := c.PutT(block, val)
 					if err != nil {
 						t.Errorf("client %d put: %v", id, err)
 						return
@@ -241,8 +242,8 @@ func runConcurrentHistory(t *testing.T, makeClient func(cl *cluster, id uint16) 
 func TestPRISMRSLinearizable(t *testing.T) {
 	cl := newCluster(t, 3, ReplicaOptions{NBlocks: 4, BlockSize: 16, ExtraBuffers: 4096}, model.SoftwarePRISM, 2)
 	runConcurrentHistory(t, func(cl *cluster, id uint16) interface {
-		GetT(*sim.Proc, int64) (Tag, []byte, error)
-		PutT(*sim.Proc, int64, []byte) (Tag, error)
+		GetT(int64) (Tag, []byte, error)
+		PutT(int64, []byte) (Tag, error)
 	} {
 		return cl.client(id, int(id)%2)
 	}, cl, 8, 60)
@@ -253,8 +254,8 @@ func TestPRISMRSLinearizableWithWritebackSkip(t *testing.T) {
 	cl := newCluster(t, 3, ReplicaOptions{NBlocks: 4, BlockSize: 16, ExtraBuffers: 4096}, model.SoftwarePRISM, 2)
 	var clients []*Client
 	runConcurrentHistory(t, func(cl *cluster, id uint16) interface {
-		GetT(*sim.Proc, int64) (Tag, []byte, error)
-		PutT(*sim.Proc, int64, []byte) (Tag, error)
+		GetT(int64) (Tag, []byte, error)
+		PutT(int64, []byte) (Tag, error)
 	} {
 		c := cl.client(id, int(id)%2)
 		c.SkipWriteBackIfAgreed = true
@@ -300,7 +301,7 @@ func lockClient(cl *cluster, reps []*LockReplica, id uint16, machine int) *LockC
 		metas[i] = r.Meta()
 	}
 	rng := rand.New(rand.NewSource(int64(id)))
-	return NewLockClient(id, conns, metas, rng.Float64)
+	return NewLockClient(id, transport.Issuers(conns), metas, rng.Float64)
 }
 
 func TestLockPutGet(t *testing.T) {
@@ -308,11 +309,11 @@ func TestLockPutGet(t *testing.T) {
 	c := lockClient(cl, reps, 1, 0)
 	cl.e.Go("t", func(p *sim.Proc) {
 		val := bytes.Repeat([]byte{5}, 32)
-		if err := c.Put(p, 2, val); err != nil {
+		if err := c.Put(2, val); err != nil {
 			t.Error(err)
 			return
 		}
-		got, err := c.Get(p, 2)
+		got, err := c.Get(2)
 		if err != nil || !bytes.Equal(got, val) {
 			t.Errorf("get: %v %v", got, err)
 		}
@@ -323,8 +324,8 @@ func TestLockPutGet(t *testing.T) {
 func TestLockLinearizable(t *testing.T) {
 	cl, reps := newLockCluster(t, 3, 4, 16, model.HardwareRDMA, 2)
 	runConcurrentHistory(t, func(cl *cluster, id uint16) interface {
-		GetT(*sim.Proc, int64) (Tag, []byte, error)
-		PutT(*sim.Proc, int64, []byte) (Tag, error)
+		GetT(int64) (Tag, []byte, error)
+		PutT(int64, []byte) (Tag, error)
 	} {
 		return lockClient(cl, reps, id, int(id)%2)
 	}, cl, 6, 40)
@@ -338,7 +339,7 @@ func TestLockContentionCausesRetries(t *testing.T) {
 		clients = append(clients, c)
 		cl.e.Go(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
 			for n := 0; n < 20; n++ {
-				if err := c.Put(p, 0, make([]byte, 16)); err != nil {
+				if err := c.Put(0, make([]byte, 16)); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
@@ -368,7 +369,7 @@ func TestPRISMRSFasterThanLockUncontended(t *testing.T) {
 	cl1.e.Go("t", func(p *sim.Proc) {
 		start := p.Now()
 		for i := 0; i < 10; i++ {
-			if err := c1.Put(p, 0, make([]byte, 64)); err != nil {
+			if err := c1.Put(0, make([]byte, 64)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -383,7 +384,7 @@ func TestPRISMRSFasterThanLockUncontended(t *testing.T) {
 	cl2.e.Go("t", func(p *sim.Proc) {
 		start := p.Now()
 		for i := 0; i < 10; i++ {
-			if err := c2.Put(p, 0, make([]byte, 64)); err != nil {
+			if err := c2.Put(0, make([]byte, 64)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -422,22 +423,22 @@ func TestVariableSizeBlocks(t *testing.T) {
 			[]byte("a medium sized value"),
 			bytes.Repeat([]byte{9}, 256),
 		} {
-			if err := c.Put(p, 2, val); err != nil {
+			if err := c.Put(2, val); err != nil {
 				t.Errorf("put %d bytes: %v", len(val), err)
 				return
 			}
-			got, err := c.Get(p, 2)
+			got, err := c.Get(2)
 			if err != nil || !bytes.Equal(got, val) {
 				t.Errorf("get after %d-byte put: got %d bytes, err %v", len(val), len(got), err)
 				return
 			}
 		}
 		// Oversized values are rejected.
-		if err := c.Put(p, 2, make([]byte, 257)); err != ErrTooLarge {
+		if err := c.Put(2, make([]byte, 257)); err != ErrTooLarge {
 			t.Errorf("oversized put: %v", err)
 		}
 		// Initial (unwritten) block reads back as the full-size zero value.
-		got, err := c.Get(p, 0)
+		got, err := c.Get(0)
 		if err != nil || len(got) != 256 {
 			t.Errorf("initial block: %d bytes, %v", len(got), err)
 		}
@@ -462,8 +463,8 @@ func TestVariableSizeLinearizable(t *testing.T) {
 	}
 	cl.cliNIC = append(cl.cliNIC, rdma.NewClient(net, "cli-0"), rdma.NewClient(net, "cli-1"))
 	runConcurrentHistory(t, func(cl *cluster, id uint16) interface {
-		GetT(*sim.Proc, int64) (Tag, []byte, error)
-		PutT(*sim.Proc, int64, []byte) (Tag, error)
+		GetT(int64) (Tag, []byte, error)
+		PutT(int64, []byte) (Tag, error)
 	} {
 		return cl.client(id, int(id)%2)
 	}, cl, 6, 40)
@@ -476,8 +477,8 @@ func TestFiveReplicasToleratesTwoFailures(t *testing.T) {
 	cl.nics[1].Node().SetHandler(func(fabric.Message) {})
 	cl.nics[4].Node().SetHandler(func(fabric.Message) {})
 	runConcurrentHistory(t, func(cl *cluster, id uint16) interface {
-		GetT(*sim.Proc, int64) (Tag, []byte, error)
-		PutT(*sim.Proc, int64, []byte) (Tag, error)
+		GetT(int64) (Tag, []byte, error)
+		PutT(int64, []byte) (Tag, error)
 	} {
 		return cl.client(id, int(id)%2)
 	}, cl, 4, 25)
@@ -496,5 +497,5 @@ func TestEvenReplicaCountRejected(t *testing.T) {
 			t.Fatal("even replica count accepted")
 		}
 	}()
-	NewClient(1, conns, metas)
+	NewClient(1, transport.Issuers(conns), metas)
 }

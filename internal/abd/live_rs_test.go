@@ -88,7 +88,7 @@ func TestRSLiveLinearizable(t *testing.T) {
 
 			clients := make([]liveRegister, nClients)
 			for n := range clients {
-				clients[n] = NewLiveClient(uint16(n+1), dialAll(t, addrs), metas)
+				clients[n] = NewClient(uint16(n+1), transport.Issuers(dialAll(t, addrs)), metas)
 			}
 			stall.Store(true)
 			checkLiveHistory(t, clients, 40, blockSize)
@@ -188,7 +188,7 @@ func TestLockLiveLinearizable(t *testing.T) {
 	}
 	clients := make([]liveRegister, nClients)
 	for n := range clients {
-		clients[n] = NewLiveLockClient(uint16(n+1), dialAll(t, addrs), metas, rand.New(rand.NewSource(int64(n))).Float64)
+		clients[n] = NewLockClient(uint16(n+1), transport.Issuers(dialAll(t, addrs)), metas, rand.New(rand.NewSource(int64(n))).Float64)
 	}
 	checkLiveHistory(t, clients, 40, blockSize)
 }

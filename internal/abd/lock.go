@@ -67,10 +67,9 @@ func NewLockReplica(host transport.Host, nBlocks int64, blockSize int) (*LockRep
 // Meta returns the control-plane description.
 func (r *LockReplica) Meta() LockMeta { return r.meta }
 
-// lockCore is the ABDLOCK client protocol, written once over one
-// transport.Issuer per replica and a fan-out over them; LockClient
-// (sim.go) and LiveLockClient pick the transport.
-type lockCore struct {
+// LockClient is an ABDLOCK client, written once over one transport.Issuer
+// per replica and a fan-out over them.
+type LockClient struct {
 	id    uint16
 	conns []transport.Issuer
 	metas []LockMeta
@@ -89,23 +88,16 @@ type lockCore struct {
 	fan    *transport.Fanout
 }
 
-// newLock builds the protocol over one issuer per replica.
-func newLock(id uint16, conns []transport.Issuer, fan *transport.Fanout, metas []LockMeta, jitter func() float64) *lockCore {
+// NewLockClient builds a client over one issuer per replica; jitter
+// randomizes the lock backoff.
+func NewLockClient(id uint16, conns []transport.Issuer, metas []LockMeta, jitter func() float64) *LockClient {
 	if len(conns) != len(metas) || len(conns) == 0 || len(conns)%2 == 0 {
 		panic("abd: need an odd number of replicas with matching metadata")
 	}
 	if id == 0 {
 		panic("abd: client id 0 is the unlocked sentinel")
 	}
-	return &lockCore{id: id, conns: conns, metas: metas, f: (len(conns) - 1) / 2, rngF: jitter, fan: fan}
-}
-
-// LiveLockClient is ABDLOCK over live connections, one per replica.
-type LiveLockClient struct{ *lockCore }
-
-// NewLiveLockClient builds a client over one live connection per replica.
-func NewLiveLockClient(id uint16, conns []*transport.Conn, metas []LockMeta, jitter func() float64) *LiveLockClient {
-	return &LiveLockClient{newLock(id, transport.Issuers(conns), transport.NewFanout(conns...), metas, jitter)}
+	return &LockClient{id: id, conns: conns, metas: metas, f: (len(conns) - 1) / 2, rngF: jitter, fan: transport.NewFanout(conns)}
 }
 
 // Bounds of the exponential backoff between lock-acquisition retries.
@@ -118,7 +110,7 @@ const (
 // succeeded once a majority is locked; on failure it releases and backs
 // off. Mirrors §7.2 (including its liveness hazards, which the backoff
 // mitigates).
-func (c *lockCore) acquire(block int64) ([]int, error) {
+func (c *LockClient) acquire(block int64) ([]int, error) {
 	backoff := backoffMin
 	for {
 		for i, conn := range c.conns {
@@ -160,7 +152,7 @@ func (c *lockCore) acquire(block int64) ([]int, error) {
 
 // release unlocks block at the given replicas (CAS holder -> 0) and waits
 // for completion.
-func (c *lockCore) release(block int64, replicas []int) error {
+func (c *LockClient) release(block int64, replicas []int) error {
 	for _, i := range replicas {
 		m := &c.metas[i]
 		ops := c.conns[i].Ops(1)
@@ -173,7 +165,7 @@ func (c *lockCore) release(block int64, replicas []int) error {
 
 // readLocked reads tag|value from the locked replicas. The value is the
 // fan-out's copy: valid until the next phase posts.
-func (c *lockCore) readLocked(block int64, replicas []int) (Tag, []byte, error) {
+func (c *LockClient) readLocked(block int64, replicas []int) (Tag, []byte, error) {
 	for _, i := range replicas {
 		m := &c.metas[i]
 		ops := c.conns[i].Ops(1)
@@ -202,7 +194,7 @@ func (c *lockCore) readLocked(block int64, replicas []int) (Tag, []byte, error) 
 // writeLocked writes tag|value in place at the locked replicas and returns
 // the value as written: the client's own image of it, valid until the next
 // write.
-func (c *lockCore) writeLocked(block int64, replicas []int, tag Tag, value []byte) ([]byte, error) {
+func (c *LockClient) writeLocked(block int64, replicas []int, tag Tag, value []byte) ([]byte, error) {
 	if cap(c.imgBuf) < 8+len(value) {
 		c.imgBuf = make([]byte, 8+len(value))
 	}
@@ -228,13 +220,13 @@ func (c *lockCore) writeLocked(block int64, replicas []int, tag Tag, value []byt
 }
 
 // Get: lock majority, read, propagate the max version, unlock.
-func (c *lockCore) Get(block int64) ([]byte, error) {
+func (c *LockClient) Get(block int64) ([]byte, error) {
 	_, val, err := c.GetT(block)
 	return val, err
 }
 
 // GetT is Get, also returning the version tag observed (for oracles).
-func (c *lockCore) GetT(block int64) (Tag, []byte, error) {
+func (c *LockClient) GetT(block int64) (Tag, []byte, error) {
 	if block < 0 || block >= c.metas[0].NBlocks {
 		return 0, nil, ErrBadBlock
 	}
@@ -253,13 +245,13 @@ func (c *lockCore) GetT(block int64) (Tag, []byte, error) {
 }
 
 // Put: lock majority, read max tag, write the new version, unlock.
-func (c *lockCore) Put(block int64, value []byte) error {
+func (c *LockClient) Put(block int64, value []byte) error {
 	_, err := c.PutT(block, value)
 	return err
 }
 
 // PutT is Put, also returning the tag the write was installed at.
-func (c *lockCore) PutT(block int64, value []byte) (Tag, error) {
+func (c *LockClient) PutT(block int64, value []byte) (Tag, error) {
 	if block < 0 || block >= c.metas[0].NBlocks {
 		return 0, ErrBadBlock
 	}

@@ -10,6 +10,7 @@ import (
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 )
 
 // nakCluster builds three PRISM-RS replicas, replica i sized by opts[i],
@@ -30,7 +31,7 @@ func nakCluster(t *testing.T, opts [3]ReplicaOptions, keyOff [3]memory.RKey) (*c
 		conns[i], metas[i] = cl.cliNIC[0].Connect(nic), r.Meta()
 		metas[i].Key += keyOff[i]
 	}
-	return cl, NewClient(1, conns, metas)
+	return cl, NewClient(1, transport.Issuers(conns), metas)
 }
 
 // TestRSToleratesNakingReplica: a replica whose NIC answers while its
@@ -56,8 +57,8 @@ func TestRSToleratesNakingReplica(t *testing.T) {
 			cl.e.Go("t", func(p *sim.Proc) {
 				for n := 0; n < pairs; n++ {
 					block, val := int64(n%4), bytes.Repeat([]byte{byte(n + 1)}, 16)
-					perr := c.Put(p, block, val)
-					got, gerr := c.Get(p, block)
+					perr := c.Put(block, val)
+					got, gerr := c.Get(block)
 					for _, err := range []error{perr, gerr} {
 						if err != nil {
 							failed++
@@ -80,7 +81,7 @@ func TestRSToleratesNakingReplica(t *testing.T) {
 	// what every replica answered.
 	cl, c := nakCluster(t, [3]ReplicaOptions{roomy, roomy, roomy}, [3]memory.RKey{1, 0, 1})
 	var err error
-	cl.e.Go("t", func(p *sim.Proc) { err = c.Put(p, 0, make([]byte, 16)) })
+	cl.e.Go("t", func(p *sim.Proc) { err = c.Put(0, make([]byte, 16)) })
 	cl.e.Run()
 	if err == nil {
 		t.Fatal("a PUT with two of three replicas NAK-ing succeeded")

@@ -96,10 +96,10 @@ func AttachReplica(host transport.Host, meta Meta) *Replica {
 // Meta returns the control-plane description.
 func (r *Replica) Meta() Meta { return r.meta }
 
-// rsCore is the PRISM-RS client protocol, written once over one
-// transport.Issuer per replica and fan-outs over them; Client (sim.go)
-// and LiveClient pick the transport. Each closed-loop client owns one.
-type rsCore struct {
+// Client is a PRISM-RS client, written once over one transport.Issuer per
+// replica and fan-outs over them: the same type on the simulator and on a
+// socket. Each closed-loop client owns one.
+type Client struct {
 	id    uint16
 	conns []transport.Issuer
 	metas []Meta
@@ -143,12 +143,14 @@ type rsCore struct {
 	WriteBacksSkipped int64
 }
 
-// newRS builds the protocol over one issuer per replica (2f+1 total).
-func newRS(id uint16, conns []transport.Issuer, readFan, writeFan *transport.Fanout, metas []Meta) *rsCore {
+// NewClient builds a client over one issuer per replica (2f+1 total). A
+// control connection per replica is set as Reclaim[i].Ctrl.
+func NewClient(id uint16, conns []transport.Issuer, metas []Meta) *Client {
 	if len(conns) != len(metas) || len(conns) == 0 || len(conns)%2 == 0 {
 		panic("abd: need an odd number of replicas with matching metadata")
 	}
-	c := &rsCore{
+	readFan, writeFan := transport.NewFanout(conns), transport.NewFanout(conns)
+	c := &Client{
 		id:        id,
 		conns:     conns,
 		metas:     metas,
@@ -168,14 +170,6 @@ func newRS(id uint16, conns []transport.Issuer, readFan, writeFan *transport.Fan
 		c.fullMasks[i] = prism.FullMask(es)
 	}
 	return c
-}
-
-// LiveClient is PRISM-RS over live connections, one per replica.
-type LiveClient struct{ *rsCore }
-
-// NewLiveClient builds a client over one live connection per replica.
-func NewLiveClient(id uint16, conns []*transport.Conn, metas []Meta) *LiveClient {
-	return &LiveClient{newRS(id, transport.Issuers(conns), transport.NewFanout(conns...), transport.NewFanout(conns...), metas)}
 }
 
 // readGood and writeGood say which replicas answered a phase well: a READ
@@ -210,7 +204,7 @@ func quorumErr(phase string, need int, replies []transport.Reply) error {
 // readPhase performs the ABD read phase: an indirect READ of the block's
 // buffer at every replica; the first f+1 good replies win. The value is
 // readFan's copy, valid until the next read phase.
-func (c *rsCore) readPhase(block int64) (Tag, []byte, error) {
+func (c *Client) readPhase(block int64) (Tag, []byte, error) {
 	for i, conn := range c.conns {
 		m := &c.metas[i]
 		ops := conn.Ops(1)
@@ -251,7 +245,7 @@ func (c *rsCore) readPhase(block int64) (Tag, []byte, error) {
 
 // writePhase propagates tag/value to all replicas with the §7.3 chain and
 // waits for f+1 CAS acknowledgments.
-func (c *rsCore) writePhase(block int64, tag Tag, value []byte) error {
+func (c *Client) writePhase(block int64, tag Tag, value []byte) error {
 	if c.metas[0].Variable {
 		if len(value) > c.metas[0].BlockSize {
 			return ErrTooLarge
@@ -308,7 +302,7 @@ func (c *rsCore) writePhase(block int64, tag Tag, value []byte) error {
 // writeDone is writeFan's OnDone: when replica's write chain completes —
 // inside the quorum or as a straggler — it retires the buffer the chain
 // displaced, in completion order.
-func (c *rsCore) writeDone(replica int, res []wire.Result) {
+func (c *Client) writeDone(replica int, res []wire.Result) {
 	switch res[2].Status {
 	case wire.StatusOK:
 		// The CAS installed ours: the old version is retired.
@@ -326,13 +320,13 @@ func (c *rsCore) writeDone(replica int, res []wire.Result) {
 
 // Get performs a linearizable read: ABD read phase, then write-back of the
 // maximum version (§7.1) so later reads cannot observe an older value.
-func (c *rsCore) Get(block int64) ([]byte, error) {
+func (c *Client) Get(block int64) ([]byte, error) {
 	_, val, err := c.GetT(block)
 	return val, err
 }
 
 // GetT is Get, also returning the version tag observed (for oracles).
-func (c *rsCore) GetT(block int64) (Tag, []byte, error) {
+func (c *Client) GetT(block int64) (Tag, []byte, error) {
 	if block < 0 || block >= c.metas[0].NBlocks {
 		return 0, nil, ErrBadBlock
 	}
@@ -352,13 +346,13 @@ func (c *rsCore) GetT(block int64) (Tag, []byte, error) {
 
 // Put performs a linearizable write: read phase to learn the maximum tag,
 // then propagation of the new value at a strictly larger tag.
-func (c *rsCore) Put(block int64, value []byte) error {
+func (c *Client) Put(block int64, value []byte) error {
 	_, err := c.PutT(block, value)
 	return err
 }
 
 // PutT is Put, also returning the tag the write was installed at.
-func (c *rsCore) PutT(block int64, value []byte) (Tag, error) {
+func (c *Client) PutT(block int64, value []byte) (Tag, error) {
 	if block < 0 || block >= c.metas[0].NBlocks {
 		return 0, ErrBadBlock
 	}
@@ -370,7 +364,7 @@ func (c *rsCore) PutT(block int64, value []byte) (Tag, error) {
 	return tag, c.writePhase(block, tag, value)
 }
 
-func (c *rsCore) retire(replica int, addr memory.Addr) {
+func (c *Client) retire(replica int, addr memory.Addr) {
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], uint64(addr))
 	c.Reclaim[replica].Retire(rec[:])

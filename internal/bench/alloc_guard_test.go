@@ -35,13 +35,13 @@ func TestGetAllocGuard(t *testing.T) {
 	var avg float64
 	e.Go("guard", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
-			if _, err := st.Get(p, int64(i)%cfg.Keys); err != nil {
+			if _, err := st.Get(int64(i) % cfg.Keys); err != nil {
 				t.Errorf("GET: %v", err)
 			}
 		}
 		i := 0
 		avg = testing.AllocsPerRun(2000, func() {
-			if _, err := st.Get(p, int64(i)%cfg.Keys); err != nil {
+			if _, err := st.Get(int64(i) % cfg.Keys); err != nil {
 				t.Errorf("GET: %v", err)
 			}
 			i++
@@ -129,13 +129,13 @@ func TestPutAllocGuard(t *testing.T) {
 	var avg float64
 	e.Go("guard", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
-			if err := st.Put(p, int64(i)%cfg.Keys, value); err != nil {
+			if err := st.Put(int64(i)%cfg.Keys, value); err != nil {
 				t.Errorf("PUT: %v", err)
 			}
 		}
 		i := 0
 		avg = testing.AllocsPerRun(2000, func() {
-			if err := st.Put(p, int64(i)%cfg.Keys, value); err != nil {
+			if err := st.Put(int64(i)%cfg.Keys, value); err != nil {
 				t.Errorf("PUT: %v", err)
 			}
 			i++
@@ -161,13 +161,13 @@ func TestChaseAllocGuard(t *testing.T) {
 	var avg float64
 	e.Go("guard", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
-			if _, err := cl.ChaseGet(p, key(i)); err != nil {
+			if _, err := cl.ChaseGet(key(i)); err != nil {
 				t.Errorf("CHASE: %v", err)
 			}
 		}
 		i := 0
 		avg = testing.AllocsPerRun(2000, func() {
-			if _, err := cl.ChaseGet(p, key(i)); err != nil {
+			if _, err := cl.ChaseGet(key(i)); err != nil {
 				t.Errorf("CHASE: %v", err)
 			}
 			i++
@@ -198,7 +198,7 @@ func TestScanAllocGuard(t *testing.T) {
 	e.Go("guard", func(p *sim.Proc) {
 		cursor := int64(0)
 		step := func() {
-			next, err := st.Scan(p, cursor, 4096, visit)
+			next, err := st.Scan(cursor, 4096, visit)
 			if err != nil {
 				t.Errorf("SCAN: %v", err)
 			}

@@ -50,7 +50,7 @@ func chaseTune(cfg Config) Config {
 // shared chain layout.
 type chaseStrategy struct {
 	name string
-	get  func(c *kv.ChainClient, p *sim.Proc, key int64) ([]byte, error)
+	get  func(c *kv.ChainClient, key int64) ([]byte, error)
 }
 
 var chaseStrategies = []chaseStrategy{
@@ -86,7 +86,7 @@ func (st chaseStrategy) at(depth int) builder {
 			rng := rand.New(rand.NewSource(clientSeed(seed, id)))
 			return func(p *sim.Proc) (int64, error) {
 				bucket := rng.Int63n(chaseBuckets)
-				_, err := st.get(cl, p, bucket*int64(depth)+int64(depth)-1)
+				_, err := st.get(cl, bucket*int64(depth)+int64(depth)-1)
 				return 0, err
 			}
 		}}

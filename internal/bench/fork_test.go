@@ -13,6 +13,7 @@ import (
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/tx"
 )
 
@@ -263,21 +264,21 @@ func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 	fm := farmTemplate(cfg)
 	farmNIC := fm.fork(v.net, "shard", model.SoftwarePRISM)
 	tx.AttachFarmServer(farmNIC, fm.meta)
-	fc := tx.NewFarmClient(1, []*rdma.Conn{cli.Connect(farmNIC)}, []tx.FarmMeta{fm.meta})
+	fc := tx.NewFarmClient(1, []transport.Issuer{cli.Connect(farmNIC)}, []tx.FarmMeta{fm.meta})
 
 	v.e.Go("writes", func(p *sim.Proc) {
-		if err := kvc.Put(p, 7, value); err != nil {
+		if err := kvc.Put(7, value); err != nil {
 			t.Errorf("PRISM-KV put: %v", err)
 		}
-		if err := lc.Put(p, 7, value); err != nil {
+		if err := lc.Put(7, value); err != nil {
 			t.Errorf("ABDLOCK put: %v", err)
 		}
 		txn := fc.Begin()
-		if _, err := txn.Read(p, 7); err != nil {
+		if _, err := txn.Read(7); err != nil {
 			t.Errorf("FaRM read: %v", err)
 		}
 		txn.Write(7, value)
-		if _, err := txn.Commit(p); err != nil {
+		if _, err := txn.Commit(); err != nil {
 			t.Errorf("FaRM commit: %v", err)
 		}
 	})

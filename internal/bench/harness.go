@@ -24,15 +24,15 @@ import (
 // Store is the GET/PUT surface shared by the key-value and block systems
 // (PRISM-KV, Pilaf, PRISM-RS, ABDLOCK).
 type Store interface {
-	Get(p *sim.Proc, key int64) ([]byte, error)
-	Put(p *sim.Proc, key int64, value []byte) error
+	Get(key int64) ([]byte, error)
+	Put(key int64, value []byte) error
 }
 
 // txHandle is the per-transaction surface shared by PRISM-TX and FaRM.
 type txHandle interface {
-	Read(p *sim.Proc, key int64) ([]byte, error)
+	Read(key int64) ([]byte, error)
 	Write(key int64, value []byte)
-	Commit(p *sim.Proc) (tx.Timestamp, error)
+	Commit() (tx.Timestamp, error)
 }
 
 // clientOp is one closed-loop operation of one client: it returns the
@@ -130,11 +130,11 @@ func (v *env) mix(mk func(m *rdma.Client, id int) Store) cluster {
 		return func(p *sim.Proc) (int64, error) {
 			kind, key := gen.Next()
 			if kind == workload.OpGet {
-				_, err := st.Get(p, key)
+				_, err := st.Get(key)
 				return 0, err
 			}
 			ver++
-			return 0, st.Put(p, key, gen.Value(key, ver))
+			return 0, st.Put(key, gen.Value(key, ver))
 		}
 	}}
 }
@@ -157,7 +157,7 @@ func (v *env) rmw(mk func(m *rdma.Client, id int) func() txHandle) cluster {
 			for {
 				t := begin()
 				for _, k := range keys {
-					old, err := t.Read(p, k)
+					old, err := t.Read(k)
 					if err != nil {
 						return aborts, err
 					}
@@ -168,7 +168,7 @@ func (v *env) rmw(mk func(m *rdma.Client, id int) func() txHandle) cluster {
 					}
 					t.Write(k, nv)
 				}
-				if _, err := t.Commit(p); err == nil {
+				if _, err := t.Commit(); err == nil {
 					return aborts, nil
 				}
 				aborts++

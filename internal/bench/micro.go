@@ -31,10 +31,10 @@ func (m *microEnv) measure(mk func(i int) []wire.Op) time.Duration {
 	var total time.Duration
 	m.e.Go("probe", func(p *sim.Proc) {
 		// One warmup op.
-		m.conn.Issue(p, mk(0)...)
+		m.conn.Issue(mk(0))
 		start := p.Now()
 		for i := 1; i <= microIters; i++ {
-			res := m.conn.Issue(p, mk(i)...)
+			res, _ := m.conn.Issue(mk(i))
 			for _, r := range res {
 				if !r.Status.OK() && r.Status != wire.StatusCASFailed {
 					panic(fmt.Sprintf("bench: micro op status %v", r.Status))

@@ -18,7 +18,7 @@ func BenchmarkSimulatedGET(b *testing.B) {
 	b.ResetTimer()
 	e.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Get(p, int64(i)%cfg.Keys); err != nil {
+			if _, err := st.Get(int64(i) % cfg.Keys); err != nil {
 				panic(err)
 			}
 		}
@@ -38,7 +38,7 @@ func BenchmarkSimulatedPUT(b *testing.B) {
 	b.ResetTimer()
 	e.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			if err := st.Put(p, int64(i)%cfg.Keys, value); err != nil {
+			if err := st.Put(int64(i)%cfg.Keys, value); err != nil {
 				panic(err)
 			}
 		}

@@ -164,7 +164,7 @@ func kvClients(nic *rdma.Server, meta kv.Meta, t kvTune) func(m *rdma.Client, id
 	return func(m *rdma.Client, id int) Store {
 		c := kv.NewClient(m.Connect(nic), meta, uint16(id+1))
 		if !t.singleQP {
-			c.Reclaim.Ctrl = &rdma.ProcConn{Conn: m.Connect(nic)}
+			c.Reclaim.Ctrl = m.Connect(nic)
 			c.Reclaim.Batch = 4 // keep unreclaimed churn small under heavy write load
 		}
 		c.SlotCache = t.slotCache
@@ -271,8 +271,8 @@ func (g *group[M]) add(nic *rdma.Server, meta M) {
 }
 
 // connect opens one QP from m to every server of the group.
-func (g *group[M]) connect(m *rdma.Client) []*rdma.Conn {
-	conns := make([]*rdma.Conn, len(g.nics))
+func (g *group[M]) connect(m *rdma.Client) []transport.Issuer {
+	conns := make([]transport.Issuer, len(g.nics))
 	for i, nic := range g.nics {
 		conns[i] = m.Connect(nic)
 	}
@@ -283,7 +283,7 @@ func (g *group[M]) connect(m *rdma.Client) []*rdma.Conn {
 // the client's reclamation RPCs over them.
 func (g *group[M]) controlQPs(m *rdma.Client, recl []transport.Reclaimer) {
 	for i, conn := range g.connect(m) {
-		recl[i].Ctrl = &rdma.ProcConn{Conn: conn}
+		recl[i].Ctrl = conn
 	}
 }
 
@@ -465,7 +465,7 @@ func farm(deploy model.Deployment) builder {
 		nic := im.fork(v.net, "shard", deploy)
 		tx.AttachFarmServer(nic, im.meta)
 		return v.rmw(func(m *rdma.Client, id int) func() txHandle {
-			c := tx.NewFarmClient(uint16(id+1), []*rdma.Conn{m.Connect(nic)}, []tx.FarmMeta{im.meta})
+			c := tx.NewFarmClient(uint16(id+1), []transport.Issuer{m.Connect(nic)}, []tx.FarmMeta{im.meta})
 			return func() txHandle { return c.Begin() }
 		})
 	}

@@ -1,0 +1,96 @@
+package bench
+
+import (
+	"bytes"
+	"encoding/json"
+	"maps"
+	"os"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// trajectoryRecord is one record of BENCH_trajectory.json at the
+// repository root: one PR's alternating parent/change pairs of one
+// benchmark workload and metric.
+type trajectoryRecord struct {
+	PR           int     `json:"pr"`
+	Workload     string  `json:"workload"`
+	Metric       string  `json:"metric"`
+	Unit         string  `json:"unit"`
+	Commit       string  `json:"commit"`
+	Parent       string  `json:"parent"`
+	ParentMedian float64 `json:"parent_median"`
+	ParentQ1     float64 `json:"parent_q1"`
+	ParentQ3     float64 `json:"parent_q3"`
+	Median       float64 `json:"median"`
+	Q1           float64 `json:"q1"`
+	Q3           float64 `json:"q3"`
+	Pairs        int     `json:"pairs"`
+	PairsWon     int     `json:"pairs_won"`
+	Host         struct {
+		NProc int    `json:"nproc"`
+		Go    string `json:"go"`
+	} `json:"host"`
+}
+
+// jsonFields lists the JSON names of a struct type's fields.
+func jsonFields(t reflect.Type) []string {
+	var names []string
+	for i := 0; i < t.NumField(); i++ {
+		names = append(names, t.Field(i).Tag.Get("json"))
+	}
+	slices.Sort(names)
+	return names
+}
+
+// TestBenchTrajectory: every record of the trajectory has every field and
+// no other, its quartiles bracket its median, its pairs won are among its
+// pairs, and PR numbers never go down in file order.
+func TestBenchTrajectory(t *testing.T) {
+	b, err := os.ReadFile("../../BENCH_trajectory.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw []map[string]json.RawMessage
+	if err := json.Unmarshal(b, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) == 0 {
+		t.Fatal("the trajectory has no records")
+	}
+	want := jsonFields(reflect.TypeOf(trajectoryRecord{}))
+	wantHost := jsonFields(reflect.TypeOf(trajectoryRecord{}.Host))
+	for i, r := range raw {
+		var host map[string]json.RawMessage
+		if err := json.Unmarshal(r["host"], &host); err != nil {
+			t.Fatalf("record %d: host: %v", i, err)
+		}
+		if got := slices.Sorted(maps.Keys(r)); !slices.Equal(got, want) {
+			t.Errorf("record %d has fields %v, want %v", i, got, want)
+		}
+		if got := slices.Sorted(maps.Keys(host)); !slices.Equal(got, wantHost) {
+			t.Errorf("record %d has host fields %v, want %v", i, got, wantHost)
+		}
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var recs []trajectoryRecord
+	if err := dec.Decode(&recs); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if i > 0 && r.PR < recs[i-1].PR {
+			t.Errorf("record %d is PR %d after PR %d", i, r.PR, recs[i-1].PR)
+		}
+		if r.Pairs <= 0 || r.PairsWon < 0 || r.PairsWon > r.Pairs {
+			t.Errorf("record %d (PR %d %s %s): %d of %d pairs won", i, r.PR, r.Workload, r.Metric, r.PairsWon, r.Pairs)
+		}
+		if r.ParentQ1 > r.ParentMedian || r.ParentMedian > r.ParentQ3 || r.Q1 > r.Median || r.Median > r.Q3 {
+			t.Errorf("record %d (PR %d %s %s): quartiles do not bracket the medians", i, r.PR, r.Workload, r.Metric)
+		}
+		if r.Workload == "" || r.Metric == "" || r.Unit == "" || r.Commit == "" || r.Parent == "" || r.Host.NProc <= 0 || r.Host.Go == "" {
+			t.Errorf("record %d (PR %d): an empty field: %+v", i, r.PR, r)
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/tx"
 )
 
@@ -46,14 +47,14 @@ func TestKVUnderPacketLoss(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			k := rng.Int63n(32)
 			if rng.Intn(2) == 0 && modelMap[k] != "" {
-				got, err := c.Get(pr, k)
+				got, err := c.Get(k)
 				if err != nil || string(got) != modelMap[k] {
 					t.Errorf("op %d: get %d = %q (%v), want %q", i, k, got, err, modelMap[k])
 					return
 				}
 			} else {
 				v := fmt.Sprintf("v%d-%d", k, i)
-				if err := c.Put(pr, k, []byte(v)); err != nil {
+				if err := c.Put(k, []byte(v)); err != nil {
 					t.Errorf("op %d: put: %v", i, err)
 					return
 				}
@@ -97,14 +98,14 @@ func TestABDLinearizableUnderLoss(t *testing.T) {
 			conns[j] = machine.Connect(nics[j])
 			metas[j] = r.Meta()
 		}
-		c := abd.NewClient(id, conns, metas)
+		c := abd.NewClient(id, transport.Issuers(conns), metas)
 		rng := rand.New(rand.NewSource(int64(id)))
 		e.Go(fmt.Sprintf("c%d", id), func(pr *sim.Proc) {
 			for n := 0; n < 30; n++ {
 				block := int64(rng.Intn(2))
 				invoke := pr.Now()
 				if rng.Intn(2) == 0 {
-					tag, _, err := c.GetT(pr, block)
+					tag, _, err := c.GetT(block)
 					if err != nil {
 						t.Errorf("get: %v", err)
 						return
@@ -113,7 +114,7 @@ func TestABDLinearizableUnderLoss(t *testing.T) {
 				} else {
 					val := make([]byte, 16)
 					rng.Read(val)
-					tag, err := c.PutT(pr, block, val)
+					tag, err := c.PutT(block, val)
 					if err != nil {
 						t.Errorf("put: %v", err)
 						return
@@ -151,14 +152,14 @@ func TestTXSerializableUnderLoss(t *testing.T) {
 	var committed []check.CommittedTx
 	for i := 0; i < 4; i++ {
 		id := uint16(i + 1)
-		c := tx.NewClient(id, []*rdma.Conn{machine.Connect(nic)}, []tx.Meta{shard.Meta()})
+		c := tx.NewClient(id, []transport.Issuer{machine.Connect(nic)}, []tx.Meta{shard.Meta()})
 		rng := rand.New(rand.NewSource(int64(id) * 3))
 		e.Go(fmt.Sprintf("c%d", id), func(pr *sim.Proc) {
 			for n := 0; n < 25; n++ {
 				key := int64(rng.Intn(2))
 				for attempts := 0; attempts < 50; attempts++ {
 					txn := c.Begin()
-					old, err := txn.Read(pr, key)
+					old, err := txn.Read(key)
 					if err != nil {
 						t.Errorf("read: %v", err)
 						return
@@ -167,7 +168,7 @@ func TestTXSerializableUnderLoss(t *testing.T) {
 					nv := append([]byte(nil), old...)
 					nv[0]++
 					txn.Write(key, nv)
-					ts, err := txn.Commit(pr)
+					ts, err := txn.Commit()
 					if errors.Is(err, tx.ErrAborted) {
 						continue
 					}
@@ -219,7 +220,7 @@ func TestKVOnProjectedHardware(t *testing.T) {
 		var rtt time.Duration
 		e.Go("t", func(pr *sim.Proc) {
 			start := pr.Now()
-			if v, err := c.Get(pr, 1); err != nil || string(v) != "hw" {
+			if v, err := c.Get(1); err != nil || string(v) != "hw" {
 				t.Errorf("get: %q %v", v, err)
 			}
 			rtt = time.Duration(pr.Now().Sub(start))
@@ -252,7 +253,7 @@ func TestKVAtDatacenterScale(t *testing.T) {
 	c := kv.NewClient(rdma.NewClient(net, "cli").Connect(nic), srv.Meta(), 1)
 	e.Go("t", func(pr *sim.Proc) {
 		start := pr.Now()
-		if _, err := c.Get(pr, 1); err != nil {
+		if _, err := c.Get(1); err != nil {
 			t.Error(err)
 			return
 		}
@@ -290,16 +291,16 @@ func TestMixedTenants(t *testing.T) {
 	}
 	machine := rdma.NewClient(net, "cli")
 	kvC := kv.NewClient(machine.Connect(kvNIC), kvSrv.Meta(), 1)
-	txC := tx.NewClient(2, []*rdma.Conn{machine.Connect(txNIC)}, []tx.Meta{txSrv.Meta()})
+	txC := tx.NewClient(2, []transport.Issuer{machine.Connect(txNIC)}, []tx.Meta{txSrv.Meta()})
 
 	e.Go("kv-tenant", func(pr *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			k := int64(i % 16)
-			if err := kvC.Put(pr, k, []byte(fmt.Sprintf("t%d", i))); err != nil {
+			if err := kvC.Put(k, []byte(fmt.Sprintf("t%d", i))); err != nil {
 				t.Errorf("kv put: %v", err)
 				return
 			}
-			if v, err := kvC.Get(pr, k); err != nil || !bytes.HasPrefix(v, []byte("t")) {
+			if v, err := kvC.Get(k); err != nil || !bytes.HasPrefix(v, []byte("t")) {
 				t.Errorf("kv get: %q %v", v, err)
 				return
 			}
@@ -309,7 +310,7 @@ func TestMixedTenants(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			for {
 				txn := txC.Begin()
-				old, err := txn.Read(pr, int64(i%8))
+				old, err := txn.Read(int64(i % 8))
 				if err != nil {
 					t.Errorf("tx read: %v", err)
 					return
@@ -317,7 +318,7 @@ func TestMixedTenants(t *testing.T) {
 				nv := append([]byte(nil), old...)
 				nv[0]++
 				txn.Write(int64(i%8), nv)
-				if _, err := txn.Commit(pr); err == nil {
+				if _, err := txn.Commit(); err == nil {
 					break
 				}
 			}

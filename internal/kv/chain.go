@@ -33,8 +33,6 @@ import (
 	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
-	"prism/internal/rdma"
-	"prism/internal/sim"
 	"prism/internal/transport"
 	"prism/internal/wire"
 )
@@ -81,7 +79,7 @@ func (m *Meta) appendScanProg(buf []byte, startIdx int64) []byte {
 // the probe sequence and returns the matching entry, collapsing the
 // k-probe round-trip loop of Get into one request. Two-choice tables
 // have no probe chain, so they fall back to the chained two-slot read.
-func (c *kvCore) GetChase(key int64) ([]byte, error) {
+func (c *Client) GetChase(key int64) ([]byte, error) {
 	if c.meta.Hash == TwoChoice {
 		return c.getTwoChoice(key)
 	}
@@ -113,7 +111,7 @@ func (c *kvCore) GetChase(key int64) ([]byte, error) {
 // start, calling visit for every entry (views are valid only during the
 // call). It returns the next slot index — NSlots when the table is
 // exhausted — so callers iterate: for i := int64(0); i < nslots; { i, _ = c.Scan(...) }.
-func (c *kvCore) Scan(start int64, budget uint64, visit func(key int64, value []byte) error) (int64, error) {
+func (c *Client) Scan(start int64, budget uint64, visit func(key int64, value []byte) error) (int64, error) {
 	c.progBuf = c.meta.appendScanProg(c.progBuf[:0], start)
 	ops := c.conn.Ops(1)
 	ops[0] = prism.Scan(c.meta.Key, c.meta.HashBase, c.progBuf, budget)
@@ -371,9 +369,8 @@ func decodeChainNode(node []byte, key int64) ([]byte, error) {
 	return node[chainNodeHeader : chainNodeHeader+vlen], nil
 }
 
-// chainCore is the chain-store client protocol, written once against a
-// transport.Issuer; ChainClient and LiveChainClient pick the issuer.
-type chainCore struct {
+// ChainClient walks a ChainStore, written once against a transport.Issuer.
+type ChainClient struct {
 	conn transport.Issuer
 	meta ChainMeta
 
@@ -387,41 +384,11 @@ type chainCore struct {
 }
 
 // Meta returns the chain description the client was built with.
-func (c *chainCore) Meta() ChainMeta { return c.meta }
+func (c *ChainClient) Meta() ChainMeta { return c.meta }
 
-// ChainClient walks a ChainStore over a simulated connection that each
-// call re-binds to the calling process.
-type ChainClient struct {
-	chainCore
-	pc rdma.ProcConn
-}
-
-// NewChainClient wraps a simulated connection to a ChainStore.
-func NewChainClient(conn *rdma.Conn, meta ChainMeta) *ChainClient {
-	c := &ChainClient{pc: rdma.ProcConn{Conn: conn}}
-	c.chainCore = chainCore{conn: &c.pc, meta: meta}
-	return c
-}
-
-func (c *ChainClient) on(p *sim.Proc) *chainCore {
-	c.pc.Proc = p
-	return &c.chainCore
-}
-
-// ChaseGet, HopGet and RPCGet are the chainCore lookups issued from
-// process p.
-func (c *ChainClient) ChaseGet(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).ChaseGet(key) }
-
-func (c *ChainClient) HopGet(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).HopGet(key) }
-
-func (c *ChainClient) RPCGet(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).RPCGet(key) }
-
-// LiveChainClient walks a chain-mode prismd over a live connection.
-type LiveChainClient struct{ chainCore }
-
-// NewLiveChainClient wraps a live connection to a chain-mode server.
-func NewLiveChainClient(conn *transport.Conn, meta ChainMeta) *LiveChainClient {
-	return &LiveChainClient{chainCore{conn: conn, meta: meta}}
+// NewChainClient builds a client over a connection to a ChainStore.
+func NewChainClient(conn transport.Issuer, meta ChainMeta) *ChainClient {
+	return &ChainClient{conn: conn, meta: meta}
 }
 
 // FetchChainMeta retrieves the chain description over conn.
@@ -434,7 +401,7 @@ func FetchChainMeta(conn *transport.Conn) (ChainMeta, error) {
 }
 
 // DialChain connects to a chain-mode prismd server at addr.
-func DialChain(addr string) (*transport.Client, *LiveChainClient, error) {
+func DialChain(addr string) (*transport.Client, *ChainClient, error) {
 	tc, conn, err := dialConn(addr)
 	if err != nil {
 		return nil, nil, err
@@ -444,7 +411,7 @@ func DialChain(addr string) (*transport.Client, *LiveChainClient, error) {
 		tc.Close()
 		return nil, nil, err
 	}
-	return tc, NewLiveChainClient(conn, meta), nil
+	return tc, NewChainClient(conn, meta), nil
 }
 
 // appendChaseProg encodes the list-chase program for one bucket walk.
@@ -460,7 +427,7 @@ func (m *ChainMeta) appendChaseProg(buf []byte, match []byte) []byte {
 
 // ChaseGet looks up key with one CHASE program: the NIC walks the chain
 // and returns the whole matched node in a single round trip.
-func (c *chainCore) ChaseGet(key int64) ([]byte, error) {
+func (c *ChainClient) ChaseGet(key int64) ([]byte, error) {
 	bucket, _, err := c.meta.locate(key)
 	if err != nil {
 		return nil, err
@@ -491,7 +458,7 @@ func (c *chainCore) ChaseGet(key int64) ([]byte, error) {
 // HopGet looks up key the classic one-sided way: an indirect READ
 // through the head cell, then one direct READ per hop using the next
 // pointer learned from the previous node — one round trip per hop.
-func (c *chainCore) HopGet(key int64) ([]byte, error) {
+func (c *ChainClient) HopGet(key int64) ([]byte, error) {
 	bucket, _, err := c.meta.locate(key)
 	if err != nil {
 		return nil, err
@@ -530,7 +497,7 @@ func (c *chainCore) HopGet(key int64) ([]byte, error) {
 
 // RPCGet looks up key with one two-sided round trip; the server's host
 // CPU walks the chain (the rpcChainGet handler).
-func (c *chainCore) RPCGet(key int64) ([]byte, error) {
+func (c *ChainClient) RPCGet(key int64) ([]byte, error) {
 	c.rpcBuf[0] = rpcChainGet
 	binary.BigEndian.PutUint64(c.rpcBuf[1:], uint64(key))
 	ops := c.conn.Ops(1)

@@ -63,9 +63,9 @@ func TestChainClientsAgree(t *testing.T) {
 		for k := int64(0); k < opts.Buckets*opts.Depth; k++ {
 			want := chainValue(k)
 			for name, get := range map[string]func() ([]byte, error){
-				"chase": func() ([]byte, error) { return c.ChaseGet(p, k) },
-				"hop":   func() ([]byte, error) { return c.HopGet(p, k) },
-				"rpc":   func() ([]byte, error) { return c.RPCGet(p, k) },
+				"chase": func() ([]byte, error) { return c.ChaseGet(k) },
+				"hop":   func() ([]byte, error) { return c.HopGet(k) },
+				"rpc":   func() ([]byte, error) { return c.RPCGet(k) },
 			} {
 				got, err := get()
 				if err != nil {
@@ -76,7 +76,7 @@ func TestChainClientsAgree(t *testing.T) {
 				}
 			}
 		}
-		if _, err := c.ChaseGet(p, opts.Buckets*opts.Depth); err == nil {
+		if _, err := c.ChaseGet(opts.Buckets * opts.Depth); err == nil {
 			t.Fatal("chase of out-of-range key succeeded")
 		}
 	})
@@ -88,7 +88,7 @@ func TestChainChaseStepAccounting(t *testing.T) {
 	c := v.client()
 	tail := opts.Depth - 1 // deepest key of bucket 0
 	v.run(t, func(p *sim.Proc) {
-		if _, err := c.ChaseGet(p, tail); err != nil {
+		if _, err := c.ChaseGet(tail); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -103,7 +103,7 @@ func TestChainChaseStepAccounting(t *testing.T) {
 	v2 := newChainEnv(t, opts, model.SoftwarePRISM)
 	c2 := v2.client()
 	v2.run(t, func(p *sim.Proc) {
-		if _, err := c2.HopGet(p, tail); err != nil {
+		if _, err := c2.HopGet(tail); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -124,7 +124,7 @@ func TestChainChaseResumesPastStepCap(t *testing.T) {
 	v := newChainEnv(t, opts, model.SoftwarePRISM)
 	c := v.client()
 	v.run(t, func(p *sim.Proc) {
-		got, err := c.ChaseGet(p, depth-1)
+		got, err := c.ChaseGet(depth - 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestChainChaseLatencyBeatsHopsAtDepth4(t *testing.T) {
 	var chase sim.Duration
 	v1.run(t, func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := c1.ChaseGet(p, key); err != nil {
+		if _, err := c1.ChaseGet(key); err != nil {
 			t.Fatal(err)
 		}
 		chase = p.Now().Sub(start)
@@ -162,7 +162,7 @@ func TestChainChaseLatencyBeatsHopsAtDepth4(t *testing.T) {
 	var hops sim.Duration
 	v2.run(t, func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := c2.HopGet(p, key); err != nil {
+		if _, err := c2.HopGet(key); err != nil {
 			t.Fatal(err)
 		}
 		hops = p.Now().Sub(start)
@@ -179,7 +179,7 @@ func TestChaseRejectedOnHardwareRDMA(t *testing.T) {
 	v := newChainEnv(t, opts, model.HardwareRDMA)
 	c := v.client()
 	v.run(t, func(p *sim.Proc) {
-		if _, err := c.ChaseGet(p, 0); err == nil {
+		if _, err := c.ChaseGet(0); err == nil {
 			t.Fatal("CHASE succeeded on classic hardware RDMA")
 		}
 	})
@@ -199,11 +199,11 @@ func TestHashGetChaseMatchesGet(t *testing.T) {
 	c := v.client(1)
 	v.run(t, func(p *sim.Proc) {
 		for k := int64(0); k < 24; k++ {
-			got, err := c.GetChase(p, k)
+			got, err := c.GetChase(k)
 			if err != nil {
 				t.Fatalf("GetChase(%d): %v", k, err)
 			}
-			want, err := c.Get(p, k)
+			want, err := c.Get(k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func TestHashGetChaseMatchesGet(t *testing.T) {
 				t.Fatalf("GetChase(%d) = %v, Get = %v", k, got, want)
 			}
 		}
-		if _, err := c.GetChase(p, 999); err != ErrNotFound {
+		if _, err := c.GetChase(999); err != ErrNotFound {
 			t.Fatalf("miss: %v, want ErrNotFound", err)
 		}
 	})
@@ -235,7 +235,7 @@ func TestHashScanCollectsAllEntries(t *testing.T) {
 	v.run(t, func(p *sim.Proc) {
 		got := map[int64][]byte{}
 		for cursor := int64(0); cursor < opts.NSlots; {
-			next, err := c.Scan(p, cursor, 256, func(key int64, value []byte) error {
+			next, err := c.Scan(cursor, 256, func(key int64, value []byte) error {
 				got[key] = append([]byte(nil), value...)
 				return nil
 			})
@@ -389,7 +389,7 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 			for i := range ops {
 				batch := conn.Ops(1)
 				batch[0] = ops[i]
-				res := conn.Issue(p, batch...)
+				res, _ := conn.Issue(batch)
 				out = append(out, copyResult(res[0]))
 			}
 		})

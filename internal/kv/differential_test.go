@@ -76,16 +76,15 @@ func (r *recIssuer) Sleep(d time.Duration) {
 }
 
 // runOverSim provisions a store on a simulated NIC and runs body, inside
-// one simulation process, over the bound rdma.ProcConn.
+// one simulation process, over the connection.
 func runOverSim(provision func(transport.Host), body func(transport.Issuer)) {
 	e := sim.NewEngine(1)
 	net := fabric.New(e, model.Default().WithNetwork(model.Rack))
 	nic := rdma.NewServer(net, "srv", model.SoftwarePRISM)
 	provision(nic)
-	pc := &rdma.ProcConn{Conn: rdma.NewClient(net, "cli").Connect(nic)}
+	conn := rdma.NewClient(net, "cli").Connect(nic)
 	e.Go("diff", func(p *sim.Proc) {
-		pc.Proc = p
-		body(pc)
+		body(conn)
 	})
 	e.Run()
 }
@@ -132,7 +131,7 @@ func diffValue(key int64, ver int) []byte {
 // call's return values: a random Put/Get/Delete mix with overwrites and
 // misses (the free list is provisioned to run dry, forcing RNR backoff),
 // then GetBatch trains, GetChase for every key, and a full SCAN sweep.
-func kvScenario(c *kvCore, logf func(format string, args ...any)) {
+func kvScenario(c *Client, logf func(format string, args ...any)) {
 	const keys = 16 // live objects never exhaust the 20 provisioned buffers
 	rng := rand.New(rand.NewSource(42))
 	ver := 0
@@ -179,7 +178,7 @@ func kvScenario(c *kvCore, logf func(format string, args ...any)) {
 }
 
 // chainScenario looks every key (and one past the end) up three ways.
-func chainScenario(c *chainCore, logf func(format string, args ...any)) {
+func chainScenario(c *ChainClient, logf func(format string, args ...any)) {
 	for k := int64(0); k <= c.meta.Buckets*c.meta.Depth; k++ {
 		v, err := c.ChaseGet(k)
 		logf("chaseget %d = %x %v", k, v, err)
@@ -192,7 +191,7 @@ func chainScenario(c *chainCore, logf func(format string, args ...any)) {
 }
 
 // TestSimLiveDifferential drives one seeded call sequence through the
-// same client code over (a) an rdma.ProcConn on the simulator and (b) a
+// same client code over (a) an rdma.Conn on the simulator and (b) a
 // transport.Conn to a ServeConn'd net.Pipe, each behind a recording
 // issuer, and requires identical per-call return values and
 // byte-identical op and result sequences — for FNV and two-choice
@@ -240,8 +239,8 @@ func TestSimLiveDifferential(t *testing.T) {
 				}
 				meta = srv.Meta()
 			}, func(iss transport.Issuer, log *[]string) {
-				c := newCore(newRecIssuer(iss, log), meta, 1)
-				kvScenario(&c, logTo(log))
+				c := NewClient(newRecIssuer(iss, log), meta, 1)
+				kvScenario(c, logTo(log))
 				for _, ev := range *log {
 					sawRNR = sawRNR || strings.HasPrefix(ev, "sleep")
 				}
@@ -285,7 +284,7 @@ func TestSimLiveDifferential(t *testing.T) {
 				t.Fatal("no key was displaced past the region boundary")
 			}
 		}, func(iss transport.Issuer, log *[]string) {
-			c := newCore(newRecIssuer(iss, log), meta, 1)
+			c := NewClient(newRecIssuer(iss, log), meta, 1)
 			logf := logTo(log)
 			for _, k := range keys {
 				v, err := c.GetChase(k)
@@ -330,8 +329,8 @@ func TestSimLiveDifferential(t *testing.T) {
 			}
 			meta = srv.Meta()
 		}, func(iss transport.Issuer, log *[]string) {
-			c := chainCore{conn: newRecIssuer(iss, log), meta: meta}
-			chainScenario(&c, logTo(log))
+			c := NewChainClient(newRecIssuer(iss, log), meta)
+			chainScenario(c, logTo(log))
 		})
 	})
 

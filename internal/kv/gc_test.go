@@ -61,7 +61,7 @@ func TestScanAndReclaimOnLiveHost(t *testing.T) {
 	// The live client inserts fresh keys — chains that pop buffers and
 	// install them, displacing nothing — until the scan has reported.
 	writer, wconn := dial()
-	c := NewLiveClient(wconn, srv.Meta(), 1)
+	c := NewClient(wconn, srv.Meta(), 1)
 	stop, underway, writes := make(chan struct{}), make(chan struct{}), make(chan int, 1)
 	go func() {
 		n := 0

@@ -54,11 +54,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 	v := newKVEnv(t, smallOpts(), model.SoftwarePRISM)
 	c := v.client(1)
 	v.run(t, func(p *sim.Proc) {
-		if err := c.Put(p, 7, []byte("value-7")); err != nil {
+		if err := c.Put(7, []byte("value-7")); err != nil {
 			t.Error(err)
 			return
 		}
-		got, err := c.Get(p, 7)
+		got, err := c.Get(7)
 		if err != nil {
 			t.Error(err)
 			return
@@ -73,7 +73,7 @@ func TestGetMissing(t *testing.T) {
 	v := newKVEnv(t, smallOpts(), model.SoftwarePRISM)
 	c := v.client(1)
 	v.run(t, func(p *sim.Proc) {
-		if _, err := c.Get(p, 42); err != ErrNotFound {
+		if _, err := c.Get(42); err != ErrNotFound {
 			t.Errorf("missing key: %v", err)
 		}
 	})
@@ -85,11 +85,11 @@ func TestOverwrite(t *testing.T) {
 	v.run(t, func(p *sim.Proc) {
 		for ver := 0; ver < 5; ver++ {
 			val := []byte(fmt.Sprintf("v%d", ver))
-			if err := c.Put(p, 3, val); err != nil {
+			if err := c.Put(3, val); err != nil {
 				t.Error(err)
 				return
 			}
-			got, err := c.Get(p, 3)
+			got, err := c.Get(3)
 			if err != nil || string(got) != string(val) {
 				t.Errorf("after overwrite %d: %q, %v", ver, got, err)
 				return
@@ -102,20 +102,20 @@ func TestDelete(t *testing.T) {
 	v := newKVEnv(t, smallOpts(), model.SoftwarePRISM)
 	c := v.client(1)
 	v.run(t, func(p *sim.Proc) {
-		c.Put(p, 9, []byte("doomed"))
-		if err := c.Delete(p, 9); err != nil {
+		c.Put(9, []byte("doomed"))
+		if err := c.Delete(9); err != nil {
 			t.Error(err)
 			return
 		}
-		if _, err := c.Get(p, 9); err != ErrNotFound {
+		if _, err := c.Get(9); err != ErrNotFound {
 			t.Errorf("after delete: %v", err)
 		}
 		// Re-insert after delete works (slot reuse with a higher tag).
-		if err := c.Put(p, 9, []byte("reborn")); err != nil {
+		if err := c.Put(9, []byte("reborn")); err != nil {
 			t.Error(err)
 			return
 		}
-		got, err := c.Get(p, 9)
+		got, err := c.Get(9)
 		if err != nil || string(got) != "reborn" {
 			t.Errorf("after reinsert: %q, %v", got, err)
 		}
@@ -132,7 +132,7 @@ func TestServerLoadVisibleToClients(t *testing.T) {
 	c := v.client(1)
 	v.run(t, func(p *sim.Proc) {
 		for k := int64(0); k < 10; k++ {
-			got, err := c.Get(p, k)
+			got, err := c.Get(k)
 			if err != nil || string(got) != fmt.Sprintf("loaded-%d", k) {
 				t.Errorf("key %d: %q, %v", k, got, err)
 			}
@@ -151,13 +151,13 @@ func TestFNVProbing(t *testing.T) {
 	keys := []int64{2, 18, 34, 0, 1, 5, 6, 7}
 	v.run(t, func(p *sim.Proc) {
 		for _, k := range keys {
-			if err := c.Put(p, k, []byte(fmt.Sprintf("v%d", k))); err != nil {
+			if err := c.Put(k, []byte(fmt.Sprintf("v%d", k))); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 		for _, k := range keys {
-			got, err := c.Get(p, k)
+			got, err := c.Get(k)
 			if err != nil || string(got) != fmt.Sprintf("v%d", k) {
 				t.Errorf("key %d under probing: %q, %v", k, got, err)
 			}
@@ -174,14 +174,14 @@ func TestConcurrentPutsLastTagWins(t *testing.T) {
 	var done sim.Time
 	v.e.Go("a", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			if err := a.Put(p, 5, []byte(fmt.Sprintf("a-%d", i))); err != nil {
+			if err := a.Put(5, []byte(fmt.Sprintf("a-%d", i))); err != nil {
 				t.Error(err)
 			}
 		}
 	})
 	v.e.Go("b", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			if err := b.Put(p, 5, []byte(fmt.Sprintf("b-%d", i))); err != nil {
+			if err := b.Put(5, []byte(fmt.Sprintf("b-%d", i))); err != nil {
 				t.Error(err)
 			}
 		}
@@ -193,7 +193,7 @@ func TestConcurrentPutsLastTagWins(t *testing.T) {
 	// the store remains readable and self-consistent.
 	c := v.client(3)
 	v.run(t, func(p *sim.Proc) {
-		got, err := c.Get(p, 5)
+		got, err := c.Get(5)
 		if err != nil {
 			t.Error(err)
 			return
@@ -212,7 +212,7 @@ func TestBufferReclamationKeepsPoolBounded(t *testing.T) {
 	c.Reclaim.Batch = 2
 	v.run(t, func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
-			if err := c.Put(p, 1, []byte(fmt.Sprintf("gen-%03d", i))); err != nil {
+			if err := c.Put(1, []byte(fmt.Sprintf("gen-%03d", i))); err != nil {
 				t.Errorf("put %d: %v (buffer leak?)", i, err)
 				return
 			}
@@ -231,7 +231,7 @@ func TestPutsRequireNoServerCPU(t *testing.T) {
 	c := v.client(1)
 	v.run(t, func(p *sim.Proc) {
 		for i := int64(0); i < 16; i++ {
-			if err := c.Put(p, i, []byte("x")); err != nil {
+			if err := c.Put(i, []byte("x")); err != nil {
 				t.Error(err)
 			}
 		}
@@ -272,15 +272,15 @@ func TestPilafPutGet(t *testing.T) {
 	v := newPilafEnv(t, smallOpts(), model.HardwareRDMA)
 	c := v.client()
 	v.e.Go("t", func(p *sim.Proc) {
-		if err := c.Put(p, 11, []byte("pilaf-value")); err != nil {
+		if err := c.Put(11, []byte("pilaf-value")); err != nil {
 			t.Error(err)
 			return
 		}
-		got, err := c.Get(p, 11)
+		got, err := c.Get(11)
 		if err != nil || string(got) != "pilaf-value" {
 			t.Errorf("get: %q, %v", got, err)
 		}
-		if _, err := c.Get(p, 999); err != ErrNotFound {
+		if _, err := c.Get(999); err != ErrNotFound {
 			t.Errorf("missing: %v", err)
 		}
 	})
@@ -296,12 +296,12 @@ func TestPilafOverwriteReusesExtents(t *testing.T) {
 		val := make([]byte, 64)
 		for i := 0; i < 50; i++ {
 			val[0] = byte(i)
-			if err := c.Put(p, 1, val); err != nil {
+			if err := c.Put(1, val); err != nil {
 				t.Errorf("put %d: %v (extent leak?)", i, err)
 				return
 			}
 		}
-		got, err := c.Get(p, 1)
+		got, err := c.Get(1)
 		if err != nil || got[0] != 49 {
 			t.Errorf("final: %v, %v", got[0], err)
 		}
@@ -324,7 +324,7 @@ func TestPilafGetLatencyVsPRISMKV(t *testing.T) {
 	var prismLat sim.Duration
 	v1.run(t, func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := c1.Get(p, 1); err != nil {
+		if _, err := c1.Get(1); err != nil {
 			t.Error(err)
 		}
 		prismLat = p.Now().Sub(start)
@@ -337,7 +337,7 @@ func TestPilafGetLatencyVsPRISMKV(t *testing.T) {
 	var pilafHW sim.Duration
 	v2.e.Go("t", func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := c2.Get(p, 1); err != nil {
+		if _, err := c2.Get(1); err != nil {
 			t.Error(err)
 		}
 		pilafHW = p.Now().Sub(start)
@@ -351,7 +351,7 @@ func TestPilafGetLatencyVsPRISMKV(t *testing.T) {
 	var pilafSW sim.Duration
 	v3.e.Go("t", func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := c3.Get(p, 1); err != nil {
+		if _, err := c3.Get(1); err != nil {
 			t.Error(err)
 		}
 		pilafSW = p.Now().Sub(start)
@@ -421,13 +421,13 @@ func runModelCheckHash(ops []modelOp, h Hash) bool {
 			switch o.kind {
 			case 0: // put
 				v := []byte{o.val, o.val ^ 0xFF}
-				if err := c.Put(pr, o.key, v); err != nil {
+				if err := c.Put(o.key, v); err != nil {
 					okAll = false
 					return
 				}
 				modelMap[o.key] = v
 			case 1: // get
-				got, err := c.Get(pr, o.key)
+				got, err := c.Get(o.key)
 				want, exists := modelMap[o.key]
 				if exists {
 					if err != nil || !bytes.Equal(got, want) {
@@ -439,7 +439,7 @@ func runModelCheckHash(ops []modelOp, h Hash) bool {
 					return
 				}
 			case 2: // delete
-				if err := c.Delete(pr, o.key); err != nil {
+				if err := c.Delete(o.key); err != nil {
 					okAll = false
 					return
 				}
@@ -467,7 +467,7 @@ func TestPilafCRCCatchesTornReads(t *testing.T) {
 	reader := v.client()
 	v.e.Go("writer", func(p *sim.Proc) {
 		for i := 1; i <= 200; i++ {
-			if err := writer.Put(p, 1, val(i)); err != nil {
+			if err := writer.Put(1, val(i)); err != nil {
 				t.Errorf("put %d: %v", i, err)
 				return
 			}
@@ -478,7 +478,7 @@ func TestPilafCRCCatchesTornReads(t *testing.T) {
 			// Vary the phase relative to the writer so the deterministic
 			// schedules sweep across the torn windows.
 			p.Sleep(time.Duration(i%23) * 50 * time.Nanosecond)
-			got, err := reader.Get(p, 1)
+			got, err := reader.Get(1)
 			if err != nil {
 				t.Errorf("get %d: %v", i, err)
 				return

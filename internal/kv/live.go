@@ -11,7 +11,7 @@ import (
 	"prism/internal/wire"
 )
 
-// Live-transport side of PRISM-KV: the kvCore protocol issued over a
+// Live-transport side of PRISM-KV: the Client issued over a
 // transport.Conn (tcp or unix socket) against a prismd server. The
 // control plane — the Meta the simulator hands to clients in-process —
 // travels over the wire as an rpcMeta exchange, so a live client needs
@@ -86,14 +86,12 @@ func FetchMeta(conn *transport.Conn) (Meta, error) {
 	return decodeMeta(b)
 }
 
-// LiveClient is PRISM-KV over a live transport connection: kvCore
-// issuing straight through a *transport.Conn (real blocking issues,
-// wall-clock RNR backoff, transport errors surfaced).
-type LiveClient struct{ kvCore }
+// LiveClient and NewLiveClient are the names the repository's benchmark
+// still uses for a Client over a live connection.
+type LiveClient = Client
 
-// NewLiveClient wraps a live connection to a PRISM-KV server.
-func NewLiveClient(conn *transport.Conn, meta Meta, clientID uint16) *LiveClient {
-	return &LiveClient{newCore(conn, meta, clientID)}
+func NewLiveClient(conn *transport.Conn, meta Meta, clientID uint16) *Client {
+	return NewClient(conn, meta, clientID)
 }
 
 // dialConn connects to a prismd server at addr and opens one connection.
@@ -112,7 +110,7 @@ func dialConn(addr string) (*transport.Client, *transport.Conn, error) {
 
 // DialLive connects to a prismd server at addr, opens one connection,
 // and fetches the store metadata. clientID salts the client's tags.
-func DialLive(addr string, clientID uint16) (*transport.Client, *LiveClient, error) {
+func DialLive(addr string, clientID uint16) (*transport.Client, *Client, error) {
 	tc, conn, err := dialConn(addr)
 	if err != nil {
 		return nil, nil, err
@@ -122,5 +120,5 @@ func DialLive(addr string, clientID uint16) (*transport.Client, *LiveClient, err
 		tc.Close()
 		return nil, nil, err
 	}
-	return tc, NewLiveClient(conn, meta, clientID), nil
+	return tc, NewClient(conn, meta, clientID), nil
 }

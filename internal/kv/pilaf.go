@@ -10,8 +10,6 @@ import (
 	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
-	"prism/internal/rdma"
-	"prism/internal/sim"
 	"prism/internal/transport"
 	"prism/internal/wire"
 )
@@ -400,9 +398,8 @@ func (t *PilafTemplate) Attach(host transport.Host) *PilafServer {
 	return s
 }
 
-// pilafCore is the Pilaf client protocol, written once against a
-// transport.Issuer; PilafClient binds it to a simulation process.
-type pilafCore struct {
+// PilafClient is a Pilaf client, written once against a transport.Issuer.
+type PilafClient struct {
 	conn transport.Issuer
 	meta PilafMeta
 	// crcCost is the modeled client-side CRC validation time per GET.
@@ -416,33 +413,14 @@ type pilafCore struct {
 	payloadBuf []byte
 }
 
-// PilafClient runs the Pilaf protocol over one simulated connection that
-// each call re-binds to the calling process.
-type PilafClient struct {
-	pilafCore
-	pc rdma.ProcConn
+// NewPilafClient builds a client over a connection to a Pilaf server.
+// crcCost models the client-side CRC validation time per GET.
+func NewPilafClient(conn transport.Issuer, meta PilafMeta, crcCost time.Duration) *PilafClient {
+	return &PilafClient{conn: conn, meta: meta, crcCost: crcCost}
 }
-
-// NewPilafClient wraps a connection to a Pilaf server.
-func NewPilafClient(conn *rdma.Conn, meta PilafMeta, crcCost time.Duration) *PilafClient {
-	c := &PilafClient{pc: rdma.ProcConn{Conn: conn}}
-	c.pilafCore = pilafCore{conn: &c.pc, meta: meta, crcCost: crcCost}
-	return c
-}
-
-// on binds the connection to the calling process for one call.
-func (c *PilafClient) on(p *sim.Proc) *pilafCore {
-	c.pc.Proc = p
-	return &c.pilafCore
-}
-
-// Get and Put are the pilafCore operations issued from process p.
-func (c *PilafClient) Get(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).Get(key) }
-
-func (c *PilafClient) Put(p *sim.Proc, key int64, value []byte) error { return c.on(p).Put(key, value) }
 
 // read issues one READ of n bytes at addr and returns them.
-func (c *pilafCore) read(addr memory.Addr, n uint64) ([]byte, error) {
+func (c *PilafClient) read(addr memory.Addr, n uint64) ([]byte, error) {
 	ops := c.conn.Ops(1)
 	ops[0] = prism.Read(c.meta.Key, addr, n)
 	res, err := c.conn.Issue(ops)
@@ -456,7 +434,7 @@ func (c *pilafCore) read(addr memory.Addr, n uint64) ([]byte, error) {
 }
 
 // Get performs Pilaf's two-READ lookup with CRC validation.
-func (c *pilafCore) Get(key int64) ([]byte, error) {
+func (c *PilafClient) Get(key int64) ([]byte, error) {
 	const maxRetries = 1000 // torn-read retries before giving up
 	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
 	for probes, retries := int64(0), 0; probes < c.meta.NSlots; {
@@ -496,7 +474,7 @@ func (c *pilafCore) Get(key int64) ([]byte, error) {
 }
 
 // Put sends the PUT RPC to the server CPU.
-func (c *pilafCore) Put(key int64, value []byte) error {
+func (c *PilafClient) Put(key int64, value []byte) error {
 	c.payloadBuf = append(binary.BigEndian.AppendUint64(append(c.payloadBuf[:0], rpcPilafPut), uint64(key)), value...)
 	ops := c.conn.Ops(1)
 	ops[0] = prism.Send(c.payloadBuf)

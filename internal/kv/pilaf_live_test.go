@@ -11,7 +11,7 @@ import (
 
 // dialPilaf opens one socket to the Pilaf store at addr and returns the
 // protocol client over a connection on it.
-func dialPilaf(t testing.TB, addr string, meta PilafMeta) *pilafCore {
+func dialPilaf(t testing.TB, addr string, meta PilafMeta) *PilafClient {
 	t.Helper()
 	tc, err := transport.Dial(addr)
 	if err != nil {
@@ -22,7 +22,7 @@ func dialPilaf(t testing.TB, addr string, meta PilafMeta) *pilafCore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &pilafCore{conn: conn, meta: meta}
+	return NewPilafClient(conn, meta, 0)
 }
 
 // The race Pilaf's CRCs exist for, on a live server: a PUT's four stores
@@ -48,7 +48,7 @@ func TestPilafCRCCatchesTornReadsLive(t *testing.T) {
 	}
 	addr := serveUnix(t, ts)
 	writer := dialPilaf(t, addr, srv.Meta())
-	clients := make([]*pilafCore, readers)
+	clients := make([]*PilafClient, readers)
 	for i := range clients {
 		clients[i] = dialPilaf(t, addr, srv.Meta())
 	}
@@ -100,8 +100,8 @@ func TestPilafCRCCatchesTornReadsLive(t *testing.T) {
 	t.Logf("%d PUTs beside %d readers: %d CRC retries", rounds*keys, readers, retries)
 }
 
-// liveKV is the protocol surface BenchmarkLiveGetPut drives: kvCore
-// (through LiveClient) and pilafCore both have it.
+// liveKV is the protocol surface BenchmarkLiveGetPut drives: Client
+// and PilafClient both have it.
 type liveKV interface {
 	Get(key int64) ([]byte, error)
 	Put(key int64, value []byte) error
@@ -131,7 +131,7 @@ func BenchmarkLiveGetPut(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			return func(conn *transport.Conn) liveKV { return NewLiveClient(conn, srv.Meta(), 1) }
+			return func(conn *transport.Conn) liveKV { return NewClient(conn, srv.Meta(), 1) }
 		}},
 		{"pilaf", func(b *testing.B, ts *transport.Server) func(*transport.Conn) liveKV {
 			srv, err := NewPilafServer(ts, DefaultOptions(keys, valueSize))
@@ -143,7 +143,7 @@ func BenchmarkLiveGetPut(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			return func(conn *transport.Conn) liveKV { return &pilafCore{conn: conn, meta: srv.Meta()} }
+			return func(conn *transport.Conn) liveKV { return NewPilafClient(conn, srv.Meta(), 0) }
 		}},
 	}
 	for _, store := range stores {

@@ -165,7 +165,7 @@ func TestPilafTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 		f := newPilafFork(tmpl, int64(10+i)) // seeds differ; addresses must not
 		f.run(func(p *sim.Proc) {
 			for k := loaded; k < loaded+40; k++ {
-				if err := f.cli.Put(p, k, make([]byte, 100+k%50)); err != nil {
+				if err := f.cli.Put(k, make([]byte, 100+k%50)); err != nil {
 					t.Errorf("instance %d put %d: %v", i, k, err)
 				}
 			}
@@ -223,15 +223,15 @@ func TestPilafForkIndexIsolation(t *testing.T) {
 	}
 	newValue := func(k int64) []byte { return bytes.Repeat([]byte{byte(k) ^ 0xff}, valueSize) }
 	writer.run(func(p *sim.Proc) {
-		if err := writer.cli.Put(p, 3, newValue(3)); err != nil {
+		if err := writer.cli.Put(3, newValue(3)); err != nil {
 			t.Error(err)
 		}
 		for k := int64(loaded); k < loaded+inserted; k++ {
-			if err := writer.cli.Put(p, k, newValue(k)); err != nil {
+			if err := writer.cli.Put(k, newValue(k)); err != nil {
 				t.Errorf("insert %d: %v", k, err)
 			}
 		}
-		if err := writer.cli.Put(p, far, newValue(far)); err != nil {
+		if err := writer.cli.Put(far, newValue(far)); err != nil {
 			t.Errorf("insert %d: %v", int64(far), err)
 		}
 		for k := int64(0); k < loaded+inserted; k++ {
@@ -239,24 +239,24 @@ func TestPilafForkIndexIsolation(t *testing.T) {
 			if k == 3 || k >= loaded {
 				want = newValue(k)
 			}
-			if got, err := writer.cli.Get(p, k); err != nil || !bytes.Equal(got, want) {
+			if got, err := writer.cli.Get(k); err != nil || !bytes.Equal(got, want) {
 				t.Errorf("writer: key %d reads back wrong (err %v)", k, err)
 			}
 		}
-		if got, err := writer.cli.Get(p, far); err != nil || !bytes.Equal(got, newValue(far)) {
+		if got, err := writer.cli.Get(far); err != nil || !bytes.Equal(got, newValue(far)) {
 			t.Errorf("writer: key %d reads back wrong (err %v)", int64(far), err)
 		}
 	})
 	sibling.run(func(p *sim.Proc) {
-		if got, err := sibling.cli.Get(p, 3); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{3}, valueSize)) {
+		if got, err := sibling.cli.Get(3); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{3}, valueSize)) {
 			t.Errorf("sibling sees the writer's overwrite of key 3 (err %v)", err)
 		}
-		if _, err := sibling.cli.Get(p, loaded); err != ErrNotFound {
+		if _, err := sibling.cli.Get(loaded); err != ErrNotFound {
 			t.Errorf("sibling sees the writer's insert of key %d: %v", loaded, err)
 		}
 		// The sibling's own insert takes the slot the writer's did: the
 		// template's slots look the same from every instance.
-		if err := sibling.cli.Put(p, loaded, newValue(loaded)); err != nil {
+		if err := sibling.cli.Put(loaded, newValue(loaded)); err != nil {
 			t.Error(err)
 		}
 	})
@@ -380,7 +380,7 @@ func TestPilafAlternatingSizesKeepExtent(t *testing.T) {
 			// Small sizes that grow, so an extent shrunk to an earlier
 			// one would never fit a later one.
 			for _, n := range []int{opts.MaxValue, 1 + i%8} {
-				if err := c.Put(p, 1, make([]byte, n)); err != nil {
+				if err := c.Put(1, make([]byte, n)); err != nil {
 					t.Errorf("round %d, %d-byte value: %v", i, n, err)
 					return
 				}

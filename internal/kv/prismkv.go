@@ -8,8 +8,6 @@ import (
 	"prism/internal/alloc"
 	"prism/internal/memory"
 	"prism/internal/prism"
-	"prism/internal/rdma"
-	"prism/internal/sim"
 	"prism/internal/transport"
 	"prism/internal/wire"
 )
@@ -222,16 +220,16 @@ var (
 	slotFullMask = prism.FullMask(slotSize)
 )
 
-// kvCore is the PRISM-KV client protocol — slot probing, tags, the
-// out-of-place update chain, RNR backoff, reclamation batching and the
-// CHASE/SCAN programs (chain.go) — written once against a
-// transport.Issuer. Client and LiveClient are shells that pick the
-// issuer. Single-owner, like the connection under it: issues are
+// Client is a PRISM-KV client — slot probing, tags, the out-of-place
+// update chain, RNR backoff, reclamation batching and the CHASE/SCAN
+// programs (chain.go) — written once against a transport.Issuer: the same
+// type over a simulated connection and a live socket. Each closed-loop
+// client owns one. Single-owner, like the connection under it: issues are
 // strictly sequential, which is what makes the per-client scratch below
 // safe to reuse (the previous response arrived before it is rewritten,
 // and a still-in-flight duplicate of an old simulated request is dropped
 // by its stale epoch).
-type kvCore struct {
+type Client struct {
 	conn     transport.Issuer
 	meta     Meta
 	clientID uint16
@@ -269,59 +267,19 @@ type kvCore struct {
 	batchProbe  []int
 }
 
-func newCore(conn transport.Issuer, meta Meta, clientID uint16) kvCore {
-	return kvCore{conn: conn, meta: meta, clientID: clientID, Reclaim: transport.NewReclaimer(conn, rpcFree, 16)}
+// NewClient builds a client over a connection to a PRISM-KV server. A
+// control connection is set as Reclaim.Ctrl.
+func NewClient(conn transport.Issuer, meta Meta, clientID uint16) *Client {
+	return &Client{conn: conn, meta: meta, clientID: clientID, Reclaim: transport.NewReclaimer(conn, rpcFree, 16)}
 }
-
-// Client is PRISM-KV over a simulated connection: kvCore issuing through
-// an rdma.ProcConn that each call re-binds to the calling process. Each
-// simulated closed-loop client owns one Client value. A control
-// connection is set as Reclaim.Ctrl = &rdma.ProcConn{Conn: ctrl}.
-type Client struct {
-	kvCore
-	pc rdma.ProcConn
-}
-
-// NewClient wraps a simulated connection to a PRISM-KV server.
-func NewClient(conn *rdma.Conn, meta Meta, clientID uint16) *Client {
-	c := &Client{pc: rdma.ProcConn{Conn: conn}}
-	c.kvCore = newCore(&c.pc, meta, clientID)
-	return c
-}
-
-// on binds the connection to the calling process for one call.
-func (c *Client) on(p *sim.Proc) *kvCore {
-	c.pc.Proc = p
-	return &c.kvCore
-}
-
-// Get, Put, Delete, GetBatch, GetChase, Scan and FlushFrees are the
-// kvCore operations issued from process p.
-func (c *Client) Get(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).Get(key) }
-
-func (c *Client) Put(p *sim.Proc, key int64, value []byte) error { return c.on(p).Put(key, value) }
-
-func (c *Client) Delete(p *sim.Proc, key int64) error { return c.on(p).Delete(key) }
-
-func (c *Client) GetBatch(p *sim.Proc, keys []int64, visit func(i int, val []byte, err error)) error {
-	return c.on(p).GetBatch(keys, visit)
-}
-
-func (c *Client) GetChase(p *sim.Proc, key int64) ([]byte, error) { return c.on(p).GetChase(key) }
-
-func (c *Client) Scan(p *sim.Proc, start int64, budget uint64, visit func(key int64, value []byte) error) (int64, error) {
-	return c.on(p).Scan(start, budget, visit)
-}
-
-func (c *Client) FlushFrees(p *sim.Proc) error { return c.on(p).FlushFrees() }
 
 // Meta returns the store description the client was built with.
-func (c *kvCore) Meta() Meta { return c.meta }
+func (c *Client) Meta() Meta { return c.meta }
 
 // nextTag returns a fresh tag greater than any tag this client has seen or
 // produced: (logical clock << 16) | clientID, matching the paper's
 // loosely-synchronized tag scheme.
-func (c *kvCore) nextTag(atLeast uint64) uint64 {
+func (c *Client) nextTag(atLeast uint64) uint64 {
 	clock := c.tagClock + 1
 	if floor := atLeast >> 16; floor >= clock {
 		clock = floor + 1
@@ -333,7 +291,7 @@ func (c *kvCore) nextTag(atLeast uint64) uint64 {
 // Get performs the §6.1 read: one indirect bounded READ per probe (or,
 // for two-choice hashing, one chained round trip reading both candidate
 // slots).
-func (c *kvCore) Get(key int64) ([]byte, error) {
+func (c *Client) Get(key int64) ([]byte, error) {
 	if c.meta.Hash == TwoChoice {
 		return c.getTwoChoice(key)
 	}
@@ -391,7 +349,7 @@ func matchTwoChoice(res []wire.Result, key int64) ([]byte, error) {
 
 // getTwoChoice reads both candidate slots of a two-choice table in one
 // chained round trip.
-func (c *kvCore) getTwoChoice(key int64) ([]byte, error) {
+func (c *Client) getTwoChoice(key int64) ([]byte, error) {
 	ops := c.conn.Ops(2)
 	c.twoChoiceReads(ops, key)
 	res, err := c.conn.Issue(ops)
@@ -403,7 +361,7 @@ func (c *kvCore) getTwoChoice(key int64) ([]byte, error) {
 
 // twoChoiceReads fills ops[0:2] with the bounded READs of key's two
 // candidate slots.
-func (c *kvCore) twoChoiceReads(ops []wire.Op, key int64) {
+func (c *Client) twoChoiceReads(ops []wire.Op, key int64) {
 	s1 := slotIndex(c.meta.Hash, key, c.meta.NSlots)
 	s2 := slotIndex2(key, c.meta.NSlots)
 	ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s1)+8, entrySize(c.meta.MaxValue))
@@ -419,7 +377,7 @@ func (c *kvCore) twoChoiceReads(ops []wire.Op, key int64) {
 // past the home slot fall back to individual Gets and are visited last.
 // val aliases transport-owned storage and is valid only during the visit
 // call — copy to keep.
-func (c *kvCore) GetBatch(keys []int64, visit func(i int, val []byte, err error)) error {
+func (c *Client) GetBatch(keys []int64, visit func(i int, val []byte, err error)) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -476,7 +434,7 @@ func (c *kvCore) GetBatch(keys []int64, visit func(i int, val []byte, err error)
 // writes the new tag/bound to the connection's temp buffer, ALLOCATEs the
 // new object (redirecting its address into the temp buffer), and installs
 // the <tag,ptr,bound> triple with an enhanced CAS. No server CPU runs.
-func (c *kvCore) Put(key int64, value []byte) error {
+func (c *Client) Put(key int64, value []byte) error {
 	if len(value) > c.meta.MaxValue {
 		return ErrTooLarge
 	}
@@ -545,7 +503,7 @@ func (c *kvCore) Put(key int64, value []byte) error {
 
 // Delete removes a key by swinging its slot to the null pointer with a
 // fresh tag (tombstone-free: an empty slot simply has ptr == 0).
-func (c *kvCore) Delete(key int64) error {
+func (c *Client) Delete(key int64) error {
 	idx, curTag, err := c.findSlot(key)
 	if err != nil {
 		return err
@@ -574,7 +532,7 @@ func (c *kvCore) Delete(key int64) error {
 
 // findSlot resolves the slot holding key (or an empty slot to claim) and
 // its current tag, consulting and feeding the slot cache when enabled.
-func (c *kvCore) findSlot(key int64) (int64, uint64, error) {
+func (c *Client) findSlot(key int64) (int64, uint64, error) {
 	if c.SlotCache {
 		if idx, ok := c.cachedSlots[key]; ok {
 			return idx, c.tagClock << 16, nil
@@ -596,7 +554,7 @@ func (c *kvCore) findSlot(key int64) (int64, uint64, error) {
 // two-choice hashing reads both candidates in its single round trip. The
 // slot already holding key wins over an empty candidate of the same
 // round trip.
-func (c *kvCore) probeSlot(key int64) (int64, uint64, error) {
+func (c *Client) probeSlot(key int64) (int64, uint64, error) {
 	cand := [2]int64{slotIndex(c.meta.Hash, key, c.meta.NSlots)}
 	n, rounds := 1, c.meta.NSlots
 	if c.meta.Hash == TwoChoice {
@@ -643,7 +601,7 @@ func (c *kvCore) probeSlot(key int64) (int64, uint64, error) {
 
 // retireOld retires the buffer a successful slot CAS displaced, named by
 // the <ptr,bound> of the returned old slot image (none if ptr is null).
-func (c *kvCore) retireOld(oldSlot []byte) error {
+func (c *Client) retireOld(oldSlot []byte) error {
 	oldPtr := prism.LE64(oldSlot, 8)
 	if oldPtr == 0 {
 		return nil
@@ -657,7 +615,7 @@ func (c *kvCore) retireOld(oldSlot []byte) error {
 
 // retire queues a buffer for reclamation and flushes the batch it fills
 // (§3.2's client-driven scheme).
-func (c *kvCore) retire(freeList uint32, addr memory.Addr) error {
+func (c *Client) retire(freeList uint32, addr memory.Addr) error {
 	var rec [12]byte
 	binary.LittleEndian.PutUint32(rec[:4], freeList)
 	binary.LittleEndian.PutUint64(rec[4:], uint64(addr))
@@ -670,11 +628,11 @@ func (c *kvCore) retire(freeList uint32, addr memory.Addr) error {
 
 // FlushFrees sends the accumulated reclamation batch without waiting for
 // the acknowledgment (asynchronous, per §6.1).
-func (c *kvCore) FlushFrees() error { return c.Reclaim.Flush() }
+func (c *Client) FlushFrees() error { return c.Reclaim.Flush() }
 
 // encodeEntryScratch builds the object buffer image for key=value in the
 // client's reusable scratch.
-func (c *kvCore) encodeEntryScratch(key int64, value []byte) []byte {
+func (c *Client) encodeEntryScratch(key int64, value []byte) []byte {
 	if need := int(entrySize(len(value))); cap(c.entryBuf) < need {
 		c.entryBuf = make([]byte, 0, need) // one exact allocation, not append's growth steps
 	}

@@ -18,6 +18,7 @@ import (
 	"prism/internal/rdma"
 	"prism/internal/sim"
 	"prism/internal/transport"
+	"prism/internal/wire"
 )
 
 // Tests of demand-carved free lists as the stores see them: what a store
@@ -163,7 +164,7 @@ func TestTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 		c := NewClient(rdma.NewClient(net, "cli").Connect(fork), inst.Meta(), 1)
 		e.Go("put", func(p *sim.Proc) {
 			for k := int64(0); k < 40; k++ {
-				if err := c.Put(p, k*3, value[:100+k]); err != nil {
+				if err := c.Put(k*3, value[:100+k]); err != nil {
 					t.Errorf("instance %d put %d: %v", i, k, err)
 				}
 			}
@@ -252,7 +253,7 @@ func TestLiveSocketsPutAcrossSlabBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewLiveClient(conn, srv.Meta(), uint16(w+1))
+		c := NewClient(conn, srv.Meta(), uint16(w+1))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -362,7 +363,7 @@ func TestScanAndReclaimFindsLeakInLaterSlab(t *testing.T) {
 	conn := v.cli.Connect(v.nic)
 	var leaked memory.Addr
 	v.run(t, func(p *sim.Proc) {
-		res := conn.Issue(p, prism.Allocate(class, []byte("orphan")))
+		res, _ := conn.Issue([]wire.Op{prism.Allocate(class, []byte("orphan"))})
 		if !res[0].Status.OK() {
 			t.Errorf("allocate: %v", res[0].Status)
 		}

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"fmt"
+	"time"
 
 	"prism/internal/fabric"
 	"prism/internal/memory"
@@ -41,8 +42,11 @@ func NewClient(net *fabric.Network, name string) *Client {
 // Node returns the client's fabric node.
 func (c *Client) Node() *fabric.Node { return c.node }
 
-// Conn is a reliable connection (queue pair) to one server. Not safe for
-// use by multiple simulation processes at once; give each closed-loop
+// Conn is a reliable connection (queue pair) to one server, and the
+// simulator's transport.Issuer: a blocking call parks the engine's running
+// process (sim.Engine.Running) in virtual time and never fails — the
+// fabric retransmits instead — so every error it returns is nil. Not safe
+// for use by multiple simulation processes at once; give each closed-loop
 // client its own Conn, as real applications give each thread its own QP.
 //
 // The issue/complete machinery — pooled epoch-stamped request records,
@@ -64,8 +68,9 @@ type Conn struct {
 	TempAddr memory.Addr
 	TempKey  memory.RKey
 
-	win *transport.Window[simPending]
-	res []wire.Result // the response handed to the process resumed in Issue
+	win   *transport.Window[simPending]
+	res   []wire.Result // the response handed to the process resumed in Issue
+	batch *Fanout       // IssueBatch's rounds, made on first use
 
 	// Retransmissions counts timer-driven resends (loss recovery).
 	Retransmissions int64
@@ -118,8 +123,50 @@ func (c *Conn) Ops(n int) []wire.Op { return c.win.Ops(n) }
 // frees (flow control, as real RC queue pairs bound outstanding work
 // requests). A caller that wants the results of chains in flight together
 // posts them on a Fanout instead.
-func (c *Conn) IssueAsync(ops []wire.Op) {
+func (c *Conn) IssueAsync(ops []wire.Op) error {
 	c.win.Enqueue(c.prepare(ops))
+	return nil
+}
+
+// IssueBatch is a Fanout round on the one connection: results are copied
+// out as each chain completes, so a train longer than the send window is
+// safe, and stay valid until the next IssueBatch.
+func (c *Conn) IssueBatch(chains [][]wire.Op) ([][]wire.Result, error) {
+	c.client.running() // before anything is posted
+	if c.batch == nil {
+		c.batch = &Fanout{}
+	}
+	for _, ops := range chains {
+		c.batch.Post(c, ops)
+	}
+	return c.batch.Wait(), nil
+}
+
+// Temp returns the connection's temp buffer location.
+func (c *Conn) Temp() (memory.Addr, memory.RKey) { return c.TempAddr, c.TempKey }
+
+// Sleep parks the running process for d of virtual time.
+func (c *Conn) Sleep(d time.Duration) { c.client.running().Sleep(d) }
+
+// NewFanout returns a fan-out over group, whose issuers are connections of
+// this one's client machine: the simulated binding transport.NewFanout
+// asks for.
+func (c *Conn) NewFanout(group []transport.Issuer) *transport.Fanout {
+	f := &Fanout{}
+	for _, is := range group {
+		f.join(is.(*Conn))
+	}
+	return &f.Fanout
+}
+
+// running returns the process to park, which must exist: only a process
+// can block.
+func (c *Client) running() *sim.Proc {
+	p := c.e.Running()
+	if p == nil {
+		panic("rdma: a blocking call outside a simulation process (issue from a body started with Engine.Go)")
+	}
+	return p
 }
 
 // prepare claims a request record for ops.
@@ -160,17 +207,18 @@ func (c *Conn) armRetransmit(e *transport.Entry[simPending]) {
 	})
 }
 
-// Issue transmits ops and parks p on the connection until the response
-// arrives; the event that delivers it resumes p. The results are valid
-// until the next issue on this connection.
-func (c *Conn) Issue(p *sim.Proc, ops ...wire.Op) []wire.Result {
+// Issue transmits ops and parks the running process on the connection
+// until the response arrives; the event that delivers it resumes the
+// process. The results are valid until the next issue on this connection.
+func (c *Conn) Issue(ops []wire.Op) ([]wire.Result, error) {
+	p := c.client.running()
 	e := c.prepare(ops)
 	e.X.proc = p
 	c.win.Enqueue(e)
 	p.Park()
 	res := c.res
 	c.res = nil
-	return res
+	return res, nil
 }
 
 // onMessage completes pending requests as responses arrive.

@@ -83,11 +83,11 @@ func TestFanoutResultsInPostingOrder(t *testing.T) {
 	v := newFanEnv(t)
 	var f Fanout
 	v.run(t, func(p *sim.Proc) {
-		if got := f.Wait(p); len(got) != 0 {
+		if got := f.Wait(); len(got) != 0 {
 			t.Errorf("a round with nothing posted returned %d results", len(got))
 		}
 		start := p.Now()
-		if f.Wait(p); p.Now() != start {
+		if f.Wait(); p.Now() != start {
 			t.Error("waiting for nothing took virtual time")
 		}
 
@@ -97,7 +97,7 @@ func TestFanoutResultsInPostingOrder(t *testing.T) {
 		}
 		v.postSlow(&f)
 		v.postCells(&f, train...)
-		res := f.Wait(p)
+		res := f.Wait()
 		if len(res) != 1+len(train) {
 			t.Fatalf("%d results for %d chains", len(res), 1+len(train))
 		}
@@ -114,7 +114,7 @@ func TestFanoutResultsInPostingOrder(t *testing.T) {
 		// the connection, which recycles every replay slot again, does not
 		// reach them.
 		for i := uint64(0); i < 2*replayDepth; i++ {
-			v.conn.Issue(p, prism.Read(v.reg.Key, v.reg.Base+memory.Addr(8*(fanCells-1)), 8))
+			v.conn.Issue([]wire.Op{prism.Read(v.reg.Key, v.reg.Base+memory.Addr(8*(fanCells-1)), 8)})
 		}
 		for i, want := range train {
 			if got := cell(t, res[1+i]); got != want {
@@ -130,7 +130,7 @@ func TestFanoutResultsInPostingOrder(t *testing.T) {
 		cells := []uint64{3, 2, 1}
 		round := func() {
 			v.postCells(&f, cells...)
-			if r := f.Wait(p); cell(t, r[0]) != 3 || cell(t, r[2]) != 1 {
+			if r := f.Wait(); cell(t, r[0]) != 3 || cell(t, r[2]) != 1 {
 				t.Error("second round out of order")
 			}
 		}
@@ -141,7 +141,7 @@ func TestFanoutResultsInPostingOrder(t *testing.T) {
 				if n < len(cells)-1 {
 					v.conn.IssueAsync(ops)
 				} else {
-					v.conn.Issue(p, ops...)
+					v.conn.Issue(ops)
 				}
 			}
 		}
@@ -183,7 +183,7 @@ func TestFanoutResumesInLastCompletion(t *testing.T) {
 	v.run(t, func(p *sim.Proc) {
 		v.postSlow(&f)
 		v.postCells(&f, 1, 2, 3)
-		f.Wait(p)
+		f.Wait()
 		at = p.Now()
 		c.log = append(c.log, "resumed")
 	})
@@ -209,7 +209,7 @@ func TestFanoutWaitFirst(t *testing.T) {
 	v.run(t, func(p *sim.Proc) {
 		v.postSlow(&f)
 		v.postCells(&f, 7, 8, 9)
-		got := f.WaitFirst(p, 2)
+		got := f.WaitFirst(2)
 		c.log = append(c.log, "resumed")
 		if len(got) != 2 || got[0].Slot != 1 || got[1].Slot != 2 {
 			t.Fatalf("WaitFirst(2) returned %+v, want slots 1 and 2", got)
@@ -228,13 +228,13 @@ func TestFanoutWaitFirst(t *testing.T) {
 		v.postSlow(&f)
 		v.postCells(&f, 4, 5)
 		var slots []int
-		for _, r := range f.WaitFirst(p, 3) {
+		for _, r := range f.WaitFirst(3) {
 			slots = append(slots, r.Slot)
 		}
 		if fmt.Sprint(slots) != "[1 2 0]" {
 			t.Errorf("WaitFirst(3) slots %v, want completion order [1 2 0]", slots)
 		}
-		if got := f.WaitFirst(p, 0); len(got) != 0 {
+		if got := f.WaitFirst(0); len(got) != 0 {
 			t.Errorf("WaitFirst(0) returned %d chains", len(got))
 		}
 
@@ -242,7 +242,7 @@ func TestFanoutWaitFirst(t *testing.T) {
 		v.postCells(&f, 1, 2, 3)
 		p.Sleep(sim.Duration(1e6))
 		start := p.Now()
-		if got := f.WaitFirst(p, 2); len(got) != 2 || got[0].Slot != 0 || got[1].Slot != 1 || p.Now() != start {
+		if got := f.WaitFirst(2); len(got) != 2 || got[0].Slot != 0 || got[1].Slot != 1 || p.Now() != start {
 			t.Errorf("an already complete quorum returned %+v after %v", got, p.Now().Sub(start))
 		}
 	})
@@ -269,7 +269,7 @@ func TestFanoutStragglerNeverInLaterRound(t *testing.T) {
 	v.run(t, func(p *sim.Proc) {
 		v.postSlow(&f) // slot 0: reads 0xfeed, still in flight after the quorum
 		v.postCells(&f, 1)
-		if got := f.WaitFirst(p, 1); got[0].Slot != 1 {
+		if got := f.WaitFirst(1); got[0].Slot != 1 {
 			t.Fatalf("first round's quorum is slot %d", got[0].Slot)
 		}
 
@@ -280,7 +280,7 @@ func TestFanoutStragglerNeverInLaterRound(t *testing.T) {
 		ops[0] = prism.Read(reg.Key, reg.Base+8, 8)
 		f.Post(v.slowConn, ops)
 		v.postCells(&f, 5)
-		res := f.Wait(p)
+		res := f.Wait()
 		open = false
 		if fmt.Sprint(during) != "[1 0 0]" && fmt.Sprint(during) != "[0 1 0]" {
 			t.Fatalf("completions while the second round was open: %v, want the straggler among them", during)
@@ -314,7 +314,7 @@ func TestFanoutServerNeverAnswers(t *testing.T) {
 			ops := deadConn.Ops(1)
 			ops[0] = prism.Read(0, 0, 8)
 			f.Post(deadConn, ops)
-			got := f.WaitFirst(p, 2)
+			got := f.WaitFirst(2)
 			if got[0].Slot != 0 || got[1].Slot != 1 {
 				t.Fatalf("round %d: quorum slots %d, %d", r, got[0].Slot, got[1].Slot)
 			}

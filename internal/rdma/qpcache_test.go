@@ -71,7 +71,7 @@ func qpWorkload(t *testing.T, nConns, nRounds int, mut func(*model.Params)) (tim
 		start := p.Now()
 		for r := 0; r < nRounds; r++ {
 			for _, conn := range conns {
-				res := conn.Issue(p, prism.Read(reg.Key, reg.Base, 8))
+				res, _ := conn.Issue([]wire.Op{prism.Read(reg.Key, reg.Base, 8)})
 				if res[0].Status != wire.StatusOK {
 					t.Errorf("read status %v", res[0].Status)
 					return
@@ -162,7 +162,7 @@ func TestQPCacheFetchSerializes(t *testing.T) {
 			conn := cli.Connect(srv)
 			e.Go("client", func(p *sim.Proc) {
 				start := p.Now()
-				conn.Issue(p, prism.Read(reg.Key, reg.Base, 8))
+				conn.Issue([]wire.Op{prism.Read(reg.Key, reg.Base, 8)})
 				if d := p.Now().Sub(start); d > worst {
 					worst = d
 				}

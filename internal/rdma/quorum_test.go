@@ -13,6 +13,7 @@ import (
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/wire"
 )
 
@@ -59,7 +60,7 @@ func TestWriteStragglerRetiresDisplacedBuffer(t *testing.T) {
 		}
 		conns[i], metas[i] = cli.Connect(nics[i]), r.Meta()
 	}
-	c := abd.NewClient(1, conns, metas)
+	c := abd.NewClient(1, transport.Issuers(conns), metas)
 	reports := make([]*retired, len(conns))
 	for i := range c.Reclaim {
 		reports[i] = &retired{}
@@ -70,7 +71,7 @@ func TestWriteStragglerRetiresDisplacedBuffer(t *testing.T) {
 	stragglers := 0
 	e.Go("writer", func(p *sim.Proc) {
 		for n := 0; n < puts; n++ {
-			tag, err := c.PutT(p, 0, bytes.Repeat([]byte{byte(n)}, 64))
+			tag, err := c.PutT(0, bytes.Repeat([]byte{byte(n)}, 64))
 			if err != nil {
 				t.Error(err)
 				return

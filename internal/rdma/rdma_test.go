@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -57,13 +58,13 @@ func TestHardwareReadWriteRoundTrip(t *testing.T) {
 	var rtt sim.Duration
 	v.run(t, func(p *sim.Proc) {
 		w := prism.Write(v.reg.Key, v.reg.Base, []byte("abc"))
-		res := v.conn.Issue(p, w)
+		res, _ := v.conn.Issue([]wire.Op{w})
 		if res[0].Status != wire.StatusOK {
 			t.Errorf("write status %v", res[0].Status)
 		}
 		start := p.Now()
 		r := prism.Read(v.reg.Key, v.reg.Base, 3)
-		res = v.conn.Issue(p, r)
+		res, _ = v.conn.Issue([]wire.Op{r})
 		rtt = p.Now().Sub(start)
 		if string(res[0].Data) != "abc" {
 			t.Errorf("read %q", res[0].Data)
@@ -80,14 +81,14 @@ func TestHardwareRejectsPRISMOps(t *testing.T) {
 	v := newEnv(t, model.HardwareRDMA, nil)
 	v.run(t, func(p *sim.Proc) {
 		r := prism.ReadIndirect(v.reg.Key, v.reg.Base, 8)
-		res := v.conn.Issue(p, r)
+		res, _ := v.conn.Issue([]wire.Op{r})
 		if res[0].Status != wire.StatusUnsupported {
 			t.Errorf("indirect read on stock NIC: %v", res[0].Status)
 		}
 		// Chains are also rejected.
-		res = v.conn.Issue(p,
+		res, _ = v.conn.Issue([]wire.Op{
 			prism.Read(v.reg.Key, v.reg.Base, 8),
-			prism.Read(v.reg.Key, v.reg.Base, 8))
+			prism.Read(v.reg.Key, v.reg.Base, 8)})
 		for _, r := range res {
 			if r.Status != wire.StatusUnsupported {
 				t.Errorf("chain on stock NIC: %v", r.Status)
@@ -105,9 +106,9 @@ func TestSoftwarePRISMIndirectReadLatency(t *testing.T) {
 			return
 		}
 		w := prism.Write(v.reg.Key, v.reg.Base+256, make([]byte, 512))
-		v.conn.Issue(p, w)
+		v.conn.Issue([]wire.Op{w})
 		start := p.Now()
-		res := v.conn.Issue(p, prism.ReadIndirect(v.reg.Key, v.reg.Base, 512))
+		res, _ := v.conn.Issue([]wire.Op{prism.ReadIndirect(v.reg.Key, v.reg.Base, 512)})
 		rtt = p.Now().Sub(start)
 		if res[0].Status != wire.StatusOK || len(res[0].Data) != 512 {
 			t.Errorf("indirect read: %v len %d", res[0].Status, len(res[0].Data))
@@ -127,15 +128,15 @@ func TestChainConditionalSkipsAfterFailure(t *testing.T) {
 		// Seed target with tag 10 (big-endian).
 		seed := make([]byte, 8)
 		prism.PutBE64(seed, 0, 10)
-		v.conn.Issue(p, prism.Write(v.reg.Key, v.reg.Base, seed))
+		v.conn.Issue([]wire.Op{prism.Write(v.reg.Key, v.reg.Base, seed)})
 		// CAS GT with a smaller tag fails; the conditional write after it
 		// must be skipped.
 		stale := make([]byte, 8)
 		prism.PutBE64(stale, 0, 5)
-		res := v.conn.Issue(p,
+		res, _ := v.conn.Issue([]wire.Op{
 			prism.CAS(v.reg.Key, v.reg.Base, wire.CASGt, stale, nil, nil),
 			prism.Conditional(prism.Write(v.reg.Key, v.reg.Base+64, []byte("should not land"))),
-		)
+		})
 		if res[0].Status != wire.StatusCASFailed {
 			t.Errorf("CAS status %v", res[0].Status)
 		}
@@ -165,16 +166,16 @@ func TestChainAllocateRedirectCAS(t *testing.T) {
 		seed := make([]byte, 16)
 		prism.PutBE64(seed, 0, 1)
 		prism.PutBE64(seed, 8, 0) // no value yet
-		v.conn.Issue(p, prism.Write(v.reg.Key, meta, seed))
+		v.conn.Issue([]wire.Op{prism.Write(v.reg.Key, meta, seed)})
 
 		tag := make([]byte, 8)
 		prism.PutBE64(tag, 0, 2)
 		tmp := v.conn.TempAddr
-		res := v.conn.Issue(p,
+		res, _ := v.conn.Issue([]wire.Op{
 			prism.Write(v.conn.TempKey, tmp, tag),
 			prism.Conditional(prism.RedirectTo(prism.Allocate(1, []byte("new value")), v.conn.TempKey, tmp+8)),
 			prism.Conditional(prism.CASIndirectData(v.reg.Key, meta, wire.CASGt, tmp, prism.FieldMask(16, 0, 8), prism.FullMask(16))),
-		)
+		})
 		for i, r := range res {
 			if r.Status != wire.StatusOK {
 				t.Fatalf("op %d status %v", i, r.Status)
@@ -204,7 +205,7 @@ func TestRPCDispatch(t *testing.T) {
 	var rtt sim.Duration
 	v.run(t, func(p *sim.Proc) {
 		start := p.Now()
-		res := v.conn.Issue(p, prism.Send([]byte("ping")))
+		res, _ := v.conn.Issue([]wire.Op{prism.Send([]byte("ping"))})
 		rtt = p.Now().Sub(start)
 		if string(res[0].Data) != "echo:ping" {
 			t.Errorf("rpc reply %q", res[0].Data)
@@ -228,7 +229,7 @@ func TestDeploymentLatencyOrdering(t *testing.T) {
 		v.run(t, func(p *sim.Proc) {
 			v.srv.Space().WriteU64(v.reg.Key, v.reg.Base, uint64(v.reg.Base+256))
 			start := p.Now()
-			v.conn.Issue(p, prism.ReadIndirect(v.reg.Key, v.reg.Base, 512))
+			v.conn.Issue([]wire.Op{prism.ReadIndirect(v.reg.Key, v.reg.Base, 512)})
 			rtt = p.Now().Sub(start)
 		})
 		return rtt
@@ -249,7 +250,7 @@ func TestLossRecoveryThroughRetransmission(t *testing.T) {
 	const n = 200
 	v.run(t, func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			res := v.conn.Issue(p, prism.Write(v.reg.Key, v.reg.Base+memory.Addr(8*(i%100)), []byte("datadata")))
+			res, _ := v.conn.Issue([]wire.Op{prism.Write(v.reg.Key, v.reg.Base+memory.Addr(8*(i%100)), []byte("datadata"))})
 			if res[0].Status != wire.StatusOK {
 				t.Errorf("write %d: %v", i, res[0].Status)
 			}
@@ -275,7 +276,7 @@ func TestDuplicateExecutionSuppressed(t *testing.T) {
 		one[0] = 1
 		for i := 0; i < n; i++ {
 			op := wire.Op{Code: wire.OpFetchAdd, RKey: v.reg.Key, Target: v.reg.Base, Data: one}
-			res := v.conn.Issue(p, op)
+			res, _ := v.conn.Issue([]wire.Op{op})
 			if res[0].Status != wire.StatusOK {
 				t.Errorf("fetch-add %d: %v", i, res[0].Status)
 			}
@@ -296,7 +297,7 @@ func TestRecycleBufferWaitsForQuiesce(t *testing.T) {
 	fl.Post(v.reg.Base + 4096)
 	v.srv.AddFreeList(fl)
 	v.run(t, func(p *sim.Proc) {
-		res := v.conn.Issue(p, prism.Allocate(1, []byte("x")))
+		res, _ := v.conn.Issue([]wire.Op{prism.Allocate(1, []byte("x"))})
 		if res[0].Status != wire.StatusOK {
 			t.Errorf("allocate: %v", res[0].Status)
 			return
@@ -344,7 +345,7 @@ func TestThroughputBoundedByLineRate(t *testing.T) {
 				if pr.Now() > sim.Time(2*time.Millisecond) {
 					return
 				}
-				conn.Issue(pr, prism.Read(reg.Key, reg.Base, 512))
+				conn.Issue([]wire.Op{prism.Read(reg.Key, reg.Base, 512)})
 				completed++
 			}
 		})
@@ -369,13 +370,13 @@ func TestTracerRecordsChainExecution(t *testing.T) {
 		// CAS_FAILED then NOT_EXECUTED.
 		seed := make([]byte, 8)
 		prism.PutBE64(seed, 0, 10)
-		v.conn.Issue(p, prism.Write(v.reg.Key, v.reg.Base, seed))
+		v.conn.Issue([]wire.Op{prism.Write(v.reg.Key, v.reg.Base, seed)})
 		stale := make([]byte, 8)
 		prism.PutBE64(stale, 0, 5)
-		v.conn.Issue(p,
+		v.conn.Issue([]wire.Op{
 			prism.CAS(v.reg.Key, v.reg.Base, wire.CASGt, stale, nil, nil),
 			prism.Conditional(prism.Write(v.reg.Key, v.reg.Base+64, []byte("nope"))),
-		)
+		})
 	})
 	evs := ring.Events()
 	if len(evs) != 3 {
@@ -432,7 +433,7 @@ func TestRecvCreditsRNR(t *testing.T) {
 		for _, c := range conns {
 			f.Post(c, []wire.Op{prism.Send([]byte{1})})
 		}
-		for _, res := range f.Wait(p) {
+		for _, res := range f.Wait() {
 			switch res[0].Status {
 			case wire.StatusOK:
 				ok++
@@ -447,7 +448,7 @@ func TestRecvCreditsRNR(t *testing.T) {
 	}
 	// Credits replenish: a later RPC succeeds.
 	v.e.Go("later", func(p *sim.Proc) {
-		res := conns[0].Issue(p, prism.Send([]byte{2}))
+		res, _ := conns[0].Issue([]wire.Op{prism.Send([]byte{2})})
 		if res[0].Status != wire.StatusOK {
 			t.Errorf("post-drain RPC: %v", res[0].Status)
 		}
@@ -467,9 +468,9 @@ func TestOnNICTempCapacity(t *testing.T) {
 		var rtt sim.Duration
 		v.e.Go("m", func(p *sim.Proc) {
 			// Warm, then measure a redirected ALLOCATE.
-			conn.Issue(p, prism.RedirectTo(prism.Allocate(1, []byte("x")), conn.TempKey, conn.TempAddr))
+			conn.Issue([]wire.Op{prism.RedirectTo(prism.Allocate(1, []byte("x")), conn.TempKey, conn.TempAddr)})
 			start := p.Now()
-			conn.Issue(p, prism.RedirectTo(prism.Allocate(1, []byte("x")), conn.TempKey, conn.TempAddr))
+			conn.Issue([]wire.Op{prism.RedirectTo(prism.Allocate(1, []byte("x")), conn.TempKey, conn.TempAddr)})
 			rtt = p.Now().Sub(start)
 		})
 		v.e.Run()
@@ -509,12 +510,12 @@ func TestChainsInterleaveAcrossConnections(t *testing.T) {
 	}
 	v.e.Go("a", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			v.conn.Issue(p, mkChain(v.conn, v.reg.Base)...)
+			v.conn.Issue(mkChain(v.conn, v.reg.Base))
 		}
 	})
 	v.e.Go("b", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			c2.Issue(p, mkChain(c2, v.reg.Base+64)...)
+			c2.Issue(mkChain(c2, v.reg.Base+64))
 		}
 	})
 	v.e.Run()
@@ -545,7 +546,7 @@ func TestSameConnectionRequestsSerialize(t *testing.T) {
 				prism.Write(v.reg.Key, v.reg.Base+8, []byte("yyyyyyyy")),
 			})
 		}
-		f.Wait(p)
+		f.Wait()
 	})
 	v.e.Run()
 	evs := ring.Events()
@@ -585,11 +586,11 @@ func TestArenaRecycleUnderRetransmission(t *testing.T) {
 				buf[b] = byte(i + b)
 			}
 			addr := v.reg.Base + memory.Addr(8*(i%64))
-			res := v.conn.Issue(p, prism.Write(v.reg.Key, addr, buf))
+			res, _ := v.conn.Issue([]wire.Op{prism.Write(v.reg.Key, addr, buf)})
 			if res[0].Status != wire.StatusOK {
 				t.Errorf("write %d: %v", i, res[0].Status)
 			}
-			res = v.conn.Issue(p, prism.Read(v.reg.Key, addr, 8))
+			res, _ = v.conn.Issue([]wire.Op{prism.Read(v.reg.Key, addr, 8)})
 			if res[0].Status != wire.StatusOK {
 				t.Errorf("read %d: %v", i, res[0].Status)
 				continue
@@ -657,4 +658,32 @@ func TestStageWritesLandAtGaps(t *testing.T) {
 			t.Errorf("%d events still scheduled after the last write landed", n)
 		}
 	})
+}
+
+// TestIssueOutsideProcessPanics: a blocking call parks the engine's running
+// process, so one made from a plain event, where none runs, panics with a
+// message that says so instead of parking nothing. Fire-and-forget needs
+// no process.
+func TestIssueOutsideProcessPanics(t *testing.T) {
+	v := newEnv(t, model.SoftwarePRISM, nil)
+	read := func() []wire.Op { return []wire.Op{prism.Read(v.reg.Key, v.reg.Base, 8)} }
+	for name, call := range map[string]func(){
+		"Issue":      func() { v.conn.Issue(read()) },
+		"IssueBatch": func() { v.conn.IssueBatch([][]wire.Op{read()}) },
+		"Sleep":      func() { v.conn.Sleep(time.Microsecond) },
+	} {
+		var got any
+		v.e.Schedule(0, func() {
+			defer func() { got = recover() }()
+			call()
+		})
+		v.e.Run()
+		if msg, _ := got.(string); !strings.Contains(msg, "outside a simulation process") {
+			t.Errorf("%s from a plain event: recovered %v, want the outside-a-process panic", name, got)
+		}
+	}
+	if err := v.conn.IssueAsync(read()); err != nil {
+		t.Errorf("IssueAsync outside a process: %v", err)
+	}
+	v.e.Run()
 }

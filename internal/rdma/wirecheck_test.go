@@ -13,12 +13,12 @@ import (
 	"prism/internal/wire"
 )
 
-// codecIssuer issues on a ProcConn and puts every op chain it sends and
+// codecIssuer issues on a Conn and puts every op chain it sends and
 // every result set it gets back through the codec: the encoding is as
 // long as RequestWireSize/ResponseWireSize says — what the fabric charges
 // for the message — and decodes back to the same fields.
 type codecIssuer struct {
-	*ProcConn
+	*Conn
 	t       *testing.T
 	checked int // chains round-tripped with their results
 }
@@ -43,7 +43,7 @@ func (ci *codecIssuer) Issue(ops ...wire.Op) []wire.Result {
 		}
 	}
 
-	res, _ := ci.ProcConn.Issue(ops)
+	res, _ := ci.Conn.Issue(ops)
 	resp := &wire.Response{Conn: req.Conn, Seq: req.Seq, Results: res}
 	b = wire.EncodeResponse(resp)
 	if len(b) != wire.ResponseWireSize(resp) {
@@ -93,7 +93,7 @@ func TestWireCheckLiveTraffic(t *testing.T) {
 	})
 
 	v.run(t, func(p *sim.Proc) {
-		c := &codecIssuer{ProcConn: &ProcConn{Conn: v.conn, Proc: p}, t: t}
+		c := &codecIssuer{Conn: v.conn, t: t}
 		// Plain write/read round trip (response carries payload).
 		c.Issue(prism.Write(v.reg.Key, v.reg.Base+256, []byte("wire-checked bytes")))
 		res := c.Issue(prism.Read(v.reg.Key, v.reg.Base+256, 18))

@@ -168,7 +168,10 @@ type Engine struct {
 
 	procs   int // live processes
 	stopped bool
-	running bool
+	running bool // inside Run: the re-entrancy guard
+	// current is the process whose body is executing, nil in a plain
+	// event; Resume sets it around the switch (see Running).
+	current *Proc
 
 	// statsHooks let higher layers (the rdma NIC model) contribute
 	// counters to Stats() snapshots without sim importing them.
@@ -476,16 +479,26 @@ func (e *Engine) Go(name string, fn func(p *Proc)) {
 	e.Schedule(0, p.Resume)
 }
 
+// Running returns the process whose body is executing, or nil inside a
+// plain event and between runs. The engine runs one process at a time, so
+// code a process calls into — a connection's Issue, a fan-out's wait —
+// learns whom to park from here rather than from an argument.
+func (e *Engine) Running() *Proc { return e.current }
+
 // Resume transfers control to the parked process until it parks again or
 // exits. It is the one way to answer a Park: whatever the process parked
 // on — a response, a fan-out round, a peer process — keeps the *Proc and
 // calls Resume from the event that answers it, so the process runs inside
-// that event.
+// that event. Running is p for the switch and the previous value again
+// after it: a process may resume another from its own body.
 func (p *Proc) Resume() {
 	if p.dead {
 		panic(fmt.Sprintf("sim: resuming dead proc %q", p.name))
 	}
+	prev := p.e.current
+	p.e.current = p
 	p.next()
+	p.e.current = prev
 }
 
 // Park returns control to whoever resumed the process, until something

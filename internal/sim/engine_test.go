@@ -660,3 +660,42 @@ func TestLiveProcsCountsAbandonedWhileParked(t *testing.T) {
 		t.Fatalf("LiveProcs = %d after the parked process was resumed, want 0", n)
 	}
 }
+
+// Running is nil in a plain event, the body's process inside Go, restored
+// when process A resumes process B from A's body and B parks, and nil
+// again after Run returns.
+func TestEngineRunning(t *testing.T) {
+	e := NewEngine(1)
+	var a, b *Proc
+	var inEvent, inB, inBResumed, inAAfter *Proc
+	e.Schedule(0, func() { inEvent = e.Running() })
+	e.Go("b", func(p *Proc) {
+		b = p
+		inB = e.Running()
+		p.Park()
+		inBResumed = e.Running()
+		p.Park() // back to a, which resumed it
+	})
+	e.Go("a", func(p *Proc) {
+		a = p
+		b.Resume()
+		inAAfter = e.Running()
+	})
+	e.Run()
+	b.Resume() // let b finish, from outside any event
+	if inEvent != nil {
+		t.Errorf("Running in a plain event = %q, want nil", inEvent.Name())
+	}
+	if inB != b || inBResumed != b {
+		t.Errorf("Running inside b's body is not b")
+	}
+	if inAAfter != a {
+		t.Errorf("Running in a after b parked is not a")
+	}
+	if r := e.Running(); r != nil {
+		t.Errorf("Running after Run = %q, want nil", r.Name())
+	}
+	if e.LiveProcs() != 0 {
+		t.Errorf("%d processes left", e.LiveProcs())
+	}
+}

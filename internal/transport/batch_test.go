@@ -72,7 +72,7 @@ func runBatchWorkload(t *testing.T, c *transport.Client) []byte {
 	if err != nil {
 		t.Fatalf("FetchMeta: %v", err)
 	}
-	kvc := kv.NewLiveClient(cn, meta, 1)
+	kvc := kv.NewClient(cn, meta, 1)
 
 	var log []byte
 	for k := int64(0); k < 40; k++ { // hits 0..31, misses 32..39

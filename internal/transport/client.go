@@ -306,7 +306,7 @@ func (cn *Conn) IssueBatch(chains [][]wire.Op) ([][]wire.Result, error) {
 		}
 	}
 	if cn.fan == nil {
-		cn.fan = NewFanout(cn)
+		cn.fan = cn.NewFanout([]Issuer{cn})
 	}
 	for _, ops := range chains {
 		cn.fan.Post(0, ops)

@@ -66,6 +66,15 @@ func SetCloseDrainGrace(d time.Duration) time.Duration {
 	return old
 }
 
+// SetFrameReadTimeout sets how long a server socket holding read budget
+// may take to receive the rest of its frame, and returns the previous
+// value.
+func SetFrameReadTimeout(d time.Duration) time.Duration {
+	old := frameReadTimeout
+	frameReadTimeout = d
+	return old
+}
+
 // tempRegionFill is how many AllocConnTemp calls exactly fill the first n
 // regions of the carving schedule, so call tempRegionFill(n)+1 is the one
 // that registers region n+1.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -166,13 +167,30 @@ func (f *Fanout) WaitFirst(k int) []Reply {
 	return f.replies
 }
 
-// NewFanout returns a fan-out over live connections: Post(i, ops) posts on
-// conns[i], staging without a doorbell; a wait rings each connection
-// posted to once. Demux goroutines hand completions to an inbox the owner
-// drains, so OnDone and the copy run on the owner's goroutine: inside the
-// wait for chains that complete before it is satisfied, at the owner's
-// next Post or wait for the rest.
-func NewFanout(conns ...*Conn) *Fanout {
+// NewFanout returns a fan-out over group: Post(i, ops) posts on group[i].
+// The binding comes from the issuers themselves, through the optional
+// method NewFanout(group) *Fanout that both transports' connections have
+// (*Conn here, *rdma.Conn on the simulator), so a protocol never names its
+// transport. Every issuer of a group is of one kind.
+func NewFanout(group []Issuer) *Fanout {
+	src, ok := group[0].(interface{ NewFanout([]Issuer) *Fanout })
+	if !ok {
+		panic(fmt.Sprintf("transport: %T cannot carry a fan-out", group[0]))
+	}
+	return src.NewFanout(group)
+}
+
+// NewFanout returns a fan-out over live connections, group's issuers all
+// being *Conn: Post(i, ops) posts on group[i], staging without a doorbell;
+// a wait rings each connection posted to once. Demux goroutines hand
+// completions to an inbox the owner drains, so OnDone and the copy run on
+// the owner's goroutine: inside the wait for chains that complete before
+// it is satisfied, at the owner's next Post or wait for the rest.
+func (cn *Conn) NewFanout(group []Issuer) *Fanout {
+	conns := make([]*Conn, len(group))
+	for i, is := range group {
+		conns[i] = is.(*Conn)
+	}
 	b := &liveFan{conns: conns, ring: make([]bool, len(conns)), wake: make(chan struct{}, 1)}
 	b.f = &Fanout{b: b}
 	return b.f

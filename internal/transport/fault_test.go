@@ -155,7 +155,7 @@ func scanAll(t *testing.T, c *transport.Client) []byte {
 	if err != nil {
 		t.Fatalf("FetchMeta: %v", err)
 	}
-	kvc := kv.NewLiveClient(cn, meta, 2)
+	kvc := kv.NewClient(cn, meta, 2)
 	var log []byte
 	for start := int64(0); start < meta.NSlots; {
 		next, err := kvc.Scan(start, 8<<10, func(key int64, value []byte) error {
@@ -228,7 +228,7 @@ func TestFaultyConnMatchesPlainPipe(t *testing.T) {
 // hostileWaiter issues GETs and GetBatch trains of loaded keys on its own
 // connection and returns nil once every one has returned the loaded
 // value, or the first error. A wrong value is an error of its own.
-func hostileWaiter(kvc *kv.LiveClient, id int) error {
+func hostileWaiter(kvc *kv.Client, id int) error {
 	keys := make([]int64, 8)
 	for round := 0; round < 10; round++ {
 		k := int64(id*10+round) % 48
@@ -303,7 +303,7 @@ func TestHostilePeer(t *testing.T) {
 						if err != nil {
 							t.Fatalf("NewClientConn: %v", err)
 						}
-						clients := make([]*kv.LiveClient, waiters)
+						clients := make([]*kv.Client, waiters)
 						for i := range clients {
 							cn, err := c.Connect()
 							if err != nil {
@@ -313,7 +313,7 @@ func TestHostilePeer(t *testing.T) {
 							if err != nil {
 								t.Fatalf("FetchMeta: %v", err)
 							}
-							clients[i] = kv.NewLiveClient(cn, meta, uint16(i+1))
+							clients[i] = kv.NewClient(cn, meta, uint16(i+1))
 						}
 
 						fc.armed.Store(true)
@@ -516,6 +516,95 @@ func TestHostilePeer(t *testing.T) {
 	})
 }
 
+// TestStalledFrameReleasesReadBudget is TestHostilePeer's budget holder
+// left alone: a peer sends the first ReadChunk bytes of a MaxFrame frame,
+// which takes all the read budget the frame needs, and stalls. A 1 MiB
+// frame on another socket needs budget too. It must be answered once the
+// stalled frame's read deadline has closed the stalled socket and given
+// its budget back, not only when the stalled peer disconnects. Runs over a
+// net.Pipe and a TCP loopback pair.
+func TestStalledFrameReleasesReadBudget(t *testing.T) {
+	const timeout, slack, size = 200 * time.Millisecond, 2 * time.Second, 1 << 20
+	defer transport.SetFrameReadTimeout(transport.SetFrameReadTimeout(timeout))
+	pairs := []struct {
+		name string
+		pair func(t *testing.T) (client, server net.Conn)
+	}{
+		{"pipe", func(*testing.T) (net.Conn, net.Conn) { return net.Pipe() }},
+		{"tcp", tcpPair},
+	}
+	for _, pair := range pairs {
+		t.Run(pair.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ts := newFaultKV(t)
+			reg, err := ts.Space().Register(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var served sync.WaitGroup
+			serve := func(nc net.Conn) {
+				served.Add(1)
+				go func() { defer served.Done(); ts.ServeConn(nc) }()
+			}
+			stalled, sEnd := pair.pair(t)
+			serve(sEnd)
+			greet(t, stalled)
+			frame := append(binary.LittleEndian.AppendUint32(nil, transport.MaxFrame), 0x05)
+			if _, err := stalled.Write(append(frame, make([]byte, transport.ReadChunk)...)); err != nil {
+				t.Fatalf("stalled peer: %v", err)
+			}
+			for by := time.Now().Add(slack); ts.ReadBudgetHeld() != transport.MaxFrame+4-transport.ReadChunk; time.Sleep(time.Millisecond) {
+				if time.Now().After(by) {
+					t.Fatalf("the stalled frame holds %d bytes of the read budget", ts.ReadBudgetHeld())
+				}
+			}
+			held := time.Now()
+
+			cEnd, sEnd := pair.pair(t)
+			serve(transport.CheckedConn(t, sEnd))
+			c, err := transport.NewClientConn(cEnd)
+			if err != nil {
+				t.Fatalf("NewClientConn: %v", err)
+			}
+			cn, err := c.Connect()
+			if err != nil {
+				t.Fatalf("Connect: %v", err)
+			}
+			data := bytes.Repeat([]byte{0xa5}, size)
+			done := make(chan error, 1)
+			go func() {
+				res, err := cn.Issue([]wire.Op{prism.Write(reg.Key, reg.Base, data)})
+				if err == nil && !res[0].Status.OK() {
+					err = fmt.Errorf("1 MiB WRITE: %v", res[0].Status)
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Error(err)
+				}
+				if waited := time.Since(held); waited > timeout+slack {
+					t.Errorf("the 1 MiB frame was answered %v after the stalled frame took the budget, want under %v", waited, timeout+slack)
+				}
+			case <-time.After(timeout + slack):
+				t.Error("a 1 MiB frame waited on a stalled frame's read budget past its read deadline")
+				stalled.Close() // let it through
+				<-done
+			}
+			stalled.SetReadDeadline(time.Now().Add(slack))
+			if _, err := stalled.Read(make([]byte, 1)); err != io.EOF {
+				t.Errorf("the stalled peer's socket was not closed: %v", err)
+			}
+			stalled.Close()
+			c.Close()
+			ts.Shutdown(100 * time.Millisecond)
+			served.Wait()
+			checkNoLeak(t, before)
+		})
+	}
+}
+
 // TestReadBudgetServesEveryLargeFrame: more concurrent request frames
 // above readChunk than the server's read budget holds at once are all
 // served. A socket whose frame does not fit waits for budget instead of
@@ -587,7 +676,7 @@ func TestReadBudgetServesEveryLargeFrame(t *testing.T) {
 
 // liveKV opens a well-behaved client socket, served checked by serve,
 // with one PRISM-KV connection on it.
-func liveKV(t *testing.T, serve func(net.Conn)) (*kv.LiveClient, *transport.Client) {
+func liveKV(t *testing.T, serve func(net.Conn)) (*kv.Client, *transport.Client) {
 	t.Helper()
 	cEnd, sEnd := net.Pipe()
 	serve(transport.CheckedConn(t, sEnd))
@@ -603,7 +692,7 @@ func liveKV(t *testing.T, serve func(net.Conn)) (*kv.LiveClient, *transport.Clie
 	if err != nil {
 		t.Fatalf("FetchMeta: %v", err)
 	}
-	return kv.NewLiveClient(cn, meta, 1), c
+	return kv.NewClient(cn, meta, 1), c
 }
 
 // tcpPair returns the two ends of a TCP loopback connection.

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"prism/internal/memory"
 	"prism/internal/wire"
@@ -84,7 +85,11 @@ const frameHeaderLen = 4
 // when its first readChunk bytes have arrived — not on its length prefix,
 // which costs a peer nothing to send — so a frame that is admitted can
 // always complete, and a socket holds budget only while it reads such a
-// frame. A socket whose frame does not fit stops reading — TCP then
+// frame. The rest of that frame must arrive within frameReadTimeout, or
+// the server closes the socket and the budget goes back: a peer that
+// stalls mid-frame holds the budget for that long, not until it
+// disconnects. Idle sockets and frames of up to readChunk have no
+// deadline. A socket whose frame does not fit stops reading — TCP then
 // pushes back on its peer — until another socket's frame is consumed or
 // the server shuts down. A waiting socket does not see its own peer
 // close until it reads again.
@@ -95,6 +100,10 @@ const (
 	// reading a frame above readChunk.
 	readBudget = MaxFrame
 )
+
+// frameReadTimeout bounds how long a server socket holding read budget
+// may take to receive the rest of its frame (see FrameReader).
+var frameReadTimeout = 5 * time.Second
 
 var (
 	// ErrFrameTooBig reports a length prefix above MaxFrame (or an
@@ -114,9 +123,13 @@ type FrameReader struct {
 	start, end int    // unconsumed window
 
 	// budget is the server's read budget (nil on a client); held is what
-	// this reader has taken from it.
-	budget *budget
-	held   int
+	// this reader has taken from it. setDeadline, on a server socket,
+	// sets its read deadline; due marks a frame above readChunk whose
+	// deadline is not set yet.
+	budget      *budget
+	held        int
+	setDeadline func(time.Time) error
+	due         bool
 
 	// Syscall telemetry: Read calls issued and bytes they returned.
 	// Atomic because the reader's owner goroutine updates them while a
@@ -161,6 +174,11 @@ func (fr *FrameReader) fill(need int) error {
 			}
 			fr.resize(size)
 		}
+		if fr.due && fr.held > 0 {
+			// The frame holds budget: the rest of it is due.
+			fr.budget.deadline(fr.setDeadline, time.Now().Add(frameReadTimeout))
+			fr.due = false
+		}
 		m, err := fr.r.Read(fr.buf[fr.end:])
 		if m > 0 {
 			fr.Reads.Add(1)
@@ -187,6 +205,7 @@ func (fr *FrameReader) fill(need int) error {
 // size-byte frame costs: its bytes above readChunk. Giving bytes back
 // always succeeds; taking more waits until they are free, and reports
 // false if the server shuts down first. A client's reader has no budget.
+// Giving every byte back clears the socket's frame deadline.
 func (fr *FrameReader) reserve(size int) bool {
 	want := max(size-readChunk, 0)
 	if fr.budget == nil || want == fr.held {
@@ -195,7 +214,9 @@ func (fr *FrameReader) reserve(size int) bool {
 	if !fr.budget.move(fr.held, want) {
 		return false
 	}
-	fr.held = want
+	if fr.held = want; want == 0 {
+		fr.budget.deadline(fr.setDeadline, time.Time{})
+	}
 	return true
 }
 
@@ -226,6 +247,20 @@ func (b *budget) move(held, want int) bool {
 		b.freed.Broadcast()
 	}
 	return true
+}
+
+// deadline sets a holder's read deadline through set, unless the server is
+// shutting down: Shutdown sets every socket's deadline after closing b,
+// and that one stands.
+func (b *budget) deadline(set func(time.Time) error, at time.Time) {
+	if set == nil {
+		return
+	}
+	b.mu.Lock()
+	if !b.closed {
+		set(at)
+	}
+	b.mu.Unlock()
 }
 
 // close wakes every waiter for good: the server is shutting down.
@@ -275,6 +310,7 @@ func (fr *FrameReader) Next() (kind byte, payload []byte, err error) {
 		return 0, nil, ErrFrameTooBig
 	}
 	total := frameHeaderLen + int(n)
+	fr.due = total > readChunk
 	if err := fr.fill(total); err != nil {
 		return 0, nil, err
 	}

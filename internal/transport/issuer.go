@@ -9,8 +9,9 @@ import (
 
 // Issuer is the client-side seam beside Window: what a protocol client
 // needs from one connection, and nothing else, so an application's
-// protocol is written once and runs over the simulated NIC
-// (rdma.ProcConn) or a live socket (*Conn) unchanged. Like the
+// protocol is written once and runs over the simulated NIC (*rdma.Conn)
+// or a live socket (*Conn) unchanged; a protocol over several gets their
+// Fanout from NewFanout. Like the
 // connection behind it, an Issuer is single-owner.
 //
 // Borrowing (DESIGN.md §11): Ops scratch belongs to the connection and
@@ -43,9 +44,9 @@ func (cn *Conn) Temp() (memory.Addr, memory.RKey) { return cn.TempAddr, cn.TempK
 // Sleep blocks the calling goroutine for d of wall-clock time.
 func (cn *Conn) Sleep(d time.Duration) { time.Sleep(d) }
 
-// Issuers returns conns as Issuers, in order: the group a protocol written
-// over Issuer and Fanout runs on.
-func Issuers(conns []*Conn) []Issuer {
+// Issuers returns conns — live or simulated connections — as Issuers, in
+// order: the group a protocol written over Issuer and Fanout runs on.
+func Issuers[C Issuer](conns []C) []Issuer {
 	is := make([]Issuer, len(conns))
 	for i, cn := range conns {
 		is[i] = cn

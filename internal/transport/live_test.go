@@ -195,7 +195,7 @@ func TestLiveConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int, conn *transport.Conn) {
 			defer wg.Done()
-			kvc := kv.NewLiveClient(conn, meta, uint16(i+1))
+			kvc := kv.NewClient(conn, meta, uint16(i+1))
 			base := int64(i * keysPerClient)
 			for round := 0; round < roundsPerClient; round++ {
 				for k := base; k < base+keysPerClient; k++ {
@@ -275,7 +275,7 @@ func TestIdleSocketFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FetchMeta: %v", err)
 	}
-	kvc := kv.NewLiveClient(cn, meta, 1)
+	kvc := kv.NewClient(cn, meta, 1)
 	for i := 0; i < 1000; i++ {
 		if _, err := kvc.Get(int64(i % 32)); err != nil {
 			t.Fatalf("Get: %v", err)

@@ -160,7 +160,7 @@ func NewServer() *Server {
 // once a drain has begun or MaxSockets are being served.
 func (s *Server) addSock(nc net.Conn) (*srvSock, error) {
 	sk := &srvSock{s: s, nc: nc, fr: NewFrameReader(nc), fw: NewFrameWriter(nc)}
-	sk.fr.budget = &s.reads
+	sk.fr.budget, sk.fr.setDeadline = &s.reads, nc.SetReadDeadline
 	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists(), ReadAlloc: sk.fw.carve}
 	sk.conns = make(map[uint64]*liveConn)
 	sk.guard = s.Space().Guard()
@@ -238,6 +238,7 @@ func (s *Server) ServeConn(nc net.Conn) error {
 // finished after grace, remaining sockets are force-closed. Safe to
 // call more than once.
 func (s *Server) Shutdown(grace time.Duration) {
+	s.reads.close() // wake reads waiting for buffer bytes; no frame deadline moves after this
 	s.mu.Lock()
 	s.draining = true
 	ls := s.listeners
@@ -248,7 +249,6 @@ func (s *Server) Shutdown(grace time.Duration) {
 		sk.nc.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
-	s.reads.close() // and reads waiting for buffer bytes
 	for _, l := range ls {
 		l.Close()
 	}

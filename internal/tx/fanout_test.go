@@ -20,9 +20,9 @@ import (
 
 // handle is the transaction surface PRISM-TX and FaRM share.
 type handle interface {
-	Read(p *sim.Proc, key int64) ([]byte, error)
+	Read(key int64) ([]byte, error)
 	Write(key int64, value []byte)
-	Commit(p *sim.Proc) (Timestamp, error)
+	Commit() (Timestamp, error)
 }
 
 // system builds nShards servers of one of the two protocols, keys loaded,
@@ -69,7 +69,7 @@ func TestWideTxValidatesEveryKey(t *testing.T) {
 					e.Go("t", func(p *sim.Proc) {
 						a := beginA()
 						for k := int64(0); k < n; k++ {
-							v, err := a.Read(p, k)
+							v, err := a.Read(k)
 							if err != nil {
 								t.Error(err)
 								return
@@ -79,16 +79,16 @@ func TestWideTxValidatesEveryKey(t *testing.T) {
 							}
 						}
 						b := beginB()
-						if _, err := b.Read(p, 0); err != nil {
+						if _, err := b.Read(0); err != nil {
 							t.Error(err)
 							return
 						}
 						b.Write(0, []byte("overwritten by B"))
-						if _, err := b.Commit(p); err != nil {
+						if _, err := b.Commit(); err != nil {
 							t.Errorf("B's commit: %v", err)
 							return
 						}
-						if ts, err := a.Commit(p); !errors.Is(err, ErrAborted) {
+						if ts, err := a.Commit(); !errors.Is(err, ErrAborted) {
 							t.Errorf("A committed at %v (err %v) although key 0, which it read, was overwritten and committed since", ts, err)
 						}
 					})
@@ -125,21 +125,21 @@ func TestWideTxInstallsEveryKey(t *testing.T) {
 	v.e.Go("t", func(p *sim.Proc) {
 		tx := c.Begin()
 		for k := int64(0); k < n; k++ {
-			old, err := tx.Read(p, k)
+			old, err := tx.Read(k)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			tx.Write(k, append([]byte{0xC0}, old[1:]...))
 		}
-		ts, err := tx.Commit(p)
+		ts, err := tx.Commit()
 		if err != nil {
 			t.Errorf("commit: %v", err)
 			return
 		}
 		check := c.Begin()
 		for k := int64(0); k < n; k++ {
-			got, err := check.Read(p, k)
+			got, err := check.Read(k)
 			if err != nil || got[0] != 0xC0 || check.ReadVersion(k) != ts {
 				t.Errorf("key %d reads %x at %v (err %v), want the value committed at %v", k, got[:1], check.ReadVersion(k), err, ts)
 			}
@@ -178,7 +178,7 @@ func TestTxFanoutOrderDeterministic(t *testing.T) {
 			for _, writes := range []int64{0, 2} {
 				tx := beginTx()
 				for k := int64(0); k < keys; k++ {
-					v, err := tx.Read(p, k)
+					v, err := tx.Read(k)
 					if err != nil {
 						t.Error(err)
 						return
@@ -187,7 +187,7 @@ func TestTxFanoutOrderDeterministic(t *testing.T) {
 						tx.Write(k, v)
 					}
 				}
-				if _, err := tx.Commit(p); err != nil {
+				if _, err := tx.Commit(); err != nil {
 					t.Errorf("commit with %d writes: %v", writes, err)
 				}
 			}

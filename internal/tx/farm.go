@@ -218,10 +218,9 @@ func (s *FarmServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 	}
 }
 
-// farmCore is the FaRM client protocol, written once over one
-// transport.Issuer per server and a fan-out over them; FarmClient (sim.go)
-// and LiveFarmClient pick the transport.
-type farmCore struct {
+// FarmClient is a FaRM client, written once over one transport.Issuer per
+// server and a fan-out over them.
+type FarmClient struct {
 	id    uint16
 	conns []transport.Issuer
 	metas []FarmMeta
@@ -241,40 +240,26 @@ type farmCore struct {
 	locked   []bool
 }
 
-// newFarm builds the protocol over one issuer per server.
-func newFarm(id uint16, conns []transport.Issuer, fan *transport.Fanout, metas []FarmMeta) *farmCore {
+// NewFarmClient builds a client over one issuer per server.
+func NewFarmClient(id uint16, conns []transport.Issuer, metas []FarmMeta) *FarmClient {
 	if len(conns) != len(metas) || len(conns) == 0 {
 		panic("tx: farm connections and metadata must match")
 	}
 	if id == 0 {
 		panic("tx: client id 0 reserved")
 	}
-	return &farmCore{id: id, conns: conns, metas: metas, fan: fan,
+	return &FarmClient{id: id, conns: conns, metas: metas, fan: transport.NewFanout(conns),
 		payloads: make([][]byte, len(conns)), locked: make([]bool, len(conns))}
 }
 
-// LiveFarmClient is FaRM over live connections, one per server.
-type LiveFarmClient struct{ *farmCore }
-
-// NewLiveFarmClient builds a client over one live connection per server.
-func NewLiveFarmClient(id uint16, conns []*transport.Conn, metas []FarmMeta) *LiveFarmClient {
-	return &LiveFarmClient{newFarm(id, transport.Issuers(conns), transport.NewFanout(conns...), metas)}
-}
-
-// LiveFarmTx is one FaRM transaction over live connections.
-type LiveFarmTx struct{ *farmTxn }
-
-// Begin starts a transaction.
-func (c *LiveFarmClient) Begin() *LiveFarmTx { return &LiveFarmTx{c.begin()} }
-
-func (c *farmCore) shardOf(key int64) int {
+func (c *FarmClient) shardOf(key int64) int {
 	return int(((key % int64(len(c.conns))) + int64(len(c.conns))) % int64(len(c.conns)))
 }
 
-// farmTxn is one FaRM transaction. Commit posts in readOrder, order and
-// ascending shard order, never in map order (see txn).
-type farmTxn struct {
-	c         *farmCore
+// FarmTx is one FaRM transaction. Commit posts in readOrder, order and
+// ascending shard order, never in map order (see Tx).
+type FarmTx struct {
+	c         *FarmClient
 	reads     map[int64]farmRead
 	readOrder []int64 // read keys in first-read order
 	writes    map[int64][]byte
@@ -288,12 +273,13 @@ type farmRead struct {
 	shard   int
 }
 
-func (c *farmCore) begin() *farmTxn {
-	return &farmTxn{c: c, reads: make(map[int64]farmRead), writes: make(map[int64][]byte)}
+// Begin starts a transaction.
+func (c *FarmClient) Begin() *FarmTx {
+	return &FarmTx{c: c, reads: make(map[int64]farmRead), writes: make(map[int64][]byte)}
 }
 
 // Read fetches a key with FaRM's two one-sided READs (index, object).
-func (t *farmTxn) Read(key int64) ([]byte, error) {
+func (t *FarmTx) Read(key int64) ([]byte, error) {
 	if v, ok := t.writes[key]; ok {
 		return v, nil
 	}
@@ -334,7 +320,7 @@ func (t *farmTxn) Read(key int64) ([]byte, error) {
 }
 
 // read issues one READ on server sh.
-func (c *farmCore) read(sh int, addr memory.Addr, n uint64) ([]wire.Result, error) {
+func (c *FarmClient) read(sh int, addr memory.Addr, n uint64) ([]wire.Result, error) {
 	ops := c.conns[sh].Ops(1)
 	ops[0] = prism.Read(c.metas[sh].Key, addr, n)
 	return c.conns[sh].Issue(ops)
@@ -343,7 +329,7 @@ func (c *farmCore) read(sh int, addr memory.Addr, n uint64) ([]wire.Result, erro
 // Write buffers a write. FaRM requires the object to have been read first
 // (to know its version for locking); Read-before-Write is the natural
 // pattern for YCSB-T RMW transactions.
-func (t *farmTxn) Write(key int64, value []byte) {
+func (t *FarmTx) Write(key int64, value []byte) {
 	if _, seen := t.writes[key]; !seen {
 		t.order = append(t.order, key)
 	}
@@ -352,7 +338,7 @@ func (t *farmTxn) Write(key int64, value []byte) {
 
 // Commit runs FaRM's three phases. Returns the commit version (a fresh
 // timestamp) or ErrAborted.
-func (t *farmTxn) Commit() (Timestamp, error) {
+func (t *FarmTx) Commit() (Timestamp, error) {
 	c := t.c
 	c.clock++
 	ts := MakeTimestamp(c.clock, c.id)
@@ -444,7 +430,7 @@ func rpcOK(r []wire.Result) bool {
 // shard in first-write order — sends the payloads in ascending shard order
 // and waits for every reply. The replies are in that order; c.payloads
 // says which shards they are from.
-func (t *farmTxn) rpcPhase(op byte, only []bool, rec func(pl []byte, key int64) []byte) ([][]wire.Result, error) {
+func (t *FarmTx) rpcPhase(op byte, only []bool, rec func(pl []byte, key int64) []byte) ([][]wire.Result, error) {
 	c := t.c
 	for sh := range c.payloads {
 		c.payloads[sh] = c.payloads[sh][:0]
@@ -472,7 +458,7 @@ func (t *farmTxn) rpcPhase(op byte, only []bool, rec func(pl []byte, key int64) 
 
 // abort releases the write-set locks this transaction holds and reports
 // the abort, or the transport error that stopped the release.
-func (t *farmTxn) abort() error {
+func (t *FarmTx) abort() error {
 	t.c.Aborts++
 	_, err := t.rpcPhase(rpcFarmUnlock, t.c.locked, func(pl []byte, key int64) []byte {
 		return binary.BigEndian.AppendUint64(pl, uint64(key))

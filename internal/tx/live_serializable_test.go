@@ -22,8 +22,8 @@ type liveTx interface {
 	version(key int64) Timestamp
 }
 
-func (t *LiveTx) version(key int64) Timestamp     { return t.reads[key] }
-func (t *LiveFarmTx) version(key int64) Timestamp { return t.reads[key].version }
+func (t *Tx) version(key int64) Timestamp     { return t.reads[key] }
+func (t *FarmTx) version(key int64) Timestamp { return t.reads[key].version }
 
 // serveShards serves each host from a transport.Server on a unix socket
 // and returns the socket addresses.
@@ -102,7 +102,7 @@ func TestTxLiveSerializable(t *testing.T) {
 				return s.Load, nil
 			})
 			return func(id uint16, conns []*transport.Conn) func() liveTx {
-				c := NewLiveClient(id, conns, metas)
+				c := NewClient(id, transport.Issuers(conns), metas)
 				return func() liveTx { return c.Begin() }
 			}
 		}, check.CheckSerializable},
@@ -117,7 +117,7 @@ func TestTxLiveSerializable(t *testing.T) {
 				return s.Load, nil
 			})
 			return func(id uint16, conns []*transport.Conn) func() liveTx {
-				c := NewLiveFarmClient(id, conns, metas)
+				c := NewFarmClient(id, transport.Issuers(conns), metas)
 				return func() liveTx { return c.Begin() }
 			}
 		}, check.CheckConflictSerializable},

@@ -105,10 +105,9 @@ func (s *Shard) Load(key int64, value []byte) error {
 	return space.Write(s.meta.Key, s.meta.slotAddr(idx), entry[:])
 }
 
-// txCore is the PRISM-TX client protocol, written once over one
-// transport.Issuer per shard and a fan-out over them; Client (sim.go) and
-// LiveClient pick the transport. Keys map to shards by modulo.
-type txCore struct {
+// Client is a PRISM-TX client, written once over one transport.Issuer per
+// shard and a fan-out over them. Keys map to shards by modulo.
+type Client struct {
 	id    uint16
 	conns []transport.Issuer
 	metas []Meta
@@ -140,7 +139,7 @@ type txCore struct {
 // carve returns an n-byte zeroed block from the client's commit arena.
 // Growth relocates the arena, but previously carved blocks stay valid on
 // the old backing array (they are never written through the arena again).
-func (c *txCore) carve(n int) []byte {
+func (c *Client) carve(n int) []byte {
 	off := len(c.dataArena)
 	if cap(c.dataArena) < off+n {
 		nb := make([]byte, off, 2*(off+n)+64)
@@ -155,20 +154,21 @@ func (c *txCore) carve(n int) []byte {
 	return b
 }
 
-// newTx builds the protocol over one issuer per shard.
-func newTx(id uint16, conns []transport.Issuer, fan *transport.Fanout, metas []Meta) *txCore {
+// NewClient builds a transaction client over one issuer per shard. A
+// control connection per shard is set as Reclaim[i].Ctrl.
+func NewClient(id uint16, conns []transport.Issuer, metas []Meta) *Client {
 	if len(conns) != len(metas) || len(conns) == 0 {
 		panic("tx: shard connections and metadata must match")
 	}
 	if id == 0 {
 		panic("tx: client id 0 is reserved for preloaded versions")
 	}
-	c := &txCore{
+	c := &Client{
 		id:       id,
 		conns:    conns,
 		metas:    metas,
 		Reclaim:  make([]transport.Reclaimer, len(conns)),
-		fan:      fan,
+		fan:      transport.NewFanout(conns),
 		perShard: make([]int, len(conns)),
 	}
 	for i, conn := range conns {
@@ -177,35 +177,21 @@ func newTx(id uint16, conns []transport.Issuer, fan *transport.Fanout, metas []M
 	return c
 }
 
-// LiveClient is PRISM-TX over live connections, one per shard.
-type LiveClient struct{ *txCore }
-
-// NewLiveClient builds a client over one live connection per shard.
-func NewLiveClient(id uint16, conns []*transport.Conn, metas []Meta) *LiveClient {
-	return &LiveClient{newTx(id, transport.Issuers(conns), transport.NewFanout(conns...), metas)}
-}
-
-// LiveTx is one PRISM-TX transaction over live connections.
-type LiveTx struct{ *txn }
-
-// Begin starts a transaction.
-func (c *LiveClient) Begin() *LiveTx { return &LiveTx{c.begin()} }
-
-func (c *txCore) shardOf(key int64) int {
+func (c *Client) shardOf(key int64) int {
 	return int(((key % int64(len(c.conns))) + int64(len(c.conns))) % int64(len(c.conns)))
 }
 
-func (c *txCore) slotOf(key int64, shard int) memory.Addr {
+func (c *Client) slotOf(key int64, shard int) memory.Addr {
 	m := &c.metas[shard]
 	idx := ((key % m.NSlots) + m.NSlots) % m.NSlots
 	return m.slotAddr(idx)
 }
 
-// txn is one transaction: buffered reads and writes awaiting commit. Commit
+// Tx is one transaction: buffered reads and writes awaiting commit. Commit
 // posts its chains in readOrder and order, never in map order: the order
 // chains leave a machine in is part of the simulation's outcome.
-type txn struct {
-	c         *txCore
+type Tx struct {
+	c         *Client
 	reads     map[int64]Timestamp // key -> RC observed
 	readOrder []int64             // read keys in first-read order
 	writes    map[int64][]byte
@@ -227,8 +213,9 @@ type valKey struct {
 	nth int
 }
 
-func (c *txCore) begin() *txn {
-	return &txn{c: c, reads: make(map[int64]Timestamp), writes: make(map[int64][]byte)}
+// Begin starts a transaction.
+func (c *Client) Begin() *Tx {
+	return &Tx{c: c, reads: make(map[int64]Timestamp), writes: make(map[int64][]byte)}
 }
 
 // Read returns key's committed value as of execution time (§8.2 execution
@@ -247,7 +234,7 @@ func (c *txCore) begin() *txn {
 //     is self-consistent.
 //
 // Reads see the transaction's own buffered writes first.
-func (t *txn) Read(key int64) ([]byte, error) {
+func (t *Tx) Read(key int64) ([]byte, error) {
 	if v, ok := t.writes[key]; ok {
 		return v, nil
 	}
@@ -294,10 +281,10 @@ func (t *txn) Read(key int64) ([]byte, error) {
 
 // ReadVersion returns the version this transaction observed for key (zero
 // if the key was not read) — used by correctness oracles in tests.
-func (t *txn) ReadVersion(key int64) Timestamp { return t.reads[key] }
+func (t *Tx) ReadVersion(key int64) Timestamp { return t.reads[key] }
 
 // Write buffers a write (§8.2: writes are local until commit).
-func (t *txn) Write(key int64, value []byte) {
+func (t *Tx) Write(key int64, value []byte) {
 	if _, seen := t.writes[key]; !seen {
 		t.order = append(t.order, key)
 	}
@@ -306,7 +293,7 @@ func (t *txn) Write(key int64, value []byte) {
 
 // chooseTS picks the commit timestamp: greater than every RC read and the
 // client's logical clock (§8.2 prepare phase, as in Meerkat).
-func (t *txn) chooseTS() Timestamp {
+func (t *Tx) chooseTS() Timestamp {
 	clock := t.c.clock + 1
 	for _, rc := range t.reads {
 		if rc.Clock() >= clock {
@@ -322,7 +309,7 @@ func (t *txn) chooseTS() Timestamp {
 // (except conservative PW/PR advances, which are safe).
 //
 // Returns the commit timestamp on success.
-func (t *txn) Commit() (Timestamp, error) {
+func (t *Tx) Commit() (Timestamp, error) {
 	c := t.c
 	ts := t.chooseTS()
 	if t.doomed {
@@ -524,7 +511,7 @@ func (t *txn) Commit() (Timestamp, error) {
 // safe) but bumps C for keys whose write check succeeded, unblocking
 // future readers (§8.2). It returns ErrAborted, or the transport error
 // that stopped the bumps.
-func (t *txn) abort(ts Timestamp, keys []valKey) error {
+func (t *Tx) abort(ts Timestamp, keys []valKey) error {
 	c := t.c
 	c.Aborts++
 	for _, vk := range keys {
@@ -545,7 +532,7 @@ func (t *txn) abort(ts Timestamp, keys []valKey) error {
 	return ErrAborted
 }
 
-func (c *txCore) retire(shard int, addr memory.Addr) {
+func (c *Client) retire(shard int, addr memory.Addr) {
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], uint64(addr))
 	c.Reclaim[shard].Retire(rec[:])

@@ -12,6 +12,7 @@ import (
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 )
 
 func TestTimestampPacking(t *testing.T) {
@@ -71,7 +72,7 @@ func (v *txEnv) client(id uint16, machine int) *Client {
 		conns[i] = v.cli[machine].Connect(v.nics[i])
 		metas[i] = s.Meta()
 	}
-	return NewClient(id, conns, metas)
+	return NewClient(id, transport.Issuers(conns), metas)
 }
 
 func TestReadCommitted(t *testing.T) {
@@ -80,7 +81,7 @@ func TestReadCommitted(t *testing.T) {
 	c := v.client(1, 0)
 	v.e.Go("t", func(p *sim.Proc) {
 		tx := c.Begin()
-		val, err := tx.Read(p, 3)
+		val, err := tx.Read(3)
 		if err != nil {
 			t.Error(err)
 			return
@@ -88,7 +89,7 @@ func TestReadCommitted(t *testing.T) {
 		if val[0] != 3 {
 			t.Errorf("read %v", val[0])
 		}
-		if _, err := tx.Commit(p); err != nil {
+		if _, err := tx.Commit(); err != nil {
 			t.Errorf("read-only commit: %v", err)
 		}
 	})
@@ -100,7 +101,7 @@ func TestReadMissingKey(t *testing.T) {
 	c := v.client(1, 0)
 	v.e.Go("t", func(p *sim.Proc) {
 		tx := c.Begin()
-		if _, err := tx.Read(p, 5); !errors.Is(err, ErrNotFound) {
+		if _, err := tx.Read(5); !errors.Is(err, ErrNotFound) {
 			t.Errorf("missing key: %v", err)
 		}
 	})
@@ -113,7 +114,7 @@ func TestRMWCommitAndReadBack(t *testing.T) {
 	c := v.client(1, 0)
 	v.e.Go("t", func(p *sim.Proc) {
 		tx := c.Begin()
-		old, err := tx.Read(p, 2)
+		old, err := tx.Read(2)
 		if err != nil {
 			t.Error(err)
 			return
@@ -122,11 +123,11 @@ func TestRMWCommitAndReadBack(t *testing.T) {
 		newVal[1] = 0xEE
 		tx.Write(2, newVal)
 		// Read-your-writes within the transaction.
-		got, _ := tx.Read(p, 2)
+		got, _ := tx.Read(2)
 		if !bytes.Equal(got, newVal) {
 			t.Error("read-your-writes failed")
 		}
-		ts, err := tx.Commit(p)
+		ts, err := tx.Commit()
 		if err != nil {
 			t.Errorf("commit: %v", err)
 			return
@@ -136,7 +137,7 @@ func TestRMWCommitAndReadBack(t *testing.T) {
 		}
 		// A following transaction reads the new value at version ts.
 		tx2 := c.Begin()
-		got2, err := tx2.Read(p, 2)
+		got2, err := tx2.Read(2)
 		if err != nil || !bytes.Equal(got2, newVal) {
 			t.Errorf("after commit: %v %v", got2, err)
 		}
@@ -156,7 +157,7 @@ func TestMultiKeyMultiShard(t *testing.T) {
 		// Keys 0,1,2 land on shards 0,1,2.
 		var vals [3][]byte
 		for k := int64(0); k < 3; k++ {
-			val, err := tx.Read(p, k)
+			val, err := tx.Read(k)
 			if err != nil {
 				t.Error(err)
 				return
@@ -168,13 +169,13 @@ func TestMultiKeyMultiShard(t *testing.T) {
 			nv[2] = 0x77
 			tx.Write(k, nv)
 		}
-		if _, err := tx.Commit(p); err != nil {
+		if _, err := tx.Commit(); err != nil {
 			t.Errorf("multi-shard commit: %v", err)
 			return
 		}
 		tx2 := c.Begin()
 		for k := int64(0); k < 3; k++ {
-			got, err := tx2.Read(p, k)
+			got, err := tx2.Read(k)
 			if err != nil || got[2] != 0x77 {
 				t.Errorf("key %d after commit: %v %v", k, got, err)
 			}
@@ -197,7 +198,7 @@ func TestConflictingRMWsSerializable(t *testing.T) {
 			for n := 0; n < txPerClient; n++ {
 				key := int64(rng.Intn(2))
 				tx := c.Begin()
-				_, err := tx.Read(p, key)
+				_, err := tx.Read(key)
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return
@@ -206,7 +207,7 @@ func TestConflictingRMWsSerializable(t *testing.T) {
 				val := make([]byte, 16)
 				rng.Read(val)
 				tx.Write(key, val)
-				ts, err := tx.Commit(p)
+				ts, err := tx.Commit()
 				if errors.Is(err, ErrAborted) {
 					aborts++
 					continue
@@ -251,23 +252,23 @@ func TestAbortsDoNotBlockWriters(t *testing.T) {
 		// Interleave two RMWs on the same key synchronously: read both,
 		// then commit both — the second to validate must abort.
 		t1, t2 := a.Begin(), b.Begin()
-		t1.Read(p, 0)
-		t2.Read(p, 0)
+		t1.Read(0)
+		t2.Read(0)
 		t1.Write(0, make([]byte, 16))
 		t2.Write(0, make([]byte, 16))
-		_, err1 := t1.Commit(p)
-		_, err2 := t2.Commit(p)
+		_, err1 := t1.Commit()
+		_, err2 := t2.Commit()
 		if (err1 == nil) == (err2 == nil) {
 			t.Errorf("exactly one should commit: err1=%v err2=%v", err1, err2)
 		}
 		// A fresh RMW must succeed despite the bumped PW.
 		t3 := b.Begin()
-		if _, err := t3.Read(p, 0); err != nil {
+		if _, err := t3.Read(0); err != nil {
 			t.Error(err)
 			return
 		}
 		t3.Write(0, make([]byte, 16))
-		if _, err := t3.Commit(p); err != nil {
+		if _, err := t3.Commit(); err != nil {
 			t.Errorf("post-abort RMW: %v", err)
 		}
 	})
@@ -322,7 +323,7 @@ func (v *farmEnv) client(id uint16, machine int) *FarmClient {
 		conns[i] = v.cli[machine].Connect(v.nics[i])
 		metas[i] = s.Meta()
 	}
-	return NewFarmClient(id, conns, metas)
+	return NewFarmClient(id, transport.Issuers(conns), metas)
 }
 
 func TestFarmRMWCommit(t *testing.T) {
@@ -331,7 +332,7 @@ func TestFarmRMWCommit(t *testing.T) {
 	c := v.client(1, 0)
 	v.e.Go("t", func(p *sim.Proc) {
 		tx := c.Begin()
-		old, err := tx.Read(p, 4)
+		old, err := tx.Read(4)
 		if err != nil {
 			t.Error(err)
 			return
@@ -339,12 +340,12 @@ func TestFarmRMWCommit(t *testing.T) {
 		nv := append([]byte(nil), old...)
 		nv[1] = 0xAB
 		tx.Write(4, nv)
-		if _, err := tx.Commit(p); err != nil {
+		if _, err := tx.Commit(); err != nil {
 			t.Errorf("commit: %v", err)
 			return
 		}
 		tx2 := c.Begin()
-		got, err := tx2.Read(p, 4)
+		got, err := tx2.Read(4)
 		if err != nil || got[1] != 0xAB {
 			t.Errorf("after commit: %v %v", got, err)
 		}
@@ -358,23 +359,23 @@ func TestFarmConflictAborts(t *testing.T) {
 	a, b := v.client(1, 0), v.client(2, 0)
 	v.e.Go("t", func(p *sim.Proc) {
 		t1, t2 := a.Begin(), b.Begin()
-		t1.Read(p, 0)
-		t2.Read(p, 0)
+		t1.Read(0)
+		t2.Read(0)
 		t1.Write(0, make([]byte, 16))
 		t2.Write(0, make([]byte, 16))
-		_, err1 := t1.Commit(p)
-		_, err2 := t2.Commit(p)
+		_, err1 := t1.Commit()
+		_, err2 := t2.Commit()
 		if (err1 == nil) == (err2 == nil) {
 			t.Errorf("exactly one should commit: %v %v", err1, err2)
 		}
 		// Locks must be released: a retry commits.
 		t3 := a.Begin()
-		if _, err := t3.Read(p, 0); err != nil {
+		if _, err := t3.Read(0); err != nil {
 			t.Error(err)
 			return
 		}
 		t3.Write(0, make([]byte, 16))
-		if _, err := t3.Commit(p); err != nil {
+		if _, err := t3.Commit(); err != nil {
 			t.Errorf("retry after conflict: %v (lock leak?)", err)
 		}
 	})
@@ -395,7 +396,7 @@ func TestFarmConcurrentSerializable(t *testing.T) {
 			for n := 0; n < txPerClient; n++ {
 				key := int64(rng.Intn(2))
 				tx := c.Begin()
-				_, err := tx.Read(p, key)
+				_, err := tx.Read(key)
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return
@@ -404,7 +405,7 @@ func TestFarmConcurrentSerializable(t *testing.T) {
 				val := make([]byte, 16)
 				rng.Read(val)
 				tx.Write(key, val)
-				ts, err := tx.Commit(p)
+				ts, err := tx.Commit()
 				if errors.Is(err, ErrAborted) {
 					aborts++
 					continue
@@ -444,13 +445,13 @@ func TestPRISMTXFasterThanFarm(t *testing.T) {
 		const n = 20
 		for i := 0; i < n; i++ {
 			tx := c1.Begin()
-			old, err := tx.Read(p, int64(i%8))
+			old, err := tx.Read(int64(i % 8))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			tx.Write(int64(i%8), old)
-			if _, err := tx.Commit(p); err != nil {
+			if _, err := tx.Commit(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -468,13 +469,13 @@ func TestPRISMTXFasterThanFarm(t *testing.T) {
 		const n = 20
 		for i := 0; i < n; i++ {
 			tx := c2.Begin()
-			old, err := tx.Read(p, int64(i%8))
+			old, err := tx.Read(int64(i % 8))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			tx.Write(int64(i%8), old)
-			if _, err := tx.Commit(p); err != nil {
+			if _, err := tx.Commit(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -512,7 +513,7 @@ func TestMultiKeyMultiShardSerializable(t *testing.T) {
 					reads := map[int64]uint64{}
 					okRead := true
 					for _, k := range []int64{k1, k2} {
-						if _, err := tx.Read(p, k); err != nil {
+						if _, err := tx.Read(k); err != nil {
 							t.Errorf("read: %v", err)
 							okRead = false
 							break
@@ -524,7 +525,7 @@ func TestMultiKeyMultiShardSerializable(t *testing.T) {
 					}
 					tx.Write(k1, make([]byte, 16))
 					tx.Write(k2, make([]byte, 16))
-					ts, err := tx.Commit(p)
+					ts, err := tx.Commit()
 					if errors.Is(err, ErrAborted) {
 						continue
 					}
@@ -572,29 +573,29 @@ func TestReadOnlyTransactionsValidate(t *testing.T) {
 	v.e.Go("t", func(p *sim.Proc) {
 		// Quiet case: read-only commit succeeds.
 		ro := c.Begin()
-		ro.Read(p, 0)
-		ro.Read(p, 1)
-		if _, err := ro.Commit(p); err != nil {
+		ro.Read(0)
+		ro.Read(1)
+		if _, err := ro.Commit(); err != nil {
 			t.Errorf("quiet read-only commit: %v", err)
 		}
 		// Interfering case: writer commits between the two reads of a
 		// read-only transaction; doom detection or validation aborts it
 		// unless its snapshot happens to still be consistent.
 		ro2 := c.Begin()
-		ro2.Read(p, 0)
+		ro2.Read(0)
 		wt := w.Begin()
-		if _, err := wt.Read(p, 0); err != nil {
+		if _, err := wt.Read(0); err != nil {
 			t.Error(err)
 			return
 		}
 		wt.Write(0, make([]byte, 16))
-		if _, err := wt.Commit(p); err != nil {
+		if _, err := wt.Commit(); err != nil {
 			t.Errorf("writer commit: %v", err)
 			return
 		}
 		// Re-reading key 0 now dooms ro2 (version changed between reads).
-		ro2.Read(p, 0)
-		if _, err := ro2.Commit(p); !errors.Is(err, ErrAborted) {
+		ro2.Read(0)
+		if _, err := ro2.Commit(); !errors.Is(err, ErrAborted) {
 			t.Errorf("read-only txn with inconsistent reads: %v", err)
 		}
 	})
@@ -622,7 +623,7 @@ func TestLoadScratchLeavesNoResidue(t *testing.T) {
 	tc, fc := tv.client(1, 0), fv.client(1, 0)
 	tv.e.Go("prismtx", func(p *sim.Proc) {
 		for k, want := range [][]byte{long, short, long} {
-			if got, err := tc.Begin().Read(p, int64(k)); err != nil || !bytes.Equal(got, want) {
+			if got, err := tc.Begin().Read(int64(k)); err != nil || !bytes.Equal(got, want) {
 				t.Errorf("PRISM-TX key %d = %x, %v; want %x", k, got, err, want)
 			}
 		}
@@ -630,7 +631,7 @@ func TestLoadScratchLeavesNoResidue(t *testing.T) {
 	tv.e.Run()
 	fv.e.Go("farm", func(p *sim.Proc) {
 		for k, want := range [][]byte{long, padded, long} {
-			if got, err := fc.Begin().Read(p, int64(k)); err != nil || !bytes.Equal(got, want) {
+			if got, err := fc.Begin().Read(int64(k)); err != nil || !bytes.Equal(got, want) {
 				t.Errorf("FaRM key %d = %x, %v; want %x", k, got, err, want)
 			}
 		}

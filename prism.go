@@ -13,10 +13,10 @@
 //	srv := c.NewServer("kv-server", prism.SoftwarePRISM)
 //	store, _ := prism.NewKVServer(srv, prism.KVOptions(1024, 512))
 //	machine := c.NewClientMachine("client-1")
-//	kv := prism.NewKVClient(machine.Connect(srv), store.Meta(), 1)
+//	kv := prism.NewKVClient(machine.Connect(srv), store.Meta(), 1).Client
 //	c.Go("app", func(p *prism.Proc) {
-//	    kv.Put(p, 7, []byte("hello"))
-//	    v, _ := kv.Get(p, 7)
+//	    kv.Put(7, []byte("hello")) // parks p until the chain completes
+//	    v, _ := kv.Get(7)
 //	    fmt.Println(string(v))
 //	})
 //	c.Run()
@@ -33,12 +33,14 @@ import (
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/tx"
 )
 
 // Re-exported core types.
 type (
-	// Proc is a blocking simulated process; all client operations take one.
+	// Proc is a blocking simulated process: client operations block the
+	// one that calls them.
 	Proc = sim.Proc
 	// Engine is the discrete-event simulator driving a cluster.
 	Engine = sim.Engine
@@ -56,9 +58,8 @@ type (
 	// Conn is a reliable connection (queue pair) to a server.
 	Conn = rdma.Conn
 
-	// KVServer / KVClient: PRISM-KV (§6).
+	// KVServer: PRISM-KV (§6).
 	KVServer = kv.Server
-	KVClient = kv.Client
 	// PilafServer / PilafClient: the Pilaf baseline.
 	PilafServer = kv.PilafServer
 	PilafClient = kv.PilafClient
@@ -178,10 +179,22 @@ func KVOptions(n int64, valueSize int) kv.Options { return kv.DefaultOptions(n, 
 // NewKVServer provisions PRISM-KV on a server NIC.
 func NewKVServer(s *Server, opts kv.Options) (*KVServer, error) { return kv.NewServerOn(s, opts) }
 
+// KVClient is a PRISM-KV client (§6). Its Get, Put and FlushFrees still
+// take the calling process, which they ignore: the connection parks the
+// engine's running process. Its other methods are kv.Client's, and
+// KVClient.Client is the client without the process argument.
+type KVClient struct{ *kv.Client }
+
 // NewKVClient builds a PRISM-KV client over a connection.
 func NewKVClient(conn *Conn, meta kv.Meta, clientID uint16) *KVClient {
-	return kv.NewClient(conn, meta, clientID)
+	return &KVClient{kv.NewClient(conn, meta, clientID)}
 }
+
+// Get, Put and FlushFrees are kv.Client's, with the process argument
+// the repository's benchmark still passes.
+func (c *KVClient) Get(_ *Proc, key int64) ([]byte, error)     { return c.Client.Get(key) }
+func (c *KVClient) Put(_ *Proc, key int64, value []byte) error { return c.Client.Put(key, value) }
+func (c *KVClient) FlushFrees(*Proc) error                     { return c.Client.FlushFrees() }
 
 // NewChainStore provisions the linked-chain layout on a server NIC
 // (DESIGN.md §14): Buckets head cells pointing at pre-linked Depth-node chains,
@@ -217,7 +230,7 @@ func NewRSReplica(s *Server, opts RSOptions) (*RSReplica, error) { return abd.Ne
 // NewRSClient builds a PRISM-RS client over one connection per replica
 // (pass an odd number, 2f+1).
 func NewRSClient(id uint16, conns []*Conn, metas []abd.Meta) *RSClient {
-	return abd.NewClient(id, conns, metas)
+	return abd.NewClient(id, transport.Issuers(conns), metas)
 }
 
 // NewABDLockReplica provisions one lock-based ABD replica.
@@ -228,7 +241,7 @@ func NewABDLockReplica(s *Server, nBlocks int64, blockSize int) (*ABDLockReplica
 // NewABDLockClient builds a lock-based ABD client; jitter randomizes
 // backoff (pass cluster.Engine().Rand().Float64).
 func NewABDLockClient(id uint16, conns []*Conn, metas []abd.LockMeta, jitter func() float64) *ABDLockClient {
-	return abd.NewLockClient(id, conns, metas, jitter)
+	return abd.NewLockClient(id, transport.Issuers(conns), metas, jitter)
 }
 
 // TXOptions sizes a PRISM-TX shard.
@@ -239,7 +252,7 @@ func NewTXShard(s *Server, opts TXOptions) (*TXShard, error) { return tx.NewShar
 
 // NewTXClient builds a transaction client over the given shards.
 func (c *ClusterSim) NewTXClient(id uint16, conns []*Conn, metas []tx.Meta) *TXClient {
-	return tx.NewClient(id, conns, metas)
+	return tx.NewClient(id, transport.Issuers(conns), metas)
 }
 
 // NewFarmServer provisions the FaRM baseline on a server NIC.
@@ -249,5 +262,5 @@ func NewFarmServer(s *Server, opts TXOptions) (*FarmServer, error) {
 
 // NewFarmClient builds a FaRM transaction client.
 func NewFarmClient(id uint16, conns []*Conn, metas []tx.FarmMeta) *FarmClient {
-	return tx.NewFarmClient(id, conns, metas)
+	return tx.NewFarmClient(id, transport.Issuers(conns), metas)
 }

@@ -54,11 +54,11 @@ func TestPublicRSQuorum(t *testing.T) {
 	cli := NewRSClient(1, conns, metas)
 	c.Go("t", func(p *Proc) {
 		val := bytes.Repeat([]byte{0xAB}, 32)
-		if err := cli.Put(p, 5, val); err != nil {
+		if err := cli.Put(5, val); err != nil {
 			t.Error(err)
 			return
 		}
-		got, err := cli.Get(p, 5)
+		got, err := cli.Get(5)
 		if err != nil || !bytes.Equal(got, val) {
 			t.Errorf("get: %v %v", got, err)
 		}
@@ -82,12 +82,12 @@ func TestPublicTXCommitAbort(t *testing.T) {
 	c.Go("t", func(p *Proc) {
 		// Interleaved RMWs: exactly one commits.
 		t1, t2 := a.Begin(), b.Begin()
-		t1.Read(p, 0)
-		t2.Read(p, 0)
+		t1.Read(0)
+		t2.Read(0)
 		t1.Write(0, make([]byte, 16))
 		t2.Write(0, make([]byte, 16))
-		_, err1 := t1.Commit(p)
-		_, err2 := t2.Commit(p)
+		_, err1 := t1.Commit()
+		_, err2 := t2.Commit()
 		committed := 0
 		for _, e := range []error{err1, err2} {
 			if e == nil {
