@@ -38,15 +38,19 @@ test:
 # 6,000 MB it may use there, so the golden-figure tests (every figure
 # rendered serially and on a pool, ≈3,000 MB) run apart from the rest
 # (≈4,700 MB). Each prints its peak_rss_mb (TestMain; go test shows it when
-# run in the package directory). workload, wire and the commands ride
-# along after it.
+# run in the package directory). workload, wire, the commands and
+# internal/integration ride along after it: prismd serves every store over
+# a unix socket, and integration's net.Pipe servers and clients (the
+# Issuer contract, every store's Meta on both transports) are live code
+# too.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
 		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism \
 		./internal/tx ./internal/abd
 	cd internal/bench && $(GO) test -race -run '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
 	cd internal/bench && $(GO) test -race -skip '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
-	$(GO) test -race ./internal/workload ./internal/wire ./cmd/prismtrace ./cmd/prismkv ./cmd/prismload
+	$(GO) test -race ./internal/workload ./internal/wire ./cmd/prismtrace ./cmd/prismkv ./cmd/prismload \
+		./cmd/prismd ./internal/integration
 
 # The one command that regenerates a number: the repository's benchmark
 # (BENCHMARK.json; flags and metrics in benchmark/README.md).

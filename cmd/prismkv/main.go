@@ -36,17 +36,14 @@ import (
 
 	"prism"
 	"prism/internal/kv"
-	"prism/internal/model"
 	"prism/internal/sim"
 	"prism/internal/transport"
 )
 
-// ops abstracts the REPL's backend: simulated cluster or live server.
-// Each call returns the operation's cost as reported by that backend.
+// ops is the REPL's backend: a simulated cluster or a live server, each
+// holding one kv.Client, and the clock that prices its commands.
 type ops interface {
-	put(key int64, value []byte) (time.Duration, error)
-	get(key int64) ([]byte, time.Duration, error)
-	del(key int64) (time.Duration, error)
+	timed(fn func(*kv.Client) error) (time.Duration, error) // runs fn and returns its cost
 	stats() string
 	costNote() string // e.g. "simulated" vs "wall clock"
 }
@@ -137,7 +134,7 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 			return nil
 		}
 		val := strings.Join(args[1:], " ")
-		d, err := backend.put(k, []byte(val))
+		d, err := backend.timed(func(c *kv.Client) error { return c.Put(k, []byte(val)) })
 		if err != nil {
 			return err
 		}
@@ -147,7 +144,8 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 		if !ok {
 			return nil
 		}
-		v, d, err := backend.get(k)
+		var v []byte
+		d, err := backend.timed(func(c *kv.Client) (err error) { v, err = c.Get(k); return err })
 		if errors.Is(err, kv.ErrNotFound) {
 			fmt.Fprintf(out, "(not found) (%v %s)\n", d, backend.costNote())
 			return nil
@@ -161,7 +159,7 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 		if !ok {
 			return nil
 		}
-		d, err := backend.del(k)
+		d, err := backend.timed(func(c *kv.Client) error { return c.Delete(k) })
 		if err != nil {
 			return err
 		}
@@ -177,9 +175,9 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 // simOps runs commands on the simulated cluster; each command is one
 // simulated process and the engine advances only while it executes.
 type simOps struct {
-	c      *prism.ClusterSim
-	client *kv.Client
-	srv    *prism.Server
+	c   *prism.ClusterSim
+	kvc *kv.Client
+	srv *prism.Server
 }
 
 func newSimOps(deployFlag, netFlag string, nKeys int64) (*simOps, string, error) {
@@ -216,43 +214,24 @@ func newSimOps(deployFlag, netFlag string, nKeys int64) (*simOps, string, error)
 	client := kv.NewClient(c.NewClientMachine("repl").Connect(srv), store.Meta(), 1)
 	banner := fmt.Sprintf("PRISM-KV REPL — deployment %v, network %s (all latencies are simulated)",
 		deploy, network.Name)
-	return &simOps{c: c, client: client, srv: srv}, banner, nil
+	return &simOps{c: c, kvc: client, srv: srv}, banner, nil
 }
 
-// run executes fn as one simulated process and returns the simulated
+// timed executes fn as one simulated process and returns the simulated
 // time it took.
-func (s *simOps) run(fn func() error) (time.Duration, error) {
+func (s *simOps) timed(fn func(*kv.Client) error) (time.Duration, error) {
 	var d time.Duration
 	var err error
 	s.c.Go("cmd", func(p *sim.Proc) {
 		start := p.Now()
-		err = fn()
+		err = fn(s.kvc)
 		d = p.Now().Sub(start)
 	})
 	s.c.Run()
 	return d, err
 }
 
-func (s *simOps) put(key int64, value []byte) (time.Duration, error) {
-	return s.run(func() error { return s.client.Put(key, value) })
-}
-
-func (s *simOps) get(key int64) ([]byte, time.Duration, error) {
-	var v []byte
-	d, err := s.run(func() error {
-		var err error
-		v, err = s.client.Get(key)
-		return err
-	})
-	return v, d, err
-}
-
-func (s *simOps) del(key int64) (time.Duration, error) {
-	return s.run(func() error { return s.client.Delete(key) })
-}
-
 func (s *simOps) stats() string {
-	_ = model.Default()
 	return fmt.Sprintf("server: %d requests served, %d ops executed",
 		s.srv.RequestsServed, s.srv.OpsExecuted)
 }
@@ -267,28 +246,17 @@ type liveOps struct {
 }
 
 func newLiveOps(addr string) (*liveOps, error) {
-	tc, kvc, err := kv.DialLive(addr, 1)
+	var meta kv.Meta
+	tc, conn, err := transport.DialMeta(addr, "kv", &meta)
 	if err != nil {
 		return nil, fmt.Errorf("connect %s: %w", addr, err)
 	}
-	return &liveOps{tc: tc, kvc: kvc, addr: addr}, nil
+	return &liveOps{tc: tc, kvc: kv.NewClient(conn, meta, 1), addr: addr}, nil
 }
 
-func (l *liveOps) put(key int64, value []byte) (time.Duration, error) {
+func (l *liveOps) timed(fn func(*kv.Client) error) (time.Duration, error) {
 	start := time.Now()
-	err := l.kvc.Put(key, value)
-	return time.Since(start), err
-}
-
-func (l *liveOps) get(key int64) ([]byte, time.Duration, error) {
-	start := time.Now()
-	v, err := l.kvc.Get(key)
-	return v, time.Since(start), err
-}
-
-func (l *liveOps) del(key int64) (time.Duration, error) {
-	start := time.Now()
-	err := l.kvc.Delete(key)
+	err := fn(l.kvc)
 	return time.Since(start), err
 }
 

@@ -11,7 +11,7 @@
 //
 // -workload selects the op mix: "get" (the default read/write mix),
 // "scan" (budget-bounded SCAN windows over the hash table), and — when
-// the server runs a chain store (prismd -chain DEPTH) — "chase" (one
+// the server runs a chain store (prismd -app chain:DEPTH) — "chase" (one
 // CHASE verb program per lookup) against "chasehop" (the per-hop
 // one-sided baseline: one round trip per pointer hop).
 package main
@@ -58,7 +58,7 @@ func run(args []string, stdout io.Writer) error {
 	keys := fs.Int64("keys", 4096, "key space (should be preloaded)")
 	valueSize := fs.Int("value", 128, "value size for writes (bytes)")
 	reads := fs.Float64("reads", 0.95, "fraction of operations that are GETs")
-	workloadKind := fs.String("workload", "get", "op mix: get, chase, chasehop, or scan (chase/chasehop need prismd -chain)")
+	workloadKind := fs.String("workload", "get", "op mix: get, chase, chasehop, or scan (chase/chasehop need prismd -app chain:DEPTH)")
 	depth := fs.Int64("depth", 0, "chain hops per chase/chasehop lookup (0 = the chain's full depth)")
 	scanBudget := fs.Uint64("scan-budget", 4096, "byte budget per SCAN window")
 	jsonPath := fs.String("json", "", "write the result JSON here (default stdout)")
@@ -74,8 +74,20 @@ func run(args []string, stdout io.Writer) error {
 	}
 	*sockets = max(1, min(*sockets, *clients))
 	*batch = max(1, *batch)
+	var meta kv.Meta
+	var chainMeta kv.ChainMeta
+	app, target := "kv", any(&meta)
+	switch *workloadKind {
+	case "chase", "chasehop":
+		app, target = "chain", &chainMeta
+	case "get", "scan":
+	default:
+		return fmt.Errorf("%w: unknown -workload %q (get, chase, chasehop, or scan)", errUsage, *workloadKind)
+	}
 
-	// Dial the socket pool and fetch the store metadata once.
+	// Dial the socket pool and open every logical connection up front so
+	// the measured window is pure data path; the first fetches the store's
+	// Meta.
 	pool := make([]*transport.Client, *sockets)
 	for i := range pool {
 		tc, err := transport.Dial(*addr)
@@ -85,33 +97,6 @@ func run(args []string, stdout io.Writer) error {
 		defer tc.Close()
 		pool[i] = tc
 	}
-	metaConn, err := pool[0].Connect()
-	if err != nil {
-		return fmt.Errorf("connect: %w", err)
-	}
-	var meta kv.Meta
-	var chainMeta kv.ChainMeta
-	switch *workloadKind {
-	case "chase", "chasehop":
-		if chainMeta, err = kv.FetchChainMeta(metaConn); err != nil {
-			return fmt.Errorf("fetch chain meta (is the server running -chain?): %w", err)
-		}
-		if *depth <= 0 || *depth > chainMeta.Depth {
-			*depth = chainMeta.Depth
-		}
-	case "get", "scan":
-		if meta, err = kv.FetchMeta(metaConn); err != nil {
-			return fmt.Errorf("fetch meta: %w", err)
-		}
-		if *workloadKind == "get" && *keys > meta.NSlots {
-			return fmt.Errorf("-keys %d exceeds server's %d slots", *keys, meta.NSlots)
-		}
-	default:
-		return fmt.Errorf("%w: unknown -workload %q (get, chase, chasehop, or scan)", errUsage, *workloadKind)
-	}
-
-	// Open every logical connection up front so the measured window is
-	// pure data path.
 	conns := make([]*transport.Conn, *clients)
 	for i := range conns {
 		cn, err := pool[i%*sockets].Connect()
@@ -119,6 +104,15 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("connect client %d: %w", i, err)
 		}
 		conns[i] = cn
+	}
+	if err := transport.FetchMeta(conns[0], app, target); err != nil {
+		return fmt.Errorf("fetch meta: %w", err)
+	}
+	if *workloadKind == "get" && *keys > meta.NSlots {
+		return fmt.Errorf("-keys %d exceeds server's %d slots", *keys, meta.NSlots)
+	}
+	if app == "chain" && (*depth <= 0 || *depth > chainMeta.Depth) {
+		*depth = chainMeta.Depth
 	}
 
 	var (

@@ -94,3 +94,20 @@ func TestRunDeadAddress(t *testing.T) {
 		t.Fatalf("run against a dead address wrote %q", out.String())
 	}
 }
+
+// A chase against a PRISM-KV server fails at the meta fetch, naming the
+// app the server serves and the one the workload needs.
+func TestRunWrongApp(t *testing.T) {
+	addr := serve(t, func(ts *transport.Server) error {
+		_, err := kv.NewServerOn(ts, kv.DefaultOptions(16, 64))
+		return err
+	})
+	var out bytes.Buffer
+	err := run([]string{"-addr", addr, "-workload", "chase", "-duration", "10ms"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "server serves kv, not chain") {
+		t.Fatalf("chase against a kv server: %v, want the both-apps error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a failed run wrote %q", out.String())
+	}
+}

@@ -38,14 +38,15 @@ func (m *LockMeta) blockAddr(b int64) memory.Addr {
 
 // LockReplica is a passive ABDLOCK storage node: after initialization the
 // server CPU does nothing — no RPC handler, no free list — and all protocol
-// steps are classic verbs. A replica forked from a captured image therefore
-// has nothing to attach: its LockMeta is all a client needs.
+// steps are classic verbs. NewLockReplica publishes its LockMeta for live
+// clients; a simulated replica forked from a captured image has nothing to
+// attach, since simulated clients are handed their LockMeta.
 type LockReplica struct {
 	meta LockMeta
 }
 
 // NewLockReplica provisions the in-place block array with tag (1,0) on
-// host.
+// host and publishes its LockMeta.
 func NewLockReplica(host transport.Host, nBlocks int64, blockSize int) (*LockReplica, error) {
 	space := host.Space()
 	key, base, err := alloc.RegisterArray(space, 0, uint64(nBlocks), uint64(lockHdr+blockSize))
@@ -61,6 +62,7 @@ func NewLockReplica(host transport.Host, nBlocks int64, blockSize int) (*LockRep
 			return nil, err
 		}
 	}
+	host.PublishMeta("lock", meta)
 	return &LockReplica{meta: meta}, nil
 }
 

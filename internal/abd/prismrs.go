@@ -86,10 +86,12 @@ func NewReplica(host transport.Host, opts ReplicaOptions) (*Replica, error) {
 // AttachReplica is the CPU half of NewReplica: the replica described by
 // meta already stands in host's memory and free list (NewReplica just put
 // it there, or host was forked from a captured image of one that did),
-// and what remains is the reclamation daemon. The three replicas of a
-// group are identical after initialization, so one image serves them all.
+// and what remains is the reclamation daemon and the published Meta. The
+// three replicas of a group are identical after initialization, so one
+// image serves them all.
 func AttachReplica(host transport.Host, meta Meta) *Replica {
 	host.SetRPCHandler(transport.ReclamationHandler(host, rpcFree, meta.FreeList))
+	host.PublishMeta("rs", meta)
 	return &Replica{meta: meta}
 }
 

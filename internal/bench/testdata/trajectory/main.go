@@ -1,0 +1,113 @@
+// Command trajectory appends a PR's records to BENCH_trajectory.json from
+// two files of alternating benchmark runs (go run ./benchmark -out), the
+// parent's and the change's: per workload and end-to-end metric of
+// BENCHMARK.json, both medians and quartiles, the pairs (run i against run
+// i) and the pairs the change won. Its commit stays empty, since a file
+// cannot hold the hash of the commit that adds it; the next PR fills it
+// in. From the repository root:
+//
+//	go run ./internal/bench/testdata/trajectory -pr N -parent HASH parent.jsonl change.jsonl
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"slices"
+	"strings"
+)
+
+type run struct {
+	Workload string             `json:"workload"`
+	Trace    bool               `json:"trace"`
+	NumCPU   int                `json:"num_cpu"`
+	Go       string             `json:"go_version"`
+	Metrics  map[string]float64 `json:"metrics"`
+}
+
+func main() {
+	pr := flag.Int("pr", 0, "the change's PR number")
+	parent := flag.String("parent", "", "the parent's commit hash")
+	flag.Parse()
+	if flag.NArg() != 2 || *pr <= 0 || *parent == "" {
+		check(fmt.Errorf("usage: -pr N -parent HASH parent.jsonl change.jsonl"))
+	}
+	var spec struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []struct{ Name, Unit, Better string } `json:"end_to_end"`
+	}
+	var recs []json.RawMessage
+	check(json.Unmarshal(read("BENCHMARK.json"), &spec))
+	check(json.Unmarshal(read("BENCH_trajectory.json"), &recs))
+	base, change := runs(flag.Arg(0)), runs(flag.Arg(1))
+	for _, wl := range spec.Workloads {
+		w := wl.Name
+		for _, m := range spec.EndToEnd {
+			var p, c []float64
+			won := 0
+			for i := 0; i < min(len(base[w]), len(change[w])); i++ {
+				p, c = append(p, base[w][i].Metrics[m.Name]), append(c, change[w][i].Metrics[m.Name])
+				if m.Better == "lower" && c[i] < p[i] || m.Better == "higher" && c[i] > p[i] {
+					won++
+				}
+			}
+			if len(p) == 0 {
+				continue
+			}
+			b, err := json.Marshal(map[string]any{
+				"pr": *pr, "workload": w, "metric": m.Name, "unit": m.Unit, "commit": "", "parent": *parent,
+				"parent_median": quantile(p, 0.5), "parent_q1": quantile(p, 0.25), "parent_q3": quantile(p, 0.75),
+				"median": quantile(c, 0.5), "q1": quantile(c, 0.25), "q3": quantile(c, 0.75),
+				"pairs": len(p), "pairs_won": won,
+				"host": map[string]any{"nproc": change[w][0].NumCPU, "go": change[w][0].Go},
+			})
+			check(err)
+			recs = append(recs, b)
+		}
+	}
+	lines := make([]string, len(recs))
+	for i, r := range recs {
+		lines[i] = string(r)
+	}
+	check(os.WriteFile("BENCH_trajectory.json", []byte("[\n  "+strings.Join(lines, ",\n  ")+"\n]\n"), 0o644))
+}
+
+// runs reads a results file's untraced runs by workload, in file order.
+func runs(path string) map[string][]run {
+	by := map[string][]run{}
+	dec := json.NewDecoder(bytes.NewReader(read(path)))
+	for dec.More() {
+		var r run
+		check(dec.Decode(&r))
+		if !r.Trace {
+			by[r.Workload] = append(by[r.Workload], r)
+		}
+	}
+	return by
+}
+
+// quantile interpolates between sorted values, as the benchmark's -check.
+func quantile(vs []float64, q float64) float64 {
+	s := slices.Sorted(slices.Values(vs))
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo+1 == len(s) {
+		return s[lo]
+	}
+	return s[lo] + (s[lo+1]-s[lo])*(pos-float64(lo))
+}
+
+func read(path string) []byte {
+	b, err := os.ReadFile(path)
+	check(err)
+	return b
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trajectory:", err)
+		os.Exit(1)
+	}
+}

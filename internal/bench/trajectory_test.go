@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"reflect"
+	"regexp"
 	"slices"
 	"testing"
 )
@@ -44,9 +45,16 @@ func jsonFields(t reflect.Type) []string {
 	return names
 }
 
+// commitHash is what a record's commit and parent hold: an abbreviated or
+// full git commit hash.
+var commitHash = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
+
 // TestBenchTrajectory: every record of the trajectory has every field and
 // no other, its quartiles bracket its median, its pairs won are among its
-// pairs, and PR numbers never go down in file order.
+// pairs, its commit and parent are commit hashes, and PR numbers never go
+// down in file order. Only the newest PR's records may leave commit empty:
+// a file cannot hold the hash of the commit that adds it, so the next PR
+// fills it in.
 func TestBenchTrajectory(t *testing.T) {
 	b, err := os.ReadFile("../../BENCH_trajectory.json")
 	if err != nil {
@@ -89,8 +97,12 @@ func TestBenchTrajectory(t *testing.T) {
 		if r.ParentQ1 > r.ParentMedian || r.ParentMedian > r.ParentQ3 || r.Q1 > r.Median || r.Median > r.Q3 {
 			t.Errorf("record %d (PR %d %s %s): quartiles do not bracket the medians", i, r.PR, r.Workload, r.Metric)
 		}
-		if r.Workload == "" || r.Metric == "" || r.Unit == "" || r.Commit == "" || r.Parent == "" || r.Host.NProc <= 0 || r.Host.Go == "" {
+		if r.Workload == "" || r.Metric == "" || r.Unit == "" || r.Host.NProc <= 0 || r.Host.Go == "" {
 			t.Errorf("record %d (PR %d): an empty field: %+v", i, r.PR, r)
+		}
+		newest := r.PR == recs[len(recs)-1].PR
+		if !commitHash.MatchString(r.Parent) || !commitHash.MatchString(r.Commit) && !(newest && r.Commit == "") {
+			t.Errorf("record %d (PR %d): commit %q, parent %q: want commit hashes", i, r.PR, r.Commit, r.Parent)
 		}
 	}
 }

@@ -156,24 +156,44 @@ func TestIssuerContract(t *testing.T) {
 // withSimIssuers runs body inside a simulation process over two
 // connections of one client machine to a software-PRISM NIC.
 func withSimIssuers(t *testing.T, body func(r *issuerRegion)) {
+	var r *issuerRegion
+	onSim(t, func(h transport.Host) { r = register(t, h) }, func(is []transport.Issuer) {
+		copy(r.is[:], is)
+		body(r)
+	})
+}
+
+// withLiveIssuers runs body over two connections of one socket to a live
+// server on a net.Pipe.
+func withLiveIssuers(t *testing.T, body func(r *issuerRegion)) {
+	var r *issuerRegion
+	onLive(t, func(h transport.Host) { r = register(t, h) }, func(is []transport.Issuer) {
+		copy(r.is[:], is)
+		body(r)
+	})
+}
+
+// onSim provisions a software-PRISM NIC and runs body inside a simulation
+// process over two connections of one client machine to it.
+func onSim(t *testing.T, provision func(transport.Host), body func(is []transport.Issuer)) {
 	e := sim.NewEngine(1)
 	net := fabric.New(e, model.Default().WithNetwork(model.Rack))
 	nic := rdma.NewServer(net, "srv", model.SoftwarePRISM)
-	r := register(t, nic)
+	provision(nic)
 	cli := rdma.NewClient(net, "cli")
-	r.is = [2]transport.Issuer{cli.Connect(nic), cli.Connect(nic)}
-	e.Go("contract", func(*sim.Proc) { body(r) })
+	is := []transport.Issuer{cli.Connect(nic), cli.Connect(nic)}
+	e.Go("body", func(*sim.Proc) { body(is) })
 	e.Run()
 	if e.LiveProcs() != 0 {
 		t.Error("the process did not finish")
 	}
 }
 
-// withLiveIssuers runs body over two connections of one socket to a live
-// server on a net.Pipe.
-func withLiveIssuers(t *testing.T, body func(r *issuerRegion)) {
+// onLive provisions a live server and runs body over two connections of
+// one socket to it on a net.Pipe.
+func onLive(t *testing.T, provision func(transport.Host), body func(is []transport.Issuer)) {
 	ts := transport.NewServer()
-	r := register(t, ts)
+	provision(ts)
 	cEnd, sEnd := net.Pipe()
 	served := make(chan struct{})
 	go func() { defer close(served); ts.ServeConn(sEnd) }()
@@ -181,14 +201,15 @@ func withLiveIssuers(t *testing.T, body func(r *issuerRegion)) {
 	if err != nil {
 		t.Fatalf("NewClientConn: %v", err)
 	}
-	for i := range r.is {
+	is := make([]transport.Issuer, 2)
+	for i := range is {
 		cn, err := c.Connect()
 		if err != nil {
 			t.Fatalf("Connect: %v", err)
 		}
-		r.is[i] = cn
+		is[i] = cn
 	}
-	body(r)
+	body(is)
 	c.Close()
 	ts.Shutdown(time.Second)
 	<-served

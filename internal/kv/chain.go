@@ -191,12 +191,12 @@ func (m *ChainMeta) chaseSteps() uint8 {
 }
 
 // ChainStore provisions the bucketed linked-list layout on a transport
-// host (the simulated NIC or a live socket server) and serves its
-// control-plane and host-CPU-GET RPCs.
+// host (the simulated NIC or a live socket server), publishes its
+// ChainMeta and serves the host-CPU-GET RPC.
 type ChainStore struct {
 	host   transport.Host
 	meta   ChainMeta
-	rpcBuf []byte // RPC reply scratch; dispatch is serialized (see Server.metaBuf)
+	rpcBuf []byte // RPC reply scratch; dispatch is serialized (see Server.retired)
 }
 
 // NewChainStoreOn registers the head cells and the nodes on host and links
@@ -238,6 +238,7 @@ func NewChainStoreOn(host transport.Host, opts ChainOptions) (*ChainStore, error
 	}
 	s := &ChainStore{host: host, meta: meta}
 	host.SetRPCHandler(s.handleRPC)
+	host.PublishMeta("chain", &s.meta)
 	return s, nil
 }
 
@@ -266,24 +267,12 @@ func (s *ChainStore) Load(key int64, value []byte) error {
 	return space.Write(s.meta.Key, node+chainNodeHeader, value)
 }
 
-// handleRPC serves the chain control plane and the host-CPU GET baseline.
+// handleRPC serves the host-CPU GET baseline.
 func (s *ChainStore) handleRPC(payload []byte) ([]byte, time.Duration) {
-	if len(payload) == 0 {
+	if len(payload) < 9 || payload[0] != rpcChainGet {
 		return nil, 0
 	}
-	switch payload[0] {
-	case rpcChainMeta:
-		s.rpcBuf = appendChainMeta(s.rpcBuf[:0], &s.meta)
-		return s.rpcBuf, 0
-	case rpcChainGet:
-		if len(payload) < 9 {
-			return nil, 0
-		}
-		key := int64(binary.BigEndian.Uint64(payload[1:]))
-		return s.chainGet(key)
-	default:
-		return nil, 0
-	}
+	return s.chainGet(int64(binary.BigEndian.Uint64(payload[1:])))
 }
 
 // chainGet walks the key's chain on the host CPU — the RPC baseline a
@@ -324,34 +313,6 @@ func (s *ChainStore) chainGet(key int64) ([]byte, time.Duration) {
 	return []byte{0}, time.Duration(steps) * chainRPCStepCost
 }
 
-// appendChainMeta encodes m little-endian; shared by handleRPC and
-// FetchChainMeta, like appendMeta/decodeMeta.
-func appendChainMeta(b []byte, m *ChainMeta) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Key))
-	b = binary.LittleEndian.AppendUint64(b, uint64(m.HeadBase))
-	b = binary.LittleEndian.AppendUint64(b, uint64(m.NodeBase))
-	b = binary.LittleEndian.AppendUint64(b, uint64(m.Buckets))
-	b = binary.LittleEndian.AppendUint64(b, uint64(m.Depth))
-	b = binary.LittleEndian.AppendUint64(b, uint64(m.MaxValue))
-	return b
-}
-
-const chainMetaLen = 4 + 8 + 8 + 8 + 8 + 8
-
-func decodeChainMeta(b []byte) (ChainMeta, error) {
-	var m ChainMeta
-	if len(b) != chainMetaLen {
-		return m, errors.New("kv: bad chain meta reply")
-	}
-	m.Key = memory.RKey(binary.LittleEndian.Uint32(b))
-	m.HeadBase = memory.Addr(binary.LittleEndian.Uint64(b[4:]))
-	m.NodeBase = memory.Addr(binary.LittleEndian.Uint64(b[12:]))
-	m.Buckets = int64(binary.LittleEndian.Uint64(b[20:]))
-	m.Depth = int64(binary.LittleEndian.Uint64(b[28:]))
-	m.MaxValue = int(binary.LittleEndian.Uint64(b[36:]))
-	return m, nil
-}
-
 // --- Chain clients ---
 
 // decodeChainNode extracts the value from a whole-node read.
@@ -389,29 +350,6 @@ func (c *ChainClient) Meta() ChainMeta { return c.meta }
 // NewChainClient builds a client over a connection to a ChainStore.
 func NewChainClient(conn transport.Issuer, meta ChainMeta) *ChainClient {
 	return &ChainClient{conn: conn, meta: meta}
-}
-
-// FetchChainMeta retrieves the chain description over conn.
-func FetchChainMeta(conn *transport.Conn) (ChainMeta, error) {
-	b, err := controlRPC(conn, rpcChainMeta)
-	if err != nil {
-		return ChainMeta{}, err
-	}
-	return decodeChainMeta(b)
-}
-
-// DialChain connects to a chain-mode prismd server at addr.
-func DialChain(addr string) (*transport.Client, *ChainClient, error) {
-	tc, conn, err := dialConn(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	meta, err := FetchChainMeta(conn)
-	if err != nil {
-		tc.Close()
-		return nil, nil, err
-	}
-	return tc, NewChainClient(conn, meta), nil
 }
 
 // appendChaseProg encodes the list-chase program for one bucket walk.

@@ -459,10 +459,12 @@ func TestLiveChaseBeatsHopWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tc, c, err := DialChain(serveUnix(t, ts))
+	var meta ChainMeta
+	tc, conn, err := transport.DialMeta(serveUnix(t, ts), "chain", &meta)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := NewChainClient(conn, meta)
 	defer tc.Close()
 
 	const lookups = 256

@@ -172,6 +172,7 @@ func NewPilafServer(host transport.Host, opts Options) (*PilafServer, error) {
 		},
 	}
 	host.SetRPCHandler(s.handleRPC)
+	host.PublishMeta("pilaf", &s.meta)
 	return s, nil
 }
 
@@ -395,6 +396,7 @@ func (t *PilafTemplate) Attach(host transport.Host) *PilafServer {
 	s := &PilafServer{host: host, meta: t.meta, extents: t.extents, index: t.index.fork(), slotOwner: t.slotOwner.fork()}
 	s.extents.free = append([]pilafExtent(nil), t.extents.free...)
 	host.SetRPCHandler(s.handleRPC)
+	host.PublishMeta("pilaf", &s.meta)
 	return s
 }
 

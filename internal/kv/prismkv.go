@@ -12,19 +12,14 @@ import (
 	"prism/internal/wire"
 )
 
-// Reclamation RPC opcodes (application-level protocol riding OpSend).
+// RPC opcodes (application-level protocols riding OpSend). 0 is
+// transport.RPCMeta, which the transport answers for every store.
 const (
-	rpcFree byte = iota + 1
-	rpcPilafPut
-	// rpcMeta returns the server's encoded Meta, so live clients fetch
-	// the control-plane description over the wire instead of sharing
-	// process memory with the server (see live.go).
-	rpcMeta
-	// rpcChainMeta and rpcChainGet serve the linked-chain store
-	// (chain.go): the control-plane description and the host-CPU GET
-	// baseline that verb-program CHASE is measured against.
-	rpcChainMeta
-	rpcChainGet
+	rpcFree     byte = 1
+	rpcPilafPut byte = 2
+	// rpcChainGet is the chain store's host-CPU GET (chain.go), the
+	// baseline a verb-program CHASE is measured against.
+	rpcChainGet byte = 5
 )
 
 // Options configures a PRISM-KV server.
@@ -63,12 +58,11 @@ type Server struct {
 	// to it.
 	host transport.Host
 	meta Meta
-	// metaBuf is the rpcMeta reply scratch and retired the rpcFree decode
-	// scratch; RPC dispatch is serialized by the transport (one engine
-	// in the simulator, rpcMu live). loadBuf is Load's entry image,
-	// touched only under the space guard.
-	metaBuf, loadBuf []byte
-	retired          []memory.Addr
+	// retired is the rpcFree decode scratch; RPC dispatch is serialized
+	// by the transport (one engine in the simulator, rpcMu live). loadBuf
+	// is Load's entry image, touched only under the space guard.
+	loadBuf []byte
+	retired []memory.Addr
 }
 
 // NewServerOn provisions PRISM-KV on any transport host — the simulated
@@ -104,10 +98,12 @@ func NewServerOn(host transport.Host, opts Options) (*Server, error) {
 // AttachServer is the CPU half of NewServerOn: the store described by
 // meta already stands in host's memory and free lists (NewServerOn just
 // put it there, or host was forked from a captured image of one that
-// did), and what remains is the server's own state and its RPC handler.
+// did), and what remains is the server's own state, its RPC handler and
+// its published Meta.
 func AttachServer(host transport.Host, meta Meta) *Server {
 	s := &Server{host: host, meta: meta}
 	host.SetRPCHandler(s.handleRPC)
+	host.PublishMeta("kv", &s.meta)
 	return s
 }
 
@@ -118,31 +114,23 @@ func (s *Server) Meta() Meta { return s.meta }
 // buffers; the server re-registers them with the NIC free list after
 // quiesce.
 func (s *Server) handleRPC(payload []byte) ([]byte, time.Duration) {
-	if len(payload) == 0 {
+	if len(payload) == 0 || payload[0] != rpcFree {
 		return nil, 0
 	}
-	switch payload[0] {
-	case rpcFree:
-		// [op(1)] then repeated [freelist(4) | addr(8)]; each run of one
-		// free list is recycled in one call.
-		rest := payload[1:]
-		n := len(rest) / 12
-		for len(rest) >= 12 {
-			fl := binary.LittleEndian.Uint32(rest)
-			s.retired = s.retired[:0]
-			for ; len(rest) >= 12 && binary.LittleEndian.Uint32(rest) == fl; rest = rest[12:] {
-				s.retired = append(s.retired, memory.Addr(binary.LittleEndian.Uint64(rest[4:])))
-			}
-			s.host.RecycleBuffers(fl, s.retired)
+	// [op(1)] then repeated [freelist(4) | addr(8)]; each run of one free
+	// list is recycled in one call.
+	rest := payload[1:]
+	n := len(rest) / 12
+	for len(rest) >= 12 {
+		fl := binary.LittleEndian.Uint32(rest)
+		s.retired = s.retired[:0]
+		for ; len(rest) >= 12 && binary.LittleEndian.Uint32(rest) == fl; rest = rest[12:] {
+			s.retired = append(s.retired, memory.Addr(binary.LittleEndian.Uint64(rest[4:])))
 		}
-		// Recycling is cheap bookkeeping; charge ~100ns per buffer.
-		return []byte{0}, time.Duration(n) * 100 * time.Nanosecond
-	case rpcMeta:
-		s.metaBuf = appendMeta(s.metaBuf[:0], &s.meta)
-		return s.metaBuf, 0
-	default:
-		return nil, 0
+		s.host.RecycleBuffers(fl, s.retired)
 	}
+	// Recycling is cheap bookkeeping; charge ~100ns per buffer.
+	return []byte{0}, time.Duration(n) * 100 * time.Nanosecond
 }
 
 // Load installs key=value server-side (bulk loading before an experiment,
@@ -271,6 +259,20 @@ type Client struct {
 // control connection is set as Reclaim.Ctrl.
 func NewClient(conn transport.Issuer, meta Meta, clientID uint16) *Client {
 	return &Client{conn: conn, meta: meta, clientID: clientID, Reclaim: transport.NewReclaimer(conn, rpcFree, 16)}
+}
+
+// FetchMeta, LiveClient and NewLiveClient are the names the repository's
+// benchmark still uses for transport.FetchMeta with app "kv", Client and
+// NewClient over a live connection.
+func FetchMeta(conn transport.Issuer) (m Meta, err error) {
+	err = transport.FetchMeta(conn, "kv", &m)
+	return m, err
+}
+
+type LiveClient = Client
+
+func NewLiveClient(conn *transport.Conn, meta Meta, clientID uint16) *Client {
+	return NewClient(conn, meta, clientID)
 }
 
 // Meta returns the store description the client was built with.

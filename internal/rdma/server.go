@@ -21,12 +21,8 @@ import (
 )
 
 // ConnTempSize is the per-connection temporary buffer used as the redirect
-// target in chains and TempSlotSize the stride applications carve it into;
-// the shared Host core provisions them (transport.ConnTempSize).
-const (
-	ConnTempSize = transport.ConnTempSize
-	TempSlotSize = transport.TempSlotSize
-)
+// target in chains; the shared Host core provisions it.
+const ConnTempSize = transport.ConnTempSize
 
 // OnNICMemoryBytes is the user-accessible on-NIC memory region of the
 // projected hardware NIC (256 KB on the paper's ConnectX-5, §4.2).
@@ -38,13 +34,6 @@ const OnNICMemoryBytes = 256 << 10
 // defaultRecvCredits is the receive-queue depth posted at startup —
 // deep enough that well-behaved applications never see RNR.
 const defaultRecvCredits = 4096
-
-// RPCHandler processes a two-sided request on the server CPU. It returns
-// the reply payload and any extra CPU time the handler consumed beyond the
-// base dispatch cost (charged to the RPC core pool). The type is shared
-// with the live stream transports so one application handler provisions
-// on either the simulated or the socket server.
-type RPCHandler = transport.RPCHandler
 
 // The simulated server is one of the transports applications provision
 // on; the others are the live socket servers (transport.Server).
@@ -587,7 +576,9 @@ func (s *Server) SetRecvCredits(n int) { s.recvCredits = n }
 // serveRPC dispatches a two-sided request to the application handler.
 func (s *Server) serveRPC(sc *serverConn, req *wire.Request) {
 	s.RequestsServed++
-	if s.Handler() == nil {
+	payload := req.Ops[0].Data
+	handler := s.RPCFor(payload)
+	if handler == nil {
 		resp := s.acquireResp(sc, req.Seq, 1)
 		resp.Results[0] = wire.Result{Status: wire.StatusUnsupported}
 		s.e.Schedule(s.baseProc+s.takeQPDebt(sc), func() { s.finish(sc, resp) })
@@ -601,13 +592,12 @@ func (s *Server) serveRPC(sc *serverConn, req *wire.Request) {
 		return
 	}
 	s.recvCredits--
-	payload := req.Ops[0].Data
 	// Reserve an application core; the handler's memory effects apply when
 	// the core picks the request up.
 	start := s.rpcCores.Submit(s.p.RPCHandlerCPUTime, nil)
 	dispatchWait := start.Sub(s.e.Now()) - s.p.RPCHandlerCPUTime
 	s.e.Schedule(dispatchWait+s.takeQPDebt(sc), func() {
-		reply, extraCPU := s.Handler()(payload)
+		reply, extraCPU := handler(payload)
 		if extraCPU > 0 {
 			s.rpcCores.Submit(extraCPU, nil)
 		}

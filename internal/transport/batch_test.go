@@ -248,10 +248,12 @@ func TestBatchingServerTelemetry(t *testing.T) {
 func TestLiveIssueAllocs(t *testing.T) {
 	l := listenUnix(t)
 	serveKV(t, l, 64)
-	tc, kvc, err := kv.DialLive(l.Addr().String(), 1)
+	var meta kv.Meta
+	tc, conn, err := transport.DialMeta(l.Addr().String(), "kv", &meta)
 	if err != nil {
-		t.Fatalf("DialLive: %v", err)
+		t.Fatalf("DialMeta: %v", err)
 	}
+	kvc := kv.NewClient(conn, meta, 1)
 	defer tc.Close()
 	for k := int64(0); k < 64; k++ { // warm the window, scratch, and framers
 		if _, err := kvc.Get(k % 16); err != nil {
@@ -276,10 +278,12 @@ func TestLiveIssueAllocs(t *testing.T) {
 func TestLiveProgramAllocs(t *testing.T) {
 	l := listenUnix(t)
 	serveKV(t, l, 64)
-	tc, kvc, err := kv.DialLive(l.Addr().String(), 1)
+	var meta kv.Meta
+	tc, conn, err := transport.DialMeta(l.Addr().String(), "kv", &meta)
 	if err != nil {
-		t.Fatalf("DialLive: %v", err)
+		t.Fatalf("DialMeta: %v", err)
 	}
+	kvc := kv.NewClient(conn, meta, 1)
 	defer tc.Close()
 	visit := func(key int64, value []byte) error { return nil }
 	for k := int64(0); k < 64; k++ { // warm the window, scratch, and framers

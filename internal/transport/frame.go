@@ -444,9 +444,6 @@ func (fw *FrameWriter) putResult(off int, res *wire.Result) {
 	fw.buf = fw.buf[:p+n]
 }
 
-// Staged returns the number of frames staged since the last flush.
-func (fw *FrameWriter) Staged() int { return fw.staged }
-
 // Flush writes every staged frame in a single Write — the doorbell.
 // A no-op when nothing is staged.
 func (fw *FrameWriter) Flush() error {

@@ -22,10 +22,10 @@ const (
 
 // HostCore is the Host half of a server, written once: the memory space,
 // the free lists ALLOCATE pops from, the quiescer that gates buffer reuse
-// (§3.2), the two-sided RPC hook and the per-connection temp-buffer
-// region. The simulated NIC (rdma.Server) and the live socket server
-// (Server) both embed it; what they add is how requests arrive and what
-// they cost.
+// (§3.2), the two-sided RPC hook, the published Meta (meta.go) and the
+// per-connection temp-buffer region. The simulated NIC (rdma.Server) and
+// the live socket server (Server) both embed it; what they add is how
+// requests arrive and what they cost.
 //
 // Everything that touches shared state takes the space guard, on both
 // transports: the live server's sockets contend on it, and in the
@@ -36,6 +36,10 @@ type HostCore struct {
 	freeLists map[uint32]*alloc.FreeList
 	quiescer  *alloc.Quiescer
 	handler   RPCHandler
+
+	app      string
+	meta     any
+	metaJSON []byte // the RPCMeta reply, encoded on the first fetch
 
 	tempKey    memory.RKey
 	tempRegion *memory.Region
@@ -78,9 +82,6 @@ func (h *HostCore) Quiescer() *alloc.Quiescer { return h.quiescer }
 
 // SetRPCHandler installs the two-sided dispatch target.
 func (h *HostCore) SetRPCHandler(fn RPCHandler) { h.handler = fn }
-
-// Handler returns the installed RPC handler (nil when none).
-func (h *HostCore) Handler() RPCHandler { return h.handler }
 
 // RecycleBuffers returns client-released buffers to their free list once
 // all in-flight operations drain (§3.2's reuse rule): one guard

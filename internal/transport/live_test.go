@@ -78,10 +78,12 @@ func listenUnix(t *testing.T) net.Listener {
 // insert, PUT overwrite (tag bump), DELETE — over one live connection.
 func smoke(t *testing.T, addr string) {
 	t.Helper()
-	tc, kvc, err := kv.DialLive(addr, 1)
+	var meta kv.Meta
+	tc, conn, err := transport.DialMeta(addr, "kv", &meta)
 	if err != nil {
-		t.Fatalf("DialLive: %v", err)
+		t.Fatalf("DialMeta: %v", err)
 	}
+	kvc := kv.NewClient(conn, meta, 1)
 	defer tc.Close()
 
 	v, err := kvc.Get(3)
@@ -310,10 +312,12 @@ func TestLiveShutdownDrain(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- ts.Serve(transport.CheckedListener(t, l)) }()
 
-	tc, kvc, err := kv.DialLive(l.Addr().String(), 1)
+	var meta kv.Meta
+	tc, conn, err := transport.DialMeta(l.Addr().String(), "kv", &meta)
 	if err != nil {
-		t.Fatalf("DialLive: %v", err)
+		t.Fatalf("DialMeta: %v", err)
 	}
+	kvc := kv.NewClient(conn, meta, 1)
 	defer tc.Close()
 	if _, err := kvc.Get(1); err != nil {
 		t.Fatalf("Get before drain: %v", err)
@@ -332,7 +336,7 @@ func TestLiveShutdownDrain(t *testing.T) {
 		t.Fatal("Get after drain succeeded, want a transport error")
 	}
 	// A fresh dial must be refused.
-	if _, _, err := kv.DialLive(l.Addr().String(), 2); err == nil {
-		t.Fatal("DialLive after drain succeeded, want refusal")
+	if _, _, err := transport.DialMeta(l.Addr().String(), "kv", &meta); err == nil {
+		t.Fatal("DialMeta after drain succeeded, want refusal")
 	}
 }

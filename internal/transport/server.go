@@ -16,17 +16,18 @@ import (
 
 // Host is the server-side provisioning surface every transport's server
 // implements: registered memory, free lists for ALLOCATE, the shared
-// rkey for per-connection temp buffers, the two-sided RPC hook, and
-// quiescent buffer reclamation (§3.2). Applications (PRISM-KV and
-// friends) provision against this interface, so one store runs on the
-// simulated NIC (rdma.Server) or a live socket server (Server here)
-// unchanged.
+// rkey for per-connection temp buffers, the two-sided RPC hook, the
+// store's published Meta (the control plane, meta.go), and quiescent
+// buffer reclamation (§3.2). Applications (PRISM-KV and friends)
+// provision against this interface, so one store runs on the simulated
+// NIC (rdma.Server) or a live socket server (Server here) unchanged.
 type Host interface {
 	Space() *memory.Space
 	AddFreeList(fl *alloc.FreeList)
 	FreeList(id uint32) *alloc.FreeList
 	SetConnTempKey(key memory.RKey)
 	SetRPCHandler(h RPCHandler)
+	PublishMeta(app string, meta any)
 	RecycleBuffers(freeList uint32, addrs []memory.Addr)
 	Quiesce(fn func())
 	// StageWrites is the host CPU storing one or more writes under key in
@@ -486,7 +487,7 @@ func (sk *srvSock) serveRPC(req *wire.Request) {
 	sk.endVerbs()
 	s := sk.s
 	off := sk.fw.reserveResult()
-	handler := s.Handler()
+	handler := s.RPCFor(req.Ops[0].Data)
 	if handler == nil {
 		sk.fw.putResult(off, &wire.Result{Status: wire.StatusUnsupported})
 		return

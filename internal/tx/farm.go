@@ -77,10 +77,12 @@ func NewFarmServer(host transport.Host, opts ShardOptions) (*FarmServer, error) 
 // AttachFarmServer is the CPU half of NewFarmServer: the index and heap
 // described by meta already stand in host's memory (NewFarmServer just
 // registered them, or host was forked from a captured image of a server
-// that did), and what remains is the commit protocol's RPC handler.
+// that did), and what remains is the commit protocol's RPC handler and
+// the published Meta.
 func AttachFarmServer(host transport.Host, meta FarmMeta) *FarmServer {
 	s := &FarmServer{host: host, meta: meta}
 	host.SetRPCHandler(s.handleRPC)
+	host.PublishMeta("farm", &s.meta)
 	return s
 }
 

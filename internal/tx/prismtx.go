@@ -65,9 +65,10 @@ func NewShard(host transport.Host, opts ShardOptions) (*Shard, error) {
 // AttachShard is the CPU half of NewShard: the shard described by meta
 // already stands in host's memory and free list (NewShard just put it
 // there, or host was forked from a captured image of one that did), and
-// what remains is the reclamation daemon.
+// what remains is the reclamation daemon and the published Meta.
 func AttachShard(host transport.Host, meta Meta) *Shard {
 	host.SetRPCHandler(transport.ReclamationHandler(host, rpcFree, meta.FreeList))
+	host.PublishMeta("tx", meta)
 	return &Shard{host: host, meta: meta}
 }
 

@@ -74,9 +74,6 @@ type (
 	// RSReplica / RSClient: PRISM-RS replicated block store (§7).
 	RSReplica = abd.Replica
 	RSClient  = abd.Client
-	// ABDLockReplica / ABDLockClient: the lock-based baseline.
-	ABDLockReplica = abd.LockReplica
-	ABDLockClient  = abd.LockClient
 
 	// TXShard / TXClient: PRISM-TX distributed transactions (§8).
 	TXShard  = tx.Shard
@@ -108,7 +105,6 @@ var (
 var (
 	ErrKVNotFound = kv.ErrNotFound
 	ErrTxAborted  = tx.ErrAborted
-	ErrTxNotFound = tx.ErrNotFound
 )
 
 // ClusterConfig configures a simulated cluster.
@@ -231,17 +227,6 @@ func NewRSReplica(s *Server, opts RSOptions) (*RSReplica, error) { return abd.Ne
 // (pass an odd number, 2f+1).
 func NewRSClient(id uint16, conns []*Conn, metas []abd.Meta) *RSClient {
 	return abd.NewClient(id, transport.Issuers(conns), metas)
-}
-
-// NewABDLockReplica provisions one lock-based ABD replica.
-func NewABDLockReplica(s *Server, nBlocks int64, blockSize int) (*ABDLockReplica, error) {
-	return abd.NewLockReplica(s, nBlocks, blockSize)
-}
-
-// NewABDLockClient builds a lock-based ABD client; jitter randomizes
-// backoff (pass cluster.Engine().Rand().Float64).
-func NewABDLockClient(id uint16, conns []*Conn, metas []abd.LockMeta, jitter func() float64) *ABDLockClient {
-	return abd.NewLockClient(id, transport.Issuers(conns), metas, jitter)
 }
 
 // TXOptions sizes a PRISM-TX shard.
