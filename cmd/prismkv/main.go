@@ -49,7 +49,7 @@ type ops interface {
 }
 
 func main() {
-	connect := flag.String("connect", "", "live prismd address (unix path or host:port); default is the simulator")
+	connect := flag.String("connect", "", "live prismd address: host:port is tcp, anything else (a path, relative or not) a unix socket; default is the simulator")
 	deployFlag := flag.String("deploy", "sw", "NIC deployment: sw, hw-proj, bluefield (simulated mode)")
 	netFlag := flag.String("net", "rack", "network profile: direct, rack, cluster, datacenter (simulated mode)")
 	nKeys := flag.Int64("keys", 1024, "hash table slots (simulated mode)")

@@ -51,7 +51,7 @@ func main() {
 // result JSON to stdout (and to -json). It fails if any client did.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("prismload", flag.ContinueOnError)
-	addr := fs.String("addr", "", "server address (unix path or host:port)")
+	addr := fs.String("addr", "", "server address: host:port is tcp, anything else (a path, relative or not) a unix socket")
 	clients := fs.Int("clients", 100, "concurrent closed-loop clients (logical connections)")
 	sockets := fs.Int("sockets", 8, "sockets to multiplex clients over")
 	duration := fs.Duration("duration", 5*time.Second, "measurement duration")

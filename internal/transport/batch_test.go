@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"testing"
@@ -12,18 +13,47 @@ import (
 	"prism/internal/wire"
 )
 
-// Doorbell-batching A/B tests: the client's flush cap and the server's
+// Doorbell-batching A/B tests: the client's batching and the server's
 // wakeup batch change only how frames share syscalls, never what the
 // frames say. The same deterministic workload must produce byte-identical
-// outcomes at every cap — including 1, the write-per-frame,
-// serve-per-frame reference that matches the pre-batching datapath and is
-// reachable only through export_test.go — over both a net.Pipe and a unix
-// socket, with the server's sockets checked (CheckedConn): every frame is
-// canonical codec output along the way.
+// outcomes at every threshold — including 1, the write-per-frame,
+// serve-per-frame reference that matches the pre-batching datapath — over
+// both a net.Pipe and a unix socket, with the server's sockets checked
+// (CheckedConn): every frame is canonical codec output along the way. The
+// threshold caps the server's wakeup batch (export_test.go); at 1 the
+// client's socket is also a perFrameConn. Production code has no way to
+// ask for either.
 
 // batchThresholds are the swept caps: unbatched, small, the server's
-// wakeup budget, and the client's flush cap.
+// wakeup budget, and a budget above any train the workload sends.
 var batchThresholds = []int{1, 4, transport.ServerBatch, 1024}
+
+// perFrameConn is the client's write-per-frame reference: it splits each
+// Write at frame boundaries, read from the u32 length prefixes, into one
+// Write per frame, so the server sees a client that spends a syscall on
+// every frame.
+type perFrameConn struct{ net.Conn }
+
+func (c perFrameConn) Write(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		end := n + 4 + int(binary.LittleEndian.Uint32(p[n:]))
+		m, err := c.Conn.Write(p[n:end])
+		if n += m; err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// clientEnd is the client's side of a batching test's socket: nc itself,
+// or at threshold 1 the write-per-frame reference over it.
+func clientEnd(nc net.Conn, threshold int) net.Conn {
+	if threshold == 1 {
+		return perFrameConn{nc}
+	}
+	return nc
+}
 
 // newBatchKV provisions a 64-slot store with keys 0..31 preloaded and
 // the given wakeup budget (0 keeps ServerBatch).
@@ -143,12 +173,15 @@ func TestBatchingDeterminismUnix(t *testing.T) {
 				ts.Shutdown(2 * time.Second)
 				<-serveErr
 			})
-			c, err := transport.Dial(l.Addr().String())
+			nc, err := net.Dial("unix", l.Addr().String())
 			if err != nil {
 				t.Fatalf("Dial: %v", err)
 			}
+			c, err := transport.NewClientConn(clientEnd(nc, th))
+			if err != nil {
+				t.Fatalf("NewClientConn: %v", err)
+			}
 			defer c.Close()
-			c.SetMaxFlushFrames(th)
 			got := runBatchWorkload(t, c)
 			if want == nil {
 				want = got
@@ -174,11 +207,10 @@ func TestBatchingDeterminismPipe(t *testing.T) {
 			ts := newBatchKV(t, th)
 			serveDone := make(chan struct{})
 			go func() { defer close(serveDone); ts.ServeConn(transport.CheckedConn(t, sEnd)) }()
-			c, err := transport.NewClientConn(cEnd)
+			c, err := transport.NewClientConn(clientEnd(cEnd, th))
 			if err != nil {
 				t.Fatalf("NewClientConn: %v", err)
 			}
-			c.SetMaxFlushFrames(th)
 			got := runBatchWorkload(t, c)
 			c.Close()
 			select {

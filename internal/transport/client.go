@@ -24,10 +24,11 @@ var ErrClientClosed = errors.New("transport: client closed")
 // Client is a live PRISM client endpoint: one stream socket carrying
 // any number of logical connections (queue pairs). A demux goroutine
 // routes response frames to their issuing connection; issues from many
-// goroutines interleave on the socket through the doorbell-batched
-// flusher (see flush.go) — frames staged while a Write is in flight
-// coalesce into the next one. Safe for concurrent use, but an
-// individual Conn is single-owner, like a queue pair.
+// goroutines stage their frames through the socket's one FrameWriter,
+// whose writer goroutine sends everything staged in one Write (see
+// flush.go) — frames staged while a Write is in flight coalesce into the
+// next one. Safe for concurrent use, but an individual Conn is
+// single-owner, like a queue pair.
 type Client struct {
 	nc net.Conn
 	fr *FrameReader
@@ -51,10 +52,14 @@ type acceptInfo struct {
 	tempKey  memory.RKey
 }
 
-// Network guesses the network for an address: addresses containing a
-// path separator are unix socket paths, everything else is tcp.
+// Network guesses the network for an address: an address containing a
+// path separator is a unix socket path, and so is one that is not a
+// host:port (a relative path such as prism.sock); everything else is tcp.
 func Network(addr string) string {
 	if strings.ContainsRune(addr, '/') {
+		return "unix"
+	}
+	if _, _, err := net.SplitHostPort(addr); err != nil {
 		return "unix"
 	}
 	return "tcp"

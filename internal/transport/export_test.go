@@ -5,27 +5,18 @@ import (
 	"time"
 )
 
-// The unbatched reference the batching tests compare with: one frame per
-// write syscall on the client, one frame served and flushed per wakeup on
-// the server. Production code has no way to ask for it.
-
-// SetMaxFlushFrames caps the frames one client Write may carry.
-func (c *Client) SetMaxFlushFrames(n int) {
-	c.fl.mu.Lock()
-	c.fl.maxFrames = n
-	c.fl.mu.Unlock()
-}
-
 // SetWakeupBatch caps the frames one server wakeup serves. Call before
-// Serve.
+// Serve. At 1 it is the unbatched reference the batching tests compare
+// with: one frame served and flushed per wakeup. Production code has no
+// way to ask for it.
 func (s *Server) SetWakeupBatch(n int) { s.batch = n }
 
 // FramerBytes is what the client's socket holds in framer buffers: its
-// read buffer and its flusher's staging buffer.
+// read buffer and its flusher's two staging buffers.
 func (c *Client) FramerBytes() int {
 	c.fl.mu.Lock()
 	defer c.fl.mu.Unlock()
-	return cap(c.fr.buf) + cap(c.fl.stage)
+	return cap(c.fr.buf) + cap(c.fl.fw.buf) + cap(c.fl.spare)
 }
 
 // ServeConnFramerBytes is ServeConn, returning what the socket's framers

@@ -339,8 +339,8 @@ func (fr *FrameReader) Buffered() bool {
 // FrameWriter writes length-prefixed frames to a stream, staging any
 // number of frames into one reusable buffer and flushing them with a
 // single Write. Not safe for concurrent use; callers sharing a socket
-// serialize sends themselves (the client's concurrent path goes through
-// flusher instead).
+// serialize sends themselves (the client's flusher shares one under its
+// mutex).
 type FrameWriter struct {
 	w      io.Writer
 	buf    []byte // staged frames: prefix + kind + payload, repeated

@@ -131,6 +131,23 @@ func TestLiveUnix(t *testing.T) {
 	smoke(t, l.Addr().String())
 }
 
+// TestNetwork pins how Dial reads an address: a relative unix path such
+// as prismd -unix prism.sock takes is a unix socket, not a tcp address
+// missing its port.
+func TestNetwork(t *testing.T) {
+	for addr, want := range map[string]string{
+		"prism.sock":     "unix",
+		"/tmp/p.sock":    "unix",
+		"127.0.0.1:7171": "tcp",
+		"[::1]:7171":     "tcp",
+		":7171":          "tcp",
+	} {
+		if got := transport.Network(addr); got != want {
+			t.Errorf("Network(%q) = %q, want %q", addr, got, want)
+		}
+	}
+}
+
 // TestFetchMeta verifies the control plane survives the wire: the meta
 // a live client fetches equals the one the simulator would hand over
 // in-process.

@@ -1,8 +1,12 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -186,11 +190,11 @@ func (w *restageWriter) Write(p []byte) (int, error) {
 	return len(p), w.f.stageControl(frameConnect, []byte{byte(w.left), byte(w.left >> 8)})
 }
 
-// TestFlusherStageStaysBounded pins that the staging buffer is bounded
+// TestFlusherStageStaysBounded pins that the staging buffers are bounded
 // by the backlog, not by how long the socket goes without a fully
-// drained moment: it used to grow by one frame per Write for the whole
-// streak (70 KB here, hundreds of KiB of timing-dependent heap per
-// socket under a batched closed loop).
+// drained moment: a single staging buffer used to grow by one frame per
+// Write for the whole streak (70 KB here, hundreds of KiB of
+// timing-dependent heap per socket under a batched closed loop).
 func TestFlusherStageStaysBounded(t *testing.T) {
 	const frames = 10000
 	w := &restageWriter{left: frames - 1, idle: make(chan struct{})}
@@ -206,11 +210,10 @@ func TestFlusherStageStaysBounded(t *testing.T) {
 	}
 	f.close()
 	const frameLen = frameHeaderLen + 1 + 2
-	if c := cap(f.stage); c > 16*frameLen {
-		t.Errorf("staging buffer holds %d bytes after a %d-frame streak of one-frame backlogs", c, frames)
-	}
-	if c := cap(f.ends); c > 16 {
-		t.Errorf("frame index holds %d entries after a streak of one-frame backlogs", c)
+	for name, c := range map[string]int{"staging": cap(f.fw.buf), "spare": cap(f.spare)} {
+		if c > 16*frameLen {
+			t.Errorf("%s buffer holds %d bytes after a %d-frame streak of one-frame backlogs", name, c, frames)
+		}
 	}
 	if wr, fr, b := f.stats(); wr != frames || fr != frames || b != frames*frameLen {
 		t.Errorf("stats = %d writes, %d frames, %d bytes; want %d, %d, %d", wr, fr, b, frames, frames, frames*frameLen)
@@ -228,6 +231,69 @@ func TestFlusherStageStaysBounded(t *testing.T) {
 		if fr[0] != 3 || fr[4] != frameConnect || uint16(fr[5])|uint16(fr[6])<<8 != want {
 			t.Fatalf("frame %d on the wire = % x, want payload %#04x", i, fr, want)
 		}
+	}
+}
+
+// recordWriter keeps a copy of every Write it is handed.
+type recordWriter struct {
+	mu     sync.Mutex
+	writes [][]byte
+	wrote  chan struct{}
+}
+
+func (w *recordWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	w.mu.Unlock()
+	w.wrote <- struct{}{}
+	return len(p), nil
+}
+
+// TestFlusherWritesWholeBacklog pins that the writer takes the whole
+// staged train, however long, in one Write: 2,000 request frames of more
+// than 256 KiB in total, staged without a doorbell and then kicked once,
+// leave in a single Write, byte for byte in staging order, and the two
+// staging buffers hold no more than twice the train afterwards.
+func TestFlusherWritesWholeBacklog(t *testing.T) {
+	const frames = 2000
+	w := &recordWriter{wrote: make(chan struct{}, frames)}
+	// Built by hand so that the writer starts only once the train is
+	// staged: no Write can take part of it before the kick.
+	f := &flusher{fw: FrameWriter{w: w}, onError: func(err error) { t.Errorf("write failed: %v", err) }}
+	f.wake, f.idle = sync.NewCond(&f.mu), sync.NewCond(&f.mu)
+	var want []byte
+	for i := 0; i < frames; i++ {
+		data := []byte(fmt.Sprintf("%0128d", i))
+		req := &wire.Request{Conn: 1, Seq: uint64(i), Ops: []wire.Op{{Code: wire.OpWrite, RKey: 7, Target: 0x4000, Data: data}}}
+		if err := f.stageRequest(req, false); err != nil {
+			t.Fatalf("stageRequest %d: %v", i, err)
+		}
+		body := wire.AppendRequest([]byte{frameRequest}, req)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(body)))
+		want = append(want, body...)
+	}
+	if len(want) <= 256<<10 {
+		t.Fatalf("the train is %d bytes, want more than 256 KiB", len(want))
+	}
+	go f.run()
+	f.kick()
+	select {
+	case <-w.wrote:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the kicked train was never written")
+	}
+	f.close()
+	if len(w.writes) != 1 {
+		t.Fatalf("the train left in %d Writes, want 1", len(w.writes))
+	}
+	if !bytes.Equal(w.writes[0], want) {
+		t.Fatalf("the Write carried %d bytes that are not the %d staged, in order", len(w.writes[0]), len(want))
+	}
+	if wr, fr, b := f.stats(); wr != 1 || fr != frames || b != int64(len(want)) {
+		t.Errorf("stats = %d writes, %d frames, %d bytes; want 1, %d, %d", wr, fr, b, frames, len(want))
+	}
+	if c := cap(f.fw.buf) + cap(f.spare); c > 2*len(want) {
+		t.Errorf("the staging buffers hold %d bytes after a %d-byte train", c, len(want))
 	}
 }
 

@@ -27,12 +27,12 @@
 //     PRISM-KV reclamation) provisions on either.
 //
 // The live datapath is doorbell-batched end to end (DESIGN.md §12):
-// client issuers stage frames into a per-socket flusher that group-
-// commits a whole train per write syscall, the server drains every
-// buffered frame per wakeup under one guard acquisition and coalesces
-// the responses into one flush, and both sides count syscalls vs the
-// frames they carried (frames_per_write, bytes_per_syscall,
-// batch_len). Coalescing changes which syscall carries a frame, never
+// client issuers stage frames through a per-socket FrameWriter whose
+// writer goroutine takes the whole staged train and writes it in one
+// syscall, the server drains every buffered frame per wakeup under one
+// guard acquisition and stages the responses through its own
+// FrameWriter for one flush, and both sides count syscalls vs the frames
+// they carried (frames_per_write, bytes_per_syscall, batch_len). Coalescing changes which syscall carries a frame, never
 // the frame's bytes or per-connection order.
 package transport
 
