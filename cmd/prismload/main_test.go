@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +37,8 @@ func serve(t *testing.T, load func(ts *transport.Server) error) string {
 }
 
 // Each workload runs for a short -duration against the store it needs
-// and reports, as JSON on stdout, operations done and no client failed.
+// and reports, as JSON on stdout, operations done and no client failed;
+// get also runs in GetBatch trains of 16, live_get_batch16's shape.
 func TestRunWorkloads(t *testing.T) {
 	const keys = 256
 	value := make([]byte, 64)
@@ -54,29 +56,35 @@ func TestRunWorkloads(t *testing.T) {
 		}
 		return err
 	})
-	for _, c := range []struct{ workload, addr string }{
-		{"get", kvAddr},
-		{"scan", kvAddr},
-		{"chase", chainAddr},
+	for _, c := range []struct {
+		name, workload, addr string
+		batch                int
+	}{
+		{"get", "get", kvAddr, 1},
+		{"get-batch16", "get", kvAddr, 16}, // closed-loop GetBatch trains
+		{"scan", "scan", kvAddr, 1},
+		{"chase", "chase", chainAddr, 1},
+		{"chasehop", "chasehop", chainAddr, 1},
 	} {
-		t.Run(c.workload, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer
 			err := run([]string{"-addr", c.addr, "-workload", c.workload, "-clients", "4", "-sockets", "2",
-				"-keys", "256", "-value", "64", "-duration", "100ms"}, &out)
+				"-keys", "256", "-value", "64", "-batch", strconv.Itoa(c.batch), "-duration", "100ms"}, &out)
 			if err != nil {
 				t.Fatalf("run: %v\n%s", err, out.String())
 			}
 			var res struct {
 				Ops, Errors    int64
 				Workload       string
+				BatchLen       int   `json:"batch_len"`
 				StalledClients int64 `json:"stalled_clients"`
 			}
 			if err := json.Unmarshal(out.Bytes(), &res); err != nil {
 				t.Fatalf("result is not JSON: %v\n%s", err, out.String())
 			}
-			if res.Workload != c.workload || res.Ops <= 0 || res.Errors != 0 || res.StalledClients != 0 {
-				t.Fatalf("workload %q: %d ops, %d failed, %d stalled; want ops, none failed\n%s",
-					res.Workload, res.Ops, res.Errors, res.StalledClients, out.String())
+			if res.Workload != c.workload || res.BatchLen != c.batch || res.Ops <= 0 || res.Errors != 0 || res.StalledClients != 0 {
+				t.Fatalf("workload %q batch %d: %d ops, %d failed, %d stalled; want ops, none failed\n%s",
+					res.Workload, res.BatchLen, res.Ops, res.Errors, res.StalledClients, out.String())
 			}
 		})
 	}

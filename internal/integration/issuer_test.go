@@ -86,14 +86,15 @@ func TestIssuerContract(t *testing.T) {
 			}
 		}},
 		{"issue-batch", func(t *testing.T, r *issuerRegion) {
+			// A train on one issuer is one fan-out round.
 			const n = 20 // longer than the 8-deep send window
-			chains := make([][]wire.Op, n)
-			for i := range chains {
-				chains[i] = []wire.Op{prism.Write(r.key, r.cell(10+i), u64(uint64(1000+i))), prism.Read(r.key, r.cell(10+i), 8)}
+			f := transport.NewFanout(r.is[:1])
+			for i := 0; i < n; i++ {
+				f.Post(0, []wire.Op{prism.Write(r.key, r.cell(10+i), u64(uint64(1000+i))), prism.Read(r.key, r.cell(10+i), 8)})
 			}
-			res, err := r.is[0].IssueBatch(chains)
+			res, err := f.Wait()
 			if err != nil || len(res) != n {
-				t.Errorf("IssueBatch of %d chains: %d results, %v", n, len(res), err)
+				t.Errorf("a round of %d chains: %d results, %v", n, len(res), err)
 				return
 			}
 			for i, rs := range res {
@@ -134,6 +135,23 @@ func TestIssuerContract(t *testing.T) {
 			f.Post(1, ops)
 			if res, err := f.Wait(); err != nil || len(res) != 1 || len(res[0]) != 1 {
 				t.Errorf("the round after WaitFirst: %+v, %v", res, err)
+			}
+		}},
+		{"fanout-repeated-issuer", func(t *testing.T, r *issuerRegion) {
+			// A group may name one issuer twice: each position posts on it.
+			f := transport.NewFanout([]transport.Issuer{r.is[0], r.is[0]})
+			for i := 0; i < 2; i++ {
+				f.Post(i, []wire.Op{prism.Write(r.key, r.cell(60+i), u64(uint64(60+i))), prism.Read(r.key, r.cell(60+i), 8)})
+			}
+			res, err := f.Wait()
+			if err != nil || len(res) != 2 {
+				t.Errorf("a round over {is[0], is[0]}: %d results, %v", len(res), err)
+				return
+			}
+			for i, rs := range res {
+				if len(rs) != 2 || !bytes.Equal(rs[1].Data, u64(uint64(60+i))) {
+					t.Errorf("slot %d holds %+v, want chain %d's results", i, rs, i)
+				}
 			}
 		}},
 	}

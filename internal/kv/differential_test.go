@@ -1,10 +1,12 @@
 package kv
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +23,8 @@ import (
 
 // recIssuer is a recording transport.Issuer fake: it forwards to the
 // real issuer and appends every chain it carries — canonical wire bytes
-// of the ops and of the results — and every backoff sleep to one log.
+// of the ops and of the results — including a fan-out round's, and every
+// backoff sleep to one log.
 // The log opens with the connection's temp buffer address: both hosts
 // place it identically today; if one ever moves it, that first event
 // says so and the address needs masking here.
@@ -58,16 +61,55 @@ func (r *recIssuer) IssueAsync(ops []wire.Op) error {
 	return err
 }
 
-func (r *recIssuer) IssueBatch(chains [][]wire.Op) ([][]wire.Result, error) {
-	res, err := r.Issuer.IssueBatch(chains)
-	for i, ops := range chains { // caller-owned chains survive the issue
-		var chainRes []wire.Result
-		if err == nil {
-			chainRes = res[i]
-		}
-		*r.log = append(*r.log, fmt.Sprintf("batch[%d] %x -> %x err=%v", i, opBytes(ops), resBytes(chainRes), err))
+// BindFanout records a fan-out round over recording issuers: it binds the
+// inner issuers' fan-out with a deliver that keeps each completion, logs
+// every post as it is sent and, when a wait returns, the completions
+// delivered so far in slot order. A live round may deliver a completion
+// before a later post of the same round, the simulator never does, so
+// completions are not logged as they arrive.
+func (r *recIssuer) BindFanout(group []transport.Issuer, deliver transport.Deliver) transport.FanoutBinding {
+	inner := make([]transport.Issuer, len(group))
+	for i, is := range group {
+		inner[i] = is.(*recIssuer).Issuer
 	}
-	return res, err
+	b := &recFan{log: r.log}
+	binder := inner[0].(interface {
+		BindFanout([]transport.Issuer, transport.Deliver) transport.FanoutBinding
+	})
+	b.FanoutBinding = binder.BindFanout(inner, func(round uint64, slot int, res []wire.Result, err error) bool {
+		b.done = append(b.done, recDone{round, slot, fmt.Sprintf("%x err=%v", resBytes(res), err)})
+		return deliver(round, slot, res, err)
+	})
+	return b
+}
+
+// recFan is recIssuer's fan-out binding.
+type recFan struct {
+	transport.FanoutBinding
+	log  *[]string
+	done []recDone // completions since the last wait returned
+}
+
+type recDone struct {
+	round uint64
+	slot  int
+	res   string
+}
+
+func (b *recFan) Send(i int, ops []wire.Op, round uint64, slot int) {
+	*b.log = append(*b.log, fmt.Sprintf("post[%d] on %d %x", slot, i, opBytes(ops)))
+	b.FanoutBinding.Send(i, ops, round, slot)
+}
+
+func (b *recFan) Await(pending bool) {
+	b.FanoutBinding.Await(pending)
+	slices.SortFunc(b.done, func(x, y recDone) int {
+		return cmp.Or(cmp.Compare(x.round, y.round), cmp.Compare(x.slot, y.slot))
+	})
+	for _, d := range b.done {
+		*b.log = append(*b.log, fmt.Sprintf("done round %d [%d] -> %s", d.round, d.slot, d.res))
+	}
+	b.done = b.done[:0]
 }
 
 func (r *recIssuer) Sleep(d time.Duration) {
@@ -225,7 +267,7 @@ func TestSimLiveDifferential(t *testing.T) {
 			opts := DefaultOptions(48, 64)
 			opts.Hash = hash
 			opts.BuffersPerClass = 20 // at most 16 live + 4 spare < FreeBatch: PUTs hit RNR
-			sawRNR := false
+			sawRNR, sawRound := false, false
 			var meta Meta
 			compare(t, func(host transport.Host) {
 				srv, err := NewServerOn(host, opts)
@@ -243,10 +285,14 @@ func TestSimLiveDifferential(t *testing.T) {
 				kvScenario(c, logTo(log))
 				for _, ev := range *log {
 					sawRNR = sawRNR || strings.HasPrefix(ev, "sleep")
+					sawRound = sawRound || strings.HasPrefix(ev, "done round")
 				}
 			})
 			if !sawRNR {
 				t.Fatal("scenario never backed off on RNR")
+			}
+			if !sawRound {
+				t.Fatal("no GetBatch round went through the recording issuer")
 			}
 		})
 	}

@@ -249,10 +249,11 @@ type Client struct {
 	progBuf  []byte
 	matchBuf [8]byte
 
-	// GetBatch scratch, reused across batches.
-	batchOps    []wire.Op
-	batchChains [][]wire.Op
-	batchProbe  []int
+	// GetBatch scratch, reused across batches; the first GetBatch makes
+	// batchFan, so a client that never batches has none.
+	batchOps   []wire.Op
+	batchFan   *transport.Fanout
+	batchProbe []int
 }
 
 // NewClient builds a client over a connection to a PRISM-KV server. A
@@ -370,15 +371,15 @@ func (c *Client) twoChoiceReads(ops []wire.Op, key int64) {
 	ops[1] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s2)+8, entrySize(c.meta.MaxValue))
 }
 
-// GetBatch performs the §6.1 read for every key behind one doorbell
-// (Issuer.IssueBatch): on a live socket the whole train of GET chains is
-// staged and the writer rung once, so n lookups cost one write syscall
-// instead of n; on the simulator the chains pipeline through the send
-// window. visit is called exactly once per key, in key order for every
-// key resolved by its home slot(s); keys that linear probing displaced
-// past the home slot fall back to individual Gets and are visited last.
-// val aliases transport-owned storage and is valid only during the visit
-// call — copy to keep.
+// GetBatch performs the §6.1 read for every key behind one doorbell: the
+// GET chains are one round of a fan-out on the connection, so on a live
+// socket the whole train is staged and the writer rung once, and n lookups
+// cost one write syscall instead of n; on the simulator the chains
+// pipeline through the send window. visit is called exactly once per key,
+// in key order for every key resolved by its home slot(s); keys that
+// linear probing displaced past the home slot fall back to individual
+// Gets and are visited last. val aliases transport-owned storage and is
+// valid only during the visit call — copy to keep.
 func (c *Client) GetBatch(keys []int64, visit func(i int, val []byte, err error)) error {
 	if len(keys) == 0 {
 		return nil
@@ -391,21 +392,20 @@ func (c *Client) GetBatch(keys []int64, visit func(i int, val []byte, err error)
 	if cap(c.batchOps) < len(keys)*opsPerKey {
 		c.batchOps = make([]wire.Op, len(keys)*opsPerKey)
 	}
-	ops := c.batchOps[:len(keys)*opsPerKey]
-	if cap(c.batchChains) < len(keys) {
-		c.batchChains = make([][]wire.Op, len(keys))
+	if c.batchFan == nil {
+		c.batchFan = transport.NewFanout([]transport.Issuer{c.conn})
 	}
-	chains := c.batchChains[:len(keys)]
 	for i, key := range keys {
-		chains[i] = ops[i*opsPerKey : (i+1)*opsPerKey]
+		ops := c.batchOps[i*opsPerKey : (i+1)*opsPerKey]
 		if two {
-			c.twoChoiceReads(chains[i], key)
+			c.twoChoiceReads(ops, key)
 		} else {
 			idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-			chains[i][0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(idx)+8, entrySize(c.meta.MaxValue))
+			ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(idx)+8, entrySize(c.meta.MaxValue))
 		}
+		c.batchFan.Post(0, ops)
 	}
-	res, err := c.conn.IssueBatch(chains)
+	res, err := c.batchFan.Wait()
 	if err != nil {
 		return err
 	}

@@ -45,9 +45,11 @@ func (c *Client) Node() *fabric.Node { return c.node }
 // Conn is a reliable connection (queue pair) to one server, and the
 // simulator's transport.Issuer: a blocking call parks the engine's running
 // process (sim.Engine.Running) in virtual time and never fails — the
-// fabric retransmits instead — so every error it returns is nil. Not safe
-// for use by multiple simulation processes at once; give each closed-loop
-// client its own Conn, as real applications give each thread its own QP.
+// fabric retransmits instead — so every error it returns is nil. Several
+// chains in flight together are a round of a transport.Fanout, whose
+// binding BindFanout makes. Not safe for use by multiple simulation
+// processes at once; give each closed-loop client its own Conn, as real
+// applications give each thread its own QP.
 //
 // The issue/complete machinery — pooled epoch-stamped request records,
 // connection-owned op scratch, and the strict send window — lives in
@@ -68,9 +70,8 @@ type Conn struct {
 	TempAddr memory.Addr
 	TempKey  memory.RKey
 
-	win   *transport.Window[simPending]
-	res   []wire.Result // the response handed to the process resumed in Issue
-	batch *Fanout       // IssueBatch's rounds, made on first use
+	win *transport.Window[simPending]
+	res []wire.Result // the response handed to the process resumed in Issue
 
 	// Retransmissions counts timer-driven resends (loss recovery).
 	Retransmissions int64
@@ -78,13 +79,13 @@ type Conn struct {
 
 // simPending is the sim transport's per-entry completion state: the
 // retransmit timer armed on lossy networks and who the response goes to —
-// the process parked in Issue, or the Fanout a chain was posted on with
+// the process parked in Issue, or the fan-out a chain was posted on with
 // the chain's round and position in it. A fire-and-forget request has
 // neither.
 type simPending struct {
 	timer sim.Timer
 	proc  *sim.Proc
-	fan   *Fanout
+	fan   *fanout
 	round uint64
 	slot  int
 }
@@ -112,7 +113,7 @@ func (c *Conn) Server() *Server { return c.srv }
 
 // Ops returns an n-op scratch slice owned by the connection, zeroed and
 // ready to fill. The caller must hand it to the next issue on this
-// connection (Issue, IssueAsync or a Fanout's Post), which recycles it
+// connection (Issue, IssueAsync or a fan-out's Post), which recycles it
 // when the response arrives — the zero-allocation alternative to building
 // a fresh []wire.Op per request. The slice (including payload/mask fields
 // set into it) must not be retained past the response.
@@ -122,24 +123,10 @@ func (c *Conn) Ops(n int) []wire.Op { return c.win.Ops(n) }
 // discarded. Requests beyond the send window queue locally until a slot
 // frees (flow control, as real RC queue pairs bound outstanding work
 // requests). A caller that wants the results of chains in flight together
-// posts them on a Fanout instead.
+// posts them on a transport.Fanout instead.
 func (c *Conn) IssueAsync(ops []wire.Op) error {
 	c.win.Enqueue(c.prepare(ops))
 	return nil
-}
-
-// IssueBatch is a Fanout round on the one connection: results are copied
-// out as each chain completes, so a train longer than the send window is
-// safe, and stay valid until the next IssueBatch.
-func (c *Conn) IssueBatch(chains [][]wire.Op) ([][]wire.Result, error) {
-	c.client.running() // before anything is posted
-	if c.batch == nil {
-		c.batch = &Fanout{}
-	}
-	for _, ops := range chains {
-		c.batch.Post(c, ops)
-	}
-	return c.batch.Wait(), nil
 }
 
 // Temp returns the connection's temp buffer location.
@@ -147,17 +134,6 @@ func (c *Conn) Temp() (memory.Addr, memory.RKey) { return c.TempAddr, c.TempKey 
 
 // Sleep parks the running process for d of virtual time.
 func (c *Conn) Sleep(d time.Duration) { c.client.running().Sleep(d) }
-
-// NewFanout returns a fan-out over group, whose issuers are connections of
-// this one's client machine: the simulated binding transport.NewFanout
-// asks for.
-func (c *Conn) NewFanout(group []transport.Issuer) *transport.Fanout {
-	f := &Fanout{}
-	for _, is := range group {
-		f.join(is.(*Conn))
-	}
-	return &f.Fanout
-}
 
 // running returns the process to park, which must exist: only a process
 // can block.
@@ -253,6 +229,6 @@ func (c *Client) onMessage(m fabric.Message) {
 		conn.res = resp.Results
 		x.proc.Resume()
 	case x.fan != nil:
-		x.fan.deliver(x.round, x.slot, resp.Results)
+		x.fan.complete(x.round, x.slot, resp.Results)
 	}
 }

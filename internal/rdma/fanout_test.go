@@ -3,6 +3,7 @@ package rdma
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"prism/internal/fabric"
@@ -10,8 +11,33 @@ import (
 	"prism/internal/model"
 	"prism/internal/prism"
 	"prism/internal/sim"
+	"prism/internal/transport"
 	"prism/internal/wire"
 )
+
+// connFan is a fan-out over a fixed group of connections that posts by
+// connection rather than by position.
+type connFan struct {
+	*transport.Fanout
+	conns []*Conn
+}
+
+func newConnFan(conns ...*Conn) *connFan {
+	return &connFan{transport.NewFanout(transport.Issuers(conns)), conns}
+}
+
+// Post transmits ops on c, a member of the group, as the next chain of
+// the current round.
+func (f *connFan) Post(c *Conn, ops []wire.Op) { f.Fanout.Post(slices.Index(f.conns, c), ops) }
+
+// Wait waits for the whole round; simulated chains never fail.
+func (f *connFan) Wait() [][]wire.Result {
+	res, err := f.Fanout.Wait()
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 // fanEnv is a client machine with a connection to a fast server holding
 // cells 0..n-1 (cell i stores i) and one to a slow server.
@@ -44,7 +70,7 @@ func newFanEnv(t *testing.T) *fanEnv {
 }
 
 // postCells posts one single-READ chain per cell on the fast connection.
-func (v *fanEnv) postCells(f *Fanout, cells ...uint64) {
+func (v *fanEnv) postCells(f *connFan, cells ...uint64) {
 	for _, i := range cells {
 		ops := v.conn.Ops(1)
 		ops[0] = prism.Read(v.reg.Key, v.reg.Base+memory.Addr(8*i), 8)
@@ -54,7 +80,7 @@ func (v *fanEnv) postCells(f *Fanout, cells ...uint64) {
 
 // postSlow posts a long chain on the slow connection: it completes after
 // everything the fast connection was sent.
-func (v *fanEnv) postSlow(f *Fanout) {
+func (v *fanEnv) postSlow(f *connFan) {
 	const n = 48
 	reg := v.slow.Space().Regions()[0]
 	ops := v.slowConn.Ops(n)
@@ -81,7 +107,7 @@ func cell(t *testing.T, r []wire.Result) uint64 {
 // taken at each completion, not views of the ring.
 func TestFanoutResultsInPostingOrder(t *testing.T) {
 	v := newFanEnv(t)
-	var f Fanout
+	f := newConnFan(v.slowConn, v.conn)
 	v.run(t, func(p *sim.Proc) {
 		if got := f.Wait(); len(got) != 0 {
 			t.Errorf("a round with nothing posted returned %d results", len(got))
@@ -95,8 +121,8 @@ func TestFanoutResultsInPostingOrder(t *testing.T) {
 		for i := range train {
 			train[i] = uint64(i)
 		}
-		v.postSlow(&f)
-		v.postCells(&f, train...)
+		v.postSlow(f)
+		v.postCells(f, train...)
 		res := f.Wait()
 		if len(res) != 1+len(train) {
 			t.Fatalf("%d results for %d chains", len(res), 1+len(train))
@@ -129,7 +155,7 @@ func TestFanoutResultsInPostingOrder(t *testing.T) {
 		// in the server's backlog).
 		cells := []uint64{3, 2, 1}
 		round := func() {
-			v.postCells(&f, cells...)
+			v.postCells(f, cells...)
 			if r := f.Wait(); cell(t, r[0]) != 3 || cell(t, r[2]) != 1 {
 				t.Error("second round out of order")
 			}
@@ -163,7 +189,7 @@ type completions struct {
 	log   []string
 }
 
-func (c *completions) hook(f *Fanout) {
+func (c *completions) hook(f *connFan) {
 	f.OnDone = func(slot int, _ []wire.Result) {
 		c.slots = append(c.slots, slot)
 		c.at = append(c.at, c.e.Now())
@@ -176,13 +202,13 @@ func (c *completions) hook(f *Fanout) {
 // instant, and inside the event, of the last chain to complete.
 func TestFanoutResumesInLastCompletion(t *testing.T) {
 	v := newFanEnv(t)
-	var f Fanout
+	f := newConnFan(v.slowConn, v.conn)
 	c := &completions{e: v.e}
-	c.hook(&f)
+	c.hook(f)
 	var at sim.Time
 	v.run(t, func(p *sim.Proc) {
-		v.postSlow(&f)
-		v.postCells(&f, 1, 2, 3)
+		v.postSlow(f)
+		v.postCells(f, 1, 2, 3)
 		f.Wait()
 		at = p.Now()
 		c.log = append(c.log, "resumed")
@@ -203,12 +229,12 @@ func TestFanoutResumesInLastCompletion(t *testing.T) {
 // completion's instant and inside its event.
 func TestFanoutWaitFirst(t *testing.T) {
 	v := newFanEnv(t)
-	var f Fanout
+	f := newConnFan(v.slowConn, v.conn)
 	c := &completions{e: v.e}
-	c.hook(&f)
+	c.hook(f)
 	v.run(t, func(p *sim.Proc) {
-		v.postSlow(&f)
-		v.postCells(&f, 7, 8, 9)
+		v.postSlow(f)
+		v.postCells(f, 7, 8, 9)
 		got := f.WaitFirst(2)
 		c.log = append(c.log, "resumed")
 		if len(got) != 2 || got[0].Slot != 1 || got[1].Slot != 2 {
@@ -225,8 +251,8 @@ func TestFanoutWaitFirst(t *testing.T) {
 		}
 
 		// Every chain, in completion order: not posting order.
-		v.postSlow(&f)
-		v.postCells(&f, 4, 5)
+		v.postSlow(f)
+		v.postCells(f, 4, 5)
 		var slots []int
 		for _, r := range f.WaitFirst(3) {
 			slots = append(slots, r.Slot)
@@ -239,7 +265,7 @@ func TestFanoutWaitFirst(t *testing.T) {
 		}
 
 		// A quorum already complete when the wait starts returns at once.
-		v.postCells(&f, 1, 2, 3)
+		v.postCells(f, 1, 2, 3)
 		p.Sleep(sim.Duration(1e6))
 		start := p.Now()
 		if got := f.WaitFirst(2); len(got) != 2 || got[0].Slot != 0 || got[1].Slot != 1 || p.Now() != start {
@@ -258,7 +284,7 @@ func TestFanoutStragglerNeverInLaterRound(t *testing.T) {
 	if err := v.slow.Space().WriteU64(reg.Key, reg.Base+8, 0xbeef); err != nil {
 		t.Fatal(err)
 	}
-	var f Fanout
+	f := newConnFan(v.slowConn, v.conn)
 	var open bool
 	var during []int
 	f.OnDone = func(slot int, _ []wire.Result) {
@@ -267,8 +293,8 @@ func TestFanoutStragglerNeverInLaterRound(t *testing.T) {
 		}
 	}
 	v.run(t, func(p *sim.Proc) {
-		v.postSlow(&f) // slot 0: reads 0xfeed, still in flight after the quorum
-		v.postCells(&f, 1)
+		v.postSlow(f) // slot 0: reads 0xfeed, still in flight after the quorum
+		v.postCells(f, 1)
 		if got := f.WaitFirst(1); got[0].Slot != 1 {
 			t.Fatalf("first round's quorum is slot %d", got[0].Slot)
 		}
@@ -279,7 +305,7 @@ func TestFanoutStragglerNeverInLaterRound(t *testing.T) {
 		ops := v.slowConn.Ops(1)
 		ops[0] = prism.Read(reg.Key, reg.Base+8, 8)
 		f.Post(v.slowConn, ops)
-		v.postCells(&f, 5)
+		v.postCells(f, 5)
 		res := f.Wait()
 		open = false
 		if fmt.Sprint(during) != "[1 0 0]" && fmt.Sprint(during) != "[0 1 0]" {
@@ -299,7 +325,7 @@ func TestFanoutServerNeverAnswers(t *testing.T) {
 	dead := NewServer(v.net, "dead", model.SoftwarePRISM)
 	dead.Node().SetHandler(func(fabric.Message) {})
 	deadConn := v.cli.Connect(dead)
-	var f Fanout
+	f := newConnFan(v.conn, v.slowConn, deadConn)
 	f.OnDone = func(slot int, _ []wire.Result) {
 		if slot == 2 {
 			t.Error("the silent server answered")
@@ -309,8 +335,8 @@ func TestFanoutServerNeverAnswers(t *testing.T) {
 	done := 0
 	v.run(t, func(p *sim.Proc) {
 		for r := 0; r < rounds; r++ {
-			v.postCells(&f, 6)
-			v.postSlow(&f)
+			v.postCells(f, 6)
+			v.postSlow(f)
 			ops := deadConn.Ops(1)
 			ops[0] = prism.Read(0, 0, 8)
 			f.Post(deadConn, ops)
@@ -330,19 +356,15 @@ func TestFanoutServerNeverAnswers(t *testing.T) {
 }
 
 // TestFanoutIsOneMachines: a fan-out belongs to one process, so all its
-// chains leave from one client machine; a connection from another machine
-// is a programming error caught at Post.
+// chains leave from one client machine; a group with a connection from
+// another machine is a programming error caught when the fan-out is made.
 func TestFanoutIsOneMachines(t *testing.T) {
 	v := newFanEnv(t)
 	other := NewClient(v.net, "other").Connect(v.srv)
-	var f Fanout
-	v.postCells(&f, 0)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a Fanout accepted connections of two client machines")
+			t.Fatal("a fan-out accepted connections of two client machines")
 		}
 	}()
-	ops := other.Ops(1)
-	ops[0] = prism.Read(v.reg.Key, v.reg.Base, 8)
-	f.Post(other, ops)
+	newConnFan(v.conn, other)
 }

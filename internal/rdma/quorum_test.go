@@ -32,10 +32,6 @@ func (r *retired) IssueAsync(ops []wire.Op) error {
 
 func (r *retired) Issue([]wire.Op) ([]wire.Result, error) { panic("reports are fire-and-forget") }
 
-func (r *retired) IssueBatch([][]wire.Op) ([][]wire.Result, error) {
-	panic("reports are fire-and-forget")
-}
-
 func (r *retired) Temp() (memory.Addr, memory.RKey) { return 0, 0 }
 
 func (r *retired) Sleep(time.Duration) {}

@@ -429,7 +429,7 @@ func TestRecvCreditsRNR(t *testing.T) {
 	}
 	ok, rnr := 0, 0
 	v.e.Go("blast", func(p *sim.Proc) {
-		var f Fanout
+		f := newConnFan(conns...)
 		for _, c := range conns {
 			f.Post(c, []wire.Op{prism.Send([]byte{1})})
 		}
@@ -539,7 +539,7 @@ func TestSameConnectionRequestsSerialize(t *testing.T) {
 	ring := NewTraceRing(256)
 	v.srv.SetTracer(ring.Record)
 	v.e.Go("a", func(p *sim.Proc) {
-		var f Fanout
+		f := newConnFan(v.conn)
 		for i := 0; i < 5; i++ {
 			f.Post(v.conn, []wire.Op{
 				prism.Write(v.reg.Key, v.reg.Base, []byte("xxxxxxxx")),
@@ -662,24 +662,28 @@ func TestStageWritesLandAtGaps(t *testing.T) {
 
 // TestIssueOutsideProcessPanics: a blocking call parks the engine's running
 // process, so one made from a plain event, where none runs, panics with a
-// message that says so instead of parking nothing. Fire-and-forget needs
-// no process.
+// message that says so instead of parking nothing, before anything is on
+// the wire. Fire-and-forget needs no process.
 func TestIssueOutsideProcessPanics(t *testing.T) {
 	v := newEnv(t, model.SoftwarePRISM, nil)
 	read := func() []wire.Op { return []wire.Op{prism.Read(v.reg.Key, v.reg.Base, 8)} }
 	for name, call := range map[string]func(){
-		"Issue":      func() { v.conn.Issue(read()) },
-		"IssueBatch": func() { v.conn.IssueBatch([][]wire.Op{read()}) },
-		"Sleep":      func() { v.conn.Sleep(time.Microsecond) },
+		"Issue":   func() { v.conn.Issue(read()) },
+		"fan-out": func() { transport.NewFanout([]transport.Issuer{v.conn}).Post(0, read()) },
+		"Sleep":   func() { v.conn.Sleep(time.Microsecond) },
 	} {
 		var got any
+		sent := -1
 		v.e.Schedule(0, func() {
-			defer func() { got = recover() }()
+			defer func() { got, sent = recover(), v.conn.win.InFlight() }()
 			call()
 		})
 		v.e.Run()
 		if msg, _ := got.(string); !strings.Contains(msg, "outside a simulation process") {
 			t.Errorf("%s from a plain event: recovered %v, want the outside-a-process panic", name, got)
+		}
+		if sent != 0 {
+			t.Errorf("%s from a plain event put %d requests on the wire before panicking", name, sent)
 		}
 	}
 	if err := v.conn.IssueAsync(read()); err != nil {

@@ -186,11 +186,11 @@ func TestResumeFinishedProcPanics(t *testing.T) {
 	done.Resume()
 }
 
-// quorum is a wait written on Park/Resume the way rdma.Fanout's Wait and
-// WaitFirst are: answers arrive from events in completion order, and the
-// waiter parks only while fewer than k are in, to be resumed inside the
-// event that brings the k-th. The tests below hold the engine to the
-// timing such waits rely on.
+// quorum is a wait written on Park/Resume the way a simulated fan-out's
+// Wait and WaitFirst are: answers arrive from events in completion order,
+// and the waiter parks only while fewer than k are in, to be resumed
+// inside the event that brings the k-th. The tests below hold the engine
+// to the timing such waits rely on.
 type quorum struct {
 	got    []int
 	k      int

@@ -72,6 +72,16 @@ func tornServer(t *testing.T, nc net.Conn, answerFrames int) {
 	nc.Close() // the tear: the rest of the train is never answered
 }
 
+// readTrain posts n single-READ chains on cn as one fan-out round — one
+// doorbell — and waits for the round.
+func readTrain(cn *Conn, n int) ([][]wire.Result, error) {
+	f := NewFanout([]Issuer{cn})
+	for range n {
+		f.Post(0, []wire.Op{{Code: wire.OpRead, RKey: 7, Target: 0x4000, Len: 8}})
+	}
+	return f.Wait()
+}
+
 func TestTornBatch(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	serverDone := make(chan struct{})
@@ -87,28 +97,22 @@ func TestTornBatch(t *testing.T) {
 		t.Fatalf("Connect: %v", err)
 	}
 
-	chains := make([][]wire.Op, 4)
-	ops := make([]wire.Op, len(chains))
-	for i := range chains {
-		ops[i] = wire.Op{Code: wire.OpRead, RKey: 7, Target: 0x4000, Len: 8}
-		chains[i] = ops[i : i+1]
-	}
 	type out struct {
 		res [][]wire.Result
 		err error
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := cn.IssueBatch(chains)
+		res, err := readTrain(cn, 4)
 		done <- out{res, err}
 	}()
 	select {
 	case o := <-done:
 		if o.err == nil {
-			t.Fatalf("IssueBatch survived a torn batch: results %v", o.res)
+			t.Fatalf("a fan-out round survived a torn batch: results %v", o.res)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("IssueBatch hung on a torn batch")
+		t.Fatal("a fan-out round hung on a torn batch")
 	}
 	<-serverDone
 
@@ -140,27 +144,21 @@ func TestTornBatchPartial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	chains := make([][]wire.Op, 8)
-	ops := make([]wire.Op, len(chains))
-	for i := range chains {
-		ops[i] = wire.Op{Code: wire.OpRead, RKey: 7, Target: 0x4000, Len: 8}
-		chains[i] = ops[i : i+1]
-	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := cn.IssueBatch(chains)
+		_, err := readTrain(cn, 8)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("IssueBatch reported success on a partially answered train")
+			t.Fatal("a fan-out round reported success on a partially answered train")
 		}
 		if errors.Is(err, ErrClientClosed) {
-			t.Fatalf("IssueBatch error = %v, want the transport failure", err)
+			t.Fatalf("the round's error = %v, want the transport failure", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("IssueBatch hung on a partially answered train")
+		t.Fatal("a fan-out round hung on a partially answered train")
 	}
 	<-serverDone
 }

@@ -88,9 +88,19 @@ func appendOutcome(log []byte, val []byte, err error) []byte {
 	return log
 }
 
+// readTrain posts n single-op READ chains against the table base on cn as
+// one fan-out round — one doorbell — and waits for the round.
+func readTrain(cn *transport.Conn, meta kv.Meta, n int) ([][]wire.Result, error) {
+	f := transport.NewFanout([]transport.Issuer{cn})
+	for range n {
+		f.Post(0, []wire.Op{prism.Read(meta.Key, meta.HashBase, 8)})
+	}
+	return f.Wait()
+}
+
 // runBatchWorkload drives a fixed op sequence — single GETs, PUT
 // inserts, a GetBatch train longer than the send window, a raw
-// IssueBatch train, deletes, and a final re-read — and returns the
+// fan-out round, deletes, and a final re-read — and returns the
 // concatenated outcomes.
 func runBatchWorkload(t *testing.T, c *transport.Client) []byte {
 	t.Helper()
@@ -127,16 +137,11 @@ func runBatchWorkload(t *testing.T, c *transport.Client) []byte {
 		t.Fatalf("GetBatch: %v", err)
 	}
 
-	// Raw IssueBatch: 80 single-op READ chains against the table base.
-	chains := make([][]wire.Op, 80)
-	ops := make([]wire.Op, len(chains))
-	for i := range chains {
-		ops[i] = prism.Read(meta.Key, meta.HashBase, 8)
-		chains[i] = ops[i : i+1]
-	}
-	res, err := cn.IssueBatch(chains)
+	// A raw fan-out round on the connection: 80 single-op READ chains
+	// against the table base.
+	res, err := readTrain(cn, meta, 80)
 	if err != nil {
-		t.Fatalf("IssueBatch: %v", err)
+		t.Fatalf("fan-out round: %v", err)
 	}
 	for _, rr := range res {
 		for i := range rr {
@@ -249,14 +254,8 @@ func TestBatchingServerTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FetchMeta: %v", err)
 	}
-	chains := make([][]wire.Op, 100)
-	ops := make([]wire.Op, len(chains))
-	for i := range chains {
-		ops[i] = prism.Read(meta.Key, meta.HashBase, 8)
-		chains[i] = ops[i : i+1]
-	}
-	if _, err := cn.IssueBatch(chains); err != nil {
-		t.Fatalf("IssueBatch: %v", err)
+	if _, err := readTrain(cn, meta, 100); err != nil {
+		t.Fatalf("fan-out round: %v", err)
 	}
 	writes, frames, _ := c.FlushStats()
 	if frames < 100 {

@@ -210,8 +210,6 @@ type Conn struct {
 	// batching suppresses the per-frame doorbell while a fan-out's chain
 	// is staged; the fan-out rings once when its owner waits.
 	batching bool
-
-	fan *Fanout // IssueBatch's rounds
 }
 
 // liveWait is the live transport's per-entry completion state: a
@@ -290,33 +288,6 @@ func (cn *Conn) Issue(ops []wire.Op) ([]wire.Result, error) {
 func (cn *Conn) IssueAsync(ops []wire.Op) error {
 	_, err := cn.enqueue(ops, liveWait{async: true})
 	return err
-}
-
-// IssueBatch transmits a train of chains behind one doorbell — the
-// software analogue of posting a linked chain of work requests and
-// ringing the NIC once — as one round of the connection's fan-out, and
-// blocks until every chain's response arrives. chains[i]'s results land in
-// slot i of the returned slice; chains beyond the send window
-// (liveWindowDepth) pipeline as earlier ones complete. The chain op slices
-// are caller-owned and must stay valid until IssueBatch returns. The
-// results are the fan-out's copies, valid until the next IssueBatch. On
-// any transport error the whole batch fails with that error.
-func (cn *Conn) IssueBatch(chains [][]wire.Op) ([][]wire.Result, error) {
-	if len(chains) == 0 {
-		return nil, nil
-	}
-	for _, ops := range chains {
-		if len(ops) == 0 {
-			return nil, errors.New("transport: empty chain in batch")
-		}
-	}
-	if cn.fan == nil {
-		cn.fan = cn.NewFanout([]Issuer{cn})
-	}
-	for _, ops := range chains {
-		cn.fan.Post(0, ops)
-	}
-	return cn.fan.Wait()
 }
 
 // enqueue transmits ops with w's routing: a synchronous issue, a

@@ -15,8 +15,8 @@ import (
 // Each chain's results are copied into the Fanout's storage as it
 // completes and stay valid until the next round's first Post. A chain
 // still in flight when its round's wait returns is a straggler: only
-// OnDone ever sees it. A FanoutBinding carries the chains: rdma.Fanout on
-// the simulator, NewFanout's over live connections.
+// OnDone ever sees it. A FanoutBinding carries the chains; NewFanout asks
+// the group's issuers for it.
 type Fanout struct {
 	// OnDone, when set, sees every chain that completes with results, with
 	// its posting position, before the copy and before the owner resumes;
@@ -59,15 +59,17 @@ type Reply struct {
 // FanoutBinding carries a Fanout's chains over one transport.
 type FanoutBinding interface {
 	// Send transmits ops on the group's i-th issuer as chain slot of round,
-	// whose completion it hands to Fanout.Deliver.
+	// whose completion it hands to the fan-out's Deliver.
 	Send(i int, ops []wire.Op, round uint64, slot int)
 	// Await is called at each wait of an open round; when pending, it
 	// returns once Deliver has reported the wait satisfied.
 	Await(pending bool)
 }
 
-// Bind sets the binding that carries the fan-out's chains.
-func (f *Fanout) Bind(b FanoutBinding) { f.b = b }
+// Deliver hands a binding's completion of chain slot of round — its
+// results, or the transport error that failed it — to its fan-out, and
+// reports whether this completion satisfied the wait in progress.
+type Deliver func(round uint64, slot int, res []wire.Result, err error) bool
 
 // Post transmits ops as the next chain of the current round on the
 // group's i-th issuer, opening a round if none is open.
@@ -83,11 +85,9 @@ func (f *Fanout) Post(i int, ops []wire.Op) {
 	f.b.Send(i, ops, f.round, len(f.spans)-1)
 }
 
-// Deliver hands the completion of chain slot of round — its results, or
-// the transport error that failed it — to OnDone and, unless it is a
-// straggler, to the round. It reports whether this completion satisfied
-// the wait in progress.
-func (f *Fanout) Deliver(round uint64, slot int, res []wire.Result, err error) bool {
+// deliver is the fan-out's Deliver: a completion goes to OnDone and, unless
+// it is a straggler, to the round.
+func (f *Fanout) deliver(round uint64, slot int, res []wire.Result, err error) bool {
 	if err == nil && f.OnDone != nil {
 		f.OnDone(slot, res)
 	}
@@ -167,39 +167,45 @@ func (f *Fanout) WaitFirst(k int) []Reply {
 	return f.replies
 }
 
-// NewFanout returns a fan-out over group: Post(i, ops) posts on group[i].
-// The binding comes from the issuers themselves, through the optional
-// method NewFanout(group) *Fanout that both transports' connections have
-// (*Conn here, *rdma.Conn on the simulator), so a protocol never names its
-// transport. Every issuer of a group is of one kind.
+// NewFanout returns a fan-out over group: Post(i, ops) posts on group[i],
+// and a group may name one issuer more than once. It is the only way to
+// post several chains and wait for their results. The binding comes from
+// the issuers themselves, through the optional method
+// BindFanout(group, deliver) FanoutBinding that both transports'
+// connections have (*Conn here, *rdma.Conn on the simulator), so a
+// protocol never names its transport. Every issuer of a group is of one
+// kind.
 func NewFanout(group []Issuer) *Fanout {
-	src, ok := group[0].(interface{ NewFanout([]Issuer) *Fanout })
+	src, ok := group[0].(interface {
+		BindFanout([]Issuer, Deliver) FanoutBinding
+	})
 	if !ok {
 		panic(fmt.Sprintf("transport: %T cannot carry a fan-out", group[0]))
 	}
-	return src.NewFanout(group)
+	f := &Fanout{}
+	f.b = src.BindFanout(group, f.deliver)
+	return f
 }
 
-// NewFanout returns a fan-out over live connections, group's issuers all
-// being *Conn: Post(i, ops) posts on group[i], staging without a doorbell;
+// BindFanout binds a fan-out over live connections, group's issuers all
+// being *Conn: Send(i, …) posts on group[i], staging without a doorbell;
 // a wait rings each connection posted to once. Demux goroutines hand
 // completions to an inbox the owner drains, so OnDone and the copy run on
 // the owner's goroutine: inside the wait for chains that complete before
 // it is satisfied, at the owner's next Post or wait for the rest.
-func (cn *Conn) NewFanout(group []Issuer) *Fanout {
+func (cn *Conn) BindFanout(group []Issuer, deliver Deliver) FanoutBinding {
 	conns := make([]*Conn, len(group))
 	for i, is := range group {
 		conns[i] = is.(*Conn)
 	}
-	b := &liveFan{conns: conns, ring: make([]bool, len(conns)), wake: make(chan struct{}, 1)}
-	b.f = &Fanout{b: b}
-	return b.f
+	return &liveFan{deliver: deliver, conns: conns, ring: make([]bool, len(conns)), wake: make(chan struct{}, 1)}
 }
 
 type liveFan struct {
-	f     *Fanout
-	conns []*Conn
-	ring  []bool // connections posted to since the last doorbell
+	deliver Deliver
+	pending bool // a wait blocks until deliver reports it satisfied
+	conns   []*Conn
+	ring    []bool // connections posted to since the last doorbell
 
 	mu    sync.Mutex // guards inbox: demux goroutines append, the owner drains
 	inbox []fanDone
@@ -218,19 +224,20 @@ type fanDone struct {
 func (b *liveFan) Send(i int, ops []wire.Op, round uint64, slot int) {
 	b.collect()
 	if _, err := b.conns[i].enqueue(ops, liveWait{fan: b, round: round, slot: slot}); err != nil {
-		b.f.Deliver(round, slot, nil, err)
+		b.deliver(round, slot, nil, err)
 	}
 	b.ring[i] = true
 }
 
-func (b *liveFan) Await(bool) {
+func (b *liveFan) Await(pending bool) {
 	for i, r := range b.ring {
 		if r {
 			b.conns[i].c.fl.kick()
 			b.ring[i] = false
 		}
 	}
-	for b.collect(); b.f.waiting; b.collect() {
+	b.pending = pending
+	for b.collect(); b.pending; b.collect() {
 		<-b.wake
 	}
 }
@@ -253,7 +260,9 @@ func (b *liveFan) collect() {
 	b.inbox, b.spare = b.spare[:0], b.inbox
 	b.mu.Unlock()
 	for _, d := range b.spare {
-		b.f.Deliver(d.e.X.round, d.e.X.slot, d.e.X.results, d.err)
+		if b.deliver(d.e.X.round, d.e.X.slot, d.e.X.results, d.err) {
+			b.pending = false
+		}
 		d.cn.mu.Lock()
 		d.cn.win.Recycle(d.e)
 		d.cn.mu.Unlock()

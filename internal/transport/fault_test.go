@@ -186,8 +186,8 @@ func checkNoLeak(t *testing.T, before int) {
 	}
 }
 
-// TestFaultyConnMatchesPlainPipe runs GETs, PUTs, DELETEs, GetBatch and
-// IssueBatch trains and a full SCAN through a net.Pipe whose two ends
+// TestFaultyConnMatchesPlainPipe runs GETs, PUTs, DELETEs, GetBatch trains
+// and raw fan-out rounds and a full SCAN through a net.Pipe whose two ends
 // dribble or split what they carry, and demands exactly what a plain
 // pipe returns; the server's checked socket (CheckedConn) checks every
 // frame on the way. Then no goroutine may outlive Close and Shutdown.

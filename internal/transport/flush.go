@@ -67,8 +67,8 @@ func (f *flusher) stats() (writes, frames, bytes int64) {
 
 // stageRequest stages req as one encoded frame behind any staged
 // frames. With kick, the writer is woken — the doorbell; without, the
-// frame waits for a later kick, which is how IssueBatch stages a whole
-// chain train and rings once.
+// frame waits for a later kick, which is how a fan-out stages a whole
+// round's chains and rings once.
 func (f *flusher) stageRequest(req *wire.Request, kick bool) error {
 	return f.stage(kick, func(fw *FrameWriter) error { return fw.StageRequest(req) })
 }

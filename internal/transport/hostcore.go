@@ -191,7 +191,7 @@ func (h *HostCore) AllocConnTemp() memory.Addr {
 
 // CarveArena allocates n bytes from a payload arena: the simulated NIC's
 // per-connection response arena (its executor's ReadAlloc) and the
-// result copies of rdma.Fanout. The live server has no arena; its
+// result copies of transport.Fanout. The live server has no arena; its
 // executor carves straight from the response frame it stages. When the
 // arena must grow, earlier carvings keep the old backing array alive and
 // the request continues on the new one.

@@ -10,9 +10,9 @@ import (
 // Issuer is the client-side seam beside Window: what a protocol client
 // needs from one connection, and nothing else, so an application's
 // protocol is written once and runs over the simulated NIC (*rdma.Conn)
-// or a live socket (*Conn) unchanged; a protocol over several gets their
-// Fanout from NewFanout. Like the
-// connection behind it, an Issuer is single-owner.
+// or a live socket (*Conn) unchanged. Several chains in flight together,
+// on one issuer or a group, are a round of a Fanout from NewFanout. Like
+// the connection behind it, an Issuer is single-owner.
 //
 // Borrowing (DESIGN.md §11): Ops scratch belongs to the connection and
 // must be handed to the next issue on it; every result slice and payload
@@ -27,9 +27,6 @@ type Issuer interface {
 	// IssueAsync transmits one chain fire-and-forget; the transport
 	// consumes and discards the response.
 	IssueAsync(ops []wire.Op) error
-	// IssueBatch transmits a train of caller-owned chains and blocks
-	// until every response arrived; chains[i]'s results land in slot i.
-	IssueBatch(chains [][]wire.Op) ([][]wire.Result, error)
 	// Temp locates the connection's temporary buffer on the server, the
 	// redirect target for chains (§3.4).
 	Temp() (memory.Addr, memory.RKey)

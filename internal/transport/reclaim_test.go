@@ -26,11 +26,8 @@ func (s *sentIssuer) IssueAsync(ops []wire.Op) error {
 	return nil
 }
 func (s *sentIssuer) Issue([]wire.Op) ([]wire.Result, error) { panic("reclamation waits for nothing") }
-func (s *sentIssuer) IssueBatch([][]wire.Op) ([][]wire.Result, error) {
-	panic("reclamation waits for nothing")
-}
-func (s *sentIssuer) Temp() (memory.Addr, memory.RKey) { return 0, 0 }
-func (s *sentIssuer) Sleep(time.Duration)              {}
+func (s *sentIssuer) Temp() (memory.Addr, memory.RKey)       { return 0, 0 }
+func (s *sentIssuer) Sleep(time.Duration)                    {}
 
 // TestReclaimer holds the client half of §3.2's protocol: records batch
 // behind the opcode up to the threshold, Retire alone never sends, a flush

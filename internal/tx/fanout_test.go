@@ -16,7 +16,7 @@ import (
 // Regression tests for what a commit's fan-out must get right whatever the
 // transaction's width: every chain's own results (a train past the send
 // window recycles the server's replay slots while it completes,
-// rdma.Fanout) and a defined posting order.
+// transport.Fanout) and a defined posting order.
 
 // handle is the transaction surface PRISM-TX and FaRM share.
 type handle interface {
