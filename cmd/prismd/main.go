@@ -66,7 +66,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	fs := flag.NewFlagSet("prismd", flag.ContinueOnError)
 	tcpAddr := fs.String("tcp", "", "tcp listen address (e.g. 127.0.0.1:7171)")
 	unixPath := fs.String("unix", "", "unix socket path")
-	nKeys := fs.Int64("keys", 4096, "keys, blocks or buckets; with -value, a ceiling on memory, not what is resident")
+	nKeys := fs.Int64("keys", 4096, "keys (kv and pilaf serve keys 0..keys-1), blocks or buckets; with -value, a ceiling on memory, not what is resident")
 	valueSize := fs.Int("value", 1024, "largest value size accepted (bytes)")
 	load := fs.Int64("load", 0, "preload keys 0..N-1 before serving")
 	app := fs.String("app", "kv", "store to serve: kv, chain:DEPTH, pilaf, rs, lock, tx or farm")

@@ -233,3 +233,21 @@ func TestUsage(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadPastTheTableFails: kv and pilaf serve keys 0..keys-1, one slot
+// each, so -load past -keys fails before serving and names the first key
+// the table has no slot for, instead of storing it in another key's slot.
+func TestLoadPastTheTableFails(t *testing.T) {
+	for _, app := range []string{"kv", "pilaf"} {
+		sock := filepath.Join(t.TempDir(), "p.sock")
+		stop := make(chan os.Signal, 1)
+		stop <- syscall.SIGTERM // a server that does start drains at once
+		err := run([]string{"-unix", sock, "-app", app, "-keys", "256", "-load", "300"}, io.Discard, stop)
+		if !errors.Is(err, kv.ErrKeyRange) || !strings.Contains(err.Error(), "key 256") {
+			t.Errorf("-app %s -keys 256 -load 300: %v, want a range error naming key 256", app, err)
+		}
+		if _, err := os.Stat(sock); err == nil {
+			t.Errorf("-app %s listened before its load failed", app)
+		}
+	}
+}

@@ -17,6 +17,9 @@
 //	stats               server counters
 //	quit
 //
+// Keys are 0..keys-1, one slot each: a key outside the table is refused
+// with kv.ErrKeyRange and the session goes on.
+//
 // Flags select the NIC deployment and network profile (simulated mode),
 // so the same operations can be compared across PRISM-SW /
 // projected-hardware / BlueField data paths and rack/cluster/datacenter
@@ -52,7 +55,7 @@ func main() {
 	connect := flag.String("connect", "", "live prismd address: host:port is tcp, anything else (a path, relative or not) a unix socket; default is the simulator")
 	deployFlag := flag.String("deploy", "sw", "NIC deployment: sw, hw-proj, bluefield (simulated mode)")
 	netFlag := flag.String("net", "rack", "network profile: direct, rack, cluster, datacenter (simulated mode)")
-	nKeys := flag.Int64("keys", 1024, "hash table slots (simulated mode)")
+	nKeys := flag.Int64("keys", 1024, "hash table slots, keys 0..keys-1 (simulated mode; a live server has its own)")
 	flag.Parse()
 
 	var backend ops
@@ -123,6 +126,15 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 		}
 		return k, true
 	}
+	// outside prints a key the table has no slot for as the command's
+	// reply rather than ending the session.
+	outside := func(err error) bool {
+		if errors.Is(err, kv.ErrKeyRange) {
+			fmt.Fprintln(out, err)
+			return true
+		}
+		return false
+	}
 	switch cmd {
 	case "put":
 		k, ok := parseKey()
@@ -135,6 +147,9 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 		}
 		val := strings.Join(args[1:], " ")
 		d, err := backend.timed(func(c *kv.Client) error { return c.Put(k, []byte(val)) })
+		if outside(err) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -150,6 +165,9 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 			fmt.Fprintf(out, "(not found) (%v %s)\n", d, backend.costNote())
 			return nil
 		}
+		if outside(err) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -160,6 +178,9 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 			return nil
 		}
 		d, err := backend.timed(func(c *kv.Client) error { return c.Delete(k) })
+		if outside(err) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -167,7 +188,7 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 	case "stats":
 		fmt.Fprintln(out, backend.stats())
 	default:
-		fmt.Fprintln(out, "commands: put <k> <v> | get <k> | del <k> | stats | quit")
+		fmt.Fprintln(out, "commands: put <k> <v> | get <k> | del <k> | stats | quit (keys are 0..slots-1)")
 	}
 	return nil
 }
@@ -262,8 +283,8 @@ func (l *liveOps) timed(fn func(*kv.Client) error) (time.Duration, error) {
 
 func (l *liveOps) stats() string {
 	m := l.kvc.Meta()
-	return fmt.Sprintf("live server at %s: %d slots, hash mode %d, max value %d bytes",
-		l.addr, m.NSlots, m.Hash, m.MaxValue)
+	return fmt.Sprintf("live server at %s: %d slots, max value %d bytes",
+		l.addr, m.NSlots, m.MaxValue)
 }
 
 func (l *liveOps) costNote() string { return "wall clock" }

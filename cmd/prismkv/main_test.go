@@ -134,3 +134,25 @@ func TestREPLDeadServer(t *testing.T) {
 		t.Errorf("replies %q before the error, want none", replies)
 	}
 }
+
+// TestREPLKeyOutsideTable: the CI live smoke's range check. The 256-slot
+// store has no slot for key 256, so each command on it replies with the
+// range error, and the session goes on to serve key 5.
+func TestREPLKeyOutsideTable(t *testing.T) {
+	path, _ := serveStore(t)
+	live, err := newLiveOps(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.tc.Close()
+	replies, err := session(t, live, "put 256 x\nget 256\ndel 256\nget 5\n")
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	checkReplies(t, replies, []string{
+		"kv: key outside the table: 256 not in [0,256)",
+		"kv: key outside the table: 256 not in [0,256)",
+		"kv: key outside the table: 256 not in [0,256)",
+		`"value-5" (`,
+	})
+}

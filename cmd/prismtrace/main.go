@@ -109,12 +109,8 @@ func describeOp(op *wire.Op) string {
 		extra = fmt.Sprintf(" payload=%dB", len(op.Data))
 	case wire.OpChase:
 		if prog, match, err := iprism.DecodeProgram(op.Data); err == nil {
-			kind := "list"
-			if prog.Kind == iprism.ProgChaseProbe {
-				kind = "probe"
-			}
-			extra = fmt.Sprintf(" prog=chase/%s maxSteps=%d matchOff=%d match=%dB mode=%v payload<=%dB",
-				kind, prog.MaxSteps, prog.MatchOff, len(match), op.Mode, op.Len)
+			extra = fmt.Sprintf(" prog=chase/list maxSteps=%d matchOff=%d match=%dB mode=%v payload<=%dB",
+				prog.MaxSteps, prog.MatchOff, len(match), op.Mode, op.Len)
 		}
 	case wire.OpScan:
 		if prog, _, err := iprism.DecodeProgram(op.Data); err == nil {

@@ -3,10 +3,8 @@
 //
 // Two layouts exercise the CHASE/SCAN programs:
 //
-//   - The standard PRISM-KV hash table (layout.go): GetChase replaces the
-//     client-driven linear-probe loop (one round trip per probe) with a
-//     single ProgChaseProbe program, and Scan streams a slot window's
-//     entries under a byte budget.
+//   - The standard PRISM-KV hash table (layout.go): Scan streams a slot
+//     window's entries under a byte budget.
 //
 //   - ChainStore, a bucketed singly-linked-list store built for pointer
 //     chasing with a controllable chain depth. Keys 0..Buckets*Depth-1
@@ -37,32 +35,7 @@ import (
 	"prism/internal/wire"
 )
 
-// --- CHASE/SCAN over the standard hash table ---
-
-// chaseSteps bounds one CHASE issue: the whole table if it fits, else the
-// program's hard step cap (the client resumes by cursor).
-func (m *Meta) chaseSteps() uint8 {
-	if m.NSlots < prism.MaxChaseSteps {
-		return uint8(m.NSlots)
-	}
-	return prism.MaxChaseSteps
-}
-
-// appendProbeProg encodes the linear-probe CHASE program for the table:
-// 24-byte slots from HashBase, the <ptr,bound> at slot offset 8, the
-// entry's big-endian key at object offset entryHeader.
-func (m *Meta) appendProbeProg(buf []byte, startIdx int64, match []byte) []byte {
-	p := prism.Program{
-		Kind:     prism.ProgChaseProbe,
-		MaxSteps: m.chaseSteps(),
-		MatchOff: entryHeader,
-		NextOff:  8,
-		Stride:   slotSize,
-		StartIdx: uint64(startIdx),
-		NSlots:   uint64(m.NSlots),
-	}
-	return prism.AppendProgram(buf, &p, match)
-}
+// --- SCAN over the standard hash table ---
 
 // appendScanProg encodes the SCAN program for slots [startIdx, NSlots).
 func (m *Meta) appendScanProg(buf []byte, startIdx int64) []byte {
@@ -73,38 +46,6 @@ func (m *Meta) appendScanProg(buf []byte, startIdx int64) []byte {
 		NSlots:   uint64(m.NSlots),
 	}
 	return prism.AppendProgram(buf, &p, nil)
-}
-
-// GetChase performs the §6.1 read as one CHASE program: the server walks
-// the probe sequence and returns the matching entry, collapsing the
-// k-probe round-trip loop of Get into one request. Two-choice tables
-// have no probe chain, so they fall back to the chained two-slot read.
-func (c *Client) GetChase(key int64) ([]byte, error) {
-	if c.meta.Hash == TwoChoice {
-		return c.getTwoChoice(key)
-	}
-	prism.PutBE64(c.matchBuf[:], 0, uint64(key))
-	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	for {
-		c.progBuf = c.meta.appendProbeProg(c.progBuf[:0], idx, c.matchBuf[:])
-		ops := c.conn.Ops(1)
-		ops[0] = prism.Chase(c.meta.Key, c.meta.HashBase, c.progBuf, wire.CASEq, nil, entrySize(c.meta.MaxValue))
-		res, err := c.conn.Issue(ops)
-		if err != nil {
-			return nil, err
-		}
-		switch res[0].Status {
-		case wire.StatusOK:
-			_, v, err := decodeEntry(res[0].Data)
-			return v, err
-		case wire.StatusNotFound:
-			return nil, ErrNotFound
-		case wire.StatusStepLimit:
-			idx = int64(res[0].Addr) // resume where the program stopped
-		default:
-			return nil, fmt.Errorf("kv: CHASE status %v", res[0].Status)
-		}
-	}
 }
 
 // Scan reads one budget-bounded window of the table starting at slot

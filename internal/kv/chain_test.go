@@ -185,47 +185,11 @@ func TestChaseRejectedOnHardwareRDMA(t *testing.T) {
 	})
 }
 
-func TestHashGetChaseMatchesGet(t *testing.T) {
-	// FNV probing displaces keys, so the program must walk the same probe
-	// sequence the client loop does.
-	opts := DefaultOptions(32, 64)
-	opts.Hash = FNV
-	v := newKVEnv(t, opts, model.SoftwarePRISM)
-	for k := int64(0); k < 24; k++ {
-		if err := v.srv.Load(k, chainValue(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := v.client(1)
-	v.run(t, func(p *sim.Proc) {
-		for k := int64(0); k < 24; k++ {
-			got, err := c.GetChase(k)
-			if err != nil {
-				t.Fatalf("GetChase(%d): %v", k, err)
-			}
-			want, err := c.Get(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("GetChase(%d) = %v, Get = %v", k, got, want)
-			}
-		}
-		if _, err := c.GetChase(999); err != ErrNotFound {
-			t.Fatalf("miss: %v, want ErrNotFound", err)
-		}
-	})
-	if v.nic.ProgOps == 0 {
-		t.Fatal("GetChase issued no programs")
-	}
-}
-
 func TestHashScanCollectsAllEntries(t *testing.T) {
 	opts := DefaultOptions(32, 64)
-	opts.Hash = FNV
 	v := newKVEnv(t, opts, model.SoftwarePRISM)
 	loaded := map[int64][]byte{}
-	for k := int64(0); k < 20; k++ {
+	for k := int64(0); k < 32; k += 3 { // every third slot, gaps between
 		loaded[k] = chainValue(k)
 		if err := v.srv.Load(k, loaded[k]); err != nil {
 			t.Fatal(err)
@@ -279,7 +243,6 @@ func copyResult(r wire.Result) abResult {
 // the two executors' program semantics from drifting.
 func TestProgramSimLiveByteIdentity(t *testing.T) {
 	kvOpts := DefaultOptions(32, 64)
-	kvOpts.Hash = FNV
 	chOpts := ChainOptions{Buckets: 2, Depth: 6, MaxValue: 16}
 	loadKV := func(load func(k int64, v []byte) error) {
 		for k := int64(0); k < 20; k++ {
@@ -339,23 +302,10 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 		loadChain(srv.Load)
 	})
 
-	// The op set: probe-chase hit (displaced key), miss, step-limited
-	// walk, budget-windowed scans, list-chase hit and step-limit.
+	// The op set: budget-windowed scans of the table, a CHASE of kind 1
+	// over it (both executors NAK it), list-chase hits and a step-limited
+	// list chase.
 	var match [8]byte
-	probeOp := func(key int64, maxSteps uint8) wire.Op {
-		prism.PutBE64(match[:], 0, uint64(key))
-		p := prism.Program{
-			Kind:     prism.ProgChaseProbe,
-			MaxSteps: maxSteps,
-			MatchOff: entryHeader,
-			NextOff:  8,
-			Stride:   slotSize,
-			StartIdx: uint64(slotIndex(meta.Hash, key, meta.NSlots)),
-			NSlots:   uint64(meta.NSlots),
-		}
-		prog := prism.AppendProgram(nil, &p, match[:])
-		return prism.Chase(meta.Key, meta.HashBase, prog, wire.CASEq, nil, entrySize(meta.MaxValue))
-	}
 	scanOp := func(start int64, budget uint64) wire.Op {
 		return prism.Scan(meta.Key, meta.HashBase, meta.appendScanProg(nil, start), budget)
 	}
@@ -367,11 +317,10 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 		bucket := key / chOpts.Depth
 		return prism.Chase(chainMeta.Key, chainMeta.headAddr(bucket), prog, wire.CASEq, nil, chainMeta.nodeSize())
 	}
+	kind1 := prism.Program{Kind: 1, MaxSteps: 4, MatchOff: entryHeader, NextOff: 8, Stride: slotSize,
+		NSlots: uint64(meta.NSlots)}
 	kvOps := []wire.Op{
-		probeOp(7, meta.chaseSteps()),
-		probeOp(19, meta.chaseSteps()),
-		probeOp(999, meta.chaseSteps()), // miss -> NOT_FOUND + cursor
-		probeOp(19, 1),                  // step-limited -> cursor
+		prism.Chase(meta.Key, meta.HashBase, prism.AppendProgram(nil, &kind1, match[:]), wire.CASEq, nil, entrySize(meta.MaxValue)),
 		scanOp(0, 256),
 		scanOp(11, 512),
 		scanOp(0, prism.MaxScanBudget),
@@ -416,6 +365,9 @@ func TestProgramSimLiveByteIdentity(t *testing.T) {
 		if !reflect.DeepEqual(simRes[i], liveRes[i]) {
 			t.Errorf("kv op %d: sim %+v != live %+v", i, simRes[i], liveRes[i])
 		}
+	}
+	if simRes[0].Status != wire.StatusNAKAccess {
+		t.Errorf("a CHASE of kind 1 ended %v, want NAK_ACCESS", simRes[0].Status)
 	}
 	simChainRes := issueSim(simChain.cli, simChain.nic, simChain.e, chainOps)
 	liveChainRes := issueLive(chainConn, chainOps)

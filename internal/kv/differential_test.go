@@ -14,7 +14,6 @@ import (
 	"prism/internal/alloc"
 	"prism/internal/fabric"
 	"prism/internal/model"
-	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
 	"prism/internal/transport"
@@ -172,7 +171,8 @@ func diffValue(key int64, ver int) []byte {
 // kvScenario drives one seeded call sequence through c, logging every
 // call's return values: a random Put/Get/Delete mix with overwrites and
 // misses (the free list is provisioned to run dry, forcing RNR backoff),
-// then GetBatch trains, GetChase for every key, and a full SCAN sweep.
+// then GetBatch trains (some keys outside the table), GETs of keys outside
+// the table, and a full SCAN sweep.
 func kvScenario(c *Client, logf func(format string, args ...any)) {
 	const keys = 16 // live objects never exhaust the 20 provisioned buffers
 	rng := rand.New(rand.NewSource(42))
@@ -196,14 +196,15 @@ func kvScenario(c *Client, logf func(format string, args ...any)) {
 		for i := range train {
 			train[i] = rng.Int63n(keys + 4)
 		}
+		train = append(train, c.meta.NSlots+train[0]) // outside: visited, never posted
 		err := c.GetBatch(train, func(i int, v []byte, err error) {
 			logf("batch key[%d]=%d = %x %v", i, train[i], v, err)
 		})
 		logf("batch of %d = %v", n, err)
 	}
-	for k := int64(0); k < keys+2; k++ {
-		v, err := c.GetChase(k)
-		logf("chase %d = %x %v", k, v, err)
+	for _, k := range []int64{-1, c.meta.NSlots} {
+		v, err := c.Get(k)
+		logf("get outside %d = %x %v", k, v, err)
 	}
 	for start := int64(0); start < c.meta.NSlots; {
 		next, err := c.Scan(start, 256, func(k int64, v []byte) error {
@@ -236,8 +237,8 @@ func chainScenario(c *ChainClient, logf func(format string, args ...any)) {
 // same client code over (a) an rdma.Conn on the simulator and (b) a
 // transport.Conn to a ServeConn'd net.Pipe, each behind a recording
 // issuer, and requires identical per-call return values and
-// byte-identical op and result sequences — for FNV and two-choice
-// tables and for the chain store.
+// byte-identical op and result sequences — for PRISM-KV and for the
+// chain store.
 func TestSimLiveDifferential(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
@@ -262,83 +263,68 @@ func TestSimLiveDifferential(t *testing.T) {
 		return func(format string, args ...any) { *log = append(*log, fmt.Sprintf(format, args...)) }
 	}
 
-	for _, hash := range []Hash{FNV, TwoChoice} {
-		t.Run(fmt.Sprintf("kv/hash=%d", hash), func(t *testing.T) {
-			opts := DefaultOptions(48, 64)
-			opts.Hash = hash
-			opts.BuffersPerClass = 20 // at most 16 live + 4 spare < FreeBatch: PUTs hit RNR
-			sawRNR, sawRound := false, false
-			var meta Meta
-			compare(t, func(host transport.Host) {
-				srv, err := NewServerOn(host, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := int64(0); k < 12; k++ {
-					if err := srv.Load(k, diffValue(k, 0)); err != nil {
-						t.Fatalf("load %d: %v", k, err)
-					}
-				}
-				meta = srv.Meta()
-			}, func(iss transport.Issuer, log *[]string) {
-				c := NewClient(newRecIssuer(iss, log), meta, 1)
-				kvScenario(c, logTo(log))
-				for _, ev := range *log {
-					sawRNR = sawRNR || strings.HasPrefix(ev, "sleep")
-					sawRound = sawRound || strings.HasPrefix(ev, "done round")
-				}
-			})
-			if !sawRNR {
-				t.Fatal("scenario never backed off on RNR")
-			}
-			if !sawRound {
-				t.Fatal("no GetBatch round went through the recording issuer")
-			}
-		})
-	}
-	// A table of two regions (alloc.RegisterArray): eight keys whose FNV
-	// home slots are the last three of the first region probe into the
-	// second, so CHASE's probe walk and the SCAN windows cross the boundary.
-	t.Run("kv/region-boundary", func(t *testing.T) {
+	t.Run("kv/scenario", func(t *testing.T) {
+		opts := DefaultOptions(48, 64)
+		opts.BuffersPerClass = 20 // at most 16 live + 4 spare < FreeBatch: PUTs hit RNR
+		sawRNR, sawRound := false, false
 		var meta Meta
-		var keys []int64
-		var edge int64 // first slot of the second region
 		compare(t, func(host transport.Host) {
-			srv, err := NewServerOn(host, Options{NSlots: alloc.SlabBytes/slotSize + 64, MaxValue: 64, Hash: FNV,
-				BuffersPerClass: 64, MinClass: 64})
+			srv, err := NewServerOn(host, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			meta = srv.Meta()
-			space := host.Space()
-			edge = int64(space.RegionAt(meta.HashBase).End()-meta.HashBase) / slotSize
-			if edge >= meta.NSlots {
-				t.Fatalf("the %d-slot table is one region", meta.NSlots)
-			}
-			keys = keys[:0]
-			for k := int64(0); len(keys) < 8; k++ {
-				if s := slotIndex(FNV, k, meta.NSlots); s >= edge-3 && s < edge {
-					keys = append(keys, k)
-				}
-			}
-			for _, k := range keys {
+			for k := int64(0); k < 12; k++ {
 				if err := srv.Load(k, diffValue(k, 0)); err != nil {
 					t.Fatalf("load %d: %v", k, err)
 				}
 			}
-			if slot, _ := space.Peek(meta.Key, meta.slotAddr(edge), slotSize); prism.LE64(slot, 8) == 0 {
-				t.Fatal("no key was displaced past the region boundary")
+			meta = srv.Meta()
+		}, func(iss transport.Issuer, log *[]string) {
+			c := NewClient(newRecIssuer(iss, log), meta, 1)
+			kvScenario(c, logTo(log))
+			for _, ev := range *log {
+				sawRNR = sawRNR || strings.HasPrefix(ev, "sleep")
+				sawRound = sawRound || strings.HasPrefix(ev, "done round")
+			}
+		})
+		if !sawRNR {
+			t.Fatal("scenario never backed off on RNR")
+		}
+		if !sawRound {
+			t.Fatal("no GetBatch round went through the recording issuer")
+		}
+	})
+	// A table of two regions (alloc.RegisterArray): keys edge-3 … edge+4
+	// sit on both sides of the first region's end, so GETs address both
+	// regions and the SCAN windows cross the boundary.
+	t.Run("kv/region-boundary", func(t *testing.T) {
+		var meta Meta
+		var edge int64 // first slot of the second region
+		compare(t, func(host transport.Host) {
+			opts := DefaultOptions(alloc.SlabBytes/slotSize+64, 64)
+			opts.BuffersPerClass = 64
+			srv, err := NewServerOn(host, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta = srv.Meta()
+			edge = int64(host.Space().RegionAt(meta.HashBase).End()-meta.HashBase) / slotSize
+			if edge >= meta.NSlots {
+				t.Fatalf("the %d-slot table is one region", meta.NSlots)
+			}
+			for k := edge - 3; k <= edge+4; k++ {
+				if err := srv.Load(k, diffValue(k, 0)); err != nil {
+					t.Fatalf("load %d: %v", k, err)
+				}
 			}
 		}, func(iss transport.Issuer, log *[]string) {
 			c := NewClient(newRecIssuer(iss, log), meta, 1)
 			logf := logTo(log)
-			for _, k := range keys {
-				v, err := c.GetChase(k)
-				logf("chase %d = %x %v", k, v, err)
-				v2, err2 := c.Get(k)
-				logf("get %d = %x %v", k, v2, err2)
-				if err != nil || err2 != nil {
-					t.Errorf("key %d: chase %v, get %v", k, err, err2)
+			for k := edge - 3; k <= edge+4; k++ {
+				v, err := c.Get(k)
+				logf("get %d = %x %v", k, v, err)
+				if err != nil {
+					t.Errorf("key %d: %v", k, err)
 				}
 			}
 			scanned := 0
@@ -355,8 +341,8 @@ func TestSimLiveDifferential(t *testing.T) {
 				}
 				start = next
 			}
-			if scanned != len(keys) {
-				t.Errorf("the scan windows around the boundary returned %d entries, want %d", scanned, len(keys))
+			if scanned != 8 {
+				t.Errorf("the scan windows around the boundary returned %d entries, want 8", scanned)
 			}
 		})
 	})

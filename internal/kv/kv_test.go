@@ -2,8 +2,10 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -140,31 +142,90 @@ func TestServerLoadVisibleToClients(t *testing.T) {
 	})
 }
 
-func TestFNVProbing(t *testing.T) {
+// TestKeyOutsideTableIsRejected: key k lives in slot k, so a key outside
+// [0, NSlots) has no slot. Every PRISM-KV and Pilaf entry point refuses it
+// with ErrKeyRange, or a Pilaf PUT RPC with its failure reply, and memory
+// does not change; GetBatch visits it with the error, posts nothing for
+// it and serves the keys beside it. Wrapping such a key onto another
+// key's slot is what let a tombstone-free Delete lose a live key.
+func TestKeyOutsideTableIsRejected(t *testing.T) {
+	const nSlots = 16
+	outside := []int64{-1, nSlots, 2*nSlots - 1, 1 << 40}
 	opts := smallOpts()
-	opts.Hash = FNV
-	opts.NSlots = 16 // force collisions
+	opts.NSlots = nSlots
+
 	v := newKVEnv(t, opts, model.SoftwarePRISM)
+	for _, k := range outside {
+		if err := v.srv.Load(k, []byte("x")); !errors.Is(err, ErrKeyRange) {
+			t.Errorf("Load(%d) = %v, want ErrKeyRange", k, err)
+		}
+	}
+	if err := v.srv.Load(nSlots-1, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
 	c := v.client(1)
-	// Keys 2, 18, 34 all hash (FNV-1a mod 16) to slot 15, so probing wraps
-	// around the table end; the other keys fill independent slots.
-	keys := []int64{2, 18, 34, 0, 1, 5, 6, 7}
+	space := v.srv.host.Space()
+	before := spaceChecksum(space)
 	v.run(t, func(p *sim.Proc) {
-		for _, k := range keys {
-			if err := c.Put(k, []byte(fmt.Sprintf("v%d", k))); err != nil {
-				t.Error(err)
-				return
+		served := v.nic.RequestsServed
+		for _, k := range outside {
+			if err := c.Put(k, []byte("x")); !errors.Is(err, ErrKeyRange) {
+				t.Errorf("Put(%d) = %v, want ErrKeyRange", k, err)
+			}
+			if _, err := c.Get(k); !errors.Is(err, ErrKeyRange) {
+				t.Errorf("Get(%d) = %v, want ErrKeyRange", k, err)
+			}
+			if err := c.Delete(k); !errors.Is(err, ErrKeyRange) {
+				t.Errorf("Delete(%d) = %v, want ErrKeyRange", k, err)
 			}
 		}
-		for _, k := range keys {
-			got, err := c.Get(k)
-			if err != nil || string(got) != fmt.Sprintf("v%d", k) {
-				t.Errorf("key %d under probing: %q, %v", k, got, err)
+		if err := c.GetBatch(outside, func(i int, val []byte, err error) {
+			if !errors.Is(err, ErrKeyRange) {
+				t.Errorf("GetBatch visited key %d with %q, %v; want ErrKeyRange", outside[i], val, err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if v.nic.RequestsServed != served {
+			t.Errorf("out-of-range keys reached the server: %d requests", v.nic.RequestsServed-served)
+		}
+		keys := []int64{nSlots - 1, nSlots, 3, -1}
+		var visits []string
+		if err := c.GetBatch(keys, func(i int, val []byte, err error) {
+			visits = append(visits, fmt.Sprintf("%d:%s:%v", keys[i], val, errors.Is(err, ErrKeyRange) || err == ErrNotFound))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"15:last:false", "16::true", "3::true", "-1::true"}; !slices.Equal(visits, want) {
+			t.Errorf("GetBatch visits %q, want %q", visits, want)
+		}
+	})
+	if spaceChecksum(space) != before {
+		t.Error("rejected keys changed PRISM-KV memory")
+	}
+
+	pv := newPilafEnv(t, opts, model.SoftwarePRISM)
+	for _, k := range outside {
+		if err := pv.srv.Load(k, []byte("x")); !errors.Is(err, ErrKeyRange) {
+			t.Errorf("Pilaf Load(%d) = %v, want ErrKeyRange", k, err)
+		}
+	}
+	pc := pv.client()
+	pspace := pv.srv.host.Space()
+	before = spaceChecksum(pspace)
+	pv.e.Go("t", func(p *sim.Proc) {
+		for _, k := range outside {
+			if _, err := pc.Get(k); !errors.Is(err, ErrKeyRange) {
+				t.Errorf("Pilaf Get(%d) = %v, want ErrKeyRange", k, err)
+			}
+			if err := pc.Put(k, []byte("x")); err == nil {
+				t.Errorf("Pilaf PUT RPC of key %d succeeded", k)
 			}
 		}
 	})
-	if c.Probes == 0 {
-		t.Fatal("no probes with a 16-slot table and 12 keys (collisions expected)")
+	pv.e.Run()
+	if spaceChecksum(pspace) != before || len(pv.srv.extents.free) != 0 || pv.srv.extents.next != 0 {
+		t.Error("rejected PUT RPCs changed Pilaf memory or extents")
 	}
 }
 
@@ -280,7 +341,7 @@ func TestPilafPutGet(t *testing.T) {
 		if err != nil || string(got) != "pilaf-value" {
 			t.Errorf("get: %q, %v", got, err)
 		}
-		if _, err := c.Get(999); err != ErrNotFound {
+		if _, err := c.Get(12); err != ErrNotFound {
 			t.Errorf("missing: %v", err)
 		}
 	})
@@ -395,20 +456,13 @@ func TestQuickModelCheck(t *testing.T) {
 	}
 }
 
+// runModelCheck validates a random op sequence against a map model.
 func runModelCheck(ops []modelOp) bool {
-	return runModelCheckHash(ops, Collisionless) && runModelCheckHash(ops, FNV) && runModelCheckHash(ops, TwoChoice)
-}
-
-// runModelCheckHash validates a random op sequence against a map model
-// under one hash mode.
-func runModelCheckHash(ops []modelOp, h Hash) bool {
 	p := model.Default().WithNetwork(model.Rack)
 	e := sim.NewEngine(3)
 	net := fabric.New(e, p)
 	nic := rdma.NewServer(net, "srv", model.SoftwarePRISM)
-	opts := DefaultOptions(64, 32) // slack so two-choice never fills
-	opts.Hash = h
-	srv, err := NewServerOn(nic, opts)
+	srv, err := NewServerOn(nic, DefaultOptions(64, 32))
 	if err != nil {
 		return false
 	}

@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"prism/internal/memory"
 )
@@ -34,6 +33,7 @@ import (
 var (
 	ErrNotFound = errors.New("kv: key not found")
 	ErrTooLarge = errors.New("kv: object exceeds the largest buffer class")
+	ErrKeyRange = errors.New("kv: key outside the table")
 )
 
 // slotSize is the PRISM-KV hash slot size.
@@ -42,53 +42,14 @@ const slotSize = 24
 // entryHeader is the object buffer header (klen).
 const entryHeader = 8
 
-// Hash selects hash-table slots. The paper's evaluation uses a
-// collisionless hash (§6.2); the FNV mode exercises linear probing.
-type Hash int
-
-// Hash modes.
-const (
-	// Collisionless maps key k to slot k — valid when the slot count is
-	// at least the keyspace, as in the paper's experiments.
-	Collisionless Hash = iota
-	// FNV uses FNV-1a with linear probing on collision.
-	FNV
-	// TwoChoice gives each key two candidate slots (cuckoo-style, as
-	// Pilaf's hash table does [31]); PRISM-KV reads both candidates in a
-	// single chained round trip. Inserts take whichever candidate is
-	// free; unlike full cuckoo hashing there is no displacement, so the
-	// table should be sized with slack (inserts fail when both candidates
-	// of a key are taken by other keys).
-	TwoChoice
-)
-
-func fnvHash(key int64, seed byte) uint64 {
-	f := fnv.New64a()
-	var b [9]byte
-	binary.BigEndian.PutUint64(b[:8], uint64(key))
-	b[8] = seed
-	f.Write(b[:])
-	return f.Sum64()
-}
-
-func slotIndex(h Hash, key int64, nSlots int64) int64 {
-	switch h {
-	case Collisionless:
-		return ((key % nSlots) + nSlots) % nSlots
-	default:
-		return int64(fnvHash(key, 0) % uint64(nSlots))
+// slotIndex is key's slot in a table of nSlots: the paper's evaluation
+// indexes a collisionless table (§6.2), so key k lives in slot k and a
+// key outside [0, nSlots) has no slot.
+func slotIndex(key, nSlots int64) (int64, error) {
+	if key < 0 || key >= nSlots {
+		return 0, fmt.Errorf("%w: %d not in [0,%d)", ErrKeyRange, key, nSlots)
 	}
-}
-
-// slotIndex2 returns the second candidate slot for TwoChoice hashing,
-// distinct from the first whenever nSlots > 1.
-func slotIndex2(key int64, nSlots int64) int64 {
-	s1 := int64(fnvHash(key, 0) % uint64(nSlots))
-	s2 := int64(fnvHash(key, 1) % uint64(nSlots))
-	if s2 == s1 {
-		s2 = (s2 + 1) % nSlots
-	}
-	return s2
+	return key, nil
 }
 
 // appendEntry appends an object buffer image to dst.
@@ -121,7 +82,6 @@ type Meta struct {
 	Key       memory.RKey
 	HashBase  memory.Addr
 	NSlots    int64
-	Hash      Hash
 	MaxValue  int
 	FreeLists []FreeListInfo
 }

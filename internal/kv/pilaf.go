@@ -55,15 +55,14 @@ type PilafServer struct {
 
 	extents pilafExtents
 
-	// index and slotOwner are the server CPU's coherent view of the hash
-	// table. The CPU's stores to registered memory are staged (so remote
-	// one-sided readers can observe torn state, which Pilaf's CRCs catch),
-	// but a CPU always sees its own stores via store forwarding — so
-	// server-side lookups must come from here, never from re-reading the
-	// (possibly still-staged) memory. Like the extents, they change only
-	// under the space guard (install).
-	index     forkedIndex[pilafRef] // key -> current extent
-	slotOwner forkedIndex[bool]     // slot -> whether a key owns it
+	// index is the server CPU's coherent view of the hash table, key k's
+	// extent at index k. The CPU's stores to registered memory are staged
+	// (so remote one-sided readers can observe torn state, which Pilaf's
+	// CRCs catch), but a CPU always sees its own stores via store
+	// forwarding — so server-side lookups must come from here, never from
+	// re-reading the (possibly still-staged) memory. Like the extents, it
+	// changes only under the space guard (install).
+	index forkedIndex
 
 	// Puts counts RPC PUTs executed by the server CPU.
 	Puts int64
@@ -75,50 +74,45 @@ type PilafServer struct {
 // pilafRef is where a key's entry lives. Its zero value is no entry: a
 // memory.Space never registers address 0.
 type pilafRef struct {
-	slot int64
-	ptr  memory.Addr
-	len  uint64 // bytes of the entry stored there
-	cap  uint64 // bytes of the extent: what replacing the entry retires
+	ptr memory.Addr
+	len uint64 // bytes of the entry stored there
+	cap uint64 // bytes of the extent: what replacing the entry retires
 }
 
-// forkedIndex is a table over dense int64 keys as one server sees it:
-// flat holds keys [0, len(flat)), its zero value meaning absent, and own
-// holds the keys outside it. A server built directly writes flat. A
-// template instance shares its template's flat, never writes it, and keeps
-// every store of its own in own, which get reads first. Pilaf never
-// deletes a key or frees a slot, so own needs no tombstones.
-type forkedIndex[V comparable] struct {
-	flat   []V
-	own    map[int64]V
+// forkedIndex is the key -> entry table over keys [0, NSlots) as one
+// server sees it: flat holds one ref per key, its zero value meaning
+// absent. A server built directly writes flat. A template instance shares
+// its template's flat, never writes it, and keeps every store of its own
+// in own, which get reads first. Pilaf never deletes a key, so own needs
+// no tombstones.
+type forkedIndex struct {
+	flat   []pilafRef
+	own    map[int64]pilafRef
 	shared bool // flat is a template's
 }
 
-func (x *forkedIndex[V]) get(k int64) (V, bool) {
+func (x *forkedIndex) get(k int64) (pilafRef, bool) {
 	if v, ok := x.own[k]; ok {
 		return v, true
 	}
-	var zero V
-	if uint64(k) < uint64(len(x.flat)) && x.flat[k] != zero {
-		return x.flat[k], true
-	}
-	return zero, false
+	return x.flat[k], x.flat[k] != pilafRef{}
 }
 
-func (x *forkedIndex[V]) set(k int64, v V) {
-	if !x.shared && uint64(k) < uint64(len(x.flat)) {
+func (x *forkedIndex) set(k int64, v pilafRef) {
+	if !x.shared {
 		x.flat[k] = v
 		return
 	}
 	if x.own == nil {
-		x.own = make(map[int64]V)
+		x.own = make(map[int64]pilafRef)
 	}
 	x.own[k] = v
 }
 
 // fork returns a template instance's view of x, which the instance's
 // stores never reach.
-func (x *forkedIndex[V]) fork() forkedIndex[V] {
-	return forkedIndex[V]{flat: x.flat, own: maps.Clone(x.own), shared: true}
+func (x *forkedIndex) fork() forkedIndex {
+	return forkedIndex{flat: x.flat, own: maps.Clone(x.own), shared: true}
 }
 
 // pilafExtents is the server CPU's extent allocator: recycled extents
@@ -142,8 +136,7 @@ type pilafExtent struct {
 type PilafMeta struct {
 	Key      memory.RKey
 	HashBase memory.Addr
-	NSlots   int64
-	Hash     Hash
+	NSlots   int64 // keys 0..NSlots-1, key k in slot k
 	MaxValue int
 }
 
@@ -159,15 +152,13 @@ func NewPilafServer(host transport.Host, opts Options) (*PilafServer, error) {
 		return nil, fmt.Errorf("kv: pilaf hash table: %w", err)
 	}
 	s := &PilafServer{
-		host:      host,
-		extents:   pilafExtents{room: opts.BuffersPerClass},
-		index:     forkedIndex[pilafRef]{flat: make([]pilafRef, opts.NSlots)},
-		slotOwner: forkedIndex[bool]{flat: make([]bool, opts.NSlots)},
+		host:    host,
+		extents: pilafExtents{room: opts.BuffersPerClass},
+		index:   forkedIndex{flat: make([]pilafRef, opts.NSlots)},
 		meta: PilafMeta{
 			Key:      key,
 			HashBase: base,
 			NSlots:   opts.NSlots,
-			Hash:     opts.Hash,
 			MaxValue: opts.MaxValue,
 		},
 	}
@@ -264,40 +255,27 @@ func (s *PilafServer) allocExtent(n uint64) (pilafExtent, error) {
 	return ext, nil
 }
 
-// install is the server CPU's half of storing key's n-byte entry: it keeps
-// the key's slot on an overwrite (retiring the old extent) or probes for a
-// free one on an insert, allocates the extent, and records both in the
-// coherent index. The caller holds the space guard, and stores the entry
-// at dst and the slot image at slotAddr.
+// install is the server CPU's half of storing key's n-byte entry in key's
+// slot: it retires the old extent on an overwrite, allocates the new one,
+// and records it in the coherent index. The caller holds the space guard,
+// and stores the entry at dst and the slot image at slotAddr. A key from
+// outside the table (an RPC's) is refused before anything changes.
 func (s *PilafServer) install(key int64, n uint64) (slotAddr, dst memory.Addr, err error) {
+	slot, err := slotIndex(key, s.meta.NSlots)
+	if err != nil {
+		return 0, 0, err
+	}
 	if n > pilafEntrySize(s.meta.MaxValue) {
 		return 0, 0, fmt.Errorf("kv: pilaf value exceeds MaxValue %d", s.meta.MaxValue)
 	}
-	var slot int64
-	ref, overwrite := s.index.get(key)
-	if overwrite {
-		slot = ref.slot
+	if ref, overwrite := s.index.get(key); overwrite {
 		s.extents.free = append(s.extents.free, pilafExtent{ptr: ref.ptr, cap: ref.cap})
-	} else {
-		slot = slotIndex(s.meta.Hash, key, s.meta.NSlots)
-		for probes := int64(0); ; probes++ {
-			if probes == s.meta.NSlots {
-				return 0, 0, fmt.Errorf("kv: pilaf hash table full")
-			}
-			if _, taken := s.slotOwner.get(slot); !taken {
-				break
-			}
-			slot = (slot + 1) % s.meta.NSlots
-		}
 	}
 	ext, err := s.allocExtent(n)
 	if err != nil {
 		return 0, 0, err
 	}
-	s.index.set(key, pilafRef{slot: slot, ptr: ext.ptr, len: n, cap: ext.cap})
-	if !overwrite {
-		s.slotOwner.set(slot, true)
-	}
+	s.index.set(key, pilafRef{ptr: ext.ptr, len: n, cap: ext.cap})
 	return s.meta.HashBase + memory.Addr(slot*pilafSlotSize), ext.ptr, nil
 }
 
@@ -343,7 +321,7 @@ func (s *PilafServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 	if err := s.put(key, payload[9:]); err != nil {
 		return []byte{1}, 0
 	}
-	// CPU cost of the hash probe + extent copy beyond base dispatch.
+	// CPU cost of the index lookup + extent copy beyond base dispatch.
 	return []byte{0}, 500 * time.Nanosecond
 }
 
@@ -373,13 +351,12 @@ func (s *PilafServer) Load(key int64, value []byte) error {
 // keeps CPU-side state. The extent allocator each instance copies (its
 // addresses are layout positions, valid in every fork, and a fork inherits
 // the allocation pointer, so every instance registers the same next slab);
-// the coherent index and slot ownership grow with the keyspace, so
-// instances read them through (forkedIndex.fork) instead of copying.
+// the coherent index grows with the keyspace, so instances read it
+// through (forkedIndex.fork) instead of copying.
 type PilafTemplate struct {
-	meta      PilafMeta
-	extents   pilafExtents
-	index     forkedIndex[pilafRef]
-	slotOwner forkedIndex[bool]
+	meta    PilafMeta
+	extents pilafExtents
+	index   forkedIndex
 }
 
 // Capture returns the server's template, its host's memory captured beside
@@ -387,13 +364,13 @@ type PilafTemplate struct {
 // template takes over the server's index and free extents, so the server
 // must not be used again.
 func (s *PilafServer) Capture() *PilafTemplate {
-	return &PilafTemplate{meta: s.meta, extents: s.extents, index: s.index, slotOwner: s.slotOwner}
+	return &PilafTemplate{meta: s.meta, extents: s.extents, index: s.index}
 }
 
 // Attach instantiates the loaded Pilaf server on host, whose memory is a
 // fork of the image captured beside t.
 func (t *PilafTemplate) Attach(host transport.Host) *PilafServer {
-	s := &PilafServer{host: host, meta: t.meta, extents: t.extents, index: t.index.fork(), slotOwner: t.slotOwner.fork()}
+	s := &PilafServer{host: host, meta: t.meta, extents: t.extents, index: t.index.fork()}
 	s.extents.free = append([]pilafExtent(nil), t.extents.free...)
 	host.SetRPCHandler(s.handleRPC)
 	host.PublishMeta("pilaf", &s.meta)
@@ -435,11 +412,14 @@ func (c *PilafClient) read(addr memory.Addr, n uint64) ([]byte, error) {
 	return res[0].Data, nil
 }
 
-// Get performs Pilaf's two-READ lookup with CRC validation.
+// Get performs Pilaf's two-READ lookup of key's slot with CRC validation.
 func (c *PilafClient) Get(key int64) ([]byte, error) {
 	const maxRetries = 1000 // torn-read retries before giving up
-	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	for probes, retries := int64(0), 0; probes < c.meta.NSlots; {
+	idx, err := slotIndex(key, c.meta.NSlots)
+	if err != nil {
+		return nil, err
+	}
+	for retries := 0; ; {
 		slot, err := c.read(c.meta.HashBase+memory.Addr(idx*pilafSlotSize), pilafSlotSize)
 		if err != nil {
 			return nil, err
@@ -458,21 +438,17 @@ func (c *PilafClient) Get(key int64) ([]byte, error) {
 			c.conn.Sleep(c.crcCost) // client-side CRC validation (§6.2: ~2 µs)
 			k, v, ok = pilafDecodeEntry(entry)
 		}
-		if !ok {
-			// Torn slot or entry under a concurrent PUT: retry this probe.
-			c.Retries++
-			if retries++; retries > maxRetries {
-				return nil, fmt.Errorf("kv: pilaf CRC never settled")
-			}
-			continue
-		}
-		if k == key {
+		if ok && k != key {
+			return nil, fmt.Errorf("kv: pilaf slot %d holds key %d", idx, k)
+		} else if ok {
 			return v, nil
 		}
-		idx = (idx + 1) % c.meta.NSlots
-		probes++
+		// Torn slot or entry under a concurrent PUT: read again.
+		c.Retries++
+		if retries++; retries > maxRetries {
+			return nil, fmt.Errorf("kv: pilaf CRC never settled")
+		}
 	}
-	return nil, ErrNotFound
 }
 
 // Put sends the PUT RPC to the server CPU.

@@ -32,7 +32,6 @@ func drain(e *sim.Engine) int64 {
 // a store was loaded before Load wrote the settled image directly.
 func TestPilafLoadMatchesStagedPut(t *testing.T) {
 	opts := DefaultOptions(3000, 512)
-	opts.Hash = FNV // collisions: inserts probe
 	opts.BuffersPerClass = 3000
 	settled := newPilafEnv(t, opts, model.SoftwarePRISM)
 	staged := newPilafEnv(t, opts, model.SoftwarePRISM)
@@ -65,8 +64,7 @@ func TestPilafLoadMatchesStagedPut(t *testing.T) {
 		t.Fatal("settled load and drained staged puts left different memory")
 	}
 	a, b := settled.srv, staged.srv
-	if !reflect.DeepEqual(a.index, b.index) || !reflect.DeepEqual(a.slotOwner, b.slotOwner) ||
-		!reflect.DeepEqual(a.extents, b.extents) {
+	if !reflect.DeepEqual(a.index, b.index) || !reflect.DeepEqual(a.extents, b.extents) {
 		t.Fatal("settled load and staged puts left different CPU-side state")
 	}
 	if len(a.extents.free) == 0 || len(a.host.Space().Regions()) < 3 {
@@ -198,26 +196,22 @@ func TestPilafTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 
 // An instance reads the template's flat index in place and keeps its own
 // PUTs in an overlay over it: they are invisible to the template and to a
-// sibling instance, and inserts past the loaded keys probe through both
-// layers — a slot the template owns is never handed to a new key, so every
-// loaded key stays readable beside the inserted ones. Keys past the flat
-// table (here, past NSlots) live in the overlay alone.
+// sibling instance, and every loaded key stays readable beside the
+// inserted ones. A key outside the table is refused and lands in no
+// overlay.
 func TestPilafForkIndexIsolation(t *testing.T) {
 	const loaded, inserted, valueSize = 300, 150, 64
 	opts := DefaultOptions(512, valueSize)
-	opts.Hash = FNV // loaded and inserted keys collide and probe past each other
 	tmpl := loadedPilafTemplate(t, opts, loaded, valueSize)
-	if len(tmpl.index.flat) != int(opts.NSlots) || len(tmpl.slotOwner.flat) != int(opts.NSlots) ||
-		len(tmpl.index.own) != 0 || len(tmpl.slotOwner.own) != 0 {
-		t.Fatalf("template index: %d keys flat and %d in a map, %d slots flat and %d in a map; want %d flat and none in a map",
-			len(tmpl.index.flat), len(tmpl.index.own), len(tmpl.slotOwner.flat), len(tmpl.slotOwner.own), opts.NSlots)
+	if len(tmpl.index.flat) != int(opts.NSlots) || len(tmpl.index.own) != 0 {
+		t.Fatalf("template index: %d keys flat and %d in a map; want %d flat and none in a map",
+			len(tmpl.index.flat), len(tmpl.index.own), opts.NSlots)
 	}
-	index, used := slices.Clone(tmpl.index.flat), slices.Clone(tmpl.slotOwner.flat)
-	const far = 1 << 40 // a key outside the flat table
+	index := slices.Clone(tmpl.index.flat)
 
 	writer, sibling := newPilafFork(tmpl, 1), newPilafFork(tmpl, 2)
 	for _, f := range []*pilafFork{writer, sibling} {
-		if &f.srv.index.flat[0] != &tmpl.index.flat[0] || &f.srv.slotOwner.flat[0] != &tmpl.slotOwner.flat[0] {
+		if &f.srv.index.flat[0] != &tmpl.index.flat[0] {
 			t.Fatal("an instance copied the template's index instead of reading it")
 		}
 	}
@@ -231,8 +225,8 @@ func TestPilafForkIndexIsolation(t *testing.T) {
 				t.Errorf("insert %d: %v", k, err)
 			}
 		}
-		if err := writer.cli.Put(far, newValue(far)); err != nil {
-			t.Errorf("insert %d: %v", int64(far), err)
+		if err := writer.cli.Put(opts.NSlots, newValue(opts.NSlots)); err == nil {
+			t.Errorf("insert of key %d, outside the table, succeeded", opts.NSlots)
 		}
 		for k := int64(0); k < loaded+inserted; k++ {
 			want := bytes.Repeat([]byte{byte(k)}, valueSize)
@@ -243,9 +237,6 @@ func TestPilafForkIndexIsolation(t *testing.T) {
 				t.Errorf("writer: key %d reads back wrong (err %v)", k, err)
 			}
 		}
-		if got, err := writer.cli.Get(far); err != nil || !bytes.Equal(got, newValue(far)) {
-			t.Errorf("writer: key %d reads back wrong (err %v)", int64(far), err)
-		}
 	})
 	sibling.run(func(p *sim.Proc) {
 		if got, err := sibling.cli.Get(3); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{3}, valueSize)) {
@@ -254,31 +245,16 @@ func TestPilafForkIndexIsolation(t *testing.T) {
 		if _, err := sibling.cli.Get(loaded); err != ErrNotFound {
 			t.Errorf("sibling sees the writer's insert of key %d: %v", loaded, err)
 		}
-		// The sibling's own insert takes the slot the writer's did: the
-		// template's slots look the same from every instance.
 		if err := sibling.cli.Put(loaded, newValue(loaded)); err != nil {
 			t.Error(err)
 		}
 	})
-	if !slices.Equal(tmpl.index.flat, index) || !slices.Equal(tmpl.slotOwner.flat, used) ||
-		len(tmpl.index.own) != 0 || len(tmpl.slotOwner.own) != 0 {
+	if !slices.Equal(tmpl.index.flat, index) || len(tmpl.index.own) != 0 {
 		t.Fatal("an instance's PUT wrote the template's index")
 	}
-	if len(writer.srv.index.own) != 2+inserted || len(sibling.srv.index.own) != 1 {
+	if len(writer.srv.index.own) != 1+inserted || len(sibling.srv.index.own) != 1 {
 		t.Fatalf("overlays hold %d and %d keys, want what each instance PUT (%d and 1)",
-			len(writer.srv.index.own), len(sibling.srv.index.own), 2+inserted)
-	}
-	if _, ok := writer.srv.index.own[far]; !ok {
-		t.Fatalf("key %d, outside the flat table, is not in the writer's overlay", int64(far))
-	}
-	if len(writer.srv.slotOwner.own) != 1+inserted || len(sibling.srv.slotOwner.own) != 1 {
-		t.Fatalf("slot overlays hold %d and %d slots, want the slots each instance inserted into (%d and 1)",
-			len(writer.srv.slotOwner.own), len(sibling.srv.slotOwner.own), 1+inserted)
-	}
-	w, _ := writer.srv.index.get(loaded)
-	s, _ := sibling.srv.index.get(loaded)
-	if w.slot != s.slot {
-		t.Fatalf("key %d landed in slot %d in one instance and %d in its sibling", loaded, w.slot, s.slot)
+			len(writer.srv.index.own), len(sibling.srv.index.own), 1+inserted)
 	}
 }
 
@@ -295,7 +271,7 @@ func TestPilafChecksumRejectsSplices(t *testing.T) {
 	images := func() (slot, entry []byte) {
 		s := v.srv
 		ref, _ := s.index.get(key)
-		slot, err := s.host.Space().Read(s.meta.Key, s.meta.HashBase+memory.Addr(ref.slot*pilafSlotSize), pilafSlotSize)
+		slot, err := s.host.Space().Read(s.meta.Key, s.meta.HashBase+memory.Addr(key*pilafSlotSize), pilafSlotSize)
 		if err != nil {
 			t.Fatal(err)
 		}

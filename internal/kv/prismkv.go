@@ -24,26 +24,24 @@ const (
 
 // Options configures a PRISM-KV server.
 type Options struct {
-	NSlots   int64
-	MaxValue int  // largest value size accepted
-	Hash     Hash // slot mapping
+	NSlots   int64 // keys 0..NSlots-1, key k in slot k
+	MaxValue int   // largest value size accepted
 	// BuffersPerClass caps how many buffers each size class may carve
 	// (alloc.FreeList registers them a slab at a time, as ALLOCATE needs
 	// them). Must cover the live objects in that class plus in-flight
 	// updates awaiting reclamation.
 	BuffersPerClass int
-	// MinClass is the smallest buffer class (bytes).
-	MinClass uint64
 }
+
+// minClass is the smallest buffer class (bytes).
+const minClass = 64
 
 // DefaultOptions sizes a server for n objects of up to valueSize bytes.
 func DefaultOptions(n int64, valueSize int) Options {
 	return Options{
 		NSlots:          n,
 		MaxValue:        valueSize,
-		Hash:            Collisionless,
 		BuffersPerClass: int(n) + 8192,
-		MinClass:        64,
 	}
 }
 
@@ -77,16 +75,11 @@ func NewServerOn(host transport.Host, opts Options) (*Server, error) {
 		Key:      key,
 		HashBase: base,
 		NSlots:   opts.NSlots,
-		Hash:     opts.Hash,
 		MaxValue: opts.MaxValue,
 	}
-	// Size classes: powers of two from MinClass, topped by the largest
+	// Size classes: powers of two from minClass, topped by the largest
 	// entry itself (DESIGN.md §13).
-	maxEntry := entrySize(opts.MaxValue)
-	if maxEntry < opts.MinClass {
-		maxEntry = opts.MinClass
-	}
-	for i, bufSize := range alloc.SizeClasses(opts.MinClass, maxEntry) {
+	for i, bufSize := range alloc.SizeClasses(minClass, max(entrySize(opts.MaxValue), minClass)) {
 		id := uint32(i + 1)
 		host.AddFreeList(alloc.NewFreeList(id, bufSize, key, space, opts.BuffersPerClass))
 		meta.FreeLists = append(meta.FreeLists, FreeListInfo{ID: id, BufSize: bufSize})
@@ -137,6 +130,10 @@ func (s *Server) handleRPC(payload []byte) ([]byte, time.Duration) {
 // as the paper does). It consumes a free-list buffer like a remote PUT
 // would.
 func (s *Server) Load(key int64, value []byte) error {
+	idx, err := slotIndex(key, s.meta.NSlots)
+	if err != nil {
+		return err
+	}
 	flID, err := s.meta.classFor(entrySize(len(value)))
 	if err != nil {
 		return err
@@ -147,10 +144,6 @@ func (s *Server) Load(key int64, value []byte) error {
 	space := s.host.Space()
 	space.Guard().Lock()
 	defer space.Guard().Unlock()
-	slot, err := s.loadSlot(space, key)
-	if err != nil {
-		return err
-	}
 	buf, err := s.host.FreeList(flID).Pop()
 	if err != nil {
 		return fmt.Errorf("kv: load out of buffers: %w", err)
@@ -163,41 +156,7 @@ func (s *Server) Load(key int64, value []byte) error {
 	prism.PutBE64(img[:], 0, 1) // initial tag
 	prism.PutLE64(img[:], 8, uint64(buf))
 	prism.PutLE64(img[:], 16, uint64(len(s.loadBuf)))
-	return space.Write(s.meta.Key, slot, img[:])
-}
-
-// loadSlot returns the slot Load installs key in: the first of its
-// candidates (both of a two-choice table, the whole probe sequence
-// otherwise) that is free or already holds key. The peeked bytes are
-// parsed on the spot, never retained.
-func (s *Server) loadSlot(space *memory.Space, key int64) (memory.Addr, error) {
-	idx, cands := slotIndex(s.meta.Hash, key, s.meta.NSlots), s.meta.NSlots
-	if s.meta.Hash == TwoChoice {
-		cands = 2
-	}
-	for ; cands > 0; cands-- {
-		addr := s.meta.slotAddr(idx)
-		slot, err := space.Peek(s.meta.Key, addr, slotSize)
-		if err != nil {
-			return 0, err
-		}
-		ptr := prism.LE64(slot, 8)
-		if ptr == 0 {
-			return addr, nil
-		}
-		existing, err := space.Peek(s.meta.Key, memory.Addr(ptr), entryHeader+8)
-		if err != nil {
-			return 0, err
-		}
-		if k, _, err := decodeEntry(existing); err == nil && k == key {
-			return addr, nil
-		}
-		idx = (idx + 1) % s.meta.NSlots
-		if s.meta.Hash == TwoChoice {
-			idx = slotIndex2(key, s.meta.NSlots)
-		}
-	}
-	return 0, fmt.Errorf("kv: no candidate slot free loading key %d", key)
+	return space.Write(s.meta.Key, s.meta.slotAddr(idx), img[:])
 }
 
 // Cached CAS masks for the 24-byte slot layout: compare on the tag
@@ -208,9 +167,9 @@ var (
 	slotFullMask = prism.FullMask(slotSize)
 )
 
-// Client is a PRISM-KV client — slot probing, tags, the out-of-place
-// update chain, RNR backoff, reclamation batching and the CHASE/SCAN
-// programs (chain.go) — written once against a transport.Issuer: the same
+// Client is a PRISM-KV client — slot reads, tags, the out-of-place
+// update chain, RNR backoff, reclamation batching and the SCAN program
+// (chain.go) — written once against a transport.Issuer: the same
 // type over a simulated connection and a live socket. Each closed-loop
 // client owns one. Single-owner, like the connection under it: issues are
 // strictly sequential, which is what makes the per-client scratch below
@@ -223,11 +182,12 @@ type Client struct {
 	clientID uint16
 	tagClock uint64
 
-	// SlotCache, when enabled, remembers the probed slot (and caches the
-	// pessimal first PUT round trip away) for read-modify-write loops —
-	// the ablation the paper's §6.2 parenthetical describes.
+	// SlotCache, when enabled, remembers the keys whose slot a PUT has
+	// read (and caches the pessimal first PUT round trip away) for
+	// read-modify-write loops — the ablation the paper's §6.2
+	// parenthetical describes.
 	SlotCache   bool
-	cachedSlots map[int64]int64
+	cachedSlots map[int64]bool
 
 	// Reclaim batches the buffers this client's updates displaced as
 	// 12-byte [freelist(4) | addr(8)] records and reports them under
@@ -235,8 +195,9 @@ type Client struct {
 	// Reclaim.Ctrl routes the reports over a control connection.
 	Reclaim transport.Reclaimer
 
-	// Stats
-	Probes  int64 // hash probes beyond the first slot
+	// Stats. Probes is always 0 (key k has one slot); the repository's
+	// benchmark still reads it.
+	Probes  int64
 	CASFail int64 // PUT chains that lost a tag race
 
 	// PUT/DELETE images.
@@ -244,16 +205,13 @@ type Client struct {
 	preBuf   [slotSize]byte
 	ptrBuf   [8]byte
 
-	// Verb-program scratch (chain.go): the encoded CHASE/SCAN program and
-	// its 8-byte match operand.
-	progBuf  []byte
-	matchBuf [8]byte
+	// progBuf is the encoded SCAN program (chain.go).
+	progBuf []byte
 
 	// GetBatch scratch, reused across batches; the first GetBatch makes
 	// batchFan, so a client that never batches has none.
-	batchOps   []wire.Op
-	batchFan   *transport.Fanout
-	batchProbe []int
+	batchOps []wire.Op
+	batchFan *transport.Fanout
 }
 
 // NewClient builds a client over a connection to a PRISM-KV server. A
@@ -291,84 +249,42 @@ func (c *Client) nextTag(atLeast uint64) uint64 {
 	return clock<<16 | uint64(c.clientID)
 }
 
-// Get performs the §6.1 read: one indirect bounded READ per probe (or,
-// for two-choice hashing, one chained round trip reading both candidate
-// slots).
+// Get performs the §6.1 read: one indirect bounded READ of key's slot.
 func (c *Client) Get(key int64) ([]byte, error) {
-	if c.meta.Hash == TwoChoice {
-		return c.getTwoChoice(key)
-	}
-	idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	for probes := int64(0); probes < c.meta.NSlots; probes++ {
-		ops := c.conn.Ops(1)
-		ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(idx)+8, entrySize(c.meta.MaxValue))
-		res, err := c.conn.Issue(ops)
-		if err != nil {
-			return nil, err
-		}
-		v, displaced, err := matchHomeSlot(res[0], key)
-		if !displaced {
-			return v, err
-		}
-		c.Probes++
-		idx = (idx + 1) % c.meta.NSlots
-	}
-	return nil, ErrNotFound
-}
-
-// matchHomeSlot interprets one probe's indirect bounded READ. displaced
-// means the slot holds a different key: the entry (if present) sits
-// further down the probe chain.
-func matchHomeSlot(r wire.Result, key int64) (val []byte, displaced bool, err error) {
-	if r.Status == wire.StatusNAKAccess {
-		// Null pointer: empty slot terminates the probe sequence.
-		return nil, false, ErrNotFound
-	}
-	if r.Status != wire.StatusOK {
-		return nil, false, fmt.Errorf("kv: GET status %v", r.Status)
-	}
-	k, v, err := decodeEntry(r.Data)
+	idx, err := slotIndex(key, c.meta.NSlots)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if k != key {
-		return nil, true, nil
-	}
-	return v, false, nil
-}
-
-// matchTwoChoice picks key's entry out of the two candidate-slot reads.
-func matchTwoChoice(res []wire.Result, key int64) ([]byte, error) {
-	for i := range res {
-		if res[i].Status != wire.StatusOK {
-			continue // empty slot NAKs on the null pointer
-		}
-		if k, v, err := decodeEntry(res[i].Data); err == nil && k == key {
-			return v, nil
-		}
-	}
-	return nil, ErrNotFound
-}
-
-// getTwoChoice reads both candidate slots of a two-choice table in one
-// chained round trip.
-func (c *Client) getTwoChoice(key int64) ([]byte, error) {
-	ops := c.conn.Ops(2)
-	c.twoChoiceReads(ops, key)
+	ops := c.conn.Ops(1)
+	ops[0] = c.slotRead(idx)
 	res, err := c.conn.Issue(ops)
 	if err != nil {
 		return nil, err
 	}
-	return matchTwoChoice(res, key)
+	return matchSlot(res[0], key)
 }
 
-// twoChoiceReads fills ops[0:2] with the bounded READs of key's two
-// candidate slots.
-func (c *Client) twoChoiceReads(ops []wire.Op, key int64) {
-	s1 := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-	s2 := slotIndex2(key, c.meta.NSlots)
-	ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s1)+8, entrySize(c.meta.MaxValue))
-	ops[1] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(s2)+8, entrySize(c.meta.MaxValue))
+// slotRead is the indirect bounded READ of slot idx's entry.
+func (c *Client) slotRead(idx int64) wire.Op {
+	return prism.ReadBounded(c.meta.Key, c.meta.slotAddr(idx)+8, entrySize(c.meta.MaxValue))
+}
+
+// matchSlot interprets the indirect bounded READ of key's slot.
+func matchSlot(r wire.Result, key int64) ([]byte, error) {
+	if r.Status == wire.StatusNAKAccess {
+		return nil, ErrNotFound // null pointer: the slot is empty
+	}
+	if r.Status != wire.StatusOK {
+		return nil, fmt.Errorf("kv: GET status %v", r.Status)
+	}
+	k, v, err := decodeEntry(r.Data)
+	if err != nil {
+		return nil, err
+	}
+	if k != key {
+		return nil, fmt.Errorf("kv: slot %d holds key %d", key, k)
+	}
+	return v, nil
 }
 
 // GetBatch performs the §6.1 read for every key behind one doorbell: the
@@ -376,63 +292,43 @@ func (c *Client) twoChoiceReads(ops []wire.Op, key int64) {
 // socket the whole train is staged and the writer rung once, and n lookups
 // cost one write syscall instead of n; on the simulator the chains
 // pipeline through the send window. visit is called exactly once per key,
-// in key order for every key resolved by its home slot(s); keys that
-// linear probing displaced past the home slot fall back to individual
-// Gets and are visited last. val aliases transport-owned storage and is
-// valid only during the visit call — copy to keep.
+// in key order; a key outside the table is visited with ErrKeyRange and
+// posts nothing. val aliases transport-owned storage and is valid only
+// during the visit call — copy to keep.
 func (c *Client) GetBatch(keys []int64, visit func(i int, val []byte, err error)) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	two := c.meta.Hash == TwoChoice
-	opsPerKey := 1
-	if two {
-		opsPerKey = 2
-	}
-	if cap(c.batchOps) < len(keys)*opsPerKey {
-		c.batchOps = make([]wire.Op, len(keys)*opsPerKey)
+	if cap(c.batchOps) < len(keys) {
+		c.batchOps = make([]wire.Op, len(keys))
 	}
 	if c.batchFan == nil {
 		c.batchFan = transport.NewFanout([]transport.Issuer{c.conn})
 	}
 	for i, key := range keys {
-		ops := c.batchOps[i*opsPerKey : (i+1)*opsPerKey]
-		if two {
-			c.twoChoiceReads(ops, key)
-		} else {
-			idx := slotIndex(c.meta.Hash, key, c.meta.NSlots)
-			ops[0] = prism.ReadBounded(c.meta.Key, c.meta.slotAddr(idx)+8, entrySize(c.meta.MaxValue))
+		if idx, err := slotIndex(key, c.meta.NSlots); err == nil {
+			c.batchOps[i] = c.slotRead(idx)
+			c.batchFan.Post(0, c.batchOps[i:i+1])
 		}
-		c.batchFan.Post(0, ops)
 	}
-	res, err := c.batchFan.Wait()
+	res, err := c.batchFan.Wait() // no round at all when nothing was posted
 	if err != nil {
 		return err
 	}
-	// Visit every key the batch resolved first: result views are only
-	// valid until the next issue on the connection, and the probe
-	// fallbacks below issue.
-	probe := c.batchProbe[:0]
 	for i, key := range keys {
-		if two {
-			v, err := matchTwoChoice(res[i], key)
-			visit(i, v, err)
-		} else if v, displaced, err := matchHomeSlot(res[i][0], key); displaced {
-			probe = append(probe, i)
-		} else {
-			visit(i, v, err)
+		if _, err := slotIndex(key, c.meta.NSlots); err != nil {
+			visit(i, nil, err)
+			continue
 		}
-	}
-	c.batchProbe = probe
-	for _, i := range probe {
-		v, err := c.Get(keys[i])
+		v, err := matchSlot(res[0][0], key)
+		res = res[1:]
 		visit(i, v, err)
 	}
 	return nil
 }
 
-// Put performs the §6.1 out-of-place update: a probe round trip to find
-// the slot and learn the current tag, then one chained round trip that
+// Put performs the §6.1 out-of-place update: a round trip reading key's
+// slot to learn the current tag, then one chained round trip that
 // writes the new tag/bound to the connection's temp buffer, ALLOCATEs the
 // new object (redirecting its address into the temp buffer), and installs
 // the <tag,ptr,bound> triple with an enhanced CAS. No server CPU runs.
@@ -504,7 +400,7 @@ func (c *Client) Put(key int64, value []byte) error {
 }
 
 // Delete removes a key by swinging its slot to the null pointer with a
-// fresh tag (tombstone-free: an empty slot simply has ptr == 0).
+// fresh tag (an empty slot simply has ptr == 0).
 func (c *Client) Delete(key int64) error {
 	idx, curTag, err := c.findSlot(key)
 	if err != nil {
@@ -532,73 +428,44 @@ func (c *Client) Delete(key int64) error {
 	}
 }
 
-// findSlot resolves the slot holding key (or an empty slot to claim) and
-// its current tag, consulting and feeding the slot cache when enabled.
+// findSlot returns key's slot and its current tag, consulting and feeding
+// the slot cache when enabled.
 func (c *Client) findSlot(key int64) (int64, uint64, error) {
-	if c.SlotCache {
-		if idx, ok := c.cachedSlots[key]; ok {
-			return idx, c.tagClock << 16, nil
-		}
+	idx, err := slotIndex(key, c.meta.NSlots)
+	if err != nil {
+		return 0, 0, err
 	}
-	idx, tag, err := c.probeSlot(key)
+	if c.SlotCache && c.cachedSlots[key] {
+		return idx, c.tagClock << 16, nil
+	}
+	tag, err := c.readSlot(idx, key)
 	if err == nil && c.SlotCache {
 		if c.cachedSlots == nil {
-			c.cachedSlots = make(map[int64]int64)
+			c.cachedSlots = make(map[int64]bool)
 		}
-		c.cachedSlots[key] = idx
+		c.cachedSlots[key] = true
 	}
 	return idx, tag, err
 }
 
-// probeSlot reads candidate slots — each a chain of a direct slot READ
-// and an indirect bounded READ of its object — until one holds key or is
-// empty. Linear probing reads one candidate per round trip and walks on;
-// two-choice hashing reads both candidates in its single round trip. The
-// slot already holding key wins over an empty candidate of the same
-// round trip.
-func (c *Client) probeSlot(key int64) (int64, uint64, error) {
-	cand := [2]int64{slotIndex(c.meta.Hash, key, c.meta.NSlots)}
-	n, rounds := 1, c.meta.NSlots
-	if c.meta.Hash == TwoChoice {
-		cand[1], n, rounds = slotIndex2(key, c.meta.NSlots), 2, 1
+// readSlot learns slot idx's current tag in one round trip: a chain of a
+// direct slot READ and an indirect bounded READ of its object, whose key
+// the client checks.
+func (c *Client) readSlot(idx, key int64) (uint64, error) {
+	ops := c.conn.Ops(2)
+	ops[0] = prism.Read(c.meta.Key, c.meta.slotAddr(idx), slotSize)
+	ops[1] = c.slotRead(idx)
+	res, err := c.conn.Issue(ops)
+	if err != nil {
+		return 0, err
 	}
-	for ; rounds > 0; rounds-- {
-		ops := c.conn.Ops(2 * n)
-		for i, idx := range cand[:n] {
-			slot := c.meta.slotAddr(idx)
-			ops[2*i] = prism.Read(c.meta.Key, slot, slotSize)
-			ops[2*i+1] = prism.ReadBounded(c.meta.Key, slot+8, entrySize(c.meta.MaxValue))
-		}
-		res, err := c.conn.Issue(ops)
-		if err != nil {
-			return 0, 0, err
-		}
-		emptyIdx, emptyTag := int64(-1), uint64(0)
-		for i, idx := range cand[:n] {
-			slotRes, objRes := res[2*i], res[2*i+1]
-			if slotRes.Status != wire.StatusOK {
-				return 0, 0, fmt.Errorf("kv: slot read status %v", slotRes.Status)
-			}
-			tag := prism.BE64(slotRes.Data, 0)
-			if prism.LE64(slotRes.Data, 8) == 0 {
-				if emptyIdx < 0 {
-					emptyIdx, emptyTag = idx, tag
-				}
-				continue
-			}
-			if objRes.Status == wire.StatusOK {
-				if k, _, err := decodeEntry(objRes.Data); err == nil && k == key {
-					return idx, tag, nil
-				}
-			}
-		}
-		if emptyIdx >= 0 {
-			return emptyIdx, emptyTag, nil
-		}
-		c.Probes++
-		cand[0] = (cand[0] + 1) % c.meta.NSlots
+	if res[0].Status != wire.StatusOK {
+		return 0, fmt.Errorf("kv: slot read status %v", res[0].Status)
 	}
-	return 0, 0, fmt.Errorf("kv: no free slot for key %d (resize the table)", key)
+	if _, err := matchSlot(res[1], key); err != nil && err != ErrNotFound {
+		return 0, err
+	}
+	return prism.BE64(res[0].Data, 0), nil
 }
 
 // retireOld retires the buffer a successful slot CAS displaced, named by

@@ -124,7 +124,9 @@ func FuzzProgramExec(f *testing.F) {
 	var match [8]byte
 	PutBE64(match[:], 0, 5)
 	list := AppendProgram(nil, &Program{Kind: ProgChaseList, MaxSteps: 8, MatchOff: 8}, match[:])
-	probe := AppendProgram(nil, &Program{Kind: ProgChaseProbe, MaxSteps: 4, MatchOff: 8, NextOff: 8,
+	// A kind other than ProgChaseList, with a well-formed slot-table
+	// geometry: still a NAK.
+	kind1 := AppendProgram(nil, &Program{Kind: 1, MaxSteps: 4, MatchOff: 8, NextOff: 8,
 		Stride: fuzzSlotSize, StartIdx: 3, NSlots: fuzzSlots}, match[:])
 	scan := AppendProgram(nil, &Program{NextOff: 8, Stride: fuzzSlotSize, NSlots: fuzzSlots}, nil)
 	var cas [16]byte
@@ -137,7 +139,7 @@ func FuzzProgramExec(f *testing.F) {
 		patch    []byte
 	}{
 		{fuzzRequest(Chase(key, base+fuzzHeadOff, list, wire.CASEq, nil, 64)), 0, nil},
-		{fuzzRequest(Chase(key, base, probe, wire.CASGt, mask, 24)), 0, nil},
+		{fuzzRequest(Chase(key, base, kind1, wire.CASGt, mask, 24)), 0, nil},
 		{fuzzRequest(Scan(key, base, scan, 4096), Scan(key, base, scan, 30)), 0, nil},
 		// A slot whose bound no budget can hold.
 		{fuzzRequest(Scan(key, base, scan, 4096)), 2*fuzzSlotSize + 16, bytes.Repeat([]byte{0xFF}, 8)},
@@ -250,7 +252,7 @@ func checkFuzzedOp(t *testing.T, op *wire.Op, res *wire.Result, meta *OpMeta, be
 	if op.Code == wire.OpChase {
 		badMask := len(op.CompareMask) != 0 && len(op.CompareMask) != int(p.MatchLen)
 		if (p.MaxSteps == 0 || p.MaxSteps > MaxChaseSteps || p.MatchLen == 0 || p.MatchLen > wire.MaxCASBytes ||
-			badMask || p.Kind > ProgChaseProbe) && res.Status != wire.StatusNAKAccess {
+			badMask || p.Kind != ProgChaseList) && res.Status != wire.StatusNAKAccess {
 			fail("an invalid chase program %+v ended %v", p, res.Status)
 		}
 		if meta.Steps > int(p.MaxSteps) {

@@ -11,7 +11,7 @@ import (
 // Verb programs (DESIGN.md §14): bounded, loop-capable server-side programs that
 // collapse k dependent round trips into one request. Two shapes:
 //
-//   - CHASE follows a pointer/probe sequence up to MaxSteps, evaluating a
+//   - CHASE follows a linked list's pointers up to MaxSteps, evaluating a
 //     per-step match predicate with the enhanced-CAS mask machinery
 //     (compareMasked), and terminates on match, nil pointer, or the step
 //     bound. A step-limited chase returns a resumption cursor so the
@@ -28,16 +28,10 @@ import (
 // the k-round-trip client loop it replaces (§3.5 discussion in
 // DESIGN.md §14).
 
-// Program kinds.
-const (
-	// ProgChaseList follows an 8-byte little-endian next pointer at
-	// NextOff within each node; Target addresses the head pointer cell.
-	ProgChaseList = 0
-	// ProgChaseProbe walks slots of Stride bytes from a table base
-	// (Target), reading the <ptr,bound> at NextOff within each slot and
-	// wrapping the index modulo NSlots — the linear-probe shape.
-	ProgChaseProbe = 1
-)
+// ProgChaseList, the one CHASE kind, follows an 8-byte little-endian next
+// pointer at NextOff within each node; Target addresses the head pointer
+// cell. Any other kind is refused.
+const ProgChaseList = 0
 
 // Program bounds. MaxChaseSteps caps the loop of a single CHASE op;
 // MaxScanBudget caps the result bytes of a single SCAN op. Both keep a
@@ -53,14 +47,14 @@ const ProgHeaderLen = 32
 
 // Program is the decoded verb-program header.
 type Program struct {
-	Kind     uint8  // ProgChaseList or ProgChaseProbe
+	Kind     uint8  // ProgChaseList (CHASE); unused by SCAN
 	MaxSteps uint8  // loop bound, 1..MaxChaseSteps (CHASE); unused by SCAN
-	MatchOff uint16 // offset of the matched field within a node/entry
+	MatchOff uint16 // offset of the matched field within a node (CHASE)
 	MatchLen uint16 // width of the match operand (0 for SCAN)
-	NextOff  uint16 // offset of the next pointer (list) / <ptr,bound> (probe)
-	Stride   uint64 // slot size in bytes (probe/scan)
-	StartIdx uint64 // starting slot index (probe/scan)
-	NSlots   uint64 // table slot count (probe: wrap modulo; scan: range end)
+	NextOff  uint16 // offset of the next pointer (CHASE) / <ptr,bound> (SCAN)
+	Stride   uint64 // slot size in bytes (SCAN)
+	StartIdx uint64 // starting slot index (SCAN)
+	NSlots   uint64 // end of the slot range (SCAN)
 }
 
 // AppendProgram appends the canonical header encoding of p, then the
@@ -129,7 +123,7 @@ func Scan(key memory.RKey, base memory.Addr, prog []byte, budget uint64) wire.Op
 	return wire.Op{Code: wire.OpScan, RKey: key, Target: base, Len: budget, Data: prog}
 }
 
-// execChase runs the bounded pointer/probe loop entirely server-side.
+// execChase runs the bounded pointer loop entirely server-side.
 // Per step it performs one pointer fetch (an indirection, like a bounded
 // READ's) plus one match-field access, so the deployment cost models
 // charge it per executed step through OpMeta (Steps, HostAccesses,
@@ -149,17 +143,10 @@ func (x *Executor) execChase(op *wire.Op, meta *OpMeta) (wire.Result, error) {
 	if len(op.CompareMask) != 0 && len(op.CompareMask) != int(p.MatchLen) {
 		return wire.Result{}, errors.New("prism: chase mask width mismatch")
 	}
-	switch p.Kind {
-	case ProgChaseList:
-		return x.chaseList(op, &p, match, meta)
-	case ProgChaseProbe:
-		if p.Stride == 0 || p.NSlots == 0 || p.StartIdx >= p.NSlots {
-			return wire.Result{}, errors.New("prism: bad probe geometry")
-		}
-		return x.chaseProbe(op, &p, match, meta)
-	default:
+	if p.Kind != ProgChaseList {
 		return wire.Result{}, errors.New("prism: unknown program kind")
 	}
+	return x.chaseList(op, &p, match, meta)
 }
 
 // chaseList: cur addresses a pointer cell; each step loads the pointer,
@@ -185,7 +172,7 @@ func (x *Executor) chaseList(op *wire.Op, p *Program, match []byte, meta *OpMeta
 		}
 		meta.HostAccesses++
 		if compareMasked(op.Mode, field, match, op.CompareMask) {
-			data, err := x.chasePayload(op, node, op.Len)
+			data, err := x.chasePayload(op, node)
 			if err != nil {
 				return wire.Result{}, err
 			}
@@ -198,59 +185,15 @@ func (x *Executor) chaseList(op *wire.Op, p *Program, match []byte, meta *OpMeta
 	return wire.Result{Status: wire.StatusStepLimit, Addr: cur}, nil
 }
 
-// chaseProbe: the linear-probe shape. Each step reads the <ptr,bound> of
-// slot (StartIdx+step) mod NSlots; an empty slot ends the probe sequence
-// (NotFound, like the client-side probe loop it replaces), a matching
-// entry returns min(Len, bound) bytes of it.
-func (x *Executor) chaseProbe(op *wire.Op, p *Program, match []byte, meta *OpMeta) (wire.Result, error) {
-	idx := p.StartIdx
-	for step := uint8(0); step < p.MaxSteps; step++ {
-		slot := op.Target + memory.Addr(idx*p.Stride+uint64(p.NextOff))
-		bp, err := x.Space.ReadBoundedPtr(op.RKey, slot)
-		if err != nil {
-			return wire.Result{}, err
-		}
-		meta.Steps++
-		meta.HostAccesses++
-		meta.Indirections++
-		if bp.Ptr == 0 {
-			return wire.Result{Status: wire.StatusNotFound, Addr: memory.Addr(idx)}, nil
-		}
-		field, err := x.Space.Peek(op.RKey, bp.Ptr+memory.Addr(p.MatchOff), uint64(p.MatchLen))
-		if err != nil {
-			return wire.Result{}, err
-		}
-		meta.HostAccesses++
-		if compareMasked(op.Mode, field, match, op.CompareMask) {
-			length := op.Len
-			if bp.Bound < length {
-				length = bp.Bound
-			}
-			data, err := x.chasePayload(op, bp.Ptr, length)
-			if err != nil {
-				return wire.Result{}, err
-			}
-			meta.HostAccesses++
-			return wire.Result{Status: wire.StatusOK, Addr: bp.Ptr, Data: data}, nil
-		}
-		idx++
-		if idx >= p.NSlots {
-			idx = 0
-		}
-	}
-	// Step bound exhausted: Addr is the slot index to resume from.
-	return wire.Result{Status: wire.StatusStepLimit, Addr: memory.Addr(idx)}, nil
-}
-
-// chasePayload copies length bytes of the matched node into a response
+// chasePayload copies op.Len bytes of the matched node into a response
 // buffer (ReadAlloc under a transport, like execRead's payload), checking
 // the range before carving it.
-func (x *Executor) chasePayload(op *wire.Op, node memory.Addr, length uint64) ([]byte, error) {
-	src, err := x.Space.Peek(op.RKey, node, length)
+func (x *Executor) chasePayload(op *wire.Op, node memory.Addr) ([]byte, error) {
+	src, err := x.Space.Peek(op.RKey, node, op.Len)
 	if err != nil {
 		return nil, err
 	}
-	data := x.resultAlloc(length)
+	data := x.resultAlloc(op.Len)
 	copy(data, src)
 	return data, nil
 }

@@ -124,8 +124,8 @@ func TestChaseRejectsBadPrograms(t *testing.T) {
 		Chase(r.Key, r.Base, AppendProgram(nil, &Program{Kind: ProgChaseList, MaxSteps: 4}, nil), wire.CASEq, nil, 24),
 		// Unknown kind.
 		Chase(r.Key, r.Base, AppendProgram(nil, &Program{Kind: 7, MaxSteps: 4}, match[:]), wire.CASEq, nil, 24),
-		// Probe geometry: zero stride.
-		Chase(r.Key, r.Base, AppendProgram(nil, &Program{Kind: ProgChaseProbe, MaxSteps: 4, NSlots: 8}, match[:]), wire.CASEq, nil, 24),
+		// Kind 1 is rejected, whatever its geometry: the list walk is the one kind.
+		Chase(r.Key, r.Base, AppendProgram(nil, &Program{Kind: 1, MaxSteps: 4, NextOff: 8, Stride: 32, NSlots: 8}, match[:]), wire.CASEq, nil, 24),
 		// Mask width mismatch.
 		Chase(r.Key, r.Base, AppendProgram(nil, &Program{Kind: ProgChaseList, MaxSteps: 4}, match[:]), wire.CASEq, []byte{0xFF}, 24),
 		// Truncated header.
@@ -139,7 +139,7 @@ func TestChaseRejectsBadPrograms(t *testing.T) {
 	}
 }
 
-// buildTable lays out a probe table of 32-byte slots: [pad(8) |
+// buildTable lays out a slot table of 32-byte slots: [pad(8) |
 // ptr(8,LE) | bound(8,LE) | pad(8)], entries of [key(8,BE) | value].
 func buildTable(t *testing.T, x *Executor, r *memory.Region, nSlots int, entries map[int]uint64) {
 	t.Helper()
@@ -158,72 +158,6 @@ func buildTable(t *testing.T, x *Executor, r *memory.Region, nSlots int, entries
 			t.Fatal(err)
 		}
 		i++
-	}
-}
-
-func chaseProbeOp(r *memory.Region, start uint64, nSlots int, maxSteps uint8, key uint64) wire.Op {
-	var match [8]byte
-	PutBE64(match[:], 0, key)
-	p := Program{
-		Kind:     ProgChaseProbe,
-		MaxSteps: maxSteps,
-		MatchOff: 0,
-		NextOff:  8,
-		Stride:   32,
-		StartIdx: start,
-		NSlots:   uint64(nSlots),
-	}
-	return Chase(r.Key, r.Base, AppendProgram(nil, &p, match[:]), wire.CASEq, nil, 64)
-}
-
-func TestChaseProbeWalksAndWraps(t *testing.T) {
-	x, r := testEnv(t)
-	// Slots 6,7,0 occupied; key 42 lives at slot 0, probed from 6.
-	buildTable(t, x, r, 8, map[int]uint64{6: 40, 7: 41, 0: 42})
-	op := chaseProbeOp(r, 6, 8, 8, 42)
-	res, meta := x.Exec(&op)
-	mustOK(t, res)
-	if got := BE64(res.Data, 0); got != 42 {
-		t.Fatalf("matched entry key %d", got)
-	}
-	if meta.Steps != 3 {
-		t.Fatalf("steps = %d, want 3 (6→7→wrap→0)", meta.Steps)
-	}
-	if len(res.Data) != 16 {
-		t.Fatalf("payload %d bytes, want bound-clamped 16", len(res.Data))
-	}
-}
-
-func TestChaseProbeEmptySlotIsNotFound(t *testing.T) {
-	x, r := testEnv(t)
-	buildTable(t, x, r, 8, map[int]uint64{2: 7})
-	op := chaseProbeOp(r, 2, 8, 8, 99)
-	res, _ := x.Exec(&op)
-	if res.Status != wire.StatusNotFound {
-		t.Fatalf("status = %v, want NOT_FOUND", res.Status)
-	}
-	if res.Addr != 3 {
-		t.Fatalf("cursor = %d, want the empty slot index 3", res.Addr)
-	}
-}
-
-func TestChaseProbeStepLimitCursor(t *testing.T) {
-	x, r := testEnv(t)
-	buildTable(t, x, r, 8, map[int]uint64{0: 10, 1: 11, 2: 12, 3: 13})
-	op := chaseProbeOp(r, 0, 8, 2, 13)
-	res, _ := x.Exec(&op)
-	if res.Status != wire.StatusStepLimit {
-		t.Fatalf("status = %v, want STEP_LIMIT", res.Status)
-	}
-	if res.Addr != 2 {
-		t.Fatalf("cursor = %d, want 2", res.Addr)
-	}
-	// Resume and find it.
-	op2 := chaseProbeOp(r, uint64(res.Addr), 8, 8, 13)
-	res2, _ := x.Exec(&op2)
-	mustOK(t, res2)
-	if got := BE64(res2.Data, 0); got != 13 {
-		t.Fatalf("resumed to key %d", got)
 	}
 }
 
@@ -326,7 +260,7 @@ func TestScanRejectsBadPrograms(t *testing.T) {
 }
 
 func TestProgramRoundtrip(t *testing.T) {
-	p := Program{Kind: ProgChaseProbe, MaxSteps: 17, MatchOff: 8, NextOff: 16,
+	p := Program{Kind: 3, MaxSteps: 17, MatchOff: 8, NextOff: 16,
 		Stride: 48, StartIdx: 5, NSlots: 1024}
 	match := []byte{1, 2, 3, 4}
 	enc := AppendProgram(nil, &p, match)

@@ -569,10 +569,6 @@ func (s *Server) opExtra(sc *serverConn, op *wire.Op, meta prism.OpMeta) time.Du
 	}
 }
 
-// SetRecvCredits overrides the receive-queue depth (testing flow control
-// or modeling constrained receivers).
-func (s *Server) SetRecvCredits(n int) { s.recvCredits = n }
-
 // serveRPC dispatches a two-sided request to the application handler.
 func (s *Server) serveRPC(sc *serverConn, req *wire.Request) {
 	s.RequestsServed++

@@ -305,8 +305,34 @@ func TestLiveIssueAllocs(t *testing.T) {
 // program header builds into the client's reused scratch and the result
 // payload lands in pooled frame storage, so a steady-state program op
 // costs no more than a handful of allocations per round trip (both
-// sides of the socket count — AllocsPerRun is process-wide).
+// sides of the socket count — AllocsPerRun is process-wide). CHASE walks
+// a served chain store, SCAN a PRISM-KV table.
 func TestLiveProgramAllocs(t *testing.T) {
+	chainL := listenUnix(t)
+	ts := transport.NewServer()
+	store, err := kv.NewChainStoreOn(ts, kv.ChainOptions{Buckets: 4, Depth: 4, MaxValue: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 16; k++ {
+		if err := store.Load(k, loadedValue(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	served := make(chan error, 1)
+	go func() { served <- ts.Serve(chainL) }()
+	t.Cleanup(func() {
+		ts.Shutdown(2 * time.Second)
+		<-served
+	})
+	var chainMeta kv.ChainMeta
+	chainTC, chainConn, err := transport.DialMeta(chainL.Addr().String(), "chain", &chainMeta)
+	if err != nil {
+		t.Fatalf("DialMeta: %v", err)
+	}
+	defer chainTC.Close()
+	chc := kv.NewChainClient(chainConn, chainMeta)
+
 	l := listenUnix(t)
 	serveKV(t, l, 64)
 	var meta kv.Meta
@@ -318,16 +344,16 @@ func TestLiveProgramAllocs(t *testing.T) {
 	defer tc.Close()
 	visit := func(key int64, value []byte) error { return nil }
 	for k := int64(0); k < 64; k++ { // warm the window, scratch, and framers
-		if _, err := kvc.GetChase(k % 16); err != nil {
-			t.Fatalf("warmup GetChase: %v", err)
+		if _, err := chc.ChaseGet(k % 16); err != nil {
+			t.Fatalf("warmup ChaseGet: %v", err)
 		}
 		if _, err := kvc.Scan(0, 1024, visit); err != nil {
 			t.Fatalf("warmup Scan: %v", err)
 		}
 	}
 	avgChase := testing.AllocsPerRun(200, func() {
-		if _, err := kvc.GetChase(3); err != nil {
-			t.Fatalf("GetChase: %v", err)
+		if _, err := chc.ChaseGet(3); err != nil {
+			t.Fatalf("ChaseGet: %v", err)
 		}
 	})
 	if avgChase > 8 {

@@ -28,7 +28,7 @@ const (
 	OpFetchAdd   // classic fetch-and-add
 	OpAllocate   // PRISM ALLOCATE (§3.2)
 	OpSend       // two-sided send
-	OpChase      // bounded server-side pointer/probe chase (DESIGN.md §14)
+	OpChase      // bounded server-side pointer chase (DESIGN.md §14)
 	OpScan       // ranged multi-key read with byte budget + cursor (DESIGN.md §14)
 )
 
