@@ -14,9 +14,12 @@
 // (transport.DialMeta), and a client of another app is refused.
 //
 // -keys and -value size every store as a ceiling, not the resident size:
-// free lists register a 64 KiB slab at a time as loads and PUTs need them,
-// so an empty server holds little more than its index. The drain summary's
-// "memory:" line says what was registered, class by class. -load N
+// free lists register a 64 KiB slab at a time as loads and PUTs need them.
+// So an empty kv, pilaf or tx server registers only its hash table or
+// index (98,304, 131,072 and 163,840 bytes at the defaults), while rs,
+// lock, farm and chain register their arrays at start (4.3 MB each for
+// the first three, 17.2 MB for chain:4). The drain summary's "memory:"
+// line says what was registered, class by class. -load N
 // preloads keys 0..N-1 (kv, chain, pilaf, tx and farm), as the paper's
 // experiments bulk-load before measuring. SIGINT/SIGTERM drain gracefully:
 // listeners close, in-flight requests finish, and the process exits 0.

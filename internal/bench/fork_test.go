@@ -150,7 +150,7 @@ func TestForkWritesInvisibleOutsideFork(t *testing.T) {
 // the same bytes after a point forked each of them — Pilaf's bulk load is
 // settled when it returns, so building it schedules nothing anywhere and
 // the three are distinguishable only if the template (its forked memory,
-// its read-through index) leaks or loses state.
+// its cloned free list) leaks or loses state.
 func TestPilafTemplateBuildDeterministic(t *testing.T) {
 	measure := func(cfg Config, build builder) Point {
 		pt, _ := runPoint(cfg, "forkeq-pilaf", system{"Pilaf", build}, load{readFrac: 0.5}, clientsKey(32), 32)
@@ -191,8 +191,8 @@ func slabCfg() Config {
 	return cfg
 }
 
-// No store registers a region longer than a slab: free lists and Pilaf's
-// extents carve slabs and alloc.RegisterArray cuts every array into them.
+// No store registers a region longer than a slab: free lists carve slabs
+// and alloc.RegisterArray cuts every array into them.
 // (Connection temp regions and a buffer larger than a slab may exceed one;
 // templates have neither.)
 func TestTemplateRegionsFitInSlabs(t *testing.T) {
@@ -241,9 +241,10 @@ func privateBytes(t *testing.T, name string, tmpl *rdma.ServerTemplate, fork *rd
 	return n
 }
 
-// One PUT on a forked PRISM-KV store, one ABDLOCK PUT (lock CAS, write,
-// unlock) on forked replicas and one FaRM commit (LOCK RPC, validate,
-// UPDATE+UNLOCK) copy only the slabs they write: at most two per server.
+// One PUT on a forked PRISM-KV store, one Pilaf PUT (entry in place,
+// then slot), one ABDLOCK PUT (lock CAS, write, unlock) on forked replicas
+// and one FaRM commit (LOCK RPC, validate, UPDATE+UNLOCK) copy only the
+// slabs they write: at most two per server.
 func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 	cfg := slabCfg()
 	cfg.templates = new(templateSet) // forkKV and the check below share one image
@@ -253,6 +254,13 @@ func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 
 	kvNIC, kvMeta := v.forkKV(model.SoftwarePRISM)
 	kvc := kv.NewClient(cli.Connect(kvNIC), kvMeta, 1)
+
+	// A value of a new length, so the PUT changes the slot's bytes too: an
+	// equal-length rewrite in place would leave them as they were.
+	pl := pilafTemplate(cfg)
+	pilafNIC := pl.fork(v.net, "pilaf", model.SoftwarePRISM)
+	kv.AttachPilafServer(pilafNIC, pl.meta)
+	pc := kv.NewPilafClient(cli.Connect(pilafNIC), pl.meta, 0)
 
 	lock := lockTemplate(cfg)
 	var replicas group[abd.LockMeta]
@@ -269,6 +277,9 @@ func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 	v.e.Go("writes", func(p *sim.Proc) {
 		if err := kvc.Put(7, value); err != nil {
 			t.Errorf("PRISM-KV put: %v", err)
+		}
+		if err := pc.Put(7, value[1:]); err != nil {
+			t.Errorf("Pilaf put: %v", err)
 		}
 		if err := lc.Put(7, value); err != nil {
 			t.Errorf("ABDLOCK put: %v", err)
@@ -293,6 +304,7 @@ func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 	}
 	var total uint64
 	total += check("prism-kv", kvTemplate(cfg).nic, kvNIC)
+	total += check("pilaf", pl.nic, pilafNIC)
 	for i, nic := range replicas.nics {
 		total += check(replicaName(i), lock.nic, nic)
 	}

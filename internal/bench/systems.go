@@ -118,9 +118,8 @@ func must(err error) {
 
 // image is a loaded store in a template set: the server's sealed
 // memory, free lists and temp key, and the store's control-plane
-// description — everything a store without CPU-side state is; Pilaf's
-// meta is its server's CPU half. An instance is fork plus the store's
-// Attach.
+// description — everything a store is. An instance is fork plus the
+// store's Attach.
 type image[M any] struct {
 	nic  *rdma.ServerTemplate
 	meta M
@@ -201,25 +200,24 @@ func KVCluster(cfg Config) (*sim.Engine, Store) {
 	return v.e, kvClients(nic, meta, kvTune{})(v.clientMachines()[0], 0)
 }
 
-func loadPilaf(net *fabric.Network, cfg Config) (*rdma.Server, *kv.PilafServer) {
+func loadPilaf(net *fabric.Network, cfg Config) (*rdma.Server, kv.PilafMeta) {
 	nic := rdma.NewServer(net, "server", model.SoftwarePRISM)
 	srv, err := kv.NewPilafServer(nic, kv.DefaultOptions(cfg.Keys, cfg.ValueSize))
 	must(err)
 	loadKeys(cfg.ValueSize, cfg.Keys, srv.Load)
-	return nic, srv
+	return nic, srv.Meta()
 }
 
-func pilafTemplate(cfg Config) image[*kv.PilafTemplate] {
-	return cachedTemplate("pilaf", cfg, 0, func(v *env) image[*kv.PilafTemplate] {
-		nic, srv := loadPilaf(v.net, cfg)
-		return capture(nic, srv.Capture())
+func pilafTemplate(cfg Config) image[kv.PilafMeta] {
+	return cachedTemplate("pilaf", cfg, 0, func(v *env) image[kv.PilafMeta] {
+		return capture(loadPilaf(v.net, cfg))
 	})
 }
 
-// pilafCluster attaches Pilaf clients to srv on nic.
-func (v *env) pilafCluster(nic *rdma.Server, srv *kv.PilafServer) cluster {
+// pilafCluster attaches Pilaf clients to the store meta describes on nic.
+func (v *env) pilafCluster(nic *rdma.Server, meta kv.PilafMeta) cluster {
 	return v.mix(func(m *rdma.Client, _ int) Store {
-		return kv.NewPilafClient(m.Connect(nic), srv.Meta(), v.p.PilafCRCCost)
+		return kv.NewPilafClient(m.Connect(nic), meta, v.p.PilafCRCCost)
 	})
 }
 
@@ -228,7 +226,8 @@ func pilaf(deploy model.Deployment, params func(Config) model.Params) builder {
 		v := newEnv(cfg, seed, w, params(cfg))
 		im := pilafTemplate(cfg)
 		nic := im.fork(v.net, "server", deploy)
-		return v.pilafCluster(nic, im.meta.Attach(nic))
+		kv.AttachPilafServer(nic, im.meta)
+		return v.pilafCluster(nic, im.meta)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestFigureDropsItsTemplates(t *testing.T) {
 		switch im := val.(type) {
 		case image[kv.Meta]:
 			runtime.SetFinalizer(im.nic, func(any) { freed <- key.system })
-		case image[*kv.PilafTemplate]:
+		case image[kv.PilafMeta]:
 			runtime.SetFinalizer(im.nic, func(any) { freed <- key.system })
 		default:
 			t.Errorf("%s: template of unexpected type %T", key.system, val)

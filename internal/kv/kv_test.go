@@ -224,7 +224,7 @@ func TestKeyOutsideTableIsRejected(t *testing.T) {
 		}
 	})
 	pv.e.Run()
-	if spaceChecksum(pspace) != before || len(pv.srv.extents.free) != 0 || pv.srv.extents.next != 0 {
+	if spaceChecksum(pspace) != before || len(pv.srv.extents.Slabs()) != 0 {
 		t.Error("rejected PUT RPCs changed Pilaf memory or extents")
 	}
 }

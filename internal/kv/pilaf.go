@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"time"
 
 	"prism/internal/alloc"
@@ -14,7 +13,7 @@ import (
 	"prism/internal/wire"
 )
 
-// Pilaf [31] stores a hash table of pointers into an extents region. GETs
+// Pilaf [31] stores a hash table of pointers into extents, one a key. GETs
 // are two one-sided READs (hash slot, then object) with self-verifying
 // CRCs to detect racing server-side writes; PUTs are RPCs executed by the
 // server CPU (§6). "Pilaf (software RDMA)" is the same protocol with the
@@ -47,89 +46,27 @@ func pilafCRC(b []byte) uint64 {
 
 const pilafSlotSize = 32
 
-// PilafServer owns the hash table and extents and serves PUT RPCs on a
-// transport host, whose StageWrites tears its PUT's stores.
+// pilafFreeList is the id of the free list Pilaf's extents come from, the
+// one list on its host.
+const pilafFreeList uint32 = 1
+
+// PilafServer serves PUT RPCs on a transport host, whose StageWrites
+// tears its PUT's stores. The store itself is memory: the hash table and
+// the extents of one free list of largest-size entries.
 type PilafServer struct {
 	host transport.Host
 	meta PilafMeta
 
-	extents pilafExtents
-
-	// index is the server CPU's coherent view of the hash table, key k's
-	// extent at index k. The CPU's stores to registered memory are staged
-	// (so remote one-sided readers can observe torn state, which Pilaf's
-	// CRCs catch), but a CPU always sees its own stores via store
-	// forwarding — so server-side lookups must come from here, never from
-	// re-reading the (possibly still-staged) memory. Like the extents, it
-	// changes only under the space guard (install).
-	index forkedIndex
+	// extents is the host's free list of entry buffers. A key keeps the
+	// extent its first store popped: a PUT rewrites it in place, and Pilaf
+	// never deletes a key, so nothing is ever posted back.
+	extents *alloc.FreeList
 
 	// Puts counts RPC PUTs executed by the server CPU.
 	Puts int64
 
 	// loadBuf is Load's entry and slot images, reused from key to key.
 	loadBuf []byte
-}
-
-// pilafRef is where a key's entry lives. Its zero value is no entry: a
-// memory.Space never registers address 0.
-type pilafRef struct {
-	ptr memory.Addr
-	len uint64 // bytes of the entry stored there
-	cap uint64 // bytes of the extent: what replacing the entry retires
-}
-
-// forkedIndex is the key -> entry table over keys [0, NSlots) as one
-// server sees it: flat holds one ref per key, its zero value meaning
-// absent. A server built directly writes flat. A template instance shares
-// its template's flat, never writes it, and keeps every store of its own
-// in own, which get reads first. Pilaf never deletes a key, so own needs
-// no tombstones.
-type forkedIndex struct {
-	flat   []pilafRef
-	own    map[int64]pilafRef
-	shared bool // flat is a template's
-}
-
-func (x *forkedIndex) get(k int64) (pilafRef, bool) {
-	if v, ok := x.own[k]; ok {
-		return v, true
-	}
-	return x.flat[k], x.flat[k] != pilafRef{}
-}
-
-func (x *forkedIndex) set(k int64, v pilafRef) {
-	if !x.shared {
-		x.flat[k] = v
-		return
-	}
-	if x.own == nil {
-		x.own = make(map[int64]pilafRef)
-	}
-	x.own[k] = v
-}
-
-// fork returns a template instance's view of x, which the instance's
-// stores never reach.
-func (x *forkedIndex) fork() forkedIndex {
-	return forkedIndex{flat: x.flat, own: maps.Clone(x.own), shared: true}
-}
-
-// pilafExtents is the server CPU's extent allocator: recycled extents
-// first fit, else a bump pointer over the slab registered last. Like
-// alloc.FreeList it registers memory one slab at a time, as entries need
-// it — room is how many largest-size entries it may still register, of
-// Options.BuffersPerClass — so a store's footprint follows its load and a
-// fork's PUT privatizes the slab it writes, not the whole store.
-type pilafExtents struct {
-	free      []pilafExtent // recycled, oldest first
-	next, end memory.Addr   // unallocated tail of the slab registered last
-	room      int
-}
-
-type pilafExtent struct {
-	ptr memory.Addr
-	cap uint64
 }
 
 // PilafMeta is the client control-plane description.
@@ -143,28 +80,32 @@ type PilafMeta struct {
 // NewPilafServer provisions Pilaf on any transport host — the simulated
 // NIC or a live socket server. The object store may grow to
 // opts.BuffersPerClass entries of opts.MaxValue bytes — sized like
-// PRISM-KV's buffer pool: one entry per slot plus slack for
-// in-place-replacement churn.
+// PRISM-KV's buffer pool: one entry per slot plus slack.
 func NewPilafServer(host transport.Host, opts Options) (*PilafServer, error) {
 	space := host.Space()
 	key, base, err := alloc.RegisterArray(space, 0, uint64(opts.NSlots), pilafSlotSize)
 	if err != nil {
 		return nil, fmt.Errorf("kv: pilaf hash table: %w", err)
 	}
-	s := &PilafServer{
-		host:    host,
-		extents: pilafExtents{room: opts.BuffersPerClass},
-		index:   forkedIndex{flat: make([]pilafRef, opts.NSlots)},
-		meta: PilafMeta{
-			Key:      key,
-			HashBase: base,
-			NSlots:   opts.NSlots,
-			MaxValue: opts.MaxValue,
-		},
-	}
+	host.AddFreeList(alloc.NewFreeList(pilafFreeList, pilafEntrySize(opts.MaxValue), key, space, opts.BuffersPerClass))
+	return AttachPilafServer(host, PilafMeta{
+		Key:      key,
+		HashBase: base,
+		NSlots:   opts.NSlots,
+		MaxValue: opts.MaxValue,
+	}), nil
+}
+
+// AttachPilafServer is the CPU half of NewPilafServer: the hash table and
+// extents described by meta already stand in host's memory and free list
+// (NewPilafServer just put them there, or host was forked from a captured
+// image of a server that did), and what remains is the PUT RPC handler
+// and the published Meta.
+func AttachPilafServer(host transport.Host, meta PilafMeta) *PilafServer {
+	s := &PilafServer{host: host, meta: meta, extents: host.FreeList(pilafFreeList)}
 	host.SetRPCHandler(s.handleRPC)
 	host.PublishMeta("pilaf", &s.meta)
-	return s, nil
+	return s
 }
 
 // Meta returns the client description.
@@ -225,58 +166,38 @@ func pilafDecodeSlot(b []byte) (inuse bool, ptr memory.Addr, length uint64, ok b
 		true
 }
 
-// allocExtent returns an extent of at least n bytes (n at most the largest
-// entry's): the first recycled one that fits, handed out whole, else n
-// fresh bytes, registering the next slab when the last has no room for
-// them. A slab is a whole number of largest-size entries, so a store of
-// such entries (every figure's) strands nothing at a slab's end.
-func (s *PilafServer) allocExtent(n uint64) (pilafExtent, error) {
-	x := &s.extents
-	for i, f := range x.free {
-		if f.cap >= n {
-			x.free = append(x.free[:i], x.free[i+1:]...)
-			return f, nil
-		}
-	}
-	if uint64(x.end-x.next) < n {
-		entryBytes := pilafEntrySize(s.meta.MaxValue)
-		count := min(max(1, int(alloc.SlabBytes/entryBytes)), x.room)
-		if count <= 0 {
-			return pilafExtent{}, fmt.Errorf("kv: pilaf extents full")
-		}
-		r, err := s.host.Space().RegisterShared(s.meta.Key, uint64(count)*entryBytes)
-		if err != nil {
-			return pilafExtent{}, fmt.Errorf("kv: pilaf extents: %w", err)
-		}
-		x.next, x.end, x.room = r.Base, r.End(), x.room-count
-	}
-	ext := pilafExtent{ptr: x.next, cap: n}
-	x.next += memory.Addr(n)
-	return ext, nil
-}
-
-// install is the server CPU's half of storing key's n-byte entry in key's
-// slot: it retires the old extent on an overwrite, allocates the new one,
-// and records it in the coherent index. The caller holds the space guard,
-// and stores the entry at dst and the slot image at slotAddr. A key from
-// outside the table (an RPC's) is refused before anything changes.
-func (s *PilafServer) install(key int64, n uint64) (slotAddr, dst memory.Addr, err error) {
+// extent is the server CPU's half of storing key's n-byte entry: it
+// returns key's slot and the extent the entry goes to, the one the slot
+// names. A key's first store pops a fresh extent and claims the slot for
+// it at once — the in-use word and pointer stored whole, ahead of the
+// tear-delayed stores that follow — so a racing PUT of the key finds the
+// claim. The caller holds the space guard. A key from outside the table
+// (an RPC's) or an entry over the largest is refused before anything
+// changes.
+func (s *PilafServer) extent(key int64, n uint64) (slotAddr, dst memory.Addr, err error) {
 	slot, err := slotIndex(key, s.meta.NSlots)
 	if err != nil {
 		return 0, 0, err
 	}
-	if n > pilafEntrySize(s.meta.MaxValue) {
+	if n > s.extents.BufSize {
 		return 0, 0, fmt.Errorf("kv: pilaf value exceeds MaxValue %d", s.meta.MaxValue)
 	}
-	if ref, overwrite := s.index.get(key); overwrite {
-		s.extents.free = append(s.extents.free, pilafExtent{ptr: ref.ptr, cap: ref.cap})
-	}
-	ext, err := s.allocExtent(n)
+	space := s.host.Space()
+	slotAddr = s.meta.HashBase + memory.Addr(slot*pilafSlotSize)
+	head, err := space.Peek(s.meta.Key, slotAddr, 16)
 	if err != nil {
 		return 0, 0, err
 	}
-	s.index.set(key, pilafRef{ptr: ext.ptr, len: n, cap: ext.cap})
-	return s.meta.HashBase + memory.Addr(slot*pilafSlotSize), ext.ptr, nil
+	if binary.LittleEndian.Uint64(head) == 1 {
+		return slotAddr, memory.Addr(binary.LittleEndian.Uint64(head[8:])), nil
+	}
+	if dst, err = s.extents.Pop(); err != nil {
+		return 0, 0, fmt.Errorf("kv: pilaf extents: %w", err)
+	}
+	if err := space.WriteU64(s.meta.Key, slotAddr, 1); err != nil {
+		return 0, 0, err
+	}
+	return slotAddr, dst, space.WriteU64(s.meta.Key, slotAddr+8, uint64(dst))
 }
 
 // tearDelay separates the CPU's partial memory writes during a PUT, so
@@ -285,16 +206,16 @@ func (s *PilafServer) install(key int64, n uint64) (slotAddr, dst memory.Addr, e
 // not atomic at entry granularity on real hardware.
 const tearDelay = 300 * time.Nanosecond
 
-// put executes a PUT on the server CPU: allocate (or reuse) an extent,
-// write the entry (non-atomically), update the slot (non-atomically).
-// Lookups use the CPU's coherent index, never the staged memory.
+// put executes a PUT on the server CPU: find (or claim) the key's extent,
+// rewrite the entry in place (non-atomically), update the slot
+// (non-atomically).
 func (s *PilafServer) put(key int64, value []byte) error {
 	s.Puts++
 	// Fresh images: the staged stores below may outlive this call.
 	n := pilafEntrySize(len(value))
 	img := pilafAppendEntry(make([]byte, 0, n+pilafSlotSize), key, value)
 	s.host.Space().Guard().Lock()
-	slotAddr, dst, err := s.install(key, n)
+	slotAddr, dst, err := s.extent(key, n)
 	s.host.Space().Guard().Unlock()
 	if err != nil {
 		return err
@@ -321,21 +242,21 @@ func (s *PilafServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 	if err := s.put(key, payload[9:]); err != nil {
 		return []byte{1}, 0
 	}
-	// CPU cost of the index lookup + extent copy beyond base dispatch.
+	// CPU cost of the slot lookup + extent copy beyond base dispatch.
 	return []byte{0}, 500 * time.Nanosecond
 }
 
 // Load bulk-installs an object (server-side, pre-experiment). Nothing reads
 // the store while it loads, so there is no race to stage: the entry and
-// then the slot are stored whole, and the image is settled — ready for
-// Capture — when Load returns, with no event scheduled.
+// then the slot are stored whole, and the image is settled when Load
+// returns, with no event scheduled.
 func (s *PilafServer) Load(key int64, value []byte) error {
 	space := s.host.Space()
 	space.Guard().Lock()
 	defer space.Guard().Unlock()
 	n := pilafEntrySize(len(value))
 	s.loadBuf = pilafAppendEntry(s.loadBuf[:0], key, value)
-	slotAddr, dst, err := s.install(key, n)
+	slotAddr, dst, err := s.extent(key, n)
 	if err != nil {
 		return err
 	}
@@ -344,37 +265,6 @@ func (s *PilafServer) Load(key int64, value []byte) error {
 		return err
 	}
 	return space.Write(s.meta.Key, slotAddr, s.loadBuf[n:])
-}
-
-// PilafTemplate is the CPU half of a loaded Pilaf server's image, the one
-// store whose image is more than its host's memory plus its Meta: Pilaf
-// keeps CPU-side state. The extent allocator each instance copies (its
-// addresses are layout positions, valid in every fork, and a fork inherits
-// the allocation pointer, so every instance registers the same next slab);
-// the coherent index grows with the keyspace, so instances read it
-// through (forkedIndex.fork) instead of copying.
-type PilafTemplate struct {
-	meta    PilafMeta
-	extents pilafExtents
-	index   forkedIndex
-}
-
-// Capture returns the server's template, its host's memory captured beside
-// it. Load leaves nothing staged, so a store only loaded is settled. The
-// template takes over the server's index and free extents, so the server
-// must not be used again.
-func (s *PilafServer) Capture() *PilafTemplate {
-	return &PilafTemplate{meta: s.meta, extents: s.extents, index: s.index}
-}
-
-// Attach instantiates the loaded Pilaf server on host, whose memory is a
-// fork of the image captured beside t.
-func (t *PilafTemplate) Attach(host transport.Host) *PilafServer {
-	s := &PilafServer{host: host, meta: t.meta, extents: t.extents, index: t.index.fork()}
-	s.extents.free = append([]pilafExtent(nil), t.extents.free...)
-	host.SetRPCHandler(s.handleRPC)
-	host.PublishMeta("pilaf", &s.meta)
-	return s
 }
 
 // PilafClient is a Pilaf client, written once against a transport.Issuer.

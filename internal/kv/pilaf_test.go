@@ -2,7 +2,6 @@ package kv
 
 import (
 	"bytes"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -15,9 +14,10 @@ import (
 	"prism/internal/workload"
 )
 
-// Tests of how a Pilaf store is stood up: the settled bulk load against
-// the staged PUT it replaced, extents carved a slab at a time, and
-// template instances that read the template's index through.
+// Tests of how a Pilaf store is stood up and where its entries live: the
+// settled bulk load against the staged PUT it replaced, extents popped
+// from one free list that carves a slab at a time, a key that keeps its
+// extent, and template instances whose stores stay in their own forks.
 
 // drain runs e until idle and reports the events that fired since it was
 // made.
@@ -26,8 +26,18 @@ func drain(e *sim.Engine) int64 {
 	return e.Stats().EventsExecuted
 }
 
+// handedOut is how many extents fl has popped: what its slabs hold less
+// what is still available. Pilaf posts nothing back.
+func handedOut(fl *alloc.FreeList) int {
+	n := -fl.Len()
+	for _, slab := range fl.Slabs() {
+		n += slab.Count
+	}
+	return n
+}
+
 // Load stores the image a PUT leaves once its tear-delayed stores have all
-// landed, and the same CPU-side state, without scheduling anything. The
+// landed, and pops the same extents, without scheduling anything. The
 // staged reference is put itself followed by an engine drain, which is how
 // a store was loaded before Load wrote the settled image directly.
 func TestPilafLoadMatchesStagedPut(t *testing.T) {
@@ -37,8 +47,7 @@ func TestPilafLoadMatchesStagedPut(t *testing.T) {
 	staged := newPilafEnv(t, opts, model.SoftwarePRISM)
 	// 2600 inserts cross slab boundaries (SlabBytes / 536 largest entries a slab);
 	// every 7th key is first loaded short, then reloaded at full size,
-	// shorter still and at full size again, so extents are retired, left
-	// on the free list, reused whole and bumped past.
+	// shorter still and at full size again, always in the key's one extent.
 	for k := int64(0); k < 2600; k++ {
 		sizes := []int{512}
 		if k%7 == 0 {
@@ -52,8 +61,8 @@ func TestPilafLoadMatchesStagedPut(t *testing.T) {
 			if err := staged.srv.put(k, value); err != nil {
 				t.Fatal(err)
 			}
-			// Drained put by put: a reload reuses the extent it retires,
-			// which the earlier put's delayed stores would land on.
+			// Drained put by put: a reload rewrites the extent in place,
+			// where a longer earlier put's delayed stores would still land.
 			staged.e.Run()
 		}
 	}
@@ -63,13 +72,13 @@ func TestPilafLoadMatchesStagedPut(t *testing.T) {
 	if spaceChecksum(settled.srv.host.Space()) != spaceChecksum(staged.srv.host.Space()) {
 		t.Fatal("settled load and drained staged puts left different memory")
 	}
-	a, b := settled.srv, staged.srv
-	if !reflect.DeepEqual(a.index, b.index) || !reflect.DeepEqual(a.extents, b.extents) {
-		t.Fatal("settled load and staged puts left different CPU-side state")
+	a, b := settled.srv.extents, staged.srv.extents
+	if a.Len() != b.Len() || !slices.Equal(a.Slabs(), b.Slabs()) {
+		t.Fatal("settled load and staged puts left different free lists")
 	}
-	if len(a.extents.free) == 0 || len(a.host.Space().Regions()) < 3 {
-		t.Fatalf("the load must recycle extents and cross a slab boundary: %d free, %d regions",
-			len(a.extents.free), len(a.host.Space().Regions()))
+	if handedOut(a) != 2600 || len(a.Slabs()) < 3 {
+		t.Fatalf("the load must pop one extent a key and cross a slab boundary: %d popped, %d slabs",
+			handedOut(a), len(a.Slabs()))
 	}
 }
 
@@ -110,7 +119,7 @@ func newPilafFork(tmpl pilafImage, seed int64) *pilafFork {
 	e := sim.NewEngine(seed)
 	net := fabric.New(e, params)
 	nic := rdma.NewServerFromTemplate(net, "pilaf", model.HardwareRDMA, tmpl.nic)
-	srv := tmpl.Attach(nic)
+	srv := AttachPilafServer(nic, tmpl.srv.meta)
 	cli := NewPilafClient(rdma.NewClient(net, "cli").Connect(nic), srv.Meta(), params.PilafCRCCost)
 	return &pilafFork{e: e, srv: srv, cli: cli}
 }
@@ -120,11 +129,12 @@ func (f *pilafFork) run(fn func(p *sim.Proc)) {
 	f.e.Run()
 }
 
-// pilafImage is a loaded Pilaf store's image: its NIC's memory and the
-// server's CPU half.
+// pilafImage is a loaded Pilaf store's image: its NIC's memory and free
+// list, and the server whose memory the capture sealed (its free list is
+// the template's as it stood).
 type pilafImage struct {
 	nic *rdma.ServerTemplate
-	*PilafTemplate
+	srv *PilafServer
 }
 
 // loadedPilafTemplate loads keys [0, n) of valueSize bytes (every byte the
@@ -140,7 +150,7 @@ func loadedPilafTemplate(t *testing.T, opts Options, n int64, valueSize int) pil
 	if fired := drain(v.e); fired != 0 {
 		t.Fatalf("loading the template scheduled %d events", fired)
 	}
-	return pilafImage{v.nic.Capture(), v.srv.Capture()}
+	return pilafImage{v.nic.Capture(), v.srv}
 }
 
 // Two instances of one template register the same next slab in their own
@@ -152,9 +162,9 @@ func TestPilafTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 	tmpl := loadedPilafTemplate(t, DefaultOptions(loaded+64, valueSize), loaded, valueSize)
 	parent := tmpl.nic.Snapshot().Space()
 	parentRegions, parentSum := len(parent.Regions()), spaceChecksum(parent)
-	if parentRegions != 2 || tmpl.extents.next != tmpl.extents.end {
-		t.Fatalf("template: %d regions, %d extent bytes unallocated; want the hash table and one full slab",
-			parentRegions, tmpl.extents.end-tmpl.extents.next)
+	if parentRegions != 2 || tmpl.srv.extents.Len() != 0 {
+		t.Fatalf("template: %d regions, %d extents available; want the hash table and one full slab",
+			parentRegions, tmpl.srv.extents.Len())
 	}
 
 	var tables [2][]byte
@@ -177,8 +187,8 @@ func TestPilafTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 				i, len(regions), parentRegions)
 		}
 		bases[i] = regions[len(regions)-1].Base
-		if f.srv.extents.end != regions[len(regions)-1].End() {
-			t.Fatalf("instance %d allocates from %#x, not from the slab it carved", i, f.srv.extents.end)
+		if slabs := f.srv.extents.Slabs(); len(slabs) != 2 || slabs[1].Base != bases[i] {
+			t.Fatalf("instance %d pops from slabs %v, not from the slab it carved at %#x", i, slabs, bases[i])
 		}
 		table, err := space.Read(f.srv.meta.Key, f.srv.meta.HashBase, uint64(f.srv.meta.NSlots*pilafSlotSize))
 		if err != nil {
@@ -194,27 +204,17 @@ func TestPilafTemplateInstancesCarveIdenticalAddresses(t *testing.T) {
 	}
 }
 
-// An instance reads the template's flat index in place and keeps its own
-// PUTs in an overlay over it: they are invisible to the template and to a
-// sibling instance, and every loaded key stays readable beside the
-// inserted ones. A key outside the table is refused and lands in no
-// overlay.
+// An instance's PUTs — an overwrite and inserts — are invisible to the
+// template and to a sibling instance, and every loaded key stays readable
+// beside the inserted ones. A key outside the table is refused.
 func TestPilafForkIndexIsolation(t *testing.T) {
 	const loaded, inserted, valueSize = 300, 150, 64
 	opts := DefaultOptions(512, valueSize)
 	tmpl := loadedPilafTemplate(t, opts, loaded, valueSize)
-	if len(tmpl.index.flat) != int(opts.NSlots) || len(tmpl.index.own) != 0 {
-		t.Fatalf("template index: %d keys flat and %d in a map; want %d flat and none in a map",
-			len(tmpl.index.flat), len(tmpl.index.own), opts.NSlots)
-	}
-	index := slices.Clone(tmpl.index.flat)
+	parent := tmpl.nic.Snapshot().Space()
+	parentSum := spaceChecksum(parent)
 
 	writer, sibling := newPilafFork(tmpl, 1), newPilafFork(tmpl, 2)
-	for _, f := range []*pilafFork{writer, sibling} {
-		if &f.srv.index.flat[0] != &tmpl.index.flat[0] {
-			t.Fatal("an instance copied the template's index instead of reading it")
-		}
-	}
 	newValue := func(k int64) []byte { return bytes.Repeat([]byte{byte(k) ^ 0xff}, valueSize) }
 	writer.run(func(p *sim.Proc) {
 		if err := writer.cli.Put(3, newValue(3)); err != nil {
@@ -249,12 +249,8 @@ func TestPilafForkIndexIsolation(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if !slices.Equal(tmpl.index.flat, index) || len(tmpl.index.own) != 0 {
-		t.Fatal("an instance's PUT wrote the template's index")
-	}
-	if len(writer.srv.index.own) != 1+inserted || len(sibling.srv.index.own) != 1 {
-		t.Fatalf("overlays hold %d and %d keys, want what each instance PUT (%d and 1)",
-			len(writer.srv.index.own), len(sibling.srv.index.own), 1+inserted)
+	if spaceChecksum(parent) != parentSum {
+		t.Fatal("an instance's PUT wrote the template's memory")
 	}
 }
 
@@ -270,12 +266,12 @@ func TestPilafChecksumRejectsSplices(t *testing.T) {
 	gen := workload.NewGenerator(workload.Mix{Keys: 64, ReadFrac: 1, ValueSize: valueSize}, 0)
 	images := func() (slot, entry []byte) {
 		s := v.srv
-		ref, _ := s.index.get(key)
 		slot, err := s.host.Space().Read(s.meta.Key, s.meta.HashBase+memory.Addr(key*pilafSlotSize), pilafSlotSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entry, err = s.host.Space().Read(s.meta.Key, ref.ptr, ref.len)
+		_, ptr, length, _ := pilafDecodeSlot(slot)
+		entry, err = s.host.Space().Read(s.meta.Key, ptr, length)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,9 +283,9 @@ func TestPilafChecksumRejectsSplices(t *testing.T) {
 		}
 		v.e.Run()
 	}
-	// Loaded short, the key's first overwrite moves it to a larger extent
-	// (a new slot image); its second stays in that extent (a new entry
-	// image of the same length).
+	// Loaded short, the key's first overwrite is longer (a new slot image
+	// naming the same extent); its second is as long (a new entry image of
+	// the same length).
 	if err := v.srv.Load(key, gen.Value(key, 0)[:100]); err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +338,10 @@ func TestPilafChecksumRejectsSplices(t *testing.T) {
 	}
 }
 
-// A recycled extent is handed out whole and retired whole: a key whose
-// values alternate between the largest size and small ones keeps reusing
-// one extent instead of shrinking it to the small value's size and
-// stranding the rest.
+// A key keeps the one extent its first store popped: a key whose values
+// alternate between the largest size and small ones rewrites it in place
+// every time, so a store with room for BuffersPerClass entries never
+// hands out a second.
 func TestPilafAlternatingSizesKeepExtent(t *testing.T) {
 	opts := smallOpts()
 	opts.BuffersPerClass = 4
@@ -364,8 +360,79 @@ func TestPilafAlternatingSizesKeepExtent(t *testing.T) {
 		}
 	})
 	v.e.Run()
-	x, entryBytes := v.srv.extents, pilafEntrySize(opts.MaxValue)
-	if unallocated := uint64(x.end - x.next); unallocated != uint64(opts.BuffersPerClass-1)*entryBytes {
-		t.Fatalf("%d extent bytes left unallocated: the key did not stay in one %d-byte extent", unallocated, entryBytes)
+	if n := handedOut(v.srv.extents); n != 1 {
+		t.Fatalf("the key took %d extents, want it to keep one", n)
 	}
+}
+
+// A refused PUT changes nothing: an acknowledged PUT reads back, and no
+// GET reports another key's entry. With room for one entry, key 1's
+// full-size overwrite rewrites its extent in place and key 2 finds the
+// store full; key 1's extent must never reach the free list, where key 2
+// would take it.
+func TestPilafRefusedPutKeepsKey(t *testing.T) {
+	opts := smallOpts()
+	opts.BuffersPerClass = 1
+	v := newPilafEnv(t, opts, model.HardwareRDMA)
+	c := v.client()
+	large := bytes.Repeat([]byte{'b'}, opts.MaxValue)
+	v.e.Go("t", func(p *sim.Proc) {
+		acked := map[int64][]byte{}
+		for i, op := range []struct {
+			key   int64
+			value []byte
+		}{{1, []byte("a")}, {1, large}, {2, []byte("c")}} {
+			err := c.Put(op.key, op.value)
+			if err == nil {
+				acked[op.key] = op.value
+			}
+			if want := op.key == 1; (err == nil) != want {
+				t.Errorf("PUT %d of key %d: %v, want it to succeed %v", i, op.key, err, want)
+			}
+		}
+		for _, k := range []int64{1, 2} {
+			got, err := c.Get(k)
+			switch want, ok := acked[k]; {
+			case ok && (err != nil || !bytes.Equal(got, want)):
+				t.Errorf("key %d: acknowledged PUT reads back %q, %v", k, got, err)
+			case !ok && err != ErrNotFound:
+				t.Errorf("key %d: refused PUT reads back %q, %v; want ErrNotFound", k, got, err)
+			}
+		}
+	})
+	v.e.Run()
+}
+
+// Two clients PUT the same absent key at the same instant: the first PUT's
+// claim of the slot, stored ahead of its tear-delayed stores, sends the
+// second to the same extent, so the store hands out one extent, not two
+// with one leaked, and the key reads back one of the two values.
+func TestPilafRacingFirstPutsClaimOneExtent(t *testing.T) {
+	const key = 5
+	v := newPilafEnv(t, smallOpts(), model.HardwareRDMA)
+	if err := v.srv.Load(0, []byte("carves the first slab")); err != nil {
+		t.Fatal(err)
+	}
+	before := v.srv.extents.Len()
+	values := [][]byte{bytes.Repeat([]byte{'a'}, 64), bytes.Repeat([]byte{'b'}, 64)}
+	for i, value := range values {
+		c := v.client()
+		v.e.Go("put", func(p *sim.Proc) {
+			if err := c.Put(key, value); err != nil {
+				t.Errorf("client %d: %v", i, err)
+			}
+		})
+	}
+	v.e.Run()
+	if got := before - v.srv.extents.Len(); got != 1 || len(v.srv.extents.Slabs()) != 1 {
+		t.Fatalf("two racing first PUTs of one key took %d extents, want 1", got)
+	}
+	c := v.client()
+	v.e.Go("get", func(p *sim.Proc) {
+		got, err := c.Get(key)
+		if err != nil || !(bytes.Equal(got, values[0]) || bytes.Equal(got, values[1])) {
+			t.Errorf("key %d reads back %q, %v; want one of the PUT values", key, got, err)
+		}
+	})
+	v.e.Run()
 }

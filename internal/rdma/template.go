@@ -58,7 +58,7 @@ func (t *ServerTemplate) Snapshot() *memory.Snapshot { return t.snap }
 // and deployment come from the target network, so one template built once
 // can serve e.g. both the hardware-RDMA and software-PRISM series of a
 // figure. The application layer must still re-attach its CPU-side state
-// (RPC handlers, index maps) via its own template mechanism.
+// (RPC handlers, published Meta) with its store's Attach.
 func NewServerFromTemplate(net *fabric.Network, name string, deploy model.Deployment, t *ServerTemplate) *Server {
 	s := newServer(net, name, deploy, t.snap.Fork())
 	ids := make([]uint32, 0, len(t.freeLists))
