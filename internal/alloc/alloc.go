@@ -224,10 +224,15 @@ func (f *FreeList) repost(n int) {
 //
 // It is an epoch scheme: OpStart/OpEnd bracket every NIC op. A Flush call
 // stamps the current epoch; once all ops started in or before that epoch
-// finish, the flush's callback runs.
+// finish, the flush's callback runs. Ops are numbered in start order, so
+// the oldest unended op is a cursor that only moves forward.
 type Quiescer struct {
-	inFlight map[uint64]struct{}
-	nextOp   uint64
+	nextOp uint64
+	// ended[head:] flags which of ops oldest() to nextOp-1 have ended;
+	// ended[head] is false unless ended is empty.
+	ended    []bool
+	head     int
+	inFlight int
 	waits    []quiesceWait
 }
 
@@ -241,24 +246,32 @@ type quiesceWait struct {
 }
 
 // NewQuiescer returns an idle quiescer.
-func NewQuiescer() *Quiescer {
-	return &Quiescer{inFlight: make(map[uint64]struct{})}
-}
+func NewQuiescer() *Quiescer { return &Quiescer{} }
 
 // OpStart registers an in-flight operation and returns its token.
 func (q *Quiescer) OpStart() uint64 {
 	id := q.nextOp
 	q.nextOp++
-	q.inFlight[id] = struct{}{}
+	q.ended = append(q.ended, false)
+	q.inFlight++
 	return id
 }
 
 // OpEnd retires the operation with the given token.
 func (q *Quiescer) OpEnd(id uint64) {
-	if _, ok := q.inFlight[id]; !ok {
+	i := q.head + int(id-q.oldest())
+	if id < q.oldest() || id >= q.nextOp || q.ended[i] {
 		panic(fmt.Sprintf("alloc: OpEnd(%d) without matching OpStart", id))
 	}
-	delete(q.inFlight, id)
+	q.ended[i] = true
+	q.inFlight--
+	for q.head < len(q.ended) && q.ended[q.head] {
+		q.head++
+	}
+	if 2*q.head >= len(q.ended) { // drop the flags behind the cursor
+		q.ended = q.ended[:copy(q.ended, q.ended[q.head:])]
+		q.head = 0
+	}
 	q.advance()
 }
 
@@ -273,7 +286,7 @@ func (q *Quiescer) wait(w quiesceWait) {
 }
 
 // InFlight reports the number of outstanding operations.
-func (q *Quiescer) InFlight() int { return len(q.inFlight) }
+func (q *Quiescer) InFlight() int { return q.inFlight }
 
 // advance runs, in order, every wait whose barrier has drained. Each is
 // dequeued before it runs (a callback may queue another) by shifting the
@@ -292,16 +305,8 @@ func (q *Quiescer) advance() {
 	}
 }
 
-// oldest returns the smallest in-flight op id, or nextOp if none.
-func (q *Quiescer) oldest() uint64 {
-	min := q.nextOp
-	for id := range q.inFlight {
-		if id < min {
-			min = id
-		}
-	}
-	return min
-}
+// oldest returns the oldest in-flight op id, or nextOp if none.
+func (q *Quiescer) oldest() uint64 { return q.nextOp - uint64(len(q.ended)-q.head) }
 
 // SizeClasses returns the buffer sizes of a store whose entries run from
 // minSize to maxSize bytes: the powers of two from minSize up (§3.2:

@@ -471,6 +471,103 @@ func TestQuiescerDoubleEndPanics(t *testing.T) {
 	q.OpEnd(id)
 }
 
+// panics reports whether f panics.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// TestQuiescerManyInFlight: 4,096 ops in flight end in random order, with
+// waits queued among their starts and among their ends. Each wait must
+// run exactly when the reference (the smallest unended id, found by a
+// scan) passes its barrier, and in order; an op ended twice or never
+// started panics; once the last op ends the quiescer holds no flags.
+func TestQuiescerManyInFlight(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(43))
+	q := NewQuiescer()
+	live := map[uint64]bool{}
+	type wait struct {
+		barrier uint64
+		ran     bool
+	}
+	var waits []*wait
+	var order []int
+	queue := func() {
+		w := &wait{barrier: q.nextOp}
+		i := len(waits)
+		waits = append(waits, w)
+		q.AfterQuiesce(func() { w.ran = true; order = append(order, i) })
+	}
+	check := func(when string) {
+		t.Helper()
+		oldest := q.nextOp
+		for id := range live {
+			oldest = min(oldest, id)
+		}
+		for i, w := range waits {
+			if w.ran != (oldest >= w.barrier) {
+				t.Fatalf("%s: wait %d (barrier %d) ran=%v with oldest unended op %d", when, i, w.barrier, w.ran, oldest)
+			}
+		}
+		if q.InFlight() != len(live) {
+			t.Fatalf("%s: InFlight %d, want %d", when, q.InFlight(), len(live))
+		}
+	}
+	for i := 0; i < n; i++ {
+		live[q.OpStart()] = true
+		if rng.Intn(64) == 0 {
+			queue()
+		}
+	}
+	check("after the starts")
+	ids := rng.Perm(n)
+	for k, id := range ids {
+		q.OpEnd(uint64(id))
+		delete(live, uint64(id))
+		if k%97 == 0 {
+			if !panics(func() { q.OpEnd(uint64(id)) }) {
+				t.Fatalf("op %d ended twice without a panic", id)
+			}
+			queue()
+		}
+		check("after an end")
+	}
+	if !panics(func() { q.OpEnd(n) }) {
+		t.Fatal("OpEnd of an op never started did not panic")
+	}
+	if !slices.IsSorted(order) || len(order) != len(waits) {
+		t.Fatalf("waits ran in order %v, want all %d in order", order, len(waits))
+	}
+	if len(q.ended) != 0 {
+		t.Fatalf("idle quiescer holds %d flags", len(q.ended))
+	}
+}
+
+// BenchmarkQuiescer is one op's OpStart and the oldest op's OpEnd with 16
+// ops in flight and one wait pending (it requeues itself when it runs).
+//
+//	go test -run '^$' -bench 'WindowTrain|Quiescer' ./internal/transport ./internal/alloc
+func BenchmarkQuiescer(b *testing.B) {
+	const inFlight = 16
+	q := NewQuiescer()
+	var ring [inFlight]uint64
+	for i := range ring {
+		ring[i] = q.OpStart()
+	}
+	var requeue func()
+	requeue = func() { q.AfterQuiesce(requeue) }
+	requeue()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		id := q.OpStart()
+		q.OpEnd(ring[i%inFlight])
+		ring[i%inFlight] = id
+	}
+}
+
 func TestSizeClasses(t *testing.T) {
 	for _, tc := range []struct {
 		min, max uint64

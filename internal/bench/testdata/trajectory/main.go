@@ -1,8 +1,9 @@
 // Command trajectory appends a PR's records to BENCH_trajectory.json from
 // two files of alternating benchmark runs (go run ./benchmark -out), the
-// parent's and the change's: per workload and end-to-end metric of
-// BENCHMARK.json, both medians and quartiles, the pairs (run i against run
-// i) and the pairs the change won. Its commit stays empty, since a file
+// parent's and the change's: per workload and metric, both medians and
+// quartiles, the pairs (run i against run i) and the pairs the change won.
+// The metrics are BENCHMARK.json's end-to-end ones and the per-layer rows
+// the benchmark's -check also judges. Its commit stays empty, since a file
 // cannot hold the hash of the commit that adds it; the next PR fills it
 // in. From the repository root:
 //
@@ -19,6 +20,9 @@ import (
 	"strings"
 )
 
+// judged are the per-layer rows -check judges beside the end-to-end ones.
+var judged = []string{"load.ops_per_s", "load.p50_us", "load.p99_us", "load.cpu_us_per_op"}
+
 type run struct {
 	Workload string             `json:"workload"`
 	Trace    bool               `json:"trace"`
@@ -34,17 +38,20 @@ func main() {
 	if flag.NArg() != 2 || *pr <= 0 || *parent == "" {
 		check(fmt.Errorf("usage: -pr N -parent HASH parent.jsonl change.jsonl"))
 	}
+	type metric struct{ Name, Unit, Better string }
 	var spec struct {
 		Workloads []struct{ Name string }
-		EndToEnd  []struct{ Name, Unit, Better string } `json:"end_to_end"`
+		EndToEnd  []metric `json:"end_to_end"`
+		PerLayer  []metric `json:"per_layer"`
 	}
 	var recs []json.RawMessage
 	check(json.Unmarshal(read("BENCHMARK.json"), &spec))
 	check(json.Unmarshal(read("BENCH_trajectory.json"), &recs))
+	metrics := append(spec.EndToEnd, slices.DeleteFunc(spec.PerLayer, func(m metric) bool { return !slices.Contains(judged, m.Name) })...)
 	base, change := runs(flag.Arg(0)), runs(flag.Arg(1))
 	for _, wl := range spec.Workloads {
 		w := wl.Name
-		for _, m := range spec.EndToEnd {
+		for _, m := range metrics {
 			var p, c []float64
 			won := 0
 			for i := 0; i < min(len(base[w]), len(change[w])); i++ {

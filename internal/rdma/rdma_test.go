@@ -691,3 +691,22 @@ func TestIssueOutsideProcessPanics(t *testing.T) {
 	}
 	v.e.Run()
 }
+
+// A server numbers its connections from 0 in connect order, and a request
+// naming any other id is a programming error: it panics.
+func TestRequestOnUnknownConnectionPanics(t *testing.T) {
+	v := newEnv(t, model.SoftwarePRISM, nil)
+	if second := v.cli.Connect(v.srv); v.conn.id != 0 || second.id != 1 {
+		t.Fatalf("connection ids %d, %d; want 0, 1", v.conn.id, second.id)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "unknown connection 2") {
+			t.Fatalf("recovered %q, want the unknown-connection panic", msg)
+		}
+	}()
+	v.srv.onMessage(fabric.Message{
+		From:    v.cli.node,
+		To:      v.srv.node,
+		Payload: &wire.Request{Conn: 2, Ops: []wire.Op{prism.Read(v.reg.Key, v.reg.Base, 8)}},
+	})
+}

@@ -75,8 +75,7 @@ type Server struct {
 	// flow control (§4.2 mentions the same mechanism for chain buffering).
 	recvCredits int
 
-	conns    map[uint64]*serverConn
-	nextConn uint64
+	conns []*serverConn // by id: connect numbers them from 0
 
 	// baseProc is the fixed NIC+PCIe pipeline latency charged at the
 	// server so that a small hardware verb on a direct link completes in
@@ -160,14 +159,6 @@ const (
 	servedDepth = 64
 )
 
-func (sc *serverConn) markServed(seq uint64) {
-	sc.servedSeq[seq%servedDepth] = seq
-}
-
-func (sc *serverConn) wasServed(seq uint64) bool {
-	return sc.servedSeq[seq%servedDepth] == seq
-}
-
 // NewServer attaches a server NIC with the given deployment model to the
 // network.
 func NewServer(net *fabric.Network, name string, deploy model.Deployment) *Server {
@@ -187,7 +178,6 @@ func newServer(net *fabric.Network, name string, deploy model.Deployment, space 
 		p:        p,
 		node:     node,
 		deploy:   deploy,
-		conns:    make(map[uint64]*serverConn),
 	}
 	s.exec = &prism.Executor{Space: space, FreeLists: s.FreeLists()}
 	if deploy == model.SoftwarePRISM {
@@ -279,8 +269,7 @@ func (s *Server) StageWrites(key memory.RKey, gap time.Duration, writes []transp
 
 // connect registers a new queue pair from the given client node.
 func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, tempKey memory.RKey) {
-	id = s.nextConn
-	s.nextConn++
+	id = uint64(len(s.conns))
 	sc := &serverConn{id: id, client: client, lastOK: true, tempAddr: s.AllocConnTemp()}
 	sc.tempOnNIC = id < OnNICMemoryBytes/ConnTempSize
 	sc.readAlloc = func(n uint64) []byte { return transport.CarveArena(&sc.payload[sc.curSlot], n) }
@@ -292,7 +281,7 @@ func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, temp
 	for i := range sc.servedSeq {
 		sc.servedSeq[i] = ^uint64(0)
 	}
-	s.conns[id] = sc
+	s.conns = append(s.conns, sc)
 	if s.qp != nil {
 		// Connection establishment loads the context, exactly as the
 		// paper's clients pre-connect: while the active set fits the
@@ -353,24 +342,24 @@ func (s *Server) onMessage(m fabric.Message) {
 		// acknowledged, or the client would not have recycled it.
 		return
 	}
-	sc, ok := s.conns[req.Conn]
-	if !ok {
+	if req.Conn >= uint64(len(s.conns)) {
 		panic(fmt.Sprintf("rdma: request on unknown connection %d", req.Conn))
 	}
+	sc := s.conns[req.Conn]
 	// Duplicate (retransmitted) request: replay the cached response, or —
 	// if it has already been served and evicted from the cache (meaning
 	// the client has long since seen the response and moved its window) —
-	// drop it rather than re-execute.
-	for i, seq := range sc.replaySeq {
-		if seq == req.Seq {
-			s.respond(sc, sc.replayResp[i])
-			return
-		}
-	}
-	if sc.wasServed(req.Seq) {
+	// drop it rather than re-execute. Request seq's response is cached in
+	// replay slot seq mod replayDepth.
+	if slot := req.Seq % replayDepth; sc.replaySeq[slot] == req.Seq {
+		s.respond(sc, sc.replayResp[slot])
 		return
 	}
-	sc.markServed(req.Seq)
+	served := &sc.servedSeq[req.Seq%servedDepth]
+	if *served == req.Seq {
+		return
+	}
+	*served = req.Seq
 	s.qpArrival(sc)
 	if sc.busy {
 		sc.backlog = append(sc.backlog, req)

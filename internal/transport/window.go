@@ -6,9 +6,8 @@ import "prism/internal/wire"
 // side: the pooled epoch-stamped request records, the connection-owned
 // op scratch handed out by Ops, and the strict send window that queues
 // requests locally until a slot frees (flow control, as real RC queue
-// pairs bound outstanding work requests). It was extracted verbatim
-// from the simulated client so the sim transport stays byte-identical;
-// the live stream transports reuse it unchanged.
+// pairs bound outstanding work requests), shared by the simulated and
+// the live transports.
 //
 // The type parameter X is per-transport completion state carried on
 // each pooled entry: the sim client stores who the response goes to and a
@@ -17,14 +16,6 @@ import "prism/internal/wire"
 // driven by its cluster's one engine, the live client guards each with
 // its connection mutex.
 type Window[X any] struct {
-	// Depth is the send window: request N is only on the wire when
-	// N-Depth has been acknowledged. The sim transport sets it to the
-	// server's replay-ring depth so (a) the replay ring always covers
-	// every in-flight request and (b) per-connection resources indexed
-	// by seq mod window (temp-buffer slots) are never shared by two live
-	// requests; the stream transports keep the same invariant for the
-	// shared temp buffer.
-	depth uint64
 	// transmit puts one entry on the wire. Called from Drain with the
 	// entry already in pending; the sim hook also arms the retransmit
 	// timer on lossy networks.
@@ -33,7 +24,16 @@ type Window[X any] struct {
 	connID uint64
 	seq    uint64
 
-	pending map[uint64]*Entry[X]
+	// pending is the send window: request seq lives in slot seq mod
+	// len(pending). Requests are queued in seq order, so the queue head
+	// goes out exactly when its slot is empty, i.e. once seq-len(pending)
+	// is acknowledged. The sim transport sizes it to the server's replay
+	// ring, which then covers every in-flight request, and resources
+	// indexed by seq mod window (temp-buffer slots) are never shared by
+	// two live requests; the stream transports keep the same invariant.
+	pending  []*Entry[X]
+	inFlight int
+	sent     uint64 // one past the newest transmitted seq
 	// queue holds requests awaiting a send-window slot. qhead is the pop
 	// cursor: entries before it are drained, and the slice rewinds to
 	// its full capacity once empty, so the steady state appends into
@@ -72,10 +72,9 @@ type Entry[X any] struct {
 // window depth and transmit hook.
 func NewWindow[X any](connID, depth uint64, transmit func(*Entry[X])) *Window[X] {
 	return &Window[X]{
-		depth:    depth,
 		transmit: transmit,
 		connID:   connID,
-		pending:  make(map[uint64]*Entry[X]),
+		pending:  make([]*Entry[X], depth),
 	}
 }
 
@@ -86,17 +85,10 @@ func NewWindow[X any](connID, depth uint64, transmit func(*Entry[X])) *Window[X]
 // request. The slice (including payload/mask fields set into it) must
 // not be retained past the response.
 func (w *Window[X]) Ops(n int) []wire.Op {
-	e := w.prepared
-	if e == nil {
-		if m := len(w.free); m > 0 {
-			e = w.free[m-1]
-			w.free[m-1] = nil
-			w.free = w.free[:m-1]
-		} else {
-			e = &Entry[X]{Req: &wire.Request{}}
-		}
-		w.prepared = e
+	if w.prepared == nil {
+		w.prepared = w.pop()
 	}
+	e := w.prepared
 	ops := e.Req.Ops
 	if !e.opsOwned || cap(ops) < n {
 		ops = make([]wire.Op, n)
@@ -113,29 +105,33 @@ func (w *Window[X]) Ops(n int) []wire.Op {
 
 // Prepare claims an entry for ops and stamps its header: the prepared
 // entry if ops is the scratch the last Ops call handed out, else a
-// pooled entry, else a fresh one. Reused entries bump the request epoch
-// to invalidate in-flight duplicates of the old incarnation. The caller
-// sets up its completion state in the returned entry's X, then hands
-// the entry to Enqueue.
+// pooled entry, else a fresh one. The request epoch is bumped to
+// invalidate in-flight duplicates of a reused entry's old incarnation.
+// The caller sets up its completion state in the returned entry's X,
+// then hands the entry to Enqueue.
 func (w *Window[X]) Prepare(ops []wire.Op) *Entry[X] {
-	var e *Entry[X]
-	if p := w.prepared; p != nil && len(p.Req.Ops) > 0 && &ops[0] == &p.Req.Ops[0] {
-		// The caller filled the scratch handed out by Ops.
-		e = p
-		w.prepared = nil
-		e.Req.Conn, e.Req.Seq, e.Req.Ops = w.connID, w.seq, ops
-		e.Req.Epoch++
-	} else if n := len(w.free); n > 0 {
-		e = w.free[n-1]
-		w.free[n-1] = nil
-		w.free = w.free[:n-1]
-		e.Req.Conn, e.Req.Seq, e.Req.Ops = w.connID, w.seq, ops
-		e.Req.Epoch++
-		e.opsOwned = false
+	e := w.prepared
+	if e != nil && len(e.Req.Ops) > 0 && &ops[0] == &e.Req.Ops[0] {
+		w.prepared = nil // the caller filled the scratch handed out by Ops
 	} else {
-		e = &Entry[X]{Req: &wire.Request{Conn: w.connID, Seq: w.seq, Ops: ops}}
+		e = w.pop()
+		e.opsOwned = false
 	}
+	e.Req.Conn, e.Req.Seq, e.Req.Ops = w.connID, w.seq, ops
+	e.Req.Epoch++
 	w.seq++
+	return e
+}
+
+// pop takes an entry from the pool, or makes one.
+func (w *Window[X]) pop() *Entry[X] {
+	n := len(w.free)
+	if n == 0 {
+		return &Entry[X]{Req: &wire.Request{}}
+	}
+	e := w.free[n-1]
+	w.free[n-1] = nil
+	w.free = w.free[:n-1]
 	return e
 }
 
@@ -146,24 +142,19 @@ func (w *Window[X]) Enqueue(e *Entry[X]) {
 }
 
 // Drain transmits queued requests while the window allows. The window
-// is strict on the sequence range — see Window.depth.
+// is strict on the sequence range — see Window.pending.
 func (w *Window[X]) Drain() {
 	for w.qhead < len(w.queue) {
 		e := w.queue[w.qhead]
-		if len(w.pending) > 0 {
-			min := ^uint64(0)
-			for s := range w.pending {
-				if s < min {
-					min = s
-				}
-			}
-			if e.Req.Seq >= min+w.depth {
-				return
-			}
+		slot := &w.pending[e.Req.Seq%uint64(len(w.pending))]
+		if *slot != nil {
+			return
 		}
 		w.queue[w.qhead] = nil
 		w.qhead++
-		w.pending[e.Req.Seq] = e
+		*slot = e
+		w.inFlight++
+		w.sent = e.Req.Seq + 1
 		w.transmit(e)
 	}
 	// Drained: rewind so future appends reuse the retained storage.
@@ -175,11 +166,13 @@ func (w *Window[X]) Drain() {
 // duplicate response (original + replayed retransmission) and returns
 // nil.
 func (w *Window[X]) Take(seq uint64) *Entry[X] {
-	e, ok := w.pending[seq]
-	if !ok {
+	slot := &w.pending[seq%uint64(len(w.pending))]
+	e := *slot
+	if e == nil || e.Req.Seq != seq {
 		return nil
 	}
-	delete(w.pending, seq)
+	*slot = nil
+	w.inFlight--
 	return e
 }
 
@@ -202,19 +195,24 @@ func (w *Window[X]) Recycle(e *Entry[X]) {
 }
 
 // InFlight returns the number of transmitted, unacknowledged requests.
-func (w *Window[X]) InFlight() int { return len(w.pending) }
+func (w *Window[X]) InFlight() int { return w.inFlight }
 
 // Pooled returns the number of recycled entries available for reuse.
 func (w *Window[X]) Pooled() int { return len(w.free) }
 
-// Drop removes every pending and queued entry, calling visit on each.
-// The live client uses it to fail outstanding requests when the socket
-// dies; the sim transport never drops.
+// Drop removes every pending and queued entry, calling visit on each:
+// the pending ones oldest first, then the queue. The live client uses it
+// to fail outstanding requests when the socket dies; the sim transport
+// never drops.
 func (w *Window[X]) Drop(visit func(*Entry[X])) {
-	for s, e := range w.pending {
-		delete(w.pending, s)
-		visit(e)
+	for i := range w.pending {
+		slot := &w.pending[(w.sent+uint64(i))%uint64(len(w.pending))]
+		if e := *slot; e != nil {
+			*slot = nil
+			visit(e)
+		}
 	}
+	w.inFlight = 0
 	for i := w.qhead; i < len(w.queue); i++ {
 		e := w.queue[i]
 		w.queue[i] = nil
