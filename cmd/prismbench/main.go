@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"prism/internal/bench"
+	"prism/internal/sim"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -124,26 +125,22 @@ func truncate(ladder []int, max int) []int {
 // process's peak resident set so far — what standing the figure's stores
 // up at -keys cost the host.
 func summarize(w io.Writer, fig *bench.Figure, wall float64) {
-	var t bench.Telemetry
+	var t sim.Stats
 	for _, p := range fig.PointTel {
 		t.EventsExecuted += p.EventsExecuted
 		t.Bursts += p.Bursts
 		t.TimerFires += p.TimerFires
 		t.TimerStops += p.TimerStops
 		t.WheelCascades += p.WheelCascades
-		t.QPCacheHits += p.QPCacheHits
-		t.QPCacheMisses += p.QPCacheMisses
-		t.QPCacheEvictions += p.QPCacheEvictions
-		t.ProgramOps += p.ProgramOps
-		t.StepsExecuted += p.StepsExecuted
-		t.RTTsSaved += p.RTTsSaved
-	}
-	if t.Bursts > 0 {
-		t.MeanBurstLen = float64(t.EventsExecuted) / float64(t.Bursts)
+		t.ConnCacheHits += p.ConnCacheHits
+		t.ConnCacheMisses += p.ConnCacheMisses
+		t.ConnCacheEvictions += p.ConnCacheEvictions
+		t.ProgOps += p.ProgOps
+		t.ProgSteps += p.ProgSteps
 	}
 	fmt.Fprintf(w, "prismbench: %s: %d points, events=%d mean-burst=%.2f timer-fires=%d timer-stops=%d cascades=%d qp-hit/miss/evict=%d/%d/%d progs=%d steps=%d rtts-saved=%d wall=%.1fs peak_rss_mb=%d\n",
-		fig.ID, len(fig.PointTel), t.EventsExecuted, t.MeanBurstLen, t.TimerFires, t.TimerStops, t.WheelCascades,
-		t.QPCacheHits, t.QPCacheMisses, t.QPCacheEvictions, t.ProgramOps, t.StepsExecuted, t.RTTsSaved, wall, peakRSSMB())
+		fig.ID, len(fig.PointTel), t.EventsExecuted, t.MeanBurstLen(), t.TimerFires, t.TimerStops, t.WheelCascades,
+		t.ConnCacheHits, t.ConnCacheMisses, t.ConnCacheEvictions, t.ProgOps, t.ProgSteps, t.ProgSteps-t.ProgOps, wall, peakRSSMB())
 }
 
 // peakRSSMB is the process's peak resident set from getrusage, in the MB

@@ -190,82 +190,45 @@ func runJobs(workers int, jobs []func()) []time.Duration {
 	return wall
 }
 
-// Telemetry is one point's scheduler counters, read from the point's
-// engine after it has run. It is read by prismbench -v and benchmark/ and
-// never rendered into the text/CSV figures, whose bytes must stay
-// independent of the host (fig-scale and fig-chase label their points with
-// the QP-cache and program counters, which are virtual-time-deterministic).
+// Telemetry is one point's engine counters (sim.Stats), read from the
+// point's engine after it has run, plus the fields below. It is read by
+// prismbench -v and benchmark/ and never rendered into the text/CSV
+// figures, whose bytes must stay independent of the host (fig-scale and
+// fig-chase label their points with the QP-cache and program counters,
+// which are virtual-time-deterministic).
 type Telemetry struct {
+	sim.Stats
 	// Windows and Barriers are always zero: a point runs on one engine,
 	// with no scheduling windows to synchronize. They stay because the
 	// repository benchmark still reads them.
 	Windows  int64
 	Barriers int64
-	// Burst/wheel counters (see sim.Stats): events fired, drained
-	// instants (EventsExecuted/Bursts is the amortization ratio), fired
-	// events that transited the timer wheel, timers cancelled before
-	// firing, and wheel cascade re-files.
-	EventsExecuted int64
-	Bursts         int64
-	MeanBurstLen   float64
-	TimerFires     int64
-	TimerStops     int64
-	WheelCascades  int64
-	// NIC connection-state cache counters (zero unless the point enabled
-	// the QP model — the fig-scale family does).
-	QPCacheHits      int64
-	QPCacheMisses    int64
-	QPCacheEvictions int64
-	// Verb-program counters (zero unless the point issues CHASE/SCAN —
-	// the fig-chase family does): programs executed on the servers, the
-	// loop iterations they ran, and the round trips they collapsed
-	// (steps - programs: a k-step program replaces k dependent verbs
-	// with one).
-	ProgramOps    int64
-	StepsExecuted int64
-	RTTsSaved     int64
-	// AllocsPerOp and BytesPerOp are the harness-process heap allocation
-	// deltas across the point's drive phase (warmup + measure + drain),
-	// divided by measured operations — the datapath's allocation cost as
-	// seen by the Go runtime. The counters are process-wide, so they are
-	// only attributable when points run serially (-parallel 1); under a
-	// point pool, concurrent points bleed into each other's deltas and
-	// the numbers are upper bounds. Zero for points that run no load
-	// driver (microbenchmarks).
+	// AllocsPerOp is the harness-process heap allocation delta across the
+	// point's drive phase (warmup + measure + drain), divided by measured
+	// operations — the datapath's allocation cost as seen by the Go
+	// runtime. The counter is process-wide, so it is only attributable
+	// when points run serially (-parallel 1); under a point pool,
+	// concurrent points bleed into each other's deltas and the number is
+	// an upper bound. Zero for points that run no load driver
+	// (microbenchmarks).
 	AllocsPerOp float64
-	BytesPerOp  float64
 }
 
-// telemetry snapshots the point's scheduler counters and attributes the
-// heap allocation delta recorded by run to its measured operations. Point
+// telemetry snapshots the point's engine counters and attributes the heap
+// allocation delta recorded by run to its measured operations. Point
 // runners that drive a loadDriver report through this; runners without
-// one use engineTelemetry and leave the allocation fields zero.
+// one use engineTelemetry and leave AllocsPerOp zero.
 func (d *loadDriver) telemetry() Telemetry {
 	tel := engineTelemetry(d.e)
 	if d.ops > 0 {
 		tel.AllocsPerOp = float64(d.deltaMallocs) / float64(d.ops)
-		tel.BytesPerOp = float64(d.deltaBytes) / float64(d.ops)
 	}
 	return tel
 }
 
-// engineTelemetry snapshots e's scheduler counters.
+// engineTelemetry snapshots e's counters.
 func engineTelemetry(e *sim.Engine) Telemetry {
-	st := e.Stats()
-	return Telemetry{
-		EventsExecuted:   st.EventsExecuted,
-		Bursts:           st.Bursts,
-		MeanBurstLen:     st.MeanBurstLen(),
-		TimerFires:       st.TimerFires,
-		TimerStops:       st.TimerStops,
-		WheelCascades:    st.WheelCascades,
-		QPCacheHits:      st.ConnCacheHits,
-		QPCacheMisses:    st.ConnCacheMisses,
-		QPCacheEvictions: st.ConnCacheEvictions,
-		ProgramOps:       st.ProgramOps,
-		StepsExecuted:    st.ProgramSteps,
-		RTTsSaved:        st.ProgramSteps - st.ProgramOps,
-	}
+	return Telemetry{Stats: e.Stats()}
 }
 
 // Point is one measured point of a curve.
@@ -348,10 +311,9 @@ type loadDriver struct {
 	errs    int64
 	lastEnd sim.Time
 	stopped bool // clients issue no further ops
-	// Filled by run: the runtime heap-counter deltas across the drive
-	// phase, for Telemetry's allocation fields.
+	// Filled by run: the runtime's malloc count delta across the drive
+	// phase, for Telemetry.AllocsPerOp.
 	deltaMallocs uint64
-	deltaBytes   uint64
 }
 
 func newLoadDriver(e *sim.Engine, cfg Config) *loadDriver {
@@ -399,7 +361,6 @@ func (d *loadDriver) run(clients int) Point {
 	d.e.Run() // drain in-flight ops; clients observe stopped and exit
 	runtime.ReadMemStats(&msAfter)
 	d.deltaMallocs = msAfter.Mallocs - msBefore.Mallocs
-	d.deltaBytes = msAfter.TotalAlloc - msBefore.TotalAlloc
 	// Throughput from ops completed in the effective measured window
 	// (shorter than Measure when MaxOps stopped the run early).
 	window := d.cfg.Measure

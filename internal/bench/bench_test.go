@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"prism/internal/sim"
 )
 
 // tiny returns a configuration small enough for unit tests.
@@ -391,7 +393,7 @@ func TestSweepShape(t *testing.T) {
 			}
 		}
 		sweep(Config{Parallel: parallel}, fig, series, xs, func(_ Config, si, x int) (Point, Telemetry) {
-			return Point{Clients: 1000*si + x}, Telemetry{EventsExecuted: int64(1000*si + x)}
+			return Point{Clients: 1000*si + x}, Telemetry{Stats: sim.Stats{EventsExecuted: int64(1000*si + x)}}
 		}, label)
 		return fig
 	}

@@ -120,7 +120,7 @@ func FigChase(cfg Config) *Figure {
 	}, func(_, di int, pt Point, tel Telemetry) string {
 		return fmt.Sprintf("depth=%d  mean=%.2fµs  progs=%d steps=%d rtts_saved=%d",
 			cfg.ChaseDepths[di], float64(pt.Mean)/1e3,
-			tel.ProgramOps, tel.StepsExecuted, tel.RTTsSaved)
+			tel.ProgOps, tel.ProgSteps, tel.ProgSteps-tel.ProgOps)
 	})
 	return fig
 }

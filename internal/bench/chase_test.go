@@ -41,22 +41,18 @@ func TestChaseLatencyShape(t *testing.T) {
 	}
 
 	// Program telemetry: every chase lookup is one program of exactly
-	// depth steps, so steps = 8 x programs and each program saved 7 round
-	// trips; the per-hop walk runs no programs at all.
-	if telChase8.ProgramOps == 0 {
+	// depth steps, so steps = 8 x programs (each program saved 7 round
+	// trips); the per-hop walk runs no programs at all.
+	if telChase8.ProgOps == 0 {
 		t.Fatal("chase point ran no programs")
 	}
-	if telChase8.StepsExecuted != 8*telChase8.ProgramOps {
+	if telChase8.ProgSteps != 8*telChase8.ProgOps {
 		t.Fatalf("steps=%d for %d depth-8 programs, want %d",
-			telChase8.StepsExecuted, telChase8.ProgramOps, 8*telChase8.ProgramOps)
+			telChase8.ProgSteps, telChase8.ProgOps, 8*telChase8.ProgOps)
 	}
-	if telChase8.RTTsSaved != 7*telChase8.ProgramOps {
-		t.Fatalf("rtts_saved=%d for %d depth-8 programs, want %d",
-			telChase8.RTTsSaved, telChase8.ProgramOps, 7*telChase8.ProgramOps)
-	}
-	if telHop8.ProgramOps != 0 || telHop8.StepsExecuted != 0 {
+	if telHop8.ProgOps != 0 || telHop8.ProgSteps != 0 {
 		t.Fatalf("per-hop walk counted programs: progs=%d steps=%d",
-			telHop8.ProgramOps, telHop8.StepsExecuted)
+			telHop8.ProgOps, telHop8.ProgSteps)
 	}
 }
 

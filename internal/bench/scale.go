@@ -85,7 +85,7 @@ func FigScale(cfg Config) *Figure {
 	}, func(_, _ int, pt Point, tel Telemetry) string {
 		return fmt.Sprintf("clients=%d  tput=%.0f ops/s  mean=%.2fµs  qp hit/miss/evict=%d/%d/%d",
 			pt.Clients, pt.Throughput, float64(pt.Mean)/1e3,
-			tel.QPCacheHits, tel.QPCacheMisses, tel.QPCacheEvictions)
+			tel.ConnCacheHits, tel.ConnCacheMisses, tel.ConnCacheEvictions)
 	})
 	return fig
 }

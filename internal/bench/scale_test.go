@@ -39,13 +39,13 @@ func TestScaleCliffMovesWithCapacity(t *testing.T) {
 	big.QPCacheEntries = 256
 	ptBig, telBig := scalePoint(sys, big, clients)
 
-	if telBig.QPCacheMisses != 0 || telBig.QPCacheHits == 0 {
+	if telBig.ConnCacheMisses != 0 || telBig.ConnCacheHits == 0 {
 		t.Fatalf("cache above connection count: hits=%d misses=%d, want hits only",
-			telBig.QPCacheHits, telBig.QPCacheMisses)
+			telBig.ConnCacheHits, telBig.ConnCacheMisses)
 	}
-	if telSmall.QPCacheMisses == 0 || telSmall.QPCacheEvictions == 0 {
+	if telSmall.ConnCacheMisses == 0 || telSmall.ConnCacheEvictions == 0 {
 		t.Fatalf("thrashing cache: misses=%d evictions=%d, want both > 0",
-			telSmall.QPCacheMisses, telSmall.QPCacheEvictions)
+			telSmall.ConnCacheMisses, telSmall.ConnCacheEvictions)
 	}
 	// A cliff, not a slope: past it, throughput at least halves.
 	if ptSmall.Throughput >= ptBig.Throughput/2 {

@@ -92,11 +92,11 @@ func TestChainChaseStepAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if v.nic.ProgOps != 1 {
-		t.Fatalf("ProgOps = %d, want 1 (one round trip)", v.nic.ProgOps)
+	if v.e.Stats().ProgOps != 1 {
+		t.Fatalf("ProgOps = %d, want 1 (one round trip)", v.e.Stats().ProgOps)
 	}
-	if v.nic.ProgSteps != opts.Depth {
-		t.Fatalf("ProgSteps = %d, want %d", v.nic.ProgSteps, opts.Depth)
+	if v.e.Stats().ProgSteps != opts.Depth {
+		t.Fatalf("ProgSteps = %d, want %d", v.e.Stats().ProgSteps, opts.Depth)
 	}
 
 	// The per-hop baseline pays one round trip per node.
@@ -110,8 +110,8 @@ func TestChainChaseStepAccounting(t *testing.T) {
 	if c2.Hops != opts.Depth {
 		t.Fatalf("Hops = %d, want %d", c2.Hops, opts.Depth)
 	}
-	if v2.nic.ProgOps != 0 {
-		t.Fatalf("hop walk counted %d programs", v2.nic.ProgOps)
+	if v2.e.Stats().ProgOps != 0 {
+		t.Fatalf("hop walk counted %d programs", v2.e.Stats().ProgOps)
 	}
 }
 
@@ -132,11 +132,11 @@ func TestChainChaseResumesPastStepCap(t *testing.T) {
 			t.Fatal("wrong value after resume")
 		}
 	})
-	if v.nic.ProgOps != 2 {
-		t.Fatalf("ProgOps = %d, want 2 (step-capped + resume)", v.nic.ProgOps)
+	if v.e.Stats().ProgOps != 2 {
+		t.Fatalf("ProgOps = %d, want 2 (step-capped + resume)", v.e.Stats().ProgOps)
 	}
-	if v.nic.ProgSteps != depth {
-		t.Fatalf("ProgSteps = %d, want %d (no revisits)", v.nic.ProgSteps, depth)
+	if v.e.Stats().ProgSteps != depth {
+		t.Fatalf("ProgSteps = %d, want %d (no revisits)", v.e.Stats().ProgSteps, depth)
 	}
 }
 

@@ -92,6 +92,16 @@ type FreeListInfo struct {
 	BufSize uint64
 }
 
+// hasFreeList reports whether id names one of the store's free lists.
+func (m *Meta) hasFreeList(id uint32) bool {
+	for _, fl := range m.FreeLists {
+		if fl.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
 // classFor picks the smallest free list fitting n buffer bytes.
 func (m *Meta) classFor(n uint64) (uint32, error) {
 	for _, fl := range m.FreeLists {

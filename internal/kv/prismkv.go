@@ -105,7 +105,8 @@ func (s *Server) Meta() Meta { return s.meta }
 
 // handleRPC serves the reclamation daemon (§3.2): clients report retired
 // buffers; the server re-registers them with the NIC free list after
-// quiesce.
+// quiesce. A batch naming a free list the store does not have is refused
+// whole with Pilaf's failure reply, [1], and recycles nothing.
 func (s *Server) handleRPC(payload []byte) ([]byte, time.Duration) {
 	if len(payload) == 0 || payload[0] != rpcFree {
 		return nil, 0
@@ -114,6 +115,11 @@ func (s *Server) handleRPC(payload []byte) ([]byte, time.Duration) {
 	// list is recycled in one call.
 	rest := payload[1:]
 	n := len(rest) / 12
+	for r := rest; len(r) >= 12; r = r[12:] {
+		if !s.meta.hasFreeList(binary.LittleEndian.Uint32(r)) {
+			return []byte{1}, 0
+		}
+	}
 	for len(rest) >= 12 {
 		fl := binary.LittleEndian.Uint32(rest)
 		s.retired = s.retired[:0]

@@ -1,110 +1,84 @@
 package rdma
 
+import "prism/internal/sim"
+
 // qpCache models the NIC-side residency of per-connection state (the QP
 // context for hardware deployments, the stack cores' connection working
-// set for software ones): a fixed-capacity LRU over connection ids.
-// touch on a resident id is a hit; touch on a cold id is a miss that
-// evicts the least-recently-used resident when full. The server charges
-// each miss a calibrated fetch penalty and serializes the fetches
+// set for software ones): a fixed-capacity LRU over connections.
+// touch on a resident connection is a hit; touch on a cold one is a miss
+// that evicts the least-recently-used resident when full. The server
+// charges each miss a calibrated fetch penalty and serializes the fetches
 // through a shared context-fetch engine (Server.qpFetch), which is what
 // turns capacity overrun into the Storm-style throughput cliff rather
 // than a mild per-op latency tax.
 //
-// Entries are intrusive list nodes reused across evictions, so the
-// steady thrashing state allocates nothing.
+// The list runs through the connections themselves (serverConn.qpPrev,
+// qpNext, qpResident), so the steady thrashing state allocates nothing.
+// Hits, misses and evictions count into the engine's ConnCache* counters.
 type qpCache struct {
-	cap        int
-	m          map[uint64]*qpEntry
-	head, tail *qpEntry // head = most recently used
-	free       *qpEntry
-
-	hits, misses, evictions int64
+	cap, n     int
+	head, tail *serverConn // head = most recently used
+	st         *sim.Stats
 }
 
-type qpEntry struct {
-	id         uint64
-	prev, next *qpEntry
+func newQPCache(capacity int, st *sim.Stats) *qpCache {
+	return &qpCache{cap: capacity, st: st}
 }
 
-func newQPCache(capacity int) *qpCache {
-	return &qpCache{cap: capacity, m: make(map[uint64]*qpEntry, capacity)}
-}
-
-// touch records a data-path access to conn id and reports whether its
-// state was resident. On a miss the id is brought in, evicting the LRU
-// entry if the cache is full.
-func (c *qpCache) touch(id uint64) bool {
-	if e := c.m[id]; e != nil {
-		c.hits++
-		c.moveToFront(e)
-		return true
+// touch records a data-path access to sc and reports whether its state
+// was resident. On a miss sc is brought in, evicting the LRU connection if
+// the cache is full.
+func (c *qpCache) touch(sc *serverConn) bool {
+	if sc.qpResident {
+		c.st.ConnCacheHits++
+	} else {
+		c.st.ConnCacheMisses++
 	}
-	c.misses++
-	c.insert(id)
-	return false
+	return c.warm(sc)
 }
 
-// warm brings id in without counting a hit or miss — connection setup
-// pre-establishes state just as the paper's clients pre-connect — but
+// warm is touch without counting a hit or miss — connection setup
+// pre-establishes state just as the paper's clients pre-connect — but it
 // still evicts (and counts the eviction) when the cache is full.
-func (c *qpCache) warm(id uint64) {
-	if e := c.m[id]; e != nil {
-		c.moveToFront(e)
-		return
-	}
-	c.insert(id)
-}
-
-func (c *qpCache) insert(id uint64) {
-	var e *qpEntry
-	if len(c.m) >= c.cap {
-		// Evict the LRU tail and reuse its node.
-		e = c.tail
-		c.unlink(e)
-		delete(c.m, e.id)
-		c.evictions++
-	} else if c.free != nil {
-		e = c.free
-		c.free = e.next
-		e.next = nil
+func (c *qpCache) warm(sc *serverConn) (resident bool) {
+	resident = sc.qpResident
+	if resident {
+		c.unlink(sc)
+	} else if c.n < c.cap {
+		c.n++
 	} else {
-		e = &qpEntry{}
+		lru := c.tail
+		c.unlink(lru)
+		lru.qpResident = false
+		c.st.ConnCacheEvictions++
 	}
-	e.id = id
-	c.m[id] = e
-	c.pushFront(e)
+	sc.qpResident = true
+	c.pushFront(sc)
+	return resident
 }
 
-func (c *qpCache) moveToFront(e *qpEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-func (c *qpCache) pushFront(e *qpEntry) {
-	e.prev = nil
-	e.next = c.head
+func (c *qpCache) pushFront(sc *serverConn) {
+	sc.qpPrev = nil
+	sc.qpNext = c.head
 	if c.head != nil {
-		c.head.prev = e
+		c.head.qpPrev = sc
 	}
-	c.head = e
+	c.head = sc
 	if c.tail == nil {
-		c.tail = e
+		c.tail = sc
 	}
 }
 
-func (c *qpCache) unlink(e *qpEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (c *qpCache) unlink(sc *serverConn) {
+	if sc.qpPrev != nil {
+		sc.qpPrev.qpNext = sc.qpNext
 	} else {
-		c.head = e.next
+		c.head = sc.qpNext
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if sc.qpNext != nil {
+		sc.qpNext.qpPrev = sc.qpPrev
 	} else {
-		c.tail = e.prev
+		c.tail = sc.qpPrev
 	}
-	e.prev, e.next = nil, nil
+	sc.qpPrev, sc.qpNext = nil, nil
 }

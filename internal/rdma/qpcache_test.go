@@ -1,6 +1,8 @@
 package rdma
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,37 +13,126 @@ import (
 	"prism/internal/wire"
 )
 
+// qpConns returns n server connections numbered from 0, for driving a
+// qpCache directly.
+func qpConns(n int) []*serverConn {
+	conns := make([]*serverConn, n)
+	for i := range conns {
+		conns[i] = &serverConn{id: uint64(i)}
+	}
+	return conns
+}
+
 // TestQPCacheLRU: unit-level check of the LRU — hits refresh recency,
 // misses evict the least recently used entry, warm counts neither.
 func TestQPCacheLRU(t *testing.T) {
-	c := newQPCache(2)
-	c.warm(1)
-	c.warm(2)
-	if c.hits != 0 || c.misses != 0 || c.evictions != 0 {
-		t.Fatalf("warm counted: %d/%d/%d", c.hits, c.misses, c.evictions)
+	var st sim.Stats
+	c := newQPCache(2, &st)
+	sc := qpConns(10)
+	c.warm(sc[1])
+	c.warm(sc[2])
+	if st.ConnCacheHits != 0 || st.ConnCacheMisses != 0 || st.ConnCacheEvictions != 0 {
+		t.Fatalf("warm counted: %d/%d/%d", st.ConnCacheHits, st.ConnCacheMisses, st.ConnCacheEvictions)
 	}
-	if !c.touch(1) { // hit; order now [1, 2]
+	if !c.touch(sc[1]) { // hit; order now [1, 2]
 		t.Fatal("warmed conn 1 not resident")
 	}
-	if c.touch(3) { // miss; evicts 2
+	if c.touch(sc[3]) { // miss; evicts 2
 		t.Fatal("conn 3 hit before first touch")
 	}
-	if c.evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", c.evictions)
+	if st.ConnCacheEvictions != 1 {
+		t.Fatalf("evictions = %d, want 1", st.ConnCacheEvictions)
 	}
-	if c.touch(2) { // 2 was evicted
+	if c.touch(sc[2]) { // 2 was evicted
 		t.Fatal("evicted conn 2 still resident")
 	}
-	if !c.touch(3) || !c.touch(2) {
+	if !c.touch(sc[3]) || !c.touch(sc[2]) {
 		t.Fatal("recent entries not resident")
 	}
-	if c.hits != 3 || c.misses != 2 {
-		t.Fatalf("hits=%d misses=%d, want 3/2", c.hits, c.misses)
+	if st.ConnCacheHits != 3 || st.ConnCacheMisses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 3/2", st.ConnCacheHits, st.ConnCacheMisses)
 	}
 	// warm over capacity also evicts.
-	c.warm(9)
-	if c.evictions != 3 { // touch(2)'s miss evicted too
-		t.Fatalf("evictions = %d, want 3", c.evictions)
+	c.warm(sc[9])
+	if st.ConnCacheEvictions != 3 { // touch(2)'s miss evicted too
+		t.Fatalf("evictions = %d, want 3", st.ConnCacheEvictions)
+	}
+}
+
+// lruModel is the reference rule for qpCache: a slice of connection ids,
+// most recently used first, searched on every access.
+type lruModel struct {
+	cap                     int
+	ids                     []uint64
+	hits, misses, evictions int64
+}
+
+// access is touch (count) or warm (!count): it reports whether id was
+// resident and moves it to the front, evicting the last id when full.
+func (m *lruModel) access(id uint64, count bool) bool {
+	for i, r := range m.ids {
+		if r == id {
+			if count {
+				m.hits++
+			}
+			copy(m.ids[1:i+1], m.ids[:i])
+			m.ids[0] = id
+			return true
+		}
+	}
+	if count {
+		m.misses++
+	}
+	if len(m.ids) >= m.cap {
+		m.ids = m.ids[:len(m.ids)-1]
+		m.evictions++
+	}
+	m.ids = append([]uint64{id}, m.ids...)
+	return false
+}
+
+// TestQPCacheMatchesReference: seeded random warm/touch sequences over up
+// to twice the capacity in connections leave the list through the
+// connections where the slice model is — same touch results, residency,
+// recency order and hit/miss/eviction counts after every step.
+func TestQPCacheMatchesReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 8, 64} {
+		for seed := int64(1); seed <= 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var st sim.Stats
+			c := newQPCache(capacity, &st)
+			m := &lruModel{cap: capacity}
+			conns := qpConns(1 + rng.Intn(2*capacity))
+			for step := 0; step < 2000; step++ {
+				sc := conns[rng.Intn(len(conns))]
+				if rng.Intn(4) == 0 {
+					c.warm(sc)
+					m.access(sc.id, false)
+				} else if got, want := c.touch(sc), m.access(sc.id, true); got != want {
+					t.Fatalf("cap=%d seed=%d step %d: touch(%d) = %v, model %v", capacity, seed, step, sc.id, got, want)
+				}
+				var order []uint64
+				for r := c.head; r != nil; r = r.qpNext {
+					order = append(order, r.id)
+				}
+				if fmt.Sprint(order) != fmt.Sprint(m.ids) {
+					t.Fatalf("cap=%d seed=%d step %d: list %v, model %v", capacity, seed, step, order, m.ids)
+				}
+				resident := 0
+				for _, r := range conns {
+					if r.qpResident {
+						resident++
+					}
+				}
+				if resident != len(m.ids) {
+					t.Fatalf("cap=%d seed=%d step %d: %d connections resident, model %d", capacity, seed, step, resident, len(m.ids))
+				}
+				if st.ConnCacheHits != m.hits || st.ConnCacheMisses != m.misses || st.ConnCacheEvictions != m.evictions {
+					t.Fatalf("cap=%d seed=%d step %d: hit/miss/evict %d/%d/%d, model %d/%d/%d", capacity, seed, step,
+						st.ConnCacheHits, st.ConnCacheMisses, st.ConnCacheEvictions, m.hits, m.misses, m.evictions)
+				}
+			}
+		}
 	}
 }
 
@@ -90,8 +181,8 @@ func qpWorkload(t *testing.T, nConns, nRounds int, mut func(*model.Params)) (tim
 // within-capacity workloads are bit-identical to the disabled model).
 func TestQPCacheDisabledByDefault(t *testing.T) {
 	off, srv := qpWorkload(t, 8, 4, nil)
-	if h, m, ev := srv.QPCacheCounters(); h != 0 || m != 0 || ev != 0 {
-		t.Fatalf("counters moved with model disabled: %d/%d/%d", h, m, ev)
+	if st := srv.e.Stats(); st.ConnCacheHits != 0 || st.ConnCacheMisses != 0 || st.ConnCacheEvictions != 0 {
+		t.Fatalf("counters moved with model disabled: %d/%d/%d", st.ConnCacheHits, st.ConnCacheMisses, st.ConnCacheEvictions)
 	}
 	fits, srv2 := qpWorkload(t, 8, 4, func(p *model.Params) {
 		p.HWQPCacheEntries = 16
@@ -100,7 +191,7 @@ func TestQPCacheDisabledByDefault(t *testing.T) {
 	if fits != off {
 		t.Fatalf("within-capacity run took %v, disabled-model run %v; want identical", fits, off)
 	}
-	if _, m, _ := srv2.QPCacheCounters(); m != 0 {
+	if m := srv2.e.Stats().ConnCacheMisses; m != 0 {
 		t.Fatalf("within-capacity workload missed %d times", m)
 	}
 }
@@ -109,7 +200,7 @@ func TestQPCacheDisabledByDefault(t *testing.T) {
 // entries, the strict round-robin is the worst case — every touch
 // misses, every request pays the fetch penalty, and the run is
 // measurably slower than within capacity. The counters surface through
-// the server and through the engine's Stats.
+// the engine's Stats.
 func TestQPCacheThrashSlowsRoundRobin(t *testing.T) {
 	const conns, rounds = 8, 8
 	fits, _ := qpWorkload(t, conns, rounds, func(p *model.Params) {
@@ -120,7 +211,8 @@ func TestQPCacheThrashSlowsRoundRobin(t *testing.T) {
 		p.HWQPCacheEntries = conns / 2
 		p.HWQPMissPenalty = p.PCIeRTT
 	})
-	h, m, ev := srv.QPCacheCounters()
+	ws := srv.e.Stats()
+	h, m, ev := ws.ConnCacheHits, ws.ConnCacheMisses, ws.ConnCacheEvictions
 	if m == 0 || ev == 0 {
 		t.Fatalf("thrashing run: hits=%d misses=%d evictions=%d; want misses and evictions", h, m, ev)
 	}
@@ -132,11 +224,6 @@ func TestQPCacheThrashSlowsRoundRobin(t *testing.T) {
 	minExtra := time.Duration(conns*rounds) * model.Default().PCIeRTT
 	if thrash < fits+minExtra {
 		t.Fatalf("thrash run %v not slower than fitting run %v by >= %v", thrash, fits, minExtra)
-	}
-	ws := srv.e.Stats()
-	if ws.ConnCacheMisses != m || ws.ConnCacheHits != h || ws.ConnCacheEvictions != ev {
-		t.Fatalf("engine Stats counters %d/%d/%d != server counters %d/%d/%d",
-			ws.ConnCacheHits, ws.ConnCacheMisses, ws.ConnCacheEvictions, h, m, ev)
 	}
 }
 

@@ -88,11 +88,6 @@ type Server struct {
 	// RespReused counts responses recycled from the replay ring rather
 	// than allocated (transport-arena effectiveness, also under loss).
 	RespReused int64
-	// ProgOps counts executed verb programs (CHASE/SCAN) and ProgSteps
-	// their loop iterations; ProgSteps-ProgOps is the round trips the
-	// programs saved over the per-hop client loop (DESIGN.md §14).
-	ProgOps   int64
-	ProgSteps int64
 }
 
 type serverConn struct {
@@ -149,6 +144,10 @@ type serverConn struct {
 	// than via a separate scheduled hop — keeps per-connection FIFO
 	// intact: busy is set synchronously at arrival.
 	qpDebt time.Duration
+	// The QP cache's LRU list runs through the connections: qpResident
+	// says whether this one is on it, qpPrev/qpNext link it there.
+	qpPrev, qpNext *serverConn
+	qpResident     bool
 }
 
 // replayDepth bounds both the response cache and the client send window;
@@ -186,19 +185,10 @@ func newServer(net *fabric.Network, name string, deploy model.Deployment, space 
 	s.rpcCores = sim.NewMultiResource(e, p.RPCCores)
 	s.recvCredits = defaultRecvCredits
 	if entries, miss := p.QPCacheFor(deploy); entries > 0 {
-		s.qp = newQPCache(entries)
+		s.qp = newQPCache(entries, e.Counters())
 		s.qpMiss = miss
 		s.qpFetch = sim.NewResource(e)
-		e.OnStats(func(ws *sim.Stats) {
-			ws.ConnCacheHits += s.qp.hits
-			ws.ConnCacheMisses += s.qp.misses
-			ws.ConnCacheEvictions += s.qp.evictions
-		})
 	}
-	e.OnStats(func(ws *sim.Stats) {
-		ws.ProgramOps += s.ProgOps
-		ws.ProgramSteps += s.ProgSteps
-	})
 	// Serialization of a canonical small request+response is charged by
 	// the fabric; subtract it so small-op direct-link RTT ≈ RDMABaseRTT.
 	s.baseProc = p.RDMABaseRTT - 4*p.SerializationDelay(64)
@@ -286,25 +276,16 @@ func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, temp
 		// Connection establishment loads the context, exactly as the
 		// paper's clients pre-connect: while the active set fits the
 		// cache, the model charges nothing and figures are bit-unchanged.
-		s.qp.warm(id)
+		s.qp.warm(sc)
 	}
 	return id, sc.tempAddr, s.TempKey()
-}
-
-// QPCacheCounters reports the connection-state cache's hit/miss/eviction
-// counts (all zero when the model is disabled for this deployment).
-func (s *Server) QPCacheCounters() (hits, misses, evictions int64) {
-	if s.qp == nil {
-		return 0, 0, 0
-	}
-	return s.qp.hits, s.qp.misses, s.qp.evictions
 }
 
 // qpArrival records the request-side context access for conn sc: on a
 // miss the fetch cost — service plus queueing on the shared fetch engine
 // — accrues to the connection's debt, charged at the next request start.
 func (s *Server) qpArrival(sc *serverConn) {
-	if s.qp == nil || s.qp.touch(sc.id) {
+	if s.qp == nil || s.qp.touch(sc) {
 		return
 	}
 	done := s.qpFetch.Submit(s.qpMiss, nil)
@@ -315,7 +296,7 @@ func (s *Server) qpArrival(sc *serverConn) {
 // context resident again, and under heavy interleaving it may have been
 // evicted since the request arrived.
 func (s *Server) qpTx(sc *serverConn) time.Duration {
-	if s.qp == nil || s.qp.touch(sc.id) {
+	if s.qp == nil || s.qp.touch(sc) {
 		return 0
 	}
 	done := s.qpFetch.Submit(s.qpMiss, nil)
@@ -493,8 +474,9 @@ func (s *Server) chainStep(sc *serverConn) {
 		}
 		delay := s.opExtra(sc, op, sc.opMeta)
 		if sc.opMeta.Steps > 0 {
-			s.ProgOps++
-			s.ProgSteps += int64(sc.opMeta.Steps)
+			st := s.e.Counters()
+			st.ProgOps++
+			st.ProgSteps += int64(sc.opMeta.Steps)
 			if s.deploy == model.SoftwarePRISM && sc.opMeta.Steps > 1 {
 				// serveVerbs charged this op one per-op core quantum; the
 				// program's remaining iterations occupy the dedicated core

@@ -112,9 +112,10 @@ func (b *burst) reset() {
 // unlinks), and WheelCascades the events re-filed to a finer wheel level
 // when the clock crossed a coarse slot boundary.
 //
-// The ConnCache* counters are contributed by OnStats hooks from the NIC
-// connection-state model (QP context cache hits/misses/evictions in
-// internal/rdma); they are zero when the model is disabled.
+// The layers running on the engine add the rest through Counters: the
+// simulated NIC (internal/rdma) its connection-state model's QP context
+// cache hits/misses/evictions (zero when the model is disabled) and its
+// verb-program counts.
 type Stats struct {
 	EventsExecuted int64
 	Bursts         int64
@@ -126,11 +127,11 @@ type Stats struct {
 	ConnCacheMisses    int64
 	ConnCacheEvictions int64
 
-	// Verb-program counters, contributed by the simulated NIC's OnStats
-	// hook: programs executed (CHASE/SCAN ops) and their loop iterations.
-	// ProgramSteps-ProgramOps is the round trips the programs collapsed.
-	ProgramOps   int64
-	ProgramSteps int64
+	// Verb programs executed (CHASE/SCAN ops) and their loop iterations,
+	// under the live server's names. ProgSteps-ProgOps is the round trips
+	// the programs collapsed.
+	ProgOps   int64
+	ProgSteps int64
 }
 
 // MeanBurstLen returns the mean number of events executed per drained
@@ -173,14 +174,9 @@ type Engine struct {
 	// event; Resume sets it around the switch (see Running).
 	current *Proc
 
-	// statsHooks let higher layers (the rdma NIC model) contribute
-	// counters to Stats() snapshots without sim importing them.
-	statsHooks []func(*Stats)
-
-	statEvents int64 // events fired
-	statBursts int64 // instants drained
-	statFires  int64 // fired events that transited the wheel
-	statStops  int64 // timers cancelled before firing
+	// stats holds every counter but WheelCascades, which the wheel keeps;
+	// higher layers add theirs through Counters.
+	stats Stats
 }
 
 // NewEngine returns an engine with its virtual clock at zero and an RNG
@@ -207,28 +203,17 @@ func (e *Engine) Rand() *rand.Rand {
 	return e.rng
 }
 
-// Stats returns a snapshot of the scheduler telemetry counters, with every
-// OnStats hook's contribution. Call it between runs.
+// Stats returns a snapshot of the engine's counters. Call it between runs.
 func (e *Engine) Stats() Stats {
-	s := Stats{
-		EventsExecuted: e.statEvents,
-		Bursts:         e.statBursts,
-		TimerFires:     e.statFires,
-		TimerStops:     e.statStops,
-		WheelCascades:  e.wheel.cascades,
-	}
-	for _, fn := range e.statsHooks {
-		fn(&s)
-	}
+	s := e.stats
+	s.WheelCascades = e.wheel.cascades
 	return s
 }
 
-// OnStats registers fn to contribute counters to every Stats() snapshot
-// (the rdma layer adds its NIC connection-cache counters this way). Hooks
-// run on the snapshot copy, in registration order.
-func (e *Engine) OnStats(fn func(*Stats)) {
-	e.statsHooks = append(e.statsHooks, fn)
-}
+// Counters returns the engine's counters for the layers running on it to
+// add to (the rdma layer adds its NIC connection-cache and verb-program
+// counts). Like the engine, it is not safe for concurrent use.
+func (e *Engine) Counters() *Stats { return &e.stats }
 
 // Schedule runs fn after d has elapsed on the engine's clock. A negative
 // d is treated as zero. The returned Timer can cancel the event.
@@ -323,7 +308,7 @@ func (t Timer) Stop() bool {
 	case evWheel, evOverflow:
 		e.wheel.remove(ev)
 		e.pendingN--
-		e.statStops++
+		e.stats.TimerStops++
 		e.recycle(ev)
 		return true
 	case evBurst:
@@ -332,7 +317,7 @@ func (t Timer) Stop() bool {
 		ev.fn = nil
 		ev.state = evIdle
 		e.pendingN--
-		e.statStops++
+		e.stats.TimerStops++
 		return true
 	}
 	return false
@@ -393,7 +378,7 @@ func (e *Engine) RunUntil(deadline Time) {
 				continue
 			}
 			if ev.fromWheel {
-				e.statFires++
+				e.stats.TimerFires++
 			}
 			fn := ev.fn
 			e.recycle(ev) // before fn: events scheduled inside fn reuse it
@@ -403,8 +388,8 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.inBurst = false
 		b.reset()
-		e.statEvents += int64(executed)
-		e.statBursts++
+		e.stats.EventsExecuted += int64(executed)
+		e.stats.Bursts++
 	}
 	if deadline != Never && e.now < deadline {
 		e.now = deadline

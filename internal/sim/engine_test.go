@@ -215,7 +215,7 @@ func (q *quorum) wait(p *Proc, k int) []int {
 
 // An answer already in when the wait starts returns at once, inside the
 // process's own event: nothing else runs in between.
-func TestFutureWaitAlreadyComplete(t *testing.T) {
+func TestNoParkWhenAnswered(t *testing.T) {
 	e := NewEngine(1)
 	var q quorum
 	q.answer(99)
@@ -233,7 +233,7 @@ func TestFutureWaitAlreadyComplete(t *testing.T) {
 
 // A quorum of k of n resumes the waiter at the k-th completion's instant,
 // inside its event, with the first k answers in completion order.
-func TestWaitQuorum(t *testing.T) {
+func TestResumeInsideKthAnswer(t *testing.T) {
 	e := NewEngine(1)
 	var q quorum
 	var got []int
@@ -268,7 +268,7 @@ func TestWaitQuorum(t *testing.T) {
 
 // A quorum already satisfied when the wait starts returns the first k
 // answers without parking.
-func TestWaitQuorumAlreadySatisfied(t *testing.T) {
+func TestNoParkWhenQuorumIn(t *testing.T) {
 	e := NewEngine(1)
 	var q quorum
 	q.answer(1)
@@ -282,7 +282,7 @@ func TestWaitQuorumAlreadySatisfied(t *testing.T) {
 }
 
 // Waiting for all n answers resumes at the last one.
-func TestWaitGroup(t *testing.T) {
+func TestResumeAtLastAnswer(t *testing.T) {
 	e := NewEngine(1)
 	var q quorum
 	var at Time
@@ -301,7 +301,7 @@ func TestWaitGroup(t *testing.T) {
 
 // Processes resumed one after another from one event run in that order,
 // each to its next park before the following Resume returns.
-func TestFutureOnCompleteOrder(t *testing.T) {
+func TestParkResumeOrder(t *testing.T) {
 	e := NewEngine(1)
 	procs := make([]*Proc, 5)
 	var order []int
@@ -327,7 +327,7 @@ func TestFutureOnCompleteOrder(t *testing.T) {
 }
 
 // A quorum of zero returns nothing, at once.
-func TestWaitQuorumZero(t *testing.T) {
+func TestZeroQuorumReturnsAtOnce(t *testing.T) {
 	e := NewEngine(1)
 	var q quorum
 	got := []int{-1}
@@ -629,17 +629,28 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestOnStatsHooks: registered hooks contribute to every snapshot.
-func TestOnStatsHooks(t *testing.T) {
+// TestCountersReachStats: what a layer adds through Counters shows in
+// every later snapshot, beside the scheduler's own counts, and a snapshot
+// is a copy.
+func TestCountersReachStats(t *testing.T) {
 	e := NewEngine(1)
-	e.OnStats(func(s *Stats) {
-		s.ConnCacheHits += 10
-		s.ConnCacheMisses += 3
-		s.ConnCacheEvictions += 1
+	e.Schedule(time.Microsecond, func() {
+		c := e.Counters()
+		c.ConnCacheHits += 10
+		c.ConnCacheMisses += 3
+		c.ConnCacheEvictions++
+		c.ProgOps += 2
+		c.ProgSteps += 16
 	})
+	e.Run()
 	st := e.Stats()
-	if st.ConnCacheHits != 10 || st.ConnCacheMisses != 3 || st.ConnCacheEvictions != 1 {
-		t.Fatalf("stats hooks not applied: %+v", st)
+	if st.ConnCacheHits != 10 || st.ConnCacheMisses != 3 || st.ConnCacheEvictions != 1 ||
+		st.ProgOps != 2 || st.ProgSteps != 16 || st.EventsExecuted != 1 {
+		t.Fatalf("stats %+v, want the added counters and 1 event", st)
+	}
+	st.ProgOps = 0
+	if e.Stats().ProgOps != 2 {
+		t.Fatal("writing a snapshot reached the engine")
 	}
 }
 
