@@ -47,8 +47,8 @@ race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
 		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism \
 		./internal/tx ./internal/abd
-	cd internal/bench && $(GO) test -race -run '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
-	cd internal/bench && $(GO) test -race -skip '^(TestAffinityGroupingMatchesUngrouped|TestDomainParallelMatchesSerial|TestFiguresGolden)$$'
+	cd internal/bench && $(GO) test -race -run '^TestFiguresGolden$$'
+	cd internal/bench && $(GO) test -race -skip '^TestFiguresGolden$$'
 	$(GO) test -race ./internal/workload ./internal/wire ./cmd/prismtrace ./cmd/prismkv ./cmd/prismload \
 		./cmd/prismd ./internal/integration
 

@@ -67,30 +67,35 @@ func renderSweep(name string, pooled bool) string {
 	return sweepCSV[key]
 }
 
-// TestAffinityGroupingMatchesUngrouped: every sweep figure (the registry
-// minus fig-scale and fig-chase, which have their own ladders), rendered
-// serially at tinyD, has its recorded hash (testdata/figures_per_machine.sha256,
-// recorded with one event domain per client machine). Every machine of a
-// point shares one engine and delivery order is (time, source node, send
-// sequence), so how machines were once grouped stays invisible.
-func TestAffinityGroupingMatchesUngrouped(t *testing.T) {
+// TestFiguresGolden pins every figure's bytes to its recorded hash:
+//
+//   - serial/<fig>: every sweep figure (the registry minus fig-scale and
+//     fig-chase, which have their own ladders), rendered serially at
+//     tinyD, has its recorded hash (testdata/figures_per_machine.sha256,
+//     recorded with one event domain per client machine). Every machine
+//     of a point shares one engine and delivery order is (time, source
+//     node, send sequence), so how machines were once grouped stays
+//     invisible;
+//   - pooled/<fig>: every sweep figure renders its recorded hash with its
+//     points on a worker pool too. Intra, set beside the pool, is unread
+//     and must not move a byte either. On a mismatch the serial render is
+//     shown beside the pooled one;
+//   - fig4 with a 500 ns rack split, serially and pooled, to its recorded
+//     hash — and unlike flat fig4, since the split is physics;
+//   - the `all` set — the registry's `all` members in registry order, the
+//     entries `prismbench all` renders — from the pooled renders above;
+//   - fig-scale and fig-chase at their test configs.
+func TestFiguresGolden(t *testing.T) {
 	for _, figure := range sweepFigures() {
-		t.Run(figure.Name, func(t *testing.T) {
+		t.Run("serial/"+figure.Name, func(t *testing.T) {
 			csv := renderSweep(figure.Name, false)
 			if got, want := csvHash(csv), recordedHash(t, perFigureHashes, figure.Name); got != want {
 				t.Fatalf("%s CSV hash = %s, want %s:\n%s", figure.Name, got, want, csv)
 			}
 		})
 	}
-}
-
-// TestDomainParallelMatchesSerial: every sweep figure renders its recorded
-// hash with its points on a worker pool too. Intra, set beside the pool,
-// is unread and must not move a byte either. On a mismatch the serial
-// render is shown beside the pooled one.
-func TestDomainParallelMatchesSerial(t *testing.T) {
 	for _, figure := range sweepFigures() {
-		t.Run(figure.Name, func(t *testing.T) {
+		t.Run("pooled/"+figure.Name, func(t *testing.T) {
 			pooled := renderSweep(figure.Name, true)
 			if csvHash(pooled) != recordedHash(t, perFigureHashes, figure.Name) {
 				t.Fatalf("parallel=4 output differs from the recorded serial hash:\n--- serial ---\n%s--- parallel=4 ---\n%s",
@@ -98,16 +103,6 @@ func TestDomainParallelMatchesSerial(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestFiguresGolden pins the bytes no test above pins:
-//
-//   - fig4 with a 500 ns rack split, serially and pooled, to its recorded
-//     hash — and unlike flat fig4, since the split is physics;
-//   - the `all` set — the registry's `all` members in registry order, the
-//     entries `prismbench all` renders — from the pooled renders above;
-//   - fig-scale and fig-chase at their test configs.
-func TestFiguresGolden(t *testing.T) {
 	t.Run("fig4-crossrack", func(t *testing.T) {
 		cfg := tinyD()
 		cfg.CrossRack = 500 * time.Nanosecond

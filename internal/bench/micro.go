@@ -73,13 +73,14 @@ func Fig1(cfg Config) *Figure {
 	sweep(cfg, fig, series, []int{0, 1, 2, 3, 4}, func(_ Config, di, opIdx int) (Point, Telemetry) {
 		env := newMicroEnv(deployments[di], model.Default().WithNetwork(model.Direct),
 			PointSeed(cfg.Seed, "fig1", series[di], opNames[opIdx]))
-		var lat time.Duration // stays 0 where a stock RDMA NIC cannot express the op
-		if microOpSupported(deployments[di], opIdx) {
-			lat = env.runOp(opIdx)
+		issue := func(i int) []wire.Op { return fig1Op(env.reg.Key, env.reg.Base, opIdx, i) }
+		var lat time.Duration // stays 0 where the deployment does not execute the op
+		if model.Executes(deployments[di], issue(0)) {
+			lat = env.measure(issue)
 		}
 		return latencyPoint(lat), engineTelemetry(env.e)
 	}, func(di, opIdx int, _ Point, _ Telemetry) string {
-		if !microOpSupported(deployments[di], opIdx) {
+		if !model.Executes(deployments[di], fig1Op(0, 0, opIdx, 0)) {
 			return opNames[opIdx] + " (unsupported)"
 		}
 		return opNames[opIdx]
@@ -123,36 +124,25 @@ func newMicroEnv(d model.Deployment, p model.Params, seed int64) *microEnv {
 	return env
 }
 
-// microOpSupported reports whether deployment d can express Fig. 1 op
-// opIdx: a stock RDMA NIC has only READ and WRITE.
-func microOpSupported(d model.Deployment, opIdx int) bool {
-	return d != model.HardwareRDMA || opIdx < 2
-}
-
-// runOp measures one of the five Fig. 1 ops.
-func (env *microEnv) runOp(opIdx int) time.Duration {
-	reg := env.reg
-	key := reg.Key
-	var casTag uint64 = 1
-	return env.measure(func(i int) []wire.Op {
-		switch opIdx {
-		case 0: // Read
-			return []wire.Op{prism.Read(key, reg.Base+4096, microValue)}
-		case 1: // Write
-			return []wire.Op{prism.Write(key, reg.Base+4096, make([]byte, microValue))}
-		case 2: // Indirect Read
-			return []wire.Op{prism.ReadIndirect(key, reg.Base, microValue)}
-		case 3: // Allocate
-			return []wire.Op{prism.Allocate(1, make([]byte, microValue))}
-		default: // Enhanced CAS: GT on the tag, swap tag+addr (16 B masked)
-			casTag++
-			data := make([]byte, 16)
-			prism.PutBE64(data, 0, casTag)
-			prism.PutLE64(data, 8, uint64(reg.Base+4096))
-			return []wire.Op{prism.CAS(key, reg.Base+64, wire.CASGt, data,
-				prism.FieldMask(16, 0, 8), prism.FullMask(16))}
-		}
-	})
+// fig1Op is the ith issue of Fig. 1 op opIdx against a micro env's region
+// at base under key.
+func fig1Op(key memory.RKey, base memory.Addr, opIdx, i int) []wire.Op {
+	switch opIdx {
+	case 0: // Read
+		return []wire.Op{prism.Read(key, base+4096, microValue)}
+	case 1: // Write
+		return []wire.Op{prism.Write(key, base+4096, make([]byte, microValue))}
+	case 2: // Indirect Read
+		return []wire.Op{prism.ReadIndirect(key, base, microValue)}
+	case 3: // Allocate
+		return []wire.Op{prism.Allocate(1, make([]byte, microValue))}
+	default: // Enhanced CAS: GT on the tag, swap tag+addr (16 B masked)
+		data := make([]byte, 16)
+		prism.PutBE64(data, 0, uint64(i)+2) // above the cell's tag 1, rising
+		prism.PutLE64(data, 8, uint64(base+4096))
+		return []wire.Op{prism.CAS(key, base+64, wire.CASGt, data,
+			prism.FieldMask(16, 0, 8), prism.FullMask(16))}
+	}
 }
 
 // read, twoReads and indirectRead are the three ways to fetch the 512 B

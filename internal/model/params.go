@@ -1,7 +1,10 @@
 // Package model holds the calibrated cost parameters for the simulated
 // RDMA fabric and the four PRISM deployment options the paper evaluates
 // (§4.3): hardware RDMA verbs, the software PRISM stack on dedicated host
-// cores, a projected ASIC PRISM NIC, and a BlueField smart-NIC port.
+// cores, a projected ASIC PRISM NIC, and a BlueField smart-NIC port —
+// and, in deploy.go, every decision a deployment makes about an op: whether
+// it executes it at all, and what it charges for it. The simulated NIC
+// (package rdma) queues and schedules what those functions price.
 //
 // Every constant is annotated with the paper measurement it was calibrated
 // against. Absolute values are only meaningful relative to each other; the
@@ -283,33 +286,4 @@ func (p Params) QPCacheFor(d Deployment) (entries int, miss time.Duration) {
 func (p Params) SerializationDelay(n int) time.Duration {
 	bits := int64(n+p.FrameOverheadBytes) * 8
 	return time.Duration(bits * int64(time.Second) / p.LinkBandwidthBps)
-}
-
-// OpClass buckets operations for deployment cost lookup.
-type OpClass int
-
-// Operation classes used for deployment cost lookup.
-const (
-	OpRead OpClass = iota
-	OpWrite
-	OpAllocate
-	OpCAS
-	OpProgram // bounded server-side verb program (CHASE/SCAN, DESIGN.md §14)
-)
-
-// SoftExtraFor returns the per-op increment the software stack adds on top
-// of SoftBaseOverhead for one op of class c.
-func (p Params) SoftExtraFor(c OpClass) time.Duration {
-	switch c {
-	case OpRead:
-		return p.SoftReadExtra
-	case OpWrite:
-		return p.SoftWriteExtra
-	case OpAllocate:
-		return p.SoftAllocExtra
-	case OpProgram:
-		return p.SoftProgExtra
-	default:
-		return p.SoftCASExtra
-	}
 }

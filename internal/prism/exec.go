@@ -3,7 +3,7 @@
 // allocation, the enhanced masked/arithmetic compare-and-swap, and the
 // chaining rules (conditional execution and output redirection). The
 // Executor applies one operation to a server's memory; the transport layer
-// (package rdma) sequences chains, applies deployment cost models, and
+// (package rdma) sequences chains, charges what package model prices, and
 // moves bytes.
 //
 // Design notes kept from the paper:
@@ -68,29 +68,9 @@ func NewExecutor(space *memory.Space) *Executor {
 	return &Executor{Space: space, FreeLists: make(map[uint32]*alloc.FreeList)}
 }
 
-// OpMeta describes an executed op for deployment cost accounting.
-type OpMeta struct {
-	Class model.OpClass
-	// HostAccesses counts distinct host-memory accesses the op performed
-	// (pointer fetches, payload reads/writes, atomics). Drives the
-	// BlueField cost model.
-	HostAccesses int
-	// Indirections counts pointer dereferences beyond a direct access
-	// (target indirection, data indirection, redirects to host memory).
-	// Drives the projected-hardware PCIe cost model.
-	Indirections int
-	// PRISMOnly reports whether the op needs PRISM extensions (any flag,
-	// enhanced CAS features, or ALLOCATE) — i.e. a stock RDMA NIC would
-	// reject it.
-	PRISMOnly bool
-	// RedirectUsed reports that the op wrote its output to a redirect
-	// target (costed differently when temp buffers are in host memory).
-	RedirectUsed bool
-	// Steps counts the loop iterations a verb program (CHASE/SCAN)
-	// executed. Zero for every non-program op; drives the per-step
-	// program-engine cost and the steps_executed telemetry.
-	Steps int
-}
+// OpMeta is model.OpMeta, kept under this name for the benchmark's
+// executor stage.
+type OpMeta = model.OpMeta
 
 // resolveTarget applies target indirection and bound clamping (§3.1),
 // returning the effective address and length.
@@ -150,13 +130,11 @@ func (x *Executor) resolveData(op *wire.Op, length uint64, meta *OpMeta) ([]byte
 	return src, nil
 }
 
-// execEntry is one opcode's dispatch-table row: the semantics function,
-// the cost class for deployment accounting, and whether the opcode itself
-// (independent of flags) requires PRISM extensions.
+// execEntry is one opcode's dispatch-table row: the semantics function
+// and the cost class for deployment accounting.
 type execEntry struct {
-	fn        func(*Executor, *wire.Op, *OpMeta) (wire.Result, error)
-	class     model.OpClass
-	prismOnly bool
+	fn    func(*Executor, *wire.Op, *OpMeta) (wire.Result, error)
+	class model.OpClass
 }
 
 // execTable dispatches opcodes without a per-op switch. Unlisted opcodes
@@ -168,9 +146,9 @@ var execTable = [...]execEntry{
 	wire.OpCAS:        {fn: (*Executor).execCAS, class: model.OpCAS},
 	wire.OpClassicCAS: {fn: (*Executor).execClassicCAS, class: model.OpCAS},
 	wire.OpFetchAdd:   {fn: (*Executor).execFetchAdd, class: model.OpCAS},
-	wire.OpAllocate:   {fn: (*Executor).execAllocate, class: model.OpAllocate, prismOnly: true},
-	wire.OpChase:      {fn: (*Executor).execChase, class: model.OpProgram, prismOnly: true},
-	wire.OpScan:       {fn: (*Executor).execScan, class: model.OpProgram, prismOnly: true},
+	wire.OpAllocate:   {fn: (*Executor).execAllocate, class: model.OpAllocate},
+	wire.OpChase:      {fn: (*Executor).execChase, class: model.OpProgram},
+	wire.OpScan:       {fn: (*Executor).execScan, class: model.OpProgram},
 }
 
 // Exec applies op to the server's memory, returning the wire result and
@@ -187,16 +165,13 @@ func (x *Executor) Exec(op *wire.Op) (wire.Result, OpMeta) {
 // directly into *res (typically a response's results slot) and the cost
 // metadata into *meta, both fully overwritten.
 func (x *Executor) ExecInto(op *wire.Op, res *wire.Result, meta *OpMeta) {
-	*meta = OpMeta{PRISMOnly: op.Flags != 0}
+	*meta = OpMeta{PRISMOnly: !model.StockExecutes(op)}
 	if int(op.Code) >= len(execTable) || execTable[op.Code].fn == nil {
 		*res = wire.Result{Status: wire.StatusUnsupported}
 		return
 	}
 	ent := &execTable[op.Code]
 	meta.Class = ent.class
-	if ent.prismOnly {
-		meta.PRISMOnly = true
-	}
 	r, err := ent.fn(x, op, meta)
 	if err != nil {
 		if errors.Is(err, alloc.ErrEmpty) {
@@ -317,12 +292,6 @@ func (x *Executor) execCAS(op *wire.Op, meta *OpMeta) (wire.Result, error) {
 	if len(op.SwapMask) != 0 && uint64(len(op.SwapMask)) != width {
 		return wire.Result{}, errors.New("prism: mask widths differ")
 	}
-	// Classic-RDMA subset detection: 8-byte, equality, full-or-absent
-	// masks, no flags. Anything else needs PRISM.
-	if op.Mode != wire.CASEq || width != 8 || !maskFull(op.CompareMask) || !maskFull(op.SwapMask) {
-		meta.PRISMOnly = true
-	}
-
 	addr, _, err := x.resolveTarget(op, width, meta)
 	if err != nil {
 		return wire.Result{}, err
@@ -406,15 +375,15 @@ func (x *Executor) execFetchAdd(op *wire.Op, meta *OpMeta) (wire.Result, error) 
 }
 
 // compareMasked evaluates (cur & mask) mode (data & mask), treating the
-// masked byte strings as big-endian unsigned integers. A nil mask means
-// all bits. It compares masked bytes in place, without allocating.
+// masked byte strings as big-endian unsigned integers. An empty mask
+// means all bits. It compares masked bytes in place, without allocating.
 func compareMasked(mode wire.CASMode, cur, data, mask []byte) bool {
 	// c compares data vs cur: the CAS semantics compare the supplied data
 	// against the current value — CASGt succeeds when data > *target.
 	c := 0
 	for i := range data {
 		m := byte(0xFF)
-		if mask != nil {
+		if len(mask) != 0 {
 			m = mask[i]
 		}
 		d, u := data[i]&m, cur[i]&m
@@ -439,25 +408,16 @@ func compareMasked(mode wire.CASMode, cur, data, mask []byte) bool {
 	}
 }
 
-// swapMaskedInto writes (cur & ~mask) | (data & mask) to out. A nil mask
-// means all bits (full swap).
+// swapMaskedInto writes (cur & ~mask) | (data & mask) to out. An empty
+// mask means all bits (full swap).
 func swapMaskedInto(out, cur, data, mask []byte) {
 	for i := range out {
 		m := byte(0xFF)
-		if mask != nil {
+		if len(mask) != 0 {
 			m = mask[i]
 		}
 		out[i] = cur[i]&^m | data[i]&m
 	}
-}
-
-func maskFull(mask []byte) bool {
-	for _, b := range mask {
-		if b != 0xFF {
-			return false
-		}
-	}
-	return true
 }
 
 func leU64(b []byte) uint64 {

@@ -443,6 +443,20 @@ func TestCASClassicSubsetDetection(t *testing.T) {
 	}
 }
 
+// TestCASEmptyMasksAreAbsent: an empty mask that is not nil selects all
+// bits, as an absent one does; the wire cannot tell the two apart. Such a
+// CAS used to index past the empty mask and panic.
+func TestCASEmptyMasksAreAbsent(t *testing.T) {
+	x, r := testEnv(t)
+	w := Write(r.Key, r.Base, []byte{0, 0, 0, 0, 0, 0, 0, 7})
+	mustOK(t, first(x.Exec(&w)))
+	op := CAS(r.Key, r.Base, wire.CASGt, []byte{0, 0, 0, 0, 0, 0, 0, 9}, []byte{}, []byte{})
+	mustOK(t, first(x.Exec(&op)))
+	if v, _ := x.Space.ReadU64(r.Key, r.Base); v != 9<<56 {
+		t.Fatalf("cell = %#x after a full swap, want 9<<56", v)
+	}
+}
+
 func TestClassicCAS(t *testing.T) {
 	x, r := testEnv(t)
 	if err := x.Space.WriteU64(r.Key, r.Base, 5); err != nil {

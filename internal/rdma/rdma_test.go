@@ -480,7 +480,7 @@ func TestOnNICTempCapacity(t *testing.T) {
 	early := measure(v.conn) // connection id 0: on-NIC
 	// Burn connection ids up to the on-NIC capacity.
 	var late *Conn
-	for i := 0; i < OnNICMemoryBytes/ConnTempSize; i++ {
+	for i := 0; i < model.OnNICMemoryBytes/ConnTempSize; i++ {
 		late = v.cli.Connect(v.srv)
 	}
 	lateRTT := measure(late)

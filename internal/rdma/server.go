@@ -1,7 +1,8 @@
 // Package rdma is the NIC transport: it carries verb requests from client
 // queue pairs to server NICs over the fabric, executes them (via the prism
-// executor), and models the latency/occupancy of the four deployment
-// options the paper evaluates (§4.3). It also provides the reliability
+// executor), and charges the four deployment options the paper evaluates
+// (§4.3) what package model prices, queueing on core pools and a QP-context
+// cache where a deployment has them. It also provides the reliability
 // layer real RDMA NICs implement over lossy Ethernet: per-connection
 // sequence numbers, retransmission, and duplicate suppression with
 // response replay.
@@ -23,13 +24,6 @@ import (
 // ConnTempSize is the per-connection temporary buffer used as the redirect
 // target in chains; the shared Host core provisions it.
 const ConnTempSize = transport.ConnTempSize
-
-// OnNICMemoryBytes is the user-accessible on-NIC memory region of the
-// projected hardware NIC (256 KB on the paper's ConnectX-5, §4.2).
-// Connections beyond OnNICMemoryBytes/ConnTempSize get host-resident temp
-// buffers, whose redirects cost an extra PCIe round trip — the
-// connection-scaling concern §4.2 analyzes.
-const OnNICMemoryBytes = 256 << 10
 
 // defaultRecvCredits is the receive-queue depth posted at startup —
 // deep enough that well-behaved applications never see RNR.
@@ -77,10 +71,7 @@ type Server struct {
 
 	conns []*serverConn // by id: connect numbers them from 0
 
-	// baseProc is the fixed NIC+PCIe pipeline latency charged at the
-	// server so that a small hardware verb on a direct link completes in
-	// RDMABaseRTT (the paper's 2.5 µs baseline).
-	baseProc time.Duration
+	baseProc time.Duration // p.BaseProc()
 
 	// Stats
 	RequestsServed int64
@@ -96,7 +87,7 @@ type serverConn struct {
 	lastOK   bool
 	tempAddr memory.Addr
 	// tempOnNIC records whether this connection's temp buffer fits the
-	// on-NIC memory region (false beyond OnNICMemoryBytes of temps).
+	// on-NIC memory region (false beyond model.OnNICMemoryBytes of temps).
 	tempOnNIC bool
 	// Reliability layer: replay ring answers duplicates whose response is
 	// still cached; the served ring remembers which sequence numbers have
@@ -136,7 +127,7 @@ type serverConn struct {
 	// opMeta is per-connection scratch for ExecInto's out-parameter: the
 	// indirect dispatch defeats escape analysis, so a chainStep local
 	// would be a heap allocation per op.
-	opMeta prism.OpMeta
+	opMeta model.OpMeta
 
 	// qpDebt is cold-connection fetch time accrued at arrival (context
 	// fetch plus queueing on the shared fetch engine), consumed by the
@@ -189,12 +180,7 @@ func newServer(net *fabric.Network, name string, deploy model.Deployment, space 
 		s.qpMiss = miss
 		s.qpFetch = sim.NewResource(e)
 	}
-	// Serialization of a canonical small request+response is charged by
-	// the fabric; subtract it so small-op direct-link RTT ≈ RDMABaseRTT.
-	s.baseProc = p.RDMABaseRTT - 4*p.SerializationDelay(64)
-	if s.baseProc < 0 {
-		s.baseProc = 0
-	}
+	s.baseProc = p.BaseProc()
 	s.node.SetHandler(s.onMessage)
 	return s
 }
@@ -238,9 +224,6 @@ func (s *Server) acquireResp(sc *serverConn, seq uint64, nops int) *wire.Respons
 // Node returns the server's fabric node (for byte counters in tests).
 func (s *Server) Node() *fabric.Node { return s.node }
 
-// Deployment returns the server's data-path model.
-func (s *Server) Deployment() model.Deployment { return s.deploy }
-
 // StageWrites stores writes[0] now and schedules writes[i] i×gap later, in
 // order. A scheduled write that fails panics: no caller is left to tell.
 func (s *Server) StageWrites(key memory.RKey, gap time.Duration, writes []transport.StagedWrite) error {
@@ -261,7 +244,7 @@ func (s *Server) StageWrites(key memory.RKey, gap time.Duration, writes []transp
 func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, tempKey memory.RKey) {
 	id = uint64(len(s.conns))
 	sc := &serverConn{id: id, client: client, lastOK: true, tempAddr: s.AllocConnTemp()}
-	sc.tempOnNIC = id < OnNICMemoryBytes/ConnTempSize
+	sc.tempOnNIC = id < model.OnNICMemoryBytes/ConnTempSize
 	sc.readAlloc = func(n uint64) []byte { return transport.CarveArena(&sc.payload[sc.curSlot], n) }
 	sc.stepFn = func() { s.chainStep(sc) }
 	sc.finishFn = func() { s.finishChain(sc) }
@@ -281,21 +264,11 @@ func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, temp
 	return id, sc.tempAddr, s.TempKey()
 }
 
-// qpArrival records the request-side context access for conn sc: on a
-// miss the fetch cost — service plus queueing on the shared fetch engine
-// — accrues to the connection's debt, charged at the next request start.
-func (s *Server) qpArrival(sc *serverConn) {
-	if s.qp == nil || s.qp.touch(sc) {
-		return
-	}
-	done := s.qpFetch.Submit(s.qpMiss, nil)
-	sc.qpDebt += done.Sub(s.e.Now())
-}
-
-// qpTx is the response-side context access: the send WQE needs the
-// context resident again, and under heavy interleaving it may have been
-// evicted since the request arrived.
-func (s *Server) qpTx(sc *serverConn) time.Duration {
+// qpTouch is one access to conn sc's context, by an arriving request or
+// by the send WQE of its response (under heavy interleaving the context
+// may have been evicted since the request arrived). It returns the fetch
+// cost of a miss: service plus queueing on the shared fetch engine.
+func (s *Server) qpTouch(sc *serverConn) time.Duration {
 	if s.qp == nil || s.qp.touch(sc) {
 		return 0
 	}
@@ -341,7 +314,7 @@ func (s *Server) onMessage(m fabric.Message) {
 		return
 	}
 	*served = req.Seq
-	s.qpArrival(sc)
+	sc.qpDebt += s.qpTouch(sc) // charged at the next request start
 	if sc.busy {
 		sc.backlog = append(sc.backlog, req)
 		return
@@ -359,46 +332,12 @@ func (s *Server) startRequest(sc *serverConn, req *wire.Request) {
 	s.serveVerbs(sc, req)
 }
 
-// supports reports whether the deployment can execute the request at all.
-// Stock RDMA NICs take exactly one classic verb per request.
-func (s *Server) supports(req *wire.Request) bool {
-	if s.deploy != model.HardwareRDMA {
-		return true
-	}
-	if len(req.Ops) != 1 {
-		return false
-	}
-	op := &req.Ops[0]
-	if op.Flags != 0 {
-		return false
-	}
-	switch op.Code {
-	case wire.OpRead, wire.OpWrite, wire.OpClassicCAS, wire.OpFetchAdd:
-		return true
-	case wire.OpCAS:
-		// Only the classic 8-byte equality subset.
-		full := func(m []byte) bool {
-			for _, b := range m {
-				if b != 0xFF {
-					return false
-				}
-			}
-			return true
-		}
-		return op.Mode == wire.CASEq && len(op.Data) == 8 &&
-			(op.CompareMask == nil || (len(op.CompareMask) == 8 && full(op.CompareMask))) &&
-			(op.SwapMask == nil || (len(op.SwapMask) == 8 && full(op.SwapMask)))
-	default:
-		return false
-	}
-}
-
 // serveVerbs runs a (possibly chained) one-sided request. The chain state
 // lives on the connection and advances via the prebuilt stepFn/finishFn,
 // so the steady-state verb path allocates nothing.
 func (s *Server) serveVerbs(sc *serverConn, req *wire.Request) {
 	s.RequestsServed++
-	if !s.supports(req) {
+	if !model.Executes(s.deploy, req.Ops) {
 		resp := s.acquireResp(sc, req.Seq, len(req.Ops))
 		for i := range resp.Results {
 			resp.Results[i] = wire.Result{Status: wire.StatusUnsupported}
@@ -412,26 +351,15 @@ func (s *Server) serveVerbs(sc *serverConn, req *wire.Request) {
 	resp := s.acquireResp(sc, req.Seq, len(req.Ops))
 	sc.curSlot = int(req.Seq % replayDepth)
 
-	// Fixed per-request costs and core-pool queueing by deployment.
-	preDelay := s.baseProc / 2
-	var requestOverhead time.Duration
-	switch s.deploy {
-	case model.SoftwarePRISM:
-		cpu := s.p.SoftCPUBase + time.Duration(len(req.Ops))*s.p.SoftCPUPerOp
-		done := s.prismCores.Submit(cpu, nil)
-		queueWait := done.Sub(s.e.Now()) - cpu
-		requestOverhead = s.p.SoftBaseOverhead + queueWait
-	case model.BlueFieldPRISM:
-		requestOverhead = s.p.BFProcOverhead
+	// The deployment's fixed request cost, plus any queueing for a core.
+	overhead, cpu := s.p.RequestCost(s.deploy, len(req.Ops))
+	if cpu > 0 {
+		overhead += s.prismCores.Submit(cpu, nil).Sub(s.e.Now()) - cpu
 	}
 
 	sc.chainReq, sc.chainResp, sc.chainIdx, sc.chainTok = req, resp, 0, opTok
-	s.e.Schedule(preDelay+requestOverhead+s.takeQPDebt(sc), sc.stepFn)
+	s.e.Schedule(s.baseProc/2+overhead+s.takeQPDebt(sc), sc.stepFn)
 }
-
-// interOp spaces chain steps so concurrent chains interleave, as on a
-// real NIC where each op is a separate pipeline traversal.
-const interOp = 100 * time.Nanosecond
 
 // chainStep executes the next op of the connection's current chain.
 // Conditionally skipped ops fall through to the next op at the same
@@ -443,8 +371,7 @@ func (s *Server) chainStep(sc *serverConn) {
 		i := sc.chainIdx
 		if i == len(req.Ops) {
 			s.Quiescer().OpEnd(sc.chainTok)
-			preDelay := s.baseProc / 2
-			s.e.Schedule(s.baseProc-preDelay+s.qpTx(sc), sc.finishFn)
+			s.e.Schedule(s.baseProc-s.baseProc/2+s.qpTouch(sc), sc.finishFn)
 			return
 		}
 		op := &req.Ops[i]
@@ -472,22 +399,19 @@ func (s *Server) chainStep(sc *serverConn) {
 				Code: op.Code, Flags: op.Flags, Status: results[i].Status, Op: op,
 			})
 		}
-		delay := s.opExtra(sc, op, sc.opMeta)
+		delay := s.p.OpExtra(s.deploy, op.Code, sc.opMeta, sc.tempOnNIC)
 		if sc.opMeta.Steps > 0 {
 			st := s.e.Counters()
 			st.ProgOps++
 			st.ProgSteps += int64(sc.opMeta.Steps)
-			if s.deploy == model.SoftwarePRISM && sc.opMeta.Steps > 1 {
-				// serveVerbs charged this op one per-op core quantum; the
-				// program's remaining iterations occupy the dedicated core
-				// too, and any queueing they cause delays the chain.
-				cpu := time.Duration(sc.opMeta.Steps-1) * s.p.SoftCPUPerOp
-				done := s.prismCores.Submit(cpu, nil)
-				delay += done.Sub(s.e.Now()) - cpu
+			// A program's further iterations occupy a stack core too, and
+			// any queueing they cause delays the chain.
+			if cpu := s.p.ProgramCPU(s.deploy, sc.opMeta.Steps); cpu > 0 {
+				delay += s.prismCores.Submit(cpu, nil).Sub(s.e.Now()) - cpu
 			}
 		}
 		if i+1 < len(req.Ops) {
-			delay += interOp
+			delay += model.InterOp
 		}
 		sc.chainIdx = i + 1
 		s.e.Schedule(delay, sc.stepFn)
@@ -501,43 +425,6 @@ func (s *Server) finishChain(sc *serverConn) {
 	resp := sc.chainResp
 	sc.chainReq, sc.chainResp = nil, nil
 	s.finish(sc, resp)
-}
-
-// opExtra is the per-op latency the deployment adds beyond the base verb
-// pipeline.
-func (s *Server) opExtra(sc *serverConn, op *wire.Op, meta prism.OpMeta) time.Duration {
-	// Verb programs pay the loop engine once per executed step (DESIGN.md §14);
-	// every classic op runs zero steps, so the term vanishes on the
-	// pre-program figures. Per-step memory traffic is charged below
-	// through the same HostAccesses/Indirections counts the steps bumped.
-	prog := time.Duration(meta.Steps) * s.p.ProgStepCost
-	switch s.deploy {
-	case model.SoftwarePRISM:
-		return s.p.SoftExtraFor(meta.Class) + prog
-	case model.ProjectedHardwarePRISM:
-		// One extra PCIe round trip per level of indirection (§4.3), plus
-		// small fixed costs for the new datapath functions.
-		d := time.Duration(meta.Indirections) * s.p.PCIeRTT
-		if meta.RedirectUsed && (s.p.RedirectToHostMem || !sc.tempOnNIC) {
-			// §4.2: redirects should target on-NIC memory; a host-memory
-			// temp buffer — forced either by configuration or by exceeding
-			// the 256 KB on-NIC region — costs an extra PCIe round trip
-			// per redirect.
-			d += s.p.PCIeRTT
-		}
-		if op.Code == wire.OpAllocate {
-			d += 200 * time.Nanosecond // free-list pop
-		}
-		if op.Code == wire.OpCAS && meta.PRISMOnly {
-			d += 300 * time.Nanosecond // wide/masked/arithmetic atomic
-		}
-		return d + prog
-	case model.BlueFieldPRISM:
-		// Every host-memory access crosses the internal switch (~3 µs).
-		return time.Duration(meta.HostAccesses)*s.p.BFHostAccess + prog
-	default:
-		return 0
-	}
 }
 
 // serveRPC dispatches a two-sided request to the application handler.
@@ -568,7 +455,7 @@ func (s *Server) serveRPC(sc *serverConn, req *wire.Request) {
 		if extraCPU > 0 {
 			s.rpcCores.Submit(extraCPU, nil)
 		}
-		total := s.baseProc + s.p.RPCOverhead + s.p.RPCHandlerCPUTime + extraCPU + s.qpTx(sc)
+		total := s.p.RPCLatency() + extraCPU + s.qpTouch(sc)
 		resp := s.acquireResp(sc, req.Seq, 1)
 		resp.Results[0] = wire.Result{Status: wire.StatusOK, Data: reply}
 		s.e.Schedule(total, func() {

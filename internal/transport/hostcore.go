@@ -134,7 +134,7 @@ func (h *HostCore) TempKey() memory.RKey { return h.tempKey }
 // allocated and zeroed whole on the host and most servers ever see a
 // handful of connections: the first region is one page, each later one
 // doubles, and from tempMaxBufs on every region is the 256 KiB on-NIC unit
-// (rdma.OnNICMemoryBytes). Registered bytes stay within twice the bytes
+// (model.OnNICMemoryBytes). Registered bytes stay within twice the bytes
 // handed out plus a page.
 const (
 	tempFirstBufs = 4096 / ConnTempSize

@@ -10,6 +10,7 @@ import (
 
 	"prism/internal/alloc"
 	"prism/internal/memory"
+	"prism/internal/model"
 	"prism/internal/prism"
 	"prism/internal/wire"
 )
@@ -303,7 +304,7 @@ type srvSock struct {
 	tok     uint64
 
 	req     wire.Request // alias-decodes into fr's buffer
-	opMeta  prism.OpMeta // ExecInto out-param scratch (escape analysis)
+	opMeta  model.OpMeta // ExecInto out-param scratch (escape analysis)
 	greeted bool
 
 	batches, batchFrames int64 // wakeup telemetry, owner goroutine only
