@@ -13,14 +13,18 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Besides go vet, one boundary: the applications (internal/kv, abd, tx)
-# import neither the simulator nor its NIC model. A store knows its machine
+# Besides go vet, two boundaries. The applications (internal/kv, abd, tx)
+# import neither the simulator nor its NIC model: a store knows its machine
 # as a transport.Host and a protocol is written once over
 # transport.Issuer and transport.Fanout, so the same types run on the
-# simulator and on a socket; the check reads each package's imports.
+# simulator and on a socket; the check reads each package's imports. And
+# §3.4's CONDITIONAL rule is written once, in prism.Executor.Step, which
+# both servers call: no other non-test Go under internal/ or cmd/ reads
+# the flag.
 vet:
 	$(GO) vet ./...
 	@! $(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/kv ./internal/abd ./internal/tx | grep -E 'prism/internal/(rdma|sim)( |$$)'
+	@! grep -rn --include='*.go' --exclude='*_test.go' 'Has(wire.FlagConditional)' internal cmd | grep -v '^internal/prism/'
 
 build:
 	$(GO) build ./...

@@ -198,7 +198,6 @@ func runOp(backend ops, out io.Writer, cmd string, args []string) error {
 type simOps struct {
 	c   *prism.ClusterSim
 	kvc *kv.Client
-	srv *prism.Server
 }
 
 func newSimOps(deployFlag, netFlag string, nKeys int64) (*simOps, string, error) {
@@ -235,7 +234,7 @@ func newSimOps(deployFlag, netFlag string, nKeys int64) (*simOps, string, error)
 	client := kv.NewClient(c.NewClientMachine("repl").Connect(srv), store.Meta(), 1)
 	banner := fmt.Sprintf("PRISM-KV REPL — deployment %v, network %s (all latencies are simulated)",
 		deploy, network.Name)
-	return &simOps{c: c, kvc: client, srv: srv}, banner, nil
+	return &simOps{c: c, kvc: client}, banner, nil
 }
 
 // timed executes fn as one simulated process and returns the simulated
@@ -253,8 +252,8 @@ func (s *simOps) timed(fn func(*kv.Client) error) (time.Duration, error) {
 }
 
 func (s *simOps) stats() string {
-	return fmt.Sprintf("server: %d requests served, %d ops executed",
-		s.srv.RequestsServed, s.srv.OpsExecuted)
+	st := s.c.Engine().Stats() // the cluster's one server
+	return fmt.Sprintf("server: %d requests served, %d ops executed", st.RequestsServed, st.OpsExecuted)
 }
 
 func (s *simOps) costNote() string { return "simulated" }

@@ -1,20 +1,16 @@
 // Package integration runs whole-cluster scenarios across packages:
-// applications on lossy networks, alternate NIC deployments, datacenter
-// latency profiles, and cross-application interference — the situations a
-// production deployment of PRISM would face beyond the paper's clean
-// testbed.
+// alternate NIC deployments, datacenter latency profiles, cross-application
+// interference, and the Issuer and Meta contracts on both transports. Each
+// application's run on a lossy network lives in its own package
+// (loss_test.go in kv, abd and tx).
 package integration
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
-	"prism/internal/abd"
-	"prism/internal/check"
 	"prism/internal/fabric"
 	"prism/internal/kv"
 	"prism/internal/model"
@@ -23,184 +19,6 @@ import (
 	"prism/internal/transport"
 	"prism/internal/tx"
 )
-
-// TestKVUnderPacketLoss drives PRISM-KV over a fabric dropping 5% of
-// messages: the NIC reliability layer (retransmit + replay) must make the
-// store behave exactly as on a clean network.
-func TestKVUnderPacketLoss(t *testing.T) {
-	p := model.Default().WithNetwork(model.Rack)
-	p.LossRate = 0.05
-	p.RetransmitTimeout = 50 * time.Microsecond
-	e := sim.NewEngine(41)
-	net := fabric.New(e, p)
-	nic := rdma.NewServer(net, "kv", model.SoftwarePRISM)
-	srv, err := kv.NewServerOn(nic, kv.DefaultOptions(64, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := rdma.NewClient(net, "cli")
-	conn := cli.Connect(nic)
-	c := kv.NewClient(conn, srv.Meta(), 1)
-	modelMap := map[int64]string{}
-	e.Go("t", func(pr *sim.Proc) {
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < 300; i++ {
-			k := rng.Int63n(32)
-			if rng.Intn(2) == 0 && modelMap[k] != "" {
-				got, err := c.Get(k)
-				if err != nil || string(got) != modelMap[k] {
-					t.Errorf("op %d: get %d = %q (%v), want %q", i, k, got, err, modelMap[k])
-					return
-				}
-			} else {
-				v := fmt.Sprintf("v%d-%d", k, i)
-				if err := c.Put(k, []byte(v)); err != nil {
-					t.Errorf("op %d: put: %v", i, err)
-					return
-				}
-				modelMap[k] = v
-			}
-		}
-	})
-	e.Run()
-	if conn.Retransmissions == 0 {
-		t.Fatal("5% loss produced no retransmissions — loss path not exercised")
-	}
-	t.Logf("retransmissions: %d", conn.Retransmissions)
-}
-
-// TestABDLinearizableUnderLoss checks the replicated store's
-// linearizability oracle still passes when the fabric drops messages.
-func TestABDLinearizableUnderLoss(t *testing.T) {
-	p := model.Default().WithNetwork(model.Rack)
-	p.LossRate = 0.03
-	p.RetransmitTimeout = 50 * time.Microsecond
-	e := sim.NewEngine(43)
-	net := fabric.New(e, p)
-	var nics []*rdma.Server
-	var replicas []*abd.Replica
-	for i := 0; i < 3; i++ {
-		nic := rdma.NewServer(net, fmt.Sprintf("rep-%d", i), model.SoftwarePRISM)
-		nics = append(nics, nic)
-		r, err := abd.NewReplica(nic, abd.ReplicaOptions{NBlocks: 2, BlockSize: 16, ExtraBuffers: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		replicas = append(replicas, r)
-	}
-	machine := rdma.NewClient(net, "cli")
-	hist := check.NewMultiRegisterHistory()
-	for i := 0; i < 4; i++ {
-		id := uint16(i + 1)
-		conns := make([]*rdma.Conn, 3)
-		metas := make([]abd.Meta, 3)
-		for j, r := range replicas {
-			conns[j] = machine.Connect(nics[j])
-			metas[j] = r.Meta()
-		}
-		c := abd.NewClient(id, transport.Issuers(conns), metas)
-		rng := rand.New(rand.NewSource(int64(id)))
-		e.Go(fmt.Sprintf("c%d", id), func(pr *sim.Proc) {
-			for n := 0; n < 30; n++ {
-				block := int64(rng.Intn(2))
-				invoke := pr.Now()
-				if rng.Intn(2) == 0 {
-					tag, _, err := c.GetT(block)
-					if err != nil {
-						t.Errorf("get: %v", err)
-						return
-					}
-					hist.Add(block, check.RegisterOp{Tag: uint64(tag), Invoke: invoke, Respond: pr.Now(), Client: int(id)})
-				} else {
-					val := make([]byte, 16)
-					rng.Read(val)
-					tag, err := c.PutT(block, val)
-					if err != nil {
-						t.Errorf("put: %v", err)
-						return
-					}
-					hist.Add(block, check.RegisterOp{IsWrite: true, Tag: uint64(tag), Invoke: invoke, Respond: pr.Now(), Client: int(id)})
-				}
-			}
-		})
-	}
-	e.Run()
-	if err := hist.Check(uint64(abd.MakeTag(1, 0))); err != nil {
-		t.Fatalf("linearizability under loss: %v", err)
-	}
-}
-
-// TestTXSerializableUnderLoss runs PRISM-TX transactions under loss and
-// validates the committed history with both oracles.
-func TestTXSerializableUnderLoss(t *testing.T) {
-	p := model.Default().WithNetwork(model.Rack)
-	p.LossRate = 0.03
-	p.RetransmitTimeout = 50 * time.Microsecond
-	e := sim.NewEngine(47)
-	net := fabric.New(e, p)
-	nic := rdma.NewServer(net, "shard", model.SoftwarePRISM)
-	shard, err := tx.NewShard(nic, tx.ShardOptions{NSlots: 4, MaxValue: 32, ExtraBuffers: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := int64(0); k < 2; k++ {
-		if err := shard.Load(k, make([]byte, 16)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	machine := rdma.NewClient(net, "cli")
-	var committed []check.CommittedTx
-	for i := 0; i < 4; i++ {
-		id := uint16(i + 1)
-		c := tx.NewClient(id, []transport.Issuer{machine.Connect(nic)}, []tx.Meta{shard.Meta()})
-		rng := rand.New(rand.NewSource(int64(id) * 3))
-		e.Go(fmt.Sprintf("c%d", id), func(pr *sim.Proc) {
-			for n := 0; n < 25; n++ {
-				key := int64(rng.Intn(2))
-				for attempts := 0; attempts < 50; attempts++ {
-					txn := c.Begin()
-					old, err := txn.Read(key)
-					if err != nil {
-						t.Errorf("read: %v", err)
-						return
-					}
-					rc := readVersion(txn, key)
-					nv := append([]byte(nil), old...)
-					nv[0]++
-					txn.Write(key, nv)
-					ts, err := txn.Commit()
-					if errors.Is(err, tx.ErrAborted) {
-						continue
-					}
-					if err != nil {
-						t.Errorf("commit: %v", err)
-						return
-					}
-					committed = append(committed, check.CommittedTx{
-						TS:       uint64(ts),
-						Reads:    map[int64]uint64{key: uint64(rc)},
-						Writes:   map[int64]uint64{key: uint64(ts)},
-						ClientID: int(id),
-					})
-					break
-				}
-			}
-		})
-	}
-	e.Run()
-	if len(committed) < 50 {
-		t.Fatalf("only %d transactions committed", len(committed))
-	}
-	if err := check.CheckSerializable(committed, uint64(tx.InitialVersion)); err != nil {
-		t.Fatalf("serializability under loss: %v", err)
-	}
-}
-
-// readVersion exposes the version a transaction observed (test helper via
-// the tx package's exported surface: re-reading from the read set).
-func readVersion(txn *tx.Tx, key int64) tx.Timestamp {
-	return txn.ReadVersion(key)
-}
 
 // TestKVOnProjectedHardware runs PRISM-KV on the projected-hardware
 // deployment: everything works, ~2 µs faster per GET than the software

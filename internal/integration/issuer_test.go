@@ -117,6 +117,29 @@ func TestIssuerContract(t *testing.T) {
 				t.Errorf("WRITE then READ of the temp buffer: %+v, %v", res, err)
 			}
 		}},
+		{"conditional-per-connection", func(t *testing.T, r *issuerRegion) {
+			// §3.4: a CONDITIONAL op executes only if the previous op from
+			// its connection succeeded. That state spans requests and is
+			// not shared between connections.
+			cas := prism.CAS(r.key, r.cell(30), wire.CASGt, u64(1), nil, nil)
+			res, err := r.is[0].Issue([]wire.Op{prism.Write(r.key, r.cell(30), u64(5)), cas})
+			if err != nil || res[1].Status != wire.StatusCASFailed {
+				t.Errorf("a request ending in a failing CAS_GT: %+v, %v", res, err)
+				return
+			}
+			res, err = r.is[1].Issue([]wire.Op{prism.Conditional(prism.Write(r.key, r.cell(31), u64(7)))})
+			if err != nil || res[0].Status != wire.StatusOK {
+				t.Errorf("a CONDITIONAL WRITE on the other connection: %+v, %v", res, err)
+			}
+			res, err = r.is[0].Issue([]wire.Op{prism.Conditional(prism.Write(r.key, r.cell(32), u64(9))), prism.Read(r.key, r.cell(32), 8)})
+			if err != nil || res[0].Status != wire.StatusNotExecuted || !bytes.Equal(res[1].Data, u64(0)) {
+				t.Errorf("a CONDITIONAL WRITE opening the next request after the failure: %+v, %v", res, err)
+			}
+			res, err = r.is[0].Issue([]wire.Op{prism.Conditional(prism.Write(r.key, r.cell(33), u64(11))), prism.Read(r.key, r.cell(33), 8)})
+			if err != nil || res[0].Status != wire.StatusOK || !bytes.Equal(res[1].Data, u64(11)) {
+				t.Errorf("a CONDITIONAL WRITE after a successful READ: %+v, %v", res, err)
+			}
+		}},
 		{"fanout-wait-first", func(t *testing.T, r *issuerRegion) {
 			f := transport.NewFanout(r.is[:])
 			for i := range r.is {

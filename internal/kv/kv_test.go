@@ -167,7 +167,7 @@ func TestKeyOutsideTableIsRejected(t *testing.T) {
 	space := v.srv.host.Space()
 	before := spaceChecksum(space)
 	v.run(t, func(p *sim.Proc) {
-		served := v.nic.RequestsServed
+		served := v.e.Counters().RequestsServed
 		for _, k := range outside {
 			if err := c.Put(k, []byte("x")); !errors.Is(err, ErrKeyRange) {
 				t.Errorf("Put(%d) = %v, want ErrKeyRange", k, err)
@@ -186,8 +186,8 @@ func TestKeyOutsideTableIsRejected(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if v.nic.RequestsServed != served {
-			t.Errorf("out-of-range keys reached the server: %d requests", v.nic.RequestsServed-served)
+		if v.e.Counters().RequestsServed != served {
+			t.Errorf("out-of-range keys reached the server: %d requests", v.e.Counters().RequestsServed-served)
 		}
 		keys := []int64{nSlots - 1, nSlots, 3, -1}
 		var visits []string
@@ -298,7 +298,7 @@ func TestPutsRequireNoServerCPU(t *testing.T) {
 		}
 	})
 	// Inserts into empty slots retire no buffers, so zero RPCs at all.
-	if got := v.nic.RequestsServed; got == 0 {
+	if got := v.e.Counters().RequestsServed; got == 0 {
 		t.Fatal("no requests observed")
 	}
 }

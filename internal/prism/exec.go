@@ -2,9 +2,9 @@
 // Table 1): indirect reads and writes with bounded pointers, free-list
 // allocation, the enhanced masked/arithmetic compare-and-swap, and the
 // chaining rules (conditional execution and output redirection). The
-// Executor applies one operation to a server's memory; the transport layer
-// (package rdma) sequences chains, charges what package model prices, and
-// moves bytes.
+// Executor applies one op to a server's memory, and Step one op of a
+// connection (Conn); the servers (packages rdma and transport) sequence
+// requests, charge what package model prices, and move bytes.
 //
 // Design notes kept from the paper:
 //   - Each primitive is atomic with respect to other primitives; a chain
@@ -151,9 +151,29 @@ var execTable = [...]execEntry{
 	wire.OpScan:       {fn: (*Executor).execScan, class: model.OpProgram},
 }
 
+// Conn is one connection's §3.4 chain state, which spans its requests.
+// The zero value is a fresh connection.
+type Conn struct {
+	failed bool // the last op the connection executed failed
+}
+
+// Step applies op as the next op from connection c, the one home of
+// §3.4's CONDITIONAL rule: a CONDITIONAL op after a failure is skipped
+// (StatusNotExecuted; c and *meta unchanged; false), and any other op
+// runs as ExecInto and its outcome is recorded in c.
+func (x *Executor) Step(c *Conn, op *wire.Op, res *wire.Result, meta *OpMeta) (executed bool) {
+	if c.failed && op.Flags.Has(wire.FlagConditional) {
+		*res = wire.Result{Status: wire.StatusNotExecuted}
+		return false
+	}
+	x.ExecInto(op, res, meta)
+	c.failed = !res.Status.OK()
+	return true
+}
+
 // Exec applies op to the server's memory, returning the wire result and
-// cost metadata. Conditional-flag handling (skipping) is the transport's
-// job; Exec always executes.
+// cost metadata. It ignores the CONDITIONAL flag (Step applies it) and
+// always executes.
 func (x *Executor) Exec(op *wire.Op) (wire.Result, OpMeta) {
 	var res wire.Result
 	var meta OpMeta

@@ -108,15 +108,17 @@ func fuzzRequest(ops ...wire.Op) []byte {
 	return wire.AppendRequest(nil, &wire.Request{Conn: 1, Seq: 1, Ops: ops})
 }
 
-// FuzzProgramExec decodes a request (DecodeRequestAlias) and executes each
-// of its ops on a small space, after patching the space with fuzzed
-// bytes: CHASE and SCAN headers (DecodeProgram), indirect and bounded
-// targets, masks and free-list ids all come from the input. Whatever the
-// input, the executor must not panic or allocate a result buffer sized by
-// an unchecked length; memory registered under another key must not
-// change, and a NAK must change nothing; a program's steps and bytes stay
-// within its bounds; and every op the executor cannot run ends in a NAK
-// (or RNR, or UNSUPPORTED for an unknown opcode).
+// FuzzProgramExec decodes a request (DecodeRequestAlias) and steps each of
+// its ops (Executor.Step) on one connection over a small space, after
+// patching the space with fuzzed bytes: CHASE and SCAN headers
+// (DecodeProgram), indirect and bounded targets, masks, free-list ids and
+// CONDITIONAL flags all come from the input. Whatever the input, the
+// executor must not panic or allocate a result buffer sized by an
+// unchecked length; memory registered under another key must not change,
+// and a NAK must change nothing; a program's steps and bytes stay within
+// its bounds; every op the executor cannot run ends in a NAK (or RNR, or
+// UNSUPPORTED for an unknown opcode); and an op is skipped exactly when it
+// is CONDITIONAL after a failure, changing nothing.
 func FuzzProgramExec(f *testing.F) {
 	// Seeds address the world above. Its first region starts at 0x1000.
 	const base, key, otherKey = 0x1000, 1, 2
@@ -150,6 +152,9 @@ func FuzzProgramExec(f *testing.F) {
 			CASIndirectData(key, slot(5), wire.CASEq, slot(6), nil, nil)), 0, nil},
 		{fuzzRequest(Allocate(1, []byte("entry")), Allocate(9, nil),
 			wire.Op{Code: wire.OpAllocate, Flags: wire.FlagRedirect, FreeList: 1, RKey: key, RedirectTo: slot(7) + 8}), 0, nil},
+		// A bounded READ through a null slot fails, so the CONDITIONAL
+		// WRITE after it is skipped.
+		{fuzzRequest(ReadBounded(key, slot(fuzzSlots-1)+8, 8), Conditional(Write(key, slot(3), []byte("skipped")))), 0, nil},
 	} {
 		f.Add(seed.req, seed.patchOff, seed.patch)
 	}
@@ -160,23 +165,54 @@ func FuzzProgramExec(f *testing.F) {
 			return
 		}
 		w := newFuzzWorld(t, patchOff, patch)
+		var c Conn
 		for i := range req.Ops {
 			op := &req.Ops[i]
-			before := w.snapshot()
+			before, was := w.snapshot(), c
 			var res wire.Result
 			var meta OpMeta
-			w.x.ExecInto(op, &res, &meta)
-			checkFuzzedOp(t, op, &res, &meta, before, w.snapshot())
+			executed := w.x.Step(&c, op, &res, &meta)
+			checkFuzzedOp(t, op, &res, &meta, fuzzStep{executed, was, c}, before, w.snapshot())
 		}
 	})
 }
 
-// checkFuzzedOp holds one executed op to FuzzProgramExec's rules.
-func checkFuzzedOp(t *testing.T, op *wire.Op, res *wire.Result, meta *OpMeta, before, after map[*memory.Region][]byte) {
+// fuzzStep is what Step did with one op: whether it executed it, and the
+// connection's state before and after.
+type fuzzStep struct {
+	executed  bool
+	was, left Conn
+}
+
+// checkFuzzedOp holds one stepped op to FuzzProgramExec's rules.
+func checkFuzzedOp(t *testing.T, op *wire.Op, res *wire.Result, meta *OpMeta, step fuzzStep, before, after map[*memory.Region][]byte) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%v flags=%#x: %s", op.Code, op.Flags, fmt.Sprintf(format, args...))
+	}
+	if skip := step.was.failed && op.Flags.Has(wire.FlagConditional); skip != !step.executed {
+		fail("executed=%v after a failure=%v", step.executed, step.was.failed)
+	}
+	if !step.executed {
+		if res.Status != wire.StatusNotExecuted {
+			fail("a skipped op ended %v", res.Status)
+		}
+		if step.left != step.was {
+			fail("a skipped op changed its connection's state")
+		}
+		for r, was := range before {
+			if !bytes.Equal(after[r], was) {
+				fail("a skipped op changed memory")
+			}
+		}
+		if len(after) != len(before) {
+			fail("a skipped op registered %d regions", len(after)-len(before))
+		}
+		return
+	}
+	if step.left.failed == res.Status.OK() {
+		fail("the connection records failed=%v after %v", step.left.failed, res.Status)
 	}
 	known := op.Code == wire.OpRead || op.Code == wire.OpWrite || op.Code == wire.OpCAS ||
 		op.Code == wire.OpClassicCAS || op.Code == wire.OpFetchAdd || op.Code == wire.OpAllocate ||

@@ -108,8 +108,8 @@ func Send(payload []byte) wire.Op {
 	return wire.Op{Code: wire.OpSend, Data: payload}
 }
 
-// Conditional marks op to execute only if the previous op in the chain
-// succeeded (§3.4).
+// Conditional marks op to execute only if the previous op executed on
+// its connection succeeded (§3.4; Executor.Step).
 func Conditional(op wire.Op) wire.Op {
 	op.Flags |= wire.FlagConditional
 	return op

@@ -150,6 +150,10 @@ func TestChainConditionalSkipsAfterFailure(t *testing.T) {
 			}
 		}
 	})
+	// Two requests served; the skipped op is not an executed one.
+	if st := v.e.Stats(); st.RequestsServed != 2 || st.OpsExecuted != 2 {
+		t.Errorf("%d requests served, %d ops executed; want 2 and 2", st.RequestsServed, st.OpsExecuted)
+	}
 }
 
 func TestChainAllocateRedirectCAS(t *testing.T) {

@@ -73,19 +73,15 @@ type Server struct {
 
 	baseProc time.Duration // p.BaseProc()
 
-	// Stats
-	RequestsServed int64
-	OpsExecuted    int64
 	// RespReused counts responses recycled from the replay ring rather
 	// than allocated (transport-arena effectiveness, also under loss).
 	RespReused int64
 }
 
 type serverConn struct {
-	id       uint64
-	client   *fabric.Node
-	lastOK   bool
-	tempAddr memory.Addr
+	id     uint64
+	client *fabric.Node
+	chain  prism.Conn // what Executor.Step reads and advances (§3.4)
 	// tempOnNIC records whether this connection's temp buffer fits the
 	// on-NIC memory region (false beyond model.OnNICMemoryBytes of temps).
 	tempOnNIC bool
@@ -99,8 +95,8 @@ type serverConn struct {
 	servedSeq  [servedDepth]uint64
 	// RC queue pairs execute work requests in order, one at a time:
 	// requests arriving while one is being served queue behind it. This
-	// is what makes the conditional flag's "previous operations from the
-	// same client" semantics (§3.4) well defined across chains.
+	// is what makes chain's "previous op from this connection" (§3.4)
+	// well defined across requests.
 	busy    bool
 	backlog []*wire.Request
 	// payload is the per-slot response-payload arena (lossless networks
@@ -242,8 +238,8 @@ func (s *Server) StageWrites(key memory.RKey, gap time.Duration, writes []transp
 
 // connect registers a new queue pair from the given client node.
 func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, tempKey memory.RKey) {
-	id = uint64(len(s.conns))
-	sc := &serverConn{id: id, client: client, lastOK: true, tempAddr: s.AllocConnTemp()}
+	id, temp = uint64(len(s.conns)), s.AllocConnTemp()
+	sc := &serverConn{id: id, client: client}
 	sc.tempOnNIC = id < model.OnNICMemoryBytes/ConnTempSize
 	sc.readAlloc = func(n uint64) []byte { return transport.CarveArena(&sc.payload[sc.curSlot], n) }
 	sc.stepFn = func() { s.chainStep(sc) }
@@ -261,7 +257,7 @@ func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, temp
 		// cache, the model charges nothing and figures are bit-unchanged.
 		s.qp.warm(sc)
 	}
-	return id, sc.tempAddr, s.TempKey()
+	return id, temp, s.TempKey()
 }
 
 // qpTouch is one access to conn sc's context, by an arriving request or
@@ -336,7 +332,7 @@ func (s *Server) startRequest(sc *serverConn, req *wire.Request) {
 // lives on the connection and advances via the prebuilt stepFn/finishFn,
 // so the steady-state verb path allocates nothing.
 func (s *Server) serveVerbs(sc *serverConn, req *wire.Request) {
-	s.RequestsServed++
+	s.e.Counters().RequestsServed++
 	if !model.Executes(s.deploy, req.Ops) {
 		resp := s.acquireResp(sc, req.Seq, len(req.Ops))
 		for i := range resp.Results {
@@ -361,9 +357,9 @@ func (s *Server) serveVerbs(sc *serverConn, req *wire.Request) {
 	s.e.Schedule(s.baseProc/2+overhead+s.takeQPDebt(sc), sc.stepFn)
 }
 
-// chainStep executes the next op of the connection's current chain.
-// Conditionally skipped ops fall through to the next op at the same
-// instant (the loop), exactly as the recursive formulation did.
+// chainStep steps the next op of the connection's current chain through
+// Executor.Step. Skipped ops fall through to the next op at the same
+// instant (the loop).
 func (s *Server) chainStep(sc *serverConn) {
 	req, resp := sc.chainReq, sc.chainResp
 	results := resp.Results
@@ -375,33 +371,24 @@ func (s *Server) chainStep(sc *serverConn) {
 			return
 		}
 		op := &req.Ops[i]
-		if op.Flags.Has(wire.FlagConditional) && !sc.lastOK {
-			results[i] = wire.Result{Status: wire.StatusNotExecuted}
-			if s.tracer != nil {
-				s.tracer(TraceEvent{
-					At: s.e.Now(), Conn: sc.id, Seq: req.Seq, OpIdx: i,
-					Code: op.Code, Flags: op.Flags, Status: wire.StatusNotExecuted, Op: op,
-				})
-			}
-			sc.chainIdx = i + 1
-			continue
-		}
 		// READ payloads ride the response until the slot retires; carve
 		// them from the slot's arena instead of the heap.
 		s.exec.ReadAlloc = sc.readAlloc
-		s.exec.ExecInto(op, &results[i], &sc.opMeta)
-		s.exec.ReadAlloc = nil
-		s.OpsExecuted++
-		sc.lastOK = results[i].Status.OK()
+		executed := s.exec.Step(&sc.chain, op, &results[i], &sc.opMeta)
 		if s.tracer != nil {
 			s.tracer(TraceEvent{
 				At: s.e.Now(), Conn: sc.id, Seq: req.Seq, OpIdx: i,
 				Code: op.Code, Flags: op.Flags, Status: results[i].Status, Op: op,
 			})
 		}
+		sc.chainIdx = i + 1
+		if !executed {
+			continue
+		}
+		st := s.e.Counters()
+		st.OpsExecuted++
 		delay := s.p.OpExtra(s.deploy, op.Code, sc.opMeta, sc.tempOnNIC)
 		if sc.opMeta.Steps > 0 {
-			st := s.e.Counters()
 			st.ProgOps++
 			st.ProgSteps += int64(sc.opMeta.Steps)
 			// A program's further iterations occupy a stack core too, and
@@ -413,7 +400,6 @@ func (s *Server) chainStep(sc *serverConn) {
 		if i+1 < len(req.Ops) {
 			delay += model.InterOp
 		}
-		sc.chainIdx = i + 1
 		s.e.Schedule(delay, sc.stepFn)
 		return
 	}
@@ -429,7 +415,7 @@ func (s *Server) finishChain(sc *serverConn) {
 
 // serveRPC dispatches a two-sided request to the application handler.
 func (s *Server) serveRPC(sc *serverConn, req *wire.Request) {
-	s.RequestsServed++
+	s.e.Counters().RequestsServed++
 	payload := req.Ops[0].Data
 	handler := s.RPCFor(payload)
 	if handler == nil {

@@ -127,11 +127,13 @@ type Stats struct {
 	ConnCacheMisses    int64
 	ConnCacheEvictions int64
 
-	// Verb programs executed (CHASE/SCAN ops) and their loop iterations,
-	// under the live server's names. ProgSteps-ProgOps is the round trips
-	// the programs collapsed.
-	ProgOps   int64
-	ProgSteps int64
+	// Requests served, ops executed (skipped ones excluded), and verb
+	// programs (CHASE/SCAN ops) and their loop iterations, under the live
+	// server's names. ProgSteps-ProgOps is the round trips they collapsed.
+	RequestsServed int64
+	OpsExecuted    int64
+	ProgOps        int64
+	ProgSteps      int64
 }
 
 // MeanBurstLen returns the mean number of events executed per drained

@@ -639,12 +639,15 @@ func TestCountersReachStats(t *testing.T) {
 		c.ConnCacheHits += 10
 		c.ConnCacheMisses += 3
 		c.ConnCacheEvictions++
+		c.RequestsServed += 4
+		c.OpsExecuted += 5
 		c.ProgOps += 2
 		c.ProgSteps += 16
 	})
 	e.Run()
 	st := e.Stats()
 	if st.ConnCacheHits != 10 || st.ConnCacheMisses != 3 || st.ConnCacheEvictions != 1 ||
+		st.RequestsServed != 4 || st.OpsExecuted != 5 ||
 		st.ProgOps != 2 || st.ProgSteps != 16 || st.EventsExecuted != 1 {
 		t.Fatalf("stats %+v, want the added counters and 1 event", st)
 	}

@@ -514,6 +514,114 @@ func TestHostilePeer(t *testing.T) {
 		served.Wait()
 		checkNoLeak(t, before)
 	})
+	t.Run("sockets-come-and-go", func(t *testing.T) {
+		// Peers open connections and leave, one socket after another. A
+		// closing socket returns its connections' temp buffers, so the
+		// server's registered memory stays where one such socket left it.
+		const sockets, conns = 4, 2000
+		before := runtime.NumGoroutine()
+		ts := transport.NewServer()
+		var first uint64
+		for i := 0; i < sockets; i++ {
+			cEnd, sEnd := net.Pipe()
+			served := make(chan struct{})
+			go func() { defer close(served); ts.ServeConn(sEnd) }()
+			c, err := transport.NewClientConn(cEnd)
+			if err != nil {
+				t.Fatalf("socket %d: %v", i, err)
+			}
+			for j := 0; j < conns; j++ {
+				if _, err := c.Connect(); err != nil {
+					t.Fatalf("socket %d, Connect %d: %v", i, j, err)
+				}
+			}
+			c.Close()
+			<-served
+			reg := registeredBytes(ts)
+			if i == 0 {
+				first = reg
+				continue
+			}
+			if reg != first {
+				t.Errorf("after %d sockets of %d connections: %d bytes registered, want %d (one socket's)", i+1, conns, reg, first)
+			}
+		}
+		ts.Shutdown(100 * time.Millisecond)
+		checkNoLeak(t, before)
+	})
+	t.Run("connect-flood", func(t *testing.T) {
+		// A peer pipelines MaxConns+1 CONNECT frames: it gets MaxConns
+		// accepts, then loses its socket, and the connections it held are
+		// open to the next peer.
+		before := runtime.NumGoroutine()
+		ts := transport.NewServer()
+		var served sync.WaitGroup
+		serve := func(nc net.Conn) {
+			served.Add(1)
+			go func() { defer served.Done(); ts.ServeConn(nc) }()
+		}
+		pEnd, sEnd := net.Pipe()
+		serve(sEnd)
+		greet(t, pEnd)
+		connect := []byte{1, 0, 0, 0, 0x03}
+		go pEnd.Write(bytes.Repeat(connect, transport.MaxConns+1)) // fails once the server closes
+		pEnd.SetReadDeadline(time.Now().Add(4 * deadline))
+		accepts := 0
+		for hdr := make([]byte, 5); ; accepts++ {
+			if _, err := io.ReadFull(pEnd, hdr); err != nil {
+				if err != io.EOF {
+					t.Fatalf("after %d accepts: %v", accepts, err)
+				}
+				break
+			}
+			if hdr[4] != 0x04 {
+				t.Fatalf("frame 0x%02x after %d accepts, want an accept", hdr[4], accepts)
+			}
+			if _, err := io.CopyN(io.Discard, pEnd, int64(binary.LittleEndian.Uint32(hdr))-1); err != nil {
+				t.Fatalf("accept %d: %v", accepts, err)
+			}
+		}
+		if accepts != transport.MaxConns {
+			t.Errorf("a flood of %d CONNECTs got %d accepts, want %d and a closed socket", transport.MaxConns+1, accepts, transport.MaxConns)
+		}
+		pEnd.Close()
+		cEnd, sEnd := net.Pipe()
+		serve(sEnd)
+		c, err := transport.NewClientConn(cEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			// The flood's connections return once its socket has left.
+			if _, err := c.Connect(); err == nil {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("no connection fits after the flood's socket closed: %v", err)
+			}
+			c.Close()
+			cEnd, sEnd = net.Pipe()
+			serve(sEnd)
+			if c, err = transport.NewClientConn(cEnd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+		ts.Shutdown(100 * time.Millisecond)
+		served.Wait()
+		checkNoLeak(t, before)
+	})
+}
+
+// registeredBytes is the memory registered on ts's space.
+func registeredBytes(ts *transport.Server) uint64 {
+	g := ts.Space().Guard()
+	g.Lock()
+	defer g.Unlock()
+	var n uint64
+	for _, r := range ts.Space().Regions() {
+		n += r.Len
+	}
+	return n
 }
 
 // TestStalledFrameReleasesReadBudget is TestHostilePeer's budget holder

@@ -44,6 +44,7 @@ type HostCore struct {
 	tempKey    memory.RKey
 	tempRegion *memory.Region
 	tempUsed   uint64
+	tempFree   []memory.Addr // returned by closed connections, reused first
 }
 
 // NewHostCore returns the provisioning state of a server over space.
@@ -153,12 +154,26 @@ func nextTempBufs(prev uint64) uint64 {
 	return 2 * prev
 }
 
-// AllocConnTemp carves a per-connection temp buffer, registering the
-// schedule's next backing region (under the space guard) when the current
-// one fills. Transports call it once per accepted connection and
-// serialize the calls themselves: the live server under its accept lock,
-// the simulator by running each cluster on one engine.
+// AllocConnTemp hands out a per-connection temp buffer: a returned one,
+// zeroed, if any, else one carved from the current region, registering
+// the schedule's next backing region (under the space guard) when that one
+// fills. Transports call it once per accepted connection and serialize
+// the calls themselves: the live server under its accept lock, the
+// simulator by running each cluster on one engine.
 func (h *HostCore) AllocConnTemp() memory.Addr {
+	if n := len(h.tempFree); n > 0 {
+		addr := h.tempFree[n-1]
+		h.tempFree = h.tempFree[:n-1]
+		var zero [ConnTempSize]byte
+		g := h.space.Guard()
+		g.Lock()
+		err := h.space.Write(h.tempKey, addr, zero[:])
+		g.Unlock()
+		if err != nil {
+			panic(fmt.Sprintf("transport: clearing a returned temp buffer: %v", err))
+		}
+		return addr
+	}
 	if h.tempRegion == nil || h.tempUsed+ConnTempSize > h.tempRegion.Len {
 		var prev uint64
 		if h.tempRegion != nil {
@@ -187,6 +202,14 @@ func (h *HostCore) AllocConnTemp() memory.Addr {
 	addr := h.tempRegion.Base + memory.Addr(h.tempUsed)
 	h.tempUsed += ConnTempSize
 	return addr
+}
+
+// ReturnConnTemps gives closed connections' temp buffers back for
+// AllocConnTemp to reuse, under the same serialization as AllocConnTemp.
+// The simulator never closes a connection; the live server returns a
+// socket's temps when the socket closes.
+func (h *HostCore) ReturnConnTemps(temps []memory.Addr) {
+	h.tempFree = append(h.tempFree, temps...)
 }
 
 // CarveArena allocates n bytes from a payload arena: the simulated NIC's

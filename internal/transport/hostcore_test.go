@@ -62,6 +62,32 @@ func TestConnTempCarving(t *testing.T) {
 	}
 }
 
+// Returned temps are handed out again before any new one is carved, and
+// a connection never sees the bytes the previous owner left in its temp.
+func TestReturnedConnTempsAreReusedClear(t *testing.T) {
+	h := NewHostCore(memory.NewSpace())
+	a, b := h.AllocConnTemp(), h.AllocConnTemp()
+	for _, addr := range []memory.Addr{a, b} {
+		if err := h.Space().Write(h.TempKey(), addr+ConnTempSize-8, []byte("leftover")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	regions := len(h.Space().Regions())
+	h.ReturnConnTemps([]memory.Addr{a, b})
+	got := []memory.Addr{h.AllocConnTemp(), h.AllocConnTemp()}
+	if !slices.Contains(got, a) || !slices.Contains(got, b) {
+		t.Fatalf("after returning %#x and %#x, AllocConnTemp handed out %#x", a, b, got)
+	}
+	for _, addr := range got {
+		if buf, _ := h.Space().Peek(h.TempKey(), addr, ConnTempSize); !slices.Equal(buf, make([]byte, ConnTempSize)) {
+			t.Errorf("reused temp %#x holds %q", addr, buf)
+		}
+	}
+	if c := h.AllocConnTemp(); c == a || c == b || len(h.Space().Regions()) != regions {
+		t.Errorf("the next temp %#x is not carved from the region already registered", c)
+	}
+}
+
 // A live server's StageWrites returns once every write has landed, in
 // order, each under a guard acquisition of its own (the guard is free
 // again after), and it stops at the first write that fails and returns

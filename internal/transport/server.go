@@ -71,6 +71,12 @@ const ServerBatch = 64
 // can pin is bounded by the operator, not by the peers.
 const MaxSockets = 1024
 
+// MaxConns caps the logical connections open on a server at once, across
+// its sockets. Each holds a ConnTempSize temp buffer of registered memory,
+// so the cap bounds the temps at 4 MiB; a CONNECT past it closes its
+// socket, and a closing socket returns its connections' temps for reuse.
+const MaxConns = 16384
+
 var (
 	// ErrServerClosed is returned by Serve after Shutdown begins draining.
 	ErrServerClosed = errors.New("transport: server closed")
@@ -111,10 +117,11 @@ type Server struct {
 	rpcMu sync.Mutex
 
 	// mu guards the accept-side bookkeeping: listeners, sockets, the
-	// logical-connection counter, temp-region carving (AllocConnTemp), and
-	// draining.
+	// logical-connection id counter and open count, the connection temps
+	// (AllocConnTemp, ReturnConnTemps), and draining.
 	mu        sync.Mutex
 	nextConn  uint64
+	openConns int
 	listeners []net.Listener
 	socks     map[*srvSock]struct{}
 	draining  bool
@@ -164,7 +171,7 @@ func (s *Server) addSock(nc net.Conn) (*srvSock, error) {
 	sk := &srvSock{s: s, nc: nc, fr: NewFrameReader(nc), fw: NewFrameWriter(nc)}
 	sk.fr.budget, sk.fr.setDeadline = &s.reads, nc.SetReadDeadline
 	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists(), ReadAlloc: sk.fw.carve}
-	sk.conns = make(map[uint64]*liveConn)
+	sk.conns = make(map[uint64]*prism.Conn)
 	sk.guard = s.Space().Guard()
 	s.mu.Lock()
 	if s.draining {
@@ -271,28 +278,21 @@ func (s *Server) Shutdown(grace time.Duration) {
 	}
 }
 
-// liveConn is one logical connection (queue pair) multiplexed on a
-// socket. The conditional-flag state follows the simulated server's:
-// lastOK tracks the last executed op's status; skipped ops leave it
-// unchanged, so consecutive conditionals all skip (§3.4).
-type liveConn struct {
-	id       uint64
-	tempAddr memory.Addr
-	lastOK   bool
-}
-
 // srvSock is one accepted socket: framers, a private executor over the
 // shared space that reads into the staged response frame, decode
-// scratch, and the logical connections opened on it. All fields are
-// owned by the socket's goroutine; shared state is reached only under
-// the space guard (primitives, free lists, quiescer) or s.mu (registry).
+// scratch, and the logical connections opened on it: each one's chain
+// state by id, and their temp buffers, which go back to the server when
+// the socket closes. All fields are owned by the socket's goroutine;
+// shared state is reached only under the space guard (primitives, free
+// lists, quiescer) or s.mu (registry).
 type srvSock struct {
 	s     *Server
 	nc    net.Conn
 	fr    *FrameReader
 	fw    *FrameWriter
 	exec  *prism.Executor
-	conns map[uint64]*liveConn
+	conns map[uint64]*prism.Conn
+	temps []memory.Addr
 
 	// Wakeup-batch guard amortization: the space guard is acquired at
 	// the first verb of a batch and released before any RPC dispatch
@@ -345,6 +345,8 @@ func (sk *srvSock) loop() {
 		s.BatchFrames.Add(sk.batchFrames)
 		s.mu.Lock()
 		delete(s.socks, sk)
+		s.openConns -= len(sk.temps)
+		s.ReturnConnTemps(sk.temps)
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
@@ -401,7 +403,8 @@ func (sk *srvSock) loop() {
 }
 
 // handleConnect opens a logical connection and stages the accept frame
-// carrying its id and temp-buffer coordinates. The wakeup batch's
+// carrying its id and temp-buffer coordinates, or fails the socket once
+// MaxConns connections are open on the server. The wakeup batch's
 // amortized space guard is released first (as serveRPC does): a connect
 // frame can coalesce into the same wakeup batch as request frames, and
 // AllocConnTemp takes the guard when the temp region fills — holding it
@@ -411,12 +414,18 @@ func (sk *srvSock) handleConnect() error {
 	sk.endVerbs()
 	s := sk.s
 	s.mu.Lock()
+	if s.openConns >= MaxConns {
+		s.mu.Unlock()
+		return fmt.Errorf("transport: more than %d connections", MaxConns)
+	}
+	s.openConns++
 	id := s.nextConn
 	s.nextConn++
 	temp := s.AllocConnTemp()
 	key := s.TempKey()
 	s.mu.Unlock()
-	sk.conns[id] = &liveConn{id: id, tempAddr: temp, lastOK: true}
+	sk.conns[id] = new(prism.Conn)
+	sk.temps = append(sk.temps, temp)
 	s.ConnsAccepted.Add(1)
 	var scratch [acceptLen]byte
 	return sk.fw.Stage(frameAccept, appendAccept(scratch[:0], id, temp, key))
@@ -430,7 +439,7 @@ func (sk *srvSock) serveRequest(body []byte) error {
 	if err := wire.DecodeRequestAlias(&sk.req, body); err != nil {
 		return err
 	}
-	lc, ok := sk.conns[sk.req.Conn]
+	c, ok := sk.conns[sk.req.Conn]
 	if !ok {
 		return fmt.Errorf("transport: request on unknown connection %d", sk.req.Conn)
 	}
@@ -441,34 +450,29 @@ func (sk *srvSock) serveRequest(body []byte) error {
 	if len(req.Ops) == 1 && req.Ops[0].Code == wire.OpSend {
 		sk.serveRPC(req)
 	} else {
-		sk.serveVerbs(lc, req)
+		sk.serveVerbs(c, req)
 	}
 	return sk.fw.endFrame(start)
 }
 
-// serveVerbs executes a (possibly chained) one-sided request under the
-// wakeup batch's amortized guard acquisition, each op into the result
-// header and payload it stages. Each primitive is atomic under the guard
-// (§3.3/§3.5); the batch merely coarsens how requests from different
-// sockets interleave, which the contract leaves open.
-func (sk *srvSock) serveVerbs(lc *liveConn, req *wire.Request) {
+// serveVerbs steps a (possibly chained) one-sided request's ops on
+// connection c under the wakeup batch's amortized guard acquisition, each
+// into the result header and payload it stages. Each primitive is atomic
+// under the guard (§3.3/§3.5); the batch merely coarsens how requests
+// from different sockets interleave, which the contract leaves open.
+func (sk *srvSock) serveVerbs(c *prism.Conn, req *wire.Request) {
 	sk.beginVerbs()
 	executed := 0
 	progOps, progSteps := int64(0), int64(0)
 	var res wire.Result
 	for i := range req.Ops {
-		op := &req.Ops[i]
 		off := sk.fw.reserveResult()
-		if op.Flags.Has(wire.FlagConditional) && !lc.lastOK {
-			res = wire.Result{Status: wire.StatusNotExecuted}
-		} else {
-			sk.exec.ExecInto(op, &res, &sk.opMeta)
+		if sk.exec.Step(c, &req.Ops[i], &res, &sk.opMeta) {
 			executed++
 			if sk.opMeta.Steps > 0 {
 				progOps++
 				progSteps += int64(sk.opMeta.Steps)
 			}
-			lc.lastOK = res.Status.OK()
 		}
 		sk.fw.putResult(off, &res)
 	}
