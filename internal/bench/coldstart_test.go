@@ -2,7 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // BenchmarkColdTemplate times one cold build of each system's template —
@@ -29,6 +31,32 @@ func BenchmarkColdTemplate(b *testing.B) {
 					sys.build(cfg)
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkFigureSetSetup times the set-up pass of sim_figures, the
+// repository benchmark's simulator workload: its eight figures at one
+// client count and a 1 µs window, so the time is mostly template builds
+// and the first point of each cluster. Every iteration uses a keyspace no earlier one used, so
+// each image is built cold once and then shared by every figure of the
+// set that needs it (Fig 3 and Fig 4 share PRISM-KV and Pilaf). A
+// collection first frees what an earlier -count run left.
+func BenchmarkFigureSetSetup(b *testing.B) {
+	figures := []func(Config) *Figure{Fig1, Fig2, Fig3, Fig4, Fig6, Fig9, FigChase, RPCvsRDMA}
+	cfg := DefaultConfig()
+	cfg.ValueSize = 512
+	cfg.ClientCounts = []int{1}
+	cfg.ChaseDepths = []int{1}
+	cfg.Warmup, cfg.Measure = time.Microsecond, time.Microsecond
+	cfg.Seed = 42
+	cfg.Parallel = 1
+	runtime.GC()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		cfg.Keys = 4095 - int64(i)
+		for _, fig := range figures {
+			fig(cfg)
 		}
 	}
 }

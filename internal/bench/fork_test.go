@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"prism/internal/abd"
@@ -65,7 +66,10 @@ func freshTXCluster(cfg Config, seed int64, w load) cluster {
 // only if forking leaks or loses state. The points of a subtest share one
 // template set, as a sweep's do, and every point forks the image twice:
 // a write leaking from one fork into the image would show in the next.
+// The test starts from a collection, so the set builds every image
+// itself rather than adopting one an earlier test left live.
 func TestForkedClusterMatchesFresh(t *testing.T) {
+	runtime.GC()
 	cfg := tiny()
 	cfg.templates = new(templateSet)
 	builds := 0
@@ -144,7 +148,9 @@ func TestForkWritesInvisibleOutsideFork(t *testing.T) {
 }
 
 // TestPilafTemplateBuildDeterministic builds the Pilaf template twice,
-// independently (each in a template set of its own), and checks that a
+// independently (each in a template set of its own, the first dropped
+// and collected before the second is built, so the second set cannot
+// adopt the first's image), and checks that a
 // measurement point reproduces exactly from either and from a store
 // loaded directly on the point's own fabric, and that the two images are
 // the same bytes after a point forked each of them — Pilaf's bulk load is
@@ -157,6 +163,10 @@ func TestPilafTemplateBuildDeterministic(t *testing.T) {
 		return pt
 	}
 	forked := pilaf(model.SoftwarePRISM, rackFabric)
+	runtime.GC()
+	builds := 0
+	templateBuilt = func(templateKey, any) { builds++ }
+	t.Cleanup(func() { templateBuilt = nil })
 	c1, c2 := tiny(), tiny()
 	c1.templates, c2.templates = new(templateSet), new(templateSet)
 	// c1's image is checksummed before its point forks it, c2's is built
@@ -166,6 +176,8 @@ func TestPilafTemplateBuildDeterministic(t *testing.T) {
 	if after := spaceChecksum(t, pilafTemplate(c1).nic.Snapshot().Space()); after != sum1 {
 		t.Fatalf("template bytes changed during a forked run: %#x -> %#x", sum1, after)
 	}
+	c1.templates = nil
+	runtime.GC()
 	b := measure(c2, forked)
 	sum2 := spaceChecksum(t, pilafTemplate(c2).nic.Snapshot().Space())
 	if a != b {
@@ -173,6 +185,9 @@ func TestPilafTemplateBuildDeterministic(t *testing.T) {
 	}
 	if sum1 != sum2 {
 		t.Fatalf("independently built templates differ: %#x vs %#x", sum1, sum2)
+	}
+	if builds != 2 {
+		t.Fatalf("the two template sets built %d images, want one each", builds)
 	}
 	fresh := measure(tiny(), func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, rackFabric(cfg))

@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"weak"
 
 	"prism/internal/abd"
 	"prism/internal/fabric"
@@ -26,16 +28,23 @@ import (
 // ---------------------------------------------------------------------------
 // Template sets
 //
-// Each distinct cluster setup is built once per sweep and every point of
-// the sweep gets a copy-on-write fork of it. The key is the setup
+// Each distinct cluster setup is built at most once per sweep and every
+// point of the sweep gets a copy-on-write fork of it. The key is the setup
 // identity — exactly what the built state depends on (system, object
 // count, value size, shard count) and nothing it doesn't: deployment,
 // point seed, client count, and workload mix are instantiation-time
 // choices. Loaded values are seed-independent (workload value bytes derive
 // from key and version only), which is what makes the built image
 // shareable across points in the first place. The set belongs to the
-// sweep that made it (Config.templates), so a figure holds its own
-// systems' images and drops them when it returns.
+// sweep that made it (Config.templates) and holds its images strongly, so
+// a figure keeps its own systems' images while it runs.
+//
+// Beside the sets, liveTemplates indexes every image still in memory by
+// key through a weak pointer. A sweep adopts an image another sweep built
+// if the collector has not freed it yet (Fig 4 runs on Fig 3's PRISM-KV
+// and Pilaf), and builds and registers one otherwise. The index holds
+// nothing alive: once no set holds an image it goes at the next
+// collection, and a cleanup then deletes its index entry.
 
 type templateKey struct {
 	system    string
@@ -49,8 +58,8 @@ type templateEntry struct {
 	val  any
 }
 
-// templateSet is the images one sweep has built. The zero value is empty
-// and ready to use.
+// templateSet is the images one sweep has built or adopted. The zero
+// value is empty and ready to use.
 type templateSet struct {
 	mu sync.Mutex
 	m  map[templateKey]*templateEntry
@@ -64,10 +73,42 @@ func (s *templateSet) entry(key templateKey) *templateEntry {
 	}
 	e := s.m[key]
 	if e == nil {
-		e = &templateEntry{}
+		e = liveTemplates.adopt(key)
 		s.m[key] = e
 	}
 	return e
+}
+
+// liveTemplates is the weak index of every set's images.
+var liveTemplates = templateIndex{m: make(map[templateKey]weak.Pointer[templateEntry])}
+
+type templateIndex struct {
+	mu sync.Mutex
+	m  map[templateKey]weak.Pointer[templateEntry]
+}
+
+// adopt returns the still-live entry of key, or registers a new one.
+func (x *templateIndex) adopt(key templateKey) *templateEntry {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if e := x.m[key].Value(); e != nil {
+		return e
+	}
+	e := &templateEntry{}
+	wp := weak.Make(e)
+	x.m[key] = wp
+	runtime.AddCleanup(e, func(key templateKey) { x.forget(key, wp) }, key)
+	return e
+}
+
+// forget deletes key's index entry if it is still wp: a later sweep may
+// have registered a new image under the key before wp's cleanup ran.
+func (x *templateIndex) forget(key templateKey, wp weak.Pointer[templateEntry]) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.m[key] == wp {
+		delete(x.m, key)
+	}
 }
 
 // templateBuilt, when set, sees every template as it is built. It is a
@@ -78,9 +119,10 @@ var templateBuilt func(key templateKey, val any)
 // a throwaway fabric: building never touches a measurement point's engine
 // or RNG stream, so fresh builds and template forks are bit-identical
 // (TestForkedClusterMatchesFresh). With a template set in cfg the image
-// is built at most once per set: concurrent workers needing the same key
-// block on one build, and workers on different keys build concurrently.
-// Without one every call builds afresh.
+// is built at most once per set, and not at all while another set's image
+// of the key is live: concurrent workers needing the same key block on one
+// build, and workers on different keys build concurrently. Without one
+// every call builds afresh.
 func cachedTemplate[T any](system string, cfg Config, shards int, build func(v *env) T) T {
 	key := templateKey{system: system, keys: cfg.Keys, valueSize: cfg.ValueSize, shards: shards}
 	fresh := func() T {
