@@ -1,19 +1,27 @@
-// Command prismload drives concurrent load against a live prismd
-// server and reports throughput and latency percentiles. Each client is
-// a goroutine owning one logical connection (queue pair); many clients
-// multiplex over a small pool of sockets, RDMAvisor-style, so "-clients
-// 1000 -sockets 8" means a thousand concurrent closed-loop clients on
-// eight file descriptors.
+// Command prismload drives closed-loop load against live prismd servers
+// and reports throughput and latency percentiles. Each client owns one
+// logical connection (queue pair) per server; many clients multiplex over
+// a small pool of sockets, RDMAvisor-style, so "-clients 1000 -sockets 8"
+// means a thousand concurrent closed-loop clients on eight file
+// descriptors per server. The loop itself is workload.Driver on the wall
+// clock, the one the figure harness runs on the simulator's engine.
 //
 //	prismload -addr /tmp/prism.sock -clients 1000 -duration 10s -json out.json
+//	prismload -addr /tmp/r0.sock,/tmp/r1.sock,/tmp/r2.sock   # a PRISM-RS group
 //
-// The key space should be preloaded (prismd -load) so reads hit.
+// The app comes from the server's meta reply, so prismload drives
+// whatever prismd -app serves: kv, chain, pilaf, rs, lock, tx or farm.
+// rs, lock and tx take one -addr per replica or shard, in order; every
+// other app takes one. The key space should be preloaded (prismd -load)
+// so reads hit.
 //
-// -workload selects the op mix: "get" (the default read/write mix),
-// "scan" (budget-bounded SCAN windows over the hash table), and — when
-// the server runs a chain store (prismd -app chain:DEPTH) — "chase" (one
-// CHASE verb program per lookup) against "chasehop" (the per-hop
-// one-sided baseline: one round trip per pointer hop).
+// -workload selects the op mix. "mix" (the default) is the app's figure
+// workload: GET/PUT at -reads on kv, pilaf, rs and lock (on kv in
+// kv.GetBatch trains of -batch GETs), YCSB-T read-modify-write
+// transactions on tx and farm, and one CHASE lookup per op on chain.
+// "scan" runs budget-bounded SCAN windows over a kv hash table; "chase"
+// and "chasehop" look up -depth-deep chain keys with one CHASE verb
+// program, or with one one-sided round trip per pointer hop.
 package main
 
 import (
@@ -25,13 +33,14 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 
+	"prism/internal/abd"
 	"prism/internal/kv"
-	"prism/internal/stats"
 	"prism/internal/transport"
+	"prism/internal/tx"
+	"prism/internal/workload"
 )
 
 // errUsage marks a bad invocation, which exits 2 rather than 1.
@@ -47,243 +56,133 @@ func main() {
 	}
 }
 
+// options is the parsed command line, plus the totals the clients add to
+// as they exit (under the driver's lock; read after the run).
+type options struct {
+	clients, sockets, value, batch int
+	keys, depth                    int64
+	reads                          float64
+	workload                       string
+	scanBudget                     uint64
+
+	hops, scanEntries int64
+}
+
 // run is the whole command: parse args, drive the load, and write the
 // result JSON to stdout (and to -json). It fails if any client did.
 func run(args []string, stdout io.Writer) error {
+	var o options
 	fs := flag.NewFlagSet("prismload", flag.ContinueOnError)
-	addr := fs.String("addr", "", "server address: host:port is tcp, anything else (a path, relative or not) a unix socket")
-	clients := fs.Int("clients", 100, "concurrent closed-loop clients (logical connections)")
-	sockets := fs.Int("sockets", 8, "sockets to multiplex clients over")
+	addr := fs.String("addr", "", "server addresses, comma-separated (one per replica or shard for rs, lock and tx): host:port is tcp, anything else (a path, relative or not) a unix socket")
+	fs.IntVar(&o.clients, "clients", 100, "concurrent closed-loop clients (logical connections per server)")
+	fs.IntVar(&o.sockets, "sockets", 8, "sockets per server to multiplex clients over")
 	duration := fs.Duration("duration", 5*time.Second, "measurement duration")
-	keys := fs.Int64("keys", 4096, "key space (should be preloaded)")
-	valueSize := fs.Int("value", 128, "value size for writes (bytes)")
-	reads := fs.Float64("reads", 0.95, "fraction of operations that are GETs")
-	workloadKind := fs.String("workload", "get", "op mix: get, chase, chasehop, or scan (chase/chasehop need prismd -app chain:DEPTH)")
-	depth := fs.Int64("depth", 0, "chain hops per chase/chasehop lookup (0 = the chain's full depth)")
-	scanBudget := fs.Uint64("scan-budget", 4096, "byte budget per SCAN window")
+	fs.Int64Var(&o.keys, "keys", 4096, "key space (should be preloaded)")
+	fs.IntVar(&o.value, "value", 128, "value size for writes (bytes)")
+	fs.Float64Var(&o.reads, "reads", 0.95, "fraction of GET/PUT operations that are GETs")
+	fs.StringVar(&o.workload, "workload", "mix", "op mix: mix, scan (kv), chase or chasehop (chain)")
+	fs.Int64Var(&o.depth, "depth", 0, "chain hops per chase/chasehop lookup (0 = the chain's full depth)")
+	fs.Uint64Var(&o.scanBudget, "scan-budget", 4096, "byte budget per SCAN window")
 	jsonPath := fs.String("json", "", "write the result JSON here (default stdout)")
-	batch := fs.Int("batch", 1, "GETs per doorbell: issue reads in kv.GetBatch trains of this size")
+	fs.IntVar(&o.batch, "batch", 1, "GETs per doorbell on kv: issue reads in kv.GetBatch trains of this size")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return nil
 	} else if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-
-	if *addr == "" {
+	switch {
+	case *addr == "":
 		return fmt.Errorf("%w: need -addr", errUsage)
+	case o.clients < 1 || o.keys < 1 || o.value < 0 || *duration <= 0:
+		return fmt.Errorf("%w: need -clients >= 1, -keys >= 1, -value >= 0 and -duration > 0", errUsage)
+	case o.workload != "mix" && o.workload != "scan" && o.workload != "chase" && o.workload != "chasehop":
+		return fmt.Errorf("%w: unknown -workload %q (mix, scan, chase or chasehop)", errUsage, o.workload)
 	}
-	*sockets = max(1, min(*sockets, *clients))
-	*batch = max(1, *batch)
-	var meta kv.Meta
-	var chainMeta kv.ChainMeta
-	app, target := "kv", any(&meta)
-	switch *workloadKind {
-	case "chase", "chasehop":
-		app, target = "chain", &chainMeta
-	case "get", "scan":
-	default:
-		return fmt.Errorf("%w: unknown -workload %q (get, chase, chasehop, or scan)", errUsage, *workloadKind)
+	o.sockets = max(1, min(o.sockets, o.clients))
+	o.batch = max(1, o.batch)
+
+	// Dial every server's socket pool and open every logical connection
+	// up front so the measured window is pure data path; client 0's fetch
+	// each server's Meta.
+	addrs := strings.Split(*addr, ",")
+	var pool []*transport.Client
+	conns := make([][]transport.Issuer, o.clients)
+	for _, a := range addrs {
+		sockets := make([]*transport.Client, o.sockets)
+		for i := range sockets {
+			tc, err := transport.Dial(a)
+			if err != nil {
+				return fmt.Errorf("dial %s: %w", a, err)
+			}
+			defer tc.Close()
+			sockets[i] = tc
+		}
+		for i := range conns {
+			cn, err := sockets[i%o.sockets].Connect()
+			if err != nil {
+				return fmt.Errorf("connect client %d to %s: %w", i, a, err)
+			}
+			conns[i] = append(conns[i], cn)
+		}
+		pool = append(pool, sockets...)
+	}
+	replies := make([]transport.MetaReply, len(addrs))
+	for i := range replies {
+		var err error
+		if replies[i], err = transport.FetchMetaReply(conns[0][i]); err != nil {
+			return fmt.Errorf("fetch meta from %s: %w", addrs[i], err)
+		}
+		if app := replies[i].App; app != replies[0].App {
+			return fmt.Errorf("%s serves %s, but %s serves %s", addrs[0], replies[0].App, addrs[i], app)
+		}
+	}
+	mk, err := o.clientsOf(replies)
+	if err != nil {
+		return err
 	}
 
-	// Dial the socket pool and open every logical connection up front so
-	// the measured window is pure data path; the first fetches the store's
-	// Meta.
-	pool := make([]*transport.Client, *sockets)
-	for i := range pool {
-		tc, err := transport.Dial(*addr)
-		if err != nil {
-			return fmt.Errorf("dial %s: %w", *addr, err)
-		}
-		defer tc.Close()
-		pool[i] = tc
-	}
-	conns := make([]*transport.Conn, *clients)
-	for i := range conns {
-		cn, err := pool[i%*sockets].Connect()
-		if err != nil {
-			return fmt.Errorf("connect client %d: %w", i, err)
-		}
-		conns[i] = cn
-	}
-	if err := transport.FetchMeta(conns[0], app, target); err != nil {
-		return fmt.Errorf("fetch meta: %w", err)
-	}
-	if *workloadKind == "get" && *keys > meta.NSlots {
-		return fmt.Errorf("-keys %d exceeds server's %d slots", *keys, meta.NSlots)
-	}
-	if app == "chain" && (*depth <= 0 || *depth > chainMeta.Depth) {
-		*depth = chainMeta.Depth
-	}
-
-	var (
-		ops      atomic.Int64
-		errCount atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr atomic.Value
-	)
-	firstErr.Store("")
-	recorders := make([]*stats.LatencyRecorder, *clients)
-	finished := make([]atomic.Bool, *clients)
-	value := make([]byte, *valueSize)
-	for i := range value {
-		value[i] = byte(i)
-	}
-	var scanEntries, hopCount atomic.Int64
-	deadline := time.Now().Add(*duration)
-	start := time.Now()
-	for i := 0; i < *clients; i++ {
-		rec := stats.NewLatencyRecorder()
-		recorders[i] = rec
-		rng := rand.New(rand.NewSource(int64(i)*7919 + 1))
-		// doOp runs one operation and returns how many logical ops it
-		// completed; done runs after a clean deadline exit.
-		var doOp func() (int64, error)
-		var done func()
-		switch *workloadKind {
-		case "chase", "chasehop":
-			cc := kv.NewChainClient(conns[i], chainMeta)
-			pos := *depth - 1
-			lookup := cc.ChaseGet
-			if *workloadKind == "chasehop" {
-				lookup = cc.HopGet
-			}
-			doOp = func() (int64, error) {
-				// The pos-deep key of a uniform bucket: exactly -depth hops.
-				key := rng.Int63n(chainMeta.Buckets)*chainMeta.Depth + pos
-				if _, err := lookup(key); err != nil && err != kv.ErrNotFound {
-					return 1, err
-				}
-				return 1, nil
-			}
-			done = func() { hopCount.Add(cc.Hops) }
-		case "scan":
-			kvc := kv.NewClient(conns[i], meta, uint16(i+1))
-			cursor := int64(0)
-			var entries int64
-			visit := func(_ int64, _ []byte) error { entries++; return nil }
-			doOp = func() (int64, error) {
-				next, err := kvc.Scan(cursor, *scanBudget, visit)
-				if err != nil {
-					return 1, err
-				}
-				cursor = next
-				if cursor >= meta.NSlots {
-					cursor = 0
-				}
-				return 1, nil
-			}
-			done = func() { scanEntries.Add(entries); kvc.FlushFrees() }
-		default: // get
-			kvc := kv.NewClient(conns[i], meta, uint16(i+1))
-			var batchKeys []int64
-			if *batch > 1 {
-				batchKeys = make([]int64, *batch)
-			}
-			doOp = func() (int64, error) {
-				var err error
-				var n int64 = 1
-				if rng.Float64() < *reads {
-					if *batch > 1 {
-						// One doorbell for the whole GET train; the batch's
-						// latency is recorded once, its ops counted each.
-						for j := range batchKeys {
-							batchKeys[j] = rng.Int63n(*keys)
-						}
-						var keyErr error
-						err = kvc.GetBatch(batchKeys, func(_ int, _ []byte, kerr error) {
-							if kerr != nil && kerr != kv.ErrNotFound && keyErr == nil {
-								keyErr = kerr // a miss is valid; a protocol error is not
-							}
-						})
-						if err == nil {
-							err = keyErr
-						}
-						n = int64(*batch)
-					} else {
-						_, err = kvc.Get(rng.Int63n(*keys))
-						if err == kv.ErrNotFound {
-							err = nil // an unloaded key is a valid miss
-						}
-					}
-				} else {
-					err = kvc.Put(rng.Int63n(*keys), value)
-				}
-				return n, err
-			}
-			done = func() { kvc.FlushFrees() }
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			defer finished[id].Store(true)
-			for time.Now().Before(deadline) {
-				opStart := time.Now()
-				n, err := doOp()
-				if err != nil {
-					// Transport down or protocol error: stop this client but
-					// keep the rest running — a mid-run server drop must
-					// produce a per-client error report, not a crash.
-					errCount.Add(1)
-					errOnce.Do(func() { firstErr.Store(fmt.Sprintf("client %d: %v", id, err)) })
-					return
-				}
-				rec.Record(time.Since(opStart))
-				ops.Add(n)
-			}
-			done()
-		}(i)
-	}
-
-	// A dropped server normally surfaces as per-client errors, but a
-	// wedged transport (accepted socket, nothing reading) would block a
-	// client mid-call forever. The watchdog bounds the wait and reports
-	// partial results rather than hanging.
-	waited := make(chan struct{})
-	go func() { wg.Wait(); close(waited) }()
+	// A client blocked on a wedged transport (an accepted socket nobody
+	// reads) is left behind after this grace and reported as stalled.
 	grace := *duration/2 + 5*time.Second
-	select {
-	case <-waited:
-	case <-time.After(time.Until(deadline) + grace):
-		fmt.Fprintf(os.Stderr, "prismload: clients still blocked %v past the deadline; reporting partial results\n", grace)
+	d := workload.NewDriver(workload.NewWallClock(grace), workload.Window{Measure: *duration})
+	for i, cn := range conns {
+		d.Go(mk(i, cn))
 	}
-	elapsed := time.Since(start)
+	r := d.Run()
+	if r.Stalled > 0 {
+		fmt.Fprintf(os.Stderr, "prismload: %d clients still blocked %v past the deadline; reporting partial results\n",
+			r.Stalled, grace)
+	}
+	sum := r.Summary(o.clients)
 
-	// Merge only the recorders of clients that have exited: a stalled
-	// client may still be touching its recorder.
-	var stalled int64
-	merged := stats.NewLatencyRecorder()
-	for i, rec := range recorders {
-		if finished[i].Load() {
-			merged.Merge(rec)
-		} else {
-			stalled++
-		}
-	}
 	// Doorbell telemetry, aggregated over the socket pool: write
 	// syscalls and the frames/bytes they carried (frames_per_write is
 	// the realized batching factor), and the demux side's reads.
 	var writes, framesOut, bytesOut, readsIn, bytesIn int64
 	for _, tc := range pool {
 		w, f, b := tc.FlushStats()
-		r, rb := tc.ReadStats()
-		writes, framesOut, bytesOut, readsIn, bytesIn = writes+w, framesOut+f, bytesOut+b, readsIn+r, bytesIn+rb
+		rd, rb := tc.ReadStats()
+		writes, framesOut, bytesOut, readsIn, bytesIn = writes+w, framesOut+f, bytesOut+b, readsIn+rd, bytesIn+rb
+	}
+	firstErr := ""
+	if r.FirstErr != nil {
+		firstErr = r.FirstErr.Error()
 	}
 	result := map[string]any{
 		"addr":              *addr,
-		"clients":           *clients,
-		"sockets":           *sockets,
-		"duration_s":        elapsed.Seconds(),
-		"workload":          *workloadKind,
-		"reads":             *reads,
-		"value_bytes":       *valueSize,
-		"ops":               ops.Load(),
-		"ops_per_sec":       float64(ops.Load()) / elapsed.Seconds(),
-		"p50_us":            float64(merged.Median()) / 1e3,
-		"p99_us":            float64(merged.P99()) / 1e3,
-		"errors":            errCount.Load(),
+		"clients":           o.clients,
+		"sockets":           o.sockets,
+		"duration_s":        r.Window.Seconds(),
+		"workload":          o.workload,
+		"reads":             o.reads,
+		"value_bytes":       o.value,
+		"ops":               r.Ops,
+		"ops_per_sec":       sum.Throughput,
+		"p50_us":            float64(sum.Median) / 1e3,
+		"p99_us":            float64(sum.P99) / 1e3,
+		"errors":            r.Errors,
 		"num_cpu":           runtime.NumCPU(),
-		"batch_len":         *batch,
+		"batch_len":         o.batch,
 		"writes":            writes,
 		"frames_per_write":  ratio(framesOut, writes),
 		"bytes_per_syscall": ratio(bytesOut, writes),
@@ -291,21 +190,21 @@ func run(args []string, stdout io.Writer) error {
 		"bytes_per_read":    ratio(bytesIn, readsIn),
 		// Per-client failure detail: each client errors at most once
 		// before stopping, so errors == clients that dropped out.
-		"clients_errored": errCount.Load(),
-		"first_error":     firstErr.Load(),
-		"stalled_clients": stalled,
+		"clients_errored": r.Errors,
+		"first_error":     firstErr,
+		"stalled_clients": r.Stalled,
 	}
-	switch *workloadKind {
+	switch o.workload {
 	case "chase":
-		result["depth"] = *depth
+		result["depth"] = o.depth
 	case "chasehop":
 		// Client-observed round trips: what a CHASE program would have
 		// collapsed to one per lookup.
-		result["depth"] = *depth
-		result["hops"] = hopCount.Load()
+		result["depth"] = o.depth
+		result["hops"] = o.hops
 	case "scan":
-		result["scan_budget"] = *scanBudget
-		result["scan_entries"] = scanEntries.Load()
+		result["scan_budget"] = o.scanBudget
+		result["scan_entries"] = o.scanEntries
 	}
 	out, err := json.MarshalIndent(result, "", "  ")
 	if err != nil {
@@ -320,10 +219,183 @@ func run(args []string, stdout io.Writer) error {
 	if _, err := stdout.Write(out); err != nil {
 		return err
 	}
-	if errCount.Load() > 0 || stalled > 0 {
-		return fmt.Errorf("%d clients failed, %d stalled", errCount.Load(), stalled)
+	if r.Errors > 0 || r.Stalled > 0 {
+		return fmt.Errorf("%d clients failed, %d stalled", r.Errors, r.Stalled)
 	}
 	return nil
+}
+
+// clientFunc builds client id over its connections, one per server in -addr
+// order: its closed-loop op, and what it does once it leaves the loop
+// cleanly (nil for nothing).
+type clientFunc func(id int, conns []transport.Issuer) (workload.Op, func())
+
+// clientsOf returns the clients of the app whose servers sent replies.
+func (o *options) clientsOf(replies []transport.MetaReply) (clientFunc, error) {
+	app := replies[0].App
+	if need := map[string]string{"scan": "kv", "chase": "chain", "chasehop": "chain"}[o.workload]; need != "" && need != app {
+		return nil, fmt.Errorf("-workload %s needs a %s server, and the server serves %s", o.workload, need, app)
+	}
+	if group := app == "rs" || app == "lock" || app == "tx"; !group && len(replies) != 1 {
+		return nil, fmt.Errorf("%w: %s takes one -addr, not %d", errUsage, app, len(replies))
+	}
+	seed := func(id int) int64 { return int64(id)*7919 + 1 }
+	mix := func(id int) *workload.Generator {
+		return workload.NewGenerator(workload.Mix{Keys: o.keys, ReadFrac: o.reads, ValueSize: o.value}, seed(id))
+	}
+	rmw := func(id int) *workload.TxGenerator {
+		return workload.NewTxGenerator(workload.TxMix{Keys: o.keys, ValueSize: o.value, KeysPerTx: 1}, seed(id))
+	}
+	switch app {
+	case "kv":
+		ms, err := metas[kv.Meta](app, replies)
+		return func(id int, conns []transport.Issuer) (workload.Op, func()) {
+			c := kv.NewClient(conns[0], ms[0], uint16(id+1))
+			flush := func() { c.FlushFrees() }
+			switch {
+			case o.workload == "scan":
+				return o.scan(c, ms[0].NSlots)
+			case o.batch > 1:
+				return getBatch(c, mix(id), o.batch), flush
+			}
+			return workload.MixOp(missOK{c}, mix(id)), flush
+		}, err
+	case "chain":
+		ms, err := metas[kv.ChainMeta](app, replies)
+		if err != nil {
+			return nil, err
+		}
+		m := ms[0]
+		if o.depth <= 0 || o.depth > m.Depth {
+			o.depth = m.Depth
+		}
+		return func(id int, conns []transport.Issuer) (workload.Op, func()) {
+			c := kv.NewChainClient(conns[0], m)
+			lookup := c.ChaseGet
+			if o.workload == "chasehop" {
+				lookup = c.HopGet
+			}
+			rng := rand.New(rand.NewSource(seed(id)))
+			return func() (int64, int64, error) {
+				// The depth-deep key of a uniform bucket: exactly -depth hops.
+				if _, err := lookup(rng.Int63n(m.Buckets)*m.Depth + o.depth - 1); err != nil && err != kv.ErrNotFound {
+					return 1, 0, err
+				}
+				return 1, 0, nil
+			}, func() { o.hops += c.Hops }
+		}, nil
+	case "pilaf":
+		// The live CPU computes the real CRC, so none is charged.
+		ms, err := metas[kv.PilafMeta](app, replies)
+		return func(id int, conns []transport.Issuer) (workload.Op, func()) {
+			return workload.MixOp(missOK{kv.NewPilafClient(conns[0], ms[0], 0)}, mix(id)), nil
+		}, err
+	case "rs":
+		ms, err := metas[abd.Meta](app, replies)
+		return func(id int, conns []transport.Issuer) (workload.Op, func()) {
+			c := abd.NewClient(uint16(id+1), conns, ms)
+			return workload.MixOp(missOK{c}, mix(id)), func() { flush(c.Reclaim) }
+		}, err
+	case "lock":
+		ms, err := metas[abd.LockMeta](app, replies)
+		return func(id int, conns []transport.Issuer) (workload.Op, func()) {
+			jitter := rand.New(rand.NewSource(^seed(id))).Float64
+			return workload.MixOp(missOK{abd.NewLockClient(uint16(id+1), conns, ms, jitter)}, mix(id)), nil
+		}, err
+	case "tx":
+		ms, err := metas[tx.Meta](app, replies)
+		return func(id int, conns []transport.Issuer) (workload.Op, func()) {
+			c := tx.NewClient(uint16(id+1), conns, ms)
+			return workload.RMWOp(func() workload.Txn[tx.Timestamp] { return c.Begin() }, rmw(id)), func() { flush(c.Reclaim) }
+		}, err
+	case "farm":
+		ms, err := metas[tx.FarmMeta](app, replies)
+		return func(id int, conns []transport.Issuer) (workload.Op, func()) {
+			c := tx.NewFarmClient(uint16(id+1), conns, ms)
+			return workload.RMWOp(func() workload.Txn[tx.Timestamp] { return c.Begin() }, rmw(id)), nil
+		}, err
+	}
+	return nil, fmt.Errorf("the server serves %q, which prismload does not drive", app)
+}
+
+// metas decodes each reply's Meta as app's type M.
+func metas[M any](app string, replies []transport.MetaReply) ([]M, error) {
+	ms := make([]M, len(replies))
+	for i, r := range replies {
+		if err := r.Decode(app, &ms[i]); err != nil {
+			return nil, err
+		}
+	}
+	return ms, nil
+}
+
+// missOK is a Store whose GET of a key never written is a valid miss, not
+// an error: prismd -load need not cover -keys.
+type missOK struct{ workload.Store }
+
+func (s missOK) Get(key int64) ([]byte, error) {
+	v, err := s.Store.Get(key)
+	if err == kv.ErrNotFound {
+		err = nil
+	}
+	return v, err
+}
+
+// getBatch is the GET/PUT mix with every GET widened to a kv.GetBatch
+// train of n keys behind one doorbell: its latency is recorded once and
+// its keys counted each.
+func getBatch(c *kv.Client, gen *workload.Generator, n int) workload.Op {
+	keys := make([]int64, n)
+	ver := 0
+	return func() (int64, int64, error) {
+		kind, key := gen.Next()
+		if kind == workload.OpPut {
+			ver++
+			return 1, 0, c.Put(key, gen.Value(key, ver))
+		}
+		keys[0] = key
+		for j := 1; j < n; j++ {
+			keys[j] = gen.NextKey()
+		}
+		var keyErr error
+		err := c.GetBatch(keys, func(_ int, _ []byte, kerr error) {
+			if kerr != nil && kerr != kv.ErrNotFound && keyErr == nil {
+				keyErr = kerr // a miss is valid; a protocol error is not
+			}
+		})
+		if err == nil {
+			err = keyErr
+		}
+		return int64(n), 0, err
+	}
+}
+
+// scan walks a kv hash table of nSlots slots in SCAN windows of
+// -scan-budget bytes, wrapping at the end; the entries it visits are added
+// to scan_entries when it exits.
+func (o *options) scan(c *kv.Client, nSlots int64) (workload.Op, func()) {
+	var cursor, entries int64
+	visit := func(int64, []byte) error { entries++; return nil }
+	return func() (int64, int64, error) {
+			next, err := c.Scan(cursor, o.scanBudget, visit)
+			if err != nil {
+				return 1, 0, err
+			}
+			if cursor = next; cursor >= nSlots {
+				cursor = 0
+			}
+			return 1, 0, nil
+		}, func() {
+			o.scanEntries += entries
+			c.FlushFrees()
+		}
+}
+
+// flush sends every reclamation batch still queued.
+func flush(rs []transport.Reclaimer) {
+	for i := range rs {
+		rs[i].Flush()
+	}
 }
 
 // ratio returns a/b as a float, 0 when b is 0.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net"
 	"path/filepath"
 	"strconv"
@@ -10,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"prism/internal/abd"
 	"prism/internal/kv"
 	"prism/internal/transport"
+	"prism/internal/tx"
 )
 
 // serve stands a store up on an in-process live server over a unix
@@ -36,35 +39,62 @@ func serve(t *testing.T, load func(ts *transport.Server) error) string {
 	return l.Addr().String()
 }
 
-// Each workload runs for a short -duration against the store it needs
-// and reports, as JSON on stdout, operations done and no client failed;
-// get also runs in GetBatch trains of 16, live_get_batch16's shape.
+// loaded provisions a store with load and loads keys 0..n-1 through
+// its Load.
+func loaded[S interface{ Load(int64, []byte) error }](n int64, value []byte, load func(ts *transport.Server) (S, error)) func(ts *transport.Server) error {
+	return func(ts *transport.Server) error {
+		s, err := load(ts)
+		for k := int64(0); err == nil && k < n; k++ {
+			err = s.Load(k, value)
+		}
+		return err
+	}
+}
+
+// Each workload runs for a short -duration against every app prismd
+// serves and reports, as JSON on stdout, operations done and no client
+// failed or stalled. kv's mix also runs in GetBatch trains of 16,
+// live_get_batch16's shape; rs and lock run over three replicas, one
+// -addr each.
 func TestRunWorkloads(t *testing.T) {
 	const keys = 256
 	value := make([]byte, 64)
-	kvAddr := serve(t, func(ts *transport.Server) error {
-		s, err := kv.NewServerOn(ts, kv.DefaultOptions(keys, len(value)))
-		for k := int64(0); err == nil && k < keys; k++ {
-			err = s.Load(k, value)
-		}
-		return err
-	})
-	chainAddr := serve(t, func(ts *transport.Server) error {
-		s, err := kv.NewChainStoreOn(ts, kv.ChainOptions{Buckets: 32, Depth: 4, MaxValue: len(value)})
-		for k := int64(0); err == nil && k < 32*4; k++ {
-			err = s.Load(k, value)
-		}
-		return err
-	})
+	shard := tx.ShardOptions{NSlots: keys, MaxValue: len(value), ExtraBuffers: 1024}
+	kvAddr := serve(t, loaded(keys, value, func(ts *transport.Server) (*kv.Server, error) {
+		return kv.NewServerOn(ts, kv.DefaultOptions(keys, len(value)))
+	}))
+	chainAddr := serve(t, loaded(32*4, value, func(ts *transport.Server) (*kv.ChainStore, error) {
+		return kv.NewChainStoreOn(ts, kv.ChainOptions{Buckets: 32, Depth: 4, MaxValue: len(value)})
+	}))
+	group := func(provision func(ts *transport.Server) error) string {
+		return strings.Join([]string{serve(t, provision), serve(t, provision), serve(t, provision)}, ",")
+	}
 	for _, c := range []struct {
 		name, workload, addr string
 		batch                int
 	}{
-		{"get", "get", kvAddr, 1},
-		{"get-batch16", "get", kvAddr, 16}, // closed-loop GetBatch trains
+		{"mix", "mix", kvAddr, 1},
+		{"mix-batch16", "mix", kvAddr, 16}, // closed-loop GetBatch trains
 		{"scan", "scan", kvAddr, 1},
 		{"chase", "chase", chainAddr, 1},
 		{"chasehop", "chasehop", chainAddr, 1},
+		{"pilaf", "mix", serve(t, loaded(keys, value, func(ts *transport.Server) (*kv.PilafServer, error) {
+			return kv.NewPilafServer(ts, kv.DefaultOptions(keys, len(value)))
+		})), 1},
+		{"rs", "mix", group(func(ts *transport.Server) error {
+			_, err := abd.NewReplica(ts, abd.ReplicaOptions{NBlocks: keys, BlockSize: len(value), ExtraBuffers: 1024})
+			return err
+		}), 1},
+		{"lock", "mix", group(func(ts *transport.Server) error {
+			_, err := abd.NewLockReplica(ts, keys, len(value))
+			return err
+		}), 1},
+		{"tx", "mix", serve(t, loaded(keys, value, func(ts *transport.Server) (*tx.Shard, error) {
+			return tx.NewShard(ts, shard)
+		})), 1},
+		{"farm", "mix", serve(t, loaded(keys, value, func(ts *transport.Server) (*tx.FarmServer, error) {
+			return tx.NewFarmServer(ts, shard)
+		})), 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer
@@ -83,8 +113,8 @@ func TestRunWorkloads(t *testing.T) {
 				t.Fatalf("result is not JSON: %v\n%s", err, out.String())
 			}
 			if res.Workload != c.workload || res.BatchLen != c.batch || res.Ops <= 0 || res.Errors != 0 || res.StalledClients != 0 {
-				t.Fatalf("workload %q batch %d: %d ops, %d failed, %d stalled; want ops, none failed\n%s",
-					res.Workload, res.BatchLen, res.Ops, res.Errors, res.StalledClients, out.String())
+				t.Fatalf("%s: workload %q batch %d: %d ops, %d failed, %d stalled; want ops, none failed\n%s",
+					c.name, res.Workload, res.BatchLen, res.Ops, res.Errors, res.StalledClients, out.String())
 			}
 		})
 	}
@@ -103,8 +133,8 @@ func TestRunDeadAddress(t *testing.T) {
 	}
 }
 
-// A chase against a PRISM-KV server fails at the meta fetch, naming the
-// app the server serves and the one the workload needs.
+// A chase against a PRISM-KV server fails once the meta reply names the
+// app, naming the app the server serves and the one the workload needs.
 func TestRunWrongApp(t *testing.T) {
 	addr := serve(t, func(ts *transport.Server) error {
 		_, err := kv.NewServerOn(ts, kv.DefaultOptions(16, 64))
@@ -112,10 +142,35 @@ func TestRunWrongApp(t *testing.T) {
 	})
 	var out bytes.Buffer
 	err := run([]string{"-addr", addr, "-workload", "chase", "-duration", "10ms"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "server serves kv, not chain") {
+	if err == nil || !strings.Contains(err.Error(), "needs a chain server, and the server serves kv") {
 		t.Fatalf("chase against a kv server: %v, want the both-apps error", err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("a failed run wrote %q", out.String())
+	}
+}
+
+// A client count below one, a negative value size or an empty key space is
+// a usage error, found before dialing: the server below is live, and
+// nothing is written.
+func TestRunBadFlags(t *testing.T) {
+	addr := serve(t, func(ts *transport.Server) error {
+		_, err := kv.NewServerOn(ts, kv.DefaultOptions(16, 64))
+		return err
+	})
+	for _, args := range [][]string{
+		{"-clients", "0"},
+		{"-clients", "-1"},
+		{"-value", "-1"},
+		{"-keys", "0"},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-addr", addr, "-duration", "10ms"}, args...), &out)
+		if !errors.Is(err, errUsage) {
+			t.Errorf("%v: %v, want a usage error", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v wrote %q", args, out.String())
+		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -214,18 +213,6 @@ type Telemetry struct {
 	AllocsPerOp float64
 }
 
-// telemetry snapshots the point's engine counters and attributes the heap
-// allocation delta recorded by run to its measured operations. Point
-// runners that drive a loadDriver report through this; runners without
-// one use engineTelemetry and leave AllocsPerOp zero.
-func (d *loadDriver) telemetry() Telemetry {
-	tel := engineTelemetry(d.e)
-	if d.ops > 0 {
-		tel.AllocsPerOp = float64(d.deltaMallocs) / float64(d.ops)
-	}
-	return tel
-}
-
 // engineTelemetry snapshots e's counters.
 func engineTelemetry(e *sim.Engine) Telemetry {
 	return Telemetry{Stats: e.Stats()}
@@ -293,89 +280,5 @@ func (f *Figure) FprintCSV(w io.Writer) {
 				float64(pt.Mean)/1e3, float64(pt.Median)/1e3, float64(pt.P99)/1e3,
 				pt.Aborts, pt.Errors)
 		}
-	}
-}
-
-// loadDriver runs a closed-loop client population against op, measuring
-// completed ops and latencies in the virtual measurement window.
-//
-// op is invoked repeatedly per client; it returns the number of logical
-// operations completed (usually 1; transactions may retry internally and
-// still count 1) or an error to stop that client.
-type loadDriver struct {
-	e       *sim.Engine
-	cfg     Config
-	rec     *stats.LatencyRecorder
-	ops     int64
-	aborts  int64
-	errs    int64
-	lastEnd sim.Time
-	stopped bool // clients issue no further ops
-	// Filled by run: the runtime's malloc count delta across the drive
-	// phase, for Telemetry.AllocsPerOp.
-	deltaMallocs uint64
-}
-
-func newLoadDriver(e *sim.Engine, cfg Config) *loadDriver {
-	return &loadDriver{e: e, cfg: cfg, rec: stats.NewLatencyRecorder()}
-}
-
-// spawn starts one closed-loop client process running op until the
-// driver stops.
-func (d *loadDriver) spawn(name string, op clientOp) {
-	d.e.Go(name, func(p *sim.Proc) {
-		warmEnd := sim.Time(d.cfg.Warmup)
-		measureEnd := sim.Time(d.cfg.Warmup + d.cfg.Measure)
-		for !d.stopped {
-			start := p.Now()
-			if start >= measureEnd {
-				return
-			}
-			aborts, err := op(p)
-			if err != nil {
-				d.errs++
-				return
-			}
-			end := p.Now()
-			if start >= warmEnd && end <= measureEnd {
-				d.rec.Record(end.Sub(start))
-				d.ops++
-				d.aborts += aborts
-				d.lastEnd = max(d.lastEnd, end)
-				if d.cfg.MaxOps > 0 && d.ops >= d.cfg.MaxOps {
-					d.stopped = true
-				}
-			}
-		}
-	})
-}
-
-// run drives the simulation through the measurement window, drains the
-// in-flight operations so client processes exit cleanly, and summarizes
-// the measurements.
-func (d *loadDriver) run(clients int) Point {
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	d.e.RunUntil(sim.Time(d.cfg.Warmup + d.cfg.Measure))
-	d.stopped = true
-	d.e.Run() // drain in-flight ops; clients observe stopped and exit
-	runtime.ReadMemStats(&msAfter)
-	d.deltaMallocs = msAfter.Mallocs - msBefore.Mallocs
-	// Throughput from ops completed in the effective measured window
-	// (shorter than Measure when MaxOps stopped the run early).
-	window := d.cfg.Measure
-	if d.cfg.MaxOps > 0 && d.lastEnd > sim.Time(d.cfg.Warmup) {
-		if span := d.lastEnd.Sub(sim.Time(d.cfg.Warmup)); span < window {
-			window = span
-		}
-	}
-	return Point{
-		Clients:    clients,
-		Throughput: float64(d.ops) / window.Seconds(),
-		Mean:       d.rec.Mean(),
-		Median:     d.rec.Median(),
-		P99:        d.rec.P99(),
-		Aborts:     d.aborts,
-		Errors:     d.errs,
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"prism/internal/kv"
 	"prism/internal/model"
 	"prism/internal/rdma"
-	"prism/internal/sim"
+	"prism/internal/workload"
 )
 
 // The fig-chase family sweeps chain depth over the linked-chain store
@@ -81,13 +81,13 @@ func (st chaseStrategy) at(depth int) builder {
 	return func(cfg Config, seed int64, w load) cluster {
 		v := newEnv(cfg, seed, w, rackFabric(cfg))
 		f, mk := v.chaseClients(depth)
-		return cluster{e: v.e, client: func(id int) clientOp {
+		return cluster{e: v.e, client: func(id int) workload.Op {
 			cl := mk(f.machine(id))
 			rng := rand.New(rand.NewSource(clientSeed(seed, id)))
-			return func(p *sim.Proc) (int64, error) {
+			return func() (int64, int64, error) {
 				bucket := rng.Int63n(chaseBuckets)
 				_, err := st.get(cl, bucket*int64(depth)+int64(depth)-1)
-				return 0, err
+				return 1, 0, err
 			}
 		}}
 	}

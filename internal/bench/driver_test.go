@@ -1,9 +1,10 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 	"time"
+
+	"prism/internal/workload"
 )
 
 // sweepFigures is the registry minus fig-scale and fig-chase: the
@@ -39,23 +40,24 @@ func TestMaxOpsStopsEarly(t *testing.T) {
 	cfg := tinyD()
 	cfg.Measure = 2 * time.Millisecond
 	cfg.MaxOps = maxOps
-	run := func() (Point, *loadDriver) {
-		// runPoint's sequence by hand, to read the driver's op count.
+	run := func() workload.Result {
+		// runPoint's sequence by hand, to read the driver's counts.
 		cl := paperKV.build(cfg, PointSeed(cfg.Seed, "maxops", paperKV.name, clientsKey(clients)), load{readFrac: 1})
-		d := newLoadDriver(cl.e, cfg)
+		d := workload.NewDriver(engineClock{cl.e}, workload.Window{Warmup: cfg.Warmup, Measure: cfg.Measure, MaxOps: cfg.MaxOps})
 		for i := 0; i < clients; i++ {
-			d.spawn(fmt.Sprintf("c%d", i), cl.client(i))
+			d.Go(cl.client(i), nil)
 		}
-		return d.run(clients), d
+		return d.Run()
 	}
-	pt, d := run()
-	if d.ops < maxOps || d.ops > maxOps+clients-1 {
-		t.Fatalf("MaxOps=%d measured %d ops, want %d to %d", maxOps, d.ops, maxOps, maxOps+clients-1)
+	r := run()
+	if r.Ops < maxOps || r.Ops > maxOps+clients-1 {
+		t.Fatalf("MaxOps=%d measured %d ops, want %d to %d", maxOps, r.Ops, maxOps, maxOps+clients-1)
 	}
-	if end := d.lastEnd.Sub(0); end >= cfg.Warmup+cfg.Measure/2 {
+	// The capped window ends at the last measured op's end.
+	if end := cfg.Warmup + r.Window; end >= cfg.Warmup+cfg.Measure/2 {
 		t.Fatalf("capped run measured until %v of a %v window", end, cfg.Warmup+cfg.Measure)
 	}
-	if again, _ := run(); again != pt {
+	if pt, again := r.Summary(clients), run().Summary(clients); again != pt {
 		t.Fatalf("capped point differs between identical runs:\n%+v\n%+v", pt, again)
 	}
 }

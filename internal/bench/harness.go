@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"prism/internal/fabric"
@@ -21,24 +22,11 @@ import (
 // the Fig*/Ext*/Ablation* functions only say which systems, which x axis
 // and which labels.
 
-// Store is the GET/PUT surface shared by the key-value and block systems
-// (PRISM-KV, Pilaf, PRISM-RS, ABDLOCK).
-type Store interface {
-	Get(key int64) ([]byte, error)
-	Put(key int64, value []byte) error
-}
+// Store is the GET/PUT surface of the key-value and block systems.
+type Store = workload.Store
 
-// txHandle is the per-transaction surface shared by PRISM-TX and FaRM.
-type txHandle interface {
-	Read(key int64) ([]byte, error)
-	Write(key int64, value []byte)
-	Commit() (tx.Timestamp, error)
-}
-
-// clientOp is one closed-loop operation of one client: it returns the
-// aborts it retried through (transactions; 0 otherwise) or an error that
-// stops the client.
-type clientOp = func(p *sim.Proc) (aborts int64, err error)
+// txHandle is one PRISM-TX or FaRM transaction.
+type txHandle = workload.Txn[tx.Timestamp]
 
 // fleet is a cluster's client machines; client id runs on machine
 // id mod len.
@@ -60,7 +48,7 @@ type load struct {
 // the point seed the cluster was built under).
 type cluster struct {
 	e      *sim.Engine
-	client func(id int) clientOp
+	client func(id int) workload.Op
 }
 
 // builder builds a system's cluster for one point: seed is the point's
@@ -116,66 +104,36 @@ func (v *env) clientMachines() fleet {
 	return machines
 }
 
-// mix drives GET/PUT clients made by mk with the YCSB-style mix: each
-// client draws (kind, key) from its own generator and PUTs a fresh version
-// of the value.
+// mix drives GET/PUT clients made by mk with the YCSB-style mix
+// (workload.MixOp), each on its own generator.
 func (v *env) mix(mk func(m *rdma.Client, id int) Store) cluster {
 	f := v.clientMachines()
-	return cluster{e: v.e, client: func(id int) clientOp {
-		st := mk(f.machine(id), id)
-		gen := workload.NewGenerator(workload.Mix{
+	return cluster{e: v.e, client: func(id int) workload.Op {
+		return workload.MixOp(mk(f.machine(id), id), workload.NewGenerator(workload.Mix{
 			Keys: v.cfg.Keys, ReadFrac: v.w.readFrac, ValueSize: v.cfg.ValueSize, Theta: v.w.theta,
-		}, clientSeed(v.seed, id))
-		ver := 0
-		return func(p *sim.Proc) (int64, error) {
-			kind, key := gen.Next()
-			if kind == workload.OpGet {
-				_, err := st.Get(key)
-				return 0, err
-			}
-			ver++
-			return 0, st.Put(key, gen.Value(key, ver))
-		}
+		}, clientSeed(v.seed, id)))
 	}}
 }
 
-// rmw drives transactional clients with YCSB-T: each operation is one
-// read-modify-write transaction over keysPerTx keys, retried until it
-// commits; the aborts on the way are reported with it. mk returns the
+// rmw drives transactional clients with YCSB-T read-modify-write
+// transactions over keysPerTx keys (workload.RMWOp). mk returns the
 // client's Begin.
 func (v *env) rmw(mk func(m *rdma.Client, id int) func() txHandle) cluster {
 	f := v.clientMachines()
-	return cluster{e: v.e, client: func(id int) clientOp {
-		begin := mk(f.machine(id), id)
-		gen := workload.NewTxGenerator(workload.TxMix{
+	return cluster{e: v.e, client: func(id int) workload.Op {
+		return workload.RMWOp(mk(f.machine(id), id), workload.NewTxGenerator(workload.TxMix{
 			Keys: v.cfg.Keys, ValueSize: v.cfg.ValueSize, KeysPerTx: v.w.keysPerTx, Theta: v.w.theta,
-		}, clientSeed(v.seed, id))
-		ver := 0
-		return func(p *sim.Proc) (int64, error) {
-			keys := gen.Next()
-			var aborts int64
-			for {
-				t := begin()
-				for _, k := range keys {
-					old, err := t.Read(k)
-					if err != nil {
-						return aborts, err
-					}
-					ver++
-					nv := append([]byte(nil), old...)
-					if len(nv) > 0 {
-						nv[0] ^= byte(ver)
-					}
-					t.Write(k, nv)
-				}
-				if _, err := t.Commit(); err == nil {
-					return aborts, nil
-				}
-				aborts++
-			}
-		}
+		}, clientSeed(v.seed, id)))
 	}}
 }
+
+// engineClock is the closed-loop driver's clock on a point's engine.
+type engineClock struct{ e *sim.Engine }
+
+func (c engineClock) Now() time.Duration      { return time.Duration(c.e.Now()) }
+func (c engineClock) Go(fn func())            { c.e.Go("client", func(*sim.Proc) { fn() }) }
+func (c engineClock) Run(until time.Duration) { c.e.RunUntil(sim.Time(until)) }
+func (c engineClock) Drain()                  { c.e.Run() }
 
 // runPoint runs one figure point: a self-contained simulation whose every
 // RNG derives from the point's identity (figure, series, pointKey — see
@@ -185,12 +143,21 @@ func (v *env) rmw(mk func(m *rdma.Client, id int) func() txHandle) cluster {
 func runPoint(cfg Config, figID string, sys system, w load, pointKey string, clients int) (Point, Telemetry) {
 	seed := PointSeed(cfg.Seed, figID, sys.name, pointKey)
 	cl := sys.build(cfg, seed, w)
-	d := newLoadDriver(cl.e, cfg)
+	d := workload.NewDriver(engineClock{cl.e}, workload.Window{Warmup: cfg.Warmup, Measure: cfg.Measure, MaxOps: cfg.MaxOps})
 	for i := 0; i < clients; i++ {
-		d.spawn(fmt.Sprintf("c%d", i), cl.client(i))
+		d.Go(cl.client(i), nil)
 	}
-	pt := d.run(clients)
-	return pt, d.telemetry()
+	// The runtime's malloc count across the drive phase (warm-up, measure
+	// and drain), for Telemetry.AllocsPerOp.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := d.Run()
+	runtime.ReadMemStats(&after)
+	tel := engineTelemetry(cl.e)
+	if r.Ops > 0 {
+		tel.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(r.Ops)
+	}
+	return r.Summary(clients), tel
 }
 
 // latencyPoint is the Point of a single-op latency measurement (the

@@ -133,26 +133,6 @@ func (r *LatencyRecorder) Max() time.Duration {
 	return r.max
 }
 
-// Merge folds all of other's samples into r (cmd/prismload combines its
-// per-client recorders this way); merging preserves the exact
-// count/mean/min/max and the bucket-resolution percentiles.
-func (r *LatencyRecorder) Merge(other *LatencyRecorder) {
-	if other.count == 0 {
-		return
-	}
-	for i := range other.counts {
-		r.counts[i] += other.counts[i]
-	}
-	if r.count == 0 || other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-	r.count += other.count
-	r.sum += other.sum
-}
-
 // Reset discards all samples.
 func (r *LatencyRecorder) Reset() {
 	r.counts = [numBuckets]uint32{}

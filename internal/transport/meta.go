@@ -52,26 +52,47 @@ func (h *HostCore) serveMeta([]byte) ([]byte, time.Duration) {
 // app into meta, a pointer to that store's Meta type, rejecting fields
 // that type lacks. It fails if the server serves another app, or none.
 func FetchMeta(conn Issuer, app string, meta any) error {
+	r, err := FetchMetaReply(conn)
+	if err != nil {
+		return err
+	}
+	return r.Decode(app, meta)
+}
+
+// MetaReply is a server's answer to RPCMeta: the app its store serves and
+// that store's Meta, still encoded. A client that does not know the app
+// beforehand reads App and then decodes.
+type MetaReply struct {
+	App  string
+	Meta json.RawMessage
+}
+
+// FetchMetaReply fetches over conn the server's answer to RPCMeta.
+func FetchMetaReply(conn Issuer) (MetaReply, error) {
+	var r MetaReply
 	ops := conn.Ops(1)
 	ops[0] = prism.Send([]byte{RPCMeta})
 	res, err := conn.Issue(ops)
 	if err != nil {
-		return err
+		return r, err
 	}
 	if res[0].Status != wire.StatusOK {
-		return fmt.Errorf("transport: %s meta fetch: status %v", app, res[0].Status)
+		return r, fmt.Errorf("transport: meta fetch: status %v", res[0].Status)
 	}
-	var reply struct {
-		App  string
-		Meta json.RawMessage
+	if err := json.Unmarshal(res[0].Data, &r); err != nil {
+		return r, fmt.Errorf("transport: meta reply: %w", err)
 	}
-	if err := json.Unmarshal(res[0].Data, &reply); err != nil {
-		return fmt.Errorf("transport: %s meta reply: %w", app, err)
+	return r, nil
+}
+
+// Decode decodes the reply's Meta into meta, a pointer to app's Meta
+// type, rejecting fields that type lacks. It fails if the server serves
+// another app, or none.
+func (r MetaReply) Decode(app string, meta any) error {
+	if r.App != app {
+		return fmt.Errorf("transport: server serves %s, not %s", cmp.Or(r.App, "no app"), app)
 	}
-	if reply.App != app {
-		return fmt.Errorf("transport: server serves %s, not %s", cmp.Or(reply.App, "no app"), app)
-	}
-	dec := json.NewDecoder(bytes.NewReader(reply.Meta))
+	dec := json.NewDecoder(bytes.NewReader(r.Meta))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(meta); err != nil {
 		return fmt.Errorf("transport: %s meta: %w", app, err)

@@ -246,9 +246,3 @@ func (g *TxGenerator) Next() []int64 {
 	}
 	return keys
 }
-
-// Value materializes a payload for key (same scheme as Generator.Value).
-func (g *TxGenerator) Value(key int64, version int) []byte {
-	gen := Generator{mix: Mix{ValueSize: g.mix.ValueSize}}
-	return gen.Value(key, version)
-}
