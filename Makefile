@@ -42,19 +42,18 @@ test:
 # 6,000 MB it may use there, so the golden-figure tests (every figure
 # rendered serially and on a pool, ≈3,000 MB) run apart from the rest
 # (≈4,700 MB). Each prints its peak_rss_mb (TestMain; go test shows it when
-# run in the package directory). workload, wire, the commands and
-# internal/integration ride along after it: prismd serves every store over
-# a unix socket, and integration's net.Pipe servers and clients (the
-# Issuer contract, every store's Meta on both transports) are live code
-# too.
+# run in the package directory). internal/integration runs at every
+# thread count too: its Issuer contract drives two goroutines through one
+# socket's read token. workload, wire and the commands ride along after
+# internal/bench: prismd serves every store over a unix socket.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
 		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism \
-		./internal/tx ./internal/abd
+		./internal/tx ./internal/abd ./internal/integration
 	cd internal/bench && $(GO) test -race -run '^TestFiguresGolden$$'
 	cd internal/bench && $(GO) test -race -skip '^TestFiguresGolden$$'
 	$(GO) test -race ./internal/workload ./internal/wire ./cmd/prismtrace ./cmd/prismkv ./cmd/prismload \
-		./cmd/prismd ./internal/integration
+		./cmd/prismd
 
 # The one command that regenerates a number: the repository's benchmark
 # (BENCHMARK.json; flags and metrics in benchmark/README.md).

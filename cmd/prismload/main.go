@@ -157,7 +157,8 @@ func run(args []string, stdout io.Writer) error {
 
 	// Doorbell telemetry, aggregated over the socket pool: write
 	// syscalls and the frames/bytes they carried (frames_per_write is
-	// the realized batching factor), and the demux side's reads.
+	// the realized batching factor), and the read syscalls of whoever
+	// held each socket's read token.
 	var writes, framesOut, bytesOut, readsIn, bytesIn int64
 	for _, tc := range pool {
 		w, f, b := tc.FlushStats()

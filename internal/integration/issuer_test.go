@@ -3,7 +3,10 @@ package integration
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,6 +195,115 @@ func TestIssuerContract(t *testing.T) {
 			})
 		}
 	}
+	// Two goroutines at once are live only: a simulation process is the
+	// engine's one goroutine.
+	t.Run("live/shared-socket", sharedSocket)
+}
+
+// sharedSocket holds a live socket to the contract's borrowing rule as it
+// gains a second connection: results stay valid until the next issue on
+// their own connection, whatever the socket's other connections do
+// meanwhile. The first connection reads its half of the region alone on
+// the socket, so it reads its own response and its results alias the
+// read buffer; then a second connection joins and reads its own half, and
+// the first one's results must be intact. Then the two issue from two
+// goroutines. Each reads a half that holds a pattern of its own, once per
+// chain on even rounds and 20 times on odd ones, and checks its last
+// results byte for byte, again and again, until its own next Issue: the
+// accept frame and the other connection's responses, read through the
+// same socket meanwhile, must never land in them.
+func sharedSocket(t *testing.T) {
+	const rounds, checks, half, reads = 300, 4, issuerCells / 2, 20
+	ts := transport.NewServer()
+	r := register(t, ts)
+	cEnd, sEnd := net.Pipe()
+	served := make(chan struct{})
+	go func() { defer close(served); ts.ServeConn(sEnd) }()
+	defer func() {
+		ts.Shutdown(time.Second)
+		<-served
+	}()
+	c, err := transport.NewClientConn(cEnd)
+	if err != nil {
+		t.Fatalf("NewClientConn: %v", err)
+	}
+	defer c.Close()
+	first, err := c.Connect()
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	patterns := [2][]byte{}
+	for i := range patterns {
+		patterns[i] = bytes.Repeat([]byte{byte(0xa0 + i)}, 8*half)
+		if _, err := first.Issue([]wire.Op{prism.Write(r.key, r.cell(i*half), patterns[i])}); err != nil {
+			t.Fatalf("WRITE of connection %d's pattern: %v", i, err)
+		}
+	}
+	ops := [2][]wire.Op{make([]wire.Op, reads), make([]wire.Op, reads)}
+	read := func(i, n int) ([]wire.Result, error) {
+		chain := ops[i][:n]
+		for k := range chain {
+			chain[k] = prism.Read(r.key, r.cell(i*half), 8*half)
+		}
+		res, err := r.is[i].Issue(chain)
+		if err == nil && (len(res) != n || !intact(res, patterns[i])) {
+			err = fmt.Errorf("%d READs of its half returned %+v", n, res)
+		}
+		return res, err
+	}
+	r.is[0] = first
+	lastAlone, err := read(0, reads)
+	if err != nil {
+		t.Fatalf("connection 0 alone on the socket: %v", err)
+	}
+	if r.is[1], err = c.Connect(); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	for _, n := range []int{1, reads} {
+		if _, err := read(1, n); err != nil {
+			t.Fatalf("connection 1: %v", err)
+		}
+	}
+	if !intact(lastAlone, patterns[0]) {
+		t.Fatal("connection 0's results changed while connection 1 joined the socket and issued")
+	}
+	var wg sync.WaitGroup
+	for i := range r.is {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last []wire.Result
+			if i == 0 {
+				last = lastAlone
+			}
+			for n := 0; n < rounds; n++ {
+				for range checks {
+					if !intact(last, patterns[i]) {
+						t.Errorf("connection %d, round %d: its last results changed before its next Issue", i, n)
+						return
+					}
+					runtime.Gosched()
+				}
+				res, err := read(i, 1+(n%2)*(reads-1))
+				if err != nil {
+					t.Errorf("connection %d, round %d: %v", i, n, err)
+					return
+				}
+				last = res
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// intact reports whether every result's payload is pattern.
+func intact(res []wire.Result, pattern []byte) bool {
+	for _, x := range res {
+		if !bytes.Equal(x.Data, pattern) {
+			return false
+		}
+	}
+	return true
 }
 
 // withSimIssuers runs body inside a simulation process over two

@@ -366,7 +366,7 @@ func TestSimLiveDifferential(t *testing.T) {
 		})
 	})
 
-	// Teardown must leave no goroutine behind: the live client's demux
+	// Teardown must leave no goroutine behind: the live client's reader
 	// and flusher, the server's socket loop, the simulator's processes.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {

@@ -12,11 +12,36 @@ import (
 func (s *Server) SetWakeupBatch(n int) { s.batch = n }
 
 // FramerBytes is what the client's socket holds in framer buffers: its
-// read buffer and its flusher's two staging buffers.
+// read buffers (see ReadFootprint) and its flusher's two staging buffers.
 func (c *Client) FramerBytes() int {
+	read, _ := c.ReadFootprint()
 	c.fl.mu.Lock()
 	defer c.fl.mu.Unlock()
-	return cap(c.fr.buf) + cap(c.fl.fw.buf) + cap(c.fl.spare)
+	return read + cap(c.fl.fw.buf) + cap(c.fl.spare)
+}
+
+// ReadFootprint is what the client holds to read responses with: its
+// read buffer, and the payload copies its connections' entries keep. A
+// buffer lent to a connection's results stays the read buffer until
+// another reader moves on; then the results alone hold it. Call it with
+// no issue in flight.
+func (c *Client) ReadFootprint() (bufBytes, copyBytes int) {
+	c.mu.Lock()
+	conns := make([]*Conn, 0, len(c.conns))
+	for _, cn := range c.conns {
+		conns = append(conns, cn)
+	}
+	c.mu.Unlock()
+	for _, cn := range conns {
+		cn.mu.Lock()
+		for _, e := range cn.win.free {
+			copyBytes += cap(e.X.data)
+		}
+		cn.mu.Unlock()
+	}
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	return cap(c.fr.buf), copyBytes
 }
 
 // ServeConnFramerBytes is ServeConn, returning what the socket's framers

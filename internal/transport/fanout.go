@@ -189,14 +189,18 @@ func NewFanout(group []Issuer) *Fanout {
 
 // BindFanout binds a fan-out over live connections, group's issuers all
 // being *Conn: Send(i, …) posts on group[i], staging without a doorbell;
-// a wait rings each connection posted to once. Demux goroutines hand
-// completions to an inbox the owner drains, so OnDone and the copy run on
-// the owner's goroutine: inside the wait for chains that complete before
-// it is satisfied, at the owner's next Post or wait for the rest.
+// a wait rings each connection posted to once. Each socket of the group
+// has its goroutine read for good (see Client.readForGood), so one silent
+// peer does not hold up the rest and no round waits to wake a reader. The
+// reader hands completions to an inbox the owner drains; OnDone and the
+// copy run on the owner's goroutine: inside the wait for chains that
+// complete before it is satisfied, at the owner's next Post or wait for
+// the rest.
 func (cn *Conn) BindFanout(group []Issuer, deliver Deliver) FanoutBinding {
 	conns := make([]*Conn, len(group))
 	for i, is := range group {
 		conns[i] = is.(*Conn)
+		conns[i].c.readForGood()
 	}
 	return &liveFan{deliver: deliver, conns: conns, ring: make([]bool, len(conns)), wake: make(chan struct{}, 1)}
 }
@@ -207,7 +211,7 @@ type liveFan struct {
 	conns   []*Conn
 	ring    []bool // connections posted to since the last doorbell
 
-	mu    sync.Mutex // guards inbox: demux goroutines append, the owner drains
+	mu    sync.Mutex // guards inbox: socket goroutines append, the owner drains
 	inbox []fanDone
 	spare []fanDone // the inbox collect drained, reused
 	wake  chan struct{}
@@ -242,8 +246,8 @@ func (b *liveFan) Await(pending bool) {
 	}
 }
 
-// push hands a chain to the owner; demux goroutines call it, and it never
-// blocks.
+// push hands a chain to the owner; socket goroutines and a dying socket's
+// sweep call it, and it never blocks.
 func (b *liveFan) push(cn *Conn, e *Entry[liveWait], err error) {
 	b.mu.Lock()
 	b.inbox = append(b.inbox, fanDone{cn, e, err})

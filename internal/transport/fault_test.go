@@ -484,6 +484,82 @@ func TestHostilePeer(t *testing.T) {
 		served.Wait()
 		checkNoLeak(t, before)
 	})
+	t.Run("peer-closes-while-waiting-on-renewed-budget", func(t *testing.T) {
+		// Holders take read budget back to back: a new one every
+		// timeout/4 sends the first ReadChunk bytes of a 1 MiB frame and
+		// stalls, so its socket holds the frame's budget until its read
+		// deadline closes it, and there is never a moment with none held.
+		// The victim needs the whole budget for a MaxFrame frame, so it
+		// waits; then its peer closes. The server must drop the victim
+		// within the frame read timeout, while the holders go on.
+		const timeout, slack, size = 200 * time.Millisecond, time.Second, 1 << 20
+		defer transport.SetFrameReadTimeout(transport.SetFrameReadTimeout(timeout))
+		before := runtime.NumGoroutine()
+		ts := newFaultKV(t)
+		var served sync.WaitGroup
+		serve := func(nc net.Conn) chan struct{} {
+			done := make(chan struct{})
+			served.Add(1)
+			go func() { defer served.Done(); defer close(done); ts.ServeConn(nc) }()
+			return done
+		}
+		stop, holding := make(chan struct{}), make(chan []net.Conn, 1)
+		go func() {
+			var holders []net.Conn
+			defer func() { holding <- holders }()
+			frame := append(binary.LittleEndian.AppendUint32(nil, size), 0x05)
+			frame = append(frame, make([]byte, transport.ReadChunk)...)
+			for tick := time.NewTicker(timeout / 4); ; {
+				pEnd, sEnd := net.Pipe()
+				serve(sEnd)
+				holders = append(holders, pEnd)
+				if !tryGreet(pEnd) {
+					t.Error("a holder was not greeted")
+					return
+				}
+				if _, err := pEnd.Write(frame); err != nil {
+					t.Errorf("holder %d: %v", len(holders), err)
+					return
+				}
+				select {
+				case <-stop:
+					tick.Stop()
+					return
+				case <-tick.C:
+				}
+			}
+		}()
+		for by := time.Now().Add(slack); ts.ReadBudgetHeld() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(by) {
+				t.Fatal("no holder took read budget")
+			}
+		}
+		victim, sEnd := net.Pipe()
+		dropped := serve(sEnd)
+		greet(t, victim)
+		giant := append(binary.LittleEndian.AppendUint32(nil, transport.MaxFrame), 0x05)
+		giant = append(giant, make([]byte, transport.ReadChunk-len(giant))...)
+		if _, err := victim.Write(giant); err != nil {
+			t.Fatalf("victim: %v", err)
+		}
+		victim.Close()
+		closed := time.Now()
+		select {
+		case <-dropped:
+			if waited := time.Since(closed); waited > timeout+slack {
+				t.Errorf("the victim's socket was dropped %v after its peer closed, want under %v", waited, timeout+slack)
+			}
+		case <-time.After(timeout + slack):
+			t.Error("a socket waiting on read budget that holders renew was not dropped after its peer closed")
+		}
+		close(stop)
+		for _, h := range <-holding {
+			h.Close()
+		}
+		ts.Shutdown(100 * time.Millisecond)
+		served.Wait()
+		checkNoLeak(t, before)
+	})
 	t.Run("request-on-unopened-connection", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		ts := newFaultKV(t)

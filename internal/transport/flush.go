@@ -33,8 +33,8 @@ import (
 // Every swap drains a buffer completely, so each of the two holds at most
 // the largest backlog the socket has seen. Issuers never block on
 // staging (the send windows already bound total in-flight frames per
-// connection), so a stalled peer can not deadlock the demux goroutine
-// against its own socket.
+// connection), so a stalled peer can not deadlock a goroutine reading
+// for the socket against its own writes.
 type flusher struct {
 	onError func(error) // invoked without mu on a write failure, once
 

@@ -91,8 +91,9 @@ const frameHeaderLen = 4
 // disconnects. Idle sockets and frames of up to readChunk have no
 // deadline. A socket whose frame does not fit stops reading — TCP then
 // pushes back on its peer — until another socket's frame is consumed or
-// the server shuts down. A waiting socket does not see its own peer
-// close until it reads again.
+// the server shuts down, and for at most twice frameReadTimeout: a
+// waiting socket does not see its own peer close until it reads again,
+// so the server drops one that waited that long.
 const (
 	readStart = 4 << 10
 	readChunk = 64 << 10
@@ -102,7 +103,8 @@ const (
 )
 
 // frameReadTimeout bounds how long a server socket holding read budget
-// may take to receive the rest of its frame (see FrameReader).
+// may take to receive the rest of its frame, and, twice over, how long
+// one may wait for budget (see FrameReader).
 var frameReadTimeout = 5 * time.Second
 
 var (
@@ -169,8 +171,10 @@ func (fr *FrameReader) fill(need int) error {
 		if fr.end == len(fr.buf) {
 			// Full of a frame above readChunk: double toward it.
 			size := min(need, 2*len(fr.buf))
-			if size > readChunk && !fr.reserve(need) {
-				return ErrServerClosed
+			if size > readChunk {
+				if err := fr.reserve(need); err != nil {
+					return err
+				}
 			}
 			fr.resize(size)
 		}
@@ -203,21 +207,22 @@ func (fr *FrameReader) fill(need int) error {
 
 // reserve makes what this reader holds of the server's read budget what a
 // size-byte frame costs: its bytes above readChunk. Giving bytes back
-// always succeeds; taking more waits until they are free, and reports
-// false if the server shuts down first. A client's reader has no budget.
-// Giving every byte back clears the socket's frame deadline.
-func (fr *FrameReader) reserve(size int) bool {
+// always succeeds; taking more waits until they are free, and fails if
+// the server shuts down first or they are not free within twice
+// frameReadTimeout. A client's reader has no budget. Giving every byte
+// back clears the socket's frame deadline.
+func (fr *FrameReader) reserve(size int) error {
 	want := max(size-readChunk, 0)
 	if fr.budget == nil || want == fr.held {
-		return true
+		return nil
 	}
-	if !fr.budget.move(fr.held, want) {
-		return false
+	if err := fr.budget.move(fr.held, want); err != nil {
+		return err
 	}
 	if fr.held = want; want == 0 {
 		fr.budget.deadline(fr.setDeadline, time.Time{})
 	}
-	return true
+	return nil
 }
 
 // budget is a server's read budget: bytes above readChunk that its
@@ -229,16 +234,38 @@ type budget struct {
 	closed bool
 }
 
-// move changes one holder's share from held to want bytes; see reserve.
-func (b *budget) move(held, want int) bool {
+// errBudgetWait reports a socket that waited twice frameReadTimeout for
+// read budget: the server drops it, as it drops one whose frame stalls.
+var errBudgetWait = errors.New("transport: no read budget within twice the frame read timeout")
+
+// move changes one holder's share from held to want bytes; see reserve. A
+// wait for more ends at twice frameReadTimeout, so a stream of other
+// holders cannot keep a socket from reading — and from seeing its own
+// peer close — for longer. Every holder at the start of the wait has its
+// frame's deadline within one timeout, so a wait that fails has outlasted
+// all of them by another: one alone never gets its waiter dropped.
+func (b *budget) move(held, want int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.freed.L == nil {
 		b.freed.L = &b.mu
 	}
+	var late *time.Timer
+	expired := false
 	for want > held && b.used+want-held > readBudget {
-		if b.closed {
-			return false
+		switch {
+		case b.closed:
+			return ErrServerClosed
+		case expired:
+			return errBudgetWait
+		case late == nil:
+			late = time.AfterFunc(2*frameReadTimeout, func() {
+				b.mu.Lock()
+				expired = true
+				b.freed.Broadcast()
+				b.mu.Unlock()
+			})
+			defer late.Stop()
 		}
 		b.freed.Wait()
 	}
@@ -246,7 +273,7 @@ func (b *budget) move(held, want int) bool {
 	if want < held {
 		b.freed.Broadcast()
 	}
-	return true
+	return nil
 }
 
 // deadline sets a holder's read deadline through set, unless the server is
@@ -281,6 +308,14 @@ func (fr *FrameReader) resize(size int) {
 	fr.end = copy(buf, fr.buf[fr.start:fr.end])
 	fr.start = 0
 	fr.buf = buf
+}
+
+// lend leaves the buffer to the frames already consumed from it, which
+// their caller still reads, and carries on in a new one of readStart
+// bytes or the unconsumed window's size: the window moves there.
+func (fr *FrameReader) lend() {
+	buf := make([]byte, max(fr.end-fr.start, readStart))
+	fr.end, fr.start, fr.buf = copy(buf, fr.buf[fr.start:fr.end]), 0, buf
 }
 
 // cutFrame reports whether the window holds more than the frame at its

@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -310,6 +311,217 @@ func TestIdleSocketFootprint(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeConn did not return after Close")
+	}
+}
+
+// TestScanHoldsOneReadBuffer: after 100 SCANs of 32 KiB on one
+// connection, the client holds one read buffer, the size of a SCAN's
+// response frame, and its entries no copy of a SCAN's payload (the meta
+// reply's small one, made before, stays). The issuer read its own
+// responses, and their payloads alias the buffer, which the connection
+// takes back at its next issue.
+func TestScanHoldsOneReadBuffer(t *testing.T) {
+	const scans, budget, keys = 100, 32 << 10, 1024
+	ts := transport.NewServer()
+	store, err := kv.NewServerOn(ts, kv.DefaultOptions(keys, 128))
+	if err != nil {
+		t.Fatalf("NewServerOn: %v", err)
+	}
+	for k := int64(0); k < keys; k++ {
+		if err := store.Load(k, bytes.Repeat([]byte{byte(k)}, 128)); err != nil {
+			t.Fatalf("Load(%d): %v", k, err)
+		}
+	}
+	cEnd, sEnd := net.Pipe()
+	served := make(chan struct{})
+	go func() { defer close(served); ts.ServeConn(transport.CheckedConn(t, sEnd)) }()
+	defer func() { <-served }()
+	c, err := transport.NewClientConn(cEnd)
+	if err != nil {
+		t.Fatalf("NewClientConn: %v", err)
+	}
+	defer c.Close()
+	cn, err := c.Connect()
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	meta, err := kv.FetchMeta(cn)
+	if err != nil {
+		t.Fatalf("FetchMeta: %v", err)
+	}
+	kvc := kv.NewClient(cn, meta, 1)
+	_, before := c.ReadFootprint()
+	largest, cursor := 0, int64(0)
+	for i := 0; i < scans; i++ {
+		window := 0
+		next, err := kvc.Scan(cursor, budget, func(k int64, v []byte) error {
+			window += len(v)
+			if !bytes.Equal(v, bytes.Repeat([]byte{byte(k)}, 128)) {
+				return fmt.Errorf("key %d holds %x", k, v[:8])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("Scan(%d): %v", cursor, err)
+		}
+		largest = max(largest, window)
+		if cursor = next; cursor >= keys {
+			cursor = 0
+		}
+	}
+	held, copies := c.ReadFootprint()
+	t.Logf("%d SCANs of up to %d value bytes: a read buffer of %d bytes, %d bytes of payload copies (%d before)", scans, largest, held, copies, before)
+	if held < largest || held > budget+1<<10 {
+		t.Errorf("the client's read buffer holds %d bytes, want one SCAN response frame (at most %d bytes)", held, budget+1<<10)
+	}
+	if copies != before {
+		t.Errorf("the client's entries hold %d bytes of payload copies after the SCANs, %d before, want no more", copies, before)
+	}
+}
+
+// TestSharedSocketSteadyState: three connections share one socket, so
+// the socket's goroutine reads for all of them and copies each payload
+// into its entry; no issuer reads for itself, and no read buffer is lent.
+// With GETs alone from a goroutine each, then 32 KiB SCANs before the
+// GETs, issued in turn from one goroutine and then concurrently, a warmed
+// round allocates (almost) nothing — no read buffer is made to move off a
+// lent one — and GETs leave the read buffer at its first size.
+func TestSharedSocketSteadyState(t *testing.T) {
+	const conns, keys, budget, warm, rounds = 3, 1024, 32 << 10, 50, 200
+	l := listenUnix(t)
+	ts := transport.NewServer()
+	store, err := kv.NewServerOn(ts, kv.DefaultOptions(keys, 128))
+	if err != nil {
+		t.Fatalf("NewServerOn: %v", err)
+	}
+	for k := int64(0); k < keys; k++ {
+		if err := store.Load(k, bytes.Repeat([]byte{byte(k)}, 128)); err != nil {
+			t.Fatalf("Load(%d): %v", k, err)
+		}
+	}
+	served := make(chan error, 1)
+	go func() { served <- ts.Serve(l) }()
+	t.Cleanup(func() {
+		ts.Shutdown(2 * time.Second)
+		<-served
+	})
+	tc, err := transport.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer tc.Close()
+	var clients []*kv.Client
+	var meta kv.Meta
+	for i := range conns {
+		cn, err := tc.Connect()
+		if err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+		if i == 0 {
+			if meta, err = kv.FetchMeta(cn); err != nil {
+				t.Fatalf("FetchMeta: %v", err)
+			}
+		}
+		clients = append(clients, kv.NewClient(cn, meta, uint16(i+1)))
+	}
+	cursors := make([]int64, conns)
+	visits := make([]func(int64, []byte) error, conns)
+	for i := range visits {
+		visits[i] = func(k int64, v []byte) error {
+			if len(v) != 128 || v[0] != byte(k) || v[127] != byte(k) {
+				return fmt.Errorf("connection %d: key %d holds %x", i, k, v[:8])
+			}
+			return nil
+		}
+	}
+	scan := func(i int) error {
+		next, err := clients[i].Scan(cursors[i], budget, visits[i])
+		if err != nil {
+			return fmt.Errorf("connection %d: Scan(%d): %w", i, cursors[i], err)
+		}
+		if cursors[i] = next; next >= keys {
+			cursors[i] = 0
+		}
+		return nil
+	}
+	get := func(i, r int) error {
+		k := int64(r*conns+i) % keys
+		if v, err := clients[i].Get(k); err != nil || len(v) != 128 || v[0] != byte(k) {
+			return fmt.Errorf("connection %d: Get(%d) = %x, %v", i, k, v, err)
+		}
+		return nil
+	}
+	// A phase's round is a GET on every connection, after a SCAN on every
+	// one when scans is set. run issues n of them: in turn from this
+	// goroutine, every SCAN of a round before its first GET, or each
+	// connection's from a goroutine of its own when concurrent is set.
+	type phase struct{ scans, concurrent bool }
+	run := func(p phase, n int) error {
+		if !p.concurrent {
+			for r := range n {
+				for i := range conns {
+					if p.scans {
+						if err := scan(i); err != nil {
+							return err
+						}
+					}
+				}
+				for i := range conns {
+					if err := get(i, r); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, conns)
+		for i := range conns {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := range n {
+					if p.scans {
+						if errs[i] = scan(i); errs[i] != nil {
+							return
+						}
+					}
+					if errs[i] = get(i, r); errs[i] != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+	// Both sides of the socket count; a read buffer made costs 4 KiB, or
+	// a SCAN frame's size, 32 KiB and more.
+	const perOp = 512
+	for _, p := range []phase{{false, true}, {true, false}, {true, true}} {
+		if err := run(p, warm); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := run(p, rounds); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		ops := conns * rounds
+		if p.scans {
+			ops *= 2
+		}
+		allocBytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+		held, copies := tc.ReadFootprint()
+		t.Logf("%+v: %.0f bytes allocated per op; a read buffer of %d bytes, %d bytes of payload copies",
+			p, allocBytes, held, copies)
+		if allocBytes > perOp {
+			t.Errorf("%+v: a warmed op allocates %.0f bytes, want at most %d: read buffers are being made", p, allocBytes, perOp)
+		}
+		if !p.scans && held != transport.ReadStart {
+			t.Errorf("%+v: the read buffer holds %d bytes, want its first %d", p, held, transport.ReadStart)
+		}
 	}
 }
 

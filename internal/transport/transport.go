@@ -17,8 +17,8 @@
 //     scratch, and the strict send window that queues requests locally
 //     until a slot frees. The sim client parameterizes it with the
 //     parked process or fan-out a response goes to and a retransmit
-//     timer; the live client with a channel waiter and a result-copy
-//     arena.
+//     timer; the live client with the chain's routing and result
+//     storage.
 //   - FrameReader/FrameWriter: the stream framer. Frames are encoded
 //     into and alias-decoded out of per-connection reusable buffers, so
 //     the 0-alloc encode path of DESIGN.md §11 survives the socket hop.

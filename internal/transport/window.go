@@ -11,8 +11,8 @@ import "prism/internal/wire"
 //
 // The type parameter X is per-transport completion state carried on
 // each pooled entry: the sim client stores who the response goes to and a
-// retransmit timer, the live client a channel waiter and a result-copy
-// arena. A Window is single-owner — the sim binds one per connection,
+// retransmit timer, the live client its routing (sync, fire-and-forget or
+// a fan-out's chain) and result storage. A Window is single-owner — the sim binds one per connection,
 // driven by its cluster's one engine, the live client guards each with
 // its connection mutex.
 type Window[X any] struct {
