@@ -42,14 +42,14 @@ test:
 # 6,000 MB it may use there, so the golden-figure tests (every figure
 # rendered serially and on a pool, ≈3,000 MB) run apart from the rest
 # (≈4,700 MB). Each prints its peak_rss_mb (TestMain; go test shows it when
-# run in the package directory). internal/integration runs at every
-# thread count too: its Issuer contract drives two goroutines through one
-# socket's read token. workload, wire and the commands ride along after
-# internal/bench: prismd serves every store over a unix socket.
+# run in the package directory). internal/transport's Issuer contract
+# drives two goroutines through one socket's read token at every thread
+# count. workload, wire and the commands ride along after internal/bench:
+# prismd serves every store over a unix socket.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/fabric ./internal/rdma \
 		./internal/transport ./internal/kv ./internal/alloc ./internal/memory ./internal/prism \
-		./internal/tx ./internal/abd ./internal/integration
+		./internal/tx ./internal/abd
 	cd internal/bench && $(GO) test -race -run '^TestFiguresGolden$$'
 	cd internal/bench && $(GO) test -race -skip '^TestFiguresGolden$$'
 	$(GO) test -race ./internal/workload ./internal/wire ./cmd/prismtrace ./cmd/prismkv ./cmd/prismload \

@@ -76,8 +76,14 @@ func TestFig2PRISMBeatsTwoReadsEverywhere(t *testing.T) {
 	if !(gap(0) < gap(1) && gap(1) < gap(2)) {
 		t.Fatalf("gap not increasing with scale: %v %v %v", gap(0), gap(1), gap(2))
 	}
-	// Datacenter scale: ~2x improvement (53 vs 29 µs in the paper).
-	ratio := float64(point(t, fig, "2x RDMA", 2).Mean) / float64(point(t, fig, "PRISM SW", 2).Mean)
+	// Datacenter scale: ~2x improvement (53 vs 29 µs in the paper). The
+	// indirect read is one 24 µs round trip plus ≈3 µs of software stack,
+	// not two round trips.
+	dc := point(t, fig, "PRISM SW", 2).Mean
+	if dc < 26*time.Microsecond || dc > 36*time.Microsecond {
+		t.Fatalf("datacenter PRISM SW indirect read %v, want ≈29-30µs (one round trip)", dc)
+	}
+	ratio := float64(point(t, fig, "2x RDMA", 2).Mean) / float64(dc)
 	if ratio < 1.5 || ratio > 2.5 {
 		t.Fatalf("datacenter improvement ratio %.2f, want ≈1.8", ratio)
 	}

@@ -22,8 +22,8 @@ import (
 
 // recIssuer is a recording transport.Issuer fake: it forwards to the
 // real issuer and appends every chain it carries — canonical wire bytes
-// of the ops and of the results — including a fan-out round's, and every
-// backoff sleep to one log.
+// of the ops and of the results — including a fan-out round's, every
+// fan-out wait, and every backoff sleep to one log.
 // The log opens with the connection's temp buffer address: both hosts
 // place it identically today; if one ever moves it, that first event
 // says so and the address needs masking here.
@@ -102,6 +102,7 @@ func (b *recFan) Send(i int, ops []wire.Op, round uint64, slot int) {
 
 func (b *recFan) Await(pending bool) {
 	b.FanoutBinding.Await(pending)
+	*b.log = append(*b.log, "await")
 	slices.SortFunc(b.done, func(x, y recDone) int {
 		return cmp.Or(cmp.Compare(x.round, y.round), cmp.Compare(x.slot, y.slot))
 	})

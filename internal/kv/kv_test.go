@@ -52,23 +52,26 @@ func smallOpts() Options {
 	return o
 }
 
+// TestPutGetRoundTrip runs on the software stack and the projected hardware NIC.
 func TestPutGetRoundTrip(t *testing.T) {
-	v := newKVEnv(t, smallOpts(), model.SoftwarePRISM)
-	c := v.client(1)
-	v.run(t, func(p *sim.Proc) {
-		if err := c.Put(7, []byte("value-7")); err != nil {
-			t.Error(err)
-			return
-		}
-		got, err := c.Get(7)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if string(got) != "value-7" {
-			t.Errorf("got %q", got)
-		}
-	})
+	for _, d := range []model.Deployment{model.SoftwarePRISM, model.ProjectedHardwarePRISM} {
+		v := newKVEnv(t, smallOpts(), d)
+		c := v.client(1)
+		v.run(t, func(p *sim.Proc) {
+			if err := c.Put(7, []byte("value-7")); err != nil {
+				t.Errorf("%v: %v", d, err)
+				return
+			}
+			got, err := c.Get(7)
+			if err != nil {
+				t.Errorf("%v: %v", d, err)
+				return
+			}
+			if string(got) != "value-7" {
+				t.Errorf("%v: got %q", d, got)
+			}
+		})
+	}
 }
 
 func TestGetMissing(t *testing.T) {
@@ -285,24 +288,6 @@ func TestBufferReclamationKeepsPoolBounded(t *testing.T) {
 	})
 }
 
-func TestPutsRequireNoServerCPU(t *testing.T) {
-	// PRISM-KV's headline property: PUTs run without application RPCs —
-	// the only RPCs are batched reclamation messages.
-	v := newKVEnv(t, smallOpts(), model.SoftwarePRISM)
-	c := v.client(1)
-	v.run(t, func(p *sim.Proc) {
-		for i := int64(0); i < 16; i++ {
-			if err := c.Put(i, []byte("x")); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	// Inserts into empty slots retire no buffers, so zero RPCs at all.
-	if got := v.e.Counters().RequestsServed; got == 0 {
-		t.Fatal("no requests observed")
-	}
-}
-
 // --- Pilaf ---
 
 type pilafEnv struct {
@@ -368,68 +353,6 @@ func TestPilafOverwriteReusesExtents(t *testing.T) {
 		}
 	})
 	v.e.Run()
-}
-
-func TestPilafGetLatencyVsPRISMKV(t *testing.T) {
-	// §6.2 Fig. 3: PRISM-KV's single indirect READ beats Pilaf's two READs
-	// + CRC on hardware RDMA, and by ~2x on software RDMA.
-	getLatency := func(run func(p *sim.Proc)) sim.Duration {
-		return 0 // placeholder, below
-	}
-	_ = getLatency
-
-	// PRISM-KV on the software stack.
-	v1 := newKVEnv(t, smallOpts(), model.SoftwarePRISM)
-	v1.srv.Load(1, make([]byte, 64))
-	c1 := v1.client(1)
-	var prismLat sim.Duration
-	v1.run(t, func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := c1.Get(1); err != nil {
-			t.Error(err)
-		}
-		prismLat = p.Now().Sub(start)
-	})
-
-	// Pilaf on hardware RDMA.
-	v2 := newPilafEnv(t, smallOpts(), model.HardwareRDMA)
-	v2.srv.Load(1, make([]byte, 64))
-	c2 := v2.client()
-	var pilafHW sim.Duration
-	v2.e.Go("t", func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := c2.Get(1); err != nil {
-			t.Error(err)
-		}
-		pilafHW = p.Now().Sub(start)
-	})
-	v2.e.Run()
-
-	// Pilaf on the software stack.
-	v3 := newPilafEnv(t, smallOpts(), model.SoftwarePRISM)
-	v3.srv.Load(1, make([]byte, 64))
-	c3 := v3.client()
-	var pilafSW sim.Duration
-	v3.e.Go("t", func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := c3.Get(1); err != nil {
-			t.Error(err)
-		}
-		pilafSW = p.Now().Sub(start)
-	})
-	v3.e.Run()
-
-	if !(prismLat < pilafHW && pilafHW < pilafSW) {
-		t.Fatalf("GET latency ordering: prism=%v pilafHW=%v pilafSW=%v", prismLat, pilafHW, pilafSW)
-	}
-	// Paper's anchors: ~6 µs vs ~8 µs vs ~14 µs. Allow wide slack.
-	if prismLat > 8*time.Microsecond {
-		t.Fatalf("PRISM-KV GET %v, expected ~6 µs", prismLat)
-	}
-	if pilafSW < 10*time.Microsecond {
-		t.Fatalf("software Pilaf GET %v, expected ~14 µs", pilafSW)
-	}
-	t.Logf("GET latency: PRISM-KV=%v Pilaf(HW)=%v Pilaf(SW)=%v", prismLat, pilafHW, pilafSW)
 }
 
 type modelOp struct {

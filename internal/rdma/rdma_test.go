@@ -226,7 +226,9 @@ func TestRPCDispatch(t *testing.T) {
 
 func TestDeploymentLatencyOrdering(t *testing.T) {
 	// Fig. 1's qualitative ordering for an indirect read:
-	// RDMA(2 reads) baseline aside, PRISM HW < PRISM SW < BlueField.
+	// RDMA(2 reads) baseline aside, PRISM HW < PRISM SW < BlueField,
+	// and the projected hardware NIC saves §6.2's ≈2 µs of software
+	// stack.
 	lat := func(d model.Deployment) sim.Duration {
 		v := newEnv(t, d, nil)
 		var rtt sim.Duration
@@ -243,6 +245,9 @@ func TestDeploymentLatencyOrdering(t *testing.T) {
 	bf := lat(model.BlueFieldPRISM)
 	if !(hw < sw && sw < bf) {
 		t.Fatalf("latency ordering hw=%v sw=%v bf=%v", hw, sw, bf)
+	}
+	if d := sw - hw; d < time.Microsecond || d > 3*time.Microsecond {
+		t.Fatalf("projected-hardware advantage %v (hw=%v sw=%v), want ≈2µs (§6.2)", d, hw, sw)
 	}
 }
 

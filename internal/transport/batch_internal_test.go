@@ -16,7 +16,7 @@ import (
 // a silent partial success.
 
 // tornServer speaks just enough of the protocol over one conn: it
-// handshakes, accepts one logical connection, answers the first
+// reads the hello, accepts one logical connection, answers the first
 // answerFrames request frames, then slams the socket shut.
 func tornServer(t *testing.T, nc net.Conn, answerFrames int) {
 	t.Helper()
@@ -25,11 +25,6 @@ func tornServer(t *testing.T, nc net.Conn, answerFrames int) {
 	kind, body, err := fr.Next()
 	if err != nil || kind != frameHello || string(body) != string(helloMagic) {
 		t.Errorf("torn server handshake: kind=0x%02x err=%v", kind, err)
-		nc.Close()
-		return
-	}
-	if err := fw.Send(frameWelcome, nil); err != nil {
-		t.Errorf("torn server welcome: %v", err)
 		nc.Close()
 		return
 	}

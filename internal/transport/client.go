@@ -86,8 +86,7 @@ func Dial(addr string) (*Client, error) {
 	return DialNetwork(Network(addr), addr)
 }
 
-// DialNetwork connects to a live server and performs the protocol
-// handshake.
+// DialNetwork connects to a live server and sends the protocol hello.
 func DialNetwork(network, addr string) (*Client, error) {
 	nc, err := net.Dial(network, addr)
 	if err != nil {
@@ -96,11 +95,10 @@ func DialNetwork(network, addr string) (*Client, error) {
 	return NewClientConn(nc)
 }
 
-// NewClientConn performs the client handshake over an established
-// connection (a dialed socket, or one end of a net.Pipe in tests) and
-// starts the socket's two goroutines: the flusher's writer, and a reader
-// that reads whenever no issuer reads for itself and parks otherwise (see
-// read).
+// NewClientConn sends the protocol hello over an established connection
+// (a dialed socket, or one end of a net.Pipe in tests) and starts the
+// socket's two goroutines: the flusher's writer, and a reader that reads
+// whenever no issuer reads for itself and parks otherwise (see read).
 func NewClientConn(nc net.Conn) (*Client, error) {
 	c := &Client{
 		nc:       nc,
@@ -110,20 +108,12 @@ func NewClientConn(nc net.Conn) (*Client, error) {
 		down:     make(chan struct{}),
 		grant:    make(chan struct{}, 1),
 	}
-	// The handshake happens before the flusher exists, so a plain
-	// framer writes the hello directly.
+	// The hello is one-way: it is written before the flusher exists, by
+	// a plain framer, and nothing answers it. A server that refuses the
+	// socket closes it, which the first Connect reports.
 	if err := NewFrameWriter(nc).Send(frameHello, helloMagic); err != nil {
 		nc.Close()
 		return nil, err
-	}
-	kind, _, err := c.fr.Next()
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	if kind != frameWelcome {
-		nc.Close()
-		return nil, fmt.Errorf("transport: unexpected handshake frame 0x%02x", kind)
 	}
 	c.fl = newFlusher(nc, c.fail)
 	go c.readLoop()

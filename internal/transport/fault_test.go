@@ -374,6 +374,34 @@ func TestHostilePeer(t *testing.T) {
 			})
 		}
 	}
+	t.Run("peer-closes-after-hello", func(t *testing.T) {
+		// Nothing answers the hello, so NewClientConn returns before the
+		// server has said a word. A peer that reads the hello and closes
+		// must fail the first Connect instead of leaving it waiting.
+		for _, pair := range pairs {
+			t.Run(pair.name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				cEnd, sEnd := pair.pair(t)
+				go func() { transport.NewFrameReader(sEnd).Next(); sEnd.Close() }()
+				c, err := transport.NewClientConn(cEnd)
+				if err != nil {
+					t.Fatalf("NewClientConn: %v", err)
+				}
+				done := make(chan error, 1)
+				go func() { _, err := c.Connect(); done <- err }()
+				select {
+				case err := <-done:
+					if err == nil {
+						t.Error("Connect succeeded on a socket whose peer closed after the hello")
+					}
+				case <-time.After(deadline):
+					t.Fatal("Connect on a socket whose peer closed after the hello neither returned nor failed")
+				}
+				c.Close()
+				checkNoLeak(t, before)
+			})
+		}
+	})
 	t.Run("many-stalled-giant-prefixes", func(t *testing.T) {
 		const stalled = 256
 		before := runtime.NumGoroutine()
@@ -569,22 +597,31 @@ func TestHostilePeer(t *testing.T) {
 			go func() { defer served.Done(); ts.ServeConn(nc) }()
 		}
 		kvc, c := liveKV(t, serve)
-		pEnd, sEnd := net.Pipe()
-		serve(sEnd)
-		greet(t, pEnd)
 		req := wire.AppendRequest(nil, &wire.Request{Conn: 99, Seq: 1, Ops: []wire.Op{prism.Read(1, 0, 8)}})
 		frame := append(binary.LittleEndian.AppendUint32(nil, uint32(1+len(req))), 0x05)
-		if _, err := pEnd.Write(append(frame, req...)); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		pEnd.SetReadDeadline(time.Now().Add(deadline))
-		if n, err := pEnd.Read(make([]byte, 64)); err != io.EOF {
-			t.Errorf("the server answered a request on an unopened connection: %d bytes, %v", n, err)
+		// Greeted, a request on a connection the socket never opened; not
+		// greeted, a CONNECT without the hello. Either way the server
+		// closes the socket unanswered.
+		for _, greeted := range []bool{true, false} {
+			pEnd, sEnd := net.Pipe()
+			serve(sEnd)
+			send := connectFrame
+			if greeted {
+				greet(t, pEnd)
+				send = append(frame, req...)
+			}
+			if _, err := pEnd.Write(send); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			pEnd.SetReadDeadline(time.Now().Add(deadline))
+			if n, err := pEnd.Read(make([]byte, 64)); err != io.EOF {
+				t.Errorf("the server answered %x (greeted %v): %d bytes, %v", send, greeted, n, err)
+			}
+			pEnd.Close()
 		}
 		if err := hostileWaiter(kvc, 0); err != nil {
 			t.Errorf("GETs on the other socket: %v", err)
 		}
-		pEnd.Close()
 		c.Close()
 		ts.Shutdown(100 * time.Millisecond)
 		served.Wait()
@@ -638,9 +675,7 @@ func TestHostilePeer(t *testing.T) {
 		}
 		pEnd, sEnd := net.Pipe()
 		serve(sEnd)
-		greet(t, pEnd)
-		connect := []byte{1, 0, 0, 0, 0x03}
-		go pEnd.Write(bytes.Repeat(connect, transport.MaxConns+1)) // fails once the server closes
+		go pEnd.Write(append(helloFrame(), bytes.Repeat(connectFrame, transport.MaxConns+1)...)) // fails once the server closes
 		pEnd.SetReadDeadline(time.Now().Add(4 * deadline))
 		accepts := 0
 		for hdr := make([]byte, 5); ; accepts++ {
@@ -899,11 +934,12 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 	return client, server
 }
 
-// greet completes the protocol handshake by hand on a raw client end.
+// greet opens a connection by hand on a raw client end; its accept says
+// the server took the socket.
 func greet(t *testing.T, nc net.Conn) {
 	t.Helper()
 	if !tryGreet(nc) {
-		t.Fatal("the server did not answer the hello")
+		t.Fatal("the server did not accept a connection after the hello")
 	}
 }
 
@@ -963,14 +999,27 @@ func TestSocketCap(t *testing.T) {
 	served.Wait()
 }
 
-// tryGreet reports whether a server answers the protocol hello on nc.
+// tryGreet sends the protocol hello and a CONNECT on nc and reports
+// whether the server answered with an accept. The hello alone is not
+// answered, so the accept is what tells a socket the server took from
+// one it refused.
 func tryGreet(nc net.Conn) bool {
-	hello := []byte("PRSM\x01")
-	frame := append(binary.LittleEndian.AppendUint32(nil, uint32(1+len(hello))), 0x01)
-	if _, err := nc.Write(append(frame, hello...)); err != nil {
+	if _, err := nc.Write(append(helloFrame(), connectFrame...)); err != nil {
 		return false
 	}
-	welcome := make([]byte, 5)
-	_, err := io.ReadFull(nc, welcome)
-	return err == nil && welcome[4] == 0x02
+	hdr := make([]byte, 5)
+	if _, err := io.ReadFull(nc, hdr); err != nil || hdr[4] != 0x04 {
+		return false
+	}
+	_, err := io.CopyN(io.Discard, nc, int64(binary.LittleEndian.Uint32(hdr))-1)
+	return err == nil
+}
+
+// connectFrame is a CONNECT frame as a client sends it.
+var connectFrame = []byte{1, 0, 0, 0, 0x03}
+
+// helloFrame returns the protocol hello frame as a client sends it.
+func helloFrame() []byte {
+	hello := []byte("PRSM\x01")
+	return append(append(binary.LittleEndian.AppendUint32(nil, uint32(1+len(hello))), 0x01), hello...)
 }

@@ -20,7 +20,7 @@ import (
 //
 // where length counts the kind byte plus the payload. Request and
 // response payloads are the canonical internal/wire encodings; control
-// frames (hello/welcome/connect/accept) use the fixed layouts below.
+// frames (hello/connect/accept) use the fixed layouts below.
 // The framer never allocates in steady state: FrameWriter appends into
 // one reusable buffer, FrameReader reads into one reusable buffer that
 // the returned payload (and any alias-decoded message) borrows until
@@ -39,8 +39,7 @@ import (
 //     which is what lets the server drain a whole wakeup's worth of
 //     requests before flushing the responses.
 const (
-	frameHello    = 0x01 // client → server, once per socket: magic + version
-	frameWelcome  = 0x02 // server → client: hello accepted
+	frameHello    = 0x01 // client → server, once per socket: magic + version; not answered
 	frameConnect  = 0x03 // client → server: open a logical connection
 	frameAccept   = 0x04 // server → client: conn id, temp addr, temp key
 	frameRequest  = 0x05 // client → server: wire.Request

@@ -100,21 +100,15 @@ func TestCloseStalledPeer(t *testing.T) {
 
 	cEnd, sEnd := net.Pipe()
 	defer sEnd.Close()
-	// The peer handshakes, then goes silent: it never reads again, so on
-	// the synchronous pipe any flushed frame leaves the client's writer
-	// blocked in Write.
+	// The peer reads the hello, then goes silent: it never reads again,
+	// so on the synchronous pipe any flushed frame leaves the client's
+	// writer blocked in Write.
 	handshook := make(chan struct{})
 	go func() {
-		fr := NewFrameReader(sEnd)
-		fw := NewFrameWriter(sEnd)
-		if kind, _, err := fr.Next(); err != nil || kind != frameHello {
+		if kind, _, err := NewFrameReader(sEnd).Next(); err != nil || kind != frameHello {
 			t.Errorf("stalled peer handshake: kind=0x%02x err=%v", kind, err)
 			sEnd.Close()
 			return
-		}
-		if err := fw.Send(frameWelcome, nil); err != nil {
-			t.Errorf("stalled peer welcome: %v", err)
-			sEnd.Close()
 		}
 		close(handshook)
 	}()

@@ -356,14 +356,12 @@ func (sk *srvSock) loop() {
 			return // EOF, peer reset, or a drain-interrupted read
 		}
 		if !sk.greeted {
-			// The first frame must be the protocol hello.
+			// The first frame must be the protocol hello, which is not
+			// answered.
 			if kind != frameHello || string(body) != string(helloMagic) {
 				return
 			}
 			sk.greeted = true
-			if sk.fw.Send(frameWelcome, nil) != nil {
-				return
-			}
 			continue
 		}
 		// Wakeup batch: serve this frame and every further frame already

@@ -9,6 +9,7 @@ import (
 
 	"prism/internal/check"
 	"prism/internal/fabric"
+	"prism/internal/kv"
 	"prism/internal/model"
 	"prism/internal/rdma"
 	"prism/internal/sim"
@@ -637,4 +638,65 @@ func TestLoadScratchLeavesNoResidue(t *testing.T) {
 		}
 	})
 	fv.e.Run()
+}
+
+// TestMixedTenants runs PRISM-KV and PRISM-TX servers on the same fabric
+// with concurrent clients: no interference beyond shared bandwidth, and
+// both remain correct.
+func TestMixedTenants(t *testing.T) {
+	p := model.Default().WithNetwork(model.Rack)
+	e := sim.NewEngine(61)
+	net := fabric.New(e, p)
+
+	kvNIC := rdma.NewServer(net, "kv", model.SoftwarePRISM)
+	kvSrv, err := kv.NewServerOn(kvNIC, kv.DefaultOptions(64, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	txNIC := rdma.NewServer(net, "tx", model.SoftwarePRISM)
+	txSrv, err := NewShard(txNIC, ShardOptions{NSlots: 16, MaxValue: 64, ExtraBuffers: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 8; k++ {
+		if err := txSrv.Load(k, make([]byte, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	machine := rdma.NewClient(net, "cli")
+	kvC := kv.NewClient(machine.Connect(kvNIC), kvSrv.Meta(), 1)
+	txC := NewClient(2, []transport.Issuer{machine.Connect(txNIC)}, []Meta{txSrv.Meta()})
+
+	e.Go("kv-tenant", func(pr *sim.Proc) {
+		for i := 0; i < 100; i++ {
+			k := int64(i % 16)
+			if err := kvC.Put(k, []byte(fmt.Sprintf("t%d", i))); err != nil {
+				t.Errorf("kv put: %v", err)
+				return
+			}
+			if v, err := kvC.Get(k); err != nil || !bytes.HasPrefix(v, []byte("t")) {
+				t.Errorf("kv get: %q %v", v, err)
+				return
+			}
+		}
+	})
+	e.Go("tx-tenant", func(pr *sim.Proc) {
+		for i := 0; i < 100; i++ {
+			for {
+				txn := txC.Begin()
+				old, err := txn.Read(int64(i % 8))
+				if err != nil {
+					t.Errorf("tx read: %v", err)
+					return
+				}
+				nv := append([]byte(nil), old...)
+				nv[0]++
+				txn.Write(int64(i%8), nv)
+				if _, err := txn.Commit(); err == nil {
+					break
+				}
+			}
+		}
+	})
+	e.Run()
 }
