@@ -7,20 +7,18 @@
 //	prismd -tcp :7171 -unix /tmp/p.sock     # on tcp too
 //	prismd -unix /tmp/rs.sock -app rs       # a PRISM-RS replica
 //
-// -app picks the store: kv (the default), chain:DEPTH (-keys buckets of
-// DEPTH-node chains, what prismload -workload chase walks), pilaf, rs,
-// lock (an ABDLOCK replica), tx (a PRISM-TX shard) or farm. The store
-// publishes its Meta, so a client needs only the address and the app name
+// -app picks the store: kv (the default), pilaf, rs, lock (an ABDLOCK
+// replica), tx (a PRISM-TX shard) or farm. The store publishes its Meta,
+// so a client needs only the address and the app name
 // (transport.DialMeta), and a client of another app is refused.
 //
 // -keys and -value size every store as a ceiling, not the resident size:
 // free lists register a 64 KiB slab at a time as loads and PUTs need them.
 // So an empty kv, pilaf or tx server registers only its hash table or
 // index (98,304, 131,072 and 163,840 bytes at the defaults), while rs,
-// lock, farm and chain register their arrays at start (4.3 MB each for
-// the first three, 17.2 MB for chain:4). The drain summary's "memory:"
-// line says what was registered, class by class. -load N
-// preloads keys 0..N-1 (kv, chain, pilaf, tx and farm), as the paper's
+// lock and farm register their arrays at start (4.3 MB each). The drain
+// summary's "memory:" line says what was registered, class by class.
+// -load N preloads keys 0..N-1 (kv, pilaf, tx and farm), as the paper's
 // experiments bulk-load before measuring. SIGINT/SIGTERM drain gracefully:
 // listeners close, in-flight requests finish, and the process exits 0.
 package main
@@ -37,8 +35,6 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -72,7 +68,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	nKeys := fs.Int64("keys", 4096, "keys (kv and pilaf serve keys 0..keys-1), blocks or buckets; with -value, a ceiling on memory, not what is resident")
 	valueSize := fs.Int("value", 1024, "largest value size accepted (bytes)")
 	load := fs.Int64("load", 0, "preload keys 0..N-1 before serving")
-	app := fs.String("app", "kv", "store to serve: kv, chain:DEPTH, pilaf, rs, lock, tx or farm")
+	app := fs.String("app", "kv", "store to serve: kv, pilaf, rs, lock, tx or farm")
 	grace := fs.Duration("grace", 5*time.Second, "drain deadline on SIGTERM/SIGINT")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	if err := fs.Parse(args); err == flag.ErrHelp {
@@ -168,32 +164,24 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 // provision stands app's store up on ts, sized by keys and value, and
 // returns it; all but the replicas have a Load.
 func provision(ts *transport.Server, app string, keys int64, value int) (any, error) {
-	name, arg, _ := strings.Cut(app, ":")
 	// The replicas' and shards' free lists get kv.DefaultOptions' slack of
 	// 8192 buffers beyond one per key.
 	shard := tx.ShardOptions{NSlots: keys, MaxValue: value, ExtraBuffers: 8192}
-	switch {
-	case arg != "" && name != "chain": // only chain takes an argument
-	case name == "kv":
+	switch app {
+	case "kv":
 		return kv.NewServerOn(ts, kv.DefaultOptions(keys, value))
-	case name == "chain":
-		depth, err := strconv.ParseInt(arg, 10, 64)
-		if err != nil || depth <= 0 {
-			return nil, fmt.Errorf("%w: -app chain:DEPTH needs a positive DEPTH, not %q", errUsage, arg)
-		}
-		return kv.NewChainStoreOn(ts, kv.ChainOptions{Buckets: keys, Depth: depth, MaxValue: value})
-	case name == "pilaf":
+	case "pilaf":
 		return kv.NewPilafServer(ts, kv.DefaultOptions(keys, value))
-	case name == "rs":
+	case "rs":
 		return abd.NewReplica(ts, abd.ReplicaOptions{NBlocks: keys, BlockSize: value, ExtraBuffers: 8192})
-	case name == "lock":
+	case "lock":
 		return abd.NewLockReplica(ts, keys, value)
-	case name == "tx":
+	case "tx":
 		return tx.NewShard(ts, shard)
-	case name == "farm":
+	case "farm":
 		return tx.NewFarmServer(ts, shard)
 	}
-	return nil, fmt.Errorf("%w: unknown -app %q (kv, chain:DEPTH, pilaf, rs, lock, tx or farm)", errUsage, app)
+	return nil, fmt.Errorf("%w: unknown -app %q (kv, pilaf, rs, lock, tx or farm)", errUsage, app)
 }
 
 // memoryLine is the drain summary's account of what the store registered:

@@ -108,11 +108,6 @@ func TestServeEveryApp(t *testing.T) {
 			conn := dial(&m)
 			return expect(kv.NewClient(conn, m, 1).Get(5))
 		}},
-		{"chain:4", []string{"-keys", "8", "-load", "32"}, func(dial func(any) transport.Issuer) error {
-			var m kv.ChainMeta
-			conn := dial(&m)
-			return expect(kv.NewChainClient(conn, m).ChaseGet(31))
-		}},
 		{"pilaf", []string{"-load", "16"}, func(dial func(any) transport.Issuer) error {
 			var m kv.PilafMeta
 			conn := dial(&m)
@@ -169,9 +164,8 @@ func TestServeEveryApp(t *testing.T) {
 			})
 			waitForSocket(t, sock, done)
 
-			name, _, _ := strings.Cut(a.app, ":")
 			err := a.op(func(meta any) transport.Issuer {
-				tc, conn, err := transport.DialMeta(sock, name, meta)
+				tc, conn, err := transport.DialMeta(sock, a.app, meta)
 				if err != nil {
 					t.Fatalf("DialMeta: %v", err)
 				}
@@ -215,14 +209,14 @@ func waitForSocket(t *testing.T, sock string, done chan error) {
 	t.Fatal("the server never listened")
 }
 
-// TestUsage: an unknown -app, a chain with no positive depth, an argument
-// on another app, and -load for a replica, which has nothing to load, are
-// usage errors, which exit 2.
+// TestUsage: an unknown -app (chain is no longer served, with or without
+// a depth, and no app takes an argument) and -load for a replica, which
+// has nothing to load, are usage errors, which exit 2.
 func TestUsage(t *testing.T) {
 	for _, app := range [][]string{
 		{"-app", "nope"},
 		{"-app", "chain"},
-		{"-app", "chain:0"},
+		{"-app", "chain:4"},
 		{"-app", "kv:3"},
 		{"-app", "rs", "-load", "4"},
 		{"-app", "lock", "-load", "4"},

@@ -6,22 +6,20 @@
 // descriptors per server. The loop itself is workload.Driver on the wall
 // clock, the one the figure harness runs on the simulator's engine.
 //
-//	prismload -addr /tmp/prism.sock -clients 1000 -duration 10s -json out.json
+//	prismload -addr /tmp/prism.sock -clients 1000 -duration 10s > out.json
 //	prismload -addr /tmp/r0.sock,/tmp/r1.sock,/tmp/r2.sock   # a PRISM-RS group
 //
 // The app comes from the server's meta reply, so prismload drives
-// whatever prismd -app serves: kv, chain, pilaf, rs, lock, tx or farm.
-// rs, lock and tx take one -addr per replica or shard, in order; every
-// other app takes one. The key space should be preloaded (prismd -load)
-// so reads hit.
+// whatever prismd -app serves: kv, pilaf, rs, lock, tx or farm. rs, lock
+// and tx take one -addr per replica or shard, in order; every other app
+// takes one. The key space should be preloaded (prismd -load) so reads
+// hit.
 //
 // -workload selects the op mix. "mix" (the default) is the app's figure
 // workload: GET/PUT at -reads on kv, pilaf, rs and lock (on kv in
-// kv.GetBatch trains of -batch GETs), YCSB-T read-modify-write
-// transactions on tx and farm, and one CHASE lookup per op on chain.
-// "scan" runs budget-bounded SCAN windows over a kv hash table; "chase"
-// and "chasehop" look up -depth-deep chain keys with one CHASE verb
-// program, or with one one-sided round trip per pointer hop.
+// kv.GetBatch trains of -batch GETs), and YCSB-T read-modify-write
+// transactions on tx and farm. "scan" runs budget-bounded SCAN windows
+// over a kv hash table. The result is one JSON object on stdout.
 package main
 
 import (
@@ -60,16 +58,16 @@ func main() {
 // as they exit (under the driver's lock; read after the run).
 type options struct {
 	clients, sockets, value, batch int
-	keys, depth                    int64
+	keys                           int64
 	reads                          float64
 	workload                       string
 	scanBudget                     uint64
 
-	hops, scanEntries int64
+	scanEntries int64
 }
 
 // run is the whole command: parse args, drive the load, and write the
-// result JSON to stdout (and to -json). It fails if any client did.
+// result JSON to stdout. It fails if any client did.
 func run(args []string, stdout io.Writer) error {
 	var o options
 	fs := flag.NewFlagSet("prismload", flag.ContinueOnError)
@@ -80,10 +78,8 @@ func run(args []string, stdout io.Writer) error {
 	fs.Int64Var(&o.keys, "keys", 4096, "key space (should be preloaded)")
 	fs.IntVar(&o.value, "value", 128, "value size for writes (bytes)")
 	fs.Float64Var(&o.reads, "reads", 0.95, "fraction of GET/PUT operations that are GETs")
-	fs.StringVar(&o.workload, "workload", "mix", "op mix: mix, scan (kv), chase or chasehop (chain)")
-	fs.Int64Var(&o.depth, "depth", 0, "chain hops per chase/chasehop lookup (0 = the chain's full depth)")
+	fs.StringVar(&o.workload, "workload", "mix", "op mix: mix, or scan (kv)")
 	fs.Uint64Var(&o.scanBudget, "scan-budget", 4096, "byte budget per SCAN window")
-	jsonPath := fs.String("json", "", "write the result JSON here (default stdout)")
 	fs.IntVar(&o.batch, "batch", 1, "GETs per doorbell on kv: issue reads in kv.GetBatch trains of this size")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return nil
@@ -95,8 +91,8 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%w: need -addr", errUsage)
 	case o.clients < 1 || o.keys < 1 || o.value < 0 || *duration <= 0:
 		return fmt.Errorf("%w: need -clients >= 1, -keys >= 1, -value >= 0 and -duration > 0", errUsage)
-	case o.workload != "mix" && o.workload != "scan" && o.workload != "chase" && o.workload != "chasehop":
-		return fmt.Errorf("%w: unknown -workload %q (mix, scan, chase or chasehop)", errUsage, o.workload)
+	case o.workload != "mix" && o.workload != "scan":
+		return fmt.Errorf("%w: unknown -workload %q (mix or scan)", errUsage, o.workload)
 	}
 	o.sockets = max(1, min(o.sockets, o.clients))
 	o.batch = max(1, o.batch)
@@ -195,15 +191,7 @@ func run(args []string, stdout io.Writer) error {
 		"first_error":     firstErr,
 		"stalled_clients": r.Stalled,
 	}
-	switch o.workload {
-	case "chase":
-		result["depth"] = o.depth
-	case "chasehop":
-		// Client-observed round trips: what a CHASE program would have
-		// collapsed to one per lookup.
-		result["depth"] = o.depth
-		result["hops"] = o.hops
-	case "scan":
+	if o.workload == "scan" {
 		result["scan_budget"] = o.scanBudget
 		result["scan_entries"] = o.scanEntries
 	}
@@ -212,11 +200,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	out = append(out, '\n')
-	if *jsonPath != "" {
-		if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-			return err
-		}
-	}
 	if _, err := stdout.Write(out); err != nil {
 		return err
 	}
@@ -234,8 +217,8 @@ type clientFunc func(id int, conns []transport.Issuer) (workload.Op, func())
 // clientsOf returns the clients of the app whose servers sent replies.
 func (o *options) clientsOf(replies []transport.MetaReply) (clientFunc, error) {
 	app := replies[0].App
-	if need := map[string]string{"scan": "kv", "chase": "chain", "chasehop": "chain"}[o.workload]; need != "" && need != app {
-		return nil, fmt.Errorf("-workload %s needs a %s server, and the server serves %s", o.workload, need, app)
+	if o.workload == "scan" && app != "kv" {
+		return nil, fmt.Errorf("-workload scan needs a kv server, and the server serves %s", app)
 	}
 	if group := app == "rs" || app == "lock" || app == "tx"; !group && len(replies) != 1 {
 		return nil, fmt.Errorf("%w: %s takes one -addr, not %d", errUsage, app, len(replies))
@@ -261,30 +244,6 @@ func (o *options) clientsOf(replies []transport.MetaReply) (clientFunc, error) {
 			}
 			return workload.MixOp(missOK{c}, mix(id)), flush
 		}, err
-	case "chain":
-		ms, err := metas[kv.ChainMeta](app, replies)
-		if err != nil {
-			return nil, err
-		}
-		m := ms[0]
-		if o.depth <= 0 || o.depth > m.Depth {
-			o.depth = m.Depth
-		}
-		return func(id int, conns []transport.Issuer) (workload.Op, func()) {
-			c := kv.NewChainClient(conns[0], m)
-			lookup := c.ChaseGet
-			if o.workload == "chasehop" {
-				lookup = c.HopGet
-			}
-			rng := rand.New(rand.NewSource(seed(id)))
-			return func() (int64, int64, error) {
-				// The depth-deep key of a uniform bucket: exactly -depth hops.
-				if _, err := lookup(rng.Int63n(m.Buckets)*m.Depth + o.depth - 1); err != nil && err != kv.ErrNotFound {
-					return 1, 0, err
-				}
-				return 1, 0, nil
-			}, func() { o.hops += c.Hops }
-		}, nil
 	case "pilaf":
 		// The live CPU computes the real CRC, so none is charged.
 		ms, err := metas[kv.PilafMeta](app, replies)

@@ -63,9 +63,6 @@ func TestRunWorkloads(t *testing.T) {
 	kvAddr := serve(t, loaded(keys, value, func(ts *transport.Server) (*kv.Server, error) {
 		return kv.NewServerOn(ts, kv.DefaultOptions(keys, len(value)))
 	}))
-	chainAddr := serve(t, loaded(32*4, value, func(ts *transport.Server) (*kv.ChainStore, error) {
-		return kv.NewChainStoreOn(ts, kv.ChainOptions{Buckets: 32, Depth: 4, MaxValue: len(value)})
-	}))
 	group := func(provision func(ts *transport.Server) error) string {
 		return strings.Join([]string{serve(t, provision), serve(t, provision), serve(t, provision)}, ",")
 	}
@@ -76,8 +73,6 @@ func TestRunWorkloads(t *testing.T) {
 		{"mix", "mix", kvAddr, 1},
 		{"mix-batch16", "mix", kvAddr, 16}, // closed-loop GetBatch trains
 		{"scan", "scan", kvAddr, 1},
-		{"chase", "chase", chainAddr, 1},
-		{"chasehop", "chasehop", chainAddr, 1},
 		{"pilaf", "mix", serve(t, loaded(keys, value, func(ts *transport.Server) (*kv.PilafServer, error) {
 			return kv.NewPilafServer(ts, kv.DefaultOptions(keys, len(value)))
 		})), 1},
@@ -133,26 +128,27 @@ func TestRunDeadAddress(t *testing.T) {
 	}
 }
 
-// A chase against a PRISM-KV server fails once the meta reply names the
-// app, naming the app the server serves and the one the workload needs.
+// A scan against a Pilaf server fails once the meta reply names the app,
+// naming the app the server serves and the one the workload needs.
 func TestRunWrongApp(t *testing.T) {
 	addr := serve(t, func(ts *transport.Server) error {
-		_, err := kv.NewServerOn(ts, kv.DefaultOptions(16, 64))
+		_, err := kv.NewPilafServer(ts, kv.DefaultOptions(16, 64))
 		return err
 	})
 	var out bytes.Buffer
-	err := run([]string{"-addr", addr, "-workload", "chase", "-duration", "10ms"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "needs a chain server, and the server serves kv") {
-		t.Fatalf("chase against a kv server: %v, want the both-apps error", err)
+	err := run([]string{"-addr", addr, "-workload", "scan", "-duration", "10ms"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "needs a kv server, and the server serves pilaf") {
+		t.Fatalf("scan against a pilaf server: %v, want the both-apps error", err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("a failed run wrote %q", out.String())
 	}
 }
 
-// A client count below one, a negative value size or an empty key space is
-// a usage error, found before dialing: the server below is live, and
-// nothing is written.
+// A client count below one, a negative value size, an empty key space, a
+// workload other than mix or scan, and the flags of the chain workloads
+// and of the JSON file are usage errors, found before dialing: the server
+// below is live, and nothing is written.
 func TestRunBadFlags(t *testing.T) {
 	addr := serve(t, func(ts *transport.Server) error {
 		_, err := kv.NewServerOn(ts, kv.DefaultOptions(16, 64))
@@ -163,6 +159,10 @@ func TestRunBadFlags(t *testing.T) {
 		{"-clients", "-1"},
 		{"-value", "-1"},
 		{"-keys", "0"},
+		{"-workload", "chase"},
+		{"-workload", "chasehop"},
+		{"-depth", "3"},
+		{"-json", "x"},
 	} {
 		var out bytes.Buffer
 		err := run(append([]string{"-addr", addr, "-duration", "10ms"}, args...), &out)

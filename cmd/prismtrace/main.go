@@ -5,7 +5,6 @@
 //
 //	prismtrace kvget      # PRISM-KV GET (one indirect bounded READ)
 //	prismtrace kvput      # PRISM-KV PUT (probe + ALLOCATE/WRITE/CAS chain)
-//	prismtrace kvchase    # CHASE program: one-RTT pointer walk vs per-hop READs
 //	prismtrace kvscan     # SCAN program: budget-bounded slot-range read
 //	prismtrace abdwrite   # PRISM-RS write phase chain
 //	prismtrace txcommit   # PRISM-TX prepare + commit CASes
@@ -29,7 +28,7 @@ import (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: prismtrace {kvget|kvput|kvchase|kvscan|abdwrite|txcommit|all}")
+		fmt.Fprintln(os.Stderr, "usage: prismtrace {kvget|kvput|kvscan|abdwrite|txcommit|all}")
 	}
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -38,7 +37,7 @@ func main() {
 	}
 	which := flag.Arg(0)
 	if which == "all" {
-		for _, w := range []string{"kvget", "kvput", "kvchase", "kvscan", "abdwrite", "txcommit"} {
+		for _, w := range []string{"kvget", "kvput", "kvscan", "abdwrite", "txcommit"} {
 			if !trace(os.Stdout, w) {
 				os.Exit(2)
 			}
@@ -107,11 +106,6 @@ func describeOp(op *wire.Op) string {
 		extra = fmt.Sprintf(" len=%d", op.Len)
 	case wire.OpWrite:
 		extra = fmt.Sprintf(" payload=%dB", len(op.Data))
-	case wire.OpChase:
-		if prog, match, err := iprism.DecodeProgram(op.Data); err == nil {
-			extra = fmt.Sprintf(" prog=chase/list maxSteps=%d matchOff=%d match=%dB mode=%v payload<=%dB",
-				prog.MaxSteps, prog.MatchOff, len(match), op.Mode, op.Len)
-		}
 	case wire.OpScan:
 		if prog, _, err := iprism.DecodeProgram(op.Data); err == nil {
 			extra = fmt.Sprintf(" prog=scan slots=[%d,%d) stride=%dB budget=%dB",
@@ -157,34 +151,6 @@ func trace(w io.Writer, which string) bool {
 		})
 		c.Run()
 		tr.dump(w, "kv")
-
-	case "kvchase":
-		srv := c.NewServer("chain", prism.SoftwarePRISM)
-		store, err := prism.NewChainStore(srv, prism.ChainOptions{Buckets: 8, Depth: 4, MaxValue: 64})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for k := int64(0); k < 32; k++ {
-			store.Load(k, []byte(fmt.Sprintf("chain value %d", k)))
-		}
-		tr := attachTrace(srv)
-		conn := c.NewClientMachine("cli").Connect(srv)
-		client := prism.NewChainClient(conn, store.Meta())
-		c.Go("trace", func(p *sim.Proc) {
-			const key = 3 // tail of bucket 0: four pointer hops deep
-			fmt.Fprintln(w, "CHASE GET(3) on an 8x4 chain store (DESIGN.md §14): the key is 4 hops deep —")
-			start := p.Now()
-			v, err := client.ChaseGet(key)
-			fmt.Fprintf(w, "  -> %q err=%v RTT=%v (one round trip; the NIC walks all 4 nodes)\n",
-				v, err, p.Now().Sub(start))
-			start = p.Now()
-			v, err = client.HopGet(key)
-			fmt.Fprintf(w, "  per-hop baseline HopGet -> %q err=%v hops=%d total=%v (one RTT per hop)\n",
-				v, err, client.Hops, p.Now().Sub(start))
-		})
-		c.Run()
-		tr.dump(w, "chain")
 
 	case "kvscan":
 		srv := c.NewServer("kv", prism.SoftwarePRISM)

@@ -17,7 +17,7 @@ import (
 // and is the recorded one (testdata/<scenario>.golden): the (time, source
 // node, send sequence) delivery order keeps the bytes.
 func TestTraceGolden(t *testing.T) {
-	for _, which := range []string{"kvget", "kvput", "kvchase", "kvscan", "abdwrite", "txcommit"} {
+	for _, which := range []string{"kvget", "kvput", "kvscan", "abdwrite", "txcommit"} {
 		t.Run(which, func(t *testing.T) {
 			var first, second strings.Builder
 			if !trace(&first, which) || !trace(&second, which) {

@@ -276,10 +276,6 @@ type ChainClient struct {
 	conn transport.Issuer
 	meta ChainMeta
 
-	// Hops is the client-observed round-trip count of HopGet walks —
-	// what CHASE's rtts_saved is measured against.
-	Hops int64
-
 	progBuf  []byte
 	matchBuf [8]byte
 	rpcBuf   [9]byte
@@ -360,7 +356,6 @@ func (c *ChainClient) HopGet(key int64) ([]byte, error) {
 		if res[0].Status != wire.StatusOK {
 			return nil, fmt.Errorf("kv: hop READ status %v", res[0].Status)
 		}
-		c.Hops++
 		node := res[0].Data
 		if int64(prism.BE64(node, chainNodeKey)) == key {
 			return decodeChainNode(node, key)

@@ -101,14 +101,15 @@ func TestChainChaseStepAccounting(t *testing.T) {
 
 	// The per-hop baseline pays one round trip per node.
 	v2 := newChainEnv(t, opts, model.SoftwarePRISM)
-	c2 := v2.client()
+	var log []string
+	c2 := NewChainClient(newRecIssuer(v2.cli.Connect(v2.nic), &log), v2.srv.Meta())
 	v2.run(t, func(p *sim.Proc) {
 		if _, err := c2.HopGet(tail); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if c2.Hops != opts.Depth {
-		t.Fatalf("Hops = %d, want %d", c2.Hops, opts.Depth)
+	if l := tally(t, log); l != (ledger{waits: int(opts.Depth), oneSided: int(opts.Depth)}) {
+		t.Fatalf("HopGet cost %+v, want %d one-sided round trips", l, opts.Depth)
 	}
 	if v2.e.Stats().ProgOps != 0 {
 		t.Fatalf("hop walk counted %d programs", v2.e.Stats().ProgOps)
@@ -437,8 +438,10 @@ func TestLiveChaseBeatsHopWalk(t *testing.T) {
 	walk(c.ChaseGet) // warm the window, scratch and framers
 	walk(c.HopGet)
 	chase, hops := walk(c.ChaseGet), walk(c.HopGet)
-	if c.Hops != 2*lookups*opts.Depth {
-		t.Fatalf("Hops = %d, want %d", c.Hops, 2*lookups*opts.Depth)
+	var log []string
+	walk(NewChainClient(newRecIssuer(conn, &log), meta).HopGet)
+	if l := tally(t, log); l.waits != lookups*int(opts.Depth) {
+		t.Fatalf("%d per-hop walks took %d round trips, want %d", lookups, l.waits, lookups*opts.Depth)
 	}
 	if chase >= hops {
 		t.Fatalf("depth-8 chase %v not faster than per-hop walk %v", chase, hops)

@@ -231,7 +231,6 @@ func chainScenario(c *ChainClient, logf func(format string, args ...any)) {
 		v, err = c.RPCGet(k)
 		logf("rpcget %d = %x %v", k, v, err)
 	}
-	logf("hops=%d", c.Hops)
 }
 
 // TestSimLiveDifferential drives one seeded call sequence through the

@@ -26,7 +26,13 @@ type kvEnv struct {
 
 func newKVEnv(t *testing.T, opts Options, deploy model.Deployment) *kvEnv {
 	t.Helper()
-	p := model.Default().WithNetwork(model.Rack)
+	return newKVEnvOn(t, opts, deploy, model.Rack)
+}
+
+// newKVEnvOn is newKVEnv on the given switch profile.
+func newKVEnvOn(t *testing.T, opts Options, deploy model.Deployment, network model.SwitchProfile) *kvEnv {
+	t.Helper()
+	p := model.Default().WithNetwork(network)
 	e := sim.NewEngine(1)
 	net := fabric.New(e, p)
 	nic := rdma.NewServer(net, "kv-srv", deploy)
@@ -52,23 +58,32 @@ func smallOpts() Options {
 	return o
 }
 
-// TestPutGetRoundTrip runs on the software stack and the projected hardware NIC.
+// TestPutGetRoundTrip runs on the software stack and the projected
+// hardware NIC in a rack, and on the software stack across a datacenter.
 func TestPutGetRoundTrip(t *testing.T) {
-	for _, d := range []model.Deployment{model.SoftwarePRISM, model.ProjectedHardwarePRISM} {
-		v := newKVEnv(t, smallOpts(), d)
+	for _, row := range []struct {
+		d       model.Deployment
+		network model.SwitchProfile
+	}{
+		{model.SoftwarePRISM, model.Rack},
+		{model.ProjectedHardwarePRISM, model.Rack},
+		{model.SoftwarePRISM, model.Datacenter},
+	} {
+		where := fmt.Sprintf("%v on %s", row.d, row.network.Name)
+		v := newKVEnvOn(t, smallOpts(), row.d, row.network)
 		c := v.client(1)
 		v.run(t, func(p *sim.Proc) {
 			if err := c.Put(7, []byte("value-7")); err != nil {
-				t.Errorf("%v: %v", d, err)
+				t.Errorf("%s: %v", where, err)
 				return
 			}
 			got, err := c.Get(7)
 			if err != nil {
-				t.Errorf("%v: %v", d, err)
+				t.Errorf("%s: %v", where, err)
 				return
 			}
 			if string(got) != "value-7" {
-				t.Errorf("%v: got %q", d, got)
+				t.Errorf("%s: got %q", where, got)
 			}
 		})
 	}

@@ -44,6 +44,7 @@ type Client struct {
 	errv  error
 
 	connectMu sync.Mutex // serializes Connect handshakes
+	greeted   bool       // a CONNECT carrying the hello is staged; connectMu held
 	acceptCh  chan acceptInfo
 	down      chan struct{} // closed when the socket dies
 	downOnce  sync.Once
@@ -86,7 +87,7 @@ func Dial(addr string) (*Client, error) {
 	return DialNetwork(Network(addr), addr)
 }
 
-// DialNetwork connects to a live server and sends the protocol hello.
+// DialNetwork connects to a live server (see NewClientConn).
 func DialNetwork(network, addr string) (*Client, error) {
 	nc, err := net.Dial(network, addr)
 	if err != nil {
@@ -95,10 +96,11 @@ func DialNetwork(network, addr string) (*Client, error) {
 	return NewClientConn(nc)
 }
 
-// NewClientConn sends the protocol hello over an established connection
-// (a dialed socket, or one end of a net.Pipe in tests) and starts the
-// socket's two goroutines: the flusher's writer, and a reader that reads
-// whenever no issuer reads for itself and parks otherwise (see read).
+// NewClientConn starts a client over an established connection (a dialed
+// socket, or one end of a net.Pipe in tests): the socket's two
+// goroutines, the flusher's writer and a reader that reads whenever no
+// issuer reads for itself and parks otherwise (see read). It sends
+// nothing: the protocol hello rides in the first Connect.
 func NewClientConn(nc net.Conn) (*Client, error) {
 	c := &Client{
 		nc:       nc,
@@ -107,13 +109,6 @@ func NewClientConn(nc net.Conn) (*Client, error) {
 		acceptCh: make(chan acceptInfo, 1),
 		down:     make(chan struct{}),
 		grant:    make(chan struct{}, 1),
-	}
-	// The hello is one-way: it is written before the flusher exists, by
-	// a plain framer, and nothing answers it. A server that refuses the
-	// socket closes it, which the first Connect reports.
-	if err := NewFrameWriter(nc).Send(frameHello, helloMagic); err != nil {
-		nc.Close()
-		return nil, err
 	}
 	c.fl = newFlusher(nc, c.fail)
 	go c.readLoop()
@@ -208,19 +203,27 @@ func (c *Client) Close() error {
 }
 
 // Connect opens a logical connection (queue pair) on the socket. The
-// socket's goroutine, or an issuer holding the read token, reads its
-// accept frame. From the second connection on, the socket's goroutine
-// reads for good (see readForGood).
+// socket's first CONNECT carries the protocol hello, so its accept also
+// says the server took the socket; a server that refuses the socket says
+// why, and Connect returns that (ErrTooManySockets, ErrServerClosed,
+// ErrBadHello, or too many connections). The socket's goroutine, or an
+// issuer holding the read token, reads the answer. From the second
+// connection on, the socket's goroutine reads for good (see readForGood).
 func (c *Client) Connect() (*Conn, error) {
 	c.connectMu.Lock()
 	defer c.connectMu.Unlock()
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	if err := c.fl.stageControl(frameConnect, nil); err != nil {
+	var hello []byte
+	if !c.greeted {
+		hello = helloMagic
+	}
+	if err := c.fl.stageControl(frameConnect, hello); err != nil {
 		c.fail(err)
 		return nil, err
 	}
+	c.greeted = true
 	c.need(1) // given back by the reader that routes the accept frame
 	var a acceptInfo
 	select {
@@ -531,9 +534,15 @@ func (c *Client) read(r *reader) error {
 }
 
 // route hands one frame to its waiter: an accept frame to the Connect
-// waiting for it, a response to its issuing connection.
+// waiting for it, a response to its issuing connection. A refusal is the
+// error that takes the socket down.
 func (c *Client) route(kind byte, body []byte, r *reader) error {
 	switch kind {
+	case frameRefuse:
+		if len(body) != 1 {
+			return ErrBadFrame
+		}
+		return refusal(body[0])
 	case frameAccept:
 		id, ta, tk, err := decodeAccept(body)
 		if err != nil {

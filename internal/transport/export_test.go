@@ -47,14 +47,22 @@ func (c *Client) ReadFootprint() (bufBytes, copyBytes int) {
 // ServeConnFramerBytes is ServeConn, returning what the socket's framers
 // held when it closed: its read buffer and its staging buffer.
 func (s *Server) ServeConnFramerBytes(nc net.Conn) (int, error) {
-	sk, err := s.addSock(nc)
-	if err != nil {
+	sk, r := s.addSock(nc)
+	if r != 0 {
 		nc.Close()
-		return 0, err
+		return 0, r
 	}
 	sk.loop()
 	return cap(sk.fr.buf) + cap(sk.fw.buf), nil
 }
+
+// Refusal is the error the reason of a refusal frame (kind 0x02) stands
+// for, as Connect reports it.
+func Refusal(reason byte) error { return refusal(reason) }
+
+// RefuseConns is the reason a CONNECT past MaxConns refuses its socket
+// with.
+const RefuseConns = byte(refuseConns)
 
 // ReadStart is the size a socket's read buffer starts at.
 const ReadStart = readStart

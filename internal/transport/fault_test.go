@@ -375,9 +375,9 @@ func TestHostilePeer(t *testing.T) {
 		}
 	}
 	t.Run("peer-closes-after-hello", func(t *testing.T) {
-		// Nothing answers the hello, so NewClientConn returns before the
-		// server has said a word. A peer that reads the hello and closes
-		// must fail the first Connect instead of leaving it waiting.
+		// The hello rides in the socket's first CONNECT. A peer that
+		// reads it and closes without an accept must fail that Connect
+		// instead of leaving it waiting.
 		for _, pair := range pairs {
 			t.Run(pair.name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
@@ -589,43 +589,92 @@ func TestHostilePeer(t *testing.T) {
 		checkNoLeak(t, before)
 	})
 	t.Run("request-on-unopened-connection", func(t *testing.T) {
-		before := runtime.NumGoroutine()
-		ts := newFaultKV(t)
-		var served sync.WaitGroup
-		serve := func(nc net.Conn) {
-			served.Add(1)
-			go func() { defer served.Done(); ts.ServeConn(nc) }()
-		}
-		kvc, c := liveKV(t, serve)
 		req := wire.AppendRequest(nil, &wire.Request{Conn: 99, Seq: 1, Ops: []wire.Op{prism.Read(1, 0, 8)}})
 		frame := append(binary.LittleEndian.AppendUint32(nil, uint32(1+len(req))), 0x05)
-		// Greeted, a request on a connection the socket never opened; not
-		// greeted, a CONNECT without the hello. Either way the server
-		// closes the socket unanswered.
-		for _, greeted := range []bool{true, false} {
-			pEnd, sEnd := net.Pipe()
-			serve(sEnd)
-			send := connectFrame
-			if greeted {
-				greet(t, pEnd)
-				send = append(frame, req...)
-			}
-			if _, err := pEnd.Write(send); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			pEnd.SetReadDeadline(time.Now().Add(deadline))
-			if n, err := pEnd.Read(make([]byte, 64)); err != io.EOF {
-				t.Errorf("the server answered %x (greeted %v): %d bytes, %v", send, greeted, n, err)
-			}
-			pEnd.Close()
+		for _, pair := range pairs {
+			t.Run(pair.name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				ts := newFaultKV(t)
+				var served sync.WaitGroup
+				serve := func(nc net.Conn) {
+					served.Add(1)
+					go func() { defer served.Done(); ts.ServeConn(nc) }()
+				}
+				kvc, c := liveKV(t, serve)
+				// Greeted, a request on a connection the socket never
+				// opened, which the server closes the socket on unanswered;
+				// not greeted, a CONNECT without the hello, which it
+				// refuses the socket for.
+				for _, greeted := range []bool{true, false} {
+					pEnd, sEnd := pair.pair(t)
+					serve(sEnd)
+					send := connectFrame
+					if greeted {
+						greet(t, pEnd)
+						send = append(frame, req...)
+					}
+					if _, err := pEnd.Write(send); err != nil {
+						t.Fatalf("write: %v", err)
+					}
+					pEnd.SetReadDeadline(time.Now().Add(deadline))
+					if greeted {
+						if n, err := pEnd.Read(make([]byte, 64)); err != io.EOF {
+							t.Errorf("the server answered %x: %d bytes, %v", send, n, err)
+						}
+					} else if err := refused(pEnd); !errors.Is(err, transport.ErrBadHello) {
+						t.Errorf("a CONNECT without the hello: %v, want ErrBadHello", err)
+					}
+					pEnd.Close()
+				}
+				if err := hostileWaiter(kvc, 0); err != nil {
+					t.Errorf("GETs on the other socket: %v", err)
+				}
+				c.Close()
+				ts.Shutdown(100 * time.Millisecond)
+				served.Wait()
+				checkNoLeak(t, before)
+			})
 		}
-		if err := hostileWaiter(kvc, 0); err != nil {
-			t.Errorf("GETs on the other socket: %v", err)
+	})
+	t.Run("bad-hello", func(t *testing.T) {
+		// A hello of another version, a request before any CONNECT, and a
+		// CONNECT carrying a payload after the socket's first each refuse
+		// the socket, with the hello as the reason.
+		req := wire.AppendRequest(nil, &wire.Request{Conn: 0, Seq: 1, Ops: []wire.Op{prism.Read(1, 0, 8)}})
+		request := append(append(binary.LittleEndian.AppendUint32(nil, uint32(1+len(req))), 0x05), req...)
+		for _, pair := range pairs {
+			t.Run(pair.name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				ts := newFaultKV(t)
+				var served sync.WaitGroup
+				for _, c := range []struct {
+					name        string
+					greet, send []byte
+				}{
+					{"version-2", nil, connectHello("PRSM\x02")},
+					{"request-first", nil, request},
+					{"second-hello", connectHello("PRSM\x01"), connectHello("PRSM\x01")},
+				} {
+					pEnd, sEnd := pair.pair(t)
+					served.Add(1)
+					go func() { defer served.Done(); ts.ServeConn(sEnd) }()
+					if c.greet != nil {
+						greet(t, pEnd)
+					}
+					if _, err := pEnd.Write(c.send); err != nil {
+						t.Fatalf("%s: write: %v", c.name, err)
+					}
+					pEnd.SetReadDeadline(time.Now().Add(deadline))
+					if err := refused(pEnd); !errors.Is(err, transport.ErrBadHello) {
+						t.Errorf("%s: %v, want ErrBadHello", c.name, err)
+					}
+					pEnd.Close()
+				}
+				ts.Shutdown(100 * time.Millisecond)
+				served.Wait()
+				checkNoLeak(t, before)
+			})
 		}
-		c.Close()
-		ts.Shutdown(100 * time.Millisecond)
-		served.Wait()
-		checkNoLeak(t, before)
 	})
 	t.Run("sockets-come-and-go", func(t *testing.T) {
 		// Peers open connections and leave, one socket after another. A
@@ -675,25 +724,25 @@ func TestHostilePeer(t *testing.T) {
 		}
 		pEnd, sEnd := net.Pipe()
 		serve(sEnd)
-		go pEnd.Write(append(helloFrame(), bytes.Repeat(connectFrame, transport.MaxConns+1)...)) // fails once the server closes
+		go pEnd.Write(append(connectHello("PRSM\x01"), bytes.Repeat(connectFrame, transport.MaxConns)...)) // fails once the server closes
 		pEnd.SetReadDeadline(time.Now().Add(4 * deadline))
 		accepts := 0
-		for hdr := make([]byte, 5); ; accepts++ {
-			if _, err := io.ReadFull(pEnd, hdr); err != nil {
-				if err != io.EOF {
-					t.Fatalf("after %d accepts: %v", accepts, err)
-				}
-				break
+		fr := transport.NewFrameReader(pEnd)
+		for ; ; accepts++ {
+			kind, body, err := fr.Next()
+			if err != nil {
+				t.Fatalf("after %d accepts: %v", accepts, err)
 			}
-			if hdr[4] != 0x04 {
-				t.Fatalf("frame 0x%02x after %d accepts, want an accept", hdr[4], accepts)
+			if kind == 0x04 {
+				continue
 			}
-			if _, err := io.CopyN(io.Discard, pEnd, int64(binary.LittleEndian.Uint32(hdr))-1); err != nil {
-				t.Fatalf("accept %d: %v", accepts, err)
+			if kind != 0x02 || len(body) != 1 || body[0] != transport.RefuseConns {
+				t.Fatalf("frame 0x%02x %x after %d accepts, want an accept or a refusal for MaxConns", kind, body, accepts)
 			}
+			break
 		}
 		if accepts != transport.MaxConns {
-			t.Errorf("a flood of %d CONNECTs got %d accepts, want %d and a closed socket", transport.MaxConns+1, accepts, transport.MaxConns)
+			t.Errorf("a flood of %d CONNECTs got %d accepts, want %d and a refused socket", transport.MaxConns+1, accepts, transport.MaxConns)
 		}
 		pEnd.Close()
 		cEnd, sEnd := net.Pipe()
@@ -939,8 +988,21 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 func greet(t *testing.T, nc net.Conn) {
 	t.Helper()
 	if !tryGreet(nc) {
-		t.Fatal("the server did not accept a connection after the hello")
+		t.Fatal("the server did not accept the CONNECT carrying the hello")
 	}
+}
+
+// refused reads the next frame on a raw client end, which must be a
+// refusal, and returns the error its reason stands for.
+func refused(nc net.Conn) error {
+	kind, body, err := transport.NewFrameReader(nc).Next()
+	switch {
+	case err != nil:
+		return err
+	case kind != 0x02 || len(body) != 1:
+		return fmt.Errorf("frame 0x%02x %x, want a refusal", kind, body)
+	}
+	return transport.Refusal(body[0])
 }
 
 // liveHeap is the heap in use after a collection.
@@ -952,7 +1014,9 @@ func liveHeap() int64 {
 }
 
 // TestSocketCap: a server serves at most MaxSockets sockets at once; the
-// next one is refused, and one fits again once a socket has closed.
+// next one, over a net.Pipe or TCP, is refused, and its client's Connect
+// says why. One fits again once a socket has closed, and a draining
+// server refuses a socket as draining.
 func TestSocketCap(t *testing.T) {
 	ts := transport.NewServer()
 	var served sync.WaitGroup
@@ -967,19 +1031,34 @@ func TestSocketCap(t *testing.T) {
 		ends[i] = serve()
 		greet(t, ends[i]) // answered, so registered
 	}
-	cEnd, sEnd := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- ts.ServeConn(sEnd) }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, transport.ErrTooManySockets) {
-			t.Errorf("socket %d: %v, want ErrTooManySockets", transport.MaxSockets+1, err)
+	// refuse serves one more socket over pair, which must be refused with
+	// want, both by ServeConn and to its client's Connect.
+	refuse := func(t *testing.T, pair func(t *testing.T) (net.Conn, net.Conn), want error) {
+		cEnd, sEnd := pair(t)
+		done := make(chan error, 1)
+		go func() { done <- ts.ServeConn(sEnd) }()
+		c, err := transport.NewClientConn(cEnd)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Errorf("socket %d was served", transport.MaxSockets+1)
-		cEnd.Close()
-		<-done
+		if _, err := c.Connect(); !errors.Is(err, want) {
+			t.Errorf("Connect on a refused socket: %v, want %v", err, want)
+		}
+		c.Close()
+		select {
+		case err := <-done:
+			if !errors.Is(err, want) {
+				t.Errorf("ServeConn: %v, want %v", err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("a refused socket was served")
+			<-done
+		}
 	}
+	t.Run("pipe", func(t *testing.T) {
+		refuse(t, func(*testing.T) (net.Conn, net.Conn) { return net.Pipe() }, transport.ErrTooManySockets)
+	})
+	t.Run("tcp", func(t *testing.T) { refuse(t, tcpPair, transport.ErrTooManySockets) })
 	ends[0].Close()
 	ends[0] = serve()
 	for deadline := time.Now().Add(5 * time.Second); ; {
@@ -997,29 +1076,35 @@ func TestSocketCap(t *testing.T) {
 		e.Close()
 	}
 	served.Wait()
+	ts.Shutdown(0)
+	for _, pair := range []struct {
+		name string
+		pair func(t *testing.T) (client, server net.Conn)
+	}{
+		{"draining/pipe", func(*testing.T) (net.Conn, net.Conn) { return net.Pipe() }},
+		{"draining/tcp", tcpPair},
+	} {
+		t.Run(pair.name, func(t *testing.T) { refuse(t, pair.pair, transport.ErrServerClosed) })
+	}
 }
 
-// tryGreet sends the protocol hello and a CONNECT on nc and reports
-// whether the server answered with an accept. The hello alone is not
-// answered, so the accept is what tells a socket the server took from
-// one it refused.
+// tryGreet sends the CONNECT carrying the protocol hello on nc and
+// reports whether the server answered with an accept, which tells a
+// socket the server took from one it refused. The CONNECT goes out on
+// its own goroutine: a server refusing the socket writes its reason
+// before it reads, which on a net.Pipe waits for this reader.
 func tryGreet(nc net.Conn) bool {
-	if _, err := nc.Write(append(helloFrame(), connectFrame...)); err != nil {
-		return false
-	}
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(nc, hdr); err != nil || hdr[4] != 0x04 {
-		return false
-	}
-	_, err := io.CopyN(io.Discard, nc, int64(binary.LittleEndian.Uint32(hdr))-1)
-	return err == nil
+	go nc.Write(connectHello("PRSM\x01"))
+	kind, _, err := transport.NewFrameReader(nc).Next()
+	return err == nil && kind == 0x04
 }
 
-// connectFrame is a CONNECT frame as a client sends it.
+// connectFrame is a CONNECT frame as a client sends all but a socket's
+// first.
 var connectFrame = []byte{1, 0, 0, 0, 0x03}
 
-// helloFrame returns the protocol hello frame as a client sends it.
-func helloFrame() []byte {
-	hello := []byte("PRSM\x01")
-	return append(append(binary.LittleEndian.AppendUint32(nil, uint32(1+len(hello))), 0x01), hello...)
+// connectHello returns a socket's first CONNECT frame, which carries the
+// protocol hello: "PRSM\x01" is the one a client sends.
+func connectHello(hello string) []byte {
+	return append(append(binary.LittleEndian.AppendUint32(nil, uint32(1+len(hello))), 0x03), hello...)
 }

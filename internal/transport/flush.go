@@ -57,8 +57,8 @@ func newFlusher(nc io.Writer, onError func(error)) *flusher {
 	return f
 }
 
-// stats returns the syscall telemetry: Write calls completed, frames
-// and bytes they carried.
+// stats returns the syscall telemetry: Write calls issued, frames and
+// bytes they carried. A Write in progress counts; a failed one does not.
 func (f *flusher) stats() (writes, frames, bytes int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -150,6 +150,12 @@ func (f *flusher) run() {
 		// written.
 		buf, n := f.fw.buf, f.fw.staged
 		f.fw.buf, f.fw.staged = f.spare[:0], 0
+		// Counted before the Write: the peer can answer, and an issuer
+		// read the answer, before this goroutine takes the lock again,
+		// and the stats must already hold the write that carried it.
+		f.fw.Writes++
+		f.fw.FramesOut += int64(n)
+		f.fw.BytesFlushed += int64(len(buf))
 		f.mu.Unlock()
 		_, werr := f.fw.w.Write(buf)
 		f.mu.Lock()
@@ -158,6 +164,9 @@ func (f *flusher) run() {
 			// A failed (possibly partial) Write counts nothing: the
 			// telemetry reports frames/bytes carried to the wire, and an
 			// errored batch never reliably was.
+			f.fw.Writes--
+			f.fw.FramesOut -= int64(n)
+			f.fw.BytesFlushed -= int64(len(buf))
 			if f.err == nil {
 				f.err = werr
 			}
@@ -167,8 +176,5 @@ func (f *flusher) run() {
 			f.onError(werr)
 			return
 		}
-		f.fw.Writes++
-		f.fw.FramesOut += int64(n)
-		f.fw.BytesFlushed += int64(len(buf))
 	}
 }

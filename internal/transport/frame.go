@@ -20,7 +20,7 @@ import (
 //
 // where length counts the kind byte plus the payload. Request and
 // response payloads are the canonical internal/wire encodings; control
-// frames (hello/connect/accept) use the fixed layouts below.
+// frames (connect/accept/refuse) use the fixed layouts below.
 // The framer never allocates in steady state: FrameWriter appends into
 // one reusable buffer, FrameReader reads into one reusable buffer that
 // the returned payload (and any alias-decoded message) borrows until
@@ -39,15 +39,16 @@ import (
 //     which is what lets the server drain a whole wakeup's worth of
 //     requests before flushing the responses.
 const (
-	frameHello    = 0x01 // client → server, once per socket: magic + version; not answered
-	frameConnect  = 0x03 // client → server: open a logical connection
+	frameRefuse   = 0x02 // server → client, then it closes the socket: a one-byte refusal
+	frameConnect  = 0x03 // client → server: open a logical connection; the socket's first carries helloMagic
 	frameAccept   = 0x04 // server → client: conn id, temp addr, temp key
 	frameRequest  = 0x05 // client → server: wire.Request
 	frameResponse = 0x06 // server → client: wire.Response
 )
 
-// helloMagic identifies the protocol and its version. A server refuses
-// sockets that do not lead with it, so a stray client of some other
+// helloMagic identifies the protocol and its version: the payload of a
+// socket's first CONNECT, whose accept answers it. A server refuses a
+// socket that does not lead with it, so a stray client of some other
 // protocol fails fast instead of desyncing the framer.
 var helloMagic = []byte("PRSM\x01")
 

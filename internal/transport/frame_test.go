@@ -23,9 +23,10 @@ func testFrames(t testing.TB) ([]byte, [][2]interface{}) {
 		prism.ReadBounded(9, 0x1000, 256),
 	}}
 	frames := [][2]interface{}{
-		{byte(frameHello), append([]byte(nil), helloMagic...)},
+		{byte(frameConnect), append([]byte(nil), helloMagic...)},
 		{byte(frameConnect), []byte(nil)},
 		{byte(frameAccept), appendAccept(nil, 5, 0x2000, 9)},
+		{byte(frameRefuse), []byte{byte(refuseConns)}},
 	}
 	for _, f := range frames {
 		if err := fw.Send(f[0].(byte), f[1].([]byte)); err != nil {
@@ -262,7 +263,7 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(raw, []byte{2, 0, 7})
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0, 0, 0, 0}, []byte{})
-	f.Add([]byte{1, 0, 0, 0, frameHello}, []byte{1})
+	f.Add([]byte{1, 0, 0, 0, frameConnect}, []byte{1})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte{})
 	var burst bytes.Buffer
 	fw := NewFrameWriter(&burst)

@@ -100,12 +100,12 @@ func TestCloseStalledPeer(t *testing.T) {
 
 	cEnd, sEnd := net.Pipe()
 	defer sEnd.Close()
-	// The peer reads the hello, then goes silent: it never reads again,
-	// so on the synchronous pipe any flushed frame leaves the client's
-	// writer blocked in Write.
+	// The peer reads the first frame, then goes silent: it never reads
+	// again, so on the synchronous pipe any flushed frame leaves the
+	// client's writer blocked in Write.
 	handshook := make(chan struct{})
 	go func() {
-		if kind, _, err := NewFrameReader(sEnd).Next(); err != nil || kind != frameHello {
+		if kind, _, err := NewFrameReader(sEnd).Next(); err != nil || kind != frameConnect {
 			t.Errorf("stalled peer handshake: kind=0x%02x err=%v", kind, err)
 			sEnd.Close()
 			return
@@ -116,6 +116,9 @@ func TestCloseStalledPeer(t *testing.T) {
 	c, err := NewClientConn(cEnd)
 	if err != nil {
 		t.Fatalf("NewClientConn: %v", err)
+	}
+	if err := c.fl.stageControl(frameConnect, helloMagic); err != nil {
+		t.Fatalf("stageControl: %v", err)
 	}
 	<-handshook
 	// Stage a frame the stalled peer will never accept.

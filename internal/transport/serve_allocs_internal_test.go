@@ -44,10 +44,7 @@ func TestServerScanAllocs(t *testing.T) {
 		<-served
 	}()
 	fr, fw := NewFrameReader(cEnd), NewFrameWriter(cEnd)
-	if err := fw.Send(frameHello, helloMagic); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	if err := fw.Send(frameConnect, nil); err != nil {
+	if err := fw.Send(frameConnect, helloMagic); err != nil {
 		t.Fatalf("connect: %v", err)
 	}
 	kind, body, err := fr.Next()

@@ -67,23 +67,83 @@ func (s *Server) StageWrites(key memory.RKey, _ time.Duration, writes []StagedWr
 const ServerBatch = 64
 
 // MaxSockets caps the sockets a server serves at once. A socket past the
-// cap is closed as soon as it is accepted, so what idle and stalled peers
+// cap is refused as soon as it is accepted, so what idle and stalled peers
 // can pin is bounded by the operator, not by the peers.
 const MaxSockets = 1024
 
 // MaxConns caps the logical connections open on a server at once, across
 // its sockets. Each holds a ConnTempSize temp buffer of registered memory,
-// so the cap bounds the temps at 4 MiB; a CONNECT past it closes its
+// so the cap bounds the temps at 4 MiB; a CONNECT past it refuses its
 // socket, and a closing socket returns its connections' temps for reuse.
 const MaxConns = 16384
 
 var (
-	// ErrServerClosed is returned by Serve after Shutdown begins draining.
+	// ErrServerClosed is returned by Serve after Shutdown begins draining,
+	// and by Connect on a socket the draining server refused.
 	ErrServerClosed = errors.New("transport: server closed")
-	// ErrTooManySockets is returned by ServeConn when MaxSockets sockets
-	// are already being served.
+	// ErrTooManySockets is returned by ServeConn, and by Connect, when
+	// MaxSockets sockets are already being served.
 	ErrTooManySockets = errors.New("transport: too many sockets")
+	// ErrBadHello is returned by Connect when the server refused the
+	// socket's hello: another protocol, or another version of this one.
+	ErrBadHello = errors.New("transport: protocol hello refused")
 )
+
+// A refusal is why a server refuses a socket: the one byte of the frame
+// it sends before closing it. As an error it is what Connect reports,
+// and it matches the sentinel its reason has.
+type refusal byte
+
+const (
+	refuseSockets  refusal = 1 + iota // MaxSockets sockets are being served
+	refuseDraining                    // the server is draining
+	refuseHello                       // no CONNECT carrying helloMagic first, or a later CONNECT carrying a payload
+	refuseConns                       // MaxConns connections are open on the server
+)
+
+func (r refusal) Error() string {
+	if r == refuseConns {
+		return fmt.Sprintf("transport: more than %d connections", MaxConns)
+	}
+	if err := r.Unwrap(); err != nil {
+		return err.Error()
+	}
+	return fmt.Sprintf("transport: socket refused (reason %d)", byte(r))
+}
+
+func (r refusal) Unwrap() error {
+	switch r {
+	case refuseSockets:
+		return ErrTooManySockets
+	case refuseDraining:
+		return ErrServerClosed
+	case refuseHello:
+		return ErrBadHello
+	}
+	return nil
+}
+
+// refuseTimeout bounds refusing a socket: writing the reason, then
+// waiting for the peer to close.
+const refuseTimeout = time.Second
+
+// refuse sends the peer why its socket is refused, behind any frames
+// staged on fw, and closes the socket. Until the peer closes or
+// refuseTimeout passes it reads and drops what the peer sends, so the
+// peer reads the reason before a write of its own fails: closing at once
+// fails a write pending on a net.Pipe, and resets a TCP socket that holds
+// unread bytes.
+func refuse(nc net.Conn, fw *FrameWriter, r refusal) {
+	nc.SetDeadline(time.Now().Add(refuseTimeout))
+	if fw.Send(frameRefuse, []byte{byte(r)}) == nil {
+		for buf := make([]byte, 512); ; {
+			if _, err := nc.Read(buf); err != nil {
+				break
+			}
+		}
+	}
+	nc.Close()
+}
 
 // Server is a live PRISM NIC endpoint over stream sockets (tcp or
 // unix). Each accepted socket gets its own goroutine, framer, executor,
@@ -165,9 +225,9 @@ func NewServer() *Server {
 	}
 }
 
-// addSock builds and registers the per-socket state, refusing sockets
-// once a drain has begun or MaxSockets are being served.
-func (s *Server) addSock(nc net.Conn) (*srvSock, error) {
+// addSock builds and registers the per-socket state, or says why the
+// socket is refused: a drain has begun, or MaxSockets are being served.
+func (s *Server) addSock(nc net.Conn) (*srvSock, refusal) {
 	sk := &srvSock{s: s, nc: nc, fr: NewFrameReader(nc), fw: NewFrameWriter(nc)}
 	sk.fr.budget, sk.fr.setDeadline = &s.reads, nc.SetReadDeadline
 	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists(), ReadAlloc: sk.fw.carve}
@@ -176,16 +236,16 @@ func (s *Server) addSock(nc net.Conn) (*srvSock, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, ErrServerClosed
+		return nil, refuseDraining
 	}
 	if len(s.socks) >= MaxSockets {
 		s.mu.Unlock()
-		return nil, ErrTooManySockets
+		return nil, refuseSockets
 	}
 	s.socks[sk] = struct{}{}
 	s.wg.Add(1)
 	s.mu.Unlock()
-	return sk, nil
+	return sk, 0
 }
 
 // Serve accepts connections on l until Shutdown. It always closes l
@@ -211,15 +271,16 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		sk, err := s.addSock(nc)
-		if errors.Is(err, ErrTooManySockets) {
-			nc.Close()
+		sk, r := s.addSock(nc)
+		if r != 0 {
+			// Refused on its own goroutine: the peer may take up to
+			// refuseTimeout to read the reason and close.
+			go refuse(nc, NewFrameWriter(nc), r)
+			if r == refuseDraining {
+				l.Close()
+				return ErrServerClosed
+			}
 			continue
-		}
-		if err != nil {
-			nc.Close()
-			l.Close()
-			return err
 		}
 		go sk.loop()
 	}
@@ -228,13 +289,13 @@ func (s *Server) Serve(l net.Listener) error {
 // ServeConn serves one pre-established connection (a net.Pipe end in
 // tests, or an in-process wiring) with the same lifecycle as an
 // accepted socket: it registers for Shutdown and blocks until the
-// socket loop exits. Returns ErrServerClosed if the server is already
-// draining.
+// socket loop exits. A refused socket returns ErrServerClosed if the
+// server is draining, or ErrTooManySockets.
 func (s *Server) ServeConn(nc net.Conn) error {
-	sk, err := s.addSock(nc)
-	if err != nil {
-		nc.Close()
-		return err
+	sk, r := s.addSock(nc)
+	if r != 0 {
+		refuse(nc, NewFrameWriter(nc), r)
+		return r
 	}
 	sk.loop()
 	return nil
@@ -355,15 +416,6 @@ func (sk *srvSock) loop() {
 		if err != nil {
 			return // EOF, peer reset, or a drain-interrupted read
 		}
-		if !sk.greeted {
-			// The first frame must be the protocol hello, which is not
-			// answered.
-			if kind != frameHello || string(body) != string(helloMagic) {
-				return
-			}
-			sk.greeted = true
-			continue
-		}
 		// Wakeup batch: serve this frame and every further frame already
 		// decodable from the read buffer — no extra syscalls — staging
 		// the responses, then flush them all in one write. The space
@@ -372,10 +424,12 @@ func (sk *srvSock) loop() {
 		n := 0
 		var bad error
 		for {
-			switch kind {
-			case frameConnect:
-				bad = sk.handleConnect()
-			case frameRequest:
+			switch {
+			case kind == frameConnect:
+				bad = sk.handleConnect(body)
+			case !sk.greeted: // the first frame must be the hello's CONNECT
+				bad = refuseHello
+			case kind == frameRequest:
 				bad = sk.serveRequest(body)
 			default:
 				bad = fmt.Errorf("transport: unexpected frame 0x%02x", kind)
@@ -394,6 +448,10 @@ func (sk *srvSock) loop() {
 		sk.endVerbs()
 		sk.batches++
 		sk.batchFrames += int64(n)
+		if r, ok := bad.(refusal); ok {
+			refuse(sk.nc, sk.fw, r) // the batch's responses go first
+			return
+		}
 		if sk.fw.Flush() != nil || bad != nil || err != nil {
 			return
 		}
@@ -401,20 +459,27 @@ func (sk *srvSock) loop() {
 }
 
 // handleConnect opens a logical connection and stages the accept frame
-// carrying its id and temp-buffer coordinates, or fails the socket once
-// MaxConns connections are open on the server. The wakeup batch's
-// amortized space guard is released first (as serveRPC does): a connect
-// frame can coalesce into the same wakeup batch as request frames, and
-// AllocConnTemp takes the guard when the temp region fills — holding it
-// here would self-deadlock on the non-reentrant guard, and the
-// guard→s.mu order would invert AllocConnTemp's s.mu→guard order.
-func (sk *srvSock) handleConnect() error {
+// carrying its id and temp-buffer coordinates. It refuses the socket if
+// the CONNECT's payload is wrong — the socket's first must carry
+// helloMagic and any later one nothing; a CONNECT can sit anywhere in a
+// wakeup batch — or once MaxConns connections are open on the server.
+// The wakeup batch's amortized space guard is released first (as
+// serveRPC does): a connect frame can coalesce into the same wakeup batch
+// as request frames, and AllocConnTemp takes the guard when the temp
+// region fills — holding it here would self-deadlock on the
+// non-reentrant guard, and the guard→s.mu order would invert
+// AllocConnTemp's s.mu→guard order.
+func (sk *srvSock) handleConnect(hello []byte) error {
+	if sk.greeted && len(hello) > 0 || !sk.greeted && string(hello) != string(helloMagic) {
+		return refuseHello
+	}
+	sk.greeted = true
 	sk.endVerbs()
 	s := sk.s
 	s.mu.Lock()
 	if s.openConns >= MaxConns {
 		s.mu.Unlock()
-		return fmt.Errorf("transport: more than %d connections", MaxConns)
+		return refuseConns
 	}
 	s.openConns++
 	id := s.nextConn

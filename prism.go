@@ -63,13 +63,6 @@ type (
 	// PilafServer / PilafClient: the Pilaf baseline.
 	PilafServer = kv.PilafServer
 	PilafClient = kv.PilafClient
-	// ChainStore / ChainClient: the bucketed linked-list store the CHASE
-	// verb-program experiments walk (DESIGN.md §14, fig-chase).
-	ChainStore  = kv.ChainStore
-	ChainClient = kv.ChainClient
-	// ChainMeta / ChainOptions: chain-store control plane and sizing.
-	ChainMeta    = kv.ChainMeta
-	ChainOptions = kv.ChainOptions
 
 	// RSReplica / RSClient: PRISM-RS replicated block store (§7).
 	RSReplica = abd.Replica
@@ -191,20 +184,6 @@ func NewKVClient(conn *Conn, meta kv.Meta, clientID uint16) *KVClient {
 func (c *KVClient) Get(_ *Proc, key int64) ([]byte, error)     { return c.Client.Get(key) }
 func (c *KVClient) Put(_ *Proc, key int64, value []byte) error { return c.Client.Put(key, value) }
 func (c *KVClient) FlushFrees(*Proc) error                     { return c.Client.FlushFrees() }
-
-// NewChainStore provisions the linked-chain layout on a server NIC
-// (DESIGN.md §14): Buckets head cells pointing at pre-linked Depth-node chains,
-// the structure the CHASE verb program walks in one round trip.
-func NewChainStore(s *Server, opts ChainOptions) (*ChainStore, error) {
-	return kv.NewChainStoreOn(s, opts)
-}
-
-// NewChainClient wraps a connection to a chain store. The client offers
-// ChaseGet (one CHASE program round trip), HopGet (the classic one-sided
-// walk, one round trip per hop), and RPCGet (host CPU walks the chain).
-func NewChainClient(conn *Conn, meta ChainMeta) *ChainClient {
-	return kv.NewChainClient(conn, meta)
-}
 
 // NewPilafServer provisions the Pilaf baseline on a server NIC.
 func NewPilafServer(s *Server, opts kv.Options) (*PilafServer, error) {
