@@ -20,11 +20,14 @@ fmt:
 # simulator and on a socket; the check reads each package's imports. And
 # §3.4's CONDITIONAL rule is written once, in prism.Executor.Step, which
 # both servers call: no other non-test Go under internal/ or cmd/ reads
-# the flag.
+# the flag. Step is also the one place that reports an executed op: no
+# other non-test Go there calls an observer, so no server grows a tracer
+# of its own.
 vet:
 	$(GO) vet ./...
 	@! $(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/kv ./internal/abd ./internal/tx | grep -E 'prism/internal/(rdma|sim)( |$$)'
 	@! grep -rn --include='*.go' --exclude='*_test.go' 'Has(wire.FlagConditional)' internal cmd | grep -v '^internal/prism/'
+	@! grep -rnE --include='*.go' --exclude='*_test.go' '\b[oO]bserver(\(\))?\([^)]' internal cmd | grep -v '^internal/prism/'
 
 build:
 	$(GO) build ./...

@@ -20,7 +20,6 @@ import (
 	"prism"
 	"prism/internal/abd"
 	iprism "prism/internal/prism"
-	"prism/internal/rdma"
 	"prism/internal/sim"
 	"prism/internal/tx"
 	"prism/internal/wire"
@@ -53,17 +52,25 @@ func main() {
 
 // opTrace is the server-side execution trace of one scenario: every wire
 // op the server executed, described from the op itself at the moment it
-// ran (the tracer sees the live op; nothing here is re-derived from what a
-// client is believed to send).
+// ran (the observer sees the live op; nothing here is re-derived from what
+// a client is believed to send).
 type opTrace struct{ lines []string }
 
-// attachTrace installs the tracer on the server.
-func attachTrace(srv *prism.Server) *opTrace {
+// attachTrace installs the trace as the server's observer.
+func attachTrace(c *prism.ClusterSim, srv *prism.Server) *opTrace {
 	tr := &opTrace{}
-	srv.SetTracer(func(ev rdma.TraceEvent) {
-		tr.lines = append(tr.lines, fmt.Sprintf("%v\n        %s", ev, describeOp(ev.Op)))
+	srv.SetObserver(func(req *wire.Request, i int, res *wire.Result, _ *iprism.OpMeta) {
+		tr.lines = append(tr.lines, opLine(c.Engine().Now(), req, i, res)+"\n        "+describeOp(&req.Ops[i]))
 	})
 	return tr
+}
+
+// opLine is one stepped op: when, on which connection and request, its
+// index in the chain, what it was and how it ended.
+func opLine(at sim.Time, req *wire.Request, i int, res *wire.Result) string {
+	op := &req.Ops[i]
+	return fmt.Sprintf("%v conn=%d seq=%d op[%d] %v flags=%#x -> %v",
+		at, req.Conn, req.Seq, i, op.Code, uint8(op.Flags), res.Status)
 }
 
 // dump prints the trace.
@@ -132,7 +139,7 @@ func trace(w io.Writer, which string) bool {
 			os.Exit(1)
 		}
 		store.Load(7, []byte("traced value"))
-		tr := attachTrace(srv)
+		tr := attachTrace(c, srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := prism.NewKVClient(conn, store.Meta(), 1).Client
 		c.Go("trace", func(p *sim.Proc) {
@@ -162,7 +169,7 @@ func trace(w io.Writer, which string) bool {
 		for k := int64(0); k < 16; k++ {
 			store.Load(k, []byte(fmt.Sprintf("scanned value %d", k)))
 		}
-		tr := attachTrace(srv)
+		tr := attachTrace(c, srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := prism.NewKVClient(conn, store.Meta(), 1).Client
 		c.Go("trace", func(p *sim.Proc) {
@@ -187,7 +194,7 @@ func trace(w io.Writer, which string) bool {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		tr := attachTrace(srv)
+		tr := attachTrace(c, srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := prism.NewRSClient(1, []*prism.Conn{conn}, []abd.Meta{rep.Meta()})
 		c.Go("trace", func(p *sim.Proc) {
@@ -210,7 +217,7 @@ func trace(w io.Writer, which string) bool {
 			os.Exit(1)
 		}
 		shard.Load(2, make([]byte, 64))
-		tr := attachTrace(srv)
+		tr := attachTrace(c, srv)
 		conn := c.NewClientMachine("cli").Connect(srv)
 		client := c.NewTXClient(1, []*prism.Conn{conn}, []tx.Meta{shard.Meta()})
 		c.Go("trace", func(p *sim.Proc) {

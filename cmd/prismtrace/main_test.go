@@ -8,8 +8,9 @@ import (
 	"testing"
 
 	"prism"
-	"prism/internal/rdma"
+	iprism "prism/internal/prism"
 	"prism/internal/sim"
+	"prism/internal/wire"
 )
 
 // TestTraceGolden: every scenario's printed trace — timings and the
@@ -89,8 +90,11 @@ func traceMultiClient(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	ring := rdma.NewTraceRing(4096)
-	srv.SetTracer(ring.Record)
+	var out strings.Builder
+	srv.SetObserver(func(req *wire.Request, i int, res *wire.Result, _ *iprism.OpMeta) {
+		out.WriteString(opLine(c.Engine().Now(), req, i, res))
+		out.WriteByte('\n')
+	})
 	for i := 0; i < 3; i++ {
 		conn := c.NewClientMachine(fmt.Sprintf("cli-%d", i)).Connect(srv)
 		kv := prism.NewKVClient(conn, store.Meta(), uint16(i+1))
@@ -108,11 +112,6 @@ func traceMultiClient(t *testing.T) string {
 		})
 	}
 	c.Run()
-	var out strings.Builder
-	for _, ev := range ring.Events() {
-		out.WriteString(ev.String())
-		out.WriteByte('\n')
-	}
 	return out.String()
 }
 

@@ -5,7 +5,9 @@
 // The metrics are BENCHMARK.json's end-to-end ones and the per-layer rows
 // the benchmark's -check also judges. Its commit stays empty, since a file
 // cannot hold the hash of the commit that adds it; the next PR fills it
-// in. From the repository root:
+// in. Each record's host also names the runs' GOMAXPROCS and the CPU
+// model, which it reads from /proc/cpuinfo at append time: run it on the
+// host that ran the benchmark. From the repository root:
 //
 //	go run ./internal/bench/testdata/trajectory -pr N -parent HASH parent.jsonl change.jsonl
 package main
@@ -27,6 +29,7 @@ type run struct {
 	Workload string             `json:"workload"`
 	Trace    bool               `json:"trace"`
 	NumCPU   int                `json:"num_cpu"`
+	MaxProcs int                `json:"gomaxprocs"`
 	Go       string             `json:"go_version"`
 	Metrics  map[string]float64 `json:"metrics"`
 }
@@ -49,6 +52,7 @@ func main() {
 	check(json.Unmarshal(read("BENCH_trajectory.json"), &recs))
 	metrics := append(spec.EndToEnd, slices.DeleteFunc(spec.PerLayer, func(m metric) bool { return !slices.Contains(judged, m.Name) })...)
 	base, change := runs(flag.Arg(0)), runs(flag.Arg(1))
+	cpu := cpuModel()
 	for _, wl := range spec.Workloads {
 		w := wl.Name
 		for _, m := range metrics {
@@ -68,7 +72,7 @@ func main() {
 				"parent_median": quantile(p, 0.5), "parent_q1": quantile(p, 0.25), "parent_q3": quantile(p, 0.75),
 				"median": quantile(c, 0.5), "q1": quantile(c, 0.25), "q3": quantile(c, 0.75),
 				"pairs": len(p), "pairs_won": won,
-				"host": map[string]any{"nproc": change[w][0].NumCPU, "go": change[w][0].Go},
+				"host": map[string]any{"nproc": change[w][0].NumCPU, "go": change[w][0].Go, "cpu": cpu, "gomaxprocs": change[w][0].MaxProcs},
 			})
 			check(err)
 			recs = append(recs, b)
@@ -93,6 +97,17 @@ func runs(path string) map[string][]run {
 		}
 	}
 	return by
+}
+
+// cpuModel is the first "model name" of /proc/cpuinfo.
+func cpuModel() string {
+	for _, line := range strings.Split(string(read("/proc/cpuinfo")), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	check(fmt.Errorf("no model name in /proc/cpuinfo"))
+	return ""
 }
 
 // quantile interpolates between sorted values, as the benchmark's -check.

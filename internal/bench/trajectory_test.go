@@ -30,10 +30,17 @@ type trajectoryRecord struct {
 	Pairs        int     `json:"pairs"`
 	PairsWon     int     `json:"pairs_won"`
 	Host         struct {
-		NProc int    `json:"nproc"`
-		Go    string `json:"go"`
+		NProc      int    `json:"nproc"`
+		Go         string `json:"go"`
+		CPU        string `json:"cpu"`        // the CPU model, from PR 52 on
+		GOMAXPROCS int    `json:"gomaxprocs"` // from PR 52 on
 	} `json:"host"`
 }
+
+// fingerprinted is the first PR whose records say which CPU model and
+// GOMAXPROCS they were measured with. Earlier hosts are unknown beyond
+// nproc and go: their records carry neither field.
+const fingerprinted = 52
 
 // jsonFields lists the JSON names of a struct type's fields.
 func jsonFields(t reflect.Type) []string {
@@ -50,11 +57,12 @@ func jsonFields(t reflect.Type) []string {
 var commitHash = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
 
 // TestBenchTrajectory: every record of the trajectory has every field and
-// no other, its quartiles bracket its median, its pairs won are among its
-// pairs, its commit and parent are commit hashes, and PR numbers never go
-// down in file order. Only the newest PR's records may leave commit empty:
-// a file cannot hold the hash of the commit that adds it, so the next PR
-// fills it in.
+// no other (before PR fingerprinted, a host without cpu and gomaxprocs),
+// its quartiles bracket its median, its pairs won are among its pairs, its
+// commit and parent are commit hashes, and PR numbers never go down in
+// file order. Only the newest PR's records may leave commit empty: a file
+// cannot hold the hash of the commit that adds it, so the next PR fills it
+// in.
 func TestBenchTrajectory(t *testing.T) {
 	b, err := os.ReadFile("../../BENCH_trajectory.json")
 	if err != nil {
@@ -69,16 +77,21 @@ func TestBenchTrajectory(t *testing.T) {
 	}
 	want := jsonFields(reflect.TypeOf(trajectoryRecord{}))
 	wantHost := jsonFields(reflect.TypeOf(trajectoryRecord{}.Host))
+	unknownHost := []string{"go", "nproc"}
 	for i, r := range raw {
 		var host map[string]json.RawMessage
 		if err := json.Unmarshal(r["host"], &host); err != nil {
 			t.Fatalf("record %d: host: %v", i, err)
 		}
+		var pr int
+		if err := json.Unmarshal(r["pr"], &pr); err != nil {
+			t.Fatalf("record %d: pr: %v", i, err)
+		}
 		if got := slices.Sorted(maps.Keys(r)); !slices.Equal(got, want) {
 			t.Errorf("record %d has fields %v, want %v", i, got, want)
 		}
-		if got := slices.Sorted(maps.Keys(host)); !slices.Equal(got, wantHost) {
-			t.Errorf("record %d has host fields %v, want %v", i, got, wantHost)
+		if got := slices.Sorted(maps.Keys(host)); !slices.Equal(got, wantHost) && !(pr < fingerprinted && slices.Equal(got, unknownHost)) {
+			t.Errorf("record %d (PR %d) has host fields %v, want %v", i, pr, got, wantHost)
 		}
 	}
 	dec := json.NewDecoder(bytes.NewReader(b))
@@ -97,7 +110,8 @@ func TestBenchTrajectory(t *testing.T) {
 		if r.ParentQ1 > r.ParentMedian || r.ParentMedian > r.ParentQ3 || r.Q1 > r.Median || r.Median > r.Q3 {
 			t.Errorf("record %d (PR %d %s %s): quartiles do not bracket the medians", i, r.PR, r.Workload, r.Metric)
 		}
-		if r.Workload == "" || r.Metric == "" || r.Unit == "" || r.Host.NProc <= 0 || r.Host.Go == "" {
+		if r.Workload == "" || r.Metric == "" || r.Unit == "" || r.Host.NProc <= 0 || r.Host.Go == "" ||
+			r.PR >= fingerprinted && (r.Host.CPU == "" || r.Host.GOMAXPROCS <= 0) {
 			t.Errorf("record %d (PR %d): an empty field: %+v", i, r.PR, r)
 		}
 		newest := r.PR == recs[len(recs)-1].PR

@@ -108,7 +108,7 @@ func TestChainChaseStepAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if l := tally(t, log); l != (ledger{waits: int(opts.Depth), oneSided: int(opts.Depth)}) {
+	if l := tally(t, log, 0); l != (ledger{waits: int(opts.Depth), oneSided: int(opts.Depth)}) {
 		t.Fatalf("HopGet cost %+v, want %d one-sided round trips", l, opts.Depth)
 	}
 	if v2.e.Stats().ProgOps != 0 {
@@ -440,7 +440,7 @@ func TestLiveChaseBeatsHopWalk(t *testing.T) {
 	chase, hops := walk(c.ChaseGet), walk(c.HopGet)
 	var log []string
 	walk(NewChainClient(newRecIssuer(conn, &log), meta).HopGet)
-	if l := tally(t, log); l.waits != lookups*int(opts.Depth) {
+	if l := tally(t, log, 0); l.waits != lookups*int(opts.Depth) {
 		t.Fatalf("%d per-hop walks took %d round trips, want %d", lookups, l.waits, lookups*opts.Depth)
 	}
 	if chase >= hops {

@@ -14,6 +14,7 @@ import (
 	"prism/internal/alloc"
 	"prism/internal/fabric"
 	"prism/internal/model"
+	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
 	"prism/internal/transport"
@@ -238,26 +239,44 @@ func chainScenario(c *ChainClient, logf func(format string, args ...any)) {
 // transport.Conn to a ServeConn'd net.Pipe, each behind a recording
 // issuer, and requires identical per-call return values and
 // byte-identical op and result sequences — for PRISM-KV and for the
-// chain store.
+// chain store. Each server's observer records the ops it stepped, and the
+// two servers' sequences must be equal too, line by line: what each
+// executed, not only what the client sent.
 func TestSimLiveDifferential(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
-	compare := func(t *testing.T, provision func(transport.Host), scenario func(transport.Issuer, *[]string)) {
+	same := func(t *testing.T, what string, sim, live []string) {
 		t.Helper()
-		var simLog, liveLog []string
-		runOverSim(provision, func(iss transport.Issuer) { scenario(iss, &simLog) })
-		runOverLive(t, provision, func(iss transport.Issuer) { scenario(iss, &liveLog) })
-		if len(simLog) == 0 {
-			t.Fatal("scenario recorded nothing")
+		if len(sim) == 0 {
+			t.Fatalf("no %s recorded", what)
 		}
-		for i := 0; i < len(simLog) && i < len(liveLog); i++ {
-			if simLog[i] != liveLog[i] {
-				t.Fatalf("event %d differs:\n sim: %s\nlive: %s", i, simLog[i], liveLog[i])
+		for i := 0; i < len(sim) && i < len(live); i++ {
+			if sim[i] != live[i] {
+				t.Fatalf("%s %d differs:\n sim: %s\nlive: %s", what, i, sim[i], live[i])
 			}
 		}
-		if len(simLog) != len(liveLog) {
-			t.Fatalf("sim recorded %d events, live %d", len(simLog), len(liveLog))
+		if len(sim) != len(live) {
+			t.Fatalf("sim recorded %d %s, live %d", len(sim), what, len(live))
 		}
+	}
+	compare := func(t *testing.T, provision func(transport.Host), scenario func(transport.Issuer, *[]string)) {
+		t.Helper()
+		var simLog, liveLog, simOps, liveOps []string
+		observed := func(ops *[]string) func(transport.Host) {
+			return func(host transport.Host) {
+				host.(interface{ SetObserver(prism.Observer) }).SetObserver(
+					func(req *wire.Request, i int, res *wire.Result, _ *prism.OpMeta) {
+						op := &req.Ops[i]
+						*ops = append(*ops, fmt.Sprintf("conn=%d seq=%d op[%d] %v flags=%#x -> %v",
+							req.Conn, req.Seq, i, op.Code, uint8(op.Flags), res.Status))
+					})
+				provision(host)
+			}
+		}
+		runOverSim(observed(&simOps), func(iss transport.Issuer) { scenario(iss, &simLog) })
+		runOverLive(t, observed(&liveOps), func(iss transport.Issuer) { scenario(iss, &liveLog) })
+		same(t, "events", simLog, liveLog)
+		same(t, "server ops", simOps, liveOps)
 	}
 	logTo := func(log *[]string) func(string, ...any) {
 		return func(format string, args ...any) { *log = append(*log, fmt.Sprintf(format, args...)) }

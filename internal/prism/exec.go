@@ -58,6 +58,11 @@ type Executor struct {
 	// buffer is unspecified.
 	ReadAlloc func(n uint64) []byte
 
+	// Observer, when set, is told of every op Step applies or skips. It
+	// runs on the executor's goroutine, under the space guard on a live
+	// server.
+	Observer Observer
+
 	// casScratch is the executor-owned staging buffer for the swapped-in
 	// CAS value; it is fully consumed within one ExecInto call.
 	casScratch [wire.MaxCASBytes]byte
@@ -157,18 +162,33 @@ type Conn struct {
 	failed bool // the last op the connection executed failed
 }
 
-// Step applies op as the next op from connection c, the one home of
-// §3.4's CONDITIONAL rule: a CONDITIONAL op after a failure is skipped
+// Observer sees one op of a request as Step leaves it: req carries the
+// connection and sequence number, i is the op's index in req.Ops, and res
+// and meta are its result and cost metadata (for a skipped op, res is
+// StatusNotExecuted and meta what the previous op left). Every pointer is
+// valid only for the duration of the call: format or copy what is needed
+// there, never keep it.
+type Observer func(req *wire.Request, i int, res *wire.Result, meta *OpMeta)
+
+// Step applies req.Ops[i] as the next op from connection c, the one home
+// of §3.4's CONDITIONAL rule: a CONDITIONAL op after a failure is skipped
 // (StatusNotExecuted; c and *meta unchanged; false), and any other op
-// runs as ExecInto and its outcome is recorded in c.
-func (x *Executor) Step(c *Conn, op *wire.Op, res *wire.Result, meta *OpMeta) (executed bool) {
-	if c.failed && op.Flags.Has(wire.FlagConditional) {
+// runs as ExecInto and its outcome is recorded in c. Either way the
+// Observer, if set, sees the op: Step is the one place that reports
+// executed ops, on both servers.
+func (x *Executor) Step(c *Conn, req *wire.Request, i int, res *wire.Result, meta *OpMeta) (executed bool) {
+	op := &req.Ops[i]
+	executed = !c.failed || !op.Flags.Has(wire.FlagConditional)
+	if executed {
+		x.ExecInto(op, res, meta)
+		c.failed = !res.Status.OK()
+	} else {
 		*res = wire.Result{Status: wire.StatusNotExecuted}
-		return false
 	}
-	x.ExecInto(op, res, meta)
-	c.failed = !res.Status.OK()
-	return true
+	if x.Observer != nil {
+		x.Observer(req, i, res, meta)
+	}
+	return executed
 }
 
 // Exec applies op to the server's memory, returning the wire result and

@@ -171,7 +171,7 @@ func FuzzProgramExec(f *testing.F) {
 			before, was := w.snapshot(), c
 			var res wire.Result
 			var meta OpMeta
-			executed := w.x.Step(&c, op, &res, &meta)
+			executed := w.x.Step(&c, &req, i, &res, &meta)
 			checkFuzzedOp(t, op, &res, &meta, fuzzStep{executed, was, c}, before, w.snapshot())
 		}
 	})

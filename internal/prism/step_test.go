@@ -12,8 +12,21 @@ import (
 // connection: a fresh connection runs a CONDITIONAL op, consecutive
 // CONDITIONAL ops after a failure are all skipped, an executed op resets
 // the state whatever its flags, and a skipped op never clears a failure.
+// Each case is one chained request, and the observer sees every op of it,
+// skipped ones too, once, with Step's own request, index, result and meta.
 func TestStep(t *testing.T) {
 	x, r := testEnv(t)
+	type seen struct {
+		req    *wire.Request
+		i      int
+		res    *wire.Result
+		meta   *OpMeta
+		status wire.Status
+	}
+	var observed []seen
+	x.Observer = func(req *wire.Request, i int, res *wire.Result, meta *OpMeta) {
+		observed = append(observed, seen{req, i, res, meta, res.Status})
+	}
 	cell := func(i int) memory.Addr { return r.Base + memory.Addr(8*i) }
 	write := func(i int, v string) wire.Op { return Write(r.Key, cell(i), []byte(v)) }
 	read := func(i int) wire.Op { return Read(r.Key, cell(i), 8) }
@@ -51,17 +64,25 @@ func TestStep(t *testing.T) {
 			{Conditional(write(9, "skipped")), wire.StatusNotExecuted},
 		}},
 	}
-	for _, tc := range cases {
+	for n, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var c Conn
+			req := &wire.Request{Conn: 3, Seq: uint64(n)}
+			for _, s := range tc.steps {
+				req.Ops = append(req.Ops, s.op)
+			}
 			for i, s := range tc.steps {
 				was := c
 				before, _ := x.Space.Read(r.Key, r.Base, r.Len)
 				res := wire.Result{Status: wire.StatusOK}
 				meta := OpMeta{Steps: 7}
-				executed := x.Step(&c, &s.op, &res, &meta)
+				observed = observed[:0]
+				executed := x.Step(&c, req, i, &res, &meta)
 				if res.Status != s.want || executed != (s.want != wire.StatusNotExecuted) {
 					t.Fatalf("step %d: %v executed=%v, want %v", i, res.Status, executed, s.want)
+				}
+				if want := (seen{req, i, &res, &meta, s.want}); len(observed) != 1 || observed[0] != want {
+					t.Fatalf("step %d: the observer saw %+v, want once %+v", i, observed, want)
 				}
 				if executed {
 					if c.failed == res.Status.OK() {

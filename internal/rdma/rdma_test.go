@@ -43,6 +43,25 @@ func newEnv(t *testing.T, deploy model.Deployment, mut func(*model.Params)) *env
 	return &env{e: e, net: net, srv: srv, cli: cli, conn: conn, reg: reg}
 }
 
+// stepped is one op the server stepped, as its observer saw it, at the
+// simulated instant it ran.
+type stepped struct {
+	At        sim.Time
+	Conn, Seq uint64
+	OpIdx     int
+	Code      wire.OpCode
+	Status    wire.Status
+}
+
+// observe records every op the server steps from now on.
+func (v *env) observe() *[]stepped {
+	evs := new([]stepped)
+	v.srv.SetObserver(func(req *wire.Request, i int, res *wire.Result, _ *prism.OpMeta) {
+		*evs = append(*evs, stepped{v.e.Now(), req.Conn, req.Seq, i, req.Ops[i].Code, res.Status})
+	})
+	return evs
+}
+
 // run executes fn as a client process and drives the sim to completion.
 func (v *env) run(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
@@ -372,8 +391,7 @@ func TestThroughputBoundedByLineRate(t *testing.T) {
 
 func TestTracerRecordsChainExecution(t *testing.T) {
 	v := newEnv(t, model.SoftwarePRISM, nil)
-	ring := NewTraceRing(16)
-	v.srv.SetTracer(ring.Record)
+	ops := v.observe()
 	v.run(t, func(p *sim.Proc) {
 		// A failing CAS followed by a conditional write: trace must show
 		// CAS_FAILED then NOT_EXECUTED.
@@ -387,7 +405,7 @@ func TestTracerRecordsChainExecution(t *testing.T) {
 			prism.Conditional(prism.Write(v.reg.Key, v.reg.Base+64, []byte("nope"))),
 		})
 	})
-	evs := ring.Events()
+	evs := *ops
 	if len(evs) != 3 {
 		t.Fatalf("traced %d events, want 3: %v", len(evs), evs)
 	}
@@ -404,22 +422,6 @@ func TestTracerRecordsChainExecution(t *testing.T) {
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
 			t.Fatalf("trace times decrease: %v", evs)
-		}
-	}
-}
-
-func TestTraceRingWraps(t *testing.T) {
-	ring := NewTraceRing(4)
-	for i := 0; i < 10; i++ {
-		ring.Record(TraceEvent{Seq: uint64(i)})
-	}
-	evs := ring.Events()
-	if len(evs) != 4 || ring.Len() != 4 {
-		t.Fatalf("ring kept %d events", len(evs))
-	}
-	for i, e := range evs {
-		if e.Seq != uint64(6+i) {
-			t.Fatalf("ring order: %v", evs)
 		}
 	}
 }
@@ -507,8 +509,7 @@ func TestChainsInterleaveAcrossConnections(t *testing.T) {
 	// chains concurrently; the trace must show at least one interleaving
 	// (conn A's ops split by a conn B op).
 	v := newEnv(t, model.SoftwarePRISM, nil)
-	ring := NewTraceRing(256)
-	v.srv.SetTracer(ring.Record)
+	ops := v.observe()
 	c2 := v.cli.Connect(v.srv)
 	mkChain := func(conn *Conn, base memory.Addr) []wire.Op {
 		return []wire.Op{
@@ -528,7 +529,7 @@ func TestChainsInterleaveAcrossConnections(t *testing.T) {
 		}
 	})
 	v.e.Run()
-	evs := ring.Events()
+	evs := *ops
 	interleaved := false
 	for i := 1; i < len(evs)-1; i++ {
 		if evs[i].Conn != evs[i-1].Conn && evs[i-1].Conn == evs[i+1].Conn && evs[i-1].Seq == evs[i+1].Seq {
@@ -545,8 +546,7 @@ func TestSameConnectionRequestsSerialize(t *testing.T) {
 	// RC semantics: two requests pipelined on ONE connection must not
 	// interleave their ops — request N completes before N+1 starts.
 	v := newEnv(t, model.SoftwarePRISM, nil)
-	ring := NewTraceRing(256)
-	v.srv.SetTracer(ring.Record)
+	ops := v.observe()
 	v.e.Go("a", func(p *sim.Proc) {
 		f := newConnFan(v.conn)
 		for i := 0; i < 5; i++ {
@@ -558,7 +558,7 @@ func TestSameConnectionRequestsSerialize(t *testing.T) {
 		f.Wait()
 	})
 	v.e.Run()
-	evs := ring.Events()
+	evs := *ops
 	if len(evs) != 10 {
 		t.Fatalf("traced %d events", len(evs))
 	}

@@ -52,8 +52,6 @@ type Server struct {
 	prismCores *sim.MultiResource // SoftwarePRISM dedicated cores
 	rpcCores   *sim.MultiResource // application cores serving RPCs
 
-	tracer Tracer
-
 	// NIC connection-state model (nil when Params disable it): qp tracks
 	// which connections' contexts are resident, qpFetch is the single
 	// context-fetch engine cold fetches serialize through (its queueing is
@@ -370,24 +368,17 @@ func (s *Server) chainStep(sc *serverConn) {
 			s.e.Schedule(s.baseProc-s.baseProc/2+s.qpTouch(sc), sc.finishFn)
 			return
 		}
-		op := &req.Ops[i]
 		// READ payloads ride the response until the slot retires; carve
 		// them from the slot's arena instead of the heap.
-		s.exec.ReadAlloc = sc.readAlloc
-		executed := s.exec.Step(&sc.chain, op, &results[i], &sc.opMeta)
-		if s.tracer != nil {
-			s.tracer(TraceEvent{
-				At: s.e.Now(), Conn: sc.id, Seq: req.Seq, OpIdx: i,
-				Code: op.Code, Flags: op.Flags, Status: results[i].Status, Op: op,
-			})
-		}
+		s.exec.ReadAlloc, s.exec.Observer = sc.readAlloc, s.Observer()
+		executed := s.exec.Step(&sc.chain, req, i, &results[i], &sc.opMeta)
 		sc.chainIdx = i + 1
 		if !executed {
 			continue
 		}
 		st := s.e.Counters()
 		st.OpsExecuted++
-		delay := s.p.OpExtra(s.deploy, op.Code, sc.opMeta, sc.tempOnNIC)
+		delay := s.p.OpExtra(s.deploy, req.Ops[i].Code, sc.opMeta, sc.tempOnNIC)
 		if sc.opMeta.Steps > 0 {
 			st.ProgOps++
 			st.ProgSteps += int64(sc.opMeta.Steps)

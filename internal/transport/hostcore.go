@@ -5,6 +5,7 @@ import (
 
 	"prism/internal/alloc"
 	"prism/internal/memory"
+	"prism/internal/prism"
 )
 
 // ConnTempSize is the per-connection temporary buffer used as the redirect
@@ -36,6 +37,7 @@ type HostCore struct {
 	freeLists map[uint32]*alloc.FreeList
 	quiescer  *alloc.Quiescer
 	handler   RPCHandler
+	observer  prism.Observer
 
 	app      string
 	meta     any
@@ -83,6 +85,15 @@ func (h *HostCore) Quiescer() *alloc.Quiescer { return h.quiescer }
 
 // SetRPCHandler installs the two-sided dispatch target.
 func (h *HostCore) SetRPCHandler(fn RPCHandler) { h.handler = fn }
+
+// SetObserver installs (or, with nil, removes) the observer both servers
+// hand their executors: prism.Executor.Step calls it for every op the
+// server steps. Call it before serving: a live server's sockets take it
+// when they are accepted and call it under the space guard.
+func (h *HostCore) SetObserver(o prism.Observer) { h.observer = o }
+
+// Observer is the installed observer, or nil.
+func (h *HostCore) Observer() prism.Observer { return h.observer }
 
 // RecycleBuffers returns client-released buffers to their free list once
 // all in-flight operations drain (§3.2's reuse rule): one guard

@@ -230,7 +230,7 @@ func NewServer() *Server {
 func (s *Server) addSock(nc net.Conn) (*srvSock, refusal) {
 	sk := &srvSock{s: s, nc: nc, fr: NewFrameReader(nc), fw: NewFrameWriter(nc)}
 	sk.fr.budget, sk.fr.setDeadline = &s.reads, nc.SetReadDeadline
-	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists(), ReadAlloc: sk.fw.carve}
+	sk.exec = &prism.Executor{Space: s.Space(), FreeLists: s.FreeLists(), ReadAlloc: sk.fw.carve, Observer: s.observer}
 	sk.conns = make(map[uint64]*prism.Conn)
 	sk.guard = s.Space().Guard()
 	s.mu.Lock()
@@ -364,8 +364,11 @@ type srvSock struct {
 	inVerbs bool
 	tok     uint64
 
-	req     wire.Request // alias-decodes into fr's buffer
-	opMeta  model.OpMeta // ExecInto out-param scratch (escape analysis)
+	req wire.Request // alias-decodes into fr's buffer
+	// res and opMeta are Step's out-params, kept here because handing
+	// them to the observer would move locals to the heap.
+	res     wire.Result
+	opMeta  model.OpMeta
 	greeted bool
 
 	batches, batchFrames int64 // wakeup telemetry, owner goroutine only
@@ -527,17 +530,16 @@ func (sk *srvSock) serveVerbs(c *prism.Conn, req *wire.Request) {
 	sk.beginVerbs()
 	executed := 0
 	progOps, progSteps := int64(0), int64(0)
-	var res wire.Result
 	for i := range req.Ops {
 		off := sk.fw.reserveResult()
-		if sk.exec.Step(c, &req.Ops[i], &res, &sk.opMeta) {
+		if sk.exec.Step(c, req, i, &sk.res, &sk.opMeta) {
 			executed++
 			if sk.opMeta.Steps > 0 {
 				progOps++
 				progSteps += int64(sk.opMeta.Steps)
 			}
 		}
-		sk.fw.putResult(off, &res)
+		sk.fw.putResult(off, &sk.res)
 	}
 	sk.s.OpsExecuted.Add(int64(executed))
 	if progOps > 0 {

@@ -9,8 +9,10 @@ import (
 
 	"prism/internal/memory"
 	"prism/internal/model"
+	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
+	"prism/internal/wire"
 )
 
 // Regression tests for what a commit's fan-out must get right whatever the
@@ -168,10 +170,13 @@ func TestTxFanoutOrderDeterministic(t *testing.T) {
 	const keys = 6
 	run := func(sys system) string {
 		e, nics, begin := sys.build(t, 2, keys)
-		rings := make([]*rdma.TraceRing, len(nics))
+		var image strings.Builder
 		for i, nic := range nics {
-			rings[i] = rdma.NewTraceRing(1024)
-			nic.SetTracer(rings[i].Record)
+			nic.SetObserver(func(req *wire.Request, j int, res *wire.Result, _ *prism.OpMeta) {
+				op := &req.Ops[j]
+				fmt.Fprintf(&image, "shard %d: %v conn=%d seq=%d op[%d] %v flags=%#x -> %v\n",
+					i, e.Now(), req.Conn, req.Seq, j, op.Code, uint8(op.Flags), res.Status)
+			})
 		}
 		beginTx := begin(1)
 		e.Go("t", func(p *sim.Proc) {
@@ -193,18 +198,15 @@ func TestTxFanoutOrderDeterministic(t *testing.T) {
 			}
 		})
 		e.Run()
-		var image strings.Builder
-		for i, ring := range rings {
-			for _, ev := range ring.Events() {
-				fmt.Fprintf(&image, "shard %d: %v\n", i, ev)
-			}
-		}
 		fmt.Fprintf(&image, "end %v\n", e.Now())
 		return image.String()
 	}
 	for _, sys := range systems {
 		t.Run(sys.name, func(t *testing.T) {
 			first := run(sys)
+			if !strings.Contains(first, "shard 0:") || !strings.Contains(first, "shard 1:") {
+				t.Fatalf("a shard stepped no op:\n%s", first)
+			}
 			for rep := 1; rep < 30; rep++ {
 				if again := run(sys); again != first {
 					t.Fatalf("repetition %d of an identically seeded run differs:\n--- first ---\n%s--- repetition ---\n%s", rep, first, again)
