@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -104,5 +105,34 @@ func TestVerboseReportsPeakRSS(t *testing.T) {
 	}
 	if mb, err := strconv.Atoi(m[1]); err != nil || mb <= 0 {
 		t.Fatalf("peak_rss_mb=%s, want a positive number", m[1])
+	}
+}
+
+// TestEveryFlagIsDocumented: every flag -h lists appears as -name in
+// README.md or in the package doc, so no flag is there that no reader can
+// find.
+func TestEveryFlagIsDocumented(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	flags := regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr.String(), -1)
+	if len(flags) == 0 {
+		t.Fatalf("no flags in the usage:\n%s", stderr.String())
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgDoc, _, _ := strings.Cut(string(src), "\npackage main")
+	docs := string(readme) + pkgDoc
+	for _, f := range flags {
+		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(f[1]) + `([^\w-]|$)`).MatchString(docs) {
+			t.Errorf("-%s is in the usage but neither in README.md nor in the package doc", f[1])
+		}
 	}
 }

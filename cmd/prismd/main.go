@@ -20,7 +20,8 @@
 // summary's "memory:" line says what was registered, class by class.
 // -load N preloads keys 0..N-1 (kv, pilaf, tx and farm), as the paper's
 // experiments bulk-load before measuring. SIGINT/SIGTERM drain gracefully:
-// listeners close, in-flight requests finish, and the process exits 0.
+// listeners close, in-flight requests finish (for up to 5 s, then the
+// sockets still open are closed), and the process exits 0.
 package main
 
 import (
@@ -47,6 +48,10 @@ import (
 // errUsage marks a bad invocation, which exits 2 rather than 1.
 var errUsage = errors.New("usage")
 
+// drainGrace is how long a drain lets in-flight requests finish before it
+// closes the sockets still open.
+const drainGrace = 5 * time.Second
+
 func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
@@ -69,7 +74,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	valueSize := fs.Int("value", 1024, "largest value size accepted (bytes)")
 	load := fs.Int64("load", 0, "preload keys 0..N-1 before serving")
 	app := fs.String("app", "kv", "store to serve: kv, pilaf, rs, lock, tx or farm")
-	grace := fs.Duration("grace", 5*time.Second, "drain deadline on SIGTERM/SIGINT")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return nil
@@ -133,8 +137,8 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 
 	select {
 	case sig := <-stop:
-		fmt.Fprintf(stdout, "prismd: %v — draining (grace %v)\n", sig, *grace)
-		ts.Shutdown(*grace)
+		fmt.Fprintf(stdout, "prismd: %v — draining (grace %v)\n", sig, drainGrace)
+		ts.Shutdown(drainGrace)
 	case err := <-serveErr:
 		if err != nil && err != transport.ErrServerClosed {
 			return err

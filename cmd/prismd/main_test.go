@@ -245,3 +245,42 @@ func TestLoadPastTheTableFails(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryFlagIsDocumented: every flag -h lists appears as -name in
+// README.md or in the package doc, so no flag is there that no reader can
+// find.
+func TestEveryFlagIsDocumented(t *testing.T) {
+	// The usage goes to the process's stderr.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = run([]string{"-h"}, io.Discard, nil)
+	os.Stderr = stderr
+	w.Close()
+	usage, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	flags := regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(string(usage), -1)
+	if len(flags) == 0 {
+		t.Fatalf("no flags in the usage:\n%s", usage)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgDoc, _, _ := strings.Cut(string(src), "\npackage main")
+	docs := string(readme) + pkgDoc
+	for _, f := range flags {
+		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(f[1]) + `([^\w-]|$)`).MatchString(docs) {
+			t.Errorf("-%s is in the usage but neither in README.md nor in the package doc", f[1])
+		}
+	}
+}

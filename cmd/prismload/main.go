@@ -91,6 +91,8 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%w: need -addr", errUsage)
 	case o.clients < 1 || o.keys < 1 || o.value < 0 || *duration <= 0:
 		return fmt.Errorf("%w: need -clients >= 1, -keys >= 1, -value >= 0 and -duration > 0", errUsage)
+	case !(o.reads >= 0 && o.reads <= 1): // NaN fails both
+		return fmt.Errorf("%w: -reads %v is not a fraction in [0, 1]", errUsage, o.reads)
 	case o.workload != "mix" && o.workload != "scan":
 		return fmt.Errorf("%w: unknown -workload %q (mix or scan)", errUsage, o.workload)
 	}

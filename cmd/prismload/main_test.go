@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,9 +149,10 @@ func TestRunWrongApp(t *testing.T) {
 }
 
 // A client count below one, a negative value size, an empty key space, a
-// workload other than mix or scan, and the flags of the chain workloads
-// and of the JSON file are usage errors, found before dialing: the server
-// below is live, and nothing is written.
+// read fraction outside [0, 1] or NaN, a workload other than mix or scan,
+// and the flags of the chain workloads and of the JSON file are usage
+// errors, found before dialing: the server below is live, and nothing is
+// written.
 func TestRunBadFlags(t *testing.T) {
 	addr := serve(t, func(ts *transport.Server) error {
 		_, err := kv.NewServerOn(ts, kv.DefaultOptions(16, 64))
@@ -159,6 +163,9 @@ func TestRunBadFlags(t *testing.T) {
 		{"-clients", "-1"},
 		{"-value", "-1"},
 		{"-keys", "0"},
+		{"-reads", "1.5"},
+		{"-reads", "-0.1"},
+		{"-reads", "NaN"},
 		{"-workload", "chase"},
 		{"-workload", "chasehop"},
 		{"-depth", "3"},
@@ -171,6 +178,45 @@ func TestRunBadFlags(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("%v wrote %q", args, out.String())
+		}
+	}
+}
+
+// TestEveryFlagIsDocumented: every flag -h lists appears as -name in
+// README.md or in the package doc, so no flag is there that no reader can
+// find.
+func TestEveryFlagIsDocumented(t *testing.T) {
+	// The usage goes to the process's stderr.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	usage, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	flags := regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(string(usage), -1)
+	if len(flags) == 0 {
+		t.Fatalf("no flags in the usage:\n%s", usage)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgDoc, _, _ := strings.Cut(string(src), "\npackage main")
+	docs := string(readme) + pkgDoc
+	for _, f := range flags {
+		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(f[1]) + `([^\w-]|$)`).MatchString(docs) {
+			t.Errorf("-%s is in the usage but neither in README.md nor in the package doc", f[1])
 		}
 	}
 }

@@ -57,7 +57,7 @@ func AblationKVSlotCache(cfg Config) *Figure {
 	cfg.Keys = 16
 	return ablation(cfg, fig, []system{
 		{"probe + chain (2 RTs)", paperKV.build},
-		{"cached slot + chain (1 RT)", prismKV(model.SoftwarePRISM, rackFabric, kvTune{slotCache: true})},
+		{"cached slot + chain (1 RT)", prismKV(model.SoftwarePRISM, rackFabric(), kvTune{slotCache: true})},
 	}, load{readFrac: 0}, func(pt Point) string { return fmt.Sprintf("mean=%.2fµs", float64(pt.Mean)/1e3) })
 }
 

@@ -22,13 +22,13 @@ func Fig4(cfg Config) *Figure {
 
 // paperKV is PRISM-KV as Figures 3 and 4 measure it: the software
 // deployment, a control QP per client, no slot cache.
-var paperKV = system{"PRISM-KV", prismKV(model.SoftwarePRISM, rackFabric, kvTune{})}
+var paperKV = system{"PRISM-KV", prismKV(model.SoftwarePRISM, rackFabric(), kvTune{})}
 
 func kvFigure(cfg Config, id, title string, readFrac float64) *Figure {
 	fig := &Figure{ID: id, Title: title, XLabel: "throughput (ops/s)", YLabel: "mean latency (µs)"}
 	return ladder(cfg, fig, []system{
-		{"Pilaf", pilaf(model.HardwareRDMA, rackFabric)},
-		{"Pilaf (software RDMA)", pilaf(model.SoftwarePRISM, rackFabric)},
+		{"Pilaf", pilaf(model.HardwareRDMA, rackFabric())},
+		{"Pilaf (software RDMA)", pilaf(model.SoftwarePRISM, rackFabric())},
 		paperKV,
 	}, load{readFrac: readFrac}, clientsKey)
 }

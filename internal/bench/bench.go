@@ -32,9 +32,6 @@ type Config struct {
 	// ClientCounts is the closed-loop client ladder for throughput-latency
 	// curves.
 	ClientCounts []int
-	// ClientMachines is how many client machines the clients are spread
-	// over (paper: up to 11).
-	ClientMachines int
 	// Warmup and Measure are virtual-time windows.
 	Warmup  time.Duration
 	Measure time.Duration
@@ -52,11 +49,6 @@ type Config struct {
 	// Intra is unread: a point runs on one engine on one goroutine. The
 	// field stays until the repository benchmark stops assigning it.
 	Intra int
-	// CrossRack places the client machines in a different rack than the
-	// servers and charges this much extra one-way latency per rack
-	// crossing (the paper's §8 topology: clients and servers in distinct
-	// racks). 0 keeps the fabric flat, as every paper figure does.
-	CrossRack time.Duration
 
 	// ScaleClients is the client ladder for the fig-scale connection
 	// sweep (clients == connections per server for its GET-only
@@ -68,21 +60,12 @@ type Config struct {
 	// most machines idle and high-count points pack hundreds of clients
 	// per machine.
 	ScaleMachines int
-	// QPCacheEntries overrides the hardware-class QP context cache
-	// capacity used by fig-scale (0 = the calibrated
-	// model.WithConnScaling default). Moving it moves the cliff; the
-	// scale bench test asserts exactly that.
-	QPCacheEntries int
 
 	// ChaseDepths is the chain-depth ladder for the fig-chase verb-
 	// program sweep: every lookup walks exactly depth pointer hops, so
 	// the x axis is the round trips a per-hop client pays and a CHASE
 	// program collapses.
 	ChaseDepths []int
-	// ChaseClients is the closed-loop client count per fig-chase point.
-	// The figure compares lookup latency shapes, not saturation, so a
-	// handful of clients suffices.
-	ChaseClients int
 
 	// templates is the loaded images the running sweep shares among its
 	// points; sweep sets it on the Config it hands each point. nil outside
@@ -93,21 +76,19 @@ type Config struct {
 // DefaultConfig returns the laptop-scale defaults.
 func DefaultConfig() Config {
 	return Config{
-		Keys:           16384,
-		ValueSize:      512,
-		ClientCounts:   []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 288},
-		ClientMachines: 11,
-		Warmup:         200 * time.Microsecond,
-		Measure:        4 * time.Millisecond,
-		MaxOps:         0,
-		Seed:           42,
-		Parallel:       1,
+		Keys:         16384,
+		ValueSize:    512,
+		ClientCounts: []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 288},
+		Warmup:       200 * time.Microsecond,
+		Measure:      4 * time.Millisecond,
+		MaxOps:       0,
+		Seed:         42,
+		Parallel:     1,
 
 		ScaleClients:  []int{16, 64, 256, 1024, 4096, 16384},
 		ScaleMachines: 256,
 
-		ChaseDepths:  []int{1, 2, 4, 8, 16},
-		ChaseClients: 4,
+		ChaseDepths: []int{1, 2, 4, 8, 16},
 	}
 }
 

@@ -79,7 +79,7 @@ func (v *env) chaseClients(depth int) (fleet, func(m *rdma.Client) *kv.ChainClie
 // tail key of a uniformly chosen bucket — exactly depth hops.
 func (st chaseStrategy) at(depth int) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric(cfg))
+		v := newEnv(cfg, seed, w, rackFabric())
 		f, mk := v.chaseClients(depth)
 		return cluster{e: v.e, client: func(id int) workload.Op {
 			cl := mk(f.machine(id))
@@ -93,12 +93,17 @@ func (st chaseStrategy) at(depth int) builder {
 	}
 }
 
-// chasePoint runs one ladder point: Config.ChaseClients closed-loop
-// clients looking up depth-deep tail keys with st.
+// chaseClients is the closed-loop client count per fig-chase point. The
+// figure compares lookup latency shapes, not saturation, so a handful of
+// clients suffices.
+const chaseClients = 4
+
+// chasePoint runs one ladder point: chaseClients closed-loop clients
+// looking up depth-deep tail keys with st.
 func chasePoint(st chaseStrategy, cfg Config, depth int) (Point, Telemetry) {
 	cfg = chaseTune(cfg)
 	return runPoint(cfg, "fig-chase", system{st.name, st.at(depth)}, load{},
-		fmt.Sprintf("depth=%d", depth), cfg.ChaseClients)
+		fmt.Sprintf("depth=%d", depth), chaseClients)
 }
 
 // FigChase sweeps chain depth across the three lookup strategies:

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
-	"time"
 )
 
 // goldenHashes holds "<set> <sha256>" lines: the SHA-256 of each figure
@@ -20,7 +19,7 @@ import (
 var goldenHashes string
 
 // perFigureHashes holds "<figure> <sha256>" lines: each sweep figure's CSV
-// at tinyD, and fig4's with a 500 ns rack split ("fig4-crossrack").
+// at tinyD.
 //
 //go:embed testdata/figures_per_machine.sha256
 var perFigureHashes string
@@ -80,8 +79,6 @@ func renderSweep(name string, pooled bool) string {
 //     points on a worker pool too. Intra, set beside the pool, is unread
 //     and must not move a byte either. On a mismatch the serial render is
 //     shown beside the pooled one;
-//   - fig4 with a 500 ns rack split, serially and pooled, to its recorded
-//     hash — and unlike flat fig4, since the split is physics;
 //   - the `all` set — the registry's `all` members in registry order, the
 //     entries `prismbench all` renders — from the pooled renders above;
 //   - fig-scale and fig-chase at their test configs.
@@ -103,21 +100,6 @@ func TestFiguresGolden(t *testing.T) {
 			}
 		})
 	}
-	t.Run("fig4-crossrack", func(t *testing.T) {
-		cfg := tinyD()
-		cfg.CrossRack = 500 * time.Nanosecond
-		racked := render(Fig4(cfg))
-		if racked == renderSweep("fig4", true) {
-			t.Fatal("cross-rack latency had no effect on fig4")
-		}
-		if got, want := csvHash(racked), recordedHash(t, perFigureHashes, "fig4-crossrack"); got != want {
-			t.Fatalf("cross-rack fig4 CSV hash = %s, want %s:\n%s", got, want, racked)
-		}
-		cfg.Parallel = 4
-		if again := render(Fig4(cfg)); again != racked {
-			t.Fatalf("cross-rack fig4 differs on a worker pool:\n%s\nvs\n%s", racked, again)
-		}
-	})
 	t.Run("all", func(t *testing.T) {
 		h := sha256.New()
 		for _, f := range Figures {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"time"
@@ -35,11 +36,13 @@ type fleet []*rdma.Client
 func (f fleet) machine(id int) *rdma.Client { return f[id%len(f)] }
 
 // load is the closed-loop behaviour of a point's clients: GET/PUT systems
-// read readFrac and theta, transactional systems theta and keysPerTx.
+// read readFrac and theta, transactional systems theta and keysPerTx, and
+// every system spreads the clients over machines client machines.
 type load struct {
 	readFrac  float64 // share of GETs in the GET/PUT mix
 	theta     float64 // Zipf coefficient of the key choice (0 = uniform)
 	keysPerTx int     // keys per YCSB-T read-modify-write transaction
+	machines  int     // client machines (0 = paperMachines)
 }
 
 // cluster is the one shape every builder returns: a loaded simulated
@@ -82,24 +85,19 @@ func newEnv(cfg Config, seed int64, w load, p model.Params) *env {
 }
 
 // rackFabric is the cost model of the paper figures: calibrated defaults
-// on the rack latency profile. CrossRack (zero in every paper figure) is
-// the only Config knob that reaches it.
-func rackFabric(cfg Config) model.Params {
-	p := model.Default().WithNetwork(model.Rack)
-	p.CrossRackExtra = cfg.CrossRack
-	return p
-}
+// on the rack latency profile.
+func rackFabric() model.Params { return model.Default().WithNetwork(model.Rack) }
 
-// clientMachines provisions the Config.ClientMachines client fleet. With
-// Config.CrossRack > 0 they are placed in rack 1, opposite the servers
-// (which stay in rack 0).
+// paperMachines is the client fleet of the paper figures (up to 11
+// client machines, §5).
+const paperMachines = 11
+
+// clientMachines provisions the point's client fleet: w.machines of them,
+// or paperMachines.
 func (v *env) clientMachines() fleet {
-	machines := make(fleet, v.cfg.ClientMachines)
+	machines := make(fleet, cmp.Or(v.w.machines, paperMachines))
 	for i := range machines {
 		machines[i] = rdma.NewClient(v.net, fmt.Sprintf("cli-%d", i))
-		if v.cfg.CrossRack > 0 {
-			machines[i].Node().SetRack(1)
-		}
 	}
 	return machines
 }

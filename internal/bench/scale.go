@@ -21,24 +21,15 @@ import (
 // to — and must not perturb — the paper-figure CSV artifacts.
 
 // scaleFabric is the fig-scale cost model: the paper figures' with the
-// connection-scaling model enabled and the hardware-class cache capacity
-// optionally overridden (Config.QPCacheEntries).
-func scaleFabric(cfg Config) model.Params {
-	p := rackFabric(cfg).WithConnScaling()
-	if cfg.QPCacheEntries > 0 {
-		p.HWQPCacheEntries = cfg.QPCacheEntries
-	}
-	return p
-}
+// connection-scaling model enabled.
+func scaleFabric() model.Params { return rackFabric().WithConnScaling() }
 
-// scaleTune shapes the config for the sweep. The fleet is the fixed
-// Config.ScaleMachines. The measurement windows are clamped: the high end
-// of the ladder runs tens of thousands of closed-loop clients, so the
-// paper figures' windows would burn wall-clock time without changing the
-// shape of the cliff. Only tightens, never loosens, so tests can go
-// smaller.
+// scaleTune shapes the config for the sweep. The measurement windows are
+// clamped: the high end of the ladder runs tens of thousands of
+// closed-loop clients, so the paper figures' windows would burn
+// wall-clock time without changing the shape of the cliff. Only tightens,
+// never loosens, so tests can go smaller.
 func scaleTune(cfg Config) Config {
-	cfg.ClientMachines = cfg.ScaleMachines
 	if cfg.Warmup > 50*time.Microsecond {
 		cfg.Warmup = 50 * time.Microsecond
 	}
@@ -57,16 +48,17 @@ func scaleTune(cfg Config) Config {
 func scaleSystems() []system {
 	single := kvTune{singleQP: true}
 	return []system{
-		{"Pilaf", pilaf(model.HardwareRDMA, scaleFabric)},
-		{"PRISM-KV", prismKV(model.ProjectedHardwarePRISM, scaleFabric, single)},
-		{"PRISM-KV (software PRISM)", prismKV(model.SoftwarePRISM, scaleFabric, single)},
+		{"Pilaf", pilaf(model.HardwareRDMA, scaleFabric())},
+		{"PRISM-KV", prismKV(model.ProjectedHardwarePRISM, scaleFabric(), single)},
+		{"PRISM-KV (software PRISM)", prismKV(model.SoftwarePRISM, scaleFabric(), single)},
 	}
 }
 
 // scalePoint runs one ladder point: nClients single-connection closed-loop
-// GET clients against one server.
+// GET clients against one server, on the fixed Config.ScaleMachines fleet.
 func scalePoint(sys system, cfg Config, nClients int) (Point, Telemetry) {
-	return runPoint(scaleTune(cfg), "fig-scale", sys, load{readFrac: 1}, clientsKey(nClients), nClients)
+	w := load{readFrac: 1, machines: cfg.ScaleMachines}
+	return runPoint(scaleTune(cfg), "fig-scale", sys, w, clientsKey(nClients), nClients)
 }
 
 // FigScale sweeps client (= connection) count per server across the three

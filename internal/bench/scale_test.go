@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"prism/internal/model"
 )
 
 // scaleTestConfig is a laptop-fast shrink of the fig-scale setup.
@@ -24,20 +26,20 @@ func scaleTestConfig() Config {
 // grow the cache past the connection count and the misses — and the
 // slowdown — vanish. That is the cliff moving with capacity.
 func TestScaleCliffMovesWithCapacity(t *testing.T) {
-	sys := scaleSystems()[1] // PRISM-KV (projected hardware): hardware-class cache
 	const clients = 96
-
-	small := scaleTestConfig()
+	// fig-scale's PRISM-KV (projected hardware) series, its hardware-class
+	// cache holding entries connections.
+	withCache := func(entries int) system {
+		p := scaleFabric()
+		p.HWQPCacheEntries = entries
+		return system{"PRISM-KV", prismKV(model.ProjectedHardwarePRISM, p, kvTune{singleQP: true})}
+	}
+	cfg := scaleTestConfig()
 	// Past the cliff an op waits out two serialized fetch waves (~2 x 96 x
 	// PCIeRTT); the window must span several waves to measure any of them.
-	small.Measure = time.Millisecond
-	small.QPCacheEntries = 24
-	ptSmall, telSmall := scalePoint(sys, small, clients)
-
-	big := scaleTestConfig()
-	big.Measure = time.Millisecond
-	big.QPCacheEntries = 256
-	ptBig, telBig := scalePoint(sys, big, clients)
+	cfg.Measure = time.Millisecond
+	ptSmall, telSmall := scalePoint(withCache(24), cfg, clients)
+	ptBig, telBig := scalePoint(withCache(256), cfg, clients)
 
 	if telBig.ConnCacheMisses != 0 || telBig.ConnCacheHits == 0 {
 		t.Fatalf("cache above connection count: hits=%d misses=%d, want hits only",

@@ -126,7 +126,7 @@ var templateBuilt func(key templateKey, val any)
 func cachedTemplate[T any](system string, cfg Config, shards int, build func(v *env) T) T {
 	key := templateKey{system: system, keys: cfg.Keys, valueSize: cfg.ValueSize, shards: shards}
 	fresh := func() T {
-		val := build(newEnv(cfg, 0, load{}, rackFabric(cfg)))
+		val := build(newEnv(cfg, 0, load{}, rackFabric()))
 		if templateBuilt != nil {
 			templateBuilt(key, val)
 		}
@@ -222,22 +222,22 @@ func (v *env) forkKV(deploy model.Deployment) (*rdma.Server, kv.Meta) {
 }
 
 // prismKV builds PRISM-KV under deploy on a fabric with cost model
-// params(cfg): rackFabric for the paper figures, scaleFabric for fig-scale.
-func prismKV(deploy model.Deployment, params func(Config) model.Params, t kvTune) builder {
+// p: rackFabric for the paper figures, scaleFabric for fig-scale.
+func prismKV(deploy model.Deployment, p model.Params, t kvTune) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, params(cfg))
+		v := newEnv(cfg, seed, w, p)
 		nic, meta := v.forkKV(deploy)
 		return v.mix(kvClients(nic, meta, t))
 	}
 }
 
 // KVCluster builds the standard one-server PRISM-KV cluster at cfg's scale
-// (software PRISM, the Config.ClientMachines fleet, point seed 42) and
+// (software PRISM, the paper's client fleet, point seed 42) and
 // returns its engine with client 0. It is the entry point for measuring
 // one simulated operation end to end: spawn a process on the engine that
 // drives the store, then run the engine.
 func KVCluster(cfg Config) (*sim.Engine, Store) {
-	v := newEnv(cfg, 42, load{}, rackFabric(cfg))
+	v := newEnv(cfg, 42, load{}, rackFabric())
 	nic, meta := v.forkKV(model.SoftwarePRISM)
 	return v.e, kvClients(nic, meta, kvTune{})(v.clientMachines()[0], 0)
 }
@@ -263,9 +263,9 @@ func (v *env) pilafCluster(nic *rdma.Server, meta kv.PilafMeta) cluster {
 	})
 }
 
-func pilaf(deploy model.Deployment, params func(Config) model.Params) builder {
+func pilaf(deploy model.Deployment, p model.Params) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, params(cfg))
+		v := newEnv(cfg, seed, w, p)
 		im := pilafTemplate(cfg)
 		nic := im.fork(v.net, "server", deploy)
 		kv.AttachPilafServer(nic, im.meta)
@@ -344,7 +344,7 @@ func (v *env) rsCluster(replicas group[abd.Meta], skipWriteBack bool) cluster {
 
 func prismRS(skipWriteBack bool) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric(cfg))
+		v := newEnv(cfg, seed, w, rackFabric())
 		im := rsTemplate(cfg)
 		var replicas group[abd.Meta]
 		for i := 0; i < nReplicas; i++ {
@@ -367,7 +367,7 @@ func lockTemplate(cfg Config) image[abd.LockMeta] {
 
 func abdlock(deploy model.Deployment) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric(cfg))
+		v := newEnv(cfg, seed, w, rackFabric())
 		im := lockTemplate(cfg)
 		var replicas group[abd.LockMeta]
 		for i := 0; i < nReplicas; i++ {
@@ -475,7 +475,7 @@ func (v *env) txCluster(shards group[tx.Meta]) cluster {
 }
 
 func prismTX(cfg Config, seed int64, w load) cluster {
-	v := newEnv(cfg, seed, w, rackFabric(cfg))
+	v := newEnv(cfg, seed, w, rackFabric())
 	return v.txCluster(v.forkShards(txTemplate(cfg), []string{"shard"}))
 }
 
@@ -484,7 +484,7 @@ func prismTX(cfg Config, seed int64, w load) cluster {
 // share one template.
 func prismTXCluster(nShards int) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric(cfg))
+		v := newEnv(cfg, seed, w, rackFabric())
 		return v.txCluster(v.forkShards(txClusterTemplates(cfg, nShards), shardNames(nShards)))
 	}
 }
@@ -501,7 +501,7 @@ func farmTemplate(cfg Config) image[tx.FarmMeta] {
 
 func farm(deploy model.Deployment) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric(cfg))
+		v := newEnv(cfg, seed, w, rackFabric())
 		im := farmTemplate(cfg)
 		nic := im.fork(v.net, "shard", deploy)
 		tx.AttachFarmServer(nic, im.meta)

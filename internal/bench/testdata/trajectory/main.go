@@ -5,11 +5,16 @@
 // The metrics are BENCHMARK.json's end-to-end ones and the per-layer rows
 // the benchmark's -check also judges. Its commit stays empty, since a file
 // cannot hold the hash of the commit that adds it; the next PR fills it
-// in. Each record's host also names the runs' GOMAXPROCS and the CPU
-// model, which it reads from /proc/cpuinfo at append time: run it on the
-// host that ran the benchmark. From the repository root:
+// in. Each record's host also names the runs' GOMAXPROCS, the CPU model
+// (read from /proc/cpuinfo at append time: run it on the host that ran
+// the benchmark) and the ping-pong floor, the median ns/op of the
+// -pingpong file's `go test -run '^$' -bench UnixPingPong -count 1
+// ./internal/transport` runs, one after each benchmark run of either side.
+// -trend prints the trajectory PR by PR instead, every µs row also in
+// units of its PR's floor. From the repository root:
 //
-//	go run ./internal/bench/testdata/trajectory -pr N -parent HASH parent.jsonl change.jsonl
+//	go run ./internal/bench/testdata/trajectory -pr N -parent HASH -pingpong pp.txt parent.jsonl change.jsonl
+//	go run ./internal/bench/testdata/trajectory -trend
 package main
 
 import (
@@ -18,7 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -37,9 +44,15 @@ type run struct {
 func main() {
 	pr := flag.Int("pr", 0, "the change's PR number")
 	parent := flag.String("parent", "", "the parent's commit hash")
+	pingpong := flag.String("pingpong", "", "go test -bench UnixPingPong output from beside the benchmark runs")
+	trend := flag.Bool("trend", false, "print the trajectory PR by PR instead of appending")
 	flag.Parse()
-	if flag.NArg() != 2 || *pr <= 0 || *parent == "" {
-		check(fmt.Errorf("usage: -pr N -parent HASH parent.jsonl change.jsonl"))
+	if *trend {
+		printTrend()
+		return
+	}
+	if flag.NArg() != 2 || *pr <= 0 || *parent == "" || *pingpong == "" {
+		check(fmt.Errorf("usage: -pr N -parent HASH -pingpong FILE parent.jsonl change.jsonl, or -trend"))
 	}
 	type metric struct{ Name, Unit, Better string }
 	var spec struct {
@@ -52,7 +65,7 @@ func main() {
 	check(json.Unmarshal(read("BENCH_trajectory.json"), &recs))
 	metrics := append(spec.EndToEnd, slices.DeleteFunc(spec.PerLayer, func(m metric) bool { return !slices.Contains(judged, m.Name) })...)
 	base, change := runs(flag.Arg(0)), runs(flag.Arg(1))
-	cpu := cpuModel()
+	cpu, floor := cpuModel(), pingPongNS(*pingpong)
 	for _, wl := range spec.Workloads {
 		w := wl.Name
 		for _, m := range metrics {
@@ -72,7 +85,7 @@ func main() {
 				"parent_median": quantile(p, 0.5), "parent_q1": quantile(p, 0.25), "parent_q3": quantile(p, 0.75),
 				"median": quantile(c, 0.5), "q1": quantile(c, 0.25), "q3": quantile(c, 0.75),
 				"pairs": len(p), "pairs_won": won,
-				"host": map[string]any{"nproc": change[w][0].NumCPU, "go": change[w][0].Go, "cpu": cpu, "gomaxprocs": change[w][0].MaxProcs},
+				"host": map[string]any{"nproc": change[w][0].NumCPU, "go": change[w][0].Go, "cpu": cpu, "gomaxprocs": change[w][0].MaxProcs, "pingpong_ns": floor},
 			})
 			check(err)
 			recs = append(recs, b)
@@ -108,6 +121,72 @@ func cpuModel() string {
 	}
 	check(fmt.Errorf("no model name in /proc/cpuinfo"))
 	return ""
+}
+
+// pingPongNS is the median ns/op of the BenchmarkUnixPingPong lines in a
+// file of go test -bench output.
+func pingPongNS(path string) float64 {
+	var ns []float64
+	for _, m := range regexp.MustCompile(`(?m)^BenchmarkUnixPingPong(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`).FindAllStringSubmatch(string(read(path)), -1) {
+		v, err := strconv.ParseFloat(m[1], 64)
+		check(err)
+		ns = append(ns, v)
+	}
+	if len(ns) == 0 {
+		check(fmt.Errorf("%s: no BenchmarkUnixPingPong result", path))
+	}
+	return quantile(ns, 0.5)
+}
+
+// record is what -trend reads of a trajectory record.
+type record struct {
+	PR                     int
+	Workload, Metric, Unit string
+	Median                 float64
+	Host                   struct {
+		NProc, GOMAXPROCS int
+		Go, CPU           string
+		PingPongNS        float64 `json:"pingpong_ns"`
+	}
+}
+
+// printTrend prints each workload's and metric's medians in PR order.
+// The host is named at the first PR and wherever it changes; the
+// ping-pong floor is a measurement of the host, not part of its name.
+func printTrend() {
+	var recs []record
+	check(json.Unmarshal(read("BENCH_trajectory.json"), &recs))
+	series := map[[2]string][]record{}
+	var order [][2]string
+	for _, r := range recs {
+		k := [2]string{r.Workload, r.Metric}
+		if series[k] == nil {
+			order = append(order, k)
+		}
+		series[k] = append(series[k], r)
+	}
+	for _, k := range order {
+		fmt.Printf("%s %s (%s)\n", k[0], k[1], series[k][0].Unit)
+		last := ""
+		for _, r := range series[k] {
+			line := fmt.Sprintf("  PR %-4d %12.6g", r.PR, r.Median)
+			if f := r.Host.PingPongNS; f > 0 && r.Unit == "us" {
+				line += fmt.Sprintf("  %6.3f floors of %.0f ns", r.Median*1e3/f, f)
+			}
+			h := r.Host
+			host := fmt.Sprintf("nproc=%d %s, %s, GOMAXPROCS=%d", h.NProc, h.Go, h.CPU, h.GOMAXPROCS)
+			if h.CPU == "" {
+				host = fmt.Sprintf("nproc=%d %s, CPU and GOMAXPROCS unknown", h.NProc, h.Go)
+			}
+			if last == "" {
+				line += "  host: " + host
+			} else if host != last {
+				line += "  host change: " + host
+			}
+			last = host
+			fmt.Println(line)
+		}
+	}
 }
 
 // quantile interpolates between sorted values, as the benchmark's -check.

@@ -30,17 +30,20 @@ type trajectoryRecord struct {
 	Pairs        int     `json:"pairs"`
 	PairsWon     int     `json:"pairs_won"`
 	Host         struct {
-		NProc      int    `json:"nproc"`
-		Go         string `json:"go"`
-		CPU        string `json:"cpu"`        // the CPU model, from PR 52 on
-		GOMAXPROCS int    `json:"gomaxprocs"` // from PR 52 on
+		NProc      int     `json:"nproc"`
+		Go         string  `json:"go"`
+		CPU        string  `json:"cpu"`         // the CPU model, from fingerprinted on
+		GOMAXPROCS int     `json:"gomaxprocs"`  // from fingerprinted on
+		PingPongNS float64 `json:"pingpong_ns"` // the ping-pong floor, from floored on
 	} `json:"host"`
 }
 
 // fingerprinted is the first PR whose records say which CPU model and
 // GOMAXPROCS they were measured with. Earlier hosts are unknown beyond
-// nproc and go: their records carry neither field.
-const fingerprinted = 52
+// nproc and go: their records carry neither field. floored is the first
+// PR whose records carry the host's ping-pong floor as well: the median
+// BenchmarkUnixPingPong ns/op of runs beside the benchmark's.
+const fingerprinted, floored = 52, 53
 
 // jsonFields lists the JSON names of a struct type's fields.
 func jsonFields(t reflect.Type) []string {
@@ -57,7 +60,8 @@ func jsonFields(t reflect.Type) []string {
 var commitHash = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
 
 // TestBenchTrajectory: every record of the trajectory has every field and
-// no other (before PR fingerprinted, a host without cpu and gomaxprocs),
+// no other (before PR floored, a host without pingpong_ns, and before PR
+// fingerprinted, without cpu and gomaxprocs either),
 // its quartiles bracket its median, its pairs won are among its pairs, its
 // commit and parent are commit hashes, and PR numbers never go down in
 // file order. Only the newest PR's records may leave commit empty: a file
@@ -77,6 +81,7 @@ func TestBenchTrajectory(t *testing.T) {
 	}
 	want := jsonFields(reflect.TypeOf(trajectoryRecord{}))
 	wantHost := jsonFields(reflect.TypeOf(trajectoryRecord{}.Host))
+	unfloored := []string{"cpu", "go", "gomaxprocs", "nproc"}
 	unknownHost := []string{"go", "nproc"}
 	for i, r := range raw {
 		var host map[string]json.RawMessage
@@ -90,8 +95,15 @@ func TestBenchTrajectory(t *testing.T) {
 		if got := slices.Sorted(maps.Keys(r)); !slices.Equal(got, want) {
 			t.Errorf("record %d has fields %v, want %v", i, got, want)
 		}
-		if got := slices.Sorted(maps.Keys(host)); !slices.Equal(got, wantHost) && !(pr < fingerprinted && slices.Equal(got, unknownHost)) {
-			t.Errorf("record %d (PR %d) has host fields %v, want %v", i, pr, got, wantHost)
+		hostFields := wantHost
+		switch {
+		case pr < fingerprinted:
+			hostFields = unknownHost
+		case pr < floored:
+			hostFields = unfloored
+		}
+		if got := slices.Sorted(maps.Keys(host)); !slices.Equal(got, hostFields) {
+			t.Errorf("record %d (PR %d) has host fields %v, want %v", i, pr, got, hostFields)
 		}
 	}
 	dec := json.NewDecoder(bytes.NewReader(b))
@@ -111,7 +123,7 @@ func TestBenchTrajectory(t *testing.T) {
 			t.Errorf("record %d (PR %d %s %s): quartiles do not bracket the medians", i, r.PR, r.Workload, r.Metric)
 		}
 		if r.Workload == "" || r.Metric == "" || r.Unit == "" || r.Host.NProc <= 0 || r.Host.Go == "" ||
-			r.PR >= fingerprinted && (r.Host.CPU == "" || r.Host.GOMAXPROCS <= 0) {
+			r.PR >= fingerprinted && (r.Host.CPU == "" || r.Host.GOMAXPROCS <= 0) || r.PR >= floored && r.Host.PingPongNS <= 0 {
 			t.Errorf("record %d (PR %d): an empty field: %+v", i, r.PR, r)
 		}
 		newest := r.PR == recs[len(recs)-1].PR

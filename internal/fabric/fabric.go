@@ -47,7 +47,6 @@ type Node struct {
 	net     *Network
 	name    string
 	index   int // creation order; same-instant arrival tie-break
-	rack    int
 	tx, rx  *sim.Resource
 	handler Handler
 
@@ -84,14 +83,6 @@ func (n *Node) Name() string { return n.name }
 // SetHandler installs the delivery callback. It must be set before any
 // message arrives.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
-
-// SetRack places the node in a rack. Nodes in different racks pay the
-// cost model's CrossRackExtra on top of the switch one-way latency; with
-// CrossRackExtra zero (the default) rack placement has no effect.
-func (n *Node) SetRack(r int) { n.rack = r }
-
-// Rack returns the node's rack assignment (0 unless SetRack was called).
-func (n *Node) Rack() int { return n.rack }
 
 // Network is a set of nodes joined through one switch profile.
 type Network struct {
@@ -211,17 +202,6 @@ func (n *Network) NewNode(name string) *Node {
 	return node
 }
 
-// propagation is the one-way switch latency between two nodes: the
-// profile's OneWay, plus CrossRackExtra when the endpoints sit in
-// different racks.
-func (n *Network) propagation(a, b *Node) sim.Duration {
-	d := n.p.Network.OneWay
-	if n.p.CrossRackExtra > 0 && a.rack != b.rack {
-		d += n.p.CrossRackExtra
-	}
-	return d
-}
-
 func (n *Node) lossRand() *rand.Rand {
 	if n.lossRng == nil {
 		n.lossRng = rand.New(rand.NewSource(nodeSeed(n.net.e.Seed(), n.index)))
@@ -260,7 +240,7 @@ func (n *Network) Send(m Message) {
 	// Source-side serialization happens on the sender's port now. Loss is
 	// sampled here, from the sender node's own RNG stream.
 	ser := n.p.SerializationDelay(m.Size)
-	at := src.tx.Submit(ser, nil).Add(n.propagation(src, m.To))
+	at := src.tx.Submit(ser, nil).Add(n.p.Network.OneWay)
 	seq := src.outSeq
 	src.outSeq++
 	if n.p.LossRate > 0 && src.lossRand().Float64() < n.p.LossRate {

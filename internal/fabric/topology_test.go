@@ -11,54 +11,19 @@ import (
 	"prism/internal/sim"
 )
 
-// TestCrossRackPropagation: a message crossing racks pays the configured
-// extra one-way latency; same-rack traffic is unaffected.
-func TestCrossRackPropagation(t *testing.T) {
-	p := testParams()
-	p.CrossRackExtra = 500 * time.Nanosecond
-	e := sim.NewEngine(1)
-	net := New(e, p)
-	a, b := net.NewNode("a"), net.NewNode("b")
-	d, c := net.NewNode("d"), net.NewNode("c")
-	b.SetRack(1)
-	if a.Rack() != 0 || b.Rack() != 1 {
-		t.Fatalf("racks: a=%d b=%d", a.Rack(), b.Rack())
-	}
-	var atB, atC sim.Time
-	b.SetHandler(func(Message) { atB = e.Now() })
-	c.SetHandler(func(Message) { atC = e.Now() })
-	size := 512
-	net.Send(Message{From: a, To: b, Size: size})
-	net.Send(Message{From: d, To: c, Size: size})
-	e.Run()
-	flat := sim.Time(2*p.SerializationDelay(size) + p.Network.OneWay)
-	if atC != flat {
-		t.Fatalf("same-rack arrival at %v, want %v", atC, flat)
-	}
-	if want := flat.Add(sim.Duration(p.CrossRackExtra)); atB != want {
-		t.Fatalf("cross-rack arrival at %v, want %v", atB, want)
-	}
-}
-
 // stormTrace runs a forwarding storm: every node seeds traffic to every
 // other, and receivers forward for several hops to a peer that the
 // (node, hop) pair determines, or, with random set, that the engine's RNG
-// draws. With crossRack set, racks split down the middle. It returns every
-// node's counters and delivery log.
-func stormTrace(t *testing.T, crossRack time.Duration, random bool) string {
+// draws. It returns every node's counters and delivery log.
+func stormTrace(t *testing.T, random bool) string {
 	t.Helper()
-	p := testParams()
-	p.CrossRackExtra = crossRack
 	e := sim.NewEngine(7)
-	net := New(e, p)
+	net := New(e, testParams())
 	const N = 6
 	nodes := make([]*Node, N)
 	traces := make([][]string, N)
 	for i := 0; i < N; i++ {
 		nodes[i] = net.NewNode(string(rune('a' + i)))
-		if crossRack > 0 && i >= N/2 {
-			nodes[i].SetRack(1)
-		}
 	}
 	for i := 0; i < N; i++ {
 		i := i
@@ -104,11 +69,8 @@ func stormTrace(t *testing.T, crossRack time.Duration, random bool) string {
 	return b.String()
 }
 
-// Recorded storm trace digests.
-const (
-	stormSHA256       = "38d45d65321a68bae40aaaa44c36a5601c6b65d6b4124ac3520fa5b52c6c64e2"
-	rackedStormSHA256 = "34e17d8225e75128909908c9e01cbb5c72a2576d892332f014b04e94b6d8107e"
-)
+// stormSHA256 is the recorded storm trace digest.
+const stormSHA256 = "38d45d65321a68bae40aaaa44c36a5601c6b65d6b4124ac3520fa5b52c6c64e2"
 
 func sha256Hex(s string) string {
 	sum := sha256.Sum256([]byte(s))
@@ -119,11 +81,11 @@ func sha256Hex(s string) string {
 // the engine's RNG cascades and repeats byte for byte — the draws follow
 // the delivery order.
 func TestRandomStormRepeats(t *testing.T) {
-	base := stormTrace(t, 0, true)
+	base := stormTrace(t, true)
 	if !strings.Contains(base, "hops=0") {
 		t.Fatalf("storm did not cascade:\n%s", base)
 	}
-	if again := stormTrace(t, 0, true); again != base {
+	if again := stormTrace(t, true); again != base {
 		t.Fatalf("storm differs between identical runs:\n--- first ---\n%s--- second ---\n%s", base, again)
 	}
 }
@@ -132,30 +94,15 @@ func TestRandomStormRepeats(t *testing.T) {
 // the recorded value, on every run: the (arrival time, source node, send
 // sequence) order decides delivery.
 func TestStormTraceGolden(t *testing.T) {
-	base := stormTrace(t, 0, false)
+	base := stormTrace(t, false)
 	if !strings.Contains(base, "hops=0") {
 		t.Fatalf("storm did not cascade:\n%s", base)
 	}
 	if got := sha256Hex(base); got != stormSHA256 {
 		t.Fatalf("storm trace hash %s, want the recorded %s:\n%s", got, stormSHA256, base)
 	}
-	if again := stormTrace(t, 0, false); again != base {
+	if again := stormTrace(t, false); again != base {
 		t.Fatalf("storm differs between identical runs:\n--- first ---\n%s--- second ---\n%s", base, again)
-	}
-}
-
-// TestStormTraceGoldenCrossRack: the same with a rack split and nonzero
-// cross-rack latency, which moves the storm.
-func TestStormTraceGoldenCrossRack(t *testing.T) {
-	racked := stormTrace(t, 700*time.Nanosecond, false)
-	if racked == stormTrace(t, 0, false) {
-		t.Fatal("cross-rack latency had no effect on the storm")
-	}
-	if got := sha256Hex(racked); got != rackedStormSHA256 {
-		t.Fatalf("cross-rack storm trace hash %s, want the recorded %s:\n%s", got, rackedStormSHA256, racked)
-	}
-	if again := stormTrace(t, 700*time.Nanosecond, false); again != racked {
-		t.Fatal("cross-rack storm differs between identical runs")
 	}
 }
 

@@ -121,13 +121,27 @@ func (r *recIssuer) Sleep(d time.Duration) {
 // runOverSim provisions a store on a simulated NIC and runs body, inside
 // one simulation process, over the connection.
 func runOverSim(provision func(transport.Host), body func(transport.Issuer)) {
+	runGroupOverSim(1, provision, func(g []transport.Issuer) { body(g[0]) })
+}
+
+// runGroupOverSim provisions n stores, each on a simulated NIC of its own,
+// and runs body, inside one simulation process, over one connection to
+// each from one client machine.
+func runGroupOverSim(n int, provision func(transport.Host), body func([]transport.Issuer)) {
 	e := sim.NewEngine(1)
 	net := fabric.New(e, model.Default().WithNetwork(model.Rack))
-	nic := rdma.NewServer(net, "srv", model.SoftwarePRISM)
-	provision(nic)
-	conn := rdma.NewClient(net, "cli").Connect(nic)
+	nics := make([]*rdma.Server, n)
+	for i := range nics {
+		nics[i] = rdma.NewServer(net, "srv", model.SoftwarePRISM)
+		provision(nics[i])
+	}
+	cli := rdma.NewClient(net, "cli")
+	conns := make([]transport.Issuer, n)
+	for i, nic := range nics {
+		conns[i] = cli.Connect(nic)
+	}
 	e.Go("diff", func(p *sim.Proc) {
-		body(conn)
+		body(conns)
 	})
 	e.Run()
 }
@@ -137,25 +151,40 @@ func runOverSim(provision func(transport.Host), body func(transport.Issuer)) {
 // connection on the other end.
 func runOverLive(t *testing.T, provision func(transport.Host), body func(transport.Issuer)) {
 	t.Helper()
-	ts := transport.NewServer()
-	provision(ts)
-	cEnd, sEnd := net.Pipe()
-	served := make(chan struct{})
-	go func() { defer close(served); ts.ServeConn(sEnd) }()
-	tc, err := transport.NewClientConn(cEnd)
-	if err != nil {
-		t.Fatalf("NewClientConn: %v", err)
+	runGroupOverLive(t, 1, provision, func(g []transport.Issuer) { body(g[0]) })
+}
+
+// runGroupOverLive is runGroupOverSim on n live transport.Servers, each
+// serving one end of a net.Pipe, body's connections on the other ends.
+func runGroupOverLive(t *testing.T, n int, provision func(transport.Host), body func([]transport.Issuer)) {
+	t.Helper()
+	clients := make([]*transport.Client, n)
+	conns := make([]transport.Issuer, n)
+	served := make(chan struct{}, n)
+	for i := range conns {
+		ts := transport.NewServer()
+		provision(ts)
+		cEnd, sEnd := net.Pipe()
+		go func() { ts.ServeConn(sEnd); served <- struct{}{} }()
+		tc, err := transport.NewClientConn(cEnd)
+		if err != nil {
+			t.Fatalf("NewClientConn: %v", err)
+		}
+		if conns[i], err = tc.Connect(); err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+		clients[i] = tc
 	}
-	conn, err := tc.Connect()
-	if err != nil {
-		t.Fatalf("Connect: %v", err)
+	body(conns)
+	for _, tc := range clients {
+		tc.Close()
 	}
-	body(conn)
-	tc.Close()
-	select {
-	case <-served:
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeConn did not return after client close")
+	for range n {
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Fatal("ServeConn did not return after client close")
+		}
 	}
 }
 

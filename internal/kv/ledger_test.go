@@ -1,11 +1,13 @@
 package kv
 
 import (
+	"bytes"
 	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
 
+	"prism/internal/abd"
 	"prism/internal/model"
 	"prism/internal/transport"
 	"prism/internal/wire"
@@ -63,18 +65,23 @@ type ledgerRow[C any] struct {
 	want ledger
 }
 
-// checkLedger runs the rows in order through one client (newClient over a
-// recording issuer), on the simulator and over a net.Pipe, each time
-// against a store provision builds, and holds every row to its ledger on
-// both. The events are tallied after the runs: a row runs inside a
-// simulation process, where tally may not stop the test.
-func checkLedger[C any](t *testing.T, provision func(transport.Host), newClient func(transport.Issuer) C, crc time.Duration, rows []ledgerRow[C]) {
+// checkLedger runs the rows in order through one client (newClient over
+// recording issuers to n servers, one log for all), on the simulator and
+// over net.Pipes, each time against stores provision builds, one per
+// server, and holds every row to its ledger on both. The events are
+// tallied after the runs: a row runs inside a simulation process, where
+// tally may not stop the test.
+func checkLedger[C any](t *testing.T, n int, provision func(transport.Host), newClient func([]transport.Issuer) C, crc time.Duration, rows []ledgerRow[C]) {
 	t.Helper()
 	var events [2][][]string
-	run := func(side int) func(transport.Issuer) {
-		return func(iss transport.Issuer) {
+	run := func(side int) func([]transport.Issuer) {
+		return func(group []transport.Issuer) {
 			var log []string
-			c := newClient(newRecIssuer(iss, &log))
+			rec := make([]transport.Issuer, len(group))
+			for i, iss := range group {
+				rec[i] = newRecIssuer(iss, &log)
+			}
+			c := newClient(rec)
 			for _, r := range rows {
 				mark := len(log)
 				if err := r.call(c); err != nil {
@@ -84,8 +91,8 @@ func checkLedger[C any](t *testing.T, provision func(transport.Host), newClient 
 			}
 		}
 	}
-	runOverSim(provision, run(0))
-	runOverLive(t, provision, run(1))
+	runGroupOverSim(n, provision, run(0))
+	runGroupOverLive(t, n, provision, run(1))
 	for i, r := range rows {
 		if sim := tally(t, events[0][i], crc); sim != r.want {
 			t.Errorf("%s on the simulator: %+v, want %+v", r.name, sim, r.want)
@@ -104,7 +111,12 @@ func checkLedger[C any](t *testing.T, provision func(transport.Host), newClient 
 // SCAN window is one; and FlushFrees hands the reclamations the PUT queued
 // to the server in one two-sided RPC that nothing waits for. Pilaf (§6.2):
 // a GET is those two dependent READs, the slot and then the entry, and a
-// client-side CRC check; a PUT is one RPC to the server's CPU.
+// client-side CRC check; a PUT is one RPC to the server's CPU. PRISM-RS
+// over three replicas (§7): a GET and a PUT are each two phases and no
+// lock, a read round of one indirect READ per replica and then a write
+// round of one ALLOCATE-WRITE-CAS chain per replica (a GET writes back
+// what it read), each round one wait for the first two answers; the
+// displaced buffers wait in reclamation batches, which nothing sends yet.
 func TestRoundTripLedger(t *testing.T) {
 	batch := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 	load := func(t *testing.T, store interface{ Load(int64, []byte) error }) {
@@ -116,14 +128,14 @@ func TestRoundTripLedger(t *testing.T) {
 	}
 	t.Run("prism-kv", func(t *testing.T) {
 		var meta Meta
-		checkLedger(t, func(host transport.Host) {
+		checkLedger(t, 1, func(host transport.Host) {
 			srv, err := NewServerOn(host, DefaultOptions(32, 64))
 			if err != nil {
 				t.Fatal(err)
 			}
 			load(t, srv)
 			meta = srv.Meta()
-		}, func(iss transport.Issuer) *Client { return NewClient(iss, meta, 1) }, 0, []ledgerRow[*Client]{
+		}, func(g []transport.Issuer) *Client { return NewClient(g[0], meta, 1) }, 0, []ledgerRow[*Client]{
 			{"get", func(c *Client) error {
 				_, err := c.Get(1)
 				return err
@@ -147,14 +159,14 @@ func TestRoundTripLedger(t *testing.T) {
 	t.Run("pilaf", func(t *testing.T) {
 		crc := model.Default().PilafCRCCost
 		var meta PilafMeta
-		checkLedger(t, func(host transport.Host) {
+		checkLedger(t, 1, func(host transport.Host) {
 			srv, err := NewPilafServer(host, DefaultOptions(32, 64))
 			if err != nil {
 				t.Fatal(err)
 			}
 			load(t, srv)
 			meta = srv.Meta()
-		}, func(iss transport.Issuer) *PilafClient { return NewPilafClient(iss, meta, crc) }, crc, []ledgerRow[*PilafClient]{
+		}, func(g []transport.Issuer) *PilafClient { return NewPilafClient(g[0], meta, crc) }, crc, []ledgerRow[*PilafClient]{
 			{"get", func(c *PilafClient) error {
 				_, err := c.Get(1)
 				return err
@@ -168,6 +180,35 @@ func TestRoundTripLedger(t *testing.T) {
 				}
 				return err
 			}, ledger{waits: 2, oneSided: 2, crcChecks: 1}},
+		})
+	})
+	t.Run("prism-rs", func(t *testing.T) {
+		const replicas, blockSize = 3, 16
+		var metas []abd.Meta // of the replicas provisioned for the next client
+		put := bytes.Repeat([]byte{0xAB}, blockSize)
+		checkLedger(t, replicas, func(host transport.Host) {
+			rep, err := abd.NewReplica(host, abd.ReplicaOptions{NBlocks: 4, BlockSize: blockSize, ExtraBuffers: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			metas = append(metas, rep.Meta())
+		}, func(g []transport.Issuer) *abd.Client {
+			c := abd.NewClient(1, g, metas)
+			metas = nil
+			return c
+		}, 0, []ledgerRow[*abd.Client]{
+			{"get", func(c *abd.Client) error {
+				_, err := c.Get(1)
+				return err
+			}, ledger{waits: 2, oneSided: 2 * replicas}},
+			{"put", func(c *abd.Client) error { return c.Put(2, put) }, ledger{waits: 2, oneSided: 2 * replicas}},
+			{"get-after-put", func(c *abd.Client) error {
+				v, err := c.Get(2)
+				if err == nil && !bytes.Equal(v, put) {
+					t.Errorf("GET after PUT = %x", v)
+				}
+				return err
+			}, ledger{waits: 2, oneSided: 2 * replicas}},
 		})
 	})
 }

@@ -167,13 +167,6 @@ type Params struct {
 	// Network is the switch latency profile in effect.
 	Network SwitchProfile
 
-	// CrossRackExtra is the additional one-way latency a message pays when
-	// its endpoints sit in different racks (the ToR→spine→ToR detour of
-	// the paper's §8 evaluation topology, where client machines and
-	// servers occupy distinct racks). 0 keeps the fabric flat: every pair
-	// is Network.OneWay apart and node rack assignments have no effect.
-	CrossRackExtra time.Duration
-
 	// LossRate is the per-message drop probability (0 disables loss).
 	// Lost messages are recovered by the NIC retransmission timer.
 	LossRate float64
