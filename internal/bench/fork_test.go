@@ -24,7 +24,11 @@ func spaceChecksum(t *testing.T, s *memory.Space) uint64 {
 	h := fnv.New64a()
 	for _, r := range s.Regions() {
 		fmt.Fprintf(h, "%x/%x/%x:", r.Base, r.Len, r.Key)
-		h.Write(r.Bytes())
+		b, err := s.Peek(r.Key, r.Base, r.Len)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
 	}
 	return h.Sum64()
 }

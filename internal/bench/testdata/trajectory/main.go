@@ -9,9 +9,10 @@
 // (read from /proc/cpuinfo at append time: run it on the host that ran
 // the benchmark) and the ping-pong floor, the median ns/op of the
 // -pingpong file's `go test -run '^$' -bench UnixPingPong -count 1
-// ./internal/transport` runs, one after each benchmark run of either side.
-// -trend prints the trajectory PR by PR instead, every µs row also in
-// units of its PR's floor. From the repository root:
+// ./internal/transport` runs, one after each benchmark run of either side,
+// with their quartiles: one run reads the floor within a spread that
+// matters. -trend prints the trajectory PR by PR instead, every µs row
+// also in units of its PR's floor. From the repository root:
 //
 //	go run ./internal/bench/testdata/trajectory -pr N -parent HASH -pingpong pp.txt parent.jsonl change.jsonl
 //	go run ./internal/bench/testdata/trajectory -trend
@@ -85,7 +86,8 @@ func main() {
 				"parent_median": quantile(p, 0.5), "parent_q1": quantile(p, 0.25), "parent_q3": quantile(p, 0.75),
 				"median": quantile(c, 0.5), "q1": quantile(c, 0.25), "q3": quantile(c, 0.75),
 				"pairs": len(p), "pairs_won": won,
-				"host": map[string]any{"nproc": change[w][0].NumCPU, "go": change[w][0].Go, "cpu": cpu, "gomaxprocs": change[w][0].MaxProcs, "pingpong_ns": floor},
+				"host": map[string]any{"nproc": change[w][0].NumCPU, "go": change[w][0].Go, "cpu": cpu, "gomaxprocs": change[w][0].MaxProcs,
+					"pingpong_ns": floor[1], "pingpong_q1_ns": floor[0], "pingpong_q3_ns": floor[2]},
 			})
 			check(err)
 			recs = append(recs, b)
@@ -123,9 +125,10 @@ func cpuModel() string {
 	return ""
 }
 
-// pingPongNS is the median ns/op of the BenchmarkUnixPingPong lines in a
-// file of go test -bench output.
-func pingPongNS(path string) float64 {
+// pingPongNS is the first quartile, median and third quartile of the
+// ns/op of the BenchmarkUnixPingPong lines in a file of go test -bench
+// output.
+func pingPongNS(path string) [3]float64 {
 	var ns []float64
 	for _, m := range regexp.MustCompile(`(?m)^BenchmarkUnixPingPong(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`).FindAllStringSubmatch(string(read(path)), -1) {
 		v, err := strconv.ParseFloat(m[1], 64)
@@ -135,7 +138,7 @@ func pingPongNS(path string) float64 {
 	if len(ns) == 0 {
 		check(fmt.Errorf("%s: no BenchmarkUnixPingPong result", path))
 	}
-	return quantile(ns, 0.5)
+	return [3]float64{quantile(ns, 0.25), quantile(ns, 0.5), quantile(ns, 0.75)}
 }
 
 // record is what -trend reads of a trajectory record.
@@ -147,12 +150,15 @@ type record struct {
 		NProc, GOMAXPROCS int
 		Go, CPU           string
 		PingPongNS        float64 `json:"pingpong_ns"`
+		PingPongQ1NS      float64 `json:"pingpong_q1_ns"`
+		PingPongQ3NS      float64 `json:"pingpong_q3_ns"`
 	}
 }
 
 // printTrend prints each workload's and metric's medians in PR order.
 // The host is named at the first PR and wherever it changes; the
-// ping-pong floor is a measurement of the host, not part of its name.
+// ping-pong floor is a measurement of the host, not part of its name, and
+// is printed with its quartiles where a PR recorded them.
 func printTrend() {
 	var recs []record
 	check(json.Unmarshal(read("BENCH_trajectory.json"), &recs))
@@ -172,6 +178,9 @@ func printTrend() {
 			line := fmt.Sprintf("  PR %-4d %12.6g", r.PR, r.Median)
 			if f := r.Host.PingPongNS; f > 0 && r.Unit == "us" {
 				line += fmt.Sprintf("  %6.3f floors of %.0f ns", r.Median*1e3/f, f)
+				if h := r.Host; h.PingPongQ3NS > 0 {
+					line += fmt.Sprintf(" (q1–q3 %.0f–%.0f)", h.PingPongQ1NS, h.PingPongQ3NS)
+				}
 			}
 			h := r.Host
 			host := fmt.Sprintf("nproc=%d %s, %s, GOMAXPROCS=%d", h.NProc, h.Go, h.CPU, h.GOMAXPROCS)

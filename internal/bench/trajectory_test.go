@@ -35,6 +35,9 @@ type trajectoryRecord struct {
 		CPU        string  `json:"cpu"`         // the CPU model, from fingerprinted on
 		GOMAXPROCS int     `json:"gomaxprocs"`  // from fingerprinted on
 		PingPongNS float64 `json:"pingpong_ns"` // the ping-pong floor, from floored on
+		// The floor's quartiles over its runs, from spread on.
+		PingPongQ1NS float64 `json:"pingpong_q1_ns"`
+		PingPongQ3NS float64 `json:"pingpong_q3_ns"`
 	} `json:"host"`
 }
 
@@ -42,8 +45,10 @@ type trajectoryRecord struct {
 // GOMAXPROCS they were measured with. Earlier hosts are unknown beyond
 // nproc and go: their records carry neither field. floored is the first
 // PR whose records carry the host's ping-pong floor as well: the median
-// BenchmarkUnixPingPong ns/op of runs beside the benchmark's.
-const fingerprinted, floored = 52, 53
+// BenchmarkUnixPingPong ns/op of runs beside the benchmark's. spread is
+// the first PR whose records carry that floor's quartiles: one PR's runs
+// of the floor spread too widely for its median alone to compare.
+const fingerprinted, floored, spread = 52, 53, 54
 
 // jsonFields lists the JSON names of a struct type's fields.
 func jsonFields(t reflect.Type) []string {
@@ -60,9 +65,10 @@ func jsonFields(t reflect.Type) []string {
 var commitHash = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
 
 // TestBenchTrajectory: every record of the trajectory has every field and
-// no other (before PR floored, a host without pingpong_ns, and before PR
-// fingerprinted, without cpu and gomaxprocs either),
-// its quartiles bracket its median, its pairs won are among its pairs, its
+// no other (before PR spread, a host without the floor's quartiles, before
+// PR floored, without pingpong_ns either, and before PR fingerprinted,
+// without cpu and gomaxprocs either), its quartiles and the floor's
+// bracket their medians, its pairs won are among its pairs, its
 // commit and parent are commit hashes, and PR numbers never go down in
 // file order. Only the newest PR's records may leave commit empty: a file
 // cannot hold the hash of the commit that adds it, so the next PR fills it
@@ -81,6 +87,7 @@ func TestBenchTrajectory(t *testing.T) {
 	}
 	want := jsonFields(reflect.TypeOf(trajectoryRecord{}))
 	wantHost := jsonFields(reflect.TypeOf(trajectoryRecord{}.Host))
+	unspread := []string{"cpu", "go", "gomaxprocs", "nproc", "pingpong_ns"}
 	unfloored := []string{"cpu", "go", "gomaxprocs", "nproc"}
 	unknownHost := []string{"go", "nproc"}
 	for i, r := range raw {
@@ -101,6 +108,8 @@ func TestBenchTrajectory(t *testing.T) {
 			hostFields = unknownHost
 		case pr < floored:
 			hostFields = unfloored
+		case pr < spread:
+			hostFields = unspread
 		}
 		if got := slices.Sorted(maps.Keys(host)); !slices.Equal(got, hostFields) {
 			t.Errorf("record %d (PR %d) has host fields %v, want %v", i, pr, got, hostFields)
@@ -119,11 +128,12 @@ func TestBenchTrajectory(t *testing.T) {
 		if r.Pairs <= 0 || r.PairsWon < 0 || r.PairsWon > r.Pairs {
 			t.Errorf("record %d (PR %d %s %s): %d of %d pairs won", i, r.PR, r.Workload, r.Metric, r.PairsWon, r.Pairs)
 		}
-		if r.ParentQ1 > r.ParentMedian || r.ParentMedian > r.ParentQ3 || r.Q1 > r.Median || r.Median > r.Q3 {
+		if r.ParentQ1 > r.ParentMedian || r.ParentMedian > r.ParentQ3 || r.Q1 > r.Median || r.Median > r.Q3 ||
+			r.PR >= spread && (r.Host.PingPongQ1NS > r.Host.PingPongNS || r.Host.PingPongNS > r.Host.PingPongQ3NS) {
 			t.Errorf("record %d (PR %d %s %s): quartiles do not bracket the medians", i, r.PR, r.Workload, r.Metric)
 		}
 		if r.Workload == "" || r.Metric == "" || r.Unit == "" || r.Host.NProc <= 0 || r.Host.Go == "" ||
-			r.PR >= fingerprinted && (r.Host.CPU == "" || r.Host.GOMAXPROCS <= 0) || r.PR >= floored && r.Host.PingPongNS <= 0 {
+			r.PR >= fingerprinted && (r.Host.CPU == "" || r.Host.GOMAXPROCS <= 0) || r.PR >= floored && r.Host.PingPongNS <= 0 || r.PR >= spread && r.Host.PingPongQ1NS <= 0 {
 			t.Errorf("record %d (PR %d): an empty field: %+v", i, r.PR, r)
 		}
 		newest := r.PR == recs[len(recs)-1].PR

@@ -157,11 +157,9 @@ func NewChainStoreOn(host transport.Host, opts ChainOptions) (*ChainStore, error
 	if err != nil {
 		return nil, fmt.Errorf("kv: chain registration: %w", err)
 	}
-	var cell [8]byte
 	var hdr [chainNodeHeader]byte
 	for b := int64(0); b < opts.Buckets; b++ {
-		prism.PutLE64(cell[:], 0, uint64(meta.nodeAddr(b, 0)))
-		if err := space.Write(meta.Key, meta.headAddr(b), cell[:]); err != nil {
+		if err := space.WriteU64(meta.Key, meta.headAddr(b), uint64(meta.nodeAddr(b, 0))); err != nil {
 			return nil, err
 		}
 		for pos := int64(0); pos < opts.Depth; pos++ {
@@ -200,9 +198,7 @@ func (s *ChainStore) Load(key int64, value []byte) error {
 	space.Guard().Lock()
 	defer space.Guard().Unlock()
 	node := s.meta.nodeAddr(bucket, pos)
-	var vlen [8]byte
-	prism.PutLE64(vlen[:], 0, uint64(len(value)))
-	if err := space.Write(s.meta.Key, node+chainNodeVLen, vlen[:]); err != nil {
+	if err := space.WriteU64(s.meta.Key, node+chainNodeVLen, uint64(len(value))); err != nil {
 		return err
 	}
 	return space.Write(s.meta.Key, node+chainNodeHeader, value)

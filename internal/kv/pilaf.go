@@ -64,9 +64,6 @@ type PilafServer struct {
 
 	// Puts counts RPC PUTs executed by the server CPU.
 	Puts int64
-
-	// loadBuf is Load's entry and slot images, reused from key to key.
-	loadBuf []byte
 }
 
 // PilafMeta is the client control-plane description.
@@ -247,24 +244,28 @@ func (s *PilafServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 }
 
 // Load bulk-installs an object (server-side, pre-experiment). Nothing reads
-// the store while it loads, so there is no race to stage: the entry and
-// then the slot are stored whole, and the image is settled when Load
-// returns, with no event scheduled.
+// the store yet, so there is no race to stage: the entry, then the slot,
+// are encoded whole where they live, settled when Load returns.
 func (s *PilafServer) Load(key int64, value []byte) error {
 	space := s.host.Space()
 	space.Guard().Lock()
 	defer space.Guard().Unlock()
 	n := pilafEntrySize(len(value))
-	s.loadBuf = pilafAppendEntry(s.loadBuf[:0], key, value)
 	slotAddr, dst, err := s.extent(key, n)
 	if err != nil {
 		return err
 	}
-	s.loadBuf = pilafAppendSlot(s.loadBuf, dst, n)
-	if err := space.Write(s.meta.Key, dst, s.loadBuf[:n]); err != nil {
+	entry, err := space.WriteView(s.meta.Key, dst, n)
+	if err != nil {
 		return err
 	}
-	return space.Write(s.meta.Key, slotAddr, s.loadBuf[n:])
+	pilafAppendEntry(entry[:0], key, value)
+	slot, err := space.WriteView(s.meta.Key, slotAddr, pilafSlotSize)
+	if err != nil {
+		return err
+	}
+	pilafAppendSlot(slot[:0], dst, n)
+	return nil
 }
 
 // PilafClient is a Pilaf client, written once against a transport.Issuer.

@@ -57,9 +57,7 @@ type Server struct {
 	host transport.Host
 	meta Meta
 	// retired is the rpcFree decode scratch; RPC dispatch is serialized
-	// by the transport (one engine in the simulator, rpcMu live). loadBuf
-	// is Load's entry image, touched only under the space guard.
-	loadBuf []byte
+	// by the transport (one engine in the simulator, rpcMu live).
 	retired []memory.Addr
 }
 
@@ -134,7 +132,7 @@ func (s *Server) handleRPC(payload []byte) ([]byte, time.Duration) {
 
 // Load installs key=value server-side (bulk loading before an experiment,
 // as the paper does). It consumes a free-list buffer like a remote PUT
-// would.
+// would, and encodes the entry and its slot where they live.
 func (s *Server) Load(key int64, value []byte) error {
 	idx, err := slotIndex(key, s.meta.NSlots)
 	if err != nil {
@@ -154,15 +152,20 @@ func (s *Server) Load(key int64, value []byte) error {
 	if err != nil {
 		return fmt.Errorf("kv: load out of buffers: %w", err)
 	}
-	s.loadBuf = appendEntry(s.loadBuf[:0], key, value)
-	if err := space.Write(s.meta.Key, buf, s.loadBuf); err != nil {
+	n := entrySize(len(value))
+	entry, err := space.WriteView(s.meta.Key, buf, n)
+	if err != nil {
 		return err
 	}
-	var img [slotSize]byte
-	prism.PutBE64(img[:], 0, 1) // initial tag
-	prism.PutLE64(img[:], 8, uint64(buf))
-	prism.PutLE64(img[:], 16, uint64(len(s.loadBuf)))
-	return space.Write(s.meta.Key, s.meta.slotAddr(idx), img[:])
+	appendEntry(entry[:0], key, value)
+	slot, err := space.WriteView(s.meta.Key, s.meta.slotAddr(idx), slotSize)
+	if err != nil {
+		return err
+	}
+	prism.PutBE64(slot, 0, 1) // initial tag
+	prism.PutLE64(slot, 8, uint64(buf))
+	prism.PutLE64(slot, 16, n)
+	return nil
 }
 
 // Cached CAS masks for the 24-byte slot layout: compare on the tag

@@ -49,3 +49,29 @@ func BenchmarkReadInto(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFindAlternating writes alternately to two regions of a
+// 16-region space, the pattern of a bulk load (an entry in a value slab,
+// then its slot in the table) and of an indirect READ (a pointer, then
+// its target).
+func BenchmarkFindAlternating(b *testing.B) {
+	s := NewSpace()
+	var regs []*Region
+	for i := 0; i < 16; i++ {
+		r, err := s.Register(4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		regs = append(regs, r)
+	}
+	pair := [2]*Region{regs[2], regs[9]}
+	var word [8]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := pair[i&1]
+		if err := s.Write(r.Key, r.Base+Addr(i%512*8), word[:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

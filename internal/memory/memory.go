@@ -69,11 +69,11 @@ type Space struct {
 	nextKey RKey
 	brk     Addr // bump pointer for Register allocations
 	sealed  bool // set by Snapshot; mutations panic afterwards
-	// last caches the most recently hit region. Verb streams have strong
-	// region locality (a store's hash table or value heap), so most lookups
-	// skip the binary search. Forked spaces get their own Region objects,
-	// so the cache never leaks across a fork boundary.
-	last *Region
+	// last and prev cache the two regions hit last, newest first: common
+	// verb streams alternate between two (a load's value slab and slot
+	// table, an indirect READ's pointer and target), so most lookups skip
+	// the search. A fork has its own Region objects and an empty cache.
+	last, prev *Region
 
 	// guard is the space's concurrency lock; see the type comment. Each
 	// Space (including forks) owns its own lock.
@@ -130,14 +130,18 @@ func (s *Space) RegisterShared(key RKey, n uint64) (*Region, error) {
 	return r, nil
 }
 
-// find returns the region containing addr, or nil.
+// find returns the region containing addr, or nil; a hit becomes last.
 func (s *Space) find(addr Addr) *Region {
 	if r := s.last; r != nil && addr >= r.Base && addr < r.End() {
 		return r
 	}
+	if r := s.prev; r != nil && addr >= r.Base && addr < r.End() {
+		s.last, s.prev = r, s.last
+		return r
+	}
 	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].End() > addr })
 	if i < len(s.regions) && addr >= s.regions[i].Base {
-		s.last = s.regions[i]
+		s.last, s.prev = s.regions[i], s.last
 		return s.regions[i]
 	}
 	return nil
@@ -198,14 +202,25 @@ func (s *Space) ReadInto(dst []byte, key RKey, addr Addr) error {
 	return nil
 }
 
+// WriteView is Peek's writable twin, for a server-local writer that builds
+// an image in place: a fork copies the region first, as for any write, and
+// callers must not retain the view past the current operation.
+func (s *Space) WriteView(key RKey, addr Addr, n uint64) ([]byte, error) {
+	s.checkMutable()
+	r, err := s.Check(key, addr, n)
+	if err != nil {
+		return nil, err
+	}
+	return r.writable(uint64(addr-r.Base), n), nil
+}
+
 // Write copies data to addr, validated under key.
 func (s *Space) Write(key RKey, addr Addr, data []byte) error {
-	s.checkMutable()
-	r, err := s.Check(key, addr, uint64(len(data)))
+	b, err := s.WriteView(key, addr, uint64(len(data)))
 	if err != nil {
 		return err
 	}
-	copy(r.writable(uint64(addr-r.Base), uint64(len(data))), data)
+	copy(b, data)
 	return nil
 }
 
@@ -254,19 +269,4 @@ func (s *Space) WriteBoundedPtr(key RKey, addr Addr, p BoundedPtr) error {
 	binary.LittleEndian.PutUint64(b[0:8], uint64(p.Ptr))
 	binary.LittleEndian.PutUint64(b[8:16], p.Bound)
 	return s.Write(key, addr, b[:])
-}
-
-// Bytes exposes the region's backing storage for server-local (CPU-side)
-// access, the way an application touches its own pinned memory. The slice
-// is writable, so on a forked region it copies the parent's bytes first;
-// use Peek for read-only access when the region may be a fork.
-func (r *Region) Bytes() []byte { return r.writable(0, r.Len) }
-
-// Slice returns the backing bytes for [addr, addr+n) without rkey
-// validation — server-local access only. The slice is writable.
-func (r *Region) Slice(addr Addr, n uint64) []byte {
-	if !r.Contains(addr, n) {
-		panic(fmt.Sprintf("memory: local slice [%#x,+%d) outside region", addr, n))
-	}
-	return r.writable(uint64(addr-r.Base), n)
 }

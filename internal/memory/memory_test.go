@@ -131,21 +131,123 @@ func TestRegionsDoNotOverlap(t *testing.T) {
 	}
 }
 
-func TestLocalSlice(t *testing.T) {
+// TestWriteView: a view writes where Write would, refuses what Write
+// refuses with the same error, panics on a sealed space, and on a fork
+// copies only the region it views, leaving the parent's bytes as they were.
+func TestWriteView(t *testing.T) {
 	s := NewSpace()
 	r, _ := s.Register(64)
-	sl := r.Slice(r.Base+8, 4)
-	copy(sl, "abcd")
-	got, _ := s.Read(r.Key, r.Base+8, 4)
-	if string(got) != "abcd" {
-		t.Fatalf("local write not visible remotely: %q", got)
+	other, _ := s.Register(64)
+	v, err := s.WriteView(r.Key, r.Base+8, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range local slice did not panic")
+	if len(v) != 4 || cap(v) != 4 {
+		t.Fatalf("view len %d cap %d, want 4 and 4", len(v), cap(v))
+	}
+	copy(v, "abcd")
+	if got, _ := s.Read(r.Key, r.Base+8, 4); string(got) != "abcd" {
+		t.Fatalf("view write not visible remotely: %q", got)
+	}
+	for _, c := range []struct {
+		name string
+		key  RKey
+		addr Addr
+		n    uint64
+		want error
+	}{
+		{"wrong rkey", other.Key, r.Base, 8, ErrBadRKey},
+		{"out of bounds", r.Key, r.Base + 60, 8, ErrOutOfBounds},
+		{"null address", r.Key, 0, 8, ErrNullPointer},
+		{"unregistered", r.Key, other.End() + 0x10000, 8, ErrUnregistered},
+	} {
+		v, err := s.WriteView(c.key, c.addr, c.n)
+		werr := s.Write(c.key, c.addr, make([]byte, c.n))
+		if v != nil || !errors.Is(err, c.want) || werr == nil || err.Error() != werr.Error() {
+			t.Errorf("%s: WriteView = %v, %v; Write = %v; want nil and %v from both", c.name, v, err, werr, c.want)
 		}
+	}
+
+	sn, regs := buildParent(t)
+	parent := sn.Space()
+	before, _ := parent.Read(regs[1].Key, regs[1].Base, regs[1].Len)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("WriteView on a sealed space did not panic")
+			}
+		}()
+		parent.WriteView(regs[1].Key, regs[1].Base, 8)
 	}()
-	r.Slice(r.Base+60, 8)
+	f := sn.Fork()
+	v, err = f.WriteView(regs[1].Key, regs[1].Base+4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(v, "forkview")
+	for i, fr := range f.Regions() {
+		if want := i != 1; fr.Shared() != want {
+			t.Errorf("fork region %d shared = %v after a view of region 1, want %v", i, fr.Shared(), want)
+		}
+	}
+	if after, _ := parent.Read(regs[1].Key, regs[1].Base, regs[1].Len); !bytes.Equal(after, before) {
+		t.Fatal("a view on a fork changed the parent's bytes")
+	}
+	if got, _ := f.Read(regs[1].Key, regs[1].Base+4, 8); string(got) != "forkview" {
+		t.Fatalf("fork reads %q through its own view", got)
+	}
+}
+
+// TestFindAlternates: lookups alternating between two regions, or spread
+// over all of them, return the region a scan finds, and a fork of a space
+// whose cache is warm never returns one of the parent's regions.
+func TestFindAlternates(t *testing.T) {
+	s := NewSpace()
+	var regs []*Region
+	for i := 0; i < 16; i++ {
+		r, _ := s.Register(uint64(64 + 8*i))
+		regs = append(regs, r)
+	}
+	scan := func(regs []*Region, addr Addr) *Region {
+		for _, r := range regs {
+			if r.Contains(addr, 1) {
+				return r
+			}
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(r *Region) Addr { return r.Base + Addr(rng.Intn(int(r.Len))) }
+	for i := 0; i < 200; i++ {
+		var addr Addr
+		switch {
+		case i < 100: // alternate between two regions
+			addr = pick(regs[3+8*(i%2)])
+		case i%3 == 0: // one of the pair, then anywhere
+			addr = pick(regs[3])
+		default:
+			addr = pick(regs[rng.Intn(len(regs))])
+		}
+		if got, want := s.find(addr), scan(regs, addr); got != want {
+			t.Fatalf("lookup %d of %#x: region %p, want %p", i, addr, got, want)
+		}
+	}
+	if s.find(regs[15].End()+64) != nil {
+		t.Fatal("an address past every region found a region")
+	}
+
+	s.find(regs[3].Base)
+	s.find(regs[11].Base)
+	f := s.Snapshot().Fork()
+	forkRegs := f.Regions()
+	for i := 0; i < 4; i++ {
+		for _, j := range []int{3, 11} {
+			got := f.find(regs[j].Base)
+			if got == regs[j] || got != forkRegs[j] {
+				t.Fatalf("fork lookup of region %d: %p, want the fork's %p (the parent's is %p)", j, got, forkRegs[j], regs[j])
+			}
+		}
+	}
 }
 
 // Property: any write followed by a read of the same range under the same

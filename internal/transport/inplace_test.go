@@ -61,7 +61,10 @@ func inPlaceServer(t *testing.T) (*transport.Server, *memory.Region) {
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	b := r.Bytes()
+	b, err := sp.WriteView(r.Key, r.Base, ipRegionLen)
+	if err != nil {
+		t.Fatalf("WriteView: %v", err)
+	}
 	for i := 0; i < ipPatternLen; i++ {
 		b[ipPattern+i] = pattern(i)
 	}

@@ -54,8 +54,6 @@ func (m *FarmMeta) objSize() uint64 {
 type FarmServer struct {
 	host transport.Host
 	meta FarmMeta
-	// loadBuf is Load's object image, reused from key to key.
-	loadBuf []byte
 }
 
 // NewFarmServer provisions the index and object heap on host — the
@@ -96,19 +94,17 @@ func (s *FarmServer) Load(key int64, value []byte) error {
 	}
 	idx := ((key % s.meta.NSlots) + s.meta.NSlots) % s.meta.NSlots
 	objAddr := s.meta.HeapBase + memory.Addr(uint64(idx)*s.meta.objSize())
-	if s.loadBuf == nil {
-		s.loadBuf = make([]byte, s.meta.objSize())
+	space := s.host.Space()
+	img, err := space.WriteView(s.meta.Key, objAddr, s.meta.objSize())
+	if err != nil {
+		return err
 	}
-	img := s.loadBuf // the lock word stays zero; the rest is rewritten per key
+	prism.PutLE64(img, 0, 0) // unlocked; the rest is rewritten per key too
 	prism.PutBE64(img, 8, uint64(InitialVersion))
 	binary.LittleEndian.PutUint64(img[farmHdr:], 8)
 	binary.BigEndian.PutUint64(img[farmHdr+8:], uint64(key))
 	n := copy(img[farmHdr+16:], value)
 	clear(img[farmHdr+16+n:]) // what a longer value left behind
-	space := s.host.Space()
-	if err := space.Write(s.meta.Key, objAddr, img); err != nil {
-		return err
-	}
 	return space.WriteU64(s.meta.Key, s.meta.indexAddr(idx), uint64(objAddr))
 }
 

@@ -37,8 +37,6 @@ type ShardOptions struct {
 type Shard struct {
 	host transport.Host
 	meta Meta
-	// loadBuf is Load's version image, reused from key to key.
-	loadBuf []byte
 }
 
 // NewShard provisions the metadata array and version-buffer free list on
@@ -88,22 +86,23 @@ func (s *Shard) Load(key int64, value []byte) error {
 		return fmt.Errorf("tx: load out of buffers: %w", err)
 	}
 	space := s.host.Space()
-	if s.loadBuf == nil {
-		s.loadBuf = make([]byte, bufSize(s.meta.MaxValue))
-	}
-	img := s.loadBuf[:bufSize(len(value))]
-	fillVersion(img, InitialVersion, key, value)
-	if err := space.Write(s.meta.Key, buf, img); err != nil {
+	n := bufSize(len(value))
+	img, err := space.WriteView(s.meta.Key, buf, n)
+	if err != nil {
 		return err
 	}
+	fillVersion(img, InitialVersion, key, value)
 	idx := ((key % s.meta.NSlots) + s.meta.NSlots) % s.meta.NSlots
-	var entry [metaSize]byte
-	prism.PutBE64(entry[:], offPW, uint64(InitialVersion))
-	prism.PutBE64(entry[:], offPR, uint64(InitialVersion))
-	prism.PutBE64(entry[:], offC, uint64(InitialVersion))
-	prism.PutLE64(entry[:], offAddr, uint64(buf))
-	prism.PutLE64(entry[:], offBound, uint64(len(img)))
-	return space.Write(s.meta.Key, s.meta.slotAddr(idx), entry[:])
+	entry, err := space.WriteView(s.meta.Key, s.meta.slotAddr(idx), metaSize)
+	if err != nil {
+		return err
+	}
+	prism.PutBE64(entry, offPW, uint64(InitialVersion))
+	prism.PutBE64(entry, offPR, uint64(InitialVersion))
+	prism.PutBE64(entry, offC, uint64(InitialVersion))
+	prism.PutLE64(entry, offAddr, uint64(buf))
+	prism.PutLE64(entry, offBound, n)
+	return nil
 }
 
 // Client is a PRISM-TX client, written once over one transport.Issuer per
