@@ -56,11 +56,11 @@ func NewLockReplica(host transport.Host, nBlocks int64, blockSize int) (*LockRep
 	meta := LockMeta{Key: key, Base: base, NBlocks: nBlocks, BlockSize: blockSize}
 	initTag := MakeTag(1, 0)
 	for b := int64(0); b < nBlocks; b++ {
-		hdr := make([]byte, lockHdr)
-		prism.PutBE64(hdr, 8, uint64(initTag))
-		if err := space.Write(meta.Key, meta.blockAddr(b), hdr); err != nil {
+		hdr, err := space.WriteView(meta.Key, meta.blockAddr(b), lockHdr)
+		if err != nil {
 			return nil, err
 		}
+		prism.PutBE64(hdr, 8, uint64(initTag)) // unlocked: the lock word stays 0
 	}
 	host.PublishMeta("lock", meta)
 	return &LockReplica{meta: meta}, nil

@@ -53,29 +53,29 @@ func NewReplica(host transport.Host, opts ReplicaOptions) (*Replica, error) {
 	bufSize := meta.bufSize()
 	fl := alloc.NewFreeList(meta.FreeList, bufSize, meta.Key, space, int(opts.NBlocks)+opts.ExtraBuffers)
 
-	// Initialize every block with tag (1,0) and a zero value in a buffer
-	// popped from the free list, as an out-of-place write would.
+	// Every block starts at tag (1,0) with a zero value, in a buffer popped
+	// as an out-of-place write would: fresh, so zero but for its tag.
 	initTag := MakeTag(1, 0)
-	img := make([]byte, bufSize)
-	prism.PutBE64(img, 0, uint64(initTag))
-	entry := make([]byte, meta.entrySize())
-	prism.PutBE64(entry, 0, uint64(initTag))
 	for b := int64(0); b < opts.NBlocks; b++ {
 		bufAddr, err := fl.Pop()
 		if err != nil {
 			return nil, fmt.Errorf("abd: initial buffers: %w", err)
 		}
-		if err := space.Write(meta.Key, bufAddr, img); err != nil {
+		tag, err := space.WriteView(meta.Key, bufAddr, 8)
+		if err != nil {
 			return nil, err
 		}
+		prism.PutBE64(tag, 0, uint64(initTag))
+		entry, err := space.WriteView(meta.Key, meta.entryAddr(b), uint64(meta.entrySize()))
+		if err != nil {
+			return nil, err
+		}
+		prism.PutBE64(entry, 0, uint64(initTag))
 		prism.PutLE64(entry, 8, uint64(bufAddr))
 		if meta.Variable {
 			// The bound covers the whole [tag|value] buffer image so a
 			// bounded indirect READ returns both.
 			prism.PutLE64(entry, 16, bufSize)
-		}
-		if err := space.Write(meta.Key, meta.entryAddr(b), entry); err != nil {
-			return nil, err
 		}
 	}
 	host.AddFreeList(fl)

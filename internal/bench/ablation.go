@@ -73,27 +73,31 @@ func AblationRedirectTarget(cfg Config) *Figure {
 	}
 	series := []string{"on-NIC temp storage (§4.2)", "host-memory temp storage"}
 	sweep(cfg, fig, series, []string{"chain"}, func(_ Config, vi int, key string) (Point, Telemetry) {
-		p := model.Default().WithNetwork(model.Direct)
-		p.RedirectToHostMem = vi == 1
-		env := newMicroEnv(model.ProjectedHardwarePRISM, p, PointSeed(cfg.Seed, fig.ID, series[vi], key))
-		var tag uint64 = 1
-		lat := env.measure(func(i int) []wire.Op {
-			tag++
-			tagBytes := make([]byte, 8)
-			prism.PutBE64(tagBytes, 0, tag)
-			tmp := env.conn.TempAddr
-			return []wire.Op{
-				prism.Write(env.conn.TempKey, tmp, tagBytes),
-				prism.Conditional(prism.RedirectTo(prism.Allocate(1, make([]byte, microValue)), env.conn.TempKey, tmp+8)),
-				prism.Conditional(prism.CASIndirectData(env.reg.Key, env.reg.Base+64, wire.CASGt, tmp,
-					prism.FieldMask(16, 0, 8), prism.FullMask(16))),
-			}
-		})
-		return latencyPoint(lat), engineTelemetry(env.e)
+		return redirectPoint(vi == 1).run(PointSeed(cfg.Seed, fig.ID, series[vi], key))
 	}, func(_, _ int, pt Point, _ Telemetry) string {
 		return fmt.Sprintf("chain RTT %.2fµs", float64(pt.Mean)/1e3)
 	})
 	return fig
+}
+
+// redirectPoint times the out-of-place update chain, its redirect target
+// in host memory if hostMem: the ith issue writes a rising tag into the
+// connection's temp cell, ALLOCATEs the new value with its address
+// redirected beside the tag, and CASes the [tag|addr] cell over from there.
+func redirectPoint(hostMem bool) microPoint {
+	p := model.Default().WithNetwork(model.Direct)
+	p.RedirectToHostMem = hostMem
+	return microPoint{model.ProjectedHardwarePRISM, p, []microOp{func(env *microEnv, i int) []wire.Op {
+		tagBytes := make([]byte, 8)
+		prism.PutBE64(tagBytes, 0, uint64(i)+2) // above the cell's tag 1, rising
+		tmp := env.conn.TempAddr
+		return []wire.Op{
+			prism.Write(env.conn.TempKey, tmp, tagBytes),
+			prism.Conditional(prism.RedirectTo(prism.Allocate(1, make([]byte, microValue)), env.conn.TempKey, tmp+8)),
+			prism.Conditional(prism.CASIndirectData(env.reg.Key, env.reg.Base+64, wire.CASGt, tmp,
+				prism.FieldMask(16, 0, 8), prism.FullMask(16))),
+		}
+	}}}
 }
 
 // AblationFreelistClasses quantifies §3.2's space/simplicity tradeoff:

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"prism/internal/abd"
 	"prism/internal/kv"
 	"prism/internal/transport"
 	"prism/internal/tx"
@@ -15,7 +16,9 @@ import (
 // in a scratch buffer and copied into place. A loader that encodes in
 // place must leave the same bytes: every slot, entry, version and object,
 // every field the image rewrites, and the tail of an object a longer value
-// once filled.
+// once filled. The two replicas have no loader: their rows check the 1000
+// blocks their constructors initialize against the image a constructor
+// left when it copied whole buffer and header images into place.
 func TestLoadedImagesGolden(t *testing.T) {
 	const keys, maxValue = 1000, 512
 	value := func(key int64, n int) []byte {
@@ -60,6 +63,14 @@ func TestLoadedImagesGolden(t *testing.T) {
 			}
 			return s.Load, nil
 		}},
+		{"prism-rs", 0xee199afe25b5f125, func(h transport.Host) (func(int64, []byte) error, error) {
+			_, err := abd.NewReplica(h, abd.ReplicaOptions{NBlocks: keys, BlockSize: maxValue, ExtraBuffers: 16, VariableSize: true})
+			return nil, err
+		}},
+		{"abd-lock", 0xaf941fe18ed59ce6, func(h transport.Host) (func(int64, []byte) error, error) {
+			_, err := abd.NewLockReplica(h, keys, maxValue)
+			return nil, err
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			host := transport.NewServer()
@@ -67,13 +78,15 @@ func TestLoadedImagesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k := int64(0); k < keys; k++ {
-				if err := load(k, value(k, 1+int(k*97)%maxValue)); err != nil {
-					t.Fatalf("load %d: %v", k, err)
+			if load != nil {
+				for k := int64(0); k < keys; k++ {
+					if err := load(k, value(k, 1+int(k*97)%maxValue)); err != nil {
+						t.Fatalf("load %d: %v", k, err)
+					}
 				}
-			}
-			if err := load(500, value(500, 5)); err != nil {
-				t.Fatalf("second load of 500: %v", err)
+				if err := load(500, value(500, 5)); err != nil {
+					t.Fatalf("second load of 500: %v", err)
+				}
 			}
 			if got := spaceChecksum(t, host.Space()); got != c.want {
 				t.Errorf("loaded image checksum %#x, want %#x", got, c.want)

@@ -23,47 +23,79 @@ type microEnv struct {
 	reg  *memory.Region
 }
 
-// microIters is how many timed ops a probe issues after its one warmup op.
-const microIters = 64
+// microIters is how many timed round trips a probe issues after its
+// warm-up: on an idle simulated link each takes the same virtual time, so
+// measure panics if one differs (TestMicroProbesSteady times 64).
+const microIters = 2
 
-// measure runs op repeatedly and returns its steady-state round-trip time.
-func (m *microEnv) measure(mk func(i int) []wire.Op) time.Duration {
-	var total time.Duration
+// A microOp is the ith issue of a probe's op on env; issue 0 is the warm-up.
+type microOp func(env *microEnv, i int) []wire.Op
+
+// measure issues op's warm-up, then microIters timed round trips, and
+// returns the one time they all take: the steady-state round-trip time.
+func (m *microEnv) measure(op microOp) time.Duration {
+	var trips [microIters]time.Duration
 	m.e.Go("probe", func(p *sim.Proc) {
-		// One warmup op.
-		m.conn.Issue(mk(0))
-		start := p.Now()
-		for i := 1; i <= microIters; i++ {
-			res, _ := m.conn.Issue(mk(i))
+		m.conn.Issue(op(m, 0))
+		for i := range trips {
+			start := p.Now()
+			res, _ := m.conn.Issue(op(m, i+1))
+			trips[i] = time.Duration(p.Now().Sub(start))
 			for _, r := range res {
 				if !r.Status.OK() && r.Status != wire.StatusCASFailed {
 					panic(fmt.Sprintf("bench: micro op status %v", r.Status))
 				}
 			}
 		}
-		total = time.Duration(p.Now().Sub(start)) / microIters
 	})
 	m.e.Run()
-	return total
+	for _, d := range trips {
+		if d != trips[0] {
+			panic(fmt.Sprintf("bench: micro round trips differ: %v", trips))
+		}
+	}
+	return trips[0]
+}
+
+// A microPoint is one point of a micro figure: the deployment and network
+// its env runs, and the dependent ops whose round trips add up to its
+// latency (none where the deployment does not execute the op). The
+// figures and TestMicroProbesSteady build their points the same way.
+type microPoint struct {
+	deploy model.Deployment
+	params model.Params
+	ops    []microOp
+}
+
+func (pt microPoint) run(seed int64) (Point, Telemetry) {
+	env := newMicroEnv(pt.deploy, pt.params, seed)
+	var lat time.Duration
+	for _, op := range pt.ops {
+		lat += env.measure(op)
+	}
+	return latencyPoint(lat), engineTelemetry(env.e)
 }
 
 const microValue = 512 // Fig. 1 uses 512-byte values
 
-// Fig1 reproduces Figure 1: microbenchmark latencies of READ, WRITE,
-// Indirect READ, ALLOCATE, and Enhanced-CAS (512 B values) under the four
-// deployments. Stock RDMA appears only for the ops it supports.
-func Fig1(cfg Config) *Figure {
-	deployments := []model.Deployment{
+var (
+	fig1Deployments = []model.Deployment{
 		model.HardwareRDMA,
 		model.SoftwarePRISM,
 		model.BlueFieldPRISM,
 		model.ProjectedHardwarePRISM,
 	}
-	series := make([]string, len(deployments))
-	for i, d := range deployments {
+	fig1Ops = []string{"Read", "Write", "Indirect Read", "Allocate", "Enhanced-CAS"}
+)
+
+// Fig1 reproduces Figure 1: microbenchmark latencies of READ, WRITE,
+// Indirect READ, ALLOCATE, and Enhanced-CAS (512 B values) under the four
+// deployments. Stock RDMA appears only for the ops it supports.
+func Fig1(cfg Config) *Figure {
+	series := make([]string, len(fig1Deployments))
+	for i, d := range fig1Deployments {
 		series[i] = d.String()
 	}
-	opNames := []string{"Read", "Write", "Indirect Read", "Allocate", "Enhanced-CAS"}
 	fig := &Figure{
 		ID:     "fig1",
 		Title:  "PRISM microbenchmarks vs hardware RDMA (512 B, direct link)",
@@ -71,29 +103,30 @@ func Fig1(cfg Config) *Figure {
 		YLabel: "latency (µs)",
 	}
 	sweep(cfg, fig, series, []int{0, 1, 2, 3, 4}, func(_ Config, di, opIdx int) (Point, Telemetry) {
-		env := newMicroEnv(deployments[di], model.Default().WithNetwork(model.Direct),
-			PointSeed(cfg.Seed, "fig1", series[di], opNames[opIdx]))
-		issue := func(i int) []wire.Op { return fig1Op(env.reg.Key, env.reg.Base, opIdx, i) }
-		var lat time.Duration // stays 0 where the deployment does not execute the op
-		if model.Executes(deployments[di], issue(0)) {
-			lat = env.measure(issue)
-		}
-		return latencyPoint(lat), engineTelemetry(env.e)
+		return fig1Point(di, opIdx).run(PointSeed(cfg.Seed, "fig1", series[di], fig1Ops[opIdx]))
 	}, func(di, opIdx int, _ Point, _ Telemetry) string {
-		if !model.Executes(deployments[di], fig1Op(0, 0, opIdx, 0)) {
-			return opNames[opIdx] + " (unsupported)"
+		if len(fig1Point(di, opIdx).ops) == 0 {
+			return fig1Ops[opIdx] + " (unsupported)"
 		}
-		return opNames[opIdx]
+		return fig1Ops[opIdx]
 	})
 	return fig
 }
 
+// fig1Point is Fig. 1's op opIdx under deployment di, on a direct link.
+func fig1Point(di, opIdx int) microPoint {
+	pt := microPoint{deploy: fig1Deployments[di], params: model.Default().WithNetwork(model.Direct)}
+	if model.Executes(pt.deploy, fig1Op(0, 0, opIdx, 0)) {
+		pt.ops = []microOp{func(env *microEnv, i int) []wire.Op { return fig1Op(env.reg.Key, env.reg.Base, opIdx, i) }}
+	}
+	return pt
+}
+
 // newMicroEnv builds the two-machine env with value, pointer, and CAS
-// cells pre-seeded. A probe addresses 4.6 KiB of its region (the value
+// cells pre-seeded, and §2.1's KV-style GET handler, which returns the
+// 512 B object to an RPC. A probe addresses 4.6 KiB of its region (the value
 // ends at +4096+microValue) and one measure pops microIters+1 buffers, so
-// that is what the env registers and what its free list may carve:
-// registering allocates and zeroes, and a megabyte of it per probe was
-// most of what the figure set's 35 probes cost the host.
+// that is what the env registers and what its free list may carve.
 func newMicroEnv(d model.Deployment, p model.Params, seed int64) *microEnv {
 	e := sim.NewEngine(seed)
 	net := fabric.New(e, p)
@@ -105,13 +138,11 @@ func newMicroEnv(d model.Deployment, p model.Params, seed int64) *microEnv {
 	srv.SetConnTempKey(reg.Key)
 	srv.AddFreeList(alloc.NewFreeList(1, 1024, reg.Key, srv.Space(), microIters+1))
 	cli := rdma.NewClient(net, "cli")
+	srv.SetRPCHandler(func([]byte) ([]byte, time.Duration) { return make([]byte, microValue), 0 })
 	env := &microEnv{e: e, srv: srv, conn: cli.Connect(srv), reg: reg}
 
 	space := srv.Space()
-	// value at +4096, pointer to it at +0, CAS cell [tag|addr] at +64.
-	if err := space.Write(reg.Key, reg.Base+4096, make([]byte, microValue)); err != nil {
-		panic(err)
-	}
+	// value at +4096 (zero as registered), pointer at +0, [tag|addr] at +64.
 	if err := space.WriteU64(reg.Key, reg.Base, uint64(reg.Base+4096)); err != nil {
 		panic(err)
 	}
@@ -145,58 +176,74 @@ func fig1Op(key memory.RKey, base memory.Addr, opIdx, i int) []wire.Op {
 	}
 }
 
-// read, twoReads and indirectRead are the three ways to fetch the 512 B
-// object that Fig. 2 and §2.1 compare: directly, by a pointer read then a
-// data read (two dependent round trips), and by one PRISM indirect READ.
-func (env *microEnv) read() time.Duration {
-	return env.measure(func(int) []wire.Op {
-		return []wire.Op{prism.Read(env.reg.Key, env.reg.Base+4096, microValue)}
-	})
+// valueRead, pointerRead and indirectRead fetch the 512 B object that
+// Fig. 2 and §2.1 compare: directly, by two dependent round trips
+// (pointerRead, then valueRead), and by one PRISM indirect READ.
+func valueRead(env *microEnv, _ int) []wire.Op {
+	return []wire.Op{prism.Read(env.reg.Key, env.reg.Base+4096, microValue)}
 }
 
-func (env *microEnv) twoReads() time.Duration {
-	return env.measure(func(int) []wire.Op {
-		return []wire.Op{prism.Read(env.reg.Key, env.reg.Base, 8)}
-	}) + env.read()
+func pointerRead(env *microEnv, _ int) []wire.Op {
+	return []wire.Op{prism.Read(env.reg.Key, env.reg.Base, 8)}
 }
 
-func (env *microEnv) indirectRead() time.Duration {
-	return env.measure(func(int) []wire.Op {
-		return []wire.Op{prism.ReadIndirect(env.reg.Key, env.reg.Base, microValue)}
-	})
+func indirectRead(env *microEnv, _ int) []wire.Op {
+	return []wire.Op{prism.ReadIndirect(env.reg.Key, env.reg.Base, microValue)}
 }
+
+func rpcCall(*microEnv, int) []wire.Op { return []wire.Op{prism.Send([]byte{1})} }
+
+// A microSeries is a series of Fig. 2 or §2.1: a deployment and the ops
+// that fetch the object.
+type microSeries struct {
+	name   string
+	deploy model.Deployment
+	ops    []microOp
+}
+
+func seriesNames(ss []microSeries) []string {
+	out := make([]string, len(ss))
+	for i, s := range ss {
+		out[i] = s.name
+	}
+	return out
+}
+
+var (
+	fig2Profiles = []model.SwitchProfile{model.Rack, model.Cluster, model.Datacenter}
+	fig2Variants = []microSeries{
+		{"2x RDMA", model.HardwareRDMA, []microOp{pointerRead, valueRead}},
+		{"PRISM SW", model.SoftwarePRISM, []microOp{indirectRead}},
+		{"PRISM BlueField", model.BlueFieldPRISM, []microOp{indirectRead}},
+		{"PRISM HW (proj)", model.ProjectedHardwarePRISM, []microOp{indirectRead}},
+	}
+	rpcMechanisms = []microSeries{
+		{"one-sided READ", model.HardwareRDMA, []microOp{valueRead}},
+		{"two-sided RPC", model.HardwareRDMA, []microOp{rpcCall}},
+		{"2x one-sided READs", model.HardwareRDMA, []microOp{pointerRead, valueRead}},
+	}
+)
 
 // Fig2 reproduces Figure 2: the latency of a dependent pointer chase —
 // two RDMA READs vs one PRISM indirect READ — under the rack, cluster,
 // and datacenter latency profiles.
 func Fig2(cfg Config) *Figure {
-	profiles := []model.SwitchProfile{model.Rack, model.Cluster, model.Datacenter}
 	fig := &Figure{
 		ID:     "fig2",
 		Title:  "Indirect read latency: 2x RDMA vs PRISM, by network scale",
 		XLabel: "network profile (rack / cluster / datacenter)",
 		YLabel: "latency (µs)",
 	}
-	variants := []struct {
-		name   string
-		deploy model.Deployment
-		fetch  func(*microEnv) time.Duration
-	}{
-		{"2x RDMA", model.HardwareRDMA, (*microEnv).twoReads},
-		{"PRISM SW", model.SoftwarePRISM, (*microEnv).indirectRead},
-		{"PRISM BlueField", model.BlueFieldPRISM, (*microEnv).indirectRead},
-		{"PRISM HW (proj)", model.ProjectedHardwarePRISM, (*microEnv).indirectRead},
-	}
-	series := make([]string, len(variants))
-	for i, v := range variants {
-		series[i] = v.name
-	}
-	sweep(cfg, fig, series, profiles, func(_ Config, vi int, prof model.SwitchProfile) (Point, Telemetry) {
-		v := variants[vi]
-		env := newMicroEnv(v.deploy, model.Default().WithNetwork(prof), PointSeed(cfg.Seed, "fig2", v.name, prof.Name))
-		return latencyPoint(v.fetch(env)), engineTelemetry(env.e)
-	}, func(_, pi int, _ Point, _ Telemetry) string { return profiles[pi].Name })
+	series := seriesNames(fig2Variants)
+	sweep(cfg, fig, series, fig2Profiles, func(_ Config, vi int, prof model.SwitchProfile) (Point, Telemetry) {
+		return fig2Point(vi, prof).run(PointSeed(cfg.Seed, "fig2", series[vi], prof.Name))
+	}, func(_, pi int, _ Point, _ Telemetry) string { return fig2Profiles[pi].Name })
 	return fig
+}
+
+func fig2Point(vi int, prof model.SwitchProfile) microPoint {
+	v := fig2Variants[vi]
+	return microPoint{v.deploy, model.Default().WithNetwork(prof), v.ops}
 }
 
 // RPCvsRDMA reproduces the §2.1 motivating measurement: one-sided READ vs
@@ -212,29 +259,15 @@ func RPCvsRDMA(cfg Config) *Figure {
 		XLabel: "mechanism",
 		YLabel: "latency (µs)",
 	}
-	mechanisms := []struct {
-		name    string
-		measure func(*microEnv) time.Duration
-	}{
-		{"one-sided READ", (*microEnv).read},
-		{"two-sided RPC", func(env *microEnv) time.Duration {
-			return env.measure(func(int) []wire.Op { return []wire.Op{prism.Send([]byte{1})} })
-		}},
-		{"2x one-sided READs", (*microEnv).twoReads},
-	}
-	series := make([]string, len(mechanisms))
-	for i, m := range mechanisms {
-		series[i] = m.name
-	}
+	series := seriesNames(rpcMechanisms)
 	sweep(cfg, fig, series, []string{"512B"}, func(_ Config, mi int, size string) (Point, Telemetry) {
-		p := model.Default().WithNetwork(model.Direct)
-		p.RDMABaseRTT = 3200 * time.Nanosecond // §2.1's 40 GbE testbed
-		env := newMicroEnv(model.HardwareRDMA, p, PointSeed(cfg.Seed, "rpcvsrdma", series[mi], size))
-		env.srv.SetRPCHandler(func(payload []byte) ([]byte, time.Duration) {
-			// KV-style GET handler: return the 512 B object.
-			return make([]byte, microValue), 0
-		})
-		return latencyPoint(mechanisms[mi].measure(env)), engineTelemetry(env.e)
+		return rpcPoint(mi).run(PointSeed(cfg.Seed, "rpcvsrdma", series[mi], size))
 	}, func(mi, _ int, _ Point, _ Telemetry) string { return series[mi] })
 	return fig
+}
+
+func rpcPoint(mi int) microPoint {
+	p := model.Default().WithNetwork(model.Direct)
+	p.RDMABaseRTT = 3200 * time.Nanosecond // §2.1's 40 GbE testbed
+	return microPoint{rpcMechanisms[mi].deploy, p, rpcMechanisms[mi].ops}
 }

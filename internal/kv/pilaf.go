@@ -164,37 +164,35 @@ func pilafDecodeSlot(b []byte) (inuse bool, ptr memory.Addr, length uint64, ok b
 }
 
 // extent is the server CPU's half of storing key's n-byte entry: it
-// returns key's slot and the extent the entry goes to, the one the slot
-// names. A key's first store pops a fresh extent and claims the slot for
-// it at once — the in-use word and pointer stored whole, ahead of the
-// tear-delayed stores that follow — so a racing PUT of the key finds the
-// claim. The caller holds the space guard. A key from outside the table
+// returns key's slot, as its address and a writable view, and the extent
+// the entry goes to, the one the slot names. A key's first store pops a
+// fresh extent and claims the slot for it at once — the in-use word and
+// pointer stored whole, ahead of the tear-delayed stores that follow — so
+// a racing PUT of the key finds the claim. The caller holds the space
+// guard, or loads before the host serves. A key from outside the table
 // (an RPC's) or an entry over the largest is refused before anything
 // changes.
-func (s *PilafServer) extent(key int64, n uint64) (slotAddr, dst memory.Addr, err error) {
-	slot, err := slotIndex(key, s.meta.NSlots)
+func (s *PilafServer) extent(key int64, n uint64) (slotAddr memory.Addr, slot []byte, dst memory.Addr, err error) {
+	idx, err := slotIndex(key, s.meta.NSlots)
 	if err != nil {
-		return 0, 0, err
+		return 0, nil, 0, err
 	}
 	if n > s.extents.BufSize {
-		return 0, 0, fmt.Errorf("kv: pilaf value exceeds MaxValue %d", s.meta.MaxValue)
+		return 0, nil, 0, fmt.Errorf("kv: pilaf value exceeds MaxValue %d", s.meta.MaxValue)
 	}
-	space := s.host.Space()
-	slotAddr = s.meta.HashBase + memory.Addr(slot*pilafSlotSize)
-	head, err := space.Peek(s.meta.Key, slotAddr, 16)
-	if err != nil {
-		return 0, 0, err
+	slotAddr = s.meta.HashBase + memory.Addr(idx*pilafSlotSize)
+	if slot, err = s.host.Space().WriteView(s.meta.Key, slotAddr, pilafSlotSize); err != nil {
+		return 0, nil, 0, err
 	}
-	if binary.LittleEndian.Uint64(head) == 1 {
-		return slotAddr, memory.Addr(binary.LittleEndian.Uint64(head[8:])), nil
+	if binary.LittleEndian.Uint64(slot) == 1 {
+		return slotAddr, slot, memory.Addr(binary.LittleEndian.Uint64(slot[8:])), nil
 	}
 	if dst, err = s.extents.Pop(); err != nil {
-		return 0, 0, fmt.Errorf("kv: pilaf extents: %w", err)
+		return 0, nil, 0, fmt.Errorf("kv: pilaf extents: %w", err)
 	}
-	if err := space.WriteU64(s.meta.Key, slotAddr, 1); err != nil {
-		return 0, 0, err
-	}
-	return slotAddr, dst, space.WriteU64(s.meta.Key, slotAddr+8, uint64(dst))
+	binary.LittleEndian.PutUint64(slot, 1)
+	binary.LittleEndian.PutUint64(slot[8:], uint64(dst))
+	return slotAddr, slot, dst, nil
 }
 
 // tearDelay separates the CPU's partial memory writes during a PUT, so
@@ -212,7 +210,7 @@ func (s *PilafServer) put(key int64, value []byte) error {
 	n := pilafEntrySize(len(value))
 	img := pilafAppendEntry(make([]byte, 0, n+pilafSlotSize), key, value)
 	s.host.Space().Guard().Lock()
-	slotAddr, dst, err := s.extent(key, n)
+	slotAddr, _, dst, err := s.extent(key, n)
 	s.host.Space().Guard().Unlock()
 	if err != nil {
 		return err
@@ -243,27 +241,22 @@ func (s *PilafServer) handleRPC(payload []byte) ([]byte, time.Duration) {
 	return []byte{0}, 500 * time.Nanosecond
 }
 
-// Load bulk-installs an object (server-side, pre-experiment). Nothing reads
-// the store yet, so there is no race to stage: the entry, then the slot,
-// are encoded whole where they live, settled when Load returns.
+// Load bulk-installs an object (server-side, pre-experiment). Like every
+// loader it runs before its host serves (transport.Host): it takes no
+// guard, and with no reader to race there is nothing to stage. The entry,
+// then the slot in the view extent claimed it through, are encoded whole
+// where they live.
 func (s *PilafServer) Load(key int64, value []byte) error {
-	space := s.host.Space()
-	space.Guard().Lock()
-	defer space.Guard().Unlock()
 	n := pilafEntrySize(len(value))
-	slotAddr, dst, err := s.extent(key, n)
+	_, slot, dst, err := s.extent(key, n)
 	if err != nil {
 		return err
 	}
-	entry, err := space.WriteView(s.meta.Key, dst, n)
+	entry, err := s.host.Space().WriteView(s.meta.Key, dst, n)
 	if err != nil {
 		return err
 	}
 	pilafAppendEntry(entry[:0], key, value)
-	slot, err := space.WriteView(s.meta.Key, slotAddr, pilafSlotSize)
-	if err != nil {
-		return err
-	}
 	pilafAppendSlot(slot[:0], dst, n)
 	return nil
 }

@@ -132,27 +132,24 @@ func (s *Server) handleRPC(payload []byte) ([]byte, time.Duration) {
 
 // Load installs key=value server-side (bulk loading before an experiment,
 // as the paper does). It consumes a free-list buffer like a remote PUT
-// would, and encodes the entry and its slot where they live.
+// would, and encodes the entry and its slot where they live. Like every
+// loader it runs before its host serves (transport.Host), so it takes no
+// guard.
 func (s *Server) Load(key int64, value []byte) error {
 	idx, err := slotIndex(key, s.meta.NSlots)
 	if err != nil {
 		return err
 	}
-	flID, err := s.meta.classFor(entrySize(len(value)))
+	n := entrySize(len(value))
+	flID, err := s.meta.classFor(n)
 	if err != nil {
 		return err
 	}
-	// Hold the space guard across the whole load so bulk loading is safe
-	// while a live transport is already serving connections (uncontended —
-	// and free — in the single-threaded simulator).
-	space := s.host.Space()
-	space.Guard().Lock()
-	defer space.Guard().Unlock()
 	buf, err := s.host.FreeList(flID).Pop()
 	if err != nil {
 		return fmt.Errorf("kv: load out of buffers: %w", err)
 	}
-	n := entrySize(len(value))
+	space := s.host.Space()
 	entry, err := space.WriteView(s.meta.Key, buf, n)
 	if err != nil {
 		return err

@@ -84,8 +84,9 @@ type Space struct {
 // space across goroutines hold it across each whole primitive (executor
 // ExecInto call), each registration, and each free-list operation on
 // buffers inside the space. The simulator's executor path never takes it;
-// the provisioning code it shares with the live server (transport.HostCore,
-// kv.Server.Load) does, uncontended.
+// the host-side code it shares with the live server (transport.HostCore's
+// reclamation and temp buffers, a Pilaf PUT) does, uncontended. A store is
+// loaded before its host serves, so bulk loading takes none.
 func (s *Space) Guard() *sync.Mutex { return &s.guard }
 
 // NewSpace returns an empty memory space. Address 0 is never allocated so

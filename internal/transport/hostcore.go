@@ -28,10 +28,11 @@ const (
 // the live socket server (Server) both embed it; what they add is how
 // requests arrive and what they cost.
 //
-// Everything that touches shared state takes the space guard, on both
-// transports: the live server's sockets contend on it, and in the
-// simulator — one goroutine per cluster engine, which holds the guard
-// nowhere else — it is uncontended and costs an atomic.
+// Everything that touches shared state while the host serves takes the
+// space guard, on both transports: the live server's sockets contend on
+// it, and in the simulator — one goroutine per cluster engine, which holds
+// the guard nowhere else — it is uncontended and costs an atomic.
+// Provisioning and bulk loading run before serving and take none (Host).
 type HostCore struct {
 	space     *memory.Space
 	freeLists map[uint32]*alloc.FreeList

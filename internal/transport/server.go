@@ -22,6 +22,10 @@ import (
 // buffer reclamation (§3.2). Applications (PRISM-KV and friends)
 // provision against this interface, so one store runs on the simulated
 // NIC (rdma.Server) or a live socket server (Server here) unchanged.
+//
+// A store is provisioned and loaded before its host serves: its
+// constructor and its Load (bulk loading) touch the space without the
+// space guard, and nothing may serve the host until they return.
 type Host interface {
 	Space() *memory.Space
 	AddFreeList(fl *alloc.FreeList)
