@@ -24,7 +24,6 @@ func benchConfig() bench.Config {
 	cfg.Measure = 500 * time.Microsecond
 	cfg.Warmup = 100 * time.Microsecond
 	cfg.ClientCounts = []int{8, 64, 128}
-	cfg.ScaleClients = []int{64, 1024, 4096}
 	return cfg
 }
 

@@ -5,11 +5,10 @@
 //	prismbench -format csv all       # the paper's figures, §2.1 and ext-*
 //
 // The figures and the order of `all` come from the registry
-// bench.Figures (DESIGN.md §4 indexes them against the paper). fig-scale,
-// fig-chase and the ablation-* figures are not part of `all`: fig-scale
-// enables the connection-scaling cost model and fig-chase measures the
-// linked-chain store, so their points are not comparable to the
-// paper-figure artifacts.
+// bench.Figures (DESIGN.md §4 indexes them against the paper). fig-chase
+// and the ablation-* figures are not part of `all`: fig-chase measures the
+// linked-chain store, so its points are not comparable to the paper-figure
+// artifacts, and each ablation isolates one design choice.
 //
 // prismbench renders; it does not measure itself. Wall-clock and per-layer
 // numbers come from the repository's benchmark (`bash benchmark/run.sh`),
@@ -46,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.ValueSize, "value", cfg.ValueSize, "object size in bytes")
 	fs.DurationVar(&cfg.Measure, "measure", cfg.Measure, "virtual measurement window")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "simulation seed")
-	maxClients := fs.Int("max-clients", 0, "truncate the client ladders at this count (0 = full ladders)")
+	maxClients := fs.Int("max-clients", 0, "truncate the client ladder of the throughput-latency figures at this count (0 = full ladder)")
 	format := fs.String("format", "text", "output format: text or csv")
 	fs.IntVar(&cfg.Parallel, "parallel", 1, "figure-point worker goroutines (0 = GOMAXPROCS; output is identical at any setting)")
 	verbose := fs.Bool("v", false, "print a one-line scheduler-telemetry summary per figure to stderr")
@@ -85,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *maxClients > 0 {
 		cfg.ClientCounts = truncate(cfg.ClientCounts, *maxClients)
-		cfg.ScaleClients = truncate(cfg.ScaleClients, *maxClients)
 	}
 
 	for _, f := range figures {
@@ -105,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// truncate keeps the rungs of a client ladder up to max (max itself when
+// truncate keeps the rungs of the client ladder up to max (max itself when
 // every rung is above it).
 func truncate(ladder []int, max int) []int {
 	var kept []int
@@ -132,15 +130,12 @@ func summarize(w io.Writer, fig *bench.Figure, wall float64) {
 		t.TimerFires += p.TimerFires
 		t.TimerStops += p.TimerStops
 		t.WheelCascades += p.WheelCascades
-		t.ConnCacheHits += p.ConnCacheHits
-		t.ConnCacheMisses += p.ConnCacheMisses
-		t.ConnCacheEvictions += p.ConnCacheEvictions
 		t.ProgOps += p.ProgOps
 		t.ProgSteps += p.ProgSteps
 	}
-	fmt.Fprintf(w, "prismbench: %s: %d points, events=%d mean-burst=%.2f timer-fires=%d timer-stops=%d cascades=%d qp-hit/miss/evict=%d/%d/%d progs=%d steps=%d rtts-saved=%d wall=%.1fs peak_rss_mb=%d\n",
+	fmt.Fprintf(w, "prismbench: %s: %d points, events=%d mean-burst=%.2f timer-fires=%d timer-stops=%d cascades=%d progs=%d steps=%d rtts-saved=%d wall=%.1fs peak_rss_mb=%d\n",
 		fig.ID, len(fig.PointTel), t.EventsExecuted, t.MeanBurstLen(), t.TimerFires, t.TimerStops, t.WheelCascades,
-		t.ConnCacheHits, t.ConnCacheMisses, t.ConnCacheEvictions, t.ProgOps, t.ProgSteps, t.ProgSteps-t.ProgOps, wall, peakRSSMB())
+		t.ProgOps, t.ProgSteps, t.ProgSteps-t.ProgOps, wall, peakRSSMB())
 }
 
 // peakRSSMB is the process's peak resident set from getrusage, in the MB

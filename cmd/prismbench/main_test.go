@@ -31,7 +31,6 @@ func TestAllIsTheRegistryInOrder(t *testing.T) {
 	cfg.Keys = 512
 	cfg.Measure = 150 * time.Microsecond
 	cfg.ClientCounts = []int{1, 2, 4, 8, 16}
-	cfg.ScaleClients = []int{16}
 	var want bytes.Buffer
 	members := 0
 	for _, f := range bench.Figures {

@@ -249,28 +249,6 @@ func TestPRISMRSLinearizable(t *testing.T) {
 	}, cl, 8, 60)
 }
 
-func TestPRISMRSLinearizableWithWritebackSkip(t *testing.T) {
-	// The agreed-tags write-back skip must preserve linearizability.
-	cl := newCluster(t, 3, ReplicaOptions{NBlocks: 4, BlockSize: 16, ExtraBuffers: 4096}, model.SoftwarePRISM, 2)
-	var clients []*Client
-	runConcurrentHistory(t, func(cl *cluster, id uint16) interface {
-		GetT(int64) (Tag, []byte, error)
-		PutT(int64, []byte) (Tag, error)
-	} {
-		c := cl.client(id, int(id)%2)
-		c.SkipWriteBackIfAgreed = true
-		clients = append(clients, c)
-		return c
-	}, cl, 8, 60)
-	var skipped int64
-	for _, c := range clients {
-		skipped += c.WriteBacksSkipped
-	}
-	if skipped == 0 {
-		t.Fatal("optimization never triggered (low-contention skips expected)")
-	}
-}
-
 // lockCluster builds ABDLOCK replicas.
 func newLockCluster(t *testing.T, nReplicas int, nBlocks int64, blockSize int, deploy model.Deployment, clientMachines int) (*cluster, []*LockReplica) {
 	t.Helper()

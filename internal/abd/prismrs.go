@@ -107,15 +107,6 @@ type Client struct {
 	metas []Meta
 	f     int // tolerated failures; quorum = f+1
 
-	// SkipWriteBackIfAgreed enables the classic ABD read optimization:
-	// when all f+1 read-phase tags agree, the GET's write-back phase is
-	// skipped. Off by default to match the paper's protocol.
-	SkipWriteBackIfAgreed bool
-
-	// lastReadAgreed records whether the previous read phase saw
-	// unanimous tags (consulted by the write-back optimization).
-	lastReadAgreed bool
-
 	// tmpSlot rotates each connection's temp-buffer slot per chain. The
 	// ABD client proceeds after f+1 write-phase acks, so a straggler
 	// chain may still be live on a connection when the next operation
@@ -140,9 +131,6 @@ type Client struct {
 	// the write round that writes it back. writeFan's OnDone retires what
 	// each write chain displaced when it completes, stragglers included.
 	readFan, writeFan *transport.Fanout
-
-	// Stats
-	WriteBacksSkipped int64
 }
 
 // NewClient builds a client over one issuer per replica (2f+1 total). A
@@ -219,20 +207,15 @@ func (c *Client) readPhase(block int64) (Tag, []byte, error) {
 		}
 		c.readFan.Post(i, ops)
 	}
-	var first, maxTag Tag
+	var maxTag Tag
 	var maxVal []byte
-	agreed, good := true, 0
+	good := 0
 	replies := c.readFan.WaitFirst(c.f + 1)
 	for _, r := range replies {
 		if !readGood(r.Results) {
 			continue
 		}
 		tag := Tag(prism.BE64(r.Results[0].Data, 0))
-		if good == 0 {
-			first = tag
-		} else if tag != first {
-			agreed = false
-		}
 		good++
 		if tag > maxTag {
 			maxTag, maxVal = tag, r.Results[0].Data[8:]
@@ -241,7 +224,6 @@ func (c *Client) readPhase(block int64) (Tag, []byte, error) {
 	if good <= c.f {
 		return 0, nil, quorumErr("read", c.f+1, replies)
 	}
-	c.lastReadAgreed = agreed
 	return maxTag, maxVal, nil
 }
 
@@ -335,10 +317,6 @@ func (c *Client) GetT(block int64) (Tag, []byte, error) {
 	tag, val, err := c.readPhase(block)
 	if err != nil {
 		return 0, nil, err
-	}
-	if c.SkipWriteBackIfAgreed && c.lastReadAgreed {
-		c.WriteBacksSkipped++
-		return tag, val, nil
 	}
 	if err := c.writePhase(block, tag, val); err != nil {
 		return 0, nil, err

@@ -24,24 +24,6 @@ func ablation(cfg Config, fig *Figure, systems []system, w load, label func(pt P
 	return fig
 }
 
-// AblationABDWriteback measures PRISM-RS GET latency with and without the
-// classic ABD read optimization (skip the write-back phase when all f+1
-// read-phase tags agree). The paper's protocol always writes back; the
-// optimization halves uncontended GETs to one round trip.
-func AblationABDWriteback(cfg Config) *Figure {
-	fig := &Figure{
-		ID:     "ablation-abd-writeback",
-		Title:  "PRISM-RS GET: always write back (paper) vs skip-if-agreed",
-		XLabel: "variant", YLabel: "mean GET latency (µs)",
-	}
-	return ablation(cfg, fig, []system{
-		{"always write back (paper)", prismRS(false)},
-		{"skip write-back when tags agree", prismRS(true)},
-	}, load{readFrac: 1}, func(pt Point) string {
-		return fmt.Sprintf("mean=%.2fµs p99=%.2fµs", float64(pt.Mean)/1e3, float64(pt.P99)/1e3)
-	})
-}
-
 // AblationKVSlotCache measures PRISM-KV PUT latency with and without the
 // slot cache the paper's §6.2 parenthetical describes: read-modify-write
 // workloads can skip the slot-probe round trip, halving PUTs to one round
@@ -57,7 +39,7 @@ func AblationKVSlotCache(cfg Config) *Figure {
 	cfg.Keys = 16
 	return ablation(cfg, fig, []system{
 		{"probe + chain (2 RTs)", paperKV.build},
-		{"cached slot + chain (1 RT)", prismKV(model.SoftwarePRISM, rackFabric(), kvTune{slotCache: true})},
+		{"cached slot + chain (1 RT)", prismKV(model.SoftwarePRISM, kvTune{slotCache: true})},
 	}, load{readFrac: 0}, func(pt Point) string { return fmt.Sprintf("mean=%.2fµs", float64(pt.Mean)/1e3) })
 }
 

@@ -154,7 +154,7 @@ func TestPutAllocGuard(t *testing.T) {
 func TestChaseAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ValueSize = 128
-	v := newEnv(cfg, 42, load{}, rackFabric())
+	v := newEnv(cfg, 42, load{})
 	f, mk := v.chaseClients(8)
 	e, cl := v.e, mk(f[0])
 	key := func(i int) int64 { return (int64(i)%chaseBuckets)*8 + 7 } // tail keys
@@ -187,7 +187,7 @@ func TestScanAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Keys = 1024
 	cfg.ValueSize = 128
-	v := newEnv(cfg, 42, load{}, rackFabric())
+	v := newEnv(cfg, 42, load{})
 	e := v.e
 	nic, meta := loadKV(v.net, cfg)
 	cli := rdma.NewClient(v.net, "cli")

@@ -22,13 +22,13 @@ func Fig4(cfg Config) *Figure {
 
 // paperKV is PRISM-KV as Figures 3 and 4 measure it: the software
 // deployment, a control QP per client, no slot cache.
-var paperKV = system{"PRISM-KV", prismKV(model.SoftwarePRISM, rackFabric(), kvTune{})}
+var paperKV = system{"PRISM-KV", prismKV(model.SoftwarePRISM, kvTune{})}
 
 func kvFigure(cfg Config, id, title string, readFrac float64) *Figure {
 	fig := &Figure{ID: id, Title: title, XLabel: "throughput (ops/s)", YLabel: "mean latency (µs)"}
 	return ladder(cfg, fig, []system{
-		{"Pilaf", pilaf(model.HardwareRDMA, rackFabric())},
-		{"Pilaf (software RDMA)", pilaf(model.SoftwarePRISM, rackFabric())},
+		{"Pilaf", pilaf(model.HardwareRDMA)},
+		{"Pilaf (software RDMA)", pilaf(model.SoftwarePRISM)},
 		paperKV,
 	}, load{readFrac: readFrac}, clientsKey)
 }
@@ -43,7 +43,7 @@ func Fig6(cfg Config) *Figure {
 	return ladder(cfg, fig, []system{
 		{"ABDLOCK", abdlock(model.HardwareRDMA)},
 		{"ABDLOCK (software RDMA)", abdlock(model.SoftwarePRISM)},
-		{"PRISM-RS", prismRS(false)},
+		{"PRISM-RS", prismRS},
 	}, load{readFrac: 0.5}, func(n int) string { return thetaKey(0, n) })
 }
 
@@ -57,7 +57,7 @@ func Fig7(cfg Config) *Figure {
 	thetas := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.95, 1.1, 1.2}
 	systems := []system{
 		{"ABDLOCK", abdlock(model.HardwareRDMA)},
-		{"PRISM-RS", prismRS(false)},
+		{"PRISM-RS", prismRS},
 	}
 	const clients = 100
 	sweep(cfg, fig, names(systems), thetas, func(cfg Config, si int, theta float64) (Point, Telemetry) {

@@ -50,17 +50,6 @@ type Config struct {
 	// field stays until the repository benchmark stops assigning it.
 	Intra int
 
-	// ScaleClients is the client ladder for the fig-scale connection
-	// sweep (clients == connections per server for its GET-only
-	// workload); it deliberately overshoots the modeled QP cache so the
-	// Storm-style cliff appears inside the sweep.
-	ScaleClients []int
-	// ScaleMachines is the fixed client-machine fleet fig-scale spreads
-	// clients over: constant across the ladder, so low-count points leave
-	// most machines idle and high-count points pack hundreds of clients
-	// per machine.
-	ScaleMachines int
-
 	// ChaseDepths is the chain-depth ladder for the fig-chase verb-
 	// program sweep: every lookup walks exactly depth pointer hops, so
 	// the x axis is the round trips a per-hop client pays and a CHASE
@@ -84,9 +73,6 @@ func DefaultConfig() Config {
 		MaxOps:       0,
 		Seed:         42,
 		Parallel:     1,
-
-		ScaleClients:  []int{16, 64, 256, 1024, 4096, 16384},
-		ScaleMachines: 256,
 
 		ChaseDepths: []int{1, 2, 4, 8, 16},
 	}
@@ -173,9 +159,9 @@ func runJobs(workers int, jobs []func()) []time.Duration {
 // Telemetry is one point's engine counters (sim.Stats), read from the
 // point's engine after it has run, plus the fields below. It is read by
 // prismbench -v and benchmark/ and never rendered into the text/CSV
-// figures, whose bytes must stay independent of the host (fig-scale and
-// fig-chase label their points with the QP-cache and program counters,
-// which are virtual-time-deterministic).
+// figures, whose bytes must stay independent of the host (fig-chase labels
+// its points with the program counters, which are virtual-time-
+// deterministic).
 type Telemetry struct {
 	sim.Stats
 	// Windows and Barriers are always zero: a point runs on one engine,

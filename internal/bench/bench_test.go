@@ -258,16 +258,6 @@ func TestFigurePrintRendersAllSeries(t *testing.T) {
 	}
 }
 
-func TestAblationABDWritebackHalvesGets(t *testing.T) {
-	cfg := tiny()
-	fig := AblationABDWriteback(cfg)
-	always := fig.Series[0].Points[0].Mean
-	skip := fig.Series[1].Points[0].Mean
-	if r := float64(always) / float64(skip); r < 1.7 || r > 2.5 {
-		t.Fatalf("write-back skip speedup %.2f, want ≈2x (always=%v skip=%v)", r, always, skip)
-	}
-}
-
 func TestAblationRedirectTargetCostsOnePCIe(t *testing.T) {
 	fig := AblationRedirectTarget(tiny())
 	onNIC := fig.Series[0].Points[0].Mean

@@ -24,9 +24,9 @@ import (
 //   - "RPC": one two-sided round trip; the server's host CPU walks the
 //     chain (charged per hop at the same step cost as the program).
 //
-// Like fig-scale, the family is not part of the "all" figure order: it
-// measures a store the paper figures don't use, so its points never
-// perturb the paper-figure CSV artifacts.
+// The family is not part of the "all" figure order: it measures a store
+// the paper figures don't use, so its points never perturb the
+// paper-figure CSV artifacts.
 
 // chaseBuckets is the bucket count of every fig-chase chain store: wide
 // enough that concurrent clients rarely collide on a chain, small enough
@@ -79,7 +79,7 @@ func (v *env) chaseClients(depth int) (fleet, func(m *rdma.Client) *kv.ChainClie
 // tail key of a uniformly chosen bucket — exactly depth hops.
 func (st chaseStrategy) at(depth int) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric())
+		v := newEnv(cfg, seed, w)
 		f, mk := v.chaseClients(depth)
 		return cluster{e: v.e, client: func(id int) workload.Op {
 			cl := mk(f.machine(id))

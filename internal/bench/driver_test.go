@@ -7,14 +7,13 @@ import (
 	"prism/internal/workload"
 )
 
-// sweepFigures is the registry minus fig-scale and fig-chase: the
-// determinism sweeps below run every figure at tinyD, and those two have
-// their own sweeps at their own shrunken ladders (TestFigScaleDeterministic,
-// TestFigChaseDeterministic).
+// sweepFigures is the registry minus fig-chase: the determinism sweeps
+// below run every figure at tinyD, and fig-chase has its own sweep at its
+// own shrunken ladder (TestFigChaseDeterministic).
 func sweepFigures() []FigureDef {
 	var out []FigureDef
 	for _, f := range Figures {
-		if f.Name != "fig-scale" && f.Name != "fig-chase" {
+		if f.Name != "fig-chase" {
 			out = append(out, f)
 		}
 	}

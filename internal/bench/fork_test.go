@@ -38,27 +38,27 @@ func spaceChecksum(t *testing.T, s *memory.Space) uint64 {
 // captures and the same client attachment the production builder uses.
 
 func freshKV(cfg Config, seed int64, w load) cluster {
-	v := newEnv(cfg, seed, w, rackFabric())
+	v := newEnv(cfg, seed, w)
 	nic, meta := loadKV(v.net, cfg)
 	return v.mix(kvClients(nic, meta, kvTune{}))
 }
 
 func freshRS(cfg Config, seed int64, w load) cluster {
-	v := newEnv(cfg, seed, w, rackFabric())
+	v := newEnv(cfg, seed, w)
 	var replicas group[abd.Meta]
 	for i := 0; i < nReplicas; i++ {
 		replicas.add(loadReplica(v.net, cfg, replicaName(i)))
 	}
-	return v.rsCluster(replicas, false)
+	return v.rsCluster(replicas)
 }
 
 func freshTX(cfg Config, seed int64, w load) cluster {
-	v := newEnv(cfg, seed, w, rackFabric())
+	v := newEnv(cfg, seed, w)
 	return v.txCluster(loadTX(v.net, cfg))
 }
 
 func freshTXCluster(cfg Config, seed int64, w load) cluster {
-	v := newEnv(cfg, seed, w, rackFabric())
+	v := newEnv(cfg, seed, w)
 	return v.txCluster(loadTXCluster(v.net, cfg, 2))
 }
 
@@ -87,9 +87,9 @@ func TestForkedClusterMatchesFresh(t *testing.T) {
 		clients       []int
 	}{
 		// 50% writes so forks diverge hard from the template image.
-		{"prism-kv", prismKV(model.SoftwarePRISM, rackFabric(), kvTune{}), freshKV,
+		{"prism-kv", prismKV(model.SoftwarePRISM, kvTune{}), freshKV,
 			load{readFrac: 0.5}, clientsKey, cfg.ClientCounts},
-		{"prism-rs", prismRS(false), freshRS,
+		{"prism-rs", prismRS, freshRS,
 			load{readFrac: 0.5, theta: 0.4}, func(n int) string { return thetaKey(0.4, n) }, cfg.ClientCounts},
 		{"prism-tx", prismTX, freshTX,
 			load{theta: 0.8, keysPerTx: 1}, func(n int) string { return thetaKey(0.8, n) }, []int{32}},
@@ -166,7 +166,7 @@ func TestPilafTemplateBuildDeterministic(t *testing.T) {
 		pt, _ := runPoint(cfg, "forkeq-pilaf", system{"Pilaf", build}, load{readFrac: 0.5}, clientsKey(32), 32)
 		return pt
 	}
-	forked := pilaf(model.SoftwarePRISM, rackFabric())
+	forked := pilaf(model.SoftwarePRISM)
 	runtime.GC()
 	builds := 0
 	templateBuilt = func(templateKey, any) { builds++ }
@@ -194,7 +194,7 @@ func TestPilafTemplateBuildDeterministic(t *testing.T) {
 		t.Fatalf("the two template sets built %d images, want one each", builds)
 	}
 	fresh := measure(tiny(), func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric())
+		v := newEnv(cfg, seed, w)
 		return v.pilafCluster(loadPilaf(v.net, cfg))
 	})
 	if a != fresh || fresh.Throughput == 0 {
@@ -268,7 +268,7 @@ func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 	cfg := slabCfg()
 	cfg.templates = new(templateSet) // forkKV and the check below share one image
 	value := bytes.Repeat([]byte{0x5a}, cfg.ValueSize)
-	v := newEnv(cfg, 1, load{}, rackFabric())
+	v := newEnv(cfg, 1, load{})
 	cli := rdma.NewClient(v.net, "cli")
 
 	kvNIC, kvMeta := v.forkKV(model.SoftwarePRISM)
@@ -338,7 +338,7 @@ func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 // before Capture (it used to stage 3 tear-delayed stores per key).
 func TestPilafTemplateBuildSchedulesNothing(t *testing.T) {
 	cfg := tiny()
-	v := newEnv(cfg, 0, load{}, rackFabric()) // as cachedTemplate builds
+	v := newEnv(cfg, 0, load{}) // as cachedTemplate builds
 	loadPilaf(v.net, cfg)
 	v.e.Run()
 	if fired := v.e.Stats().EventsExecuted; fired != 0 {

@@ -68,8 +68,8 @@ func renderSweep(name string, pooled bool) string {
 
 // TestFiguresGolden pins every figure's bytes to its recorded hash:
 //
-//   - serial/<fig>: every sweep figure (the registry minus fig-scale and
-//     fig-chase, which have their own ladders), rendered serially at
+//   - serial/<fig>: every sweep figure (the registry minus fig-chase,
+//     which has its own ladder), rendered serially at
 //     tinyD, has its recorded hash (testdata/figures_per_machine.sha256,
 //     recorded with one event domain per client machine). Every machine
 //     of a point shares one engine and delivery order is (time, source
@@ -81,7 +81,7 @@ func renderSweep(name string, pooled bool) string {
 //     shown beside the pooled one;
 //   - the `all` set — the registry's `all` members in registry order, the
 //     entries `prismbench all` renders — from the pooled renders above;
-//   - fig-scale and fig-chase at their test configs.
+//   - fig-chase at its test config.
 func TestFiguresGolden(t *testing.T) {
 	for _, figure := range sweepFigures() {
 		t.Run("serial/"+figure.Name, func(t *testing.T) {
@@ -111,19 +111,9 @@ func TestFiguresGolden(t *testing.T) {
 			t.Fatalf("all CSV hash = %s, want %s (testdata/figures_tiny.sha256)", got, want)
 		}
 	})
-	scale := scaleTestConfig()
-	scale.ScaleClients = []int{4, 48}
-	for _, set := range []struct {
-		name string
-		fig  func() *Figure
-	}{
-		{"fig-scale", func() *Figure { return FigScale(scale) }},
-		{"fig-chase", func() *Figure { return FigChase(chaseTestConfig()) }},
-	} {
-		t.Run(set.name, func(t *testing.T) {
-			if got, want := csvHash(render(set.fig())), recordedHash(t, goldenHashes, set.name); got != want {
-				t.Fatalf("%s CSV hash = %s, want %s (testdata/figures_tiny.sha256)", set.name, got, want)
-			}
-		})
-	}
+	t.Run("fig-chase", func(t *testing.T) {
+		if got, want := csvHash(render(FigChase(chaseTestConfig()))), recordedHash(t, goldenHashes, "fig-chase"); got != want {
+			t.Fatalf("fig-chase CSV hash = %s, want %s (testdata/figures_tiny.sha256)", got, want)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"time"
@@ -36,13 +35,12 @@ type fleet []*rdma.Client
 func (f fleet) machine(id int) *rdma.Client { return f[id%len(f)] }
 
 // load is the closed-loop behaviour of a point's clients: GET/PUT systems
-// read readFrac and theta, transactional systems theta and keysPerTx, and
-// every system spreads the clients over machines client machines.
+// read readFrac and theta, transactional systems theta and keysPerTx. Every
+// system spreads the clients over paperMachines client machines.
 type load struct {
 	readFrac  float64 // share of GETs in the GET/PUT mix
 	theta     float64 // Zipf coefficient of the key choice (0 = uniform)
 	keysPerTx int     // keys per YCSB-T read-modify-write transaction
-	machines  int     // client machines (0 = paperMachines)
 }
 
 // cluster is the one shape every builder returns: a loaded simulated
@@ -78,24 +76,22 @@ type env struct {
 	p    model.Params
 }
 
-// newEnv starts a point on a fresh engine and a fabric with cost model p.
-func newEnv(cfg Config, seed int64, w load, p model.Params) *env {
+// newEnv starts a point on a fresh engine and a fabric with the cost
+// model of the paper figures: calibrated defaults on the rack latency
+// profile.
+func newEnv(cfg Config, seed int64, w load) *env {
 	e := sim.NewEngine(seed)
+	p := model.Default().WithNetwork(model.Rack)
 	return &env{cfg: cfg, seed: seed, w: w, e: e, net: fabric.New(e, p), p: p}
 }
-
-// rackFabric is the cost model of the paper figures: calibrated defaults
-// on the rack latency profile.
-func rackFabric() model.Params { return model.Default().WithNetwork(model.Rack) }
 
 // paperMachines is the client fleet of the paper figures (up to 11
 // client machines, §5).
 const paperMachines = 11
 
-// clientMachines provisions the point's client fleet: w.machines of them,
-// or paperMachines.
+// clientMachines provisions the point's client fleet of paperMachines.
 func (v *env) clientMachines() fleet {
-	machines := make(fleet, cmp.Or(v.w.machines, paperMachines))
+	machines := make(fleet, paperMachines)
 	for i := range machines {
 		machines[i] = rdma.NewClient(v.net, fmt.Sprintf("cli-%d", i))
 	}
@@ -231,10 +227,9 @@ type FigureDef struct {
 
 // Figures is every figure the harness regenerates, in the order `all`
 // renders them. All marks the members of `all`: the paper's figures, the
-// §2.1 measurement and the two PRISM-TX extensions. fig-scale and
-// fig-chase stay outside it — one enables the connection-scaling cost
-// model, the other measures the linked-chain store, so neither's points
-// are comparable to the paper-figure artifacts — as do the ablations.
+// §2.1 measurement and the two PRISM-TX extensions. fig-chase stays
+// outside it — it measures the linked-chain store, so its points are not
+// comparable to the paper-figure artifacts — as do the ablations.
 // cmd/prismbench, the root BenchmarkFigure and the package's own
 // determinism and golden tests all iterate this table.
 var Figures = []FigureDef{
@@ -249,9 +244,7 @@ var Figures = []FigureDef{
 	{"fig10", Fig10, true},
 	{"ext-shards", ExtShards, true},
 	{"ext-multikey", ExtMultiKey, true},
-	{"fig-scale", FigScale, false},
 	{"fig-chase", FigChase, false},
-	{"ablation-abd-writeback", AblationABDWriteback, false},
 	{"ablation-kv-slotcache", AblationKVSlotCache, false},
 	{"ablation-redirect-target", AblationRedirectTarget, false},
 	{"ablation-freelist-classes", AblationFreelistClasses, false},

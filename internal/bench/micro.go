@@ -67,7 +67,12 @@ type microPoint struct {
 	ops    []microOp
 }
 
+// run measures the point on a fresh env. A point with no ops has nothing
+// to measure, so it builds no env and reports zero latency and telemetry.
 func (pt microPoint) run(seed int64) (Point, Telemetry) {
+	if len(pt.ops) == 0 {
+		return latencyPoint(0), Telemetry{}
+	}
 	env := newMicroEnv(pt.deploy, pt.params, seed)
 	var lat time.Duration
 	for _, op := range pt.ops {

@@ -86,3 +86,31 @@ func TestMicroProbesSteady(t *testing.T) {
 	}
 	t.Logf("%d points, %d probe ops", len(points), timed)
 }
+
+// TestUnsupportedMicroPointsBuildNoEnv: Fig. 1's three ops that stock RDMA
+// cannot run have no probe ops, and their points report zero latency and
+// zero telemetry without standing up a micro env — which would allocate
+// its engine, fabric, NIC and region.
+func TestUnsupportedMicroPointsBuildNoEnv(t *testing.T) {
+	var empty []string
+	for di, d := range fig1Deployments {
+		for opIdx, name := range fig1Ops {
+			pt := fig1Point(di, opIdx)
+			if len(pt.ops) > 0 {
+				continue
+			}
+			empty = append(empty, fmt.Sprintf("%v/%s", d, name))
+			var lat Point
+			var tel Telemetry
+			if allocs := testing.AllocsPerRun(10, func() { lat, tel = pt.run(1) }); allocs != 0 {
+				t.Errorf("%v/%s: run allocated %v times, want 0 (no env)", d, name, allocs)
+			}
+			if lat != latencyPoint(0) || tel != (Telemetry{}) {
+				t.Errorf("%v/%s: run = %+v, %+v; want zero latency and telemetry", d, name, lat, tel)
+			}
+		}
+	}
+	if len(empty) != 3 {
+		t.Fatalf("points without ops %v, want Fig. 1's three stock-RDMA gaps", empty)
+	}
+}

@@ -126,7 +126,7 @@ var templateBuilt func(key templateKey, val any)
 func cachedTemplate[T any](system string, cfg Config, shards int, build func(v *env) T) T {
 	key := templateKey{system: system, keys: cfg.Keys, valueSize: cfg.ValueSize, shards: shards}
 	fresh := func() T {
-		val := build(newEnv(cfg, 0, load{}, rackFabric()))
+		val := build(newEnv(cfg, 0, load{}))
 		if templateBuilt != nil {
 			templateBuilt(key, val)
 		}
@@ -174,7 +174,7 @@ func (im image[M]) fork(net *fabric.Network, name string, deploy model.Deploymen
 }
 
 // ---------------------------------------------------------------------------
-// PRISM-KV and Pilaf (Figures 3, 4, fig-scale)
+// PRISM-KV and Pilaf (Figures 3, 4)
 
 func loadKV(net *fabric.Network, cfg Config) (*rdma.Server, kv.Meta) {
 	nic := rdma.NewServer(net, "server", model.SoftwarePRISM)
@@ -192,10 +192,6 @@ func kvTemplate(cfg Config) image[kv.Meta] {
 
 // kvTune adjusts how PRISM-KV clients attach to their server.
 type kvTune struct {
-	// singleQP gives each client exactly one QP and no control QP
-	// (fig-scale: its x axis is connections per server and its GET-only
-	// workload never reclaims). Otherwise reclamation rides a control QP.
-	singleQP bool
 	// slotCache turns on the §6.2 slot cache (AblationKVSlotCache).
 	slotCache bool
 }
@@ -204,10 +200,8 @@ type kvTune struct {
 func kvClients(nic *rdma.Server, meta kv.Meta, t kvTune) func(m *rdma.Client, id int) Store {
 	return func(m *rdma.Client, id int) Store {
 		c := kv.NewClient(m.Connect(nic), meta, uint16(id+1))
-		if !t.singleQP {
-			c.Reclaim.Ctrl = m.Connect(nic)
-			c.Reclaim.Batch = 4 // keep unreclaimed churn small under heavy write load
-		}
+		c.Reclaim.Ctrl = m.Connect(nic) // reclamation rides a control QP
+		c.Reclaim.Batch = 4             // keep unreclaimed churn small under heavy write load
 		c.SlotCache = t.slotCache
 		return c
 	}
@@ -221,11 +215,10 @@ func (v *env) forkKV(deploy model.Deployment) (*rdma.Server, kv.Meta) {
 	return nic, im.meta
 }
 
-// prismKV builds PRISM-KV under deploy on a fabric with cost model
-// p: rackFabric for the paper figures, scaleFabric for fig-scale.
-func prismKV(deploy model.Deployment, p model.Params, t kvTune) builder {
+// prismKV builds PRISM-KV under deploy.
+func prismKV(deploy model.Deployment, t kvTune) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, p)
+		v := newEnv(cfg, seed, w)
 		nic, meta := v.forkKV(deploy)
 		return v.mix(kvClients(nic, meta, t))
 	}
@@ -237,7 +230,7 @@ func prismKV(deploy model.Deployment, p model.Params, t kvTune) builder {
 // one simulated operation end to end: spawn a process on the engine that
 // drives the store, then run the engine.
 func KVCluster(cfg Config) (*sim.Engine, Store) {
-	v := newEnv(cfg, 42, load{}, rackFabric())
+	v := newEnv(cfg, 42, load{})
 	nic, meta := v.forkKV(model.SoftwarePRISM)
 	return v.e, kvClients(nic, meta, kvTune{})(v.clientMachines()[0], 0)
 }
@@ -263,9 +256,9 @@ func (v *env) pilafCluster(nic *rdma.Server, meta kv.PilafMeta) cluster {
 	})
 }
 
-func pilaf(deploy model.Deployment, p model.Params) builder {
+func pilaf(deploy model.Deployment) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, p)
+		v := newEnv(cfg, seed, w)
 		im := pilafTemplate(cfg)
 		nic := im.fork(v.net, "server", deploy)
 		kv.AttachPilafServer(nic, im.meta)
@@ -328,32 +321,29 @@ func (g *group[M]) controlQPs(m *rdma.Client, recl []transport.Reclaimer) {
 	}
 }
 
-// rsCluster attaches PRISM-RS clients to a replica group. skipWriteBack
-// turns on the classic ABD read optimization (AblationABDWriteback).
-func (v *env) rsCluster(replicas group[abd.Meta], skipWriteBack bool) cluster {
+// rsCluster attaches PRISM-RS clients to a replica group.
+func (v *env) rsCluster(replicas group[abd.Meta]) cluster {
 	return v.mix(func(m *rdma.Client, id int) Store {
 		c := abd.NewClient(uint16(id+1), replicas.connect(m), replicas.metas)
 		replicas.controlQPs(m, c.Reclaim) // reclamation rides control QPs
 		for i := range c.Reclaim {
 			c.Reclaim[i].Batch = 8
 		}
-		c.SkipWriteBackIfAgreed = skipWriteBack
 		return c
 	})
 }
 
-func prismRS(skipWriteBack bool) builder {
-	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric())
-		im := rsTemplate(cfg)
-		var replicas group[abd.Meta]
-		for i := 0; i < nReplicas; i++ {
-			nic := im.fork(v.net, replicaName(i), model.SoftwarePRISM)
-			abd.AttachReplica(nic, im.meta)
-			replicas.add(nic, im.meta)
-		}
-		return v.rsCluster(replicas, skipWriteBack)
+// prismRS builds PRISM-RS over nReplicas forks of the loaded replica.
+func prismRS(cfg Config, seed int64, w load) cluster {
+	v := newEnv(cfg, seed, w)
+	im := rsTemplate(cfg)
+	var replicas group[abd.Meta]
+	for i := 0; i < nReplicas; i++ {
+		nic := im.fork(v.net, replicaName(i), model.SoftwarePRISM)
+		abd.AttachReplica(nic, im.meta)
+		replicas.add(nic, im.meta)
 	}
+	return v.rsCluster(replicas)
 }
 
 func lockTemplate(cfg Config) image[abd.LockMeta] {
@@ -367,7 +357,7 @@ func lockTemplate(cfg Config) image[abd.LockMeta] {
 
 func abdlock(deploy model.Deployment) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric())
+		v := newEnv(cfg, seed, w)
 		im := lockTemplate(cfg)
 		var replicas group[abd.LockMeta]
 		for i := 0; i < nReplicas; i++ {
@@ -475,7 +465,7 @@ func (v *env) txCluster(shards group[tx.Meta]) cluster {
 }
 
 func prismTX(cfg Config, seed int64, w load) cluster {
-	v := newEnv(cfg, seed, w, rackFabric())
+	v := newEnv(cfg, seed, w)
 	return v.txCluster(v.forkShards(txTemplate(cfg), []string{"shard"}))
 }
 
@@ -484,7 +474,7 @@ func prismTX(cfg Config, seed int64, w load) cluster {
 // share one template.
 func prismTXCluster(nShards int) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric())
+		v := newEnv(cfg, seed, w)
 		return v.txCluster(v.forkShards(txClusterTemplates(cfg, nShards), shardNames(nShards)))
 	}
 }
@@ -501,7 +491,7 @@ func farmTemplate(cfg Config) image[tx.FarmMeta] {
 
 func farm(deploy model.Deployment) builder {
 	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w, rackFabric())
+		v := newEnv(cfg, seed, w)
 		im := farmTemplate(cfg)
 		nic := im.fork(v.net, "shard", deploy)
 		tx.AttachFarmServer(nic, im.meta)

@@ -114,9 +114,14 @@ func checkLedger[C any](t *testing.T, n int, provision func(transport.Host), new
 // client-side CRC check; a PUT is one RPC to the server's CPU. PRISM-RS
 // over three replicas (§7): a GET and a PUT are each two phases and no
 // lock, a read round of one indirect READ per replica and then a write
-// round of one ALLOCATE-WRITE-CAS chain per replica (a GET writes back
-// what it read), each round one wait for the first two answers; the
+// round of one ALLOCATE-WRITE-CAS chain per replica (a GET always writes
+// back what it read), each round one wait for the first two answers; the
 // displaced buffers wait in reclamation batches, which nothing sends yet.
+// ABD-LOCK over three replicas (§7.2): a GET and a PUT are each four
+// rounds of classic verbs, two more than PRISM-RS — a lock CAS at every
+// replica waited to its end, then a READ and a WRITE of the data at the
+// locked replicas (all three when nothing contends), then an unlocking
+// CAS at each.
 func TestRoundTripLedger(t *testing.T) {
 	batch := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 	load := func(t *testing.T, store interface{ Load(int64, []byte) error }) {
@@ -209,6 +214,35 @@ func TestRoundTripLedger(t *testing.T) {
 				}
 				return err
 			}, ledger{waits: 2, oneSided: 2 * replicas}},
+		})
+	})
+	t.Run("abd-lock", func(t *testing.T) {
+		const replicas, blockSize = 3, 16
+		var metas []abd.LockMeta // of the replicas provisioned for the next client
+		put := bytes.Repeat([]byte{0xCD}, blockSize)
+		checkLedger(t, replicas, func(host transport.Host) {
+			rep, err := abd.NewLockReplica(host, 4, blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metas = append(metas, rep.Meta())
+		}, func(g []transport.Issuer) *abd.LockClient {
+			c := abd.NewLockClient(1, g, metas, nil)
+			metas = nil
+			return c
+		}, 0, []ledgerRow[*abd.LockClient]{
+			{"get", func(c *abd.LockClient) error {
+				_, err := c.Get(1)
+				return err
+			}, ledger{waits: 4, oneSided: 4 * replicas}},
+			{"put", func(c *abd.LockClient) error { return c.Put(2, put) }, ledger{waits: 4, oneSided: 4 * replicas}},
+			{"get-after-put", func(c *abd.LockClient) error {
+				v, err := c.Get(2)
+				if err == nil && !bytes.Equal(v, put) {
+					t.Errorf("GET after PUT = %x", v)
+				}
+				return err
+			}, ledger{waits: 4, oneSided: 4 * replicas}},
 		})
 	})
 }

@@ -172,35 +172,6 @@ type Params struct {
 	LossRate float64
 	// RetransmitTimeout is the NIC's retransmission timer.
 	RetransmitTimeout time.Duration
-
-	// --- NIC connection-state scaling (Storm [PAPERS.md]) ---
-	//
-	// A reliable connection's state (QP context, ~375 B on a ConnectX-5)
-	// must be resident where the data path runs: in the NIC's on-die
-	// context cache for hardware deployments, in the stack cores' working
-	// set for software ones. Storm measures the collapse when the active
-	// connection count outgrows that cache: every cold send first fetches
-	// the context over PCIe (hardware) or takes the DRAM/dispatch misses
-	// (software), and the fetch unit itself serializes, capping
-	// throughput. Capacity 0 disables the model entirely — the default,
-	// so paper-scale figures (hundreds of connections at most) are
-	// unaffected; WithConnScaling enables the calibrated values.
-
-	// HWQPCacheEntries is the on-NIC QP context cache capacity for
-	// HardwareRDMA and ProjectedHardwarePRISM deployments (0 = unlimited,
-	// model disabled).
-	HWQPCacheEntries int
-	// HWQPMissPenalty is the cost of fetching one cold QP context from
-	// host-memory ICM over PCIe.
-	HWQPMissPenalty time.Duration
-	// SoftQPCacheEntries is the connection working-set capacity of the
-	// software stack (SoftwarePRISM, BlueFieldPRISM): connection state
-	// lives in host DRAM, so the capacity is far larger and the miss far
-	// cheaper — the RDMAvisor argument for connection multiplexing.
-	SoftQPCacheEntries int
-	// SoftQPMissPenalty is the cost of paging one cold connection's state
-	// back into the stack cores' working set.
-	SoftQPMissPenalty time.Duration
 }
 
 // Default returns the cost model calibrated to the paper's testbed
@@ -246,32 +217,6 @@ func Default() Params {
 func (p Params) WithNetwork(sp SwitchProfile) Params {
 	p.Network = sp
 	return p
-}
-
-// WithConnScaling returns a copy of p with the NIC connection-state
-// model enabled at calibrated values. Hardware: ~1K QP contexts on die
-// (Storm measures the ConnectX-5 cliff in the low thousands of QPs) and
-// one PCIe round trip per cold fetch. Software: connection state in host
-// DRAM — an order of magnitude more capacity, each miss a few cache-line
-// fills plus a dispatch-table walk.
-func (p Params) WithConnScaling() Params {
-	p.HWQPCacheEntries = 1024
-	p.HWQPMissPenalty = p.PCIeRTT
-	p.SoftQPCacheEntries = 8192
-	p.SoftQPMissPenalty = 250 * time.Nanosecond
-	return p
-}
-
-// QPCacheFor returns the connection-state cache geometry for deployment
-// d: capacity in connections and the per-miss fetch penalty. Capacity 0
-// means the model is disabled for that deployment.
-func (p Params) QPCacheFor(d Deployment) (entries int, miss time.Duration) {
-	switch d {
-	case HardwareRDMA, ProjectedHardwarePRISM:
-		return p.HWQPCacheEntries, p.HWQPMissPenalty
-	default:
-		return p.SoftQPCacheEntries, p.SoftQPMissPenalty
-	}
 }
 
 // SerializationDelay is the time to put n payload bytes (plus frame

@@ -1,11 +1,10 @@
 // Package rdma is the NIC transport: it carries verb requests from client
 // queue pairs to server NICs over the fabric, executes them (via the prism
 // executor), and charges the four deployment options the paper evaluates
-// (§4.3) what package model prices, queueing on core pools and a QP-context
-// cache where a deployment has them. It also provides the reliability
-// layer real RDMA NICs implement over lossy Ethernet: per-connection
-// sequence numbers, retransmission, and duplicate suppression with
-// response replay.
+// (§4.3) what package model prices, queueing on core pools where a
+// deployment has them. It also provides the reliability layer real RDMA
+// NICs implement over lossy Ethernet: per-connection sequence numbers,
+// retransmission, and duplicate suppression with response replay.
 package rdma
 
 import (
@@ -51,15 +50,6 @@ type Server struct {
 
 	prismCores *sim.MultiResource // SoftwarePRISM dedicated cores
 	rpcCores   *sim.MultiResource // application cores serving RPCs
-
-	// NIC connection-state model (nil when Params disable it): qp tracks
-	// which connections' contexts are resident, qpFetch is the single
-	// context-fetch engine cold fetches serialize through (its queueing is
-	// what turns cache thrash into a throughput ceiling), qpMiss the
-	// calibrated per-fetch cost.
-	qp      *qpCache
-	qpFetch *sim.Resource
-	qpMiss  time.Duration
 
 	// recvCredits models the SEND/RECEIVE receive queue: each two-sided
 	// request consumes a posted receive buffer for its lifetime; when none
@@ -122,17 +112,6 @@ type serverConn struct {
 	// indirect dispatch defeats escape analysis, so a chainStep local
 	// would be a heap allocation per op.
 	opMeta model.OpMeta
-
-	// qpDebt is cold-connection fetch time accrued at arrival (context
-	// fetch plus queueing on the shared fetch engine), consumed by the
-	// next request start on this connection. Charging it there — rather
-	// than via a separate scheduled hop — keeps per-connection FIFO
-	// intact: busy is set synchronously at arrival.
-	qpDebt time.Duration
-	// The QP cache's LRU list runs through the connections: qpResident
-	// says whether this one is on it, qpPrev/qpNext link it there.
-	qpPrev, qpNext *serverConn
-	qpResident     bool
 }
 
 // replayDepth bounds both the response cache and the client send window;
@@ -169,11 +148,6 @@ func newServer(net *fabric.Network, name string, deploy model.Deployment, space 
 	}
 	s.rpcCores = sim.NewMultiResource(e, p.RPCCores)
 	s.recvCredits = defaultRecvCredits
-	if entries, miss := p.QPCacheFor(deploy); entries > 0 {
-		s.qp = newQPCache(entries, e.Counters())
-		s.qpMiss = miss
-		s.qpFetch = sim.NewResource(e)
-	}
 	s.baseProc = p.BaseProc()
 	s.node.SetHandler(s.onMessage)
 	return s
@@ -249,32 +223,7 @@ func (s *Server) connect(client *fabric.Node) (id uint64, temp memory.Addr, temp
 		sc.servedSeq[i] = ^uint64(0)
 	}
 	s.conns = append(s.conns, sc)
-	if s.qp != nil {
-		// Connection establishment loads the context, exactly as the
-		// paper's clients pre-connect: while the active set fits the
-		// cache, the model charges nothing and figures are bit-unchanged.
-		s.qp.warm(sc)
-	}
 	return id, temp, s.TempKey()
-}
-
-// qpTouch is one access to conn sc's context, by an arriving request or
-// by the send WQE of its response (under heavy interleaving the context
-// may have been evicted since the request arrived). It returns the fetch
-// cost of a miss: service plus queueing on the shared fetch engine.
-func (s *Server) qpTouch(sc *serverConn) time.Duration {
-	if s.qp == nil || s.qp.touch(sc) {
-		return 0
-	}
-	done := s.qpFetch.Submit(s.qpMiss, nil)
-	return done.Sub(s.e.Now())
-}
-
-// takeQPDebt consumes the connection's accrued cold-fetch debt.
-func (s *Server) takeQPDebt(sc *serverConn) time.Duration {
-	d := sc.qpDebt
-	sc.qpDebt = 0
-	return d
 }
 
 // onMessage handles an arriving request.
@@ -308,7 +257,6 @@ func (s *Server) onMessage(m fabric.Message) {
 		return
 	}
 	*served = req.Seq
-	sc.qpDebt += s.qpTouch(sc) // charged at the next request start
 	if sc.busy {
 		sc.backlog = append(sc.backlog, req)
 		return
@@ -337,7 +285,7 @@ func (s *Server) serveVerbs(sc *serverConn, req *wire.Request) {
 			resp.Results[i] = wire.Result{Status: wire.StatusUnsupported}
 		}
 		sc.chainReq, sc.chainResp = req, resp
-		s.e.Schedule(s.baseProc+s.takeQPDebt(sc), sc.finishFn)
+		s.e.Schedule(s.baseProc, sc.finishFn)
 		return
 	}
 
@@ -352,7 +300,7 @@ func (s *Server) serveVerbs(sc *serverConn, req *wire.Request) {
 	}
 
 	sc.chainReq, sc.chainResp, sc.chainIdx, sc.chainTok = req, resp, 0, opTok
-	s.e.Schedule(s.baseProc/2+overhead+s.takeQPDebt(sc), sc.stepFn)
+	s.e.Schedule(s.baseProc/2+overhead, sc.stepFn)
 }
 
 // chainStep steps the next op of the connection's current chain through
@@ -365,7 +313,7 @@ func (s *Server) chainStep(sc *serverConn) {
 		i := sc.chainIdx
 		if i == len(req.Ops) {
 			s.Quiescer().OpEnd(sc.chainTok)
-			s.e.Schedule(s.baseProc-s.baseProc/2+s.qpTouch(sc), sc.finishFn)
+			s.e.Schedule(s.baseProc-s.baseProc/2, sc.finishFn)
 			return
 		}
 		// READ payloads ride the response until the slot retires; carve
@@ -412,14 +360,14 @@ func (s *Server) serveRPC(sc *serverConn, req *wire.Request) {
 	if handler == nil {
 		resp := s.acquireResp(sc, req.Seq, 1)
 		resp.Results[0] = wire.Result{Status: wire.StatusUnsupported}
-		s.e.Schedule(s.baseProc+s.takeQPDebt(sc), func() { s.finish(sc, resp) })
+		s.e.Schedule(s.baseProc, func() { s.finish(sc, resp) })
 		return
 	}
 	if s.recvCredits <= 0 {
 		// No posted receive buffer: Receiver Not Ready.
 		resp := s.acquireResp(sc, req.Seq, 1)
 		resp.Results[0] = wire.Result{Status: wire.StatusRNR}
-		s.e.Schedule(s.baseProc+s.takeQPDebt(sc), func() { s.finish(sc, resp) })
+		s.e.Schedule(s.baseProc, func() { s.finish(sc, resp) })
 		return
 	}
 	s.recvCredits--
@@ -427,12 +375,12 @@ func (s *Server) serveRPC(sc *serverConn, req *wire.Request) {
 	// the core picks the request up.
 	start := s.rpcCores.Submit(s.p.RPCHandlerCPUTime, nil)
 	dispatchWait := start.Sub(s.e.Now()) - s.p.RPCHandlerCPUTime
-	s.e.Schedule(dispatchWait+s.takeQPDebt(sc), func() {
+	s.e.Schedule(dispatchWait, func() {
 		reply, extraCPU := handler(payload)
 		if extraCPU > 0 {
 			s.rpcCores.Submit(extraCPU, nil)
 		}
-		total := s.p.RPCLatency() + extraCPU + s.qpTouch(sc)
+		total := s.p.RPCLatency() + extraCPU
 		resp := s.acquireResp(sc, req.Seq, 1)
 		resp.Results[0] = wire.Result{Status: wire.StatusOK, Data: reply}
 		s.e.Schedule(total, func() {

@@ -113,19 +113,13 @@ func (b *burst) reset() {
 // when the clock crossed a coarse slot boundary.
 //
 // The layers running on the engine add the rest through Counters: the
-// simulated NIC (internal/rdma) its connection-state model's QP context
-// cache hits/misses/evictions (zero when the model is disabled) and its
-// verb-program counts.
+// simulated NIC (internal/rdma) its request, op and verb-program counts.
 type Stats struct {
 	EventsExecuted int64
 	Bursts         int64
 	TimerFires     int64
 	TimerStops     int64
 	WheelCascades  int64
-
-	ConnCacheHits      int64
-	ConnCacheMisses    int64
-	ConnCacheEvictions int64
 
 	// Requests served, ops executed (skipped ones excluded), and verb
 	// programs (CHASE/SCAN ops) and their loop iterations, under the live
