@@ -35,12 +35,7 @@ type Config struct {
 	// Warmup and Measure are virtual-time windows.
 	Warmup  time.Duration
 	Measure time.Duration
-	// MaxOps caps measured operations per point (0 = no cap) so high
-	// throughput points do not dominate wall-clock time. Clients stop
-	// issuing once the measured op that reaches the cap completes; ops
-	// already in flight still complete and count.
-	MaxOps int64
-	Seed   int64
+	Seed    int64
 	// Parallel is the worker count for the point runner: each figure point
 	// is an independent simulation, and up to Parallel of them execute
 	// concurrently. <= 1 runs points serially in declaration order. Output
@@ -70,7 +65,6 @@ func DefaultConfig() Config {
 		ClientCounts: []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 288},
 		Warmup:       200 * time.Microsecond,
 		Measure:      4 * time.Millisecond,
-		MaxOps:       0,
 		Seed:         42,
 		Parallel:     1,
 

@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkColdTemplate times one cold build of each system's template —
-// construct, bulk load, capture — by keyspace: the cold-start table of
-// EXPERIMENTS.md. Run it with -benchtime 1x; outside a sweep every call
-// builds anew.
+// construct, bulk load, capture — by keyspace: EXPERIMENTS.md, "Cold
+// start by keyspace". Run it with -benchtime 1x; outside a sweep every
+// call builds anew.
 func BenchmarkColdTemplate(b *testing.B) {
 	for _, sys := range []struct {
 		name  string

@@ -3,8 +3,6 @@ package bench
 import (
 	"testing"
 	"time"
-
-	"prism/internal/workload"
 )
 
 // sweepFigures is the registry minus fig-chase: the determinism sweeps
@@ -28,37 +26,6 @@ func tinyD() Config {
 	cfg.Measure = 150 * time.Microsecond
 	cfg.ClientCounts = []int{3, 17}
 	return cfg
-}
-
-// TestMaxOpsStopsEarly: the op cap stops a point at the measured op that
-// reaches it. Clients issue nothing further, so at most the other
-// clients' in-flight ops complete after it, and the run ends far short of
-// an uncapped one.
-func TestMaxOpsStopsEarly(t *testing.T) {
-	const clients, maxOps = 16, 50
-	cfg := tinyD()
-	cfg.Measure = 2 * time.Millisecond
-	cfg.MaxOps = maxOps
-	run := func() workload.Result {
-		// runPoint's sequence by hand, to read the driver's counts.
-		cl := paperKV.build(cfg, PointSeed(cfg.Seed, "maxops", paperKV.name, clientsKey(clients)), load{readFrac: 1})
-		d := workload.NewDriver(engineClock{cl.e}, workload.Window{Warmup: cfg.Warmup, Measure: cfg.Measure, MaxOps: cfg.MaxOps})
-		for i := 0; i < clients; i++ {
-			d.Go(cl.client(i), nil)
-		}
-		return d.Run()
-	}
-	r := run()
-	if r.Ops < maxOps || r.Ops > maxOps+clients-1 {
-		t.Fatalf("MaxOps=%d measured %d ops, want %d to %d", maxOps, r.Ops, maxOps, maxOps+clients-1)
-	}
-	// The capped window ends at the last measured op's end.
-	if end := cfg.Warmup + r.Window; end >= cfg.Warmup+cfg.Measure/2 {
-		t.Fatalf("capped run measured until %v of a %v window", end, cfg.Warmup+cfg.Measure)
-	}
-	if pt, again := r.Summary(clients), run().Summary(clients); again != pt {
-		t.Fatalf("capped point differs between identical runs:\n%+v\n%+v", pt, again)
-	}
 }
 
 // TestPointTelemetryPopulated: every figure point reports its engine's

@@ -137,7 +137,7 @@ func (c engineClock) Drain()                  { c.e.Run() }
 func runPoint(cfg Config, figID string, sys system, w load, pointKey string, clients int) (Point, Telemetry) {
 	seed := PointSeed(cfg.Seed, figID, sys.name, pointKey)
 	cl := sys.build(cfg, seed, w)
-	d := workload.NewDriver(engineClock{cl.e}, workload.Window{Warmup: cfg.Warmup, Measure: cfg.Measure, MaxOps: cfg.MaxOps})
+	d := workload.NewDriver(engineClock{cl.e}, workload.Window{Warmup: cfg.Warmup, Measure: cfg.Measure})
 	for i := 0; i < clients; i++ {
 		d.Go(cl.client(i), nil)
 	}

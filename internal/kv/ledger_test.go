@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"prism/internal/abd"
 	"prism/internal/model"
 	"prism/internal/transport"
+	"prism/internal/tx"
 	"prism/internal/wire"
 )
 
@@ -121,7 +123,15 @@ func checkLedger[C any](t *testing.T, n int, provision func(transport.Host), new
 // rounds of classic verbs, two more than PRISM-RS — a lock CAS at every
 // replica waited to its end, then a READ and a WRITE of the data at the
 // locked replicas (all three when nothing contends), then an unlocking
-// CAS at each.
+// CAS at each. PRISM-TX on one shard (§8): a one-key read-modify-write
+// is three rounds of one-sided chains and no server CPU, the execution
+// READ and then the commit's two, a validation chain and an
+// ALLOCATE-WRITE-CAS install. FaRM (§8.1) pays its two dependent READs
+// (index, object) to execute, then three commit phases, two of them RPCs:
+// the lock RPC, the validation READ and the update+unlock RPC. An abort is
+// counted apart from the transaction that retries it: a transaction whose
+// read another committed over aborts at its first commit round (PRISM-TX's
+// validation chain, FaRM's lock RPC), with nothing to undo.
 func TestRoundTripLedger(t *testing.T) {
 	batch := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 	load := func(t *testing.T, store interface{ Load(int64, []byte) error }) {
@@ -245,4 +255,82 @@ func TestRoundTripLedger(t *testing.T) {
 			}, ledger{waits: 4, oneSided: 4 * replicas}},
 		})
 	})
+	const nSlots, maxValue = 32, 64
+	value := bytes.Repeat([]byte{0xEF}, maxValue)
+	t.Run("prism-tx", func(t *testing.T) {
+		var meta tx.Meta
+		checkLedger(t, 1, func(host transport.Host) {
+			shard, err := tx.NewShard(host, tx.ShardOptions{NSlots: nSlots, MaxValue: maxValue, ExtraBuffers: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			load(t, shard)
+			meta = shard.Meta()
+		}, func(g []transport.Issuer) *tx.Client {
+			return tx.NewClient(1, g, []tx.Meta{meta})
+		}, 0, txLedgerRows(t, func(c *tx.Client) rmwTx { return c.Begin() }, value, [3]ledger{
+			{waits: 3, oneSided: 3},
+			{waits: 4, oneSided: 4},
+			{waits: 1, oneSided: 1},
+		}))
+	})
+	t.Run("farm", func(t *testing.T) {
+		var meta tx.FarmMeta
+		checkLedger(t, 1, func(host transport.Host) {
+			srv, err := tx.NewFarmServer(host, tx.ShardOptions{NSlots: nSlots, MaxValue: maxValue})
+			if err != nil {
+				t.Fatal(err)
+			}
+			load(t, srv)
+			meta = srv.Meta()
+		}, func(g []transport.Issuer) *tx.FarmClient {
+			return tx.NewFarmClient(1, g, []tx.FarmMeta{meta})
+		}, 0, txLedgerRows(t, func(c *tx.FarmClient) rmwTx { return c.Begin() }, value, [3]ledger{
+			{waits: 5, oneSided: 3, twoSided: 2},
+			{waits: 7, oneSided: 5, twoSided: 2},
+			{waits: 1, twoSided: 1},
+		}))
+	})
+}
+
+// rmwTx is what PRISM-TX's and FaRM's transactions share.
+type rmwTx interface {
+	Read(key int64) ([]byte, error)
+	Write(key int64, value []byte)
+	Commit() (tx.Timestamp, error)
+}
+
+// rmw reads key, writes value over it and commits.
+func rmw(t rmwTx, key int64, value []byte) error {
+	if _, err := t.Read(key); err != nil {
+		return err
+	}
+	t.Write(key, value)
+	_, err := t.Commit()
+	return err
+}
+
+// txLedgerRows are the transaction rows of TestRoundTripLedger, costing
+// want: a one-key read-modify-write that commits; a transaction that reads
+// key 2 before a read-modify-write of key 2 commits over it; and that
+// transaction's commit, which aborts.
+func txLedgerRows[C any](t *testing.T, begin func(C) rmwTx, value []byte, want [3]ledger) []ledgerRow[C] {
+	var doomed rmwTx
+	return []ledgerRow[C]{
+		{"rmw", func(c C) error { return rmw(begin(c), 1, value) }, want[0]},
+		{"read-then-overwritten", func(c C) error {
+			doomed = begin(c)
+			if _, err := doomed.Read(2); err != nil {
+				return err
+			}
+			return rmw(begin(c), 2, value)
+		}, want[1]},
+		{"aborted-commit", func(c C) error {
+			doomed.Write(2, value)
+			if _, err := doomed.Commit(); !errors.Is(err, tx.ErrAborted) {
+				t.Errorf("commit over an overwritten read = %v, want %v", err, tx.ErrAborted)
+			}
+			return nil
+		}, want[2]},
+	}
 }

@@ -191,7 +191,10 @@ type Client struct {
 	// SlotCache, when enabled, remembers the keys whose slot a PUT has
 	// read (and caches the pessimal first PUT round trip away) for
 	// read-modify-write loops — the ablation the paper's §6.2
-	// parenthetical describes.
+	// parenthetical describes. It assumes one writer per cached key: a
+	// cached PUT installs a tag from this client's clock alone, and a CAS
+	// that loses to a higher tag counts as a superseded success, so a
+	// later PUT below another client's finished one is silently dropped.
 	SlotCache   bool
 	cachedSlots map[int64]bool
 

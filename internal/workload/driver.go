@@ -31,17 +31,13 @@ type Clock interface {
 type Op func() (ops, aborts int64, err error)
 
 // Window is what a run measures: operations that start at or after Warmup
-// and end by Warmup+Measure. MaxOps > 0 caps the measured operations:
-// clients issue nothing further once the measured operation that reaches
-// it completes, and operations already in flight still complete and
-// count.
+// and end by Warmup+Measure.
 type Window struct {
 	Warmup, Measure time.Duration
-	MaxOps          int64
 }
 
 // Result is what a closed-loop run measured. Window is the time the
-// measured operations span: Measure, or less when MaxOps stopped the run.
+// measured operations span: the window's Measure.
 type Result struct {
 	Ops, Aborts int64
 	Errors      int64 // clients that stopped on an error
@@ -75,10 +71,9 @@ type Driver struct {
 
 	mu       sync.Mutex
 	res      Result
-	lastEnd  time.Duration // the latest end of a measured operation
-	started  int           // clients started, returned or not
-	running  int64         // clients not yet returned
-	finished bool          // Run has returned: exiting clients add nothing
+	started  int   // clients started, returned or not
+	running  int64 // clients not yet returned
+	finished bool  // Run has returned: exiting clients add nothing
 }
 
 // NewDriver returns a driver that measures w on clock.
@@ -126,23 +121,19 @@ func (d *Driver) loop(op Op) error {
 			return err
 		}
 		if fin := d.clock.Now(); start >= d.w.Warmup && fin <= end {
-			d.record(fin, fin-start, n, aborts)
+			d.record(fin-start, n, aborts)
 		}
 	}
 	return nil
 }
 
-// record counts one measured operation that ended at end.
-func (d *Driver) record(end, lat time.Duration, n, aborts int64) {
+// record counts one measured operation.
+func (d *Driver) record(lat time.Duration, n, aborts int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.res.Latency.Record(lat)
 	d.res.Ops += n
 	d.res.Aborts += aborts
-	d.lastEnd = max(d.lastEnd, end)
-	if d.w.MaxOps > 0 && d.res.Ops >= d.w.MaxOps {
-		d.stopped.Store(true)
-	}
 }
 
 // Run advances the clock through the window, stops the clients, drains
@@ -157,9 +148,6 @@ func (d *Driver) Run() Result {
 	r := d.res
 	r.Stalled = d.running
 	r.Window = d.w.Measure
-	if d.w.MaxOps > 0 && d.lastEnd > d.w.Warmup {
-		r.Window = min(r.Window, d.lastEnd-d.w.Warmup)
-	}
 	return r
 }
 
