@@ -6,9 +6,10 @@
 //
 // The figures and the order of `all` come from the registry
 // bench.Figures (DESIGN.md §4 indexes them against the paper). fig-chase
-// and the ablation-* figures are not part of `all`: fig-chase measures the
-// linked-chain store, so its points are not comparable to the paper-figure
-// artifacts, and each ablation isolates one design choice.
+// and ablation-freelist-classes are not part of `all`: fig-chase measures
+// the linked-chain store, so its points are not comparable to the
+// paper-figure artifacts, and the ablation isolates one design choice,
+// §3.2's free-list size classes.
 //
 // prismbench renders; it does not measure itself. Wall-clock and per-layer
 // numbers come from the repository's benchmark (`bash benchmark/run.sh`),

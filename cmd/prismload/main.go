@@ -151,7 +151,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(os.Stderr, "prismload: %d clients still blocked %v past the deadline; reporting partial results\n",
 			r.Stalled, grace)
 	}
-	sum := r.Summary(o.clients)
+	sum := r.Summary(o.clients, *duration)
 
 	// Doorbell telemetry, aggregated over the socket pool: write
 	// syscalls and the frames/bytes they carried (frames_per_write is
@@ -171,7 +171,7 @@ func run(args []string, stdout io.Writer) error {
 		"addr":              *addr,
 		"clients":           o.clients,
 		"sockets":           o.sockets,
-		"duration_s":        r.Window.Seconds(),
+		"duration_s":        duration.Seconds(),
 		"workload":          o.workload,
 		"reads":             o.reads,
 		"value_bytes":       o.value,

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"prism/internal/bench"
 )
 
 // testFuncRE matches a test, benchmark or fuzz function's declaration.
@@ -126,5 +128,40 @@ func TestExperimentsCitationsResolve(t *testing.T) {
 				t.Errorf("%s cites EXPERIMENTS.md %q, which begins no heading", src, m[1])
 			}
 		}
+	}
+}
+
+// TestFigureTableIsTheRegistry: DESIGN.md §4's per-experiment table lists
+// exactly the registry bench.Figures, in registry order, with ✓ in its
+// "all" column on exactly the members of `prismbench all`, so a figure
+// cannot be added or deleted without its row.
+func TestFigureTableIsTheRegistry(t *testing.T) {
+	design := readFile(t, "DESIGN.md")
+	start := strings.Index(design, "\n## 4. ")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no §4")
+	}
+	section := design[start+1:]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	type row struct {
+		id  string
+		all bool
+	}
+	var table, registry []row
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		id := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		table = append(table, row{id, strings.TrimSpace(cells[2]) == "✓"})
+	}
+	for _, f := range bench.Figures {
+		registry = append(registry, row{f.Name, f.All})
+	}
+	if !slices.Equal(table, registry) {
+		t.Errorf("DESIGN.md §4 lists (id, all)\n  %v\nthe registry is\n  %v", table, registry)
 	}
 }

@@ -4,83 +4,8 @@ import (
 	"fmt"
 
 	"prism/internal/alloc"
-	"prism/internal/model"
-	"prism/internal/prism"
 	"prism/internal/sim"
-	"prism/internal/wire"
 )
-
-// Ablations of the design choices DESIGN.md §15 calls out. Each returns a
-// small categorical Figure comparing the design as-built against the
-// alternative.
-
-// ablation runs a two-variant closed-loop comparison: 16 clients of each
-// system under w, one point per series.
-func ablation(cfg Config, fig *Figure, systems []system, w load, label func(pt Point) string) *Figure {
-	const clients = 16
-	sweep(cfg, fig, names(systems), []int{clients}, func(cfg Config, si, n int) (Point, Telemetry) {
-		return runPoint(cfg, fig.ID, systems[si], w, clientsKey(n), n)
-	}, func(_, _ int, pt Point, _ Telemetry) string { return label(pt) })
-	return fig
-}
-
-// AblationKVSlotCache measures PRISM-KV PUT latency with and without the
-// slot cache the paper's §6.2 parenthetical describes: read-modify-write
-// workloads can skip the slot-probe round trip, halving PUTs to one round
-// trip.
-func AblationKVSlotCache(cfg Config) *Figure {
-	fig := &Figure{
-		ID:     "ablation-kv-slotcache",
-		Title:  "PRISM-KV PUT: probe every time (paper's pessimal case) vs cached slot",
-		XLabel: "variant", YLabel: "mean PUT latency (µs)",
-	}
-	// A read-modify-write loop over a small working set, so the cache has hits
-	// (each client revisits its keys many times).
-	cfg.Keys = 16
-	return ablation(cfg, fig, []system{
-		{"probe + chain (2 RTs)", paperKV.build},
-		{"cached slot + chain (1 RT)", prismKV(model.SoftwarePRISM, kvTune{slotCache: true})},
-	}, load{readFrac: 0}, func(pt Point) string { return fmt.Sprintf("mean=%.2fµs", float64(pt.Mean)/1e3) })
-}
-
-// AblationRedirectTarget measures the out-of-place update chain on the
-// projected hardware NIC with redirect targets in on-NIC memory (§4.2's
-// recommendation) vs in host memory (one extra PCIe round trip per
-// redirected op).
-func AblationRedirectTarget(cfg Config) *Figure {
-	fig := &Figure{
-		ID:     "ablation-redirect-target",
-		Title:  "Chain redirect target on the projected NIC: on-NIC vs host memory",
-		XLabel: "variant", YLabel: "chain round trip (µs)",
-	}
-	series := []string{"on-NIC temp storage (§4.2)", "host-memory temp storage"}
-	sweep(cfg, fig, series, []string{"chain"}, func(_ Config, vi int, key string) (Point, Telemetry) {
-		return redirectPoint(vi == 1).run(PointSeed(cfg.Seed, fig.ID, series[vi], key))
-	}, func(_, _ int, pt Point, _ Telemetry) string {
-		return fmt.Sprintf("chain RTT %.2fµs", float64(pt.Mean)/1e3)
-	})
-	return fig
-}
-
-// redirectPoint times the out-of-place update chain, its redirect target
-// in host memory if hostMem: the ith issue writes a rising tag into the
-// connection's temp cell, ALLOCATEs the new value with its address
-// redirected beside the tag, and CASes the [tag|addr] cell over from there.
-func redirectPoint(hostMem bool) microPoint {
-	p := model.Default().WithNetwork(model.Direct)
-	p.RedirectToHostMem = hostMem
-	return microPoint{model.ProjectedHardwarePRISM, p, []microOp{func(env *microEnv, i int) []wire.Op {
-		tagBytes := make([]byte, 8)
-		prism.PutBE64(tagBytes, 0, uint64(i)+2) // above the cell's tag 1, rising
-		tmp := env.conn.TempAddr
-		return []wire.Op{
-			prism.Write(env.conn.TempKey, tmp, tagBytes),
-			prism.Conditional(prism.RedirectTo(prism.Allocate(1, make([]byte, microValue)), env.conn.TempKey, tmp+8)),
-			prism.Conditional(prism.CASIndirectData(env.reg.Key, env.reg.Base+64, wire.CASGt, tmp,
-				prism.FieldMask(16, 0, 8), prism.FullMask(16))),
-		}
-	}}}
-}
 
 // AblationFreelistClasses quantifies §3.2's space/simplicity tradeoff:
 // one free list per size class — the paper's power-of-two ladder, built

@@ -21,8 +21,8 @@ func Fig4(cfg Config) *Figure {
 }
 
 // paperKV is PRISM-KV as Figures 3 and 4 measure it: the software
-// deployment, a control QP per client, no slot cache.
-var paperKV = system{"PRISM-KV", prismKV(model.SoftwarePRISM, kvTune{})}
+// deployment, a control QP per client.
+var paperKV = system{"PRISM-KV", prismKV}
 
 func kvFigure(cfg Config, id, title string, readFrac float64) *Figure {
 	fig := &Figure{ID: id, Title: title, XLabel: "throughput (ops/s)", YLabel: "mean latency (µs)"}

@@ -258,16 +258,6 @@ func TestFigurePrintRendersAllSeries(t *testing.T) {
 	}
 }
 
-func TestAblationRedirectTargetCostsOnePCIe(t *testing.T) {
-	fig := AblationRedirectTarget(tiny())
-	onNIC := fig.Series[0].Points[0].Mean
-	host := fig.Series[1].Points[0].Mean
-	diff := host - onNIC
-	if diff < 700*time.Nanosecond || diff > 1200*time.Nanosecond {
-		t.Fatalf("host-memory redirect penalty %v, want ≈0.9µs (one PCIe RTT)", diff)
-	}
-}
-
 // On entries that carry the stores' 16-byte header, the ladder the stores
 // post fits more of the population into the budget than the paper's
 // powers of two, and any ladder beats one max-size class.

@@ -40,7 +40,7 @@ func spaceChecksum(t *testing.T, s *memory.Space) uint64 {
 func freshKV(cfg Config, seed int64, w load) cluster {
 	v := newEnv(cfg, seed, w)
 	nic, meta := loadKV(v.net, cfg)
-	return v.mix(kvClients(nic, meta, kvTune{}))
+	return v.mix(kvClients(nic, meta))
 }
 
 func freshRS(cfg Config, seed int64, w load) cluster {
@@ -87,7 +87,7 @@ func TestForkedClusterMatchesFresh(t *testing.T) {
 		clients       []int
 	}{
 		// 50% writes so forks diverge hard from the template image.
-		{"prism-kv", prismKV(model.SoftwarePRISM, kvTune{}), freshKV,
+		{"prism-kv", prismKV, freshKV,
 			load{readFrac: 0.5}, clientsKey, cfg.ClientCounts},
 		{"prism-rs", prismRS, freshRS,
 			load{readFrac: 0.5, theta: 0.4}, func(n int) string { return thetaKey(0.4, n) }, cfg.ClientCounts},
@@ -271,7 +271,7 @@ func TestForkCopiesOnlyWrittenSlabs(t *testing.T) {
 	v := newEnv(cfg, 1, load{})
 	cli := rdma.NewClient(v.net, "cli")
 
-	kvNIC, kvMeta := v.forkKV(model.SoftwarePRISM)
+	kvNIC, kvMeta := v.forkKV()
 	kvc := kv.NewClient(cli.Connect(kvNIC), kvMeta, 1)
 
 	// A value of a new length, so the PUT changes the slot's bytes too: an

@@ -151,7 +151,7 @@ func runPoint(cfg Config, figID string, sys system, w load, pointKey string, cli
 	if r.Ops > 0 {
 		tel.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(r.Ops)
 	}
-	return r.Summary(clients), tel
+	return r.Summary(clients, cfg.Measure), tel
 }
 
 // latencyPoint is the Point of a single-op latency measurement (the
@@ -229,7 +229,8 @@ type FigureDef struct {
 // renders them. All marks the members of `all`: the paper's figures, the
 // §2.1 measurement and the two PRISM-TX extensions. fig-chase stays
 // outside it — it measures the linked-chain store, so its points are not
-// comparable to the paper-figure artifacts — as do the ablations.
+// comparable to the paper-figure artifacts — as does the free-list
+// ablation.
 // cmd/prismbench, the root BenchmarkFigure and the package's own
 // determinism and golden tests all iterate this table.
 var Figures = []FigureDef{
@@ -245,7 +246,5 @@ var Figures = []FigureDef{
 	{"ext-shards", ExtShards, true},
 	{"ext-multikey", ExtMultiKey, true},
 	{"fig-chase", FigChase, false},
-	{"ablation-kv-slotcache", AblationKVSlotCache, false},
-	{"ablation-redirect-target", AblationRedirectTarget, false},
 	{"ablation-freelist-classes", AblationFreelistClasses, false},
 }

@@ -11,10 +11,10 @@ import (
 
 // TestMicroProbesSteady holds what lets measure time only two round
 // trips: on an idle simulated link every trip after the warm-up takes the
-// same virtual time. For every point of Fig1, Fig2, RPCvsRDMA and
-// AblationRedirectTarget, built by the figures' own point functions, it
-// times each op's warm-up and 64 trips on a fresh env and requires every
-// trip to equal what measure returns for that op on another.
+// same virtual time. For every point of Fig1, Fig2 and RPCvsRDMA, built
+// by the figures' own point functions, it times each op's warm-up and 64
+// trips on a fresh env and requires every trip to equal what measure
+// returns for that op on another.
 func TestMicroProbesSteady(t *testing.T) {
 	const trips = 64
 	points := map[string]microPoint{}
@@ -31,8 +31,6 @@ func TestMicroProbesSteady(t *testing.T) {
 	for mi, m := range rpcMechanisms {
 		points["rpcvsrdma/"+m.name] = rpcPoint(mi)
 	}
-	points["redirect/on-nic"] = redirectPoint(false)
-	points["redirect/host-mem"] = redirectPoint(true)
 
 	timed := 0
 	for name, pt := range points {

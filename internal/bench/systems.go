@@ -190,38 +190,29 @@ func kvTemplate(cfg Config) image[kv.Meta] {
 	})
 }
 
-// kvTune adjusts how PRISM-KV clients attach to their server.
-type kvTune struct {
-	// slotCache turns on the §6.2 slot cache (AblationKVSlotCache).
-	slotCache bool
-}
-
 // kvClients makes the PRISM-KV clients of the store meta describes on nic.
-func kvClients(nic *rdma.Server, meta kv.Meta, t kvTune) func(m *rdma.Client, id int) Store {
+func kvClients(nic *rdma.Server, meta kv.Meta) func(m *rdma.Client, id int) Store {
 	return func(m *rdma.Client, id int) Store {
 		c := kv.NewClient(m.Connect(nic), meta, uint16(id+1))
 		c.Reclaim.Ctrl = m.Connect(nic) // reclamation rides a control QP
 		c.Reclaim.Batch = 4             // keep unreclaimed churn small under heavy write load
-		c.SlotCache = t.slotCache
 		return c
 	}
 }
 
-// forkKV instantiates the loaded PRISM-KV store on v's fabric under deploy.
-func (v *env) forkKV(deploy model.Deployment) (*rdma.Server, kv.Meta) {
+// forkKV instantiates the loaded PRISM-KV store on v's fabric.
+func (v *env) forkKV() (*rdma.Server, kv.Meta) {
 	im := kvTemplate(v.cfg)
-	nic := im.fork(v.net, "server", deploy)
+	nic := im.fork(v.net, "server", model.SoftwarePRISM)
 	kv.AttachServer(nic, im.meta)
 	return nic, im.meta
 }
 
-// prismKV builds PRISM-KV under deploy.
-func prismKV(deploy model.Deployment, t kvTune) builder {
-	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w)
-		nic, meta := v.forkKV(deploy)
-		return v.mix(kvClients(nic, meta, t))
-	}
+// prismKV builds PRISM-KV.
+func prismKV(cfg Config, seed int64, w load) cluster {
+	v := newEnv(cfg, seed, w)
+	nic, meta := v.forkKV()
+	return v.mix(kvClients(nic, meta))
 }
 
 // KVCluster builds the standard one-server PRISM-KV cluster at cfg's scale
@@ -231,8 +222,8 @@ func prismKV(deploy model.Deployment, t kvTune) builder {
 // drives the store, then run the engine.
 func KVCluster(cfg Config) (*sim.Engine, Store) {
 	v := newEnv(cfg, 42, load{})
-	nic, meta := v.forkKV(model.SoftwarePRISM)
-	return v.e, kvClients(nic, meta, kvTune{})(v.clientMachines()[0], 0)
+	nic, meta := v.forkKV()
+	return v.e, kvClients(nic, meta)(v.clientMachines()[0], 0)
 }
 
 func loadPilaf(net *fabric.Network, cfg Config) (*rdma.Server, kv.PilafMeta) {

@@ -108,7 +108,7 @@ func TestChainChaseStepAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if l := tally(t, log, 0); l != (ledger{waits: int(opts.Depth), oneSided: int(opts.Depth)}) {
+	if l, d := tally(t, log, 0), int(opts.Depth); l.waits != d || l.oneSided != d || l.twoSided != 0 || l.ops != d {
 		t.Fatalf("HopGet cost %+v, want %d one-sided round trips", l, opts.Depth)
 	}
 	if v2.e.Stats().ProgOps != 0 {

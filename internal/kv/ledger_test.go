@@ -19,7 +19,14 @@ import (
 // (an Issue, or the wait of a fan-out round), and the requests it sent,
 // one-sided (verbs the NIC answers) or two-sided (an RPC the server's CPU
 // answers), and the client-side CRC checks Pilaf's GET sleeps for (§6.2).
-type ledger struct{ waits, oneSided, twoSided, crcChecks int }
+// ops, reqBytes and respBytes are the ops those requests carried, their
+// canonical wire bytes, and the canonical bytes of the responses an Issue
+// returned; a fan-out round's completions are not counted, because a
+// straggler is logged at different times on the two transports.
+type ledger struct {
+	waits, oneSided, twoSided, crcChecks int
+	ops, reqBytes, respBytes             int
+}
 
 // tally counts a ledger from a recIssuer log. A sleep of crc (when crc is
 // not zero) is a CRC check. Any other sleep is a retry backoff, which a
@@ -32,6 +39,7 @@ func tally(t *testing.T, events []string, crc time.Duration) (l ledger) {
 		case f[0] == "issue":
 			l.waits++
 			req = f[1]
+			l.respBytes += len(f[3]) / 2 // issue req -> resp err=...
 		case f[0] == "async":
 			req = f[1]
 		case strings.HasPrefix(f[0], "post["):
@@ -56,6 +64,8 @@ func tally(t *testing.T, events []string, crc time.Duration) (l ledger) {
 		default:
 			l.oneSided++
 		}
+		l.ops += len(r.Ops)
+		l.reqBytes += len(b)
 	}
 	return l
 }
@@ -105,7 +115,8 @@ func checkLedger[C any](t *testing.T, n int, provision func(transport.Host), new
 }
 
 // TestRoundTripLedger holds the stores' client calls to the round trips
-// the paper counts, on the simulator and over a net.Pipe, the two equal.
+// the paper counts, on the simulator and over a net.Pipe, the two equal,
+// and pins the ops and wire bytes each call sends (DESIGN.md §1's table).
 // PRISM-KV (§6.1, §6.2): a GET is one indirect bounded READ, one round
 // trip and no server CPU, not the two dependent READs of a one-sided hash
 // table; a PUT is two, the slot probe and then the ALLOCATE-WRITE-CAS
@@ -154,21 +165,21 @@ func TestRoundTripLedger(t *testing.T) {
 			{"get", func(c *Client) error {
 				_, err := c.Get(1)
 				return err
-			}, ledger{waits: 1, oneSided: 1}},
+			}, ledger{waits: 1, oneSided: 1, ops: 1, reqBytes: 71, respBytes: 62}},
 			// An overwrite: the old buffer is queued for reclamation, not sent.
-			{"put", func(c *Client) error { return c.Put(2, diffValue(2, 1)) }, ledger{waits: 2, oneSided: 2}},
+			{"put", func(c *Client) error { return c.Put(2, diffValue(2, 1)) }, ledger{waits: 2, oneSided: 2, ops: 5, reqBytes: 390, respBytes: 187}},
 			{"get-batch-16", func(c *Client) error {
 				return c.GetBatch(batch, func(i int, _ []byte, err error) {
 					if err != nil {
 						t.Errorf("GetBatch key %d: %v", batch[i], err)
 					}
 				})
-			}, ledger{waits: 1, oneSided: 16}},
+			}, ledger{waits: 1, oneSided: 16, ops: 16, reqBytes: 1136}},
 			{"scan-window", func(c *Client) error {
 				_, err := c.Scan(0, 32<<10, func(int64, []byte) error { return nil })
 				return err
-			}, ledger{waits: 1, oneSided: 1}},
-			{"flush-frees", (*Client).FlushFrees, ledger{twoSided: 1}},
+			}, ledger{waits: 1, oneSided: 1, ops: 1, reqBytes: 103, respBytes: 606}},
+			{"flush-frees", (*Client).FlushFrees, ledger{twoSided: 1, ops: 1, reqBytes: 84}},
 		})
 	})
 	t.Run("pilaf", func(t *testing.T) {
@@ -185,8 +196,8 @@ func TestRoundTripLedger(t *testing.T) {
 			{"get", func(c *PilafClient) error {
 				_, err := c.Get(1)
 				return err
-			}, ledger{waits: 2, oneSided: 2, crcChecks: 1}},
-			{"put", func(c *PilafClient) error { return c.Put(2, diffValue(2, 1)) }, ledger{waits: 1, twoSided: 1}},
+			}, ledger{waits: 2, oneSided: 2, crcChecks: 1, ops: 2, reqBytes: 142, respBytes: 139}},
+			{"put", func(c *PilafClient) error { return c.Put(2, diffValue(2, 1)) }, ledger{waits: 1, twoSided: 1, ops: 1, reqBytes: 91, respBytes: 38}},
 			// The GET after it reads the new entry: still two READs and a check.
 			{"get-after-put", func(c *PilafClient) error {
 				v, err := c.Get(2)
@@ -194,7 +205,7 @@ func TestRoundTripLedger(t *testing.T) {
 					t.Errorf("GET after PUT = %x", v)
 				}
 				return err
-			}, ledger{waits: 2, oneSided: 2, crcChecks: 1}},
+			}, ledger{waits: 2, oneSided: 2, crcChecks: 1, ops: 2, reqBytes: 142, respBytes: 141}},
 		})
 	})
 	t.Run("prism-rs", func(t *testing.T) {
@@ -215,15 +226,15 @@ func TestRoundTripLedger(t *testing.T) {
 			{"get", func(c *abd.Client) error {
 				_, err := c.Get(1)
 				return err
-			}, ledger{waits: 2, oneSided: 2 * replicas}},
-			{"put", func(c *abd.Client) error { return c.Put(2, put) }, ledger{waits: 2, oneSided: 2 * replicas}},
+			}, ledger{waits: 2, oneSided: 2 * replicas, ops: 12, reqBytes: 948}},
+			{"put", func(c *abd.Client) error { return c.Put(2, put) }, ledger{waits: 2, oneSided: 2 * replicas, ops: 12, reqBytes: 948}},
 			{"get-after-put", func(c *abd.Client) error {
 				v, err := c.Get(2)
 				if err == nil && !bytes.Equal(v, put) {
 					t.Errorf("GET after PUT = %x", v)
 				}
 				return err
-			}, ledger{waits: 2, oneSided: 2 * replicas}},
+			}, ledger{waits: 2, oneSided: 2 * replicas, ops: 12, reqBytes: 948}},
 		})
 	})
 	t.Run("abd-lock", func(t *testing.T) {
@@ -244,15 +255,15 @@ func TestRoundTripLedger(t *testing.T) {
 			{"get", func(c *abd.LockClient) error {
 				_, err := c.Get(1)
 				return err
-			}, ledger{waits: 4, oneSided: 4 * replicas}},
-			{"put", func(c *abd.LockClient) error { return c.Put(2, put) }, ledger{waits: 4, oneSided: 4 * replicas}},
+			}, ledger{waits: 4, oneSided: 4 * replicas, ops: 12, reqBytes: 1020}},
+			{"put", func(c *abd.LockClient) error { return c.Put(2, put) }, ledger{waits: 4, oneSided: 4 * replicas, ops: 12, reqBytes: 1020}},
 			{"get-after-put", func(c *abd.LockClient) error {
 				v, err := c.Get(2)
 				if err == nil && !bytes.Equal(v, put) {
 					t.Errorf("GET after PUT = %x", v)
 				}
 				return err
-			}, ledger{waits: 4, oneSided: 4 * replicas}},
+			}, ledger{waits: 4, oneSided: 4 * replicas, ops: 12, reqBytes: 1020}},
 		})
 	})
 	const nSlots, maxValue = 32, 64
@@ -269,9 +280,9 @@ func TestRoundTripLedger(t *testing.T) {
 		}, func(g []transport.Issuer) *tx.Client {
 			return tx.NewClient(1, g, []tx.Meta{meta})
 		}, 0, txLedgerRows(t, func(c *tx.Client) rmwTx { return c.Begin() }, value, [3]ledger{
-			{waits: 3, oneSided: 3},
-			{waits: 4, oneSided: 4},
-			{waits: 1, oneSided: 1},
+			{waits: 3, oneSided: 3, ops: 7, reqBytes: 665, respBytes: 91},
+			{waits: 4, oneSided: 4, ops: 9, reqBytes: 783, respBytes: 184},
+			{waits: 1, oneSided: 1, ops: 2, reqBytes: 214},
 		}))
 	})
 	t.Run("farm", func(t *testing.T) {
@@ -286,9 +297,9 @@ func TestRoundTripLedger(t *testing.T) {
 		}, func(g []transport.Issuer) *tx.FarmClient {
 			return tx.NewFarmClient(1, g, []tx.FarmMeta{meta})
 		}, 0, txLedgerRows(t, func(c *tx.FarmClient) rmwTx { return c.Begin() }, value, [3]ledger{
-			{waits: 5, oneSided: 3, twoSided: 2},
-			{waits: 7, oneSided: 5, twoSided: 2},
-			{waits: 1, twoSided: 1},
+			{waits: 5, oneSided: 3, twoSided: 2, ops: 5, reqBytes: 473, respBytes: 178},
+			{waits: 7, oneSided: 5, twoSided: 2, ops: 7, reqBytes: 615, respBytes: 356},
+			{waits: 1, twoSided: 1, ops: 1, reqBytes: 96},
 		}))
 	})
 }

@@ -188,16 +188,6 @@ type Client struct {
 	clientID uint16
 	tagClock uint64
 
-	// SlotCache, when enabled, remembers the keys whose slot a PUT has
-	// read (and caches the pessimal first PUT round trip away) for
-	// read-modify-write loops — the ablation the paper's §6.2
-	// parenthetical describes. It assumes one writer per cached key: a
-	// cached PUT installs a tag from this client's clock alone, and a CAS
-	// that loses to a higher tag counts as a superseded success, so a
-	// later PUT below another client's finished one is silently dropped.
-	SlotCache   bool
-	cachedSlots map[int64]bool
-
 	// Reclaim batches the buffers this client's updates displaced as
 	// 12-byte [freelist(4) | addr(8)] records and reports them under
 	// rpcFree (§3.2); a batch is flushed by the retire that fills it.
@@ -437,23 +427,13 @@ func (c *Client) Delete(key int64) error {
 	}
 }
 
-// findSlot returns key's slot and its current tag, consulting and feeding
-// the slot cache when enabled.
+// findSlot returns key's slot and its current tag.
 func (c *Client) findSlot(key int64) (int64, uint64, error) {
 	idx, err := slotIndex(key, c.meta.NSlots)
 	if err != nil {
 		return 0, 0, err
 	}
-	if c.SlotCache && c.cachedSlots[key] {
-		return idx, c.tagClock << 16, nil
-	}
 	tag, err := c.readSlot(idx, key)
-	if err == nil && c.SlotCache {
-		if c.cachedSlots == nil {
-			c.cachedSlots = make(map[int64]bool)
-		}
-		c.cachedSlots[key] = true
-	}
 	return idx, tag, err
 }
 

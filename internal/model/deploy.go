@@ -141,11 +141,11 @@ func (p Params) OpExtra(d Deployment, code wire.OpCode, meta OpMeta, tempOnNIC b
 		// One extra PCIe round trip per level of indirection (§4.3), plus
 		// small fixed costs for the new datapath functions.
 		extra := time.Duration(meta.Indirections) * p.PCIeRTT
-		if meta.RedirectUsed && (p.RedirectToHostMem || !tempOnNIC) {
-			// §4.2: redirects should target on-NIC memory; a host-memory
-			// temp buffer — forced either by configuration or by exceeding
-			// the 256 KB on-NIC region — costs an extra PCIe round trip
-			// per redirect.
+		if meta.RedirectUsed && !tempOnNIC {
+			// §4.2: redirects should target on-NIC memory; a connection
+			// whose temp buffer lies past the 256 KB on-NIC region has it
+			// in host memory, and each redirect there costs an extra PCIe
+			// round trip.
 			extra += p.PCIeRTT
 		}
 		if code == wire.OpAllocate {

@@ -25,44 +25,40 @@ func TestOpExtraPriceTable(t *testing.T) {
 		code      wire.OpCode
 		meta      OpMeta
 		tempOnNIC bool
-		hostTemps bool // Params.RedirectToHostMem
 		want      time.Duration
 	}{
-		{"rdma read", HardwareRDMA, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, true, false, 0},
-		{"sw read", SoftwarePRISM, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, true, false, 500 * ns},
-		{"sw write", SoftwarePRISM, wire.OpWrite, OpMeta{Class: OpWrite, HostAccesses: 1}, true, false, 200 * ns},
-		{"sw allocate", SoftwarePRISM, wire.OpAllocate, OpMeta{Class: OpAllocate, HostAccesses: 1, PRISMOnly: true}, true, false, 300 * ns},
-		{"sw masked cas", SoftwarePRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 1, PRISMOnly: true}, true, false, 400 * ns},
-		{"sw indirect read", SoftwarePRISM, wire.OpRead, indirectRead, true, false, 500 * ns},
-		{"hw read", ProjectedHardwarePRISM, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, true, false, 0},
-		{"hw indirect read", ProjectedHardwarePRISM, wire.OpRead, indirectRead, true, false, 900 * ns},
-		{"hw classic cas with a flag", ProjectedHardwarePRISM, wire.OpClassicCAS, OpMeta{Class: OpCAS, HostAccesses: 2, Indirections: 1, PRISMOnly: true}, true, false, 900 * ns},
-		{"hw classic-subset cas", ProjectedHardwarePRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 1}, true, false, 0},
-		{"hw masked cas", ProjectedHardwarePRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 1, PRISMOnly: true}, true, false, 300 * ns},
-		{"hw cas with indirect data", ProjectedHardwarePRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 2, Indirections: 1, PRISMOnly: true}, true, false, 1200 * ns},
-		{"hw allocate", ProjectedHardwarePRISM, wire.OpAllocate, OpMeta{Class: OpAllocate, HostAccesses: 1, PRISMOnly: true}, true, false, 200 * ns},
-		{"hw allocate redirected on-NIC", ProjectedHardwarePRISM, wire.OpAllocate, OpMeta{Class: OpAllocate, HostAccesses: 2, PRISMOnly: true, RedirectUsed: true}, true, false, 200 * ns},
-		{"hw allocate redirected to a host temp", ProjectedHardwarePRISM, wire.OpAllocate, OpMeta{Class: OpAllocate, HostAccesses: 2, PRISMOnly: true, RedirectUsed: true}, false, false, 1100 * ns},
-		{"hw read redirected on-NIC", ProjectedHardwarePRISM, wire.OpRead, redirectRead, true, false, 0},
-		{"hw read redirected to a host temp", ProjectedHardwarePRISM, wire.OpRead, redirectRead, false, false, 900 * ns},
-		{"hw read redirected with RedirectToHostMem", ProjectedHardwarePRISM, wire.OpRead, redirectRead, true, true, 900 * ns},
-		{"hw read, host temp, no redirect", ProjectedHardwarePRISM, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, false, true, 0},
-		{"bf read", BlueFieldPRISM, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, true, false, 3000 * ns},
-		{"bf indirect read", BlueFieldPRISM, wire.OpRead, indirectRead, true, false, 6000 * ns},
-		{"bf redirected read", BlueFieldPRISM, wire.OpRead, redirectRead, false, true, 6000 * ns},
-		{"bf masked cas", BlueFieldPRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 1, PRISMOnly: true}, true, false, 3000 * ns},
-		{"rdma chase", HardwareRDMA, wire.OpChase, chase, true, false, 0},
-		{"sw chase", SoftwarePRISM, wire.OpChase, chase, true, false, 1700 * ns},
-		{"hw chase", ProjectedHardwarePRISM, wire.OpChase, chase, true, false, 8400 * ns},
-		{"bf chase", BlueFieldPRISM, wire.OpChase, chase, true, false, 28200 * ns},
-		{"rdma scan", HardwareRDMA, wire.OpScan, scan, true, false, 0},
-		{"sw scan", SoftwarePRISM, wire.OpScan, scan, true, false, 1100 * ns},
-		{"hw scan", ProjectedHardwarePRISM, wire.OpScan, scan, true, false, 600 * ns},
-		{"bf scan", BlueFieldPRISM, wire.OpScan, scan, true, false, 12600 * ns},
+		{"rdma read", HardwareRDMA, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, true, 0},
+		{"sw read", SoftwarePRISM, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, true, 500 * ns},
+		{"sw write", SoftwarePRISM, wire.OpWrite, OpMeta{Class: OpWrite, HostAccesses: 1}, true, 200 * ns},
+		{"sw allocate", SoftwarePRISM, wire.OpAllocate, OpMeta{Class: OpAllocate, HostAccesses: 1, PRISMOnly: true}, true, 300 * ns},
+		{"sw masked cas", SoftwarePRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 1, PRISMOnly: true}, true, 400 * ns},
+		{"sw indirect read", SoftwarePRISM, wire.OpRead, indirectRead, true, 500 * ns},
+		{"hw read", ProjectedHardwarePRISM, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, true, 0},
+		{"hw indirect read", ProjectedHardwarePRISM, wire.OpRead, indirectRead, true, 900 * ns},
+		{"hw classic cas with a flag", ProjectedHardwarePRISM, wire.OpClassicCAS, OpMeta{Class: OpCAS, HostAccesses: 2, Indirections: 1, PRISMOnly: true}, true, 900 * ns},
+		{"hw classic-subset cas", ProjectedHardwarePRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 1}, true, 0},
+		{"hw masked cas", ProjectedHardwarePRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 1, PRISMOnly: true}, true, 300 * ns},
+		{"hw cas with indirect data", ProjectedHardwarePRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 2, Indirections: 1, PRISMOnly: true}, true, 1200 * ns},
+		{"hw allocate", ProjectedHardwarePRISM, wire.OpAllocate, OpMeta{Class: OpAllocate, HostAccesses: 1, PRISMOnly: true}, true, 200 * ns},
+		{"hw allocate redirected on-NIC", ProjectedHardwarePRISM, wire.OpAllocate, OpMeta{Class: OpAllocate, HostAccesses: 2, PRISMOnly: true, RedirectUsed: true}, true, 200 * ns},
+		{"hw allocate redirected to a host temp", ProjectedHardwarePRISM, wire.OpAllocate, OpMeta{Class: OpAllocate, HostAccesses: 2, PRISMOnly: true, RedirectUsed: true}, false, 1100 * ns},
+		{"hw read redirected on-NIC", ProjectedHardwarePRISM, wire.OpRead, redirectRead, true, 0},
+		{"hw read redirected to a host temp", ProjectedHardwarePRISM, wire.OpRead, redirectRead, false, 900 * ns},
+		{"hw read, host temp, no redirect", ProjectedHardwarePRISM, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, false, 0},
+		{"bf read", BlueFieldPRISM, wire.OpRead, OpMeta{Class: OpRead, HostAccesses: 1}, true, 3000 * ns},
+		{"bf indirect read", BlueFieldPRISM, wire.OpRead, indirectRead, true, 6000 * ns},
+		{"bf redirected read", BlueFieldPRISM, wire.OpRead, redirectRead, false, 6000 * ns},
+		{"bf masked cas", BlueFieldPRISM, wire.OpCAS, OpMeta{Class: OpCAS, HostAccesses: 1, PRISMOnly: true}, true, 3000 * ns},
+		{"rdma chase", HardwareRDMA, wire.OpChase, chase, true, 0},
+		{"sw chase", SoftwarePRISM, wire.OpChase, chase, true, 1700 * ns},
+		{"hw chase", ProjectedHardwarePRISM, wire.OpChase, chase, true, 8400 * ns},
+		{"bf chase", BlueFieldPRISM, wire.OpChase, chase, true, 28200 * ns},
+		{"rdma scan", HardwareRDMA, wire.OpScan, scan, true, 0},
+		{"sw scan", SoftwarePRISM, wire.OpScan, scan, true, 1100 * ns},
+		{"hw scan", ProjectedHardwarePRISM, wire.OpScan, scan, true, 600 * ns},
+		{"bf scan", BlueFieldPRISM, wire.OpScan, scan, true, 12600 * ns},
 	} {
-		p := Default()
-		p.RedirectToHostMem = row.hostTemps
-		if got := p.OpExtra(row.d, row.code, row.meta, row.tempOnNIC); got != row.want {
+		if got := Default().OpExtra(row.d, row.code, row.meta, row.tempOnNIC); got != row.want {
 			t.Errorf("%s: OpExtra = %v, want %v", row.name, got, row.want)
 		}
 	}

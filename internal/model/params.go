@@ -134,11 +134,6 @@ type Params struct {
 	// PCIeRTT is one extra PCIe round trip, added per level of
 	// indirection / redirect to host memory ([35] measures ~0.9 µs).
 	PCIeRTT time.Duration
-	// RedirectToHostMem models a projected-hardware NIC whose chain
-	// redirect targets live in host memory instead of the on-NIC region
-	// §4.2 recommends — each redirected op then pays one extra PCIe round
-	// trip. Default false (on-NIC temp storage).
-	RedirectToHostMem bool
 
 	// --- BlueField smart NIC (§4.3, footnote 1) ---
 

@@ -471,35 +471,67 @@ func TestOnNICTempCapacity(t *testing.T) {
 	// On the projected hardware NIC, the first 256KB/256B = 1024
 	// connections get on-NIC temp buffers; later connections' chain
 	// redirects pay an extra PCIe round trip (§4.2's connection-scaling
-	// analysis).
+	// analysis). That holds for one redirected ALLOCATE and for the whole
+	// out-of-place update chain, whose one redirect is its ALLOCATE.
 	v := newEnv(t, model.ProjectedHardwarePRISM, nil)
 	v.srv.AddFreeList(alloc.NewFreeList(1, 64, v.reg.Key, v.srv.Space(), 4096))
 
-	measure := func(conn *Conn) sim.Duration {
+	allocate := func(conn *Conn) []wire.Op {
+		return []wire.Op{prism.RedirectTo(prism.Allocate(1, []byte("x")), conn.TempKey, conn.TempAddr)}
+	}
+	// chain writes a rising tag into the temp buffer, ALLOCATEs a value
+	// with its address redirected beside the tag, and CASes the [tag|addr]
+	// pair over a cell from there, as a PRISM-KV PUT does.
+	tag := uint64(1)
+	chain := func(conn *Conn) []wire.Op {
+		tag++ // rising across connections, so every CAS installs
+		tagBytes := make([]byte, 8)
+		prism.PutBE64(tagBytes, 0, tag)
+		return []wire.Op{
+			prism.Write(conn.TempKey, conn.TempAddr, tagBytes),
+			prism.Conditional(prism.RedirectTo(prism.Allocate(1, []byte("x")), conn.TempKey, conn.TempAddr+8)),
+			prism.Conditional(prism.CASIndirectData(v.reg.Key, v.reg.Base+64, wire.CASGt, conn.TempAddr,
+				prism.FieldMask(16, 0, 8), prism.FullMask(16))),
+		}
+	}
+	// measure warms conn with one issue of ops, then times a second.
+	measure := func(conn *Conn, ops func(*Conn) []wire.Op) sim.Duration {
 		var rtt sim.Duration
 		v.e.Go("m", func(p *sim.Proc) {
-			// Warm, then measure a redirected ALLOCATE.
-			conn.Issue([]wire.Op{prism.RedirectTo(prism.Allocate(1, []byte("x")), conn.TempKey, conn.TempAddr)})
+			conn.Issue(ops(conn))
 			start := p.Now()
-			conn.Issue([]wire.Op{prism.RedirectTo(prism.Allocate(1, []byte("x")), conn.TempKey, conn.TempAddr)})
+			res, err := conn.Issue(ops(conn))
 			rtt = p.Now().Sub(start)
+			if err != nil {
+				t.Error(err)
+			}
+			for i, r := range res {
+				if r.Status != wire.StatusOK {
+					t.Errorf("op %d status %v", i, r.Status)
+				}
+			}
 		})
 		v.e.Run()
 		return rtt
 	}
 
-	early := measure(v.conn) // connection id 0: on-NIC
+	// Connection id 0: on-NIC.
+	earlyAlloc, earlyChain := measure(v.conn, allocate), measure(v.conn, chain)
 	// Burn connection ids up to the on-NIC capacity.
 	var late *Conn
 	for i := 0; i < model.OnNICMemoryBytes/ConnTempSize; i++ {
 		late = v.cli.Connect(v.srv)
 	}
-	lateRTT := measure(late)
-	diff := lateRTT - early
-	p := model.Default()
-	if diff < p.PCIeRTT*8/10 || diff > p.PCIeRTT*12/10 {
-		t.Fatalf("host-resident temp penalty %v, want ≈ one PCIe RTT (%v); early=%v late=%v",
-			diff, p.PCIeRTT, early, lateRTT)
+	lateAlloc, lateChain := measure(late, allocate), measure(late, chain)
+	pcie := model.Default().PCIeRTT
+	for _, c := range []struct {
+		name        string
+		early, late sim.Duration
+	}{{"redirected ALLOCATE", earlyAlloc, lateAlloc}, {"update chain", earlyChain, lateChain}} {
+		if diff := c.late - c.early; diff < pcie*8/10 || diff > pcie*12/10 {
+			t.Errorf("%s: host-resident temp penalty %v, want ≈ one PCIe RTT (%v); early=%v late=%v",
+				c.name, diff, pcie, c.early, c.late)
+		}
 	}
 }
 

@@ -36,22 +36,21 @@ type Window struct {
 	Warmup, Measure time.Duration
 }
 
-// Result is what a closed-loop run measured. Window is the time the
-// measured operations span: the window's Measure.
+// Result is what a closed-loop run measured.
 type Result struct {
 	Ops, Aborts int64
-	Errors      int64 // clients that stopped on an error
-	FirstErr    error // the first of those errors, naming its client
-	Stalled     int64 // clients still inside an operation when the drain ended
-	Window      time.Duration
+	Errors      int64                  // clients that stopped on an error
+	FirstErr    error                  // the first of those errors, naming its client
+	Stalled     int64                  // clients still inside an operation when the drain ended
 	Latency     *stats.LatencyRecorder // one sample per measured operation
 }
 
-// Summary is r as a point of a throughput–latency curve at clients.
-func (r Result) Summary(clients int) stats.Summary {
+// Summary is r as a point of a throughput–latency curve at clients, its
+// operations spread over measure, the window's Measure.
+func (r Result) Summary(clients int, measure time.Duration) stats.Summary {
 	return stats.Summary{
 		Clients:    clients,
-		Throughput: float64(r.Ops) / r.Window.Seconds(),
+		Throughput: float64(r.Ops) / measure.Seconds(),
 		Mean:       r.Latency.Mean(),
 		Median:     r.Latency.Median(),
 		P99:        r.Latency.P99(),
@@ -147,7 +146,6 @@ func (d *Driver) Run() Result {
 	d.finished = true
 	r := d.res
 	r.Stalled = d.running
-	r.Window = d.w.Measure
 	return r
 }
 
