@@ -2,7 +2,7 @@
 // the simulated cluster, as text tables or CSV:
 //
 //	prismbench fig3                  # one figure (names: prismbench -h)
-//	prismbench -format csv all       # the paper's figures, §2.1 and ext-*
+//	prismbench -format csv all       # the paper's figures and §2.1
 //
 // The figures and the order of `all` come from the registry
 // bench.Figures (DESIGN.md §4 indexes them against the paper). fig-chase

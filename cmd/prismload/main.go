@@ -230,7 +230,7 @@ func (o *options) clientsOf(replies []transport.MetaReply) (clientFunc, error) {
 		return workload.NewGenerator(workload.Mix{Keys: o.keys, ReadFrac: o.reads, ValueSize: o.value}, seed(id))
 	}
 	rmw := func(id int) *workload.TxGenerator {
-		return workload.NewTxGenerator(workload.TxMix{Keys: o.keys, ValueSize: o.value, KeysPerTx: 1}, seed(id))
+		return workload.NewTxGenerator(workload.TxMix{Keys: o.keys, ValueSize: o.value}, seed(id))
 	}
 	switch app {
 	case "kv":

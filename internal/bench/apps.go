@@ -83,7 +83,7 @@ func Fig9(cfg Config) *Figure {
 		ID: "fig9", Title: "PRISM-TX vs FaRM, YCSB-T, uniform",
 		XLabel: "throughput (txns/s)", YLabel: "mean latency (µs)",
 	}
-	return ladder(cfg, fig, txSystems(), load{keysPerTx: 1}, func(n int) string { return thetaKey(0, n) })
+	return ladder(cfg, fig, txSystems(), load{}, func(n int) string { return thetaKey(0, n) })
 }
 
 // Fig10 reproduces Figure 10: peak throughput under varying Zipf skew.
@@ -107,7 +107,7 @@ func Fig10(cfg Config) *Figure {
 	}
 	systems := txSystems()
 	sweep(cfg, fig, names(systems), xs, func(cfg Config, si int, x rung) (Point, Telemetry) {
-		return runPoint(cfg, "fig10", systems[si], load{theta: x.theta, keysPerTx: 1}, thetaKey(x.theta, x.clients), x.clients)
+		return runPoint(cfg, "fig10", systems[si], load{theta: x.theta}, thetaKey(x.theta, x.clients), x.clients)
 	}, nil)
 	// The sweep is flat (systems x thetas x rungs, which is also the order
 	// of PointWall/PointTel); the figure plots each theta's peak rung.

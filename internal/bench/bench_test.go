@@ -412,40 +412,6 @@ func TestSweepShape(t *testing.T) {
 	}
 }
 
-func TestExtShardsScaling(t *testing.T) {
-	cfg := tiny()
-	fig := ExtShards(cfg)
-	pts := fig.Series[0].Points
-	if len(pts) != 3 {
-		t.Fatalf("%d points", len(pts))
-	}
-	// Throughput grows substantially with shards (aggregate bandwidth).
-	if !(pts[1].Throughput > 1.5*pts[0].Throughput && pts[2].Throughput > 1.5*pts[1].Throughput) {
-		t.Fatalf("shard scaling: %v / %v / %v txns/s",
-			pts[0].Throughput, pts[1].Throughput, pts[2].Throughput)
-	}
-}
-
-func TestExtMultiKeyLatencyGrows(t *testing.T) {
-	cfg := tiny()
-	// 8-key transactions need a bigger keyspace (fewer conflicts) and a
-	// longer window to record completions.
-	cfg.Keys = 4096
-	cfg.Measure = 1500 * time.Microsecond
-	fig := ExtMultiKey(cfg)
-	pts := fig.Series[0].Points
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Mean <= pts[i-1].Mean {
-			t.Fatalf("latency not increasing with keys/txn: %v", pts)
-		}
-	}
-	for _, pt := range pts {
-		if pt.Errors > 0 {
-			t.Fatalf("client errors: %d", pt.Errors)
-		}
-	}
-}
-
 func TestFprintCSV(t *testing.T) {
 	fig := RPCvsRDMA(tiny())
 	var sb strings.Builder

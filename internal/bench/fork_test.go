@@ -57,11 +57,6 @@ func freshTX(cfg Config, seed int64, w load) cluster {
 	return v.txCluster(loadTX(v.net, cfg))
 }
 
-func freshTXCluster(cfg Config, seed int64, w load) cluster {
-	v := newEnv(cfg, seed, w)
-	return v.txCluster(loadTXCluster(v.net, cfg, 2))
-}
-
 // TestForkedClusterMatchesFresh is the tentpole regression for template
 // forking: a cluster instantiated from a copy-on-write template must
 // produce identical points to one built directly on the measurement
@@ -92,9 +87,7 @@ func TestForkedClusterMatchesFresh(t *testing.T) {
 		{"prism-rs", prismRS, freshRS,
 			load{readFrac: 0.5, theta: 0.4}, func(n int) string { return thetaKey(0.4, n) }, cfg.ClientCounts},
 		{"prism-tx", prismTX, freshTX,
-			load{theta: 0.8, keysPerTx: 1}, func(n int) string { return thetaKey(0.8, n) }, []int{32}},
-		{"tx-cluster", prismTXCluster(2), freshTXCluster,
-			load{keysPerTx: 2}, func(int) string { return "k" }, []int{16}},
+			load{theta: 0.8}, func(n int) string { return thetaKey(0.8, n) }, []int{32}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			builds = 0
@@ -221,7 +214,7 @@ func TestTemplateRegionsFitInSlabs(t *testing.T) {
 		"pilaf":    pilafTemplate(cfg).nic,
 		"prism-rs": rsTemplate(cfg).nic,
 		"abdlock":  lockTemplate(cfg).nic,
-		"prism-tx": txTemplate(cfg)[0].nic,
+		"prism-tx": txTemplate(cfg).nic,
 		"farm":     farmTemplate(cfg).nic,
 	}
 	for name, tmpl := range templates {

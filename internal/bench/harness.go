@@ -19,8 +19,8 @@ import (
 // Zipf sweep, PRISM against one baseline. So a figure point here is one
 // thing — a cluster, driven by runPoint — a figure is one sweep of points,
 // and Figures lists every figure there is. systems.go builds the clusters;
-// the Fig*/Ext*/Ablation* functions only say which systems, which x axis
-// and which labels.
+// the Fig*/Ablation* functions only say which systems, which x axis and
+// which labels.
 
 // Store is the GET/PUT surface of the key-value and block systems.
 type Store = workload.Store
@@ -35,12 +35,11 @@ type fleet []*rdma.Client
 func (f fleet) machine(id int) *rdma.Client { return f[id%len(f)] }
 
 // load is the closed-loop behaviour of a point's clients: GET/PUT systems
-// read readFrac and theta, transactional systems theta and keysPerTx. Every
-// system spreads the clients over paperMachines client machines.
+// read readFrac and theta, transactional systems theta. Every system
+// spreads the clients over paperMachines client machines.
 type load struct {
-	readFrac  float64 // share of GETs in the GET/PUT mix
-	theta     float64 // Zipf coefficient of the key choice (0 = uniform)
-	keysPerTx int     // keys per YCSB-T read-modify-write transaction
+	readFrac float64 // share of GETs in the GET/PUT mix
+	theta    float64 // Zipf coefficient of the key choice (0 = uniform)
 }
 
 // cluster is the one shape every builder returns: a loaded simulated
@@ -110,13 +109,12 @@ func (v *env) mix(mk func(m *rdma.Client, id int) Store) cluster {
 }
 
 // rmw drives transactional clients with YCSB-T read-modify-write
-// transactions over keysPerTx keys (workload.RMWOp). mk returns the
-// client's Begin.
+// transactions (workload.RMWOp). mk returns the client's Begin.
 func (v *env) rmw(mk func(m *rdma.Client, id int) func() txHandle) cluster {
 	f := v.clientMachines()
 	return cluster{e: v.e, client: func(id int) workload.Op {
 		return workload.RMWOp(mk(f.machine(id), id), workload.NewTxGenerator(workload.TxMix{
-			Keys: v.cfg.Keys, ValueSize: v.cfg.ValueSize, KeysPerTx: v.w.keysPerTx, Theta: v.w.theta,
+			Keys: v.cfg.Keys, ValueSize: v.cfg.ValueSize, Theta: v.w.theta,
 		}, clientSeed(v.seed, id)))
 	}}
 }
@@ -226,11 +224,10 @@ type FigureDef struct {
 }
 
 // Figures is every figure the harness regenerates, in the order `all`
-// renders them. All marks the members of `all`: the paper's figures, the
-// §2.1 measurement and the two PRISM-TX extensions. fig-chase stays
-// outside it — it measures the linked-chain store, so its points are not
-// comparable to the paper-figure artifacts — as does the free-list
-// ablation.
+// renders them. All marks the members of `all`: the paper's figures and
+// the §2.1 measurement. fig-chase stays outside it — it measures the
+// linked-chain store, so its points are not comparable to the
+// paper-figure artifacts — as does the free-list ablation.
 // cmd/prismbench, the root BenchmarkFigure and the package's own
 // determinism and golden tests all iterate this table.
 var Figures = []FigureDef{
@@ -243,8 +240,6 @@ var Figures = []FigureDef{
 	{"fig7", Fig7, true},
 	{"fig9", Fig9, true},
 	{"fig10", Fig10, true},
-	{"ext-shards", ExtShards, true},
-	{"ext-multikey", ExtMultiKey, true},
 	{"fig-chase", FigChase, false},
 	{"ablation-freelist-classes", AblationFreelistClasses, false},
 }

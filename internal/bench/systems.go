@@ -31,13 +31,13 @@ import (
 // Each distinct cluster setup is built at most once per sweep and every
 // point of the sweep gets a copy-on-write fork of it. The key is the setup
 // identity — exactly what the built state depends on (system, object
-// count, value size, shard count) and nothing it doesn't: deployment,
-// point seed, client count, and workload mix are instantiation-time
-// choices. Loaded values are seed-independent (workload value bytes derive
-// from key and version only), which is what makes the built image
-// shareable across points in the first place. The set belongs to the
-// sweep that made it (Config.templates) and holds its images strongly, so
-// a figure keeps its own systems' images while it runs.
+// count, value size) and nothing it doesn't: deployment, point seed,
+// client count, and workload mix are instantiation-time choices. Loaded
+// values are seed-independent (workload value bytes derive from key and
+// version only), which is what makes the built image shareable across
+// points in the first place. The set belongs to the sweep that made it
+// (Config.templates) and holds its images strongly, so a figure keeps its
+// own systems' images while it runs.
 //
 // Beside the sets, liveTemplates indexes every image still in memory by
 // key through a weak pointer. A sweep adopts an image another sweep built
@@ -50,7 +50,6 @@ type templateKey struct {
 	system    string
 	keys      int64
 	valueSize int
-	shards    int
 }
 
 type templateEntry struct {
@@ -123,8 +122,8 @@ var templateBuilt func(key templateKey, val any)
 // of the key is live: concurrent workers needing the same key block on one
 // build, and workers on different keys build concurrently. Without one
 // every call builds afresh.
-func cachedTemplate[T any](system string, cfg Config, shards int, build func(v *env) T) T {
-	key := templateKey{system: system, keys: cfg.Keys, valueSize: cfg.ValueSize, shards: shards}
+func cachedTemplate[T any](system string, cfg Config, build func(v *env) T) T {
+	key := templateKey{system: system, keys: cfg.Keys, valueSize: cfg.ValueSize}
 	fresh := func() T {
 		val := build(newEnv(cfg, 0, load{}))
 		if templateBuilt != nil {
@@ -185,7 +184,7 @@ func loadKV(net *fabric.Network, cfg Config) (*rdma.Server, kv.Meta) {
 }
 
 func kvTemplate(cfg Config) image[kv.Meta] {
-	return cachedTemplate("prismkv", cfg, 0, func(v *env) image[kv.Meta] {
+	return cachedTemplate("prismkv", cfg, func(v *env) image[kv.Meta] {
 		return capture(loadKV(v.net, cfg))
 	})
 }
@@ -235,7 +234,7 @@ func loadPilaf(net *fabric.Network, cfg Config) (*rdma.Server, kv.PilafMeta) {
 }
 
 func pilafTemplate(cfg Config) image[kv.PilafMeta] {
-	return cachedTemplate("pilaf", cfg, 0, func(v *env) image[kv.PilafMeta] {
+	return cachedTemplate("pilaf", cfg, func(v *env) image[kv.PilafMeta] {
 		return capture(loadPilaf(v.net, cfg))
 	})
 }
@@ -279,13 +278,13 @@ func loadReplica(net *fabric.Network, cfg Config, name string) (*rdma.Server, ab
 // rsTemplate serves all three replicas of a group: they are identical
 // after initialization, so each is its own COW fork of one image.
 func rsTemplate(cfg Config) image[abd.Meta] {
-	return cachedTemplate("prismrs", cfg, 0, func(v *env) image[abd.Meta] {
+	return cachedTemplate("prismrs", cfg, func(v *env) image[abd.Meta] {
 		return capture(loadReplica(v.net, cfg, "replica"))
 	})
 }
 
-// group is a replica group or shard set as clients see it: the servers to
-// connect to and the description of the store on each.
+// group is a replica group as clients see it: the servers to connect to
+// and the description of the store on each.
 type group[M any] struct {
 	nics  []*rdma.Server
 	metas []M
@@ -338,7 +337,7 @@ func prismRS(cfg Config, seed int64, w load) cluster {
 }
 
 func lockTemplate(cfg Config) image[abd.LockMeta] {
-	return cachedTemplate("abdlock", cfg, 0, func(v *env) image[abd.LockMeta] {
+	return cachedTemplate("abdlock", cfg, func(v *env) image[abd.LockMeta] {
 		nic := rdma.NewServer(v.net, "replica", model.SoftwarePRISM)
 		r, err := abd.NewLockReplica(nic, cfg.Keys, cfg.ValueSize)
 		must(err)
@@ -369,109 +368,43 @@ func abdlock(deploy model.Deployment) builder {
 }
 
 // ---------------------------------------------------------------------------
-// PRISM-TX and FaRM (Figures 9, 10, ext-*)
+// PRISM-TX and FaRM (Figures 9, 10)
 
-// loadShards builds one PRISM-TX shard per name, each with room for slots
-// keys, and loads key k on shard k mod len(names).
-func loadShards(net *fabric.Network, cfg Config, names []string, slots int64) group[tx.Meta] {
-	var g group[tx.Meta]
-	shards := make([]*tx.Shard, len(names))
-	for i, name := range names {
-		nic := rdma.NewServer(net, name, model.SoftwarePRISM)
-		s, err := tx.NewShard(nic, tx.ShardOptions{NSlots: slots, MaxValue: cfg.ValueSize, ExtraBuffers: 8192})
-		must(err)
-		shards[i] = s
-		g.add(nic, s.Meta())
-	}
-	loadKeys(cfg.ValueSize, cfg.Keys, func(k int64, value []byte) error {
-		return shards[k%int64(len(shards))].Load(k, value)
-	})
-	return g
+// loadTX is the single shard of Figures 9 and 10.
+func loadTX(net *fabric.Network, cfg Config) (*rdma.Server, tx.Meta) {
+	nic := rdma.NewServer(net, "shard", model.SoftwarePRISM)
+	s, err := tx.NewShard(nic, tx.ShardOptions{NSlots: cfg.Keys, MaxValue: cfg.ValueSize, ExtraBuffers: 8192})
+	must(err)
+	loadKeys(cfg.ValueSize, cfg.Keys, s.Load)
+	return nic, s.Meta()
 }
 
-// loadTX is the single shard of Figures 9 and 10 (NSlots = Keys). A
-// one-shard loadTXCluster is a different image (NSlots = Keys + 1), so the
-// two keep distinct templates.
-func loadTX(net *fabric.Network, cfg Config) group[tx.Meta] {
-	return loadShards(net, cfg, []string{"shard"}, cfg.Keys)
-}
-
-func shardNames(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("shard-%d", i)
-	}
-	return names
-}
-
-// loadTXCluster is the nShards cluster of the extension figures (shard i
-// holds keys k where k mod nShards == i, so each shard's image is
-// distinct).
-func loadTXCluster(net *fabric.Network, cfg Config, nShards int) group[tx.Meta] {
-	return loadShards(net, cfg, shardNames(nShards), cfg.Keys/int64(nShards)+1)
-}
-
-// shardTemplates is the template of a loaded shard group: one image per
-// shard, in shard order.
-func shardTemplates(system string, cfg Config, nShards int, load func(net *fabric.Network) group[tx.Meta]) []image[tx.Meta] {
-	return cachedTemplate(system, cfg, nShards, func(v *env) []image[tx.Meta] {
-		g := load(v.net)
-		ims := make([]image[tx.Meta], len(g.nics))
-		for i, nic := range g.nics {
-			ims[i] = capture(nic, g.metas[i])
-		}
-		return ims
+func txTemplate(cfg Config) image[tx.Meta] {
+	return cachedTemplate("prismtx", cfg, func(v *env) image[tx.Meta] {
+		return capture(loadTX(v.net, cfg))
 	})
 }
 
-func txTemplate(cfg Config) []image[tx.Meta] {
-	return shardTemplates("prismtx", cfg, 0, func(net *fabric.Network) group[tx.Meta] { return loadTX(net, cfg) })
-}
-
-func txClusterTemplates(cfg Config, nShards int) []image[tx.Meta] {
-	return shardTemplates("txcluster", cfg, nShards, func(net *fabric.Network) group[tx.Meta] {
-		return loadTXCluster(net, cfg, nShards)
-	})
-}
-
-// forkShards instantiates a shard group's images on v's fabric under names.
-func (v *env) forkShards(ims []image[tx.Meta], names []string) group[tx.Meta] {
-	var g group[tx.Meta]
-	for i, im := range ims {
-		nic := im.fork(v.net, names[i], model.SoftwarePRISM)
-		tx.AttachShard(nic, im.meta)
-		g.add(nic, im.meta)
-	}
-	return g
-}
-
-// txCluster attaches PRISM-TX clients to shards: one data and one control
-// QP per shard per client.
-func (v *env) txCluster(shards group[tx.Meta]) cluster {
+// txCluster attaches PRISM-TX clients to the shard meta describes on nic:
+// one data and one control QP per client.
+func (v *env) txCluster(nic *rdma.Server, meta tx.Meta) cluster {
 	return v.rmw(func(m *rdma.Client, id int) func() txHandle {
-		c := tx.NewClient(uint16(id+1), shards.connect(m), shards.metas)
-		shards.controlQPs(m, c.Reclaim)
+		c := tx.NewClient(uint16(id+1), []transport.Issuer{m.Connect(nic)}, []tx.Meta{meta})
+		c.Reclaim[0].Ctrl = m.Connect(nic) // reclamation rides a control QP
 		return func() txHandle { return c.Begin() }
 	})
 }
 
 func prismTX(cfg Config, seed int64, w load) cluster {
 	v := newEnv(cfg, seed, w)
-	return v.txCluster(v.forkShards(txTemplate(cfg), []string{"shard"}))
-}
-
-// prismTXCluster is the nShards builder. A load's keysPerTx only shapes
-// client transactions, not the loaded data, so all keysPerTx variants
-// share one template.
-func prismTXCluster(nShards int) builder {
-	return func(cfg Config, seed int64, w load) cluster {
-		v := newEnv(cfg, seed, w)
-		return v.txCluster(v.forkShards(txClusterTemplates(cfg, nShards), shardNames(nShards)))
-	}
+	im := txTemplate(cfg)
+	nic := im.fork(v.net, "shard", model.SoftwarePRISM)
+	tx.AttachShard(nic, im.meta)
+	return v.txCluster(nic, im.meta)
 }
 
 func farmTemplate(cfg Config) image[tx.FarmMeta] {
-	return cachedTemplate("farm", cfg, 0, func(v *env) image[tx.FarmMeta] {
+	return cachedTemplate("farm", cfg, func(v *env) image[tx.FarmMeta] {
 		nic := rdma.NewServer(v.net, "shard", model.SoftwarePRISM)
 		srv, err := tx.NewFarmServer(nic, tx.ShardOptions{NSlots: cfg.Keys, MaxValue: cfg.ValueSize})
 		must(err)

@@ -137,9 +137,13 @@ func checkLedger[C any](t *testing.T, n int, provision func(transport.Host), new
 // CAS at each. PRISM-TX on one shard (§8): a one-key read-modify-write
 // is three rounds of one-sided chains and no server CPU, the execution
 // READ and then the commit's two, a validation chain and an
-// ALLOCATE-WRITE-CAS install. FaRM (§8.1) pays its two dependent READs
-// (index, object) to execute, then three commit phases, two of them RPCs:
-// the lock RPC, the validation READ and the update+unlock RPC. An abort is
+// ALLOCATE-WRITE-CAS install. Over two shards the commit is still those
+// two rounds, each one wait for a chain per key posted to both shards at
+// once: a read-modify-write of n keys waits for its n execution READs and
+// then two more, whether its keys sit on one shard or both. FaRM (§8.1)
+// pays its two dependent READs (index, object) to execute, then three
+// commit phases, two of them RPCs: the lock RPC, the validation READ and
+// the update+unlock RPC. An abort is
 // counted apart from the transaction that retries it: a transaction whose
 // read another committed over aborts at its first commit round (PRISM-TX's
 // validation chain, FaRM's lock RPC), with nothing to undo.
@@ -285,6 +289,34 @@ func TestRoundTripLedger(t *testing.T) {
 			{waits: 1, oneSided: 1, ops: 2, reqBytes: 214},
 		}))
 	})
+	t.Run("prism-tx-two-shards", func(t *testing.T) {
+		var metas []tx.Meta // of the shards provisioned for the next client
+		checkLedger(t, 2, func(host transport.Host) {
+			shard, err := tx.NewShard(host, tx.ShardOptions{NSlots: nSlots, MaxValue: maxValue, ExtraBuffers: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range batch {
+				if k%2 == int64(len(metas)) { // key k lives on shard k mod 2
+					if err := shard.Load(k, diffValue(k, 0)); err != nil {
+						t.Fatalf("load %d: %v", k, err)
+					}
+				}
+			}
+			metas = append(metas, shard.Meta())
+		}, func(g []transport.Issuer) *tx.Client {
+			c := tx.NewClient(1, g, metas)
+			metas = nil
+			return c
+		}, 0, []ledgerRow[*tx.Client]{
+			{"rmw", func(c *tx.Client) error { return rmw(c.Begin(), value, 1) },
+				ledger{waits: 3, oneSided: 3, ops: 7, reqBytes: 665, respBytes: 91}},
+			{"rmw-two-keys-two-shards", func(c *tx.Client) error { return rmw(c.Begin(), value, 1, 2) },
+				ledger{waits: 4, oneSided: 6, ops: 14, reqBytes: 1330, respBytes: 238}},
+			{"rmw-four-keys-two-per-shard", func(c *tx.Client) error { return rmw(c.Begin(), value, 3, 4, 5, 6) },
+				ledger{waits: 6, oneSided: 12, ops: 28, reqBytes: 2660, respBytes: 378}},
+		})
+	})
 	t.Run("farm", func(t *testing.T) {
 		var meta tx.FarmMeta
 		checkLedger(t, 1, func(host transport.Host) {
@@ -311,12 +343,16 @@ type rmwTx interface {
 	Commit() (tx.Timestamp, error)
 }
 
-// rmw reads key, writes value over it and commits.
-func rmw(t rmwTx, key int64, value []byte) error {
-	if _, err := t.Read(key); err != nil {
-		return err
+// rmw reads every key, writes value over each and commits.
+func rmw(t rmwTx, value []byte, keys ...int64) error {
+	for _, k := range keys {
+		if _, err := t.Read(k); err != nil {
+			return err
+		}
 	}
-	t.Write(key, value)
+	for _, k := range keys {
+		t.Write(k, value)
+	}
 	_, err := t.Commit()
 	return err
 }
@@ -328,13 +364,13 @@ func rmw(t rmwTx, key int64, value []byte) error {
 func txLedgerRows[C any](t *testing.T, begin func(C) rmwTx, value []byte, want [3]ledger) []ledgerRow[C] {
 	var doomed rmwTx
 	return []ledgerRow[C]{
-		{"rmw", func(c C) error { return rmw(begin(c), 1, value) }, want[0]},
+		{"rmw", func(c C) error { return rmw(begin(c), value, 1) }, want[0]},
 		{"read-then-overwritten", func(c C) error {
 			doomed = begin(c)
 			if _, err := doomed.Read(2); err != nil {
 				return err
 			}
-			return rmw(begin(c), 2, value)
+			return rmw(begin(c), value, 2)
 		}, want[1]},
 		{"aborted-commit", func(c C) error {
 			doomed.Write(2, value)

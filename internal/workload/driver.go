@@ -212,27 +212,25 @@ type Txn[TS any] interface {
 }
 
 // RMWOp is the closed-loop operation of a YCSB-T client: each call is one
-// read-modify-write transaction over the keys gen draws, begun by begin
+// read-modify-write transaction over the key gen draws, begun by begin
 // and retried until it commits, with the aborts on the way.
 func RMWOp[TS any](begin func() Txn[TS], gen *TxGenerator) Op {
 	ver := 0
 	return func() (int64, int64, error) {
-		keys := gen.Next()
+		k := gen.Next()
 		var aborts int64
 		for {
 			t := begin()
-			for _, k := range keys {
-				old, err := t.Read(k)
-				if err != nil {
-					return 1, aborts, err
-				}
-				ver++
-				nv := append([]byte(nil), old...)
-				if len(nv) > 0 {
-					nv[0] ^= byte(ver)
-				}
-				t.Write(k, nv)
+			old, err := t.Read(k)
+			if err != nil {
+				return 1, aborts, err
 			}
+			ver++
+			nv := append([]byte(nil), old...)
+			if len(nv) > 0 {
+				nv[0] ^= byte(ver)
+			}
+			t.Write(k, nv)
 			if _, err := t.Commit(); err == nil {
 				return 1, aborts, nil
 			}

@@ -201,15 +201,12 @@ func (z *Zipf) Draw(rng *rand.Rand) int64 {
 type TxMix struct {
 	Keys      int64
 	ValueSize int
-	// KeysPerTx is the number of keys each transaction reads and then
-	// writes (read-modify-write).
-	KeysPerTx int
 	Theta     float64
 }
 
 // YCSBT returns the paper's transactional configuration: 8 M 512 B
-// objects, short RMW transactions.
-func YCSBT() TxMix { return TxMix{Keys: 8 << 20, ValueSize: 512, KeysPerTx: 1} }
+// objects, one-key read-modify-write transactions.
+func YCSBT() TxMix { return TxMix{Keys: 8 << 20, ValueSize: 512} }
 
 // TxGenerator draws transactions.
 type TxGenerator struct {
@@ -227,22 +224,10 @@ func NewTxGenerator(mix TxMix, seed int64) *TxGenerator {
 	return g
 }
 
-// Next draws the key set for one transaction (distinct keys).
-func (g *TxGenerator) Next() []int64 {
-	keys := make([]int64, 0, g.mix.KeysPerTx)
-	seen := make(map[int64]struct{}, g.mix.KeysPerTx)
-	for len(keys) < g.mix.KeysPerTx {
-		var k int64
-		if g.zipf != nil {
-			k = g.zipf.Draw(g.rng)
-		} else {
-			k = g.rng.Int63n(g.mix.Keys)
-		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		keys = append(keys, k)
+// Next draws the key of one transaction.
+func (g *TxGenerator) Next() int64 {
+	if g.zipf != nil {
+		return g.zipf.Draw(g.rng)
 	}
-	return keys
+	return g.rng.Int63n(g.mix.Keys)
 }

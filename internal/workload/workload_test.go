@@ -128,21 +128,13 @@ func TestValueDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestTxGeneratorDistinctKeys(t *testing.T) {
-	g := NewTxGenerator(TxMix{Keys: 100, ValueSize: 16, KeysPerTx: 4}, 6)
-	for i := 0; i < 100; i++ {
-		keys := g.Next()
-		if len(keys) != 4 {
-			t.Fatalf("tx has %d keys", len(keys))
-		}
-		seen := map[int64]bool{}
-		for _, k := range keys {
-			if seen[k] {
-				t.Fatal("duplicate key in transaction")
-			}
-			seen[k] = true
-			if k < 0 || k >= 100 {
-				t.Fatalf("key %d out of range", k)
+// A transaction's one key lies in the keyspace, uniform or skewed.
+func TestTxGeneratorKeyInRange(t *testing.T) {
+	for _, theta := range []float64{0, 0.99} {
+		g := NewTxGenerator(TxMix{Keys: 100, ValueSize: 16, Theta: theta}, 6)
+		for i := 0; i < 1000; i++ {
+			if k := g.Next(); k < 0 || k >= 100 {
+				t.Fatalf("theta %v: key %d out of range", theta, k)
 			}
 		}
 	}
@@ -221,7 +213,7 @@ func TestStandardMixes(t *testing.T) {
 			t.Fatalf("%s not at paper scale", tc.name)
 		}
 	}
-	if m := YCSBT(); m.KeysPerTx != 1 || m.Keys != 8<<20 {
+	if m := YCSBT(); m.Keys != 8<<20 {
 		t.Fatalf("YCSB-T config: %+v", m)
 	}
 }
