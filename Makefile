@@ -22,12 +22,17 @@ fmt:
 # both servers call: no other non-test Go under internal/ or cmd/ reads
 # the flag. Step is also the one place that reports an executed op: no
 # other non-test Go there calls an observer, so no server grows a tracer
-# of its own.
+# of its own. And quiescence stays in one module: only the simulated NIC
+# (internal/rdma), where a chain spans time, brackets ops with the
+# quiescer's OpStart; a live socket runs each chain inside one hold of the
+# space guard, which RecycleBuffers takes too, so no other non-test Go
+# there calls it.
 vet:
 	$(GO) vet ./...
 	@! $(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/kv ./internal/abd ./internal/tx | grep -E 'prism/internal/(rdma|sim)( |$$)'
 	@! grep -rn --include='*.go' --exclude='*_test.go' 'Has(wire.FlagConditional)' internal cmd | grep -v '^internal/prism/'
 	@! grep -rnE --include='*.go' --exclude='*_test.go' '\b[oO]bserver(\(\))?\([^)]' internal cmd | grep -v '^internal/prism/'
+	@! grep -rn --include='*.go' --exclude='*_test.go' 'OpStart(' internal cmd | grep -vE '^internal/(rdma|alloc)/'
 
 build:
 	$(GO) build ./...

@@ -14,7 +14,6 @@ package alloc
 import (
 	"errors"
 	"fmt"
-	"iter"
 
 	"prism/internal/memory"
 )
@@ -172,24 +171,6 @@ func (f *FreeList) Len() int { return f.n }
 // the list ever handed out lies in one of them. Read-only.
 func (f *FreeList) Slabs() []Slab { return f.slabs }
 
-// Tracked visits every buffer the list owns now: available, then
-// pending-repost. Reclamation scans tell leaked buffers from free ones by
-// it. The list must not change during the visit.
-func (f *FreeList) Tracked() iter.Seq[memory.Addr] {
-	return func(yield func(memory.Addr) bool) {
-		for i := 0; i < f.n; i++ {
-			if !yield(f.ring[(f.head+i)&(len(f.ring)-1)]) {
-				return
-			}
-		}
-		for _, a := range f.pending {
-			if !yield(a) {
-				return
-			}
-		}
-	}
-}
-
 // Pending reports buffers retired but not yet reposted.
 func (f *FreeList) Pending() int { return len(f.pending) }
 
@@ -205,7 +186,8 @@ func (f *FreeList) Recycle(addr memory.Addr) { f.pending = append(f.pending, add
 func (f *FreeList) FlushWhenQuiet(q *Quiescer) {
 	if n := len(f.pending) - f.flushed; n > 0 {
 		f.flushed += n
-		q.wait(quiesceWait{list: f, count: n})
+		q.waits = append(q.waits, quiesceWait{barrier: q.nextOp, list: f, count: n})
+		q.advance()
 	}
 }
 
@@ -222,10 +204,11 @@ func (f *FreeList) repost(n int) {
 // reposted once every operation that might still hold a pointer to them
 // has completed (§3.2's correctness requirement for buffer reuse).
 //
-// It is an epoch scheme: OpStart/OpEnd bracket every NIC op. A Flush call
-// stamps the current epoch; once all ops started in or before that epoch
-// finish, the flush's callback runs. Ops are numbered in start order, so
-// the oldest unended op is a cursor that only moves forward.
+// It is an epoch scheme: OpStart/OpEnd bracket every NIC op. A
+// FlushWhenQuiet call stamps the current epoch; once all ops started in or
+// before that epoch finish, the flushed buffers are reposted. Ops are
+// numbered in start order, so the oldest unended op is a cursor that only
+// moves forward.
 type Quiescer struct {
 	nextOp uint64
 	// ended[head:] flags which of ops oldest() to nextOp-1 have ended;
@@ -236,11 +219,10 @@ type Quiescer struct {
 	waits    []quiesceWait
 }
 
-// quiesceWait is one deferred action: a callback, or (fn nil) the repost
-// of list's count oldest pending buffers, which needs no closure.
+// quiesceWait is one deferred repost: list's count oldest pending
+// buffers.
 type quiesceWait struct {
 	barrier uint64 // all ops with id < barrier must finish
-	fn      func()
 	list    *FreeList
 	count   int
 }
@@ -275,33 +257,19 @@ func (q *Quiescer) OpEnd(id uint64) {
 	q.advance()
 }
 
-// AfterQuiesce schedules fn to run once every operation currently in
-// flight has completed. Operations starting later do not delay fn.
-func (q *Quiescer) AfterQuiesce(fn func()) { q.wait(quiesceWait{fn: fn}) }
-
-func (q *Quiescer) wait(w quiesceWait) {
-	w.barrier = q.nextOp
-	q.waits = append(q.waits, w)
-	q.advance()
-}
-
 // InFlight reports the number of outstanding operations.
 func (q *Quiescer) InFlight() int { return q.inFlight }
 
-// advance runs, in order, every wait whose barrier has drained. Each is
-// dequeued before it runs (a callback may queue another) by shifting the
-// short queue down, so its storage is reused rather than walked off.
+// advance reposts, in order, every wait whose barrier has drained. The
+// short queue is shifted down, so its storage is reused rather than walked
+// off.
 func (q *Quiescer) advance() {
 	for len(q.waits) > 0 && q.oldest() >= q.waits[0].barrier {
 		w, last := q.waits[0], len(q.waits)-1
 		copy(q.waits, q.waits[1:])
 		q.waits[last] = quiesceWait{}
 		q.waits = q.waits[:last]
-		if w.fn != nil {
-			w.fn()
-		} else {
-			w.list.repost(w.count)
-		}
+		w.list.repost(w.count)
 	}
 }
 

@@ -358,8 +358,20 @@ func TestRingFIFOAndSteadyStateAllocs(t *testing.T) {
 			want += 64
 		}
 	}
-	if tracked := slices.Collect(f.Tracked()); len(tracked) != f.Len() || tracked[0] != want {
-		t.Fatalf("Tracked visits %d buffers from %#x, want the %d available from %#x", len(tracked), tracked[0], f.Len(), want)
+	// Drain what is left: it must be every later buffer, in post order.
+	var left, wantLeft []memory.Addr
+	for f.Len() > 0 {
+		a, _ := f.Pop()
+		left = append(left, a)
+	}
+	for a := want; a < next; a += 64 {
+		wantLeft = append(wantLeft, a)
+	}
+	if !slices.Equal(left, wantLeft) {
+		t.Fatalf("the queue drains %d buffers, want the %d from %#x to %#x in post order", len(left), len(wantLeft), want, next-64)
+	}
+	for _, a := range left {
+		f.Post(a)
 	}
 	q := NewQuiescer()
 	cycle := func() {
@@ -400,31 +412,61 @@ func TestFlushWhenQuietWaitsAndKeepsOrder(t *testing.T) {
 	}
 }
 
+// waitList stands in for a quiescer callback: wait i recycles buffer i
+// of a cap-0 free list and flushes it, so it has run once that buffer is
+// back. A list's waits fire in order and nothing pops until order(), so
+// wait i has run iff Len() > i.
+type waitList struct {
+	f *FreeList
+	q *Quiescer
+	n int
+}
+
+func newWaitList(q *Quiescer) *waitList { return &waitList{f: NewFreeList(1, 64, 7, nil, 0), q: q} }
+
+// wait queues the next wait and returns its index.
+func (w *waitList) wait() int {
+	w.f.Recycle(memory.Addr(w.n+1) * 64)
+	w.f.FlushWhenQuiet(w.q)
+	w.n++
+	return w.n - 1
+}
+
+func (w *waitList) ran(i int) bool { return w.f.Len() > i }
+
+// order pops every reposted buffer and returns the waits in repost order.
+func (w *waitList) order() []int {
+	var out []int
+	for w.f.Len() > 0 {
+		a, _ := w.f.Pop()
+		out = append(out, int(a/64)-1)
+	}
+	return out
+}
+
 func TestQuiescerImmediateWhenIdle(t *testing.T) {
-	q := NewQuiescer()
-	ran := false
-	q.AfterQuiesce(func() { ran = true })
-	if !ran {
+	w := newWaitList(NewQuiescer())
+	if i := w.wait(); !w.ran(i) {
 		t.Fatal("idle quiescer delayed flush")
 	}
 }
 
 func TestQuiescerWaitsForInFlight(t *testing.T) {
 	q := NewQuiescer()
+	w := newWaitList(q)
 	a := q.OpStart()
 	b := q.OpStart()
-	ran := false
-	q.AfterQuiesce(func() { ran = true })
+	i := w.wait()
 
 	// A later op must not delay the flush.
 	c := q.OpStart()
 
 	q.OpEnd(a)
-	if ran {
+	if w.ran(i) {
 		t.Fatal("flush ran with op b still in flight")
 	}
 	q.OpEnd(b)
-	if !ran {
+	if !w.ran(i) {
 		t.Fatal("flush did not run after pre-flush ops drained")
 	}
 	q.OpEnd(c)
@@ -432,29 +474,29 @@ func TestQuiescerWaitsForInFlight(t *testing.T) {
 
 func TestQuiescerLaterOpDoesNotBlock(t *testing.T) {
 	q := NewQuiescer()
+	w := newWaitList(q)
 	a := q.OpStart()
-	ran := false
-	q.AfterQuiesce(func() { ran = true })
+	i := w.wait()
 	q.OpStart() // never ends
 	q.OpEnd(a)
-	if !ran {
+	if !w.ran(i) {
 		t.Fatal("flush blocked by op that started after it")
 	}
 }
 
 func TestQuiescerMultipleWaitsOrdered(t *testing.T) {
 	q := NewQuiescer()
+	w := newWaitList(q)
 	a := q.OpStart()
-	var order []int
-	q.AfterQuiesce(func() { order = append(order, 1) })
+	w.wait()
 	b := q.OpStart()
-	q.AfterQuiesce(func() { order = append(order, 2) })
+	w.wait()
 	q.OpEnd(a)
-	if len(order) != 1 || order[0] != 1 {
-		t.Fatalf("after first drain: %v", order)
+	if w.f.Len() != 1 {
+		t.Fatalf("after first drain: %d waits ran, want 1", w.f.Len())
 	}
 	q.OpEnd(b)
-	if len(order) != 2 || order[1] != 2 {
+	if order := w.order(); !slices.Equal(order, []int{0, 1}) {
 		t.Fatalf("after second drain: %v", order)
 	}
 }
@@ -488,17 +530,11 @@ func TestQuiescerManyInFlight(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	q := NewQuiescer()
 	live := map[uint64]bool{}
-	type wait struct {
-		barrier uint64
-		ran     bool
-	}
-	var waits []*wait
-	var order []int
+	wl := newWaitList(q)
+	var barriers []uint64
 	queue := func() {
-		w := &wait{barrier: q.nextOp}
-		i := len(waits)
-		waits = append(waits, w)
-		q.AfterQuiesce(func() { w.ran = true; order = append(order, i) })
+		barriers = append(barriers, q.nextOp)
+		wl.wait()
 	}
 	check := func(when string) {
 		t.Helper()
@@ -506,9 +542,9 @@ func TestQuiescerManyInFlight(t *testing.T) {
 		for id := range live {
 			oldest = min(oldest, id)
 		}
-		for i, w := range waits {
-			if w.ran != (oldest >= w.barrier) {
-				t.Fatalf("%s: wait %d (barrier %d) ran=%v with oldest unended op %d", when, i, w.barrier, w.ran, oldest)
+		for i, barrier := range barriers {
+			if ran := wl.ran(i); ran != (oldest >= barrier) {
+				t.Fatalf("%s: wait %d (barrier %d) ran=%v with oldest unended op %d", when, i, barrier, ran, oldest)
 			}
 		}
 		if q.InFlight() != len(live) {
@@ -537,8 +573,8 @@ func TestQuiescerManyInFlight(t *testing.T) {
 	if !panics(func() { q.OpEnd(n) }) {
 		t.Fatal("OpEnd of an op never started did not panic")
 	}
-	if !slices.IsSorted(order) || len(order) != len(waits) {
-		t.Fatalf("waits ran in order %v, want all %d in order", order, len(waits))
+	if order := wl.order(); !slices.IsSorted(order) || len(order) != len(barriers) {
+		t.Fatalf("waits ran in order %v, want all %d in order", order, len(barriers))
 	}
 	if len(q.ended) != 0 {
 		t.Fatalf("idle quiescer holds %d flags", len(q.ended))
@@ -546,7 +582,8 @@ func TestQuiescerManyInFlight(t *testing.T) {
 }
 
 // BenchmarkQuiescer is one op's OpStart and the oldest op's OpEnd with 16
-// ops in flight and one wait pending (it requeues itself when it runs).
+// ops in flight and one repost wait pending (its buffer is recycled and
+// flushed again once it is back).
 //
 //	go test -run '^$' -bench 'WindowTrain|Quiescer' ./internal/transport ./internal/alloc
 func BenchmarkQuiescer(b *testing.B) {
@@ -556,15 +593,20 @@ func BenchmarkQuiescer(b *testing.B) {
 	for i := range ring {
 		ring[i] = q.OpStart()
 	}
-	var requeue func()
-	requeue = func() { q.AfterQuiesce(requeue) }
-	requeue()
+	f := NewFreeList(1, 64, 7, nil, 0)
+	f.Recycle(0x1000)
+	f.FlushWhenQuiet(q)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {
 		id := q.OpStart()
 		q.OpEnd(ring[i%inFlight])
 		ring[i%inFlight] = id
+		if f.Len() > 0 {
+			a, _ := f.Pop()
+			f.Recycle(a)
+			f.FlushWhenQuiet(q)
+		}
 	}
 }
 
@@ -659,13 +701,10 @@ func TestQuickSizeClassOverheadBound(t *testing.T) {
 func TestQuickQuiescerSafety(t *testing.T) {
 	f := func(script []byte) bool {
 		q := NewQuiescer()
-		type flush struct {
-			horizon uint64 // ids below this started before the flush
-			ran     *bool
-		}
+		w := newWaitList(q)
 		var live []uint64
 		var nextID uint64
-		var flushes []flush
+		var horizons []uint64 // per flush: ids below it started before the flush
 		for _, b := range script {
 			switch b % 3 {
 			case 0:
@@ -678,9 +717,8 @@ func TestQuickQuiescerSafety(t *testing.T) {
 					live = append(live[:i], live[i+1:]...)
 				}
 			case 2:
-				ran := new(bool)
-				q.AfterQuiesce(func() { *ran = true })
-				flushes = append(flushes, flush{horizon: nextID, ran: ran})
+				w.wait()
+				horizons = append(horizons, nextID)
 			}
 			// Invariant: a flush has run iff no op live at flush time is
 			// still live. An op is "live at flush time" exactly when its id
@@ -689,17 +727,17 @@ func TestQuickQuiescerSafety(t *testing.T) {
 			// ids below the flush's OpStart horizon suffices; the recorded
 			// barrier is the min live id at flush time, so any still-live
 			// op with id >= barrier that predates the flush blocks it.
-			for _, fl := range flushes {
+			for i, horizon := range horizons {
 				blocked := false
 				for _, id := range live {
-					if id < fl.horizon {
+					if id < horizon {
 						blocked = true
 					}
 				}
-				if blocked && *fl.ran {
+				if blocked && w.ran(i) {
 					return false // ran too early
 				}
-				if !blocked && !*fl.ran {
+				if !blocked && !w.ran(i) {
 					return false // never ran after drain
 				}
 			}

@@ -55,8 +55,8 @@ func tally(t *testing.T, events []string, crc time.Duration) (l ledger) {
 			continue
 		}
 		b, _ := hex.DecodeString(req)
-		r, err := wire.DecodeRequest(b)
-		switch {
+		r := new(wire.Request)
+		switch err := wire.DecodeRequestAlias(r, b); {
 		case err != nil:
 			t.Fatalf("event %q: %v", ev, err)
 		case len(r.Ops) == 1 && r.Ops[0].Code == wire.OpSend:

@@ -14,33 +14,20 @@ import (
 	"prism/internal/fabric"
 	"prism/internal/memory"
 	"prism/internal/model"
-	"prism/internal/prism"
 	"prism/internal/rdma"
 	"prism/internal/sim"
 	"prism/internal/transport"
-	"prism/internal/wire"
 )
 
 // Tests of demand-carved free lists as the stores see them: what a store
 // registers, that forks of one template agree, that carving under the
-// guard is safe between live sockets, and that the reclamation scan sees
-// slabs carved after load.
+// guard is safe between live sockets.
 
 func registeredBytes(space *memory.Space) (n uint64) {
 	for _, r := range space.Regions() {
 		n += r.Len
 	}
 	return n
-}
-
-// owns reports whether addr is on fl, available or pending-repost.
-func owns(fl *alloc.FreeList, addr memory.Addr) bool {
-	for a := range fl.Tracked() {
-		if a == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // slabbedBytes is what a list of size-byte buffers has registered once n
@@ -335,56 +322,5 @@ func TestLiveSocketsPutAcrossSlabBoundary(t *testing.T) {
 	}
 	if slabs := len(ts.FreeList(class).Slabs()); slabs < 3 {
 		t.Fatalf("%d inserts of %d-byte buffers carved %d slabs; the test must cross a slab boundary", writers*inserts, valueSize, slabs)
-	}
-}
-
-// The reclamation scan walks the list's own slab table, so it finds a
-// buffer leaked out of a slab that was carved after the load.
-func TestScanAndReclaimFindsLeakInLaterSlab(t *testing.T) {
-	// 512-byte entries: the load fills one slab exactly.
-	const valueSize, keys = 496, alloc.SlabBytes / 512
-	v := newKVEnv(t, DefaultOptions(keys, valueSize), model.SoftwarePRISM)
-	value := make([]byte, valueSize)
-	for k := int64(0); k < keys; k++ {
-		if err := v.srv.Load(k, value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	class, err := v.srv.meta.classFor(entrySize(valueSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := v.nic.FreeList(class)
-	if len(fl.Slabs()) != 1 || fl.Len() != 0 {
-		t.Fatalf("after load: %d slabs, %d free buffers; want one full slab", len(fl.Slabs()), fl.Len())
-	}
-	// A client that crashes between its ALLOCATE and its CAS: the buffer
-	// is popped, referenced by no slot, and never reported.
-	conn := v.cli.Connect(v.nic)
-	var leaked memory.Addr
-	v.run(t, func(p *sim.Proc) {
-		res, _ := conn.Issue([]wire.Op{prism.Allocate(class, []byte("orphan"))})
-		if !res[0].Status.OK() {
-			t.Errorf("allocate: %v", res[0].Status)
-		}
-		leaked = res[0].Addr
-	})
-	if len(fl.Slabs()) != 2 {
-		t.Fatalf("the ALLOCATE after a full load carved no second slab (%d slabs)", len(fl.Slabs()))
-	}
-	if s := fl.Slabs()[1]; leaked < s.Base || leaked >= s.Base+memory.Addr(uint64(s.Count)*fl.BufSize) {
-		t.Fatalf("leaked buffer %#x is not in the second slab", leaked)
-	}
-	before, reclaimed := fl.Len(), -1
-	v.srv.ScanAndReclaim(func(n int) { reclaimed = n })
-	v.e.Run()
-	if reclaimed != 1 || fl.Len() != before+1 || !owns(fl, leaked) {
-		t.Fatalf("scan reclaimed %d buffers (free %d -> %d), want the one leaked at %#x", reclaimed, before, fl.Len(), leaked)
-	}
-	// A second scan finds nothing: live objects and free buffers are not leaks.
-	v.srv.ScanAndReclaim(func(n int) { reclaimed = n })
-	v.e.Run()
-	if reclaimed != 0 {
-		t.Fatalf("second scan reclaimed %d buffers", reclaimed)
 	}
 }

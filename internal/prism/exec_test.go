@@ -693,8 +693,8 @@ func TestChainDepthLimitOnWire(t *testing.T) {
 		ops[i] = wire.Op{Code: wire.OpRead, Len: 8}
 	}
 	req := &wire.Request{Conn: 1, Seq: 1, Ops: ops}
-	b := wire.EncodeRequest(req)
-	if _, err := wire.DecodeRequest(b); err == nil {
+	b := wire.AppendRequest(nil, req)
+	if err := wire.DecodeRequestAlias(new(wire.Request), b); err == nil {
 		t.Fatal("65-op chain decoded")
 	}
 }

@@ -26,12 +26,12 @@ type codecIssuer struct {
 func (ci *codecIssuer) Issue(ops ...wire.Op) []wire.Result {
 	ci.t.Helper()
 	req := &wire.Request{Conn: ci.Conn.id, Seq: uint64(ci.checked), Ops: ops}
-	b := wire.EncodeRequest(req)
+	b := wire.AppendRequest(nil, req)
 	if len(b) != wire.RequestWireSize(req) {
 		ci.t.Fatalf("chain %d encodes to %d bytes, RequestWireSize says %d", ci.checked, len(b), wire.RequestWireSize(req))
 	}
-	got, err := wire.DecodeRequest(b)
-	if err != nil {
+	got := new(wire.Request)
+	if err := wire.DecodeRequestAlias(got, b); err != nil {
 		ci.t.Fatalf("chain %d: %v", ci.checked, err)
 	}
 	if len(got.Ops) != len(ops) || got.Conn != req.Conn || got.Seq != req.Seq {
@@ -45,12 +45,12 @@ func (ci *codecIssuer) Issue(ops ...wire.Op) []wire.Result {
 
 	res, _ := ci.Conn.Issue(ops)
 	resp := &wire.Response{Conn: req.Conn, Seq: req.Seq, Results: res}
-	b = wire.EncodeResponse(resp)
+	b = wire.AppendResponse(nil, resp)
 	if len(b) != wire.ResponseWireSize(resp) {
 		ci.t.Fatalf("results of chain %d encode to %d bytes, ResponseWireSize says %d", ci.checked, len(b), wire.ResponseWireSize(resp))
 	}
-	back, err := wire.DecodeResponse(b)
-	if err != nil {
+	back := new(wire.Response)
+	if err := wire.DecodeResponseAlias(back, b); err != nil {
 		ci.t.Fatalf("results of chain %d: %v", ci.checked, err)
 	}
 	if len(back.Results) != len(res) {

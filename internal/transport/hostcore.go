@@ -80,8 +80,11 @@ func (h *HostCore) FreeList(id uint32) *alloc.FreeList { return h.freeLists[id] 
 // from and server templates clone. Read-only to callers.
 func (h *HostCore) FreeLists() map[uint32]*alloc.FreeList { return h.freeLists }
 
-// Quiescer tracks the in-flight operations of this server; the transports
-// bracket each executed request (or wakeup batch) with OpStart/OpEnd.
+// Quiescer tracks the in-flight operations of this server. Only the
+// simulated NIC brackets requests with OpStart/OpEnd, because only there
+// does a chain span time: a live socket runs each chain inside one hold of
+// the space guard, which RecycleBuffers also takes, so its waits fire at
+// once.
 func (h *HostCore) Quiescer() *alloc.Quiescer { return h.quiescer }
 
 // SetRPCHandler installs the two-sided dispatch target.
@@ -112,20 +115,6 @@ func (h *HostCore) RecycleBuffers(freeList uint32, addrs []memory.Addr) {
 		fl.Recycle(a)
 	}
 	fl.FlushWhenQuiet(h.quiescer)
-	g.Unlock()
-}
-
-// Quiesce runs fn once every operation currently in flight has completed
-// (immediately when idle). Server applications use it for reclamation
-// decisions that must not race in-flight chains (§3.2). fn may run with
-// the space guard held — always on a live server, and on any server when
-// it is idle at the call — so it must not take the guard itself: no
-// Quiesce, RecycleBuffers or guarded application call (kv.Server.Load)
-// from inside fn. The guard is not reentrant; such a call deadlocks.
-func (h *HostCore) Quiesce(fn func()) {
-	g := h.space.Guard()
-	g.Lock()
-	h.quiescer.AfterQuiesce(fn)
 	g.Unlock()
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"prism/internal/memory"
 	"prism/internal/wire"
 )
 
@@ -291,37 +290,5 @@ func TestFlusherWritesWholeBacklog(t *testing.T) {
 	}
 	if c := cap(f.fw.buf) + cap(f.spare); c > 2*len(want) {
 		t.Errorf("the staging buffers hold %d bytes after a %d-byte train", c, len(want))
-	}
-}
-
-// TestQuiesceRunsUnderGuard pins the contract the simulated and live
-// servers now share through HostCore: an immediately-ready Quiesce
-// callback runs with the space guard held, a deferred one runs wherever
-// the last in-flight op ends, and either way the callback must not take
-// the guard itself (it is not reentrant).
-func TestQuiesceRunsUnderGuard(t *testing.T) {
-	h := NewHostCore(memory.NewSpace())
-	ran := false
-	h.Quiesce(func() {
-		ran = true
-		if h.Space().Guard().TryLock() {
-			t.Error("idle Quiesce ran its callback without the space guard")
-		}
-	})
-	if !ran {
-		t.Fatal("idle Quiesce did not run its callback")
-	}
-	tok := h.Quiescer().OpStart()
-	ran = false
-	h.Quiesce(func() { ran = true })
-	if ran {
-		t.Fatal("Quiesce ran its callback with an operation in flight")
-	}
-	h.Quiescer().OpEnd(tok)
-	if !ran {
-		t.Fatal("deferred Quiesce callback did not run when the operation ended")
-	}
-	if !h.Space().Guard().TryLock() {
-		t.Fatal("Quiesce left the space guard held")
 	}
 }

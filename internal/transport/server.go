@@ -34,7 +34,6 @@ type Host interface {
 	SetRPCHandler(h RPCHandler)
 	PublishMeta(app string, meta any)
 	RecycleBuffers(freeList uint32, addrs []memory.Addr)
-	Quiesce(fn func())
 	// StageWrites is the host CPU storing one or more writes under key in
 	// order, not atomically: a remote READ may land between two of them,
 	// gap apart on the simulated NIC. Their data must stay untouched until
@@ -349,7 +348,7 @@ func (s *Server) Shutdown(grace time.Duration) {
 // state by id, and their temp buffers, which go back to the server when
 // the socket closes. All fields are owned by the socket's goroutine;
 // shared state is reached only under the space guard (primitives, free
-// lists, quiescer) or s.mu (registry).
+// lists) or s.mu (registry).
 type srvSock struct {
 	s     *Server
 	nc    net.Conn
@@ -362,11 +361,11 @@ type srvSock struct {
 	// Wakeup-batch guard amortization: the space guard is acquired at
 	// the first verb of a batch and released before any RPC dispatch
 	// (lock order) and before the batch's response flush (never hold a
-	// lock across a syscall). tok is the quiescer token bracketing the
-	// held span.
+	// lock across a syscall). Every chain runs inside one such hold and
+	// RecycleBuffers takes the guard, so a recycle never overlaps a chain
+	// and the held span needs no quiescer bracket.
 	guard   *sync.Mutex
 	inVerbs bool
-	tok     uint64
 
 	req wire.Request // alias-decodes into fr's buffer
 	// res and opMeta are Step's out-params, kept here because handing
@@ -384,7 +383,6 @@ func (sk *srvSock) beginVerbs() {
 		return
 	}
 	sk.guard.Lock()
-	sk.tok = sk.s.Quiescer().OpStart()
 	sk.inVerbs = true
 }
 
@@ -393,7 +391,6 @@ func (sk *srvSock) endVerbs() {
 	if !sk.inVerbs {
 		return
 	}
-	sk.s.Quiescer().OpEnd(sk.tok)
 	sk.guard.Unlock()
 	sk.inVerbs = false
 }

@@ -152,9 +152,13 @@ func TestWideTxInstallsEveryKey(t *testing.T) {
 	if got := fl.Len() - free + n; got != n { // the commit popped n and must have returned n
 		t.Fatalf("the free list holds %d buffers, %d before the commit: %d retired, want %d", fl.Len(), free, got, n)
 	}
-	tracked := slices.Collect(fl.Tracked())
+	var posted []memory.Addr // drained: the test ends here
+	for fl.Len() > 0 {
+		addr, _ := fl.Pop()
+		posted = append(posted, addr)
+	}
 	for k, addr := range displaced {
-		if !slices.Contains(tracked, addr) {
+		if !slices.Contains(posted, addr) {
 			t.Errorf("key %d's displaced buffer %#x was not retired", k, addr)
 		}
 	}

@@ -51,8 +51,8 @@ func TestQuickResponseRoundtrip(t *testing.T) {
 			}
 			resp.Results = append(resp.Results, res)
 		}
-		b := EncodeResponse(resp)
-		got, err := DecodeResponse(b)
+		b := AppendResponse(nil, resp)
+		got, err := decodeResponse(b)
 		if err != nil {
 			return false
 		}
@@ -66,23 +66,23 @@ func TestQuickResponseRoundtrip(t *testing.T) {
 // Truncating an encoded message at any byte offset must fail decoding —
 // no prefix of a valid message is itself valid.
 func TestDecodeTruncatedEveryOffset(t *testing.T) {
-	reqBytes := EncodeRequest(sampleRequest())
+	reqBytes := AppendRequest(nil, sampleRequest())
 	for cut := 0; cut < len(reqBytes); cut++ {
-		if _, err := DecodeRequest(reqBytes[:cut]); err == nil {
+		if _, err := decodeRequest(reqBytes[:cut]); err == nil {
 			t.Fatalf("request decode of %d-byte prefix succeeded", cut)
 		}
 	}
-	respBytes := EncodeResponse(sampleResponse())
+	respBytes := AppendResponse(nil, sampleResponse())
 	for cut := 0; cut < len(respBytes); cut++ {
-		if _, err := DecodeResponse(respBytes[:cut]); err == nil {
+		if _, err := decodeResponse(respBytes[:cut]); err == nil {
 			t.Fatalf("response decode of %d-byte prefix succeeded", cut)
 		}
 	}
 }
 
 func TestResponseDecodeTrailingGarbage(t *testing.T) {
-	b := append(EncodeResponse(sampleResponse()), 0x00)
-	if _, err := DecodeResponse(b); err == nil {
+	b := append(AppendResponse(nil, sampleResponse()), 0x00)
+	if _, err := decodeResponse(b); err == nil {
 		t.Fatal("decode with trailing garbage succeeded")
 	}
 }
@@ -93,16 +93,16 @@ func TestResponseDecodeHugeCountRejected(t *testing.T) {
 	b = putU64(b, 1)
 	b = putU32(b, 0)
 	b = putU32(b, 1<<30)
-	if _, err := DecodeResponse(b); err == nil {
+	if _, err := decodeResponse(b); err == nil {
 		t.Fatal("absurd result count accepted")
 	}
 }
 
-// Alias decoding must agree field-for-field with copying decoding, borrow
-// the input buffer for payloads, and reuse the destination's op storage.
+// Alias decoding must give back the encoded fields, borrow the input
+// buffer for payloads, and reuse the destination's op storage.
 func TestAliasDecodeRequest(t *testing.T) {
 	req := sampleRequest()
-	b := EncodeRequest(req)
+	b := AppendRequest(nil, req)
 	var alias Request
 	if err := DecodeRequestAlias(&alias, b); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestAliasDecodeRequest(t *testing.T) {
 
 func TestAliasDecodeResponse(t *testing.T) {
 	resp := sampleResponse()
-	b := EncodeResponse(resp)
+	b := AppendResponse(nil, resp)
 	var alias Response
 	if err := DecodeResponseAlias(&alias, b); err != nil {
 		t.Fatal(err)
@@ -160,16 +160,16 @@ func TestAliasDecodeResponse(t *testing.T) {
 }
 
 // AppendRequest/AppendResponse extend the destination rather than
-// overwrite it, and produce the same bytes as the Encode forms.
+// overwrite it, and append the same bytes as into an empty buffer.
 func TestAppendExtendsDst(t *testing.T) {
 	req, resp := sampleRequest(), sampleResponse()
 	prefix := []byte{0xAA, 0xBB}
 	gotReq := AppendRequest(append([]byte(nil), prefix...), req)
-	if !bytes.Equal(gotReq[:2], prefix) || !bytes.Equal(gotReq[2:], EncodeRequest(req)) {
+	if !bytes.Equal(gotReq[:2], prefix) || !bytes.Equal(gotReq[2:], AppendRequest(nil, req)) {
 		t.Fatal("AppendRequest did not extend dst with the canonical encoding")
 	}
 	gotResp := AppendResponse(append([]byte(nil), prefix...), resp)
-	if !bytes.Equal(gotResp[:2], prefix) || !bytes.Equal(gotResp[2:], EncodeResponse(resp)) {
+	if !bytes.Equal(gotResp[:2], prefix) || !bytes.Equal(gotResp[2:], AppendResponse(nil, resp)) {
 		t.Fatal("AppendResponse did not extend dst with the canonical encoding")
 	}
 }
@@ -187,54 +187,49 @@ func sliceWithin(s, b []byte) bool {
 	return false
 }
 
-// FuzzDecodeRequest checks that request decoding never panics and that any
+// FuzzDecodeRequest checks that request decoding never panics, that any
 // successfully decoded message re-encodes to exactly the input bytes (the
-// codec is canonical).
+// codec is canonical), and that a decode into storage another request
+// filled keeps nothing of it.
 func FuzzDecodeRequest(f *testing.F) {
-	seed := EncodeRequest(sampleRequest())
+	seed := AppendRequest(nil, sampleRequest())
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(append(append([]byte(nil), seed...), 0xFF))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		req, err := DecodeRequest(b)
+		req, err := decodeRequest(b)
 		if err != nil {
 			return
 		}
-		if got := EncodeRequest(req); !bytes.Equal(got, b) {
+		if got := AppendRequest(nil, req); !bytes.Equal(got, b) {
 			t.Fatalf("re-encode differs from input:\n in: %x\nout: %x", b, got)
 		}
-		var alias Request
-		if err := DecodeRequestAlias(&alias, b); err != nil {
-			t.Fatalf("alias decode failed where copy decode succeeded: %v", err)
-		}
-		if !reflect.DeepEqual(req, &alias) {
-			t.Fatal("alias and copy decodes disagree")
+		reused := sampleRequest()
+		if err := DecodeRequestAlias(reused, b); err != nil || !reflect.DeepEqual(req, reused) {
+			t.Fatalf("a decode into reused storage gives %+v (%v), a fresh one %+v", reused, err, req)
 		}
 	})
 }
 
 // FuzzDecodeResponse is the response-side mirror of FuzzDecodeRequest.
 func FuzzDecodeResponse(f *testing.F) {
-	seed := EncodeResponse(sampleResponse())
+	seed := AppendResponse(nil, sampleResponse())
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(append(append([]byte(nil), seed...), 0x00))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		resp, err := DecodeResponse(b)
+		resp, err := decodeResponse(b)
 		if err != nil {
 			return
 		}
-		if got := EncodeResponse(resp); !bytes.Equal(got, b) {
+		if got := AppendResponse(nil, resp); !bytes.Equal(got, b) {
 			t.Fatalf("re-encode differs from input:\n in: %x\nout: %x", b, got)
 		}
-		var alias Response
-		if err := DecodeResponseAlias(&alias, b); err != nil {
-			t.Fatalf("alias decode failed where copy decode succeeded: %v", err)
-		}
-		if !reflect.DeepEqual(resp, &alias) {
-			t.Fatal("alias and copy decodes disagree")
+		reused := sampleResponse()
+		if err := DecodeResponseAlias(reused, b); err != nil || !reflect.DeepEqual(resp, reused) {
+			t.Fatalf("a decode into reused storage gives %+v (%v), a fresh one %+v", reused, err, resp)
 		}
 	})
 }

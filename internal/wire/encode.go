@@ -78,11 +78,10 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
-// bytes decodes a length-prefixed byte string. alias=false returns a
-// fresh copy; alias=true returns a view borrowing the input buffer
-// (capacity-clamped so appends cannot scribble past it). Either way a
+// bytes decodes a length-prefixed byte string as a view borrowing the
+// input buffer (capacity-clamped so appends cannot scribble past it). A
 // zero-length string decodes to nil.
-func (r *reader) bytes(alias bool) []byte {
+func (r *reader) bytes() []byte {
 	n := r.u32()
 	if r.err != nil {
 		return nil
@@ -94,13 +93,7 @@ func (r *reader) bytes(alias bool) []byte {
 	if n == 0 {
 		return nil
 	}
-	var out []byte
-	if alias {
-		out = r.b[r.off : r.off+int(n) : r.off+int(n)]
-	} else {
-		out = make([]byte, n)
-		copy(out, r.b[r.off:])
-	}
+	out := r.b[r.off : r.off+int(n) : r.off+int(n)]
 	r.off += int(n)
 	return out
 }
@@ -129,11 +122,6 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	return b
 }
 
-// EncodeRequest serializes a request into a fresh buffer.
-func EncodeRequest(req *Request) []byte {
-	return AppendRequest(make([]byte, 0, 24+inlineLen(req)), req)
-}
-
 func inlineLen(req *Request) int {
 	n := 0
 	for i := range req.Ops {
@@ -144,9 +132,13 @@ func inlineLen(req *Request) int {
 	return n
 }
 
-// decodeRequestInto parses b into req, reusing req.Ops' capacity. With
-// alias set, Data/CompareMask/SwapMask are views borrowing b.
-func decodeRequestInto(req *Request, b []byte, alias bool) error {
+// DecodeRequestAlias parses b into req without copying payloads: each
+// op's Data/CompareMask/SwapMask alias b, and req.Ops reuses its prior
+// capacity. The views are valid only while b's backing memory is — for
+// transport buffers, until the owning arena slot or pooled object is
+// recycled (its epoch bumps, see Request.Epoch). Callers that retain a
+// payload across that lifetime must copy it out.
+func DecodeRequestAlias(req *Request, b []byte) error {
 	r := &reader{b: b}
 	req.Conn, req.Seq, req.Epoch = r.u64(), r.u64(), r.u32()
 	n := r.u32()
@@ -169,9 +161,9 @@ func decodeRequestInto(req *Request, b []byte, alias bool) error {
 		op.RKey = memory.RKey(r.u32())
 		op.Target = memory.Addr(r.u64())
 		op.Len = r.u64()
-		op.Data = r.bytes(alias)
-		op.CompareMask = r.bytes(alias)
-		op.SwapMask = r.bytes(alias)
+		op.Data = r.bytes()
+		op.CompareMask = r.bytes()
+		op.SwapMask = r.bytes()
 		op.FreeList = r.u32()
 		op.RedirectTo = memory.Addr(r.u64())
 	}
@@ -182,26 +174,6 @@ func decodeRequestInto(req *Request, b []byte, alias bool) error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(b)-r.off)
 	}
 	return nil
-}
-
-// DecodeRequest parses a request encoded by EncodeRequest. All payload
-// fields are fresh copies, independent of b.
-func DecodeRequest(b []byte) (*Request, error) {
-	req := &Request{}
-	if err := decodeRequestInto(req, b, false); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// DecodeRequestAlias parses b into req without copying payloads: each
-// op's Data/CompareMask/SwapMask alias b, and req.Ops reuses its prior
-// capacity. The views are valid only while b's backing memory is — for
-// transport buffers, until the owning arena slot or pooled object is
-// recycled (its epoch bumps, see Request.Epoch). Callers that retain a
-// payload across that lifetime must copy it out.
-func DecodeRequestAlias(req *Request, b []byte) error {
-	return decodeRequestInto(req, b, true)
 }
 
 // The response layout: a ResponseHeaderLen header (conn u64 | seq u64 |
@@ -248,14 +220,11 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	return b
 }
 
-// EncodeResponse serializes a response into a fresh buffer.
-func EncodeResponse(resp *Response) []byte {
-	return AppendResponse(make([]byte, 0, ResponseWireSize(resp)), resp)
-}
-
-// decodeResponseInto parses b into resp, reusing resp.Results' capacity.
-// With alias set, result Data fields are views borrowing b.
-func decodeResponseInto(resp *Response, b []byte, alias bool) error {
+// DecodeResponseAlias parses b into resp without copying payloads: each
+// result's Data aliases b, and resp.Results reuses its prior capacity.
+// The same lifetime rule as DecodeRequestAlias applies: the views die
+// when b's owner (arena slot / pooled object) recycles it.
+func DecodeResponseAlias(resp *Response, b []byte) error {
 	r := &reader{b: b}
 	resp.Conn, resp.Seq, resp.Epoch = r.u64(), r.u64(), r.u32()
 	n := r.u32()
@@ -274,7 +243,7 @@ func decodeResponseInto(resp *Response, b []byte, alias bool) error {
 		res := &resp.Results[i]
 		res.Status = Status(r.u8())
 		res.Addr = memory.Addr(r.u64())
-		res.Data = r.bytes(alias)
+		res.Data = r.bytes()
 	}
 	if r.err != nil {
 		return r.err
@@ -283,24 +252,6 @@ func decodeResponseInto(resp *Response, b []byte, alias bool) error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(b)-r.off)
 	}
 	return nil
-}
-
-// DecodeResponse parses a response encoded by EncodeResponse. All result
-// payloads are fresh copies, independent of b.
-func DecodeResponse(b []byte) (*Response, error) {
-	resp := &Response{}
-	if err := decodeResponseInto(resp, b, false); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// DecodeResponseAlias parses b into resp without copying payloads: each
-// result's Data aliases b, and resp.Results reuses its prior capacity.
-// The same lifetime rule as DecodeRequestAlias applies: the views die
-// when b's owner (arena slot / pooled object) recycles it.
-func DecodeResponseAlias(resp *Response, b []byte) error {
-	return decodeResponseInto(resp, b, true)
 }
 
 // RequestWireSize returns the encoded size of req without materializing the

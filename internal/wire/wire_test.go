@@ -66,10 +66,22 @@ func sampleRequest() *Request {
 	}
 }
 
+// decodeRequest alias-decodes b into a fresh Request.
+func decodeRequest(b []byte) (*Request, error) {
+	req := new(Request)
+	return req, DecodeRequestAlias(req, b)
+}
+
+// decodeResponse alias-decodes b into a fresh Response.
+func decodeResponse(b []byte) (*Response, error) {
+	resp := new(Response)
+	return resp, DecodeResponseAlias(resp, b)
+}
+
 func TestRequestRoundtrip(t *testing.T) {
 	req := sampleRequest()
-	b := EncodeRequest(req)
-	got, err := DecodeRequest(b)
+	b := AppendRequest(nil, req)
+	got, err := decodeRequest(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +92,7 @@ func TestRequestRoundtrip(t *testing.T) {
 
 func TestRequestWireSizeMatchesEncoding(t *testing.T) {
 	req := sampleRequest()
-	if got, want := RequestWireSize(req), len(EncodeRequest(req)); got != want {
+	if got, want := RequestWireSize(req), len(AppendRequest(nil, req)); got != want {
 		t.Fatalf("RequestWireSize = %d, encoded length = %d", got, want)
 	}
 }
@@ -95,8 +107,8 @@ func TestResponseRoundtrip(t *testing.T) {
 			{Status: StatusOK, Addr: 0xbeef},
 		},
 	}
-	b := EncodeResponse(resp)
-	got, err := DecodeResponse(b)
+	b := AppendResponse(nil, resp)
+	got, err := decodeResponse(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +121,17 @@ func TestResponseRoundtrip(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	b := EncodeRequest(sampleRequest())
+	b := AppendRequest(nil, sampleRequest())
 	for cut := 0; cut < len(b); cut += 3 {
-		if _, err := DecodeRequest(b[:cut]); err == nil {
+		if _, err := decodeRequest(b[:cut]); err == nil {
 			t.Fatalf("decode of %d-byte prefix succeeded", cut)
 		}
 	}
 }
 
 func TestDecodeTrailingGarbage(t *testing.T) {
-	b := append(EncodeRequest(sampleRequest()), 0xFF)
-	if _, err := DecodeRequest(b); err == nil {
+	b := append(AppendRequest(nil, sampleRequest()), 0xFF)
+	if _, err := decodeRequest(b); err == nil {
 		t.Fatal("decode with trailing garbage succeeded")
 	}
 }
@@ -129,7 +141,7 @@ func TestDecodeHugeChainRejected(t *testing.T) {
 	b = putU64(b, 1)
 	b = putU64(b, 1)
 	b = putU32(b, 1<<30)
-	if _, err := DecodeRequest(b); err == nil {
+	if _, err := decodeRequest(b); err == nil {
 		t.Fatal("absurd op count accepted")
 	}
 }
@@ -159,8 +171,8 @@ func TestQuickRequestRoundtrip(t *testing.T) {
 		if len(req.Ops[0].Data) == 0 {
 			req.Ops[0].Data = nil
 		}
-		b := EncodeRequest(req)
-		got, err := DecodeRequest(b)
+		b := AppendRequest(nil, req)
+		got, err := decodeRequest(b)
 		if err != nil {
 			return false
 		}
@@ -174,8 +186,8 @@ func TestQuickRequestRoundtrip(t *testing.T) {
 // Fuzz-ish property: decoding random bytes never panics.
 func TestQuickDecodeNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
-		_, _ = DecodeRequest(b)
-		_, _ = DecodeResponse(b)
+		_, _ = decodeRequest(b)
+		_, _ = decodeResponse(b)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(12))}); err != nil {
